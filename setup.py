@@ -33,4 +33,5 @@ FDA, BSP, Local-SGD, FedOpt, FedProx, SCAFFOLD — picks up uniformly.
 setup(
     long_description=LONG_DESCRIPTION,
     long_description_content_type="text/markdown",
+    install_requires=["numpy", "scipy"],
 )

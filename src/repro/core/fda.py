@@ -135,21 +135,14 @@ class FDATrainer:
             # the variance over-estimate property (stale drifts only make the
             # estimate more conservative).
             states, num_active = self._states_under_churn(drifts, active, alive)
-        elif active is None:
-            # The monitor consumes the whole drift matrix and batches what it
-            # can without changing bits (e.g. the flat-bincount sketch of all
-            # rows); its contract makes every state bit-identical to a
-            # per-row local_state call, so this one path serves both engines
-            # — sync decisions, byte ledgers, and the golden trajectories are
-            # unaffected by the engine choice.
-            states = self.monitor.local_states(drifts)
-            num_active = self.cluster.num_workers
         else:
-            states = [
-                self.monitor.local_state(drift)
-                for drift, is_active in zip(drifts, active)
-                if is_active
-            ]
+            # The monitor consumes the participating rows of the drift matrix
+            # (all of them in the paper's lockstep protocol) and batches what
+            # it can without changing bits (e.g. one sparse product sketching
+            # every row); its contract makes each state bit-identical to a
+            # per-row local_state call, so sync decisions, byte ledgers and
+            # the golden trajectories do not depend on the engine or the mask.
+            states = self.monitor.local_states(drifts if active is None else drifts[active])
             num_active = len(states)
         if states:
             # AllReduce of the local states (charged as small "fda-state"
@@ -192,26 +185,26 @@ class FDATrainer:
     def _states_under_churn(self, drifts, active, alive):
         """Per-worker states with stale substitution for dead workers.
 
-        Alive (and participation-active) workers report fresh states computed
-        from *copies* of their drift rows — the rows live in a reusable
-        scratch buffer, and exact-variant states keep zero-copy views, so
-        retained states must own their memory.  Dead workers contribute their
-        most recent retained state; workers that died before ever reporting
-        contribute nothing.  Returns ``(states, num_fresh)``.
+        Alive (and participation-active) workers report fresh states, built
+        in one batched ``local_states`` call on a *copy* of their drift rows
+        — the rows live in a reusable scratch buffer, and exact-variant
+        states keep zero-copy views, so retained states must not alias it.
+        Dead workers contribute their most recent retained state; workers
+        that died before ever reporting contribute nothing.  States stay in
+        worker order.  Returns ``(states, num_fresh)``.
         """
         if self._stale_states is None:
             self._stale_states = [None] * self.cluster.num_workers
-        num_fresh = 0
-        states = []
-        for worker_id in range(self.cluster.num_workers):
-            if alive[worker_id] and (active is None or active[worker_id]):
-                state = self.monitor.local_state(np.array(drifts[worker_id]))
-                self._stale_states[worker_id] = state
-                states.append(state)
-                num_fresh += 1
-            elif not alive[worker_id] and self._stale_states[worker_id] is not None:
-                states.append(self._stale_states[worker_id])
-        return states, num_fresh
+        fresh = alive if active is None else alive & active
+        rows = np.flatnonzero(fresh)
+        for worker_id, state in zip(rows, self.monitor.local_states(drifts[rows])):
+            self._stale_states[worker_id] = state
+        states = [
+            state
+            for state, is_fresh, is_alive in zip(self._stale_states, fresh, alive)
+            if state is not None and (is_fresh or not is_alive)
+        ]
+        return states, len(rows)
 
     def run_steps(self, num_steps: int) -> List[FdaStepResult]:
         """Run ``num_steps`` FDA steps and return their results."""

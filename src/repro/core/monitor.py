@@ -42,8 +42,8 @@ class VarianceMonitor:
         """All workers' states from the stacked ``(K, d)`` drift matrix.
 
         The batched execution engine's entry point: subclasses override to
-        batch the expensive part (one flat-``bincount`` sketch of all rows
-        for SketchFDA) instead of ``K`` independent evaluations.  The default
+        batch the expensive part (one sparse-operator product sketching all
+        rows for SketchFDA) instead of ``K`` independent evaluations.  The default
         falls back to :meth:`local_state` per row, so custom monitors keep
         working unvectorized.
 
@@ -110,10 +110,12 @@ class SketchMonitor(VarianceMonitor):
         """All workers' sketch states with one batched sketch of the matrix.
 
         The sketch — the expensive part — is built for all rows at once
-        (``sketch_rows``, bit-identical to per-row sketching because
-        ``bincount`` accumulates coordinates in index order either way); the
-        squared norms stay per-row ``np.dot`` so each state is bit-identical
-        to :meth:`local_state` (see the base-class contract).
+        (``sketch_rows``: one product of the sparse sketch operator with the
+        transposed matrix, bit-identical to per-row sketching because each
+        bucket accumulates its coordinates in ascending order whatever the
+        number of columns); the squared norms stay per-row ``np.dot`` so each
+        state is bit-identical to :meth:`local_state` (see the base-class
+        contract).
         """
         drifts = np.asarray(drifts)
         sketches = self.sketch_operator.sketch_rows(drifts)

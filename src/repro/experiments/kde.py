@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ExperimentError
 from repro.experiments.run import RunResult
@@ -82,6 +81,10 @@ def kde_density(
             density[i, j] += 1.0
         density /= density.sum()
         return log_comm_grid, log_steps_grid, density
+
+    # Imported here, not at module level: scipy.stats takes ~0.7 s to import
+    # and ``import repro`` reaches this module.
+    from scipy import stats
 
     try:
         kernel = stats.gaussian_kde(points.T)

@@ -22,11 +22,17 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.sketch.hashing import FourWiseHash
 
-#: Sketch geometry recommended by the paper (Section 3.3): epsilon ~ 6%, delta ~ 5%.
+#: Sketch geometry recommended by the paper (Section 3.3), which quotes
+#: epsilon ~ 6%, delta ~ 5% for it.  ``AmsSketch.epsilon``/``.delta`` return the
+#: looser worst-case constants sqrt(8/250) ≈ 0.179 and 2^(−5/2) ≈ 0.177: a row's
+#: estimate has variance ≤ 2‖v‖⁴/width, so by Chebyshev it misses (1 ± ε)‖v‖²
+#: with probability ≤ 2/(width·ε²) = 1/4 at ε = sqrt(8/width), and δ halves
+#: for every two rows the median runs over.
 DEFAULT_DEPTH = 5
 DEFAULT_WIDTH = 250
 
@@ -64,27 +70,34 @@ class AmsSketch:
         self.seed = int(seed)
         self._bucket_hash = FourWiseHash(self.depth, seed=seed * 2 + 1)
         self._sign_hash = FourWiseHash(self.depth, seed=seed * 2 + 2)
-        self._dimension: Optional[int] = None
-        self._buckets: Optional[np.ndarray] = None
-        self._signs: Optional[np.ndarray] = None
+        self._operator: Optional[sparse.csr_array] = None
         if dimension is not None:
             self._prepare(dimension)
 
-    # -- hash table preparation ----------------------------------------------
+    # -- operator preparation --------------------------------------------------
 
     def _prepare(self, dimension: int) -> None:
-        """Precompute bucket indices and signs for vectors of length ``dimension``."""
+        """Build the ``(depth·width, dimension)`` CSR sketch operator.
+
+        Row ``i·width + b`` holds ``s_i(c)`` at every coordinate ``c`` with
+        ``h_i(c) = b``; assembled by column and converted, which sorts each row.
+        """
         if dimension <= 0:
             raise ConfigurationError(f"dimension must be positive, got {dimension}")
         indices = np.arange(dimension, dtype=np.uint64)
-        self._buckets = self._bucket_hash.buckets(indices, self.width)
-        self._signs = self._sign_hash.signs(indices)
-        self._dimension = int(dimension)
+        index_dtype = sparse.get_index_dtype(maxval=self.depth * dimension)
+        rows = self._bucket_hash.buckets(indices, self.width).astype(index_dtype)
+        rows += np.arange(self.depth, dtype=index_dtype)[:, None] * self.width
+        column_starts = np.arange(dimension + 1, dtype=index_dtype) * self.depth
+        self._operator = sparse.csc_array(
+            (self._sign_hash.signs(indices).T.ravel(), rows.T.ravel(), column_starts),
+            shape=(self.depth * self.width, dimension),
+        ).tocsr()
 
     @property
     def dimension(self) -> Optional[int]:
-        """The vector length the hash tables are currently prepared for."""
-        return self._dimension
+        """The vector length the operator is currently prepared for."""
+        return None if self._operator is None else self._operator.shape[1]
 
     @property
     def shape(self) -> tuple:
@@ -108,53 +121,37 @@ class AmsSketch:
 
     # -- sketching -------------------------------------------------------------
 
+    def _apply(self, columns: np.ndarray) -> np.ndarray:
+        """Sketch every column of a float64 ``(d, K)`` block; returns ``(K, depth, width)``.
+
+        The one sketch kernel.  A CSR product accumulates each output row —
+        one bucket — over its coordinates in ascending order, in float64,
+        with exact ``±1`` products, independently per column: a column's
+        sketch does not depend on how many columns share the product.
+        """
+        if self.dimension != columns.shape[0]:
+            self._prepare(columns.shape[0])
+        product = self._operator @ columns
+        return np.ascontiguousarray(product.T).reshape(-1, self.depth, self.width)
+
     def sketch(self, vector: np.ndarray) -> np.ndarray:
         """Return the ``(depth, width)`` AMS sketch of ``vector``."""
         vector = np.asarray(vector, dtype=np.float64)
         if vector.ndim != 1:
             raise ShapeError(f"can only sketch 1-D vectors, got shape {vector.shape}")
-        if self._dimension != vector.shape[0]:
-            self._prepare(vector.shape[0])
-        result = np.zeros((self.depth, self.width), dtype=np.float64)
-        for row in range(self.depth):
-            weighted = self._signs[row] * vector
-            result[row] = np.bincount(
-                self._buckets[row], weights=weighted, minlength=self.width
-            )
-        return result
+        return self._apply(vector[:, None])[0]
 
     def sketch_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Sketch every row of a ``(K, d)`` matrix at once; returns ``(K, depth, width)``.
 
-        The batched form of :meth:`sketch` used by the batched execution
-        engine: for each depth row, the ``K`` per-worker scatters become one
-        flat ``bincount`` over worker-offset bucket indices (worker ``k``'s
-        coordinates land in ``[k·width, (k+1)·width)``).  Row ``k`` of the
-        result equals ``sketch(matrix[k])`` up to summation order inside a
-        bucket (``bincount`` accumulates coordinates in index order either
-        way, so in practice the values coincide bitwise).
+        The batched form of :meth:`sketch`: one product of the sparse operator
+        with the float64 ``(d, K)`` transpose of the matrix.  Row ``k`` of the
+        result is bit-identical to ``sketch(matrix[k])`` (see :meth:`_apply`).
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ShapeError(f"can only sketch a (K, d) matrix, got shape {matrix.shape}")
-        num_rows, dimension = matrix.shape
-        if self._dimension != dimension:
-            self._prepare(dimension)
-        worker_offsets = np.arange(num_rows, dtype=np.int64)[:, None] * self.width
-        result = np.empty((num_rows, self.depth, self.width), dtype=np.float64)
-        for row in range(self.depth):
-            weighted = self._signs[row] * matrix
-            # Flat bincount target of every (worker, coordinate) pair; built
-            # per call — a transient (K, d) index array is far cheaper than
-            # holding depth copies of it on the operator.
-            offsets = worker_offsets + self._buckets[row][None, :]
-            counts = np.bincount(
-                offsets.reshape(-1),
-                weights=weighted.reshape(-1),
-                minlength=num_rows * self.width,
-            )
-            result[:, row, :] = counts.reshape(num_rows, self.width)
-        return result
+        return self._apply(np.ascontiguousarray(matrix.T, dtype=np.float64))
 
     def estimate_l2_squared(self, sketch_matrix: np.ndarray) -> float:
         """Estimate ``‖v‖²`` from a sketch produced by this operator (or a linear mix)."""

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.fda import FDATrainer
-from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor
+from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor
 from repro.core.theta import DynamicThetaController
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
+from repro.faults.plan import FaultPlan
 from repro.nn.architectures import mlp
 from repro.optim.adam import Adam
 
@@ -158,3 +159,86 @@ class TestForceSynchronizationAndDynamicTheta:
         trainer.run_steps(7)
         assert len(trainer.history) == 7
         assert trainer.history[-1].parallel_steps == 7
+
+
+class RecordingSketchMonitor(SketchMonitor):
+    """SketchMonitor that keeps every batch of states it hands the trainer.
+
+    ``rowwise=True`` swaps the batched ``local_states`` for the base class's
+    per-row ``local_state`` loop — what the trainer's masked and churn
+    branches ran before they were routed through ``local_states``.
+    """
+
+    def __init__(self, rowwise):
+        super().__init__(depth=3, width=16, seed=3)
+        self.rowwise = rowwise
+        self.batches = []
+
+    def local_states(self, drifts):
+        batched = VarianceMonitor.local_states if self.rowwise else SketchMonitor.local_states
+        self.batches.append(batched(self, drifts))
+        return self.batches[-1]
+
+
+class TestBatchedStatesUnderMasksAndChurn:
+    """Partial participation and worker churn take the batched sketch kernel
+    without changing a bit: states, estimates, decisions and ledger equal the
+    per-row path's, and the protocol-level integers equal the literals
+    recorded from the commit before the routing change."""
+
+    SCENARIOS = {
+        "dropout": dict(dropout_rate=0.25, timeline_seed=2026),
+        "crash": dict(faults=FaultPlan(crash_rate=0.15, recovery_rounds=3, seed=11)),
+    }
+    GOLDEN_ACTIVE = {
+        "dropout": [6, 8, 6, 6, 8, 6, 8, 6, 7, 6, 6, 7, 6, 7, 4, 7, 7, 7, 5, 5,
+                    5, 5, 7, 6, 7, 5, 6, 7, 6, 8],
+        "crash": [7, 5, 5, 4, 4, 3, 4, 5, 7, 6, 6, 5, 5, 4, 4, 3, 1, 3, 4, 5,
+                  3, 5, 4, 3, 4, 6, 7, 5, 5, 6],
+    }
+    GOLDEN_SYNC_STEPS = {"dropout": [3, 7, 12, 17, 23, 28], "crash": [4, 10, 13, 19, 23, 29]}
+    GOLDEN_TOTAL_BYTES = {"dropout": 165120, "crash": 212480}
+
+    def run(self, scenario, execution, rowwise):
+        from helpers.parity import make_cluster
+
+        cluster = make_cluster(execution, num_workers=8, **self.SCENARIOS[scenario])
+        trainer = FDATrainer(cluster, RecordingSketchMonitor(rowwise), 0.05)
+        return trainer, trainer.run_steps(30)
+
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_batched_states_match_the_per_row_path(self, scenario, execution):
+        batched, batched_results = self.run(scenario, execution, rowwise=False)
+        rowwise, rowwise_results = self.run(scenario, execution, rowwise=True)
+
+        assert batched_results == rowwise_results  # estimates, decisions, bytes, clocks
+        assert len(batched.monitor.batches) == len(rowwise.monitor.batches) == 30
+        for got, expected in zip(batched.monitor.batches, rowwise.monitor.batches):
+            assert [s.drift_sq_norm for s in got] == [s.drift_sq_norm for s in expected]
+            for state, reference in zip(got, expected):
+                np.testing.assert_array_equal(state.sketch, reference.sketch)
+        np.testing.assert_array_equal(
+            batched.cluster.parameter_matrix, rowwise.cluster.parameter_matrix
+        )
+        ledger = batched.cluster.tracker.bytes_by_category
+        assert ledger == rowwise.cluster.tracker.bytes_by_category
+
+        assert [r.active_workers for r in batched_results] == self.GOLDEN_ACTIVE[scenario]
+        sync_steps = [r.step for r in batched_results if r.synchronized]
+        assert sync_steps == self.GOLDEN_SYNC_STEPS[scenario]
+        assert batched.cluster.total_bytes == self.GOLDEN_TOTAL_BYTES[scenario]
+
+    def test_retained_states_do_not_alias_the_drift_scratch(self):
+        # Under churn a dead worker's last state is reused on later steps; an
+        # exact-variant state is a view of its drift row, so the rows handed
+        # to the monitor must be copies of the reusable scratch buffer.
+        from helpers.parity import make_cluster
+
+        cluster = make_cluster("batched", num_workers=8, **self.SCENARIOS["crash"])
+        trainer = FDATrainer(cluster, ExactMonitor(), 1e9)
+        trainer.run_steps(5)
+        retained = [state for state in trainer._stale_states if state is not None]
+        assert retained
+        for state in retained:
+            assert not np.shares_memory(state.drift, trainer._drift_scratch)

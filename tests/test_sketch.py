@@ -4,6 +4,8 @@ The linearity and (1 ± ε) estimation properties are exactly what Theorem 3.1
 of the paper relies on, so they get property-based coverage here.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +174,92 @@ class TestSketchProperties:
         estimate = operator.estimate_l2_squared(operator.sketch(vector))
         true_value = float(np.dot(vector, vector))
         assert abs(estimate - true_value) / true_value < 0.5
+
+
+def bincount_sketch(operator: AmsSketch, vector: np.ndarray) -> np.ndarray:
+    """Reference kernel: the per-depth-row ``bincount`` scatter that the sparse
+    operator replaced, driven by the operator's own hash family."""
+    indices = np.arange(vector.shape[0], dtype=np.uint64)
+    buckets = operator._bucket_hash.buckets(indices, operator.width)
+    weighted = operator._sign_hash.signs(indices) * np.asarray(vector, dtype=np.float64)
+    return np.stack(
+        [
+            np.bincount(row_buckets, weights=row_weights, minlength=operator.width)
+            for row_buckets, row_weights in zip(buckets, weighted)
+        ]
+    )
+
+
+class TestSketchRows:
+    """``sketch_rows`` is ``sketch`` applied to every row — bit for bit."""
+
+    #: sha256 of ``sketch_rows(M).tobytes()`` for ``M = default_rng(2026)
+    #: .normal(size=(8, 5000)).astype(dtype)`` and ``AmsSketch(depth, width,
+    #: seed=3)``, recorded from the ``bincount`` kernel before the sparse
+    #: operator replaced it.
+    FROZEN_DIGESTS = {
+        ("float32", 5, 250): "11d26d0e5c139189b48da716d0d2a976435fb6ab76630c8ee435593c43112f0b",
+        ("float32", 3, 16): "9c4941f5552b1b3e9d6d5a232b0cdec93a41536622cf9601139bfbbe548bbca9",
+        ("float64", 5, 250): "e204aef3b0140d9b3abeba0285c69ceee1295d15d0e61feae63ab1d4bf7df550",
+        ("float64", 3, 16): "51d12a1a34ee5a7e92046eae493feca3e21116461ca5c308c22a51f7ac02d9d3",
+    }
+
+    @pytest.mark.parametrize("dtype, depth, width", sorted(FROZEN_DIGESTS))
+    def test_matches_the_frozen_bincount_digest(self, dtype, depth, width):
+        matrix = np.random.default_rng(2026).normal(size=(8, 5000)).astype(dtype)
+        sketches = AmsSketch(depth, width, seed=3).sketch_rows(matrix)
+        assert sketches.shape == (8, depth, width)
+        assert sketches.dtype == np.float64 and sketches.flags.c_contiguous
+        digest = hashlib.sha256(sketches.tobytes()).hexdigest()
+        assert digest == self.FROZEN_DIGESTS[(dtype, depth, width)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_rows=st.integers(min_value=1, max_value=6),
+        dimension=st.integers(min_value=1, max_value=300),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        strided=st.booleans(),
+    )
+    def test_rows_equal_per_row_sketches_exactly(self, seed, num_rows, dimension, dtype, strided):
+        # width 64 with dimension drawn from 1..300 covers d < width (empty
+        # buckets) and K = 1; ``strided`` sketches a non-contiguous row view
+        # of a larger scratch buffer, as the trainers do.
+        rng = np.random.default_rng(seed)
+        scratch = rng.normal(size=(2 * num_rows, dimension + 3)).astype(dtype)
+        matrix = scratch[::2, 1 : dimension + 1]
+        if not strided:
+            matrix = matrix.copy()
+        operator = AmsSketch(depth=3, width=64, seed=seed)
+        batched = operator.sketch_rows(matrix)
+        assert batched.shape == (num_rows, 3, 64)
+        for row, sketch in zip(matrix, batched):
+            np.testing.assert_array_equal(sketch, operator.sketch(row))
+            np.testing.assert_array_equal(sketch, bincount_sketch(operator, row))
+        np.testing.assert_array_equal(  # a strided 1-D view sketches like its copy
+            operator.sketch(scratch[0, ::2]), bincount_sketch(operator, scratch[0, ::2].copy())
+        )
+        # A dimension change re-prepares the operator for both entry points.
+        wider = rng.normal(size=(2, dimension + 7)).astype(dtype)
+        np.testing.assert_array_equal(
+            operator.sketch_rows(wider)[1], AmsSketch(3, 64, seed=seed).sketch(wider[1])
+        )
+        assert operator.dimension == dimension + 7
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_mean_of_row_sketches_is_sketch_of_mean_row(self, seed):
+        matrix = np.random.default_rng(seed).normal(size=(5, 400))
+        operator = AmsSketch(depth=4, width=32, seed=seed)
+        np.testing.assert_allclose(
+            operator.sketch_rows(matrix).mean(axis=0),
+            operator.sketch(matrix.mean(axis=0)),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    def test_rejects_non_2d_input_and_accepts_no_rows(self):
+        operator = AmsSketch(depth=3, width=16)
+        with pytest.raises(ShapeError):
+            operator.sketch_rows(np.zeros(5))
+        assert operator.sketch_rows(np.zeros((0, 7))).shape == (0, 3, 16)
