@@ -168,8 +168,8 @@ class SweepExecutor:
         and nothing is written (shared-setup memoization still applies).
     jobs:
         Worker processes for pending cells.  ``1`` (default) runs serially
-        in-process; ``None`` uses ``os.cpu_count()``.  Falls back to serial
-        where fork is unavailable.
+        in-process; ``None`` uses ``os.cpu_count()``, which is also the cap
+        on any larger value.  Falls back to serial where fork is unavailable.
     resume:
         Replay cells already present in the store (default).  With
         ``resume=False`` the store is write-only for this invocation.
@@ -277,7 +277,9 @@ class SweepExecutor:
         results: List[Optional[RunResult]],
     ) -> None:
         global _FORK_CELLS, _FORK_SETUP
-        workers = min(self.jobs, len(pending))
+        # Never more processes than cores: oversubscribed workers only add
+        # fork and context-switch cost to cells that take milliseconds.
+        workers = min(self.jobs, len(pending), os.cpu_count() or 1)
         _FORK_CELLS = cells
         _FORK_SETUP = self.setup
         try:

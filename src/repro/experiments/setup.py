@@ -306,16 +306,22 @@ class _ModelPool:
             for model in self.models
         ]
 
-    def bind(self) -> List[Sequential]:
-        """Reset every skeleton to its pristine initial state and return them."""
+    def bind(self, dtype) -> List[Sequential]:
+        """Reset every skeleton to its pristine state *in* ``dtype`` and return them.
+
+        ``dtype`` is the dtype of the cell about to use the skeletons (``None``
+        = the pool's build dtype).  A skeleton still in the dtype the previous
+        cell left it in is reused as it is; its plane is converted only when
+        that differs from ``dtype``.  The pristine vectors (kept in the build
+        dtype) are then written *through* the plane: assignment rounds exactly
+        as ``astype`` does, so the result equals an eager factory build that
+        the cluster then converts, in either dtype and in any order of cells.
+        """
+        dtype = self.dtype if dtype is None else dtype
         for model, rng_states in zip(self.models, self._rng_states):
-            # Restore the build dtype first: a previous float32 cell converted
-            # the plane in place, and writing float64 initials through a
-            # float32 plane would round them.
-            if model.dtype != self.dtype:
-                model.to_dtype(self.dtype)
-            model.set_parameters(self.init_params)
-            model.set_buffers(self.init_buffers)
+            model.to_dtype(dtype)
+            model.parameters_view()[...] = self.init_params
+            model.buffers_view()[...] = self.init_buffers
             model.gradients_view()[...] = 0.0
             for index, state in rng_states.items():
                 layer = model.layers[index]
@@ -415,9 +421,14 @@ class SetupCache:
         return pool
 
     def worker_models(self, config: WorkloadConfig) -> Optional[List[Sequential]]:
-        """K pristine worker models for one cell, or ``None`` to build eagerly."""
+        """K pristine worker models for one cell, or ``None`` to build eagerly.
+
+        The models come bound in the cell's own dtype (``config.dtype``, or
+        the factory's when that is ``None``), so the cluster built from them
+        has nothing left to convert.
+        """
         pool = self._pool(config)
-        return pool.bind() if pool is not None else None
+        return pool.bind(config.dtype) if pool is not None else None
 
     def model_digest(self, config: WorkloadConfig) -> object:
         """Content digest of the workload's initial model (architecture + θ₀).

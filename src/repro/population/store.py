@@ -9,17 +9,59 @@ memory (least-recently-bound evicted first) and spills the rest to disk via
 ``pickle``, which round-trips ndarray bytes and PCG64 state dicts exactly.
 ``peak_resident`` records the high-water mark; the population bench asserts
 it stays a function of the cohort size, never of ``N``.
+
+A spilled snapshot is read back only when its client is sampled again
+(probability ``cohort / N`` a round), so its file has no use for the page
+cache: the store asks the kernel to write each file back as soon as it is
+closed and to forget its pages a few spills later (:func:`_release_page_cache`).
+Left alone the files pile up as dirty pages (1.3 GB in 60 rounds of 16 clients
+at d = 114 728) until the kernel throttles the writer, and every one of those
+pages is fresh memory: on a virtual machine whose host takes free guest pages
+back, first touching them costs from 0.3 to 5 ms a snapshot, run to run.
+Recycled, the spill keeps ``_WRITE_BACK_LAG`` files (22 MB) in the cache and
+costs 1.0-1.1 ms a snapshot whatever the host did before.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import tempfile
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.exceptions import ConfigurationError
+
+#: Spills between the call that starts a file's write-back and the call that
+#: drops its pages.  The write-back of one snapshot takes about a millisecond
+#: and a cohort's spills come in one burst a round, so the second call finds
+#: the pages clean; where it does not they simply stay cached.
+_WRITE_BACK_LAG = 16
+
+
+def _release_page_cache(path: Path) -> None:
+    """Advise the kernel that ``path`` will not be read soon.
+
+    ``POSIX_FADV_DONTNEED`` starts the asynchronous write-back of the file's
+    dirty pages and drops the clean ones, so the first call on a fresh file
+    only starts the write-back and a later one gives the pages back.  It is
+    advice: without ``posix_fadvise`` (macOS, Windows), on a filesystem that
+    refuses it, or when a newer save has already removed the file, nothing
+    happens and the file is as readable as before.
+    """
+    if not hasattr(os, "posix_fadvise"):
+        return
+    try:
+        descriptor = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return
+    try:
+        os.posix_fadvise(descriptor, 0, 0, os.POSIX_FADV_DONTNEED)
+    except OSError:
+        pass
+    finally:
+        os.close(descriptor)
 
 
 class ClientStateStore:
@@ -33,6 +75,8 @@ class ClientStateStore:
         self._spilled: Dict[int, Path] = {}
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
+        #: Spill files whose write-back was started and whose pages are still cached.
+        self._written_back: "deque[Path]" = deque()
         self.peak_resident = 0
         self.evictions = 0
         self.spill_loads = 0
@@ -65,6 +109,10 @@ class ClientStateStore:
         path = self._spill_path(client_id)
         with path.open("wb") as handle:
             pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        _release_page_cache(path)
+        self._written_back.append(path)
+        if len(self._written_back) > _WRITE_BACK_LAG:
+            _release_page_cache(self._written_back.popleft())
         self._spilled[client_id] = path
         self.evictions += 1
 

@@ -19,6 +19,7 @@ direction ξ, timeline seconds).
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -107,3 +108,83 @@ def test_allowlist_entries_exist():
     """Stale allowlist entries hide future regressions — prune them."""
     missing = [entry for entry in FLOAT64_ALLOWLIST if not (SRC_ROOT / entry).exists()]
     assert not missing, f"FLOAT64_ALLOWLIST names deleted modules: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# No ``pow`` on the plane path
+#
+# ``x**3`` (any exponent but 2, which numpy lowers to a multiply) and
+# ``np.power`` on an ndarray are libm ``pow``: ~60 ns per element, 170x the
+# ``tanh`` beside it in GELU, which once made that one operator half of a
+# sweep cell.  Spell small integer powers as products.  The lint flags every
+# ``**`` whose exponent is not the literal ``2`` and every ``np.power`` /
+# ``np.float_power`` call in the modules that touch (K, d) or (K, B, units)
+# tensors; the allowlist names the Python-*scalar* powers that remain.
+# ---------------------------------------------------------------------------
+
+#: Directories / modules (relative to ``src/repro``) the pow lint covers.
+POW_LINTED = ("nn", "optim", "compression", "sketch", "core", "faults", "backend.py")
+
+#: ``(module, expression)`` pairs allowed to call ``pow``.  All are Python
+#: scalars, evaluated once per step or once per object — never per element.
+POW_ALLOWLIST = {
+    # Adam/AdamW bias corrections: float beta ** int step.  Deliberately the
+    # scalar libm pow — numpy's SIMD float64 pow differs from it in the last
+    # ulp, which would break stacked == per-worker parity.
+    ("optim/adam.py", "self.beta1**timestep"),
+    ("optim/adam.py", "self.beta2**timestep"),
+    ("optim/adam.py", "float(b) ** int(t)"),
+    # Learning-rate schedules: one float per step.
+    ("optim/schedules.py", "self.decay ** (step // self.every)"),
+    ("optim/schedules.py", "self.rate ** (step / self.scale)"),
+    # Quantization level count: a Python int, once per compressor.
+    ("compression/kernels.py", "2 ** (int(bits) - 1)"),
+    # AMS failure probability delta = 2^(-depth/2): a float property.
+    ("sketch/ams.py", "2.0 ** (-self.depth / 2.0)"),
+    # Retransmission back-off 2^i over a handful of attempts.
+    ("faults/injector.py", "2.0 ** i"),
+    # sqrt of a step count in the dtype tolerance policy.
+    ("backend.py", "max(1.0, float(steps)) ** 0.5"),
+}
+
+
+def _lowers_to_pow(node: ast.AST) -> bool:
+    """``a ** b`` with ``b`` anything but the literal 2, or an ``np.power`` call."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+        exponent = node.right if isinstance(node, ast.BinOp) else node.value
+        return not (isinstance(exponent, ast.Constant) and exponent.value == 2)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("power", "float_power")
+    )
+
+
+def _pow_sites():
+    """Every ``(module, expression, line)`` on the linted path that lowers to ``pow``."""
+    for entry in POW_LINTED:
+        root = SRC_ROOT / entry
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            relative = path.relative_to(SRC_ROOT).as_posix()
+            for node in ast.walk(ast.parse(source)):
+                if _lowers_to_pow(node):
+                    yield relative, ast.get_source_segment(source, node), node.lineno
+
+
+def test_no_pow_on_the_plane_path():
+    offenders = [
+        f"src/repro/{module}:{line}: {expression}"
+        for module, expression, line in _pow_sites()
+        if (module, expression) not in POW_ALLOWLIST
+    ]
+    assert not offenders, (
+        "libm pow on the plane path — spell the power as products (x*x*x), or, "
+        "for a Python scalar, add it to POW_ALLOWLIST with a reason:\n" + "\n".join(offenders)
+    )
+
+
+def test_pow_allowlist_entries_are_live():
+    """Stale allowlist entries hide future regressions — prune them."""
+    live = {(module, expression) for module, expression, _ in _pow_sites()}
+    assert not POW_ALLOWLIST - live, f"POW_ALLOWLIST names vanished code: {POW_ALLOWLIST - live}"

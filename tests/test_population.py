@@ -51,6 +51,7 @@ from repro.experiments.setup import (
     make_optimizer,
 )
 from repro.optim.server import FedAvg
+from repro.population import store as store_module
 from repro.population import (
     ClientDirectory,
     ClientPopulation,
@@ -328,6 +329,64 @@ class TestClientStateStore:
 
     def test_unknown_client_loads_none(self):
         assert ClientStateStore(budget=2).load(7) is None
+
+    def test_each_spill_file_is_released_when_written_and_again_after_the_lag(
+        self, tmp_path, monkeypatch
+    ):
+        released = []
+        release = store_module._release_page_cache
+        monkeypatch.setattr(
+            store_module,
+            "_release_page_cache",
+            lambda path: (released.append(path.name), release(path))[1],
+        )
+        lag = store_module._WRITE_BACK_LAG
+        store = ClientStateStore(budget=1, spill_dir=tmp_path)
+        clients = list(range(lag + 4))
+        for client_id in clients:
+            store.save(client_id, _snapshot(client_id))
+        spilled = [f"client-{client_id}.pkl" for client_id in clients[:-1]]
+        # First call when a file is written (starts its write-back), second
+        # one ``lag`` spills later (drops the pages): at most ``lag`` files
+        # stay cached however many are spilled.
+        expected = []
+        for index, name in enumerate(spilled):
+            expected.append(name)
+            if index >= lag:
+                expected.append(spilled[index - lag])
+        assert released == expected
+        # Released or not, every spilled snapshot reads back bit for bit.
+        for client_id in clients[:-1]:
+            loaded = store.load(client_id)
+            original = _snapshot(client_id)
+            np.testing.assert_array_equal(loaded["params"], original["params"])
+            assert loaded["rng"] == original["rng"]
+
+    def test_releasing_is_only_advice(self, tmp_path, monkeypatch):
+        # A file superseded before its second call is skipped ...
+        store = ClientStateStore(budget=2, spill_dir=tmp_path)
+        store.save(0, _snapshot(0))
+        assert store.evict(0)  # spills 0: first call made, second one pending
+        store.save(0, _snapshot(5))  # unlinks 0's file
+        for client_id in range(1, store_module._WRITE_BACK_LAG + 3):
+            store.save(client_id, _snapshot(client_id))
+            assert store.load(0)["steps"] == 5  # keeps 0 the most recent
+        assert not (tmp_path / "client-0.pkl").exists()
+        assert store.evictions == store_module._WRITE_BACK_LAG + 2
+
+        # ... a filesystem may refuse the advice, and a platform may lack the call.
+        def refuse(*args):
+            raise OSError("advice refused")
+
+        for patch in (
+            lambda: monkeypatch.setattr(store_module.os, "posix_fadvise", refuse),
+            lambda: monkeypatch.delattr(store_module.os, "posix_fadvise"),
+        ):
+            patch()
+            store = ClientStateStore(budget=1, spill_dir=tmp_path / "again")
+            store.save(0, _snapshot(0))
+            store.save(1, _snapshot(1))
+            assert store.load(0)["steps"] == 0
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.backend import resolve_dtype
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import ExperimentError
 from repro.experiments.cache import CODE_VERSION, RunStore
@@ -24,9 +26,12 @@ from repro.experiments.executor import (
     fork_parallelism_available,
 )
 from repro.experiments.run import TrainingRun
-from repro.experiments.setup import SetupCache, WorkloadConfig, make_optimizer
+from repro.experiments.setup import SetupCache, WorkloadConfig, build_cluster, make_optimizer
 from repro.experiments.sweep import _run_one, sweep_theta
 from repro.nn.architectures import mlp, transfer_head
+from repro.nn.layers import BatchNorm, Dense, Dropout
+from repro.nn.model import Sequential
+from repro.nn.plane import ParameterPlane
 from repro.strategies.fda_strategy import FDAStrategy
 
 BLOBS_FEATURES = 8
@@ -203,6 +208,105 @@ class TestMemoizedSetup:
         assert_results_identical(points[0].result, reference)
 
 
+def gelu_dropout_head():
+    """The benchmark's model family: Dense+GELU with private Dropout streams."""
+    return transfer_head(
+        BLOBS_FEATURES, num_classes=BLOBS_CLASSES, hidden_units=(12,), dropout_rate=0.3, seed=0
+    )
+
+
+def batchnorm_head():
+    """Same, plus BatchNorm so the buffer matrix is not empty."""
+    model = Sequential(
+        [
+            Dense(12, activation="gelu", name="bn_dense"),
+            BatchNorm(name="bn_norm"),
+            Dropout(0.3, seed=5, name="bn_dropout"),
+            Dense(BLOBS_CLASSES, name="bn_logits"),
+        ],
+        name="bn-head",
+    )
+    model.build((BLOBS_FEATURES,), seed=0)
+    return model
+
+
+def cluster_snapshot(cluster):
+    """Everything a cell starts from and its first step: matrices, RNG streams, losses."""
+    snapshot = {
+        "dtype": cluster.dtype,
+        "model_dtypes": [worker.model.dtype for worker in cluster.workers],
+        "params": cluster.parameter_matrix.copy(),
+        "buffers": cluster.buffer_matrix.copy(),
+        "rng": [
+            [
+                layer._rng.bit_generator.state
+                for layer in worker.model.layers
+                if hasattr(layer, "_rng")
+            ]
+            for worker in cluster.workers
+        ],
+    }
+    cluster.step_all()
+    snapshot["losses"] = [worker.last_loss for worker in cluster.workers]
+    snapshot["params_after"] = cluster.parameter_matrix.copy()
+    snapshot["buffers_after"] = cluster.buffer_matrix.copy()
+    return snapshot
+
+
+def assert_snapshots_identical(pooled, eager):
+    assert pooled["dtype"] == eager["dtype"]
+    assert pooled["model_dtypes"] == eager["model_dtypes"]
+    assert pooled["rng"] == eager["rng"]
+    assert pooled["losses"] == eager["losses"]
+    for name in ("params", "buffers", "params_after", "buffers_after"):
+        assert pooled[name].dtype == eager[name].dtype
+        np.testing.assert_array_equal(pooled[name], eager[name])
+
+
+class TestBindingIntoTheCellDtype:
+    """``SetupCache.worker_models`` binds pooled skeletons straight into the cell's dtype."""
+
+    DTYPES = ("float32", "float32", "float64", "float32", None)
+
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("factory", [gelu_dropout_head, batchnorm_head])
+    def test_alternating_dtype_cells_equal_eager_builds(self, factory, execution):
+        setup = SetupCache()
+        for dtype in self.DTYPES:
+            config = build_workload(
+                model_factory=factory, num_workers=8, execution=execution, dtype=dtype
+            )
+            pooled = cluster_snapshot(build_cluster(config, setup=setup)[0])
+            eager = cluster_snapshot(build_cluster(config)[0])
+            assert pooled["dtype"] == resolve_dtype(dtype)
+            assert_snapshots_identical(pooled, eager)
+        assert setup.model_misses == 1  # one pool served every cell
+
+    def test_consecutive_cells_of_one_dtype_convert_nothing(self, monkeypatch):
+        real_astype = ParameterPlane.astype
+        casts = []
+
+        def spying_astype(plane, dtype):
+            if resolve_dtype(dtype) != plane.dtype:
+                casts.append(resolve_dtype(dtype).name)
+            return real_astype(plane, dtype)
+
+        monkeypatch.setattr(ParameterPlane, "astype", spying_astype)
+        setup = SetupCache()
+        per_cell = []
+        for dtype in self.DTYPES:
+            config = build_workload(
+                model_factory=gelu_dropout_head, num_workers=8, execution="batched", dtype=dtype
+            )
+            before = len(casts)
+            build_cluster(config, setup=setup)
+            per_cell.append(len(casts) - before)
+        # float64 pool -> float32: K casts; float32 again: none (the parent
+        # converted back and forth, 16 a cell at K=8); each dtype switch: K;
+        # dtype=None inherits the factory's float64, which the planes are in.
+        assert per_cell == [8, 0, 8, 8, 8]
+
+
 class TestCrashResume:
     def test_interrupted_sweep_resumes_without_reexecution(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
@@ -264,6 +368,30 @@ class TestCrashResume:
         sweep_theta(build_workload(), THETAS, RUN, executor=replaying)
         assert replaying.stats.cache_hits == len(THETAS)
 
+    def test_store_from_the_previous_salt_never_replays(self, tmp_path, monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        old_salt = "sweep-cache-v1"
+        assert CODE_VERSION != old_salt  # GELU results moved in the last bits: v2
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setattr(executor_module, "CODE_VERSION", old_salt)
+        sweep_theta(build_workload(), THETAS, RUN, executor=SweepExecutor(cache_dir=cache_dir))
+        monkeypatch.undo()
+        runs_path = RunStore(cache_dir).runs_path
+        old_lines = runs_path.read_text().splitlines()
+        assert len(old_lines) == len(THETAS)
+
+        current = SweepExecutor(cache_dir=cache_dir)
+        sweep_theta(build_workload(), THETAS, RUN, executor=current)
+        assert current.stats.cache_hits == 0 and current.stats.executed == len(THETAS)
+        lines = runs_path.read_text().splitlines()
+        assert lines[: len(THETAS)] == old_lines  # old records untouched, new ones appended
+        assert len(lines) == 2 * len(THETAS)
+
+        warm = SweepExecutor(cache_dir=cache_dir)
+        sweep_theta(build_workload(), THETAS, RUN, executor=warm)
+        assert warm.stats.hit_rate == 1.0 and warm.stats.executed == 0
+
 
 class TestRunStore:
     def test_truncated_tail_line_is_tolerated(self, tmp_path):
@@ -315,6 +443,26 @@ class TestParallelExecution:
         replaying = SweepExecutor(cache_dir=cache_dir)
         sweep_theta(build_workload(), THETAS, RUN, executor=replaying)
         assert replaying.stats.cache_hits == len(THETAS)
+
+    def test_pool_is_capped_at_the_core_count(self, tmp_path, monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        pool_sizes = []
+        real_pool = executor_module.ProcessPoolExecutor
+
+        def recording_pool(max_workers=None, **kwargs):
+            pool_sizes.append(max_workers)
+            return real_pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+        serial = sweep_theta(build_workload(), THETAS, RUN, executor=SweepExecutor())
+        oversubscribed = SweepExecutor(cache_dir=tmp_path / "cache", jobs=8)
+        parallel = sweep_theta(build_workload(), THETAS, RUN, executor=oversubscribed)
+        assert pool_sizes == [2]  # not min(jobs, cells) == 3
+        assert oversubscribed.stats.parallel_cells == len(THETAS)
+        for left, right in zip(serial, parallel):
+            assert_results_identical(left.result, right.result)
 
 
 class TestCellValidation:
