@@ -1,4 +1,4 @@
-"""Array-backend and dtype seam.
+"""The dtype seam.
 
 Every hot-path allocation in the library — the ``(K, d)`` parameter plane,
 the stacked optimizer state, the error-feedback residual, the layer scratch
@@ -11,9 +11,6 @@ This module is the single place that owns that choice:
   the memory traffic on every bandwidth-bound pass (engine steps, drifts,
   collectives, compression) and half the bytes on the fabric ledgers — the
   regime real FL deployments train and report in.
-* :data:`xp` is the array namespace the library computes with.  It is plain
-  NumPy today; routing every ``np.`` call in new code through ``xp`` keeps
-  the door open for a torch/cupy namespace to drop in behind the same seam.
 
 What deliberately stays float64 regardless of the active dtype:
 
@@ -39,11 +36,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-
-#: The array namespace the library computes with (NumPy today).  New code
-#: should reach arrays through ``xp`` so an alternative backend can be
-#: swapped in at this one seam.
-xp = np
 
 #: The bit-exact reference dtype; every golden trajectory is recorded in it.
 DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
@@ -115,5 +107,4 @@ __all__ = [
     "parity_tolerance",
     "resolve_dtype",
     "tolerance",
-    "xp",
 ]

@@ -182,6 +182,13 @@ class Compressor:
     def bind_layout(self, layout: Sequence) -> None:
         """Attach a :class:`~repro.nn.plane.SlotLayout` list (layer-wise kernels)."""
 
+    def state_dict(self) -> dict:
+        """What the kernel carries between calls (nothing, unless it draws)."""
+        return {}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Resume from :meth:`state_dict`."""
+
     # -- legacy single-vector API ---------------------------------------------
 
     def compress(self, vector: np.ndarray) -> CompressedPayload:
@@ -381,6 +388,12 @@ class RandomKCompressor(TopKCompressor):
             return np.broadcast_to(np.arange(dimension), matrix.shape).copy()
         draws = self._rng.random(matrix.shape)
         return np.argpartition(draws, keep, axis=1)[:, :keep]
+
+    def state_dict(self) -> dict:
+        return {"rng": self._rng.bit_generator.state}
+
+    def load_state_dict(self, state: dict) -> None:
+        self._rng.bit_generator.state = state["rng"]
 
     def transmitted_elements(self, dimension: int) -> int:
         if dimension == 0:

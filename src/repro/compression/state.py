@@ -141,6 +141,26 @@ class ClusterCompression:
             self._reference = cluster.average_parameters()
         return self._reference
 
+    # -- resumable state ---------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The reference model and the kernel's state.
+
+        The residual rows are per-worker state: they are captured with the
+        workers' slots (``SimulatedCluster.capture_slot`` / ``state_dict``),
+        through :attr:`residual_matrix`.
+        """
+        return {
+            "reference": None if self._reference is None else self._reference.copy(),
+            "kernel": self.compressor.state_dict(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Resume from :meth:`state_dict`."""
+        reference = state["reference"]
+        self._reference = None if reference is None else np.array(reference, dtype=self.dtype)
+        self.compressor.load_state_dict(state["kernel"])
+
     # -- the compression step ----------------------------------------------------
 
     def compress_update(

@@ -19,18 +19,15 @@ communication metric exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.monitor import VarianceMonitor
-from repro.core.state import average_states
+from repro.core.monitor import LinearMonitor, VarianceMonitor
+from repro.core.state import average_states, state_from_dict, state_to_dict
 from repro.core.theta import DynamicThetaController
 from repro.distributed.cluster import CATEGORY_STATE, SimulatedCluster
 from repro.exceptions import ConfigurationError
-
-#: A synchronizer takes no arguments and returns the new global parameter vector.
-Synchronizer = Callable[[], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class FDATrainer:
         threshold: float,
         sync_buffers: bool = True,
         theta_controller: Optional[DynamicThetaController] = None,
-        synchronizer: Optional[Synchronizer] = None,
     ) -> None:
         if threshold < 0:
             raise ConfigurationError(f"threshold (Theta) must be non-negative, got {threshold}")
@@ -67,12 +63,6 @@ class FDATrainer:
         self.threshold = float(threshold)
         self.sync_buffers = bool(sync_buffers)
         self.theta_controller = theta_controller
-        # The synchronizer performs the actual model exchange when the variance
-        # estimate exceeds Theta.  The default is cluster.synchronize — exact
-        # AllReduce, or the compressed drift exchange when the cluster carries
-        # collective-level compression (Section 2: FDA is orthogonal to
-        # compression); a custom callable can still be plugged in instead.
-        self._synchronizer = synchronizer
         self.step_count = 0
         self.synchronization_count = 0
         self.last_estimate: Optional[float] = None
@@ -212,21 +202,18 @@ class FDATrainer:
             raise ConfigurationError(f"num_steps must be non-negative, got {num_steps}")
         return [self.step() for _ in range(num_steps)]
 
-    def _synchronize(self) -> np.ndarray:
-        """Run the configured synchronizer (exact AllReduce by default)."""
-        if self._synchronizer is not None:
-            return self._synchronizer()
-        return self.cluster.synchronize(include_buffers=self.sync_buffers)
-
     def _complete_synchronization(self) -> np.ndarray:
         """Exchange models and rotate the protocol bookkeeping.
 
         The single place that performs the monitor notification, reference
         rotation (``w_{t-1} ← w_{t0} ← w̄``), and counter update — shared by
         the in-protocol trigger (:meth:`step`) and the explicit
-        :meth:`force_synchronization`.
+        :meth:`force_synchronization`.  The exchange is ``cluster.synchronize``:
+        an exact AllReduce, or the compressed drift exchange when the cluster
+        carries collective-level compression (Section 2: FDA is orthogonal to
+        compression).
         """
-        new_global = self._synchronize()
+        new_global = self.cluster.synchronize(include_buffers=self.sync_buffers)
         self.monitor.on_synchronization(new_global, self._previous_reference)
         self._previous_reference = self._reference
         self._reference = new_global
@@ -240,6 +227,55 @@ class FDATrainer:
         global model (e.g. at the very end of training).
         """
         return self._complete_synchronization()
+
+    # -- checkpointing -----------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Protocol state for a bit-exact resume.
+
+        Everything :meth:`step` mutates: the sync references ``w_{t0}`` /
+        ``w_{t-1}``, the step/sync counters, the (possibly dynamically
+        adjusted) threshold, churn-retained stale states, the Θ controller,
+        and the linear monitor's analysis direction ξ, which rotates on every
+        synchronization.  The per-step ``history`` list is diagnostic output,
+        not protocol state, and is not captured.
+        """
+        state = {
+            "step_count": self.step_count,
+            "synchronization_count": self.synchronization_count,
+            "threshold": self.threshold,
+            "last_estimate": self.last_estimate,
+            "reference": self._reference.copy(),
+            "previous_reference": self._previous_reference.copy(),
+        }
+        if self._stale_states is not None:
+            state["stale_states"] = [
+                None if s is None else state_to_dict(s) for s in self._stale_states
+            ]
+        if isinstance(self.monitor, LinearMonitor):
+            state["monitor_direction"] = self.monitor.direction.copy()
+        if self.theta_controller is not None:
+            state["theta_controller"] = self.theta_controller.state_dict()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot taken by :meth:`state_dict` on a fresh trainer."""
+        self.step_count = int(state["step_count"])
+        self.synchronization_count = int(state["synchronization_count"])
+        self.threshold = float(state["threshold"])
+        last = state["last_estimate"]
+        self.last_estimate = None if last is None else float(last)
+        dtype = self.cluster.dtype
+        self._reference = np.asarray(state["reference"], dtype=dtype)
+        self._previous_reference = np.asarray(state["previous_reference"], dtype=dtype)
+        if "stale_states" in state:
+            self._stale_states = [
+                None if s is None else state_from_dict(s) for s in state["stale_states"]
+            ]
+        if "monitor_direction" in state:
+            self.monitor.direction = state["monitor_direction"]
+        if "theta_controller" in state:
+            self.theta_controller.load_state_dict(state["theta_controller"])
 
     @property
     def synchronization_rate(self) -> float:

@@ -170,6 +170,18 @@ class DynamicThetaController:
             adjusted = current_theta / self.adjustment
         return float(np.clip(adjusted, self.min_theta, self.max_theta))
 
+    def state_dict(self) -> dict:
+        """JSON-safe snapshot of the open byte window and the adjustment count."""
+        return {
+            "recent_bytes": list(self._recent_bytes),
+            "adjustment_count": self.adjustment_count,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot taken by :meth:`state_dict`."""
+        self._recent_bytes = [float(b) for b in state["recent_bytes"]]
+        self.adjustment_count = int(state["adjustment_count"])
+
     def __repr__(self) -> str:
         return (
             f"DynamicThetaController(target={self.target_bytes_per_step}, "

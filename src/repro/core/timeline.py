@@ -288,6 +288,40 @@ class Timeline:
         if self._queue:
             self.delay_pending(seconds)
 
+    # -- checkpointing -----------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """JSON-safe snapshot of the clocks, churn ledger, event heap and RNG stream."""
+        return {
+            "now": self.now,
+            "compute_seconds": self.compute_seconds,
+            "comm_seconds": self.comm_seconds,
+            "rounds_advanced": self.rounds_advanced,
+            "churn_events": [list(event) for event in self.churn_events],
+            "queue": [list(entry) for entry in self._queue],
+            "event_seq": self._event_seq,
+            "durations": self._durations.copy(),
+            "rng": self._rng.bit_generator.state,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot taken by :meth:`state_dict` (bit-exact stream)."""
+        self.now = float(state["now"])
+        self.compute_seconds = float(state["compute_seconds"])
+        self.comm_seconds = float(state["comm_seconds"])
+        self.rounds_advanced = int(state["rounds_advanced"])
+        self.churn_events = [
+            (float(time), str(kind), int(worker))
+            for time, kind, worker in state["churn_events"]
+        ]
+        self._queue = [
+            (float(time), int(worker), int(seq)) for time, worker, seq in state["queue"]
+        ]
+        heapq.heapify(self._queue)
+        self._event_seq = int(state["event_seq"])
+        self._durations[...] = state["durations"]
+        self._rng.bit_generator.state = state["rng"]
+
     def __repr__(self) -> str:
         return (
             f"Timeline(K={self.num_workers}, t={self.now:.2f}, "

@@ -18,7 +18,22 @@ from repro.exceptions import DataError
 from repro.utils.rng import as_rng
 
 
-class BatchSampler:
+class _PrivateStream:
+    """A loader's worker-private generator, resumable through its state."""
+
+    _rng: np.random.Generator
+
+    @property
+    def rng_state(self) -> dict:
+        """The generator's bit-exact state (assignable, to resume it)."""
+        return self._rng.bit_generator.state
+
+    @rng_state.setter
+    def rng_state(self, state: dict) -> None:
+        self._rng.bit_generator.state = state
+
+
+class BatchSampler(_PrivateStream):
     """Samples random mini-batches (with replacement) from one worker's data."""
 
     def __init__(self, dataset: Dataset, batch_size: int, seed=None) -> None:
@@ -114,7 +129,7 @@ class StackedSampler:
             yield self.sample()
 
 
-class EpochIterator:
+class EpochIterator(_PrivateStream):
     """Iterates a dataset in shuffled, non-overlapping batches (one epoch)."""
 
     def __init__(self, dataset: Dataset, batch_size: int, seed=None, drop_last: bool = False) -> None:

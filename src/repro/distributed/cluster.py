@@ -358,6 +358,75 @@ class SimulatedCluster:
             )
         return np.subtract(self._param_matrix, reference, out=out)
 
+    # -- slot state --------------------------------------------------------------
+    #
+    # One answer to "what is worker slot k's state": its row of the parameter,
+    # buffer and error-feedback residual matrices plus what the Worker owns
+    # (Worker.state_dict).  Checkpoints take all K slots at once, cohort
+    # binding takes the bound ones; both write rows in place.
+
+    def _rows_state(self, rows) -> dict:
+        """Copies of ``rows`` (an index or a slice) of every per-slot matrix."""
+        state = {
+            "parameters": self._param_matrix[rows].copy(),
+            "buffers": self._buffer_matrix[rows].copy(),
+        }
+        if self._compression is not None and self._compression.error_feedback:
+            state["residual"] = self._compression.residual_matrix[rows].copy()
+        return state
+
+    def _load_rows(self, rows, state: dict) -> None:
+        self._param_matrix[rows] = state["parameters"]
+        self._buffer_matrix[rows] = state["buffers"]
+        if self._compression is not None and self._compression.error_feedback:
+            self._compression.residual_matrix[rows] = state["residual"]
+
+    def capture_slot(self, slot: int) -> dict:
+        """Snapshot of slot ``slot`` (copies; the slot lives on)."""
+        return {**self._rows_state(slot), "worker": self.workers[slot].state_dict()}
+
+    def restore_slot(self, slot: int, snapshot: dict) -> None:
+        """Write a :meth:`capture_slot` snapshot back into ``slot``, in place."""
+        self._load_rows(slot, snapshot)
+        self.workers[slot].load_state_dict(snapshot["worker"])
+
+    def reset_slot(self, slot: int, parameters: np.ndarray, buffers: np.ndarray, seed) -> None:
+        """Make ``slot`` a freshly built worker holding ``parameters``/``buffers``.
+
+        Zero optimizer state and residual, step count 0, the batch streams of
+        ``seed`` and the model's initial layer streams, all in place.
+        """
+        self._load_rows(slot, {"parameters": parameters, "buffers": buffers, "residual": 0.0})
+        self.workers[slot].reset_state(seed)
+
+    def state_dict(self) -> dict:
+        """Everything training mutates in the cluster: all K slots plus the
+        cluster-level state, each part serialised by the object that owns it."""
+        return {
+            **self._rows_state(slice(None)),
+            "workers": [worker.state_dict() for worker in self.workers],
+            "synchronization_count": self.synchronization_count,
+            "compression": (
+                None if self._compression is None else self._compression.state_dict()
+            ),
+            "timeline": self.timeline.state_dict(),
+            "fabric": self.fabric.state_dict(),
+            "injector": None if self.faults is None else self.faults.state_dict(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Resume a freshly built cluster of the same configuration, in place."""
+        self._load_rows(slice(None), state)
+        for worker, worker_state in zip(self.workers, state["workers"]):
+            worker.load_state_dict(worker_state)
+        self.synchronization_count = int(state["synchronization_count"])
+        if self._compression is not None:
+            self._compression.load_state_dict(state["compression"])
+        self.timeline.load_state_dict(state["timeline"])
+        self.fabric.load_state_dict(state["fabric"])
+        if self.faults is not None:
+            self.faults.load_state_dict(state["injector"])
+
     # -- collectives -----------------------------------------------------------
 
     def _stack_vectors(
@@ -614,9 +683,8 @@ class SimulatedCluster:
         The worker pulls the survivors' average model over its actual
         coordinator path (charged as a point-to-point transfer on the fabric
         ledgers) and restarts with zeroed optimizer moments and step count —
-        whatever momentum it had accumulated before the crash died with it.
-        State arrays are zeroed *in place* so the stacked optimizer's row
-        bindings (batched engine) stay intact.
+        whatever momentum it had accumulated before the crash died with it
+        (zeroed in place: the stacked optimizer's row bindings stay intact).
         """
         mask = self.faults.alive.copy()
         mask[worker_id] = False
@@ -627,12 +695,7 @@ class SimulatedCluster:
                 self._buffer_matrix[worker_id] = self._buffer_matrix[mask].mean(axis=0)
         charge = self.charge_upload(self.model_dimension, CATEGORY_MODEL, worker_id)
         self.faults.log.note_recovery_cost(worker_id, charge.num_bytes, charge.seconds)
-        optimizer = self.workers[worker_id].optimizer
-        for attr in ("_velocity", "_m", "_v"):
-            value = getattr(optimizer, attr, None)
-            if isinstance(value, np.ndarray):
-                value[...] = 0.0
-        optimizer.step_count = 0
+        self.workers[worker_id].optimizer.zero_state()
 
     @property
     def population_mask(self) -> Optional[np.ndarray]:

@@ -532,6 +532,38 @@ class Fabric:
         )
         return CollectiveCharge(num_bytes, seconds)
 
+    # -- checkpointing -----------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """JSON-safe snapshot of the byte and second ledgers (tracker included)."""
+        return {
+            "bytes_by_category": dict(self.tracker.bytes_by_category),
+            "operations_by_category": dict(self.tracker.operations_by_category),
+            "bytes_by_link": {
+                f"{src}->{dst}": num_bytes
+                for (src, dst), num_bytes in self.bytes_by_link.items()
+            },
+            "comm_seconds": self.comm_seconds,
+            "seconds_by_category": dict(self.seconds_by_category),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot taken by :meth:`state_dict`."""
+        self.tracker.bytes_by_category = {
+            key: int(value) for key, value in state["bytes_by_category"].items()
+        }
+        self.tracker.operations_by_category = {
+            key: int(value) for key, value in state["operations_by_category"].items()
+        }
+        self.bytes_by_link = {}
+        for label, num_bytes in state["bytes_by_link"].items():
+            src, dst = label.split("->")
+            self.bytes_by_link[(int(src), int(dst))] = int(num_bytes)
+        self.comm_seconds = float(state["comm_seconds"])
+        self.seconds_by_category = {
+            key: float(value) for key, value in state["seconds_by_category"].items()
+        }
+
     # -- collectives -----------------------------------------------------------
 
     @staticmethod

@@ -4,6 +4,13 @@ Each worker owns a local model replica, a local optimizer, and a shard of the
 training data.  ``local_step`` performs exactly one ``Optimize(w, B)`` update
 from the paper's Algorithm 1; ``local_epoch`` performs the full local pass
 used by the FedAvg/FedOpt baselines.
+
+A worker is also the owner of everything it carries from one step to the next
+besides its rows of the cluster's matrices: :meth:`Worker.state_dict` composes
+the optimizer's state, the model's layer streams, the two batch streams, the
+last loss and the step count; :meth:`Worker.load_state_dict` resumes from it
+and :meth:`Worker.reset_state` returns to what a freshly built worker holds.
+Checkpoints, cohort binding and crash rejoin all go through these.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.base import Optimizer
+from repro.utils.rng import as_rng
 
 
 class Worker:
@@ -57,6 +65,47 @@ class Worker:
         self._epoch_iterator = EpochIterator(dataset, batch_size, seed=seed)
         self.steps_performed = 0
         self.last_loss: Optional[float] = None
+        # What reset_state rewinds the model's layer streams to.
+        self._initial_model_rngs = model.rng_states()
+
+    # -- resumable state --------------------------------------------------------
+
+    def set_dataset(self, dataset: Dataset) -> None:
+        """Point the worker and both of its batch streams at another shard."""
+        self.dataset = dataset
+        self._sampler.dataset = dataset
+        self._epoch_iterator.dataset = dataset
+
+    def state_dict(self) -> dict:
+        """Everything the worker carries between steps, outside the cluster's rows."""
+        return {
+            "steps_performed": self.steps_performed,
+            "last_loss": self.last_loss,
+            "optimizer": self.optimizer.state_dict(),
+            "sampler_rng": self._sampler.rng_state,
+            "epoch_rng": self._epoch_iterator.rng_state,
+            "model_rngs": self.model.rng_states(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Resume from :meth:`state_dict`; optimizer arrays are written in place."""
+        self.steps_performed = int(state["steps_performed"])
+        last_loss = state["last_loss"]
+        self.last_loss = None if last_loss is None else float(last_loss)
+        self.optimizer.load_state_dict(state["optimizer"])
+        self._sampler.rng_state = state["sampler_rng"]
+        self._epoch_iterator.rng_state = state["epoch_rng"]
+        self.model.load_rng_states(state["model_rngs"])
+
+    def reset_state(self, seed) -> None:
+        """Return, in place, to what a worker freshly built with ``seed`` holds."""
+        self.steps_performed = 0
+        self.last_loss = None
+        self.optimizer.zero_state()
+        fresh = as_rng(seed).bit_generator.state
+        self._sampler.rng_state = fresh
+        self._epoch_iterator.rng_state = fresh
+        self.model.load_rng_states(self._initial_model_rngs)
 
     # -- parameter access -----------------------------------------------------
 

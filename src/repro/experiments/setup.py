@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.backend import resolve_dtype
 from repro.compression import CompressionConfig, get_compression
 from repro.core.timeline import StragglerProfile, Timeline
@@ -297,14 +295,7 @@ class _ModelPool:
         self.digest = model_digest(template)
         # Per-model snapshot of every layer's private RNG (Dropout streams):
         # bind() rewinds them so mask sequences replay exactly.
-        self._rng_states = [
-            {
-                index: layer._rng.bit_generator.state
-                for index, layer in enumerate(model.layers)
-                if hasattr(layer, "_rng")
-            }
-            for model in self.models
-        ]
+        self._rng_states = [model.rng_states() for model in self.models]
 
     def bind(self, dtype) -> List[Sequential]:
         """Reset every skeleton to its pristine state *in* ``dtype`` and return them.
@@ -323,10 +314,7 @@ class _ModelPool:
             model.parameters_view()[...] = self.init_params
             model.buffers_view()[...] = self.init_buffers
             model.gradients_view()[...] = 0.0
-            for index, state in rng_states.items():
-                layer = model.layers[index]
-                layer._rng = np.random.default_rng()
-                layer._rng.bit_generator.state = state
+            model.load_rng_states(rng_states)
         return self.models
 
 
@@ -482,28 +470,44 @@ def build_cluster(
     a cache every call rebuilds everything from scratch.
 
     With ``config.population`` set, the built cluster is the *cohort window*:
-    ``cohort_size`` slots seeded from the population's client directory, with
-    an unattached :class:`~repro.population.plane.ClientPopulation` hung on
-    ``cluster.population`` for the training run to attach and drive.
+    ``cohort_size`` slots, slot ``s`` seeded with client ``s mod N``'s shard so
+    every slot has valid data before the first cohort binds.  Partitioning is
+    bypassed — client shards come from the population's
+    :class:`~repro.population.directory.ClientDirectory` — and an unattached
+    :class:`~repro.population.plane.ClientPopulation` hangs on
+    ``cluster.population`` for the training run to attach (after the
+    strategy's initial broadcast, so the fresh-client model is the shared w₀)
+    and drive.
     """
-    if config.population is not None:
-        return _build_population_cluster(config, setup)
     rng_factory = RngFactory(config.seed)
-    if setup is not None:
-        partitions = setup.partitions(config)
-        pooled_models = setup.worker_models(config)
+    population = None
+    if config.population is not None:
+        from repro.population.plane import ClientPopulation
+
+        population = ClientPopulation(
+            config.population,
+            train_dataset=config.train_dataset,
+            seed=config.seed,
+            client_seed_fn=rng_factory.worker,
+        )
+        shards = [
+            population.directory.shard(slot % config.population.num_clients)
+            for slot in range(_worker_slots(config))
+        ]
+    elif setup is not None:
+        shards = setup.partitions(config)
     else:
-        partitions = partition_dataset(
+        shards = partition_dataset(
             config.train_dataset,
             config.num_workers,
             scheme=config.partition_scheme,
             seed=rng_factory.named("partition"),
             **config.partition_kwargs,
         )
-        pooled_models = None
+    pooled_models = setup.worker_models(config) if setup is not None else None
     loss = config.loss or SoftmaxCrossEntropy()
     workers = []
-    for worker_id, shard in enumerate(partitions):
+    for worker_id, shard in enumerate(shards):
         model = pooled_models[worker_id] if pooled_models else config.model_factory()
         optimizer = config.optimizer_factory()
         workers.append(
@@ -520,7 +524,7 @@ def build_cluster(
     timeline = None
     if config.compute_profile is not None or config.dropout_rate:
         timeline = Timeline(
-            config.num_workers,
+            len(workers),
             profile=config.compute_profile,
             seed=rng_factory.named("timeline"),
             dropout_rate=config.dropout_rate,
@@ -537,71 +541,5 @@ def build_cluster(
         dtype=config.dtype,
         faults=config.faults,
     )
-    return cluster, config.test_dataset
-
-
-def _build_population_cluster(
-    config: WorkloadConfig, setup: Optional[SetupCache] = None
-) -> Tuple[SimulatedCluster, Dataset]:
-    """Build the cohort-window cluster for a population workload.
-
-    The cluster holds ``cohort_size`` slots; slot ``s`` is seeded with client
-    ``s mod N``'s shard so every slot has valid data before the first cohort
-    binds (the population swaps shards per round).  Partitioning is bypassed
-    entirely — client shards come from the
-    :class:`~repro.population.directory.ClientDirectory` — while the model
-    pool memoization applies unchanged (pools key on slot count).
-    """
-    from repro.population.plane import ClientPopulation
-
-    rng_factory = RngFactory(config.seed)
-    population = ClientPopulation(
-        config.population,
-        train_dataset=config.train_dataset,
-        seed=config.seed,
-        client_seed_fn=rng_factory.worker,
-    )
-    slots = _worker_slots(config)
-    pooled_models = setup.worker_models(config) if setup is not None else None
-    loss = config.loss or SoftmaxCrossEntropy()
-    workers = []
-    for slot in range(slots):
-        shard = population.directory.shard(slot % config.population.num_clients)
-        model = pooled_models[slot] if pooled_models else config.model_factory()
-        optimizer = config.optimizer_factory()
-        workers.append(
-            Worker(
-                slot,
-                model,
-                shard,
-                optimizer,
-                batch_size=config.batch_size,
-                loss=loss,
-                seed=rng_factory.worker(slot),
-            )
-        )
-    timeline = None
-    if config.compute_profile is not None or config.dropout_rate:
-        timeline = Timeline(
-            slots,
-            profile=config.compute_profile,
-            seed=rng_factory.named("timeline"),
-            dropout_rate=config.dropout_rate,
-        )
-    cluster = SimulatedCluster(
-        workers,
-        cost_model=config.cost_model,
-        loss=loss,
-        topology=config.topology,
-        network=config.network,
-        timeline=timeline,
-        execution=config.execution,
-        compression=config.compression,
-        dtype=config.dtype,
-        faults=config.faults,
-    )
-    # Unattached until the training run calls population.attach(cluster,
-    # strategy) — attach must run after the strategy's initial broadcast so
-    # the captured fresh-client model is the shared w₀.
     cluster.population = population
     return cluster, config.test_dataset

@@ -1,15 +1,18 @@
 """Run-level checkpoint/restore for the whole training plane.
 
 A :class:`ClusterCheckpoint` captures everything a
-:class:`~repro.experiments.run.TrainingRun` mutates while training — the
-``(K, d)`` parameter and buffer matrices, every worker's optimizer moments and
-step counts, every RNG stream (batch samplers, epoch iterators, Dropout
-layers, the timeline, the fault injector), the timeline clocks and churn
-ledger, the fabric's byte/second ledgers, the strategy's protocol state, and
-the run loop's own counters — as one JSON document.  Restoring it into a
-freshly constructed cluster/strategy of the same configuration continues the
-trajectory *bit-exactly*: the round-trip test interrupts a run mid-flight and
-asserts the continued history equals an uninterrupted run's, to the last bit.
+:class:`~repro.experiments.run.TrainingRun` mutates while training as one JSON
+document.  It enumerates none of it: the cluster serialises itself
+(:meth:`SimulatedCluster.state_dict
+<repro.distributed.cluster.SimulatedCluster.state_dict>` — all K worker slots,
+collective compression, timeline, fabric ledgers, fault injector, each saved
+by the object that owns it), the strategy its protocol state
+(``checkpoint_state``), and the run loop hands over its own counters.  This
+module adds the header, the compatibility checks, the bit-exact encoding and
+the atomic file.  Restoring into a freshly constructed cluster/strategy of the
+same configuration continues the trajectory *bit-exactly*, with or without
+collective compression: the round-trip tests interrupt a run mid-flight and
+assert the continued history equals an uninterrupted run's, to the last bit.
 
 Arrays are encoded as base64 of their raw bytes (dtype + shape alongside), so
 float64 parameters survive the JSON round trip without any decimal rounding.
@@ -21,11 +24,10 @@ a crash mid-snapshot never corrupts the previous checkpoint.
 from __future__ import annotations
 
 import base64
-import heapq
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,12 +36,10 @@ from repro.exceptions import ExperimentError
 PathLike = Union[str, Path]
 
 FORMAT = "repro.cluster_checkpoint"
-VERSION = 1
-
-#: Per-worker optimizer state arrays captured by the checkpoint (SGD velocity,
-#: Adam moments).  On the batched engine these are row views into the stacked
-#: optimizer's ``(K, d)`` state matrices, so in-place restore updates both.
-_OPTIMIZER_STATE_ATTRS = ("_velocity", "_m", "_v")
+#: Version 2 added the collective-compression state (reference model, error-
+#: feedback residuals, kernel stream); version 1 files cannot resume exactly
+#: and are refused.
+VERSION = 2
 
 
 # -- value encoding -------------------------------------------------------------
@@ -84,26 +84,15 @@ def decode_value(value):
     return value
 
 
-def _rng_state(rng) -> dict:
-    """A generator's bit-exact state (PCG64 state dicts are JSON-safe)."""
-    return rng.bit_generator.state
-
-
-def _model_rng_states(model) -> Dict[str, dict]:
-    """Every RNG-stateful layer's stream, keyed by layer index (Dropout masks)."""
-    states: Dict[str, dict] = {}
-    for index, layer in enumerate(model.layers):
-        rng = getattr(layer, "_rng", None)
-        if isinstance(rng, np.random.Generator):
-            states[str(index)] = _rng_state(rng)
-    return states
-
-
-def _restore_model_rng_states(model, states: Dict[str, dict]) -> None:
-    for index, layer in enumerate(model.layers):
-        rng = getattr(layer, "_rng", None)
-        if isinstance(rng, np.random.Generator) and str(index) in states:
-            rng.bit_generator.state = states[str(index)]
+def _require_current(payload, source: str) -> None:
+    """Refuse anything that is not a checkpoint of exactly :data:`VERSION`."""
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+        raise ExperimentError(f"{source} is not a cluster checkpoint")
+    if payload.get("version") != VERSION:
+        raise ExperimentError(
+            f"{source} is a version {payload.get('version')} cluster checkpoint; "
+            f"only version {VERSION} can be restored"
+        )
 
 
 class ClusterCheckpoint:
@@ -121,62 +110,14 @@ class ClusterCheckpoint:
         Everything is copied at capture time, so the checkpoint stays valid
         while training continues.
         """
-        workers = []
-        for worker in cluster.workers:
-            optimizer = worker.optimizer
-            optimizer_state: Dict[str, object] = {
-                "step_count": int(optimizer.step_count)
-            }
-            for attr in _OPTIMIZER_STATE_ATTRS:
-                value = getattr(optimizer, attr, None)
-                if isinstance(value, np.ndarray):
-                    optimizer_state[attr] = np.array(value)
-            workers.append(
-                {
-                    "steps_performed": int(worker.steps_performed),
-                    "last_loss": worker.last_loss,
-                    "optimizer": optimizer_state,
-                    "sampler_rng": _rng_state(worker._sampler._rng),
-                    "epoch_rng": _rng_state(worker._epoch_iterator._rng),
-                    "model_rngs": _model_rng_states(worker.model),
-                }
-            )
-        timeline = cluster.timeline
-        fabric = cluster.fabric
         payload = {
             "format": FORMAT,
             "version": VERSION,
             "num_workers": cluster.num_workers,
             "model_dimension": cluster.model_dimension,
             "dtype": cluster.dtype_name,
-            "parameters": np.array(cluster.parameter_matrix),
-            "buffers": np.array(cluster.buffer_matrix),
-            "synchronization_count": int(cluster.synchronization_count),
-            "workers": workers,
-            "timeline": {
-                "now": float(timeline.now),
-                "compute_seconds": float(timeline.compute_seconds),
-                "comm_seconds": float(timeline.comm_seconds),
-                "rounds_advanced": int(timeline.rounds_advanced),
-                "churn_events": [
-                    [float(t), kind, int(w)] for t, kind, w in timeline.churn_events
-                ],
-                "queue": [[float(t), int(w), int(s)] for t, w, s in timeline._queue],
-                "event_seq": int(timeline._event_seq),
-                "durations": np.array(timeline._durations),
-                "rng": _rng_state(timeline._rng),
-            },
-            "fabric": {
-                "bytes_by_category": dict(fabric.tracker.bytes_by_category),
-                "operations_by_category": dict(fabric.tracker.operations_by_category),
-                "bytes_by_link": {
-                    f"{src}->{dst}": int(b)
-                    for (src, dst), b in fabric.bytes_by_link.items()
-                },
-                "comm_seconds": float(fabric.comm_seconds),
-                "seconds_by_category": dict(fabric.seconds_by_category),
-            },
-            "injector": cluster.faults.state_dict() if cluster.faults is not None else None,
+            "compression_label": cluster.compression_label,
+            **cluster.state_dict(),
             "strategy": strategy.checkpoint_state() if strategy is not None else None,
             "run_state": run_state,
         }
@@ -188,14 +129,13 @@ class ClusterCheckpoint:
         """Write the snapshot into a freshly built cluster (and strategy).
 
         The target must match the captured configuration (worker count, model
-        dimension, dtype).  All state arrays are written *in place* so the
-        parameter plane's row bindings — and, on the batched engine, the
-        stacked optimizer's row-bound moment matrices — stay intact.  Returns
-        the captured run-loop state (or ``None``).
+        dimension, dtype, compression, fault plan).  All state arrays are
+        written *in place* so the parameter plane's row bindings — and, on the
+        batched engine, the stacked optimizer's row-bound moment matrices —
+        stay intact.  Returns the captured run-loop state (or ``None``).
         """
         payload = self.payload
-        if payload.get("format") != FORMAT:
-            raise ExperimentError("not a cluster checkpoint payload")
+        _require_current(payload, "the payload")
         if int(payload["num_workers"]) != cluster.num_workers:
             raise ExperimentError(
                 f"checkpoint has {payload['num_workers']} workers, cluster has "
@@ -210,77 +150,19 @@ class ClusterCheckpoint:
             raise ExperimentError(
                 f"checkpoint dtype {payload['dtype']} != cluster dtype {cluster.dtype_name}"
             )
-        cluster.parameter_matrix[...] = payload["parameters"]
-        if cluster.buffer_matrix.shape[1]:
-            cluster.buffer_matrix[...] = payload["buffers"]
-        cluster.synchronization_count = int(payload["synchronization_count"])
-        for worker, worker_state in zip(cluster.workers, payload["workers"]):
-            worker.steps_performed = int(worker_state["steps_performed"])
-            last_loss = worker_state["last_loss"]
-            worker.last_loss = None if last_loss is None else float(last_loss)
-            optimizer = worker.optimizer
-            optimizer.step_count = int(worker_state["optimizer"]["step_count"])
-            for attr in _OPTIMIZER_STATE_ATTRS:
-                saved = worker_state["optimizer"].get(attr)
-                if saved is None:
-                    continue
-                current = getattr(optimizer, attr, None)
-                if isinstance(current, np.ndarray):
-                    current[...] = saved
-                else:
-                    setattr(optimizer, attr, np.array(saved))
-            worker._sampler._rng.bit_generator.state = worker_state["sampler_rng"]
-            worker._epoch_iterator._rng.bit_generator.state = worker_state["epoch_rng"]
-            _restore_model_rng_states(worker.model, worker_state["model_rngs"])
-        timeline_state = payload["timeline"]
-        timeline = cluster.timeline
-        timeline.now = float(timeline_state["now"])
-        timeline.compute_seconds = float(timeline_state["compute_seconds"])
-        timeline.comm_seconds = float(timeline_state["comm_seconds"])
-        timeline.rounds_advanced = int(timeline_state["rounds_advanced"])
-        timeline.churn_events = [
-            (float(t), str(kind), int(w)) for t, kind, w in timeline_state["churn_events"]
-        ]
-        # Legacy checkpoints (pre tie-break fix) stored [time, worker] pairs;
-        # assign sequence numbers in list order so their relative FIFO order
-        # within equal (time, worker) keys is preserved.
-        timeline._queue = [
-            (float(entry[0]), int(entry[1]), int(entry[2]) if len(entry) > 2 else index)
-            for index, entry in enumerate(timeline_state["queue"])
-        ]
-        heapq.heapify(timeline._queue)
-        default_seq = 1 + max((s for _, _, s in timeline._queue), default=-1)
-        timeline._event_seq = int(timeline_state.get("event_seq", default_seq))
-        timeline._durations[...] = timeline_state["durations"]
-        timeline._rng.bit_generator.state = timeline_state["rng"]
-        fabric_state = payload["fabric"]
-        fabric = cluster.fabric
-        fabric.tracker.bytes_by_category = {
-            key: int(value) for key, value in fabric_state["bytes_by_category"].items()
-        }
-        fabric.tracker.operations_by_category = {
-            key: int(value)
-            for key, value in fabric_state["operations_by_category"].items()
-        }
-        fabric.bytes_by_link = {}
-        for label, value in fabric_state["bytes_by_link"].items():
-            src, dst = label.split("->")
-            fabric.bytes_by_link[(int(src), int(dst))] = int(value)
-        fabric.comm_seconds = float(fabric_state["comm_seconds"])
-        fabric.seconds_by_category = {
-            key: float(value)
-            for key, value in fabric_state["seconds_by_category"].items()
-        }
-        if payload.get("injector") is not None:
-            if cluster.faults is None:
-                raise ExperimentError(
-                    "checkpoint carries fault-injector state but the cluster "
-                    "has no fault plan attached"
-                )
-            cluster.faults.load_state_dict(payload["injector"])
-        if payload.get("strategy") is not None and strategy is not None:
+        if payload["compression_label"] != cluster.compression_label:
+            raise ExperimentError(
+                f"checkpoint compression {payload['compression_label']!r} != cluster "
+                f"compression {cluster.compression_label!r}"
+            )
+        if (payload["injector"] is None) != (cluster.faults is None):
+            raise ExperimentError(
+                "checkpoint and cluster disagree on whether a fault plan is attached"
+            )
+        cluster.load_state_dict(payload)
+        if payload["strategy"] is not None and strategy is not None:
             strategy.restore_state(payload["strategy"])
-        return payload.get("run_state")
+        return payload["run_state"]
 
     # -- persistence --------------------------------------------------------------
 
@@ -306,6 +188,5 @@ class ClusterCheckpoint:
         with path.open("r", encoding="utf-8") as handle:
             document = json.load(handle)
         payload = decode_value(document)
-        if not isinstance(payload, dict) or payload.get("format") != FORMAT:
-            raise ExperimentError(f"{path} is not a cluster checkpoint")
+        _require_current(payload, str(path))
         return cls(payload)

@@ -128,6 +128,11 @@ class Layer:
         """Total number of trainable scalars in this layer."""
         return int(sum(p.size for p in self.parameters()))
 
+    @property
+    def rng(self) -> Optional[np.random.Generator]:
+        """The layer's private random stream (``None``: the layer draws nothing)."""
+        return None
+
     def _require_built(self) -> None:
         if not self.built:
             raise ModelNotBuiltError(f"layer {self.name!r} has not been built yet")
@@ -555,6 +560,10 @@ class Dropout(Layer):
         self.rate = float(rate)
         self._rng = np.random.default_rng(seed)
         self._cache_mask: Optional[np.ndarray] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self._rng
 
     def _fresh_reset(self) -> None:
         # The RNG is stateful: a clone must advance independently of the original.

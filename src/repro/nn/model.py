@@ -19,7 +19,7 @@ thin copy-in/copy-out compatibility wrapper.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -297,6 +297,25 @@ class Sequential:
                 f"expected a flat buffer vector of shape ({expected},), got {flat.shape}"
             )
         self._plane.buffers[...] = flat
+
+    # -- resumable state -----------------------------------------------------
+
+    def rng_states(self) -> Dict[str, dict]:
+        """Every RNG-stateful layer's stream state (Dropout masks), by layer index.
+
+        Parameters and buffers live in the plane vectors; these streams are
+        the rest of what a model carries from one step to the next.
+        """
+        return {
+            str(index): layer.rng.bit_generator.state
+            for index, layer in enumerate(self.layers)
+            if layer.rng is not None
+        }
+
+    def load_rng_states(self, states: Dict[str, dict]) -> None:
+        """Rewind the layer streams to states taken by :meth:`rng_states`."""
+        for index, state in states.items():
+            self.layers[int(index)].rng.bit_generator.state = state
 
     # -- introspection -------------------------------------------------------
 

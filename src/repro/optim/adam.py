@@ -102,11 +102,14 @@ class Adam(Optimizer):
         del optimizers
         return ("m", "v")
 
-    def _stacked_bind(self, name, row):
+    def state_arrays(self):
+        return {} if self._m is None else {"m": self._m, "v": self._v}
+
+    def _bind_state(self, name, array):
         if name == "m":
-            self._m = row
+            self._m = array
         elif name == "v":
-            self._v = row
+            self._v = array
 
     def _stacked_update(
         self, stacked, params, grads, state, columns, learning_rate, timesteps

@@ -174,9 +174,44 @@ class Optimizer:
         """The learning rate that will be used for the next step."""
         return self.schedule(self.step_count)
 
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The live state arrays (velocity, moments) by name; empty until allocated.
+
+        The one enumeration of what an optimizer carries between steps.  On
+        the batched engine the arrays are rows of the stacked optimizer's
+        ``(K, d)`` matrices, so writers must mutate them in place.
+        """
+        return {}
+
     def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot of the optimizer state."""
-        return {"step_count": self.step_count, **self._state()}
+        """Resumable snapshot: step count, hyper-parameters, state-array copies."""
+        arrays = {name: array.copy() for name, array in self.state_arrays().items()}
+        return {"step_count": self.step_count, **self._state(), "arrays": arrays}
+
+    def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Resume from :meth:`state_dict`, writing live arrays in place.
+
+        Row bindings of the stacked optimizer survive.  A live array the
+        snapshot lacks was captured before its first step and is zeroed; a
+        saved array this optimizer has not allocated yet is adopted.
+        """
+        self.step_count = int(state["step_count"])
+        saved = state["arrays"]
+        live = self.state_arrays()
+        for name, array in live.items():
+            array[...] = saved.get(name, 0.0)
+        for name in saved.keys() - live.keys():
+            self._bind_state(name, np.array(saved[name]))
+
+    def zero_state(self) -> None:
+        """Cold start in place: zero moments and step count, keep row bindings.
+
+        :meth:`reset` drops the arrays instead, which would detach a worker
+        from the stacked optimizer's matrices.
+        """
+        self.step_count = 0
+        for array in self.state_arrays().values():
+            array[...] = 0.0
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -211,8 +246,9 @@ class Optimizer:
         del optimizers
         return ()
 
-    def _stacked_bind(self, name: str, row: np.ndarray) -> None:
-        """Adopt row ``row`` of the stacked state matrix ``name`` as own state."""
+    def _bind_state(self, name: str, array: np.ndarray) -> None:
+        """Adopt ``array`` as the state array ``name`` (a stacked-matrix row, or
+        a saved array on resume)."""
 
     def _stacked_validate(self, optimizers: Sequence["Optimizer"]) -> List[str]:
         """Problems that make these optimizers impossible to stack (empty = OK).
@@ -333,7 +369,7 @@ class StackedOptimizer:
             matrix = np.zeros((self.num_workers, self.dimension), dtype=self.dtype)
             self._state[name] = matrix
             for row, optimizer in zip(matrix, self.optimizers):
-                optimizer._stacked_bind(name, row)
+                optimizer._bind_state(name, row)
         # Masked-path gather buffers, allocated on the first masked step so
         # full-participation runs never pay for them.
         self._state_scratch: Optional[Dict[str, np.ndarray]] = None

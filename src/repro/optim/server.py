@@ -106,8 +106,28 @@ class ServerOptimizer:
     def _reset_state(self) -> None:
         """Subclasses clear accumulators here."""
 
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The live accumulators (momentum, adaptive moments) by name."""
+        return {}
+
+    def _bind_state(self, name: str, array: np.ndarray) -> None:
+        """Adopt ``array`` as the accumulator ``name``."""
+
     def state_dict(self) -> Dict[str, object]:
-        return {"round_count": self.round_count, "learning_rate": self.learning_rate}
+        """Resumable snapshot: round count, learning rate, accumulator copies."""
+        arrays = {name: array.copy() for name, array in self.state_arrays().items()}
+        return {
+            "round_count": self.round_count,
+            "learning_rate": self.learning_rate,
+            "arrays": arrays,
+        }
+
+    def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Resume from :meth:`state_dict` (accumulators it lacks are cleared)."""
+        self.reset()
+        self.round_count = int(state["round_count"])
+        for name, array in state["arrays"].items():
+            self._bind_state(name, np.array(array))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(lr={self.learning_rate}, rounds={self.round_count})"
@@ -148,6 +168,13 @@ class FedAvgM(ServerOptimizer):
     def _reset_state(self) -> None:
         self._velocity = None
 
+    def state_arrays(self):
+        return {} if self._velocity is None else {"velocity": self._velocity}
+
+    def _bind_state(self, name, array):
+        if name == "velocity":
+            self._velocity = array
+
 
 class _AdaptiveServerOptimizer(ServerOptimizer):
     """Shared bookkeeping for the adaptive FedOpt variants (Adam/Adagrad/Yogi)."""
@@ -186,6 +213,15 @@ class _AdaptiveServerOptimizer(ServerOptimizer):
     def _reset_state(self) -> None:
         self._m = None
         self._v = None
+
+    def state_arrays(self):
+        return {} if self._m is None else {"m": self._m, "v": self._v}
+
+    def _bind_state(self, name, array):
+        if name == "m":
+            self._m = array
+        elif name == "v":
+            self._v = array
 
 
 class FedAdam(_AdaptiveServerOptimizer):

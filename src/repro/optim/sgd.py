@@ -151,9 +151,12 @@ class SGD(Optimizer):
         # fully momentum-free cluster needs no state at all.
         return ("velocity",) if any(o.momentum for o in optimizers) else ()
 
-    def _stacked_bind(self, name, row):
+    def state_arrays(self):
+        return {} if self._velocity is None else {"velocity": self._velocity}
+
+    def _bind_state(self, name, array):
         if name == "velocity":
-            self._velocity = row
+            self._velocity = array
 
     def _stacked_validate(self, optimizers):
         if len({o.nesterov for o in optimizers}) > 1:

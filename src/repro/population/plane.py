@@ -6,17 +6,22 @@ slots are physical resources (models, optimizers, samplers, parameter-matrix
 rows); clients are logical records.  Each round:
 
 1. the :class:`~repro.population.sampler.CohortSampler` draws a cohort,
-2. every cohort member is **bound** into a slot — the slot is first reset to
-   the pristine fresh-client state (initial global model, zero optimizer
-   moments, the client's seed-derived RNG streams, zero error-feedback
-   residual), then the client's saved snapshot, if any, is overlaid *in
-   place* so the stacked optimizer's and compression state's row bindings
+2. every cohort member is **bound** into a slot — a returning client's saved
+   slot snapshot is restored (``cluster.restore_slot``), a first-time client
+   gets a freshly built worker on the initial global model with its own
+   seed-derived streams (``cluster.reset_slot``); both write the slot *in
+   place*, so the stacked optimizer's and compression state's row bindings
    survive,
 3. the strategy runs its round on the bound cluster exactly as it would on a
    materialized one — the masked ``(A, d)`` batched path, the fabric charges,
    FDA's triggered syncs, all unchanged,
-4. every bound client is **unbound** — its slot state is snapshotted into the
-   LRU :class:`~repro.population.store.ClientStateStore`.
+4. every bound client is **unbound** — ``cluster.capture_slot`` snapshots its
+   slot into the LRU :class:`~repro.population.store.ClientStateStore`.
+
+What a slot's state *is* is the cluster's and the worker's business (see
+:meth:`SimulatedCluster.capture_slot
+<repro.distributed.cluster.SimulatedCluster.capture_slot>`); this module only
+decides which client's state sits in which slot, and when.
 
 Aggregation weights: with ``weighting="data-size"`` the cluster's collectives
 (`synchronize`, `gather_models` consumers, global evaluation) average with
@@ -39,17 +44,11 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.exceptions import ConfigurationError, ExperimentError
-from repro.faults.checkpoint import (
-    _OPTIMIZER_STATE_ATTRS,
-    _model_rng_states,
-    _restore_model_rng_states,
-    _rng_state,
-)
 from repro.population.config import PopulationConfig
 from repro.population.directory import ClientDirectory
 from repro.population.sampler import CohortSampler
 from repro.population.store import ClientStateStore
-from repro.utils.rng import RngFactory, as_rng
+from repro.utils.rng import RngFactory
 
 
 class ClientPopulation:
@@ -91,7 +90,6 @@ class ClientPopulation:
         self.strategy = None
         self._initial_params: Optional[np.ndarray] = None
         self._initial_buffers: Optional[np.ndarray] = None
-        self._pristine_model_rngs = None
         self._bound: Optional[np.ndarray] = None
         self._bound_base_steps: Optional[list] = None
         self.rounds_completed = 0
@@ -112,10 +110,9 @@ class ClientPopulation:
     def attach(self, cluster, strategy=None) -> "ClientPopulation":
         """Bind to a cluster (after the strategy's initial broadcast).
 
-        Captures the pristine fresh-client state every binding resets to: the
-        shared initial model ``w₀``, the factory-initial buffers, and each
-        slot model's pristine layer RNG streams (Dropout masks).  Must run
-        *after* ``strategy.attach`` so ``w₀`` is the broadcast initial model.
+        Captures the model a first-time client starts from: the shared initial
+        model ``w₀`` and the factory-initial buffers.  Must run *after*
+        ``strategy.attach`` so ``w₀`` is the broadcast initial model.
         """
         if cluster.num_workers != self.config.cohort_size:
             raise ConfigurationError(
@@ -126,12 +123,7 @@ class ClientPopulation:
         if strategy is not None:
             self.strategy = strategy
         self._initial_params = cluster.parameter_matrix[0].copy()
-        self._initial_buffers = (
-            cluster.buffer_matrix[0].copy() if cluster.buffer_matrix.shape[1] else None
-        )
-        self._pristine_model_rngs = [
-            _model_rng_states(worker.model) for worker in cluster.workers
-        ]
+        self._initial_buffers = cluster.buffer_matrix[0].copy()
         cluster.population = self
         return self
 
@@ -144,89 +136,6 @@ class ClientPopulation:
         return self.store.peak_resident
 
     # -- binding -----------------------------------------------------------------
-
-    def _reset_slot(self, slot: int, client_id: int, shard: Dataset) -> None:
-        """Reset one slot to the fresh-client state, strictly in place."""
-        cluster = self.cluster
-        worker = cluster.workers[slot]
-        worker.dataset = shard
-        worker._sampler.dataset = shard
-        worker._epoch_iterator.dataset = shard
-        cluster.parameter_matrix[slot] = self._initial_params
-        if self._initial_buffers is not None:
-            cluster.buffer_matrix[slot] = self._initial_buffers
-        optimizer = worker.optimizer
-        optimizer.step_count = 0
-        for attr in _OPTIMIZER_STATE_ATTRS:
-            value = getattr(optimizer, attr, None)
-            if isinstance(value, np.ndarray):
-                value[...] = 0.0
-        worker.last_loss = None
-        fresh_state = as_rng(self._client_seed_fn(client_id)).bit_generator.state
-        worker._sampler._rng.bit_generator.state = fresh_state
-        worker._epoch_iterator._rng.bit_generator.state = fresh_state
-        _restore_model_rng_states(worker.model, self._pristine_model_rngs[slot])
-        compression = cluster.compression
-        if compression is not None and compression.residual_matrix is not None:
-            compression.residual_matrix[slot] = 0.0
-
-    def _overlay_snapshot(self, slot: int, snapshot: dict) -> None:
-        """Overlay a returning client's saved state onto a freshly reset slot."""
-        cluster = self.cluster
-        worker = cluster.workers[slot]
-        cluster.parameter_matrix[slot] = snapshot["params"]
-        if self._initial_buffers is not None and snapshot.get("buffers") is not None:
-            cluster.buffer_matrix[slot] = snapshot["buffers"]
-        optimizer = worker.optimizer
-        optimizer.step_count = int(snapshot["optimizer"]["step_count"])
-        for attr in _OPTIMIZER_STATE_ATTRS:
-            saved = snapshot["optimizer"].get(attr)
-            if saved is None:
-                continue
-            current = getattr(optimizer, attr, None)
-            if isinstance(current, np.ndarray):
-                current[...] = saved
-            else:
-                setattr(optimizer, attr, np.array(saved))
-        last_loss = snapshot["last_loss"]
-        worker.last_loss = None if last_loss is None else float(last_loss)
-        worker._sampler._rng.bit_generator.state = snapshot["sampler_rng"]
-        worker._epoch_iterator._rng.bit_generator.state = snapshot["epoch_rng"]
-        _restore_model_rng_states(worker.model, snapshot["model_rngs"])
-        compression = cluster.compression
-        if compression is not None and compression.residual_matrix is not None:
-            saved_residual = snapshot.get("residual")
-            if saved_residual is not None:
-                compression.residual_matrix[slot] = saved_residual
-
-    def _capture_slot(self, slot: int, client_id: int) -> dict:
-        """Snapshot one slot's client state (copies — the slot lives on)."""
-        cluster = self.cluster
-        worker = cluster.workers[slot]
-        optimizer = worker.optimizer
-        optimizer_state: dict = {"step_count": int(optimizer.step_count)}
-        for attr in _OPTIMIZER_STATE_ATTRS:
-            value = getattr(optimizer, attr, None)
-            if isinstance(value, np.ndarray):
-                optimizer_state[attr] = np.array(value)
-        snapshot = {
-            "params": np.array(cluster.parameter_matrix[slot]),
-            "buffers": (
-                np.array(cluster.buffer_matrix[slot])
-                if self._initial_buffers is not None
-                else None
-            ),
-            "steps": self.client_steps.get(client_id, 0),
-            "last_loss": worker.last_loss,
-            "optimizer": optimizer_state,
-            "sampler_rng": _rng_state(worker._sampler._rng),
-            "epoch_rng": _rng_state(worker._epoch_iterator._rng),
-            "model_rngs": _model_rng_states(worker.model),
-        }
-        compression = cluster.compression
-        if compression is not None and compression.residual_matrix is not None:
-            snapshot["residual"] = np.array(compression.residual_matrix[slot])
-        return snapshot
 
     def bind_cohort(self, cohort: np.ndarray) -> None:
         """Bind the cohort's clients into slots 0..len(cohort)-1.
@@ -244,13 +153,27 @@ class ClientPopulation:
                 f"cohort size must lie in [1, {cluster.num_workers}], got {cohort.size}"
             )
         sample_counts = np.zeros(cluster.num_workers)
+        self._bound_base_steps = []
         for slot, client_id in enumerate(cohort):
             client_id = int(client_id)
+            worker = cluster.workers[slot]
             shard = self.directory.shard(client_id)
-            self._reset_slot(slot, client_id, shard)
+            worker.set_dataset(shard)
+            # The step counter paces the run budget (cluster.parallel_steps):
+            # it stays with the slot, whichever client moves in.
+            slot_steps = worker.steps_performed
             snapshot = self.store.load(client_id)
-            if snapshot is not None:
-                self._overlay_snapshot(slot, snapshot)
+            if snapshot is None:
+                cluster.reset_slot(
+                    slot,
+                    self._initial_params,
+                    self._initial_buffers,
+                    self._client_seed_fn(client_id),
+                )
+            else:
+                cluster.restore_slot(slot, snapshot)
+            worker.steps_performed = slot_steps
+            self._bound_base_steps.append(slot_steps)
             sample_counts[slot] = len(shard)
         if cohort.size < cluster.num_workers:
             mask = np.zeros(cluster.num_workers, dtype=bool)
@@ -270,9 +193,6 @@ class ClientPopulation:
                 # materialized cluster (the parity contract).
                 cluster.set_aggregation_weights(None)
         self._bound = cohort
-        self._bound_base_steps = [
-            worker.steps_performed for worker in cluster.workers[: cohort.size]
-        ]
 
     def unbind_cohort(self) -> None:
         """Snapshot every bound client into the store and release the slots.
@@ -288,7 +208,7 @@ class ClientPopulation:
             client_id = int(client_id)
             delta = cluster.workers[slot].steps_performed - self._bound_base_steps[slot]
             self.client_steps[client_id] = self.client_steps.get(client_id, 0) + delta
-            self.store.save(client_id, self._capture_slot(slot, client_id))
+            self.store.save(client_id, cluster.capture_slot(slot))
         self._bound = None
         self._bound_base_steps = None
 

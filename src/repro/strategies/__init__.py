@@ -3,11 +3,11 @@
 A strategy drives a :class:`~repro.distributed.cluster.SimulatedCluster`
 through its synchronization protocol.  The paper compares five algorithms —
 SketchFDA, LinearFDA, Synchronous (BSP), FedAdam and FedAvgM — and this
-subpackage implements all of them plus Local-SGD with a fixed period,
-FedProx/SCAFFOLD drift control, and thin aliases over the collective-level
-compression subsystem (:mod:`repro.compression`) — the orthogonal technique
-discussed in Section 2, which every strategy here picks up uniformly when
-the cluster carries a compression config.
+subpackage implements all of them plus Local-SGD with a fixed period and
+FedProx/SCAFFOLD drift control.  Compression — the orthogonal technique
+discussed in Section 2 — is not a strategy: every strategy here picks it up
+uniformly when the cluster carries a compression config
+(:mod:`repro.compression`, ``SimulatedCluster(compression=...)``).
 """
 
 from repro.strategies.base import Strategy, StrategyRound
@@ -22,16 +22,6 @@ from repro.strategies.local_sgd import (
 from repro.strategies.fedopt import FedOptStrategy
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
-from repro.strategies.compression import (
-    CompressedSynchronizer,
-    CompressedSynchronousStrategy,
-    CompressionConfig,
-    Compressor,
-    QuantizationCompressor,
-    RandomKCompressor,
-    SignCompressor,
-    TopKCompressor,
-)
 
 __all__ = [
     "Strategy",
@@ -46,12 +36,4 @@ __all__ = [
     "FDAStrategy",
     "FedProxStrategy",
     "ScaffoldStrategy",
-    "Compressor",
-    "CompressionConfig",
-    "QuantizationCompressor",
-    "TopKCompressor",
-    "RandomKCompressor",
-    "SignCompressor",
-    "CompressedSynchronizer",
-    "CompressedSynchronousStrategy",
 ]

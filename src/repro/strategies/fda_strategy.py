@@ -111,79 +111,13 @@ class FDAStrategy(Strategy):
         return result.mean_loss
 
     def checkpoint_state(self) -> dict:
-        """Protocol state for bit-exact restore: references, counters, monitor.
-
-        Captures everything :class:`FDATrainer` mutates while training — the
-        sync references ``w_{t0}``/``w_{t-1}``, the step/sync counters, the
-        (possibly dynamically adjusted) threshold, churn-retained stale
-        states — plus the linear monitor's analysis direction ξ, which
-        rotates on every synchronization.  The per-step ``history`` list is
-        deliberately not captured: it is diagnostic output, not protocol
-        state, and the run harness keeps its own log.
-        """
-        import numpy as np
-
-        from repro.core.monitor import LinearMonitor
-        from repro.core.state import state_to_dict
-
         state = super().checkpoint_state()
-        trainer = self.trainer
-        payload = {
-            "step_count": int(trainer.step_count),
-            "synchronization_count": int(trainer.synchronization_count),
-            "threshold": float(trainer.threshold),
-            "last_estimate": trainer.last_estimate,
-            "reference": np.array(trainer._reference),
-            "previous_reference": np.array(trainer._previous_reference),
-        }
-        if trainer._stale_states is not None:
-            payload["stale_states"] = [
-                state_to_dict(s) if s is not None else None
-                for s in trainer._stale_states
-            ]
-        if isinstance(trainer.monitor, LinearMonitor):
-            payload["monitor_direction"] = np.array(trainer.monitor.direction)
-        if trainer.theta_controller is not None:
-            payload["theta_controller"] = {
-                "recent_bytes": [float(b) for b in trainer.theta_controller._recent_bytes],
-                "adjustment_count": int(trainer.theta_controller.adjustment_count),
-            }
-        state["trainer"] = payload
+        state["trainer"] = self.trainer.state_dict()
         return state
 
     def restore_state(self, state: dict) -> None:
-        import numpy as np
-
-        from repro.core.monitor import LinearMonitor
-        from repro.core.state import state_from_dict
-
         super().restore_state(state)
-        trainer = self.trainer
-        payload = state["trainer"]
-        trainer.step_count = int(payload["step_count"])
-        trainer.synchronization_count = int(payload["synchronization_count"])
-        trainer.threshold = float(payload["threshold"])
-        last = payload.get("last_estimate")
-        trainer.last_estimate = None if last is None else float(last)
-        trainer._reference = np.asarray(payload["reference"], dtype=trainer.cluster.dtype)
-        trainer._previous_reference = np.asarray(
-            payload["previous_reference"], dtype=trainer.cluster.dtype
-        )
-        if "stale_states" in payload:
-            trainer._stale_states = [
-                state_from_dict(s) if s is not None else None
-                for s in payload["stale_states"]
-            ]
-        if "monitor_direction" in payload and isinstance(trainer.monitor, LinearMonitor):
-            trainer.monitor.direction = np.asarray(
-                payload["monitor_direction"], dtype=np.float64
-            )
-        if "theta_controller" in payload and trainer.theta_controller is not None:
-            controller_state = payload["theta_controller"]
-            trainer.theta_controller._recent_bytes = list(controller_state["recent_bytes"])
-            trainer.theta_controller.adjustment_count = int(
-                controller_state["adjustment_count"]
-            )
+        self.trainer.load_state_dict(state["trainer"])
 
     @property
     def synchronization_count(self) -> int:

@@ -85,35 +85,19 @@ class FedOptStrategy(Strategy):
 
     # -- checkpointing -----------------------------------------------------------
 
-    #: Server-optimizer state arrays captured by checkpointing (FedAvgM's
-    #: velocity, the adaptive variants' moment estimates).
-    _SERVER_STATE_ATTRS = ("_velocity", "_m", "_v")
-
     def checkpoint_state(self) -> dict:
-        import numpy as np
-
         state = super().checkpoint_state()
-        payload = {
-            "global_parameters": np.array(self._global_parameters),
-            "server_round_count": int(self.server_optimizer.round_count),
-            "server_state": {},
+        state["fedopt"] = {
+            "global_parameters": self._global_parameters.copy(),
+            "server": self.server_optimizer.state_dict(),
         }
-        for attr in self._SERVER_STATE_ATTRS:
-            value = getattr(self.server_optimizer, attr, None)
-            if value is not None:
-                payload["server_state"][attr] = np.array(value)
-        state["fedopt"] = payload
         return state
 
     def restore_state(self, state: dict) -> None:
-        import numpy as np
-
         super().restore_state(state)
         payload = state["fedopt"]
-        self._global_parameters = np.asarray(payload["global_parameters"])
-        self.server_optimizer.round_count = int(payload["server_round_count"])
-        for attr, value in payload["server_state"].items():
-            setattr(self.server_optimizer, attr, np.asarray(value))
+        self._global_parameters = payload["global_parameters"]
+        self.server_optimizer.load_state_dict(payload["server"])
 
 
 def fedavgm_strategy(

@@ -63,9 +63,6 @@ FLOAT64_ALLOWLIST = {
     # Fault-plane bookkeeping: crash clocks are virtual-time seconds, like
     # the timeline's — never part of a streamed tensor.
     "faults/injector.py",
-    # Checkpoint restore writes the monitor's direction ξ back in the same
-    # deliberate float64 that core/monitor.py keeps it in.
-    "strategies/fda_strategy.py",
     # Aggregation-weight metadata (population plane): O(K) sample-count /
     # mask vectors normalized in double precision, cast to the plane dtype
     # only at the weighted-mean matmul — never a streamed (K, d) tensor.

@@ -4,6 +4,7 @@ and result persistence."""
 import numpy as np
 import pytest
 
+from repro.compression import QuantizationCompressor, TopKCompressor
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.persistence import (
     load_results,
@@ -22,7 +23,6 @@ from repro.experiments.sweep import (
     SweepPoint,
     sweep_theta,
 )
-from repro.strategies.compression import QuantizationCompressor, TopKCompressor
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.local_sgd import (
     LocalSGDStrategy,

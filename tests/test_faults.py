@@ -13,7 +13,9 @@ Four contracts, each load-bearing for the robustness claims:
    total is accounted for in the per-link log entries.
 4. **Checkpoint/restore** — an interrupted-and-resumed run is bit-identical
    to an uninterrupted one, including Dropout RNG streams, Adam step counts,
-   the fault log, and the evaluation history.
+   the fault log, and the evaluation history — and, under collective
+   compression, the reference model, the error-feedback residuals and the
+   kernel's coordinate stream.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from helpers.parity import make_cluster
+from repro.compression import CompressionConfig
 from repro.distributed.engine import BatchedEngine
 from repro.exceptions import (
     ConfigurationError,
@@ -37,6 +40,7 @@ from repro.faults import ClusterCheckpoint, FaultInjector, FaultPlan
 from repro.faults.checkpoint import decode_value, encode_value
 from repro.nn.architectures import transfer_head
 from repro.strategies.fda_strategy import FDAStrategy
+from repro.strategies.local_sgd import LocalSGDStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 
 
@@ -403,6 +407,64 @@ class TestClusterCheckpoint:
                         rng_ref.bit_generator.state
                         == layer_res._rng.bit_generator.state
                     )
+
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize(
+        "strategy_factory",
+        [lambda: LocalSGDStrategy(tau=1), lambda: FDAStrategy(threshold=0.05)],
+        ids=["local-sgd", "fda"],
+    )
+    @pytest.mark.parametrize(
+        "compression",
+        [
+            CompressionConfig("topk", ratio=0.05, error_feedback=True),
+            CompressionConfig("quantization", bits=8),
+            CompressionConfig("randomk", ratio=0.1, error_feedback=True),
+        ],
+        ids=["topk-ef", "quantization", "randomk-ef"],
+    )
+    def test_resume_under_compression_is_bit_exact(
+        self, blobs_workload, compression, strategy_factory, execution, tmp_path
+    ):
+        # The compressed exchange is a function of state the plain path does
+        # not have: the reference the drifts are taken against, each worker's
+        # error-feedback residual, and (random-k) the shared coordinate stream.
+        workload = blobs_workload.with_compression(compression).with_execution(execution)
+        cluster_ref, result_ref = _execute(workload, strategy_factory, max_steps=40)
+        ckpt = tmp_path / "ckpt.json"
+        _execute(
+            workload, strategy_factory, max_steps=20,
+            checkpoint_every=10, checkpoint_path=ckpt,
+        )
+        cluster_res, result_res = _execute(
+            workload, strategy_factory, max_steps=40, resume_from=ckpt
+        )
+
+        assert cluster_ref.synchronization_count > 2
+        np.testing.assert_array_equal(
+            cluster_ref.parameter_matrix, cluster_res.parameter_matrix
+        )
+        state_ref, state_res = cluster_ref.compression, cluster_res.compression
+        np.testing.assert_array_equal(
+            state_ref.reference(cluster_ref), state_res.reference(cluster_res)
+        )
+        if compression.error_feedback:
+            np.testing.assert_array_equal(
+                state_ref.residual_matrix, state_res.residual_matrix
+            )
+        assert cluster_ref.tracker.snapshot() == cluster_res.tracker.snapshot()
+        assert cluster_ref.fabric.bytes_by_link == cluster_res.fabric.bytes_by_link
+        assert result_ref.history.entries == result_res.history.entries
+
+    def test_other_versions_are_refused_by_name(self, blobs_workload, tmp_path):
+        cluster, _ = build_cluster(blobs_workload)
+        checkpoint = ClusterCheckpoint.capture(cluster)
+        checkpoint.payload["version"] = 1
+        with pytest.raises(ExperimentError, match="version 1"):
+            checkpoint.restore(cluster)
+        path = checkpoint.save(tmp_path / "v1.json")
+        with pytest.raises(ExperimentError, match="version 1"):
+            ClusterCheckpoint.load(path)
 
     def test_restore_validates_the_target_cluster(self, blobs_workload):
         cluster, _ = build_cluster(blobs_workload)

@@ -1,0 +1,114 @@
+"""State hygiene lint: resumable state is enumerated by its owner, once.
+
+Checkpoint/restore, cohort bind/unbind, crash rejoin and the sweep's model
+pool once each carried their own list of "what a worker's state is" — the
+optimizer's ``_velocity``/``_m``/``_v``, the layers' ``_rng`` — and the lists
+disagreed (the checkpoint forgot the compression residual the population
+remembered).  The owners now serialise themselves (``Optimizer.state_dict``,
+``Sequential.rng_states``, ``Worker.state_dict``,
+``SimulatedCluster.capture_slot`` / ``state_dict`` …); this lint keeps a
+second enumeration from growing back:
+
+1. the optimizer moment attributes are named only under ``optim/``;
+2. no module imports a ``_private`` name from another ``repro`` module;
+3. the consumers of other objects' state — checkpoint, population plane, the
+   FDA and FedOpt strategies — read no ``_private`` attribute of any object
+   but themselves.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: The optimizer state attributes; spelled nowhere outside ``optim/``.
+_MOMENT_NAMES = re.compile(r"_velocity|\b_m\b|\b_v\b")
+
+#: Modules that consume other objects' state and must go through their
+#: public serialisers.
+STATE_CONSUMERS = (
+    "faults/checkpoint.py",
+    "population/plane.py",
+    "strategies/fda_strategy.py",
+    "strategies/fedopt.py",
+)
+
+#: ``(module, expression)`` foreign-private accesses tolerated in
+#: :data:`STATE_CONSUMERS`.  Empty, and meant to stay so; an entry must say
+#: why the owner cannot serve the access.
+FOREIGN_PRIVATE_ALLOWLIST: set = set()
+
+
+def _sources():
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        yield path.relative_to(SRC_ROOT).as_posix(), path.read_text(encoding="utf-8")
+
+
+def test_optimizer_moments_are_named_only_in_optim():
+    offenders = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        if not module.startswith("optim/")
+        for number, line in enumerate(source.splitlines(), 1)
+        if _MOMENT_NAMES.search(line)
+    ]
+    assert not offenders, (
+        "optimizer state enumerated outside optim/ — use Optimizer.state_arrays "
+        "/ state_dict / load_state_dict / zero_state:\n" + "\n".join(offenders)
+    )
+
+
+def test_no_private_imports_across_modules():
+    offenders = []
+    for module, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        offenders.append(
+                            f"src/repro/{module}:{node.lineno}: "
+                            f"from {node.module} import {alias.name}"
+                        )
+    assert not offenders, (
+        "a _private name imported from another module — make it public where "
+        "it is owned, or call the owner:\n" + "\n".join(offenders)
+    )
+
+
+def _foreign_private_accesses():
+    """Every ``obj._name`` in the state consumers whose ``obj`` is not self/cls."""
+    for module in STATE_CONSUMERS:
+        source = (SRC_ROOT / module).read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                yield module, ast.get_source_segment(source, node), node.lineno
+
+
+def test_state_consumers_touch_no_foreign_private_attribute():
+    offenders = [
+        f"src/repro/{module}:{line}: {expression}"
+        for module, expression, line in _foreign_private_accesses()
+        if (module, expression) not in FOREIGN_PRIVATE_ALLOWLIST
+    ]
+    assert not offenders, (
+        "a state consumer reaches into another object's _private attribute — "
+        "ask the owner (state_dict / load_state_dict / capture_slot …), or add "
+        "the access to FOREIGN_PRIVATE_ALLOWLIST with a reason:\n" + "\n".join(offenders)
+    )
+
+
+def test_allowlist_entries_are_live():
+    """Stale allowlist entries hide future regressions — prune them."""
+    live = {(module, expression) for module, expression, _ in _foreign_private_accesses()}
+    stale = set(FOREIGN_PRIVATE_ALLOWLIST) - live
+    assert not stale, f"FOREIGN_PRIVATE_ALLOWLIST names vanished code: {stale}"
+    missing = [module for module in STATE_CONSUMERS if not (SRC_ROOT / module).exists()]
+    assert not missing, f"STATE_CONSUMERS names deleted modules: {missing}"

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.compression import QuantizationCompressor, TopKCompressor
 from repro.distributed.cluster import CATEGORY_MODEL, CATEGORY_STATE
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.setup import build_cluster
 from repro.optim.server import FedAdam, FedAvg, FedAvgM
 from repro.strategies.base import Strategy
-from repro.strategies.compression import (
-    CompressedSynchronousStrategy,
-    CompressedSynchronizer,
-    QuantizationCompressor,
-    TopKCompressor,
-)
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.fedopt import FedOptStrategy, fedadam_strategy, fedavgm_strategy
 from repro.strategies.local_sgd import LocalSGDStrategy
@@ -191,19 +186,3 @@ class TestCompression:
             QuantizationCompressor(bits=0)
         with pytest.raises(ConfigurationError):
             TopKCompressor(fraction=0.0)
-
-    def test_compressed_synchronizer_equalizes_models(self, cluster_and_test):
-        cluster, _ = cluster_and_test
-        synchronizer = CompressedSynchronizer(cluster, QuantizationCompressor(8))
-        cluster.step_all()
-        synchronizer.synchronize()
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
-
-    def test_compressed_synchronous_cheaper_than_plain(self, blobs_workload):
-        plain_cluster, _ = build_cluster(blobs_workload)
-        compressed_cluster, _ = build_cluster(blobs_workload)
-        SynchronousStrategy().attach(plain_cluster).run_steps(10)
-        CompressedSynchronousStrategy(QuantizationCompressor(8)).attach(
-            compressed_cluster
-        ).run_steps(10)
-        assert compressed_cluster.total_bytes < plain_cluster.total_bytes
