@@ -204,7 +204,7 @@ class ClusterCompression:
 
         Every worker uploads its compressed drift from the reference; the
         averaged reconstruction is added to the reference and installed in
-        every row of the parameter matrix.  The fabric is charged the
+        every member's row of the parameter matrix.  The fabric is charged the
         *compressed* payload per worker (the kernel's transmitted elements);
         non-trainable buffers, when requested, are averaged exactly and
         charged uncompressed like the plain path (they are running statistics,
@@ -233,25 +233,24 @@ class ClusterCompression:
             work = self._drift_scratch
             np.subtract(cluster.parameter_matrix, reference, out=work)
         payloads = self.compressor.compress_rows(work)
-        weights = cluster.normalized_aggregation_weights()
-        if weights is None:
+        members = cluster.members
+        if members.lockstep:
             average_delta = payloads.mean()
         else:
-            # Population data-size weights (zero on a partial cohort's unbound
-            # slots): the server averages the reconstructed drifts weighted by
-            # the bound clients' shard sizes.
-            average_delta = weights.astype(self.dtype) @ payloads.reconstruct()
+            # A bound cohort: the server averages the reconstructed drifts of
+            # the bound clients only, by shard size when the cohort is weighted.
+            average_delta = members.mean(payloads.reconstruct())
         if self.error_feedback:
             payloads.fold_residual(work)  # the accumulator becomes the residual
         cluster.charge_allreduce(
             cluster.model_dimension, category, compression=self.compressor
         )
         new_global = reference + average_delta
-        cluster.parameter_matrix[...] = new_global
+        cluster.parameter_matrix[members.rows] = new_global
         if include_buffers and cluster.buffer_matrix.shape[1]:
-            buffer_average = cluster.average_buffers()
+            buffer_average = members.mean(cluster.buffer_matrix)
             cluster.charge_allreduce(int(buffer_average.size), category)
-            cluster.buffer_matrix[...] = buffer_average
+            cluster.buffer_matrix[members.rows] = buffer_average
         self._reference = new_global
         cluster.synchronization_count += 1
         return new_global

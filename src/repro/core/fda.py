@@ -102,29 +102,26 @@ class FDATrainer:
         bytes_before = self.cluster.total_bytes
         # Partial participation (timeline dropout): inactive workers neither
         # compute nor report a state this step.  With the default timeline the
-        # mask is None and every worker runs — the paper's lockstep protocol.
-        # Either engine honours the mask: the sequential engine loops over the
-        # active workers, the batched engine executes only the active rows of
-        # its (K, d) matrices (inactive rows stay bit-untouched).
-        active = self.cluster.timeline.sample_participation()
-        population = self.cluster.population_mask
-        if population is not None:
-            # Partial cohorts (population plane): unbound slots hold stale
-            # client state and neither step nor report a local drift state.
-            active = population.copy() if active is None else active & population
-        mean_loss = self.cluster.step_all(active=active)
+        # draw is None and every worker runs — the paper's lockstep protocol.
+        mean_loss = self.cluster.step_all(
+            active=self.cluster.timeline.sample_participation()
+        )
+        # Who stepped: the draw ∧ the bound cohort ∧ liveness, as the cluster
+        # composed it for the engine (None in lockstep).
+        stepped = self.cluster.participants.mask
 
         # Local states from the drifts relative to the last synchronization
         # point; one vectorized (K, d) subtraction, monitors consume the rows.
         drifts = self.cluster.drift_matrix(self._reference, out=self._drift_scratch)
-        alive = self.cluster.alive_mask
-        if alive is not None:
+        faults = self.cluster.faults
+        if faults is not None and faults.churn_active:
             # Worker churn: dead workers cannot report a local state, so the
             # estimate substitutes their last-known (stale) state — the
             # monitor still sees one state per ever-reporting worker, keeping
             # the variance over-estimate property (stale drifts only make the
-            # estimate more conservative).
-            states, num_active = self._states_under_churn(drifts, active, alive)
+            # estimate more conservative).  The rule keys on *dead* slots:
+            # an alive slot that merely sat out (dropout, unbound) is skipped.
+            states, num_active = self._states_under_churn(drifts, stepped, faults.alive)
         else:
             # The monitor consumes the participating rows of the drift matrix
             # (all of them in the paper's lockstep protocol) and batches what
@@ -132,7 +129,7 @@ class FDATrainer:
             # every row); its contract makes each state bit-identical to a
             # per-row local_state call, so sync decisions, byte ledgers and
             # the golden trajectories do not depend on the engine or the mask.
-            states = self.monitor.local_states(drifts if active is None else drifts[active])
+            states = self.monitor.local_states(drifts if stepped is None else drifts[stepped])
             num_active = len(states)
         if states:
             # AllReduce of the local states (charged as small "fda-state"
@@ -172,20 +169,19 @@ class FDATrainer:
         self.history.append(result)
         return result
 
-    def _states_under_churn(self, drifts, active, alive):
+    def _states_under_churn(self, drifts, fresh, alive):
         """Per-worker states with stale substitution for dead workers.
 
-        Alive (and participation-active) workers report fresh states, built
-        in one batched ``local_states`` call on a *copy* of their drift rows
-        — the rows live in a reusable scratch buffer, and exact-variant
-        states keep zero-copy views, so retained states must not alias it.
-        Dead workers contribute their most recent retained state; workers
-        that died before ever reporting contribute nothing.  States stay in
-        worker order.  Returns ``(states, num_fresh)``.
+        The workers that stepped (``fresh``, all of them alive) report fresh
+        states, built in one batched ``local_states`` call on a *copy* of
+        their drift rows — the rows live in a reusable scratch buffer, and
+        exact-variant states keep zero-copy views, so retained states must
+        not alias it.  Dead workers contribute their most recent retained
+        state; workers that died before ever reporting contribute nothing.
+        States stay in worker order.  Returns ``(states, num_fresh)``.
         """
         if self._stale_states is None:
             self._stale_states = [None] * self.cluster.num_workers
-        fresh = alive if active is None else alive & active
         rows = np.flatnonzero(fresh)
         for worker_id, state in zip(rows, self.monitor.local_states(drifts[rows])):
             self._stale_states[worker_id] = state

@@ -160,8 +160,9 @@ def average_states(
     """Element-wise average of per-worker states (the AllReduce of local states).
 
     ``weights`` (optional, already validated/normalized by the caller — see
-    :func:`repro.distributed.weights.renormalized_weights`) turns the mean
-    into a weighted average; ``None`` keeps the exact legacy ``np.mean`` path
+    :meth:`Participation.normalized
+    <repro.distributed.participation.Participation.normalized>`) turns the
+    mean into a weighted average; ``None`` keeps the exact legacy ``np.mean`` path
     bit-for-bit, which the serving plane's degenerate-mode parity relies on.
     """
     if not states:

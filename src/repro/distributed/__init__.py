@@ -39,6 +39,7 @@ from repro.distributed.engine import (
     EXECUTION_MODES,
     SequentialEngine,
 )
+from repro.distributed.participation import Participation
 from repro.distributed.worker import Worker
 from repro.distributed.cluster import SimulatedCluster
 
@@ -65,5 +66,6 @@ __all__ = [
     "get_topology",
     "Fabric",
     "Worker",
+    "Participation",
     "SimulatedCluster",
 ]

@@ -26,6 +26,14 @@ compression kernels with per-worker error-feedback memory, and every
 ``charge_*`` call accepts a compression spec so the fabric prices the true
 compressed payload per link.  Without it, every path below is bit-identical
 to the uncompressed implementation.
+
+Which rows a collective averages and overwrites is one value, a
+:class:`~repro.distributed.participation.Participation`, with two producers
+here: :attr:`SimulatedCluster.members` (the cohort the population plane
+bound ∧ the fault injector's liveness — who votes and receives) and
+:meth:`SimulatedCluster.begin_round` (members ∧ the timeline's dropout draw —
+who steps and reports this round).  Every average below is its ``mean`` and
+every write-back indexes with its ``rows``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from repro.data.datasets import Dataset
 from repro.distributed.comm import CommunicationCostModel
 from repro.distributed.engine import ClusterEngine, build_engine
 from repro.distributed.network import NetworkModel, get_network
+from repro.distributed.participation import Participation
 from repro.distributed.topology import CollectiveCharge, Fabric, Topology, get_topology
 from repro.distributed.worker import Worker
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
@@ -158,33 +167,28 @@ class SimulatedCluster:
         for row, worker in zip(self._buffer_matrix, self.workers):
             worker.model.rebind_buffer_storage(row)
         self._evaluation_model = self.workers[0].model.clone()
+        # The bound cohort (population plane): who is seated in the slots and
+        # with what weight.  ``Participation()`` — everyone, equally — keeps
+        # every collective on the exact lockstep path.
+        self._cohort = Participation()
+        #: Who stepped and reports this round (set by :meth:`begin_round`).
+        self.participants = self._cohort
+        self.population = None
+        # Optional fault injection: ``faults`` is a
+        # :class:`~repro.faults.plan.FaultPlan` (or ``None``).  A null plan
+        # (all rates zero) installs nothing at all, which is what makes the
+        # fault-free path bit-identical to a run with no plan attached.
+        self.faults = None
+        if faults is not None and not faults.is_null:
+            from repro.faults.injector import FaultInjector
+
+            self.faults = FaultInjector(faults, len(self.workers))
+            self.fabric.injector = self.faults
         # Optional collective-level compression (kernel + reference model +
         # (K, d) error-feedback memory); None means exact collectives.
         self._compression = None
         if compression is not None:
             self.enable_compression(compression)
-        # Optional fault injection: ``faults`` is a
-        # :class:`~repro.faults.plan.FaultPlan` (or ``None``).  A null plan
-        # (all rates zero) installs nothing at all, which is what makes the
-        # fault-free path bit-identical to a run with no plan attached.
-        # Optional population plane: aggregation weights (data-size weighted
-        # collectives), a participation mask for partial cohorts, and a back
-        # reference to the owning ClientPopulation.  All ``None`` means the
-        # exact legacy collectives — the bit-exact parity path.
-        self._aggregation_weights: Optional[np.ndarray] = None
-        self._population_mask: Optional[np.ndarray] = None
-        self.population = None
-        self.faults = None
-        if faults is not None and not faults.is_null:
-            if self._compression is not None:
-                raise ConfigurationError(
-                    "fault injection and collective compression cannot be "
-                    "combined yet; drop one of the two"
-                )
-            from repro.faults.injector import FaultInjector
-
-            self.faults = FaultInjector(faults, len(self.workers))
-            self.fabric.injector = self.faults
         # The execution engine (sequential per-worker loop or one batched
         # pass) sits below step_all; built last because the batched engine
         # stacks gradients next to the matrices created above.
@@ -267,13 +271,15 @@ class SimulatedCluster:
         """
         from repro.compression import ClusterCompression, Compressor, get_compression
 
-        if spec is None:
-            self._compression = None
-            return None
-        resolved = spec if isinstance(spec, Compressor) else get_compression(spec)
+        resolved = spec if spec is None or isinstance(spec, Compressor) else get_compression(spec)
         if resolved is None:
             self._compression = None
             return None
+        if self.faults is not None:
+            raise ConfigurationError(
+                "fault injection and collective compression cannot be "
+                "combined yet; drop one of the two"
+            )
         self._compression = ClusterCompression(
             resolved,
             num_workers=self.num_workers,
@@ -497,15 +503,12 @@ class SimulatedCluster:
             )
         if count_cost:
             self.charge_broadcast(int(flat.size), CATEGORY_MODEL)
-        alive = self.alive_mask
-        if alive is None or alive.all():
-            self._param_matrix[...] = flat
-        else:
-            # Dead workers are unreachable: their rows stay frozen and they
-            # pull the current model when they rejoin.
-            self._param_matrix[alive] = flat
+        # Only members receive: dead rows stay frozen (they pull the current
+        # model when they rejoin), unbound rows keep their stale contents.
+        members = self.members
+        self._param_matrix[members.rows] = flat
         if count_cost:
-            self._maybe_corrupt(self._receiving_rows())
+            self._maybe_corrupt(members)
         if self._compression is not None:
             self._compression.set_reference(flat)
 
@@ -519,57 +522,56 @@ class SimulatedCluster:
             )
         self._buffer_matrix[...] = flat
 
-    # -- aggregation weights (population plane) ----------------------------------
+    # -- participation -----------------------------------------------------------
 
     @property
-    def aggregation_weights(self) -> Optional[np.ndarray]:
-        """Per-slot aggregation weights (``None`` = exact uniform collectives).
+    def members(self) -> Participation:
+        """Who votes in and receives a collective: the bound cohort ∧ liveness.
 
-        Set by the population plane when cohorts carry data-size weights (or a
-        partial cohort zero-weights its unbound slots).  ``None`` keeps every
-        collective on the legacy ``mean(axis=0)`` path, bit-identical to a
-        cluster without a population attached.
+        The cohort (mask and weights) is what the population plane last bound;
+        liveness belongs to the fault injector and is folded in here, the one
+        place that composes the two.  With no population and no crash plan
+        this is ``Participation()`` — nothing allocated, every collective on
+        the exact ``mean(axis=0)`` path.
         """
-        return self._aggregation_weights
+        if self.faults is None or not self.faults.churn_active:
+            return self._cohort
+        return self._cohort.restrict(self.faults.alive)
 
-    def set_aggregation_weights(self, weights: Optional[np.ndarray]) -> None:
-        """Install per-slot aggregation weights (``None`` restores exact means)."""
-        if weights is None:
-            self._aggregation_weights = None
-            return
-        from repro.distributed.weights import validate_aggregation_weights
+    def bind_members(self, cohort: Participation) -> None:
+        """Seat a cohort: which slots are bound and how much each one weighs."""
+        for vector in (cohort.mask, cohort.weights):
+            if vector is not None and vector.shape != (self.num_workers,):
+                raise ShapeError(
+                    f"a cohort needs one entry per slot ({self.num_workers}), got {vector.shape}"
+                )
+        if cohort.mask is not None and not cohort.mask.any():
+            raise ConfigurationError("a cohort must keep at least one slot bound")
+        self._cohort = cohort
 
-        self._aggregation_weights = validate_aggregation_weights(
-            weights, self.num_workers
-        )
+    def begin_round(self, active: Optional[np.ndarray] = None) -> Participation:
+        """Open a round: advance churn once, then say who steps and reports.
 
-    def normalized_aggregation_weights(
-        self, mask: Optional[np.ndarray] = None
-    ) -> Optional[np.ndarray]:
-        """Weights renormalized over ``mask`` (``None`` when no weights are set).
-
-        Returns a float64 vector summing to one over the masked-in slots, or
-        ``None`` when the cluster runs the exact uniform path.  Falls back to
-        ``None`` (uniform over the mask) if masking zeroes every weight.
+        Crash draws, due rejoins and recoveries are processed first.  A
+        crashed worker's ``(K, d)`` rows are frozen from here on; its
+        un-synced local progress is lost, modelled by resetting its optimizer
+        state on rejoin.  A rejoining worker pays a real point-to-point model
+        download from the coordinator before it may step again.  The round's
+        participants are the members restricted to ``active`` (the timeline's
+        dropout draw, or ``None``); they are returned and kept on
+        :attr:`participants` for the protocol layer to read after stepping.
         """
-        from repro.distributed.weights import renormalized_weights
-
-        return renormalized_weights(self._aggregation_weights, mask)
+        if self.faults is not None:
+            crashed, rejoined = self.faults.advance_round(self.timeline.now)
+            for worker_id in crashed:
+                self.timeline.record_churn("crash", worker_id)
+            for worker_id in rejoined:
+                self._rejoin_worker(worker_id)
+                self.timeline.record_churn("rejoin", worker_id)
+        self.participants = self.members.restrict(active)
+        return self.participants
 
     # -- model synchronization ---------------------------------------------------
-
-    def _mean_rows(self, matrix: np.ndarray, alive: Optional[np.ndarray]) -> np.ndarray:
-        """Row average honouring liveness and (if set) aggregation weights.
-
-        With ``aggregation_weights is None`` this is byte-for-byte the legacy
-        path: plain ``mean(axis=0)``, renormalized over survivors under churn.
-        """
-        normalized = self.normalized_aggregation_weights(alive)
-        if normalized is not None:
-            return normalized.astype(matrix.dtype) @ matrix
-        if alive is None or alive.all():
-            return matrix.mean(axis=0)
-        return matrix[alive].mean(axis=0)
 
     def average_parameters(self) -> np.ndarray:
         """The global model ``w̄`` (average of worker parameters); free of charge.
@@ -577,17 +579,17 @@ class SimulatedCluster:
         This is a *bookkeeping* average used for evaluation — it does not
         correspond to any network traffic in the simulated system.  Under
         worker churn the average renormalizes over the surviving workers:
-        dead rows hold frozen, stale models and do not vote.  With population
-        aggregation weights installed the average is the weighted mean.
+        dead rows hold frozen, stale models and do not vote.  With a weighted
+        cohort bound the average is the weighted mean.
         """
-        return self._mean_rows(self._param_matrix, self.alive_mask)
+        return self.members.mean(self._param_matrix)
 
     def average_buffers(self) -> np.ndarray:
         """Average of the workers' non-trainable buffers (batch-norm statistics).
 
         Renormalized over survivors under churn, like :meth:`average_parameters`.
         """
-        return self._mean_rows(self._buffer_matrix, self.alive_mask)
+        return self.members.mean(self._buffer_matrix)
 
     def synchronize(self, include_buffers: bool = True) -> np.ndarray:
         """Full model synchronization via AllReduce (Algorithm 1, line 9).
@@ -607,21 +609,15 @@ class SimulatedCluster:
         """
         if self._compression is not None:
             return self._compression.synchronize(self, include_buffers=include_buffers)
-        average = self.average_parameters()
+        members = self.members
+        average = members.mean(self._param_matrix)
         self.charge_allreduce(int(average.size), CATEGORY_MODEL)
-        alive = self.alive_mask
-        if alive is None or alive.all():
-            self._param_matrix[...] = average
-        else:
-            self._param_matrix[alive] = average
+        self._param_matrix[members.rows] = average
         if include_buffers and self._buffer_matrix.shape[1]:
-            buffer_average = self.average_buffers()
+            buffer_average = members.mean(self._buffer_matrix)
             self.charge_allreduce(int(buffer_average.size), CATEGORY_MODEL)
-            if alive is None or alive.all():
-                self._buffer_matrix[...] = buffer_average
-            else:
-                self._buffer_matrix[alive] = buffer_average
-        self._maybe_corrupt(self._receiving_rows())
+            self._buffer_matrix[members.rows] = buffer_average
+        self._maybe_corrupt(members)
         self.synchronization_count += 1
         return average
 
@@ -646,37 +642,6 @@ class SimulatedCluster:
 
     # -- the fault plane ---------------------------------------------------------
 
-    @property
-    def alive_mask(self) -> Optional[np.ndarray]:
-        """Boolean liveness mask when worker churn is active, else ``None``.
-
-        ``None`` means every worker is structurally alive (no fault plan, or a
-        plan without crashes) — the hot paths below use it to skip masking
-        entirely, keeping the fault-free trajectory byte-identical.
-        """
-        if self.faults is None or not self.faults.churn_active:
-            return None
-        return self.faults.alive
-
-    def _process_faults(self) -> None:
-        """Advance churn by one round: crash draws, due rejoins, recoveries.
-
-        Called at the top of every ``step_all``/``epoch_all`` round.  A
-        crashed worker's ``(K, d)`` rows are frozen from here on (engines
-        exclude it from the active mask); its un-synced local progress is
-        lost, modelled by resetting its optimizer state on rejoin.  A
-        rejoining worker pays a real point-to-point model download from the
-        coordinator before it may step again.
-        """
-        if self.faults is None:
-            return
-        crashed, rejoined = self.faults.advance_round(self.timeline.now)
-        for worker_id in crashed:
-            self.timeline.record_churn("crash", worker_id)
-        for worker_id in rejoined:
-            self._rejoin_worker(worker_id)
-            self.timeline.record_churn("rejoin", worker_id)
-
     def _rejoin_worker(self, worker_id: int) -> None:
         """Bring a recovered worker back: download the current model, cold-start.
 
@@ -686,48 +651,16 @@ class SimulatedCluster:
         whatever momentum it had accumulated before the crash died with it
         (zeroed in place: the stacked optimizer's row bindings stay intact).
         """
-        mask = self.faults.alive.copy()
-        mask[worker_id] = False
-        if mask.any():
-            model = self._param_matrix[mask].mean(axis=0)
-            self._param_matrix[worker_id] = model
+        donors = self.members.mask.copy()
+        donors[worker_id] = False
+        if donors.any():
+            survivors = Participation(mask=donors)
+            self._param_matrix[worker_id] = survivors.mean(self._param_matrix)
             if self._buffer_matrix.shape[1]:
-                self._buffer_matrix[worker_id] = self._buffer_matrix[mask].mean(axis=0)
+                self._buffer_matrix[worker_id] = survivors.mean(self._buffer_matrix)
         charge = self.charge_upload(self.model_dimension, CATEGORY_MODEL, worker_id)
         self.faults.log.note_recovery_cost(worker_id, charge.num_bytes, charge.seconds)
         self.workers[worker_id].optimizer.zero_state()
-
-    @property
-    def population_mask(self) -> Optional[np.ndarray]:
-        """Boolean mask of slots bound to cohort members (``None`` = all bound)."""
-        return self._population_mask
-
-    def set_population_mask(self, mask: Optional[np.ndarray]) -> None:
-        """Install a partial-cohort participation mask (``None`` = all slots bound)."""
-        if mask is None:
-            self._population_mask = None
-            return
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.num_workers,):
-            raise ShapeError(
-                f"population mask must have shape ({self.num_workers},), got {mask.shape}"
-            )
-        if not mask.any():
-            raise ConfigurationError("population mask must keep at least one slot bound")
-        self._population_mask = mask
-
-    def _faulted_active(self, active: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """Fold cohort binding and liveness into a mask after processing churn."""
-        self._process_faults()
-        population = self._population_mask
-        if population is not None:
-            active = population.copy() if active is None else active & population
-        alive = self.alive_mask
-        if alive is None or alive.all():
-            return active
-        if active is None:
-            return alive.copy()
-        return active & alive
 
     def _maybe_spike(self, round_seconds: float) -> None:
         """Draw and apply this round's transient straggler spike (if enabled)."""
@@ -737,17 +670,10 @@ class SimulatedCluster:
         if extra > 0.0:
             self.timeline.stall(extra)
 
-    def _maybe_corrupt(self, rows: np.ndarray) -> None:
-        """Maybe corrupt the model payload received by ``rows`` (in place)."""
-        if self.faults is not None and self.faults.corruption_active and rows.size:
-            self.faults.corrupt_rows(self._param_matrix, rows)
-
-    def _receiving_rows(self) -> np.ndarray:
-        """Row indices that receive model broadcasts (alive workers only)."""
-        alive = self.alive_mask
-        if alive is None:
-            return np.arange(self.num_workers, dtype=np.intp)
-        return np.flatnonzero(alive)
+    def _maybe_corrupt(self, receivers: Participation) -> None:
+        """Maybe corrupt the model payload the ``receivers`` got (in place)."""
+        if self.faults is not None and self.faults.corruption_active:
+            self.faults.corrupt_rows(self._param_matrix, receivers.indices(self.num_workers))
 
     # -- training helpers ----------------------------------------------------------
 
@@ -764,34 +690,33 @@ class SimulatedCluster:
         participating worker's step duration.  Returns the mean loss over the
         workers that stepped.
 
-        With a fault plan attached, churn is processed first (crashes freeze
-        rows; due rejoins pay their model download) and the effective mask is
-        ``active ∧ alive``; a round in which no live worker participates
-        performs no compute and returns a loss of ``0.0``.
+        :meth:`begin_round` opens the round (churn first: crashes freeze rows,
+        due rejoins pay their model download), so the mask the engine and the
+        timeline get is ``cohort ∧ alive ∧ active``; a round in which nobody
+        participates performs no compute and returns a loss of ``0.0``.
         """
-        active = self._faulted_active(active)
-        if active is not None and not active.any():
+        mask = self.begin_round(active).mask
+        if mask is not None and not mask.any():
             return 0.0
-        mean_loss = self._engine.step_all(active=active)
-        elapsed = self.timeline.advance_round(1, active=active)
+        mean_loss = self._engine.step_all(active=mask)
+        elapsed = self.timeline.advance_round(1, active=mask)
         self._maybe_spike(elapsed)
         return mean_loss
 
     def epoch_all(self) -> float:
-        """Run one local epoch on every (alive) worker; returns the mean loss."""
-        active = self._faulted_active(None)
-        if active is None:
-            mean_loss = self._engine.epoch_all()
-            participants = self.workers
-        else:
-            if not active.any():
-                return 0.0
-            rows = [int(i) for i in np.flatnonzero(active)]
-            losses = [self._engine.epoch_worker(row) for row in rows]
-            mean_loss = float(np.mean(losses))
-            participants = [self.workers[row] for row in rows]
+        """Run one local epoch on every participating worker; returns the mean loss.
+
+        Epochs stay per-worker on every engine: shards may differ in size, so
+        the per-round batch sequences are ragged across workers and cannot be
+        stacked into one ``(K, B, ...)`` tensor without changing what each
+        worker trains on.
+        """
+        rows = self.begin_round().indices(self.num_workers)
+        if not rows.size:
+            return 0.0
+        mean_loss = float(np.mean([self._engine.epoch_worker(int(row)) for row in rows]))
         elapsed = self.timeline.advance_round(
-            max(w.batches_per_epoch for w in participants)
+            max(self.workers[row].batches_per_epoch for row in rows)
         )
         self._maybe_spike(elapsed)
         return mean_loss

@@ -128,19 +128,6 @@ class ClusterEngine:
         """One full local epoch on a single worker; returns its mean batch loss."""
         return self.cluster.workers[worker_id].local_epoch()
 
-    def epoch_all(self) -> float:
-        """One full local epoch on every worker; returns the mean loss.
-
-        Epochs stay per-worker on every engine: shards may differ in size, so
-        the per-round batch sequences are ragged across workers and cannot be
-        stacked into one ``(K, B, ...)`` tensor without changing what each
-        worker trains on.  Each worker's epoch goes through
-        :meth:`epoch_worker`, which the batched engine implements with
-        single-row slices of its stacked kernels.
-        """
-        workers = self.cluster.workers
-        return float(np.mean([self.epoch_worker(worker.worker_id) for worker in workers]))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(K={self.cluster.num_workers})"
 
@@ -453,7 +440,7 @@ class BatchedEngine(ClusterEngine):
         return worker.last_loss
 
     def epoch_worker(self, worker_id: int) -> float:
-        # Ragged shards force per-worker epochs (see the base class); each
+        # Ragged shards force per-worker epochs (see cluster.epoch_all); each
         # batch of the worker's own shuffled epoch stream runs as a
         # single-row slice of the batched kernels.
         worker = self.cluster.workers[worker_id]

@@ -23,12 +23,15 @@ What a slot's state *is* is the cluster's and the worker's business (see
 <repro.distributed.cluster.SimulatedCluster.capture_slot>`); this module only
 decides which client's state sits in which slot, and when.
 
-Aggregation weights: with ``weighting="data-size"`` the cluster's collectives
-(`synchronize`, `gather_models` consumers, global evaluation) average with
-per-slot weights equal to the bound clients' shard sizes.  With ``"uniform"``
-the cluster keeps its exact ``mean(axis=0)`` paths — which is what makes the
-cohort=all configuration bit-identical to a fully materialized cluster
-(asserted by ``tests/helpers/parity.run_population_parity``).
+Participation: each binding hands the cluster one
+:class:`~repro.distributed.participation.Participation` (``bind_members``) —
+a mask when the cohort leaves slots unbound, weights equal to the bound
+clients' shard sizes with ``weighting="data-size"`` — and every collective
+(`synchronize`, the server strategies' aggregation, global evaluation)
+averages with it.  A uniform full-slot cohort binds ``Participation()``, the
+exact ``mean(axis=0)`` paths — which is what makes the cohort=all
+configuration bit-identical to a fully materialized cluster (asserted by
+``tests/helpers/parity.run_population_parity``).
 
 Fault plans compose at the *slot* level: churn crashes a slot, and whichever
 client is bound there loses its local progress for the round — cohort-scoped
@@ -43,6 +46,7 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.data.datasets import Dataset
+from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.population.config import PopulationConfig
 from repro.population.directory import ClientDirectory
@@ -141,8 +145,10 @@ class ClientPopulation:
         """Bind the cohort's clients into slots 0..len(cohort)-1.
 
         Slots beyond a partial (Bernoulli) cohort keep their stale contents
-        but are masked out of stepping, state reporting, and aggregation via
-        the cluster's population mask and zeroed aggregation weights.
+        but are masked out of stepping, state reporting, aggregation and
+        broadcasts: the cohort is bound as a
+        :class:`~repro.distributed.participation.Participation` whose mask
+        leaves them out.
         """
         cluster = self.cluster
         if self._bound is not None:
@@ -175,31 +181,25 @@ class ClientPopulation:
             worker.steps_performed = slot_steps
             self._bound_base_steps.append(slot_steps)
             sample_counts[slot] = len(shard)
-        if cohort.size < cluster.num_workers:
-            mask = np.zeros(cluster.num_workers, dtype=bool)
-            mask[: cohort.size] = True
-            cluster.set_population_mask(mask)
-            if self.config.weighting == "data-size":
-                cluster.set_aggregation_weights(sample_counts)
-            else:
-                cluster.set_aggregation_weights(mask)
-        else:
-            cluster.set_population_mask(None)
-            if self.config.weighting == "data-size":
-                cluster.set_aggregation_weights(sample_counts)
-            else:
-                # Uniform full-slot cohorts keep weights=None: the cluster's
-                # exact mean(axis=0) collectives, bit-identical to a
-                # materialized cluster (the parity contract).
-                cluster.set_aggregation_weights(None)
+        # One value says who is seated and how much each counts.  A uniform
+        # full-slot cohort is Participation(): the cluster's exact
+        # mean(axis=0) collectives, bit-identical to a materialized cluster
+        # (the parity contract).
+        partial = cohort.size < cluster.num_workers
+        cluster.bind_members(
+            Participation(
+                mask=np.arange(cluster.num_workers) < cohort.size if partial else None,
+                weights=sample_counts if self.config.weighting == "data-size" else None,
+            )
+        )
         self._bound = cohort
 
     def unbind_cohort(self) -> None:
         """Snapshot every bound client into the store and release the slots.
 
-        Aggregation weights and the participation mask are deliberately left
-        in force until the next binding, so between-round evaluation of the
-        global model still aggregates over the round's cohort.
+        The bound participation is deliberately left in force until the next
+        binding, so between-round evaluation of the global model still
+        aggregates over the round's cohort.
         """
         cluster = self.cluster
         if self._bound is None:

@@ -5,8 +5,8 @@ happened between the instant its state was computed and the instant the
 coordinator aggregates it.  Each rule maps staleness to a non-negative
 weight; a zero weight rejects the update outright.  The weights compose with
 the PR-9 weighted-aggregation seam: the harness assembles one weight per
-worker, renormalizes through
-:func:`repro.distributed.weights.renormalized_weights`, and feeds the result
+worker, normalizes them as a
+:class:`~repro.distributed.participation.Participation`, and feeds the result
 to :func:`repro.core.state.average_states` — the ``"uniform"`` rule passes
 ``None`` weights so the exact legacy ``np.mean`` path (and with it the
 degenerate-mode bit-exactness) is preserved.

@@ -33,14 +33,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.async_fda import AsynchronousFDATrainer
 from repro.core.monitor import VarianceMonitor, make_monitor
 from repro.core.state import average_states
 from repro.core.timeline import StragglerProfile, Timeline
 from repro.distributed.cluster import CATEGORY_MODEL, CATEGORY_STATE, SimulatedCluster
-from repro.distributed.weights import renormalized_weights
+from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.serving.aggregation import staleness_weight
 from repro.serving.arrivals import build_arrival_process
@@ -298,9 +296,9 @@ class ServedFDATrainer:
             # None weights keep the exact np.mean path bit-for-bit.
             normalized = None
         else:
-            normalized = renormalized_weights(
-                np.array([weight for _, weight in ordered], dtype=np.float64)
-            )
+            normalized = Participation(
+                weights=[weight for _, weight in ordered]
+            ).normalized()
         averaged = average_states(states, normalized)
         estimate = float(self.monitor.estimate(averaged))
         if estimate > self.threshold:

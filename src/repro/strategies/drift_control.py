@@ -11,7 +11,14 @@ FDA changes the schedule); having them in the library lets the ablation
 benchmarks quantify that relationship under Non-IID data.
 
 Both strategies follow the FedAvg round structure: ``local_epochs`` passes per
-worker, then a full-model aggregation charged like one AllReduce.
+worker, then a full-model aggregation charged like one AllReduce.  Their local
+steps need a per-worker gradient transform, so they drive the workers
+themselves instead of calling ``cluster.epoch_all`` — and therefore open the
+round themselves: ``cluster.begin_round()`` advances churn and returns the
+round's :class:`~repro.distributed.participation.Participation`.  Only its
+rows train; models (and SCAFFOLD's server variate) are averaged with its
+``mean``, so dead workers and unbound slots neither move nor vote and a
+weighted cohort votes by data size.
 """
 
 from __future__ import annotations
@@ -62,18 +69,22 @@ class FedProxStrategy(Strategy):
         def proximal(params: np.ndarray, grads: np.ndarray) -> np.ndarray:
             return grads + self.mu * (params - global_parameters)
 
+        participants = cluster.begin_round()
+        workers = [cluster.workers[k] for k in participants.indices(cluster.num_workers)]
+        if not workers:
+            return 0.0
         mean_loss = 0.0
         for _ in range(self.local_epochs):
-            losses = [worker.local_epoch(gradient_transform=proximal) for worker in cluster.workers]
+            losses = [worker.local_epoch(gradient_transform=proximal) for worker in workers]
             mean_loss = float(np.mean(losses))
         cluster.timeline.advance_round(
-            self.local_epochs * max(w.batches_per_epoch for w in cluster.workers)
+            self.local_epochs * max(w.batches_per_epoch for w in workers)
         )
 
         # One full-model client upload, priced (and, when the cluster has
         # collective-level compression, lossily reconstructed) by the cluster.
         client_models = cluster.gather_models(global_parameters, CATEGORY_MODEL)
-        new_global = client_models.mean(axis=0)
+        new_global = participants.mean(client_models)
         self._global_parameters = new_global
         cluster.broadcast_parameters(new_global)
         cluster.synchronization_count += 1
@@ -127,10 +138,16 @@ class ScaffoldStrategy(Strategy):
     def _run_round(self, cluster: SimulatedCluster) -> float:
         global_parameters = self._global_parameters
         server_variate = self._server_variate
+        participants = cluster.begin_round()
+        workers = [cluster.workers[k] for k in participants.indices(cluster.num_workers)]
+        if not workers:
+            return 0.0
         mean_loss = 0.0
-        steps_taken: Dict[int, int] = {}
 
-        for worker in cluster.workers:
+        # Local epochs under the corrected gradient, then each participant's
+        # control variate refreshed from its realized update (SCAFFOLD option
+        # II).  Workers that sat the round out keep model and variate as is.
+        for worker in workers:
             variate = self._worker_variates[worker.worker_id]
 
             def corrected(params: np.ndarray, grads: np.ndarray, variate=variate) -> np.ndarray:
@@ -139,21 +156,14 @@ class ScaffoldStrategy(Strategy):
             steps_before = worker.steps_performed
             for _ in range(self.local_epochs):
                 mean_loss = worker.local_epoch(gradient_transform=corrected)
-            steps_taken[worker.worker_id] = worker.steps_performed - steps_before
-
-        # Refresh control variates (SCAFFOLD option II) and aggregate the models.
-        new_variates = {}
-        for worker in cluster.workers:
-            steps = max(steps_taken[worker.worker_id], 1)
+            steps = max(worker.steps_performed - steps_before, 1)
             local_update = global_parameters - worker.parameters_view()
-            new_variates[worker.worker_id] = (
-                self._worker_variates[worker.worker_id]
-                - server_variate
-                + local_update / (steps * self.local_learning_rate_hint)
+            self._worker_variates[worker.worker_id] = (
+                variate - server_variate + local_update / (steps * self.local_learning_rate_hint)
             )
 
         cluster.timeline.advance_round(
-            self.local_epochs * max(w.batches_per_epoch for w in cluster.workers)
+            self.local_epochs * max(w.batches_per_epoch for w in workers)
         )
         # Model + control variate move across the network each round.  The
         # model half goes through cluster.gather_models (compressed when the
@@ -163,13 +173,14 @@ class ScaffoldStrategy(Strategy):
         # the round charges exactly the historical 2·d volume.
         if cluster.compression is None:
             cluster.charge_allreduce(2 * cluster.model_dimension, CATEGORY_MODEL)
-            new_global = cluster.average_parameters()
+            client_models = cluster.parameter_matrix
         else:
             client_models = cluster.gather_models(global_parameters, CATEGORY_MODEL)
-            new_global = client_models.mean(axis=0)
             cluster.charge_allreduce(cluster.model_dimension, CATEGORY_MODEL)
-        self._worker_variates = new_variates
-        self._server_variate = np.mean(np.stack(list(new_variates.values()), axis=0), axis=0)
+        new_global = participants.mean(client_models)
+        self._server_variate = participants.mean(
+            np.stack([self._worker_variates[w.worker_id] for w in cluster.workers], axis=0)
+        )
         self._global_parameters = new_global
         cluster.broadcast_parameters(new_global)
         cluster.synchronization_count += 1

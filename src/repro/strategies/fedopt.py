@@ -59,23 +59,12 @@ class FedOptStrategy(Strategy):
         # matrix as the server sees it — the live (K, d) parameter matrix on
         # the exact path, reference + reconstructed drifts under compression.
         client_models = cluster.gather_models(self._global_parameters, CATEGORY_MODEL)
-        alive = cluster.alive_mask
-        weights = cluster.normalized_aggregation_weights(alive)
-        if weights is not None:
-            # Population aggregation weights (data-size, or a partial cohort's
-            # zero-weighted unbound slots), renormalized over the survivors.
-            new_global = self.server_optimizer.aggregate(
-                self._global_parameters, client_models, weights=weights
-            )
-        else:
-            if alive is not None and not alive.all():
-                # Worker churn: dead clients cannot upload, so the server
-                # renormalizes its aggregation over the surviving rows instead
-                # of letting frozen, stale models vote.
-                client_models = client_models[alive]
-            new_global = self.server_optimizer.aggregate(
-                self._global_parameters, client_models
-            )
+        # The server sees one client: the members' average — dead clients
+        # cannot upload, unbound slots hold nobody, and a weighted cohort
+        # votes by data size.
+        new_global = self.server_optimizer.aggregate(
+            self._global_parameters, [cluster.members.mean(client_models)]
+        )
         self._global_parameters = new_global
         cluster.broadcast_parameters(new_global)
         if cluster.workers[0].model.num_buffers:

@@ -63,12 +63,12 @@ FLOAT64_ALLOWLIST = {
     # Fault-plane bookkeeping: crash clocks are virtual-time seconds, like
     # the timeline's — never part of a streamed tensor.
     "faults/injector.py",
-    # Aggregation-weight metadata (population plane): O(K) sample-count /
-    # mask vectors normalized in double precision, cast to the plane dtype
-    # only at the weighted-mean matmul — never a streamed (K, d) tensor.
-    "distributed/weights.py",
+    # Participation weights (population plane): O(K) sample-count vectors
+    # normalized in double precision, cast to the plane dtype only at the
+    # weighted-mean matmul — never a streamed (K, d) tensor.
+    "distributed/participation.py",
     # Serving plane: staleness weights are O(K) aggregation metadata (the
-    # distributed/weights.py rationale), and latency percentiles / P²
+    # distributed/participation.py rationale), and latency percentiles / P²
     # marker heights are virtual-time seconds (the core/timeline.py
     # rationale) — neither is ever a streamed (K, d) tensor.
     "serving/aggregation.py",

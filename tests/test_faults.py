@@ -356,6 +356,25 @@ class TestChurn:
         with pytest.raises(ConfigurationError, match="compression"):
             build_cluster(workload)
 
+    def test_refusal_holds_when_compression_is_installed_later(self):
+        # enable_compression() on a cluster built with a crash plan used to
+        # walk past the constructor's guard; the compressed synchronize then
+        # let dead rows vote and overwrote them.
+        plan = FaultPlan(crash_rate=0.4, recovery_rounds=50, seed=1)
+        cluster = make_cluster("batched", num_workers=4, faults=plan)
+        with pytest.raises(ConfigurationError, match="cannot be combined yet"):
+            cluster.enable_compression("topk")
+        assert cluster.compression is None
+        for _ in range(6):
+            cluster.step_all()
+        dead = ~cluster.faults.alive
+        assert dead.any()
+        frozen = cluster.parameter_matrix[dead].tobytes()
+        cluster.synchronize()
+        assert cluster.parameter_matrix[dead].tobytes() == frozen
+        # Switching compression off is not a combination and stays legal.
+        assert cluster.enable_compression(None) is None
+
 
 class TestClusterCheckpoint:
     def test_encode_decode_round_trip_is_bit_exact(self, rng):

@@ -329,7 +329,7 @@ class TestGoldenPopulationTrajectory:
         assert cluster.tracker.bytes_for("model-sync") == self.GOLDEN_MODEL_BYTES
         assert cluster.total_bytes == self.GOLDEN_TOTAL_BYTES
         # Data-size weights were in force for the triggered syncs.
-        assert cluster.aggregation_weights is not None
+        assert cluster.members.weights is not None
 
         steps = population.client_steps
         assert population.store.stateful_count == self.GOLDEN_STATEFUL_CLIENTS

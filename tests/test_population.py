@@ -40,6 +40,7 @@ from helpers.parity import (
 from repro.compression import CompressionConfig
 from repro.data.datasets import Dataset
 from repro.data.synthetic import gaussian_blobs
+from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.executor import workload_fingerprint
 from repro.experiments.persistence import result_from_dict, result_to_dict
@@ -438,10 +439,10 @@ class TestWeightedAggregation:
     def test_cluster_weighted_mean_matches_manual(self):
         cluster = make_cluster("sequential", num_workers=3)
         weights = np.array([1.0, 2.0, 5.0])
-        cluster.set_aggregation_weights(weights)
+        cluster.bind_members(Participation(weights=weights))
         expected = (weights / weights.sum()) @ cluster.parameter_matrix
         np.testing.assert_allclose(cluster.average_parameters(), expected, rtol=1e-12)
-        cluster.set_aggregation_weights(None)
+        cluster.bind_members(Participation())
         np.testing.assert_array_equal(
             cluster.average_parameters(), cluster.parameter_matrix.mean(axis=0)
         )
@@ -449,11 +450,11 @@ class TestWeightedAggregation:
     def test_invalid_weights_rejected(self):
         cluster = make_cluster("sequential", num_workers=3)
         with pytest.raises(Exception):
-            cluster.set_aggregation_weights(np.array([1.0, 2.0]))  # wrong shape
+            cluster.bind_members(Participation(weights=[1.0, 2.0]))  # wrong shape
         with pytest.raises(ConfigurationError):
-            cluster.set_aggregation_weights(np.array([1.0, -1.0, 2.0]))
+            cluster.bind_members(Participation(weights=[1.0, -1.0, 2.0]))
         with pytest.raises(ConfigurationError):
-            cluster.set_aggregation_weights(np.zeros(3))
+            cluster.bind_members(Participation(weights=np.zeros(3)))
 
     def test_server_optimizer_weighted_aggregate(self):
         rng = np.random.default_rng(0)
@@ -484,7 +485,7 @@ class TestWeightedAggregation:
         )
         population.attach(cluster, strategy)
         population.bind_cohort(np.array([0, 1]))
-        assert cluster.aggregation_weights is None
+        assert cluster.members.weights is None
         population.unbind_cohort()
 
     def test_data_size_weights_follow_bound_shards(self):
@@ -503,7 +504,7 @@ class TestWeightedAggregation:
         population.attach(cluster, strategy)
         population.bind_cohort(np.array([0, 2]))
         np.testing.assert_array_equal(
-            cluster.aggregation_weights, np.array([10.0, 40.0])
+            cluster.members.weights, np.array([10.0, 40.0])
         )
         population.unbind_cohort()
 
@@ -527,8 +528,8 @@ class TestPartialCohorts:
         )
         population.attach(cluster, strategy)
         population.bind_cohort(np.array([1, 5]))  # 2 of 4 slots bound
-        assert cluster.population_mask.tolist() == [True, True, False, False]
-        assert cluster.aggregation_weights[2] == 0.0
+        assert cluster.members.mask.tolist() == [True, True, False, False]
+        assert cluster.members.weights[2] == 0.0
         stale = np.array(cluster.parameter_matrix[2:])
         before = [w.steps_performed for w in cluster.workers]
         result = strategy.run_round()

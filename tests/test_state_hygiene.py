@@ -14,6 +14,16 @@ second enumeration from growing back:
 3. the consumers of other objects' state — checkpoint, population plane, the
    FDA and FedOpt strategies — read no ``_private`` attribute of any object
    but themselves.
+
+"Which rows count, and how much" went the same way: the cluster once carried
+a liveness mask, a cohort mask, a fold of the two and a weight vector, and
+each consumer combined them again.  They are one
+:class:`~repro.distributed.participation.Participation` now, and
+
+4. none of the old names is spelled anywhere under ``src/``;
+5. the injector's liveness vector is read in ``faults/``, by the cluster's
+   one composer (``SimulatedCluster.members``) and by ``FDATrainer``'s
+   stale-state rule — nowhere else.
 """
 
 from __future__ import annotations
@@ -26,6 +36,15 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The optimizer state attributes; spelled nowhere outside ``optim/``.
 _MOMENT_NAMES = re.compile(r"_velocity|\b_m\b|\b_v\b")
+
+#: The cluster's former answers to "which rows count, and how much".
+_RETIRED_PARTICIPATION_NAMES = re.compile(
+    r"alive_mask|population_mask|_faulted_active|aggregation_weights|renormalized_weights"
+)
+
+#: Reads of the injector's liveness vector, and how many each module may hold.
+_LIVENESS_READ = re.compile(r"faults\.alive\b")
+LIVENESS_READERS = {"distributed/cluster.py": 1, "core/fda.py": 1}
 
 #: Modules that consume other objects' state and must go through their
 #: public serialisers.
@@ -58,6 +77,31 @@ def test_optimizer_moments_are_named_only_in_optim():
     assert not offenders, (
         "optimizer state enumerated outside optim/ — use Optimizer.state_arrays "
         "/ state_dict / load_state_dict / zero_state:\n" + "\n".join(offenders)
+    )
+
+
+def test_retired_participation_names_are_gone():
+    offenders = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        for number, line in enumerate(source.splitlines(), 1)
+        if _RETIRED_PARTICIPATION_NAMES.search(line)
+    ]
+    assert not offenders, (
+        "a second answer to 'which rows count' — read cluster.members / "
+        "cluster.participants (a Participation) instead:\n" + "\n".join(offenders)
+    )
+
+
+def test_liveness_is_read_by_its_owner_one_composer_and_the_stale_state_rule():
+    reads = {
+        module: len(_LIVENESS_READ.findall(source))
+        for module, source in _sources()
+        if not module.startswith("faults/") and _LIVENESS_READ.search(source)
+    }
+    assert reads == LIVENESS_READERS, (
+        "faults.alive is folded into cluster.members once; everything else "
+        f"reads the Participation.  Expected {LIVENESS_READERS}, found {reads}"
     )
 
 

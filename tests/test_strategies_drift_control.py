@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.distributed.cluster import CATEGORY_MODEL
+from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import build_cluster
+from repro.faults import FaultPlan
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
 from repro.strategies.fedopt import FedOptStrategy
 from repro.optim.server import FedAvg
@@ -117,3 +119,68 @@ class TestScaffold:
             ScaffoldStrategy(local_epochs=0)
         with pytest.raises(ConfigurationError):
             ScaffoldStrategy(local_learning_rate_hint=0.0)
+
+
+# -- participation: churn and weighted cohorts --------------------------------
+#
+# Both strategies used to loop over ``cluster.workers`` and take
+# ``client_models.mean(axis=0)`` themselves, so a crash plan never advanced
+# (no churn, dead rows kept training) and cohort weights were ignored.
+
+CHURN = FaultPlan(crash_rate=0.5, recovery_rounds=3, seed=1)
+STRATEGIES = [
+    pytest.param(lambda: FedProxStrategy(mu=0.1), id="fedprox"),
+    pytest.param(lambda: ScaffoldStrategy(local_learning_rate_hint=0.01), id="scaffold"),
+]
+
+
+@pytest.mark.parametrize("make_strategy", STRATEGIES)
+class TestRoundParticipation:
+    def test_rounds_advance_churn(self, blobs_workload, make_strategy):
+        cluster, _ = build_cluster(blobs_workload.with_faults(CHURN))
+        strategy = make_strategy().attach(cluster)
+        for _ in range(5):
+            strategy.run_round()
+        assert cluster.faults.round_index == 5
+        kinds = [kind for _, kind, _ in cluster.timeline.churn_events]
+        assert "crash" in kinds and "rejoin" in kinds
+
+    def test_dead_worker_is_byte_untouched(self, blobs_workload, make_strategy):
+        # A vanishingly small crash rate keeps churn active without ever
+        # drawing a crash, so the hand-killed worker is the only dead one.
+        cluster, _ = build_cluster(
+            blobs_workload.with_faults(FaultPlan(crash_rate=1e-12, seed=3))
+        )
+        strategy = make_strategy().attach(cluster)
+        cluster.faults.alive[1] = False
+        cluster.faults._recovery_round[1] = 10**6  # far beyond this test
+        frozen = cluster.parameter_matrix[1].tobytes()
+        steps = cluster.workers[1].steps_performed
+        strategy.run_round()
+        assert cluster.parameter_matrix[1].tobytes() == frozen
+        assert cluster.workers[1].steps_performed == steps
+        if isinstance(strategy, ScaffoldStrategy):
+            assert not strategy._worker_variates[1].any()
+        # The survivors trained and now share one model.
+        survivors = cluster.parameter_matrix[[0, 2, 3]]
+        np.testing.assert_array_equal(survivors[0], survivors[1])
+        np.testing.assert_array_equal(survivors[0], survivors[2])
+
+    def test_cohort_weights_are_honoured(self, blobs_workload, make_strategy):
+        cluster, _ = build_cluster(blobs_workload.with_workers(2))
+        strategy = make_strategy().attach(cluster)
+        cluster.bind_members(Participation(weights=[1.0, 3.0]))
+        trained = {}
+        broadcast = cluster.broadcast_parameters
+
+        def capture(flat, count_cost=False):
+            # The clients' models as they stand when the server aggregates.
+            trained["models"] = cluster.parameter_matrix.copy()
+            broadcast(flat, count_cost=count_cost)
+
+        cluster.broadcast_parameters = capture
+        strategy.run_round()
+        models = trained["models"]
+        expected = 0.25 * models[0] + 0.75 * models[1]
+        np.testing.assert_allclose(cluster.parameter_matrix[0], expected, rtol=1e-12)
+        assert not np.allclose(expected, models.mean(axis=0), rtol=1e-6)
