@@ -12,13 +12,14 @@
 import numpy as np
 
 from benchmarks.conftest import run_workload
-from repro.core.async_fda import AsynchronousFDATrainer, StragglerProfile
 from repro.core.fda import FDATrainer
 from repro.core.monitor import LinearMonitor
+from repro.core.timeline import StragglerProfile
 from repro.experiments.registry import lenet_mnist_workload
 from repro.experiments.reporting import format_results_table
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import build_cluster
+from repro.serving import ServedFDATrainer, ServingConfig
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.fedopt import fedadam_strategy
@@ -40,22 +41,24 @@ def _async_vs_sync_under_stragglers():
     sync_accuracy = sync_cluster.evaluate_global(sync_test)[1]
 
     async_cluster, async_test = build_cluster(workload)
-    async_trainer = AsynchronousFDATrainer(
+    async_trainer = ServedFDATrainer(
         async_cluster,
         LinearMonitor(dimension=async_cluster.model_dimension, seed=0),
         theta,
+        ServingConfig(arrival="closed"),
         profile=profile,
         seed=0,
     )
-    async_trainer.run_for(budget_seconds)
+    async_trainer.serve_for(budget_seconds)
     async_accuracy = async_cluster.evaluate_global(async_test)[1]
+    async_steps = [worker.steps_performed for worker in async_cluster.workers]
 
     return {
         "sync_total_steps": sync_cluster.parallel_steps * sync_cluster.num_workers,
-        "async_total_steps": async_trainer.total_steps,
+        "async_total_steps": sum(async_steps),
         "sync_accuracy": sync_accuracy,
         "async_accuracy": async_accuracy,
-        "async_steps_by_worker": list(async_trainer.steps_by_worker()),
+        "async_steps_by_worker": async_steps,
         "sync_bytes": sync_cluster.total_bytes,
         "async_bytes": async_cluster.total_bytes,
     }

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.async_fda import AsynchronousFDATrainer, StragglerProfile
 from repro.core.fda import FDATrainer
 from repro.core.monitor import LinearMonitor
+from repro.core.timeline import StragglerProfile
 from repro.experiments.registry import lenet_mnist_workload
 from repro.experiments.setup import build_cluster
+from repro.serving import ServedFDATrainer, ServingConfig
 from repro.utils.formatting import format_bytes
 
 THETA = 8.0
@@ -57,17 +58,23 @@ def run_synchronous(workload) -> dict:
 
 
 def run_asynchronous(workload) -> dict:
-    """Asynchronous FDA: fast workers do not wait for the straggler."""
+    """Asynchronous FDA: fast workers do not wait for the straggler.
+
+    The coordinator is the served trainer in its closed loop: every worker
+    reports when its own step completes and is aggregated on the spot.
+    """
     cluster, test_dataset = build_cluster(workload)
     monitor = LinearMonitor(dimension=cluster.model_dimension, seed=0)
-    trainer = AsynchronousFDATrainer(cluster, monitor, THETA, profile=PROFILE, seed=0)
-    trainer.run_for(VIRTUAL_SECONDS)
+    trainer = ServedFDATrainer(
+        cluster, monitor, THETA, ServingConfig(arrival="closed"), profile=PROFILE, seed=0
+    )
+    trainer.serve_for(VIRTUAL_SECONDS)
     _, accuracy = cluster.evaluate_global(test_dataset)
-    steps = trainer.steps_by_worker()
+    steps = [worker.steps_performed for worker in cluster.workers]
     return {
         "mode": "asynchronous FDA",
         "steps_per_worker": f"{min(steps)}-{max(steps)}",
-        "total_steps": trainer.total_steps,
+        "total_steps": sum(steps),
         "syncs": trainer.synchronization_count,
         "bytes": cluster.total_bytes,
         "accuracy": accuracy,

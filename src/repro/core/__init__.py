@@ -2,8 +2,10 @@
 
 ``repro.core`` contains the drift/variance algebra (Section 3), the local
 states and variance monitors that define the SketchFDA and LinearFDA variants
-(Sections 3.1 and 3.2), the :class:`FDATrainer` implementing Algorithm 1, and
-the Θ-selection utilities corresponding to Figure 12 plus the dynamic-Θ
+(Sections 3.1 and 3.2), the :class:`FDATrainer` implementing Algorithm 1, the
+shared virtual-time :class:`Timeline` (the Section 3.3 coordinator that runs
+on its events is :class:`repro.serving.ServedFDATrainer`), and the
+Θ-selection utilities corresponding to Figure 12 plus the dynamic-Θ
 controller sketched in the paper's future-work section.
 """
 
@@ -27,11 +29,7 @@ from repro.core.monitor import (
     make_monitor,
 )
 from repro.core.fda import FDATrainer, FdaStepResult
-from repro.core.timeline import ComputeProfile, StragglerProfile, Timeline
-from repro.core.async_fda import (
-    AsyncEvent,
-    AsynchronousFDATrainer,
-)
+from repro.core.timeline import StragglerProfile, Timeline
 from repro.core.theta import (
     DynamicThetaController,
     ThetaGuideline,
@@ -55,10 +53,7 @@ __all__ = [
     "make_monitor",
     "FDATrainer",
     "FdaStepResult",
-    "AsynchronousFDATrainer",
-    "AsyncEvent",
     "StragglerProfile",
-    "ComputeProfile",
     "Timeline",
     "theta_guideline",
     "ThetaGuideline",

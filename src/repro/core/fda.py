@@ -45,7 +45,55 @@ class FdaStepResult:
     active_workers: int = 0
 
 
-class FDATrainer:
+class FDAProtocol:
+    """What every FDA driver shares, lockstep or event-driven.
+
+    The threshold Θ, a common starting model ``w_0`` (Algorithm 1, line 1),
+    the two sync references, and the one rotation ``w_{t-1} ← w_{t0} ← w̄``
+    that follows a model exchange.
+    """
+
+    def __init__(
+        self, cluster: SimulatedCluster, monitor: VarianceMonitor, threshold: float
+    ) -> None:
+        if threshold < 0:
+            raise ConfigurationError(f"threshold (Theta) must be non-negative, got {threshold}")
+        self.cluster = cluster
+        self.monitor = monitor
+        self.threshold = float(threshold)
+        self.synchronization_count = 0
+        initial = cluster.workers[0].get_parameters()
+        cluster.broadcast_parameters(initial)
+        self._reference = initial            # w_{t0}: model after most recent sync
+        self._previous_reference = initial   # w_{t−1}: model after 2nd most recent sync
+
+    @property
+    def state_elements_per_step(self) -> int:
+        """Float32 elements one worker's local state costs per completed step."""
+        return self.monitor.state_num_elements(self.cluster.model_dimension)
+
+    def _complete_synchronization(
+        self, include_buffers: bool = True, notify_monitor: bool = True
+    ) -> np.ndarray:
+        """Exchange models and rotate the protocol bookkeeping.
+
+        The single place that performs the monitor notification, reference
+        rotation (``w_{t-1} ← w_{t0} ← w̄``), and counter update.  The
+        exchange is ``cluster.synchronize``: an exact AllReduce, or the
+        compressed drift exchange when the cluster carries collective-level
+        compression (Section 2: FDA is orthogonal to compression).  It charges
+        the fabric and, as a barrier, advances the shared clock.
+        """
+        new_global = self.cluster.synchronize(include_buffers=include_buffers)
+        if notify_monitor:
+            self.monitor.on_synchronization(new_global, self._previous_reference)
+        self._previous_reference = self._reference
+        self._reference = new_global
+        self.synchronization_count += 1
+        return new_global
+
+
+class FDATrainer(FDAProtocol):
     """Drives a :class:`SimulatedCluster` with the FDA protocol (Algorithm 1)."""
 
     def __init__(
@@ -56,15 +104,10 @@ class FDATrainer:
         sync_buffers: bool = True,
         theta_controller: Optional[DynamicThetaController] = None,
     ) -> None:
-        if threshold < 0:
-            raise ConfigurationError(f"threshold (Theta) must be non-negative, got {threshold}")
-        self.cluster = cluster
-        self.monitor = monitor
-        self.threshold = float(threshold)
+        super().__init__(cluster, monitor, threshold)
         self.sync_buffers = bool(sync_buffers)
         self.theta_controller = theta_controller
         self.step_count = 0
-        self.synchronization_count = 0
         self.last_estimate: Optional[float] = None
         self.history: List[FdaStepResult] = []
         # Reusable (K, d) scratch for the per-step drift matrix; its rows only
@@ -77,11 +120,6 @@ class FDATrainer:
         # most recent (stale) state until it rejoins.  ``None`` rows mean the
         # worker never reported (it died before its first state).
         self._stale_states: Optional[List[Optional[object]]] = None
-        # All workers start from a common global model w_0 (Algorithm 1, line 1).
-        initial = cluster.workers[0].get_parameters()
-        cluster.broadcast_parameters(initial)
-        self._reference = initial            # w_{t0}: model after most recent sync
-        self._previous_reference = initial   # w_{t−1}: model after 2nd most recent sync
 
     # -- properties --------------------------------------------------------------
 
@@ -89,11 +127,6 @@ class FDATrainer:
     def reference_parameters(self) -> np.ndarray:
         """The shared model after the most recent synchronization (``w_{t0}``)."""
         return self._reference.copy()
-
-    @property
-    def state_elements_per_step(self) -> int:
-        """Float32 elements AllReduced per step for the local states."""
-        return self.monitor.state_num_elements(self.cluster.model_dimension)
 
     # -- the protocol -------------------------------------------------------------
 
@@ -145,7 +178,7 @@ class FDATrainer:
 
         synchronized = bool(states) and estimate > self.threshold
         if synchronized:
-            self._complete_synchronization()
+            self._complete_synchronization(include_buffers=self.sync_buffers)
 
         if self.theta_controller is not None:
             self.threshold = self.theta_controller.update(
@@ -198,31 +231,13 @@ class FDATrainer:
             raise ConfigurationError(f"num_steps must be non-negative, got {num_steps}")
         return [self.step() for _ in range(num_steps)]
 
-    def _complete_synchronization(self) -> np.ndarray:
-        """Exchange models and rotate the protocol bookkeeping.
-
-        The single place that performs the monitor notification, reference
-        rotation (``w_{t-1} ← w_{t0} ← w̄``), and counter update — shared by
-        the in-protocol trigger (:meth:`step`) and the explicit
-        :meth:`force_synchronization`.  The exchange is ``cluster.synchronize``:
-        an exact AllReduce, or the compressed drift exchange when the cluster
-        carries collective-level compression (Section 2: FDA is orthogonal to
-        compression).
-        """
-        new_global = self.cluster.synchronize(include_buffers=self.sync_buffers)
-        self.monitor.on_synchronization(new_global, self._previous_reference)
-        self._previous_reference = self._reference
-        self._reference = new_global
-        self.synchronization_count += 1
-        return new_global
-
     def force_synchronization(self) -> np.ndarray:
         """Synchronize immediately regardless of the variance estimate.
 
         Used by callers that want a final consolidation before evaluating the
         global model (e.g. at the very end of training).
         """
-        return self._complete_synchronization()
+        return self._complete_synchronization(include_buffers=self.sync_buffers)
 
     # -- checkpointing -----------------------------------------------------------
 

@@ -1,21 +1,27 @@
 """The unified virtual-time engine.
 
-Historically only :class:`~repro.core.async_fda.AsynchronousFDATrainer` owned
-a clock, so synchronous FDA, BSP, and the FedOpt baselines could not report
-wall-clock numbers at all — yet the paper's headline claim (Figure 12 and the
-FL-vs-HPC discussion) is precisely about *time*.  :class:`Timeline` extracts
-that clock into one engine shared by every trainer and strategy:
+The paper's headline claim (Figure 12 and the FL-vs-HPC discussion) is about
+*time*, so every trainer and strategy reports on one clock.  :class:`Timeline`
+is that clock, and the only event heap in the code base:
 
 * **lockstep mode** (synchronous protocols): one round advances the clock by
   the *slowest participating worker's* compute time — heterogeneous per-worker
   step durations, optional per-step jitter, and optional per-round dropout
-  come from the same :class:`StragglerProfile` the asynchronous trainer uses;
-* **event mode** (asynchronous protocols): a completion queue orders worker
-  step-finishes in virtual time, exactly the machinery that used to live
-  inside the async trainer;
+  come from one :class:`StragglerProfile`;
+* **event mode** (the event-driven coordinator of
+  :mod:`repro.serving.harness`): one heap orders four event kinds in virtual
+  time — a coordinator :data:`SERVICE` completion, an update's
+  :data:`ENQUEUE`, an exogenous client :data:`ARRIVAL`, and a worker-step
+  :data:`COMPLETION`.  The pop order ``(time, kind, worker, seq)`` is a
+  contract: at one instant the server is freed first, then uploaded updates
+  are admitted, then new arrivals and finished steps are processed; equal
+  kinds pop in ascending worker id, and one worker's events in scheduling
+  (FIFO) order;
 * **communication time**: the cluster's :class:`~repro.distributed.topology.Fabric`
   reports each collective's virtual seconds here, so compute and communication
-  accumulate on one comparable clock.
+  accumulate on one comparable clock.  A collective is a barrier for
+  *compute*: it delays pending step completions, never exogenous arrivals or
+  updates already in flight to or at the coordinator.
 
 With the default profile (uniform unit step time, no jitter, no stragglers,
 no dropout) and no network model, the timeline is a pure observer: byte
@@ -26,12 +32,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.utils.rng import as_rng
+
+#: Event kinds.  The value is the pop priority at equal virtual times.
+SERVICE, ENQUEUE, ARRIVAL, COMPLETION = range(4)
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,6 @@ class StragglerProfile:
         return durations
 
 
-#: Alias emphasising that the profile models *compute* heterogeneity.
-ComputeProfile = StragglerProfile
-
-
 class Timeline:
     """One virtual clock for compute and communication.
 
@@ -115,12 +120,11 @@ class Timeline:
         # Churn ledger: (time, "crash" | "rejoin", worker_id) events recorded
         # by the fault-injection plane, in virtual-time order.
         self.churn_events: List[Tuple[float, str, int]] = []
-        # Event mode: a heap of (completion_time, worker_id, seq) step
-        # completions.  The tie-break is part of the contract, not an accident
-        # of heap layout: equal completion times pop in ascending worker id,
-        # and two completions of the *same* worker at the same instant pop in
-        # scheduling (FIFO) order via the monotone sequence number.
-        self._queue: List[Tuple[float, int, int]] = []
+        # Event mode: a heap of (time, kind, worker_id, seq, payload).  The
+        # tie-break is part of the contract, not an accident of heap layout
+        # (see the module docstring); the monotone sequence number is unique,
+        # so payloads are never compared.
+        self._queue: List[Tuple[float, int, int, int, Any]] = []
         self._event_seq = 0
 
     # -- durations -------------------------------------------------------------
@@ -193,6 +197,13 @@ class Timeline:
 
     # -- event mode -------------------------------------------------------------
 
+    def schedule(self, time: float, kind: int, worker_id: int, payload: Any = None) -> None:
+        """Put one ``kind`` event of ``worker_id`` on the heap at virtual ``time``."""
+        heapq.heappush(
+            self._queue, (float(time), kind, worker_id, self._event_seq, payload)
+        )
+        self._event_seq += 1
+
     def schedule_step(self, worker_id: int, start_time: Optional[float] = None) -> float:
         """Schedule ``worker_id``'s next step completion; returns its time.
 
@@ -206,29 +217,44 @@ class Timeline:
             )
         start = self.now if start_time is None else float(start_time)
         completion = start + self.step_duration(worker_id)
-        heapq.heappush(self._queue, (completion, worker_id, self._event_seq))
-        self._event_seq += 1
+        self.schedule(completion, COMPLETION, worker_id)
         return completion
 
-    def next_completion_time(self) -> Optional[float]:
-        """The virtual time of the earliest pending completion (or ``None``)."""
+    def next_event_time(self) -> Optional[float]:
+        """The virtual time of the earliest pending event (or ``None``)."""
         return self._queue[0][0] if self._queue else None
 
-    def pop_completion(self) -> Tuple[float, int]:
-        """Advance the clock to the next completion and return ``(time, worker)``."""
+    def pop_event(self) -> Tuple[float, int, int, Any]:
+        """Advance the clock to the next event; return ``(time, kind, worker, payload)``.
+
+        A step completion is compute: the clock lands on it and the elapsed
+        seconds are charged as compute.  The other kinds are idle waits on
+        times no barrier moves, so one can pop after a barrier has carried the
+        clock past it — the clock then stays where it is.
+        """
         if not self._queue:
-            raise ExperimentError("no pending step completions in the timeline")
-        completion_time, worker_id, _ = heapq.heappop(self._queue)
-        elapsed = completion_time - self.now
-        self.now = completion_time
-        self.compute_seconds += max(elapsed, 0.0)
-        return completion_time, worker_id
+            raise ExperimentError("no pending events in the timeline")
+        time, kind, worker_id, _, payload = heapq.heappop(self._queue)
+        if kind == COMPLETION:
+            self.compute_seconds += max(time - self.now, 0.0)
+            self.now = time
+        else:
+            self.advance_to(time)
+        return time, kind, worker_id, payload
 
     def delay_pending(self, seconds: float) -> None:
-        """Push every pending completion ``seconds`` into the future (a barrier)."""
+        """Push every pending step completion ``seconds`` into the future (a barrier).
+
+        Barriers delay compute, not arrivals: clients keep sending at their
+        own pace, and an update already uploaded or in service is not slowed
+        by a collective it takes no part in.
+        """
         if seconds <= 0:
             return
-        self._queue = [(time + seconds, worker, seq) for time, worker, seq in self._queue]
+        self._queue = [
+            (time + seconds if kind == COMPLETION else time, kind, worker, seq, payload)
+            for time, kind, worker, seq, payload in self._queue
+        ]
         heapq.heapify(self._queue)
 
     # -- communication & bookkeeping --------------------------------------------
@@ -236,8 +262,8 @@ class Timeline:
     def add_communication(self, seconds: float) -> None:
         """Account virtual seconds spent communicating (reported by the fabric).
 
-        In event mode the collective acts as a barrier: pending completions are
-        delayed by the same amount.
+        In event mode the collective acts as a barrier: pending step
+        completions are delayed by the same amount.
         """
         if seconds < 0:
             raise ConfigurationError(f"seconds must be non-negative, got {seconds}")
@@ -291,14 +317,23 @@ class Timeline:
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-safe snapshot of the clocks, churn ledger, event heap and RNG stream."""
+        """JSON-safe snapshot of the clocks, churn ledger, event heap and RNG stream.
+
+        Only payload-free events (step completions, arrivals) can be encoded;
+        an update in flight raises rather than restoring to a shorter heap.
+        """
+        if any(entry[4] is not None for entry in self._queue):
+            raise ExperimentError(
+                "cannot snapshot a timeline with updates in flight: enqueue and "
+                "service events carry payloads the snapshot cannot encode"
+            )
         return {
             "now": self.now,
             "compute_seconds": self.compute_seconds,
             "comm_seconds": self.comm_seconds,
             "rounds_advanced": self.rounds_advanced,
             "churn_events": [list(event) for event in self.churn_events],
-            "queue": [list(entry) for entry in self._queue],
+            "queue": [list(entry[:4]) for entry in self._queue],
             "event_seq": self._event_seq,
             "durations": self._durations.copy(),
             "rng": self._rng.bit_generator.state,
@@ -315,7 +350,8 @@ class Timeline:
             for time, kind, worker in state["churn_events"]
         ]
         self._queue = [
-            (float(time), int(worker), int(seq)) for time, worker, seq in state["queue"]
+            (float(time), int(kind), int(worker), int(seq), None)
+            for time, kind, worker, seq in state["queue"]
         ]
         heapq.heapify(self._queue)
         self._event_seq = int(state["event_seq"])

@@ -323,7 +323,7 @@ class SimulatedCluster:
 
         Unlike the collectives this does not act as a cluster-wide barrier:
         the upload's seconds are folded into the sender's next completion by
-        the caller (the asynchronous trainer), while the timeline's
+        the caller (the event-driven coordinator), while the timeline's
         communication ledger still records them.
         """
         charge = self.fabric.upload(

@@ -1,11 +1,12 @@
-"""Plane 8: the open-loop serving harness.
+"""Plane 8: the event-driven coordinator and its serving harness.
 
-Turns the closed-loop coordinator simulation into a *served system*:
-stochastic client-update arrivals (:mod:`~repro.serving.arrivals`), a bounded
-coordinator ingress queue (:mod:`~repro.serving.queueing`), staleness-aware
-aggregation rules (:mod:`~repro.serving.aggregation`), streaming latency
-percentiles (:mod:`~repro.serving.metrics`), and the served coordinator that
-ties them onto the event-mode timeline (:mod:`~repro.serving.harness`).
+The paper's Section 3.3 coordinator as a *served system*: who reports when
+(:mod:`~repro.serving.arrivals` — exogenous open-loop arrivals, or the closed
+loop of the workers' own step completions), a bounded coordinator ingress
+queue (:mod:`~repro.serving.queueing`), staleness-aware aggregation rules
+(:mod:`~repro.serving.aggregation`), streaming latency percentiles
+(:mod:`~repro.serving.metrics`), and the one coordinator that runs them on
+the event-mode timeline (:mod:`~repro.serving.harness`).
 """
 
 from repro.serving.aggregation import STALENESS_RULES, staleness_weight, staleness_weights
@@ -18,7 +19,12 @@ from repro.serving.arrivals import (
     write_arrival_trace,
 )
 from repro.serving.config import ARRIVAL_KINDS, PROTOCOLS, QUEUE_POLICIES, ServingConfig
-from repro.serving.harness import ServedFDATrainer, ServingReport, serve_workload
+from repro.serving.harness import (
+    ServedFDATrainer,
+    ServedUpdate,
+    ServingReport,
+    serve_workload,
+)
 from repro.serving.metrics import (
     P2_RANK_ERROR_BOUND,
     LatencyTracker,
@@ -42,6 +48,7 @@ __all__ = [
     "QUEUE_POLICIES",
     "STALENESS_RULES",
     "ServedFDATrainer",
+    "ServedUpdate",
     "ServingConfig",
     "ServingReport",
     "TraceArrivals",

@@ -139,8 +139,8 @@ def write_arrival_trace(path: str, events: Sequence[tuple]) -> None:
 def build_arrival_process(config, num_workers: int) -> Optional[ArrivalProcess]:
     """Arrival process for a :class:`~repro.serving.config.ServingConfig`.
 
-    Returns ``None`` for the degenerate ``"closed"`` mode, where there is no
-    exogenous arrival process at all.
+    Returns ``None`` for ``"closed"``: the closed loop has no exogenous
+    process — its schedule is the timeline's own step completions.
     """
     if config.arrival == "closed":
         return None

@@ -1,9 +1,10 @@
 """Serving-plane configuration.
 
-:class:`ServingConfig` bundles the open-loop load knobs — the arrival
-process, the coordinator's ingress-queue discipline, the staleness-aware
-aggregation rule, and the per-update service time — into one frozen
-dataclass.  Frozen matters: the sweep executor's content-addressed cache
+:class:`ServingConfig` bundles the load knobs — who reports when (an
+open-loop arrival process, or ``"closed"``: the workers' own step
+completions, i.e. the paper's asynchronous coordinator), the coordinator's
+ingress-queue discipline, the staleness-aware aggregation rule, and the
+per-update service time — into one frozen dataclass.  Frozen matters: the sweep executor's content-addressed cache
 fingerprints workloads through :func:`repro.experiments.cache.canonical_value`,
 which walks frozen dataclasses field-wise, so every serving knob participates
 in the run fingerprint automatically.
@@ -16,10 +17,10 @@ from typing import Optional
 
 from repro.exceptions import ConfigurationError
 
-#: Arrival-process kinds.  ``"closed"`` is the degenerate mode: no exogenous
-#: arrivals — every update is consumed the instant it is produced, which is
-#: exactly the pre-serving :class:`~repro.core.async_fda.AsynchronousFDATrainer`
-#: loop (the parity suite pins this bit-exactly).
+#: Arrival-process kinds.  ``"closed"`` is the closed loop of the paper's
+#: Section 3.3: no exogenous arrivals — a worker reports when its own step
+#: completes, the update is aggregated on the spot, and the worker's next step
+#: waits for the coordinator's answer (the parity suite pins the trajectory).
 ARRIVAL_KINDS = ("poisson", "deterministic", "trace", "closed")
 
 #: Ingress-queue overflow policies: refuse the newcomer (``"drop"``), hold it
@@ -102,8 +103,9 @@ class ServingConfig:
                 f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"
             )
         if self.arrival == "closed":
-            # The degenerate mode must reproduce the async trainer bit-exactly,
-            # which rules out anything that could reorder or refuse updates.
+            # The closed loop aggregates every update the instant its step
+            # completes, which rules out anything that could delay, reorder or
+            # refuse updates.
             if self.service_seconds != 0.0:
                 raise ConfigurationError(
                     "closed (degenerate) mode requires instant service "
@@ -115,8 +117,8 @@ class ServingConfig:
                 )
             if self.protocol != "fda":
                 raise ConfigurationError(
-                    "closed (degenerate) mode reproduces the asynchronous FDA "
-                    f"trainer; protocol must be 'fda', got {self.protocol!r}"
+                    "closed (degenerate) mode is the asynchronous FDA "
+                    f"coordinator; protocol must be 'fda', got {self.protocol!r}"
                 )
 
     def with_rate(self, arrival_rate: float) -> "ServingConfig":

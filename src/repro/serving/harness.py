@@ -1,58 +1,71 @@
-"""The served coordinator: open-loop load over the event-mode timeline.
+"""The event-driven coordinator: Section 3.3 of the paper as a served system.
 
-:class:`ServedFDATrainer` runs the asynchronous coordinator as a *served
-system*: client updates arrive via an exogenous
-:class:`~repro.serving.arrivals.ArrivalProcess`, queue at the coordinator's
-bounded :class:`~repro.serving.queueing.IngressQueue`, are serviced one at a
-time (``service_seconds`` per aggregation), and are folded into the global
-model under a staleness-aware rule.  Every serviced update records its
-enqueue→aggregate virtual-time latency into a
-:class:`~repro.serving.metrics.LatencyTracker`, which is where the p50/p95/p99
-numbers in ``BENCH_serving.json`` come from.
+The synchronous protocol advances all workers in lockstep, which one
+straggler can stall.  The paper's asynchronous variant makes one node a
+*coordinator*: a worker sends its small local state whenever it finishes a
+local step, the coordinator evaluates the variance over-estimate on the most
+recent state from every worker, and orders a synchronization when it exceeds
+Θ.  :class:`ServedFDATrainer` is that coordinator, driven by the events of the
+cluster's :class:`~repro.core.timeline.Timeline`: an update is produced (a
+worker steps and uploads), reaches the bounded
+:class:`~repro.serving.queueing.IngressQueue`, is serviced one at a time
+(``service_seconds`` per aggregation) and folded in under a staleness-aware
+rule.  Every serviced update records its enqueue→aggregate virtual-time
+latency into a :class:`~repro.serving.metrics.LatencyTracker`, which is where
+the p50/p95/p99 numbers in ``BENCH_serving.json`` come from.
 
-Two protocols share the machinery:
+*Who reports when* is a schedule feeding that one rule:
 
-* ``"fda"`` — triggered sync: the coordinator keeps the most recent state per
-  worker, averages them under the staleness weights (through the PR-9
-  weighted-aggregation seam), and synchronizes when the variance estimate
-  crosses Θ;
-* ``"bsp"`` — the lockstep baseline: a round fires unconditionally once every
-  worker has delivered at least one update since the last synchronization,
-  and workers upload full models rather than tiny FDA states.
+* open loop (``arrival="poisson" | "deterministic" | "trace"``) — updates are
+  produced at the exogenous times of an
+  :class:`~repro.serving.arrivals.ArrivalProcess`, whatever the backlog, and
+  reach the queue after their upload latency;
+* closed loop (``arrival="closed"``) — the paper's protocol as written: a
+  worker reports when the timeline says its step completed, the update is
+  aggregated at that instant (unbounded queue, instant service, latency
+  identically zero), and the worker starts its next step once that is done —
+  after any synchronization it triggered — and its upload latency has passed.
 
-Degenerate mode (``arrival="closed"``): no arrival process, unbounded queue,
-instant service.  The trainer then *composes* an
-:class:`~repro.core.async_fda.AsynchronousFDATrainer` and delegates every
-completion to it verbatim, making bit-exactness with the pre-serving
-trajectory true by construction — the parity suite pins it on both engines.
+Two protocols share the machinery: ``"fda"`` (triggered sync, as above) and
+``"bsp"``, the lockstep baseline — a round fires unconditionally once every
+worker has delivered an update since the last synchronization, and workers
+upload full models rather than tiny FDA states.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.core.async_fda import AsynchronousFDATrainer
+from repro.core.fda import FDAProtocol
 from repro.core.monitor import VarianceMonitor, make_monitor
 from repro.core.state import average_states
-from repro.core.timeline import StragglerProfile, Timeline
+from repro.core.timeline import ARRIVAL, ENQUEUE, SERVICE, StragglerProfile, Timeline
 from repro.distributed.cluster import CATEGORY_MODEL, CATEGORY_STATE, SimulatedCluster
 from repro.distributed.participation import Participation
-from repro.exceptions import ConfigurationError, ExperimentError
+from repro.exceptions import ConfigurationError
 from repro.serving.aggregation import staleness_weight
 from repro.serving.arrivals import build_arrival_process
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import LatencyTracker
 from repro.serving.queueing import IngressQueue, PendingUpdate
 
-__all__ = ["ServedFDATrainer", "ServingReport", "serve_workload"]
+__all__ = ["ServedFDATrainer", "ServedUpdate", "ServingReport", "serve_workload"]
 
-#: Event priorities at equal virtual times: free the server first, then admit
-#: freshly uploaded updates, then process new arrivals.
-_PRIORITY_SERVICE = 0
-_PRIORITY_ENQUEUE = 1
-_PRIORITY_ARRIVAL = 2
+
+class ServedUpdate(NamedTuple):
+    """One aggregated update, as :meth:`ServedFDATrainer.serve_next` returns it.
+
+    ``step_index`` is the producing worker's step count when it made the
+    update; ``variance_estimate`` is NaN until every worker has reported since
+    the last synchronization (and always under ``"bsp"``).
+    """
+
+    time: float
+    worker_id: int
+    step_index: int
+    variance_estimate: float
+    synchronized: bool
 
 
 @dataclass
@@ -80,36 +93,21 @@ class ServingReport:
     latency: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        row = {
-            "protocol": self.protocol,
-            "arrival": self.arrival,
-            "arrival_rate": self.arrival_rate,
-            "queue_policy": self.queue_policy,
-            "queue_capacity": self.queue_capacity,
-            "staleness_rule": self.staleness_rule,
-            "service_seconds": self.service_seconds,
-            "updates_served": self.updates_served,
-            "updates_offered": self.updates_offered,
-            "updates_dropped": self.updates_dropped,
-            "updates_shed": self.updates_shed,
-            "stale_rejected": self.stale_rejected,
-            "sync_count": self.sync_count,
-            "virtual_seconds": self.virtual_seconds,
-            "throughput": self.throughput,
-            "max_queue_depth": self.max_queue_depth,
-            "total_bytes": self.total_bytes,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "latency"}
         row.update({f"latency_{key}": value for key, value in self.latency.items()})
         return row
 
 
-class ServedFDATrainer:
-    """Open-loop served coordinator over a :class:`SimulatedCluster`.
+class ServedFDATrainer(FDAProtocol):
+    """The event-driven coordinator over a :class:`SimulatedCluster`.
 
-    Timeline precedence matches :class:`AsynchronousFDATrainer`: an explicit
-    ``timeline`` wins, else an explicit ``profile`` builds one, else the
-    cluster's own timeline is used — so workload-configured straggler
-    profiles flow through unchanged.
+    The trainer drives the cluster's timeline.  Precedence: an explicit
+    ``timeline`` argument is installed on the cluster; otherwise an explicit
+    ``profile`` builds a fresh :class:`~repro.core.timeline.Timeline` from it
+    and ``seed``; otherwise the cluster's own timeline is used as-is — so a
+    straggler timeline configured via ``WorkloadConfig.with_timeline`` is
+    honoured.  Either way, communication charged by the fabric and the
+    trainer's events advance the same clock.
     """
 
     def __init__(
@@ -122,133 +120,104 @@ class ServedFDATrainer:
         seed: int = 0,
         timeline: Optional[Timeline] = None,
     ) -> None:
-        if threshold < 0:
+        faults, members = cluster.faults, cluster.members.mask
+        if (faults is not None and faults.churn_active) or (
+            members is not None and not members.all()
+        ):
+            # The event loop steps single workers through the engine and never
+            # opens a round, so crashes would be silently ignored and unbound
+            # slots would be stepped.
             raise ConfigurationError(
-                f"threshold (Theta) must be non-negative, got {threshold}"
+                "the served coordinator cannot drive worker churn or a partial "
+                "cohort yet (ROADMAP item 2c); loss-only fault plans and full "
+                "cohorts are supported"
             )
-        self.cluster = cluster
-        self.monitor = monitor
-        self.threshold = float(threshold)
+        if timeline is not None and timeline.num_workers != cluster.num_workers:
+            raise ConfigurationError(
+                f"timeline models {timeline.num_workers} workers, "
+                f"cluster has {cluster.num_workers}"
+            )
+        super().__init__(cluster, monitor, threshold)
+        if timeline is None and profile is not None:
+            timeline = Timeline(cluster.num_workers, profile=profile, seed=seed)
+        if timeline is not None:
+            cluster.timeline = timeline
+        self.timeline = cluster.timeline
         self.config = config
         self.latency = LatencyTracker()
         self.queue = IngressQueue(config.queue_capacity, config.queue_policy)
         self.stale_rejected = 0
         self.updates_served = 0
         self.blocked_peak = 0
-        self._inner: Optional[AsynchronousFDATrainer] = None
-
-        if config.arrival == "closed":
-            # Degenerate mode: delegate the entire protocol to the existing
-            # asynchronous trainer — zero queueing, instant service, latency
-            # identically zero.  Bit-exactness by construction.
-            self._inner = AsynchronousFDATrainer(
-                cluster, monitor, threshold, profile=profile, seed=seed,
-                timeline=timeline,
-            )
-            self.timeline = self._inner.timeline
-            return
-
-        if timeline is not None:
-            if timeline.num_workers != cluster.num_workers:
-                raise ConfigurationError(
-                    f"timeline models {timeline.num_workers} workers, "
-                    f"cluster has {cluster.num_workers}"
-                )
-            self.timeline = timeline
-        elif profile is not None:
-            self.timeline = Timeline(cluster.num_workers, profile=profile, seed=seed)
-        else:
-            self.timeline = cluster.timeline
-        cluster.timeline = self.timeline
-
-        initial = cluster.workers[0].get_parameters()
-        cluster.broadcast_parameters(initial)
-        self._reference = initial
-        self._previous_reference = initial
-        self.synchronization_count = 0
+        # Most recent (state, staleness weight) per worker since the last sync.
         self._latest: Dict[int, Tuple[object, float]] = {}
-        self._contributed: Set[int] = set()
         self._arrivals = build_arrival_process(config, cluster.num_workers)
-        self._events: List[Tuple[float, int, int, str, object]] = []
-        self._event_seq = 0
         self._busy = False
         self._update_seq = 0
         for worker_id in range(cluster.num_workers):
+            if self._arrivals is None:
+                self.timeline.schedule_step(worker_id, start_time=0.0)
+                continue
             first = self._arrivals.next_arrival(worker_id, 0.0)
             if first is not None:
-                self._push(first, _PRIORITY_ARRIVAL, "arrival", worker_id)
-
-    # -- shared accessors --------------------------------------------------------
+                self.timeline.schedule(first, ARRIVAL, worker_id)
 
     @property
     def sync_count(self) -> int:
-        if self._inner is not None:
-            return self._inner.synchronization_count
         return self.synchronization_count
 
     @property
     def virtual_time(self) -> float:
+        """The current virtual clock (the shared timeline's)."""
         return self.timeline.now
 
-    @property
-    def state_elements(self) -> int:
-        return self.monitor.state_num_elements(self.cluster.model_dimension)
+    # -- the protocol ------------------------------------------------------------
 
-    # -- event plumbing ----------------------------------------------------------
+    def _produce_update(self, worker_id: int, event_time: float) -> None:
+        """A worker takes one local step and ships the result to the coordinator.
 
-    def _push(self, time: float, priority: int, kind: str, payload: object) -> None:
-        heapq.heappush(
-            self._events, (float(time), priority, self._event_seq, kind, payload)
-        )
-        self._event_seq += 1
-
-    # -- degenerate delegation ---------------------------------------------------
-
-    def _serve_closed(self) -> bool:
-        if self.timeline.next_completion_time() is None:
-            return False
-        self._inner.process_next_completion()
-        # Closed-loop bookkeeping: every completion is one update consumed
-        # the instant it was produced — zero queueing latency by definition.
-        self.queue.offered += 1
-        self.queue.enqueued += 1
-        self.queue.dequeued += 1
-        self.latency.record(0.0)
-        self.updates_served += 1
-        return True
-
-    # -- open-loop protocol ------------------------------------------------------
-
-    def _handle_arrival(self, worker_id: int, event_time: float) -> None:
-        self.timeline.advance_to(event_time)
-        # Open loop: the next arrival is a function of this arrival's time
-        # only, never of coordinator backlog.
-        next_time = self._arrivals.next_arrival(worker_id, event_time)
-        if next_time is not None:
-            self._push(next_time, _PRIORITY_ARRIVAL, "arrival", worker_id)
-        # The client performs one local step and ships the result.
+        The step is routed through the cluster's execution engine via
+        ``engine.step_worker``: the sequential engine runs the worker's own
+        Python-loop step, the batched engine the same step as a single-row
+        slice of its stacked kernels, with identical per-worker arithmetic —
+        so event-driven trajectories are engine-independent.
+        """
+        closed = self._arrivals is None
+        if not closed:
+            # Open loop: the next arrival is a function of this arrival's time
+            # only, never of coordinator backlog.
+            next_time = self._arrivals.next_arrival(worker_id, event_time)
+            if next_time is not None:
+                self.timeline.schedule(next_time, ARRIVAL, worker_id)
         self.cluster.engine.step_worker(worker_id)
         worker = self.cluster.workers[worker_id]
         if self.config.protocol == "fda":
+            # The drift is one row-wise subtraction off the worker's row of
+            # the cluster's parameter matrix.
             state = self.monitor.local_state(worker.drift_from(self._reference))
-            elements, category = self.state_elements, CATEGORY_STATE
+            elements, category = self.state_elements_per_step, CATEGORY_STATE
         else:
             # BSP workers upload their full model, not a tiny FDA state.
             state = None
             elements, category = self.cluster.model_dimension, CATEGORY_MODEL
+        # Point-to-point traffic routed through the fabric (one hop on the
+        # star; more on multi-hop topologies).
         charge = self.cluster.charge_upload(elements, category, worker_id)
         update = PendingUpdate(
             worker_id=worker_id,
-            enqueue_time=event_time + charge.seconds,
+            # Closed loop: the coordinator sees the state the instant the step
+            # completes and the sender pays the upload before its next step.
+            enqueue_time=event_time if closed else event_time + charge.seconds,
             version=self.synchronization_count,
             seq=self._update_seq,
             state=state,
+            step_index=worker.steps_performed,
+            upload_seconds=charge.seconds,
         )
         self._update_seq += 1
-        self._push(update.enqueue_time, _PRIORITY_ENQUEUE, "enqueue", update)
+        self.timeline.schedule(update.enqueue_time, ENQUEUE, worker_id, update)
 
-    def _handle_enqueue(self, update: PendingUpdate, event_time: float) -> None:
-        self.timeline.advance_to(event_time)
+    def _admit(self, update: PendingUpdate) -> None:
         self.queue.offer(update, self.timeline.now)
         self.blocked_peak = max(self.blocked_peak, self.queue.blocked)
         if not self._busy and self.queue:
@@ -258,94 +227,112 @@ class ServedFDATrainer:
         update = self.queue.pop(self.timeline.now)
         self._busy = True
         completion = self.timeline.now + self.config.service_seconds
-        self._push(completion, _PRIORITY_SERVICE, "service", update)
+        self.timeline.schedule(completion, SERVICE, update.worker_id, update)
 
-    def _handle_service(self, update: PendingUpdate, event_time: float) -> bool:
-        self.timeline.advance_to(event_time)
+    def _aggregate(self, update: PendingUpdate) -> ServedUpdate:
         self._busy = False
         # Latency is enqueue→aggregate, recorded before any sync this update
         # triggers (the sync barrier inflates *later* updates' latencies).
         self.latency.record(self.timeline.now - update.enqueue_time)
         self.updates_served += 1
-        staleness = self.synchronization_count - update.version
         weight = staleness_weight(
             self.config.staleness_rule,
-            staleness,
+            self.synchronization_count - update.version,
             max_staleness=self.config.max_staleness,
             poly_alpha=self.config.poly_alpha,
         )
+        estimate, synchronized = float("nan"), False
         if weight <= 0.0:
             self.stale_rejected += 1
-        elif self.config.protocol == "fda":
+        else:
             self._latest[update.worker_id] = (update.state, weight)
             if len(self._latest) == self.cluster.num_workers:
-                self._maybe_synchronize_fda()
-        else:
-            self._contributed.add(update.worker_id)
-            if len(self._contributed) == self.cluster.num_workers:
-                self._synchronize()
-                self._contributed.clear()
+                fda = self.config.protocol == "fda"
+                if fda:
+                    estimate = self._estimate()
+                if not fda or estimate > self.threshold:
+                    # The sync is a barrier for compute: the fabric's seconds
+                    # delay every pending step completion.  Arrivals keep
+                    # landing at their exogenous times, so the backlog the
+                    # barrier creates is exactly the saturation effect the
+                    # bench plots.
+                    self._complete_synchronization(notify_monitor=fda)
+                    self._latest.clear()
+                    synchronized = True
         if self.queue:
             self._start_service()
-        return True
+        if self._arrivals is None:
+            # Closed loop: the sender was waiting for this answer.
+            self.timeline.schedule_step(
+                update.worker_id, start_time=self.timeline.now + update.upload_seconds
+            )
+        return ServedUpdate(
+            self.timeline.now, update.worker_id, update.step_index, estimate, synchronized
+        )
 
-    def _maybe_synchronize_fda(self) -> None:
+    def _estimate(self) -> float:
+        """The variance over-estimate on every worker's most recent state."""
         ordered = [self._latest[w] for w in range(self.cluster.num_workers)]
-        states = [state for state, _ in ordered]
-        if self.config.staleness_rule == "uniform":
-            # None weights keep the exact np.mean path bit-for-bit.
-            normalized = None
-        else:
-            normalized = Participation(
-                weights=[weight for _, weight in ordered]
-            ).normalized()
-        averaged = average_states(states, normalized)
-        estimate = float(self.monitor.estimate(averaged))
-        if estimate > self.threshold:
-            self._synchronize()
-            self._latest.clear()
+        weights = [weight for _, weight in ordered]
+        # Equal weights are the plain mean: None keeps the exact np.mean path
+        # bit-for-bit (always the case in the closed loop, where nothing is
+        # ever stale).
+        normalized = (
+            None
+            if min(weights) == max(weights)
+            else Participation(weights=weights).normalized()
+        )
+        averaged = average_states([state for state, _ in ordered], normalized)
+        return float(self.monitor.estimate(averaged))
 
-    def _synchronize(self) -> None:
-        # The sync barrier charges the fabric and advances the shared clock;
-        # arrivals keep landing at their exogenous times, so the backlog the
-        # barrier creates is exactly the saturation effect the bench plots.
-        new_global = self.cluster.synchronize()
-        if self.config.protocol == "fda":
-            self.monitor.on_synchronization(new_global, self._previous_reference)
-        self._previous_reference = self._reference
-        self._reference = new_global
-        self.synchronization_count += 1
-
-    def _serve_open(self) -> bool:
-        served_before = self.updates_served
-        while self._events and self.updates_served == served_before:
-            time, _, _, kind, payload = heapq.heappop(self._events)
-            if kind == "arrival":
-                self._handle_arrival(payload, time)
-            elif kind == "enqueue":
-                self._handle_enqueue(payload, time)
-            elif kind == "service":
-                self._handle_service(payload, time)
-            else:  # pragma: no cover - defensive
-                raise ExperimentError(f"unknown serving event kind {kind!r}")
-        return self.updates_served > served_before
+    def _process_event(self) -> Optional[ServedUpdate]:
+        """Handle the timeline's next event; the record if it aggregated an update."""
+        time, kind, worker_id, update = self.timeline.pop_event()
+        if kind == SERVICE:
+            return self._aggregate(update)
+        if kind == ENQUEUE:
+            self._admit(update)
+        else:  # an exogenous ARRIVAL, or the closed loop's step COMPLETION
+            self._produce_update(worker_id, time)
+        return None
 
     # -- driving -----------------------------------------------------------------
+
+    def serve_next(self) -> Optional[ServedUpdate]:
+        """Run until one more update has been aggregated and return its record.
+
+        ``None`` only when the load is finite (a trace ran dry) and the queue
+        drained.  Nothing is retained: callers that want the trajectory keep
+        the records themselves.
+        """
+        while self.timeline.next_event_time() is not None:
+            record = self._process_event()
+            if record is not None:
+                return record
+        return None
 
     def serve_updates(self, num_updates: int) -> int:
         """Run until ``num_updates`` more updates have been aggregated.
 
-        Returns how many were actually served — fewer only when the load is
-        finite (a trace ran dry) and the queue drained.
+        Returns how many were actually served — fewer only when the load ran
+        dry.
         """
         if num_updates < 0:
-            raise ConfigurationError(
-                f"num_updates must be non-negative, got {num_updates}"
-            )
+            raise ConfigurationError(f"num_updates must be non-negative, got {num_updates}")
         served = 0
-        step = self._serve_closed if self._inner is not None else self._serve_open
-        while served < num_updates and step():
+        while served < num_updates and self.serve_next() is not None:
             served += 1
+        return served
+
+    def serve_for(self, virtual_seconds: float) -> int:
+        """Process events until the clock passes ``virtual_seconds``; returns updates served."""
+        if virtual_seconds <= 0:
+            raise ConfigurationError(f"virtual_seconds must be positive, got {virtual_seconds}")
+        deadline = self.timeline.now + virtual_seconds
+        served = 0
+        while (due := self.timeline.next_event_time()) is not None and due <= deadline:
+            served += self._process_event() is not None
+        self.timeline.advance_to(deadline)
         return served
 
     # -- reporting ---------------------------------------------------------------
@@ -367,7 +354,7 @@ class ServedFDATrainer:
             updates_shed=self.queue.shed,
             updates_blocked_peak=self.blocked_peak,
             stale_rejected=self.stale_rejected,
-            sync_count=self.sync_count,
+            sync_count=self.synchronization_count,
             virtual_seconds=float(self.timeline.now),
             throughput=float(throughput),
             max_queue_depth=self.queue.max_depth,
@@ -378,7 +365,7 @@ class ServedFDATrainer:
     def __repr__(self) -> str:
         return (
             f"ServedFDATrainer({self.config.describe()}, t={self.timeline.now:.1f}, "
-            f"served={self.updates_served}, syncs={self.sync_count})"
+            f"served={self.updates_served}, syncs={self.synchronization_count})"
         )
 
 

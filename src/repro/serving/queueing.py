@@ -22,7 +22,7 @@ dropped, or still in flight — is checked property-style in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ExperimentError
@@ -36,7 +36,9 @@ class PendingUpdate:
 
     ``version`` is the coordinator's synchronization count when the update's
     state was computed; staleness at aggregation time is the number of model
-    synchronizations the update missed while queued.
+    synchronizations the update missed while queued.  ``step_index`` is the
+    sender's step count when it made the update and ``upload_seconds`` what
+    shipping it cost the sender's link.
     """
 
     worker_id: int
@@ -44,7 +46,8 @@ class PendingUpdate:
     version: int
     seq: int
     state: object = None
-    payload: dict = field(default_factory=dict)
+    step_index: int = 0
+    upload_seconds: float = 0.0
 
 
 class IngressQueue:

@@ -30,7 +30,6 @@ from helpers.parity import (
     run_fda_parity,
     run_strategy_parity,
 )
-from repro.core.async_fda import AsynchronousFDATrainer
 from repro.core.monitor import make_monitor
 from repro.core.timeline import StragglerProfile, Timeline
 from repro.data.datasets import Dataset
@@ -44,6 +43,7 @@ from repro.nn.losses import MeanSquaredError
 from repro.optim.adam import Adam
 from repro.optim.base import Optimizer, StackedOptimizer
 from repro.optim.sgd import SGD
+from repro.serving import ServedFDATrainer, ServingConfig
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.local_sgd import LocalSGDStrategy
 from repro.strategies.synchronous import SynchronousStrategy
@@ -251,6 +251,7 @@ class TestPerWorkerDriving:
         ]
 
 
+@pytest.mark.serving
 class TestAsyncParity:
     def test_async_runs_are_engine_independent(self):
         """Event-driven completions run single-row slices of the batched
@@ -259,14 +260,15 @@ class TestAsyncParity:
         outcomes = {}
         for execution in EXECUTIONS:
             cluster = make_cluster(execution)
-            trainer = AsynchronousFDATrainer(
+            trainer = ServedFDATrainer(
                 cluster,
                 make_monitor("linear", cluster.model_dimension, seed=3),
-                threshold=0.5,
+                0.5,
+                ServingConfig(arrival="closed"),
                 profile=StragglerProfile(straggler_fraction=0.25, straggler_factor=3.0),
                 seed=5,
             )
-            events = trainer.run_events(80)
+            events = [trainer.serve_next() for _ in range(80)]
             outcomes[execution] = (cluster, trainer, events)
         seq_cluster, seq_trainer, seq_events = outcomes["sequential"]
         bat_cluster, bat_trainer, bat_events = outcomes["batched"]

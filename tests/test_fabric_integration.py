@@ -9,7 +9,6 @@ fabric prices the collective, not the protocol that triggered it.
 import numpy as np
 import pytest
 
-from repro.core.async_fda import AsynchronousFDATrainer
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor
 from repro.core.timeline import StragglerProfile, Timeline
@@ -21,9 +20,14 @@ from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
 from repro.nn.architectures import mlp
 from repro.optim.adam import Adam
+from repro.serving import ServedFDATrainer, ServingConfig
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.fedopt import fedadam_strategy
 from repro.strategies.synchronous import SynchronousStrategy
+
+
+#: The asynchronous (Section 3.3) coordinator: the served trainer's closed loop.
+CLOSED = ServingConfig(arrival="closed")
 
 
 def make_cluster(num_workers=4, seed=0, **cluster_kwargs):
@@ -43,6 +47,7 @@ def make_cluster(num_workers=4, seed=0, **cluster_kwargs):
     return SimulatedCluster(workers, **cluster_kwargs)
 
 
+@pytest.mark.serving
 class TestSyncAsyncAccountingParity:
     def test_model_sync_bytes_per_synchronization_match(self):
         # Zero jitter, no stragglers, star topology: the async coordinator and
@@ -53,14 +58,15 @@ class TestSyncAsyncAccountingParity:
         sync_bytes = sync_trainer.cluster.tracker.bytes_for("model-sync")
         per_sync = sync_bytes / sync_trainer.synchronization_count
 
-        async_trainer = AsynchronousFDATrainer(
+        async_trainer = ServedFDATrainer(
             make_cluster(),
             ExactMonitor(),
-            threshold=0.0,
+            0.0,
+            CLOSED,
             profile=StragglerProfile(),  # uniform, jitter-free
             seed=0,
         )
-        async_trainer.run_events(24)
+        async_trainer.serve_updates(24)
         assert async_trainer.synchronization_count > 0
         async_bytes = async_trainer.cluster.tracker.bytes_for("model-sync")
         assert async_bytes / async_trainer.synchronization_count == per_sync
@@ -71,10 +77,10 @@ class TestSyncAsyncAccountingParity:
         # the same number of reports charges the same fda-state total.
         sync_trainer = FDATrainer(make_cluster(), ExactMonitor(), threshold=1e9)
         sync_trainer.run_steps(5)
-        async_trainer = AsynchronousFDATrainer(
-            make_cluster(), ExactMonitor(), threshold=1e9, seed=0
+        async_trainer = ServedFDATrainer(
+            make_cluster(), ExactMonitor(), 1e9, CLOSED, seed=0
         )
-        async_trainer.run_events(5 * async_trainer.cluster.num_workers)
+        async_trainer.serve_updates(5 * async_trainer.cluster.num_workers)
         sync_state = sync_trainer.cluster.tracker.bytes_for("fda-state")
         async_state = async_trainer.cluster.tracker.bytes_for("fda-state")
         assert async_state == sync_state
@@ -176,38 +182,39 @@ class TestPartialParticipation:
         assert all(r.active_workers == 4 for r in results)
 
 
+@pytest.mark.serving
 class TestTimelineOwnership:
     def test_async_trainer_inherits_a_configured_cluster_timeline(self):
         profile = StragglerProfile(straggler_fraction=0.25, straggler_factor=4.0)
         timeline = Timeline(4, profile=profile, seed=0)
         cluster = make_cluster(timeline=timeline)
-        trainer = AsynchronousFDATrainer(cluster, ExactMonitor(), threshold=1e9)
+        trainer = ServedFDATrainer(cluster, ExactMonitor(), 1e9, CLOSED)
         assert trainer.timeline is timeline  # with_timeline config is honoured
-        trainer.run_for(30.0)
-        steps = np.asarray(trainer.steps_by_worker())
+        trainer.serve_for(30.0)
+        steps = np.asarray([worker.steps_performed for worker in cluster.workers])
         assert steps.max() > 2 * steps.min()  # the straggler actually straggles
 
     def test_explicit_profile_still_overrides(self):
         cluster = make_cluster()
         default_timeline = cluster.timeline
         profile = StragglerProfile(straggler_fraction=0.5, straggler_factor=3.0)
-        trainer = AsynchronousFDATrainer(
-            cluster, ExactMonitor(), threshold=1e9, profile=profile, seed=1
+        trainer = ServedFDATrainer(
+            cluster, ExactMonitor(), 1e9, CLOSED, profile=profile, seed=1
         )
         assert trainer.timeline is not default_timeline
         assert cluster.timeline is trainer.timeline
-        assert trainer.profile is profile
+        assert trainer.timeline.profile is profile
 
     def test_mismatched_explicit_timeline_rejected(self):
         with pytest.raises(ConfigurationError):
-            AsynchronousFDATrainer(
-                make_cluster(num_workers=4), ExactMonitor(), 1.0, timeline=Timeline(3)
+            ServedFDATrainer(
+                make_cluster(num_workers=4), ExactMonitor(), 1.0, CLOSED, timeline=Timeline(3)
             )
 
     def test_async_upload_seconds_land_in_both_comm_ledgers(self):
         cluster = make_cluster(network="fl")
-        trainer = AsynchronousFDATrainer(cluster, ExactMonitor(), threshold=1e9, seed=0)
-        trainer.run_events(8)
+        trainer = ServedFDATrainer(cluster, ExactMonitor(), 1e9, CLOSED, seed=0)
+        trainer.serve_updates(8)
         assert cluster.fabric.comm_seconds > 0
         assert cluster.timeline.comm_seconds == pytest.approx(cluster.fabric.comm_seconds)
 

@@ -17,6 +17,7 @@ PUBLIC_SUBPACKAGES = [
     "repro.core",
     "repro.strategies",
     "repro.experiments",
+    "repro.serving",
     "repro.utils",
     "repro.cli",
 ]
@@ -70,6 +71,14 @@ class TestSubpackages:
         assert exported, f"{module_name} should declare __all__"
         for name in exported:
             assert hasattr(module, name), f"{module_name}.__all__ lists missing name {name}"
+
+    def test_one_event_driven_trainer_is_exported(self):
+        import repro.core as core
+        import repro.serving as serving
+
+        # Asynchronous FDA is ServedFDATrainer with arrival="closed".
+        assert not {"AsynchronousFDATrainer", "AsyncEvent", "ComputeProfile"} & set(core.__all__)
+        assert {"ServedFDATrainer", "ServedUpdate", "ServingConfig"} <= set(serving.__all__)
 
     def test_strategies_cover_all_paper_algorithms(self):
         import repro.strategies as strategies

@@ -24,6 +24,13 @@ each consumer combined them again.  They are one
 5. the injector's liveness vector is read in ``faults/``, by the cluster's
    one composer (``SimulatedCluster.members``) and by ``FDATrainer``'s
    stale-state rule — nowhere else.
+
+The Section 3.3 coordinator once existed twice, on two event heaps, with the
+reference rotation spelled three times.  There is one event-driven trainer
+on the timeline's heap now, and
+
+6. ``heapq`` is imported by ``core/timeline.py`` alone, and the rotation
+   ``w_{t-1} ← w_{t0}`` is written once under ``src/``.
 """
 
 from __future__ import annotations
@@ -102,6 +109,29 @@ def test_liveness_is_read_by_its_owner_one_composer_and_the_stale_state_rule():
     assert reads == LIVENESS_READERS, (
         "faults.alive is folded into cluster.members once; everything else "
         f"reads the Participation.  Expected {LIVENESS_READERS}, found {reads}"
+    )
+
+
+def test_one_event_heap_and_one_reference_rotation():
+    heap_users = sorted(
+        module
+        for module, source in _sources()
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
+    )
+    assert heap_users == ["core/timeline.py"], (
+        "a second event heap — schedule the events on the cluster's Timeline "
+        f"(Timeline.schedule / pop_event) instead: {heap_users}"
+    )
+    rotations = [
+        module
+        for module, source in _sources()
+        for _ in range(source.count("_previous_reference = self._reference"))
+    ]
+    assert rotations == ["core/fda.py"], (
+        "the reference rotation belongs to FDAProtocol._complete_synchronization "
+        f"alone, found it in {rotations}"
     )
 
 
