@@ -14,10 +14,13 @@ width 19): like the paper's DenseNet-class models, depth dominates width, and
 that is exactly the regime where per-layer Python dispatch crushes the
 sequential path at large K.  Acceptance bar: ≥4× steps/sec at K=32, d≈1e5.
 
-**Parameter plane vs seed copy path** (``test_bench_hotpath_speedup``, the
+**Parameter plane vs seed data flow** (``test_bench_hotpath_speedup``, the
 PR-1 baseline, kept as a regression canary).  Drives the update/drift/sync
 plumbing with backprop excluded, comparing the in-place plane against the
-seed's gather → copy-step → scatter data flow.  Bar: ≥2× at d≈1e5.
+seed's gather → step → scatter *data flow*.  The optimizer arithmetic is the
+same row rule on both sides (``Optimizer.step`` is a copy wrapper around
+``step_inplace``); what is measured is the per-layer gather/scatter and the
+per-worker drift/sync loops the plane removed.  Bar: ≥2× at d≈1e5.
 
 **Compressed synchronization on the batched engine**
 (``test_bench_hotpath_compressed_sync``, the ISSUE-5 cell).  A
@@ -600,13 +603,18 @@ def seed_scatter(arrays, flat) -> None:
         offset += size
 
 
+def seed_update(worker, optimizer) -> None:
+    """The seed's per-worker update: gather → ``optimizer.step`` → scatter."""
+    params = seed_gather(worker.model.parameter_arrays())
+    grads = seed_gather(worker.model.gradient_arrays())
+    seed_scatter(worker.model.parameter_arrays(), optimizer.step(params, grads))
+
+
 def run_seed_steps(cluster: SimulatedCluster, optimizers, reference, steps: int) -> None:
     """The seed implementation's data flow: gather → step → scatter → drift."""
     for _ in range(steps):
         for worker, optimizer in zip(cluster.workers, optimizers):
-            params = seed_gather(worker.model.parameter_arrays())
-            grads = seed_gather(worker.model.gradient_arrays())
-            seed_scatter(worker.model.parameter_arrays(), optimizer.step(params, grads))
+            seed_update(worker, optimizer)
         for worker in cluster.workers:
             drift = seed_gather(worker.model.parameter_arrays()) - reference
             float(np.dot(drift, drift))
@@ -652,7 +660,7 @@ def measure_speedup(num_workers: int, dimension_key: int, steps: int = 20, repea
 
 @pytest.mark.benchmark(group="hotpath")
 def test_bench_hotpath_speedup():
-    print("\n=== worker hot path: parameter plane (in-place) vs seed copy path ===")
+    print("\n=== worker hot path: parameter plane (in-place) vs seed data flow ===")
     print(
         f"{'K':>4} {'d':>8} {'plane steps/s':>14} {'seed steps/s':>13} "
         f"{'speedup':>8} {'state B/step':>13} {'sync bytes':>11}"
@@ -725,18 +733,22 @@ def test_bench_hotpath_speedup():
             continue
         assert best >= 2.0, (
             f"expected the in-place parameter plane to be at least 2x the seed "
-            f"copy path at d~{dimension_key}, best of "
+            f"data flow at d~{dimension_key}, best of "
             f"{attempts_by_key[dimension_key]} runs was {best:.2f}x"
         )
 
 
 @pytest.mark.benchmark(group="hotpath")
 def test_bench_hotpath_trajectories_match():
-    """The benchmarked fast path must train identically to the copy path."""
+    """The benchmarked fast path must train identically to the seed data flow."""
     fast_cluster = build_cluster(4, 10_000)
     slow_cluster = build_cluster(4, 10_000)
     for worker in slow_cluster.workers:
-        worker.inplace = False
+        # The seed's update in place of the plane's: same batches and
+        # backprop, then gather → optimizer.step → scatter.
+        worker._apply_update = lambda transform, worker=worker: seed_update(
+            worker, worker.optimizer
+        )
     for _ in range(5):
         fast_cluster.step_all()
         slow_cluster.step_all()

@@ -32,7 +32,6 @@ from repro.compression.config import (
     make_compressor,
 )
 from repro.compression.kernels import (
-    CompressedPayload,
     Compressor,
     DenseRowPayloads,
     LayerwiseTopKCompressor,
@@ -48,7 +47,6 @@ from repro.compression.state import ClusterCompression
 __all__ = [
     # kernels
     "Compressor",
-    "CompressedPayload",
     "RowPayloads",
     "DenseRowPayloads",
     "SparseRowPayloads",

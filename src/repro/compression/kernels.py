@@ -25,10 +25,6 @@ orthogonal to *when* models are exchanged):
   :class:`~repro.nn.plane.ParameterPlane` layout (L-FGADMM-style layer-wise
   communication), so every layer keeps a proportional budget.
 
-The single-vector API of the original strategy wrapper is preserved:
-:meth:`Compressor.compress` wraps ``compress_rows`` for one row and returns
-the legacy :class:`CompressedPayload`.
-
 Doctest — the row-wise top-k kernel keeps each row's largest-magnitude
 entries and reports the sparse payload size (``k`` index/value pairs):
 
@@ -46,24 +42,11 @@ array([[ 0. , -3. ,  0. ,  2. ],
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
-
-
-@dataclass(frozen=True)
-class CompressedPayload:
-    """Legacy single-vector result: the lossy vector plus its transmitted size.
-
-    ``transmitted_elements`` counts float32-equivalent elements, the unit the
-    communication fabric charges in (4 bytes each).
-    """
-
-    vector: np.ndarray
-    transmitted_elements: int
 
 
 class RowPayloads:
@@ -188,22 +171,6 @@ class Compressor:
 
     def load_state_dict(self, state: dict) -> None:
         """Resume from :meth:`state_dict`."""
-
-    # -- legacy single-vector API ---------------------------------------------
-
-    def compress(self, vector: np.ndarray) -> CompressedPayload:
-        """Compress one flat vector (the original strategy-wrapper API)."""
-        vector = np.asarray(vector)
-        if vector.dtype not in (np.float32, np.float64):
-            vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ShapeError(f"compress expects a flat vector, got shape {vector.shape}")
-        if vector.size == 0:
-            return CompressedPayload(vector.copy(), 0)
-        payloads = self.compress_rows(vector[None, :])
-        return CompressedPayload(
-            payloads.reconstruct()[0].copy(), payloads.elements_per_row
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -6,7 +6,9 @@ A :class:`~repro.distributed.cluster.SimulatedCluster` separates the training
 
 * :class:`SequentialEngine` (``execution="sequential"``, the default) runs
   ``K`` independent per-worker steps — the seed semantics, kept bit-identical
-  for the golden-trajectory suite.
+  for the golden-trajectory suite.  It owns no optimizer arithmetic: each
+  worker's optimizer steps its row of a private one-row stack with the same
+  rule the batched engine's stacked update runs.
 * :class:`BatchedEngine` (``execution="batched"``) advances workers **in one
   vectorized pass**: a :class:`~repro.data.loaders.StackedSampler` draws the
   participating workers' mini-batches (from the workers' own RNG streams) as
@@ -39,12 +41,13 @@ and the whole scenario grid runs on either engine:
 * **Per-worker driving**: :meth:`ClusterEngine.step_worker` and
   :meth:`ClusterEngine.epoch_worker` run single-row slices of the same
   batched kernels, so event-driven (asynchronous) completions and
-  FedOpt-style local epochs use the fast path too.  Because the stacked
-  optimizer state *is* the workers' own optimizer state (row-bound), lockstep
+  FedOpt-style local epochs use the fast path too.  Because every worker's
+  optimizer *is* a row of the stacked optimizer (one rule, one state), lockstep
   and per-worker driving compose freely — there is no drive-mode exclusion.
 
-Per-worker arithmetic is element-for-element the sequential arithmetic, so
-trajectories agree to tight tolerance (bit-exactly for SGD on mainstream BLAS
+Per-worker arithmetic is element-for-element the sequential arithmetic (the
+optimizer step is literally the same rule; the stacked GEMMs may re-associate),
+so trajectories agree to tight tolerance (bit-exactly for SGD on mainstream BLAS
 builds) and all communication accounting — which lives above the engine — is
 identical.  Payload compression (:mod:`repro.compression`) also lives above
 the engine, at the cluster's collective layer: both engines feed the same
@@ -171,12 +174,12 @@ class BatchedEngine(ClusterEngine):
     * a :class:`BatchedPlane` carves per-layer ``(K, *shape)`` views out of
       the three matrices and a :class:`BatchedModel` chains the batched layer
       kernels over them;
-    * the workers' optimizers are wrapped in one
-      :class:`~repro.optim.base.StackedOptimizer`: hyper-parameters become
-      per-row columns, moment/velocity state becomes ``(K, d)`` matrices
-      whose rows are bound back into each worker's own optimizer, and step
-      counts stay per-worker — so masked updates, per-worker driving, and
-      direct ``worker.local_step`` calls all read and write the same state.
+    * the workers' optimizers become the rows of one
+      :class:`~repro.optim.base.StackedOptimizer`: hyper-parameters are
+      per-row columns, moment/velocity state is ``(K, d)`` matrices of which
+      each worker's optimizer is one row, and step counts stay per-worker —
+      so masked updates, per-worker driving, and direct
+      ``worker.local_step`` calls all run one rule on the same state.
 
     Partial participation runs through a masked scratch path: the active
     workers' parameter/buffer rows are gathered into ``(A, d)`` scratch
@@ -193,12 +196,6 @@ class BatchedEngine(ClusterEngine):
         workers = cluster.workers
         reference = workers[0]
 
-        not_inplace = [w.worker_id for w in workers if not w.inplace]
-        if not_inplace:
-            raise ConfigurationError(
-                f"execution='batched' requires inplace workers; workers {not_inplace} "
-                "use the legacy copy path (inplace=False)"
-            )
         pre_stepped = [w.worker_id for w in workers if w.optimizer.step_count]
         if pre_stepped:
             # A pre-stepped optimizer holds (d,)-shaped moment/velocity
@@ -236,8 +233,8 @@ class BatchedEngine(ClusterEngine):
         )
         self._sampler = StackedSampler([worker._sampler for worker in workers])
         # May raise ConfigurationError for structurally incompatible
-        # optimizers (mixed types, mixed Nesterov) or types without a stacked
-        # update rule; binds per-row state into the workers' optimizers.
+        # optimizers (mixed types, mixed Nesterov) or a type that defines no
+        # rule; makes each worker's optimizer a row of the stack.
         self._optimizer = StackedOptimizer(
             [worker.optimizer for worker in workers],
             cluster.model_dimension,

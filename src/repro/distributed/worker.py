@@ -3,7 +3,9 @@
 Each worker owns a local model replica, a local optimizer, and a shard of the
 training data.  ``local_step`` performs exactly one ``Optimize(w, B)`` update
 from the paper's Algorithm 1; ``local_epoch`` performs the full local pass
-used by the FedAvg/FedOpt baselines.
+used by the FedAvg/FedOpt baselines.  Either way the update is the optimizer
+stepping its row (see :mod:`repro.optim.base`) on the model's parameter-plane
+view — there is no other update path.
 
 A worker is also the owner of everything it carries from one step to the next
 besides its rows of the cluster's matrices: :meth:`Worker.state_dict` composes
@@ -29,15 +31,7 @@ from repro.utils.rng import as_rng
 
 
 class Worker:
-    """One simulated worker-node: local model + local data + local optimizer.
-
-    ``inplace`` selects the parameter-update path: the default drives the
-    optimizer directly on the model's contiguous parameter-plane views
-    (zero-copy); ``inplace=False`` keeps the seed-era copy path
-    (``get_parameters`` → ``optimizer.step`` → ``set_parameters``), retained
-    so the golden-trajectory equivalence test can prove both paths produce
-    bit-identical training trajectories.
-    """
+    """One simulated worker-node: local model + local data + local optimizer."""
 
     def __init__(
         self,
@@ -48,7 +42,6 @@ class Worker:
         batch_size: int = 32,
         loss: Optional[Loss] = None,
         seed=None,
-        inplace: bool = True,
     ) -> None:
         if worker_id < 0:
             raise ConfigurationError(f"worker_id must be non-negative, got {worker_id}")
@@ -60,7 +53,6 @@ class Worker:
         self.optimizer = optimizer
         self.batch_size = int(batch_size)
         self.loss = loss or SoftmaxCrossEntropy()
-        self.inplace = bool(inplace)
         self._sampler = BatchSampler(dataset, batch_size, seed=seed)
         self._epoch_iterator = EpochIterator(dataset, batch_size, seed=seed)
         self.steps_performed = 0
@@ -157,8 +149,8 @@ class Worker:
         ``gradient_transform(params, grads)`` — if given — may return a
         modified gradient before the optimizer step.  The drift-control
         baselines (FedProx's proximal term, SCAFFOLD's control variates) use
-        this hook; plain FDA/BSP/FedAvg leave it unset.  On the in-place path
-        the transform receives live views and must treat them as read-only.
+        this hook; plain FDA/BSP/FedAvg leave it unset.  The transform
+        receives live views and must treat them as read-only.
         """
         batch_x, batch_y = self._sampler.sample()
         loss_value = self.model.train_batch(batch_x, batch_y, self.loss)
@@ -174,18 +166,11 @@ class Worker:
 
     def _apply_update(self, gradient_transform) -> None:
         """One optimizer update on the freshly back-propagated gradients."""
-        if self.inplace:
-            params = self.model.parameters_view()
-            grads = self.model.gradients_view()
-            if gradient_transform is not None:
-                grads = gradient_transform(params, grads)
-            self.optimizer.step_inplace(params, grads)
-        else:
-            params = self.model.get_parameters()
-            grads = self.model.get_gradients()
-            if gradient_transform is not None:
-                grads = gradient_transform(params, grads)
-            self.model.set_parameters(self.optimizer.step(params, grads))
+        params = self.model.parameters_view()
+        grads = self.model.gradients_view()
+        if gradient_transform is not None:
+            grads = gradient_transform(params, grads)
+        self.optimizer.step_inplace(params, grads)
 
     def local_epoch(
         self,

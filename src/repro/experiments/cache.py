@@ -42,7 +42,7 @@ PathLike = Union[str, Path]
 #: Salt mixed into every run key.  Bump whenever the semantics of a training
 #: run change (training loop, byte accounting, RNG layout, ...) so that
 #: results cached under the old semantics can never be replayed as current.
-CODE_VERSION = "sweep-cache-v3"
+CODE_VERSION = "sweep-cache-v4"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).

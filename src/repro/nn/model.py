@@ -249,7 +249,7 @@ class Sequential:
 
         Used by the batched execution engine to stack all workers' gradients
         into one ``(K, d)`` matrix so a single batched backward pass writes
-        every worker's gradients and a single ``step_inplace`` consumes them.
+        every worker's gradients and a single ``step_rows`` consumes them.
         """
         self._require_built()
         self._plane.rebind_gradients(storage)

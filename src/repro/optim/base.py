@@ -1,36 +1,33 @@
-"""Optimizer base class operating on flat parameter vectors.
+"""Optimizer base class: an optimizer is one row of a stack, with one rule.
 
 All optimizers in this library are stateless with respect to the model object:
-they consume the current flat parameter vector and the matching flat gradient
-vector.  This mirrors the paper's ``Optimize(w, B)`` abstraction and lets the
-same optimizer drive any model.
+they consume a flat parameter vector and the matching flat gradient vector.
+This mirrors the paper's ``Optimize(w, B)`` abstraction and lets the same
+optimizer drive any model.
 
-Two entry points exist:
+Each optimizer's arithmetic is written once, as a rule over ``(A, d)`` rows
+(:meth:`Optimizer._update_rows`): parameters, gradients and state are row
+blocks, scalar hyper-parameters are ``(A, 1)`` broadcast columns, and every
+row keeps its own timestep.  A :class:`StackedOptimizer` owns the state
+matrices and the columns of ``K`` optimizers, and every optimizer is a row of
+exactly one stack — its own private one-row stack (built on its first step)
+until an execution engine stacks it with its peers.  So there is one path to
+the rule, whoever drives:
 
-* :meth:`Optimizer.step` — the historical copy-returning API: validates its
-  inputs on every call and returns a *new* parameter vector.
-* :meth:`Optimizer.step_inplace` — the hot path used by the workers: updates
-  ``params`` (a view into the model's contiguous parameter plane) in place.
-  Input validation is hoisted behind a one-time check so that schedule lookup
-  and the arithmetic of :meth:`_update_inplace` dominate the per-call cost.
-  The gradient vector is treated as read-only by every built-in optimizer.
+* :meth:`StackedOptimizer.step_rows` — all ``K`` rows, or a masked subset
+  (the batched engine's lockstep and partial-participation paths);
+* :meth:`Optimizer.step_inplace` — "step my row": the same rule on
+  ``params[None]`` with this row's state block, ``(1, 1)`` columns and
+  timestep (``worker.local_step``, the sequential engine, drift-control
+  local epochs).  It updates ``params`` — a view into the model's contiguous
+  parameter plane — in place; input validation is hoisted behind a one-time
+  check, and the gradient vector is read-only to every built-in rule;
+* :meth:`Optimizer.step` — the public convenience for convertible inputs:
+  convert, copy, ``step_inplace``, return the copy.
 
-Both entry points also accept a stacked ``(K, d)`` parameter matrix with a
-matching gradient matrix — the batched execution engine's layout, where row
-``k`` is worker ``k``'s flat vector.  Every built-in update rule is purely
-elementwise over (params, grads, state), so one call on the matrix performs
-``K`` independent per-worker updates with arithmetic identical to ``K``
-separate flat-vector calls; moment/scratch buffers simply take the matrix
-shape.
-
-:class:`StackedOptimizer` builds on that to drive ``K`` *per-worker*
-optimizer instances as one stacked update: scalar hyper-parameters become
-per-row ``(K, 1)`` broadcast columns (heterogeneously configured workers
-share one vectorized step), state matrices' rows are bound back into the
-wrapped optimizers (direct per-worker stepping and stacked stepping share
-storage), step counts stay per-worker, and :meth:`StackedOptimizer.step_rows`
-updates an arbitrary subset of rows — the partial-participation path of the
-batched engine.
+Because a row's state lives in its stack, stepping a worker directly and
+stepping it through the stacked update read and write the same memory, and
+"which engine" never changes optimizer arithmetic.
 """
 
 from __future__ import annotations
@@ -44,89 +41,158 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.optim.schedules import LearningRateSchedule, resolve_schedule
 
 
+class Workspace:
+    """The reusable scratch blocks a stack lends to its rule.
+
+    Shared by a :class:`StackedOptimizer` and its rows' optimizers; knows the
+    stack's layout (``rows × dimension`` in ``dtype``) and nothing else.
+    """
+
+    def __init__(self, rows: int, dimension: int, dtype: np.dtype) -> None:
+        self.rows, self.dimension, self.dtype = rows, dimension, dtype
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def scratch(self, name: str, count: int) -> np.ndarray:
+        """A reusable ``(count, d)`` block for the update kernels."""
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = np.empty((self.rows, self.dimension), dtype=self.dtype)
+            self._buffers[name] = buffer
+        return buffer[:count]
+
+    def flat(self, name: str, size: int) -> np.ndarray:
+        """A reusable flat block of ``size`` elements, grown on demand."""
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype=self.dtype)
+        return buffer[:size]
+
+
 class Optimizer:
     """Base class for local optimizers.
 
-    Subclasses implement :meth:`_update` which maps ``(params, grads, lr)`` to
-    the new parameter vector and, for the zero-copy fast path,
-    :meth:`_update_inplace` which applies the identical update directly to
-    ``params``; this base class handles learning-rate schedules, step
-    counting, and input validation.
+    A subclass declares its scalar hyper-parameter attributes
+    (:attr:`_columns`), its state matrices (:attr:`_state_names`) and one
+    rule (:meth:`_update_rows`); this base class handles learning-rate
+    schedules, step counting, input validation and the state's lifecycle.
     """
+
+    #: Scalar hyper-parameter attributes that become per-row ``(K, 1)`` columns
+    #: (read once, when the row is bound; the schedule is consulted per step).
+    _columns: Tuple[str, ...] = ()
+    #: Per-row ``(K, d)`` state matrices the rule reads and writes.  May be
+    #: narrowed per instance (momentum-free SGD carries none); a stack
+    #: allocates the union over its rows.
+    _state_names: Tuple[str, ...] = ()
 
     def __init__(self, learning_rate=0.01, name: Optional[str] = None) -> None:
         self.schedule: LearningRateSchedule = resolve_schedule(learning_rate)
         self.name = name or type(self).__name__.lower()
         self.step_count = 0
         self._validated_key: Optional[Tuple] = None
-        self._bound_shape: Optional[Tuple[int, ...]] = None
+        # What an optimizer holds of its stack: the workspace (None until the
+        # first step or an engine binds it) and its row's blocks — never the
+        # stack itself, so no reference cycle hands the (K, d) matrices to the
+        # cyclic collector.  ``_solo``: the stack is its private one.
+        self._workspace: Optional[Workspace] = None
+        self._solo = False
+        self._row_state: Dict[str, np.ndarray] = {}
 
-    # -- public API ----------------------------------------------------------
+    # -- row binding ---------------------------------------------------------
 
-    @staticmethod
-    def _validate(params: np.ndarray, grads: np.ndarray) -> None:
+    def _bind_row(self, stack: "StackedOptimizer", row: int) -> None:
+        """Become row ``row`` of ``stack``.
+
+        The ``(1, ·)`` blocks :meth:`step_inplace` hands to the rule are cut
+        here, once: views of the stack's state matrices and columns, plus
+        this row's learning-rate cell.
+        """
+        rows = slice(row, row + 1)
+        self._workspace = stack.workspace
+        self._solo = False
+        self._row_state = {name: matrix[rows] for name, matrix in stack._state.items()}
+        self._row_columns = {name: column[rows] for name, column in stack._columns.items()}
+        self._row_rate = np.empty((1, 1), dtype=stack.dtype)
+        self._validated_key = None
+
+    def _bind_solo(self, dimension: int, dtype) -> None:
+        """Become the one row of a private stack (no engine has stacked us).
+
+        Only what the stack allocated is kept — the row's blocks and the
+        workspace; nobody else steps a private stack, so the object goes.
+        """
+        StackedOptimizer([self], dimension, dtype)
+        self._solo = True
+
+    def _require_layout(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Validate one ``step_inplace`` layout and bind this row to it.
+
+        A row's state and step count (bias correction, schedules) belong to
+        one parameter layout; stepping another would pair them with foreign
+        parameters — a quietly wrong trajectory — so it is refused until an
+        explicit :meth:`reset` (which frees a solo optimizer for reuse).
+        """
+        for name, array in (("params", params), ("grads", grads)):
+            if not isinstance(array, np.ndarray) or array.dtype not in (
+                np.float32,
+                np.float64,
+            ):
+                raise ShapeError(
+                    f"step_inplace requires a float32/float64 ndarray for {name}; "
+                    "use step() for other inputs"
+                )
+        if params.dtype != grads.dtype:
+            raise ShapeError(
+                "step_inplace requires params and grads of the same dtype, "
+                f"got {params.dtype} and {grads.dtype}"
+            )
         if params.shape != grads.shape:
             raise ShapeError(
                 f"params and grads must have the same shape, got {params.shape} and {grads.shape}"
             )
-        if params.ndim not in (1, 2):
+        if params.ndim != 1:
             raise ShapeError(
-                "optimizers operate on flat vectors (d,) or stacked worker "
-                f"matrices (K, d), got shape {params.shape}"
+                "an optimizer steps one flat (d,) vector — its row; stacked "
+                "(K, d) matrices go through StackedOptimizer.step_rows — got "
+                f"shape {params.shape}"
+            )
+        bound = self._workspace
+        if bound is None:
+            self._bind_solo(params.size, params.dtype)
+        elif (bound.dimension, bound.dtype) != (params.size, params.dtype):
+            raise ShapeError(
+                f"optimizer state is bound to parameter shape ({bound.dimension},) "
+                f"{bound.dtype}, got {params.shape} {params.dtype}; call reset() "
+                "before reusing a solo optimizer with a different layout"
             )
 
-    def _require_bound_shape(self, shape: Tuple[int, ...]) -> None:
-        """Reject a parameter-layout change on an optimizer that has stepped.
-
-        Moment/velocity buffers silently re-zero on a shape change while
-        ``step_count`` (bias correction, schedules) keeps counting — a
-        quietly wrong trajectory.  Reusing a stepped optimizer with a
-        different model or a ``(K, d)`` stacking layout requires an explicit
-        :meth:`reset`.  Enforced by both stepping entry points.
-        """
-        if (
-            self.step_count > 0
-            and self._bound_shape is not None
-            and shape != self._bound_shape
-        ):
-            raise ShapeError(
-                f"optimizer state is bound to parameter shape {self._bound_shape}, "
-                f"got {shape}; call reset() before reusing this optimizer with a "
-                "different layout"
-            )
+    # -- public API ----------------------------------------------------------
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Return the updated parameter vector for one optimization step.
 
-        Inputs are converted to ndarrays; float32 arrays step in float32
-        (the plane's dtype is authoritative), everything else is promoted
-        to the float64 reference dtype.
+        The convenience wrapper over :meth:`step_inplace`: inputs are
+        converted to ndarrays — float32 arrays step in float32 (the plane's
+        dtype is authoritative), everything else is promoted to the float64
+        reference dtype — and the update lands in a copy, which is returned.
         """
         params = np.asarray(params)
         grads = np.asarray(grads)
         if params.dtype not in (np.float32, np.float64) or grads.dtype != params.dtype:
             params = np.asarray(params, dtype=np.float64)
             grads = np.asarray(grads, dtype=np.float64)
-        self._validate(params, grads)
-        self._require_bound_shape(params.shape)
-        self._bound_shape = params.shape
-        learning_rate = self.schedule(self.step_count)
-        updated = self._update(params, grads, learning_rate)
-        self.step_count += 1
-        return updated
+        return self.step_inplace(np.array(params), grads)
 
     def step_inplace(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Apply one optimization step directly to ``params`` and return it.
+        """Step this optimizer's row: update ``params`` in place and return it.
 
-        ``params`` must be a float32 or float64 ndarray — either a flat
-        ``(d,)`` vector (typically the model's parameter-plane view) or a
-        stacked ``(K, d)`` worker matrix (the batched engine's layout,
-        updated as ``K`` independent per-worker steps); it is mutated.
+        ``params`` must be a flat float32 or float64 ``(d,)`` ndarray
+        (typically the model's parameter-plane view); it is mutated.
         ``grads`` must be an ndarray of the same shape and dtype (the
         plane's dtype — mixed-dtype stepping would silently change
         arithmetic precision) and is never modified.  Validation
         is memoized on the shape/dtype of both inputs so that repeated calls
-        pay only for the schedule lookup and the update itself; any change in
+        pay only for the schedule lookup and the rule itself; any change in
         layout re-validates.  Other input types are rejected outright — an
         ``asarray`` copy of ``params`` would silently swallow the in-place
         update, and a converted ``grads`` would change arithmetic precision
@@ -139,35 +205,33 @@ class Optimizer:
             getattr(grads, "dtype", None),
         )
         if key != self._validated_key:
-            for name, array in (("params", params), ("grads", grads)):
-                if not isinstance(array, np.ndarray) or array.dtype not in (
-                    np.float32,
-                    np.float64,
-                ):
-                    raise ShapeError(
-                        f"step_inplace requires a float32/float64 ndarray for {name}; "
-                        "use step() for other inputs"
-                    )
-            if params.dtype != grads.dtype:
-                raise ShapeError(
-                    "step_inplace requires params and grads of the same dtype, "
-                    f"got {params.dtype} and {grads.dtype}"
-                )
-            self._validate(params, grads)
-            self._require_bound_shape(params.shape)
+            self._require_layout(params, grads)
             self._validated_key = key
-            self._bound_shape = params.shape
-        learning_rate = self.schedule(self.step_count)
-        self._update_inplace(params, grads, learning_rate)
+        self._row_rate[0, 0] = self.schedule(self.step_count)
+        self._update_rows(
+            self._workspace,
+            params[None],
+            grads[None],
+            self._row_state,
+            self._row_columns,
+            self._row_rate,
+            (self.step_count + 1,),
+        )
         self.step_count += 1
         return params
 
     def reset(self) -> None:
-        """Clear all internal state (momentum buffers, step count)."""
-        self.step_count = 0
-        self._validated_key = None
-        self._bound_shape = None
-        self._reset_state()
+        """Clear all internal state (momentum buffers, step count).
+
+        The row is zeroed in place and stays bound to its stack, exactly
+        like :meth:`zero_state`; a solo optimizer additionally forgets its
+        layout, so it can be reused with a different model.
+        """
+        self.zero_state()
+        if self._solo:
+            self._workspace = None
+            self._row_state = {}
+            self._validated_key = None
 
     @property
     def learning_rate(self) -> float:
@@ -175,13 +239,13 @@ class Optimizer:
         return self.schedule(self.step_count)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The live state arrays (velocity, moments) by name; empty until allocated.
+        """The live state arrays (velocity, moments) by name; empty until bound.
 
-        The one enumeration of what an optimizer carries between steps.  On
-        the batched engine the arrays are rows of the stacked optimizer's
-        ``(K, d)`` matrices, so writers must mutate them in place.
+        The one enumeration of what an optimizer carries between steps.  The
+        arrays are this optimizer's rows of its stack's ``(K, d)`` matrices,
+        so writers must mutate them in place.
         """
-        return {}
+        return {name: block[0] for name, block in self._row_state.items()}
 
     def state_dict(self) -> Dict[str, object]:
         """Resumable snapshot: step count, hyper-parameters, state-array copies."""
@@ -189,66 +253,31 @@ class Optimizer:
         return {"step_count": self.step_count, **self._state(), "arrays": arrays}
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Resume from :meth:`state_dict`, writing live arrays in place.
+        """Resume from :meth:`state_dict`, writing the row in place.
 
-        Row bindings of the stacked optimizer survive.  A live array the
-        snapshot lacks was captured before its first step and is zeroed; a
-        saved array this optimizer has not allocated yet is adopted.
+        A live array the snapshot lacks was captured before its first step
+        and is zeroed; an optimizer no stack has bound yet takes its layout
+        from the saved arrays.
         """
-        self.step_count = int(state["step_count"])
         saved = state["arrays"]
-        live = self.state_arrays()
-        for name, array in live.items():
+        if saved and self._workspace is None:
+            layout = np.asarray(next(iter(saved.values())))
+            self._bind_solo(layout.size, layout.dtype)
+        self.step_count = int(state["step_count"])
+        for name, array in self.state_arrays().items():
             array[...] = saved.get(name, 0.0)
-        for name in saved.keys() - live.keys():
-            self._bind_state(name, np.array(saved[name]))
 
     def zero_state(self) -> None:
-        """Cold start in place: zero moments and step count, keep row bindings.
-
-        :meth:`reset` drops the arrays instead, which would detach a worker
-        from the stacked optimizer's matrices.
-        """
+        """Cold start in place: zero the row's state and the step count."""
         self.step_count = 0
         for array in self.state_arrays().values():
             array[...] = 0.0
 
     # -- subclass hooks ------------------------------------------------------
 
-    def _update(self, params: np.ndarray, grads: np.ndarray, learning_rate: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def _update_inplace(self, params: np.ndarray, grads: np.ndarray, learning_rate: float) -> None:
-        """In-place variant of :meth:`_update`; must produce identical values.
-
-        The default funnels through :meth:`_update` so that third-party
-        subclasses implementing only the copy path keep working; the built-in
-        optimizers override it with in-place arithmetic over persistent
-        scratch buffers (the weight-decay variants still materialize one
-        temporary for the decay term).
-        """
-        params[...] = self._update(params, grads, learning_rate)
-
-    def _reset_state(self) -> None:
-        """Subclasses clear momentum/variance buffers here."""
-
     def _state(self) -> Dict[str, object]:
-        return {}
-
-    # -- stacked-execution hooks (see :class:`StackedOptimizer`) --------------
-
-    def _stacked_column_names(self) -> Tuple[str, ...]:
-        """Scalar hyper-parameters that become per-row ``(K, 1)`` columns."""
-        return ()
-
-    def _stacked_state_names(self, optimizers: Sequence["Optimizer"]) -> Tuple[str, ...]:
-        """Names of the per-row ``(K, d)`` state matrices the update rule needs."""
-        del optimizers
-        return ()
-
-    def _bind_state(self, name: str, array: np.ndarray) -> None:
-        """Adopt ``array`` as the state array ``name`` (a stacked-matrix row, or
-        a saved array on resume)."""
+        """The hyper-parameters :meth:`state_dict` reports."""
+        return {name: getattr(self, name) for name in self._columns}
 
     def _stacked_validate(self, optimizers: Sequence["Optimizer"]) -> List[str]:
         """Problems that make these optimizers impossible to stack (empty = OK).
@@ -260,21 +289,25 @@ class Optimizer:
         del optimizers
         return []
 
-    def _stacked_update(
+    def _update_rows(
         self,
-        stacked: "StackedOptimizer",
+        workspace: "Workspace",
         params: np.ndarray,
         grads: np.ndarray,
         state: Dict[str, np.ndarray],
         columns: Dict[str, np.ndarray],
         learning_rate: np.ndarray,
-        timesteps: np.ndarray,
+        timesteps: Sequence[int],
     ) -> None:
-        """Vectorized update of ``(A, d)`` parameter rows; per-row arithmetic
-        must equal :meth:`_update_inplace` on each row separately.
+        """The rule: one in-place update of ``(A, d)`` parameter rows.
 
-        The base class has no stacked rule; :class:`StackedOptimizer` rejects
-        optimizer types that do not override this.
+        ``state`` holds the rows' ``(A, d)`` blocks of :attr:`_state_names`,
+        ``columns`` their ``(A, 1)`` :attr:`_columns`, ``learning_rate`` is
+        ``(A, 1)`` and ``timesteps`` the rows' 1-based step numbers;
+        ``workspace`` lends scratch blocks.  Rows are independent: row ``k``
+        must come out the same whichever other rows share the call, and only
+        structural attributes (uniform across a stack) may be read from
+        ``self``.
         """
         raise NotImplementedError
 
@@ -283,29 +316,28 @@ class Optimizer:
 
 
 class StackedOptimizer:
-    """``K`` per-worker optimizers driven as one stacked ``(K, d)`` update.
+    """``K`` optimizers as the rows of one ``(K, d)`` update; owner of their state.
 
     The batched execution engine stores all workers' parameters as rows of one
-    ``(K, d)`` matrix; this wrapper makes the workers' *optimizers* match that
-    layout without changing what any single worker computes:
+    ``(K, d)`` matrix; a stack makes the workers' *optimizers* match that
+    layout without changing what any single worker computes (a lone optimizer
+    is the ``K = 1`` case, stacked privately on its first step):
 
     * **state is per-row.**  Momentum/velocity/moment buffers are ``(K, d)``
-      matrices whose row ``k`` is *bound into* worker ``k``'s own optimizer,
-      so stepping a worker directly (``worker.local_step``, drift-control
-      local epochs) and stepping it through the stacked update read and write
-      the same memory — the two drive modes compose instead of excluding each
-      other.
+      matrices owned here; optimizer ``k`` *is* row ``k``, so stepping a
+      worker directly (``worker.local_step``, drift-control local epochs) and
+      stepping it through :meth:`step_rows` run the same rule on the same
+      memory — the two drive modes compose instead of excluding each other.
     * **hyper-parameters are per-row columns.**  Learning rate, momentum,
-      weight decay, and the Adam betas become ``(K, 1)`` broadcast columns, so
-      heterogeneously configured workers share one vectorized step whose
-      per-row arithmetic equals each worker's own sequential update
+      weight decay, and the Adam betas are ``(K, 1)`` broadcast columns in
+      the plane dtype — the one place the rule reads them from — so
+      heterogeneously configured workers share one vectorized step
       (broadcasting a column is elementwise multiplication by that row's
-      scalar — bit-identical).
-    * **step counts stay per-worker.**  Each wrapped optimizer's
-      ``step_count`` remains the single source of truth: schedules and Adam
-      bias correction follow each worker's own count, which is what keeps
-      partial participation — rows having stepped different numbers of times
-      — exactly as correct as the sequential engine's per-worker optimizers.
+      scalar).
+    * **step counts stay per-worker.**  Each optimizer's ``step_count``
+      remains the single source of truth: schedules and Adam bias correction
+      follow each row's own count, which is what keeps partial participation
+      — rows having stepped different numbers of times — correct.
 
     :meth:`step_rows` applies one update to a subset of rows.  With
     ``rows=None`` (full participation) it operates directly on the live
@@ -332,12 +364,19 @@ class StackedOptimizer:
                 "stacked execution needs one optimizer type across all workers; "
                 f"got {type(reference).__name__} and {', '.join(mixed)}"
             )
-        if type(reference)._stacked_update is Optimizer._stacked_update:
+        if type(reference)._update_rows is Optimizer._update_rows:
             raise ConfigurationError(
-                f"{type(reference).__name__} has no stacked (K, d) update rule; "
-                "use execution='sequential' with this optimizer"
+                f"{type(reference).__name__} defines no update rule; an optimizer "
+                "declares _columns, _state_names and one _update_rows"
             )
-        stepped = [i for i, optimizer in enumerate(optimizers) if optimizer.step_count]
+        # A stepped row of another stack holds state the rebinding would drop
+        # while its step count kept counting; stepped but unbound (resumed
+        # from a snapshot that carried no arrays) there is nothing to lose.
+        stepped = [
+            i
+            for i, optimizer in enumerate(optimizers)
+            if optimizer.step_count and optimizer._workspace is not None
+        ]
         if stepped:
             raise ConfigurationError(
                 "stacked execution requires fresh optimizers (their state becomes "
@@ -353,40 +392,32 @@ class StackedOptimizer:
         self.num_workers = len(self.optimizers)
         self.dimension = int(dimension)
         # State, hyper-parameter columns, and scratch all live in the plane's
-        # dtype so the stacked update never promotes a float32 (K, d) matrix.
+        # dtype so the update never promotes a float32 (K, d) matrix.
         self.dtype = resolve_dtype(dtype)
+        self.workspace = Workspace(self.num_workers, self.dimension, self.dtype)
         self._columns: Dict[str, np.ndarray] = {
             name: np.array(
                 [[float(getattr(optimizer, name))] for optimizer in self.optimizers],
                 dtype=self.dtype,
             )
-            for name in reference._stacked_column_names()
+            for name in reference._columns
         }
-        # Per-row state matrices; each row is handed back to its worker's
-        # optimizer so the per-worker and stacked paths share storage.
-        self._state: Dict[str, np.ndarray] = {}
-        for name in reference._stacked_state_names(self.optimizers):
-            matrix = np.zeros((self.num_workers, self.dimension), dtype=self.dtype)
-            self._state[name] = matrix
-            for row, optimizer in zip(matrix, self.optimizers):
-                optimizer._bind_state(name, row)
+        self._state: Dict[str, np.ndarray] = {
+            name: np.zeros((self.num_workers, self.dimension), dtype=self.dtype)
+            for name in dict.fromkeys(
+                name for optimizer in self.optimizers for name in optimizer._state_names
+            )
+        }
+        for row, optimizer in enumerate(self.optimizers):
+            optimizer._bind_row(self, row)
         # Masked-path gather buffers, allocated on the first masked step so
         # full-participation runs never pay for them.
         self._state_scratch: Optional[Dict[str, np.ndarray]] = None
-        self._workspace: Dict[str, np.ndarray] = {}
 
     @property
     def step_counts(self) -> np.ndarray:
         """Per-worker step counts (reads the wrapped optimizers)."""
         return np.array([optimizer.step_count for optimizer in self.optimizers])
-
-    def scratch(self, name: str, count: int) -> np.ndarray:
-        """A reusable ``(count, d)`` workspace block for the update kernels."""
-        buffer = self._workspace.get(name)
-        if buffer is None:
-            buffer = np.empty((self.num_workers, self.dimension), dtype=self.dtype)
-            self._workspace[name] = buffer
-        return buffer[:count]
 
     def step_rows(
         self,
@@ -418,11 +449,7 @@ class StackedOptimizer:
             [[optimizer.schedule(optimizer.step_count)] for optimizer in active],
             dtype=self.dtype,
         )
-        # Timesteps stay float64: the update rules only ever read them back
-        # as Python scalars (Adam's per-row bias-correction loop).
-        timesteps = np.array(
-            [[float(optimizer.step_count + 1)] for optimizer in active]
-        )
+        timesteps = [optimizer.step_count + 1 for optimizer in active]
         if rows is None:
             state = self._state
             columns = self._columns
@@ -441,8 +468,8 @@ class StackedOptimizer:
                 np.take(matrix, rows, axis=0, out=block, mode="clip")
                 state[name] = block
             columns = {name: column[rows] for name, column in self._columns.items()}
-        self.optimizers[0]._stacked_update(
-            self, params, grads, state, columns, learning_rate, timesteps
+        self.optimizers[0]._update_rows(
+            self.workspace, params, grads, state, columns, learning_rate, timesteps
         )
         if rows is not None:
             for name, matrix in self._state.items():

@@ -398,25 +398,6 @@ class TestEngineGuards:
         with pytest.raises(ConfigurationError, match="unknown execution mode"):
             make_cluster("vectorized")
 
-    def test_non_inplace_workers_rejected(self):
-        rng = np.random.default_rng(0)
-        workers = []
-        for worker_id in range(2):
-            x = rng.normal(size=(20, 6))
-            y = rng.integers(0, 3, size=20)
-            workers.append(
-                Worker(
-                    worker_id,
-                    mlp_factory(),
-                    Dataset(x, y, 3),
-                    Adam(0.01),
-                    batch_size=4,
-                    inplace=worker_id == 0,
-                )
-            )
-        with pytest.raises(ConfigurationError, match="requires inplace workers"):
-            SimulatedCluster(workers, execution="batched")
-
     def test_pre_stepped_optimizers_rejected(self):
         # A pre-stepped optimizer's (d,) moments would be silently discarded
         # by the row binding while its step count kept counting.
@@ -530,12 +511,17 @@ class TestStackedOptimizerGuards:
             )
 
     def test_optimizer_without_stacked_rule_rejected(self):
+        # The row rule is the only spelling of an optimizer's arithmetic, so
+        # a subclass that defines none is refused by name — by the stack an
+        # engine builds and by the private one its first direct step builds.
         class Esoteric(Optimizer):
-            def _update(self, params, grads, learning_rate):
-                return params - learning_rate * grads
+            _columns = ("sharpness",)
+            sharpness = 2.0
 
-        with pytest.raises(ConfigurationError, match="no stacked"):
+        with pytest.raises(ConfigurationError, match="Esoteric defines no update rule"):
             StackedOptimizer([Esoteric(), Esoteric()], 4)
+        with pytest.raises(ConfigurationError, match="Esoteric defines no update rule"):
+            Esoteric().step_inplace(np.zeros(4), np.ones(4))
 
     def test_mixed_types_rejected(self):
         with pytest.raises(ConfigurationError, match="one optimizer type"):

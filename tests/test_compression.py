@@ -193,19 +193,23 @@ class TestLayerwiseTopK:
         assert compressor.transmitted_elements(20) == 2 * 4 + 2 * 1 + 2 * 5
 
 
-class TestLegacySingleVectorApi:
-    def test_compress_matches_row_kernel(self):
-        vector = np.random.default_rng(6).normal(size=50)
+class TestSingleRowBatches:
+    """One vector is a one-row batch (the retired ``compress()`` spelled it so)."""
+
+    def test_one_row_batch_matches_row_kernel(self):
+        # A row's payload does not depend on which other rows share the call.
+        rng = np.random.default_rng(6)
+        vector, other = rng.normal(size=50), rng.normal(size=50)
         for compressor in (QuantizationCompressor(8), TopKCompressor(0.2), SignCompressor()):
-            payload = compressor.compress(vector)
-            rows = compressor.compress_rows(vector[None, :])
-            np.testing.assert_array_equal(payload.vector, rows.reconstruct()[0])
-            assert payload.transmitted_elements == rows.elements_per_row
+            payload = compressor.compress_rows(vector[None])
+            rows = compressor.compress_rows(np.stack([vector, other]))
+            np.testing.assert_array_equal(payload.reconstruct()[0], rows.reconstruct()[0])
+            assert payload.elements_per_row == rows.elements_per_row
 
     def test_empty_vector(self):
-        payload = TopKCompressor(0.5).compress(np.zeros(0))
-        assert payload.transmitted_elements == 0
-        assert payload.vector.size == 0
+        payload = TopKCompressor(0.5).compress_rows(np.zeros((1, 0)))
+        assert payload.elements_per_row == 0
+        assert payload.reconstruct().size == 0
 
 
 # ---------------------------------------------------------------------------

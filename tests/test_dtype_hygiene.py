@@ -125,12 +125,10 @@ POW_LINTED = ("nn", "optim", "compression", "sketch", "core", "faults", "backend
 #: ``(module, expression)`` pairs allowed to call ``pow``.  All are Python
 #: scalars, evaluated once per step or once per object — never per element.
 POW_ALLOWLIST = {
-    # Adam/AdamW bias corrections: float beta ** int step.  Deliberately the
-    # scalar libm pow — numpy's SIMD float64 pow differs from it in the last
-    # ulp, which would break stacked == per-worker parity.
-    ("optim/adam.py", "self.beta1**timestep"),
-    ("optim/adam.py", "self.beta2**timestep"),
-    ("optim/adam.py", "float(b) ** int(t)"),
+    # Adam/AdamW bias corrections: float beta ** int step, per row.
+    # Deliberately the scalar libm pow — numpy's SIMD float64 pow differs from
+    # it in the last ulp, which would make a row depend on its stack's size.
+    ("optim/adam.py", "b**t"),
     # Learning-rate schedules: one float per step.
     ("optim/schedules.py", "self.decay ** (step // self.every)"),
     ("optim/schedules.py", "self.rate ** (step / self.scale)"),

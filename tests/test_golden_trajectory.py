@@ -1,16 +1,21 @@
-"""Golden-trajectory equivalence: the zero-copy path reproduces the seed path.
+"""Golden trajectories: the optimizer's one rule reproduces the seed path.
 
 The parameter-plane refactor replaced the seed implementation's
 gather/copy/scatter hot path (``get_parameters`` → ``optimizer.step`` →
-``set_parameters``) with in-place updates on contiguous flat storage.  The
-refactor's contract is *bit-identical* training: these tests run the same
-workload down both paths (``Worker(inplace=True)`` vs the retained
-``inplace=False`` legacy path) and assert exact equality of every worker's
-parameters, every per-step variance estimate, and the communication byte
-accounting.  A second group proves the optimizer-level equivalence directly:
-``step_inplace`` must produce the same bits as ``step`` for every built-in
-optimizer configuration.
+``set_parameters``) with in-place updates on contiguous flat storage, under a
+*bit-identical training* contract that was proven for sixteen PRs by running
+both paths side by side.  The copy path is gone now — every optimizer's
+arithmetic is one ``(A, d)`` row rule — so the contract is kept the other
+way: ``GOLDEN`` freezes what the retired ``Worker(inplace=False)`` trainer
+produced at its last commit (a digest of every worker's parameters, every
+per-step variance estimate to the last digit, the synchronizing steps and the
+byte accounting), and the surviving path must still match it.  A second
+group keeps the optimizer-level proof: ``step_inplace`` must produce the same
+bits as the textbook expressions in :mod:`helpers.reference_optim`, the
+independent oracle the copy path's bodies became.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -37,7 +42,7 @@ def make_optimizer(kind):
     raise ValueError(kind)
 
 
-def build_trainer(variant, optimizer_kind, inplace, num_workers=4, **cluster_kwargs):
+def build_trainer(variant, optimizer_kind, num_workers=4, **cluster_kwargs):
     rng = np.random.default_rng(7)
     workers = []
     for worker_id in range(num_workers):
@@ -52,7 +57,6 @@ def build_trainer(variant, optimizer_kind, inplace, num_workers=4, **cluster_kwa
                 make_optimizer(optimizer_kind),
                 batch_size=8,
                 seed=worker_id,
-                inplace=inplace,
             )
         )
     cluster = SimulatedCluster(workers, **cluster_kwargs)
@@ -60,42 +64,206 @@ def build_trainer(variant, optimizer_kind, inplace, num_workers=4, **cluster_kwa
     return FDATrainer(cluster, monitor, threshold=0.5)
 
 
+#: What the ``Worker(inplace=False)`` copy-path trainer produced at the last
+#: commit that had one (PR 16, 80b920d), recorded before the path was deleted:
+#: 25 steps for the {sketch, linear} × {sgd-nesterov, adam} cells, 15 for the
+#: exact × sgd cell.  Every worker's parameters as a sha256 of
+#: ``parameter_matrix.tobytes()``, the ``repr`` digits of every per-step
+#: variance estimate, the 1-based synchronizing steps, and the byte ledger.
+GOLDEN = {
+    "sketch-sgd-nesterov": {
+        "parameters_sha256": (
+            "9c9d07e3431937ac825918a9a304353fbbf8b25764e1d4ddcb43ffc231fbeb7b"
+        ),
+        "estimates": [
+            "0.00727891911744904",
+            "0.025084804432341887",
+            "0.06257010065467729",
+            "0.10705411483812569",
+            "0.16248197759967126",
+            "0.23748966559980378",
+            "0.33009808077773894",
+            "0.4500119600363558",
+            "0.5747207593485879",
+            "0.01686736507440096",
+            "0.06570542662361266",
+            "0.13408425215518957",
+            "0.2313561967794594",
+            "0.33910227139877924",
+            "0.4728730403022896",
+            "0.606660742738608",
+            "0.016595557140996038",
+            "0.056352508397868165",
+            "0.11614022876760878",
+            "0.19975989036025588",
+            "0.31410349642490926",
+            "0.4390195545339005",
+            "0.5879843371314106",
+            "0.015548165070327807",
+            "0.05887074195604734",
+        ],
+        "sync_steps": [9, 16, 23],
+        "total_bytes": 1010688,
+        "sync_count": 3,
+    },
+    "sketch-adam": {
+        "parameters_sha256": (
+            "aa9cb8776d5f84d0c575de8461214c0f4538e7bf2c857af63bd8a4dd3baebfb8"
+        ),
+        "estimates": [
+            "0.006249425921833888",
+            "0.01502625765919056",
+            "0.02625987185400938",
+            "0.037504793861748216",
+            "0.05134135905601975",
+            "0.06582461392709325",
+            "0.082064620302566",
+            "0.1003970424607986",
+            "0.11949807532068327",
+            "0.14012277867829584",
+            "0.16194081009181807",
+            "0.18408820380838062",
+            "0.20670864368712982",
+            "0.23120205867040267",
+            "0.2567466351526169",
+            "0.2833825138055406",
+            "0.3092160235233128",
+            "0.3358559143408127",
+            "0.3623462193645334",
+            "0.3901380604243272",
+            "0.41842980676981834",
+            "0.4471696128793501",
+            "0.47722105224371014",
+            "0.5086639751804608",
+            "0.0009241240204833415",
+        ],
+        "sync_steps": [24],
+        "total_bytes": 1004096,
+        "sync_count": 1,
+    },
+    "linear-sgd-nesterov": {
+        "parameters_sha256": (
+            "49573de76d5661f4c435b23c64b54c214e8a6a46a2e08225e09c3491b22273a3"
+        ),
+        "estimates": [
+            "0.01472184721449747",
+            "0.056665550618176824",
+            "0.15059142614811585",
+            "0.2788252623393839",
+            "0.44026628675789536",
+            "0.6429393351174655",
+            "0.016332651236609534",
+            "0.06382743734654565",
+            "0.13657206631863164",
+            "0.24392137122461363",
+            "0.38705146981230953",
+            "0.5288745834180922",
+            "0.019236400863438786",
+            "0.0695471124281011",
+            "0.1505059828511722",
+            "0.24972890335713527",
+            "0.3732694224883336",
+            "0.5281694245679782",
+            "0.015624146727231766",
+            "0.06614997656501029",
+            "0.15798856880884293",
+            "0.27409328660255566",
+            "0.4291390427804004",
+            "0.5924866363981058",
+            "0.01707212480901158",
+        ],
+        "sync_steps": [6, 12, 18, 24],
+        "total_bytes": 14784,
+        "sync_count": 4,
+    },
+    "linear-adam": {
+        "parameters_sha256": (
+            "72f86e724f4121342659986c124e5274f175e07a789f98b68d43a286335e80fd"
+        ),
+        "estimates": [
+            "0.010280079209926277",
+            "0.027518243639114173",
+            "0.050353581562436654",
+            "0.07741493694469094",
+            "0.10867992190625958",
+            "0.14140278787100388",
+            "0.17800983863482564",
+            "0.21712795142915056",
+            "0.2580192240390736",
+            "0.3033132149018417",
+            "0.350848452864778",
+            "0.4004167201669957",
+            "0.4518111180258608",
+            "0.5044501414089401",
+            "0.001236826320079767",
+            "0.004935703163194802",
+            "0.010907759116332787",
+            "0.018752165862879415",
+            "0.02847929767884327",
+            "0.03966767021152538",
+            "0.05340122846345568",
+            "0.06947739788845898",
+            "0.08767520053077182",
+            "0.10753112530949052",
+            "0.12906497114278953",
+        ],
+        "sync_steps": [14],
+        "total_bytes": 4896,
+        "sync_count": 1,
+    },
+    "exact-sgd": {
+        "parameters_sha256": (
+            "b338d957e08a527d28a715a5b8baa8a5173fbb09dc1d9dcaa90536632ee55925"
+        ),
+        "estimates": [
+            "0.00177513060002873",
+            "0.004237748565215229",
+            "0.008450508028359447",
+            "0.009583552045286312",
+            "0.012710239684195157",
+            "0.017052931832808003",
+            "0.019576944362504872",
+            "0.025873958627976264",
+            "0.030202487418864776",
+            "0.03713493273417559",
+            "0.04291770111006833",
+            "0.04696564258264849",
+            "0.05398186791561832",
+            "0.05914096720019185",
+            "0.0708055020166248",
+        ],
+        "sync_steps": [],
+        "total_bytes": 49920,
+        "sync_count": 0,
+    },
+}
+
+
+def assert_matches_golden(variant, optimizer_kind, steps):
+    golden = GOLDEN[f"{variant}-{optimizer_kind}"]
+    trainer = build_trainer(variant, optimizer_kind)
+    results = trainer.run_steps(steps)
+    # Bit-identical parameters on every worker.
+    assert (
+        hashlib.sha256(trainer.cluster.parameter_matrix.tobytes()).hexdigest()
+        == golden["parameters_sha256"]
+    )
+    # Bit-identical variance estimates at every step.
+    assert [repr(r.variance_estimate) for r in results] == golden["estimates"]
+    # Identical protocol decisions and byte accounting.
+    assert [r.step for r in results if r.synchronized] == golden["sync_steps"]
+    assert trainer.cluster.total_bytes == golden["total_bytes"]
+    assert trainer.synchronization_count == golden["sync_count"]
+
+
 class TestGoldenTrajectory:
     @pytest.mark.parametrize("variant", ["sketch", "linear"])
     @pytest.mark.parametrize("optimizer_kind", ["sgd-nesterov", "adam"])
     def test_inplace_path_is_bit_identical_to_copy_path(self, variant, optimizer_kind):
-        steps = 25
-        legacy = build_trainer(variant, optimizer_kind, inplace=False)
-        modern = build_trainer(variant, optimizer_kind, inplace=True)
-
-        legacy_results = legacy.run_steps(steps)
-        modern_results = modern.run_steps(steps)
-
-        # Bit-identical parameters on every worker.
-        np.testing.assert_array_equal(
-            legacy.cluster.parameter_matrix, modern.cluster.parameter_matrix
-        )
-        # Bit-identical variance estimates at every step.
-        np.testing.assert_array_equal(
-            np.array([r.variance_estimate for r in legacy_results]),
-            np.array([r.variance_estimate for r in modern_results]),
-        )
-        # Identical protocol decisions and byte accounting.
-        assert [r.synchronized for r in legacy_results] == [
-            r.synchronized for r in modern_results
-        ]
-        assert legacy.cluster.total_bytes == modern.cluster.total_bytes
-        assert legacy.synchronization_count == modern.synchronization_count
+        assert_matches_golden(variant, optimizer_kind, steps=25)
 
     def test_exact_variant_matches_too(self):
-        legacy = build_trainer("exact", "sgd", inplace=False)
-        modern = build_trainer("exact", "sgd", inplace=True)
-        legacy.run_steps(15)
-        modern.run_steps(15)
-        np.testing.assert_array_equal(
-            legacy.cluster.parameter_matrix, modern.cluster.parameter_matrix
-        )
-        assert legacy.cluster.total_bytes == modern.cluster.total_bytes
+        assert_matches_golden("exact", "sgd", steps=15)
 
 
 class TestGoldenMaskedTrajectory:
@@ -161,9 +329,9 @@ class TestFabricDefaultEquivalence:
 
     def test_explicit_star_fabric_matches_implicit_default(self):
         steps = 25
-        implicit = build_trainer("linear", "adam", inplace=True)
+        implicit = build_trainer("linear", "adam")
         explicit = build_trainer(
-            "linear", "adam", inplace=True, topology="star", network="none"
+            "linear", "adam", topology="star", network="none"
         )
         implicit_results = implicit.run_steps(steps)
         explicit_results = explicit.run_steps(steps)
@@ -178,7 +346,7 @@ class TestFabricDefaultEquivalence:
     @pytest.mark.parametrize("variant", ["sketch", "linear", "exact"])
     def test_default_byte_counts_match_the_seed_closed_form(self, variant):
         steps = 20
-        trainer = build_trainer(variant, "sgd", inplace=True)
+        trainer = build_trainer(variant, "sgd")
         trainer.run_steps(steps)
         cluster = trainer.cluster
         d, K = cluster.model_dimension, cluster.num_workers
@@ -196,7 +364,7 @@ class TestFabricDefaultEquivalence:
     def test_default_timeline_is_a_pure_observer(self):
         # The clock ticks, but consumes no randomness and charges no traffic.
         steps = 15
-        trainer = build_trainer("linear", "adam", inplace=True)
+        trainer = build_trainer("linear", "adam")
         results = trainer.run_steps(steps)
         assert trainer.cluster.virtual_time == pytest.approx(float(steps))
         assert trainer.cluster.timeline.comm_seconds == 0.0
@@ -208,10 +376,12 @@ class TestOptimizerInplaceEquivalence:
         "kind", ["sgd", "sgd-nesterov", "adam", "adamw"]
     )
     def test_step_inplace_matches_step_bitwise(self, kind):
+        from helpers.reference_optim import reference_for
+
         rng = np.random.default_rng(0)
         start = rng.normal(size=257)
-        copy_opt = make_optimizer(kind)
         inplace_opt = make_optimizer(kind)
+        copy_opt = reference_for(make_optimizer(kind))
 
         params_copy = start.copy()
         params_inplace = start.copy()

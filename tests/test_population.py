@@ -218,8 +218,8 @@ class TestEvictionTransparency:
         for _ in range(3):
             population.run_round()
         expected_params = np.array(cluster.parameter_matrix)
-        expected_m = np.array(cluster.workers[0].optimizer._m)
-        expected_v = np.array(cluster.workers[0].optimizer._v)
+        expected_m = np.array(cluster.workers[0].optimizer.state_arrays()["m"])
+        expected_v = np.array(cluster.workers[0].optimizer.state_arrays()["v"])
         expected_steps = cluster.workers[0].optimizer.step_count
         expected_rng = cluster.workers[0]._sampler._rng.bit_generator.state
 
@@ -227,8 +227,9 @@ class TestEvictionTransparency:
         assert population.store.resident_count == 0
         population.bind_cohort(np.array([0, 1]))
         np.testing.assert_array_equal(cluster.parameter_matrix, expected_params)
-        np.testing.assert_array_equal(cluster.workers[0].optimizer._m, expected_m)
-        np.testing.assert_array_equal(cluster.workers[0].optimizer._v, expected_v)
+        rebound = cluster.workers[0].optimizer.state_arrays()
+        np.testing.assert_array_equal(rebound["m"], expected_m)
+        np.testing.assert_array_equal(rebound["v"], expected_v)
         assert cluster.workers[0].optimizer.step_count == expected_steps
         assert cluster.workers[0]._sampler._rng.bit_generator.state == expected_rng
         assert population.store.spill_loads == 2

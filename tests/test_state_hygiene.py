@@ -31,6 +31,19 @@ on the timeline's heap now, and
 
 6. ``heapq`` is imported by ``core/timeline.py`` alone, and the rotation
    ``w_{t-1} ← w_{t0}`` is written once under ``src/``.
+
+Each local optimizer's arithmetic was once written three times — a copy path,
+a flat in-place path and a stacked ``(A, d)`` row rule, selected by
+``Worker(inplace=)`` and by the execution engine, and equal only by parity
+test (at float32, not even that).  The row rule is the one spelling now, and
+
+7. each optimizer's arithmetic is written once: under ``optim/`` no function
+   is named after the retired paths, ``SGD``/``Adam``/``AdamW`` each define
+   exactly one method that takes parameters and gradients — the rule
+   ``_update_rows`` — ``Worker.__init__`` has no ``inplace`` parameter, the
+   retired spellings occur nowhere under ``src/``, and a call spy sees
+   ``Optimizer.step_inplace``, ``StackedOptimizer.step_rows`` (full and
+   masked) and ``Worker._apply_update`` all end in that one rule.
 """
 
 from __future__ import annotations
@@ -133,6 +146,97 @@ def test_one_event_heap_and_one_reference_rotation():
         "the reference rotation belongs to FDAProtocol._complete_synchronization "
         f"alone, found it in {rotations}"
     )
+
+
+#: The retired spellings of an optimizer's arithmetic and of the switch
+#: between them.
+_RETIRED_UPDATE_FUNCTIONS = {"_update", "_update_inplace", "_stacked_update"}
+_RETIRED_UPDATE_STRINGS = ("_update_inplace", "inplace=False")
+RULE = "_update_rows"
+
+
+def _class_methods(module: str, class_name: str):
+    tree = ast.parse((SRC_ROOT / module).read_text(encoding="utf-8"))
+    (cls,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    ]
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
+    offenders = [
+        f"src/repro/{module}:{node.lineno}: def {node.name}"
+        for module, source in _sources()
+        if module.startswith("optim/")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in _RETIRED_UPDATE_FUNCTIONS
+    ]
+    assert not offenders, (
+        "a second spelling of an optimizer's arithmetic — extend the row rule "
+        f"({RULE}) instead:\n" + "\n".join(offenders)
+    )
+    for module, class_name in (
+        ("optim/sgd.py", "SGD"),
+        ("optim/adam.py", "Adam"),
+        ("optim/adam.py", "AdamW"),
+    ):
+        arithmetic = [
+            method.name
+            for method in _class_methods(module, class_name)
+            if {"params", "grads"} <= {argument.arg for argument in method.args.args}
+        ]
+        assert arithmetic == [RULE], (
+            f"{class_name} must define exactly one method over (params, grads), "
+            f"the rule {RULE}; found {arithmetic}"
+        )
+    (constructor,) = [
+        method
+        for method in _class_methods("distributed/worker.py", "Worker")
+        if method.name == "__init__"
+    ]
+    assert "inplace" not in {argument.arg for argument in constructor.args.args}
+    spelled = [
+        f"src/repro/{module}: {retired}"
+        for module, source in _sources()
+        for retired in _RETIRED_UPDATE_STRINGS
+        if retired in source
+    ]
+    assert not spelled, "the retired update paths are named again:\n" + "\n".join(spelled)
+
+    # Every way of stepping ends in the rule: count its calls under a spy.
+    import numpy as np
+
+    from repro.data.datasets import Dataset
+    from repro.distributed.worker import Worker
+    from repro.nn.architectures import mlp
+    from repro.optim.base import StackedOptimizer
+    from repro.optim.sgd import SGD
+
+    calls = []
+    rule = SGD._update_rows
+
+    def spy(self, workspace, params, *rest):
+        calls.append(params.shape)
+        rule(self, workspace, params, *rest)
+
+    monkeypatch.setattr(SGD, RULE, spy)
+    optimizers = [SGD(0.1, momentum=0.9) for _ in range(3)]
+    stacked = StackedOptimizer(optimizers, 4)
+    params, grads = np.ones((3, 4)), np.ones((3, 4))
+    stacked.step_rows(params, grads)
+    stacked.step_rows(params[1:].copy(), grads[1:].copy(), np.array([1, 2]))
+    optimizers[0].step_inplace(params[0], grads[0])
+    SGD(0.1).step(np.ones(4), np.ones(4))
+    assert calls == [(3, 4), (2, 4), (1, 4), (1, 4)]
+
+    rng = np.random.default_rng(0)
+    dataset = Dataset(rng.normal(size=(8, 4)), rng.integers(0, 2, size=8), 2)
+    worker = Worker(0, mlp(4, 2, hidden_units=(3,), seed=0), dataset, SGD(0.1), batch_size=4)
+    del calls[:]
+    worker.local_step()
+    assert calls == [(1, worker.num_parameters)]
 
 
 def test_no_private_imports_across_modules():

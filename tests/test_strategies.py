@@ -162,20 +162,20 @@ class TestCompression:
     def test_quantization_reconstruction_close(self):
         compressor = QuantizationCompressor(bits=8)
         vector = np.random.default_rng(0).normal(size=500)
-        payload = compressor.compress(vector)
-        error = np.abs(payload.vector - vector).max()
+        payload = compressor.compress_rows(vector[None])
+        error = np.abs(payload.reconstruct()[0] - vector).max()
         assert error < np.abs(vector).max() / 100.0
 
     def test_quantization_zero_vector(self):
         compressor = QuantizationCompressor(bits=4)
-        payload = compressor.compress(np.zeros(10))
-        np.testing.assert_array_equal(payload.vector, 0.0)
+        payload = compressor.compress_rows(np.zeros((1, 10)))
+        np.testing.assert_array_equal(payload.reconstruct(), 0.0)
 
     def test_topk_keeps_largest_entries(self):
         compressor = TopKCompressor(fraction=0.2)
         vector = np.array([0.1, -5.0, 0.2, 4.0, 0.05, 0.0, 0.3, -0.2, 0.15, 0.12])
-        payload = compressor.compress(vector)
-        nonzero = np.flatnonzero(payload.vector)
+        payload = compressor.compress_rows(vector[None])
+        nonzero = np.flatnonzero(payload.reconstruct()[0])
         assert set(nonzero) == {1, 3}
 
     def test_topk_transmitted_elements(self):
