@@ -1,14 +1,18 @@
 """Vectorized compression kernels operating row-wise on ``(K, d)`` matrices.
 
 Every kernel answers the same question — *what does one worker actually put on
-the wire when it uploads a ``d``-dimensional update?* — and does so for all
-``K`` workers at once: :meth:`Compressor.compress_rows` consumes a whole
+the wire when it uploads a ``d``-dimensional update?* — and answers it for all
+``K`` workers in one call: :meth:`Compressor.compress_rows` consumes a whole
 ``(K, d)`` matrix (typically the cluster's drift matrix) and returns a
 :class:`RowPayloads` describing every row's lossy payload plus its true
-transmitted size.  This is what lets the cluster-level synchronization path
-(:mod:`repro.compression.state`) stay a handful of matrix passes instead of a
-per-worker Python loop, and what lets the communication fabric charge
-*compressed* bytes per link instead of the dense ``4·d``.
+transmitted size.  One call per collective is what lets the cluster-level
+synchronization path (:mod:`repro.compression.state`) stay a handful of matrix
+passes, and what lets the communication fabric charge *compressed* bytes per
+link instead of the dense ``4·d``.  Inside the call the sparsifying kernels
+walk the matrix one worker row at a time (:func:`_select_rows`): rows are
+selected independently, and a row with its scores and its index vector stays
+cache-resident where one ``argpartition`` over all rows materialised ``(K, d)``
+score and int64 index matrices on every sync.
 
 Kernels provided (Section 2 of the FDA paper positions all of these as
 orthogonal to *when* models are exchanged):
@@ -250,34 +254,57 @@ def _keep_count(dimension: int, fraction: float) -> int:
     return min(int(dimension), max(1, int(round(dimension * fraction))))
 
 
-def _negated_magnitudes(matrix: np.ndarray, scratch: Optional[np.ndarray]) -> np.ndarray:
-    """−|matrix| as float32, written into ``scratch`` (reallocated on shape change).
+def _score_by_magnitude(row: np.ndarray, scores: np.ndarray) -> None:
+    """Write ``−|row|`` into the float32 ``scores`` (largest magnitude, lowest score)."""
+    np.abs(row, out=scores, casting="unsafe")
+    np.negative(scores, out=scores)
 
-    Shared by the magnitude-sparsifying kernels.  Negated so top-k selection
-    partitions for the *smallest* ``keep`` entries from the front: gradient
-    drifts are frequently mostly-zero (dead ReLU units, fresh residuals), and
-    introselect degenerates badly when the pivot lands inside a huge block of
-    duplicate zeros — which is exactly where ``kth = d − keep`` sits on such
-    data.  Partitioning the negated values at ``kth = keep − 1`` keeps the
-    pivot among the (distinct) large magnitudes and stays ~10× faster on
-    sparse drifts; float32 halves the selection's memory traffic.  Only the
-    *choice* of coordinates sees float32 granularity — transmitted values are
-    always the exact float64 input entries.
+
+def _select_rows(matrix, slots, score_row, score_dtype, kth_shift: int = 0):
+    """``(indices, values)`` of a sparse payload, selected one worker row at a time.
+
+    ``slots`` lists ``(offset, size, keep)`` slices of a row; each keeps the
+    ``keep`` *lowest-scoring* of its ``size`` coordinates (all of them, in
+    order, when ``keep ≥ size``).  ``score_row(row, scores)`` fills the
+    ``(d,)`` scratch of ``score_dtype`` — allocated here, so no kernel holds
+    an array between calls — and is skipped when every slot is kept whole.
+    Only the *choice* of coordinates sees the scores: ``values`` are the exact
+    input entries in the matrix's own dtype.
+
+    Rows are the unit because they are selected independently and one row, its
+    scores and the index vector ``argpartition`` returns fit a per-core cache,
+    where one ``axis=1`` call over all rows allocates and fills a ``(K, d)``
+    int64 matrix to keep its first ``keep`` columns.  Either way numpy runs
+    the same introselect per row, so the kept set *and its order* (the
+    summation order of :meth:`SparseRowPayloads.mean`) are the same.
+
+    The cut is from the front, at ``kth = keep − 1``, which is why magnitudes
+    are scored *negated* instead of partitioning ``|x|`` at ``d − keep``:
+    drifts are often mostly zero (dead ReLU units, fresh residuals), and
+    introselect degenerates when its pivot lands inside a huge block of equal
+    zeros — exactly where ``d − keep`` sits on such data.  From the front the
+    pivot stays among the distinct large magnitudes (~10× faster on sparse
+    drifts); float32 scores halve the selection's memory traffic.
+    ``kth_shift`` is for :class:`RandomKCompressor` alone, whose frozen
+    trajectories cut at ``kth = keep``.
     """
-    if scratch is None or scratch.shape != matrix.shape:
-        scratch = np.empty(matrix.shape, dtype=np.float32)
-    np.abs(matrix, out=scratch, casting="unsafe")
-    np.negative(scratch, out=scratch)
-    return scratch
-
-
-def _top_magnitude_indices(negated: np.ndarray, keep: int) -> np.ndarray:
-    """Per-row indices of the ``keep`` largest magnitudes (from ``−|x|``)."""
-    dimension = negated.shape[1]
-    if keep >= dimension:
-        return np.broadcast_to(np.arange(dimension), negated.shape).copy()
-    partitioned = np.argpartition(negated, keep - 1, axis=1)
-    return np.ascontiguousarray(partitioned[:, :keep])
+    indices = np.empty((matrix.shape[0], sum(keep for _, _, keep in slots)), dtype=np.intp)
+    values = np.empty(indices.shape, dtype=matrix.dtype)
+    scores = np.empty(matrix.shape[1], dtype=score_dtype)
+    selecting = any(keep < size for _, size, keep in slots)
+    for row, row_indices, row_values in zip(matrix, indices, values):
+        if selecting:
+            score_row(row, scores)
+        start = 0
+        for offset, size, keep in slots:
+            if keep < size:
+                chosen = np.argpartition(scores[offset : offset + size], keep - 1 + kth_shift)
+                np.add(chosen[:keep], offset, out=row_indices[start : start + keep])
+            else:
+                row_indices[start : start + keep] = np.arange(offset, offset + size)
+            start += keep
+        np.take(row, row_indices, out=row_values, mode="clip")  # in range by construction
+    return indices, values
 
 
 def _validate_fraction(fraction: float) -> float:
@@ -291,33 +318,32 @@ class TopKCompressor(Compressor):
 
     The payload per row is ``k`` (index, value) pairs — two float32
     equivalents each — capped at the dense size ``d``: when ``k ≥ d`` the
-    whole row is kept and charged as a dense vector, never more.
-
-    Hot-path note: the selection runs on cached float32 negated magnitudes
-    (see :func:`_negated_magnitudes` — repeated calls on same-shaped matrices
-    allocate nothing), which more than halves the dominant ``argpartition``
-    cost on a ``(K, d)`` drift matrix while the transmitted values stay the
-    exact float64 input entries (the sparse payloads' exact-value invariant).
+    whole row is kept and charged as a dense vector, never more.  Coordinates
+    are chosen on float32 negated magnitudes, one row at a time (see
+    :func:`_select_rows`); the transmitted values stay the exact input
+    entries in the plane's dtype (the sparse payloads' exact-value invariant).
     """
 
     name = "topk"
 
+    #: What :func:`_select_rows` ranks a row by, and where it cuts.
+    _score_row = staticmethod(_score_by_magnitude)
+    _score_dtype = np.float32
+    _kth_shift = 0
+
     def __init__(self, fraction: float = 0.1) -> None:
         self.fraction = _validate_fraction(fraction)
-        self._magnitude_scratch: Optional[np.ndarray] = None
 
-    def _indices(self, matrix: np.ndarray, keep: int) -> np.ndarray:
-        if keep >= matrix.shape[1]:
-            return np.broadcast_to(np.arange(matrix.shape[1]), matrix.shape).copy()
-        self._magnitude_scratch = _negated_magnitudes(matrix, self._magnitude_scratch)
-        return _top_magnitude_indices(self._magnitude_scratch, keep)
+    def _slots(self, dimension: int) -> List:
+        """``(offset, size, keep)`` of every independently budgeted slice of a row."""
+        return [(0, int(dimension), _keep_count(dimension, self.fraction))]
 
     def compress_rows(self, matrix: np.ndarray) -> RowPayloads:
         matrix = _as_matrix(matrix)
         dimension = matrix.shape[1]
-        keep = _keep_count(dimension, self.fraction)
-        indices = self._indices(matrix, keep)
-        values = np.take_along_axis(matrix, indices, axis=1)
+        indices, values = _select_rows(
+            matrix, self._slots(dimension), self._score_row, self._score_dtype, self._kth_shift
+        )
         return SparseRowPayloads(
             indices, values, dimension, self.transmitted_elements(dimension)
         )
@@ -325,7 +351,7 @@ class TopKCompressor(Compressor):
     def transmitted_elements(self, dimension: int) -> int:
         if dimension == 0:
             return 0
-        return min(2 * _keep_count(dimension, self.fraction), int(dimension))
+        return sum(min(2 * keep, size) for _, size, keep in self._slots(dimension))
 
     def __repr__(self) -> str:
         return f"TopKCompressor(fraction={self.fraction})"
@@ -339,22 +365,23 @@ class RandomKCompressor(TopKCompressor):
     round counter) travel — no indices.  The kernel keeps one private
     generator whose draws advance per call, making repeated runs (and the
     sequential/batched engines, which compress at identical sync points)
-    reproduce the same coordinate sequence.
+    reproduce the same coordinate sequence.  A row keeps the coordinates of
+    its ``k`` smallest of ``d`` uniform draws; drawing ``d`` doubles per row
+    consumes the stream exactly as one ``(K, d)`` draw would.
     """
 
     name = "randomk"
+
+    _score_dtype = np.float64
+    _kth_shift = 1
 
     def __init__(self, fraction: float = 0.1, seed: int = 0) -> None:
         super().__init__(fraction)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
 
-    def _indices(self, matrix: np.ndarray, keep: int) -> np.ndarray:
-        dimension = matrix.shape[1]
-        if keep >= dimension:
-            return np.broadcast_to(np.arange(dimension), matrix.shape).copy()
-        draws = self._rng.random(matrix.shape)
-        return np.argpartition(draws, keep, axis=1)[:, :keep]
+    def _score_row(self, row: np.ndarray, scores: np.ndarray) -> None:
+        self._rng.random(out=scores)
 
     def state_dict(self) -> dict:
         return {"rng": self._rng.bit_generator.state}
@@ -395,7 +422,7 @@ class SignCompressor(Compressor):
         return int(np.ceil(dimension / 32.0)) + 1  # sign bits plus the scale
 
 
-class LayerwiseTopKCompressor(Compressor):
+class LayerwiseTopKCompressor(TopKCompressor):
     """Top-k applied independently inside every layer slot of a parameter plane.
 
     Global top-k lets one large layer starve all others of budget; layer-wise
@@ -410,9 +437,8 @@ class LayerwiseTopKCompressor(Compressor):
     name = "layerwise-topk"
 
     def __init__(self, fraction: float = 0.1, layout: Optional[Sequence] = None) -> None:
-        self.fraction = _validate_fraction(fraction)
+        super().__init__(fraction)
         self._layout: Optional[List] = None
-        self._magnitude_scratch: Optional[np.ndarray] = None
         if layout is not None:
             self.bind_layout(layout)
 
@@ -435,38 +461,12 @@ class LayerwiseTopKCompressor(Compressor):
             )
         return self._layout
 
-    def compress_rows(self, matrix: np.ndarray) -> RowPayloads:
-        matrix = _as_matrix(matrix)
-        dimension = matrix.shape[1]
-        layout = self._require_layout(dimension)
-        # One cached float32 negated-magnitude pass over the whole matrix;
-        # every per-slot selection then uses the same duplicate-safe
-        # partition direction as TopKCompressor (see _negated_magnitudes).
-        self._magnitude_scratch = _negated_magnitudes(matrix, self._magnitude_scratch)
-        index_chunks = []
-        value_chunks = []
-        for slot in layout:
-            block = matrix[:, slot.offset : slot.offset + slot.size]
-            keep = _keep_count(slot.size, self.fraction)
-            local = _top_magnitude_indices(
-                self._magnitude_scratch[:, slot.offset : slot.offset + slot.size], keep
-            )
-            index_chunks.append(local + slot.offset)
-            value_chunks.append(np.take_along_axis(block, local, axis=1))
-        indices = np.concatenate(index_chunks, axis=1)
-        values = np.concatenate(value_chunks, axis=1)
-        return SparseRowPayloads(
-            indices, values, dimension, self.transmitted_elements(dimension)
-        )
-
-    def transmitted_elements(self, dimension: int) -> int:
-        if dimension == 0:
-            return 0
-        layout = self._require_layout(dimension)
-        return sum(
-            min(2 * _keep_count(slot.size, self.fraction), int(slot.size))
-            for slot in layout
-        )
+    def _slots(self, dimension: int) -> List:
+        # Every layer slot selects inside its own slice of the row's scores.
+        return [
+            (slot.offset, int(slot.size), _keep_count(slot.size, self.fraction))
+            for slot in self._require_layout(dimension)
+        ]
 
     def __repr__(self) -> str:
         bound = self._layout is not None

@@ -220,7 +220,8 @@ class ClusterCompression:
         # before fold_residual zeroes/subtracts the transmitted part, turning
         # the accumulator into the new residual); without it a cached drift
         # scratch holds the subtraction.  Sync-every-step protocols therefore
-        # allocate nothing per round beyond the k-sized payload arrays.
+        # allocate nothing (K, d)-sized per round: only the k-sized payload
+        # arrays and the sparsifying kernels' row-sized scratch.
         if self.error_feedback:
             work = self._residuals
             np.add(work, cluster.parameter_matrix, out=work)

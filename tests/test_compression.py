@@ -1,11 +1,16 @@
 """Tests for the collective-level compression subsystem (:mod:`repro.compression`).
 
-Four groups:
+Five groups:
 
 * **Kernel edge cases** — k ≥ d top-k (dense fallback, exact reconstruction),
   all-zero inputs, quantization idempotence (decompress∘compress is a fixed
   point) at levels 2 / 4 / 256, layer-wise budgets, random-k determinism, and
   the legacy single-vector API.
+* **Row-at-a-time selection** — hypothesis-driven over tie-heavy inputs: a
+  row's payload does not depend on which rows share the call, the kept set is
+  a valid top-k, values are exact input entries, ``fold_residual`` zeroes
+  exactly the kept coordinates; plus the allocation budget and the "kernels
+  hold no arrays" guards that keep ``(K, d)`` temporaries from growing back.
 * **Error feedback** — hypothesis-driven: under arbitrary participation
   masks, masked-out rows' residuals stay bit-untouched while active rows'
   residuals are exactly the untransmitted remainder, and payload + residual
@@ -20,6 +25,8 @@ Four groups:
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +217,166 @@ class TestSingleRowBatches:
         payload = TopKCompressor(0.5).compress_rows(np.zeros((1, 0)))
         assert payload.elements_per_row == 0
         assert payload.reconstruct().size == 0
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time selection (hypothesis over tie-heavy inputs, allocation budget)
+# ---------------------------------------------------------------------------
+
+SPARSIFIERS = ("topk", "layerwise-topk", "randomk")
+
+
+def make_sparsifier(kind, fraction, cuts):
+    """A fresh sparsifying kernel; ``cuts`` are the layer-wise slot boundaries."""
+    compressor = make_compressor(CompressionConfig(kind, ratio=fraction, seed=11))
+    compressor.bind_layout([SlotLayout(a, b - a, (b - a,)) for a, b in zip(cuts, cuts[1:])])
+    return compressor
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Matrices built to tie: few magnitude levels, mostly-zero rows, equal rows."""
+    num_rows = draw(st.integers(min_value=1, max_value=5))
+    dimension = draw(st.integers(min_value=1, max_value=48))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    levels = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    matrix = rng.choice(levels, size=(num_rows, dimension))
+    for row in range(num_rows):
+        shape = draw(st.sampled_from(["levels", "mostly-zero", "all-equal", "distinct"]))
+        if shape == "mostly-zero":
+            matrix[row, rng.random(dimension) < 0.9] = 0.0
+        elif shape == "all-equal":
+            matrix[row] = rng.choice(levels)
+        elif shape == "distinct":
+            matrix[row] = rng.normal(size=dimension)
+    keep = draw(st.sampled_from(sorted({1, max(1, dimension - 1), dimension, (dimension + 1) // 2})))
+    inner = st.lists(st.integers(1, max(1, dimension - 1)), max_size=3)
+    cuts = sorted({0, dimension, *(c for c in draw(inner) if c < dimension)})
+    return matrix.astype(dtype), keep / dimension, cuts
+
+
+SELECTION_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestRowAtATimeSelection:
+    @SELECTION_SETTINGS
+    @given(case=tie_heavy_cases(), kind=st.sampled_from(SPARSIFIERS))
+    def test_a_rows_payload_is_independent_of_its_neighbours(self, case, kind):
+        matrix, fraction, cuts = case
+        together = make_sparsifier(kind, fraction, cuts).compress_rows(matrix)
+        for row in range(matrix.shape[0]):
+            alone = make_sparsifier(kind, fraction, cuts)
+            # randomk: bring the generator to its state at this row.
+            alone.compress_rows(matrix[:row])
+            payload = alone.compress_rows(matrix[row : row + 1])
+            np.testing.assert_array_equal(payload.indices[0], together.indices[row])
+            np.testing.assert_array_equal(payload.values[0], together.values[row])
+
+    @SELECTION_SETTINGS
+    @given(case=tie_heavy_cases(), kind=st.sampled_from(SPARSIFIERS))
+    def test_kept_set_values_and_residual_fold(self, case, kind):
+        matrix, fraction, cuts = case
+        compressor = make_sparsifier(kind, fraction, cuts)
+        payloads = compressor.compress_rows(matrix)
+        if kind != "layerwise-topk":
+            cuts = [0, matrix.shape[1]]
+        magnitudes = np.abs(matrix).astype(np.float32)
+        kept = np.zeros(matrix.shape, dtype=bool)
+        for row, indices in enumerate(payloads.indices):
+            assert len(set(indices.tolist())) == indices.size  # no coordinate twice
+            kept[row, indices] = True
+        for start, stop in zip(cuts, cuts[1:]):
+            keep = min(stop - start, max(1, int(round((stop - start) * fraction))))
+            block = kept[:, start:stop]
+            assert np.all(block.sum(axis=1) == keep)
+            if kind == "randomk" or keep == stop - start:
+                continue
+            # A valid top-k: nothing dropped outranks anything kept (in the
+            # float32 magnitudes the selection reads).
+            block_magnitudes = magnitudes[:, start:stop]
+            smallest_kept = np.where(block, block_magnitudes, np.inf).min(axis=1)
+            largest_dropped = np.where(block, -np.inf, block_magnitudes).max(axis=1)
+            assert np.all(smallest_kept >= largest_dropped)
+        # Values are the input's own entries, bit for bit, in its own dtype.
+        assert payloads.values.dtype == matrix.dtype
+        expected_values = np.take_along_axis(matrix, payloads.indices, axis=1)
+        assert payloads.values.tobytes() == expected_values.tobytes()
+        # fold_residual zeroes exactly the kept coordinates, nothing else.
+        work = matrix.copy()
+        payloads.fold_residual(work)
+        assert work.tobytes() == np.where(kept, 0.0, matrix).astype(matrix.dtype).tobytes()
+
+    @pytest.mark.parametrize("kind", ["topk", "layerwise-topk"])
+    def test_mostly_zero_row_keeps_every_nonzero(self, kind):
+        # The case the negated partition direction exists for (see
+        # kernels._select_rows): 95 % zeros, fewer non-zeros than the budget,
+        # so the cut lands inside the block of equal zeros.
+        rng = np.random.default_rng(8)
+        dimension, cuts = 2000, [0, 1200, 2000]
+        matrix = np.zeros((3, dimension), dtype=np.float32)
+        for row in matrix:
+            nonzero = rng.choice(dimension, size=100, replace=False)
+            row[nonzero] = rng.uniform(0.5, 2.0, size=100) * rng.choice([-1.0, 1.0], size=100)
+        for start, stop in zip(cuts, cuts[1:]):
+            budget = round(0.1 * (stop - start))
+            assert np.all(np.count_nonzero(matrix[:, start:stop], axis=1) < budget)
+        payloads = make_sparsifier(kind, 0.1, cuts).compress_rows(matrix)
+        for row, indices in zip(matrix, payloads.indices):
+            assert set(np.flatnonzero(row)) <= set(indices.tolist())
+
+    @pytest.mark.parametrize("kind", SPARSIFIERS)
+    def test_allocation_budget_is_the_payload_plus_a_few_rows(self, kind):
+        # Selecting all rows in one argpartition(axis=1) call allocated a
+        # (K, d) int64 matrix (5.1 MB here) to keep 5 % of it.
+        num_rows, dimension, fraction = 32, 20_000, 0.05
+        matrix = np.random.default_rng(9).normal(size=(num_rows, dimension)).astype(np.float32)
+        compressor = make_sparsifier(kind, fraction, [0, 12_000, 18_000, dimension])
+        compressor.compress_rows(matrix)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            payloads = compressor.compress_rows(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        keep = payloads.indices.shape[1]
+        payload_bytes = num_rows * keep * (8 + matrix.itemsize)
+        assert peak - before <= payload_bytes + 4 * dimension * 8
+
+    @pytest.mark.parametrize("kind", SPARSIFIERS)
+    def test_payload_indices_pin_no_larger_array(self, kind):
+        # A sliced-but-uncopied partition result keeps the whole (K, d) int64
+        # matrix alive for as long as the payload lives.
+        matrix = np.random.default_rng(10).normal(size=(4, 500))
+        payloads = make_sparsifier(kind, 0.1, [0, 300, 500]).compress_rows(matrix)
+        for array in (payloads.indices, payloads.values):
+            assert array.base is None or array.base.nbytes == array.nbytes
+
+    @pytest.mark.parametrize("kind", SPARSIFIERS)
+    def test_kernels_hold_no_arrays_between_calls(self, kind):
+        # A shape-keyed scratch cache is reallocated whenever the participating
+        # row count changes (every masked round) and otherwise pins (K, d)
+        # floats for the life of the cluster; state_dict's "nothing, unless it
+        # draws" is true by construction only if there is no such attribute.
+        rng = np.random.default_rng(12)
+        state = ClusterCompression(
+            CompressionConfig(kind, ratio=0.1, error_feedback=True),
+            num_workers=6,
+            dimension=40,
+            layout=[SlotLayout(0, 30, (30,)), SlotLayout(30, 10, (10,))],
+        )
+        for _ in range(5):
+            rows = np.flatnonzero(rng.random(6) < 0.6)
+            state.compress_update(rng.normal(size=(6, 40)), rows=rows)
+        held = [
+            name
+            for name, value in vars(state.compressor).items()
+            if isinstance(value, np.ndarray)
+        ]
+        assert held == []
 
 
 # ---------------------------------------------------------------------------

@@ -514,3 +514,137 @@ class TestGoldenPopulationTrajectory:
         np.testing.assert_allclose(
             results[0].mean_loss, self.GOLDEN_FIRST_LOSS, rtol=1e-6
         )
+
+
+class TestGoldenCompressedTrajectory:
+    """Frozen compressed trajectories: which coordinates travel, in which order.
+
+    The compression parity suites compare the two engines with each other, and
+    both call the same kernel — so a kernel rewrite that changed *which*
+    coordinates a sparsifier keeps (or the order it emits them in, which fixes
+    the floating-point order of ``SparseRowPayloads.mean``'s scatter-add) would
+    pass them all.  These literals were recorded at c2fb04b, the last commit
+    whose sparsifying kernels partitioned the whole ``(K, d)`` matrix in one
+    ``argpartition(..., axis=1)`` call: ``LocalSGDStrategy(tau=1)`` for 12
+    steps on the blobs workload, one compressed collective per step.  Per cell:
+    a running sha256 over every sync's ``payloads.indices.tobytes()`` (order
+    included), the sha256 of the final parameter and residual matrices, and
+    the byte ledger.  Both engines produced the same digits in every cell, so
+    each literal is asserted on both.
+    """
+
+    STEPS = 12
+
+    #: (kernel, error feedback, dtype) -> (indices, parameters, residuals, bytes)
+    GOLDEN = {
+        ("topk", True, "float64"): (
+            "92b1ac9b230f4523e91d6d966efbb96eb0d798d1eef3af7bf2b3cf96637217c2",
+            "767e4f87200d22b20377834a4f34f473846696b0988d4f71396628f5102a7ada",
+            "9f79ac73243a0b8cfde1e367588ba5f4e7f034ef59fd0bbddd1c5c90ee0ce1fb",
+            15360,
+        ),
+        ("topk", True, "float32"): (
+            "0ceb2a15be7972140da42a949466cbaade5e296632f9249192bef61adb3b784e",
+            "4068e43283dd6ae2185d402715bc21d3606c29a6abe0941d05ad035c48a6c33f",
+            "447c6a5853c6192c68c5982288bf1959191d78756facbbf7b2c310c68e516b93",
+            7680,
+        ),
+        ("topk", False, "float64"): (
+            "b19b2c9dcd7fc0a9cfb9a7cae272183826ed9dd192d15bfc082aa20d52452908",
+            "91d93e31a8ff787effdc012faa77a0a9a60a42eea89bd45b09e28292823af108",
+            None,
+            15360,
+        ),
+        ("topk", False, "float32"): (
+            "fb14f850f9e45e7ce8029de7cabb49176fac59a562994a2fc5684dbd73498044",
+            "39fd18f4a9283b43fa77509e94b316310595688da182e8334a2b63b37f7b4b94",
+            None,
+            7680,
+        ),
+        ("layerwise-topk", True, "float64"): (
+            "5f9aa2d2a43ffff805669eacd5eba5485c7f0b3225a764d9def3917a00960b52",
+            "f937fc807bf7f4cb6373b52101b43796fd9e17c0f145ed6fa397a54d4eefed89",
+            "adb7188966f8b753ea0eda88ebeb6616bd29a410617c0f6647957541afcdd9d9",
+            16128,
+        ),
+        ("layerwise-topk", True, "float32"): (
+            "8d62e160aa944b3f8da2452edd68085e58052f4e99fac1e11762b5ee6b2e95c7",
+            "46a46c8ff103da6a2b9093522c86f510a77324d4370317ba0ae6d155754dd2f6",
+            "4e88d7e192573ab3e7b9ef4ac94f07f4c8787efb0ef58e8858cdabf07c7e5cb8",
+            8064,
+        ),
+        ("layerwise-topk", False, "float64"): (
+            "a9ae4f47ec7bf10a277e1bbbdd294ffe88bd8d30077552e8fb4a7f516cf377ea",
+            "2ce8c698fcdf285e2664475bd3bc6974485be63ef22bc799bcf91676ed72928f",
+            None,
+            16128,
+        ),
+        ("layerwise-topk", False, "float32"): (
+            "786fff55141b6c5ce0f119ebe56fc8da74df45b9c7014b6919d5a86df221de85",
+            "3e05173aef546931926c1f2a58a778b6106a608748bab39d44ee62a9f52cf54d",
+            None,
+            8064,
+        ),
+        ("randomk", True, "float64"): (
+            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "cc446d49dfbaf3db973f721712c8518447858823efb7e5f737f990bebde14ed0",
+            "53ad8bbdd1654ae8e88795cf112d46c7796a6791ce171a530262ac6778d74b58",
+            8064,
+        ),
+        ("randomk", True, "float32"): (
+            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "f44d17e94afda1b730ed81ade9be4431cba2c35d3b2934aa6abc1871900a4088",
+            "ea4fd1632d338cbbbcd6c9ab1f0bd6b721288e1962bbbb6caf72ecfe93e84a20",
+            4032,
+        ),
+        ("randomk", False, "float64"): (
+            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "71b88bec0117e669bb79c62cfd93b3143559ea1251e12820e95f7aa7d9debb0b",
+            None,
+            8064,
+        ),
+        ("randomk", False, "float32"): (
+            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "2d02312376790f4986f1ef73fa94d4ea4bc283ec926f5607331ece9dfb62c693",
+            None,
+            4032,
+        ),
+    }
+
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("kernel,error_feedback,dtype", sorted(GOLDEN))
+    def test_compressed_run_matches_frozen_digests(
+        self, blobs_workload, kernel, error_feedback, dtype, execution
+    ):
+        from repro.compression import CompressionConfig
+        from repro.experiments.setup import build_cluster
+        from repro.strategies.local_sgd import LocalSGDStrategy
+
+        cluster, _ = build_cluster(
+            blobs_workload.with_compression(
+                CompressionConfig(kernel, ratio=0.1, error_feedback=error_feedback)
+            )
+            .with_dtype(dtype)
+            .with_execution(execution)
+        )
+        compressor = cluster.compression.compressor
+        compress_rows = compressor.compress_rows
+        indices_digest = hashlib.sha256()
+
+        def recording(matrix):
+            payloads = compress_rows(matrix)
+            indices_digest.update(payloads.indices.tobytes())
+            return payloads
+
+        compressor.compress_rows = recording
+        LocalSGDStrategy(tau=1).attach(cluster).run_steps(self.STEPS)
+
+        residuals = cluster.compression.residual_matrix
+        observed = (
+            indices_digest.hexdigest(),
+            hashlib.sha256(cluster.parameter_matrix.tobytes()).hexdigest(),
+            None if residuals is None else hashlib.sha256(residuals.tobytes()).hexdigest(),
+            cluster.total_bytes,
+        )
+        assert observed == self.GOLDEN[(kernel, error_feedback, dtype)]
+        assert cluster.synchronization_count == self.STEPS

@@ -44,6 +44,15 @@ test (at float32, not even that).  The row rule is the one spelling now, and
    retired spellings occur nowhere under ``src/``, and a call spy sees
    ``Optimizer.step_inplace``, ``StackedOptimizer.step_rows`` (full and
    masked) and ``Worker._apply_update`` all end in that one rule.
+
+The sparsifying compression kernels once partitioned the whole ``(K, d)``
+matrix in one ``argpartition(..., axis=1)`` call over a cached ``(K, d)``
+magnitude matrix — a fresh ``(K, d)`` int64 result on every sync to keep 5 %
+of it.  Rows are selected independently, so the row is the unit now, and
+
+8. sparsifying kernels select one row at a time: under ``compression/`` no
+   call to ``argpartition`` / ``partition`` passes ``axis=``, and the retired
+   all-rows scratch names occur nowhere under ``src/``.
 """
 
 from __future__ import annotations
@@ -237,6 +246,35 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
     del calls[:]
     worker.local_step()
     assert calls == [(1, worker.num_parameters)]
+
+
+#: The all-rows top-k kernel's cached ``(K, d)`` scratch and the helper that
+#: filled it.
+_RETIRED_SELECTION_NAMES = re.compile(r"_magnitude_scratch|_negated_magnitudes")
+
+
+def test_sparsifying_kernels_select_one_row_at_a_time():
+    offenders = [
+        f"src/repro/{module}:{node.lineno}: {ast.get_source_segment(source, node.func)}(… axis=)"
+        for module, source in _sources()
+        if module.startswith("compression/")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("argpartition", "partition")
+        and any(keyword.arg == "axis" for keyword in node.keywords)
+    ]
+    assert not offenders, (
+        "an all-rows partition materialises (K, d) index temporaries — select "
+        "through kernels._select_rows, one row at a time:\n" + "\n".join(offenders)
+    )
+    spelled = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        for number, line in enumerate(source.splitlines(), 1)
+        if _RETIRED_SELECTION_NAMES.search(line)
+    ]
+    assert not spelled, "the (K, d) selection scratch is named again:\n" + "\n".join(spelled)
 
 
 def test_no_private_imports_across_modules():
