@@ -19,42 +19,37 @@ from typing import Dict, List
 
 import pytest
 
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.results import ResultsTable
 from repro.experiments.run import RunResult
 from repro.experiments.reporting import format_comparison, format_results_table
-from repro.experiments.setup import WorkloadConfig, build_cluster
-from repro.experiments.sweep import SweepPoint
+from repro.experiments.setup import WorkloadConfig
+from repro.experiments.sweep import SweepPoint, lower_grid, lower_spec, run_grid, select
 
 #: Set REPRO_BENCH_FULL=1 to run the figures at their full (slow) grids.
 QUICK_MODE = os.environ.get("REPRO_BENCH_FULL", "0") != "1"
 
 
 def run_workload(workload: WorkloadConfig, strategy_factory, run) -> RunResult:
-    """Build a fresh cluster for the workload and execute one training run."""
-    cluster, test_dataset = build_cluster(workload)
-    return run.execute(
-        strategy_factory(),
-        cluster,
-        test_dataset,
-        train_dataset=workload.train_dataset,
-        workload_name=workload.name,
-    )
+    """Execute one training run: a one-cell grid through the sweep executor."""
+    (point,) = run_grid(lower_grid(workload, run, strategy_factory))
+    return point.result
 
 
 def run_spec(spec: ExperimentSpec) -> Dict[str, List[RunResult]]:
-    """Run every strategy of an :class:`ExperimentSpec` on every workload.
+    """Run the spec's strategy comparison: every strategy on every workload.
 
     Returns results grouped by workload label.
     """
+    executor = SweepExecutor()
+    points = run_grid(lower_spec(spec, "comparison"), executor)
+    assert executor.stats.cells == len(spec.workloads) * len(spec.strategy_factories)
     grouped: Dict[str, List[RunResult]] = {}
     for label, workload in spec.workloads.items():
-        results = []
-        for strategy_name, factory in spec.strategy_factories.items():
-            result = run_workload(workload, factory, spec.run)
+        grouped[label] = [point.result for point in select(points, workload=label)]
+        for result in grouped[label]:
             result.workload = f"{workload.name}[{label}]"
-            results.append(result)
-        grouped[label] = results
     return grouped
 
 
@@ -74,13 +69,13 @@ def print_grouped_results(title: str, grouped: Dict[str, List[RunResult]]) -> No
                     pass
 
 
-def print_sweep(title: str, points: List[SweepPoint]) -> None:
-    """Print a one-line-per-grid-point summary of a sweep."""
+def print_sweep(title: str, points: List[SweepPoint], axis: str = "theta") -> None:
+    """Print a one-line-per-grid-point summary of a sweep along ``axis``."""
     print(f"\n--- {title} ---")
     for point in points:
         result = point.result
         print(
-            f"{point.parameter}={point.value:<8g} strategy={result.strategy:<12} "
+            f"{axis}={point.tags[axis]:<8g} strategy={result.strategy:<12} "
             f"reached={str(result.reached_target):<5} comm={result.communication_bytes:>12} B  "
             f"steps={result.parallel_steps:>6}  syncs={result.synchronizations}"
         )

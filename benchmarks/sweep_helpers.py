@@ -13,50 +13,42 @@ fixed K for the two FDA variants.  The shape checks shared by all four:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from benchmarks.conftest import print_sweep, run_workload
+from benchmarks.conftest import print_sweep
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.registry import ExperimentSpec
-from repro.experiments.sweep import SweepPoint, sweep_theta, sweep_workers
-from repro.strategies.fda_strategy import FDAStrategy
+from repro.experiments.sweep import SweepPoint, lower_spec, run_grid, select
 
 
-def run_theta_sweeps(
-    spec: ExperimentSpec, executor: Optional[SweepExecutor] = None
-) -> Dict[str, List[SweepPoint]]:
-    """Θ sweep at fixed K for both FDA variants."""
-    workload = next(iter(spec.workloads.values()))
-    sweeps = {}
-    for variant in ("linear", "sketch"):
-        sweeps[variant] = sweep_theta(
-            workload, list(spec.fda_thetas), spec.run, variant=variant,
-            executor=executor,
-        )
-    return sweeps
+def run_figure_sweeps(spec: ExperimentSpec, executor: Optional[SweepExecutor] = None):
+    """Run both sweeps of one figure spec on its first workload, as one batch.
 
-
-def run_worker_sweeps(
-    spec: ExperimentSpec, executor: Optional[SweepExecutor] = None
-) -> Dict[str, List[SweepPoint]]:
-    """K sweep at the spec's central Θ for every strategy in the line-up."""
-    workload = next(iter(spec.workloads.values()))
-    sweeps = {}
-    for name, factory in spec.strategy_factories.items():
-        sweeps[name] = sweep_workers(
-            workload, list(spec.worker_counts), spec.run, factory,
-            executor=executor,
-        )
-    return sweeps
+    The Θ sweep (fixed K) covers the spec's FDA variants, the K sweep (the
+    spec's central Θ) every strategy in the line-up; both come out of
+    :func:`repro.experiments.sweep.lower_spec` and are keyed by strategy name.
+    ``executor`` is shared by all cells when given, so one figure's cells can
+    hit a populated run store and share memoized setup.
+    """
+    executor = executor if executor is not None else SweepExecutor()
+    first = next(iter(spec.workloads))
+    before = executor.stats.cells
+    points = run_grid(select(lower_spec(spec, "theta", "workers"), workload=first), executor)
+    fda = [name for name in spec.strategy_factories if "FDA" in name]
+    assert executor.stats.cells - before == len(fda) * len(spec.fda_thetas) + len(
+        spec.strategy_factories
+    ) * len(spec.worker_counts)
+    return (
+        {name: select(points, grid="theta", strategy=name) for name in fda},
+        {name: select(points, grid="workers", strategy=name) for name in spec.strategy_factories},
+    )
 
 
 def check_theta_trends(sweeps: Dict[str, List[SweepPoint]]) -> None:
     """Larger Θ ⇒ (weakly) fewer synchronizations and no more sync traffic."""
     for variant, points in sweeps.items():
-        ordered = sorted(points, key=lambda p: p.value)
-        syncs = [p.synchronizations for p in ordered]
+        ordered = sorted(points, key=lambda p: p.tags["theta"])
+        syncs = [p.result.synchronizations for p in ordered]
         assert all(b <= a + 1 for a, b in zip(syncs, syncs[1:])), (
             f"{variant}: synchronizations should not grow with Theta, got {syncs}"
         )
@@ -68,37 +60,24 @@ def check_theta_trends(sweeps: Dict[str, List[SweepPoint]]) -> None:
 
 def check_worker_trends(sweeps: Dict[str, List[SweepPoint]]) -> None:
     """FDA stays far below Synchronous in communication at every K."""
-    sync_points = {int(p.value): p for p in sweeps.get("Synchronous", [])}
+    sync_points = {p.tags["num_workers"]: p.result for p in sweeps.get("Synchronous", [])}
     for name, points in sweeps.items():
         if "FDA" not in name:
             continue
         for point in points:
-            sync = sync_points.get(int(point.value))
+            workers, result = point.tags["num_workers"], point.result
+            sync = sync_points.get(workers)
             if sync is None:
                 continue
-            assert point.communication_bytes < sync.communication_bytes, (
-                f"{name} at K={point.value} used {point.communication_bytes} bytes, "
+            assert result.communication_bytes < sync.communication_bytes, (
+                f"{name} at K={workers} used {result.communication_bytes} bytes, "
                 f"Synchronous used {sync.communication_bytes}"
             )
 
 
 def print_figure(title: str, theta_sweeps, worker_sweeps) -> None:
     print(f"\n=== {title} ===")
-    for variant, points in theta_sweeps.items():
-        print_sweep(f"Theta sweep ({variant}FDA)", points)
+    for name, points in theta_sweeps.items():
+        print_sweep(f"Theta sweep ({name})", points)
     for name, points in worker_sweeps.items():
-        print_sweep(f"K sweep ({name})", points)
-
-
-def run_figure_sweeps(spec: ExperimentSpec, executor: Optional[SweepExecutor] = None):
-    """Run both sweeps for one figure spec.
-
-    ``executor`` (a :class:`~repro.experiments.executor.SweepExecutor`) is
-    shared across both sweeps when given, so one figure's cells can hit a
-    populated run store and share memoized setup.
-    """
-    if executor is None:
-        executor = SweepExecutor()
-    theta_sweeps = run_theta_sweeps(spec, executor=executor)
-    worker_sweeps = run_worker_sweeps(spec, executor=executor)
-    return theta_sweeps, worker_sweeps
+        print_sweep(f"K sweep ({name})", points, axis="num_workers")

@@ -13,22 +13,29 @@ import numpy as np
 
 from benchmarks.conftest import print_sweep
 from repro.core.theta import PAPER_THETA_SLOPES, fit_theta_slope, theta_guideline
-from repro.experiments.registry import figure12
-from repro.experiments.sweep import sweep_theta
+from repro.experiments.executor import SweepExecutor
+from repro.experiments.registry import fda, figure12
+from repro.experiments.sweep import lower_grid, run_grid, select
 
 
 def _run(quick):
     spec = figure12(quick=quick)
+    executor = SweepExecutor()
+    workloads = dict(spec["workloads"])
+    every_point = run_grid(
+        lower_grid(workloads, spec["run"], fda, theta=spec["theta_grid"]), executor
+    )
+    assert executor.stats.cells == len(workloads) * len(spec["theta_grid"])
     best_points = []
     all_sweeps = {}
-    for label, workload in spec["workloads"]:
+    for label, workload in workloads.items():
         dimension = workload.model_factory().num_parameters
-        points = sweep_theta(workload, list(spec["theta_grid"]), spec["run"], variant="linear")
+        points = select(every_point, workload=label)
         all_sweeps[label] = points
         reached = [p for p in points if p.result.reached_target]
         candidates = reached or points
-        best = min(candidates, key=lambda p: p.communication_bytes)
-        best_points.append((label, dimension, best.value))
+        best = min(candidates, key=lambda p: p.result.communication_bytes)
+        best_points.append((label, dimension, best.tags["theta"]))
     return spec, all_sweeps, best_points
 
 

@@ -15,17 +15,19 @@ from benchmarks.conftest import (
     run_spec,
     strategies_by_name,
 )
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.registry import figure13
-from repro.experiments.sweep import sweep_theta
+from repro.experiments.sweep import lower_spec, run_grid, select
 
 
 def _run(quick):
     spec = figure13(quick=quick)
     grouped = run_spec(spec)
-    workload = spec.workloads["K=3"]
+    executor = SweepExecutor()
+    points = run_grid(select(lower_spec(spec, "theta"), workload="K=3"), executor)
+    assert executor.stats.cells == 2 * len(spec.fda_thetas)
     theta_sweeps = {
-        variant: sweep_theta(workload, list(spec.fda_thetas), spec.run, variant=variant)
-        for variant in ("linear", "sketch")
+        name: select(points, strategy=name) for name in ("LinearFDA", "SketchFDA")
     }
     return grouped, theta_sweeps
 
@@ -34,7 +36,7 @@ def test_figure13_transfer_learning(benchmark, quick):
     grouped, theta_sweeps = benchmark.pedantic(_run, args=(quick,), rounds=1, iterations=1)
     print_grouped_results("Figure 13: ConvNeXt-head fine-tuning on CIFAR-100 features", grouped)
     for variant, points in theta_sweeps.items():
-        print_sweep(f"Theta sweep ({variant}FDA, K=3)", points)
+        print_sweep(f"Theta sweep ({variant}, K=3)", points)
 
     for results in grouped.values():
         assert_fda_communication_advantage(results, factor_vs_sync=3.0)
@@ -51,6 +53,6 @@ def test_figure13_transfer_learning(benchmark, quick):
 
     # Communication decreases (weakly) with Theta for both variants.
     for variant, points in theta_sweeps.items():
-        ordered = sorted(points, key=lambda p: p.value)
+        ordered = sorted(points, key=lambda p: p.tags["theta"])
         model_bytes = [p.result.model_bytes for p in ordered]
         assert model_bytes[-1] <= model_bytes[0] + 1

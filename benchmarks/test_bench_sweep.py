@@ -3,8 +3,9 @@
 One 24-cell grid (12 variance thresholds Θ × 2 workload seeds) is executed
 four ways and timed:
 
-* **eager** — the pre-executor reference path (:func:`_run_one`): every cell
-  rebuilds dataset partitions and all K worker models from scratch;
+* **eager** — the pre-executor reference path (``build_cluster`` +
+  ``TrainingRun.execute`` per cell): every cell rebuilds dataset partitions
+  and all K worker models from scratch;
 * **cold** — the executor with an empty content-addressed store: every cell
   trains, but partitions and initial model state are memoized per workload
   and rebound per cell (copy-on-bind);
@@ -37,11 +38,12 @@ import pytest
 from benchmarks.bench_json import emit_bench_section
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import synthetic_features
-from repro.experiments.executor import SweepCell, SweepExecutor
+from repro.experiments.executor import SweepExecutor
+from repro.experiments.registry import fda
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimizer
+from repro.experiments.sweep import lower_grid
 from repro.nn.architectures import transfer_head
-from repro.strategies.fda_strategy import FDAStrategy
 
 SMALL = os.environ.get("REPRO_BENCH_SMALL", "0") == "1"
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
@@ -89,17 +91,9 @@ def build_workload(seed: int) -> WorkloadConfig:
 
 def build_cells(workloads) -> list:
     return [
-        SweepCell(
-            workload=workload,
-            strategy_factory=lambda theta=theta: FDAStrategy(
-                threshold=theta, variant="linear", seed=0
-            ),
-            run=RUN,
-            label=f"theta={theta}/seed={workload.seed}",
-            tags={"theta": theta, "seed": workload.seed},
-        )
+        cell
         for workload in workloads
-        for theta in THETAS
+        for cell in lower_grid(workload, RUN, fda, seed=[workload.seed], theta=THETAS)
     ]
 
 
@@ -146,6 +140,7 @@ def test_bench_sweep_executor(tmp_path):
         eager, eager_s = timed(lambda: run_eager(cells))
         cold_executor = SweepExecutor(cache_dir=directory)
         cold, cold_s = timed(lambda: cold_executor.execute(cells))
+        assert cold_executor.stats.cells == len(THETAS) * len(WORKLOAD_SEEDS)
         return eager, eager_s, cold, cold_s
 
     eager_results, eager_seconds, cold_results, cold_seconds = measure_eager_and_cold(

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from repro import DynamicThetaController, FDAStrategy, TrainingRun, build_cluster
 from repro.core.theta import calibrate_theta, theta_guideline
-from repro.experiments.registry import lenet_mnist_workload
-from repro.experiments.sweep import sweep_theta
+from repro.experiments.registry import fda, lenet_mnist_workload
+from repro.experiments.sweep import lower_grid, run_grid
 from repro.strategies.synchronous import SynchronousStrategy
 from repro.utils.formatting import format_bytes
 
@@ -29,12 +29,12 @@ from repro.utils.formatting import format_bytes
 def sweep_section(workload, run) -> None:
     print("\n### 1. Θ sweep (communication vs computation trade-off)")
     thetas = [1.0, 4.0, 16.0, 64.0]
-    points = sweep_theta(workload, thetas, run, variant="linear")
+    points = run_grid(lower_grid(workload, run, fda, theta=thetas))
     print(f"{'Theta':>8}  {'reached':>7}  {'comm':>12}  {'steps':>6}  {'syncs':>5}")
     for point in points:
         result = point.result
         print(
-            f"{point.value:>8g}  {str(result.reached_target):>7}  "
+            f"{point.tags['theta']:>8g}  {str(result.reached_target):>7}  "
             f"{format_bytes(result.communication_bytes):>12}  "
             f"{result.parallel_steps:>6}  {result.synchronizations:>5}"
         )

@@ -14,10 +14,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.registry import lenet_mnist_workload
+from functools import partial
+
+from repro.experiments.registry import fda, lenet_mnist_workload
 from repro.experiments.run import TrainingRun
-from repro.experiments.sweep import sweep_fabric
-from repro.strategies.fda_strategy import FDAStrategy
+from repro.experiments.sweep import lower_grid, run_grid, select
 from repro.strategies.synchronous import SynchronousStrategy
 from repro.utils.formatting import format_bytes, format_duration
 
@@ -33,26 +34,25 @@ def main() -> None:
 
     strategies = {
         "Synchronous": lambda: SynchronousStrategy(),
-        "LinearFDA": lambda: FDAStrategy(threshold=THETA, variant="linear"),
+        "LinearFDA": partial(fda, theta=THETA, variant="linear"),
     }
 
     print(f"workload: {workload.name}, K={workload.num_workers}, {MAX_STEPS} steps")
     print("every cell: total bytes | compute s + communication s = wall-clock")
-    for name, factory in strategies.items():
-        points = sweep_fabric(
-            workload, run, factory, topologies=TOPOLOGIES, networks=NETWORKS
-        )
+    # One grid — topology x network x strategy — lowered once and run as one batch.
+    points = run_grid(
+        lower_grid(workload, run, strategies, topology=TOPOLOGIES, network=NETWORKS)
+    )
+    for name in strategies:
         print(f"\n=== {name} ===")
         header = f"{'topology':<14}" + "".join(f"{network:>34}" for network in NETWORKS)
         print(header)
         print("-" * len(header))
-        by_topology = {}
-        for point in points:
-            by_topology.setdefault(point.topology, {})[point.network] = point.result
         for topology in TOPOLOGIES:
             cells = []
             for network in NETWORKS:
-                result = by_topology[topology][network]
+                (point,) = select(points, strategy=name, topology=topology, network=network)
+                result = point.result
                 cells.append(
                     f"{format_bytes(result.communication_bytes):>10} | "
                     f"{result.compute_seconds:.0f}s + {result.comm_seconds:5.1f}s "

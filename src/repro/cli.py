@@ -10,25 +10,32 @@ Examples::
     python -m repro.cli compare --workload lenet --topology ring --network fl
     python -m repro.cli compare --workload lenet --compressor topk --compression-ratio 0.1 --error-feedback
     python -m repro.cli fabric --workload lenet --topologies star ring --networks fl hpc
-    python -m repro.cli compression --workload lenet --theta 8
+    python -m repro.cli compression --full
     python -m repro.cli compare --workload lenet --crash-rate 0.1 --loss-rate 0.05
     python -m repro.cli faults --workload lenet --crash-rates 0 0.1 --loss-rates 0 0.05
     python -m repro.cli sweep --workload lenet --thetas 1 4 16 --seeds 0 1 --cache-dir runs/lenet --jobs 4
 
-``figureN`` commands run the strategies of the corresponding registry entry on
-its workloads and print the per-strategy cost table; ``compare`` runs a custom
-single comparison (FDA variants vs Synchronous vs the matching FedOpt
+Every command that trains lowers its grid through
+:mod:`repro.experiments.sweep` and runs it as one batch on the sweep executor;
+the tables below it are one printer (``format_points_table``) over per-command
+column lists.  ``figureN`` lowers the registry entry — the strategy comparison
+per workload, then every grid the spec declares (Θ, K, …) — ``compare`` runs a
+custom single comparison (FDA variants vs Synchronous vs the matching FedOpt
 baseline) for one of the named workloads, optionally on a non-default fabric,
 execution engine, or payload compression; ``fabric`` sweeps a topology ×
 network grid and reports per-category bytes plus virtual wall-clock per round
 for each cell; ``compression`` sweeps payload-compression settings and
-reports how many model-sync bytes each kernel removes.
+reports how many model-sync bytes each kernel removes; ``faults`` crosses
+crash and loss rates; ``sweep`` is the cached, resumable, parallel Θ × seed
+grid.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from itertools import product
 from typing import List, Optional
 
 from repro.compression import NAMED_COMPRESSORS, CompressionConfig
@@ -37,16 +44,17 @@ from repro.distributed.network import NAMED_NETWORKS
 from repro.distributed.topology import NAMED_TOPOLOGIES
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
-from repro.experiments.reporting import format_comparison, format_results_table
-from repro.experiments.run import TrainingRun
-from repro.experiments.setup import build_cluster
 from repro.experiments.executor import SweepExecutor
-from repro.experiments.sweep import (
-    run_compression_spec,
-    run_fabric_spec,
-    sweep_fabric,
-    sweep_theta,
+from repro.experiments.reporting import (
+    Column,
+    format_comparison,
+    format_points_table,
+    format_results_table,
 )
+from repro.experiments.run import TrainingRun
+from repro.experiments.sweep import lower_grid, lower_spec, run_grid, select
+from repro.faults.plan import FaultPlan
+from repro.population.config import PopulationConfig
 from repro.serving.aggregation import STALENESS_RULES
 from repro.serving.config import (
     ARRIVAL_KINDS,
@@ -54,7 +62,6 @@ from repro.serving.config import (
     QUEUE_POLICIES,
     ServingConfig,
 )
-from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 from repro.utils.formatting import format_bytes, format_duration
 
@@ -83,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for figure_name in sorted(registry.ALL_FIGURES):
         figure_parser = subparsers.add_parser(
-            figure_name, help=f"run the {figure_name} strategy comparison"
+            figure_name, help=f"run {figure_name}: its strategy comparison, then its declared grids"
         )
         figure_parser.add_argument(
             "--full", action="store_true", help="use the full (slow) grids instead of quick mode"
@@ -338,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     print("available experiments:")
     print("  table2        summary of experiments")
     for name in sorted(registry.ALL_FIGURES):
@@ -353,7 +360,7 @@ def _command_list() -> int:
     return 0
 
 
-def _command_table2() -> int:
+def _command_table2(args: argparse.Namespace) -> int:
     rows = registry.table2()
     header = f"{'model':<28}{'d':>8}  {'dataset':<22}{'b':>4}{'K':>4}  {'optimizer':<8}  algorithms"
     print(header)
@@ -367,24 +374,78 @@ def _command_table2() -> int:
     return 0
 
 
-def _command_figure(name: str, full: bool) -> int:
-    spec = registry.ALL_FIGURES[name](quick=not full)
+def _tag(name: str, align: str, style: str = "") -> Column:
+    """A column showing each point's coordinate ``name``."""
+    return (name, align, lambda point: format(point.tags[name], style))
+
+
+def _cost(title: str, align: str, attribute: str, show=str) -> Column:
+    """A column showing ``show(point.result.<attribute>)``."""
+    return (title, align, lambda point: show(getattr(point.result, attribute)))
+
+
+_BYTES = _cost("bytes", ">12", "communication_bytes", format_bytes)
+_STEPS = _cost("steps", ">8", "parallel_steps")
+_SYNCS = _cost("syncs", ">8", "synchronizations")
+_ACCURACY = _cost("acc", ">8", "final_accuracy", "{:.3f}".format)
+_REACHED = _cost("reached", ">9", "reached_target")
+_COST_COLUMNS = (_BYTES, _STEPS, _SYNCS, _ACCURACY, _REACHED)
+_FABRIC_COLUMNS = (
+    _tag("topology", "<14"),
+    _tag("network", "<10"),
+    _cost("model-sync", ">12", "model_bytes", format_bytes),
+    _cost("fda-state", ">12", "state_bytes", format_bytes),
+    _cost("total", ">12", "communication_bytes", format_bytes),
+    _cost("wall-clock", ">14", "virtual_seconds", format_duration),
+    _cost("s/round", ">12", "seconds_per_round", "{:.3f}s".format),
+)
+_COMPRESSION_COLUMNS = (
+    _cost("compression", "<28", "compression"),
+    _cost("model-sync", ">12", "model_bytes", format_bytes),
+    _cost("total", ">12", "communication_bytes", format_bytes),
+    _STEPS,
+    _ACCURACY,
+    _REACHED,
+)
+
+
+def _print_by_strategy(points, columns, suffix: str = "") -> None:
+    """One table per strategy, in the order the strategies first appear."""
+    for name in dict.fromkeys(point.tags["strategy"] for point in points):
+        print(f"\n=== {name}{suffix} ===")
+        print(format_points_table(select(points, strategy=name), columns))
+
+
+def _budget(args: argparse.Namespace) -> TrainingRun:
+    return TrainingRun(
+        accuracy_target=args.target, max_steps=args.max_steps, eval_every_steps=20
+    )
+
+
+def _fda_vs_bsp(theta: float):
+    return {
+        "LinearFDA": partial(registry.fda, theta=theta, variant="linear"),
+        "Synchronous": lambda: SynchronousStrategy(),
+    }
+
+
+def _command_figure(args: argparse.Namespace) -> int:
+    spec = registry.ALL_FIGURES[args.command](quick=not args.full)
     print(f"{spec.experiment_id}: {spec.title}")
-    for label, workload in spec.workloads.items():
+    points = run_grid(lower_spec(spec))
+    for label in spec.workloads:
         print(f"\n--- setting: {label} ---")
-        results = []
-        for strategy_name, factory in spec.strategy_factories.items():
-            cluster, test_dataset = build_cluster(workload)
-            result = spec.run.execute(
-                factory(), cluster, test_dataset,
-                train_dataset=workload.train_dataset, workload_name=workload.name,
-            )
-            results.append(result)
+        results = [point.result for point in select(points, grid="comparison", workload=label)]
         print(format_results_table(results, reached_only=False))
-        try:
+        if {"LinearFDA", "Synchronous"} <= {result.strategy for result in results}:
             print(format_comparison(results, "LinearFDA", "Synchronous"))
-        except Exception:  # noqa: BLE001 - reporting only
-            pass
+    for grid in dict.fromkeys(point.tags["grid"] for point in points):
+        if grid == "comparison":
+            continue
+        rows = select(points, grid=grid)
+        print(f"\n=== {grid} grid ===")
+        coordinates = [_tag(axis, "<14") for axis in rows[0].tags if axis != "grid"]
+        print(format_points_table(rows, (*coordinates, *_COST_COLUMNS)))
     return 0
 
 
@@ -405,69 +466,31 @@ def _command_compare(args: argparse.Namespace) -> int:
     workload = workload.with_fabric(topology=args.topology, network=args.network)
     workload = workload.with_execution(args.execution)
     workload = workload.with_dtype(args.dtype)
-    try:
-        workload = workload.with_compression(_compression_from_args(args))
-    except ConfigurationError as error:  # out-of-range ratio/bits
-        print(f"error: {error}")
-        return 2
+    workload = workload.with_compression(_compression_from_args(args))
     if args.dropout_rate:
-        try:
-            workload = workload.with_timeline(dropout_rate=args.dropout_rate)
-        except ConfigurationError as error:  # out-of-range rate
-            print(f"error: {error}")
-            return 2
+        workload = workload.with_timeline(dropout_rate=args.dropout_rate)
     if args.crash_rate or args.loss_rate:
-        from repro.faults import FaultPlan
-
-        try:
-            workload = workload.with_faults(
-                FaultPlan(
-                    crash_rate=args.crash_rate,
-                    loss_rate=args.loss_rate,
-                    seed=args.fault_seed,
-                )
-            )
-        except ConfigurationError as error:  # out-of-range rates
-            print(f"error: {error}")
-            return 2
-    if args.population:
-        from repro.population import PopulationConfig
-
-        try:
-            workload = workload.with_population(
-                PopulationConfig(
-                    num_clients=args.population, cohort_size=args.cohort_size
-                )
-            )
-        except ConfigurationError as error:  # e.g. cohort larger than N
-            print(f"error: {error}")
-            return 2
-    try:
-        run = TrainingRun(
-            accuracy_target=args.target, max_steps=args.max_steps, eval_every_steps=20,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint_path,
+        workload = workload.with_faults(
+            FaultPlan(crash_rate=args.crash_rate, loss_rate=args.loss_rate, seed=args.fault_seed)
         )
-    except ConfigurationError as error:  # --checkpoint-every without a path
-        print(f"error: {error}")
-        return 2
+    if args.population:
+        workload = workload.with_population(
+            PopulationConfig(num_clients=args.population, cohort_size=args.cohort_size)
+        )
+    run = TrainingRun(
+        accuracy_target=args.target, max_steps=args.max_steps, eval_every_steps=20,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=args.checkpoint_path,
+    )
     fedopt = "fedavgm" if "densenet" in args.workload else "fedadam"
-    strategies = registry.default_strategies(args.theta, fedopt=fedopt)
-    results = []
-    for name, factory in strategies.items():
+    strategies = {}
+    for name, factory in registry.default_strategies(args.theta, fedopt=fedopt).items():
         strategy = factory()
-        if args.topology not in strategy.supported_topologies:
+        if args.topology in strategy.supported_topologies:
+            strategies[name] = factory
+        else:
             print(f"(skipping {strategy.name}: no support for the {args.topology} topology)")
-            continue
-        try:
-            cluster, test_dataset = build_cluster(workload)
-        except ConfigurationError as error:
-            # e.g. --execution batched on a model with DenseBlock layers, or
-            # an out-of-range --dropout-rate: report the incompatibility
-            # cleanly instead of a traceback (the message names the cause).
-            print(f"error: {error}")
-            return 2
-        results.append(run.execute(strategy, cluster, test_dataset, workload_name=workload.name))
+    results = [point.result for point in run_grid(lower_grid(workload, run, strategies))]
     compression = workload.compression.describe() if workload.compression else "none"
     faults = workload.faults.describe() if workload.faults else "none"
     print(
@@ -480,66 +503,24 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_fabric_points(label: str, points) -> None:
-    header = (
-        f"{'topology':<14}{'network':<10}{'model-sync':>12}{'fda-state':>12}"
-        f"{'total':>12}{'wall-clock':>14}{'s/round':>12}"
-    )
-    print(f"\n=== {label} ===")
-    print(header)
-    print("-" * len(header))
-    for point in points:
-        result = point.result
-        print(
-            f"{point.topology:<14}{point.network:<10}"
-            f"{format_bytes(result.model_bytes):>12}"
-            f"{format_bytes(result.state_bytes):>12}"
-            f"{format_bytes(result.communication_bytes):>12}"
-            f"{format_duration(result.virtual_seconds):>14}"
-            f"{point.seconds_per_round:>11.3f}s"
-        )
-
-
 def _command_fabric(args: argparse.Namespace) -> int:
     if args.spec:
         spec = registry.fabric_sweep(quick=not args.full)
         print(f"{spec.experiment_id}: {spec.title}")
-        for strategy_name, points in run_fabric_spec(spec).items():
-            _print_fabric_points(strategy_name, points)
+        _print_by_strategy(run_grid(lower_spec(spec, "fabric")), _FABRIC_COLUMNS)
         return 0
     workload = _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers)
-    run = TrainingRun(
-        accuracy_target=args.target, max_steps=args.max_steps, eval_every_steps=20
+    cells = lower_grid(
+        workload,
+        _budget(args),
+        _fda_vs_bsp(args.theta),
+        topology=args.topologies,
+        network=args.networks,
     )
-    for label, factory in (
-        ("LinearFDA", lambda: FDAStrategy(threshold=args.theta, variant="linear")),
-        ("Synchronous", lambda: SynchronousStrategy()),
-    ):
-        points = sweep_fabric(
-            workload, run, factory, topologies=args.topologies, networks=args.networks
-        )
-        _print_fabric_points(f"{label} (theta={args.theta}, K={args.workers})", points)
+    _print_by_strategy(
+        run_grid(cells), _FABRIC_COLUMNS, f" (theta={args.theta}, K={args.workers})"
+    )
     return 0
-
-
-def _print_compression_points(label: str, points) -> None:
-    header = (
-        f"{'compression':<28}{'model-sync':>12}{'total':>12}"
-        f"{'steps':>8}{'acc':>8}{'reached':>9}"
-    )
-    print(f"\n=== {label} ===")
-    print(header)
-    print("-" * len(header))
-    for point in points:
-        result = point.result
-        print(
-            f"{point.compression:<28}"
-            f"{format_bytes(result.model_bytes):>12}"
-            f"{format_bytes(result.communication_bytes):>12}"
-            f"{result.parallel_steps:>8}"
-            f"{result.final_accuracy:>8.3f}"
-            f"{str(result.reached_target):>9}"
-        )
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
@@ -549,26 +530,23 @@ def _command_sweep(args: argparse.Namespace) -> int:
         resume=args.resume,
         force=args.force,
     )
-    run = TrainingRun(
-        accuracy_target=args.target, max_steps=args.max_steps, eval_every_steps=20
-    )
-    header = (
-        f"{'theta':>8}{'seed':>6}{'bytes':>12}{'steps':>8}{'syncs':>8}"
-        f"{'acc':>8}{'reached':>9}"
-    )
-    print(header)
-    print("-" * len(header))
-    for seed in args.seeds:
-        workload = _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers, seed=seed)
-        points = sweep_theta(workload, args.thetas, run, seed=seed, executor=executor)
-        for point in points:
-            result = point.result
-            print(
-                f"{point.value:>8.2f}{seed:>6}"
-                f"{format_bytes(result.communication_bytes):>12}"
-                f"{result.parallel_steps:>8}{result.synchronizations:>8}"
-                f"{result.final_accuracy:>8.3f}{str(result.reached_target):>9}"
-            )
+    run = _budget(args)
+    # One grid, one batch: ``seed`` is an axis like Θ (each seed's workload is
+    # the builder's, whose data and initial model follow the seed too), and the
+    # executor sees every pending cell at once — that is what ``--jobs`` spreads.
+    cells = [
+        cell
+        for seed in args.seeds
+        for cell in lower_grid(
+            _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers, seed=seed),
+            run,
+            partial(registry.fda, variant="linear"),
+            seed=[seed],
+            theta=args.thetas,
+        )
+    ]
+    columns = (_tag("theta", ">8", ".2f"), _tag("seed", ">6"), *_COST_COLUMNS)
+    print(format_points_table(run_grid(cells, executor), columns))
     print(f"\ncache: {executor.stats.describe()}")
     if executor.store is not None:
         print(f"store: {executor.store.runs_path} ({len(executor.store)} records)")
@@ -577,56 +555,38 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 def _command_faults(args: argparse.Namespace) -> int:
     """Crash-rate x loss-rate degradation grid: FDA vs BSP, plus retry costs."""
-    from repro.faults import FaultPlan
-
     workload = _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers)
-    run = TrainingRun(
-        accuracy_target=args.target, max_steps=args.max_steps, eval_every_steps=20
-    )
-    strategies = (
-        ("LinearFDA", lambda: FDAStrategy(threshold=args.theta, variant="linear")),
-        ("Synchronous", lambda: SynchronousStrategy()),
-    )
-    header = (
-        f"{'crash':>7}{'loss':>7}  {'strategy':<14}{'bytes':>12}{'steps':>8}"
-        f"{'acc':>8}{'reached':>9}{'retx':>10}{'crashes':>9}"
+    plans = []
+    rates = {}  # a plan's coordinate (its label; None for a null plan) → the rates its rows show
+    for crash_rate, loss_rate in product(args.crash_rates, args.loss_rates):
+        plan = FaultPlan(crash_rate=crash_rate, loss_rate=loss_rate, seed=args.fault_seed)
+        plans.append(None if plan.is_null else plan)
+        rates[None if plan.is_null else plan.describe()] = (crash_rate, loss_rate)
+    cells = lower_grid(workload, _budget(args), _fda_vs_bsp(args.theta), faults=plans)
+
+    def _log(point) -> dict:
+        return point.result.fault_log or {}
+
+    columns = (
+        ("crash", ">7", lambda point: f"{rates[point.tags['faults']][0]:.2f}"),
+        ("loss", ">7", lambda point: f"{rates[point.tags['faults']][1]:.2f}"),
+        ("  strategy", "<16", lambda point: "  " + point.tags["strategy"]),
+        _BYTES,
+        _STEPS,
+        _ACCURACY,
+        _REACHED,
+        ("retx", ">10", lambda point: format_bytes(_log(point).get("retransmitted_bytes", 0))),
+        ("crashes", ">9", lambda point: len(_log(point).get("crashes", []))),
     )
     print(f"fault-degradation grid (theta={args.theta}, K={args.workers})")
-    print(header)
-    print("-" * len(header))
-    for crash_rate in args.crash_rates:
-        for loss_rate in args.loss_rates:
-            try:
-                plan = FaultPlan(
-                    crash_rate=crash_rate, loss_rate=loss_rate, seed=args.fault_seed
-                )
-            except ConfigurationError as error:  # out-of-range rates
-                print(f"error: {error}")
-                return 2
-            faulted = workload.with_faults(None if plan.is_null else plan)
-            for name, factory in strategies:
-                cluster, test_dataset = build_cluster(faulted)
-                result = run.execute(
-                    factory(), cluster, test_dataset, workload_name=faulted.name
-                )
-                log = result.fault_log or {}
-                print(
-                    f"{crash_rate:>7.2f}{loss_rate:>7.2f}  {name:<14}"
-                    f"{format_bytes(result.communication_bytes):>12}"
-                    f"{result.parallel_steps:>8}"
-                    f"{result.final_accuracy:>8.3f}"
-                    f"{str(result.reached_target):>9}"
-                    f"{format_bytes(log.get('retransmitted_bytes', 0)):>10}"
-                    f"{len(log.get('crashes', [])):>9}"
-                )
+    print(format_points_table(run_grid(cells), columns))
     return 0
 
 
 def _command_compression(args: argparse.Namespace) -> int:
     spec = registry.compression_sweep(quick=not args.full)
     print(f"{spec.experiment_id}: {spec.title}")
-    for strategy_name, points in run_compression_spec(spec).items():
-        _print_compression_points(strategy_name, points)
+    _print_by_strategy(run_grid(lower_spec(spec, "compression")), _COMPRESSION_COLUMNS)
     return 0
 
 
@@ -680,26 +640,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "table2":
-        return _command_table2()
-    if args.command == "compare":
-        return _command_compare(args)
-    if args.command == "fabric":
-        return _command_fabric(args)
-    if args.command == "compression":
-        return _command_compression(args)
-    if args.command == "faults":
-        return _command_faults(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command in registry.ALL_FIGURES:
-        return _command_figure(args.command, full=getattr(args, "full", False))
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    commands = {
+        "list": _command_list,
+        "table2": _command_table2,
+        "compare": _command_compare,
+        "fabric": _command_fabric,
+        "compression": _command_compression,
+        "faults": _command_faults,
+        "sweep": _command_sweep,
+        "serve": _command_serve,
+    }
+    try:
+        return commands.get(args.command, _command_figure)(args)
+    except ConfigurationError as error:
+        # Out-of-range flags (rates, ratios, a checkpoint cadence without a
+        # path) and combinations the planes refuse (a batched engine on a
+        # model with no batched kernel, a cohort larger than the population):
+        # the message names the cause, so report it instead of a traceback.
+        print(f"error: {error}")
+        return 2
 
 
 if __name__ == "__main__":

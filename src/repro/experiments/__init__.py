@@ -4,9 +4,11 @@ A *training run* (Section 4.1) executes one DDL algorithm on one workload
 until the global model reaches a target test accuracy, and reports two costs:
 communication (total bytes transmitted by all workers) and computation
 (in-parallel learning steps).  This subpackage provides the workload builder,
-the run loop, sweeps over Θ and K, result aggregation, KDE summaries of the
-cost distributions, and the registry that maps every figure/table of the
-paper to a concrete configuration.
+the run loop, the one grid lowering (axes → cells → points, through the one
+streaming executor and its content-addressed run store — which is also how
+finished grids persist), result aggregation, KDE summaries of the cost
+distributions, and the registry that maps every figure/table of the paper to
+a concrete configuration.
 """
 
 from repro.experiments.setup import (
@@ -23,24 +25,8 @@ from repro.experiments.results import (
 )
 from repro.experiments.cache import CODE_VERSION, RunStore
 from repro.experiments.executor import SweepCell, SweepExecutor, execute_cells
-from repro.experiments.sweep import (
-    CompressionSweepPoint,
-    FabricSweepPoint,
-    SweepPoint,
-    run_compression_spec,
-    run_fabric_spec,
-    sweep_compression,
-    sweep_fabric,
-    sweep_theta,
-    sweep_workers,
-)
+from repro.experiments.sweep import SweepPoint, lower_grid, lower_spec
 from repro.experiments.kde import kde_density, log_kde_summary
-from repro.experiments.persistence import (
-    load_results,
-    load_sweep,
-    save_results,
-    save_sweep,
-)
 from repro.experiments.reporting import format_results_table, format_comparison
 from repro.experiments import registry
 
@@ -60,20 +46,10 @@ __all__ = [
     "SweepExecutor",
     "execute_cells",
     "SweepPoint",
-    "FabricSweepPoint",
-    "CompressionSweepPoint",
-    "sweep_theta",
-    "sweep_workers",
-    "sweep_fabric",
-    "sweep_compression",
-    "run_fabric_spec",
-    "run_compression_spec",
+    "lower_grid",
+    "lower_spec",
     "kde_density",
     "log_kde_summary",
-    "save_results",
-    "load_results",
-    "save_sweep",
-    "load_sweep",
     "format_results_table",
     "format_comparison",
     "registry",

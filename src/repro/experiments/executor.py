@@ -3,8 +3,8 @@
 The paper's evaluation aggregates over 1000 training runs (Table 2 grids ×
 seeds); on a single box such grids are only tractable when unchanged cells
 cost zero and independent cells use every core.  :class:`SweepExecutor`
-provides exactly that, as the execution substrate under every sweep in
-:mod:`repro.experiments.sweep`:
+provides exactly that, as the execution substrate under every grid
+:mod:`repro.experiments.sweep` lowers:
 
 1. **Content-addressed run keys** — every cell (workload × strategy ×
    training-run budget) is hashed into a canonical key covering the dataset
@@ -38,6 +38,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.distributed.network import get_network
+from repro.distributed.topology import get_topology
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.cache import CODE_VERSION, RunStore, canonical_value, fingerprint_digest
 from repro.experiments.persistence import result_from_dict, result_to_dict
@@ -92,8 +94,10 @@ def workload_fingerprint(config: WorkloadConfig, setup: SetupCache) -> Dict[str,
     identity), so two separately constructed but equal workloads share a
     fingerprint; every configuration field that can change a run's outcome —
     partitioning, fabric, timeline, engine, compression, dtype, faults, seed
-    — is
-    included, so any single-field change produces a different key.
+    — is included, so any single-field change produces a different key.  The
+    fabric is fingerprinted as what the cluster will be built with, not as the
+    caller spelled it: ``None``, ``"star"`` and ``StarTopology()`` are one
+    topology, ``None`` and ``"none"`` one network.
     """
     return {
         "name": config.name,
@@ -103,8 +107,10 @@ def workload_fingerprint(config: WorkloadConfig, setup: SetupCache) -> Dict[str,
         "partition_kwargs": canonical_value(config.partition_kwargs),
         "loss": canonical_value(config.loss),
         "cost_model": canonical_value(config.cost_model),
-        "topology": canonical_value(config.topology),
-        "network": canonical_value(config.network),
+        "topology": canonical_value(
+            get_topology("star" if config.topology is None else config.topology)
+        ),
+        "network": canonical_value(get_network(config.network)),
         "compute_profile": canonical_value(config.compute_profile),
         "dropout_rate": float(config.dropout_rate),
         "execution": str(config.execution),

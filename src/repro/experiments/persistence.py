@@ -1,79 +1,45 @@
-"""Persisting experiment results to disk.
+"""A :class:`~repro.experiments.run.RunResult` as plain JSON types, and back.
 
-The paper's evaluation aggregates over 1000 training runs; anyone extending
-this reproduction will want to run sweeps incrementally and keep the results.
-This module serializes :class:`~repro.experiments.run.RunResult` objects (and
-sweeps of them) to plain JSON — including the per-evaluation history — and
-loads them back into fully usable objects, so aggregation, KDE summaries, and
-reporting work identically on fresh and reloaded results.
+This is the ``result`` half of the ``{tags, result}`` record the sweep
+executor appends to its :class:`~repro.experiments.cache.RunStore` — the
+store is the one on-disk format for finished runs; this module only converts
+a result (including its per-evaluation history) to a ``json.dumps``-able dict
+and rebuilds a fully usable object from one, so aggregation, KDE summaries and
+reporting work identically on fresh and replayed results.
+
+Both directions are derived from ``dataclasses.fields(RunResult)``: a field
+added to the dataclass is written and read without being named here.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from dataclasses import fields
+from typing import Dict
 
 from repro.exceptions import ExperimentError
 from repro.experiments.run import RunResult
 from repro.utils.runlog import RunLogger
 
-# NOTE: sweep-point classes are imported lazily inside the sweep helpers —
-# persistence sits below the executor, which sits below sweep.py, so a
-# module-level import here would be circular.
+#: Every scalar field, in declaration order (``history`` travels as its entries).
+_FIELDS = tuple(field.name for field in fields(RunResult) if field.name != "history")
 
-PathLike = Union[str, Path]
-
-_RESULT_FIELDS = (
-    "strategy",
-    "workload",
-    "reached_target",
-    "accuracy_target",
-    "final_accuracy",
-    "best_accuracy",
-    "communication_bytes",
-    "parallel_steps",
-    "synchronizations",
-    "evaluations",
-    "state_bytes",
-    "model_bytes",
-    "final_train_accuracy",
-)
-
-#: Fields added after the seed format (fabric/timeline by the topology
-#: refactor, ``execution`` by the batched engine, ``compression`` by the
-#: collective-level compression subsystem, ``dtype`` by the dtype-parametric
-#: plane, ``faults``/``fault_log`` by the fault-injection plane,
-#: ``population`` by the population plane); optional on load so result files
-#: written by earlier versions still deserialize.
-_OPTIONAL_RESULT_FIELDS = (
-    "virtual_seconds",
-    "compute_seconds",
-    "comm_seconds",
-    "topology",
-    "network",
-    "execution",
-    "compression",
-    "dtype",
-    "population",
-    "faults",
-    "fault_log",
-)
+#: The seed format — everything declared before the fabric's
+#: ``virtual_seconds`` — must be present in a payload; fields added since are
+#: optional on load, so a record written before a field existed still
+#: deserializes with that field's default.
+_REQUIRED = _FIELDS[: _FIELDS.index("virtual_seconds")]
 
 
 def result_to_dict(result: RunResult) -> Dict[str, object]:
     """Convert a :class:`RunResult` (including its history) to plain JSON types."""
-    payload: Dict[str, object] = {
-        field: getattr(result, field)
-        for field in _RESULT_FIELDS + _OPTIONAL_RESULT_FIELDS
-    }
+    payload: Dict[str, object] = {name: getattr(result, name) for name in _FIELDS}
     payload["history"] = result.history.entries
     return payload
 
 
 def result_from_dict(payload: Dict[str, object]) -> RunResult:
     """Rebuild a :class:`RunResult` from :func:`result_to_dict` output."""
-    missing = [field for field in _RESULT_FIELDS if field not in payload]
+    missing = [name for name in _REQUIRED if name not in payload]
     if missing:
         raise ExperimentError(f"run-result payload is missing fields: {missing}")
     history = RunLogger(name=f"{payload['strategy']}-{payload['workload']}")
@@ -93,136 +59,6 @@ def result_from_dict(payload: Dict[str, object]) -> RunResult:
             raise ExperimentError(
                 f"history entry {index} is malformed: {error}"
             ) from error
-    kwargs = {field: payload[field] for field in _RESULT_FIELDS}
-    for field in _OPTIONAL_RESULT_FIELDS:
-        if field in payload:
-            kwargs[field] = payload[field]
-    return RunResult(history=history, **kwargs)
-
-
-def save_results(results: Iterable[RunResult], path: PathLike) -> Path:
-    """Write a list of run results to ``path`` as a JSON document."""
-    path = Path(path)
-    document = {
-        "format": "repro.run_results",
-        "version": 1,
-        "results": [result_to_dict(result) for result in results],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    return path
-
-
-def load_results(path: PathLike) -> List[RunResult]:
-    """Load run results previously written by :func:`save_results`."""
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"results file {path} does not exist")
-    with path.open("r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("format") != "repro.run_results":
-        raise ExperimentError(f"{path} is not a repro results file")
-    return [result_from_dict(item) for item in document.get("results", [])]
-
-
-def _point_to_record(point) -> Dict[str, object]:
-    """One sweep point → one typed record (``point_type`` + axis fields)."""
-    from repro.experiments.sweep import (
-        CompressionSweepPoint,
-        FabricSweepPoint,
-        SweepPoint,
+    return RunResult(
+        history=history, **{name: payload[name] for name in _FIELDS if name in payload}
     )
-
-    record = result_to_dict(point.result)
-    if isinstance(point, SweepPoint):
-        record["point_type"] = "sweep"
-        record["sweep_parameter"] = point.parameter
-        record["sweep_value"] = point.value
-    elif isinstance(point, FabricSweepPoint):
-        record["point_type"] = "fabric"
-        record["sweep_topology"] = point.topology
-        record["sweep_network"] = point.network
-    elif isinstance(point, CompressionSweepPoint):
-        record["point_type"] = "compression"
-        record["sweep_compression"] = point.compression
-    else:
-        raise ExperimentError(
-            f"cannot serialize sweep point of type {type(point).__name__}"
-        )
-    return record
-
-
-def _point_from_record(record: Dict[str, object]):
-    """One typed record → the matching sweep-point class.
-
-    Version-1 files carry no ``point_type`` (only ``SweepPoint`` existed
-    then), so its absence means "sweep" — the backward-compatible default.
-    """
-    from repro.experiments.sweep import (
-        CompressionSweepPoint,
-        FabricSweepPoint,
-        SweepPoint,
-    )
-
-    record = dict(record)
-    point_type = record.pop("point_type", "sweep")
-    if point_type == "sweep":
-        parameter = record.pop("sweep_parameter", "unknown")
-        value = record.pop("sweep_value", float("nan"))
-        return SweepPoint(
-            parameter=parameter, value=value, result=result_from_dict(record)
-        )
-    if point_type == "fabric":
-        topology = record.pop("sweep_topology", "star")
-        network = record.pop("sweep_network", "none")
-        return FabricSweepPoint(
-            topology=topology, network=network, result=result_from_dict(record)
-        )
-    if point_type == "compression":
-        compression = record.pop("sweep_compression", "none")
-        return CompressionSweepPoint(
-            compression=compression, result=result_from_dict(record)
-        )
-    raise ExperimentError(f"unknown sweep point_type {point_type!r}")
-
-
-def sweep_to_records(points: Iterable) -> List[Dict[str, object]]:
-    """Flatten sweep points into per-point records (for JSON or tabular export).
-
-    Accepts any mix of :class:`~repro.experiments.sweep.SweepPoint`,
-    :class:`~repro.experiments.sweep.FabricSweepPoint`, and
-    :class:`~repro.experiments.sweep.CompressionSweepPoint`; each record
-    carries a ``point_type`` discriminator plus that type's axis fields.
-    """
-    return [_point_to_record(point) for point in points]
-
-
-def save_sweep(points: Iterable, path: PathLike) -> Path:
-    """Write sweep points (Θ/K, fabric, or compression grids) to ``path``."""
-    path = Path(path)
-    document = {
-        "format": "repro.sweep",
-        "version": 2,
-        "points": sweep_to_records(points),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    return path
-
-
-def load_sweep(path: PathLike) -> List:
-    """Load sweep points previously written by :func:`save_sweep`.
-
-    Reads both the current typed format (version 2) and version-1 files,
-    whose untyped records all deserialize as plain ``SweepPoint``s.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"sweep file {path} does not exist")
-    with path.open("r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("format") != "repro.sweep":
-        raise ExperimentError(f"{path} is not a repro sweep file")
-    return [_point_from_record(record) for record in document.get("points", [])]

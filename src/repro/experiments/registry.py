@@ -13,6 +13,7 @@ the qualitative trends (see the "expected shapes" list in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.data.datasets import train_test_split
@@ -36,18 +37,20 @@ StrategyFactory = Callable[[], Strategy]
 
 @dataclass
 class ExperimentSpec:
-    """A figure/table reproduction: workloads, strategies, thresholds, run budget.
+    """A figure/table reproduction: workloads × strategies × run budget, plus grids.
 
-    ``topologies`` and ``networks`` define an optional fabric grid: when both
-    are non-empty, :func:`repro.experiments.sweep.run_fabric_spec` (exposed as
-    ``python -m repro.cli fabric --spec``) sweeps every strategy over every
-    (topology, network) cell, reporting per-category bytes and virtual
-    wall-clock per round for each fabric.  ``compressions`` analogously
-    defines an optional payload-compression grid for
-    :func:`repro.experiments.sweep.run_compression_spec`
-    (``python -m repro.cli compression``); entries are kernel names,
+    The spec only *declares*; :func:`repro.experiments.sweep.lower_spec` is
+    the one function that reads the declaration and lowers it onto cells.
+    Every spec is a ``comparison`` (each strategy as configured on each
+    workload); each non-empty axis below adds a grid over the same workloads:
+    ``fda_thetas`` re-instantiates the spec's own FDA entries — the factories
+    that take a ``theta`` keyword, i.e. bindings of :func:`fda` — at each Θ,
+    ``worker_counts`` varies K for every strategy, ``topologies`` ×
+    ``networks`` is the fabric grid (``python -m repro.cli fabric --spec``),
+    and ``compressions`` the payload-compression grid (``python -m repro.cli
+    compression``; entries are kernel names,
     :class:`~repro.compression.config.CompressionConfig` objects, or
-    ``"none"``.
+    ``"none"``).
     """
 
     experiment_id: str
@@ -60,10 +63,6 @@ class ExperimentSpec:
     topologies: Sequence[str] = field(default_factory=tuple)
     networks: Sequence[str] = field(default_factory=tuple)
     compressions: Sequence = field(default_factory=tuple)
-    #: Workload seeds for repeated-grid runs (``python -m repro.cli sweep
-    #: --seeds``); each seed re-derives the workload's partition/timeline/
-    #: worker RNG streams, multiplying the grid for aggregate statistics.
-    seeds: Sequence[int] = (0,)
     notes: str = ""
 
 
@@ -213,27 +212,33 @@ REGISTRY_SKETCH_DEPTH = 5
 REGISTRY_SKETCH_WIDTH = 64
 
 
-def default_strategies(
-    theta: float,
-    fedopt: str = "fedadam",
-    seed: int = 0,
-    sketch_depth: int = REGISTRY_SKETCH_DEPTH,
-    sketch_width: int = REGISTRY_SKETCH_WIDTH,
-) -> Dict[str, StrategyFactory]:
+def fda(theta: float, variant: str = "linear") -> FDAStrategy:
+    """The registry's FDA factory: Θ under the paper's name, sketches at the registry geometry.
+
+    Every FDA strategy the registry, the CLI and the benchmarks build comes
+    from here, as ``partial(fda, theta=…, variant=…)``: the binding is a
+    zero-argument strategy factory that still takes ``theta`` as a keyword,
+    which is how a Θ grid re-instantiates it
+    (:func:`repro.experiments.sweep.lower_grid` binds the axis) — at the same
+    sketch geometry as the comparison it sits beside.
+    """
+    return FDAStrategy(
+        threshold=theta,
+        variant=variant,
+        sketch_depth=REGISTRY_SKETCH_DEPTH,
+        sketch_width=REGISTRY_SKETCH_WIDTH,
+    )
+
+
+def default_strategies(theta: float, fedopt: str = "fedadam") -> Dict[str, StrategyFactory]:
     """The paper's strategy line-up for one workload at one Θ.
 
     ``fedopt`` picks the federated baseline matching the local optimizer
     (FedAdam for the Adam workloads, FedAvgM for the SGD-NM workloads).
     """
     factories: Dict[str, StrategyFactory] = {
-        "LinearFDA": lambda: FDAStrategy(threshold=theta, variant="linear", seed=seed),
-        "SketchFDA": lambda: FDAStrategy(
-            threshold=theta,
-            variant="sketch",
-            seed=seed,
-            sketch_depth=sketch_depth,
-            sketch_width=sketch_width,
-        ),
+        "LinearFDA": partial(fda, theta=theta, variant="linear"),
+        "SketchFDA": partial(fda, theta=theta, variant="sketch"),
         "Synchronous": lambda: SynchronousStrategy(),
     }
     if fedopt == "fedadam":
@@ -528,13 +533,8 @@ def figure13(quick: bool = True) -> ExperimentSpec:
         title="Transfer learning: ConvNeXt head fine-tuning on CIFAR-100 features",
         workloads=workloads,
         strategy_factories={
-            "LinearFDA": lambda: FDAStrategy(threshold=theta, variant="linear"),
-            "SketchFDA": lambda: FDAStrategy(
-                threshold=theta,
-                variant="sketch",
-                sketch_depth=REGISTRY_SKETCH_DEPTH,
-                sketch_width=REGISTRY_SKETCH_WIDTH,
-            ),
+            "LinearFDA": partial(fda, theta=theta, variant="linear"),
+            "SketchFDA": partial(fda, theta=theta, variant="sketch"),
             "Synchronous": lambda: SynchronousStrategy(),
         },
         run=TrainingRun(
@@ -568,7 +568,7 @@ def fabric_sweep(quick: bool = True) -> ExperimentSpec:
         title="Communication fabric: topology x network wall-clock comparison",
         workloads={"iid": workload},
         strategy_factories={
-            "LinearFDA": lambda: FDAStrategy(threshold=theta, variant="linear"),
+            "LinearFDA": partial(fda, theta=theta, variant="linear"),
             "Synchronous": lambda: SynchronousStrategy(),
         },
         run=TrainingRun(
@@ -620,7 +620,7 @@ def compression_sweep(quick: bool = True) -> ExperimentSpec:
         title="Payload compression x dynamic averaging: bytes per reached accuracy",
         workloads={"iid": workload},
         strategy_factories={
-            "LinearFDA": lambda: FDAStrategy(threshold=theta, variant="linear"),
+            "LinearFDA": partial(fda, theta=theta, variant="linear"),
             "Synchronous": lambda: SynchronousStrategy(),
         },
         run=TrainingRun(

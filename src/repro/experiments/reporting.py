@@ -8,7 +8,7 @@ paper quotes ("1-2 orders of magnitude less communication").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.experiments.results import ResultsTable, StrategySummary, compare_strategies
 from repro.experiments.run import RunResult
@@ -55,6 +55,20 @@ def format_summaries(summaries: Iterable[StrategySummary]) -> str:
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
+
+
+#: One table column: its title, its ``str.format`` alignment-and-width (e.g.
+#: ``">12"``) and the text it shows for a point.
+Column = Tuple[str, str, Callable[[object], object]]
+
+
+def format_points_table(points: Iterable, columns: Sequence[Column]) -> str:
+    """Render sweep points (or anything else row-like) as a fixed-width table."""
+    header = "".join(f"{title:{align}}" for title, align, _ in columns)
+    rows = [
+        "".join(f"{text(point)!s:{align}}" for _, align, text in columns) for point in points
+    ]
+    return "\n".join([header, "-" * len(header), *rows])
 
 
 def format_comparison(

@@ -1,329 +1,183 @@
-"""Parameter sweeps over Θ, K, the communication fabric, and compression.
+"""The one grid: axes → cells → points.
 
-The paper studies how communication and computation respond to the variance
-threshold Θ (at fixed K) and to the number of workers K (at fixed Θ); the
-fabric refactor adds the topology × network axis the wall-clock discussion
-needs, and the compression subsystem adds the *what-is-sent* axis (Section 2:
-orthogonal to FDA's *when-to-send*).  These helpers run those sweeps for any
-strategy factory and return one point per grid value, which the benchmarks
-then check for the monotone trends the paper reports.
+The paper's evaluation is a grid — Θ × K × heterogeneity × model, more than a
+thousand training runs, each reduced to one record of (communication,
+in-parallel steps) at the accuracy target.  This module is the one place such
+a grid is *lowered*: :func:`lower_grid` turns a workload, a run budget, a
+strategy factory and named axes into :class:`SweepCell` lists, and
+:func:`lower_spec` does the same for every grid an
+:class:`~repro.experiments.registry.ExperimentSpec` declares.  Cells run
+through the one executor (:func:`run_grid` →
+:func:`~repro.experiments.executor.execute_cells`) and come back as
+:class:`SweepPoint` — the cell's coordinates next to its result, exactly the
+``{tags, result}`` a :class:`~repro.experiments.cache.RunStore` record holds.
+
+The store is the persistence: a finished grid is reloaded by lowering it again
+and replaying it through an executor on the same ``cache_dir`` — every cell
+hits, in grid order, nothing trains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+import inspect
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import product
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.executor import SweepCell, SweepExecutor, execute_cells
 from repro.experiments.run import RunResult, TrainingRun
-from repro.experiments.setup import WorkloadConfig, build_cluster
+from repro.experiments.setup import WorkloadConfig
 from repro.strategies.base import Strategy
-from repro.strategies.fda_strategy import FDAStrategy
 
-StrategyFactory = Callable[[], Strategy]
+StrategyFactory = Callable[..., Strategy]
 
-#: Default grids for :func:`sweep_fabric`.
-DEFAULT_TOPOLOGIES = ("star", "ring", "hierarchical", "gossip")
-DEFAULT_NETWORKS = ("fl", "hpc", "balanced")
+_WORKLOAD_FIELDS = frozenset(field.name for field in fields(WorkloadConfig))
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point of a sweep: the swept value plus the run result."""
+    """One finished cell: its coordinates (the cell's ``tags``) and its result."""
 
-    parameter: str
-    value: float
+    tags: Dict[str, object]
     result: RunResult
 
-    @property
-    def communication_bytes(self) -> int:
-        return self.result.communication_bytes
 
-    @property
-    def parallel_steps(self) -> int:
-        return self.result.parallel_steps
-
-    @property
-    def synchronizations(self) -> int:
-        return self.result.synchronizations
+def _coordinate(value: object) -> object:
+    """The JSON-plain form of one axis value: objects by ``describe()`` / ``str``."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    describe = getattr(value, "describe", None)
+    return describe() if callable(describe) else str(value)
 
 
-def _run_one(
-    workload: WorkloadConfig,
-    strategy: Strategy,
+def _accepts(factory: StrategyFactory, name: str) -> bool:
+    """Whether ``factory`` can be called with the keyword ``name``."""
+    try:
+        inspect.signature(factory).bind_partial(**{name: None})
+    except TypeError:
+        return False
+    return True
+
+
+def lower_grid(
+    workloads: Union[WorkloadConfig, Mapping[str, WorkloadConfig]],
     run: TrainingRun,
-) -> RunResult:
-    """Eagerly execute one cell, rebuilding all setup from scratch.
+    strategies: Union[StrategyFactory, Mapping[str, StrategyFactory]],
+    tags: Optional[Dict[str, object]] = None,
+    **axes: Sequence,
+) -> List[SweepCell]:
+    """Lower named axes onto executable cells, crossed row-major.
 
-    This is the historical pre-executor path, kept as the uncached reference
-    that the sweep benchmarks measure the executor's memoization against.
-    Sweeps themselves now route through :class:`SweepExecutor`.
+    An axis is a name and its values.  A name that is a
+    :class:`WorkloadConfig` field is applied to the workload with
+    :func:`dataclasses.replace` (``population`` through ``with_population``,
+    the one field with a coupled invariant); any other name — ``theta``,
+    ``variant``, ``tau`` … — is bound as a keyword of the strategy factory, so
+    the cell's factory stays zero-argument.  A name that is neither raises a
+    :class:`ConfigurationError` naming it before any cell exists.
+
+    ``workloads`` and ``strategies`` are single values, or mappings whose keys
+    become the outermost ``workload`` and innermost ``strategy`` coordinate.
+    A cell's ``tags`` are ``tags`` (constant coordinates, e.g. the grid's
+    name) followed by its own coordinates in axis order, JSON-plain; its
+    ``label`` is their ``k=v`` join.
     """
-    cluster, test_dataset = build_cluster(workload)
-    return run.execute(
-        strategy,
-        cluster,
-        test_dataset,
-        train_dataset=workload.train_dataset,
-        workload_name=workload.name,
-    )
-
-
-def sweep_theta(
-    workload: WorkloadConfig,
-    thetas: Sequence[float],
-    run: TrainingRun,
-    variant: str = "linear",
-    seed: int = 0,
-    executor: Optional[SweepExecutor] = None,
-) -> List[SweepPoint]:
-    """Run an FDA variant across a grid of variance thresholds Θ (fixed K)."""
-    if not thetas:
-        raise ConfigurationError("thetas must contain at least one value")
-    cells = [
-        SweepCell(
-            workload=workload,
-            strategy_factory=lambda theta=theta: FDAStrategy(
-                threshold=float(theta), variant=variant, seed=seed
-            ),
-            run=run,
-            label=f"theta={float(theta)}",
-            tags={"parameter": "theta", "value": float(theta)},
-        )
-        for theta in thetas
-    ]
-    results = execute_cells(cells, executor)
-    return [
-        SweepPoint(parameter="theta", value=float(theta), result=result)
-        for theta, result in zip(thetas, results)
-    ]
-
-
-def sweep_workers(
-    workload: WorkloadConfig,
-    worker_counts: Sequence[int],
-    run: TrainingRun,
-    strategy_factory: StrategyFactory,
-    executor: Optional[SweepExecutor] = None,
-) -> List[SweepPoint]:
-    """Run one strategy across a grid of worker counts K (fixed Θ / schedule)."""
-    if not worker_counts:
-        raise ConfigurationError("worker_counts must contain at least one value")
+    workloads = workloads if isinstance(workloads, Mapping) else {None: workloads}
+    strategies = strategies if isinstance(strategies, Mapping) else {None: strategies}
+    for name, values in axes.items():
+        if not len(values):
+            raise ConfigurationError(f"sweep axis {name!r} must contain at least one value")
+        if name not in _WORKLOAD_FIELDS:
+            for factory in strategies.values():
+                if not _accepts(factory, name):
+                    raise ConfigurationError(
+                        f"unknown sweep axis {name!r}: neither a WorkloadConfig field "
+                        f"nor a keyword of the strategy factory {factory!r}"
+                    )
     cells = []
-    for num_workers in worker_counts:
-        if num_workers <= 0:
-            raise ConfigurationError(f"worker counts must be positive, got {num_workers}")
+    for (label, workload), values, (strategy, factory) in product(
+        workloads.items(), product(*axes.values()), strategies.items()
+    ):
+        point = dict(zip(axes, values))
+        changes = {name: value for name, value in point.items() if name in _WORKLOAD_FIELDS}
+        bound = {name: value for name, value in point.items() if name not in changes}
+        if "population" in changes:
+            workload = workload.with_population(changes.pop("population"))
+        coordinates = dict(tags or {})
+        if label is not None:
+            coordinates["workload"] = label
+        coordinates.update((name, _coordinate(value)) for name, value in point.items())
+        if strategy is not None:
+            coordinates["strategy"] = strategy
         cells.append(
             SweepCell(
-                workload=workload.with_workers(int(num_workers)),
-                strategy_factory=strategy_factory,
+                workload=replace(workload, **changes) if changes else workload,
+                strategy_factory=partial(factory, **bound) if bound else factory,
                 run=run,
-                label=f"num_workers={int(num_workers)}",
-                tags={"parameter": "num_workers", "value": float(num_workers)},
+                label=",".join(f"{name}={value}" for name, value in coordinates.items()),
+                tags=coordinates,
             )
         )
-    results = execute_cells(cells, executor)
-    return [
-        SweepPoint(parameter="num_workers", value=float(num_workers), result=result)
-        for num_workers, result in zip(worker_counts, results)
-    ]
+    return cells
 
 
-@dataclass(frozen=True)
-class FabricSweepPoint:
-    """One cell of a topology × network grid: the fabric plus the run result."""
+def lower_spec(spec, *grids: str) -> List[SweepCell]:
+    """Lower an :class:`~repro.experiments.registry.ExperimentSpec` onto cells.
 
-    topology: str
-    network: str
-    result: RunResult
-
-    @property
-    def bytes_by_category(self) -> Dict[str, int]:
-        """Per-category traffic: model-sync vs FDA-state bytes."""
-        return {
-            "model-sync": self.result.model_bytes,
-            "fda-state": self.result.state_bytes,
-        }
-
-    @property
-    def virtual_seconds(self) -> float:
-        return self.result.virtual_seconds
-
-    @property
-    def seconds_per_round(self) -> float:
-        """Virtual wall-clock per in-parallel learning step."""
-        return self.result.seconds_per_round
-
-
-def sweep_fabric(
-    workload: WorkloadConfig,
-    run: TrainingRun,
-    strategy_factory: StrategyFactory,
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    networks: Sequence[str] = DEFAULT_NETWORKS,
-    executor: Optional[SweepExecutor] = None,
-) -> List[FabricSweepPoint]:
-    """Run one strategy across a topology × network grid on one workload.
-
-    Every cell rebuilds the cluster on the requested fabric and reports the
-    per-category byte split plus the virtual wall-clock series, which is how
-    a single experiment spec answers the paper's "does the saving translate
-    into time?" question for an arbitrary interconnect.
+    A spec declares up to five grids, each over every workload of the spec:
+    ``comparison`` (every strategy as configured), ``theta`` (the spec's own
+    FDA entries — the factories that take a ``theta`` keyword —
+    re-instantiated at each of ``fda_thetas``), ``workers``
+    (``worker_counts``), ``fabric`` (``topologies`` × ``networks``) and
+    ``compression`` (``compressions``).  With no ``grids`` named, every
+    declared grid is lowered, in that order; naming a grid the spec does not
+    declare is a :class:`ConfigurationError`.  Every cell is tagged with its
+    ``grid``, ``workload`` and ``strategy`` ahead of the grid's own axes, so
+    callers pick cells and points apart with :func:`select`.
     """
-    if not topologies:
-        raise ConfigurationError("topologies must contain at least one name")
-    if not networks:
-        raise ConfigurationError("networks must contain at least one name")
-    grid = [(str(topology), str(network)) for topology in topologies for network in networks]
-    cells = [
-        SweepCell(
-            workload=workload.with_fabric(topology=topology, network=network),
-            strategy_factory=strategy_factory,
-            run=run,
-            label=f"fabric={topology}/{network}",
-            tags={"topology": topology, "network": network},
-        )
-        for topology, network in grid
-    ]
-    results = execute_cells(cells, executor)
-    return [
-        FabricSweepPoint(topology=topology, network=network, result=result)
-        for (topology, network), result in zip(grid, results)
-    ]
-
-
-@dataclass(frozen=True)
-class CompressionSweepPoint:
-    """One cell of a compression sweep: the compression label plus the result."""
-
-    compression: str
-    result: RunResult
-
-    @property
-    def communication_bytes(self) -> int:
-        return self.result.communication_bytes
-
-    @property
-    def model_bytes(self) -> int:
-        """Bytes of (compressed) model-sync traffic at this cell."""
-        return self.result.model_bytes
-
-    @property
-    def parallel_steps(self) -> int:
-        return self.result.parallel_steps
-
-
-def sweep_compression(
-    workload: WorkloadConfig,
-    run: TrainingRun,
-    strategy_factory: StrategyFactory,
-    compressions: Sequence = ("none", "quantization", "topk"),
-    executor: Optional[SweepExecutor] = None,
-) -> List[CompressionSweepPoint]:
-    """Run one strategy across a grid of compression settings on one workload.
-
-    Every cell rebuilds the cluster with the requested compression spec (a
-    kernel name, a :class:`~repro.compression.config.CompressionConfig`, or
-    ``"none"``/``None``), so the per-cell byte ledgers answer how much of a
-    strategy's traffic each kernel removes — multiplicatively with FDA's
-    dynamic sync schedule.
-    """
-    if not compressions:
-        raise ConfigurationError("compressions must contain at least one spec")
-    cells = [
-        SweepCell(
-            workload=workload.with_compression(None if spec == "none" else spec),
-            strategy_factory=strategy_factory,
-            run=run,
-            label=f"compression={spec}",
-            tags={"compression": str(spec)},
-        )
-        for spec in compressions
-    ]
-    results = execute_cells(cells, executor)
-    return [
-        CompressionSweepPoint(compression=result.compression, result=result)
-        for result in results
-    ]
-
-
-def run_fabric_spec(
-    spec, executor: Optional[SweepExecutor] = None
-) -> Dict[str, List[FabricSweepPoint]]:
-    """Execute an :class:`~repro.experiments.registry.ExperimentSpec`'s fabric grid.
-
-    Runs every strategy of the spec over every workload × topology × network
-    cell (``spec.topologies`` / ``spec.networks`` must be non-empty) and
-    returns the :class:`FabricSweepPoint` lists keyed by strategy name — the
-    single-spec entry point behind ``python -m repro.cli fabric --spec``.
-    """
-    if not getattr(spec, "topologies", None) or not getattr(spec, "networks", None):
-        raise ConfigurationError(
-            f"spec {getattr(spec, 'experiment_id', '?')!r} declares no fabric grid "
-            "(topologies and networks must both be non-empty)"
-        )
-    results: Dict[str, List[FabricSweepPoint]] = {}
-    for strategy_name, factory in spec.strategy_factories.items():
-        points: List[FabricSweepPoint] = []
-        for workload in spec.workloads.values():
-            points.extend(
-                sweep_fabric(
-                    workload,
-                    spec.run,
-                    factory,
-                    topologies=spec.topologies,
-                    networks=spec.networks,
-                    executor=executor,
-                )
+    declared = {
+        "comparison": {},
+        "theta": {"theta": spec.fda_thetas},
+        "workers": {"num_workers": spec.worker_counts},
+        "fabric": {"topology": spec.topologies, "network": spec.networks},
+        "compression": {"compression": spec.compressions},
+    }
+    declared = {
+        grid: axes for grid, axes in declared.items() if all(len(v) for v in axes.values())
+    }
+    cells: List[SweepCell] = []
+    for grid in grids or declared:
+        if grid not in declared:
+            raise ConfigurationError(
+                f"spec {spec.experiment_id!r} declares no {grid!r} grid "
+                f"(declared: {sorted(declared)})"
             )
-        results[strategy_name] = points
-    return results
-
-
-def run_compression_spec(
-    spec, executor: Optional[SweepExecutor] = None
-) -> Dict[str, List[CompressionSweepPoint]]:
-    """Execute an :class:`~repro.experiments.registry.ExperimentSpec`'s compression grid.
-
-    Runs every strategy of the spec over every workload × compression cell
-    (``spec.compressions`` must be non-empty) and returns the
-    :class:`CompressionSweepPoint` lists keyed by strategy name — the
-    single-spec entry point behind ``python -m repro.cli compression``.
-    """
-    if not getattr(spec, "compressions", None):
-        raise ConfigurationError(
-            f"spec {getattr(spec, 'experiment_id', '?')!r} declares no compression grid "
-            "(compressions must be non-empty)"
+        strategies = spec.strategy_factories
+        if grid == "theta":
+            strategies = {
+                name: factory for name, factory in strategies.items() if _accepts(factory, "theta")
+            }
+        cells += lower_grid(
+            spec.workloads, spec.run, strategies, tags={"grid": grid}, **declared[grid]
         )
-    results: Dict[str, List[CompressionSweepPoint]] = {}
-    for strategy_name, factory in spec.strategy_factories.items():
-        points: List[CompressionSweepPoint] = []
-        for workload in spec.workloads.values():
-            points.extend(
-                sweep_compression(
-                    workload,
-                    spec.run,
-                    factory,
-                    compressions=spec.compressions,
-                    executor=executor,
-                )
-            )
-        results[strategy_name] = points
-    return results
+    return cells
 
 
-def sweep_strategies(
-    workload: WorkloadConfig,
-    strategy_factories: Sequence[StrategyFactory],
-    run: TrainingRun,
-    executor: Optional[SweepExecutor] = None,
-) -> List[RunResult]:
-    """Run several strategies on identical copies of one workload."""
-    if not strategy_factories:
-        raise ConfigurationError("strategy_factories must contain at least one factory")
-    cells = [
-        SweepCell(workload=workload, strategy_factory=factory, run=run)
-        for factory in strategy_factories
+def run_grid(
+    cells: Sequence[SweepCell], executor: Optional[SweepExecutor] = None
+) -> List[SweepPoint]:
+    """Execute (or replay) ``cells`` in one batch and pair each with its tags."""
+    cells = list(cells)
+    return [
+        SweepPoint(tags=cell.tags, result=result)
+        for cell, result in zip(cells, execute_cells(cells, executor))
     ]
-    return execute_cells(cells, executor)
+
+
+def select(items: Sequence, **tags: object) -> List:
+    """The cells or points whose tags carry every given ``name=value``."""
+    return [
+        item for item in items if all(item.tags.get(name) == tags[name] for name in tags)
+    ]

@@ -558,7 +558,9 @@ class TestWorkloadExecutionField:
             blobs_workload.with_execution("turbo")
 
     def test_run_result_records_and_persists_execution(self, tmp_path, blobs_workload):
-        from repro.experiments.persistence import load_results, save_results
+        import json
+
+        from repro.experiments.persistence import result_from_dict, result_to_dict
         from repro.experiments.run import TrainingRun
         from repro.experiments.setup import build_cluster
         from repro.strategies.synchronous import SynchronousStrategy
@@ -569,15 +571,8 @@ class TestWorkloadExecutionField:
             SynchronousStrategy(), cluster, test_dataset, workload_name="blobs"
         )
         assert result.execution == "batched"
-        path = tmp_path / "results.json"
-        save_results([result], path)
-        (loaded,) = load_results(path)
-        assert loaded.execution == "batched"
-        # Files written before the field existed still load (default applies).
-        import json
-
-        document = json.loads(path.read_text())
-        del document["results"][0]["execution"]
-        path.write_text(json.dumps(document))
-        (legacy,) = load_results(path)
-        assert legacy.execution == "sequential"
+        payload = json.loads(json.dumps(result_to_dict(result)))
+        assert result_from_dict(payload).execution == "batched"
+        # Records written before the field existed still load (default applies).
+        del payload["execution"]
+        assert result_from_dict(payload).execution == "sequential"

@@ -49,7 +49,7 @@ from repro.distributed.topology import NAMED_TOPOLOGIES, Fabric, get_topology
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.setup import build_cluster
-from repro.experiments.sweep import sweep_compression
+from repro.experiments.sweep import lower_grid, run_grid
 from repro.experiments.run import TrainingRun
 from repro.nn.plane import SlotLayout
 from repro.strategies.fda_strategy import FDAStrategy
@@ -670,12 +670,15 @@ class TestConfigThreading:
         restored = result_from_dict(result_to_dict(result))
         assert restored.compression == result.compression
 
-    def test_sweep_compression_orders_cells_by_savings(self, blobs_workload):
-        points = sweep_compression(
-            blobs_workload,
-            QUICK_RUN,
-            lambda: SynchronousStrategy(),
-            compressions=("none", CompressionConfig("topk", ratio=0.1)),
+    def test_compression_axis_orders_cells_by_savings(self, blobs_workload):
+        points = run_grid(
+            lower_grid(
+                blobs_workload,
+                QUICK_RUN,
+                lambda: SynchronousStrategy(),
+                compression=("none", CompressionConfig("topk", ratio=0.1)),
+            )
         )
-        assert [p.compression for p in points] == ["none", "topk(ratio=0.1)"]
-        assert points[1].model_bytes < points[0].model_bytes
+        assert [p.result.compression for p in points] == ["none", "topk(ratio=0.1)"]
+        assert [p.tags["compression"] for p in points] == ["none", "topk(ratio=0.1)"]
+        assert points[1].result.model_bytes < points[0].result.model_bytes

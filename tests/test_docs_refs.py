@@ -1,18 +1,21 @@
 """Documentation reference checks: docs must not rot.
 
-Three guarantees, run as CI's dedicated docs job
+Four guarantees, run as CI's dedicated docs job
 (``python -m pytest tests/test_docs_refs.py``):
 
 * every dotted ``repro.*`` reference in ``ARCHITECTURE.md`` and ``docs/``
   resolves — the module imports and any trailing attribute chain exists;
 * every repo-relative file path those documents mention exists;
-* the doctests embedded in :mod:`repro.compression` pass.
+* the doctests embedded in :mod:`repro.compression` pass;
+* every ``examples/*.py`` imports (they are ``__main__``-guarded, so importing
+  one resolves every name it uses from the library without running it).
 """
 
 from __future__ import annotations
 
 import doctest
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -34,7 +37,7 @@ DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+\b")
 
 #: Dotted strings that are serialization format identifiers, not Python
 #: references (the ``"format"`` fields of the emitted JSON documents).
-FORMAT_IDENTIFIERS = {"repro.bench", "repro.run_results", "repro.sweep"}
+FORMAT_IDENTIFIERS = {"repro.bench"}
 
 #: Backtick-quoted repo paths: anything with a slash or a known suffix.
 PATH_RE = re.compile(
@@ -141,3 +144,13 @@ def test_compression_package_has_doctests():
         finder = doctest.DocTestFinder()
         total += sum(len(test.examples) for test in finder.find(module))
     assert total >= 5, f"expected >= 5 doctest examples in repro/compression, found {total}"
+
+
+@pytest.mark.parametrize(
+    "example", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports(example):
+    spec = importlib.util.spec_from_file_location(f"examples_{example.stem}", example)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(getattr(module, "main", None)), f"{example.name} defines no main()"

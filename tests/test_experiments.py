@@ -14,7 +14,8 @@ from repro.experiments.reporting import (
 from repro.experiments.results import ResultsTable, best_run, compare_strategies
 from repro.experiments.run import RunResult, TrainingRun
 from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimizer
-from repro.experiments.sweep import sweep_strategies, sweep_theta, sweep_workers
+from repro.experiments.registry import fda
+from repro.experiments.sweep import lower_grid, run_grid
 from repro.optim.adam import Adam, AdamW
 from repro.optim.sgd import SGD
 from repro.strategies.fda_strategy import FDAStrategy
@@ -214,30 +215,35 @@ class TestKdeAndReporting:
 
 
 class TestSweeps:
-    def test_sweep_theta_returns_point_per_value(self, blobs_workload):
-        points = sweep_theta(blobs_workload, [0.5, 5.0], quick_run(max_steps=40))
-        assert [p.value for p in points] == [0.5, 5.0]
-        assert all(p.parameter == "theta" for p in points)
+    def test_theta_axis_returns_point_per_value(self, blobs_workload):
+        points = run_grid(lower_grid(blobs_workload, quick_run(max_steps=40), fda, theta=[0.5, 5.0]))
+        assert [p.tags["theta"] for p in points] == [0.5, 5.0]
+        assert all(list(p.tags) == ["theta"] for p in points)
 
-    def test_sweep_workers(self, blobs_workload):
-        points = sweep_workers(
-            blobs_workload, [2, 3], quick_run(max_steps=40), lambda: SynchronousStrategy()
+    def test_num_workers_axis(self, blobs_workload):
+        points = run_grid(
+            lower_grid(
+                blobs_workload, quick_run(max_steps=40), SynchronousStrategy, num_workers=[2, 3]
+            )
         )
-        assert [int(p.value) for p in points] == [2, 3]
+        assert [p.tags["num_workers"] for p in points] == [2, 3]
 
-    def test_sweep_strategies(self, blobs_workload):
-        results = sweep_strategies(
-            blobs_workload,
-            [lambda: SynchronousStrategy(), lambda: FDAStrategy(threshold=2.0)],
-            quick_run(max_steps=40),
+    def test_strategy_mapping_runs_each_on_the_same_workload(self, blobs_workload):
+        points = run_grid(
+            lower_grid(
+                blobs_workload,
+                quick_run(max_steps=40),
+                {"bsp": SynchronousStrategy, "fda": lambda: FDAStrategy(threshold=2.0)},
+            )
         )
-        assert {r.strategy for r in results} == {"Synchronous", "LinearFDA"}
+        assert {p.result.strategy for p in points} == {"Synchronous", "LinearFDA"}
+        assert [p.tags for p in points] == [{"strategy": "bsp"}, {"strategy": "fda"}]
 
     def test_empty_grids_rejected(self, blobs_workload):
         with pytest.raises(ConfigurationError):
-            sweep_theta(blobs_workload, [], quick_run())
+            lower_grid(blobs_workload, quick_run(), fda, theta=[])
         with pytest.raises(ConfigurationError):
-            sweep_workers(blobs_workload, [], quick_run(), lambda: SynchronousStrategy())
+            lower_grid(blobs_workload, quick_run(), SynchronousStrategy, num_workers=[])
 
 
 class TestRegistry:

@@ -6,23 +6,10 @@ import pytest
 
 from repro.compression import QuantizationCompressor, TopKCompressor
 from repro.exceptions import ConfigurationError, ExperimentError
-from repro.experiments.persistence import (
-    load_results,
-    load_sweep,
-    result_from_dict,
-    result_to_dict,
-    save_results,
-    save_sweep,
-)
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.results import compare_strategies
-from repro.experiments.run import TrainingRun
+from repro.experiments.run import RunResult, TrainingRun
 from repro.experiments.setup import build_cluster
-from repro.experiments.sweep import (
-    CompressionSweepPoint,
-    FabricSweepPoint,
-    SweepPoint,
-    sweep_theta,
-)
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.local_sgd import (
     LocalSGDStrategy,
@@ -122,38 +109,57 @@ class TestPersistence:
         assert restored.communication_bytes == result.communication_bytes
         assert restored.history.entries == result.history.entries
 
-    def test_save_and_load_results(self, blobs_workload, tmp_path):
+    def test_aggregation_works_on_reloaded_results(self, blobs_workload):
+        import json
+
         results = [
             run_on(blobs_workload, FDAStrategy(threshold=2.0)),
             run_on(blobs_workload, FDAStrategy(threshold=20.0)),
         ]
-        path = save_results(results, tmp_path / "results.json")
-        restored = load_results(path)
-        assert len(restored) == 2
+        document = json.dumps([result_to_dict(result) for result in results])
+        restored = [result_from_dict(payload) for payload in json.loads(document)]
         assert {r.strategy for r in restored} == {"LinearFDA"}
         # Aggregation works identically on reloaded results.
         ratios = compare_strategies(restored + results, "LinearFDA", "LinearFDA")
         assert ratios["communication_ratio"] == pytest.approx(1.0)
 
-    def test_save_and_load_sweep(self, blobs_workload, tmp_path):
-        points = sweep_theta(blobs_workload, [0.5, 5.0], RUN)
-        path = save_sweep(points, tmp_path / "sweep.json")
-        restored = load_sweep(path)
-        assert [p.value for p in restored] == [0.5, 5.0]
-        assert all(isinstance(p, SweepPoint) for p in restored)
-        assert restored[0].result.parallel_steps == points[0].result.parallel_steps
+    def test_every_result_field_round_trips_through_json(self):
+        # The field list is derived from the dataclass: a field added to
+        # RunResult must survive json.dumps without being named anywhere else.
+        import json
+        from dataclasses import fields
 
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            load_results(tmp_path / "nope.json")
-        with pytest.raises(ExperimentError):
-            load_sweep(tmp_path / "nope.json")
+        samples = {
+            "str": "label", "bool": True, "int": 7, "float": 0.625,
+            "Optional[float]": 0.25, "Optional[dict]": {"crashes": [[3, 1]], "retransmitted_bytes": 80},
+        }
+        values = {}
+        for field in fields(RunResult):
+            if field.name == "history":
+                continue
+            assert field.type in samples, f"RunResult.{field.name}: no JSON sample for {field.type!r}"
+            values[field.name] = samples[field.type]
+            assert values[field.name] != field.default  # a dropped field would read as its default
+        result = RunResult(**values)
+        result.history.log(steps=4, test_accuracy=0.5)
+        restored = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+        for name, value in values.items():
+            assert getattr(restored, name) == value, name
+        assert restored.history.entries == result.history.entries
 
-    def test_load_wrong_format_raises(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ExperimentError):
-            load_results(path)
+    def test_each_seed_format_field_is_required(self, blobs_workload):
+        payload = result_to_dict(run_on(blobs_workload, FDAStrategy(threshold=2.0)))
+        required = (
+            "strategy", "workload", "reached_target", "accuracy_target", "final_accuracy",
+            "best_accuracy", "communication_bytes", "parallel_steps", "synchronizations",
+            "evaluations", "state_bytes", "model_bytes", "final_train_accuracy",
+        )
+        for name in required:
+            with pytest.raises(ExperimentError, match=name):
+                result_from_dict({k: v for k, v in payload.items() if k != name})
+        # ...and everything added since is optional: its default applies.
+        seed_era = {name: payload[name] for name in required}
+        assert result_from_dict(seed_era).topology == "star"
 
     def test_from_dict_validates_fields(self):
         with pytest.raises(ExperimentError):
@@ -171,44 +177,3 @@ class TestPersistence:
         with pytest.raises(ExperimentError, match="entry 0"):
             result_from_dict(payload)
 
-    def test_typed_sweep_points_round_trip(self, blobs_workload, tmp_path):
-        result = run_on(blobs_workload, FDAStrategy(threshold=2.0))
-        points = [
-            SweepPoint(parameter="theta", value=2.0, result=result),
-            FabricSweepPoint(topology="ring", network="fl", result=result),
-            CompressionSweepPoint(compression="topk(ratio=0.1)", result=result),
-        ]
-        path = save_sweep(points, tmp_path / "mixed.json")
-        restored = load_sweep(path)
-        assert [type(p) for p in restored] == [type(p) for p in points]
-        assert restored[1].topology == "ring" and restored[1].network == "fl"
-        assert restored[2].compression == "topk(ratio=0.1)"
-        for original, loaded in zip(points, restored):
-            assert loaded.result.history.entries == original.result.history.entries
-
-    def test_version1_sweep_file_loads_as_sweep_points(self, blobs_workload, tmp_path):
-        import json
-
-        points = sweep_theta(blobs_workload, [0.5], RUN)
-        path = save_sweep(points, tmp_path / "v2.json")
-        document = json.loads(path.read_text())
-        # Rewrite as a pre-typed version-1 file: no point_type discriminator.
-        document["version"] = 1
-        for record in document["points"]:
-            record.pop("point_type")
-        legacy = tmp_path / "v1.json"
-        legacy.write_text(json.dumps(document))
-        restored = load_sweep(legacy)
-        assert [type(p) for p in restored] == [SweepPoint]
-        assert restored[0].value == 0.5
-
-    def test_unknown_point_type_raises(self, blobs_workload, tmp_path):
-        import json
-
-        points = sweep_theta(blobs_workload, [0.5], RUN)
-        path = save_sweep(points, tmp_path / "sweep.json")
-        document = json.loads(path.read_text())
-        document["points"][0]["point_type"] = "mystery"
-        path.write_text(json.dumps(document))
-        with pytest.raises(ExperimentError, match="mystery"):
-            load_sweep(path)

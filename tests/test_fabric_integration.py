@@ -238,10 +238,10 @@ class TestWorkloadCopyHelpers:
 
 
 class TestFabricSweep:
-    def test_run_fabric_spec_executes_every_cell(self, blobs_workload):
+    def test_spec_fabric_grid_executes_every_cell(self, blobs_workload):
         from repro.experiments.registry import ExperimentSpec
         from repro.experiments.run import TrainingRun
-        from repro.experiments.sweep import run_fabric_spec
+        from repro.experiments.sweep import lower_spec, run_grid, select
 
         spec = ExperimentSpec(
             experiment_id="fabric-test",
@@ -255,42 +255,46 @@ class TestFabricSweep:
             topologies=("star", "ring"),
             networks=("hpc",),
         )
-        grouped = run_fabric_spec(spec)
-        assert set(grouped) == {"Synchronous", "LinearFDA"}
-        for points in grouped.values():
-            assert [(p.topology, p.network) for p in points] == [
+        points = run_grid(lower_spec(spec, "fabric"))
+        assert {p.tags["strategy"] for p in points} == {"Synchronous", "LinearFDA"}
+        for name in spec.strategy_factories:
+            grouped = select(points, strategy=name)
+            assert [(p.tags["topology"], p.tags["network"]) for p in grouped] == [
                 ("star", "hpc"), ("ring", "hpc"),
             ]
-            assert all(p.virtual_seconds > 0 for p in points)
+            assert all(p.result.virtual_seconds > 0 for p in grouped)
 
-    def test_run_fabric_spec_requires_a_grid(self):
+    def test_spec_fabric_grid_requires_a_declaration(self):
         from repro.experiments.registry import figure3
-        from repro.experiments.sweep import run_fabric_spec
+        from repro.experiments.sweep import lower_spec
 
         with pytest.raises(ConfigurationError):
-            run_fabric_spec(figure3(quick=True))  # no topologies/networks declared
-    def test_sweep_fabric_covers_the_grid(self, blobs_workload):
+            lower_spec(figure3(quick=True), "fabric")  # no topologies/networks declared
+
+    def test_fabric_axes_cover_the_grid(self, blobs_workload):
         from repro.experiments.run import TrainingRun
-        from repro.experiments.sweep import sweep_fabric
+        from repro.experiments.sweep import lower_grid, run_grid
 
         run = TrainingRun(accuracy_target=0.999, max_steps=8, eval_every_steps=8)
-        points = sweep_fabric(
-            blobs_workload,
-            run,
-            lambda: SynchronousStrategy(),
-            topologies=("star", "ring"),
-            networks=("fl", "hpc"),
+        points = run_grid(
+            lower_grid(
+                blobs_workload,
+                run,
+                lambda: SynchronousStrategy(),
+                topology=("star", "ring"),
+                network=("fl", "hpc"),
+            )
         )
-        assert [(p.topology, p.network) for p in points] == [
+        by_cell = {(p.tags["topology"], p.tags["network"]): p.result for p in points}
+        assert list(by_cell) == [
             ("star", "fl"), ("star", "hpc"), ("ring", "fl"), ("ring", "hpc"),
         ]
-        for point in points:
-            assert point.result.topology == point.topology
-            assert point.result.network == point.network
-            assert point.bytes_by_category["model-sync"] > 0
-            assert point.virtual_seconds > 0
-            assert point.seconds_per_round > 0
-        by_cell = {(p.topology, p.network): p for p in points}
+        for (topology, network), result in by_cell.items():
+            assert result.topology == topology
+            assert result.network == network
+            assert result.model_bytes > 0
+            assert result.virtual_seconds > 0
+            assert result.seconds_per_round > 0
         # Per-cell wall-clock reflects the fabric: fl slower than hpc.
         assert by_cell[("star", "fl")].virtual_seconds > by_cell[("star", "hpc")].virtual_seconds
 
@@ -326,7 +330,9 @@ class TestFabricSweep:
         assert "wall-clock" in output and "star" in output
 
     def test_run_result_serialization_round_trips_fabric_fields(self, tmp_path, blobs_workload):
-        from repro.experiments.persistence import load_results, save_results
+        import json
+
+        from repro.experiments.persistence import result_from_dict, result_to_dict
         from repro.experiments.run import TrainingRun
         from repro.experiments.setup import build_cluster
 
@@ -334,8 +340,7 @@ class TestFabricSweep:
         cluster, test_dataset = build_cluster(workload)
         run = TrainingRun(accuracy_target=0.999, max_steps=8, eval_every_steps=8)
         result = run.execute(SynchronousStrategy(), cluster, test_dataset)
-        path = save_results([result], tmp_path / "results.json")
-        loaded = load_results(path)[0]
+        loaded = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert loaded.topology == "ring"
         assert loaded.network == "fl"
         assert loaded.virtual_seconds == pytest.approx(result.virtual_seconds)

@@ -583,14 +583,15 @@ class TestDivergenceReporting:
 
 class TestResultPersistence:
     def test_fault_log_survives_the_results_file(self, blobs_workload, tmp_path):
-        from repro.experiments.persistence import load_results, save_results
+        import json
+
+        from repro.experiments.persistence import result_from_dict, result_to_dict
 
         _, result = _execute(
             blobs_workload.with_faults(CHAOS_PLAN),
             lambda: FDAStrategy(threshold=0.5),
             max_steps=20,
         )
-        path = save_results([result], tmp_path / "results.json")
-        loaded = load_results(path)[0]
+        loaded = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert loaded.faults == result.faults
         assert loaded.fault_log == result.fault_log

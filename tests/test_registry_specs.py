@@ -99,18 +99,18 @@ class TestCompressionSweepSpec:
         assert len(full.compressions) > len(quick.compressions)
 
     def test_compression_cells_are_buildable(self):
-        from repro.experiments.sweep import sweep_compression
-        from repro.experiments.run import TrainingRun
+        from dataclasses import replace
 
-        spec = registry.compression_sweep(quick=True)
-        workload = next(iter(spec.workloads.values()))
-        run = TrainingRun(accuracy_target=0.99, max_steps=8, eval_every_steps=8)
-        points = sweep_compression(
-            workload,
-            run,
-            spec.strategy_factories["Synchronous"],
-            compressions=spec.compressions,
+        from repro.experiments.run import TrainingRun
+        from repro.experiments.sweep import lower_spec, run_grid, select
+
+        spec = replace(
+            registry.compression_sweep(quick=True),
+            run=TrainingRun(accuracy_target=0.99, max_steps=8, eval_every_steps=8),
         )
-        labels = [point.compression for point in points]
+        cells = select(lower_spec(spec, "compression"), strategy="Synchronous")
+        assert len(cells) == len(spec.compressions)
+        points = run_grid(cells)
+        labels = [point.result.compression for point in points]
         assert labels[0] == "none"
         assert all(point.result.parallel_steps >= 8 for point in points)

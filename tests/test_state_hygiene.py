@@ -53,6 +53,20 @@ of it.  Rows are selected independently, so the row is the unit now, and
 8. sparsifying kernels select one row at a time: under ``compression/`` no
    call to ``argpartition`` / ``partition`` passes ``axis=``, and the retired
    all-rows scratch names occur nowhere under ``src/``.
+
+"How a grid's axes become cells, and how a cell's coordinates travel with its
+result" was once decided in a dozen places — five sweep helpers with three
+point classes, a run table, a second on-disk format, and the CLI's own run
+loops — and the copies drifted (two sketch geometries under one label, a
+``--jobs`` that never saw two cells).  There is one lowering now, and
+
+9. a grid is lowered in one place: under ``src/repro/`` ``SweepCell(`` is
+   constructed only in ``experiments/sweep.py``; ``cli.py`` neither imports
+   ``build_cluster`` nor calls ``.execute(`` on anything; ``build_cluster(`` is
+   called only by ``experiments/executor.py``, ``serving/harness.py`` and the
+   package docstring's example; one function reads ``ExperimentSpec``'s axes;
+   and the retired names occur nowhere under ``src/``, ``benchmarks/`` or
+   ``examples/``.
 """
 
 from __future__ import annotations
@@ -61,7 +75,8 @@ import ast
 import re
 from pathlib import Path
 
-SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 #: The optimizer state attributes; spelled nowhere outside ``optim/``.
 _MOMENT_NAMES = re.compile(r"_velocity|\b_m\b|\b_v\b")
@@ -275,6 +290,78 @@ def test_sparsifying_kernels_select_one_row_at_a_time():
         if _RETIRED_SELECTION_NAMES.search(line)
     ]
     assert not spelled, "the (K, d) selection scratch is named again:\n" + "\n".join(spelled)
+
+
+#: The five sweep helpers' survivors-by-name, the typed points, the run table
+#: and the second file format.
+_RETIRED_GRID_NAMES = re.compile(
+    r"\b(sweep_theta|sweep_workers|sweep_fabric|sweep_compression|sweep_strategies"
+    r"|run_fabric_spec|run_compression_spec|FabricSweepPoint|CompressionSweepPoint"
+    r"|RunTableSpec|save_sweep|load_sweep|save_results|load_results|point_type)\b"
+)
+_SPEC_AXES = {"fda_thetas", "worker_counts", "topologies", "networks", "compressions"}
+
+
+def _calls(source: str, name: str):
+    """Line numbers of every call whose callee is named ``name`` (bare or attribute)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+    ]
+
+
+def test_a_grid_is_lowered_in_one_place():
+    sources = dict(_sources())
+    builders = {module for module, source in sources.items() if _calls(source, "SweepCell")}
+    assert builders == {"experiments/sweep.py"}, (
+        "a second lowering — build cells with repro.experiments.sweep.lower_grid / "
+        f"lower_spec instead: SweepCell( constructed in {sorted(builders)}"
+    )
+    cluster_builders = {
+        module for module, source in sources.items() if _calls(source, "build_cluster")
+    }
+    assert cluster_builders == {"experiments/executor.py", "serving/harness.py"}, (
+        "'build a cluster, execute a run' belongs to the sweep executor (and the "
+        f"serving harness): build_cluster( called in {sorted(cluster_builders)}"
+    )
+    cli = sources["cli.py"]
+    assert "build_cluster" not in cli, "cli.py runs cells through run_grid, not build_cluster"
+    assert not _calls(cli, "execute"), (
+        f"cli.py:{_calls(cli, 'execute')}: commands hand cells to run_grid / execute_cells; "
+        "they do not drive a TrainingRun (or an executor) themselves"
+    )
+    # One function interprets an ExperimentSpec's declared axes ...
+    readers = {
+        (module, function.name)
+        for module, source in sources.items()
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and node.attr in _SPEC_AXES
+        and getattr(node.value, "id", None) == "spec"
+    }
+    assert readers == {("experiments/sweep.py", "lower_spec")}, readers
+    # ... and the commands and benchmark helpers that run specs all call it.
+    callers = {
+        "src/repro/cli.py": 3,  # figureN, fabric --spec, compression
+        "benchmarks/conftest.py": 1,
+        "benchmarks/sweep_helpers.py": 1,
+    }
+    for path, expected in callers.items():
+        found = len(_calls((REPO_ROOT / path).read_text(encoding="utf-8"), "lower_spec"))
+        assert found == expected, f"{path} calls lower_spec {found}x, expected {expected}"
+    spelled = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
+        for root in ("src", "benchmarks", "examples")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _RETIRED_GRID_NAMES.search(line)
+    ]
+    assert not spelled, "a retired sweep helper is named again:\n" + "\n".join(spelled)
+    assert not (SRC_ROOT / "experiments" / "runtable.py").exists()
 
 
 def test_no_private_imports_across_modules():

@@ -26,8 +26,9 @@ from repro.experiments.executor import (
     fork_parallelism_available,
 )
 from repro.experiments.run import TrainingRun
+from repro.experiments.registry import fda
 from repro.experiments.setup import SetupCache, WorkloadConfig, build_cluster, make_optimizer
-from repro.experiments.sweep import _run_one, sweep_theta
+from repro.experiments.sweep import lower_grid, run_grid
 from repro.nn.architectures import mlp, transfer_head
 from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.model import Sequential
@@ -73,6 +74,23 @@ def make_cell(workload, theta: float = 2.0, run: TrainingRun = RUN) -> SweepCell
         workload=workload,
         strategy_factory=lambda: FDAStrategy(threshold=theta, variant="linear", seed=0),
         run=run,
+    )
+
+
+def sweep_theta(workload, thetas, run, executor=None):
+    """A LinearFDA Θ grid through the one lowering (the suite's standard sweep)."""
+    return run_grid(lower_grid(workload, run, fda, theta=thetas), executor)
+
+
+def run_eager(workload, strategy, run):
+    """The eager reference: build everything from scratch, execute directly."""
+    cluster, test_dataset = build_cluster(workload)
+    return run.execute(
+        strategy,
+        cluster,
+        test_dataset,
+        train_dataset=workload.train_dataset,
+        workload_name=workload.name,
     )
 
 
@@ -129,6 +147,28 @@ class TestRunKeys:
         changed = executor.run_key(make_cell(mutate(build_workload())))
         assert changed != base
 
+    def test_spelled_defaults_share_the_key_of_what_they_build(self):
+        # The fingerprint covers the fabric the cluster will be built with,
+        # not how the caller spelled it (``cli compare`` says "none"/"star",
+        # ``cli serve`` says None).
+        from repro.distributed.network import FL_NETWORK
+        from repro.distributed.topology import HierarchicalTopology, StarTopology
+
+        executor = SweepExecutor()
+
+        def key(**fabric):
+            return executor.run_key(make_cell(build_workload(**fabric)))
+
+        base = key()
+        assert key(network="none") == key(network=None) == base
+        assert key(topology="star") == key(topology=StarTopology()) == key(topology=None) == base
+        assert key(network="fl") == key(network=FL_NETWORK) != base
+        assert key(topology="hierarchical") == key(topology=HierarchicalTopology(group_size=4))
+        # ...while anything that builds a different fabric still moves the key.
+        assert key(topology=HierarchicalTopology(group_size=2)) != key(topology="hierarchical")
+        assert key(network="fl") != key(network="hpc")
+        assert len({key(topology=name) for name in ("star", "ring", "hierarchical", "gossip")}) == 4
+
     def test_strategy_and_run_changes_change_key(self):
         executor = SweepExecutor()
         workload = build_workload()
@@ -155,7 +195,7 @@ class TestRunKeys:
 class TestMemoizedSetup:
     def test_memoized_results_match_eager(self):
         eager = [
-            _run_one(
+            run_eager(
                 build_workload(),
                 FDAStrategy(threshold=theta, variant="linear", seed=0),
                 RUN,
@@ -187,7 +227,7 @@ class TestMemoizedSetup:
             ),
         )
         eager = [
-            _run_one(
+            run_eager(
                 workload, FDAStrategy(threshold=theta, variant="linear", seed=0), RUN
             )
             for theta in THETAS
@@ -200,7 +240,7 @@ class TestMemoizedSetup:
         # A float32 cell converts the pooled skeletons in place; the next
         # float64 cell must get pristine float64 initials back.
         executor = SweepExecutor()
-        reference = _run_one(
+        reference = run_eager(
             build_workload(), FDAStrategy(threshold=2.0, variant="linear", seed=0), RUN
         )
         sweep_theta(build_workload(dtype="float32"), (2.0,), RUN, executor=executor)
