@@ -40,10 +40,9 @@ and the whole scenario grid runs on either engine:
   configuration, batch size) are rejected.
 * **Per-worker driving**: :meth:`ClusterEngine.step_worker` and
   :meth:`ClusterEngine.epoch_worker` run single-row slices of the same
-  batched kernels, so event-driven (asynchronous) completions and
-  FedOpt-style local epochs use the fast path too.  Because every worker's
-  optimizer *is* a row of the stacked optimizer (one rule, one state), lockstep
-  and per-worker driving compose freely — there is no drive-mode exclusion.
+  batched kernels (FedOpt local epochs); served events are not such slices but
+  masked rows of ``step_all``, many arrivals to a pass.  Every worker's
+  optimizer *is* a row of the stacked optimizer, so drive modes compose freely.
 
 Per-worker arithmetic is element-for-element the sequential arithmetic (the
 optimizer step is literally the same rule; the stacked GEMMs may re-associate),
@@ -124,7 +123,7 @@ class ClusterEngine:
         raise NotImplementedError
 
     def step_worker(self, worker_id: int) -> float:
-        """One local step on a single worker (the asynchronous event path)."""
+        """One local step on a single worker (served events batch through ``step_all``)."""
         return self.cluster.workers[worker_id].local_step()
 
     def epoch_worker(self, worker_id: int) -> float:
@@ -426,8 +425,7 @@ class BatchedEngine(ClusterEngine):
         return float(losses.mean())
 
     def step_worker(self, worker_id: int) -> float:
-        # Event-driven completions are per-worker by nature; they run as a
-        # single-row slice of the batched kernels, sharing optimizer state
+        # A single-row slice of the batched kernels, sharing optimizer state
         # and RNG streams with every other drive mode.
         rows = np.array([worker_id])
         x, y = self._sampler.sample(rows)

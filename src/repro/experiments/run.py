@@ -49,8 +49,8 @@ class RunResult:
     #: parity suite), so this documents configuration, not arithmetic.  On
     #: "batched", lockstep strategies (FDA, BSP, Local-SGD, compression) run
     #: stacked (K, d) passes — masked to the participating rows under
-    #: timeline dropout — and per-worker driving (FedOpt local epochs, the
-    #: asynchronous trainer's event completions) runs single-row slices of
+    #: timeline dropout, or to the served coordinator's due workers — and
+    #: per-worker driving (FedOpt local epochs) runs single-row slices of
     #: the same kernels; only strategies that bypass the engine entirely
     #: (FedProx/SCAFFOLD's transformed local epochs) stay per-worker.
     execution: str = "sequential"

@@ -149,5 +149,11 @@ def build_arrival_process(config, num_workers: int) -> Optional[ArrivalProcess]:
     if config.arrival == "deterministic":
         return DeterministicArrivals(config.arrival_rate)
     if config.arrival == "trace":
-        return TraceArrivals.from_jsonl(config.trace_path)
+        trace = TraceArrivals.from_jsonl(config.trace_path)
+        # Only workers 0..K-1 are ever scheduled: other ids would silently lose load.
+        if unknown := sorted(w for w in trace._times if not 0 <= w < num_workers):
+            raise ConfigurationError(
+                f"arrival trace names workers {unknown}; the cluster has 0..{num_workers - 1}"
+            )
+        return trace
     raise ConfigurationError(f"unknown arrival kind {config.arrival!r}")

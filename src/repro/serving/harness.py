@@ -30,12 +30,21 @@ Two protocols share the machinery: ``"fda"`` (triggered sync, as above) and
 ``"bsp"``, the lockstep baseline — a round fires unconditionally once every
 worker has delivered an update since the last synchronization, and workers
 upload full models rather than tiny FDA states.
+
+*When a step is computed* is not an event: workers are independent between
+synchronizations, so producing an update does in event order only what order
+can change (arrival draw, upload charge, ``version``, ``seq``, ``step_index``);
+:meth:`ServedFDATrainer._settle` computes the backlogged steps before an
+estimate, a synchronization or a driver's return reads them.  A diverging step
+raises ``TrainingError``, naming its worker, at that settle and aborts the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.core.fda import FDAProtocol
 from repro.core.monitor import VarianceMonitor, make_monitor
@@ -51,6 +60,9 @@ from repro.serving.metrics import LatencyTracker
 from repro.serving.queueing import IngressQueue, PendingUpdate
 
 __all__ = ["ServedFDATrainer", "ServedUpdate", "ServingReport", "serve_workload"]
+
+#: Settle unprompted at this many uncomputed steps per worker: a trace can starve the barrier.
+BACKLOG_LIMIT_PER_WORKER = 8
 
 
 class ServedUpdate(NamedTuple):
@@ -124,9 +136,9 @@ class ServedFDATrainer(FDAProtocol):
         if (faults is not None and faults.churn_active) or (
             members is not None and not members.all()
         ):
-            # The event loop steps single workers through the engine and never
-            # opens a round, so crashes would be silently ignored and unbound
-            # slots would be stepped.
+            # The event loop steps workers through the engine directly and
+            # never opens a round, so crashes would be silently ignored and
+            # unbound slots would be stepped.
             raise ConfigurationError(
                 "the served coordinator cannot drive worker churn or a partial "
                 "cohort yet (ROADMAP item 2c); loss-only fault plans and full "
@@ -149,8 +161,11 @@ class ServedFDATrainer(FDAProtocol):
         self.stale_rejected = 0
         self.updates_served = 0
         self.blocked_peak = 0
-        # Most recent (state, staleness weight) per worker since the last sync.
-        self._latest: Dict[int, Tuple[object, float]] = {}
+        # Most recent (update, staleness weight) per worker since the last sync.
+        self._latest: Dict[int, Tuple[PendingUpdate, float]] = {}
+        # Per worker, the produced updates whose local step is not computed yet.
+        self._backlog: List[List[PendingUpdate]] = [[] for _ in cluster.workers]
+        self._unsettled = 0
         self._arrivals = build_arrival_process(config, cluster.num_workers)
         self._busy = False
         self._update_seq = 0
@@ -174,13 +189,10 @@ class ServedFDATrainer(FDAProtocol):
     # -- the protocol ------------------------------------------------------------
 
     def _produce_update(self, worker_id: int, event_time: float) -> None:
-        """A worker takes one local step and ships the result to the coordinator.
+        """A worker finishes a local step and ships the result to the coordinator.
 
-        The step is routed through the cluster's execution engine via
-        ``engine.step_worker``: the sequential engine runs the worker's own
-        Python-loop step, the batched engine the same step as a single-row
-        slice of its stacked kernels, with identical per-worker arithmetic —
-        so event-driven trajectories are engine-independent.
+        Everything whose order is observable happens here; the step itself
+        joins the worker's backlog for :meth:`_settle`.
         """
         closed = self._arrivals is None
         if not closed:
@@ -189,20 +201,15 @@ class ServedFDATrainer(FDAProtocol):
             next_time = self._arrivals.next_arrival(worker_id, event_time)
             if next_time is not None:
                 self.timeline.schedule(next_time, ARRIVAL, worker_id)
-        self.cluster.engine.step_worker(worker_id)
-        worker = self.cluster.workers[worker_id]
         if self.config.protocol == "fda":
-            # The drift is one row-wise subtraction off the worker's row of
-            # the cluster's parameter matrix.
-            state = self.monitor.local_state(worker.drift_from(self._reference))
             elements, category = self.state_elements_per_step, CATEGORY_STATE
         else:
             # BSP workers upload their full model, not a tiny FDA state.
-            state = None
             elements, category = self.cluster.model_dimension, CATEGORY_MODEL
         # Point-to-point traffic routed through the fabric (one hop on the
         # star; more on multi-hop topologies).
         charge = self.cluster.charge_upload(elements, category, worker_id)
+        backlog = self._backlog[worker_id]
         update = PendingUpdate(
             worker_id=worker_id,
             # Closed loop: the coordinator sees the state the instant the step
@@ -210,12 +217,34 @@ class ServedFDATrainer(FDAProtocol):
             enqueue_time=event_time if closed else event_time + charge.seconds,
             version=self.synchronization_count,
             seq=self._update_seq,
-            state=state,
-            step_index=worker.steps_performed,
+            step_index=self.cluster.workers[worker_id].steps_performed + len(backlog) + 1,
             upload_seconds=charge.seconds,
         )
         self._update_seq += 1
+        backlog.append(update)
+        self._unsettled += 1
         self.timeline.schedule(update.enqueue_time, ENQUEUE, worker_id, update)
+        if self._unsettled >= BACKLOG_LIMIT_PER_WORKER * len(self._backlog):
+            self._settle()
+
+    def _settle(self) -> None:
+        """Compute the backlog rank by rank: every worker's oldest uncomputed
+        step as one masked ``engine.step_all``, then their states.  No sync falls
+        between a step's event and its settle, so the reference is the event's."""
+        if not self._unsettled:
+            return
+        depth = np.array([len(backlog) for backlog in self._backlog])
+        for rank in range(int(depth.max())):
+            due = depth > rank
+            self.cluster.engine.step_all(active=due)
+            if self.config.protocol == "fda":
+                rows = np.flatnonzero(due)
+                # A fresh drift block: ExactMonitor's states keep views of it.
+                drifts = self.cluster.parameter_matrix[rows] - self._reference
+                for row, state in zip(rows, self.monitor.local_states(drifts)):
+                    self._backlog[row][rank].state = state
+        self._backlog = [[] for _ in self._backlog]
+        self._unsettled = 0
 
     def _admit(self, update: PendingUpdate) -> None:
         self.queue.offer(update, self.timeline.now)
@@ -245,8 +274,9 @@ class ServedFDATrainer(FDAProtocol):
         if weight <= 0.0:
             self.stale_rejected += 1
         else:
-            self._latest[update.worker_id] = (update.state, weight)
+            self._latest[update.worker_id] = (update, weight)
             if len(self._latest) == self.cluster.num_workers:
+                self._settle()  # an estimate or a sync reads every worker
                 fda = self.config.protocol == "fda"
                 if fda:
                     estimate = self._estimate()
@@ -282,7 +312,7 @@ class ServedFDATrainer(FDAProtocol):
             if min(weights) == max(weights)
             else Participation(weights=weights).normalized()
         )
-        averaged = average_states([state for state, _ in ordered], normalized)
+        averaged = average_states([update.state for update, _ in ordered], normalized)
         return float(self.monitor.estimate(averaged))
 
     def _process_event(self) -> Optional[ServedUpdate]:
@@ -298,18 +328,22 @@ class ServedFDATrainer(FDAProtocol):
 
     # -- driving -----------------------------------------------------------------
 
+    def _serve_one(self) -> Optional[ServedUpdate]:
+        record = None
+        while record is None and self.timeline.next_event_time() is not None:
+            record = self._process_event()
+        return record
+
     def serve_next(self) -> Optional[ServedUpdate]:
         """Run until one more update has been aggregated and return its record.
 
         ``None`` only when the load is finite (a trace ran dry) and the queue
         drained.  Nothing is retained: callers that want the trajectory keep
-        the records themselves.
+        the records themselves.  Drivers return with every step computed.
         """
-        while self.timeline.next_event_time() is not None:
-            record = self._process_event()
-            if record is not None:
-                return record
-        return None
+        record = self._serve_one()
+        self._settle()
+        return record
 
     def serve_updates(self, num_updates: int) -> int:
         """Run until ``num_updates`` more updates have been aggregated.
@@ -320,8 +354,9 @@ class ServedFDATrainer(FDAProtocol):
         if num_updates < 0:
             raise ConfigurationError(f"num_updates must be non-negative, got {num_updates}")
         served = 0
-        while served < num_updates and self.serve_next() is not None:
+        while served < num_updates and self._serve_one() is not None:
             served += 1
+        self._settle()
         return served
 
     def serve_for(self, virtual_seconds: float) -> int:
@@ -333,6 +368,7 @@ class ServedFDATrainer(FDAProtocol):
         while (due := self.timeline.next_event_time()) is not None and due <= deadline:
             served += self._process_event() is not None
         self.timeline.advance_to(deadline)
+        self._settle()
         return served
 
     # -- reporting ---------------------------------------------------------------

@@ -184,6 +184,26 @@ def assert_ledgers_equal(cluster_a: SimulatedCluster, cluster_b: SimulatedCluste
     ]
 
 
+def assert_same_state(actual, expected, path="slot"):
+    """Byte-equality of two nested snapshots (dtype included)."""
+    if isinstance(expected, dict) and path.endswith("optimizer.arrays"):
+        # The sequential engine allocates moments on the first step: an array
+        # one side lacks was captured before that step and is all zeros.
+        for name in actual.keys() | expected.keys():
+            np.testing.assert_array_equal(
+                actual.get(name, 0.0), expected.get(name, 0.0), err_msg=f"{path}.{name}"
+            )
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), path
+        for key, value in expected.items():
+            assert_same_state(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype, path
+        np.testing.assert_array_equal(actual, expected, err_msg=path)
+    else:
+        assert actual == expected, path
+
+
 def assert_close(actual, desired, exact: bool = False, rtol: float = RTOL, **kwargs) -> None:
     """``allclose`` at the harness tolerance, or value-exact with ``exact=True``."""
     if exact:

@@ -123,6 +123,15 @@ class TestArrivalReproducibility:
             DeterministicArrivals,
         )
 
+    def test_a_trace_for_a_larger_cluster_is_refused_by_name(self, tmp_path):
+        """An 8-worker trace on 4 workers used to serve half its events, silently."""
+        path = tmp_path / "trace.jsonl"
+        write_arrival_trace(str(path), [(w, 0.1 * (w + 1)) for w in range(8)])
+        config = ServingConfig(arrival="trace", trace_path=str(path))
+        assert isinstance(build_arrival_process(config, 8), TraceArrivals)
+        with pytest.raises(ConfigurationError, match=r"workers \[4, 5, 6, 7\]"):
+            build_arrival_process(config, 4)
+
 
 class TestQueueConservation:
     @given(

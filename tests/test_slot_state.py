@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers.parity import EXECUTIONS, MODELS, make_cluster
+from helpers.parity import EXECUTIONS, MODELS, assert_same_state, make_cluster
 from repro.compression import CompressionConfig
 from repro.optim.adam import Adam, AdamW
 from repro.optim.sgd import SGD
@@ -27,26 +27,6 @@ OPTIMIZERS = {
     "adamw": lambda worker_id: AdamW(0.01, weight_decay=0.01),
 }
 NUM_WORKERS = 3
-
-
-def assert_same_state(actual, expected, path="slot"):
-    """Byte-equality of two nested snapshots (dtype included)."""
-    if isinstance(expected, dict) and path.endswith("optimizer.arrays"):
-        # The sequential engine allocates moments on the first step: an array
-        # one side lacks was captured before that step and is all zeros.
-        for name in actual.keys() | expected.keys():
-            np.testing.assert_array_equal(
-                actual.get(name, 0.0), expected.get(name, 0.0), err_msg=f"{path}.{name}"
-            )
-    elif isinstance(expected, dict):
-        assert actual.keys() == expected.keys(), path
-        for key, value in expected.items():
-            assert_same_state(actual[key], value, f"{path}.{key}")
-    elif isinstance(expected, np.ndarray):
-        assert actual.dtype == expected.dtype, path
-        np.testing.assert_array_equal(actual, expected, err_msg=path)
-    else:
-        assert actual == expected, path
 
 
 def train(cluster, rounds):

@@ -67,6 +67,15 @@ loops — and the copies drifted (two sketch geometries under one label, a
    package docstring's example; one function reads ``ExperimentSpec``'s axes;
    and the retired names occur nowhere under ``src/``, ``benchmarks/`` or
    ``examples/``.
+
+The served coordinator once computed every arrival's local step on the spot,
+one single-row engine call per event — three quarters of a served run.  It
+settles produced steps together now, before anything reads them, and
+
+10. served steps are computed in one place: under ``src/repro/serving/``
+    exactly one call steps workers — ``engine.step_all``, in
+    ``ServedFDATrainer._settle`` — and no source names ``step_worker`` or
+    ``local_step``.
 """
 
 from __future__ import annotations
@@ -362,6 +371,34 @@ def test_a_grid_is_lowered_in_one_place():
     ]
     assert not spelled, "a retired sweep helper is named again:\n" + "\n".join(spelled)
     assert not (SRC_ROOT / "experiments" / "runtable.py").exists()
+
+
+_STEPPING_CALLS = {
+    "step_all", "step_worker", "epoch_all", "epoch_worker", "local_step", "local_epoch",
+}
+
+
+def test_served_steps_are_computed_in_one_place():
+    serving = [(m, source) for m, source in _sources() if m.startswith("serving/")]
+    steppers = [
+        (module, function.name, ast.get_source_segment(source, node.func))
+        for module, source in serving
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _STEPPING_CALLS
+    ]
+    assert steppers == [("serving/harness.py", "_settle", "self.cluster.engine.step_all")], (
+        "served steps are computed by ServedFDATrainer._settle alone, as masked rows "
+        f"of one engine.step_all: {steppers}"
+    )
+    spelled = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in serving
+        for number, line in enumerate(source.splitlines(), 1)
+        if re.search(r"\b(step_worker|local_step)\b", line)
+    ]
+    assert not spelled, "the per-event stepping path is named again:\n" + "\n".join(spelled)
 
 
 def test_no_private_imports_across_modules():
