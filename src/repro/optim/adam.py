@@ -112,7 +112,8 @@ class AdamW(Adam):
         # Decoupled decay uses the *pre-update* parameters, so materialize the
         # decay term before the Adam step mutates them; rows with zero decay
         # subtract an exact zero.
-        decay = (learning_rate * weight_decay) * params
+        decay = workspace.scratch("adamw-decay", params.shape[0])
+        np.multiply(learning_rate * weight_decay, params, out=decay)
         super()._update_rows(
             workspace, params, grads, state, columns, learning_rate, timesteps
         )

@@ -15,7 +15,8 @@ until an execution engine stacks it with its peers.  So there is one path to
 the rule, whoever drives:
 
 * :meth:`StackedOptimizer.step_rows` — all ``K`` rows, or a masked subset
-  (the batched engine's lockstep and partial-participation paths);
+  (the batched engine's lockstep and partial-participation paths), one
+  cache-sized block of whole rows at a time;
 * :meth:`Optimizer.step_inplace` — "step my row": the same rule on
   ``params[None]`` with this row's state block, ``(1, 1)`` columns and
   timestep (``worker.local_step``, the sequential engine, drift-control
@@ -41,31 +42,30 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.optim.schedules import LearningRateSchedule, resolve_schedule
 
 
+#: Elements per row block of a stacked update (1 MiB at float64, 512 KiB at
+#: float32): the rule's scratch stays cache-resident across blocks, so only
+#: parameters, gradients and state stream through DRAM.
+ROW_BLOCK_ELEMENTS = 131_072
+
+
 class Workspace:
     """The reusable scratch blocks a stack lends to its rule.
 
     Shared by a :class:`StackedOptimizer` and its rows' optimizers; knows the
-    stack's layout (``rows × dimension`` in ``dtype``) and nothing else.
+    stack's row layout (``dimension`` in ``dtype``) and nothing else.
     """
 
-    def __init__(self, rows: int, dimension: int, dtype: np.dtype) -> None:
-        self.rows, self.dimension, self.dtype = rows, dimension, dtype
+    def __init__(self, dimension: int, dtype: np.dtype) -> None:
+        self.dimension, self.dtype = dimension, dtype
         self._buffers: Dict[str, np.ndarray] = {}
 
     def scratch(self, name: str, count: int) -> np.ndarray:
-        """A reusable ``(count, d)`` block for the update kernels."""
+        """A reusable ``(count, d)`` block, as tall as the tallest one asked for."""
         buffer = self._buffers.get(name)
-        if buffer is None:
-            buffer = np.empty((self.rows, self.dimension), dtype=self.dtype)
+        if buffer is None or buffer.shape[0] < count:
+            buffer = np.empty((count, self.dimension), dtype=self.dtype)
             self._buffers[name] = buffer
         return buffer[:count]
-
-    def flat(self, name: str, size: int) -> np.ndarray:
-        """A reusable flat block of ``size`` elements, grown on demand."""
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[name] = np.empty(size, dtype=self.dtype)
-        return buffer[:size]
 
 
 class Optimizer:
@@ -343,6 +343,8 @@ class StackedOptimizer:
     ``rows=None`` (full participation) it operates directly on the live
     matrices; otherwise the caller passes gathered ``(A, d)`` blocks aligned
     with ``rows`` and the state rows are gathered/scattered around the update.
+    Either way the rule runs one block of whole rows at a time
+    (:data:`ROW_BLOCK_ELEMENTS`) — the one place an update is cache-blocked.
     """
 
     def __init__(
@@ -394,7 +396,7 @@ class StackedOptimizer:
         # State, hyper-parameter columns, and scratch all live in the plane's
         # dtype so the update never promotes a float32 (K, d) matrix.
         self.dtype = resolve_dtype(dtype)
-        self.workspace = Workspace(self.num_workers, self.dimension, self.dtype)
+        self.workspace = Workspace(self.dimension, self.dtype)
         self._columns: Dict[str, np.ndarray] = {
             name: np.array(
                 [[float(getattr(optimizer, name))] for optimizer in self.optimizers],
@@ -410,14 +412,36 @@ class StackedOptimizer:
         }
         for row, optimizer in enumerate(self.optimizers):
             optimizer._bind_row(self, row)
-        # Masked-path gather buffers, allocated on the first masked step so
-        # full-participation runs never pay for them.
-        self._state_scratch: Optional[Dict[str, np.ndarray]] = None
 
     @property
     def step_counts(self) -> np.ndarray:
         """Per-worker step counts (reads the wrapped optimizers)."""
         return np.array([optimizer.step_count for optimizer in self.optimizers])
+
+    def _select(self, rows) -> Tuple[np.ndarray, List[Optimizer]]:
+        """``rows`` as an index array of distinct workers in ``[0, K)``, and their optimizers.
+
+        A repeated id would step a row's state once and its count twice (and,
+        straddling two blocks, make the result depend on the block size); a
+        negative one pairs worker ``K + id``'s schedule with another row's
+        state.  Both are refused, like an id past the end.
+        """
+        ids = np.asarray(rows)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ShapeError(
+                f"step_rows expects rows as a 1-D integer index array, got {rows!r}"
+            )
+        listed = ids.tolist()
+        workers = range(self.num_workers)
+        if len(set(listed)) != len(listed) or any(k not in workers for k in listed):
+            offending = sorted(
+                {k for k in listed if k not in workers or listed.count(k) > 1}
+            )
+            raise ShapeError(
+                f"step_rows expects rows as unique worker ids in [0, {self.num_workers}); "
+                f"out of range or repeated: {offending}"
+            )
+        return ids, [self.optimizers[k] for k in listed]
 
     def step_rows(
         self,
@@ -428,16 +452,20 @@ class StackedOptimizer:
         """One optimization step on the selected worker rows, in place.
 
         ``rows=None`` steps every worker: ``params``/``grads`` must be the
-        full ``(K, d)`` matrices.  Otherwise ``rows`` is an integer index
-        array and ``params``/``grads`` are ``(len(rows), d)`` blocks holding
-        those workers' rows (typically the engine's gather scratch); state
-        rows are gathered before and scattered back after the update.
+        full ``(K, d)`` matrices.  Otherwise ``rows`` indexes distinct
+        workers and ``params``/``grads`` are ``(len(rows), d)`` blocks holding
+        those workers' rows (typically the engine's gather scratch).
+
+        The rule is applied to ``ROW_BLOCK_ELEMENTS // d`` consecutive rows
+        at a time (at least one; a row is never split): rows are independent
+        under the rule's contract, so the block size never shows in a result,
+        and every temporary is block-sized.  On the masked path each block's
+        state rows are gathered before and scattered back after its update.
         """
-        active = (
-            self.optimizers
-            if rows is None
-            else [self.optimizers[int(k)] for k in rows]
-        )
+        if rows is None:
+            active = self.optimizers
+        else:
+            rows, active = self._select(rows)
         count = len(active)
         expected = (count, self.dimension)
         if params.shape != expected or grads.shape != expected:
@@ -450,30 +478,41 @@ class StackedOptimizer:
             dtype=self.dtype,
         )
         timesteps = [optimizer.step_count + 1 for optimizer in active]
-        if rows is None:
-            state = self._state
-            columns = self._columns
-        else:
-            if self._state_scratch is None:
-                self._state_scratch = {
-                    name: np.empty_like(matrix)
+        rule = self.optimizers[0]._update_rows
+        block = max(1, ROW_BLOCK_ELEMENTS // max(1, self.dimension))
+        for start in range(0, count, block):
+            cut = slice(start, start + block)
+            if rows is None:
+                state = {name: matrix[cut] for name, matrix in self._state.items()}
+                columns = {name: column[cut] for name, column in self._columns.items()}
+            else:
+                ids = rows[cut]
+                # mode="clip": the ids are checked above, and numpy's
+                # bounds-checking take path is several times slower on wide
+                # matrices.
+                state = {
+                    name: np.take(
+                        matrix,
+                        ids,
+                        axis=0,
+                        out=self.workspace.scratch("state-" + name, ids.size),
+                        mode="clip",
+                    )
                     for name, matrix in self._state.items()
                 }
-            state = {}
-            for name, matrix in self._state.items():
-                block = self._state_scratch[name][:count]
-                # mode="clip": the rows index live workers by construction,
-                # and numpy's bounds-checking take path is several times
-                # slower on wide matrices.
-                np.take(matrix, rows, axis=0, out=block, mode="clip")
-                state[name] = block
-            columns = {name: column[rows] for name, column in self._columns.items()}
-        self.optimizers[0]._update_rows(
-            self.workspace, params, grads, state, columns, learning_rate, timesteps
-        )
-        if rows is not None:
-            for name, matrix in self._state.items():
-                matrix[rows] = state[name]
+                columns = {name: column[ids] for name, column in self._columns.items()}
+            rule(
+                self.workspace,
+                params[cut],
+                grads[cut],
+                state,
+                columns,
+                learning_rate[cut],
+                timesteps[cut],
+            )
+            if rows is not None:
+                for name, matrix in self._state.items():
+                    matrix[ids] = state[name]
         for optimizer in active:
             optimizer.step_count += 1
         return params

@@ -70,17 +70,18 @@ class AmsSketch:
         self.seed = int(seed)
         self._bucket_hash = FourWiseHash(self.depth, seed=seed * 2 + 1)
         self._sign_hash = FourWiseHash(self.depth, seed=seed * 2 + 2)
-        self._operator: Optional[sparse.csr_array] = None
+        self._operator: Optional[sparse.csc_array] = None
         if dimension is not None:
             self._prepare(dimension)
 
     # -- operator preparation --------------------------------------------------
 
     def _prepare(self, dimension: int) -> None:
-        """Build the ``(depth·width, dimension)`` CSR sketch operator.
+        """Build the ``(depth·width, dimension)`` CSC sketch operator.
 
         Row ``i·width + b`` holds ``s_i(c)`` at every coordinate ``c`` with
-        ``h_i(c) = b``; assembled by column and converted, which sorts each row.
+        ``h_i(c) = b``; column ``c`` lists its ``depth`` buckets in ascending
+        row order, which is the order it is assembled in.
         """
         if dimension <= 0:
             raise ConfigurationError(f"dimension must be positive, got {dimension}")
@@ -92,7 +93,7 @@ class AmsSketch:
         self._operator = sparse.csc_array(
             (self._sign_hash.signs(indices).T.ravel(), rows.T.ravel(), column_starts),
             shape=(self.depth * self.width, dimension),
-        ).tocsr()
+        )
 
     @property
     def dimension(self) -> Optional[int]:
@@ -124,8 +125,10 @@ class AmsSketch:
     def _apply(self, columns: np.ndarray) -> np.ndarray:
         """Sketch every column of a float64 ``(d, K)`` block; returns ``(K, depth, width)``.
 
-        The one sketch kernel.  A CSR product accumulates each output row —
-        one bucket — over its coordinates in ascending order, in float64,
+        The one sketch kernel.  A CSC product walks the coordinates once, in
+        memory order, adding ``±columns[c]`` into coordinate ``c``'s buckets;
+        the output (``depth·width × K``) stays cache-resident.  Each bucket
+        still accumulates its coordinates in ascending order, in float64,
         with exact ``±1`` products, independently per column: a column's
         sketch does not depend on how many columns share the product.
         """

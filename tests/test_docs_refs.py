@@ -1,11 +1,13 @@
 """Documentation reference checks: docs must not rot.
 
-Four guarantees, run as CI's dedicated docs job
+Five guarantees, run as CI's dedicated docs job
 (``python -m pytest tests/test_docs_refs.py``):
 
 * every dotted ``repro.*`` reference in ``ARCHITECTURE.md`` and ``docs/``
   resolves — the module imports and any trailing attribute chain exists;
 * every repo-relative file path those documents mention exists;
+* no document carries two ``##`` sections under one heading (a stale copy of
+  a plane once sat under the current one, describing the design before last);
 * the doctests embedded in :mod:`repro.compression` pass;
 * every ``examples/*.py`` imports (they are ``__main__``-guarded, so importing
   one resolves every name it uses from the library without running it).
@@ -102,6 +104,13 @@ def test_docs_exist():
     names = {doc.name for doc in DOC_FILES}
     assert "ARCHITECTURE.md" in names
     assert "paper_map.md" in names
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda doc: doc.name)
+def test_section_headings_are_unique(doc):
+    headings = re.findall(r"^## .*$", _doc_text(doc), flags=re.MULTILINE)
+    repeated = sorted({heading for heading in headings if headings.count(heading) > 1})
+    assert not repeated, f"{doc.name} has two sections headed {repeated}"
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.optim.sgd as sgd_module
+import repro.optim.base as base_module
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.optim.adam import Adam, AdamW
-from repro.optim.base import StackedOptimizer
+from repro.optim.base import StackedOptimizer, Workspace
 from repro.optim.schedules import (
     ConstantSchedule,
     CosineDecaySchedule,
@@ -254,44 +254,64 @@ class TestRowOwnedState:
         assert params.tobytes() == straight_params.tobytes()
 
 
-class TestCacheBlockedSGD:
-    """Uniform momentum-free SGD takes the cache-blocked pass at both dtypes."""
+def block_rows(dimension):
+    """Rows per block of a stacked update, as ``step_rows`` sizes it."""
+    return max(1, base_module.ROW_BLOCK_ELEMENTS // dimension)
+
+
+class TestRowBlocking:
+    """``step_rows`` hands the rule one block of whole rows at a time."""
 
     @pytest.fixture()
-    def chunked_calls(self, monkeypatch):
-        calls = []
-        chunked = sgd_module._plain_update_chunked
+    def seam(self, monkeypatch):
+        """Spy on the two things a block passes through: the rule and the scratch."""
+        calls, scratch_rows = [], []
+        rule, scratch = SGD._update_rows, Workspace.scratch
 
-        def spy(params, grads, learning_rate, weight_decay, scratch):
-            calls.append(weight_decay)
-            chunked(params, grads, learning_rate, weight_decay, scratch)
+        def rule_spy(self, workspace, params, grads, state, columns, learning_rate, timesteps):
+            calls.append((params.shape[0], columns["weight_decay"][:, 0].tolist()))
+            rule(self, workspace, params, grads, state, columns, learning_rate, timesteps)
 
-        monkeypatch.setattr(sgd_module, "_plain_update_chunked", spy)
-        return calls
+        def scratch_spy(self, name, count):
+            block = scratch(self, name, count)
+            scratch_rows.append(block.base.shape[0])
+            return block
+
+        monkeypatch.setattr(SGD, "_update_rows", rule_spy)
+        monkeypatch.setattr(Workspace, "scratch", scratch_spy)
+        return calls, scratch_rows
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_weight_decay_rows_take_the_chunked_path(self, chunked_calls, dtype):
-        # The rule used to compare the plane-dtype column with a Python
-        # float, so at float32 1e-4 never equalled itself and the fast path
-        # was silently skipped (results identical, one extra DRAM pass).
+    def test_weight_decay_rows_match_per_row_steps_block_by_block(
+        self, seam, monkeypatch, dtype
+    ):
+        # At float32 the rule once compared the plane-dtype decay column with
+        # a Python float; the bytes below are what guards the column's dtype.
+        calls, scratch_rows = seam
+        monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 32)
         rng = np.random.default_rng(0)
-        params = rng.normal(size=(3, 16)).astype(dtype)
-        grads = rng.normal(size=(3, 16)).astype(dtype)
+        params = rng.normal(size=(5, 16)).astype(dtype)
+        grads = rng.normal(size=(5, 16)).astype(dtype)
         expected = params.copy()
-        for row in range(3):
+        for row in range(5):
             SGD(0.05, weight_decay=1e-4).step_inplace(expected[row], grads[row])
-        del chunked_calls[:]
+        del calls[:], scratch_rows[:]
         stacked = StackedOptimizer(
-            [SGD(0.05, weight_decay=1e-4) for _ in range(3)], 16, dtype=dtype
+            [SGD(0.05, weight_decay=1e-4) for _ in range(5)], 16, dtype=dtype
         )
         stacked.step_rows(params, grads)
-        assert chunked_calls == [float(dtype(1e-4))]
+        # Blocks of 32 // 16 = 2 rows tile range(5) in order, ragged at the end.
+        assert block_rows(16) == 2
+        assert [count for count, _ in calls] == [2, 2, 1]
+        assert max(scratch_rows) <= 2
         assert params.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_masked_subset_uses_its_own_uniform_decay(self, chunked_calls, dtype):
-        # Rows 1 and 2 are internally uniform but differ from worker 0: the
-        # scalar comes from the covered rows' column, not from "worker 0".
+    def test_masked_subset_uses_its_own_rows_decay(self, seam, monkeypatch, dtype):
+        # Rows 1 and 2 share a decay that differs from worker 0's: the scalar
+        # comes from the covered rows' column, not from "worker 0".
+        calls, scratch_rows = seam
+        monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 16)
         decays = [1e-4, 5e-2, 5e-2]
         rng = np.random.default_rng(1)
         params = rng.normal(size=(3, 16)).astype(dtype)
@@ -300,15 +320,129 @@ class TestCacheBlockedSGD:
         expected = params[rows].copy()
         for slot, row in enumerate(rows):
             SGD(0.05, weight_decay=decays[row]).step_inplace(expected[slot], grads[row])
-        del chunked_calls[:]
+        del calls[:], scratch_rows[:]
         stacked = StackedOptimizer(
             [SGD(0.05, weight_decay=decay) for decay in decays], 16, dtype=dtype
         )
         block = params[rows].copy()
         stacked.step_rows(block, grads[rows].copy(), rows)
-        assert chunked_calls == [float(dtype(5e-2))]
+        assert calls == [(1, [float(dtype(5e-2))])] * 2
+        assert max(scratch_rows) <= 1
         assert block.tobytes() == expected.tobytes()
         assert stacked.step_counts.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["live", "masked"])
+    def test_default_blocks_tile_the_rows_in_order(self, seam, masked):
+        calls, scratch_rows = seam
+        dimension = base_module.ROW_BLOCK_ELEMENTS // 3 + 1  # two rows fit, three do not
+        assert block_rows(dimension) == 2
+        stacked = StackedOptimizer([SGD(0.1, momentum=0.9) for _ in range(7)], dimension)
+        rows = np.array([6, 0, 3, 4, 1]) if masked else None
+        count = 5 if masked else 7
+        params, grads = np.ones((count, dimension)), np.ones((count, dimension))
+        stacked.step_rows(params, grads, rows)
+        sizes = [size for size, _ in calls]
+        assert sizes == [2] * (count // 2) + [1]
+        assert max(scratch_rows) <= 2
+        # Whole rows, stepped once each: every covered row moved by -lr.
+        np.testing.assert_array_equal(params, 0.9)
+        covered = sorted(rows.tolist()) if masked else list(range(7))
+        assert np.flatnonzero(stacked._state["velocity"].any(axis=1)).tolist() == covered
+
+    def test_masked_ragged_last_block_matches_solo_rows(self, monkeypatch):
+        # K = 5 on the masked path with blocks of two rows: the last block
+        # holds one row, and gather/scatter runs per block.
+        dimension = 12
+        monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 2 * dimension)
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(5, dimension))
+        rows = np.array([4, 0, 2, 1, 3])
+        members = [AdamW(0.01, weight_decay=0.01 * k) for k in range(5)]
+        solos = [AdamW(0.01, weight_decay=0.01 * k) for k in range(5)]
+        stacked = StackedOptimizer(members, dimension)
+        params, solo_params = start.copy(), start.copy()
+        for _ in range(3):
+            grads = rng.normal(size=(5, dimension))
+            block = params[rows]
+            stacked.step_rows(block, grads[rows], rows)
+            params[rows] = block
+            for k in range(5):
+                solos[k].step_inplace(solo_params[k], grads[k])
+        assert params.tobytes() == solo_params.tobytes()
+        for member, solo in zip(members, solos):
+            for name, array in solo.state_arrays().items():
+                assert member.state_arrays()[name].tobytes() == array.tobytes()
+
+
+class TestStepRowsIndexArray:
+    """``rows`` is unique worker ids in ``[0, K)`` or the step is refused."""
+
+    @pytest.fixture()
+    def stacked(self):
+        return StackedOptimizer([Adam(0.01 * (k + 1)) for k in range(3)], 4)
+
+    def refused(self, stacked, rows, match):
+        count = len(rows)
+        with pytest.raises(ShapeError, match=match):
+            stacked.step_rows(np.ones((count, 4)), np.ones((count, 4)), rows)
+        # Nothing was stepped: no count moved, no moment written.
+        assert stacked.step_counts.tolist() == [0, 0, 0]
+        assert not any(matrix.any() for matrix in stacked._state.values())
+
+    def test_repeated_row_is_refused(self, stacked):
+        # Used to update row 1's state once and bump its step count twice.
+        self.refused(stacked, [1, 1], r"repeated: \[1\]")
+
+    def test_negative_row_is_refused(self, stacked):
+        # Used to read optimizer K-1's schedule, gather state row 0 (clip)
+        # and scatter to row K-1.
+        self.refused(stacked, [-1], r"repeated: \[-1\]")
+
+    def test_row_past_the_end_is_refused(self, stacked):
+        # Used to be a bare IndexError from a list.
+        self.refused(stacked, np.array([0, 7]), r"\[0, 3\).*\[7\]")
+
+    def test_every_offender_is_named(self, stacked):
+        self.refused(stacked, [2, -4, 2, 9, 0], r"\[-4, 2, 9\]")
+
+    def test_non_index_rows_are_refused(self, stacked):
+        self.refused(stacked, np.array([True, False, True]), "integer index")
+        self.refused(stacked, np.array([[0, 1]]), "integer index")
+        self.refused(stacked, np.array([0.0, 1.0]), "integer index")
+
+    def test_a_permutation_steps_each_row_once(self, stacked):
+        stacked.step_rows(np.ones((3, 4)), np.ones((3, 4)), [2, 0, 1])
+        assert stacked.step_counts.tolist() == [1, 1, 1]
+
+
+def test_warmed_adamw_step_allocates_no_block_sized_array():
+    # Every temporary of the rule — the decoupled decay term included — lives
+    # in a workspace block; a warmed step allocates nothing of block size
+    # (numpy's own broadcast buffer, 64 KiB whatever the block, is all).
+    import tracemalloc
+
+    count, dimension = 6, 8192
+    rng = np.random.default_rng(0)
+    params = rng.normal(size=(count, dimension))
+    grads = rng.normal(size=(count, dimension))
+    stacked = StackedOptimizer(
+        [AdamW(0.01, weight_decay=0.01 * (k + 1)) for k in range(count)], dimension
+    )
+    rows = np.array([0, 2, 5])
+    block, block_grads = params[rows], grads[rows]
+    for _ in range(2):
+        stacked.step_rows(params, grads)
+        stacked.step_rows(block, block_grads, rows)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        stacked.step_rows(params, grads)
+        stacked.step_rows(block, block_grads, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < block.nbytes // 2  # the masked block is the smaller one
 
 
 # -- the entry-point property -------------------------------------------------------
@@ -338,15 +472,12 @@ SCHEDULES = (
     lambda base: CosineDecaySchedule(base, total_steps=6, minimum=base / 10),
 )
 
-worker_draws = st.lists(
-    st.tuples(
-        st.floats(0.0, 1.0, allow_nan=False),  # hyper-parameter position u
-        st.floats(1e-3, 0.2, allow_nan=False),  # base learning rate
-        st.integers(0, len(SCHEDULES) - 1),
-    ),
-    min_size=1,
-    max_size=4,
+worker_draw = st.tuples(
+    st.floats(0.0, 1.0, allow_nan=False),  # hyper-parameter position u
+    st.floats(1e-3, 0.2, allow_nan=False),  # base learning rate
+    st.integers(0, len(SCHEDULES) - 1),
 )
+worker_draws = st.lists(worker_draw, min_size=1, max_size=4)
 
 
 @st.composite
@@ -359,6 +490,40 @@ def row_rule_cases(draw):
         st.tuples(st.just("direct"), rows),
     )
     return workers, draw(st.lists(op, min_size=1, max_size=8)), draw(st.integers(0, 2**16))
+
+
+def build_rows(kind, workers):
+    make = ROW_RULE_KINDS[kind]
+    return [make(SCHEDULES[s](base), u) for u, base, s in workers]
+
+
+def covered_rows(op, count):
+    return range(count) if op[0] == "full" else op[1] if op[0] == "masked" else [op[1]]
+
+
+def drive_stack(kind, dtype, workers, ops, seed, dimension):
+    """Run ``ops`` on one stack of ``workers``; returns ``(optimizers, params)``.
+
+    Start point and per-op gradients come from ``seed`` alone, so a second
+    driver replaying the same draws sees the same inputs.
+    """
+    count = len(workers)
+    rng = np.random.default_rng(seed)
+    optimizers = build_rows(kind, workers)
+    stacked = StackedOptimizer(optimizers, dimension, dtype=dtype)
+    params = rng.normal(size=(count, dimension)).astype(dtype)
+    for op in ops:
+        grads = rng.normal(size=(count, dimension)).astype(dtype)
+        if op[0] == "full":
+            stacked.step_rows(params, grads)
+        elif op[0] == "masked":
+            rows = np.array(op[1])
+            block = params[rows]
+            stacked.step_rows(block, grads[rows], rows)
+            params[rows] = block
+        else:
+            optimizers[op[1]].step_inplace(params[op[1]], grads[op[1]])
+    return optimizers, params
 
 
 @pytest.mark.parametrize(
@@ -386,36 +551,15 @@ def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
     float32 optimizer arithmetic.  That fork is what this property closes.
     """
     workers, ops, seed = case
-    make = ROW_RULE_KINDS[kind]
-
-    def build():
-        return [make(SCHEDULES[s](base), u) for u, base, s in workers]
-
     count, dimension = len(workers), 37
+    stacked_optimizers, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
+
     rng = np.random.default_rng(seed)
-    start = rng.normal(size=(count, dimension)).astype(dtype)
-
-    stacked_optimizers = build()
-    stacked = StackedOptimizer(stacked_optimizers, dimension, dtype=dtype)
-    params = start.copy()
-    solo_optimizers = build()
-    solo_params = [row.copy() for row in start]
-
+    solo_optimizers = build_rows(kind, workers)
+    solo_params = list(rng.normal(size=(count, dimension)).astype(dtype))
     for op in ops:
         grads = rng.normal(size=(count, dimension)).astype(dtype)
-        if op[0] == "full":
-            covered = range(count)
-            stacked.step_rows(params, grads)
-        elif op[0] == "masked":
-            covered = op[1]
-            rows = np.array(covered)
-            block = params[rows]
-            stacked.step_rows(block, grads[rows], rows)
-            params[rows] = block
-        else:
-            covered = [op[1]]
-            stacked_optimizers[op[1]].step_inplace(params[op[1]], grads[op[1]])
-        for row in covered:
+        for row in covered_rows(op, count):
             solo_optimizers[row].step_inplace(solo_params[row], grads[row])
 
     for row, (member, solo) in enumerate(zip(stacked_optimizers, solo_optimizers)):
@@ -426,6 +570,57 @@ def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
         for name, array in solo.state_arrays().items():
             assert array.dtype == dtype
             assert member.state_arrays()[name].tobytes() == array.tobytes(), name
+
+
+@st.composite
+def block_size_cases(draw):
+    workers = draw(st.lists(worker_draw, min_size=1, max_size=6))
+    rows = st.lists(
+        st.integers(0, len(workers) - 1), min_size=1, unique=True
+    ).flatmap(st.permutations)
+    op = st.one_of(st.just(("full",)), st.tuples(st.just("masked"), rows))
+    return (
+        workers,
+        draw(st.lists(op, min_size=3, max_size=3)),
+        draw(st.integers(0, 2**16)),
+        draw(st.integers(1, 48)),
+    )
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [np.float64, pytest.param(np.float32, marks=pytest.mark.float32_smoke)],
+    ids=["float64", "float32"],
+)
+@pytest.mark.parametrize("kind", sorted(ROW_RULE_KINDS))
+@settings(max_examples=15, deadline=None)
+@given(case=block_size_cases())
+def test_block_size_never_shows_in_a_result(kind, dtype, case):
+    """``ROW_BLOCK_ELEMENTS`` is a cache policy, not arithmetic.
+
+    Three live or masked stacked steps (masked rows in any order) over
+    heterogeneous rows leave parameters, every state matrix and every step
+    count byte-equal whether a block holds one row, exactly one, three, or
+    the whole stack.
+    """
+    workers, ops, seed, dimension = case
+    outcomes = []
+    for elements in (1, dimension, 3 * dimension, 2**40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base_module, "ROW_BLOCK_ELEMENTS", elements)
+            optimizers, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
+        outcomes.append(
+            (
+                params.tobytes(),
+                [optimizer.step_count for optimizer in optimizers],
+                [
+                    (name, array.tobytes())
+                    for optimizer in optimizers
+                    for name, array in optimizer.state_arrays().items()
+                ],
+            )
+        )
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
 class TestSchedules:

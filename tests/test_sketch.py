@@ -263,3 +263,22 @@ class TestSketchRows:
         with pytest.raises(ShapeError):
             operator.sketch_rows(np.zeros(5))
         assert operator.sketch_rows(np.zeros((0, 7))).shape == (0, 3, 16)
+
+    def test_operator_is_the_column_major_map_it_is_assembled_as(self):
+        # Applied by coordinate: CSC, each column's buckets ascending (so a
+        # bucket accumulates its coordinates in ascending order), and 32-bit
+        # indices at the benchmark model's dimension.
+        operator = AmsSketch(dimension=114_728)._operator
+        assert operator.format == "csc"
+        assert operator.has_sorted_indices
+        assert operator.indices.dtype == np.int32 and operator.indptr.dtype == np.int32
+        assert operator.shape == (5 * 250, 114_728) and operator.nnz == 5 * 114_728
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("num_rows", [1, 2, 32])
+    def test_batched_rows_byte_equal_one_vector_sketches(self, num_rows, dtype):
+        matrix = np.random.default_rng(num_rows).normal(size=(num_rows, 3000)).astype(dtype)
+        operator = AmsSketch(seed=1)
+        batched = operator.sketch_rows(matrix)
+        for row, sketch in zip(matrix, batched):
+            assert sketch.tobytes() == operator.sketch(row).tobytes()

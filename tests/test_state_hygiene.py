@@ -76,6 +76,16 @@ settles produced steps together now, before anything reads them, and
     exactly one call steps workers — ``engine.step_all``, in
     ``ServedFDATrainer._settle`` — and no source names ``step_worker`` or
     ``local_step``.
+
+Momentum-free SGD once carried a private cache-blocked fork of its rule while
+Adam streamed six ``(K, d)`` matrices end to end, and the sketch operator was
+converted to CSR to be multiplied in hashed order.  A stacked update is
+blocked in one place now, over whole rows, and
+
+11. there is one blocking policy and one sketch representation: under
+    ``src/repro/optim/`` only ``StackedOptimizer.step_rows`` reads
+    ``ROW_BLOCK_ELEMENTS``, no identifier contains ``chunk``, ``Workspace``
+    has no ``flat``; ``src/repro/sketch/ams.py`` contains no ``tocsr``.
 """
 
 from __future__ import annotations
@@ -399,6 +409,45 @@ def test_served_steps_are_computed_in_one_place():
         if re.search(r"\b(step_worker|local_step)\b", line)
     ]
     assert not spelled, "the per-event stepping path is named again:\n" + "\n".join(spelled)
+
+
+def _block_size_reads(tree) -> int:
+    return sum(
+        getattr(node, "id", getattr(node, "attr", None)) == "ROW_BLOCK_ELEMENTS"
+        and isinstance(node.ctx, ast.Load)
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_blocking_policy_and_one_sketch_representation():
+    identifiers = set()
+    reads = {}
+    for module, source in _sources():
+        if module.startswith("optim/"):
+            tree = ast.parse(source)
+            reads[module] = _block_size_reads(tree)
+            for node in ast.walk(tree):
+                identifiers.update(
+                    getattr(node, field)
+                    for field in ("id", "attr", "arg", "name")
+                    if isinstance(getattr(node, field, None), str)
+                )
+    (step_rows,) = [
+        method
+        for method in _class_methods("optim/base.py", "StackedOptimizer")
+        if method.name == "step_rows"
+    ]
+    inside = _block_size_reads(step_rows)
+    assert inside >= 1 and {m: n for m, n in reads.items() if n} == {"optim/base.py": inside}, (
+        "a stacked update is cache-blocked by StackedOptimizer.step_rows alone; "
+        f"ROW_BLOCK_ELEMENTS is read {reads}, {inside} of them in step_rows"
+    )
+    chunked = sorted(name for name in identifiers if "chunk" in name.lower())
+    assert not chunked, f"a private blocking scheme under optim/: {chunked}"
+    assert "flat" not in {method.name for method in _class_methods("optim/base.py", "Workspace")}
+    assert "tocsr" not in (SRC_ROOT / "sketch" / "ams.py").read_text(encoding="utf-8"), (
+        "the sketch operator is applied as the CSC it is assembled as"
+    )
 
 
 def test_no_private_imports_across_modules():
