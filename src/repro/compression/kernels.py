@@ -10,9 +10,9 @@ synchronization path (:mod:`repro.compression.state`) stay a handful of matrix
 passes, and what lets the communication fabric charge *compressed* bytes per
 link instead of the dense ``4·d``.  Inside the call the sparsifying kernels
 walk the matrix one worker row at a time (:func:`_select_rows`): rows are
-selected independently, and a row with its scores and its index vector stays
-cache-resident where one ``argpartition`` over all rows materialised ``(K, d)``
-score and int64 index matrices on every sync.
+selected independently, and a row with its scratch stays cache-resident where
+one ``argpartition`` over all rows materialised ``(K, d)`` score and int64
+index matrices on every sync.
 
 Kernels provided (Section 2 of the FDA paper positions all of these as
 orthogonal to *when* models are exchanged):
@@ -46,6 +46,7 @@ array([[ 0. , -3. ,  0. ,  2. ],
 from __future__ import annotations
 
 import math
+import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -260,49 +261,75 @@ def _score_by_magnitude(row: np.ndarray, scores: np.ndarray) -> None:
     np.negative(scores, out=scores)
 
 
+_HIGH_WORD = int(sys.byteorder == "little")  # which 32-bit half of a native uint64
+_INF_BITS = 0x7F800000  # float32 +inf; only a NaN's magnitude bits are larger
+
+
 def _select_rows(matrix, slots, score_row, score_dtype, kth_shift: int = 0):
     """``(indices, values)`` of a sparse payload, selected one worker row at a time.
 
-    ``slots`` lists ``(offset, size, keep)`` slices of a row; each keeps the
-    ``keep`` *lowest-scoring* of its ``size`` coordinates (all of them, in
-    order, when ``keep ≥ size``).  ``score_row(row, scores)`` fills the
-    ``(d,)`` scratch of ``score_dtype`` — allocated here, so no kernel holds
-    an array between calls — and is skipped when every slot is kept whole.
-    Only the *choice* of coordinates sees the scores: ``values`` are the exact
-    input entries in the matrix's own dtype.
+    ``slots`` lists ``(offset, size, keep)`` slices of a row; each keeps ``keep``
+    of its ``size`` coordinates (all, in order, when ``keep ≥ size``).  Only the
+    *choice* sees a score: ``values`` are the exact input entries in the matrix's
+    dtype.  Every scratch is allocated here (no kernel holds an array between
+    calls) and is one row long, so it fits a per-core cache.
 
-    Rows are the unit because they are selected independently and one row, its
-    scores and the index vector ``argpartition`` returns fit a per-core cache,
-    where one ``axis=1`` call over all rows allocates and fills a ``(K, d)``
-    int64 matrix to keep its first ``keep`` columns.  Either way numpy runs
-    the same introselect per row, so the kept set *and its order* (the
-    summation order of :meth:`SparseRowPayloads.mean`) are the same.
+    **Magnitudes are selected by value, not by arg.**  Each coordinate becomes
+    one uint64 key — high word the IEEE bits of the float32 ``|x|``
+    (non-negative floats order like their bit patterns), low word the
+    coordinate — and ``keys.partition(size − keep − 1)`` leaves the kept
+    coordinates in the last ``keep`` low words.  Keys are distinct, so the
+    partition never meets the block of equal zeros that mostly-zero drifts put
+    at the cut, and 64-bit integers take numpy's SIMD quick-select where
+    ``argpartition`` compares floats through an int64 index vector.  Position
+    ``size − keep − 1`` holds the exact (keep+1)-th largest key: when its
+    magnitude equals the smallest kept one (a tie at the cut, where the choice
+    is introselect's) or a kept magnitude is a NaN (the reference ranks those
+    last, the keys first), the slot falls through to the reference path, so
+    the kept *set* is the reference's on every row.  Only the order inside a
+    row differs, and nothing reads it (see :class:`SparseRowPayloads`).
 
-    The cut is from the front, at ``kth = keep − 1``, which is why magnitudes
-    are scored *negated* instead of partitioning ``|x|`` at ``d − keep``:
-    drifts are often mostly zero (dead ReLU units, fresh residuals), and
-    introselect degenerates when its pivot lands inside a huge block of equal
-    zeros — exactly where ``d − keep`` sits on such data.  From the front the
-    pivot stays among the distinct large magnitudes (~10× faster on sparse
-    drifts); float32 scores halve the selection's memory traffic.
-    ``kth_shift`` is for :class:`RandomKCompressor` alone, whose frozen
-    trajectories cut at ``kth = keep``.
+    **The reference path** — the only one for :class:`RandomKCompressor`, whose float64
+    draws do not fit a key — fills the ``score_dtype`` scratch with ``score_row(row,
+    scores)`` and keeps the *lowest* scores by ``argpartition`` at ``kth = keep − 1 +
+    kth_shift`` (random-k's frozen trajectories cut at ``keep``).  Magnitudes are scored
+    negated so the cut is from the front: introselect degenerates when its pivot lands
+    inside the zeros, where ``size − keep`` sits on sparse drifts.
     """
+    dimension = matrix.shape[1]
     indices = np.empty((matrix.shape[0], sum(keep for _, _, keep in slots)), dtype=np.intp)
     values = np.empty(indices.shape, dtype=matrix.dtype)
-    scores = np.empty(matrix.shape[1], dtype=score_dtype)
-    selecting = any(keep < size for _, size, keep in slots)
+    scores = np.empty(dimension, dtype=score_dtype)
+    packed = score_row is _score_by_magnitude and any(keep < size for _, size, keep in slots)
+    if packed:
+        keys = np.empty(dimension, dtype=np.uint64)
+        words = keys.view(np.uint32).reshape(dimension, 2)
+        magnitudes, coordinates = words[:, _HIGH_WORD], words[:, 1 - _HIGH_WORD]
+        ramp = np.arange(dimension, dtype=np.uint32)
     for row, row_indices, row_values in zip(matrix, indices, values):
-        if selecting:
-            score_row(row, scores)
+        scored = False
+        if packed:
+            np.abs(row, out=magnitudes.view(np.float32), casting="unsafe")
+            coordinates[:] = ramp
         start = 0
         for offset, size, keep in slots:
-            if keep < size:
-                chosen = np.argpartition(scores[offset : offset + size], keep - 1 + kth_shift)
-                np.add(chosen[:keep], offset, out=row_indices[start : start + keep])
+            stop, cut, end = start + keep, offset + size - keep, offset + size
+            clean = False
+            if packed and keep < size:
+                keys[offset:end].partition(size - keep - 1)
+                kept = magnitudes[cut:end]
+                clean = magnitudes[cut - 1] < kept.min() and kept.max() <= _INF_BITS
+            if keep >= size:
+                row_indices[start:stop] = np.arange(offset, end)
+            elif clean:
+                row_indices[start:stop] = coordinates[cut:end]
             else:
-                row_indices[start : start + keep] = np.arange(offset, offset + size)
-            start += keep
+                if not scored:
+                    score_row(row, scores)
+                    scored = True
+                chosen = np.argpartition(scores[offset:end], keep - 1 + kth_shift)
+                np.add(chosen[:keep], offset, out=row_indices[start:stop])
+            start = stop
         np.take(row, row_indices, out=row_values, mode="clip")  # in range by construction
     return indices, values
 
@@ -319,7 +346,7 @@ class TopKCompressor(Compressor):
     The payload per row is ``k`` (index, value) pairs — two float32
     equivalents each — capped at the dense size ``d``: when ``k ≥ d`` the
     whole row is kept and charged as a dense vector, never more.  Coordinates
-    are chosen on float32 negated magnitudes, one row at a time (see
+    are chosen on float32 magnitudes, one row at a time (see
     :func:`_select_rows`); the transmitted values stay the exact input
     entries in the plane's dtype (the sparse payloads' exact-value invariant).
     """

@@ -204,12 +204,12 @@ class BatchedDense(BatchedKernel):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
         grad_pre = self.activation.gradient(grad_output, self._cache_act)
         np.matmul(self._cache_x.transpose(0, 2, 1), grad_pre, out=self.grad_weight)
         if self.use_bias:
             grad_pre.sum(axis=1, out=self.grad_bias)
-        return np.matmul(grad_pre, self._weight_T)
+        return np.matmul(grad_pre, self._weight_T) if input_gradient else None
 
 
 class BatchedConv2D(BatchedKernel):
@@ -259,7 +259,7 @@ class BatchedConv2D(BatchedKernel):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
         grad_pre = self.activation.gradient(grad_output, self._cache_act)
         num_workers, batch = grad_pre.shape[0], grad_pre.shape[1]
         out_h, out_w = self._cache_out_hw
@@ -269,6 +269,8 @@ class BatchedConv2D(BatchedKernel):
         )
         if self.use_bias:
             grad_matrix.sum(axis=1, out=self.grad_bias)
+        if not input_gradient:
+            return None
         grad_columns = np.matmul(grad_matrix, self._weight_T)
         folded = col2im(
             grad_columns.reshape(num_workers * batch * out_h * out_w, -1),
@@ -627,9 +629,13 @@ class BatchedModel:
             out = kernel.forward(out, training)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
+        """∂L/∂input; ``train_batch`` opts out (see :meth:`Sequential.backward`)."""
         grad = grad_output
-        for kernel in reversed(self.kernels):
+        for index, kernel in reversed(list(enumerate(self.kernels))):
+            skip = index == 0 and not input_gradient
+            if skip and isinstance(kernel, (BatchedDense, BatchedConv2D)):
+                return kernel.backward(grad, input_gradient=False)
             grad = kernel.backward(grad)
         return grad
 
@@ -648,7 +654,7 @@ class BatchedModel:
         """
         outputs = self.forward(x, training=True, rows=rows)
         losses, grad = loss.batched_gradient(outputs, y)
-        self.backward(grad)
+        self.backward(grad, input_gradient=False)
         return losses
 
     def __repr__(self) -> str:

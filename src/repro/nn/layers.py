@@ -197,7 +197,8 @@ class Dense(Layer):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
+        """Parameter gradients; returns ∂L/∂input unless ``input_gradient`` is off."""
         self._require_built()
         if self._cache_x is None:
             raise ModelNotBuiltError(
@@ -207,7 +208,7 @@ class Dense(Layer):
         self._grad_weight[...] = self._cache_x.T @ grad_pre
         if self.use_bias:
             self._grad_bias[...] = grad_pre.sum(axis=0)
-        return grad_pre @ self.weight.T
+        return grad_pre @ self.weight.T if input_gradient else None
 
     def parameters(self) -> List[np.ndarray]:
         self._require_built()
@@ -329,7 +330,8 @@ class Conv2D(Layer):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
+        """Parameter gradients; returns ∂L/∂input unless ``input_gradient`` is off."""
         self._require_built()
         if self._cache_columns is None:
             raise ModelNotBuiltError(
@@ -341,6 +343,8 @@ class Conv2D(Layer):
         self._grad_weight[...] = self._cache_columns.T @ grad_matrix
         if self.use_bias:
             self._grad_bias[...] = grad_matrix.sum(axis=0)
+        if not input_gradient:
+            return None
         grad_columns = grad_matrix @ self.weight.T
         return col2im(
             grad_columns,

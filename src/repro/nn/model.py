@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ModelNotBuiltError, ShapeError
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Layer
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.plane import ParameterPlane
@@ -118,11 +118,17 @@ class Sequential:
             out = layer.forward(out, training)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_output`` through every layer (reverse order)."""
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
+        """Backpropagate through every layer (reverse order); returns ∂L/∂input.
+
+        Training never reads it: :meth:`train_batch` passes ``input_gradient=False`` and
+        a Dense or Conv2D first layer skips the product (and ``col2im``) that forms it.
+        """
         self._require_built()
         grad = grad_output
-        for layer in reversed(self.layers):
+        for index, layer in reversed(list(enumerate(self.layers))):
+            if index == 0 and not input_gradient and isinstance(layer, (Dense, Conv2D)):
+                return layer.backward(grad, input_gradient=False)
             grad = layer.backward(grad)
         return grad
 
@@ -134,7 +140,7 @@ class Sequential:
         for start in range(0, x.shape[0], batch_size):
             outputs.append(self.forward(x[start : start + batch_size], training=False))
         if not outputs:
-            return np.zeros((0,) + tuple(self.output_shape))
+            return np.zeros((0,) + tuple(self.output_shape), dtype=self._plane.dtype)
         return np.concatenate(outputs, axis=0)
 
     def train_batch(self, x: np.ndarray, y: np.ndarray, loss: Optional[Loss] = None) -> float:
@@ -143,7 +149,7 @@ class Sequential:
         loss = loss or SoftmaxCrossEntropy()
         outputs = self.forward(x, training=True)
         loss_value, grad = loss.gradient(outputs, y)
-        self.backward(grad)
+        self.backward(grad, input_gradient=False)
         return loss_value
 
     def evaluate(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.sketch.hashing import FourWiseHash
@@ -70,7 +69,7 @@ class AmsSketch:
         self.seed = int(seed)
         self._bucket_hash = FourWiseHash(self.depth, seed=seed * 2 + 1)
         self._sign_hash = FourWiseHash(self.depth, seed=seed * 2 + 2)
-        self._operator: Optional[sparse.csc_array] = None
+        self._operator = None  # the scipy.sparse.csc_array, once prepared
         if dimension is not None:
             self._prepare(dimension)
 
@@ -83,6 +82,7 @@ class AmsSketch:
         ``h_i(c) = b``; column ``c`` lists its ``depth`` buckets in ascending
         row order, which is the order it is assembled in.
         """
+        from scipy import sparse  # here: a quarter of ``import repro``, used by sketching runs only
         if dimension <= 0:
             raise ConfigurationError(f"dimension must be positive, got {dimension}")
         indices = np.arange(dimension, dtype=np.uint64)

@@ -9,8 +9,11 @@ Five groups:
 * **Row-at-a-time selection** — hypothesis-driven over tie-heavy inputs: a
   row's payload does not depend on which rows share the call, the kept set is
   a valid top-k, values are exact input entries, ``fold_residual`` zeroes
-  exactly the kept coordinates; plus the allocation budget and the "kernels
-  hold no arrays" guards that keep ``(K, d)`` temporaries from growing back.
+  exactly the kept coordinates; the packed-key value partition keeps the
+  reference ``argpartition``'s set over ties, ±inf, NaN, denormals and
+  float64 values outside float32's range, falling back on exactly the tied /
+  NaN slots; plus the allocation budget and the "kernels hold no arrays"
+  guards that keep ``(K, d)`` temporaries from growing back.
 * **Error feedback** — hypothesis-driven: under arbitrary participation
   masks, masked-out rows' residuals stay bit-untouched while active rows'
   residuals are exactly the untransmitted remainder, and payload + residual
@@ -27,6 +30,7 @@ Five groups:
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +237,14 @@ def make_sparsifier(kind, fraction, cuts):
     return compressor
 
 
+def draw_budget(draw, dimension):
+    """``(fraction, cuts)``: keep ∈ {1, half, d − 1, d} and up to three inner slot cuts."""
+    keep = draw(st.sampled_from(sorted({1, max(1, dimension - 1), dimension, (dimension + 1) // 2})))
+    inner = st.lists(st.integers(1, max(1, dimension - 1)), max_size=3)
+    cuts = sorted({0, dimension, *(c for c in draw(inner) if c < dimension)})
+    return keep / dimension, cuts
+
+
 @st.composite
 def tie_heavy_cases(draw):
     """Matrices built to tie: few magnitude levels, mostly-zero rows, equal rows."""
@@ -250,15 +262,43 @@ def tie_heavy_cases(draw):
             matrix[row] = rng.choice(levels)
         elif shape == "distinct":
             matrix[row] = rng.normal(size=dimension)
-    keep = draw(st.sampled_from(sorted({1, max(1, dimension - 1), dimension, (dimension + 1) // 2})))
-    inner = st.lists(st.integers(1, max(1, dimension - 1)), max_size=3)
-    cuts = sorted({0, dimension, *(c for c in draw(inner) if c < dimension)})
-    return matrix.astype(dtype), keep / dimension, cuts
+    return (matrix.astype(dtype), *draw_budget(draw, dimension))
+
+
+@st.composite
+def special_value_cases(draw):
+    """Rows of ±inf, NaN, denormals and float64 values that leave float32's range."""
+    num_rows = draw(st.integers(min_value=1, max_value=4))
+    dimension = draw(st.integers(min_value=1, max_value=32))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    specials = [np.inf, -np.inf, 1e-40, -3e-42, 1e-60, -1e60, 1e60, 0.0, 1.5]
+    if draw(st.booleans()):
+        specials.append(np.nan)
+    matrix = rng.normal(size=(num_rows, dimension))
+    special = rng.random(matrix.shape) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    matrix[special] = rng.choice(specials, size=int(special.sum()))
+    with np.errstate(over="ignore"):
+        return (matrix.astype(dtype), *draw_budget(draw, dimension))
 
 
 SELECTION_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+
+def select_with_spy(compressor, matrix):
+    """``(payloads, [(scores, kth), …])``: the reference-path calls a selection made."""
+    calls = []
+
+    def spy(scores, kth):
+        calls.append((scores.copy(), kth))
+        return argpartition(scores, kth)
+
+    argpartition = np.argpartition
+    with mock.patch.object(np, "argpartition", spy), np.errstate(over="ignore"):
+        payloads = compressor.compress_rows(matrix)
+    return payloads, calls
 
 
 class TestRowAtATimeSelection:
@@ -308,6 +348,73 @@ class TestRowAtATimeSelection:
         work = matrix.copy()
         payloads.fold_residual(work)
         assert work.tobytes() == np.where(kept, 0.0, matrix).astype(matrix.dtype).tobytes()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        case=st.one_of(tie_heavy_cases(), special_value_cases()),
+        kind=st.sampled_from(["topk", "layerwise-topk"]),
+    )
+    def test_packed_selection_keeps_the_reference_set(self, case, kind):
+        matrix, fraction, cuts = case
+        payloads, calls = select_with_spy(make_sparsifier(kind, fraction, cuts), matrix)
+        if kind != "layerwise-topk":
+            cuts = [0, matrix.shape[1]]
+        expected_calls = []
+        for row, indices in zip(matrix, payloads.indices):
+            kept = []
+            for start, stop in zip(cuts, cuts[1:]):
+                size = stop - start
+                keep = min(size, max(1, int(round(size * fraction))))
+                if keep == size:
+                    kept.extend(range(start, stop))
+                    continue
+                with np.errstate(over="ignore"):
+                    magnitudes = np.abs(row[start:stop]).astype(np.float32)
+                kept.extend(start + np.argpartition(-magnitudes, keep - 1)[:keep])
+                ranked = np.sort(magnitudes)  # NaNs last
+                if np.isnan(ranked[-1]) or ranked[size - keep - 1] == ranked[size - keep]:
+                    expected_calls.append((-magnitudes, keep - 1))
+            assert len(indices) == len(kept) and set(indices.tolist()) == set(kept)
+        # The reference path ran on the slots with a tie at the cut or a NaN —
+        # on those, in order, and on no other.
+        assert len(calls) == len(expected_calls)
+        for (scores, kth), (expected_scores, expected_kth) in zip(calls, expected_calls):
+            assert kth == expected_kth
+            np.testing.assert_array_equal(scores, expected_scores)
+        expected_values = np.take_along_axis(matrix, payloads.indices, axis=1)
+        assert payloads.values.dtype == matrix.dtype
+        assert payloads.values.tobytes() == expected_values.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_distinct_magnitudes_never_take_the_reference_path(self, dtype):
+        # The benchmark model's row length; integers below 2**24 are distinct
+        # float32 magnitudes, so no cut can tie.
+        dimension = 114_728
+        rng = np.random.default_rng(13)
+        matrix = np.stack([rng.permutation(dimension) + 1.0 for _ in range(2)])
+        matrix *= rng.choice([-1.0, 1.0], size=matrix.shape)
+        payloads, calls = select_with_spy(TopKCompressor(0.05), matrix.astype(dtype))
+        assert calls == []
+        keep = payloads.indices.shape[1]
+        assert keep == 5_736
+        for row, indices in zip(matrix, payloads.indices):
+            assert set(indices.tolist()) == set(np.flatnonzero(np.abs(row) > dimension - keep))
+
+    @SELECTION_SETTINGS
+    @given(case=tie_heavy_cases())
+    def test_randomk_selects_by_the_reference_path_alone(self, case):
+        matrix, fraction, cuts = case
+        draws = np.random.default_rng(11)
+        keep = min(matrix.shape[1], max(1, int(round(matrix.shape[1] * fraction))))
+        payloads, calls = select_with_spy(make_sparsifier("randomk", fraction, cuts), matrix)
+        if keep == matrix.shape[1]:
+            assert calls == []
+            return
+        assert [kth for _, kth in calls] == [keep] * matrix.shape[0]
+        for (scores, _), indices in zip(calls, payloads.indices):
+            expected = draws.random(matrix.shape[1])
+            assert scores.tobytes() == expected.tobytes()
+            assert indices.tobytes() == np.argpartition(expected, keep)[:keep].tobytes()
 
     @pytest.mark.parametrize("kind", ["topk", "layerwise-topk"])
     def test_mostly_zero_row_keeps_every_nonzero(self, kind):

@@ -517,94 +517,107 @@ class TestGoldenPopulationTrajectory:
 
 
 class TestGoldenCompressedTrajectory:
-    """Frozen compressed trajectories: which coordinates travel, in which order.
+    """Frozen compressed trajectories: which coordinates travel.
 
     The compression parity suites compare the two engines with each other, and
     both call the same kernel — so a kernel rewrite that changed *which*
-    coordinates a sparsifier keeps (or the order it emits them in, which fixes
-    the floating-point order of ``SparseRowPayloads.mean``'s scatter-add) would
-    pass them all.  These literals were recorded at c2fb04b, the last commit
+    coordinates a sparsifier keeps would pass them all.  The parameter,
+    residual and ledger literals were recorded at c2fb04b, the last commit
     whose sparsifying kernels partitioned the whole ``(K, d)`` matrix in one
     ``argpartition(..., axis=1)`` call: ``LocalSGDStrategy(tau=1)`` for 12
     steps on the blobs workload, one compressed collective per step.  Per cell:
-    a running sha256 over every sync's ``payloads.indices.tobytes()`` (order
-    included), the sha256 of the final parameter and residual matrices, and
-    the byte ledger.  Both engines produced the same digits in every cell, so
-    each literal is asserted on both.
+    a running sha256 over every sync's kept *sets*
+    (``np.sort(payloads.indices, axis=1).tobytes()``, recorded at 79c59dd, the
+    last commit that selected by ``argpartition`` alone), the sha256 of the
+    final parameter and residual matrices, and the byte ledger.  Both engines
+    produced the same digits in every cell, so each literal is asserted on
+    both.
+
+    The order a row's pairs are emitted in is *not* frozen for the magnitude
+    sparsifiers, because it cannot reach a number: a row keeps a coordinate at
+    most once, so ``SparseRowPayloads.mean``'s scatter-add gives coordinate
+    ``j`` at most one addend per row and meets the rows in row order whatever
+    the order inside them (``test_mean_ignores_the_order_inside_a_row``).
+    Random-k's coordinates come from a frozen draw stream, so its emission
+    order stays pinned too (``RANDOMK_ORDERED``).
     """
 
     STEPS = 12
 
-    #: (kernel, error feedback, dtype) -> (indices, parameters, residuals, bytes)
+    #: sha256 over every sync's ``payloads.indices.tobytes()`` of a random-k
+    #: cell, order included; the draws ignore the data, so all four cells agree.
+    RANDOMK_ORDERED = "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b"
+
+    #: (kernel, error feedback, dtype) -> (kept sets, parameters, residuals, bytes)
     GOLDEN = {
         ("topk", True, "float64"): (
-            "92b1ac9b230f4523e91d6d966efbb96eb0d798d1eef3af7bf2b3cf96637217c2",
+            "8aa17ba4da27a16e3bc46e8f36cc828b5096e9b3ff3fd9f7877136924b9e8ab0",
             "767e4f87200d22b20377834a4f34f473846696b0988d4f71396628f5102a7ada",
             "9f79ac73243a0b8cfde1e367588ba5f4e7f034ef59fd0bbddd1c5c90ee0ce1fb",
             15360,
         ),
         ("topk", True, "float32"): (
-            "0ceb2a15be7972140da42a949466cbaade5e296632f9249192bef61adb3b784e",
+            "5ae0913441738a7650132b89b559605307e0317816d1f5aa7886bde5f8535de0",
             "4068e43283dd6ae2185d402715bc21d3606c29a6abe0941d05ad035c48a6c33f",
             "447c6a5853c6192c68c5982288bf1959191d78756facbbf7b2c310c68e516b93",
             7680,
         ),
         ("topk", False, "float64"): (
-            "b19b2c9dcd7fc0a9cfb9a7cae272183826ed9dd192d15bfc082aa20d52452908",
+            "7c7983c938e2dfedab9f2ab09a1cabdc6c0bf1e8507380bae53ee0377591ce50",
             "91d93e31a8ff787effdc012faa77a0a9a60a42eea89bd45b09e28292823af108",
             None,
             15360,
         ),
         ("topk", False, "float32"): (
-            "fb14f850f9e45e7ce8029de7cabb49176fac59a562994a2fc5684dbd73498044",
+            "4166677069600e8c2a87bbcc4277411c2e196c89fba6f54ceb7054d8c2faec3c",
             "39fd18f4a9283b43fa77509e94b316310595688da182e8334a2b63b37f7b4b94",
             None,
             7680,
         ),
         ("layerwise-topk", True, "float64"): (
-            "5f9aa2d2a43ffff805669eacd5eba5485c7f0b3225a764d9def3917a00960b52",
+            "9379cbe2acb910d5a71745b29bb796bc6e017edaf37ee3ccc2285c11c753a304",
             "f937fc807bf7f4cb6373b52101b43796fd9e17c0f145ed6fa397a54d4eefed89",
             "adb7188966f8b753ea0eda88ebeb6616bd29a410617c0f6647957541afcdd9d9",
             16128,
         ),
         ("layerwise-topk", True, "float32"): (
-            "8d62e160aa944b3f8da2452edd68085e58052f4e99fac1e11762b5ee6b2e95c7",
+            "32c70e8a3eea4f59a1391a26d36dbf9f8c09cb726d0168631d946b3ababe3506",
             "46a46c8ff103da6a2b9093522c86f510a77324d4370317ba0ae6d155754dd2f6",
             "4e88d7e192573ab3e7b9ef4ac94f07f4c8787efb0ef58e8858cdabf07c7e5cb8",
             8064,
         ),
         ("layerwise-topk", False, "float64"): (
-            "a9ae4f47ec7bf10a277e1bbbdd294ffe88bd8d30077552e8fb4a7f516cf377ea",
+            "e9d15e1fb0fd5a95a4418044f63268e835cf9fc953f4bceed52526ca5ad19978",
             "2ce8c698fcdf285e2664475bd3bc6974485be63ef22bc799bcf91676ed72928f",
             None,
             16128,
         ),
         ("layerwise-topk", False, "float32"): (
-            "786fff55141b6c5ce0f119ebe56fc8da74df45b9c7014b6919d5a86df221de85",
+            "0dd77719aa19c21a42bc4e67b2f73de44f364aa2f922ac2cd1377b32f538f671",
             "3e05173aef546931926c1f2a58a778b6106a608748bab39d44ee62a9f52cf54d",
             None,
             8064,
         ),
         ("randomk", True, "float64"): (
-            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "970f868ebce930a8a6921f09a2030dbce2e00cf77d93f2f122442c007a9e7c74",
             "cc446d49dfbaf3db973f721712c8518447858823efb7e5f737f990bebde14ed0",
             "53ad8bbdd1654ae8e88795cf112d46c7796a6791ce171a530262ac6778d74b58",
             8064,
         ),
         ("randomk", True, "float32"): (
-            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "970f868ebce930a8a6921f09a2030dbce2e00cf77d93f2f122442c007a9e7c74",
             "f44d17e94afda1b730ed81ade9be4431cba2c35d3b2934aa6abc1871900a4088",
             "ea4fd1632d338cbbbcd6c9ab1f0bd6b721288e1962bbbb6caf72ecfe93e84a20",
             4032,
         ),
         ("randomk", False, "float64"): (
-            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "970f868ebce930a8a6921f09a2030dbce2e00cf77d93f2f122442c007a9e7c74",
             "71b88bec0117e669bb79c62cfd93b3143559ea1251e12820e95f7aa7d9debb0b",
             None,
             8064,
         ),
         ("randomk", False, "float32"): (
-            "8aedc3b18d3802022e138b6a36bd24048e79314755c3b1e395be4c9fdb69374b",
+            "970f868ebce930a8a6921f09a2030dbce2e00cf77d93f2f122442c007a9e7c74",
             "2d02312376790f4986f1ef73fa94d4ea4bc283ec926f5607331ece9dfb62c693",
             None,
             4032,
@@ -630,10 +643,12 @@ class TestGoldenCompressedTrajectory:
         compressor = cluster.compression.compressor
         compress_rows = compressor.compress_rows
         indices_digest = hashlib.sha256()
+        sorted_digest = hashlib.sha256()
 
         def recording(matrix):
             payloads = compress_rows(matrix)
             indices_digest.update(payloads.indices.tobytes())
+            sorted_digest.update(np.sort(payloads.indices, axis=1).tobytes())
             return payloads
 
         compressor.compress_rows = recording
@@ -641,10 +656,31 @@ class TestGoldenCompressedTrajectory:
 
         residuals = cluster.compression.residual_matrix
         observed = (
-            indices_digest.hexdigest(),
+            sorted_digest.hexdigest(),
             hashlib.sha256(cluster.parameter_matrix.tobytes()).hexdigest(),
             None if residuals is None else hashlib.sha256(residuals.tobytes()).hexdigest(),
             cluster.total_bytes,
         )
         assert observed == self.GOLDEN[(kernel, error_feedback, dtype)]
         assert cluster.synchronization_count == self.STEPS
+        if kernel == "randomk":
+            assert indices_digest.hexdigest() == self.RANDOMK_ORDERED
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mean_ignores_the_order_inside_a_row(self, dtype):
+        from repro.compression.kernels import SparseRowPayloads
+
+        rng = np.random.default_rng(7)
+        rows, dimension, keep = 6, 97, 23
+        indices = np.stack([rng.permutation(dimension)[:keep] for _ in range(rows)])
+        values = rng.standard_normal((rows, keep)).astype(dtype)
+        shuffles = np.stack([rng.permutation(keep) for _ in range(rows)])
+        shuffled = SparseRowPayloads(
+            np.take_along_axis(indices, shuffles, axis=1),
+            np.take_along_axis(values, shuffles, axis=1),
+            dimension,
+            2 * keep,
+        )
+        reference = SparseRowPayloads(indices, values, dimension, 2 * keep)
+        assert shuffled.mean().dtype == dtype
+        assert shuffled.mean().tobytes() == reference.mean().tobytes()

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelNotBuiltError, ShapeError
+from unittest import mock
+
 from repro.nn.architectures import mlp
-from repro.nn.layers import BatchNorm, Dense
+from repro.nn import batched as batched_module
+from repro.nn import layers as layers_module
+from repro.nn.batched import BatchedModel, BatchedPlane
+from repro.nn.layers import BatchNorm, Conv2D, Dense, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential, average_models
 from repro.optim.adam import Adam
@@ -105,9 +110,12 @@ class TestTrainingAndEvaluation:
         x = np.random.default_rng(1).normal(size=(30, 4))
         np.testing.assert_allclose(model.predict(x, batch_size=7), model.predict(x, batch_size=30))
 
-    def test_predict_empty_input(self):
-        model = tiny_model()
-        assert model.predict(np.zeros((0, 4))).shape == (0, 3)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_predict_empty_input(self, dtype):
+        model = tiny_model().to_dtype(dtype)
+        empty, full = model.predict(np.zeros((0, 4))), model.predict(np.zeros((2, 4)))
+        assert empty.shape == (0, 3)
+        assert empty.dtype == full.dtype == np.dtype(dtype)
 
     def test_evaluate_empty_dataset(self):
         model = tiny_model()
@@ -117,3 +125,102 @@ class TestTrainingAndEvaluation:
         model = tiny_model()
         with pytest.raises(ShapeError):
             model.evaluate(np.zeros((3, 4)), np.zeros(2, dtype=int))
+
+
+class TransposeSpy(np.ndarray):
+    """A weight view that counts reads of its ``.T`` (the input-gradient operand)."""
+
+    reads = 0
+    tracked = False  # set on the one weight view; arrays derived from it stay False
+
+    @property
+    def T(self):
+        TransposeSpy.reads += self.tracked
+        return np.asarray(self).T
+
+
+FIRST_LAYER_MODELS = {
+    "dense": ((6,), lambda: [Dense(8, activation="relu"), Dense(3)]),
+    "conv": ((6, 6, 2), lambda: [Conv2D(4, 3, activation="relu"), Flatten(), Dense(3)]),
+    "flatten": ((3, 2), lambda: [Flatten(), Dense(5, activation="relu"), Dense(3)]),
+}
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.float64, pytest.param(np.float32, marks=pytest.mark.float32_smoke)]
+)
+@pytest.mark.parametrize("first", sorted(FIRST_LAYER_MODELS))
+class TestTrainingFormsNoInputGradient:
+    """``train_batch`` skips the first layer's ∂L/∂input; nothing else moves."""
+
+    def build(self, first, dtype, seed=0):
+        input_shape, layers = FIRST_LAYER_MODELS[first]
+        return Sequential(layers()).build(input_shape, seed=seed, dtype=dtype), input_shape
+
+    def test_sequential_gradients_are_byte_identical(self, first, dtype, monkeypatch):
+        model, input_shape = self.build(first, dtype)
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(5,) + input_shape), rng.integers(0, 3, size=5)
+        loss = SoftmaxCrossEntropy()
+        folds = mock.Mock(side_effect=layers_module.col2im)
+        monkeypatch.setattr(layers_module, "col2im", folds)
+        spied = model.layers[0 if first != "flatten" else 1]
+        spied.weight = spied.weight.view(TransposeSpy)
+        spied.weight.tracked = True
+        TransposeSpy.reads = 0
+
+        _, grad = loss.gradient(model.forward(x, training=True), y)
+        input_gradient = model.backward(grad)
+        assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
+        assert (TransposeSpy.reads, folds.call_count) == (1, int(first == "conv"))
+        reference = model.gradients_view().copy()
+
+        model.gradients_view()[...] = 0.0
+        model.train_batch(x, y, loss)
+        assert model.gradients_view().tobytes() == reference.tobytes()
+        # A Dense or Conv2D first layer formed no W.T product and folded no
+        # columns; behind a Flatten the Dense differentiates as it always did.
+        skipped = first != "flatten"
+        assert TransposeSpy.reads == (1 if skipped else 2)
+        assert folds.call_count == int(first == "conv")
+
+    def test_batched_gradients_are_byte_identical(self, first, dtype, monkeypatch):
+        workers = [self.build(first, dtype, seed=seed)[0] for seed in range(3)]
+        input_shape = FIRST_LAYER_MODELS[first][0]
+        rows = np.array([0, 2])  # a masked pass: the plane holds two of three workers
+        matrices = [
+            np.stack([getattr(workers[row], view)() for row in rows])
+            for view in ("parameters_view", "gradients_view", "buffers_view")
+        ]
+        batched = BatchedModel(workers[0], BatchedPlane(workers[0], *matrices), workers)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 5) + input_shape).astype(dtype)
+        y = rng.integers(0, 3, size=(2, 5))
+        loss = SoftmaxCrossEntropy()
+        folds = mock.Mock(side_effect=batched_module.col2im)
+        monkeypatch.setattr(batched_module, "col2im", folds)
+        operand = batched.kernels[0 if first != "flatten" else 1]._weight_T
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            products.append(b is operand)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        _, grad = loss.batched_gradient(batched.forward(x, training=True, rows=rows), y)
+        input_gradient = batched.backward(grad)
+        assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
+        assert (sum(products), folds.call_count) == (1, int(first == "conv"))
+        reference = matrices[1].copy()
+        # Row for row, the stacked gradients are the sequential engine's.
+        for row, worker_x, worker_y, stacked in zip(rows, x, y, reference):
+            workers[row].train_batch(worker_x, worker_y, loss)
+            np.testing.assert_allclose(stacked, workers[row].gradients_view(), rtol=1e-4, atol=1e-6)
+
+        matrices[1][...] = 0.0
+        batched.train_batch(x, y, loss, rows=rows)
+        assert matrices[1].tobytes() == reference.tobytes()
+        skipped = first != "flatten"
+        assert sum(products) == (1 if skipped else 2)
+        assert folds.call_count == int(first == "conv")

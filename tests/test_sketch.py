@@ -5,6 +5,9 @@ of the paper relies on, so they get property-based coverage here.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,24 @@ from hypothesis import strategies as st
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.sketch.ams import AmsSketch, estimate_l2_squared
 from repro.sketch.hashing import FourWiseHash
+
+
+def test_import_repro_loads_scipy_only_when_a_sketch_is_built():
+    # scipy.sparse is a quarter of the import time and five of the six
+    # benchmark workloads never sketch; the operator's assembly imports it.
+    script = (
+        "import sys, numpy as np, repro\n"
+        "from repro.core.monitor import SketchMonitor\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert loaded() == [], loaded()\n"
+        "monitor = SketchMonitor()\n"
+        "assert loaded() == [], loaded()\n"
+        "monitor.local_state(np.ones(10))\n"
+        "assert 'scipy.sparse' in loaded()\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 class TestFourWiseHash:

@@ -51,8 +51,10 @@ magnitude matrix — a fresh ``(K, d)`` int64 result on every sync to keep 5 %
 of it.  Rows are selected independently, so the row is the unit now, and
 
 8. sparsifying kernels select one row at a time: under ``compression/`` no
-   call to ``argpartition`` / ``partition`` passes ``axis=``, and the retired
-   all-rows scratch names occur nowhere under ``src/``.
+   call to ``argpartition`` / ``partition`` passes ``axis=``, the retired
+   all-rows scratch names occur nowhere under ``src/``, ``argpartition`` has
+   one call site (the reference path the packed-key selection falls through
+   to), and ``_select_rows`` allocates its key scratch inside the call.
 
 "How a grid's axes become cells, and how a cell's coordinates travel with its
 result" was once decided in a dozen places — five sweep helpers with three
@@ -309,6 +311,28 @@ def test_sparsifying_kernels_select_one_row_at_a_time():
         if _RETIRED_SELECTION_NAMES.search(line)
     ]
     assert not spelled, "the (K, d) selection scratch is named again:\n" + "\n".join(spelled)
+    sources = dict(_sources())
+    reference = [
+        f"src/repro/{module}:{line}"
+        for module, source in sources.items()
+        if module.startswith("compression/")
+        for line in _calls(source, "argpartition")
+    ]
+    assert len(reference) == 1, f"one reference selection path, found {reference}"
+    kernels = sources["compression/kernels.py"]
+    (select_rows,) = [
+        node
+        for node in ast.walk(ast.parse(kernels))
+        if isinstance(node, ast.FunctionDef) and node.name == "_select_rows"
+    ]
+    key_lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(kernels))
+        if isinstance(node, ast.Attribute) and node.attr == "uint64"
+    ]
+    assert key_lines and all(
+        select_rows.lineno <= line <= select_rows.end_lineno for line in key_lines
+    ), "the packed-key scratch is allocated inside _select_rows, per call"
 
 
 #: The five sweep helpers' survivors-by-name, the typed points, the run table
