@@ -654,8 +654,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return commands.get(args.command, _command_figure)(args)
     except ConfigurationError as error:
         # Out-of-range flags (rates, ratios, a checkpoint cadence without a
-        # path) and combinations the planes refuse (a batched engine on a
-        # model with no batched kernel, a cohort larger than the population):
+        # path) and combinations the planes refuse (compression with a
+        # fault plan, a cohort larger than the population):
         # the message names the cause, so report it instead of a traceback.
         print(f"error: {error}")
         return 2

@@ -512,16 +512,6 @@ class SimulatedCluster:
         if self._compression is not None:
             self._compression.set_reference(flat)
 
-    def broadcast_buffers(self, flat: np.ndarray) -> None:
-        """Set every worker's non-trainable buffers to ``flat`` (free of charge)."""
-        flat = np.asarray(flat, dtype=self.dtype)
-        if flat.shape != (self._buffer_matrix.shape[1],):
-            raise ShapeError(
-                f"expected a flat buffer vector of shape ({self._buffer_matrix.shape[1]},), "
-                f"got {flat.shape}"
-            )
-        self._buffer_matrix[...] = flat
-
     # -- participation -----------------------------------------------------------
 
     @property
@@ -703,18 +693,23 @@ class SimulatedCluster:
         self._maybe_spike(elapsed)
         return mean_loss
 
-    def epoch_all(self) -> float:
+    def epoch_all(self, gradient_transform=None) -> float:
         """Run one local epoch on every participating worker; returns the mean loss.
 
         Epochs stay per-worker on every engine: shards may differ in size, so
         the per-round batch sequences are ragged across workers and cannot be
         stacked into one ``(K, B, ...)`` tensor without changing what each
-        worker trains on.
+        worker trains on.  ``gradient_transform(rows, params, grads)`` — the
+        server strategies' seam (FedProx's proximal term, SCAFFOLD's control
+        variates) — is applied by the engine to every stepping row block's
+        gradients, in place, just before the optimizer update.
         """
         rows = self.begin_round().indices(self.num_workers)
         if not rows.size:
             return 0.0
-        mean_loss = float(np.mean([self._engine.epoch_worker(int(row)) for row in rows]))
+        mean_loss = float(
+            np.mean([self._engine.epoch_worker(int(row), gradient_transform) for row in rows])
+        )
         elapsed = self.timeline.advance_round(
             max(self.workers[row].batches_per_epoch for row in rows)
         )

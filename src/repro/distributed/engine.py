@@ -18,10 +18,11 @@ A :class:`~repro.distributed.cluster.SimulatedCluster` separates the training
   :class:`~repro.optim.base.StackedOptimizer` update applies all covered
   per-worker optimizer steps at once.
 
-Both engines plug in below ``cluster.step_all``, so every protocol — FDA,
-the Synchronous/BSP baseline, Local-SGD/FedAvg, FedOpt epochs, compression,
-the event-driven asynchronous trainer — picks the engine up transparently,
-and the whole scenario grid runs on either engine:
+Both engines plug in below ``cluster.step_all`` / ``cluster.epoch_all``, so
+every protocol — FDA, the Synchronous/BSP baseline, Local-SGD/FedAvg, the
+server rounds (FedOpt, FedProx, SCAFFOLD), compression, the event-driven
+asynchronous trainer — picks the engine up transparently, and the whole
+scenario grid — every model, every strategy — runs on either engine:
 
 * **Partial participation** (timeline dropout): ``step_all(active=mask)``
   executes only the active rows.  The batched engine gathers those workers'
@@ -40,9 +41,18 @@ and the whole scenario grid runs on either engine:
   configuration, batch size) are rejected.
 * **Per-worker driving**: :meth:`ClusterEngine.step_worker` and
   :meth:`ClusterEngine.epoch_worker` run single-row slices of the same
-  batched kernels (FedOpt local epochs); served events are not such slices but
-  masked rows of ``step_all``, many arrivals to a pass.  Every worker's
-  optimizer *is* a row of the stacked optimizer, so drive modes compose freely.
+  batched kernels (the server strategies' local epochs); served events are
+  not such slices but masked rows of ``step_all``, many arrivals to a pass.
+  Every worker's optimizer *is* a row of the stacked optimizer, so drive
+  modes compose freely.
+* **Gradient transforms** (FedProx's proximal term, SCAFFOLD's variates):
+  ``epoch_worker(k, transform)`` applies ``transform(rows, params, grads)``
+  to the stepping rows' gradient block just before the optimizer update —
+  the ``(A, d)`` scratch here, the worker's own views as a one-row block on
+  the sequential engine — so a drift-control epoch is an engine epoch.
+* **Every layer**: composites compute through their children's kernels (see
+  :mod:`repro.nn.batched`); only a ``Layer`` subclass from outside
+  :mod:`repro.nn.layers` has none and is refused by name at construction.
 
 Per-worker arithmetic is element-for-element the sequential arithmetic (the
 optimizer step is literally the same rule; the stacked GEMMs may re-associate),
@@ -126,9 +136,13 @@ class ClusterEngine:
         """One local step on a single worker (served events batch through ``step_all``)."""
         return self.cluster.workers[worker_id].local_step()
 
-    def epoch_worker(self, worker_id: int) -> float:
-        """One full local epoch on a single worker; returns its mean batch loss."""
-        return self.cluster.workers[worker_id].local_epoch()
+    def epoch_worker(self, worker_id: int, transform=None) -> float:
+        """One full local epoch on a single worker; returns its mean batch loss.
+
+        ``transform`` edits each batch's gradients in place before the
+        optimizer step (see ``SimulatedCluster.epoch_all``).
+        """
+        return self.cluster.workers[worker_id]._run_epoch(transform)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(K={self.cluster.num_workers})"
@@ -210,8 +224,8 @@ class BatchedEngine(ClusterEngine):
         missing = unsupported_layers(reference.model)
         if missing:
             raise ConfigurationError(
-                "execution='batched' does not support these layers: "
-                f"{', '.join(missing)}; use execution='sequential' for this model"
+                "execution='batched' has no kernel for these layers: "
+                f"{', '.join(missing)}; register one in repro.nn.batched.KERNELS"
             )
         for worker in workers[1:]:
             self._require_compatible(reference, worker)
@@ -252,13 +266,14 @@ class BatchedEngine(ClusterEngine):
         self._buffer_rollback: Optional[np.ndarray] = None
 
     @staticmethod
-    def _model_signature(model) -> List[tuple]:
-        """A structural fingerprint of a model: per-layer type, geometry, config.
+    def _model_signature(layers) -> List[tuple]:
+        """A structural fingerprint of a layer stack: per-layer type, geometry, config.
 
         The batched kernels are built from worker 0's layers and applied to
         every row of the stacked matrices, so all workers' models must be the
         *same architecture*, not merely the same parameter count.  The
-        signature captures everything a kernel reads from its layer —
+        signature captures everything a kernel reads from its layer, and a
+        composite's configuration through its ``sublayers()`` —
         per-worker-stateful attributes (a ``Dropout`` layer's rate and RNG)
         are deliberately absent: their kernels read each worker's own layer.
         """
@@ -267,7 +282,7 @@ class BatchedEngine(ClusterEngine):
             "units", "filters", "kernel_size", "stride", "padding_mode",
             "pool_size", "use_bias", "momentum", "epsilon",
         )
-        for layer in model.layers:
+        for layer in layers:
             entry = [type(layer).__name__, tuple(layer.output_shape)]
             for attr in config_attrs:
                 if hasattr(layer, attr):
@@ -275,6 +290,7 @@ class BatchedEngine(ClusterEngine):
             activation = getattr(layer, "activation", None)
             if activation is not None:
                 entry.append(("activation", activation.name))
+            entry.extend(BatchedEngine._model_signature(layer.sublayers()))
             signature.append(tuple(entry))
         return signature
 
@@ -289,8 +305,8 @@ class BatchedEngine(ClusterEngine):
         optimizer type, the loss configuration, and the batch size.
         """
         problems: List[str] = []
-        if BatchedEngine._model_signature(worker.model) != BatchedEngine._model_signature(
-            reference.model
+        if BatchedEngine._model_signature(worker.model.layers) != BatchedEngine._model_signature(
+            reference.model.layers
         ):
             problems.append("model architecture differs (layer types/geometry/config)")
         if type(worker.optimizer) is not type(reference.optimizer):
@@ -349,13 +365,16 @@ class BatchedEngine(ClusterEngine):
             self._masked_models[count] = model
         return model
 
-    def _train_rows(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _train_rows(
+        self, rows: np.ndarray, x: np.ndarray, y: np.ndarray, transform=None
+    ) -> np.ndarray:
         """One stacked step on the workers in ``rows``; returns their losses.
 
         Gathers the active parameter/buffer rows into the scratch block, runs
-        the stacked forward/backward and the masked optimizer update there,
-        and scatters parameters, gradients, and buffers back.  Nothing is
-        written back if a loss diverges (atomic failure).
+        the stacked forward/backward, the strategy's gradient ``transform``
+        (if any) and the masked optimizer update there, and scatters
+        parameters, gradients, and buffers back.  Nothing is written back if
+        a loss diverges (atomic failure).
         """
         count = int(rows.size)
         model = self._masked_model(count)
@@ -378,6 +397,8 @@ class BatchedEngine(ClusterEngine):
             # The stacked pass only touched the scratch block: live
             # parameters, buffers, and optimizer moments are untouched.
             raise _divergence_error(rows[bad], losses[bad])
+        if transform is not None:
+            transform(rows, self._param_scratch[:count], self._grad_scratch[:count])
         self._optimizer.step_rows(
             self._param_scratch[:count], self._grad_scratch[:count], rows
         )
@@ -434,7 +455,7 @@ class BatchedEngine(ClusterEngine):
         worker.last_loss = float(losses[0])
         return worker.last_loss
 
-    def epoch_worker(self, worker_id: int) -> float:
+    def epoch_worker(self, worker_id: int, transform=None) -> float:
         # Ragged shards force per-worker epochs (see cluster.epoch_all); each
         # batch of the worker's own shuffled epoch stream runs as a
         # single-row slice of the batched kernels.
@@ -442,7 +463,7 @@ class BatchedEngine(ClusterEngine):
         rows = np.array([worker_id])
         losses: List[float] = []
         for batch_x, batch_y in worker._epoch_iterator.epoch():
-            batch_losses = self._train_rows(rows, batch_x[None], batch_y[None])
+            batch_losses = self._train_rows(rows, batch_x[None], batch_y[None], transform)
             losses.append(float(batch_losses[0]))
         if losses:
             worker.last_loss = float(np.mean(losses))

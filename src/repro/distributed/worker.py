@@ -17,7 +17,7 @@ Checkpoints, cohort binding and crash rejoin all go through these.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -140,59 +140,44 @@ class Worker:
 
     # -- training -------------------------------------------------------------
 
-    def local_step(
-        self,
-        gradient_transform: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    ) -> float:
-        """One mini-batch optimization step; returns the batch loss.
+    def local_step(self) -> float:
+        """One mini-batch optimization step; returns the batch loss."""
+        self.last_loss = self._train(*self._sampler.sample())
+        return self.last_loss
 
-        ``gradient_transform(params, grads)`` — if given — may return a
-        modified gradient before the optimizer step.  The drift-control
-        baselines (FedProx's proximal term, SCAFFOLD's control variates) use
-        this hook; plain FDA/BSP/FedAvg leave it unset.  The transform
-        receives live views and must treat them as read-only.
-        """
-        batch_x, batch_y = self._sampler.sample()
+    def local_epoch(self) -> float:
+        """One full pass over the local shard; returns the mean batch loss."""
+        return self._run_epoch(None)
+
+    def _run_epoch(self, transform) -> float:
+        """:meth:`local_epoch` under the engine's row transform (see ``epoch_all``)."""
+        losses = [self._train(x, y, transform) for x, y in self._epoch_iterator.epoch()]
+        self.last_loss = float(np.mean(losses)) if losses else self.last_loss
+        return self.last_loss if self.last_loss is not None else 0.0
+
+    def _train(self, batch_x, batch_y, transform=None) -> float:
+        """Forward, backward and one optimizer update on a mini-batch."""
         loss_value = self.model.train_batch(batch_x, batch_y, self.loss)
         if not np.isfinite(loss_value):
             raise TrainingError(
                 f"worker {self.worker_id}: loss became non-finite ({loss_value}); "
                 "reduce the learning rate or variance threshold"
             )
-        self._apply_update(gradient_transform)
+        self._apply_update(transform)
         self.steps_performed += 1
-        self.last_loss = float(loss_value)
-        return self.last_loss
+        return float(loss_value)
 
-    def _apply_update(self, gradient_transform) -> None:
-        """One optimizer update on the freshly back-propagated gradients."""
+    def _apply_update(self, transform) -> None:
+        """One optimizer update on the freshly back-propagated gradients.
+
+        ``transform(rows, params, grads)`` — the drift-control strategies'
+        seam — first edits the gradients in place, as a one-row block.
+        """
         params = self.model.parameters_view()
         grads = self.model.gradients_view()
-        if gradient_transform is not None:
-            grads = gradient_transform(params, grads)
+        if transform is not None:
+            transform(np.array([self.worker_id]), params[None], grads[None])
         self.optimizer.step_inplace(params, grads)
-
-    def local_epoch(
-        self,
-        gradient_transform: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    ) -> float:
-        """One full pass over the local shard; returns the mean batch loss.
-
-        See :meth:`local_step` for the ``gradient_transform`` hook.
-        """
-        losses = []
-        for batch_x, batch_y in self._epoch_iterator.epoch():
-            loss_value = self.model.train_batch(batch_x, batch_y, self.loss)
-            if not np.isfinite(loss_value):
-                raise TrainingError(
-                    f"worker {self.worker_id}: loss became non-finite ({loss_value}) "
-                    "during a local epoch"
-                )
-            self._apply_update(gradient_transform)
-            self.steps_performed += 1
-            losses.append(float(loss_value))
-        self.last_loss = float(np.mean(losses)) if losses else self.last_loss
-        return self.last_loss if self.last_loss is not None else 0.0
 
     @property
     def batches_per_epoch(self) -> int:

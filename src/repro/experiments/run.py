@@ -50,9 +50,9 @@ class RunResult:
     #: "batched", lockstep strategies (FDA, BSP, Local-SGD, compression) run
     #: stacked (K, d) passes — masked to the participating rows under
     #: timeline dropout, or to the served coordinator's due workers — and
-    #: per-worker driving (FedOpt local epochs) runs single-row slices of
-    #: the same kernels; only strategies that bypass the engine entirely
-    #: (FedProx/SCAFFOLD's transformed local epochs) stay per-worker.
+    #: the server strategies' local epochs (FedOpt, and FedProx / SCAFFOLD
+    #: under their gradient transform) run single-row slices of the same
+    #: kernels.  No model and no strategy is treated differently by either.
     execution: str = "sequential"
     #: Collective-level payload compression the cluster carried ("none", or a
     #: compact label like "topk(ratio=0.1)+ef") — the byte totals above

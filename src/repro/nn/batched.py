@@ -15,9 +15,11 @@ the compute side:
 * Per-layer **kernels** (:class:`BatchedDense`, :class:`BatchedConv2D`, …)
   advance all workers at once: ``Dense`` is a single stacked-GEMM
   (``(K, B, in) @ (K, in, out)``, the einsum ``kbi,kio->kbo``), ``Conv2D``
-  folds the worker axis into the im2col batch, and parameter-free layers
-  operate on the folded ``(K·B, ...)`` tensor directly.  Activations are
-  elementwise and shared verbatim with the sequential layers.
+  folds the worker axis into the im2col batch, and every parameter-free
+  layer (pooling, ``Flatten``, ``Activation``) is one :class:`FoldedKernel`:
+  the sequential layer itself, applied to the folded ``(K·B, ...)`` tensor.
+  ``DenseBlock`` / ``TransitionDown`` are one :class:`CompositeKernel`: the
+  layer's own arithmetic over the kernels of its ``sublayers()``.
 * :class:`BatchedModel` chains the kernels into ``train_batch`` over stacked
   ``(K, B, ...)`` mini-batches, writing every worker's gradients into the
   ``(K, d)`` gradient matrix in one backward pass.
@@ -33,10 +35,9 @@ worker's own layer object and draws each active row's mask from that worker's
 stream (via :meth:`~repro.nn.layers.Dropout.sample_mask`, the same helper the
 sequential path consumes) before one vectorized multiply — the streams replay
 exactly.  A :class:`BatchedModel` that contains such layers must therefore be
-constructed with ``worker_models``.  Composites of unsupported pieces
-(``DenseBlock``, ``TransitionDown``) still have no kernel;
-:func:`unsupported_layers` lets the engine reject such models up front with a
-clear message.
+constructed with ``worker_models``.  Every layer of :mod:`repro.nn.layers` has
+a kernel; a ``Layer`` subclass from outside has none (lookup is by exact
+type) and :func:`unsupported_layers` lets the engine name it up front.
 """
 
 from __future__ import annotations
@@ -46,18 +47,20 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.functional import avg_pool_backward, im2col, col2im, max_pool_backward
+from repro.nn.functional import im2col, col2im
 from repro.nn.layers import (
     Activation,
     AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
+    DenseBlock,
     Dropout,
     Flatten,
     GlobalAvgPool2D,
     Layer,
     MaxPool2D,
+    TransitionDown,
 )
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
@@ -283,133 +286,29 @@ class BatchedConv2D(BatchedKernel):
         return folded.reshape((num_workers, batch) + self._cache_folded_shape[1:])
 
 
-class BatchedMaxPool2D(BatchedKernel):
-    """Max pooling with the worker axis folded into the sample batch."""
+class FoldedKernel(BatchedKernel):
+    """A parameter-free layer applied to the ``(K·B, ...)`` fold of the stack.
 
-    def __init__(self, layer: MaxPool2D, params, grads, buffers) -> None:
+    Pooling, ``Flatten`` and ``Activation`` treat every sample on its own, so
+    folding the worker axis into the sample batch is exact and the sequential
+    layer *is* the kernel: a private ``layer.fresh()`` (its own caches, never
+    a worker's) runs on the reshaped tensor.
+    """
+
+    def __init__(self, layer: Layer, params, grads, buffers) -> None:
         super().__init__(layer, params, grads, buffers)
-        self.pool_size = layer.pool_size
-        self.stride = layer.stride
-        self._cache_argmax: Optional[np.ndarray] = None
-        self._cache_folded_shape: Optional[Tuple[int, int, int, int]] = None
+        self._folded = layer.fresh()
+        self._folded.build(layer.input_shape, None)
+
+    def _apply(self, method, x: np.ndarray, *args) -> np.ndarray:
+        out = method(x.reshape((-1,) + x.shape[2:]), *args)
+        return out.reshape(x.shape[:2] + out.shape[1:])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        num_workers, batch = x.shape[0], x.shape[1]
-        folded = x.reshape((num_workers * batch,) + x.shape[2:])
-        columns, (out_h, out_w) = im2col(
-            folded, self.pool_size, self.pool_size, self.stride, 0
-        )
-        channels = folded.shape[3]
-        patches = columns.reshape(
-            columns.shape[0], self.pool_size * self.pool_size, channels
-        )
-        argmax = patches.argmax(axis=1)
-        out = np.take_along_axis(patches, argmax[:, None, :], axis=1)[:, 0, :]
-        if training:
-            self._cache_argmax = argmax
-            self._cache_folded_shape = folded.shape
-        return out.reshape(num_workers, batch, out_h, out_w, channels)
+        return self._apply(self._folded.forward, x, training)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        num_workers, batch = grad_output.shape[0], grad_output.shape[1]
-        folded = max_pool_backward(
-            self._cache_argmax,
-            grad_output.reshape((num_workers * batch,) + grad_output.shape[2:]),
-            self._cache_folded_shape,
-            self.pool_size,
-            self.stride,
-        )
-        return folded.reshape((num_workers, batch) + self._cache_folded_shape[1:])
-
-
-class BatchedAvgPool2D(BatchedKernel):
-    """Average pooling with the worker axis folded into the sample batch."""
-
-    def __init__(self, layer: AvgPool2D, params, grads, buffers) -> None:
-        super().__init__(layer, params, grads, buffers)
-        self.pool_size = layer.pool_size
-        self.stride = layer.stride
-        self._cache_folded_shape: Optional[Tuple[int, int, int, int]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        num_workers, batch = x.shape[0], x.shape[1]
-        folded = x.reshape((num_workers * batch,) + x.shape[2:])
-        columns, (out_h, out_w) = im2col(
-            folded, self.pool_size, self.pool_size, self.stride, 0
-        )
-        channels = folded.shape[3]
-        patches = columns.reshape(
-            columns.shape[0], self.pool_size * self.pool_size, channels
-        )
-        out = patches.mean(axis=1)
-        if training:
-            self._cache_folded_shape = folded.shape
-        return out.reshape(num_workers, batch, out_h, out_w, channels)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        num_workers, batch = grad_output.shape[0], grad_output.shape[1]
-        folded = avg_pool_backward(
-            grad_output.reshape((num_workers * batch,) + grad_output.shape[2:]),
-            self._cache_folded_shape,
-            self.pool_size,
-            self.stride,
-        )
-        return folded.reshape((num_workers, batch) + self._cache_folded_shape[1:])
-
-
-class BatchedGlobalAvgPool2D(BatchedKernel):
-    """Global average pooling: ``(K, B, H, W, C) -> (K, B, C)``."""
-
-    def __init__(self, layer: GlobalAvgPool2D, params, grads, buffers) -> None:
-        super().__init__(layer, params, grads, buffers)
-        self._cache_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._cache_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        height, width = self._cache_shape[2], self._cache_shape[3]
-        scale = 1.0 / float(height * width)
-        grad = np.broadcast_to(
-            grad_output[:, :, None, None, :] * scale, self._cache_shape
-        )
-        return np.ascontiguousarray(grad)
-
-
-class BatchedFlatten(BatchedKernel):
-    """Flatten all non-(worker, batch) dimensions."""
-
-    def __init__(self, layer: Flatten, params, grads, buffers) -> None:
-        super().__init__(layer, params, grads, buffers)
-        self._cache_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._cache_shape = x.shape
-        return x.reshape(x.shape[0], x.shape[1], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._cache_shape)
-
-
-class BatchedActivation(BatchedKernel):
-    """Standalone activation: elementwise, shared with the sequential layer."""
-
-    def __init__(self, layer: Activation, params, grads, buffers) -> None:
-        super().__init__(layer, params, grads, buffers)
-        self.activation = layer.activation
-        self._cache: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = self.activation.forward(x)
-        if training:
-            self._cache = x if self.activation.cache_input else out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self.activation.gradient(grad_output, self._cache)
+        return self._apply(self._folded.backward, grad_output)
 
 
 class BatchedDropout(BatchedKernel):
@@ -529,18 +428,45 @@ class BatchedBatchNorm(BatchedKernel):
         )
 
 
-#: Exact-type kernel registry; composites/RNG-stateful layers are deliberately
-#: absent (see module docstring) and rejected by :func:`unsupported_layers`.
+class CompositeKernel(BatchedKernel):
+    """A composite layer computing through its children's kernels.
+
+    ``DenseBlock`` / ``TransitionDown`` are written over their children's
+    ``forward`` / ``backward`` and the channel axis is last on both engines,
+    so the layer's own arithmetic runs the stacked pass: the kernel is the
+    layer :meth:`~repro.nn.layers.Layer.with_sublayers` one kernel per child,
+    each handed its share of the composite's views — consumed in the
+    ``*_refs()`` order the plane carved them in.
+    """
+
+    def __init__(self, layer: Layer, params, grads, buffers) -> None:
+        super().__init__(layer, params, grads, buffers)
+        params, grads, buffers = iter(params), iter(grads), iter(buffers)
+        self._composite = layer.with_sublayers(
+            _kernel_class(child)(
+                child,
+                [next(params) for _ in child.parameter_refs()],
+                [next(grads) for _ in child.gradient_refs()],
+                [next(buffers) for _ in child.buffer_refs()],
+            )
+            for child in layer.sublayers()
+        )
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        return self._composite.forward(x, training)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return self._composite.backward(grad_output)
+
+
+#: Exact-type kernel registry: every layer of :mod:`repro.nn.layers`.
 KERNELS: Dict[Type[Layer], Type[BatchedKernel]] = {
     Dense: BatchedDense,
     Conv2D: BatchedConv2D,
-    MaxPool2D: BatchedMaxPool2D,
-    AvgPool2D: BatchedAvgPool2D,
-    GlobalAvgPool2D: BatchedGlobalAvgPool2D,
-    Flatten: BatchedFlatten,
-    Activation: BatchedActivation,
     BatchNorm: BatchedBatchNorm,
     Dropout: BatchedDropout,
+    **dict.fromkeys((MaxPool2D, AvgPool2D, GlobalAvgPool2D, Flatten, Activation), FoldedKernel),
+    **dict.fromkeys((DenseBlock, TransitionDown), CompositeKernel),
 }
 
 

@@ -8,8 +8,11 @@ Every layer follows the same minimal contract:
   pass will need;
 * ``backward(grad_output)`` consumes the upstream gradient, stores parameter
   gradients internally, and returns the gradient w.r.t. the layer input;
-* ``parameters()`` / ``gradients()`` return matching lists of arrays that the
-  model flattens into the single parameter vector the FDA algorithm works on.
+* ``PARAMETERS`` / ``BUFFERS`` name the arrays the layer owns (a composite builds
+  its ``sublayers()`` instead); ``parameters()`` / ``gradients()`` /
+  ``buffers()`` and the plane's ``*_refs()`` are all derived from that one
+  declaration, in the order the model flattens them into the single parameter
+  vector the FDA algorithm works on.
 
 Image tensors use the NHWC layout.  Arithmetic is dtype-preserving: every
 kernel computes in the dtype of the plane-owned arrays it touches (float64 —
@@ -52,6 +55,8 @@ class Layer:
         self.built = False
         self.input_shape: Optional[Shape] = None
         self.output_shape: Optional[Shape] = None
+        self._children: Sequence["Layer"] = ()
+        self._clear_owned()
 
     # -- construction ------------------------------------------------------
 
@@ -73,37 +78,65 @@ class Layer:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # -- parameters ---------------------------------------------------------
+    # -- owned arrays ---------------------------------------------------------
+    #
+    # A layer says what it owns once: the names of its trainable arrays (each
+    # ``name`` has its gradient in ``_grad_<name>``; ``bias`` is owned only
+    # with ``use_bias``) and of its non-trainable buffers, in flat-vector
+    # order.  A composite owns nothing itself: it builds its ``_children``.
 
-    def parameters(self) -> List[np.ndarray]:
-        """Trainable parameter arrays (possibly empty)."""
-        return []
+    PARAMETERS: Tuple[str, ...] = ()
+    BUFFERS: Tuple[str, ...] = ()
 
-    def gradients(self) -> List[np.ndarray]:
-        """Gradient arrays aligned one-to-one with :meth:`parameters`."""
-        return []
+    def sublayers(self) -> Sequence["Layer"]:
+        """A composite's child layers, in flat-vector order (a leaf has none)."""
+        return self._children
 
-    def buffers(self) -> List[np.ndarray]:
-        """Non-trainable state arrays (e.g. batch-norm running statistics)."""
-        return []
+    def with_sublayers(self, children: Sequence) -> "Layer":
+        """A shallow copy of this composite that computes through ``children``.
 
-    # -- parameter-plane integration ----------------------------------------
+        Anything with the children's ``forward`` / ``backward`` signatures
+        will do: the batched engine passes their kernels, so a composite's
+        arithmetic is written once (see :class:`repro.nn.batched.CompositeKernel`).
+        """
+        dup = copy.copy(self)
+        dup._children = list(children)
+        return dup
 
     def parameter_refs(self) -> List[ArrayRef]:
-        """``(holder, attribute)`` pairs aligned with :meth:`parameters`.
+        """``(holder, attribute)`` pairs, one per trainable array.
 
         The :class:`~repro.nn.plane.ParameterPlane` uses these to replace the
         layer's arrays with views into the model's contiguous flat vector.
         """
-        return []
+        own = [(self, name) for name in self.PARAMETERS if name != "bias" or self.use_bias]
+        return own + [ref for child in self.sublayers() for ref in child.parameter_refs()]
 
     def gradient_refs(self) -> List[ArrayRef]:
-        """``(holder, attribute)`` pairs aligned with :meth:`gradients`."""
-        return []
+        """``(holder, attribute)`` pairs aligned with :meth:`parameter_refs`."""
+        return [(holder, f"_grad_{name}") for holder, name in self.parameter_refs()]
 
     def buffer_refs(self) -> List[ArrayRef]:
-        """``(holder, attribute)`` pairs aligned with :meth:`buffers`."""
-        return []
+        """``(holder, attribute)`` pairs, one per non-trainable state array."""
+        own = [(self, name) for name in self.BUFFERS]
+        return own + [ref for child in self.sublayers() for ref in child.buffer_refs()]
+
+    def _arrays(self, refs: List[ArrayRef]) -> List[np.ndarray]:
+        if refs:
+            self._require_built()
+        return [getattr(holder, name) for holder, name in refs]
+
+    def parameters(self) -> List[np.ndarray]:
+        """Trainable parameter arrays (possibly empty)."""
+        return self._arrays(self.parameter_refs())
+
+    def gradients(self) -> List[np.ndarray]:
+        """Gradient arrays aligned one-to-one with :meth:`parameters`."""
+        return self._arrays(self.gradient_refs())
+
+    def buffers(self) -> List[np.ndarray]:
+        """Non-trainable state arrays (e.g. batch-norm running statistics)."""
+        return self._arrays(self.buffer_refs())
 
     def fresh(self) -> "Layer":
         """An unbuilt copy of this layer carrying only its constructor config.
@@ -117,11 +150,21 @@ class Layer:
         dup.built = False
         dup.input_shape = None
         dup.output_shape = None
+        dup._children = ()
+        dup._clear_owned()
         dup._fresh_reset()
         return dup
 
+    def _clear_owned(self) -> None:
+        """Every owned array (and gradient) unallocated, as before ``build``."""
+        for name in self.PARAMETERS:
+            setattr(self, name, None)
+            setattr(self, f"_grad_{name}", None)
+        for name in self.BUFFERS:
+            setattr(self, name, None)
+
     def _fresh_reset(self) -> None:
-        """Subclasses clear parameters, gradients, buffers, and caches here."""
+        """Subclasses clear caches here (owned arrays and children are already cleared)."""
 
     @property
     def num_parameters(self) -> int:
@@ -145,6 +188,8 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b`` with an optional activation."""
 
+    PARAMETERS = ("weight", "bias")
+
     def __init__(
         self,
         units: int,
@@ -160,10 +205,6 @@ class Dense(Layer):
         self.activation: ActivationFunction = get_activation(activation)
         self.use_bias = bool(use_bias)
         self.kernel_initializer = get_initializer(kernel_initializer)
-        self.weight: Optional[np.ndarray] = None
-        self.bias: Optional[np.ndarray] = None
-        self._grad_weight: Optional[np.ndarray] = None
-        self._grad_bias: Optional[np.ndarray] = None
         self._cache_x: Optional[np.ndarray] = None
         self._cache_act: Optional[np.ndarray] = None
 
@@ -210,43 +251,15 @@ class Dense(Layer):
             self._grad_bias[...] = grad_pre.sum(axis=0)
         return grad_pre @ self.weight.T if input_gradient else None
 
-    def parameters(self) -> List[np.ndarray]:
-        self._require_built()
-        params = [self.weight]
-        if self.use_bias:
-            params.append(self.bias)
-        return params
-
-    def gradients(self) -> List[np.ndarray]:
-        self._require_built()
-        grads = [self._grad_weight]
-        if self.use_bias:
-            grads.append(self._grad_bias)
-        return grads
-
-    def parameter_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = [(self, "weight")]
-        if self.use_bias:
-            refs.append((self, "bias"))
-        return refs
-
-    def gradient_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = [(self, "_grad_weight")]
-        if self.use_bias:
-            refs.append((self, "_grad_bias"))
-        return refs
-
     def _fresh_reset(self) -> None:
-        self.weight = None
-        self.bias = None
-        self._grad_weight = None
-        self._grad_bias = None
         self._cache_x = None
         self._cache_act = None
 
 
 class Conv2D(Layer):
     """2-D convolution over NHWC tensors, implemented with im2col."""
+
+    PARAMETERS = ("weight", "bias")
 
     def __init__(
         self,
@@ -275,10 +288,6 @@ class Conv2D(Layer):
         self.activation: ActivationFunction = get_activation(activation)
         self.use_bias = bool(use_bias)
         self.kernel_initializer = get_initializer(kernel_initializer)
-        self.weight: Optional[np.ndarray] = None  # (kh*kw*cin, filters)
-        self.bias: Optional[np.ndarray] = None
-        self._grad_weight: Optional[np.ndarray] = None
-        self._grad_bias: Optional[np.ndarray] = None
         self._padding_amount = 0
         self._cache_columns: Optional[np.ndarray] = None
         self._cache_input_shape: Optional[Tuple[int, int, int, int]] = None
@@ -300,9 +309,8 @@ class Conv2D(Layer):
         out_w = conv_output_size(width, self.kernel_size, self.stride, self._padding_amount)
         fan_in = self.kernel_size * self.kernel_size * channels
         fan_out = self.kernel_size * self.kernel_size * self.filters
-        self.weight = self.kernel_initializer(
-            (fan_in, self.filters), fan_in, fan_out, rng
-        )
+        # (kh*kw*cin, filters): one GEMM column block per filter.
+        self.weight = self.kernel_initializer((fan_in, self.filters), fan_in, fan_out, rng)
         self._grad_weight = np.zeros_like(self.weight)
         if self.use_bias:
             self.bias = zeros_init((self.filters,), fan_in, fan_out, rng)
@@ -355,37 +363,7 @@ class Conv2D(Layer):
             self._padding_amount,
         )
 
-    def parameters(self) -> List[np.ndarray]:
-        self._require_built()
-        params = [self.weight]
-        if self.use_bias:
-            params.append(self.bias)
-        return params
-
-    def gradients(self) -> List[np.ndarray]:
-        self._require_built()
-        grads = [self._grad_weight]
-        if self.use_bias:
-            grads.append(self._grad_bias)
-        return grads
-
-    def parameter_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = [(self, "weight")]
-        if self.use_bias:
-            refs.append((self, "bias"))
-        return refs
-
-    def gradient_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = [(self, "_grad_weight")]
-        if self.use_bias:
-            refs.append((self, "_grad_bias"))
-        return refs
-
     def _fresh_reset(self) -> None:
-        self.weight = None
-        self.bias = None
-        self._grad_weight = None
-        self._grad_bias = None
         self._padding_amount = 0
         self._cache_columns = None
         self._cache_input_shape = None
@@ -618,6 +596,9 @@ class BatchNorm(Layer):
     and synchronized alongside the parameters by the distributed strategies.
     """
 
+    PARAMETERS = ("gamma", "beta")
+    BUFFERS = ("running_mean", "running_var")
+
     def __init__(
         self, momentum: float = 0.9, epsilon: float = 1e-5, name: Optional[str] = None
     ) -> None:
@@ -628,14 +609,7 @@ class BatchNorm(Layer):
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
-        self.gamma: Optional[np.ndarray] = None
-        self.beta: Optional[np.ndarray] = None
-        self.running_mean: Optional[np.ndarray] = None
-        self.running_var: Optional[np.ndarray] = None
-        self._grad_gamma: Optional[np.ndarray] = None
-        self._grad_beta: Optional[np.ndarray] = None
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._reduce_axes: Optional[Tuple[int, ...]] = None
+        self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _build(self, input_shape: Shape, rng: np.random.Generator) -> Shape:
         channels = int(input_shape[-1])
@@ -645,7 +619,6 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels, dtype=np.float64)
         self._grad_gamma = np.zeros_like(self.gamma)
         self._grad_beta = np.zeros_like(self.beta)
-        self._reduce_axes = tuple(range(len(input_shape)))  # all batch+spatial axes
         return tuple(input_shape)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -663,7 +636,7 @@ class BatchNorm(Layer):
         normalized = (x - mean) * inv_std
         out = self.gamma * normalized + self.beta
         if training:
-            self._cache = (normalized, inv_std, np.asarray(axes))
+            self._cache = (normalized, inv_std)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -672,11 +645,8 @@ class BatchNorm(Layer):
             raise ModelNotBuiltError(
                 f"BatchNorm {self.name!r}: backward called without a training forward pass"
             )
-        normalized, inv_std, axes_array = self._cache
-        axes = tuple(int(a) for a in axes_array)
-        count = 1
-        for axis in axes:
-            count *= grad_output.shape[axis]
+        normalized, inv_std = self._cache
+        axes = tuple(range(grad_output.ndim - 1))  # all batch + spatial axes
         self._grad_gamma[...] = (grad_output * normalized).sum(axis=axes)
         self._grad_beta[...] = grad_output.sum(axis=axes)
         grad_normalized = grad_output * self.gamma
@@ -685,36 +655,8 @@ class BatchNorm(Layer):
         grad_input = inv_std * (grad_normalized - mean_grad - normalized * mean_grad_normalized)
         return grad_input
 
-    def parameters(self) -> List[np.ndarray]:
-        self._require_built()
-        return [self.gamma, self.beta]
-
-    def gradients(self) -> List[np.ndarray]:
-        self._require_built()
-        return [self._grad_gamma, self._grad_beta]
-
-    def buffers(self) -> List[np.ndarray]:
-        self._require_built()
-        return [self.running_mean, self.running_var]
-
-    def parameter_refs(self) -> List[ArrayRef]:
-        return [(self, "gamma"), (self, "beta")]
-
-    def gradient_refs(self) -> List[ArrayRef]:
-        return [(self, "_grad_gamma"), (self, "_grad_beta")]
-
-    def buffer_refs(self) -> List[ArrayRef]:
-        return [(self, "running_mean"), (self, "running_var")]
-
     def _fresh_reset(self) -> None:
-        self.gamma = None
-        self.beta = None
-        self.running_mean = None
-        self.running_var = None
-        self._grad_gamma = None
-        self._grad_beta = None
         self._cache = None
-        self._reduce_axes = None
 
 
 class Activation(Layer):
@@ -772,16 +714,13 @@ class DenseBlock(Layer):
         self.num_layers = int(num_layers)
         self.growth_rate = int(growth_rate)
         self.kernel_initializer = kernel_initializer
-        self._norms: List[BatchNorm] = []
-        self._convs: List[Conv2D] = []
         self._cache_inputs: List[np.ndarray] = []
 
     def _build(self, input_shape: Shape, rng: np.random.Generator) -> Shape:
         if len(input_shape) != 3:
             raise ShapeError(f"DenseBlock expects (H, W, C) inputs, got {input_shape}")
         height, width, channels = input_shape
-        self._norms = []
-        self._convs = []
+        self._children = []
         current_channels = channels
         for index in range(self.num_layers):
             norm = BatchNorm(name=f"{self.name}_bn{index}")
@@ -796,16 +735,19 @@ class DenseBlock(Layer):
             )
             norm.build((height, width, current_channels), rng)
             conv.build((height, width, current_channels), rng)
-            self._norms.append(norm)
-            self._convs.append(conv)
+            self._children += [norm, conv]
             current_channels += self.growth_rate
         return (height, width, current_channels)
+
+    def _units(self) -> List[Tuple[Layer, Layer]]:
+        """The ``(BatchNorm, Conv2D)`` pairs, in order."""
+        return list(zip(self._children[0::2], self._children[1::2]))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
         features = x
         self._cache_inputs = []
-        for norm, conv in zip(self._norms, self._convs):
+        for norm, conv in self._units():
             normalized = norm.forward(features, training)
             activated = np.maximum(normalized, 0.0)
             if training:
@@ -821,63 +763,14 @@ class DenseBlock(Layer):
                 f"DenseBlock {self.name!r}: backward called without a training forward pass"
             )
         grad_features = grad_output
-        for index in range(self.num_layers - 1, -1, -1):
-            conv = self._convs[index]
-            norm = self._norms[index]
-            input_channels = conv.input_shape[2]
-            grad_prev = grad_features[..., :input_channels]
-            grad_new = grad_features[..., input_channels:]
-            grad_activated = conv.backward(np.ascontiguousarray(grad_new))
-            grad_activated = grad_activated * (self._cache_inputs[index] > 0.0)
-            grad_features = grad_prev + norm.backward(grad_activated)
+        for (norm, conv), activated in zip(reversed(self._units()), reversed(self._cache_inputs)):
+            channels = activated.shape[-1]  # the unit's input; the rest is what it added
+            grad_activated = conv.backward(np.ascontiguousarray(grad_features[..., channels:]))
+            grad_activated = grad_activated * (activated > 0.0)
+            grad_features = grad_features[..., :channels] + norm.backward(grad_activated)
         return grad_features
 
-    def parameters(self) -> List[np.ndarray]:
-        self._require_built()
-        params: List[np.ndarray] = []
-        for norm, conv in zip(self._norms, self._convs):
-            params.extend(norm.parameters())
-            params.extend(conv.parameters())
-        return params
-
-    def gradients(self) -> List[np.ndarray]:
-        self._require_built()
-        grads: List[np.ndarray] = []
-        for norm, conv in zip(self._norms, self._convs):
-            grads.extend(norm.gradients())
-            grads.extend(conv.gradients())
-        return grads
-
-    def buffers(self) -> List[np.ndarray]:
-        self._require_built()
-        result: List[np.ndarray] = []
-        for norm in self._norms:
-            result.extend(norm.buffers())
-        return result
-
-    def parameter_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = []
-        for norm, conv in zip(self._norms, self._convs):
-            refs.extend(norm.parameter_refs())
-            refs.extend(conv.parameter_refs())
-        return refs
-
-    def gradient_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = []
-        for norm, conv in zip(self._norms, self._convs):
-            refs.extend(norm.gradient_refs())
-            refs.extend(conv.gradient_refs())
-        return refs
-
-    def buffer_refs(self) -> List[ArrayRef]:
-        refs: List[ArrayRef] = []
-        for norm in self._norms:
-            refs.extend(norm.buffer_refs())
-        return refs
-
     def _fresh_reset(self) -> None:
-        self._norms = []
-        self._convs = []
         self._cache_inputs = []
 
 
@@ -895,9 +788,6 @@ class TransitionDown(Layer):
             raise ConfigurationError(f"compression must lie in (0, 1], got {compression}")
         self.compression = float(compression)
         self.kernel_initializer = kernel_initializer
-        self._norm: Optional[BatchNorm] = None
-        self._conv: Optional[Conv2D] = None
-        self._pool: Optional[AvgPool2D] = None
         self._cache_normalized: Optional[np.ndarray] = None
 
     def _build(self, input_shape: Shape, rng: np.random.Generator) -> Shape:
@@ -905,8 +795,8 @@ class TransitionDown(Layer):
             raise ShapeError(f"TransitionDown expects (H, W, C) inputs, got {input_shape}")
         height, width, channels = input_shape
         out_channels = max(1, int(round(channels * self.compression)))
-        self._norm = BatchNorm(name=f"{self.name}_bn")
-        self._conv = Conv2D(
+        norm = BatchNorm(name=f"{self.name}_bn")
+        conv = Conv2D(
             out_channels,
             kernel_size=1,
             stride=1,
@@ -915,20 +805,20 @@ class TransitionDown(Layer):
             kernel_initializer=self.kernel_initializer,
             name=f"{self.name}_conv",
         )
-        self._pool = AvgPool2D(pool_size=2, name=f"{self.name}_pool")
-        shape = self._norm.build((height, width, channels), rng)
-        shape = self._conv.build(shape, rng)
-        shape = self._pool.build(shape, rng)
+        pool = AvgPool2D(pool_size=2, name=f"{self.name}_pool")
+        self._children = [norm, conv, pool]
+        shape = (height, width, channels)
+        for child in self._children:
+            shape = child.build(shape, rng)
         return shape
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
-        normalized = self._norm.forward(x, training)
-        activated = np.maximum(normalized, 0.0)
+        norm, conv, pool = self._children
+        activated = np.maximum(norm.forward(x, training), 0.0)
         if training:
             self._cache_normalized = activated
-        convolved = self._conv.forward(activated, training)
-        return self._pool.forward(convolved, training)
+        return pool.forward(conv.forward(activated, training), training)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._require_built()
@@ -936,34 +826,9 @@ class TransitionDown(Layer):
             raise ModelNotBuiltError(
                 f"TransitionDown {self.name!r}: backward called without a training forward pass"
             )
-        grad = self._pool.backward(grad_output)
-        grad = self._conv.backward(grad)
-        grad = grad * (self._cache_normalized > 0.0)
-        return self._norm.backward(grad)
-
-    def parameters(self) -> List[np.ndarray]:
-        self._require_built()
-        return self._norm.parameters() + self._conv.parameters()
-
-    def gradients(self) -> List[np.ndarray]:
-        self._require_built()
-        return self._norm.gradients() + self._conv.gradients()
-
-    def buffers(self) -> List[np.ndarray]:
-        self._require_built()
-        return self._norm.buffers()
-
-    def parameter_refs(self) -> List[ArrayRef]:
-        return self._norm.parameter_refs() + self._conv.parameter_refs()
-
-    def gradient_refs(self) -> List[ArrayRef]:
-        return self._norm.gradient_refs() + self._conv.gradient_refs()
-
-    def buffer_refs(self) -> List[ArrayRef]:
-        return self._norm.buffer_refs()
+        norm, conv, pool = self._children
+        grad = conv.backward(pool.backward(grad_output))
+        return norm.backward(grad * (self._cache_normalized > 0.0))
 
     def _fresh_reset(self) -> None:
-        self._norm = None
-        self._conv = None
-        self._pool = None
         self._cache_normalized = None

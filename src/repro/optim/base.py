@@ -19,8 +19,8 @@ the rule, whoever drives:
   cache-sized block of whole rows at a time;
 * :meth:`Optimizer.step_inplace` — "step my row": the same rule on
   ``params[None]`` with this row's state block, ``(1, 1)`` columns and
-  timestep (``worker.local_step``, the sequential engine, drift-control
-  local epochs).  It updates ``params`` — a view into the model's contiguous
+  timestep (``worker.local_step``, the sequential engine's steps and
+  epochs).  It updates ``params`` — a view into the model's contiguous
   parameter plane — in place; input validation is hoisted behind a one-time
   check, and the gradient vector is read-only to every built-in rule;
 * :meth:`Optimizer.step` — the public convenience for convertible inputs:
@@ -325,7 +325,7 @@ class StackedOptimizer:
 
     * **state is per-row.**  Momentum/velocity/moment buffers are ``(K, d)``
       matrices owned here; optimizer ``k`` *is* row ``k``, so stepping a
-      worker directly (``worker.local_step``, drift-control local epochs) and
+      worker directly (``worker.local_step``) and
       stepping it through :meth:`step_rows` run the same rule on the same
       memory — the two drive modes compose instead of excluding each other.
     * **hyper-parameters are per-row columns.**  Learning rate, momentum,

@@ -38,10 +38,7 @@ class ServerOptimizer:
         self.round_count = 0
 
     def aggregate(
-        self,
-        global_params: np.ndarray,
-        client_params: Sequence[np.ndarray],
-        weights: Optional[Sequence[float]] = None,
+        self, global_params: np.ndarray, client_params: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Return the updated global parameters after one communication round.
 
@@ -49,12 +46,10 @@ class ServerOptimizer:
         zero-copy path, a ready ``(K, d)`` matrix (one row per client) which
         is averaged without stacking copies.  Inputs already in the plane's
         dtype (float32 or float64) aggregate in that dtype; anything else is
-        promoted to the float64 reference dtype.
-
-        ``weights`` (optional, one non-negative value per client) switches the
-        client mean to the normalized weighted mean — the population plane's
-        data-size aggregation.  ``None`` keeps the exact ``mean(axis=0)``
-        path, bit-identical to the pre-weighting behaviour.
+        promoted to the float64 reference dtype.  The client mean is uniform:
+        who votes and how much is decided before the server sees anything (the
+        round hands it :meth:`Participation.mean
+        <repro.distributed.participation.Participation.mean>` as one client).
         """
         global_params = np.asarray(global_params)
         if global_params.dtype not in (np.float32, np.float64):
@@ -73,22 +68,7 @@ class ServerOptimizer:
                 f"client parameters of shape {stacked.shape[1:]} do not match the "
                 f"global parameters of shape {global_params.shape}"
             )
-        if weights is None:
-            mean = stacked.mean(axis=0)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (stacked.shape[0],):
-                raise ShapeError(
-                    f"weights must provide one value per client "
-                    f"({stacked.shape[0]}), got shape {weights.shape}"
-                )
-            if np.any(weights < 0.0) or not np.isfinite(weights).all():
-                raise ConfigurationError("aggregation weights must be finite and >= 0")
-            total = weights.sum()
-            if total <= 0.0:
-                raise ConfigurationError("aggregation weights must not sum to zero")
-            mean = (weights / total).astype(dtype) @ stacked
-        pseudo_gradient = global_params - mean
+        pseudo_gradient = global_params - stacked.mean(axis=0)
         updated = self._apply(global_params, pseudo_gradient)
         self.round_count += 1
         return updated

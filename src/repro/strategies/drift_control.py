@@ -10,29 +10,28 @@ these optimization-side fixes (they keep a fixed synchronization schedule,
 FDA changes the schedule); having them in the library lets the ablation
 benchmarks quantify that relationship under Non-IID data.
 
-Both strategies follow the FedAvg round structure: ``local_epochs`` passes per
-worker, then a full-model aggregation charged like one AllReduce.  Their local
-steps need a per-worker gradient transform, so they drive the workers
-themselves instead of calling ``cluster.epoch_all`` — and therefore open the
-round themselves: ``cluster.begin_round()`` advances churn and returns the
-round's :class:`~repro.distributed.participation.Participation`.  Only its
-rows train; models (and SCAFFOLD's server variate) are averaged with its
-``mean``, so dead workers and unbound slots neither move nor vote and a
-weighted cohort votes by data size.
+Both are the :class:`~repro.strategies.fedopt.ServerRoundStrategy` round —
+``local_epochs`` passes per worker through ``cluster.epoch_all``, then a
+full-model aggregation — and differ from FedAvg only in its hooks: the
+``(rows, params, grads)`` gradient transform the execution engine applies to
+the stepping rows' gradient block, and (SCAFFOLD) the variate traffic and
+refresh.  Only the round's participants train, upload and vote, so dead
+workers and unbound slots neither move nor count and a weighted cohort votes
+by data size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.distributed.cluster import CATEGORY_MODEL, SimulatedCluster
 from repro.exceptions import ConfigurationError
-from repro.strategies.base import Strategy
+from repro.strategies.fedopt import RowTransform, ServerRoundStrategy
 
 
-class FedProxStrategy(Strategy):
+class FedProxStrategy(ServerRoundStrategy):
     """FedAvg with a proximal term keeping local models near the global model.
 
     The proximal coefficient ``mu`` adds ``mu · (w − w_global)`` to every local
@@ -41,130 +40,67 @@ class FedProxStrategy(Strategy):
 
     name = "FedProx"
 
-    #: Server-based round structure, like FedOpt.
-    supported_topologies = ("star", "hierarchical")
-
     def __init__(self, mu: float = 0.01, local_epochs: int = 1) -> None:
-        super().__init__()
+        super().__init__(local_epochs)
         if mu < 0:
             raise ConfigurationError(f"mu must be non-negative, got {mu}")
-        if local_epochs <= 0:
-            raise ConfigurationError(f"local_epochs must be positive, got {local_epochs}")
         self.mu = float(mu)
-        self.local_epochs = int(local_epochs)
-        self._global_parameters: Optional[np.ndarray] = None
 
-    def _setup(self, cluster: SimulatedCluster) -> None:
-        self._global_parameters = cluster.workers[0].get_parameters()
+    def _open_round(self, cluster: SimulatedCluster) -> RowTransform:
+        mu, global_parameters = self.mu, self._global_parameters
 
-    @property
-    def steps_per_round(self) -> int:
-        return self.local_epochs * max(
-            worker.batches_per_epoch for worker in self.cluster.workers
-        )
+        def proximal(rows: np.ndarray, params: np.ndarray, grads: np.ndarray) -> None:
+            grads += mu * (params - global_parameters)
 
-    def _run_round(self, cluster: SimulatedCluster) -> float:
-        global_parameters = self._global_parameters
-
-        def proximal(params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-            return grads + self.mu * (params - global_parameters)
-
-        participants = cluster.begin_round()
-        workers = [cluster.workers[k] for k in participants.indices(cluster.num_workers)]
-        if not workers:
-            return 0.0
-        mean_loss = 0.0
-        for _ in range(self.local_epochs):
-            losses = [worker.local_epoch(gradient_transform=proximal) for worker in workers]
-            mean_loss = float(np.mean(losses))
-        cluster.timeline.advance_round(
-            self.local_epochs * max(w.batches_per_epoch for w in workers)
-        )
-
-        # One full-model client upload, priced (and, when the cluster has
-        # collective-level compression, lossily reconstructed) by the cluster.
-        client_models = cluster.gather_models(global_parameters, CATEGORY_MODEL)
-        new_global = participants.mean(client_models)
-        self._global_parameters = new_global
-        cluster.broadcast_parameters(new_global)
-        cluster.synchronization_count += 1
-        return mean_loss
+        return proximal
 
 
-class ScaffoldStrategy(Strategy):
+class ScaffoldStrategy(ServerRoundStrategy):
     """SCAFFOLD (Karimireddy et al.): control variates against client drift.
 
-    Every worker ``k`` keeps a control variate ``c_k`` and the server keeps the
-    global variate ``c``; each local gradient is corrected by ``c − c_k``.
-    After a round, worker variates are refreshed from the realized local update
-    (option II of the SCAFFOLD paper) and the server variate is their average.
+    Every worker ``k`` keeps a control variate ``c_k`` — row ``k`` of one
+    ``(K, d)`` matrix in the plane dtype — and the server keeps the global
+    variate ``c``; each local gradient is corrected by ``c − c_k``.  After a
+    round, the participants' variates are refreshed from the realized local
+    update (option II of the SCAFFOLD paper) and the server variate is their
+    average; workers that sat the round out keep model and variate as is.
     The communication per round is the model plus the control variate, i.e.
     twice the FedAvg volume — exactly the overhead the original paper reports.
     """
 
     name = "SCAFFOLD"
 
-    #: Server-based round structure, like FedOpt.
-    supported_topologies = ("star", "hierarchical")
-
     def __init__(self, local_epochs: int = 1, local_learning_rate_hint: float = 0.01) -> None:
-        super().__init__()
-        if local_epochs <= 0:
-            raise ConfigurationError(f"local_epochs must be positive, got {local_epochs}")
+        super().__init__(local_epochs)
         if local_learning_rate_hint <= 0:
             raise ConfigurationError(
                 f"local_learning_rate_hint must be positive, got {local_learning_rate_hint}"
             )
-        self.local_epochs = int(local_epochs)
         self.local_learning_rate_hint = float(local_learning_rate_hint)
-        self._global_parameters: Optional[np.ndarray] = None
         self._server_variate: Optional[np.ndarray] = None
-        self._worker_variates: Dict[int, np.ndarray] = {}
+        self._worker_variates: Optional[np.ndarray] = None
+        self._steps_before: Optional[np.ndarray] = None
 
     def _setup(self, cluster: SimulatedCluster) -> None:
-        dimension = cluster.model_dimension
-        self._global_parameters = cluster.workers[0].get_parameters()
-        self._server_variate = np.zeros(dimension)
-        self._worker_variates = {
-            worker.worker_id: np.zeros(dimension) for worker in cluster.workers
-        }
+        super()._setup(cluster)
+        self._server_variate = np.zeros(cluster.model_dimension, dtype=cluster.dtype)
+        self._worker_variates = np.zeros_like(cluster.parameter_matrix)
 
-    @property
-    def steps_per_round(self) -> int:
-        return self.local_epochs * max(
-            worker.batches_per_epoch for worker in self.cluster.workers
-        )
+    @staticmethod
+    def _steps(cluster: SimulatedCluster) -> np.ndarray:
+        return np.array([worker.steps_performed for worker in cluster.workers])
 
-    def _run_round(self, cluster: SimulatedCluster) -> float:
-        global_parameters = self._global_parameters
-        server_variate = self._server_variate
-        participants = cluster.begin_round()
-        workers = [cluster.workers[k] for k in participants.indices(cluster.num_workers)]
-        if not workers:
-            return 0.0
-        mean_loss = 0.0
+    def _open_round(self, cluster: SimulatedCluster) -> RowTransform:
+        self._steps_before = self._steps(cluster)
+        server_variate, worker_variates = self._server_variate, self._worker_variates
 
-        # Local epochs under the corrected gradient, then each participant's
-        # control variate refreshed from its realized update (SCAFFOLD option
-        # II).  Workers that sat the round out keep model and variate as is.
-        for worker in workers:
-            variate = self._worker_variates[worker.worker_id]
+        def corrected(rows: np.ndarray, params: np.ndarray, grads: np.ndarray) -> None:
+            grads += server_variate
+            grads -= worker_variates[rows]
 
-            def corrected(params: np.ndarray, grads: np.ndarray, variate=variate) -> np.ndarray:
-                return grads + server_variate - variate
+        return corrected
 
-            steps_before = worker.steps_performed
-            for _ in range(self.local_epochs):
-                mean_loss = worker.local_epoch(gradient_transform=corrected)
-            steps = max(worker.steps_performed - steps_before, 1)
-            local_update = global_parameters - worker.parameters_view()
-            self._worker_variates[worker.worker_id] = (
-                variate - server_variate + local_update / (steps * self.local_learning_rate_hint)
-            )
-
-        cluster.timeline.advance_round(
-            self.local_epochs * max(w.batches_per_epoch for w in workers)
-        )
+    def _upload(self, cluster: SimulatedCluster) -> np.ndarray:
         # Model + control variate move across the network each round.  The
         # model half goes through cluster.gather_models (compressed when the
         # cluster carries collective-level compression); the control variates
@@ -173,15 +109,28 @@ class ScaffoldStrategy(Strategy):
         # the round charges exactly the historical 2·d volume.
         if cluster.compression is None:
             cluster.charge_allreduce(2 * cluster.model_dimension, CATEGORY_MODEL)
-            client_models = cluster.parameter_matrix
-        else:
-            client_models = cluster.gather_models(global_parameters, CATEGORY_MODEL)
-            cluster.charge_allreduce(cluster.model_dimension, CATEGORY_MODEL)
-        new_global = participants.mean(client_models)
-        self._server_variate = participants.mean(
-            np.stack([self._worker_variates[w.worker_id] for w in cluster.workers], axis=0)
+            return cluster.parameter_matrix
+        client_models = super()._upload(cluster)
+        cluster.charge_allreduce(cluster.model_dimension, CATEGORY_MODEL)
+        return client_models
+
+    def _new_global(self, cluster, participants, mean) -> np.ndarray:
+        rows = participants.indices(cluster.num_workers)
+        steps = np.maximum((self._steps(cluster) - self._steps_before)[rows], 1)
+        scale = (steps * self.local_learning_rate_hint).astype(cluster.dtype)[:, None]
+        local_update = self._global_parameters - cluster.parameter_matrix[rows]
+        self._worker_variates[rows] = (
+            self._worker_variates[rows] - self._server_variate + local_update / scale
         )
-        self._global_parameters = new_global
-        cluster.broadcast_parameters(new_global)
-        cluster.synchronization_count += 1
-        return mean_loss
+        self._server_variate = participants.mean(self._worker_variates)
+        return mean
+
+    def _server_state(self) -> dict:
+        return {
+            "server_variate": self._server_variate.copy(),
+            "worker_variates": self._worker_variates.copy(),
+        }
+
+    def _load_server_state(self, state: dict) -> None:
+        self._server_variate = state["server_variate"]
+        self._worker_variates[...] = state["worker_variates"]

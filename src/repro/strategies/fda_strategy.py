@@ -110,6 +110,14 @@ class FDAStrategy(Strategy):
         result = self._trainer.step()
         return result.mean_loss
 
+    def spec(self) -> dict:
+        # An explicit monitor replaces the one ``variant`` names; listed only
+        # when given, so the run keys of monitor-less strategies stay put.
+        config = super().spec()
+        if self._explicit_monitor is not None:
+            config["monitor"] = self._explicit_monitor
+        return config
+
     def checkpoint_state(self) -> dict:
         state = super().checkpoint_state()
         state["trainer"] = self.trainer.state_dict()

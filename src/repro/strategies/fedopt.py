@@ -1,43 +1,52 @@
-"""FedOpt strategies: FedAvg, FedAvgM, FedAdam (and the other adaptive variants).
+"""The server round, and FedOpt on it: FedAvg, FedAvgM, FedAdam (and the other adaptive variants).
 
-One round consists of ``local_epochs`` full passes over every worker's shard
-(the paper uses E = 1, following the FedAdam paper), after which the clients'
-parameters are aggregated by a server optimizer and the result is broadcast
-back.  The round's communication is the same full-model AllReduce volume as a
+Every server-based strategy — FedOpt, FedProx, SCAFFOLD — is the same round:
+``local_epochs`` full passes over every participating worker's shard (the
+paper uses E = 1, following the FedAdam paper) through ``cluster.epoch_all``
+and hence the execution engine, one client → server model upload, a new
+global model, its broadcast.  :class:`ServerRoundStrategy` is that round,
+once; a strategy adds three hooks — the gradient transform its epochs run
+under, what the upload carries, how the participants' mean becomes the new
+global model — and the server state a checkpoint must hold.
+
+FedOpt's hook is a server optimizer applied to the negative average client
+update; the round moves the same full-model AllReduce volume as a
 synchronization, charged under the model-sync category.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.distributed.cluster import CATEGORY_MODEL, SimulatedCluster
-from repro.exceptions import ConfigurationError
+from repro.distributed.participation import Participation
+from repro.exceptions import ConfigurationError, ExperimentError
 from repro.optim.server import FedAdam, FedAvgM, ServerOptimizer
 from repro.strategies.base import Strategy
 
+#: ``transform(rows, params, grads)``: edit the ``(A, d)`` gradient block of
+#: worker rows ``rows`` in place, just before their optimizer step; ``params``
+#: is the matching parameter block (read-only).
+RowTransform = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
-class FedOptStrategy(Strategy):
-    """Federated optimization with a pluggable server optimizer."""
 
-    name = "FedOpt"
+class ServerRoundStrategy(Strategy):
+    """Local epochs → upload → new global model → broadcast, with three hooks."""
 
-    #: FedOpt needs a central server holding the optimizer state; it runs on
-    #: the star directly and on the two-level hierarchy (the root is the
-    #: server), but not on serverless ring/gossip layouts.
+    #: A central server holds the global model: the star, or the two-level
+    #: hierarchy (the root is the server) — not the serverless ring/gossip.
     supported_topologies = ("star", "hierarchical")
 
-    def __init__(self, server_optimizer: ServerOptimizer, local_epochs: int = 1) -> None:
+    def __init__(self, local_epochs: int = 1) -> None:
         super().__init__()
         if local_epochs <= 0:
             raise ConfigurationError(f"local_epochs must be positive, got {local_epochs}")
-        self.server_optimizer = server_optimizer
         self.local_epochs = int(local_epochs)
-        self._global_parameters = None
-        self.name = f"Fed{type(server_optimizer).__name__.replace('Fed', '')}"
+        self._global_parameters: Optional[np.ndarray] = None
 
     def _setup(self, cluster: SimulatedCluster) -> None:
-        self.server_optimizer.reset()
         self._global_parameters = cluster.workers[0].get_parameters()
 
     @property
@@ -47,46 +56,95 @@ class FedOptStrategy(Strategy):
         )
 
     def _run_round(self, cluster: SimulatedCluster) -> float:
+        transform = self._open_round(cluster)
         mean_loss = 0.0
         for _ in range(self.local_epochs):
-            mean_loss = cluster.epoch_all()
-
-        # Clients upload their models, the server optimizer produces the new
-        # global model, and it is broadcast back; in total this moves the same
-        # data volume as one full-model AllReduce, routed through the fabric.
-        # cluster.gather_models prices that upload (compressed when the
-        # cluster has collective-level compression) and hands back the client
-        # matrix as the server sees it — the live (K, d) parameter matrix on
-        # the exact path, reference + reconstructed drifts under compression.
-        client_models = cluster.gather_models(self._global_parameters, CATEGORY_MODEL)
-        # The server sees one client: the members' average — dead clients
-        # cannot upload, unbound slots hold nobody, and a weighted cohort
-        # votes by data size.
-        new_global = self.server_optimizer.aggregate(
-            self._global_parameters, [cluster.members.mean(client_models)]
+            mean_loss = cluster.epoch_all(gradient_transform=transform)
+        # Who trained and reports: dead clients cannot upload, unbound slots
+        # hold nobody, and a weighted cohort votes by data size.
+        participants = cluster.participants
+        client_models = self._upload(cluster)
+        self._global_parameters = self._new_global(
+            cluster, participants, participants.mean(client_models)
         )
-        self._global_parameters = new_global
-        cluster.broadcast_parameters(new_global)
-        if cluster.workers[0].model.num_buffers:
-            cluster.broadcast_buffers(cluster.average_buffers())
+        cluster.broadcast_parameters(self._global_parameters)
+        if cluster.buffer_matrix.shape[1]:
+            cluster.buffer_matrix[cluster.members.rows] = cluster.average_buffers()
         cluster.synchronization_count += 1
         return mean_loss
 
+    # -- the three hooks -----------------------------------------------------------
+
+    def _open_round(self, cluster: SimulatedCluster) -> Optional[RowTransform]:
+        """Called once before the local epochs; returns their gradient transform."""
+        return None
+
+    def _upload(self, cluster: SimulatedCluster) -> np.ndarray:
+        """Charge the round's client → server traffic; return the models as received:
+        the live ``(K, d)`` matrix on the exact path, the global model plus the
+        reconstructed drifts when the cluster compresses its collectives."""
+        return cluster.gather_models(self._global_parameters, CATEGORY_MODEL)
+
+    def _new_global(
+        self, cluster: SimulatedCluster, participants: Participation, mean: np.ndarray
+    ) -> np.ndarray:
+        """The new global model, given the participants' ``mean`` model."""
+        return mean
+
     # -- checkpointing -----------------------------------------------------------
+
+    def _server_state(self) -> dict:
+        """What the server holds besides the global model (copies)."""
+        return {}
+
+    def _load_server_state(self, state: dict) -> None:
+        """Resume from :meth:`_server_state`."""
 
     def checkpoint_state(self) -> dict:
         state = super().checkpoint_state()
-        state["fedopt"] = {
+        state["server_round"] = {
             "global_parameters": self._global_parameters.copy(),
-            "server": self.server_optimizer.state_dict(),
+            "server": self._server_state(),
         }
         return state
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        payload = state["fedopt"]
+        # FedOpt checkpoints written before the shared round keep their key.
+        payload = state.get("server_round", state.get("fedopt"))
+        if payload is None:
+            raise ExperimentError(
+                f"this checkpoint of {self.name} holds no server-round state (global "
+                "model, server optimizer or control variates) and cannot resume "
+                "exactly; it predates the shared server round — rerun from the start"
+            )
         self._global_parameters = payload["global_parameters"]
-        self.server_optimizer.load_state_dict(payload["server"])
+        self._load_server_state(payload["server"])
+
+
+class FedOptStrategy(ServerRoundStrategy):
+    """Federated optimization with a pluggable server optimizer."""
+
+    name = "FedOpt"
+
+    def __init__(self, server_optimizer: ServerOptimizer, local_epochs: int = 1) -> None:
+        super().__init__(local_epochs)
+        self.server_optimizer = server_optimizer
+        self.name = f"Fed{type(server_optimizer).__name__.replace('Fed', '')}"
+
+    def _setup(self, cluster: SimulatedCluster) -> None:
+        super()._setup(cluster)
+        self.server_optimizer.reset()
+
+    def _new_global(self, cluster, participants, mean) -> np.ndarray:
+        # The server sees one client: the participants' average.
+        return self.server_optimizer.aggregate(self._global_parameters, [mean])
+
+    def _server_state(self) -> dict:
+        return self.server_optimizer.state_dict()
+
+    def _load_server_state(self, state: dict) -> None:
+        self.server_optimizer.load_state_dict(state)
 
 
 def fedavgm_strategy(

@@ -9,20 +9,41 @@ choosing the ``tau`` sequence handed to this strategy.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 from repro.distributed.cluster import SimulatedCluster
 from repro.exceptions import ConfigurationError
 from repro.strategies.base import Strategy
 
-TauSchedule = Callable[[int], int]
+
+@dataclass(frozen=True)
+class TauSchedule:
+    """τ per round: 1 for ``warmup`` rounds, then ``initial·factor^round`` in [minimum, maximum].
+
+    One frozen value for all four schedule families below, so a schedule
+    compares, hashes and fingerprints (``Strategy.spec`` → run keys) by its
+    parameters — an anonymous lambda would fingerprint by qualified name.
+    """
+
+    initial: int
+    factor: float = 1.0
+    minimum: int = 1
+    maximum: int = 1024
+    warmup: int = 0
+
+    def __call__(self, round_index: int) -> int:
+        if round_index < self.warmup:
+            return 1
+        period = round(self.initial * self.factor**round_index)
+        return int(min(self.maximum, max(self.minimum, period)))
 
 
 def fixed_tau(tau: int) -> TauSchedule:
     """A constant synchronization period (classic Local-SGD / FedAvg)."""
     if int(tau) <= 0:
         raise ConfigurationError(f"tau must be a positive integer, got {tau}")
-    return lambda round_index: int(tau)
+    return TauSchedule(int(tau), maximum=int(tau))
 
 
 def increasing_tau(initial: int = 1, growth: float = 1.5, maximum: int = 1024) -> TauSchedule:
@@ -33,7 +54,7 @@ def increasing_tau(initial: int = 1, growth: float = 1.5, maximum: int = 1024) -
         raise ConfigurationError(f"growth must be >= 1, got {growth}")
     if maximum < initial:
         raise ConfigurationError(f"maximum must be >= initial, got {maximum}")
-    return lambda round_index: int(min(maximum, max(1, round(initial * growth**round_index))))
+    return TauSchedule(initial, growth, maximum=maximum)
 
 
 def decreasing_tau(initial: int = 64, decay: float = 0.7, minimum: int = 1) -> TauSchedule:
@@ -44,7 +65,7 @@ def decreasing_tau(initial: int = 64, decay: float = 0.7, minimum: int = 1) -> T
         raise ConfigurationError(f"decay must lie in (0, 1], got {decay}")
     if minimum <= 0 or minimum > initial:
         raise ConfigurationError(f"minimum must lie in [1, initial], got {minimum}")
-    return lambda round_index: int(max(minimum, round(initial * decay**round_index)))
+    return TauSchedule(initial, decay, minimum=minimum, maximum=initial)
 
 
 def post_local_sgd_tau(switch_round: int, tau_after: int = 16) -> TauSchedule:
@@ -53,7 +74,7 @@ def post_local_sgd_tau(switch_round: int, tau_after: int = 16) -> TauSchedule:
         raise ConfigurationError(f"switch_round must be non-negative, got {switch_round}")
     if tau_after <= 0:
         raise ConfigurationError(f"tau_after must be positive, got {tau_after}")
-    return lambda round_index: 1 if round_index < switch_round else int(tau_after)
+    return TauSchedule(int(tau_after), maximum=int(tau_after), warmup=switch_round)
 
 
 class LocalSGDStrategy(Strategy):
@@ -77,22 +98,15 @@ class LocalSGDStrategy(Strategy):
     name = "LocalSGD"
     supported_topologies = ("star", "ring", "hierarchical", "gossip")
 
-    def __init__(self, tau: Union[int, TauSchedule] = 10) -> None:
+    def __init__(self, tau: Union[int, Callable[[int], int]] = 10) -> None:
         super().__init__()
-        if callable(tau):
-            self._tau_schedule: Optional[TauSchedule] = tau
-            self._fixed_tau = None
-        else:
-            if int(tau) <= 0:
-                raise ConfigurationError(f"tau must be a positive integer, got {tau}")
-            self._tau_schedule = None
-            self._fixed_tau = int(tau)
+        #: The period, or the schedule mapping a round index to it — public,
+        #: so two periods are two ``spec()``s and two run keys.
+        self.tau = tau if callable(tau) else fixed_tau(tau)
 
     def current_tau(self) -> int:
         """The synchronization period used for the upcoming round."""
-        if self._fixed_tau is not None:
-            return self._fixed_tau
-        tau = int(self._tau_schedule(self.rounds_completed))
+        tau = int(self.tau(self.rounds_completed))
         if tau <= 0:
             raise ConfigurationError(
                 f"tau schedule returned {tau} for round {self.rounds_completed}; must be >= 1"

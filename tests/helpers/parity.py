@@ -35,7 +35,7 @@ from repro.core.timeline import Timeline
 from repro.data.datasets import Dataset
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
-from repro.nn.architectures import lenet5, mlp, transfer_head
+from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head
 from repro.nn.layers import (
     Activation,
     AvgPool2D,
@@ -101,6 +101,12 @@ def dropout_factory():
     return transfer_head(6, num_classes=3, hidden_units=(12, 8), dropout_rate=0.25, seed=4)
 
 
+def densenet_factory():
+    # One DenseBlock, one TransitionDown, one more DenseBlock: the composite
+    # layers, which compute through their children's kernels.
+    return densenet_mini(input_shape=(8, 8, 1), num_classes=4, blocks=(1, 1), seed=5)
+
+
 #: name -> (model factory, per-sample shape, num classes); the model axis of
 #: the scenario grid.
 MODELS = {
@@ -108,6 +114,7 @@ MODELS = {
     "lenet-conv": (lenet_factory, (8, 8, 1), 4),
     "batchnorm-net": (bn_factory, (8, 8, 1), 4),
     "dropout-head": (dropout_factory, (6,), 3),
+    "densenet-mini": (densenet_factory, (8, 8, 1), 4),
 }
 
 #: name -> timeline dropout rate; the timeline axis of the scenario grid

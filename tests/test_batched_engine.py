@@ -14,6 +14,8 @@ too, but only SGD's exactness is contractual).  Ledgers — bytes per
 category, sync decisions, step counts — are always exact.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from helpers.parity import (
     TIMELINES,
     assert_cluster_states_match,
     assert_ledgers_equal,
+    engine_tolerances,
     make_cluster,
     make_cluster_pair,
     mlp_factory,
@@ -38,8 +41,12 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.engine import BatchedEngine, SequentialEngine
 from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
-from repro.nn.architectures import densenet_mini, mlp
+from repro.experiments.registry import densenet_cifar_workload
+from repro.experiments.setup import build_cluster
+from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head, vgg_mini
+from repro.nn.layers import Activation, Dense
 from repro.nn.losses import MeanSquaredError
+from repro.nn.model import Sequential
 from repro.optim.adam import Adam
 from repro.optim.base import Optimizer, StackedOptimizer
 from repro.optim.sgd import SGD
@@ -93,7 +100,23 @@ class TestStrategyParity:
             dropout_rate=TIMELINES[timeline],
         )
 
-    @pytest.mark.parametrize("model", ["lenet-conv", "batchnorm-net"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("timeline", sorted(TIMELINES))
+    def test_composite_model_matches_masked_and_in_both_dtypes(self, timeline, dtype):
+        factory, shape, classes = MODELS["densenet-mini"]
+        run_fda_parity(
+            threshold=0.05,
+            steps=12,
+            dtype=dtype,
+            dropout_rate=TIMELINES[timeline],
+            model_factory=factory,
+            sample_shape=shape,
+            num_classes=classes,
+            num_workers=4,
+            optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9, nesterov=True),
+        )
+
+    @pytest.mark.parametrize("model", ["lenet-conv", "batchnorm-net", "densenet-mini"])
     def test_conv_and_batchnorm_models_match(self, model):
         factory, shape, classes = MODELS[model]
         outcomes = {}
@@ -145,6 +168,30 @@ class TestStrategyParity:
             num_workers=4,
             dropout_rate=TIMELINES[timeline],
         )
+
+
+class TestDenseNetWorkloads:
+    """Composite layers run batched: the paper's DenseNet121/201 stand-ins."""
+
+    @pytest.mark.parametrize("variant", ["small", "large"])
+    def test_densenet_workload_matches_the_sequential_engine(self, variant):
+        workload = densenet_cifar_workload(variant)
+        clusters = {}
+        for execution in EXECUTIONS:
+            cluster, _ = build_cluster(workload.with_execution(execution))
+            strategy = FDAStrategy(threshold=0.5, variant="linear").attach(cluster)
+            clusters[execution] = (cluster, [strategy.run_round() for _ in range(12)])
+        (seq_cluster, seq_rounds), (bat_cluster, bat_rounds) = (
+            clusters[execution] for execution in EXECUTIONS
+        )
+        assert isinstance(bat_cluster.engine, BatchedEngine)
+        tol = engine_tolerances(steps=12)
+        np.testing.assert_allclose(
+            [r.mean_loss for r in seq_rounds], [r.mean_loss for r in bat_rounds], **tol
+        )
+        assert [r.synchronized for r in seq_rounds] == [r.synchronized for r in bat_rounds]
+        assert_cluster_states_match(seq_cluster, bat_cluster, **tol)
+        assert_ledgers_equal(seq_cluster, bat_cluster)
 
 
 class TestHeterogeneousWorkers:
@@ -415,17 +462,22 @@ class TestEngineGuards:
             SimulatedCluster(workers, execution="batched")
 
     def test_unsupported_layers_rejected_with_clear_message(self):
-        # densenet_mini contains DenseBlock/TransitionDown composites, which
-        # (unlike Dropout) still have no batched kernel.
-        with pytest.raises(ConfigurationError, match="does not support these layers"):
-            make_cluster(
-                "batched",
-                model_factory=lambda: densenet_mini(
-                    input_shape=(8, 8, 1), num_classes=3, blocks=(1,), seed=0
-                ),
-                sample_shape=(8, 8, 1),
-                num_workers=2,
-            )
+        # Every layer of repro.nn.layers has a kernel; a Layer subclass from
+        # outside does not (lookup is by exact type) and is refused by name.
+        class Doubling(Activation):
+            def forward(self, x, training=False):
+                return 2.0 * super().forward(x, training)
+
+            def backward(self, grad_output):
+                return super().backward(2.0 * grad_output)
+
+        def factory():
+            model = Sequential([Doubling("linear", name="twice"), Dense(3, name="logits")])
+            return model.build((6,), seed=0)
+
+        with pytest.raises(ConfigurationError, match=r"no kernel for these layers: twice \(Doubling\)"):
+            make_cluster("batched", model_factory=factory, num_workers=2)
+        assert make_cluster("sequential", model_factory=factory, num_workers=2).step_all() > 0
 
     def test_structurally_different_models_rejected(self):
         # Same parameter count, different activation: the batched kernels are
@@ -576,3 +628,97 @@ class TestWorkloadExecutionField:
         # Records written before the field existed still load (default applies).
         del payload["execution"]
         assert result_from_dict(payload).execution == "sequential"
+
+
+# -- frozen before PR 23 touched ``nn/`` ----------------------------------------
+#
+# Recorded at the parent commit, with the five hand-written parameter-free
+# kernels and the 32 layer accessors still in place: the fold kernel, the
+# derived accessors and the composite kernels must reproduce every digit.
+
+#: ``model/dtype/timeline`` -> sha256 of ``parameter_matrix`` + ``buffer_matrix``
+#: after 10 batched LinearFDA rounds (Θ = 0.05, K = 6, Adam).
+FROZEN_FDA_DIGESTS = {
+    "batchnorm-net/float32/dropout": "4d1b0340a0635e69bccbf73fc210bfa4241245d518d4320cae61f709eaa2fb2d",
+    "batchnorm-net/float32/full": "433977d82029dde050813e6d20cf6cad71dd94a1c96572355d64862c5f133266",
+    "batchnorm-net/float64/dropout": "548ec321f568ca9d3a4d0a8986d388b35662a445ffbed3d87cf7b16c1eb252b2",
+    "batchnorm-net/float64/full": "b9ee749f059f243de9057a57eeaa2c090bbfe34ddd2f1ab9141020e9d48f9090",
+    "dropout-head/float32/dropout": "80c095a24fcf5a1f1128d3f6082c49a04867cacdbbd59974281f6f55334c6aca",
+    "dropout-head/float32/full": "dc46a96f3e627da9d46cb29b47c036cb86c3f56d0e61db0c91025e7d67d8b33a",
+    "dropout-head/float64/dropout": "9d3730f79ddd39efbf7c7bfc41aea80ff30ee8caf2e08f89d4582177ce713369",
+    "dropout-head/float64/full": "6ca8436261f40cade6549a2afb21ccd8816827fa9b55ef7b05e677a971492c15",
+    "lenet-conv/float32/dropout": "598edbf5cb7a1498c411413af88810305d10dcee68640e94450dac34de412761",
+    "lenet-conv/float32/full": "765527e0c26e97b9aefb14ce032ba818e83777f3b618babf7b88d17419bfff77",
+    "lenet-conv/float64/dropout": "8437d78e3a8745c5915dd5bcea416da69afca30175f74cf5e23702947cfabf14",
+    "lenet-conv/float64/full": "184c0c4e6935ece1b8409925ce0b0ee390cf1920135a8505f4ec1a53997be662",
+    "mlp/float32/dropout": "2d987d21528a09d5847aa0636ff43da8573fb581fd053d10e2bb37b74b135525",
+    "mlp/float32/full": "ed333cc090d3e9400b2a7a7ab6a2e5c54ae825d533718611487819e09f5236c0",
+    "mlp/float64/dropout": "9e48ed7d3f19ffc7daac5b486a2b58e6d0dbf67ba5e1bf3798ffa5b6074319f9",
+    "mlp/float64/full": "b65466fe80a732cff9b87a8e7d0f4f870d387d2ebb8399041bf98a6503491aaa",
+}
+
+#: name -> (d, buffers, parameter slots, buffer slots, sha256 of the
+#: ``(offset, size, shape)`` lists of the three layouts).
+FROZEN_LAYOUTS = {
+    "lenet5": (5910, 0, 8, 0, "f264e2e42fdc828197351dbcea50c8355222ec6c9d5e2e54c75c2c932ec95cff"),
+    "vgg_mini": (18242, 0, 14, 0, "05b58cde62fca1f9877efde0bd591dcd3f8714883316cc82b525a3143fe82176"),
+    "densenet_mini-2-2": (
+        4366, 216, 26, 12, "8892a652eea93e56849e957d8cc018d45dfbd6056799637a02c8c69c459797d2",
+    ),
+    "densenet_mini-3-3": (
+        7855, 360, 34, 16, "3f390eeca8435291126a26f8595a1257f212d77b41b41651533778a5b16466f5",
+    ),
+    "transfer_head": (
+        14340, 0, 6, 0, "d1666a8222ef94e63e68631e6a5609053ab670583c01e2773e61c12b27abde63",
+    ),
+}
+
+LAYOUT_MODELS = {
+    "lenet5": lenet5,
+    "vgg_mini": vgg_mini,
+    "densenet_mini-2-2": lambda: densenet_mini(blocks=(2, 2)),
+    "densenet_mini-3-3": lambda: densenet_mini(blocks=(3, 3)),
+    "transfer_head": lambda: transfer_head(16),
+}
+
+
+def fda_digest(model: str, dtype: str, timeline: str) -> str:
+    factory, shape, classes = MODELS[model]
+    cluster = make_cluster(
+        "batched",
+        model_factory=factory,
+        sample_shape=shape,
+        num_classes=classes,
+        num_workers=6,
+        dropout_rate=TIMELINES[timeline],
+        dtype=dtype,
+    )
+    strategy = FDAStrategy(threshold=0.05, variant="linear").attach(cluster)
+    for _ in range(10):
+        strategy.run_round()
+    digest = hashlib.sha256(cluster.parameter_matrix.tobytes())
+    digest.update(cluster.buffer_matrix.tobytes())
+    return digest.hexdigest()
+
+
+def layout_record(model) -> tuple:
+    plane = model.plane
+    layouts = (plane.parameter_layout(), plane.gradient_layout(), plane.buffer_layout())
+    text = repr([[(s.offset, s.size, s.shape) for s in layout] for layout in layouts])
+    return (
+        plane.num_parameters,
+        plane.num_buffers,
+        len(layouts[0]),
+        len(layouts[2]),
+        hashlib.sha256(text.encode()).hexdigest(),
+    )
+
+
+class TestFrozenKernels:
+    @pytest.mark.parametrize("cell", sorted(FROZEN_FDA_DIGESTS))
+    def test_batched_fda_state_is_byte_identical(self, cell):
+        assert fda_digest(*cell.split("/")) == FROZEN_FDA_DIGESTS[cell]
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_LAYOUTS))
+    def test_plane_layout_is_unchanged(self, name):
+        assert layout_record(LAYOUT_MODELS[name]()) == FROZEN_LAYOUTS[name]

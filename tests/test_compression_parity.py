@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compression import CompressionConfig
+from repro.distributed.engine import BatchedEngine
 from repro.optim.sgd import SGD
 from repro.optim.server import FedAvgM
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
@@ -60,8 +61,20 @@ def test_step_strategies_compressed_parity_value_exact(name):
 
 
 @pytest.mark.parametrize("name", sorted(EPOCH_STRATEGIES))
-def test_epoch_strategies_compressed_parity_value_exact(name):
-    run_strategy_parity(
+def test_epoch_strategies_compressed_parity_value_exact(name, monkeypatch):
+    # Every local epoch is an engine epoch: the batched run steps through the
+    # stacked kernels, gradient transform included.  (FedProx and SCAFFOLD
+    # used to drive ``worker.local_epoch`` themselves, so their cells compared
+    # the sequential arithmetic with itself.)
+    stacked_steps = []
+    train_rows = BatchedEngine._train_rows
+
+    def spy(self, rows, x, y, transform=None):
+        stacked_steps.append(transform is not None)
+        return train_rows(self, rows, x, y, transform)
+
+    monkeypatch.setattr(BatchedEngine, "_train_rows", spy)
+    _, batched = run_strategy_parity(
         EPOCH_STRATEGIES[name],
         rounds=3,
         exact=True,
@@ -69,6 +82,8 @@ def test_epoch_strategies_compressed_parity_value_exact(name):
         optimizer_factory=SGD_FACTORY,
         compression=TOPK_EF,
     )
+    assert len(stacked_steps) == sum(w.steps_performed for w in batched.workers) > 0
+    assert set(stacked_steps) == {name != "fedopt"}
 
 
 @pytest.mark.float32_smoke

@@ -35,6 +35,7 @@ from repro.experiments.run import RunResult
 from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimizer
 from repro.nn.architectures import mlp
 from repro.optim.sgd import SGD
+from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 
 
@@ -210,6 +211,27 @@ class TestWorkloadConfigSurface:
         results = [strategy.run_round() for _ in range(5)]
         assert all(np.isfinite(r.mean_loss) for r in results)
         assert cluster.parameter_matrix.dtype == np.float32
+
+    @pytest.mark.float32_smoke
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize(
+        "make_strategy",
+        [lambda: FedProxStrategy(mu=0.1), lambda: ScaffoldStrategy(local_learning_rate_hint=0.01)],
+        ids=["fedprox", "scaffold"],
+    )
+    def test_drift_control_trains_on_a_float32_plane(self, make_strategy, execution):
+        # SCAFFOLD's float64 variates used to upcast the corrected gradient,
+        # which the optimizer refuses on a float32 plane.
+        cluster, _ = build_cluster(_blobs_workload(dtype="float32", execution=execution))
+        strategy = make_strategy().attach(cluster)
+        result = strategy.run_round()
+        assert np.isfinite(result.mean_loss) and result.synchronized
+        assert cluster.parameter_matrix.dtype == np.float32
+        assert strategy._global_parameters.dtype == np.float32
+        if isinstance(strategy, ScaffoldStrategy):
+            assert strategy._worker_variates.dtype == np.float32
+            assert strategy._server_variate.dtype == np.float32
+            assert strategy._worker_variates.any()
 
     def test_run_result_dtype_survives_the_persistence_round_trip(self):
         result = RunResult(

@@ -25,7 +25,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers.parity import make_cluster
+from helpers.parity import assert_same_state, make_cluster
 from repro.compression import CompressionConfig
 from repro.distributed.engine import BatchedEngine
 from repro.exceptions import (
@@ -39,7 +39,9 @@ from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimize
 from repro.faults import ClusterCheckpoint, FaultInjector, FaultPlan
 from repro.faults.checkpoint import decode_value, encode_value
 from repro.nn.architectures import transfer_head
+from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
 from repro.strategies.fda_strategy import FDAStrategy
+from repro.strategies.fedopt import fedadam_strategy, fedavgm_strategy
 from repro.strategies.local_sgd import LocalSGDStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 
@@ -384,16 +386,32 @@ class TestClusterCheckpoint:
             assert restored.dtype == array.dtype
             np.testing.assert_array_equal(restored, array)
 
+    #: The server strategies resume from their global model plus the server
+    #: optimizer's moments (FedOpt) or the control variates (SCAFFOLD); before
+    #: the shared server round FedProx and SCAFFOLD checkpointed neither.
+    RESUMABLE = {
+        "fda": lambda: FDAStrategy(threshold=0.5),
+        "fedavgm": fedavgm_strategy,
+        "fedadam": fedadam_strategy,
+        "fedprox": lambda: FedProxStrategy(mu=0.5),
+        "scaffold": lambda: ScaffoldStrategy(local_learning_rate_hint=0.01),
+    }
+
     @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("strategy", sorted(RESUMABLE))
     def test_interrupted_run_resumes_bit_exactly(
-        self, blobs_workload, execution, tmp_path
+        self, blobs_workload, strategy, execution, tmp_path
     ):
         workload = (
             _dropout_workload(blobs_workload)
             .with_execution(execution)
             .with_faults(CHAOS_PLAN)
         )
-        factory = lambda: FDAStrategy(threshold=0.5)
+        built = []
+
+        def factory():
+            built.append(self.RESUMABLE[strategy]())
+            return built[-1]
 
         cluster_ref, result_ref = _execute(workload, factory, max_steps=80)
 
@@ -414,7 +432,12 @@ class TestClusterCheckpoint:
         assert result_ref.history.entries == result_res.history.entries
         assert result_ref.fault_log == result_res.fault_log
         assert result_ref.communication_bytes == result_res.communication_bytes
+        # The strategy's own state: references, server moments, variates.
+        assert_same_state(
+            built[2].checkpoint_state(), built[0].checkpoint_state(), path="strategy"
+        )
         for worker_ref, worker_res in zip(cluster_ref.workers, cluster_res.workers):
+            assert worker_ref.steps_performed == worker_res.steps_performed
             assert worker_ref.optimizer.step_count == worker_res.optimizer.step_count
             # Dropout streams advanced identically through the restore.
             for layer_ref, layer_res in zip(
@@ -474,6 +497,23 @@ class TestClusterCheckpoint:
         assert cluster_ref.tracker.snapshot() == cluster_res.tracker.snapshot()
         assert cluster_ref.fabric.bytes_by_link == cluster_res.fabric.bytes_by_link
         assert result_ref.history.entries == result_res.history.entries
+
+    def test_checkpoint_without_server_round_state_is_refused(self, blobs_workload):
+        # What FedProx / SCAFFOLD wrote before the shared server round: the
+        # round counter and nothing the server holds.  FedOpt's own older key
+        # still restores.
+        cluster, _ = build_cluster(blobs_workload)
+        for factory in (lambda: FedProxStrategy(mu=0.5), ScaffoldStrategy):
+            strategy = factory().attach(cluster)
+            with pytest.raises(ExperimentError, match="holds no server-round state"):
+                strategy.restore_state({"rounds_completed": 3})
+        fedavgm = fedavgm_strategy().attach(cluster)
+        fedavgm.run_round()
+        state = fedavgm.checkpoint_state()
+        state["fedopt"] = state.pop("server_round")
+        resumed = fedavgm_strategy().attach(cluster)
+        resumed.restore_state(state)
+        assert_same_state(resumed.checkpoint_state(), fedavgm.checkpoint_state())
 
     def test_other_versions_are_refused_by_name(self, blobs_workload, tmp_path):
         cluster, _ = build_cluster(blobs_workload)

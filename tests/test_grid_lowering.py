@@ -14,27 +14,46 @@ Two kinds of test:
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import fields, replace
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.strategies
 from repro.compression import CompressionConfig
+from repro.compression.kernels import QuantizationCompressor, TopKCompressor
+from repro.core.monitor import make_monitor
+from repro.core.theta import DynamicThetaController
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
+from repro.experiments.cache import canonical_value
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.registry import fda
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import WorkloadConfig, make_optimizer
 from repro.experiments.sweep import SweepPoint, lower_grid, lower_spec, run_grid, select
 from repro.nn.architectures import mlp
-from repro.strategies.synchronous import SynchronousStrategy
+from repro.optim.server import FedAdam, FedAvgM
+from repro.strategies import (
+    FDAStrategy,
+    FedOptStrategy,
+    FedProxStrategy,
+    LocalSGDStrategy,
+    ScaffoldStrategy,
+    Strategy,
+    SynchronousStrategy,
+    decreasing_tau,
+    fixed_tau,
+    increasing_tau,
+    post_local_sgd_tau,
+)
 
 RUN = TrainingRun(accuracy_target=0.99, max_steps=24, eval_every_steps=8)
 LINEAR = partial(fda, theta=2.0)
@@ -193,12 +212,15 @@ AXIS_VALUES = {
     "compression": ("none", "topk", "quantization"),
     "seed": (0, 1, 2),
     "theta": (0.5, 2.0, 8.0),
+    "tau": (1, 3, 7),
 }
 
 
 @st.composite
 def axis_subsets(draw):
     names = draw(st.lists(st.sampled_from(sorted(AXIS_VALUES)), unique=True, max_size=4))
+    if "tau" in names and "theta" in names:
+        names.remove("theta")  # keywords of two different strategies
     return {
         name: draw(
             st.lists(st.sampled_from(AXIS_VALUES[name]), unique=True, min_size=1, max_size=3)
@@ -211,13 +233,17 @@ class TestLoweringProperties:
     @settings(max_examples=30, deadline=None)
     @given(axes=axis_subsets())
     def test_axes_cross_row_major_onto_replaced_workloads(self, axes):
-        cells = lower_grid(BASE, RUN, fda if "theta" in axes else LINEAR, **axes)
+        factory = LocalSGDStrategy if "tau" in axes else fda if "theta" in axes else LINEAR
+        cells = lower_grid(BASE, RUN, factory, **axes)
         grid = [dict(zip(axes, values)) for values in product(*axes.values())]
         assert [cell.tags for cell in cells] == grid  # ∏|axis| cells, row-major
         for cell in cells:
             changes = {k: v for k, v in cell.tags.items() if k in WORKLOAD_FIELDS}
             assert cell.workload == replace(BASE, **changes)
-            assert cell.strategy_factory().threshold == cell.tags.get("theta", 2.0)
+            if "tau" in axes:
+                assert cell.strategy_factory().current_tau() == cell.tags["tau"]
+            else:
+                assert cell.strategy_factory().threshold == cell.tags.get("theta", 2.0)
             assert json.loads(json.dumps(cell.tags)) == cell.tags
         assert len({cell.label for cell in cells}) == len(cells)
         assert len({KEYS.run_key(cell) for cell in cells}) == len(cells)
@@ -280,6 +306,70 @@ class TestLoweringProperties:
         assert [(p.tags, digits(p.result)) for p in replayed] == [
             (p.tags, digits(p.result)) for p in points
         ]
+
+
+# -- a strategy's spec() sees every constructor parameter ---------------------------
+#
+# ``spec()`` is what a run key knows about a strategy.  A constructor parameter
+# stored under a ``_``-prefixed attribute (LocalSGD's τ once was) drops out of
+# it, two configurations share a key, and the executor replays one's result for
+# the other.
+
+#: For every strategy class ``repro.strategies`` exports: its constructor
+#: parameters, each with values any two of which configure different runs.
+SPEC_VALUES = {
+    SynchronousStrategy: {},
+    LocalSGDStrategy: {
+        "tau": (
+            5, 10, fixed_tau(7), increasing_tau(1, 1.5), increasing_tau(1, 2.0),
+            increasing_tau(1, 2.0, maximum=64), decreasing_tau(64, 0.7), decreasing_tau(64, 0.5),
+            post_local_sgd_tau(3, 16), post_local_sgd_tau(5, 16),
+        ),
+    },
+    FedOptStrategy: {
+        "server_optimizer": (FedAvgM(0.3), FedAvgM(0.5), FedAvgM(0.3, momentum=0.5), FedAdam(0.3)),
+        "local_epochs": (1, 2),
+    },
+    FDAStrategy: {
+        "threshold": (0.5, 2.0),
+        "variant": ("linear", "sketch"),
+        "sketch_depth": (3, 5),
+        "sketch_width": (64, 250),
+        "seed": (0, 1),
+        "theta_controller": (None, DynamicThetaController(1e3), DynamicThetaController(1e4)),
+        "monitor": (None, make_monitor("linear", 10, seed=0), make_monitor("sketch", 10, seed=0)),
+        "compressor": (None, TopKCompressor(fraction=0.1), QuantizationCompressor(bits=8)),
+    },
+    FedProxStrategy: {"mu": (0.01, 0.5), "local_epochs": (1, 2)},
+    ScaffoldStrategy: {"local_epochs": (1, 2), "local_learning_rate_hint": (0.01, 0.05)},
+}
+
+
+def exported_strategy_classes():
+    exported = (getattr(repro.strategies, name) for name in repro.strategies.__all__)
+    return [
+        cls for cls in exported
+        if inspect.isclass(cls) and issubclass(cls, Strategy) and cls is not Strategy
+    ]
+
+
+@pytest.mark.parametrize("cls", exported_strategy_classes(), ids=lambda cls: cls.__name__)
+def test_two_values_of_any_constructor_parameter_are_two_specs(cls):
+    parameters = inspect.signature(cls).parameters
+    values = SPEC_VALUES[cls]
+    assert set(values) == set(parameters), "list every constructor parameter in SPEC_VALUES"
+    required = {
+        name: values[name][0]
+        for name, parameter in parameters.items()
+        if parameter.default is inspect.Parameter.empty
+    }
+    for name, candidates in values.items():
+        specs = [
+            json.dumps(canonical_value(cls(**{**required, name: value}).spec()), sort_keys=True)
+            for value in candidates
+        ]
+        for (i, first), (j, second) in combinations(enumerate(specs), 2):
+            assert first != second, f"{cls.__name__}({name}=...): values {i} and {j} share a spec"
 
 
 # -- lowering an ExperimentSpec ----------------------------------------------------

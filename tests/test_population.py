@@ -51,7 +51,6 @@ from repro.experiments.setup import (
     build_cluster,
     make_optimizer,
 )
-from repro.optim.server import FedAvg
 from repro.population import store as store_module
 from repro.population import (
     ClientDirectory,
@@ -456,24 +455,6 @@ class TestWeightedAggregation:
             cluster.bind_members(Participation(weights=[1.0, -1.0, 2.0]))
         with pytest.raises(ConfigurationError):
             cluster.bind_members(Participation(weights=np.zeros(3)))
-
-    def test_server_optimizer_weighted_aggregate(self):
-        rng = np.random.default_rng(0)
-        global_params = rng.normal(size=9)
-        clients = rng.normal(size=(4, 9))
-        weights = np.array([3.0, 1.0, 0.0, 2.0])
-        updated = FedAvg().aggregate(global_params, clients, weights=weights)
-        np.testing.assert_allclose(
-            updated, (weights / weights.sum()) @ clients, rtol=1e-12
-        )
-        # None keeps the exact mean path (FedAvg applies it as a
-        # pseudo-gradient: global - (global - mean), compared bit-for-bit).
-        np.testing.assert_array_equal(
-            FedAvg().aggregate(global_params, clients),
-            global_params - (global_params - clients.mean(axis=0)),
-        )
-        with pytest.raises(ConfigurationError):
-            FedAvg().aggregate(global_params, clients, weights=np.zeros(4))
 
     def test_uniform_weighting_keeps_exact_mean_path(self):
         # The parity contract hinges on weights=None for uniform full cohorts.

@@ -38,7 +38,7 @@ def train(cluster, rounds):
 @settings(max_examples=25, deadline=None)
 @given(
     optimizer=st.sampled_from(sorted(OPTIMIZERS)),
-    model=st.sampled_from(["dropout-head", "batchnorm-net"]),
+    model=st.sampled_from(["dropout-head", "batchnorm-net", "densenet-mini"]),
     error_feedback=st.booleans(),
     execution=st.sampled_from(EXECUTIONS),
     slot=st.integers(min_value=0, max_value=NUM_WORKERS - 1),

@@ -88,6 +88,21 @@ blocked in one place now, over whole rows, and
     ``src/repro/optim/`` only ``StackedOptimizer.step_rows`` reads
     ``ROW_BLOCK_ELEMENTS``, no identifier contains ``chunk``, ``Workspace``
     has no ``flat``; ``src/repro/sketch/ams.py`` contains no ``tocsr``.
+
+The batched engine once had two holes, both copies: ``DenseBlock`` /
+``TransitionDown`` had no kernel while five parameter-free kernels repeated
+their sequential layers line for line, and FedProx / SCAFFOLD drove
+``worker.local_epoch(gradient_transform=...)`` in private round loops that
+went around the engine (and checkpointed nothing of what their server held).
+Every layer has a kernel and every epoch is an engine epoch now, and
+
+12. under ``src/repro/strategies/`` the only stepping calls are
+    ``cluster.step_all`` and ``cluster.epoch_all``, the per-worker stepping
+    names do not occur, and exactly one function runs the upload → new global
+    model → broadcast sequence (``gather_models`` has one caller);
+    ``nn/batched.py`` defines no ``Batched<parameter-free layer>`` class; and
+    no class in ``nn/layers.py`` but ``Layer`` defines one of the six array
+    accessors.
 """
 
 from __future__ import annotations
@@ -118,6 +133,7 @@ STATE_CONSUMERS = (
     "population/plane.py",
     "strategies/fda_strategy.py",
     "strategies/fedopt.py",
+    "strategies/drift_control.py",
 )
 
 #: ``(module, expression)`` foreign-private accesses tolerated in
@@ -435,6 +451,71 @@ def test_served_steps_are_computed_in_one_place():
     assert not spelled, "the per-event stepping path is named again:\n" + "\n".join(spelled)
 
 
+def _calls_by_function(module_prefix: str):
+    """``(module, function, receiver, method)`` of every ``x.method(...)`` call."""
+    for module, source in _sources():
+        if module.startswith(module_prefix):
+            for function in ast.walk(ast.parse(source)):
+                if isinstance(function, ast.FunctionDef):
+                    for node in ast.walk(function):
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                            receiver = ast.get_source_segment(source, node.func.value)
+                            yield module, function.name, receiver, node.func.attr
+
+
+def test_every_layer_has_a_kernel_and_every_epoch_is_an_engine_epoch():
+    calls = list(_calls_by_function("strategies/"))
+    steppers = {(receiver, method) for _, _, receiver, method in calls if method in _STEPPING_CALLS}
+    assert steppers == {("cluster", "step_all"), ("cluster", "epoch_all")}, (
+        f"a strategy steps workers through the cluster's engine, nothing else: {steppers}"
+    )
+    spelled = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        if module.startswith("strategies/")
+        for number, line in enumerate(source.splitlines(), 1)
+        if re.search(r"\b(local_step|local_epoch|step_worker|epoch_worker)\b", line)
+    ]
+    assert not spelled, "a per-worker stepping path is named again:\n" + "\n".join(spelled)
+
+    def callers(method):
+        return sorted({(module, function) for module, function, _, name in calls if name == method})
+
+    assert callers("gather_models") == [("strategies/fedopt.py", "_upload")]
+    assert callers("_new_global") == [("strategies/fedopt.py", "_run_round")]
+    assert callers("broadcast_parameters") == [
+        ("strategies/base.py", "attach"), ("strategies/fedopt.py", "_run_round"),
+    ], "one function runs upload → new global model → broadcast: ServerRoundStrategy._run_round"
+    assert "_upload" in {
+        name for module, function, _, name in calls
+        if (module, function) == ("strategies/fedopt.py", "_run_round")
+    }
+
+    folded = {"MaxPool2D", "AvgPool2D", "GlobalAvgPool2D", "Flatten", "Activation"}
+    batched = ast.parse((SRC_ROOT / "nn" / "batched.py").read_text(encoding="utf-8"))
+    copies = sorted(
+        node.name for node in ast.walk(batched)
+        if isinstance(node, ast.ClassDef) and node.name.removeprefix("Batched") in folded
+    )
+    assert not copies, f"a parameter-free layer is FoldedKernel, not a copied kernel: {copies}"
+
+    accessors = {
+        "parameters", "gradients", "buffers", "parameter_refs", "gradient_refs", "buffer_refs",
+    }
+    layers = ast.parse((SRC_ROOT / "nn" / "layers.py").read_text(encoding="utf-8"))
+    handwritten = sorted(
+        f"{cls.name}.{method.name}"
+        for cls in ast.walk(layers)
+        if isinstance(cls, ast.ClassDef) and cls.name != "Layer"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name in accessors
+    )
+    assert not handwritten, (
+        "a layer declares PARAMETERS / BUFFERS / sublayers(); Layer derives the "
+        f"accessors: {handwritten}"
+    )
+
+
 def _block_size_reads(tree) -> int:
     return sum(
         getattr(node, "id", getattr(node, "attr", None)) == "ROW_BLOCK_ELEMENTS"
@@ -501,6 +582,7 @@ def _foreign_private_accesses():
                 and node.attr.startswith("_")
                 and not node.attr.startswith("__")
                 and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                and ast.get_source_segment(source, node.value) != "super()"
             ):
                 yield module, ast.get_source_segment(source, node), node.lineno
 

@@ -1,5 +1,8 @@
 """Tests for the FedProx and SCAFFOLD drift-control baselines."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,10 @@ from repro.distributed.cluster import CATEGORY_MODEL
 from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError
 from repro.experiments.run import TrainingRun
-from repro.experiments.setup import build_cluster
+from repro.experiments.setup import build_cluster, make_optimizer
 from repro.faults import FaultPlan
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
-from repro.strategies.fedopt import FedOptStrategy
+from repro.strategies.fedopt import FedOptStrategy, fedavgm_strategy
 from repro.optim.server import FedAvg
 
 
@@ -97,8 +100,8 @@ class TestScaffold:
         cluster, _ = build_cluster(blobs_workload)
         strategy = ScaffoldStrategy(local_learning_rate_hint=0.01).attach(cluster)
         strategy.run_round()
-        variate_norms = [np.linalg.norm(v) for v in strategy._worker_variates.values()]
-        assert all(norm > 0 for norm in variate_norms)
+        assert strategy._worker_variates.shape == cluster.parameter_matrix.shape
+        assert (np.linalg.norm(strategy._worker_variates, axis=1) > 0).all()
         assert np.linalg.norm(strategy._server_variate) > 0
 
     def test_converges_on_blobs(self, blobs_workload):
@@ -184,3 +187,68 @@ class TestRoundParticipation:
         expected = 0.25 * models[0] + 0.75 * models[1]
         np.testing.assert_allclose(cluster.parameter_matrix[0], expected, rtol=1e-12)
         assert not np.allclose(expected, models.mean(axis=0), rtol=1e-6)
+
+
+# -- frozen before PR 23 folded the three round loops into one -------------------
+#
+# Recorded at the parent commit (FedProx and SCAFFOLD still on their private
+# ``worker.local_epoch(gradient_transform=...)`` loops): 5 rounds on the
+# sequential engine, default timeline.  ``strategy/optimizer`` -> (sha256 of
+# the final parameter matrix, total bytes, syncs, per-worker steps, virtual s).
+
+FROZEN_STRATEGIES = {
+    "fedavgm": fedavgm_strategy,
+    "fedprox": lambda: FedProxStrategy(mu=0.1),
+    "scaffold": lambda: ScaffoldStrategy(local_learning_rate_hint=0.01),
+}
+FROZEN_OPTIMIZERS = {
+    "sgd": make_optimizer("sgd", learning_rate=0.05, momentum=0.9),
+    "adam": make_optimizer("adam", learning_rate=0.01),
+}
+FROZEN_ROUNDS = {
+    "fedavgm/adam": (
+        "09dba1365c688a746abb3547223e07aa32b6439bb2ae028032d597cecc609a0a",
+        31200, 5, [30, 30, 30, 30], 30.0,
+    ),
+    "fedavgm/sgd": (
+        "4dd9e5994942e319563a18ab51244f18f3bbea82cf9f2a99a02c3dabecd0532b",
+        31200, 5, [30, 30, 30, 30], 30.0,
+    ),
+    "fedprox/adam": (
+        "79b80555675c434c2bfad665d4189ed68029947f02a7d4c08fd01202a163345d",
+        31200, 5, [30, 30, 30, 30], 30.0,
+    ),
+    "fedprox/sgd": (
+        "ad712bc0efd7c4b224290f4278565fc1480734819eb328c126412947ab0a884c",
+        31200, 5, [30, 30, 30, 30], 30.0,
+    ),
+    "scaffold/adam": (
+        "d813ab150e6e3031748363bb769cda1978117a83454e743b15ca4ca8361a7ec9",
+        62400, 5, [30, 30, 30, 30], 30.0,
+    ),
+    "scaffold/sgd": (
+        "9bd8589835ce612cc0463b57899d3509a8056391ee9633068531ec2abcd6a708",
+        62400, 5, [30, 30, 30, 30], 30.0,
+    ),
+}
+
+
+def server_round_record(workload, strategy: str, optimizer: str) -> tuple:
+    cluster, _ = build_cluster(
+        replace(workload, optimizer_factory=FROZEN_OPTIMIZERS[optimizer])
+    )
+    attached = FROZEN_STRATEGIES[strategy]().attach(cluster)
+    for _ in range(5):
+        attached.run_round()
+    return (
+        hashlib.sha256(cluster.parameter_matrix.tobytes()).hexdigest(),
+        cluster.total_bytes,
+        cluster.synchronization_count,
+        [worker.steps_performed for worker in cluster.workers],
+        cluster.virtual_time,
+    )
+
+
+@pytest.mark.parametrize("cell", sorted(FROZEN_ROUNDS))
+def test_server_round_is_byte_identical_to_the_private_loops(blobs_workload, cell):
+    assert server_round_record(blobs_workload, *cell.split("/")) == FROZEN_ROUNDS[cell]
