@@ -95,7 +95,7 @@ def main() -> None:
     print("-" * 45)
     for dtype in ("float64", "float32"):
         cluster = clusters[dtype]
-        per_element = cluster.tracker.cost_model.bytes_per_element
+        per_element = cluster.fabric.cost_model.bytes_per_element
         print(
             f"{dtype:<10}{rates[dtype]:>10.1f}"
             f"{format_bytes(cluster.total_bytes):>14}{per_element:>11}"

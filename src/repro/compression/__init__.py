@@ -13,9 +13,9 @@ has three layers:
   :class:`CompressionConfig` threaded through workloads, sweeps, persistence,
   and the CLI;
 * :mod:`repro.compression.state` — :class:`ClusterCompression`, the per-cluster
-  reference model and ``(K, d)`` error-feedback residual matrix behind the
-  compressed collective paths (``cluster.synchronize`` /
-  ``cluster.gather_models``).
+  kernel and ``(K, d)`` error-feedback residual matrix behind the compressed
+  collective paths (``cluster.synchronize`` / ``cluster.gather_models``),
+  which exchange drifts from the cluster's shared model.
 
 Because the integration point is the collective layer of
 :class:`~repro.distributed.cluster.SimulatedCluster` — not a strategy

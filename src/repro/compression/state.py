@@ -1,22 +1,20 @@
-"""Cluster-level compression state: reference model and error-feedback memory.
+"""Cluster-level compression state: the kernel and its error-feedback memory.
 
 The kernels in :mod:`repro.compression.kernels` are pure functions of a
 ``(R, d)`` matrix; what makes compression a *protocol* feature is the state
-around them, and that state lives here, owned by the
-:class:`~repro.distributed.cluster.SimulatedCluster`:
-
-* the **reference model** ``w_ref`` — the last globally shared parameter
-  vector.  Workers never upload raw parameters; they upload the (compressible)
-  drift ``w^{(k)} − w_ref``, and every ``broadcast_parameters`` refreshes the
-  reference, so all strategies — FDA's triggered syncs included — share one
-  consistent drift convention;
-* the **error-feedback residual matrix** — one ``(K, d)`` matrix (in the
-  plane's dtype) whose
-  row ``k`` is worker ``k``'s accumulated compression error.  Because the
-  memory is row-indexed, a masked update (:meth:`ClusterCompression.compress_update`
-  with ``rows``) touches exactly the participating rows: non-participating
-  workers keep their residuals bit-untouched, which is what makes partial
-  participation and selective communication compose with error feedback.
+around them.  Workers never upload raw parameters; they upload the
+(compressible) drift ``w^{(k)} − w_{t0}`` from the cluster's shared model
+(:attr:`SimulatedCluster.shared_parameters
+<repro.distributed.cluster.SimulatedCluster.shared_parameters>`, refreshed by
+every broadcast and synchronization), so all strategies — FDA's triggered
+syncs included — share one drift convention.  What this module owns is the
+**error-feedback residual matrix** — one ``(K, d)`` matrix (in the plane's
+dtype) whose row ``k`` is worker ``k``'s accumulated compression error.
+Because the memory is row-indexed, a masked update
+(:meth:`ClusterCompression.compress_update` with ``rows``) touches exactly the
+participating rows: non-participating workers keep their residuals
+bit-untouched, which is what makes partial participation and selective
+communication compose with error feedback.
 
 The two protocol entry points are :meth:`ClusterCompression.synchronize` (the
 compressed full-model AllReduce behind ``cluster.synchronize``) and
@@ -43,13 +41,13 @@ array([0., 0., 0., 0.])
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.backend import resolve_dtype
 from repro.compression.config import CompressionConfig, make_compressor
-from repro.compression.kernels import Compressor, RowPayloads
+from repro.compression.kernels import RowPayloads
 from repro.exceptions import ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,33 +55,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ClusterCompression:
-    """Compression state for one cluster: kernel, reference, residual memory.
+    """Compression state for one cluster: the kernel and its residual memory.
 
-    Constructed from a :class:`~repro.compression.config.CompressionConfig`
-    or a ready :class:`~repro.compression.kernels.Compressor` instance (the
-    legacy strategy-wrapper path).  ``layout`` — the workers' parameter-plane
-    slot layout — is forwarded to layer-wise kernels.
+    Constructed from a :class:`~repro.compression.config.CompressionConfig`;
+    ``layout`` — the workers' parameter-plane slot layout — is forwarded to
+    layer-wise kernels.
     """
 
     def __init__(
         self,
-        spec: Union[CompressionConfig, Compressor],
+        config: CompressionConfig,
         num_workers: int,
         dimension: int,
         layout=None,
         dtype=None,
     ) -> None:
-        if isinstance(spec, Compressor):
-            self.config: Optional[CompressionConfig] = None
-            self.compressor = spec
-            error_feedback = False
-        else:
-            self.config = spec
-            self.compressor = make_compressor(spec)
-            error_feedback = spec.error_feedback
+        self.config = config
+        self.compressor = make_compressor(config)
         if layout is not None:
             self.compressor.bind_layout(layout)
-        self.error_feedback = bool(error_feedback)
+        self.error_feedback = bool(config.error_feedback)
         self.num_workers = int(num_workers)
         self.dimension = int(dimension)
         # The residual memory and drift scratch live in the owning cluster's
@@ -94,7 +85,6 @@ class ClusterCompression:
             if self.error_feedback
             else None
         )
-        self._reference: Optional[np.ndarray] = None
         # (K, d) drift scratch for the no-error-feedback synchronize path
         # (with EF the residual matrix itself is the accumulator); lazily
         # allocated so clusters that never synchronize pay nothing.
@@ -105,9 +95,7 @@ class ClusterCompression:
     @property
     def label(self) -> str:
         """Compact description for names, reports, and persisted results."""
-        if self.config is not None:
-            return self.config.describe()
-        return self.compressor.name
+        return self.config.describe()
 
     @property
     def residual_matrix(self) -> Optional[np.ndarray]:
@@ -119,46 +107,20 @@ class ClusterCompression:
         """Float32-equivalent elements one worker's model payload costs."""
         return self.compressor.transmitted_elements(self.dimension)
 
-    # -- the reference model -----------------------------------------------------
-
-    def set_reference(self, flat: np.ndarray) -> None:
-        """Install the globally shared model the next drifts are taken against."""
-        flat = np.asarray(flat, dtype=self.dtype)
-        if flat.shape != (self.dimension,):
-            raise ShapeError(
-                f"reference must have shape ({self.dimension},), got {flat.shape}"
-            )
-        self._reference = flat.copy()
-
-    def reference(self, cluster: "SimulatedCluster") -> np.ndarray:
-        """The current reference, lazily initialized to the cluster average.
-
-        Strategies normally establish it by broadcasting the initial model at
-        ``attach``; a bare cluster that synchronizes without ever broadcasting
-        falls back to the current average (zero drift on the first sync).
-        """
-        if self._reference is None:
-            self._reference = cluster.average_parameters()
-        return self._reference
-
     # -- resumable state ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The reference model and the kernel's state.
+        """The kernel's state.
 
         The residual rows are per-worker state: they are captured with the
         workers' slots (``SimulatedCluster.capture_slot`` / ``state_dict``),
-        through :attr:`residual_matrix`.
+        through :attr:`residual_matrix`; the shared model the drifts are taken
+        from is the cluster's.
         """
-        return {
-            "reference": None if self._reference is None else self._reference.copy(),
-            "kernel": self.compressor.state_dict(),
-        }
+        return {"kernel": self.compressor.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
         """Resume from :meth:`state_dict`."""
-        reference = state["reference"]
-        self._reference = None if reference is None else np.array(reference, dtype=self.dtype)
         self.compressor.load_state_dict(state["kernel"])
 
     # -- the compression step ----------------------------------------------------
@@ -202,21 +164,22 @@ class ClusterCompression:
     ) -> np.ndarray:
         """One compressed full-model synchronization (the AllReduce path).
 
-        Every worker uploads its compressed drift from the reference; the
-        averaged reconstruction is added to the reference and installed in
-        every member's row of the parameter matrix.  The fabric is charged the
-        *compressed* payload per worker (the kernel's transmitted elements);
-        non-trainable buffers, when requested, are averaged exactly and
-        charged uncompressed like the plain path (they are running statistics,
-        orders of magnitude smaller than the model).
+        Every worker uploads its compressed drift from the shared model; the
+        averaged reconstruction is added to it and installed in every member's
+        row of the parameter matrix (the cluster makes the sum its new shared
+        model).  The fabric is charged the *compressed* payload per worker
+        (the kernel's transmitted elements); non-trainable buffers, when
+        requested, are averaged exactly and charged uncompressed like the
+        plain path (they are running statistics, orders of magnitude smaller
+        than the model).
         """
         from repro.distributed.cluster import CATEGORY_MODEL
 
         category = category or CATEGORY_MODEL
-        reference = self.reference(cluster)
+        reference = cluster.shared_parameters
         # The synchronization hot path works entirely in preallocated (K, d)
         # storage: with error feedback the residual matrix itself accumulates
-        # ``residual + (w − w_ref)`` in place (the payload values are captured
+        # ``residual + (w − w_t0)`` in place (the payload values are captured
         # before fold_residual zeroes/subtracts the transmitted part, turning
         # the accumulator into the new residual); without it a cached drift
         # scratch holds the subtraction.  Sync-every-step protocols therefore
@@ -252,31 +215,24 @@ class ClusterCompression:
             buffer_average = members.mean(cluster.buffer_matrix)
             cluster.charge_allreduce(int(buffer_average.size), category)
             cluster.buffer_matrix[members.rows] = buffer_average
-        self._reference = new_global
         cluster.synchronization_count += 1
         return new_global
 
     def gather_models(
-        self,
-        cluster: "SimulatedCluster",
-        reference: Optional[np.ndarray] = None,
-        category: Optional[str] = None,
+        self, cluster: "SimulatedCluster", category: Optional[str] = None
     ) -> np.ndarray:
         """One compressed client→server upload round.
 
         Returns the ``(K, d)`` matrix of client models *as the server sees
-        them* — ``reference + reconstructed drift`` per row — and charges the
-        fabric one compressed full-model collective.  Server-side aggregators
-        (FedOpt/FedProx/SCAFFOLD) consume the result in place of the raw
-        parameter matrix.
+        them* — the shared model plus the reconstructed drift, per row — and
+        charges the fabric one compressed full-model collective.  Server-side
+        aggregators (FedOpt/FedProx/SCAFFOLD) consume the result in place of
+        the raw parameter matrix.
         """
         from repro.distributed.cluster import CATEGORY_MODEL
 
         category = category or CATEGORY_MODEL
-        if reference is None:
-            reference = self.reference(cluster)
-        else:
-            reference = np.asarray(reference, dtype=self.dtype)
+        reference = cluster.shared_parameters
         drifts = cluster.parameter_matrix - reference
         payloads = self.compress_update(drifts)
         cluster.charge_allreduce(

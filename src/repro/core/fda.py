@@ -49,8 +49,10 @@ class FDAProtocol:
     """What every FDA driver shares, lockstep or event-driven.
 
     The threshold Θ, a common starting model ``w_0`` (Algorithm 1, line 1),
-    the two sync references, and the one rotation ``w_{t-1} ← w_{t0} ← w̄``
-    that follows a model exchange.
+    and the one rotation ``w_{t-1} ← w_{t0} ← w̄`` that follows a model
+    exchange.  ``w_{t0}`` is the cluster's ``shared_parameters``, which the
+    exchange itself rebinds; the protocol keeps only ``w_{t-1}``, which the
+    monitor needs.
     """
 
     def __init__(
@@ -62,10 +64,9 @@ class FDAProtocol:
         self.monitor = monitor
         self.threshold = float(threshold)
         self.synchronization_count = 0
-        initial = cluster.workers[0].get_parameters()
-        cluster.broadcast_parameters(initial)
-        self._reference = initial            # w_{t0}: model after most recent sync
-        self._previous_reference = initial   # w_{t−1}: model after 2nd most recent sync
+        cluster.broadcast_parameters(cluster.workers[0].get_parameters())
+        # w_{t−1}: the model after the second most recent sync.
+        self._previous_reference = cluster.shared_parameters
 
     @property
     def state_elements_per_step(self) -> int:
@@ -82,13 +83,14 @@ class FDAProtocol:
         exchange is ``cluster.synchronize``: an exact AllReduce, or the
         compressed drift exchange when the cluster carries collective-level
         compression (Section 2: FDA is orthogonal to compression).  It charges
-        the fabric and, as a barrier, advances the shared clock.
+        the fabric, advances the shared clock as a barrier, and makes ``w̄``
+        the cluster's shared model ``w_{t0}``.
         """
+        previous = self._previous_reference
+        self._previous_reference = self.cluster.shared_parameters  # w_{t-1} ← w_{t0}
         new_global = self.cluster.synchronize(include_buffers=include_buffers)
         if notify_monitor:
-            self.monitor.on_synchronization(new_global, self._previous_reference)
-        self._previous_reference = self._reference
-        self._reference = new_global
+            self.monitor.on_synchronization(new_global, previous)
         self.synchronization_count += 1
         return new_global
 
@@ -121,13 +123,6 @@ class FDATrainer(FDAProtocol):
         # worker never reported (it died before its first state).
         self._stale_states: Optional[List[Optional[object]]] = None
 
-    # -- properties --------------------------------------------------------------
-
-    @property
-    def reference_parameters(self) -> np.ndarray:
-        """The shared model after the most recent synchronization (``w_{t0}``)."""
-        return self._reference.copy()
-
     # -- the protocol -------------------------------------------------------------
 
     def step(self) -> FdaStepResult:
@@ -145,7 +140,9 @@ class FDATrainer(FDAProtocol):
 
         # Local states from the drifts relative to the last synchronization
         # point; one vectorized (K, d) subtraction, monitors consume the rows.
-        drifts = self.cluster.drift_matrix(self._reference, out=self._drift_scratch)
+        drifts = self.cluster.drift_matrix(
+            self.cluster.shared_parameters, out=self._drift_scratch
+        )
         faults = self.cluster.faults
         if faults is not None and faults.churn_active:
             # Worker churn: dead workers cannot report a local state, so the
@@ -244,10 +241,11 @@ class FDATrainer(FDAProtocol):
     def state_dict(self) -> dict:
         """Protocol state for a bit-exact resume.
 
-        Everything :meth:`step` mutates: the sync references ``w_{t0}`` /
-        ``w_{t-1}``, the step/sync counters, the (possibly dynamically
-        adjusted) threshold, churn-retained stale states, the Θ controller,
-        and the linear monitor's analysis direction ξ, which rotates on every
+        Everything :meth:`step` mutates outside the cluster: the sync
+        reference ``w_{t-1}`` (``w_{t0}`` is the cluster's), the step/sync
+        counters, the (possibly dynamically adjusted) threshold,
+        churn-retained stale states, the Θ controller, and the linear
+        monitor's analysis direction ξ, which rotates on every
         synchronization.  The per-step ``history`` list is diagnostic output,
         not protocol state, and is not captured.
         """
@@ -256,7 +254,6 @@ class FDATrainer(FDAProtocol):
             "synchronization_count": self.synchronization_count,
             "threshold": self.threshold,
             "last_estimate": self.last_estimate,
-            "reference": self._reference.copy(),
             "previous_reference": self._previous_reference.copy(),
         }
         if self._stale_states is not None:
@@ -276,9 +273,9 @@ class FDATrainer(FDAProtocol):
         self.threshold = float(state["threshold"])
         last = state["last_estimate"]
         self.last_estimate = None if last is None else float(last)
-        dtype = self.cluster.dtype
-        self._reference = np.asarray(state["reference"], dtype=dtype)
-        self._previous_reference = np.asarray(state["previous_reference"], dtype=dtype)
+        self._previous_reference = np.asarray(
+            state["previous_reference"], dtype=self.cluster.dtype
+        )
         if "stale_states" in state:
             self._stale_states = [
                 None if s is None else state_from_dict(s) for s in state["stale_states"]

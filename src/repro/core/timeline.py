@@ -17,11 +17,15 @@ is that clock, and the only event heap in the code base:
   are admitted, then new arrivals and finished steps are processed; equal
   kinds pop in ascending worker id, and one worker's events in scheduling
   (FIFO) order;
-* **communication time**: the cluster's :class:`~repro.distributed.topology.Fabric`
-  reports each collective's virtual seconds here, so compute and communication
-  accumulate on one comparable clock.  A collective is a barrier for
+* **communication time**: a collective's virtual seconds — priced and booked
+  by the cluster's :class:`~repro.distributed.topology.Fabric`, the one ledger
+  of communication seconds — move this clock too, so compute and
+  communication share one comparable clock.  A collective is a barrier for
   *compute*: it delays pending step completions, never exogenous arrivals or
   updates already in flight to or at the coordinator.
+
+The timeline owns the clock, the compute seconds and the event heap; churn is
+recorded by the fault plane's :class:`~repro.faults.injector.FaultLog`.
 
 With the default profile (uniform unit step time, no jitter, no stragglers,
 no dropout) and no network model, the timeline is a pure observer: byte
@@ -115,11 +119,7 @@ class Timeline:
         self._durations = self.profile.step_durations(self.num_workers, seed=self._rng)
         self.now = 0.0
         self.compute_seconds = 0.0
-        self.comm_seconds = 0.0
         self.rounds_advanced = 0
-        # Churn ledger: (time, "crash" | "rejoin", worker_id) events recorded
-        # by the fault-injection plane, in virtual-time order.
-        self.churn_events: List[Tuple[float, str, int]] = []
         # Event mode: a heap of (time, kind, worker_id, seq, payload).  The
         # tie-break is part of the contract, not an accident of heap layout
         # (see the module docstring); the monotone sequence number is unique,
@@ -260,7 +260,7 @@ class Timeline:
     # -- communication & bookkeeping --------------------------------------------
 
     def add_communication(self, seconds: float) -> None:
-        """Account virtual seconds spent communicating (reported by the fabric).
+        """Move the clock past a collective's virtual seconds (booked by the fabric).
 
         In event mode the collective acts as a barrier: pending step
         completions are delayed by the same amount.
@@ -270,34 +270,13 @@ class Timeline:
         if seconds == 0.0:
             return
         self.now += seconds
-        self.comm_seconds += seconds
         if self._queue:
             self.delay_pending(seconds)
-
-    def note_communication(self, seconds: float) -> None:
-        """Record communication seconds in the ledger without moving the clock.
-
-        Used for point-to-point traffic whose delay is paid by a single sender
-        (the asynchronous state uploads): the caller folds the delay into that
-        worker's next completion, and this keeps the compute/communication
-        split consistent with the fabric's own ledger.
-        """
-        if seconds < 0:
-            raise ConfigurationError(f"seconds must be non-negative, got {seconds}")
-        self.comm_seconds += seconds
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` (idle wait); never backwards."""
         if time > self.now:
             self.now = float(time)
-
-    # -- churn ------------------------------------------------------------------
-
-    def record_churn(self, kind: str, worker_id: int) -> None:
-        """Append one crash/rejoin event to the churn ledger at the current time."""
-        if kind not in ("crash", "rejoin"):
-            raise ConfigurationError(f"unknown churn event kind {kind!r}")
-        self.churn_events.append((self.now, kind, int(worker_id)))
 
     def stall(self, seconds: float) -> None:
         """Stretch the current round's compute critical path by ``seconds``.
@@ -317,7 +296,7 @@ class Timeline:
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-safe snapshot of the clocks, churn ledger, event heap and RNG stream.
+        """JSON-safe snapshot of the clock, event heap and RNG stream.
 
         Only payload-free events (step completions, arrivals) can be encoded;
         an update in flight raises rather than restoring to a shorter heap.
@@ -330,9 +309,7 @@ class Timeline:
         return {
             "now": self.now,
             "compute_seconds": self.compute_seconds,
-            "comm_seconds": self.comm_seconds,
             "rounds_advanced": self.rounds_advanced,
-            "churn_events": [list(event) for event in self.churn_events],
             "queue": [list(entry[:4]) for entry in self._queue],
             "event_seq": self._event_seq,
             "durations": self._durations.copy(),
@@ -343,12 +320,7 @@ class Timeline:
         """Restore a snapshot taken by :meth:`state_dict` (bit-exact stream)."""
         self.now = float(state["now"])
         self.compute_seconds = float(state["compute_seconds"])
-        self.comm_seconds = float(state["comm_seconds"])
         self.rounds_advanced = int(state["rounds_advanced"])
-        self.churn_events = [
-            (float(time), str(kind), int(worker))
-            for time, kind, worker in state["churn_events"]
-        ]
         self._queue = [
             (float(time), int(kind), int(worker), int(seq), None)
             for time, kind, worker, seq in state["queue"]
@@ -361,5 +333,5 @@ class Timeline:
     def __repr__(self) -> str:
         return (
             f"Timeline(K={self.num_workers}, t={self.now:.2f}, "
-            f"compute={self.compute_seconds:.2f}s, comm={self.comm_seconds:.2f}s)"
+            f"compute={self.compute_seconds:.2f}s)"
         )

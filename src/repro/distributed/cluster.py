@@ -5,27 +5,30 @@ operations FDA needs (AllReduce of local states and AllReduce of model
 parameters).  Every collective is routed through the cluster's
 :class:`~repro.distributed.topology.Fabric`, which composes the interconnect
 topology (star / ring / hierarchical / gossip), the scalar cost model, and an
-optional network model into one ``(bytes, virtual-seconds)`` charge; compute
-and communication time accumulate on the cluster's shared
-:class:`~repro.core.timeline.Timeline`.  The cluster also maintains an
+optional network model into one ``(bytes, virtual-seconds)`` charge, booked
+on the fabric's ledgers; the seconds also move the cluster's shared
+:class:`~repro.core.timeline.Timeline` clock.  The cluster also maintains an
 *evaluation model* used to measure the accuracy of the global (average) model
 without disturbing any worker's local state.
 
 The cluster is the top of the parameter plane: on construction it stacks
 every worker's flat parameter vector (and buffer vector) into one contiguous
 ``(K, d)`` matrix and rebinds each model's storage onto its row.  From then
-on ``average_parameters``, ``synchronize``, ``model_variance``,
-``broadcast_parameters``, and ``drift_matrix`` are single row-wise matrix
-operations — no per-worker Python loops, no gather/scatter copies.
+on ``average_parameters``, ``synchronize``, ``broadcast_parameters``, and
+``drift_matrix`` are single row-wise matrix operations — no per-worker Python
+loops, no gather/scatter copies.
 
-Compression is a collective-level concern and therefore lives here too: an
-optional :class:`~repro.compression.state.ClusterCompression` (installed via
-the ``compression`` constructor argument or :meth:`enable_compression`)
-reroutes ``synchronize`` and :meth:`gather_models` through row-wise
-compression kernels with per-worker error-feedback memory, and every
-``charge_*`` call accepts a compression spec so the fabric prices the true
-compressed payload per link.  Without it, every path below is bit-identical
-to the uncompressed implementation.
+The cluster holds the one copy of the *shared model*
+(:attr:`SimulatedCluster.shared_parameters`, the paper's ``w_{t0}``): FDA's
+drifts, the compressed exchange's drifts and the server round's global model
+are this value.  Compression is a collective-level concern and lives here
+too: an optional :class:`~repro.compression.state.ClusterCompression`
+(configured once, by the ``compression`` constructor argument) reroutes
+``synchronize`` and :meth:`gather_models` through row-wise compression kernels
+with per-worker error-feedback memory, and every ``charge_*`` call accepts a
+compression spec so the fabric prices the true compressed payload per link.
+Without it, every path below is bit-identical to the uncompressed
+implementation.
 
 Which rows a collective averages and overwrites is one value, a
 :class:`~repro.distributed.participation.Participation`, with two producers
@@ -56,7 +59,6 @@ from repro.nn.losses import Loss, SoftmaxCrossEntropy
 #: Traffic categories used by the tracker.
 CATEGORY_MODEL = "model-sync"
 CATEGORY_STATE = "fda-state"
-CATEGORY_OTHER = "other"
 
 
 class SimulatedCluster:
@@ -79,7 +81,9 @@ class SimulatedCluster:
     (``"topk"``, ``"quantization"``, ``"randomk"``, ``"signsgd"``,
     ``"layerwise-topk"``), a
     :class:`~repro.compression.config.CompressionConfig`, or ``None`` (exact
-    collectives, the default).  See :meth:`enable_compression`.
+    collectives, the default).  From then on ``synchronize`` and
+    :meth:`gather_models` exchange compressed drifts from
+    :attr:`shared_parameters` and the fabric charges compressed bytes.
 
     ``dtype`` selects the compute dtype of the whole parameter plane:
     ``float64`` (default, the bit-exact reference) or ``float32`` (the fast
@@ -184,11 +188,26 @@ class SimulatedCluster:
 
             self.faults = FaultInjector(faults, len(self.workers))
             self.fabric.injector = self.faults
-        # Optional collective-level compression (kernel + reference model +
-        # (K, d) error-feedback memory); None means exact collectives.
+        # Optional collective-level compression (kernel + (K, d) error-feedback
+        # memory), configured here once; None means exact collectives.
+        from repro.compression import ClusterCompression, get_compression
+
+        compression = get_compression(compression)
         self._compression = None
         if compression is not None:
-            self.enable_compression(compression)
+            if self.faults is not None:
+                raise ConfigurationError(
+                    "fault injection and collective compression cannot be "
+                    "combined yet; drop one of the two"
+                )
+            self._compression = ClusterCompression(
+                compression,
+                num_workers=self.num_workers,
+                dimension=self.model_dimension,
+                layout=self.workers[0].model.plane.parameter_layout(),
+                dtype=self.dtype,
+            )
+        self._shared_parameters: Optional[np.ndarray] = None  # see shared_parameters
         # The execution engine (sequential per-worker loop or one batched
         # pass) sits below step_all; built last because the batched engine
         # stacks gradients next to the matrices created above.
@@ -257,38 +276,6 @@ class SimulatedCluster:
         """Compact description of the installed compression (``"none"`` without)."""
         return self._compression.label if self._compression is not None else "none"
 
-    def enable_compression(self, spec):
-        """Install (or replace) cluster-level payload compression.
-
-        ``spec`` is a kernel name, a
-        :class:`~repro.compression.config.CompressionConfig`, a ready
-        :class:`~repro.compression.kernels.Compressor` instance, or ``None``
-        to disable.  From then on ``synchronize`` and :meth:`gather_models`
-        exchange compressed drifts from the last broadcast reference, the
-        fabric charges compressed bytes, and (with ``error_feedback``) the
-        dropped mass is carried in a ``(K, d)`` residual matrix whose rows
-        belong to the workers.  Returns the installed state.
-        """
-        from repro.compression import ClusterCompression, Compressor, get_compression
-
-        resolved = spec if spec is None or isinstance(spec, Compressor) else get_compression(spec)
-        if resolved is None:
-            self._compression = None
-            return None
-        if self.faults is not None:
-            raise ConfigurationError(
-                "fault injection and collective compression cannot be "
-                "combined yet; drop one of the two"
-            )
-        self._compression = ClusterCompression(
-            resolved,
-            num_workers=self.num_workers,
-            dimension=self.model_dimension,
-            layout=self.workers[0].model.plane.parameter_layout(),
-            dtype=self.dtype,
-        )
-        return self._compression
-
     # -- fabric charges ---------------------------------------------------------
 
     def charge_allreduce(
@@ -323,14 +310,12 @@ class SimulatedCluster:
 
         Unlike the collectives this does not act as a cluster-wide barrier:
         the upload's seconds are folded into the sender's next completion by
-        the caller (the event-driven coordinator), while the timeline's
-        communication ledger still records them.
+        the caller (the event-driven coordinator); the fabric's ledger records
+        them.
         """
-        charge = self.fabric.upload(
+        return self.fabric.upload(
             num_elements, self.num_workers, category, worker_id, compression=compression
         )
-        self.timeline.note_communication(charge.seconds)
-        return charge
 
     # -- the cluster parameter plane -------------------------------------------
 
@@ -347,6 +332,20 @@ class SimulatedCluster:
     def buffer_matrix(self) -> np.ndarray:
         """The live ``(K, num_buffers)`` matrix of non-trainable buffers."""
         return self._buffer_matrix
+
+    @property
+    def shared_parameters(self) -> np.ndarray:
+        """The model shared at the last broadcast or synchronization (``w_{t0}``).
+
+        FDA's drift reference, the compressed exchange's reference and the
+        server round's global model.  Its writers rebind it to a fresh array
+        and never write into the old one, so whoever holds an earlier value
+        (FDA's ``w_{t-1}``, an open FedProx round) keeps it.  A cluster that
+        was never broadcast drifts from its members' current average.
+        """
+        if self._shared_parameters is None:
+            return self.average_parameters()
+        return self._shared_parameters
 
     def drift_matrix(self, reference: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """All worker drifts ``u_t^{(k)} = w_t^{(k)} − reference`` as a ``(K, d)`` matrix.
@@ -412,6 +411,9 @@ class SimulatedCluster:
             **self._rows_state(slice(None)),
             "workers": [worker.state_dict() for worker in self.workers],
             "synchronization_count": self.synchronization_count,
+            "shared_parameters": (
+                None if self._shared_parameters is None else self._shared_parameters.copy()
+            ),
             "compression": (
                 None if self._compression is None else self._compression.state_dict()
             ),
@@ -426,6 +428,8 @@ class SimulatedCluster:
         for worker, worker_state in zip(self.workers, state["workers"]):
             worker.load_state_dict(worker_state)
         self.synchronization_count = int(state["synchronization_count"])
+        shared = state["shared_parameters"]
+        self._shared_parameters = None if shared is None else np.array(shared, dtype=self.dtype)
         if self._compression is not None:
             self._compression.load_state_dict(state["compression"])
         self.timeline.load_state_dict(state["timeline"])
@@ -435,65 +439,11 @@ class SimulatedCluster:
 
     # -- collectives -----------------------------------------------------------
 
-    def _stack_vectors(
-        self, vectors: Union[Sequence[np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """One ``(K, n)`` matrix of per-worker vectors in the plane dtype.
-
-        An already-stacked matrix whose dtype matches the plane is returned
-        *as-is* — no copy.  (The old comparison was hardcoded against
-        float64, so a float32 plane's own ``(K, d)`` matrices took a silent
-        full-matrix ``astype`` copy on every collective.)  Mismatched dtypes
-        and Python sequences are stacked/cast into a fresh matrix.
-        """
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            if vectors.shape[0] != self.num_workers:
-                raise CommunicationError(
-                    f"allreduce needs one vector per worker ({self.num_workers}), "
-                    f"got {vectors.shape[0]}"
-                )
-            return vectors if vectors.dtype == self.dtype else vectors.astype(self.dtype)
-        if len(vectors) != self.num_workers:
-            raise CommunicationError(
-                f"allreduce needs one vector per worker ({self.num_workers}), got {len(vectors)}"
-            )
-        return np.stack([np.asarray(v, dtype=self.dtype) for v in vectors], axis=0)
-
-    def allreduce(
-        self,
-        vectors: Union[Sequence[np.ndarray], np.ndarray],
-        category: str = CATEGORY_OTHER,
-        compression=None,
-    ) -> np.ndarray:
-        """Element-wise average of one vector per worker, with byte accounting.
-
-        ``vectors`` may be a Python sequence of ``(n,)`` arrays or — the fast
-        path — an already-stacked ``(K, n)`` matrix, which is averaged without
-        re-stacking row copies.  With a ``compression`` kernel each row is
-        lossily compressed before averaging (no error feedback — this is the
-        raw collective; drift-aware compression lives in ``synchronize``) and
-        the fabric is charged the compressed payload.
-        """
-        stacked = self._stack_vectors(vectors)
-        self.charge_allreduce(int(stacked[0].size), category, compression=compression)
-        if compression is not None:
-            return compression.compress_rows(stacked).mean()
-        return stacked.mean(axis=0)
-
-    def allreduce_scalar(self, values: Sequence[float], category: str = CATEGORY_OTHER) -> float:
-        """AllReduce (average) of one scalar per worker."""
-        if len(values) != self.num_workers:
-            raise CommunicationError(
-                f"allreduce_scalar needs one value per worker ({self.num_workers}), got {len(values)}"
-            )
-        self.charge_allreduce(1, category)
-        return float(np.mean([float(v) for v in values]))
-
     def broadcast_parameters(self, flat: np.ndarray, count_cost: bool = False) -> None:
         """Set every worker's parameters to ``flat`` (optionally charging broadcast bytes).
 
-        With compression installed, the broadcast model becomes the new
-        *reference*: subsequent compressed uploads transmit drifts from it.
+        ``flat`` becomes the shared model (a copy): subsequent drifts —
+        FDA's, and the compressed uploads' — are taken from it.
         """
         flat = np.asarray(flat, dtype=self.dtype)
         if flat.shape != (self.model_dimension,):
@@ -509,8 +459,7 @@ class SimulatedCluster:
         self._param_matrix[members.rows] = flat
         if count_cost:
             self._maybe_corrupt(members)
-        if self._compression is not None:
-            self._compression.set_reference(flat)
+        self._shared_parameters = flat.copy()
 
     # -- participation -----------------------------------------------------------
 
@@ -552,12 +501,9 @@ class SimulatedCluster:
         :attr:`participants` for the protocol layer to read after stepping.
         """
         if self.faults is not None:
-            crashed, rejoined = self.faults.advance_round(self.timeline.now)
-            for worker_id in crashed:
-                self.timeline.record_churn("crash", worker_id)
+            _, rejoined = self.faults.advance_round(self.timeline.now)
             for worker_id in rejoined:
                 self._rejoin_worker(worker_id)
-                self.timeline.record_churn("rejoin", worker_id)
         self.participants = self.members.restrict(active)
         return self.participants
 
@@ -587,7 +533,8 @@ class SimulatedCluster:
         Averages the worker parameters (and, by default, the batch-norm
         buffers) with one row-wise reduction over the parameter matrix,
         broadcasts the average back into every row, charges the corresponding
-        AllReduce traffic, and returns the new global parameters.
+        AllReduce traffic, and returns the new global parameters — which
+        become :attr:`shared_parameters`.
 
         With compression installed the exchange is lossy instead of exact:
         every worker uploads its compressed drift from the last shared model,
@@ -598,22 +545,22 @@ class SimulatedCluster:
         syncs, BSP, Local-SGD — therefore compresses uniformly.
         """
         if self._compression is not None:
-            return self._compression.synchronize(self, include_buffers=include_buffers)
-        members = self.members
-        average = members.mean(self._param_matrix)
-        self.charge_allreduce(int(average.size), CATEGORY_MODEL)
-        self._param_matrix[members.rows] = average
-        if include_buffers and self._buffer_matrix.shape[1]:
-            buffer_average = members.mean(self._buffer_matrix)
-            self.charge_allreduce(int(buffer_average.size), CATEGORY_MODEL)
-            self._buffer_matrix[members.rows] = buffer_average
-        self._maybe_corrupt(members)
-        self.synchronization_count += 1
+            average = self._compression.synchronize(self, include_buffers=include_buffers)
+        else:
+            members = self.members
+            average = members.mean(self._param_matrix)
+            self.charge_allreduce(int(average.size), CATEGORY_MODEL)
+            self._param_matrix[members.rows] = average
+            if include_buffers and self._buffer_matrix.shape[1]:
+                buffer_average = members.mean(self._buffer_matrix)
+                self.charge_allreduce(int(buffer_average.size), CATEGORY_MODEL)
+                self._buffer_matrix[members.rows] = buffer_average
+            self._maybe_corrupt(members)
+            self.synchronization_count += 1
+        self._shared_parameters = average
         return average
 
-    def gather_models(
-        self, reference: Optional[np.ndarray] = None, category: str = CATEGORY_MODEL
-    ) -> np.ndarray:
+    def gather_models(self, category: str = CATEGORY_MODEL) -> np.ndarray:
         """One client→server model upload round, charged through the fabric.
 
         The server-based strategies (FedOpt, FedProx, SCAFFOLD) aggregate the
@@ -622,13 +569,13 @@ class SimulatedCluster:
         and returns the live ``(K, d)`` parameter matrix — exactly the
         pre-compression accounting and aggregation, byte-for-byte.  With
         compression it charges the compressed payload and returns the models
-        *as the server reconstructs them*: ``reference`` (default: the last
-        broadcast global model) plus each worker's lossy drift.
+        *as the server reconstructs them*: :attr:`shared_parameters` (the
+        global model) plus each worker's lossy drift.
         """
         if self._compression is None:
             self.charge_allreduce(self.model_dimension, category)
             return self._param_matrix
-        return self._compression.gather_models(self, reference=reference, category=category)
+        return self._compression.gather_models(self, category=category)
 
     # -- the fault plane ---------------------------------------------------------
 
@@ -731,21 +678,6 @@ class SimulatedCluster:
         return self._evaluation_model.evaluate(
             dataset.x, dataset.y, loss=self.loss, batch_size=batch_size
         )
-
-    def evaluate_worker(self, worker_index: int, dataset: Dataset, batch_size: int = 256) -> Tuple[float, float]:
-        """Evaluate a single worker's local model on ``dataset``."""
-        if not 0 <= worker_index < self.num_workers:
-            raise CommunicationError(
-                f"worker_index must lie in [0, {self.num_workers}), got {worker_index}"
-            )
-        worker = self.workers[worker_index]
-        return worker.model.evaluate(dataset.x, dataset.y, loss=self.loss, batch_size=batch_size)
-
-    def model_variance(self) -> float:
-        """The exact model variance Var(w_t) across workers (Equation 2)."""
-        average = self._param_matrix.mean(axis=0)
-        deviations = self._param_matrix - average
-        return float(np.mean(np.sum(deviations * deviations, axis=1)))
 
     def __repr__(self) -> str:
         return (

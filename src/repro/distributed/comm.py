@@ -99,26 +99,13 @@ class CommunicationTracker:
 
     Byte totals are kept per category so that the experiment harness can
     separate the (large) model-synchronization traffic from the (small) FDA
-    local-state traffic — Figure 8-11 style breakdowns rely on this.
+    local-state traffic — Figure 8-11 style breakdowns rely on this.  The
+    tracker prices nothing: the :class:`~repro.distributed.topology.Fabric`
+    does, and records each collective's total here.
     """
 
-    cost_model: CommunicationCostModel = field(default_factory=lambda: NAIVE_COST_MODEL)
     bytes_by_category: Dict[str, int] = field(default_factory=dict)
     operations_by_category: Dict[str, int] = field(default_factory=dict)
-
-    def record_allreduce(self, num_elements: int, num_workers: int, category: str) -> int:
-        """Record one AllReduce and return the bytes charged for it."""
-        charged = self.cost_model.allreduce_bytes(num_elements, num_workers)
-        self.bytes_by_category[category] = self.bytes_by_category.get(category, 0) + charged
-        self.operations_by_category[category] = self.operations_by_category.get(category, 0) + 1
-        return charged
-
-    def record_broadcast(self, num_elements: int, num_workers: int, category: str) -> int:
-        """Record one broadcast and return the bytes charged for it."""
-        charged = self.cost_model.broadcast_bytes(num_elements, num_workers)
-        self.bytes_by_category[category] = self.bytes_by_category.get(category, 0) + charged
-        self.operations_by_category[category] = self.operations_by_category.get(category, 0) + 1
-        return charged
 
     def record_transfer(self, num_bytes: int, category: str) -> int:
         """Record one collective whose byte total was computed by the caller.
@@ -146,11 +133,6 @@ class CommunicationTracker:
     def operations_for(self, category: str) -> int:
         """Number of collectives charged to a single category."""
         return int(self.operations_by_category.get(category, 0))
-
-    def reset(self) -> None:
-        """Clear all accumulated statistics."""
-        self.bytes_by_category.clear()
-        self.operations_by_category.clear()
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict snapshot suitable for logging."""

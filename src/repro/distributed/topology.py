@@ -453,7 +453,7 @@ class Fabric:
     topology: Topology = field(default_factory=StarTopology)
     cost_model: CommunicationCostModel = field(default_factory=lambda: NAIVE_COST_MODEL)
     network: Optional[NetworkModel] = None
-    tracker: CommunicationTracker = None  # type: ignore[assignment]
+    tracker: CommunicationTracker = field(default_factory=CommunicationTracker)
     bytes_by_link: Dict[Link, int] = field(default_factory=dict)
     comm_seconds: float = 0.0
     seconds_by_category: Dict[str, float] = field(default_factory=dict)
@@ -462,10 +462,6 @@ class Fabric:
     #: retransmissions that are charged to the same ledgers as the original
     #: transfer (see :meth:`_retransmit`).
     injector: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.tracker is None:
-            self.tracker = CommunicationTracker(self.cost_model)
 
     # -- helpers ---------------------------------------------------------------
 

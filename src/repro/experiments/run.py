@@ -37,8 +37,9 @@ class RunResult:
     state_bytes: int = 0
     model_bytes: int = 0
     final_train_accuracy: Optional[float] = None
-    #: Virtual wall-clock accounting from the shared timeline: total seconds,
-    #: split into compute and communication, plus the fabric that produced it.
+    #: Virtual wall-clock accounting: total and compute seconds from the
+    #: shared timeline, communication seconds from the fabric's ledger, plus
+    #: the fabric that produced them.
     virtual_seconds: float = 0.0
     compute_seconds: float = 0.0
     comm_seconds: float = 0.0
@@ -307,7 +308,7 @@ class TrainingRun:
             final_train_accuracy=final_train_accuracy,
             virtual_seconds=cluster.virtual_time,
             compute_seconds=cluster.timeline.compute_seconds,
-            comm_seconds=cluster.timeline.comm_seconds,
+            comm_seconds=cluster.fabric.comm_seconds,
             topology=cluster.fabric.topology.name,
             network=cluster.fabric.network_name,
             execution=cluster.execution,

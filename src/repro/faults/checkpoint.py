@@ -5,14 +5,19 @@ A :class:`ClusterCheckpoint` captures everything a
 document.  It enumerates none of it: the cluster serialises itself
 (:meth:`SimulatedCluster.state_dict
 <repro.distributed.cluster.SimulatedCluster.state_dict>` — all K worker slots,
-collective compression, timeline, fabric ledgers, fault injector, each saved
-by the object that owns it), the strategy its protocol state
-(``checkpoint_state``), and the run loop hands over its own counters.  This
-module adds the header, the compatibility checks, the bit-exact encoding and
-the atomic file.  Restoring into a freshly constructed cluster/strategy of the
-same configuration continues the trajectory *bit-exactly*, with or without
+the shared model, collective compression, timeline, fabric ledgers, fault
+injector, each saved by the object that owns it), the strategy its protocol
+state (``checkpoint_state``), and the run loop hands over its own counters.
+This module adds the header, the compatibility checks, the bit-exact encoding
+and the atomic file.  Restoring into a freshly constructed cluster/strategy of
+the same configuration continues the trajectory *bit-exactly*, with or without
 collective compression: the round-trip tests interrupt a run mid-flight and
 assert the continued history equals an uninterrupted run's, to the last bit.
+
+A cluster carrying a client population is refused at restore (never at
+capture or save): the checkpoint does not hold the cohort sampler's stream,
+the client state store or the population's counters, so a resumed population
+run would silently diverge.
 
 Arrays are encoded as base64 of their raw bytes (dtype + shape alongside), so
 float64 parameters survive the JSON round trip without any decimal rounding.
@@ -37,9 +42,12 @@ PathLike = Union[str, Path]
 
 FORMAT = "repro.cluster_checkpoint"
 #: Version 2 added the collective-compression state (reference model, error-
-#: feedback residuals, kernel stream); version 1 files cannot resume exactly
-#: and are refused.
-VERSION = 2
+#: feedback residuals, kernel stream).  Version 3 holds the shared model once,
+#: as the cluster's ``shared_parameters`` — no FDA ``reference``, compression
+#: ``reference`` or server-round ``global_parameters`` copies — and drops the
+#: timeline's second communication-seconds and churn ledgers (the fabric and
+#: the fault log hold them).  Any other version is refused.
+VERSION = 3
 
 
 # -- value encoding -------------------------------------------------------------
@@ -129,13 +137,20 @@ class ClusterCheckpoint:
         """Write the snapshot into a freshly built cluster (and strategy).
 
         The target must match the captured configuration (worker count, model
-        dimension, dtype, compression, fault plan).  All state arrays are
+        dimension, dtype, compression, fault plan) and carry no client
+        population (see the module docstring).  All state arrays are
         written *in place* so the parameter plane's row bindings — and, on the
         batched engine, the stacked optimizer's row-bound moment matrices —
         stay intact.  Returns the captured run-loop state (or ``None``).
         """
         payload = self.payload
         _require_current(payload, "the payload")
+        if cluster.population is not None:
+            raise ExperimentError(
+                "cannot resume a population run: the checkpoint does not hold the "
+                "cohort sampler's stream, the ClientStateStore, client_steps or "
+                "rounds_completed, so the resumed run would diverge"
+            )
         if int(payload["num_workers"]) != cluster.num_workers:
             raise ExperimentError(
                 f"checkpoint has {payload['num_workers']} workers, cluster has "

@@ -230,7 +230,8 @@ class ServedFDATrainer(FDAProtocol):
     def _settle(self) -> None:
         """Compute the backlog rank by rank: every worker's oldest uncomputed
         step as one masked ``engine.step_all``, then their states.  No sync falls
-        between a step's event and its settle, so the reference is the event's."""
+        between a step's event and its settle, so the cluster's shared model is
+        the event's reference."""
         if not self._unsettled:
             return
         depth = np.array([len(backlog) for backlog in self._backlog])
@@ -240,7 +241,7 @@ class ServedFDATrainer(FDAProtocol):
             if self.config.protocol == "fda":
                 rows = np.flatnonzero(due)
                 # A fresh drift block: ExactMonitor's states keep views of it.
-                drifts = self.cluster.parameter_matrix[rows] - self._reference
+                drifts = self.cluster.parameter_matrix[rows] - self.cluster.shared_parameters
                 for row, state in zip(rows, self.monitor.local_states(drifts)):
                     self._backlog[row][rank].state = state
         self._backlog = [[] for _ in self._backlog]

@@ -47,7 +47,9 @@ class FedProxStrategy(ServerRoundStrategy):
         self.mu = float(mu)
 
     def _open_round(self, cluster: SimulatedCluster) -> RowTransform:
-        mu, global_parameters = self.mu, self._global_parameters
+        # The round's global model: the broadcast at the round's end rebinds
+        # the cluster's shared model and leaves this array as it is.
+        mu, global_parameters = self.mu, cluster.shared_parameters
 
         def proximal(rows: np.ndarray, params: np.ndarray, grads: np.ndarray) -> None:
             grads += mu * (params - global_parameters)
@@ -82,7 +84,6 @@ class ScaffoldStrategy(ServerRoundStrategy):
         self._steps_before: Optional[np.ndarray] = None
 
     def _setup(self, cluster: SimulatedCluster) -> None:
-        super()._setup(cluster)
         self._server_variate = np.zeros(cluster.model_dimension, dtype=cluster.dtype)
         self._worker_variates = np.zeros_like(cluster.parameter_matrix)
 
@@ -118,7 +119,7 @@ class ScaffoldStrategy(ServerRoundStrategy):
         rows = participants.indices(cluster.num_workers)
         steps = np.maximum((self._steps(cluster) - self._steps_before)[rows], 1)
         scale = (steps * self.local_learning_rate_hint).astype(cluster.dtype)[:, None]
-        local_update = self._global_parameters - cluster.parameter_matrix[rows]
+        local_update = cluster.shared_parameters - cluster.parameter_matrix[rows]
         self._worker_variates[rows] = (
             self._worker_variates[rows] - self._server_variate + local_update / scale
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.compression import Compressor
 from repro.core.fda import FDATrainer
 from repro.core.monitor import VarianceMonitor, make_monitor
 from repro.core.theta import DynamicThetaController
@@ -25,17 +24,12 @@ class FDAStrategy(Strategy):
     ``variant`` selects the monitor: ``"linear"`` (LinearFDA), ``"sketch"``
     (SketchFDA) or ``"exact"`` (the ablation monitor).  ``threshold`` is the
     paper's Θ.  An optional :class:`DynamicThetaController` enables the
-    future-work bandwidth-targeting extension, and an optional ``compressor``
-    installs collective-level compression on the attached cluster so every
-    triggered synchronization exchanges compressed model deltas instead of
-    full-precision parameters (Section 2: FDA is orthogonal to compression).
-    A cluster whose workload already configured compression
-    (``WorkloadConfig.compression``) needs no ``compressor`` here — FDA's
-    syncs go through ``cluster.synchronize`` and compress automatically.
-    Note one deliberate change from the pre-subsystem wrapper: compressed
-    triggered syncs now also average (and charge) non-trainable buffers,
-    exactly like uncompressed FDA with ``sync_buffers=True`` — the legacy
-    plug-in synchronizer silently skipped batch-norm statistics.
+    future-work bandwidth-targeting extension.  On a cluster built with
+    collective-level compression (``WorkloadConfig.compression``) every
+    triggered synchronization goes through ``cluster.synchronize`` and
+    exchanges compressed model deltas instead of full-precision parameters
+    (Section 2: FDA is orthogonal to compression), with non-trainable buffers
+    averaged and charged exactly as on the uncompressed path.
 
     Partial participation comes from the cluster's timeline: the underlying
     :class:`FDATrainer` samples the per-step mask and only active workers
@@ -54,7 +48,6 @@ class FDAStrategy(Strategy):
         seed: int = 0,
         theta_controller: Optional[DynamicThetaController] = None,
         monitor: Optional[VarianceMonitor] = None,
-        compressor: Optional[Compressor] = None,
     ) -> None:
         super().__init__()
         if threshold < 0:
@@ -66,13 +59,10 @@ class FDAStrategy(Strategy):
         self.seed = int(seed)
         self.theta_controller = theta_controller
         self._explicit_monitor = monitor
-        self.compressor = compressor
         self._trainer: Optional[FDATrainer] = None
         self.name = {"linear": "LinearFDA", "sketch": "SketchFDA", "exact": "ExactFDA"}.get(
             variant, f"FDA[{variant}]"
         )
-        if compressor is not None:
-            self.name = f"{self.name}+{compressor.name}"
 
     def _setup(self, cluster: SimulatedCluster) -> None:
         monitor = self._explicit_monitor or make_monitor(
@@ -82,11 +72,6 @@ class FDAStrategy(Strategy):
             sketch_width=self.sketch_width,
             seed=self.seed,
         )
-        if self.compressor is not None:
-            # Strategy-level compressor: install it as the cluster's
-            # collective-level compression; the trainer's default
-            # cluster.synchronize path then exchanges compressed drifts.
-            cluster.enable_compression(self.compressor)
         self._trainer = FDATrainer(
             cluster,
             monitor,

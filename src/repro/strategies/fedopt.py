@@ -7,7 +7,9 @@ and hence the execution engine, one client → server model upload, a new
 global model, its broadcast.  :class:`ServerRoundStrategy` is that round,
 once; a strategy adds three hooks — the gradient transform its epochs run
 under, what the upload carries, how the participants' mean becomes the new
-global model — and the server state a checkpoint must hold.
+global model — and the server state a checkpoint must hold.  The global model
+itself is the cluster's :attr:`~repro.distributed.cluster.SimulatedCluster.shared_parameters`:
+the round's broadcast writes it, the hooks read it.
 
 FedOpt's hook is a server optimizer applied to the negative average client
 update; the round moves the same full-model AllReduce volume as a
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.distributed.cluster import CATEGORY_MODEL, SimulatedCluster
 from repro.distributed.participation import Participation
-from repro.exceptions import ConfigurationError, ExperimentError
+from repro.exceptions import ConfigurationError
 from repro.optim.server import FedAdam, FedAvgM, ServerOptimizer
 from repro.strategies.base import Strategy
 
@@ -44,10 +46,6 @@ class ServerRoundStrategy(Strategy):
         if local_epochs <= 0:
             raise ConfigurationError(f"local_epochs must be positive, got {local_epochs}")
         self.local_epochs = int(local_epochs)
-        self._global_parameters: Optional[np.ndarray] = None
-
-    def _setup(self, cluster: SimulatedCluster) -> None:
-        self._global_parameters = cluster.workers[0].get_parameters()
 
     @property
     def steps_per_round(self) -> int:
@@ -64,10 +62,9 @@ class ServerRoundStrategy(Strategy):
         # hold nobody, and a weighted cohort votes by data size.
         participants = cluster.participants
         client_models = self._upload(cluster)
-        self._global_parameters = self._new_global(
-            cluster, participants, participants.mean(client_models)
+        cluster.broadcast_parameters(
+            self._new_global(cluster, participants, participants.mean(client_models))
         )
-        cluster.broadcast_parameters(self._global_parameters)
         if cluster.buffer_matrix.shape[1]:
             cluster.buffer_matrix[cluster.members.rows] = cluster.average_buffers()
         cluster.synchronization_count += 1
@@ -83,12 +80,13 @@ class ServerRoundStrategy(Strategy):
         """Charge the round's client → server traffic; return the models as received:
         the live ``(K, d)`` matrix on the exact path, the global model plus the
         reconstructed drifts when the cluster compresses its collectives."""
-        return cluster.gather_models(self._global_parameters, CATEGORY_MODEL)
+        return cluster.gather_models(CATEGORY_MODEL)
 
     def _new_global(
         self, cluster: SimulatedCluster, participants: Participation, mean: np.ndarray
     ) -> np.ndarray:
-        """The new global model, given the participants' ``mean`` model."""
+        """The new global model, given the participants' ``mean`` model (the
+        old one is still ``cluster.shared_parameters``)."""
         return mean
 
     # -- checkpointing -----------------------------------------------------------
@@ -101,25 +99,11 @@ class ServerRoundStrategy(Strategy):
         """Resume from :meth:`_server_state`."""
 
     def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        state["server_round"] = {
-            "global_parameters": self._global_parameters.copy(),
-            "server": self._server_state(),
-        }
-        return state
+        return {**super().checkpoint_state(), "server_round": self._server_state()}
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        # FedOpt checkpoints written before the shared round keep their key.
-        payload = state.get("server_round", state.get("fedopt"))
-        if payload is None:
-            raise ExperimentError(
-                f"this checkpoint of {self.name} holds no server-round state (global "
-                "model, server optimizer or control variates) and cannot resume "
-                "exactly; it predates the shared server round — rerun from the start"
-            )
-        self._global_parameters = payload["global_parameters"]
-        self._load_server_state(payload["server"])
+        self._load_server_state(state["server_round"])
 
 
 class FedOptStrategy(ServerRoundStrategy):
@@ -133,12 +117,11 @@ class FedOptStrategy(ServerRoundStrategy):
         self.name = f"Fed{type(server_optimizer).__name__.replace('Fed', '')}"
 
     def _setup(self, cluster: SimulatedCluster) -> None:
-        super()._setup(cluster)
         self.server_optimizer.reset()
 
     def _new_global(self, cluster, participants, mean) -> np.ndarray:
         # The server sees one client: the participants' average.
-        return self.server_optimizer.aggregate(self._global_parameters, [mean])
+        return self.server_optimizer.aggregate(cluster.shared_parameters, [mean])
 
     def _server_state(self) -> dict:
         return self.server_optimizer.state_dict()

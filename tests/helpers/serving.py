@@ -61,7 +61,7 @@ def served_snapshot(trainer: RecordingTrainer) -> dict:
         "fabric": cluster.fabric.state_dict(),
         # The loss plan's retransmission stream and log.
         "injector": None if cluster.faults is None else cluster.faults.state_dict(),
-        "clock": (timeline.now, timeline.compute_seconds, timeline.comm_seconds),
+        "clock": (timeline.now, timeline.compute_seconds, cluster.fabric.comm_seconds),
         "latency": trainer.latency.ledger.values().tolist(),
         "report": {key: repr(value) for key, value in trainer.report().to_dict().items()},
         "produced": trainer._update_seq,

@@ -48,6 +48,7 @@ from repro.compression import (
     get_compression,
     make_compressor,
 )
+from repro.core.variance import model_variance
 from repro.distributed.comm import BYTES_PER_ELEMENT
 from repro.distributed.topology import NAMED_TOPOLOGIES, Fabric, get_topology
 from repro.exceptions import ConfigurationError, ShapeError
@@ -687,7 +688,7 @@ class TestClusterIntegration:
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())
         cluster.step_all()
         cluster.synchronize()
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
 
     @pytest.mark.parametrize(
         "strategy_factory",
@@ -713,7 +714,7 @@ class TestClusterIntegration:
             < plain_cluster.tracker.bytes_for("model-sync")
         )
 
-    def test_enable_compression_binds_the_model_layout(self, blobs_workload):
+    def test_constructor_binds_the_model_layout(self, blobs_workload):
         cluster, _ = build_cluster(
             blobs_workload.with_compression(
                 CompressionConfig("layerwise-topk", ratio=0.25)
@@ -723,18 +724,6 @@ class TestClusterIntegration:
         cluster.step_all()
         cluster.synchronize()  # would raise without a bound layout
         assert cluster.compression_label == "layerwise-topk(ratio=0.25)"
-
-    def test_allreduce_with_explicit_compression_kernel(self, blobs_workload):
-        cluster, _ = build_cluster(blobs_workload)
-        vectors = np.random.default_rng(0).normal(size=(cluster.num_workers, 40))
-        compressor = QuantizationCompressor(8)
-        bytes_before = cluster.total_bytes
-        averaged = cluster.allreduce(vectors, "other", compression=compressor)
-        charged = cluster.total_bytes - bytes_before
-        assert charged == compressor.transmitted_elements(40) * 8 * cluster.num_workers
-        np.testing.assert_allclose(
-            averaged, compressor.compress_rows(vectors).mean(), rtol=0, atol=0
-        )
 
 
 class TestConfigThreading:

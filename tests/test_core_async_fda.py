@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.monitor import ExactMonitor, LinearMonitor
 from repro.core.timeline import StragglerProfile
+from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
@@ -155,7 +156,7 @@ class TestStragglerBehaviour:
         for _ in range(40):
             event = trainer.serve_next()
             if event.synchronized:
-                assert trainer.cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+                assert model_variance(trainer.cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
         # The asynchronous protocol checks the invariant only when every worker
         # has reported at least once, so allow slack of one step's drift.
-        assert trainer.cluster.model_variance() < 10 * theta
+        assert model_variance(trainer.cluster.parameter_matrix) < 10 * theta

@@ -6,6 +6,7 @@ import pytest
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor
 from repro.core.theta import DynamicThetaController
+from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
@@ -83,9 +84,9 @@ class TestStepBehaviour:
     def test_sync_resets_variance_and_reference(self):
         trainer = make_trainer(0.0)
         trainer.step()
-        assert trainer.cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(trainer.cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(
-            trainer.reference_parameters, trainer.cluster.workers[0].get_parameters()
+            trainer.cluster.shared_parameters, trainer.cluster.workers[0].get_parameters()
         )
 
     def test_estimate_reported(self):
@@ -107,14 +108,14 @@ class TestRoundInvariant:
         trainer = make_trainer(theta, monitor=ExactMonitor())
         for _ in range(25):
             trainer.step()
-            assert trainer.cluster.model_variance() <= theta + 1e-9
+            assert model_variance(trainer.cluster.parameter_matrix) <= theta + 1e-9
 
     def test_linear_monitor_maintains_round_invariant(self):
         theta = 0.2
         trainer = make_trainer(theta, monitor=LinearMonitor(dimension=147, seed=0))
         for _ in range(25):
             trainer.step()
-            assert trainer.cluster.model_variance() <= theta + 1e-9
+            assert model_variance(trainer.cluster.parameter_matrix) <= theta + 1e-9
 
     def test_sketch_monitor_roughly_maintains_round_invariant(self):
         theta = 0.2
@@ -122,7 +123,7 @@ class TestRoundInvariant:
         violations = 0
         for _ in range(25):
             trainer.step()
-            if trainer.cluster.model_variance() > theta * 1.1:
+            if model_variance(trainer.cluster.parameter_matrix) > theta * 1.1:
                 violations += 1
         assert violations <= 2  # the guarantee is probabilistic
 
@@ -139,9 +140,9 @@ class TestForceSynchronizationAndDynamicTheta:
     def test_force_synchronization(self):
         trainer = make_trainer(1e9)
         trainer.run_steps(5)
-        assert trainer.cluster.model_variance() > 0
+        assert model_variance(trainer.cluster.parameter_matrix) > 0
         trainer.force_synchronization()
-        assert trainer.cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(trainer.cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
         assert trainer.synchronization_count == 1
 
     def test_dynamic_theta_reacts_to_traffic(self):

@@ -52,24 +52,17 @@ class TestCostModel:
 class TestTracker:
     def test_accumulates_by_category(self):
         tracker = CommunicationTracker()
-        tracker.record_allreduce(100, 4, "model-sync")
-        tracker.record_allreduce(2, 4, "fda-state")
-        tracker.record_allreduce(2, 4, "fda-state")
-        assert tracker.bytes_for("model-sync") == 100 * 4 * 4
-        assert tracker.bytes_for("fda-state") == 2 * 2 * 4 * 4
+        tracker.record_transfer(1600, "model-sync")
+        tracker.record_transfer(32, "fda-state")
+        tracker.record_transfer(32, "fda-state")
+        assert tracker.bytes_for("model-sync") == 1600
+        assert tracker.bytes_for("fda-state") == 64
         assert tracker.operations_for("fda-state") == 2
         assert tracker.total_bytes == tracker.bytes_for("model-sync") + tracker.bytes_for("fda-state")
 
-    def test_reset(self):
-        tracker = CommunicationTracker()
-        tracker.record_allreduce(10, 2, "x")
-        tracker.reset()
-        assert tracker.total_bytes == 0
-        assert tracker.operations_for("x") == 0
-
     def test_snapshot(self):
         tracker = CommunicationTracker()
-        tracker.record_broadcast(10, 3, "model-sync")
+        tracker.record_transfer(120, "model-sync")
         snapshot = tracker.snapshot()
         assert snapshot["total_bytes"] == tracker.total_bytes
         assert "model-sync" in snapshot["bytes_by_category"]

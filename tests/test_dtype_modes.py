@@ -6,10 +6,8 @@ threading through the stack:
 * dtype resolution — explicit ``dtype=`` wins, otherwise the cluster inherits
   the workers' (uniform) model dtype, and mixed-dtype worker sets are a
   configuration error;
-* the no-copy collective fast path — an already-stacked ``(K, n)`` matrix in
-  the plane dtype flows through ``allreduce`` without the silent full-matrix
-  ``astype`` copy the old hardcoded-float64 comparison forced, and the
-  uncompressed ``gather_models`` returns the live parameter matrix;
+* the no-copy collective fast path — the uncompressed ``gather_models``
+  returns the live parameter matrix;
 * conservation — on every topology, a float32 run charges *exactly* half the
   uncompressed sync bytes of the equivalent float64 run (4 vs 8 B/element);
 * configuration surface — ``WorkloadConfig.dtype`` / ``with_dtype``, the
@@ -108,26 +106,11 @@ class TestClusterDtypeResolution:
 
 
 # ---------------------------------------------------------------------------
-# The no-copy collective fast path (satellite: allreduce / gather_models)
+# The no-copy collective fast path (gather_models)
 # ---------------------------------------------------------------------------
 
 
 class TestCollectiveNoCopy:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_stack_vectors_keeps_a_matching_matrix(self, dtype):
-        cluster = make_cluster("sequential", num_workers=3, dtype=dtype)
-        matrix = np.ones((3, 10), dtype=cluster.dtype)
-        stacked = cluster._stack_vectors(matrix)
-        assert stacked is matrix  # no astype copy, no re-stack
-        assert np.shares_memory(stacked, matrix)
-
-    def test_stack_vectors_casts_a_mismatched_matrix(self):
-        cluster = make_cluster("sequential", num_workers=3, dtype="float32")
-        matrix = np.ones((3, 10), dtype=np.float64)
-        stacked = cluster._stack_vectors(matrix)
-        assert stacked.dtype == np.float32
-        assert not np.shares_memory(stacked, matrix)
-
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_uncompressed_gather_models_returns_the_live_plane(self, dtype):
         cluster = make_cluster("sequential", num_workers=3, dtype=dtype)
@@ -150,7 +133,7 @@ class TestByteConservation:
                 "sequential", num_workers=4, dtype=dtype, topology=topology
             )
             cluster.synchronize()
-            cluster.allreduce(np.ones((4, 33), dtype=cluster.dtype), "other")
+            cluster.charge_allreduce(33, "other")
             cluster.gather_models()
             totals[dtype] = cluster.total_bytes
         assert totals["float64"] == 2 * totals["float32"]
@@ -201,7 +184,7 @@ class TestWorkloadConfigSurface:
     def test_build_cluster_threads_the_dtype(self, dtype):
         cluster, _ = build_cluster(_blobs_workload(dtype=dtype))
         assert cluster.dtype_name == dtype
-        assert cluster.tracker.cost_model.bytes_per_element == itemsize(dtype)
+        assert cluster.fabric.cost_model.bytes_per_element == itemsize(dtype)
 
     @pytest.mark.float32_smoke
     @pytest.mark.parametrize("execution", ["sequential", "batched"])
@@ -227,7 +210,7 @@ class TestWorkloadConfigSurface:
         result = strategy.run_round()
         assert np.isfinite(result.mean_loss) and result.synchronized
         assert cluster.parameter_matrix.dtype == np.float32
-        assert strategy._global_parameters.dtype == np.float32
+        assert cluster.shared_parameters.dtype == np.float32
         if isinstance(strategy, ScaffoldStrategy):
             assert strategy._worker_variates.dtype == np.float32
             assert strategy._server_variate.dtype == np.float32

@@ -4,7 +4,8 @@ and result persistence."""
 import numpy as np
 import pytest
 
-from repro.compression import QuantizationCompressor, TopKCompressor
+from repro.compression import CompressionConfig
+from repro.core.variance import model_variance
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.results import compare_strategies
@@ -28,16 +29,20 @@ def run_on(workload, strategy, run=RUN):
     return run.execute(strategy, cluster, test_dataset, workload_name=workload.name)
 
 
+QUANTIZED = CompressionConfig("quantization", bits=8)
+
+
 class TestCompressedFda:
-    def test_name_includes_compressor(self):
-        strategy = FDAStrategy(threshold=1.0, compressor=QuantizationCompressor(8))
-        assert strategy.name == "LinearFDA+quantization"
+    def test_run_result_names_the_compression(self, blobs_workload):
+        result = run_on(blobs_workload.with_compression(QUANTIZED), FDAStrategy(threshold=1.0))
+        assert result.strategy == "LinearFDA"
+        assert result.compression == "quantization(bits=8)"
 
     def test_compressed_sync_reduces_model_traffic(self, blobs_workload):
         plain = run_on(blobs_workload, FDAStrategy(threshold=0.1, variant="linear"))
         compressed = run_on(
-            blobs_workload,
-            FDAStrategy(threshold=0.1, variant="linear", compressor=QuantizationCompressor(8)),
+            blobs_workload.with_compression(QUANTIZED),
+            FDAStrategy(threshold=0.1, variant="linear"),
         )
         assert plain.synchronizations > 0
         assert compressed.reached_target
@@ -47,20 +52,18 @@ class TestCompressedFda:
 
     def test_topk_compressed_fda_still_converges(self, blobs_workload):
         result = run_on(
-            blobs_workload,
-            FDAStrategy(threshold=0.5, variant="linear", compressor=TopKCompressor(0.25)),
+            blobs_workload.with_compression(CompressionConfig("topk", ratio=0.25)),
+            FDAStrategy(threshold=0.5, variant="linear"),
             TrainingRun(accuracy_target=0.85, max_steps=200, eval_every_steps=20),
         )
         assert result.reached_target
 
     def test_workers_agree_after_compressed_sync(self, blobs_workload):
-        cluster, _ = build_cluster(blobs_workload)
-        strategy = FDAStrategy(
-            threshold=0.0, variant="exact", compressor=QuantizationCompressor(8)
-        ).attach(cluster)
+        cluster, _ = build_cluster(blobs_workload.with_compression(QUANTIZED))
+        strategy = FDAStrategy(threshold=0.0, variant="exact").attach(cluster)
         for _ in range(3):
             strategy.run_round()
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
 
 
 class TestTauSchedules:

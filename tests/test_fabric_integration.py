@@ -127,7 +127,7 @@ class TestVirtualTime:
         strategy = SynchronousStrategy().attach(cluster)
         rounds = [strategy.run_round() for _ in range(3)]
         assert cluster.virtual_time == pytest.approx(3.0)  # one second per step
-        assert cluster.timeline.comm_seconds == 0.0
+        assert cluster.fabric.comm_seconds == 0.0
         assert all(r.virtual_seconds == pytest.approx(1.0) for r in rounds)
 
     def test_network_model_adds_communication_time(self):
@@ -136,7 +136,7 @@ class TestVirtualTime:
         for cluster in (timeless, timed):
             SynchronousStrategy().attach(cluster).run_round()
         assert timed.virtual_time > timeless.virtual_time
-        assert timed.timeline.comm_seconds > 0
+        assert timed.fabric.comm_seconds > 0
         # Same protocol, same traffic — only the clock differs.
         assert timed.total_bytes == timeless.total_bytes
 
@@ -211,12 +211,12 @@ class TestTimelineOwnership:
                 make_cluster(num_workers=4), ExactMonitor(), 1.0, CLOSED, timeline=Timeline(3)
             )
 
-    def test_async_upload_seconds_land_in_both_comm_ledgers(self):
+    def test_async_upload_seconds_land_in_the_fabric_ledger(self):
         cluster = make_cluster(network="fl")
         trainer = ServedFDATrainer(cluster, ExactMonitor(), 1e9, CLOSED, seed=0)
         trainer.serve_updates(8)
         assert cluster.fabric.comm_seconds > 0
-        assert cluster.timeline.comm_seconds == pytest.approx(cluster.fabric.comm_seconds)
+        assert not hasattr(cluster.timeline, "comm_seconds")  # one ledger
 
 
 class TestWorkloadCopyHelpers:
@@ -346,27 +346,3 @@ class TestFabricSweep:
         assert loaded.virtual_seconds == pytest.approx(result.virtual_seconds)
         assert loaded.comm_seconds == pytest.approx(result.comm_seconds)
 
-
-class TestVectorizedAllreduce:
-    def test_matrix_fast_path_matches_list_path(self):
-        cluster = make_cluster(num_workers=3)
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(3, 17))
-        from_list = cluster.allreduce([row for row in matrix], "other")
-        from_matrix = cluster.allreduce(matrix, "other")
-        np.testing.assert_array_equal(from_list, from_matrix)
-        # Both paths charged the same bytes.
-        assert cluster.tracker.bytes_for("other") == 2 * 17 * 8 * 3
-
-    def test_matrix_fast_path_validates_row_count(self):
-        from repro.exceptions import CommunicationError
-
-        cluster = make_cluster(num_workers=3)
-        with pytest.raises(CommunicationError):
-            cluster.allreduce(np.zeros((2, 5)), "other")
-
-    def test_matrix_fast_path_avoids_copy_for_float64(self):
-        cluster = make_cluster(num_workers=3)
-        matrix = np.ones((3, 8), dtype=np.float64)
-        result = cluster.allreduce(matrix, "other")
-        np.testing.assert_allclose(result, 1.0)

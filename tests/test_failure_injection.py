@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor
+from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
@@ -59,7 +60,7 @@ class TestDegenerateConfigurations:
         cluster.synchronize()
         np.testing.assert_array_equal(worker.get_parameters(), before)
         assert cluster.total_bytes == 0
-        assert cluster.model_variance() == 0.0
+        assert model_variance(cluster.parameter_matrix) == 0.0
 
     def test_fda_with_single_worker_never_synchronizes_meaningfully(self):
         data = gaussian_blobs(60, feature_dim=6, num_classes=3, seed=0)
@@ -69,7 +70,7 @@ class TestDegenerateConfigurations:
         trainer.run_steps(5)
         # Variance of a single model is identically zero, so even Theta=0 only
         # triggers when the estimate is strictly positive — it never is.
-        assert cluster.model_variance() == 0.0
+        assert model_variance(cluster.parameter_matrix) == 0.0
 
     def test_shard_smaller_than_batch_size(self):
         worker = make_worker(num_samples=5, batch_size=16)
@@ -87,7 +88,7 @@ class TestDegenerateConfigurations:
         cluster = SimulatedCluster(workers)
         cluster.step_all()
         cluster.synchronize()
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
 
     def test_untrained_model_evaluates_near_chance(self):
         data = gaussian_blobs(300, feature_dim=6, num_classes=3, seed=0)

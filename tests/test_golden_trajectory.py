@@ -367,7 +367,7 @@ class TestFabricDefaultEquivalence:
         trainer = build_trainer("linear", "adam")
         results = trainer.run_steps(steps)
         assert trainer.cluster.virtual_time == pytest.approx(float(steps))
-        assert trainer.cluster.timeline.comm_seconds == 0.0
+        assert trainer.cluster.fabric.comm_seconds == 0.0
         assert results[-1].virtual_time == pytest.approx(float(steps))
 
 

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro.strategies
 from repro.compression import CompressionConfig
-from repro.compression.kernels import QuantizationCompressor, TopKCompressor
 from repro.core.monitor import make_monitor
 from repro.core.theta import DynamicThetaController
 from repro.data.synthetic import gaussian_blobs
@@ -338,7 +337,6 @@ SPEC_VALUES = {
         "seed": (0, 1),
         "theta_controller": (None, DynamicThetaController(1e3), DynamicThetaController(1e4)),
         "monitor": (None, make_monitor("linear", 10, seed=0), make_monitor("sketch", 10, seed=0)),
-        "compressor": (None, TopKCompressor(fraction=0.1), QuantizationCompressor(bits=8)),
     },
     FedProxStrategy: {"mu": (0.01, 0.5), "local_epochs": (1, 2)},
     ScaffoldStrategy: {"local_epochs": (1, 2), "local_learning_rate_hint": (0.01, 0.05)},

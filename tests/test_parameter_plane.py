@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.variance import model_variance
 from repro.data.datasets import Dataset
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
@@ -185,4 +186,4 @@ class TestClusterParameterMatrix:
         average = cluster.synchronize()
         np.testing.assert_array_equal(cluster.parameter_matrix, np.broadcast_to(
             average, cluster.parameter_matrix.shape))
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.fda import FDATrainer
 from repro.core.monitor import make_monitor
+from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
@@ -94,7 +95,7 @@ class TestAccountingInvariants:
         trainer = FDATrainer(cluster, monitor, theta)
         for _ in range(8):
             result = trainer.step()
-            variance = cluster.model_variance()
+            variance = model_variance(cluster.parameter_matrix)
             assert variance >= 0.0
             if result.synchronized:
                 assert variance == pytest.approx(0.0, abs=1e-15)

@@ -654,7 +654,7 @@ def assert_matches_closed_golden(execution, cell):
     ] == golden["estimates"]
     assert served.virtual_time == golden["virtual_time"]
     assert served.timeline.compute_seconds == golden["compute_seconds"]
-    assert served.timeline.comm_seconds == golden["comm_seconds"]
+    assert served.cluster.fabric.comm_seconds == golden["comm_seconds"]
     assert served.cluster.total_bytes == golden["total_bytes"]
     assert served.sync_count == golden["sync_count"]
     assert (

@@ -103,6 +103,19 @@ Every layer has a kernel and every epoch is an engine epoch now, and
     ``nn/batched.py`` defines no ``Batched<parameter-free layer>`` class; and
     no class in ``nn/layers.py`` but ``Layer`` defines one of the six array
     accessors.
+
+The model shared at the last synchronization was once held three times (FDA's
+``w_{t0}``, the compression reference, the server round's global model) and
+rotated in step by three owners; communication seconds and churn were each
+booked twice.  Every fact has one owner now, and
+
+13. under ``src/`` nothing names the retired copies (``_reference`` other
+    than ``_previous_reference``, ``_global_parameters``, ``set_reference``,
+    ``enable_compression``, ``churn_events``, ``note_communication``);
+    ``comm_seconds`` is accumulated only in ``distributed/topology.py`` (the
+    fabric); and the cluster's shared-model attribute is assigned only in
+    ``SimulatedCluster.broadcast_parameters``, ``synchronize`` and
+    ``load_state_dict`` (and set to ``None`` in ``__init__``).
 """
 
 from __future__ import annotations
@@ -201,7 +214,7 @@ def test_one_event_heap_and_one_reference_rotation():
     rotations = [
         module
         for module, source in _sources()
-        for _ in range(source.count("_previous_reference = self._reference"))
+        for _ in range(source.count("_previous_reference = self.cluster.shared_parameters"))
     ]
     assert rotations == ["core/fda.py"], (
         "the reference rotation belongs to FDAProtocol._complete_synchronization "
@@ -607,3 +620,57 @@ def test_allowlist_entries_are_live():
     assert not stale, f"FOREIGN_PRIVATE_ALLOWLIST names vanished code: {stale}"
     missing = [module for module in STATE_CONSUMERS if not (SRC_ROOT / module).exists()]
     assert not missing, f"STATE_CONSUMERS names deleted modules: {missing}"
+
+
+#: The retired second copies of the shared model, the comm-seconds ledger and
+#: the churn ledger, and the compression side door.
+_RETIRED_COPY_NAMES = re.compile(
+    r"\b(_reference|_global_parameters|set_reference|enable_compression"
+    r"|churn_events|note_communication)\b"
+)
+
+
+def _assigned_attributes(tree, attribute: str, augmented: bool):
+    """``function`` name of every (augmented) assignment to ``<x>.attribute``."""
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if augmented and isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                elif not augmented and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                else:
+                    continue
+                if any(getattr(t, "attr", None) == attribute for t in targets):
+                    yield function.name
+
+
+def test_one_owner_per_fact():
+    spelled = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        for number, line in enumerate(source.splitlines(), 1)
+        if _RETIRED_COPY_NAMES.search(line)
+    ]
+    assert not spelled, (
+        "a second owner of the shared model, the communication seconds or the "
+        "churn record — read cluster.shared_parameters / fabric.comm_seconds / "
+        "faults.log instead:\n" + "\n".join(spelled)
+    )
+    trees = {module: ast.parse(source) for module, source in _sources()}
+    accumulators = sorted(
+        module for module, tree in trees.items()
+        if any(_assigned_attributes(tree, "comm_seconds", augmented=True))
+    )
+    assert accumulators == ["distributed/topology.py"], (
+        f"communication seconds are booked by the Fabric alone: {accumulators}"
+    )
+    writers = sorted(
+        (module, function)
+        for module, tree in trees.items()
+        for function in _assigned_attributes(tree, "_shared_parameters", augmented=False)
+    )
+    assert writers == [
+        ("distributed/cluster.py", name)
+        for name in ("__init__", "broadcast_parameters", "load_state_dict", "synchronize")
+    ], f"the shared model is written by broadcast and sync alone: {writers}"

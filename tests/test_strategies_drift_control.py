@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.variance import model_variance
 from repro.distributed.cluster import CATEGORY_MODEL
 from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError
@@ -32,7 +33,7 @@ class TestFedProx:
         result = strategy.run_round()
         assert result.synchronized
         assert result.steps_advanced == strategy.steps_per_round
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
 
     def test_communication_matches_fedavg(self, blobs_workload):
         prox_cluster, _ = build_cluster(blobs_workload)
@@ -84,7 +85,7 @@ class TestScaffold:
         strategy = ScaffoldStrategy().attach(cluster)
         result = strategy.run_round()
         assert result.synchronized
-        assert cluster.model_variance() == pytest.approx(0.0, abs=1e-18)
+        assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
 
     def test_communication_is_twice_fedavg(self, blobs_workload):
         scaffold_cluster, _ = build_cluster(blobs_workload)
@@ -145,8 +146,8 @@ class TestRoundParticipation:
         for _ in range(5):
             strategy.run_round()
         assert cluster.faults.round_index == 5
-        kinds = [kind for _, kind, _ in cluster.timeline.churn_events]
-        assert "crash" in kinds and "rejoin" in kinds
+        log = cluster.faults.log
+        assert log.crashes and log.rejoins
 
     def test_dead_worker_is_byte_untouched(self, blobs_workload, make_strategy):
         # A vanishingly small crash rate keeps churn active without ever

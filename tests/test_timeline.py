@@ -120,7 +120,6 @@ class TestEventMode:
         timeline.schedule_step(0, start_time=0.0)  # completes at t=1
         timeline.add_communication(2.5)
         assert timeline.now == pytest.approx(2.5)
-        assert timeline.comm_seconds == pytest.approx(2.5)
         time, _, worker, _ = timeline.pop_event()
         assert worker == 0
         assert time == pytest.approx(3.5)  # 1.0 compute + 2.5 barrier
