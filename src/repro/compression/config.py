@@ -22,7 +22,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.compression.kernels import (
@@ -89,10 +89,6 @@ class CompressionConfig:
         suffix = "+ef" if self.error_feedback else ""
         return f"{self.compressor}({knob}){suffix}" if knob else f"{self.compressor}{suffix}"
 
-    def with_error_feedback(self, error_feedback: bool = True) -> "CompressionConfig":
-        """A copy of this config with error feedback toggled."""
-        return replace(self, error_feedback=bool(error_feedback))
-
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON form (for persisted results and sweep records)."""
         return {
@@ -102,18 +98,6 @@ class CompressionConfig:
             "error_feedback": self.error_feedback,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "CompressionConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            compressor=str(payload.get("compressor", "topk")),
-            ratio=float(payload.get("ratio", 0.1)),
-            bits=int(payload.get("bits", 8)),
-            error_feedback=bool(payload.get("error_feedback", False)),
-            seed=int(payload.get("seed", 0)),
-        )
-
 
 #: Anything callers may pass where a compression setting is expected.
 CompressionSpec = Union[None, str, CompressionConfig]

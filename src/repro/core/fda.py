@@ -228,14 +228,6 @@ class FDATrainer(FDAProtocol):
             raise ConfigurationError(f"num_steps must be non-negative, got {num_steps}")
         return [self.step() for _ in range(num_steps)]
 
-    def force_synchronization(self) -> np.ndarray:
-        """Synchronize immediately regardless of the variance estimate.
-
-        Used by callers that want a final consolidation before evaluating the
-        global model (e.g. at the very end of training).
-        """
-        return self._complete_synchronization(include_buffers=self.sync_buffers)
-
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> dict:

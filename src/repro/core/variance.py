@@ -65,12 +65,6 @@ def variance_from_drifts(drifts: Sequence[np.ndarray]) -> float:
     return mean_sq_norm - float(np.dot(average_drift, average_drift))
 
 
-def mean_squared_drift_norm(drifts: Sequence[np.ndarray]) -> float:
-    """The first term of Eq. 4: (1/K) Σ_k ‖u_t^{(k)}‖²."""
-    matrix = _as_matrix(drifts)
-    return float(np.mean(np.sum(matrix * matrix, axis=1)))
-
-
 def average_drift(drifts: Sequence[np.ndarray]) -> np.ndarray:
     """The global drift ū_t = (1/K) Σ_k u_t^{(k)}."""
     matrix = _as_matrix(drifts)

@@ -219,25 +219,3 @@ def synthetic_mnist_pair(
     from repro.data.datasets import train_test_split
 
     return train_test_split(full, test_fraction=num_test / (num_train + num_test), seed=seed)
-
-
-def synthetic_cifar_pair(
-    num_train: int = 2000,
-    num_test: int = 500,
-    image_size: int = 12,
-    num_classes: int = 10,
-    noise: float = 0.35,
-    seed: Optional[int] = 0,
-) -> Tuple[Dataset, Dataset]:
-    """Convenience: a train/test pair of :func:`synthetic_cifar` samples.
-
-    See :func:`synthetic_mnist_pair` for why both splits are drawn from one
-    generated dataset.
-    """
-    full = synthetic_cifar(
-        num_train + num_test, image_size, 3, num_classes, noise, seed=seed,
-        name="synthetic-cifar",
-    )
-    from repro.data.datasets import train_test_split
-
-    return train_test_split(full, test_fraction=num_test / (num_train + num_test), seed=seed)

@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import resolve_dtype
+from repro.backend import resolve_dtype, row_shards, run_shards, shard_bounds
 from repro.data.datasets import Dataset
 from repro.distributed.comm import CommunicationCostModel
 from repro.distributed.engine import ClusterEngine, build_engine
@@ -351,17 +351,27 @@ class SimulatedCluster:
         """All worker drifts ``u_t^{(k)} = w_t^{(k)} − reference`` as a ``(K, d)`` matrix.
 
         One vectorized subtraction replaces the per-worker gather-and-subtract
-        loop.  Without ``out`` the matrix is freshly allocated, so its rows are
-        safe to retain (e.g. inside an :class:`~repro.core.state.ExactState`);
-        with a reusable ``out`` buffer the rows are only valid until the next
-        call that writes into the same buffer.
+        loop, split into row shards when the plane is wide enough
+        (:func:`repro.backend.row_shards`).  Without ``out`` the matrix is
+        freshly allocated, so its rows are safe to retain (e.g. inside an
+        :class:`~repro.core.state.ExactState`); with a reusable ``out`` buffer
+        the rows are only valid until the next call that writes into the same
+        buffer.
         """
         reference = np.asarray(reference, dtype=self.dtype)
         if reference.shape != (self.model_dimension,):
             raise ShapeError(
                 f"reference must have shape ({self.model_dimension},), got {reference.shape}"
             )
-        return np.subtract(self._param_matrix, reference, out=out)
+        rows, width = self._param_matrix.shape
+        shards = row_shards(rows, width)
+        if shards == 1:
+            return np.subtract(self._param_matrix, reference, out=out)
+        if out is None:
+            out = np.empty_like(self._param_matrix)
+        bounds = shard_bounds(rows, shards)
+        run_shards(np.subtract, [(self._param_matrix[a:b], reference, out[a:b]) for a, b in bounds])
+        return out
 
     # -- slot state --------------------------------------------------------------
     #

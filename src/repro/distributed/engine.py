@@ -53,6 +53,12 @@ scenario grid — every model, every strategy — runs on either engine:
 * **Every layer**: composites compute through their children's kernels (see
   :mod:`repro.nn.batched`); only a ``Layer`` subclass from outside
   :mod:`repro.nn.layers` has none and is refused by name at construction.
+* **Every core**: a wide pass runs as row shards, one per core (see
+  :mod:`repro.backend`) — ``train_batch`` and ``step_rows`` here,
+  ``drift_matrix`` and the sketch above.  A batched step keeps two phases:
+  every shard trains, the losses of all rows are checked, then every shard
+  steps — so a divergence in any shard still fails the step atomically.
+  The sampler and the sequential engine stay serial.
 
 Per-worker arithmetic is element-for-element the sequential arithmetic (the
 optimizer step is literally the same rule; the stacked GEMMs may re-associate),
@@ -327,16 +333,6 @@ class BatchedEngine(ClusterEngine):
                 f"execution='batched' needs structurally compatible workers; worker "
                 f"{worker.worker_id}: {'; '.join(problems)}"
             )
-
-    @property
-    def batched_model(self) -> BatchedModel:
-        """The stacked kernel chain (exposed for tests and diagnostics)."""
-        return self._model
-
-    @property
-    def stacked_optimizer(self) -> StackedOptimizer:
-        """The cluster-wide stacked optimizer (per-row state and step counts)."""
-        return self._optimizer
 
     @property
     def gradient_matrix(self) -> np.ndarray:

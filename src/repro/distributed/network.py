@@ -42,30 +42,6 @@ class NetworkModel:
             )
         return (num_bytes * 8.0) / self.bandwidth_bits_per_second + self.latency_seconds * num_operations
 
-    def wall_time(
-        self,
-        communication_bytes: float,
-        num_operations: int,
-        parallel_steps: int,
-        seconds_per_step: float,
-    ) -> float:
-        """Total wall-clock estimate: computation plus communication.
-
-        ``parallel_steps`` is the paper's computation metric (steps performed
-        by each worker, executed in parallel), so computation time is
-        ``parallel_steps * seconds_per_step``.
-        """
-        if parallel_steps < 0:
-            raise ConfigurationError(f"parallel_steps must be non-negative, got {parallel_steps}")
-        if seconds_per_step < 0:
-            raise ConfigurationError(
-                f"seconds_per_step must be non-negative, got {seconds_per_step}"
-            )
-        return parallel_steps * seconds_per_step + self.transfer_time(
-            communication_bytes, num_operations
-        )
-
-
 #: Federated-learning setting from the paper: a shared 0.5 Gbps channel.
 FL_NETWORK = NetworkModel("fl", bandwidth_bits_per_second=0.5e9, latency_seconds=0.05)
 

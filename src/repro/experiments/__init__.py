@@ -21,7 +21,6 @@ from repro.experiments.run import RunResult, TrainingRun
 from repro.experiments.results import (
     ResultsTable,
     compare_strategies,
-    summarize_results,
 )
 from repro.experiments.cache import CODE_VERSION, RunStore
 from repro.experiments.executor import SweepCell, SweepExecutor, execute_cells
@@ -37,7 +36,6 @@ __all__ = [
     "TrainingRun",
     "RunResult",
     "ResultsTable",
-    "summarize_results",
     "compare_strategies",
     "SetupCache",
     "RunStore",

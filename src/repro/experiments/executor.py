@@ -28,6 +28,7 @@ provides exactly that, as the execution substrate under every grid
    Every cell is deterministically seeded by its own configuration, so
    parallel results are bit-identical to serial ones; the parent records
    completions into the store as they arrive, preserving crash-resumability.
+   Each cell process is pinned to one core, so its passes run unsharded.
 """
 
 from __future__ import annotations
@@ -156,6 +157,19 @@ _FORK_SETUP: Optional[SetupCache] = None
 def _run_forked_cell(index: int):
     result = _execute_cell(_FORK_CELLS[index], _FORK_SETUP)
     return index, result_to_dict(result)
+
+
+def _one_core_per_cell_process(counter) -> None:
+    """Fork initializer: pin this cell process to one core, dealt round-robin.
+
+    The processes already use the cores, so a cell's passes run as one row
+    shard: the shard count reads this affinity (:mod:`repro.backend`).
+    """
+    if hasattr(os, "sched_setaffinity"):
+        with counter.get_lock():
+            index, counter.value = counter.value, counter.value + 1
+        cores = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cores[index % len(cores)]})
 
 
 def fork_parallelism_available() -> bool:
@@ -290,7 +304,12 @@ class SweepExecutor:
         _FORK_SETUP = self.setup
         try:
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=context,
+                initializer=_one_core_per_cell_process,
+                initargs=(context.Value("i", 0),),
+            ) as pool:
                 futures = {
                     pool.submit(_run_forked_cell, position): position
                     for position in pending

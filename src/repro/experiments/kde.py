@@ -30,16 +30,6 @@ class KdeSummary:
     spread_log_comm: float
     spread_log_steps: float
 
-    @property
-    def centroid_communication_bytes(self) -> float:
-        """Density centroid mapped back to bytes."""
-        return float(10**self.centroid_log_comm)
-
-    @property
-    def centroid_parallel_steps(self) -> float:
-        """Density centroid mapped back to steps."""
-        return float(10**self.centroid_log_steps)
-
 
 def _log_points(results: Sequence[RunResult]) -> np.ndarray:
     points = np.array(

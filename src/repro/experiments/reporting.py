@@ -8,7 +8,7 @@ paper quotes ("1-2 orders of magnitude less communication").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.experiments.results import ResultsTable, StrategySummary, compare_strategies
 from repro.experiments.run import RunResult
@@ -105,12 +105,3 @@ def format_run_history(result: RunResult, max_rows: int = 12) -> str:
             parts.append(f"train_acc={entry['train_accuracy']:.3f}")
         lines.append("  " + "  ".join(parts))
     return "\n".join(lines)
-
-
-def comparison_ratios(
-    results: Sequence[RunResult], candidate: str, baselines: Sequence[str]
-) -> Dict[str, Dict[str, float]]:
-    """All pairwise comparisons of one candidate against several baselines."""
-    return {
-        baseline: compare_strategies(results, candidate, baseline) for baseline in baselines
-    }

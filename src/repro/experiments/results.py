@@ -11,7 +11,7 @@ benchmark suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -107,11 +107,6 @@ class ResultsTable:
         return [self.summarize(name, reached_only) for name in self.strategies()]
 
 
-def summarize_results(results: Iterable[RunResult], reached_only: bool = True) -> List[StrategySummary]:
-    """Convenience wrapper: collect results and summarize every strategy."""
-    return ResultsTable(results).summaries(reached_only)
-
-
 def compare_strategies(
     results: Iterable[RunResult],
     candidate: str,
@@ -140,15 +135,3 @@ def compare_strategies(
         "candidate_reach_rate": candidate_summary.reach_rate,
         "baseline_reach_rate": baseline_summary.reach_rate,
     }
-
-
-def best_run(
-    results: Sequence[RunResult], strategy: str, metric: str = "communication_bytes"
-) -> RunResult:
-    """The target-reaching run with the smallest ``metric`` for a strategy."""
-    candidates = [r for r in results if r.strategy == strategy and r.reached_target]
-    if not candidates:
-        candidates = [r for r in results if r.strategy == strategy]
-    if not candidates:
-        raise ExperimentError(f"no results recorded for strategy {strategy!r}")
-    return min(candidates, key=lambda r: getattr(r, metric))

@@ -75,11 +75,6 @@ class RunResult:
     history: RunLogger = field(default_factory=RunLogger)
 
     @property
-    def communication_gb(self) -> float:
-        """Communication cost in gigabytes (the unit used in the figures)."""
-        return self.communication_bytes / 1e9
-
-    @property
     def seconds_per_round(self) -> float:
         """Mean virtual seconds per in-parallel learning step (round pacing)."""
         return self.virtual_seconds / max(self.parallel_steps, 1)

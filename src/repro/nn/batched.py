@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from repro.backend import row_shards, run_shards, shard_bounds
 from repro.exceptions import ShapeError
 from repro.nn.functional import im2col, col2im
 from repro.nn.layers import (
@@ -518,6 +519,9 @@ class BatchedModel:
             )
         self.reference = reference
         self.plane = plane
+        self._worker_models = worker_models
+        #: ``(start, stop) ->`` the model over those rows of the same plane.
+        self._shard_models: Dict[Tuple[int, int], BatchedModel] = {}
         self.kernels: List[BatchedKernel] = []
         self._row_aware: List[BatchedKernel] = []
         for index, (layer, (params, grads, buffers)) in enumerate(
@@ -542,7 +546,7 @@ class BatchedModel:
     def num_workers(self) -> int:
         return self.plane.num_workers
 
-    def forward(
+    def _forward(
         self,
         x: np.ndarray,
         training: bool = False,
@@ -555,7 +559,7 @@ class BatchedModel:
             out = kernel.forward(out, training)
         return out
 
-    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
+    def _backward(self, grad_output: np.ndarray, input_gradient: bool = True):
         """∂L/∂input; ``train_batch`` opts out (see :meth:`Sequential.backward`)."""
         grad = grad_output
         for index, kernel in reversed(list(enumerate(self.kernels))):
@@ -564,6 +568,25 @@ class BatchedModel:
                 return kernel.backward(grad, input_gradient=False)
             grad = kernel.backward(grad)
         return grad
+
+    # A row shard runs the private spellings: a pool thread calls no public
+    # method, so every public one is entered and left on the calling thread.
+    forward, backward = _forward, _backward
+
+    def _train(self, x, y, loss: Loss, rows) -> np.ndarray:
+        outputs = self._forward(x, True, rows)
+        losses, grad = loss.batched_gradient(outputs, y)
+        self._backward(grad, input_gradient=False)
+        return losses
+
+    def _shard_model(self, start: int, stop: int) -> "BatchedModel":
+        if (start, stop) not in self._shard_models:
+            plane, cut = self.plane, slice(start, stop)
+            rows = (plane.param_matrix[cut], plane.grad_matrix[cut], plane.buffer_matrix[cut])
+            self._shard_models[start, stop] = BatchedModel(
+                self.reference, BatchedPlane(self.reference, *rows), self._worker_models
+            )
+        return self._shard_models[start, stop]
 
     def train_batch(
         self,
@@ -577,11 +600,24 @@ class BatchedModel:
         Gradients are left in the plane's gradient matrix (and, equivalently,
         in every covered worker model's gradient views).  ``rows`` names the
         workers the plane rows hold (``None`` = all workers in order).
+
+        Each row shard (:func:`repro.backend.row_shards`) runs on a cached
+        model carved from its rows of the same plane, its ``Dropout`` rows
+        mapped to their worker ids; kernels are per-row, so no row can tell.
+        The pass a shard must outweigh a hand-off with is one kernel call, so
+        the width that decides is the mean parameters per kernel: a deep,
+        narrow model is dispatch-bound and runs whole.
         """
-        outputs = self.forward(x, training=True, rows=rows)
-        losses, grad = loss.batched_gradient(outputs, y)
-        self.backward(grad, input_gradient=False)
-        return losses
+        count = self.num_workers
+        shards = row_shards(count, -(-self.plane.param_matrix.shape[1] // len(self.kernels)))
+        if shards == 1:
+            return self._train(x, y, loss, rows)
+        ids = np.arange(count) if rows is None else np.asarray(rows)
+        shard_args = [
+            (self._shard_model(start, stop), x[start:stop], y[start:stop], loss, ids[start:stop])
+            for start, stop in shard_bounds(count, shards)
+        ]
+        return np.concatenate(run_shards(BatchedModel._train, shard_args))
 
     def __repr__(self) -> str:
         return f"BatchedModel(K={self.num_workers}, layers={len(self.kernels)})"

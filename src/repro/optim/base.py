@@ -16,7 +16,7 @@ the rule, whoever drives:
 
 * :meth:`StackedOptimizer.step_rows` — all ``K`` rows, or a masked subset
   (the batched engine's lockstep and partial-participation paths), one
-  cache-sized block of whole rows at a time;
+  cache-sized block of whole rows at a time within each row shard;
 * :meth:`Optimizer.step_inplace` — "step my row": the same rule on
   ``params[None]`` with this row's state block, ``(1, 1)`` columns and
   timestep (``worker.local_step``, the sequential engine's steps and
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_dtype
+from repro.backend import resolve_dtype, row_shards, run_shards, shard_bounds
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.optim.schedules import LearningRateSchedule, resolve_schedule
 
@@ -51,8 +51,9 @@ ROW_BLOCK_ELEMENTS = 131_072
 class Workspace:
     """The reusable scratch blocks a stack lends to its rule.
 
-    Shared by a :class:`StackedOptimizer` and its rows' optimizers; knows the
-    stack's row layout (``dimension`` in ``dtype``) and nothing else.
+    Shared by a :class:`StackedOptimizer` and its rows' optimizers (a stack
+    keeps one more per extra row shard, so no two threads share one); knows
+    the stack's row layout (``dimension`` in ``dtype``) and nothing else.
     """
 
     def __init__(self, dimension: int, dtype: np.dtype) -> None:
@@ -344,7 +345,8 @@ class StackedOptimizer:
     matrices; otherwise the caller passes gathered ``(A, d)`` blocks aligned
     with ``rows`` and the state rows are gathered/scattered around the update.
     Either way the rule runs one block of whole rows at a time
-    (:data:`ROW_BLOCK_ELEMENTS`) — the one place an update is cache-blocked.
+    (:data:`ROW_BLOCK_ELEMENTS`) — the one place an update is cache-blocked —
+    within each row shard (:func:`repro.backend.row_shards`).
     """
 
     def __init__(
@@ -397,6 +399,8 @@ class StackedOptimizer:
         # dtype so the update never promotes a float32 (K, d) matrix.
         self.dtype = resolve_dtype(dtype)
         self.workspace = Workspace(self.dimension, self.dtype)
+        #: One workspace per row shard; the first is :attr:`workspace`.
+        self._workspaces: List[Workspace] = [self.workspace]
         self._columns: Dict[str, np.ndarray] = {
             name: np.array(
                 [[float(getattr(optimizer, name))] for optimizer in self.optimizers],
@@ -456,11 +460,14 @@ class StackedOptimizer:
         workers and ``params``/``grads`` are ``(len(rows), d)`` blocks holding
         those workers' rows (typically the engine's gather scratch).
 
-        The rule is applied to ``ROW_BLOCK_ELEMENTS // d`` consecutive rows
-        at a time (at least one; a row is never split): rows are independent
-        under the rule's contract, so the block size never shows in a result,
-        and every temporary is block-sized.  On the masked path each block's
-        state rows are gathered before and scattered back after its update.
+        The rows split into contiguous shards (:func:`repro.backend.row_shards`)
+        that step concurrently, and within a shard the rule is applied to
+        ``ROW_BLOCK_ELEMENTS // d`` consecutive rows at a time (at least one;
+        a row is never split, a block never crosses a shard): rows are
+        independent under the rule's contract, so neither the shard count nor
+        the block size shows in a result, and every temporary is block-sized.
+        On the masked path each block's state rows are gathered before and
+        scattered back after its update.
         """
         if rows is None:
             active = self.optimizers
@@ -478,16 +485,36 @@ class StackedOptimizer:
             dtype=self.dtype,
         )
         timesteps = [optimizer.step_count + 1 for optimizer in active]
-        rule = self.optimizers[0]._update_rows
+        step = (params, grads, rows, learning_rate, timesteps)
         block = max(1, ROW_BLOCK_ELEMENTS // max(1, self.dimension))
-        for start in range(0, count, block):
-            cut = slice(start, start + block)
+        shards = row_shards(count, self.dimension)
+        if shards == 1:
+            self._step_range(self.workspace, 0, count, block, *step)
+        else:
+            while len(self._workspaces) < shards:
+                self._workspaces.append(Workspace(self.dimension, self.dtype))
+            shard_args = [
+                (workspace, start, stop, block, *step)
+                for workspace, (start, stop) in zip(self._workspaces, shard_bounds(count, shards))
+            ]
+            run_shards(self._step_range, shard_args)
+        for optimizer in active:
+            optimizer.step_count += 1
+        return params
+
+    def _step_range(
+        self, workspace, start, stop, block, params, grads, rows, learning_rate, timesteps
+    ) -> None:
+        """The rule over rows ``[start, stop)`` of one step, ``block`` rows at a time."""
+        rule = self.optimizers[0]._update_rows
+        for low in range(start, stop, block):
+            cut = slice(low, min(low + block, stop))
             if rows is None:
                 state = {name: matrix[cut] for name, matrix in self._state.items()}
                 columns = {name: column[cut] for name, column in self._columns.items()}
             else:
                 ids = rows[cut]
-                # mode="clip": the ids are checked above, and numpy's
+                # mode="clip": step_rows checked the ids, and numpy's
                 # bounds-checking take path is several times slower on wide
                 # matrices.
                 state = {
@@ -495,14 +522,14 @@ class StackedOptimizer:
                         matrix,
                         ids,
                         axis=0,
-                        out=self.workspace.scratch("state-" + name, ids.size),
+                        out=workspace.scratch("state-" + name, ids.size),
                         mode="clip",
                     )
                     for name, matrix in self._state.items()
                 }
                 columns = {name: column[ids] for name, column in self._columns.items()}
             rule(
-                self.workspace,
+                workspace,
                 params[cut],
                 grads[cut],
                 state,
@@ -513,9 +540,6 @@ class StackedOptimizer:
             if rows is not None:
                 for name, matrix in self._state.items():
                     matrix[ids] = state[name]
-        for optimizer in active:
-            optimizer.step_count += 1
-        return params
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,7 @@ in the run fingerprint automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
@@ -120,10 +120,6 @@ class ServingConfig:
                     "closed (degenerate) mode is the asynchronous FDA "
                     f"coordinator; protocol must be 'fda', got {self.protocol!r}"
                 )
-
-    def with_rate(self, arrival_rate: float) -> "ServingConfig":
-        """A copy at a different per-worker arrival rate (saturation sweeps)."""
-        return replace(self, arrival_rate=arrival_rate)
 
     def describe(self) -> str:
         """Compact label for run tables and benchmark rows."""

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backend import row_shards, run_shards, shard_bounds
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.sketch.hashing import FourWiseHash
 
@@ -106,11 +107,6 @@ class AmsSketch:
         return (self.depth, self.width)
 
     @property
-    def size_bytes(self) -> int:
-        """Size of one sketch in bytes, assuming float32 transmission (paper: l*m*4)."""
-        return self.depth * self.width * 4
-
-    @property
     def epsilon(self) -> float:
         """Nominal relative error of the M2 estimate (ε ≈ sqrt(8/width))."""
         return float(np.sqrt(8.0 / self.width))
@@ -130,31 +126,49 @@ class AmsSketch:
         the output (``depth·width × K``) stays cache-resident.  Each bucket
         still accumulates its coordinates in ascending order, in float64,
         with exact ``±1`` products, independently per column: a column's
-        sketch does not depend on how many columns share the product.
+        sketch does not depend on how many columns share the product.  The
+        operator must be prepared for ``d`` (the callers do, before any shard
+        runs this).
         """
-        if self.dimension != columns.shape[0]:
-            self._prepare(columns.shape[0])
         product = self._operator @ columns
         return np.ascontiguousarray(product.T).reshape(-1, self.depth, self.width)
+
+    def _sketch_into(self, matrix: np.ndarray, out: np.ndarray) -> None:
+        out[...] = self._apply(np.ascontiguousarray(matrix.T, dtype=np.float64))
 
     def sketch(self, vector: np.ndarray) -> np.ndarray:
         """Return the ``(depth, width)`` AMS sketch of ``vector``."""
         vector = np.asarray(vector, dtype=np.float64)
         if vector.ndim != 1:
             raise ShapeError(f"can only sketch 1-D vectors, got shape {vector.shape}")
+        if self.dimension != vector.size:
+            self._prepare(vector.size)
         return self._apply(vector[:, None])[0]
 
     def sketch_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Sketch every row of a ``(K, d)`` matrix at once; returns ``(K, depth, width)``.
 
         The batched form of :meth:`sketch`: one product of the sparse operator
-        with the float64 ``(d, K)`` transpose of the matrix.  Row ``k`` of the
-        result is bit-identical to ``sketch(matrix[k])`` (see :meth:`_apply`).
+        with the float64 ``(d, K)`` transpose of the matrix — one per row
+        shard when the matrix is wide enough (:func:`repro.backend.row_shards`).
+        Row ``k`` of the result is bit-identical to ``sketch(matrix[k])`` (see
+        :meth:`_apply`).
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ShapeError(f"can only sketch a (K, d) matrix, got shape {matrix.shape}")
-        return self._apply(np.ascontiguousarray(matrix.T, dtype=np.float64))
+        rows, width = matrix.shape
+        if self.dimension != width:
+            self._prepare(width)
+        shards = row_shards(rows, width)
+        if shards == 1:
+            return self._apply(np.ascontiguousarray(matrix.T, dtype=np.float64))
+        out = np.empty((rows, self.depth, self.width))
+        run_shards(
+            self._sketch_into,
+            [(matrix[start:stop], out[start:stop]) for start, stop in shard_bounds(rows, shards)],
+        )
+        return out
 
     def estimate_l2_squared(self, sketch_matrix: np.ndarray) -> float:
         """Estimate ``‖v‖²`` from a sketch produced by this operator (or a linear mix)."""
@@ -165,25 +179,6 @@ class AmsSketch:
                 f"geometry {(self.depth, self.width)}"
             )
         return estimate_l2_squared(sketch_matrix)
-
-    def estimate_dot(self, sketch_a: np.ndarray, sketch_b: np.ndarray) -> float:
-        """Estimate the inner product ⟨a, b⟩ from two sketches (median of row dot products)."""
-        sketch_a = np.asarray(sketch_a, dtype=np.float64)
-        sketch_b = np.asarray(sketch_b, dtype=np.float64)
-        if sketch_a.shape != (self.depth, self.width) or sketch_b.shape != (self.depth, self.width):
-            raise CommunicationError(
-                "both sketches must match this operator's geometry "
-                f"{(self.depth, self.width)}"
-            )
-        return float(np.median(np.sum(sketch_a * sketch_b, axis=1)))
-
-    def compatible_with(self, other: "AmsSketch") -> bool:
-        """True when two operators share geometry and hash seeds (sketches can be mixed)."""
-        return (
-            self.depth == other.depth
-            and self.width == other.width
-            and self.seed == other.seed
-        )
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,7 @@ to render a compact text table, so no external logging framework is needed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 
 class RunLogger:
@@ -56,23 +56,3 @@ class RunLogger:
         for entry in self._entries:
             names.update(entry.keys())
         return sorted(names)
-
-    def to_table(self, columns: Optional[Sequence[str]] = None) -> str:
-        """Render the log as a fixed-width text table."""
-        if not self._entries:
-            return f"<empty run log {self.name!r}>"
-        columns = list(columns) if columns is not None else self.keys()
-        rows = [columns]
-        for entry in self._entries:
-            rows.append([_format_cell(entry.get(column, "")) for column in columns])
-        widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
-        lines = []
-        for row in rows:
-            lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-        return "\n".join(lines)
-
-
-def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)

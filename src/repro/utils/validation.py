@@ -22,16 +22,6 @@ def check_positive(value: float, name: str) -> float:
     return value
 
 
-def check_non_negative(value: float, name: str) -> float:
-    """Ensure ``value`` is a finite number greater than or equal to zero."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 def check_positive_int(value: int, name: str) -> int:
     """Ensure ``value`` is an integer strictly greater than zero."""
     if not isinstance(value, Integral) or isinstance(value, bool):
@@ -39,16 +29,6 @@ def check_positive_int(value: int, name: str) -> int:
     value = int(value)
     if value <= 0:
         raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def check_non_negative_int(value: int, name: str) -> int:
-    """Ensure ``value`` is an integer greater than or equal to zero."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
     return value
 
 
@@ -69,13 +49,4 @@ def check_probability(value: float, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value}")
-    return value
-
-
-def check_choice(value: str, choices, name: str) -> str:
-    """Ensure ``value`` is one of ``choices``."""
-    if value not in choices:
-        raise ConfigurationError(
-            f"{name} must be one of {sorted(choices)}, got {value!r}"
-        )
     return value

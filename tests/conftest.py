@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.shards import shard_every_pass
 from repro.data.synthetic import gaussian_blobs
 from repro.experiments.setup import WorkloadConfig, make_optimizer
 from repro.nn.architectures import mlp
@@ -23,6 +24,12 @@ BLOBS_CLASSES = 3
 def rng():
     """A deterministic NumPy generator for ad-hoc randomness in tests."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def every_pass_sharded(monkeypatch):
+    """Every ``(rows × d)`` pass of two or more rows splits into row shards (three cores' worth)."""
+    shard_every_pass(monkeypatch)
 
 
 @pytest.fixture()

@@ -136,15 +136,7 @@ class TestRoundInvariant:
         assert tight.synchronization_rate >= loose.synchronization_rate
 
 
-class TestForceSynchronizationAndDynamicTheta:
-    def test_force_synchronization(self):
-        trainer = make_trainer(1e9)
-        trainer.run_steps(5)
-        assert model_variance(trainer.cluster.parameter_matrix) > 0
-        trainer.force_synchronization()
-        assert model_variance(trainer.cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
-        assert trainer.synchronization_count == 1
-
+class TestDynamicTheta:
     def test_dynamic_theta_reacts_to_traffic(self):
         controller = DynamicThetaController(
             target_bytes_per_step=1.0, window=5, adjustment=2.0

@@ -9,7 +9,6 @@ from repro.core.state import ExactState, LinearState, SketchState, average_state
 from repro.core.variance import (
     average_drift,
     drift_matrix,
-    mean_squared_drift_norm,
     model_variance,
     variance_from_drifts,
 )
@@ -64,7 +63,6 @@ class TestModelVariance:
 
     def test_helper_terms(self):
         drifts = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        assert mean_squared_drift_norm(drifts) == pytest.approx(1.0)
         np.testing.assert_allclose(average_drift(drifts), [0.5, 0.5])
 
     def test_drift_matrix_validates_reference(self):

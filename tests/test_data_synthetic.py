@@ -6,7 +6,6 @@ import pytest
 from repro.data.synthetic import (
     gaussian_blobs,
     synthetic_cifar,
-    synthetic_cifar_pair,
     synthetic_digits,
     synthetic_features,
     synthetic_mnist_pair,
@@ -117,7 +116,3 @@ class TestPairs:
             ((flat_test[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2), axis=1
         )
         assert (predictions == test.y).mean() > 0.7
-
-    def test_cifar_pair_sizes(self):
-        train, test = synthetic_cifar_pair(150, 50, seed=0)
-        assert len(train) == 150 and len(test) == 50

@@ -80,14 +80,6 @@ class TestNetworkModel:
         network = NetworkModel("test", bandwidth_bits_per_second=1e12, latency_seconds=0.01)
         assert network.transfer_time(1000, num_operations=5) == pytest.approx(0.05, rel=0.01)
 
-    def test_wall_time_combines_compute_and_comm(self):
-        network = NetworkModel("test", bandwidth_bits_per_second=1e9)
-        total = network.wall_time(
-            communication_bytes=1e9 / 8, num_operations=0, parallel_steps=100,
-            seconds_per_step=0.01,
-        )
-        assert total == pytest.approx(2.0)
-
     def test_fl_network_is_much_slower_than_hpc(self):
         num_bytes = 1e9
         assert FL_NETWORK.transfer_time(num_bytes) > 50 * HPC_NETWORK.transfer_time(num_bytes)

@@ -11,7 +11,7 @@ from repro.experiments.reporting import (
     format_results_table,
     format_run_history,
 )
-from repro.experiments.results import ResultsTable, best_run, compare_strategies
+from repro.experiments.results import ResultsTable, compare_strategies
 from repro.experiments.run import RunResult, TrainingRun
 from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimizer
 from repro.experiments.registry import fda
@@ -162,14 +162,6 @@ class TestResultsAggregation:
     def test_unknown_strategy_raises(self):
         with pytest.raises(ExperimentError):
             ResultsTable([fake_result("A")]).summarize("B")
-
-    def test_best_run(self):
-        results = [fake_result("A", comm=50), fake_result("A", comm=10), fake_result("B", comm=5)]
-        assert best_run(results, "A").communication_bytes == 10
-
-    def test_best_run_unknown(self):
-        with pytest.raises(ExperimentError):
-            best_run([], "A")
 
 
 class TestKdeAndReporting:

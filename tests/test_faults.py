@@ -632,6 +632,37 @@ class TestDivergenceReporting:
         np.testing.assert_array_equal(cluster.buffer_matrix, buffers_before)
         assert [worker.steps_performed for worker in cluster.workers] == steps_before
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["live", "masked"])
+    def test_a_divergence_in_any_row_shard_fails_the_whole_step(
+        self, every_pass_sharded, masked
+    ):
+        from helpers.parity import bn_factory
+
+        # Three shards over five rows (live) or four (masked): row 0 diverges
+        # in the calling thread's shard, row 3 in the last pool shard.
+        cluster = make_cluster(
+            "batched", model_factory=bn_factory, sample_shape=(8, 8, 1),
+            num_classes=4, num_workers=5,
+        )
+        cluster.step_all()  # a healthy round: moments and BatchNorm stats move
+        cluster.parameter_matrix[[0, 3], :] = np.nan
+
+        def state():
+            workers = cluster.workers
+            return (
+                cluster.parameter_matrix.tobytes(),
+                cluster.buffer_matrix.tobytes(),
+                [a.tobytes() for w in workers for a in w.optimizer.state_arrays().values()],
+                [(w.steps_performed, w.optimizer.step_count) for w in workers],
+            )
+
+        before = state()
+        with pytest.raises(TrainingError) as excinfo:
+            cluster.engine.step_all(active=np.array([True] * 4 + [not masked]))
+        named = [k for k in range(5) if f"worker {k}:" in str(excinfo.value)]
+        assert named == [0, 3]
+        assert state() == before
+
 
 class TestResultPersistence:
     def test_fault_log_survives_the_results_file(self, blobs_workload, tmp_path):

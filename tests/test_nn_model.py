@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers.shards import whole_then_sharded
 from repro.exceptions import ModelNotBuiltError, ShapeError
 from unittest import mock
 
@@ -184,7 +185,13 @@ class TestTrainingFormsNoInputGradient:
         assert TransposeSpy.reads == (1 if skipped else 2)
         assert folds.call_count == int(first == "conv")
 
-    def test_batched_gradients_are_byte_identical(self, first, dtype, monkeypatch):
+    def test_batched_gradients_are_byte_identical(self, first, dtype):
+        # Once whole, once split into row shards (one per row here).
+        with pytest.MonkeyPatch.context() as patch:
+            for sharded in whole_then_sharded(patch):
+                self.check_batched_gradients(first, dtype, sharded, patch)
+
+    def check_batched_gradients(self, first, dtype, sharded, monkeypatch):
         workers = [self.build(first, dtype, seed=seed)[0] for seed in range(3)]
         input_shape = FIRST_LAYER_MODELS[first][0]
         rows = np.array([0, 2])  # a masked pass: the plane holds two of three workers
@@ -199,19 +206,26 @@ class TestTrainingFormsNoInputGradient:
         loss = SoftmaxCrossEntropy()
         folds = mock.Mock(side_effect=batched_module.col2im)
         monkeypatch.setattr(batched_module, "col2im", folds)
-        operand = batched.kernels[0 if first != "flatten" else 1]._weight_T
-        products = []
+        spied = 0 if first != "flatten" else 1
+        operands = []
         matmul = np.matmul
 
         def spy(a, b, **kwargs):
-            products.append(b is operand)
+            operands.append(b)
             return matmul(a, b, **kwargs)
+
+        def products():
+            # Products against the spied layer's W.T, in the model or any of
+            # its row-shard models (each carves its own view of the plane).
+            models = [batched, *batched._shard_models.values()]
+            ours = [model.kernels[spied]._weight_T for model in models]
+            return sum(any(b is operand for operand in ours) for b in operands)
 
         monkeypatch.setattr(np, "matmul", spy)
         _, grad = loss.batched_gradient(batched.forward(x, training=True, rows=rows), y)
         input_gradient = batched.backward(grad)
         assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
-        assert (sum(products), folds.call_count) == (1, int(first == "conv"))
+        assert (products(), folds.call_count) == (1, int(first == "conv"))
         reference = matrices[1].copy()
         # Row for row, the stacked gradients are the sequential engine's.
         for row, worker_x, worker_y, stacked in zip(rows, x, y, reference):
@@ -221,6 +235,8 @@ class TestTrainingFormsNoInputGradient:
         matrices[1][...] = 0.0
         batched.train_batch(x, y, loss, rows=rows)
         assert matrices[1].tobytes() == reference.tobytes()
+        # Each shard's kernel forms its input gradient once, unless it is first.
+        assert len(batched._shard_models) == (2 if sharded else 0)
         skipped = first != "flatten"
-        assert sum(products) == (1 if skipped else 2)
+        assert products() == 1 + (0 if skipped else max(1, len(batched._shard_models)))
         assert folds.call_count == int(first == "conv")

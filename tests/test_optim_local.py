@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.optim.base as base_module
+from helpers.shards import shard_no_pass, whole_then_sharded
+from repro import backend
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.optim.adam import Adam, AdamW
 from repro.optim.base import StackedOptimizer, Workspace
@@ -264,12 +266,17 @@ class TestRowBlocking:
 
     @pytest.fixture()
     def seam(self, monkeypatch):
-        """Spy on the two things a block passes through: the rule and the scratch."""
-        calls, scratch_rows = [], []
+        """Spy on the two things a block passes through: the rule and the scratch.
+
+        ``blocks`` records each block as ``(address of its first row, rows)``,
+        so a test can place the blocks of a sharded step in its row order.
+        """
+        calls, scratch_rows, blocks = [], [], []
         rule, scratch = SGD._update_rows, Workspace.scratch
 
         def rule_spy(self, workspace, params, grads, state, columns, learning_rate, timesteps):
             calls.append((params.shape[0], columns["weight_decay"][:, 0].tolist()))
+            blocks.append((params.__array_interface__["data"][0], params.shape[0]))
             rule(self, workspace, params, grads, state, columns, learning_rate, timesteps)
 
         def scratch_spy(self, name, count):
@@ -279,7 +286,8 @@ class TestRowBlocking:
 
         monkeypatch.setattr(SGD, "_update_rows", rule_spy)
         monkeypatch.setattr(Workspace, "scratch", scratch_spy)
-        return calls, scratch_rows
+        shard_no_pass(monkeypatch)  # one shard, unless a test splits the step
+        return calls, scratch_rows, blocks
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_weight_decay_rows_match_per_row_steps_block_by_block(
@@ -287,7 +295,7 @@ class TestRowBlocking:
     ):
         # At float32 the rule once compared the plane-dtype decay column with
         # a Python float; the bytes below are what guards the column's dtype.
-        calls, scratch_rows = seam
+        calls, scratch_rows, _ = seam
         monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 32)
         rng = np.random.default_rng(0)
         params = rng.normal(size=(5, 16)).astype(dtype)
@@ -310,7 +318,7 @@ class TestRowBlocking:
     def test_masked_subset_uses_its_own_rows_decay(self, seam, monkeypatch, dtype):
         # Rows 1 and 2 share a decay that differs from worker 0's: the scalar
         # comes from the covered rows' column, not from "worker 0".
-        calls, scratch_rows = seam
+        calls, scratch_rows, _ = seam
         monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 16)
         decays = [1e-4, 5e-2, 5e-2]
         rng = np.random.default_rng(1)
@@ -332,22 +340,33 @@ class TestRowBlocking:
         assert stacked.step_counts.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("masked", [False, True], ids=["live", "masked"])
-    def test_default_blocks_tile_the_rows_in_order(self, seam, masked):
-        calls, scratch_rows = seam
+    def test_default_blocks_tile_the_rows_in_order(self, seam, masked, monkeypatch):
+        # Whole (one shard) and split three ways: blocks tile each row shard
+        # in order and no block crosses a shard.
+        _, scratch_rows, blocks = seam
         dimension = base_module.ROW_BLOCK_ELEMENTS // 3 + 1  # two rows fit, three do not
         assert block_rows(dimension) == 2
-        stacked = StackedOptimizer([SGD(0.1, momentum=0.9) for _ in range(7)], dimension)
         rows = np.array([6, 0, 3, 4, 1]) if masked else None
         count = 5 if masked else 7
-        params, grads = np.ones((count, dimension)), np.ones((count, dimension))
-        stacked.step_rows(params, grads, rows)
-        sizes = [size for size, _ in calls]
-        assert sizes == [2] * (count // 2) + [1]
-        assert max(scratch_rows) <= 2
-        # Whole rows, stepped once each: every covered row moved by -lr.
-        np.testing.assert_array_equal(params, 0.9)
-        covered = sorted(rows.tolist()) if masked else list(range(7))
-        assert np.flatnonzero(stacked._state["velocity"].any(axis=1)).tolist() == covered
+        for sharded in whole_then_sharded(monkeypatch):
+            shards = backend.shard_bounds(count, backend.row_shards(count, dimension))
+            assert len(shards) == (3 if sharded else 1)
+            stacked = StackedOptimizer([SGD(0.1, momentum=0.9) for _ in range(7)], dimension)
+            params, grads = np.ones((count, dimension)), np.ones((count, dimension))
+            del scratch_rows[:], blocks[:]
+            stacked.step_rows(params, grads, rows)
+            first_row = params.__array_interface__["data"][0]
+            placed = [((address - first_row) // params.strides[0], size) for address, size in blocks]
+            for start, stop in shards:
+                assert [block for block in placed if start <= block[0] < stop] == [
+                    (low, min(2, stop - low)) for low in range(start, stop, 2)
+                ]
+            assert sum(size for _, size in placed) == count
+            assert max(scratch_rows) <= 2
+            # Whole rows, stepped once each: every covered row moved by -lr.
+            np.testing.assert_array_equal(params, 0.9)
+            covered = sorted(rows.tolist()) if masked else list(range(7))
+            assert np.flatnonzero(stacked._state["velocity"].any(axis=1)).tolist() == covered
 
     def test_masked_ragged_last_block_matches_solo_rows(self, monkeypatch):
         # K = 5 on the masked path with blocks of two rows: the last block

@@ -80,7 +80,6 @@ class TestAmsSketch:
     def test_shape_and_size(self):
         sketch = AmsSketch(depth=5, width=250)
         assert sketch.shape == (5, 250)
-        assert sketch.size_bytes == 5 * 250 * 4  # the 5 kB figure quoted in the paper
 
     def test_sketch_shape(self):
         operator = AmsSketch(depth=3, width=16)
@@ -128,23 +127,9 @@ class TestAmsSketch:
         with pytest.raises(CommunicationError):
             operator.estimate_l2_squared(np.zeros((2, 16)))
 
-    def test_estimate_dot_sign(self):
-        operator = AmsSketch(depth=5, width=128, seed=0)
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=1000)
-        dot_estimate = operator.estimate_dot(operator.sketch(a), operator.sketch(2.0 * a))
-        assert dot_estimate > 0
-
     def test_rejects_non_1d_vectors(self):
         with pytest.raises(ShapeError):
             AmsSketch().sketch(np.zeros((3, 3)))
-
-    def test_compatible_with(self):
-        a = AmsSketch(depth=3, width=16, seed=1)
-        b = AmsSketch(depth=3, width=16, seed=1)
-        c = AmsSketch(depth=3, width=16, seed=2)
-        assert a.compatible_with(b)
-        assert not a.compatible_with(c)
 
     def test_invalid_geometry(self):
         with pytest.raises(ConfigurationError):

@@ -116,6 +116,12 @@ booked twice.  Every fact has one owner now, and
     fabric); and the cluster's shared-model attribute is assigned only in
     ``SimulatedCluster.broadcast_parameters``, ``synchronize`` and
     ``load_state_dict`` (and set to ``None`` in ``__init__``).
+
+The ``K`` rows of a pass run on every core now, as row shards on one thread
+pool that must be dropped on fork and must never run a public method, and
+
+14. threads start in one module: under ``src/`` only ``backend.py`` imports
+    ``threading``, ``_thread``, ``contextvars`` or a thread pool.
 """
 
 from __future__ import annotations
@@ -279,9 +285,11 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
     ]
     assert not spelled, "the retired update paths are named again:\n" + "\n".join(spelled)
 
-    # Every way of stepping ends in the rule: count its calls under a spy.
+    # Every way of stepping ends in the rule: count its calls under a spy —
+    # one per row shard of a stacked step (a 4-wide shard is one block).
     import numpy as np
 
+    from helpers.shards import whole_then_sharded
     from repro.data.datasets import Dataset
     from repro.distributed.worker import Worker
     from repro.nn.architectures import mlp
@@ -295,15 +303,25 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
         calls.append(params.shape)
         rule(self, workspace, params, *rest)
 
+    def rule_calls(step):
+        del calls[:]
+        step()
+        return sorted(calls)
+
     monkeypatch.setattr(SGD, RULE, spy)
-    optimizers = [SGD(0.1, momentum=0.9) for _ in range(3)]
-    stacked = StackedOptimizer(optimizers, 4)
-    params, grads = np.ones((3, 4)), np.ones((3, 4))
-    stacked.step_rows(params, grads)
-    stacked.step_rows(params[1:].copy(), grads[1:].copy(), np.array([1, 2]))
-    optimizers[0].step_inplace(params[0], grads[0])
-    SGD(0.1).step(np.ones(4), np.ones(4))
-    assert calls == [(3, 4), (2, 4), (1, 4), (1, 4)]
+    for sharded in whole_then_sharded(monkeypatch):
+        optimizers = [SGD(0.1, momentum=0.9) for _ in range(3)]
+        stacked = StackedOptimizer(optimizers, 4)
+        params, grads = np.ones((3, 4)), np.ones((3, 4))
+        live = rule_calls(lambda: stacked.step_rows(params, grads))
+        masked = rule_calls(
+            lambda: stacked.step_rows(params[1:].copy(), grads[1:].copy(), np.array([1, 2]))
+        )
+        assert (live, masked) == (
+            ([(1, 4)] * 3, [(1, 4)] * 2) if sharded else ([(3, 4)], [(2, 4)])
+        )
+        assert rule_calls(lambda: optimizers[0].step_inplace(params[0], grads[0])) == [(1, 4)]
+        assert rule_calls(lambda: SGD(0.1).step(np.ones(4), np.ones(4))) == [(1, 4)]
 
     rng = np.random.default_rng(0)
     dataset = Dataset(rng.normal(size=(8, 4)), rng.integers(0, 2, size=8), 2)
@@ -565,6 +583,29 @@ def test_one_blocking_policy_and_one_sketch_representation():
     assert "flat" not in {method.name for method in _class_methods("optim/base.py", "Workspace")}
     assert "tocsr" not in (SRC_ROOT / "sketch" / "ams.py").read_text(encoding="utf-8"), (
         "the sketch operator is applied as the CSC it is assembled as"
+    )
+
+
+#: Modules (and names) that start threads or hand work to them.
+_THREAD_MODULES = {"threading", "_thread", "contextvars", "multiprocessing.dummy", "multiprocessing.pool"}
+_THREAD_NAMES = {"ThreadPoolExecutor", "ThreadPool"}
+
+
+def test_threads_start_in_one_module():
+    importers = sorted(
+        f"src/repro/{module}:{node.lineno}"
+        for module, source in _sources()
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and {a.name for a in node.names} & _THREAD_MODULES)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module in _THREAD_MODULES or {a.name for a in node.names} & _THREAD_NAMES)
+        )
+    )
+    owner = [line for line in importers if line.startswith("src/repro/backend.py:")]
+    assert owner and importers == owner, (
+        "threads start in repro.backend alone — split a pass with "
+        f"backend.row_shards / run_shards instead: {importers}"
     )
 
 

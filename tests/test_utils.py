@@ -8,10 +8,7 @@ from repro.utils.formatting import format_bytes, format_count, format_duration
 from repro.utils.rng import RngFactory, as_rng, spawn_rngs
 from repro.utils.runlog import RunLogger
 from repro.utils.validation import (
-    check_choice,
     check_fraction,
-    check_non_negative,
-    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
@@ -64,11 +61,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_positive("3", "x")
 
-    def test_check_non_negative(self):
-        assert check_non_negative(0.0, "x") == 0.0
-        with pytest.raises(ConfigurationError):
-            check_non_negative(-1e-9, "x")
-
     def test_check_positive_int(self):
         assert check_positive_int(3, "k") == 3
         with pytest.raises(ConfigurationError):
@@ -78,11 +70,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_positive_int(True, "k")
 
-    def test_check_non_negative_int(self):
-        assert check_non_negative_int(0, "k") == 0
-        with pytest.raises(ConfigurationError):
-            check_non_negative_int(-1, "k")
-
     def test_check_fraction_and_probability(self):
         assert check_fraction(0.5, "f") == 0.5
         assert check_probability(1.0, "p") == 1.0
@@ -90,11 +77,6 @@ class TestValidation:
             check_fraction(1.5, "f")
         with pytest.raises(ConfigurationError):
             check_probability(-0.1, "p")
-
-    def test_check_choice(self):
-        assert check_choice("a", {"a", "b"}, "mode") == "a"
-        with pytest.raises(ConfigurationError):
-            check_choice("c", {"a", "b"}, "mode")
 
 
 class TestFormatting:
@@ -139,17 +121,6 @@ class TestRunLogger:
         logger.log(a=1)
         logger.log(b=2)
         assert logger.keys() == ["a", "b"]
-
-    def test_to_table_renders_all_rows(self):
-        logger = RunLogger()
-        logger.log(step=1, loss=0.123456)
-        logger.log(step=2, loss=0.1)
-        table = logger.to_table()
-        assert "step" in table and "loss" in table
-        assert len(table.splitlines()) == 3
-
-    def test_to_table_empty(self):
-        assert "empty" in RunLogger("x").to_table()
 
     def test_indexing_and_iteration(self):
         logger = RunLogger()
