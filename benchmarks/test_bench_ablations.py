@@ -13,7 +13,6 @@ import numpy as np
 
 from benchmarks.conftest import run_workload
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor
-from repro.core.state import average_states
 from repro.core.theta import DynamicThetaController
 from repro.core.variance import variance_from_drifts
 from repro.distributed.comm import NAIVE_COST_MODEL, RING_COST_MODEL, CommunicationCostModel
@@ -38,8 +37,7 @@ def _monitor_tightness():
         ("sketch(3x32)", SketchMonitor(depth=3, width=32, seed=1)),
         ("linear(random xi)", LinearMonitor(dimension=800, seed=1)),
     ):
-        states = [monitor.local_state(drift) for drift in drifts]
-        estimate = monitor.estimate(average_states(states))
+        estimate = monitor.estimate(monitor.average(monitor.local_states(np.array(drifts))))
         looseness[name] = estimate / true_variance
     return true_variance, looseness
 

@@ -39,6 +39,7 @@ from itertools import product
 from typing import List, Optional
 
 from repro.compression import NAMED_COMPRESSORS, CompressionConfig
+from repro.core.monitor import VARIANTS
 from repro.distributed.engine import EXECUTION_MODES
 from repro.distributed.network import NAMED_NETWORKS
 from repro.distributed.topology import NAMED_TOPOLOGIES
@@ -330,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="coordinator protocol: triggered-sync FDA or lockstep BSP",
     )
     serve.add_argument(
-        "--variant", choices=["sketch", "linear", "exact"], default="linear",
+        "--variant", choices=sorted(VARIANTS), default="linear",
         help="FDA variance-monitor variant",
     )
     serve.add_argument(

@@ -1,7 +1,7 @@
 """The paper's primary contribution: Federated Dynamic Averaging (FDA).
 
-``repro.core`` contains the drift/variance algebra (Section 3), the local
-states and variance monitors that define the SketchFDA and LinearFDA variants
+``repro.core`` contains the drift/variance algebra (Section 3), the variance
+monitors whose local-state rows define the SketchFDA and LinearFDA variants
 (Sections 3.1 and 3.2), the :class:`FDATrainer` implementing Algorithm 1, the
 shared virtual-time :class:`Timeline` (the Section 3.3 coordinator that runs
 on its events is :class:`repro.serving.ServedFDATrainer`), and the
@@ -13,13 +13,6 @@ from repro.core.variance import (
     drift_matrix,
     model_variance,
     variance_from_drifts,
-)
-from repro.core.state import (
-    ExactState,
-    LinearState,
-    LocalState,
-    SketchState,
-    average_states,
 )
 from repro.core.monitor import (
     ExactMonitor,
@@ -41,11 +34,6 @@ __all__ = [
     "model_variance",
     "variance_from_drifts",
     "drift_matrix",
-    "LocalState",
-    "SketchState",
-    "LinearState",
-    "ExactState",
-    "average_states",
     "VarianceMonitor",
     "SketchMonitor",
     "LinearMonitor",

@@ -5,8 +5,9 @@ Each FDA step performs, on every worker in parallel:
 1. one local optimization step on a fresh mini-batch,
 2. computation of the local drift ``u_t^{(k)} = w_t^{(k)} − w_{t0}`` (the
    difference from the model shared at the last synchronization),
-3. construction of the variant-specific local state,
-4. an AllReduce of the (small) local states,
+3. construction of the variant-specific local state — one row
+   ``[‖u‖² | payload]`` of the protocol's ``(K, s)`` state table,
+4. an AllReduce of the (small) local states — the mean of the table's rows,
 5. evaluation of the variance over-estimate ``H(S̄_t)``; if it exceeds the
    threshold Θ the models are synchronized with a (large) AllReduce,
    re-establishing the Round Invariant ``Var(w_t) ≤ Θ``.
@@ -24,7 +25,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.monitor import LinearMonitor, VarianceMonitor
-from repro.core.state import average_states, state_from_dict, state_to_dict
 from repro.core.theta import DynamicThetaController
 from repro.distributed.cluster import CATEGORY_STATE, SimulatedCluster
 from repro.exceptions import ConfigurationError
@@ -49,10 +49,15 @@ class FDAProtocol:
     """What every FDA driver shares, lockstep or event-driven.
 
     The threshold Θ, a common starting model ``w_0`` (Algorithm 1, line 1),
-    and the one rotation ``w_{t-1} ← w_{t0} ← w̄`` that follows a model
-    exchange.  ``w_{t0}`` is the cluster's ``shared_parameters``, which the
-    exchange itself rebinds; the protocol keeps only ``w_{t-1}``, which the
-    monitor needs.
+    the one rotation ``w_{t-1} ← w_{t0} ← w̄`` that follows a model exchange,
+    and the local-state table.  ``w_{t0}`` is the cluster's
+    ``shared_parameters``, which the exchange itself rebinds; the protocol
+    keeps only ``w_{t-1}``, which the monitor needs.
+
+    ``states`` is one float64 ``(K, s)`` table: row ``k`` is worker ``k``'s
+    last reported local state ``[‖u‖² | payload]`` (built by the monitor
+    alone), and ``reported[k]`` says whether it holds one.  An estimate is
+    ``H`` of the mean of some of its rows; which rows is the driver's rule.
     """
 
     def __init__(
@@ -67,10 +72,12 @@ class FDAProtocol:
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())
         # w_{t−1}: the model after the second most recent sync.
         self._previous_reference = cluster.shared_parameters
+        self.states = np.zeros((cluster.num_workers, self.state_elements_per_step))
+        self.reported = np.zeros(cluster.num_workers, dtype=bool)
 
     @property
     def state_elements_per_step(self) -> int:
-        """Float32 elements one worker's local state costs per completed step."""
+        """Elements one worker's local state costs per completed step (the row width)."""
         return self.monitor.state_num_elements(self.cluster.model_dimension)
 
     def _complete_synchronization(
@@ -112,16 +119,11 @@ class FDATrainer(FDAProtocol):
         self.step_count = 0
         self.last_estimate: Optional[float] = None
         self.history: List[FdaStepResult] = []
-        # Reusable (K, d) scratch for the per-step drift matrix; its rows only
-        # live within one step (states are averaged before the next step).
+        # Reusable (K, d) scratch for the per-step drift matrix; the monitor
+        # copies what it keeps into the state table's rows.
         self._drift_scratch = np.empty(
             (cluster.num_workers, cluster.model_dimension), dtype=cluster.dtype
         )
-        # Last-known local state per worker, kept only under worker churn: a
-        # dead worker cannot report, so the variance estimate substitutes its
-        # most recent (stale) state until it rejoins.  ``None`` rows mean the
-        # worker never reported (it died before its first state).
-        self._stale_states: Optional[List[Optional[object]]] = None
 
     # -- the protocol -------------------------------------------------------------
 
@@ -137,43 +139,40 @@ class FDATrainer(FDAProtocol):
         # Who stepped: the draw ∧ the bound cohort ∧ liveness, as the cluster
         # composed it for the engine (None in lockstep).
         stepped = self.cluster.participants.mask
+        fresh = slice(None) if stepped is None else stepped
 
-        # Local states from the drifts relative to the last synchronization
-        # point; one vectorized (K, d) subtraction, monitors consume the rows.
+        # The stepped workers' rows, from their drifts relative to the last
+        # synchronization point: one vectorized (K, d) subtraction, and the
+        # monitor batches what it can without changing bits (e.g. one sparse
+        # product sketching every row), so sync decisions, byte ledgers and
+        # the golden trajectories depend on neither the engine nor the mask.
         drifts = self.cluster.drift_matrix(
             self.cluster.shared_parameters, out=self._drift_scratch
         )
+        fresh_states = self.monitor.local_states(drifts[fresh])
+        self.states[fresh] = fresh_states
+        self.reported[fresh] = True
+        # The estimate reads the rows that stepped and, under worker churn,
+        # the last report of every dead worker: it cannot report, and its
+        # stale drift only makes the over-estimate more conservative.  An
+        # alive slot that merely sat out (dropout, unbound) is skipped.
+        counted = fresh
         faults = self.cluster.faults
         if faults is not None and faults.churn_active:
-            # Worker churn: dead workers cannot report a local state, so the
-            # estimate substitutes their last-known (stale) state — the
-            # monitor still sees one state per ever-reporting worker, keeping
-            # the variance over-estimate property (stale drifts only make the
-            # estimate more conservative).  The rule keys on *dead* slots:
-            # an alive slot that merely sat out (dropout, unbound) is skipped.
-            states, num_active = self._states_under_churn(drifts, stepped, faults.alive)
-        else:
-            # The monitor consumes the participating rows of the drift matrix
-            # (all of them in the paper's lockstep protocol) and batches what
-            # it can without changing bits (e.g. one sparse product sketching
-            # every row); its contract makes each state bit-identical to a
-            # per-row local_state call, so sync decisions, byte ledgers and
-            # the golden trajectories do not depend on the engine or the mask.
-            states = self.monitor.local_states(drifts if stepped is None else drifts[stepped])
-            num_active = len(states)
-        if states:
+            counted = stepped | (self.reported & ~faults.alive)
+        states = self.states[counted]
+        if len(states):
             # AllReduce of the local states (charged as small "fda-state"
             # traffic, routed through the fabric's topology and network).
             self.cluster.charge_allreduce(self.state_elements_per_step, CATEGORY_STATE)
-            averaged = average_states(states)
-            estimate = self.monitor.estimate(averaged)
+            estimate = self.monitor.estimate(self.monitor.average(states))
         else:
-            # Only reachable under churn: every contributor is dead and none
-            # ever reported.  No state traffic, no sync decision this step.
+            # Nobody stepped, and no dead worker ever reported.  No state
+            # traffic, no sync decision this step.
             estimate = self.last_estimate if self.last_estimate is not None else 0.0
         self.last_estimate = float(estimate)
 
-        synchronized = bool(states) and estimate > self.threshold
+        synchronized = len(states) > 0 and estimate > self.threshold
         if synchronized:
             self._complete_synchronization(include_buffers=self.sync_buffers)
 
@@ -194,33 +193,10 @@ class FDATrainer(FDAProtocol):
             communication_bytes=int(self.cluster.total_bytes - bytes_before),
             parallel_steps=self.cluster.parallel_steps,
             virtual_time=float(self.cluster.virtual_time),
-            active_workers=num_active,
+            active_workers=len(fresh_states),
         )
         self.history.append(result)
         return result
-
-    def _states_under_churn(self, drifts, fresh, alive):
-        """Per-worker states with stale substitution for dead workers.
-
-        The workers that stepped (``fresh``, all of them alive) report fresh
-        states, built in one batched ``local_states`` call on a *copy* of
-        their drift rows — the rows live in a reusable scratch buffer, and
-        exact-variant states keep zero-copy views, so retained states must
-        not alias it.  Dead workers contribute their most recent retained
-        state; workers that died before ever reporting contribute nothing.
-        States stay in worker order.  Returns ``(states, num_fresh)``.
-        """
-        if self._stale_states is None:
-            self._stale_states = [None] * self.cluster.num_workers
-        rows = np.flatnonzero(fresh)
-        for worker_id, state in zip(rows, self.monitor.local_states(drifts[rows])):
-            self._stale_states[worker_id] = state
-        states = [
-            state
-            for state, is_fresh, is_alive in zip(self._stale_states, fresh, alive)
-            if state is not None and (is_fresh or not is_alive)
-        ]
-        return states, len(rows)
 
     def run_steps(self, num_steps: int) -> List[FdaStepResult]:
         """Run ``num_steps`` FDA steps and return their results."""
@@ -235,8 +211,8 @@ class FDATrainer(FDAProtocol):
 
         Everything :meth:`step` mutates outside the cluster: the sync
         reference ``w_{t-1}`` (``w_{t0}`` is the cluster's), the step/sync
-        counters, the (possibly dynamically adjusted) threshold,
-        churn-retained stale states, the Θ controller, and the linear
+        counters, the (possibly dynamically adjusted) threshold, the state
+        table with its ``reported`` mask, the Θ controller, and the linear
         monitor's analysis direction ξ, which rotates on every
         synchronization.  The per-step ``history`` list is diagnostic output,
         not protocol state, and is not captured.
@@ -247,11 +223,9 @@ class FDATrainer(FDAProtocol):
             "threshold": self.threshold,
             "last_estimate": self.last_estimate,
             "previous_reference": self._previous_reference.copy(),
+            "states": self.states.copy(),
+            "reported": self.reported.copy(),
         }
-        if self._stale_states is not None:
-            state["stale_states"] = [
-                None if s is None else state_to_dict(s) for s in self._stale_states
-            ]
         if isinstance(self.monitor, LinearMonitor):
             state["monitor_direction"] = self.monitor.direction.copy()
         if self.theta_controller is not None:
@@ -268,10 +242,8 @@ class FDATrainer(FDAProtocol):
         self._previous_reference = np.asarray(
             state["previous_reference"], dtype=self.cluster.dtype
         )
-        if "stale_states" in state:
-            self._stale_states = [
-                None if s is None else state_from_dict(s) for s in state["stale_states"]
-            ]
+        self.states[...] = state["states"]
+        self.reported[...] = state["reported"]
         if "monitor_direction" in state:
             self.monitor.direction = state["monitor_direction"]
         if "theta_controller" in state:

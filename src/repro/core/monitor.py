@@ -2,67 +2,107 @@
 
 A monitor turns a worker's drift vector into the local state it transmits and
 turns the AllReduce-averaged state back into the variance over-estimate
-``H(S̄_t)`` from Theorems 3.1 and 3.2:
+``H(S̄_t)`` from Theorems 3.1 and 3.2.  A local state is one float64 row
+``[‖u‖² | payload]`` of :meth:`VarianceMonitor.state_num_elements` elements;
+rows average element-wise (:meth:`VarianceMonitor.average`), which is what the
+AllReduce of local states computes.  The payload is the variant:
 
-* :class:`SketchMonitor` — SketchFDA.  The averaged AMS sketches equal the
-  sketch of the average drift (linearity), and the M2 estimator recovers
-  ‖ū_t‖² within (1 ± ε); dividing by (1 + ε) makes ``H ≥ Var`` hold with
-  probability ≥ 1 − δ.
-* :class:`LinearMonitor` — LinearFDA.  By Cauchy–Schwarz, |⟨ξ, ū⟩|² ≤ ‖ū‖², so
-  subtracting the squared averaged projection always over-estimates the
-  variance.  The heuristic ξ is the normalized global drift direction at the
-  previous synchronization, which all workers can compute locally.
-* :class:`ExactMonitor` — ablation baseline that transmits the full drift and
-  therefore computes the exact variance.
+* :class:`SketchMonitor` — SketchFDA.  The payload is the AMS sketch of ``u``,
+  flattened.  Averaged sketches equal the sketch of the average drift
+  (linearity), and the M2 estimator recovers ‖ū_t‖² within (1 ± ε); dividing
+  by (1 + ε) makes ``H ≥ Var`` hold with probability ≥ 1 − δ.
+* :class:`LinearMonitor` — LinearFDA.  The payload is the projection ⟨ξ, u⟩.
+  By Cauchy–Schwarz, |⟨ξ, ū⟩|² ≤ ‖ū‖², so subtracting the squared averaged
+  projection always over-estimates the variance.  The heuristic ξ is the
+  normalized global drift direction at the previous synchronization, which all
+  workers can compute locally.
+* :class:`ExactMonitor` — ablation baseline whose payload is the full drift;
+  it therefore computes the exact variance (and costs as much as a sync).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.state import ExactState, LinearState, LocalState, SketchState
 from repro.exceptions import CommunicationError, ConfigurationError
 from repro.sketch.ams import AmsSketch
 from repro.utils.rng import as_rng
 
 
 class VarianceMonitor:
-    """Base class: local-state construction plus the H estimation function."""
+    """Base class: local-state rows plus the H estimation function."""
 
     #: Human-readable variant name used in experiment reports.
     name = "monitor"
 
-    def local_state(self, drift: np.ndarray) -> LocalState:
-        """Build the state a worker transmits for its current drift ``u_t^{(k)}``."""
-        raise NotImplementedError
+    def local_state(self, drift: np.ndarray) -> np.ndarray:
+        """The row a worker transmits for its current drift ``u_t^{(k)}``."""
+        return self.local_states(np.asarray(drift)[None])[0]
 
-    def local_states(self, drifts: np.ndarray) -> List[LocalState]:
-        """All workers' states from the stacked ``(K, d)`` drift matrix.
+    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+        """All workers' rows from the stacked ``(K, d)`` drift matrix, as a ``(K, s)`` table.
 
-        The batched execution engine's entry point: subclasses override to
-        batch the expensive part (one sparse-operator product sketching all
-        rows for SketchFDA) instead of ``K`` independent evaluations.  The default
-        falls back to :meth:`local_state` per row, so custom monitors keep
-        working unvectorized.
-
-        Contract: row ``k`` of the result must be **bit-identical** to
-        ``local_state(drifts[k])``.  The FDA sync decision is a threshold
-        comparison on these values, and the engines promise exactly equal
-        communication ledgers — so overrides must reduce each row with the
-        same operations the scalar path uses (e.g. per-row ``np.dot``, whose
-        BLAS reduction order differs bitwise from an ``einsum`` over the
-        matrix), batching only computations that are order-identical.
+        The one place a monitor builds states; :meth:`local_state` is its
+        one-row case.  A row must not depend on which other rows share the
+        call: the FDA sync decision is a threshold comparison on these values
+        and the engines promise exactly equal communication ledgers, so only
+        order-identical work is batched (e.g. one sparse product sketching
+        every row) and each reduction stays per row (a per-row ``np.dot``,
+        whose BLAS reduction order differs bitwise from an ``einsum`` over
+        the matrix).
         """
-        return [self.local_state(drift) for drift in drifts]
-
-    def estimate(self, average_state: LocalState) -> float:
-        """The variance over-estimate ``H(S̄_t)`` from the averaged state."""
         raise NotImplementedError
+
+    def _new_states(self, drifts: np.ndarray) -> np.ndarray:
+        """A fresh ``(K, s)`` table holding each row's ‖u‖² (per-row, in the drift dtype)."""
+        states = np.empty((len(drifts), self.state_num_elements(drifts.shape[1])))
+        states[:, 0] = [np.dot(drift, drift) for drift in drifts]
+        return states
+
+    def average(self, states: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+        """The AllReduce of local states: the mean row of an ``(A, s)`` table.
+
+        ``weights`` (optional, already normalized by the caller — see
+        :meth:`Participation.normalized
+        <repro.distributed.participation.Participation.normalized>`) makes it a
+        weighted mean.  The ‖u‖² column is reduced apart from the payload: a
+        one-column reduction is numpy's pairwise sum — the mean of ``A``
+        separate norms — while the payload block sums row by row.  One
+        ``mean(axis=0)`` over the whole table would sum the norms row by row
+        too and change their last bits from eight rows up.
+        """
+        states = np.asarray(states)
+        if states.ndim != 2 or not len(states):
+            raise CommunicationError(
+                f"averaging needs a non-empty (A, s) table of states, got shape {states.shape}"
+            )
+        if weights is not None and np.shape(weights) != (len(states),):
+            raise CommunicationError(
+                f"weights shape {np.shape(weights)} does not match {len(states)} states"
+            )
+        average = np.empty(states.shape[1])
+        average[:1] = np.average(states[:, :1], axis=0, weights=weights)
+        average[1:] = np.average(states[:, 1:], axis=0, weights=weights)
+        return average
+
+    def estimate(self, average_state: np.ndarray) -> float:
+        """The variance over-estimate ``H(S̄_t)`` from the averaged row."""
+        raise NotImplementedError
+
+    def _read(self, average_state: np.ndarray, width: Optional[int] = None) -> np.ndarray:
+        """``average_state`` as a row, refused by name if it is not this monitor's width."""
+        row = np.asarray(average_state)
+        if row.ndim != 1 or row.size < 2 or (width is not None and row.size != width):
+            raise CommunicationError(
+                f"{self!r} reads a state row of {width or 'd + 1'} elements, "
+                f"got shape {row.shape}"
+            )
+        return row
 
     def state_num_elements(self, model_dimension: int) -> int:
-        """Number of float32 elements per transmitted state (cost accounting)."""
+        """Number of elements per transmitted state (the row width; cost accounting)."""
         raise NotImplementedError
 
     def on_synchronization(self, new_global: np.ndarray, previous_global: np.ndarray) -> None:
@@ -96,41 +136,27 @@ class SketchMonitor(VarianceMonitor):
         """The ε used in the 1/(1+ε) correction of the H function."""
         return self.sketch_operator.epsilon
 
-    def local_state(self, drift: np.ndarray) -> SketchState:
-        # Dtype-preserving: a float32 plane's drift is reduced in float32 (the
-        # scalar results are Python floats either way); the sketch counters
-        # themselves always accumulate in float64 (see repro.sketch.ams).
-        drift = np.asarray(drift)
-        return SketchState(
-            float(np.dot(drift, drift)),
-            self.sketch_operator.sketch(drift),
-        )
-
-    def local_states(self, drifts: np.ndarray) -> List[SketchState]:
-        """All workers' sketch states with one batched sketch of the matrix.
+    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+        """Rows ``[‖u‖² | sketch of u]`` with one batched sketch of the matrix.
 
         The sketch — the expensive part — is built for all rows at once
         (``sketch_rows``: one product of the sparse sketch operator with the
         transposed matrix, bit-identical to per-row sketching because each
         bucket accumulates its coordinates in ascending order whatever the
-        number of columns); the squared norms stay per-row ``np.dot`` so each
-        state is bit-identical to :meth:`local_state` (see the base-class
-        contract).
+        number of columns).  A float32 plane's norms are reduced in float32;
+        the sketch counters always accumulate in float64 (see
+        :mod:`repro.sketch.ams`).
         """
         drifts = np.asarray(drifts)
-        sketches = self.sketch_operator.sketch_rows(drifts)
-        return [
-            SketchState(float(np.dot(drift, drift)), sketch)
-            for drift, sketch in zip(drifts, sketches)
-        ]
+        states = self._new_states(drifts)
+        states[:, 1:] = self.sketch_operator.sketch_rows(drifts).reshape(states[:, 1:].shape)
+        return states
 
-    def estimate(self, average_state: LocalState) -> float:
-        if not isinstance(average_state, SketchState):
-            raise CommunicationError(
-                f"SketchMonitor received a {type(average_state).__name__}; expected SketchState"
-            )
-        norm_estimate = self.sketch_operator.estimate_l2_squared(average_state.sketch)
-        return average_state.drift_sq_norm - norm_estimate / (1.0 + self.epsilon)
+    def estimate(self, average_state: np.ndarray) -> float:
+        row = self._read(average_state, self.state_num_elements(0))
+        sketch = row[1:].reshape(self.sketch_operator.shape)
+        norm_estimate = self.sketch_operator.estimate_l2_squared(sketch)
+        return float(row[0]) - norm_estimate / (1.0 + self.epsilon)
 
     def state_num_elements(self, model_dimension: int) -> int:
         del model_dimension
@@ -170,28 +196,20 @@ class LinearMonitor(VarianceMonitor):
             return np.zeros(self.dimension)
         return vector / norm
 
-    def local_state(self, drift: np.ndarray) -> LinearState:
-        # ξ stays float64 (reference-path analysis vector); the projection of
-        # a float32 drift promotes to float64 inside the dot reduction.
-        drift = np.asarray(drift)
-        return LinearState(
-            float(np.dot(drift, drift)),
-            float(np.dot(self.direction, drift)),
-        )
+    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+        """Rows ``[‖u‖² | ⟨ξ, u⟩]``: two BLAS dot products per row.
 
-    # LinearFDA's per-row state is two BLAS dot products; a matrix einsum /
-    # matrix-vector product would be marginally tidier but reduces in a
-    # different order bitwise, which would break the engines' exact-ledger
-    # contract (see VarianceMonitor.local_states) — so the base class's
-    # per-row fallback, which reuses local_state verbatim, is already the
-    # correct batched implementation and no override is defined here.
+        ξ stays float64 (reference-path analysis vector); the projection of a
+        float32 drift promotes to float64 inside the dot reduction.
+        """
+        drifts = np.asarray(drifts)
+        states = self._new_states(drifts)
+        states[:, 1] = [np.dot(self.direction, drift) for drift in drifts]
+        return states
 
-    def estimate(self, average_state: LocalState) -> float:
-        if not isinstance(average_state, LinearState):
-            raise CommunicationError(
-                f"LinearMonitor received a {type(average_state).__name__}; expected LinearState"
-            )
-        return average_state.drift_sq_norm - average_state.projection**2
+    def estimate(self, average_state: np.ndarray) -> float:
+        drift_sq_norm, projection = self._read(average_state, 2)
+        return float(drift_sq_norm) - float(projection) ** 2
 
     def state_num_elements(self, model_dimension: int) -> int:
         del model_dimension
@@ -212,30 +230,44 @@ class ExactMonitor(VarianceMonitor):
 
     name = "exact"
 
-    def local_state(self, drift: np.ndarray) -> ExactState:
-        # No defensive copy: every caller hands over a freshly computed drift
-        # (a row of the trainer's per-step drift matrix or a standalone
-        # subtraction), so copying here would double the allocation of the
-        # largest state variant for nothing — and dtype-preserving asarray
-        # keeps a float32 plane's drift rows zero-copy too.
-        drift = np.asarray(drift)
-        return ExactState(float(np.dot(drift, drift)), drift)
+    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+        """Rows ``[‖u‖² | u]``, both parts in float64 whatever the plane's dtype.
 
-    # The base-class per-row local_states fallback is already right here:
-    # local_state keeps each drift row as a zero-copy view, and the squared
-    # norm must be the same per-row np.dot either way (exact-ledger
-    # contract, see VarianceMonitor.local_states) — no override needed.
+        The norm is reduced over the same widened drift the payload carries,
+        so a lone worker's estimate is exactly 0.
+        """
+        drifts = np.asarray(drifts, dtype=np.float64)
+        states = self._new_states(drifts)
+        states[:, 1:] = drifts
+        return states
 
-    def estimate(self, average_state: LocalState) -> float:
-        if not isinstance(average_state, ExactState):
-            raise CommunicationError(
-                f"ExactMonitor received a {type(average_state).__name__}; expected ExactState"
-            )
-        average_drift = average_state.drift
-        return average_state.drift_sq_norm - float(np.dot(average_drift, average_drift))
+    def estimate(self, average_state: np.ndarray) -> float:
+        row = self._read(average_state)
+        average_drift = row[1:]
+        return float(row[0]) - float(np.dot(average_drift, average_drift))
 
     def state_num_elements(self, model_dimension: int) -> int:
         return 1 + int(model_dimension)
+
+
+#: The FDA variants by name: ``(strategy name, monitor factory)``, the factory
+#: taking ``(model_dimension, sketch_depth, sketch_width, seed)``.
+#: :func:`make_monitor`, ``FDAStrategy`` and ``cli serve --variant`` read this
+#: one table.
+VARIANTS = {
+    "sketch": ("SketchFDA", lambda dimension, depth, width, seed: SketchMonitor(depth, width, seed)),
+    "linear": ("LinearFDA", lambda dimension, depth, width, seed: LinearMonitor(dimension, seed)),
+    "exact": ("ExactFDA", lambda dimension, depth, width, seed: ExactMonitor()),
+}
+
+
+def check_variant(variant: str) -> str:
+    """``variant`` if :data:`VARIANTS` names it; a ``ConfigurationError`` otherwise."""
+    if variant not in VARIANTS:
+        raise ConfigurationError(
+            f"unknown FDA variant {variant!r}; expected one of {sorted(VARIANTS)}"
+        )
+    return variant
 
 
 def make_monitor(
@@ -245,17 +277,6 @@ def make_monitor(
     sketch_width: int = 250,
     seed: int = 0,
 ) -> VarianceMonitor:
-    """Factory: build the monitor for an FDA variant name.
-
-    ``variant`` is ``"sketch"`` (SketchFDA), ``"linear"`` (LinearFDA) or
-    ``"exact"`` (the ablation baseline).
-    """
-    if variant == "sketch":
-        return SketchMonitor(depth=sketch_depth, width=sketch_width, seed=seed)
-    if variant == "linear":
-        return LinearMonitor(dimension=model_dimension, seed=seed)
-    if variant == "exact":
-        return ExactMonitor()
-    raise ConfigurationError(
-        f"unknown FDA variant {variant!r}; expected 'sketch', 'linear' or 'exact'"
-    )
+    """Factory: build the monitor for an FDA variant name (a :data:`VARIANTS` key)."""
+    _, build = VARIANTS[check_variant(variant)]
+    return build(model_dimension, sketch_depth, sketch_width, seed)

@@ -153,7 +153,12 @@ class DynamicThetaController:
         self.min_theta = float(min_theta)
         self.max_theta = float(max_theta)
         self._recent_bytes = []
-        self.adjustment_count = 0
+        self._adjustment_count = 0
+
+    @property
+    def adjustment_count(self) -> int:
+        """How many windows have closed so far (training state, not configuration)."""
+        return self._adjustment_count
 
     def update(self, current_theta: float, step_bytes: float, synchronized: bool) -> float:
         """Observe one step's traffic and return the (possibly adjusted) Θ."""
@@ -163,7 +168,7 @@ class DynamicThetaController:
             return current_theta
         average = float(np.mean(self._recent_bytes))
         self._recent_bytes = []
-        self.adjustment_count += 1
+        self._adjustment_count += 1
         if average > self.target_bytes_per_step:
             adjusted = current_theta * self.adjustment
         else:
@@ -174,13 +179,13 @@ class DynamicThetaController:
         """JSON-safe snapshot of the open byte window and the adjustment count."""
         return {
             "recent_bytes": list(self._recent_bytes),
-            "adjustment_count": self.adjustment_count,
+            "adjustment_count": self._adjustment_count,
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
         self._recent_bytes = [float(b) for b in state["recent_bytes"]]
-        self.adjustment_count = int(state["adjustment_count"])
+        self._adjustment_count = int(state["adjustment_count"])
 
     def __repr__(self) -> str:
         return (

@@ -353,10 +353,9 @@ class SimulatedCluster:
         One vectorized subtraction replaces the per-worker gather-and-subtract
         loop, split into row shards when the plane is wide enough
         (:func:`repro.backend.row_shards`).  Without ``out`` the matrix is
-        freshly allocated, so its rows are safe to retain (e.g. inside an
-        :class:`~repro.core.state.ExactState`); with a reusable ``out`` buffer
-        the rows are only valid until the next call that writes into the same
-        buffer.
+        freshly allocated; with a reusable ``out`` buffer the rows are only
+        valid until the next call that writes into the same buffer (FDA's
+        monitors copy what they keep into their state rows).
         """
         reference = np.asarray(reference, dtype=self.dtype)
         if reference.shape != (self.model_dimension,):

@@ -81,6 +81,7 @@ advanced), so the engines only guarantee matching state on completed steps.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -123,7 +124,10 @@ class ClusterEngine:
     is_batched = False
 
     def __init__(self, cluster: "SimulatedCluster") -> None:
-        self.cluster = cluster
+        # Weak: the cluster owns its engine, so a strong back-reference would
+        # make every cluster a cycle that only the cyclic collector frees, and
+        # a sweep would hold a varying number of dead (K, d) planes at its peak.
+        self.cluster = weakref.proxy(cluster)
 
     @property
     def gradient_matrix(self) -> Optional[np.ndarray]:

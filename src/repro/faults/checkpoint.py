@@ -13,6 +13,9 @@ and the atomic file.  Restoring into a freshly constructed cluster/strategy of
 the same configuration continues the trajectory *bit-exactly*, with or without
 collective compression: the round-trip tests interrupt a run mid-flight and
 assert the continued history equals an uninterrupted run's, to the last bit.
+"The same configuration" is checked, never assumed: the header records the
+cluster's shape and the strategy's ``spec()``, and a target that differs in
+either is refused by name.
 
 A cluster carrying a client population is refused at restore (never at
 capture or save): the checkpoint does not hold the cohort sampler's stream,
@@ -46,8 +49,10 @@ FORMAT = "repro.cluster_checkpoint"
 #: as the cluster's ``shared_parameters`` — no FDA ``reference``, compression
 #: ``reference`` or server-round ``global_parameters`` copies — and drops the
 #: timeline's second communication-seconds and churn ledgers (the fabric and
-#: the fault log hold them).  Any other version is refused.
-VERSION = 3
+#: the fault log hold them).  Version 4 carries FDA's local states as one
+#: ``(K, s)`` table with its ``reported`` mask, and the strategy's
+#: configuration.  Any other version is refused.
+VERSION = 4
 
 
 # -- value encoding -------------------------------------------------------------
@@ -103,6 +108,29 @@ def _require_current(payload, source: str) -> None:
         )
 
 
+def _strategy_config(strategy) -> str:
+    """``strategy.spec()`` as canonical JSON: the configuration a resume must match."""
+    from repro.experiments.cache import canonical_value  # that package imports this one
+
+    return json.dumps(canonical_value(strategy.spec()), sort_keys=True)
+
+
+def _check_strategy(recorded: str, strategy) -> None:
+    """Refuse a strategy configured differently from the captured one, naming the fields."""
+    current = _strategy_config(strategy)
+    if current == recorded:
+        return
+    then, now = json.loads(recorded), json.loads(current)
+    differences = "; ".join(
+        f"{key}: {then.get(key)!r} in the checkpoint, {now.get(key)!r} here"
+        for key in sorted(set(then) | set(now))
+        if then.get(key) != now.get(key)
+    )
+    raise ExperimentError(
+        f"the checkpoint was taken from a differently configured strategy ({differences})"
+    )
+
+
 class ClusterCheckpoint:
     """One captured snapshot of a cluster + strategy + run loop."""
 
@@ -127,6 +155,7 @@ class ClusterCheckpoint:
             "compression_label": cluster.compression_label,
             **cluster.state_dict(),
             "strategy": strategy.checkpoint_state() if strategy is not None else None,
+            "strategy_config": _strategy_config(strategy) if strategy is not None else None,
             "run_state": run_state,
         }
         return cls(payload)
@@ -137,11 +166,12 @@ class ClusterCheckpoint:
         """Write the snapshot into a freshly built cluster (and strategy).
 
         The target must match the captured configuration (worker count, model
-        dimension, dtype, compression, fault plan) and carry no client
-        population (see the module docstring).  All state arrays are
-        written *in place* so the parameter plane's row bindings — and, on the
-        batched engine, the stacked optimizer's row-bound moment matrices —
-        stay intact.  Returns the captured run-loop state (or ``None``).
+        dimension, dtype, compression, fault plan, and the strategy's
+        ``spec()``) and carry no client population (see the module
+        docstring); a mismatch is refused before anything is written.  All
+        state arrays are written *in place* so the parameter plane's row
+        bindings — and, on the batched engine, the stacked optimizer's
+        row-bound moment matrices — stay intact.  Returns the captured run-loop state (or ``None``).
         """
         payload = self.payload
         _require_current(payload, "the payload")
@@ -174,8 +204,11 @@ class ClusterCheckpoint:
             raise ExperimentError(
                 "checkpoint and cluster disagree on whether a fault plan is attached"
             )
+        restores_strategy = payload["strategy"] is not None and strategy is not None
+        if restores_strategy:
+            _check_strategy(payload["strategy_config"], strategy)
         cluster.load_state_dict(payload)
-        if payload["strategy"] is not None and strategy is not None:
+        if restores_strategy:
             strategy.restore_state(payload["strategy"])
         return payload["run_state"]
 

@@ -35,7 +35,12 @@ class ServerOptimizer:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = float(learning_rate)
         self.name = name or type(self).__name__.lower()
-        self.round_count = 0
+        self._round_count = 0
+
+    @property
+    def round_count(self) -> int:
+        """Server rounds aggregated so far (training state, not configuration)."""
+        return self._round_count
 
     def aggregate(
         self, global_params: np.ndarray, client_params: Sequence[np.ndarray]
@@ -70,12 +75,12 @@ class ServerOptimizer:
             )
         pseudo_gradient = global_params - stacked.mean(axis=0)
         updated = self._apply(global_params, pseudo_gradient)
-        self.round_count += 1
+        self._round_count += 1
         return updated
 
     def reset(self) -> None:
         """Clear internal state (momentum / adaptive accumulators)."""
-        self.round_count = 0
+        self._round_count = 0
         self._reset_state()
 
     # -- subclass hooks ------------------------------------------------------
@@ -97,7 +102,7 @@ class ServerOptimizer:
         """Resumable snapshot: round count, learning rate, accumulator copies."""
         arrays = {name: array.copy() for name, array in self.state_arrays().items()}
         return {
-            "round_count": self.round_count,
+            "round_count": self._round_count,
             "learning_rate": self.learning_rate,
             "arrays": arrays,
         }
@@ -105,7 +110,7 @@ class ServerOptimizer:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Resume from :meth:`state_dict` (accumulators it lacks are cleared)."""
         self.reset()
-        self.round_count = int(state["round_count"])
+        self._round_count = int(state["round_count"])
         for name, array in state["arrays"].items():
             self._bind_state(name, np.array(array))
 

@@ -4,12 +4,12 @@ An update's *staleness* is the number of global synchronizations that
 happened between the instant its state was computed and the instant the
 coordinator aggregates it.  Each rule maps staleness to a non-negative
 weight; a zero weight rejects the update outright.  The weights compose with
-the PR-9 weighted-aggregation seam: the harness assembles one weight per
-worker, normalizes them as a
+the weighted-aggregation seam: the harness keeps one weight per row of its
+state table, normalizes them as a
 :class:`~repro.distributed.participation.Participation`, and feeds the result
-to :func:`repro.core.state.average_states` — the ``"uniform"`` rule passes
-``None`` weights so the exact legacy ``np.mean`` path (and with it the
-degenerate-mode bit-exactness) is preserved.
+to :meth:`VarianceMonitor.average <repro.core.monitor.VarianceMonitor.average>`
+— equal weights (the ``"uniform"`` rule always) pass ``None``, the plain mean
+of the rows.
 
 Rules:
 

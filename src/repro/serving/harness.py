@@ -14,6 +14,11 @@ rule.  Every serviced update records its enqueue→aggregate virtual-time
 latency into a :class:`~repro.serving.metrics.LatencyTracker`, which is where
 the p50/p95/p99 numbers in ``BENCH_serving.json`` come from.
 
+The coordinator's view of the workers is the protocol's state table
+(:class:`~repro.core.fda.FDAProtocol`): an aggregated update writes its
+worker's row, and once every row has reported since the last synchronization
+each further update is followed by one estimate over the whole table.
+
 *Who reports when* is a schedule feeding that one rule:
 
 * open loop (``arrival="poisson" | "deterministic" | "trace"``) — updates are
@@ -42,13 +47,12 @@ raises ``TrainingError``, naming its worker, at that settle and aborts the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.fda import FDAProtocol
 from repro.core.monitor import VarianceMonitor, make_monitor
-from repro.core.state import average_states
 from repro.core.timeline import ARRIVAL, ENQUEUE, SERVICE, StragglerProfile, Timeline
 from repro.distributed.cluster import CATEGORY_MODEL, CATEGORY_STATE, SimulatedCluster
 from repro.distributed.participation import Participation
@@ -161,8 +165,14 @@ class ServedFDATrainer(FDAProtocol):
         self.stale_rejected = 0
         self.updates_served = 0
         self.blocked_peak = 0
-        # Most recent (update, staleness weight) per worker since the last sync.
-        self._latest: Dict[int, Tuple[PendingUpdate, float]] = {}
+        # Staleness weight of each worker's row, and how many rows have not
+        # reported since the last sync — plain Python, so aggregating an
+        # update costs no numpy call beyond its row write.
+        self._weights = [1.0] * cluster.num_workers
+        self._unreported = cluster.num_workers
+        # Aggregated updates whose rows the next settle writes (their step
+        # may not be computed yet), in aggregation order, so the latest wins.
+        self._aggregated: List[PendingUpdate] = []
         # Per worker, the produced updates whose local step is not computed yet.
         self._backlog: List[List[PendingUpdate]] = [[] for _ in cluster.workers]
         self._unsettled = 0
@@ -229,23 +239,26 @@ class ServedFDATrainer(FDAProtocol):
 
     def _settle(self) -> None:
         """Compute the backlog rank by rank: every worker's oldest uncomputed
-        step as one masked ``engine.step_all``, then their states.  No sync falls
-        between a step's event and its settle, so the cluster's shared model is
-        the event's reference."""
-        if not self._unsettled:
-            return
-        depth = np.array([len(backlog) for backlog in self._backlog])
-        for rank in range(int(depth.max())):
-            due = depth > rank
-            self.cluster.engine.step_all(active=due)
-            if self.config.protocol == "fda":
-                rows = np.flatnonzero(due)
-                # A fresh drift block: ExactMonitor's states keep views of it.
-                drifts = self.cluster.parameter_matrix[rows] - self.cluster.shared_parameters
-                for row, state in zip(rows, self.monitor.local_states(drifts)):
-                    self._backlog[row][rank].state = state
-        self._backlog = [[] for _ in self._backlog]
-        self._unsettled = 0
+        step as one masked ``engine.step_all``, then their states; then write
+        the rows of the updates aggregated since the last settle.  No sync
+        falls between a step's event and its settle, so the cluster's shared
+        model is the event's reference."""
+        if self._unsettled:
+            depth = np.array([len(backlog) for backlog in self._backlog])
+            for rank in range(int(depth.max())):
+                due = depth > rank
+                self.cluster.engine.step_all(active=due)
+                if self.config.protocol == "fda":
+                    rows = np.flatnonzero(due)
+                    drifts = self.cluster.parameter_matrix[rows]
+                    drifts -= self.cluster.shared_parameters
+                    for row, state in zip(rows, self.monitor.local_states(drifts)):
+                        self._backlog[row][rank].state = state
+            self._backlog = [[] for _ in self._backlog]
+            self._unsettled = 0
+        for update in self._aggregated:
+            self.states[update.worker_id] = update.state
+        self._aggregated.clear()
 
     def _admit(self, update: PendingUpdate) -> None:
         self.queue.offer(update, self.timeline.now)
@@ -275,10 +288,16 @@ class ServedFDATrainer(FDAProtocol):
         if weight <= 0.0:
             self.stale_rejected += 1
         else:
-            self._latest[update.worker_id] = (update, weight)
-            if len(self._latest) == self.cluster.num_workers:
+            fda = self.config.protocol == "fda"
+            worker = update.worker_id
+            if fda:
+                self._weights[worker] = weight
+                self._aggregated.append(update)
+            if not self.reported[worker]:
+                self.reported[worker] = True
+                self._unreported -= 1
+            if not self._unreported:
                 self._settle()  # an estimate or a sync reads every worker
-                fda = self.config.protocol == "fda"
                 if fda:
                     estimate = self._estimate()
                 if not fda or estimate > self.threshold:
@@ -288,7 +307,8 @@ class ServedFDATrainer(FDAProtocol):
                     # barrier creates is exactly the saturation effect the
                     # bench plots.
                     self._complete_synchronization(notify_monitor=fda)
-                    self._latest.clear()
+                    self.reported[:] = False
+                    self._unreported = self.cluster.num_workers
                     synchronized = True
         if self.queue:
             self._start_service()
@@ -302,19 +322,16 @@ class ServedFDATrainer(FDAProtocol):
         )
 
     def _estimate(self) -> float:
-        """The variance over-estimate on every worker's most recent state."""
-        ordered = [self._latest[w] for w in range(self.cluster.num_workers)]
-        weights = [weight for _, weight in ordered]
-        # Equal weights are the plain mean: None keeps the exact np.mean path
-        # bit-for-bit (always the case in the closed loop, where nothing is
-        # ever stale).
+        """The variance over-estimate on every worker's row (its most recent state)."""
+        weights = self._weights
+        # Equal weights are the plain mean (always the case in the closed
+        # loop, where nothing is ever stale).
         normalized = (
             None
             if min(weights) == max(weights)
             else Participation(weights=weights).normalized()
         )
-        averaged = average_states([update.state for update, _ in ordered], normalized)
-        return float(self.monitor.estimate(averaged))
+        return float(self.monitor.estimate(self.monitor.average(self.states, normalized)))
 
     def _process_event(self) -> Optional[ServedUpdate]:
         """Handle the timeline's next event; the record if it aggregated an update."""

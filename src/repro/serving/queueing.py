@@ -38,7 +38,10 @@ class PendingUpdate:
     state was computed; staleness at aggregation time is the number of model
     synchronizations the update missed while queued.  ``step_index`` is the
     sender's step count when it made the update and ``upload_seconds`` what
-    shipping it cost the sender's link.
+    shipping it cost the sender's link.  ``state`` is the local-state row
+    (:meth:`VarianceMonitor.local_states
+    <repro.core.monitor.VarianceMonitor.local_states>`), once the step is
+    computed.
     """
 
     worker_id: int

@@ -132,13 +132,15 @@ class Strategy:
     # -- fingerprinting -------------------------------------------------------------
 
     def spec(self) -> dict:
-        """Canonical configuration of a *fresh* strategy instance.
+        """Canonical configuration of the strategy.
 
         Used by the sweep executor to fingerprint the strategy into a run
-        key: the class plus every public attribute (thresholds, variants,
-        seeds, controllers — nested objects are canonicalized downstream).
-        Mutable training state (``rounds_completed``, ``_``-prefixed
-        attributes) is excluded; call this on an unattached instance.
+        key, and by checkpoints to refuse a differently configured resume:
+        the class plus every public attribute (thresholds, variants, seeds,
+        controllers — nested objects are canonicalized downstream).  Training
+        state (``rounds_completed``, ``_``-prefixed attributes, and the
+        private counters of the objects a strategy holds) is excluded, so the
+        spec reads the same before, during and after training.
         """
         config = {
             key: value

@@ -8,10 +8,11 @@ conditional synchronization).
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from repro.core.fda import FDATrainer
-from repro.core.monitor import VarianceMonitor, make_monitor
+from repro.core.monitor import VARIANTS, VarianceMonitor, check_variant, make_monitor
 from repro.core.theta import DynamicThetaController
 from repro.distributed.cluster import SimulatedCluster
 from repro.exceptions import ConfigurationError
@@ -22,9 +23,13 @@ class FDAStrategy(Strategy):
     """Federated Dynamic Averaging with a chosen variance monitor.
 
     ``variant`` selects the monitor: ``"linear"`` (LinearFDA), ``"sketch"``
-    (SketchFDA) or ``"exact"`` (the ablation monitor).  ``threshold`` is the
-    paper's Θ.  An optional :class:`DynamicThetaController` enables the
-    future-work bandwidth-targeting extension.  On a cluster built with
+    (SketchFDA) or ``"exact"`` (the ablation monitor) — a key of
+    :data:`repro.core.monitor.VARIANTS`, checked here.  An explicit
+    ``monitor`` replaces the one ``variant`` names; the trainer works on a
+    copy of it, so the strategy's configuration never changes while it
+    trains.  ``threshold`` is the paper's Θ.  An optional
+    :class:`DynamicThetaController` enables the future-work
+    bandwidth-targeting extension.  On a cluster built with
     collective-level compression (``WorkloadConfig.compression``) every
     triggered synchronization goes through ``cluster.synchronize`` and
     exchanges compressed model deltas instead of full-precision parameters
@@ -53,19 +58,17 @@ class FDAStrategy(Strategy):
         if threshold < 0:
             raise ConfigurationError(f"threshold (Theta) must be non-negative, got {threshold}")
         self.threshold = float(threshold)
-        self.variant = variant
+        self.variant = check_variant(variant)
         self.sketch_depth = int(sketch_depth)
         self.sketch_width = int(sketch_width)
         self.seed = int(seed)
         self.theta_controller = theta_controller
         self._explicit_monitor = monitor
         self._trainer: Optional[FDATrainer] = None
-        self.name = {"linear": "LinearFDA", "sketch": "SketchFDA", "exact": "ExactFDA"}.get(
-            variant, f"FDA[{variant}]"
-        )
+        self.name, _ = VARIANTS[variant]
 
     def _setup(self, cluster: SimulatedCluster) -> None:
-        monitor = self._explicit_monitor or make_monitor(
+        monitor = copy.deepcopy(self._explicit_monitor) or make_monitor(
             self.variant,
             cluster.model_dimension,
             sketch_depth=self.sketch_depth,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor
@@ -155,11 +157,11 @@ class TestDynamicTheta:
 
 
 class RecordingSketchMonitor(SketchMonitor):
-    """SketchMonitor that keeps every batch of states it hands the trainer.
+    """SketchMonitor that keeps every table of states it hands the trainer.
 
-    ``rowwise=True`` swaps the batched ``local_states`` for the base class's
-    per-row ``local_state`` loop — what the trainer's masked and churn
-    branches ran before they were routed through ``local_states``.
+    ``rowwise=True`` builds the table one ``local_state`` row at a time —
+    what the trainer's masked and churn branches ran before they were routed
+    through the batched ``local_states``.
     """
 
     def __init__(self, rowwise):
@@ -168,9 +170,13 @@ class RecordingSketchMonitor(SketchMonitor):
         self.batches = []
 
     def local_states(self, drifts):
-        batched = VarianceMonitor.local_states if self.rowwise else SketchMonitor.local_states
-        self.batches.append(batched(self, drifts))
-        return self.batches[-1]
+        if self.rowwise:
+            rows = [SketchMonitor.local_states(self, drift[None]) for drift in drifts]
+            states = np.concatenate(rows) if rows else SketchMonitor.local_states(self, drifts)
+        else:
+            states = SketchMonitor.local_states(self, drifts)
+        self.batches.append(states)
+        return states
 
 
 class TestBatchedStatesUnderMasksAndChurn:
@@ -208,9 +214,7 @@ class TestBatchedStatesUnderMasksAndChurn:
         assert batched_results == rowwise_results  # estimates, decisions, bytes, clocks
         assert len(batched.monitor.batches) == len(rowwise.monitor.batches) == 30
         for got, expected in zip(batched.monitor.batches, rowwise.monitor.batches):
-            assert [s.drift_sq_norm for s in got] == [s.drift_sq_norm for s in expected]
-            for state, reference in zip(got, expected):
-                np.testing.assert_array_equal(state.sketch, reference.sketch)
+            assert got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(
             batched.cluster.parameter_matrix, rowwise.cluster.parameter_matrix
         )
@@ -222,16 +226,52 @@ class TestBatchedStatesUnderMasksAndChurn:
         assert sync_steps == self.GOLDEN_SYNC_STEPS[scenario]
         assert batched.cluster.total_bytes == self.GOLDEN_TOTAL_BYTES[scenario]
 
-    def test_retained_states_do_not_alias_the_drift_scratch(self):
-        # Under churn a dead worker's last state is reused on later steps; an
-        # exact-variant state is a view of its drift row, so the rows handed
-        # to the monitor must be copies of the reusable scratch buffer.
+    @settings(max_examples=6, deadline=None)
+    @given(
+        crash_seed=st.integers(min_value=0, max_value=1_000),
+        timeline_seed=st.integers(min_value=0, max_value=1_000),
+    )
+    def test_the_estimate_averages_stepped_and_dead_reported_rows(
+        self, crash_seed, timeline_seed
+    ):
+        """Under churn and dropout the averaged rows are ``stepped ∪ (dead ∧
+        reported)``, in worker order, each dead worker's row its last report."""
         from helpers.parity import make_cluster
 
-        cluster = make_cluster("batched", num_workers=8, **self.SCENARIOS["crash"])
-        trainer = FDATrainer(cluster, ExactMonitor(), 1e9)
-        trainer.run_steps(5)
-        retained = [state for state in trainer._stale_states if state is not None]
-        assert retained
-        for state in retained:
-            assert not np.shares_memory(state.drift, trainer._drift_scratch)
+        cluster = make_cluster(
+            "batched", num_workers=8, dropout_rate=0.3, timeline_seed=timeline_seed,
+            faults=FaultPlan(crash_rate=0.2, recovery_rounds=3, seed=crash_seed),
+        )
+        monitor = AveragingSpy(depth=3, width=16, seed=3)
+        trainer = FDATrainer(cluster, monitor, 0.05)
+        last = {}
+        for _ in range(20):
+            monitor.averaged.clear()
+            trainer.step()
+            stepped, dead = cluster.participants.mask, ~cluster.faults.alive
+            for worker, row in zip(np.flatnonzero(stepped), monitor.built[-1]):
+                last[worker] = row
+            expected = [
+                last[worker] for worker in range(8)
+                if stepped[worker] or (dead[worker] and worker in last)
+            ]
+            assert len(monitor.averaged) == (1 if expected else 0)
+            if expected:
+                assert monitor.averaged[0].tobytes() == np.array(expected).tobytes()
+        assert not np.shares_memory(trainer.states, trainer._drift_scratch)
+
+
+class AveragingSpy(SketchMonitor):
+    """Keeps every table it builds and every table the trainer averages."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built, self.averaged = [], []
+
+    def local_states(self, drifts):
+        self.built.append(super().local_states(drifts))
+        return self.built[-1]
+
+    def average(self, states, weights=None):
+        self.averaged.append(np.array(states))
+        return super().average(states, weights)

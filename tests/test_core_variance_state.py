@@ -1,18 +1,17 @@
-"""Tests for the variance algebra (Eq. 2 / Eq. 4) and the FDA local states."""
+"""Tests for the variance algebra (Eq. 2 / Eq. 4)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.state import ExactState, LinearState, SketchState, average_states
 from repro.core.variance import (
     average_drift,
     drift_matrix,
     model_variance,
     variance_from_drifts,
 )
-from repro.exceptions import CommunicationError, ShapeError
+from repro.exceptions import ShapeError
 
 
 def random_vectors(seed, num_workers, dimension, scale=1.0):
@@ -69,51 +68,3 @@ class TestModelVariance:
         with pytest.raises(ShapeError):
             drift_matrix([np.zeros(3)], np.zeros(4))
 
-
-class TestLocalStates:
-    def test_linear_state_fields_and_size(self):
-        state = LinearState(2.0, 0.5)
-        assert state.num_elements == 2
-
-    def test_linear_state_average(self):
-        averaged = average_states([LinearState(2.0, 1.0), LinearState(4.0, 3.0)])
-        assert averaged.drift_sq_norm == 3.0
-        assert averaged.projection == 2.0
-
-    def test_sketch_state_average(self):
-        a = SketchState(1.0, np.ones((2, 3)))
-        b = SketchState(3.0, np.zeros((2, 3)))
-        averaged = average_states([a, b])
-        assert averaged.drift_sq_norm == 2.0
-        np.testing.assert_allclose(averaged.sketch, 0.5)
-        assert averaged.num_elements == 1 + 6
-
-    def test_exact_state_average(self):
-        a = ExactState(1.0, np.array([1.0, 0.0]))
-        b = ExactState(1.0, np.array([0.0, 1.0]))
-        averaged = average_states([a, b])
-        np.testing.assert_allclose(averaged.drift, [0.5, 0.5])
-
-    def test_mixed_types_rejected(self):
-        with pytest.raises(CommunicationError):
-            average_states([LinearState(1.0, 0.0), ExactState(1.0, np.zeros(2))])
-
-    def test_mismatched_sketch_shapes_rejected(self):
-        with pytest.raises(CommunicationError):
-            average_states(
-                [SketchState(1.0, np.zeros((2, 3))), SketchState(1.0, np.zeros((2, 4)))]
-            )
-
-    def test_empty_average_rejected(self):
-        with pytest.raises(CommunicationError):
-            average_states([])
-
-    def test_sketch_state_requires_matrix(self):
-        with pytest.raises(ShapeError):
-            SketchState(1.0, np.zeros(5))
-        with pytest.raises(ShapeError):
-            SketchState(1.0, None)
-
-    def test_exact_state_requires_vector(self):
-        with pytest.raises(ShapeError):
-            ExactState(1.0, np.zeros((2, 2)))

@@ -15,7 +15,7 @@ from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 
 
-def make_cluster(num_workers=3, seed=0, cost_model=None):
+def make_cluster(num_workers=3, seed=0, cost_model=None, execution="sequential"):
     data = gaussian_blobs(240, feature_dim=8, num_classes=3, seed=seed)
     shards = partition_dataset(data, num_workers, "iid", seed=seed)
     workers = [
@@ -29,7 +29,7 @@ def make_cluster(num_workers=3, seed=0, cost_model=None):
         )
         for i, shard in enumerate(shards)
     ]
-    return SimulatedCluster(workers, cost_model=cost_model)
+    return SimulatedCluster(workers, cost_model=cost_model, execution=execution)
 
 
 class TestWorker:
@@ -91,6 +91,23 @@ class TestClusterBasics:
         cluster.step_all()
         assert all(worker.steps_performed == 1 for worker in cluster.workers)
         assert cluster.parallel_steps == 1
+
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    def test_a_dropped_cluster_is_freed_without_the_cycle_collector(self, execution):
+        # The engine's back-reference is weak: a sweep's per-cell clusters die
+        # when their last reference does, not at the next full collection.
+        import gc
+        import weakref
+
+        cluster = make_cluster(3, execution=execution)
+        cluster.step_all()
+        alive = weakref.ref(cluster)
+        gc.disable()
+        try:
+            del cluster
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestCollectives:

@@ -45,10 +45,10 @@ FLOAT64_ALLOWLIST = {
     "optim/base.py",
     "optim/server.py",
     "compression/kernels.py",
-    "core/state.py",
     # AMS sketch counters are float64 by proven-variance-bound design.
     "sketch/ams.py",
-    # The linear monitor's analysis direction ξ stays float64.
+    # The linear monitor's analysis direction ξ stays float64, and so does the
+    # exact monitor's widened drift (local-state rows are float64 by design).
     "core/monitor.py",
     # Reference-path analysis: offline, never on the per-step path.
     "core/theta.py",

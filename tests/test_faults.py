@@ -551,6 +551,48 @@ class TestClusterCheckpoint:
         with pytest.raises(ExperimentError, match="dtype"):
             checkpoint.restore(other)
 
+    @pytest.mark.parametrize(
+        "target, field",
+        [
+            (lambda: FDAStrategy(0.01, "sketch"), "variant"),
+            (lambda: FDAStrategy(5.0, "linear"), "threshold"),
+            (lambda: LocalSGDStrategy(tau=1), "class"),
+        ],
+        ids=["sketch", "theta", "local-sgd"],
+    )
+    def test_restore_refuses_a_differently_configured_strategy(
+        self, blobs_workload, target, field
+    ):
+        cluster, _ = build_cluster(blobs_workload)
+        strategy = FDAStrategy(0.01, "linear").attach(cluster)
+        strategy.run_steps(3)
+        checkpoint = ClusterCheckpoint.capture(cluster, strategy)
+        fresh, _ = build_cluster(blobs_workload)
+        other = target().attach(fresh)
+        before = fresh.parameter_matrix.copy()
+        with pytest.raises(ExperimentError, match=f"differently configured strategy.*{field}"):
+            checkpoint.restore(fresh, other)
+        # Refused before anything was written.
+        np.testing.assert_array_equal(fresh.parameter_matrix, before)
+        assert other.rounds_completed == 0
+
+    def test_a_trained_controller_resumes_into_a_fresh_one(self, blobs_workload, tmp_path):
+        from repro.core.theta import DynamicThetaController
+
+        def factory():
+            return FDAStrategy(0.01, theta_controller=DynamicThetaController(1.0, window=2))
+
+        cluster, _ = build_cluster(blobs_workload)
+        strategy = factory().attach(cluster)
+        strategy.run_steps(5)
+        assert strategy.theta_controller.adjustment_count == 2
+        path = ClusterCheckpoint.capture(cluster, strategy).save(tmp_path / "ckpt.json")
+        fresh, _ = build_cluster(blobs_workload)
+        resumed = factory().attach(fresh)
+        ClusterCheckpoint.load(path).restore(fresh, resumed)
+        assert resumed.theta_controller.adjustment_count == 2
+        assert resumed.current_threshold == strategy.current_threshold
+
     def test_save_is_atomic_and_loadable(self, blobs_workload, tmp_path):
         cluster, _ = build_cluster(blobs_workload)
         cluster.step_all()

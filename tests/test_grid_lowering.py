@@ -370,6 +370,43 @@ def test_two_values_of_any_constructor_parameter_are_two_specs(cls):
             assert first != second, f"{cls.__name__}({name}=...): values {i} and {j} share a spec"
 
 
+#: For every strategy class ``repro.strategies`` exports: a configuration whose
+#: held objects carry training state — a Θ controller that adjusts every step,
+#: an explicit monitor whose ξ rotates on every sync, a server optimizer that
+#: counts rounds.  ``model_dimension`` sizes the explicit monitor.
+TRAINED = {
+    SynchronousStrategy: lambda model_dimension: SynchronousStrategy(),
+    LocalSGDStrategy: lambda model_dimension: LocalSGDStrategy(tau=post_local_sgd_tau(1, 2)),
+    FedOptStrategy: lambda model_dimension: FedOptStrategy(FedAdam(0.3)),
+    FDAStrategy: lambda model_dimension: FDAStrategy(
+        0.0,
+        theta_controller=DynamicThetaController(1.0, window=1),
+        monitor=make_monitor("linear", model_dimension, seed=0),
+    ),
+    FedProxStrategy: lambda model_dimension: FedProxStrategy(mu=0.5),
+    ScaffoldStrategy: lambda model_dimension: ScaffoldStrategy(),
+}
+
+
+@pytest.mark.parametrize("cls", exported_strategy_classes(), ids=lambda cls: cls.__name__)
+def test_spec_is_stable_while_a_strategy_trains(cls, blobs_workload):
+    """``spec()`` is configuration: a run key and a checkpoint's resume check
+    read it, so training must not move it."""
+    from repro.experiments.setup import build_cluster
+
+    cluster, _ = build_cluster(blobs_workload)
+    strategy = TRAINED[cls](cluster.model_dimension)
+
+    def spec():
+        return json.dumps(canonical_value(strategy.spec()), sort_keys=True)
+
+    fresh = spec()
+    strategy.attach(cluster)
+    strategy.run_steps(4)
+    assert cluster.synchronization_count > 0
+    assert spec() == fresh
+
+
 # -- lowering an ExperimentSpec ----------------------------------------------------
 
 

@@ -9,8 +9,8 @@ deferral invisible:
 * **Oracle property** — over arrival kind x rate x queue x staleness rule x
   protocol x monitor x engine x dtype, on a model with ``Dropout``: identical
   records, parameters, buffers, optimizer moments, byte/link/latency ledgers
-  and sampler/dropout RNG states.  ``"exact"`` is the aliasing guard: its
-  states keep views of the drift rows they were built from.
+  and sampler/dropout RNG states.  ``"exact"`` is the widest row: its
+  payload is the whole drift, written into the state table at the settle.
 * **Visibility rule** — a public driver returns with every produced step
   computed, and a worker's unsettled steps carry consecutive step indices.
 * **Bounded backlog** — a load that never reaches the estimate's read barrier
@@ -206,7 +206,7 @@ class TestBoundedBacklog:
     def test_a_worker_that_never_reports_does_not_let_the_backlog_grow(
         self, execution, tmp_path
     ):
-        """Worker 3 is absent from the trace, so ``_latest`` never fills: no
+        """Worker 3 is absent from the trace, so its row never reports: no
         estimate, no synchronization — only the bound settles mid-run."""
         path = tmp_path / "trace.jsonl"
         write_arrival_trace(

@@ -122,6 +122,18 @@ pool that must be dropped on fork and must never run a public method, and
 
 14. threads start in one module: under ``src/`` only ``backend.py`` imports
     ``threading``, ``_thread``, ``contextvars`` or a thread pool.
+
+A worker's local state was once four classes with three hand-copied averages,
+a tagged checkpoint serializer, and two private per-worker tables (the
+lockstep trainer's stale states, the coordinator's latest updates).  A local
+state is one float64 row ``[‖u‖² | payload]`` of the protocol's ``(K, s)``
+table now, and
+
+15. the retired names occur nowhere under ``src/``, in ``ARCHITECTURE.md`` or
+    under ``docs/``; only ``core/monitor.py`` defines ``local_state``,
+    ``local_states`` or ``average``; and outside it nothing indexes a state
+    table's columns or reduces a state table itself — rows are built and
+    averaged by the monitor alone.
 """
 
 from __future__ import annotations
@@ -715,3 +727,66 @@ def test_one_owner_per_fact():
         ("distributed/cluster.py", name)
         for name in ("__init__", "broadcast_parameters", "load_state_dict", "synchronize")
     ], f"the shared model is written by broadcast and sync alone: {writers}"
+
+
+#: The retired local-state classes, their average and serializer, the two
+#: private per-worker tables and the module that held them.
+_RETIRED_STATE_NAMES = re.compile(
+    r"\b(LocalState|LinearState|SketchState|ExactState|average_states|state_to_dict"
+    r"|state_from_dict|_stale_states|_states_under_churn)\b|repro\.core\.state\b"
+)
+_ROW_BUILDERS = {"local_state", "local_states", "average"}
+
+
+def _state_name(source: str, node) -> bool:
+    segment = ast.get_source_segment(source, node) or ""
+    return re.search(r"states?$", segment) is not None
+
+
+def test_a_local_state_is_a_row_built_by_the_monitor_alone():
+    documents = [REPO_ROOT / "ARCHITECTURE.md", *sorted((REPO_ROOT / "docs").rglob("*.md"))]
+    texts = [(f"src/repro/{module}", source) for module, source in _sources()] + [
+        (str(path.relative_to(REPO_ROOT)), path.read_text(encoding="utf-8")) for path in documents
+    ]
+    spelled = [
+        f"{name}:{number}: {line.strip()}"
+        for name, text in texts
+        for number, line in enumerate(text.splitlines(), 1)
+        if _RETIRED_STATE_NAMES.search(line)
+    ]
+    assert not spelled, (
+        "a local state is a row of the protocol's table — the retired state "
+        "classes and tables are named again:\n" + "\n".join(spelled)
+    )
+    assert not (SRC_ROOT / "core" / "state.py").exists()
+
+    builders, offenders = set(), []
+    for module, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name in _ROW_BUILDERS:
+                builders.add(module)
+            if module == "core/monitor.py":
+                continue
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Tuple)
+                and _state_name(source, node.value)
+            ):
+                offenders.append(f"src/repro/{module}:{node.lineno}: column access")
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                in ("average", "mean", "sum")
+                and any(_state_name(source, argument) for argument in node.args)
+                and not (ast.get_source_segment(source, node.func) or "").endswith(
+                    "monitor.average"
+                )
+            ):
+                offenders.append(f"src/repro/{module}:{node.lineno}: reduction of a state table")
+    assert builders == {"core/monitor.py"}, (
+        f"local_state / local_states / average are the monitor's: defined in {sorted(builders)}"
+    )
+    assert not offenders, (
+        "a state row's layout is the monitor's — build rows with local_states and "
+        "average them with monitor.average:\n" + "\n".join(offenders)
+    )

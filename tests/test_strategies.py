@@ -131,6 +131,12 @@ class TestFDAStrategy:
     def test_linear_variant_name(self):
         assert FDAStrategy(threshold=1.0, variant="linear").name == "LinearFDA"
         assert FDAStrategy(threshold=1.0, variant="sketch").name == "SketchFDA"
+        assert FDAStrategy(threshold=1.0, variant="exact").name == "ExactFDA"
+
+    def test_unknown_variant_rejected_at_construction(self):
+        # Not at attach, deep inside a sweep.
+        with pytest.raises(ConfigurationError, match="linaer"):
+            FDAStrategy(threshold=1.0, variant="linaer")
 
     def test_trainer_unavailable_before_attach(self):
         with pytest.raises(ConfigurationError):
