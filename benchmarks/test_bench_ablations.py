@@ -5,7 +5,7 @@ These go beyond the paper's figures and quantify:
 1. monitor tightness — exact vs sketch vs linear variance estimation;
 2. AMS sketch size — estimation error and synchronization count vs (l, m);
 3. the LinearFDA heuristic ξ (last global-drift direction) vs a random ξ;
-4. communication-accounting scheme — paper-style upload counting vs ring AllReduce;
+4. communication accounting — the paper's star (worker uploads) vs a ring AllReduce;
 5. the dynamic-Θ controller (the paper's future-work extension) vs a static Θ.
 """
 
@@ -15,7 +15,7 @@ from benchmarks.conftest import run_workload
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor
 from repro.core.theta import DynamicThetaController
 from repro.core.variance import variance_from_drifts
-from repro.distributed.comm import NAIVE_COST_MODEL, RING_COST_MODEL, CommunicationCostModel
+from repro.distributed.topology import RingTopology, StarTopology
 from repro.experiments.registry import lenet_mnist_workload
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import build_cluster
@@ -121,24 +121,21 @@ def test_ablation_linear_xi_heuristic(benchmark):
     assert heuristic.synchronizations <= frozen.synchronizations + 2
 
 
-def _cost_model_ablation():
-    import dataclasses
-
+def _accounting_ablation():
     workload = lenet_mnist_workload(num_workers=4)
-    results = {}
-    for name, cost_model in (("paper-upload", NAIVE_COST_MODEL), ("ring-allreduce", RING_COST_MODEL)):
-        configured = dataclasses.replace(workload, cost_model=cost_model)
-        results[name] = run_workload(configured, lambda: SynchronousStrategy(), RUN)
-    return results
+    return {
+        name: run_workload(workload.with_fabric(topology=topology), SynchronousStrategy, RUN)
+        for name, topology in (("paper-upload", StarTopology()), ("ring-allreduce", RingTopology()))
+    }
 
 
 def test_ablation_communication_accounting(benchmark):
-    results = benchmark.pedantic(_cost_model_ablation, rounds=1, iterations=1)
-    print("\n=== Ablation: communication-accounting scheme (Synchronous) ===")
+    results = benchmark.pedantic(_accounting_ablation, rounds=1, iterations=1)
+    print("\n=== Ablation: communication accounting, star vs ring (Synchronous) ===")
     for name, result in results.items():
         print(f"  {name:<16} comm={result.communication_bytes:>12} B  steps={result.parallel_steps}")
-    # Ring AllReduce moves roughly 2(K-1)/K per worker vs 1 per worker in the
-    # paper's upload-only accounting: for K=4 that is a 1.5x ratio.
+    # A ring AllReduce moves 2(K-1)/K of the vector per worker vs 1 per worker
+    # on the paper's star: for K=4 that is a 1.5x ratio.
     ratio = results["ring-allreduce"].communication_bytes / max(
         results["paper-upload"].communication_bytes, 1
     )

@@ -679,8 +679,8 @@ def test_bench_hotpath_speedup():
             speedups[(num_workers, dimension_key)] = plane_rate / seed_rate
             state_bytes = state_bytes_per_step(num_workers, dimension_key)
             # Itemsize-accurate AllReduce volume: these clusters run the
-            # float64 reference plane, priced at 8 B/element by the default
-            # cost model (a float32 cluster would charge exactly half).
+            # float64 reference plane, priced at 8 B/element by the fabric
+            # (a float32 cluster would charge exactly half).
             sync_bytes = 8 * dimension * num_workers
             rows.append(
                 {

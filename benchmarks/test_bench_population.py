@@ -5,10 +5,11 @@ clients costs O(cohort) per round, not O(N): registration is O(1) descriptors,
 per-round work touches only the sampled cohort, and resident client state is
 bounded by the store budget (a function of the cohort size).  This benchmark
 grows ``N`` 100× at a fixed cohort and asserts rounds/s stays flat (≤ 1.2×
-degradation, the ISSUE's bar) while the resident high-water mark stays at
-``2·cohort``.  A cohort=all parity cell rides along because it is cheap to
-assert with clusters in hand: population mode over the workers' own shards
-must be *bit-identical* to the fully materialized cluster.
+degradation; the timed rounds of every N take turns, best of three passes)
+while the resident high-water mark stays at ``2·cohort``.  A cohort=all
+parity cell rides along because it is cheap to assert with clusters in hand:
+population mode over the workers' own shards must be *bit-identical* to the
+fully materialized cluster.
 
 Env knobs (CI uses both for the smoke leg):
 
@@ -48,6 +49,8 @@ WARMUP_ROUNDS = 2
 TIMED_ROUNDS = 5 if SMALL else 10
 #: Allowed rounds/s degradation from the smallest to the largest N.
 MAX_DEGRADATION = 1.2
+#: Timing passes over the whole N grid; each N keeps its fastest pass.
+TIMING_PASSES = 3
 
 
 def _make_cluster(num_workers: int, execution: str = "batched") -> SimulatedCluster:
@@ -69,7 +72,8 @@ def _make_cluster(num_workers: int, execution: str = "batched") -> SimulatedClus
     return SimulatedCluster(workers, execution=execution)
 
 
-def _scaling_cell(num_clients: int) -> dict:
+def _population(num_clients: int) -> ClientPopulation:
+    """A warmed-up population of ``num_clients`` over a ``COHORT``-slot cluster."""
     train = gaussian_blobs(600, feature_dim=6, num_classes=3, seed=0)
     cluster = _make_cluster(COHORT)
     strategy = LocalSGDStrategy(tau=2).attach(cluster)
@@ -87,12 +91,12 @@ def _scaling_cell(num_clients: int) -> dict:
     population.attach(cluster, strategy)
     for _ in range(WARMUP_ROUNDS):
         population.run_round()
-    start = time.perf_counter()
-    for _ in range(TIMED_ROUNDS):
-        population.run_round()
-    elapsed = time.perf_counter() - start
+    return population
+
+
+def _row(population: ClientPopulation, elapsed: float) -> dict:
     return {
-        "num_clients": num_clients,
+        "num_clients": population.config.num_clients,
         "cohort_size": COHORT,
         "timed_rounds": TIMED_ROUNDS,
         "elapsed_s": elapsed,
@@ -105,16 +109,36 @@ def _scaling_cell(num_clients: int) -> dict:
     }
 
 
+def _timing_pass() -> list:
+    """One row per N: fresh populations whose timed rounds take turns.
+
+    Round ``r`` of every N runs before round ``r + 1`` of any, so a change in
+    the host's speed mid-pass slows every N alike.
+    """
+    populations = [_population(n) for n in N_GRID]
+    elapsed = [0.0] * len(populations)
+    for _ in range(TIMED_ROUNDS):
+        for index, population in enumerate(populations):
+            start = time.perf_counter()
+            population.run_round()
+            elapsed[index] += time.perf_counter() - start
+    return [_row(population, seconds) for population, seconds in zip(populations, elapsed)]
+
+
 def test_rounds_per_second_is_flat_in_population_size(benchmark):
-    rows = benchmark.pedantic(
-        lambda: [_scaling_cell(n) for n in N_GRID], rounds=1, iterations=1
+    passes = benchmark.pedantic(
+        lambda: [_timing_pass() for _ in range(TIMING_PASSES)], rounds=1, iterations=1
     )
+    rows = [max(cells, key=lambda row: row["rounds_per_s"]) for cells in zip(*passes)]
 
     header = (
         f"{'N':>10}{'rounds/s':>12}{'peak-res':>10}{'budget':>8}"
         f"{'stateful':>10}{'evictions':>11}"
     )
-    print(f"\n=== Population scaling: cohort={COHORT}, {TIMED_ROUNDS} timed rounds ===")
+    print(
+        f"\n=== Population scaling: cohort={COHORT}, {TIMED_ROUNDS} timed rounds, "
+        f"best of {TIMING_PASSES} passes ==="
+    )
     print(header)
     print("-" * len(header))
     for row in rows:
@@ -128,7 +152,7 @@ def test_rounds_per_second_is_flat_in_population_size(benchmark):
     # Memory bound is hard everywhere: resident state tracks the cohort (the
     # default budget is 2·C), never N, and only ever-sampled clients hold any
     # state at all.
-    for row in rows:
+    for row in (row for cells in passes for row in cells):
         assert row["peak_resident"] <= row["resident_budget"] == 2 * COHORT
         assert row["stateful_clients"] <= (WARMUP_ROUNDS + TIMED_ROUNDS) * COHORT
 

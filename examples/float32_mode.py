@@ -63,7 +63,7 @@ def build_cluster(dtype: str) -> SimulatedCluster:
             )
         )
     # A ring topology so the per-link ledger has several edges to compare;
-    # the default cost model prices at the dtype's itemsize (8 vs 4 B).
+    # the fabric prices every link at the dtype's itemsize (8 vs 4 B).
     return SimulatedCluster(workers, execution="batched", topology="ring", dtype=dtype)
 
 
@@ -95,7 +95,7 @@ def main() -> None:
     print("-" * 45)
     for dtype in ("float64", "float32"):
         cluster = clusters[dtype]
-        per_element = cluster.fabric.cost_model.bytes_per_element
+        per_element = cluster.fabric.itemsize
         print(
             f"{dtype:<10}{rates[dtype]:>10.1f}"
             f"{format_bytes(cluster.total_bytes):>14}{per_element:>11}"

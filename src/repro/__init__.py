@@ -58,7 +58,6 @@ from repro.core import (
     variance_from_drifts,
 )
 from repro.distributed import (
-    CommunicationCostModel,
     CommunicationTracker,
     Fabric,
     GossipTopology,
@@ -106,7 +105,6 @@ __all__ = [
     "SimulatedCluster",
     "Worker",
     "CommunicationTracker",
-    "CommunicationCostModel",
     "NetworkModel",
     "get_network",
     # the communication fabric

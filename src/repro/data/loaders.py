@@ -87,20 +87,6 @@ class StackedSampler:
         self.samplers: List[BatchSampler] = list(samplers)
         self.batch_size = batch_sizes.pop()
 
-    @classmethod
-    def for_datasets(
-        cls, datasets: Sequence[Dataset], batch_size: int, seeds: Sequence
-    ) -> "StackedSampler":
-        """Build a stacked sampler from per-worker shards and per-worker seeds."""
-        if len(datasets) != len(seeds):
-            raise DataError(
-                f"need one seed per dataset, got {len(datasets)} datasets and {len(seeds)} seeds"
-            )
-        return cls([
-            BatchSampler(dataset, batch_size, seed=seed)
-            for dataset, seed in zip(datasets, seeds)
-        ])
-
     @property
     def num_workers(self) -> int:
         return len(self.samplers)

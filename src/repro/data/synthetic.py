@@ -19,7 +19,7 @@ every worker partition is derived from the same underlying data.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -197,25 +197,3 @@ def gaussian_blobs(
         name=name,
     )
 
-
-def synthetic_mnist_pair(
-    num_train: int = 2000,
-    num_test: int = 500,
-    image_size: int = 14,
-    num_classes: int = 10,
-    noise: float = 0.25,
-    seed: Optional[int] = 0,
-) -> Tuple[Dataset, Dataset]:
-    """Convenience: a train/test pair of :func:`synthetic_digits` samples.
-
-    The class prototypes are a function of ``seed``, so the pair must come
-    from a *single* generated dataset that is then split — otherwise train and
-    test would describe entirely different classification tasks.
-    """
-    full = synthetic_digits(
-        num_train + num_test, image_size, num_classes, noise, seed=seed,
-        name="synthetic-mnist",
-    )
-    from repro.data.datasets import train_test_split
-
-    return train_test_split(full, test_fraction=num_test / (num_train + num_test), seed=seed)

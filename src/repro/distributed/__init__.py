@@ -10,12 +10,7 @@ translates byte counts into wall-clock time for the FL / balanced / HPC
 settings discussed in the paper.
 """
 
-from repro.distributed.comm import (
-    CommunicationCostModel,
-    CommunicationTracker,
-    NAIVE_COST_MODEL,
-    RING_COST_MODEL,
-)
+from repro.distributed.comm import CommunicationTracker
 from repro.distributed.network import (
     NetworkModel,
     FL_NETWORK,
@@ -48,10 +43,7 @@ __all__ = [
     "SequentialEngine",
     "BatchedEngine",
     "EXECUTION_MODES",
-    "CommunicationCostModel",
     "CommunicationTracker",
-    "NAIVE_COST_MODEL",
-    "RING_COST_MODEL",
     "NetworkModel",
     "FL_NETWORK",
     "HPC_NETWORK",

@@ -4,9 +4,9 @@
 operations FDA needs (AllReduce of local states and AllReduce of model
 parameters).  Every collective is routed through the cluster's
 :class:`~repro.distributed.topology.Fabric`, which composes the interconnect
-topology (star / ring / hierarchical / gossip), the scalar cost model, and an
-optional network model into one ``(bytes, virtual-seconds)`` charge, booked
-on the fabric's ledgers; the seconds also move the cluster's shared
+topology (star / ring / hierarchical / gossip), the plane dtype's itemsize
+and an optional network model into one ``(bytes, virtual-seconds)`` charge,
+booked on the fabric's ledgers; the seconds also move the cluster's shared
 :class:`~repro.core.timeline.Timeline` clock.  The cluster also maintains an
 *evaluation model* used to measure the accuracy of the global (average) model
 without disturbing any worker's local state.
@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.backend import resolve_dtype, row_shards, run_shards, shard_bounds
 from repro.data.datasets import Dataset
-from repro.distributed.comm import CommunicationCostModel
 from repro.distributed.engine import ClusterEngine, build_engine
 from repro.distributed.network import NetworkModel, get_network
 from repro.distributed.participation import Participation
@@ -68,9 +67,8 @@ class SimulatedCluster:
     ``network`` (a name or :class:`~repro.distributed.network.NetworkModel`)
     configure the communication fabric; ``timeline`` supplies the virtual
     clock (heterogeneous compute, stragglers, dropout).  All three default to
-    the paper's setting — star topology, naive cost model, instantaneous
-    network, uniform unit compute — under which byte counts and parameter
-    trajectories are bit-identical to the pre-fabric implementation.
+    the paper's setting — star topology, instantaneous network, uniform unit
+    compute.
 
     ``execution`` selects the compute engine below ``step_all``:
     ``"sequential"`` (default, per-worker steps, golden-trajectory
@@ -89,16 +87,14 @@ class SimulatedCluster:
     ``float64`` (default, the bit-exact reference) or ``float32`` (the fast
     mode — half the memory traffic, itemsize-accurate half the sync bytes).
     Worker models built in another dtype are converted in place before their
-    storage is rebound onto the ``(K, d)`` matrix rows.  When no explicit
-    ``cost_model`` is passed, the cluster prices collectives at
-    ``dtype.itemsize`` bytes per element, so byte ledgers always reflect what
-    the selected precision actually puts on the wire.
+    storage is rebound onto the ``(K, d)`` matrix rows.  The fabric prices
+    collectives at ``dtype.itemsize`` bytes per element, so byte ledgers
+    always reflect what the selected precision actually puts on the wire.
     """
 
     def __init__(
         self,
         workers: Sequence[Worker],
-        cost_model: Optional[CommunicationCostModel] = None,
         loss: Optional[Loss] = None,
         topology: Union[str, Topology, None] = None,
         network: Union[str, NetworkModel, None] = None,
@@ -136,14 +132,9 @@ class SimulatedCluster:
             self.dtype = model_dtypes.pop()
         for worker in self.workers:
             worker.model.to_dtype(self.dtype)
-        resolved_topology = get_topology(topology) if topology is not None else None
-        if cost_model is None:
-            # Itemsize-accurate pricing: a float32 plane puts 4-byte elements
-            # on the wire, a float64 plane 8-byte elements.
-            cost_model = CommunicationCostModel.for_dtype(self.dtype)
         self.fabric = Fabric(
-            topology=resolved_topology or get_topology("star"),
-            cost_model=cost_model,
+            topology=get_topology("star" if topology is None else topology),
+            itemsize=self.dtype.itemsize,
             network=get_network(network),
         )
         self.fabric.topology.validate(len(self.workers))

@@ -13,19 +13,18 @@ This module makes the routing first-class:
   links, how many elements each link carries for one AllReduce / broadcast /
   coordinator upload, and how many sequential rounds (latency hops) plus
   critical-path bytes (bandwidth) the collective needs.
-* :class:`Fabric` composes a topology with the scalar
-  :class:`~repro.distributed.comm.CommunicationCostModel` and an optional
-  :class:`~repro.distributed.network.NetworkModel` into one per-collective
-  ``(bytes, virtual-seconds)`` charge, recording bytes per traffic category
-  (through the shared :class:`~repro.distributed.comm.CommunicationTracker`)
-  and per link.
+* :class:`Fabric` prices every collective by one rule on every topology:
+  each link the collective touches carries ``round(elements × itemsize)``
+  bytes, and the collective's total is the sum of those link bytes.  The
+  total lands on the shared
+  :class:`~repro.distributed.comm.CommunicationTracker` per traffic category,
+  the link bytes on the per-link ledger, and an optional
+  :class:`~repro.distributed.network.NetworkModel` turns the collective's
+  critical path into virtual seconds.
 
-The star topology is the paper's accounting convention ("total data
-transmitted by all workers"): it delegates its AllReduce byte total to the
-scalar cost model, so the default ``Fabric(StarTopology(), NAIVE_COST_MODEL)``
-is bit-identical to the pre-fabric accounting, including the ring-scheme
-ablation (``cost_model=RING_COST_MODEL``).  All other topologies charge the
-sum of their per-link volumes.
+On the star the rule reproduces the paper's accounting ("total data
+transmitted by all workers"): an AllReduce is ``K`` worker uploads of the
+full vector.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.distributed.comm import (
-    CommunicationCostModel,
-    CommunicationTracker,
-    NAIVE_COST_MODEL,
-)
+from repro.distributed.comm import CommunicationTracker
 from repro.distributed.network import NetworkModel
 from repro.exceptions import CommunicationError, ConfigurationError
 
@@ -54,24 +49,17 @@ class Topology:
     """One interconnect layout: links plus per-collective traffic placement.
 
     Subclasses implement the ``*_link_elements`` methods, which return the
-    number of float32-equivalent elements each directed link carries for one
-    collective of ``num_elements`` across ``num_workers``, together with the
+    number of elements each directed link carries for one collective of
+    ``num_elements`` across ``num_workers``, together with the
     latency/critical-path geometry the network model needs:
 
     * ``*_rounds`` — sequential communication rounds (each pays one network
       latency);
     * ``*_critical_elements`` — elements on the longest serial transfer chain
       (each pays bandwidth time).
-
-    ``paper_accounting`` marks the topology whose AllReduce *byte total* is
-    defined by the scalar cost model rather than the link sum — the star, i.e.
-    the paper's own convention.  Its link loads still sum to the same total
-    under the default naive scheme, which the conservation property test
-    checks.
     """
 
     name = "topology"
-    paper_accounting = False
 
     # -- structure -------------------------------------------------------------
 
@@ -132,13 +120,11 @@ class StarTopology(Topology):
 
     This is the paper's setting.  One AllReduce is a gather (each worker
     uploads its vector) followed by a broadcast of the average; the paper's
-    accounting counts the worker uploads — ``K·n`` elements — which is exactly
-    the naive cost model's total, so this topology delegates its byte charge
-    to the scalar cost model (``paper_accounting``).
+    accounting counts the worker uploads, so the loaded links are the ``K``
+    uplinks of ``n`` elements each.
     """
 
     name = "star"
-    paper_accounting = True
 
     def links(self, num_workers: int) -> List[Link]:
         self.validate(num_workers)
@@ -177,9 +163,12 @@ class StarTopology(Topology):
 class RingTopology(Topology):
     """Ring AllReduce: workers exchange chunks around a cycle.
 
-    The classic bandwidth-optimal schedule: ``2 (K−1)`` rounds in which every
-    worker forwards an ``n/K`` chunk to its successor, moving ``2 (K−1)/K · n``
-    elements per worker — the volume of :data:`~repro.distributed.comm.RING_COST_MODEL`.
+    The classic bandwidth-optimal schedule: the vector is split into ``K``
+    whole-element chunks (sizes ``⌊n/K⌋`` or ``⌈n/K⌉``), and in each of
+    ``2 (K−1)`` rounds every worker forwards one chunk to its successor —
+    ``K−1`` rounds of reduce-scatter, then ``K−1`` of all-gather.  Each link
+    carries every chunk but one per phase, so the links sum to exactly
+    ``2 (K−1) · n`` elements, about ``2 (K−1)/K · n`` per worker.
     """
 
     name = "ring"
@@ -198,9 +187,17 @@ class RingTopology(Topology):
         self.validate(num_workers)
         if num_elements == 0 or num_workers == 1:
             return {}
-        per_link = 2.0 * (num_workers - 1) / num_workers * num_elements
+        base, extra = divmod(num_elements, num_workers)
+        chunks = [base + (chunk < extra) for chunk in range(num_workers)]
+        # Worker k ends the reduce-scatter owning chunk k+1, so it never
+        # forwards that chunk; in the all-gather it skips chunk k+2, which
+        # its successor already owns.
         return {
-            (worker, (worker + 1) % num_workers): per_link
+            (worker, (worker + 1) % num_workers): float(
+                2 * num_elements
+                - chunks[(worker + 1) % num_workers]
+                - chunks[(worker + 2) % num_workers]
+            )
             for worker in range(num_workers)
         }
 
@@ -441,17 +438,20 @@ class Fabric:
     """Routes collectives through a topology and prices them.
 
     One object per cluster: every ``synchronize`` / ``allreduce`` /
-    ``broadcast`` / async state upload calls into the fabric, which computes
-    the byte total (per the topology's link loads, or the scalar cost model
-    for the paper-accounting star), records it on the shared tracker and the
-    per-link ledger, and — when a :class:`NetworkModel` is configured —
-    converts the collective's critical path and round count into virtual
-    seconds.  Without a network model communication is instantaneous, which is
-    the pre-fabric behaviour.
+    ``broadcast`` / async state upload calls into the fabric.  Every
+    collective is priced one way: each link it touches carries
+    ``round(elements × itemsize)`` bytes (retransmissions included), the
+    link bytes land on the per-link ledger, and their sum is the collective's
+    total on the shared tracker — so tracker total == Σ links == Σ categories
+    holds exactly on every topology.  With a :class:`NetworkModel` the
+    collective's critical path and round count also become virtual seconds;
+    without one communication is instantaneous.
     """
 
     topology: Topology = field(default_factory=StarTopology)
-    cost_model: CommunicationCostModel = field(default_factory=lambda: NAIVE_COST_MODEL)
+    #: Bytes per transmitted element.  The cluster installs its plane dtype's
+    #: itemsize; a bare fabric prices 4-byte (float32) elements.
+    itemsize: int = 4
     network: Optional[NetworkModel] = None
     tracker: CommunicationTracker = field(default_factory=CommunicationTracker)
     bytes_by_link: Dict[Link, int] = field(default_factory=dict)
@@ -469,20 +469,17 @@ class Fabric:
     def network_name(self) -> str:
         return self.network.name if self.network is not None else "none"
 
-    def _record_links(self, loads: Dict[Link, float]) -> None:
-        bytes_per_element = self.cost_model.bytes_per_element
-        for link, elements in loads.items():
-            charged = int(round(elements * bytes_per_element))
-            if charged:
-                self.bytes_by_link[link] = self.bytes_by_link.get(link, 0) + charged
+    def _book_link(self, link: Link, num_bytes: int) -> None:
+        if num_bytes:
+            self.bytes_by_link[link] = self.bytes_by_link.get(link, 0) + num_bytes
 
     def _seconds(self, critical_elements: float, rounds: int) -> float:
         if self.network is None:
             return 0.0
-        critical_bytes = critical_elements * self.cost_model.bytes_per_element
+        critical_bytes = critical_elements * self.itemsize
         return self.network.transfer_time(critical_bytes, num_operations=rounds)
 
-    def _retransmit(self, loads: Dict[Link, float]) -> CollectiveCharge:
+    def _retransmit(self, link_bytes: Dict[Link, int]) -> CollectiveCharge:
         """Draw per-link retransmissions for one collective over lossy links.
 
         For every link the collective touches (in deterministic sorted order)
@@ -493,35 +490,39 @@ class Fabric:
         Retry latency is the capped exponential backoff plus the network
         transfer time of the resent payload (zero without a network model).
         """
-        bytes_per_element = self.cost_model.bytes_per_element
         extra_bytes = 0
         extra_seconds = 0.0
-        for link in sorted(loads):
+        for link in sorted(link_bytes):
             retries, backoff = self.injector.sample_link_retries()
             if retries <= 0:
                 continue
-            link_bytes = int(round(loads[link] * bytes_per_element)) * retries
+            resent = link_bytes[link] * retries
             delay = backoff
-            if self.network is not None and link_bytes:
-                delay += self.network.transfer_time(link_bytes, num_operations=retries)
-            if link_bytes:
-                self.bytes_by_link[link] = self.bytes_by_link.get(link, 0) + link_bytes
-            extra_bytes += link_bytes
+            if self.network is not None and resent:
+                delay += self.network.transfer_time(resent, num_operations=retries)
+            self._book_link(link, resent)
+            extra_bytes += resent
             extra_seconds += delay
             self.injector.log.record_retransmission(
-                f"{link[0]}->{link[1]}", retries, link_bytes, backoff
+                f"{link[0]}->{link[1]}", retries, resent, backoff
             )
         return CollectiveCharge(extra_bytes, extra_seconds)
 
     def _charge(
-        self, num_bytes: int, seconds: float, category: str, loads: Dict[Link, float]
+        self, loads: Dict[Link, float], seconds: float, category: str
     ) -> CollectiveCharge:
+        """Book one collective: ``loads`` elements per link, priced link by link."""
+        link_bytes = {
+            link: int(round(elements * self.itemsize)) for link, elements in loads.items()
+        }
+        num_bytes = sum(link_bytes.values())
         if self.injector is not None and self.injector.loss_active:
-            resent = self._retransmit(loads)
+            resent = self._retransmit(link_bytes)
             num_bytes += resent.num_bytes
             seconds += resent.seconds
         self.tracker.record_transfer(num_bytes, category)
-        self._record_links(loads)
+        for link, charged in link_bytes.items():
+            self._book_link(link, charged)
         self.comm_seconds += seconds
         self.seconds_by_category[category] = (
             self.seconds_by_category.get(category, 0.0) + seconds
@@ -570,7 +571,7 @@ class Fabric:
         ``None``) converts the logical vector length into the kernel's true
         transmitted size — index/value pairs for sparse formats, level bits
         plus scale for quantized ones — so link ledgers, byte totals, and
-        network seconds all price the compressed payload instead of ``4·d``.
+        network seconds all price the compressed payload instead of ``d``.
         """
         if num_elements < 0:
             raise CommunicationError(f"num_elements must be non-negative, got {num_elements}")
@@ -584,17 +585,11 @@ class Fabric:
         """Price one AllReduce of ``num_elements`` across ``num_workers``."""
         num_elements = self._payload_elements(num_elements, compression)
         loads = self.topology.allreduce_link_elements(num_elements, num_workers)
-        if self.topology.paper_accounting:
-            num_bytes = self.cost_model.allreduce_bytes(num_elements, num_workers)
-        else:
-            num_bytes = int(
-                round(sum(loads.values()) * self.cost_model.bytes_per_element)
-            )
         seconds = self._seconds(
             self.topology.allreduce_critical_elements(num_elements, num_workers),
             self.topology.allreduce_rounds(num_workers),
         )
-        return self._charge(num_bytes, seconds, category, loads)
+        return self._charge(loads, seconds, category)
 
     def broadcast(
         self, num_elements: int, num_workers: int, category: str, compression=None
@@ -602,17 +597,11 @@ class Fabric:
         """Price one root-to-all broadcast of ``num_elements``."""
         num_elements = self._payload_elements(num_elements, compression)
         loads = self.topology.broadcast_link_elements(num_elements, num_workers)
-        if self.topology.paper_accounting:
-            num_bytes = self.cost_model.broadcast_bytes(num_elements, num_workers)
-        else:
-            num_bytes = int(
-                round(sum(loads.values()) * self.cost_model.bytes_per_element)
-            )
         seconds = self._seconds(
             self.topology.broadcast_critical_elements(num_elements, num_workers),
             self.topology.broadcast_rounds(num_workers),
         )
-        return self._charge(num_bytes, seconds, category, loads)
+        return self._charge(loads, seconds, category)
 
     def upload(
         self,
@@ -624,23 +613,19 @@ class Fabric:
     ) -> CollectiveCharge:
         """Price one point-to-point worker → coordinator upload.
 
-        Used for the asynchronous protocol's local-state messages; the charge
-        is ``num_elements`` per link on the topology's actual
-        worker→coordinator path (one hop on the star — identical to the
-        pre-fabric accounting; multi-hop on the hierarchy, ring, and mesh,
-        where the per-link ledger records each traversed edge).  With a
-        ``compression`` kernel the payload charged per hop is the kernel's
-        transmitted size, never the dense vector.
+        Used for the asynchronous protocol's local-state messages: every link
+        on the topology's worker→coordinator path carries ``num_elements``
+        (one hop on the star; multi-hop on the hierarchy, ring, and mesh).
+        With a ``compression`` kernel the payload charged per hop is the
+        kernel's transmitted size, never the dense vector.
         """
         num_elements = self._payload_elements(num_elements, compression)
         path = self.topology.upload_path(worker_id, num_workers)
-        hops = len(path)
-        num_bytes = num_elements * self.cost_model.bytes_per_element * hops
-        seconds = self._seconds(float(num_elements) * hops, hops)
         loads: Dict[Link, float] = {}
         for link in path:
             loads[link] = loads.get(link, 0.0) + float(num_elements)
-        return self._charge(num_bytes, seconds, category, loads)
+        seconds = self._seconds(float(num_elements) * len(path), len(path))
+        return self._charge(loads, seconds, category)
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict view of the fabric state for logging."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.distributed.network import get_network
@@ -88,43 +88,37 @@ class SweepStats:
         )
 
 
-def workload_fingerprint(config: WorkloadConfig, setup: SetupCache) -> Dict[str, object]:
-    """Canonical fingerprint of a workload, content-addressed where it matters.
+#: The fields whose value alone is not the run key, and what enters it
+#: instead: datasets and factories by the content they hold or build, the
+#: fabric as what the cluster will be built with (``None``, ``"star"`` and
+#: ``StarTopology()`` are one topology, ``None`` and ``"none"`` one network).
+_FINGERPRINTED_AS = {
+    "train_dataset": lambda config, setup: setup.dataset_digest(config.train_dataset),
+    "test_dataset": lambda config, setup: setup.dataset_digest(config.test_dataset),
+    "model_factory": lambda config, setup: setup.model_digest(config),
+    "optimizer_factory": lambda config, setup: config.optimizer_factory(),
+    "topology": lambda config, setup: get_topology(
+        "star" if config.topology is None else config.topology
+    ),
+    "network": lambda config, setup: get_network(config.network),
+}
 
-    Datasets and the initial model are digested by content (not by factory
-    identity), so two separately constructed but equal workloads share a
-    fingerprint; every configuration field that can change a run's outcome —
-    partitioning, fabric, timeline, engine, compression, dtype, faults, seed
-    — is included, so any single-field change produces a different key.  The
-    fabric is fingerprinted as what the cluster will be built with, not as the
-    caller spelled it: ``None``, ``"star"`` and ``StarTopology()`` are one
-    topology, ``None`` and ``"none"`` one network.
+
+def workload_fingerprint(config: WorkloadConfig, setup: SetupCache) -> Dict[str, object]:
+    """Canonical fingerprint of a workload: one entry per dataclass field.
+
+    Every field of the config (a subclass's included) enters the key, so any
+    single-field change produces a different key; the fields in
+    :data:`_FINGERPRINTED_AS` enter as their content or resolved fabric, so
+    two separately constructed but equal workloads share a fingerprint.
     """
     return {
-        "name": config.name,
-        "num_workers": int(config.num_workers),
-        "batch_size": int(config.batch_size),
-        "partition_scheme": str(config.partition_scheme),
-        "partition_kwargs": canonical_value(config.partition_kwargs),
-        "loss": canonical_value(config.loss),
-        "cost_model": canonical_value(config.cost_model),
-        "topology": canonical_value(
-            get_topology("star" if config.topology is None else config.topology)
-        ),
-        "network": canonical_value(get_network(config.network)),
-        "compute_profile": canonical_value(config.compute_profile),
-        "dropout_rate": float(config.dropout_rate),
-        "execution": str(config.execution),
-        "compression": canonical_value(config.compression),
-        "dtype": str(config.dtype),
-        "faults": canonical_value(config.faults),
-        "population": canonical_value(config.population),
-        "serving": canonical_value(config.serving),
-        "seed": int(config.seed),
-        "train_dataset": setup.dataset_digest(config.train_dataset),
-        "test_dataset": setup.dataset_digest(config.test_dataset),
-        "model": canonical_value(setup.model_digest(config)),
-        "optimizer": canonical_value(config.optimizer_factory()),
+        spec.name: canonical_value(
+            _FINGERPRINTED_AS[spec.name](config, setup)
+            if spec.name in _FINGERPRINTED_AS
+            else getattr(config, spec.name)
+        )
+        for spec in fields(config)
     }
 
 

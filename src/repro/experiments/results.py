@@ -43,10 +43,6 @@ class ResultsTable:
     def __init__(self, results: Optional[Iterable[RunResult]] = None) -> None:
         self._results: List[RunResult] = list(results) if results is not None else []
 
-    def add(self, result: RunResult) -> None:
-        """Append one run result."""
-        self._results.append(result)
-
     def extend(self, results: Iterable[RunResult]) -> None:
         """Append several run results."""
         self._results.extend(results)

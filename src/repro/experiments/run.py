@@ -60,8 +60,7 @@ class RunResult:
     #: already reflect it.
     compression: str = "none"
     #: Compute dtype of the cluster's parameter plane ("float64" or
-    #: "float32"); byte totals reflect its itemsize under the default
-    #: cost model.
+    #: "float32"); byte totals reflect its itemsize.
     dtype: str = "float64"
     #: Compact label of the fault plan the run was injected with ("none"
     #: without one), and the injector's full audit log (crashes, rejoins,

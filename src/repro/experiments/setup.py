@@ -20,7 +20,6 @@ from repro.core.timeline import StragglerProfile, Timeline
 from repro.data.datasets import Dataset
 from repro.data.partition import partition_dataset
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.comm import CommunicationCostModel
 from repro.distributed.engine import EXECUTION_MODES
 from repro.distributed.network import NetworkModel
 from repro.distributed.topology import Topology
@@ -86,12 +85,6 @@ class WorkloadConfig:
     partition_scheme: str = "iid"
     partition_kwargs: Dict[str, object] = field(default_factory=dict)
     loss: Optional[Loss] = None
-    #: Communication pricing.  ``None`` (the default) lets the cluster derive
-    #: an itemsize-accurate model from the compute dtype (8 B/element at
-    #: float64, 4 B/element at float32); pass an explicit
-    #: :class:`~repro.distributed.comm.CommunicationCostModel` (e.g.
-    #: ``NAIVE_COST_MODEL`` for the paper's flat 4-byte accounting) to pin it.
-    cost_model: Optional[CommunicationCostModel] = None
     #: Fabric configuration: a topology name (``"star"``, ``"ring"``,
     #: ``"hierarchical"``, ``"gossip"``) or instance, and a network-model name
     #: (``"fl"``, ``"hpc"``, ``"balanced"``, ``"none"``) or instance.
@@ -153,20 +146,13 @@ class WorkloadConfig:
         # cluster construction deep inside a sweep.
         self.compression = get_compression(self.compression)
         self.dtype = resolve_dtype(self.dtype).name
+        self.dropout_rate = float(self.dropout_rate)
         if self.population is not None and self.num_workers != self.population.cohort_size:
             raise ConfigurationError(
                 f"population workloads need num_workers == cohort_size "
                 f"({self.population.cohort_size}), got num_workers={self.num_workers}; "
                 f"use with_population() to keep them in sync"
             )
-
-    def with_workers(self, num_workers: int) -> "WorkloadConfig":
-        """A copy of this workload with a different worker count (for K sweeps)."""
-        return replace(self, num_workers=num_workers)
-
-    def with_partition(self, scheme: str, **kwargs) -> "WorkloadConfig":
-        """A copy of this workload with a different data-distribution scheme."""
-        return replace(self, partition_scheme=scheme, partition_kwargs=dict(kwargs))
 
     def with_seed(self, seed: int) -> "WorkloadConfig":
         """A copy of this workload with a different random seed."""
@@ -531,7 +517,6 @@ def build_cluster(
         )
     cluster = SimulatedCluster(
         workers,
-        cost_model=config.cost_model,
         loss=loss,
         topology=config.topology,
         network=config.network,

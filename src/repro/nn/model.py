@@ -198,14 +198,6 @@ class Sequential:
             arrays.extend(layer.gradients())
         return arrays
 
-    def buffer_arrays(self) -> List[np.ndarray]:
-        """References to every non-trainable buffer (batch-norm running stats)."""
-        self._require_built()
-        arrays: List[np.ndarray] = []
-        for layer in self.layers:
-            arrays.extend(layer.buffers())
-        return arrays
-
     @property
     def num_parameters(self) -> int:
         """Total number of trainable scalars (``d`` in the paper)."""

@@ -417,11 +417,6 @@ class StackedOptimizer:
         for row, optimizer in enumerate(self.optimizers):
             optimizer._bind_row(self, row)
 
-    @property
-    def step_counts(self) -> np.ndarray:
-        """Per-worker step counts (reads the wrapped optimizers)."""
-        return np.array([optimizer.step_count for optimizer in self.optimizers])
-
     def _select(self, rows) -> Tuple[np.ndarray, List[Optimizer]]:
         """``rows`` as an index array of distinct workers in ``[0, K)``, and their optimizers.
 

@@ -71,11 +71,6 @@ class Strategy:
 
     # -- protocol ----------------------------------------------------------------
 
-    @property
-    def steps_per_round(self) -> int:
-        """In-parallel learning steps advanced by one :meth:`run_round` call."""
-        raise NotImplementedError
-
     def run_round(self) -> StrategyRound:
         """Run one protocol round; subclasses implement :meth:`_run_round`."""
         cluster = self.cluster

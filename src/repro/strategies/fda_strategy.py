@@ -89,10 +89,6 @@ class FDAStrategy(Strategy):
             raise ConfigurationError("FDAStrategy is not attached to a cluster yet")
         return self._trainer
 
-    @property
-    def steps_per_round(self) -> int:
-        return 1
-
     def _run_round(self, cluster: SimulatedCluster) -> float:
         del cluster  # the trainer already holds the cluster
         result = self._trainer.step()

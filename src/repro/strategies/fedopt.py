@@ -47,12 +47,6 @@ class ServerRoundStrategy(Strategy):
             raise ConfigurationError(f"local_epochs must be positive, got {local_epochs}")
         self.local_epochs = int(local_epochs)
 
-    @property
-    def steps_per_round(self) -> int:
-        return self.local_epochs * max(
-            worker.batches_per_epoch for worker in self.cluster.workers
-        )
-
     def _run_round(self, cluster: SimulatedCluster) -> float:
         transform = self._open_round(cluster)
         mean_loss = 0.0

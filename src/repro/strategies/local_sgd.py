@@ -113,10 +113,6 @@ class LocalSGDStrategy(Strategy):
             )
         return tau
 
-    @property
-    def steps_per_round(self) -> int:
-        return self.current_tau()
-
     def _run_round(self, cluster: SimulatedCluster) -> float:
         tau = self.current_tau()
         mean_loss = 0.0

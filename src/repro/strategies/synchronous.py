@@ -32,10 +32,6 @@ class SynchronousStrategy(Strategy):
     name = "Synchronous"
     supported_topologies = ("star", "ring", "hierarchical", "gossip")
 
-    @property
-    def steps_per_round(self) -> int:
-        return 1
-
     def _run_round(self, cluster: SimulatedCluster) -> float:
         active = cluster.timeline.sample_participation()
         mean_loss = cluster.step_all(active=active)

@@ -9,7 +9,7 @@ keeps whole training runs reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class RngFactory:
         if index < 0:
             raise ValueError(f"worker index must be non-negative, got {index}")
         return self.named(f"worker-{index}")
-
-    def sequence(self, labels: Iterable[str]) -> List[np.random.Generator]:
-        """Return one named generator per label, in order."""
-        return [self.named(label) for label in labels]
 
 
 def _entropy_list(entropy: Optional[object]) -> List[int]:

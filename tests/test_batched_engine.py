@@ -339,7 +339,7 @@ class TestStackedSampler:
             Dataset(rng.normal(size=(30, 5)), rng.integers(0, 3, size=30), 3)
             for _ in range(4)
         ]
-        stacked = StackedSampler.for_datasets(datasets, batch_size=6, seeds=range(4))
+        stacked = StackedSampler([BatchSampler(ds, 6, seed=seed) for seed, ds in enumerate(datasets)])
         solo = [BatchSampler(ds, 6, seed=seed) for seed, ds in enumerate(datasets)]
         for _ in range(5):
             x, y = stacked.sample()
@@ -355,7 +355,7 @@ class TestStackedSampler:
             Dataset(rng.normal(size=(30, 5)), rng.integers(0, 3, size=30), 3)
             for _ in range(4)
         ]
-        stacked = StackedSampler.for_datasets(datasets, batch_size=6, seeds=range(4))
+        stacked = StackedSampler([BatchSampler(ds, 6, seed=seed) for seed, ds in enumerate(datasets)])
         solo = [BatchSampler(ds, 6, seed=seed) for seed, ds in enumerate(datasets)]
         rows = np.array([1, 3])
         x, y = stacked.sample(rows=rows)

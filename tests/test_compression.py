@@ -49,7 +49,6 @@ from repro.compression import (
     make_compressor,
 )
 from repro.core.variance import model_variance
-from repro.distributed.comm import BYTES_PER_ELEMENT
 from repro.distributed.topology import NAMED_TOPOLOGIES, Fabric, get_topology
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.experiments.persistence import result_from_dict, result_to_dict
@@ -617,12 +616,10 @@ class TestCompressedCharges:
         assert charge.num_bytes == Fabric(topology=get_topology(name)).allreduce(
             transmitted, num_workers, "model-sync"
         ).num_bytes
-        # ... strictly below the dense 4·d charge, by the kernel's ratio.
+        # ... strictly below the dense itemsize·d charge, by the kernel's ratio.
         assert charge.num_bytes < dense.num_bytes
         # Conservation: the total equals the per-link ledger sum.
-        assert sum(fabric.bytes_by_link.values()) == pytest.approx(
-            charge.num_bytes, abs=len(fabric.bytes_by_link)
-        )
+        assert sum(fabric.bytes_by_link.values()) == charge.num_bytes
 
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     def test_broadcast_and_upload_charge_compressed_payloads(self, name):
@@ -643,9 +640,7 @@ class TestCompressedCharges:
         assert upload.num_bytes == Fabric(topology=get_topology(name)).upload(
             transmitted, num_workers, "fda-state", worker_id=num_workers - 1
         ).num_bytes
-        assert sum(fabric.bytes_by_link.values()) == pytest.approx(
-            broadcast.num_bytes + upload.num_bytes, abs=len(fabric.bytes_by_link)
-        )
+        assert sum(fabric.bytes_by_link.values()) == broadcast.num_bytes + upload.num_bytes
 
     def test_star_charges_exactly_k_compressed_uploads(self):
         dimension, num_workers = 1_000, 5
@@ -655,7 +650,7 @@ class TestCompressedCharges:
             dimension, num_workers, "model-sync", compression=compressor
         )
         keep = max(1, round(dimension * 0.1))
-        assert charge.num_bytes == num_workers * 2 * keep * BYTES_PER_ELEMENT
+        assert charge.num_bytes == num_workers * 2 * keep * fabric.itemsize
 
     def test_network_seconds_shrink_with_the_payload(self):
         from repro.distributed.network import FL_NETWORK

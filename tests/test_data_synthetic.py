@@ -8,7 +8,6 @@ from repro.data.synthetic import (
     synthetic_cifar,
     synthetic_digits,
     synthetic_features,
-    synthetic_mnist_pair,
 )
 from repro.exceptions import DataError
 
@@ -101,18 +100,3 @@ class TestSyntheticFeatures:
         with pytest.raises(DataError):
             synthetic_features(10, class_separation=0.0)
 
-
-class TestPairs:
-    def test_mnist_pair_shares_class_structure(self):
-        train, test = synthetic_mnist_pair(300, 100, seed=0)
-        assert len(train) == 300 and len(test) == 100
-        # Nearest-prototype classifiers built on train transfer to test.
-        flat_train = train.x.reshape(len(train), -1)
-        flat_test = test.x.reshape(len(test), -1)
-        prototypes = np.stack(
-            [flat_train[train.y == c].mean(axis=0) for c in range(train.num_classes)]
-        )
-        predictions = np.argmin(
-            ((flat_test[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2), axis=1
-        )
-        assert (predictions == test.y).mean() > 0.7

@@ -7,7 +7,6 @@ from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import CATEGORY_MODEL, SimulatedCluster
-from repro.distributed.comm import RING_COST_MODEL
 from repro.distributed.worker import Worker
 from repro.exceptions import CommunicationError, ConfigurationError
 from repro.nn.architectures import mlp
@@ -15,7 +14,7 @@ from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 
 
-def make_cluster(num_workers=3, seed=0, cost_model=None, execution="sequential"):
+def make_cluster(num_workers=3, seed=0, topology=None, execution="sequential"):
     data = gaussian_blobs(240, feature_dim=8, num_classes=3, seed=seed)
     shards = partition_dataset(data, num_workers, "iid", seed=seed)
     workers = [
@@ -29,7 +28,7 @@ def make_cluster(num_workers=3, seed=0, cost_model=None, execution="sequential")
         )
         for i, shard in enumerate(shards)
     ]
-    return SimulatedCluster(workers, cost_model=cost_model, execution=execution)
+    return SimulatedCluster(workers, topology=topology, execution=execution)
 
 
 class TestWorker:
@@ -123,14 +122,14 @@ class TestCollectives:
         cluster.broadcast_parameters(np.zeros(cluster.model_dimension))
         assert cluster.total_bytes == 0
 
-    def test_ring_cost_model_changes_charges(self):
-        naive = make_cluster(4)
-        ring = make_cluster(4, cost_model=RING_COST_MODEL)
-        naive.synchronize()
+    def test_ring_topology_changes_charges(self):
+        star = make_cluster(4)
+        ring = make_cluster(4, topology="ring")
+        star.synchronize()
         ring.synchronize()
-        # Same synchronization, different accounting scheme.
-        assert ring.total_bytes != naive.total_bytes
-        assert ring.fabric.cost_model.scheme == "ring"
+        # Same synchronization, different links: 2(K-1)/K = 1.5x the star.
+        assert 2 * ring.total_bytes == 3 * star.total_bytes
+        assert ring.fabric.topology.name == "ring"
 
 
 class TestSynchronizeAndEvaluate:

@@ -1,13 +1,8 @@
-"""Tests for communication-cost models, trackers, and network models."""
+"""Tests for the communication tracker and the network models."""
 
 import pytest
 
-from repro.distributed.comm import (
-    CommunicationCostModel,
-    CommunicationTracker,
-    NAIVE_COST_MODEL,
-    RING_COST_MODEL,
-)
+from repro.distributed.comm import CommunicationTracker
 from repro.distributed.network import (
     BALANCED_NETWORK,
     FL_NETWORK,
@@ -16,37 +11,6 @@ from repro.distributed.network import (
     get_network,
 )
 from repro.exceptions import ConfigurationError
-
-
-class TestCostModel:
-    def test_naive_allreduce_bytes(self):
-        assert NAIVE_COST_MODEL.allreduce_bytes(1000, 4) == 1000 * 4 * 4
-
-    def test_ring_allreduce_volume(self):
-        # Ring AllReduce moves 2(K-1)/K of the vector per worker, so the total
-        # is 2(K-1)·n elements — roughly twice the paper-style upload-only count.
-        ring = RING_COST_MODEL.allreduce_bytes(10_000, 8)
-        assert ring == pytest.approx(2 * 7 * 10_000 * 4, rel=0.01)
-        assert ring > NAIVE_COST_MODEL.allreduce_bytes(10_000, 8)
-
-    def test_single_worker_costs_nothing(self):
-        assert NAIVE_COST_MODEL.allreduce_bytes(1000, 1) == 0
-
-    def test_empty_vector_costs_nothing(self):
-        assert NAIVE_COST_MODEL.allreduce_bytes(0, 5) == 0
-
-    def test_broadcast_bytes(self):
-        assert NAIVE_COST_MODEL.broadcast_bytes(100, 5) == 100 * 4 * 4
-
-    def test_invalid_scheme(self):
-        with pytest.raises(ConfigurationError):
-            CommunicationCostModel("gossip")
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            NAIVE_COST_MODEL.allreduce_bytes(-1, 2)
-        with pytest.raises(ConfigurationError):
-            NAIVE_COST_MODEL.allreduce_bytes(10, 0)
 
 
 class TestTracker:

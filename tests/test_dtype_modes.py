@@ -139,16 +139,6 @@ class TestByteConservation:
         assert totals["float64"] == 2 * totals["float32"]
         assert totals["float32"] > 0
 
-    def test_explicit_cost_model_overrides_itemsize_pricing(self):
-        from repro.distributed.comm import NAIVE_COST_MODEL
-
-        cluster = make_cluster(
-            "sequential", num_workers=4, dtype="float64", cost_model=NAIVE_COST_MODEL
-        )
-        cluster.synchronize(include_buffers=False)
-        # Pinned 4 B/element accounting regardless of the float64 plane.
-        assert cluster.total_bytes == cluster.model_dimension * 4 * 4
-
 
 # ---------------------------------------------------------------------------
 # Configuration surface: WorkloadConfig, persistence, end-to-end training
@@ -184,7 +174,7 @@ class TestWorkloadConfigSurface:
     def test_build_cluster_threads_the_dtype(self, dtype):
         cluster, _ = build_cluster(_blobs_workload(dtype=dtype))
         assert cluster.dtype_name == dtype
-        assert cluster.fabric.cost_model.bytes_per_element == itemsize(dtype)
+        assert cluster.fabric.itemsize == itemsize(dtype)
 
     @pytest.mark.float32_smoke
     @pytest.mark.parametrize("execution", ["sequential", "batched"])

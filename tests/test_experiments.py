@@ -69,15 +69,6 @@ class TestBuildCluster:
         total = sum(len(worker.dataset) for worker in cluster.workers)
         assert total == len(blobs_workload.train_dataset)
 
-    def test_with_workers_copy(self, blobs_workload):
-        scaled = blobs_workload.with_workers(2)
-        assert scaled.num_workers == 2 and blobs_workload.num_workers == 4
-
-    def test_with_partition_copy(self, blobs_workload):
-        heterogeneous = blobs_workload.with_partition("noniid-fraction", fraction=0.5)
-        cluster, _ = build_cluster(heterogeneous)
-        assert cluster.num_workers == blobs_workload.num_workers
-
     def test_invalid_configuration(self, blobs_workload):
         with pytest.raises(ConfigurationError):
             WorkloadConfig(

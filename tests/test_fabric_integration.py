@@ -15,7 +15,6 @@ from repro.core.timeline import StragglerProfile, Timeline
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.comm import NAIVE_COST_MODEL, RING_COST_MODEL
 from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
 from repro.nn.architectures import mlp
@@ -93,10 +92,11 @@ class TestTopologyRouting:
         star.synchronize(include_buffers=False)
         ring.synchronize(include_buffers=False)
         d, K = star.model_dimension, star.num_workers
-        # Clusters price at the plane dtype's itemsize (float64 → 8 B), so the
-        # closed forms are the 4-byte reference models scaled by 2.
-        assert star.tracker.bytes_for("model-sync") == 2 * NAIVE_COST_MODEL.allreduce_bytes(d, K)
-        assert ring.tracker.bytes_for("model-sync") == 2 * RING_COST_MODEL.allreduce_bytes(d, K)
+        # Clusters price at the plane dtype's itemsize (float64 → 8 B): the
+        # star loads K uplinks with d elements, the ring K forward links with
+        # 2(K-1)/K·d elements each.
+        assert star.tracker.bytes_for("model-sync") == K * d * 8
+        assert ring.tracker.bytes_for("model-sync") == K * round(2 * (K - 1) / K * d * 8)
 
     def test_topology_name_resolution_on_the_cluster(self):
         assert make_cluster().fabric.topology.name == "star"

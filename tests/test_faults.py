@@ -22,6 +22,7 @@ Four contracts, each load-bearing for the robustness claims:
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -540,7 +541,7 @@ class TestClusterCheckpoint:
     def test_restore_validates_the_target_cluster(self, blobs_workload):
         cluster, _ = build_cluster(blobs_workload)
         checkpoint = ClusterCheckpoint.capture(cluster)
-        other, _ = build_cluster(blobs_workload.with_workers(3))
+        other, _ = build_cluster(replace(blobs_workload, num_workers=3))
         with pytest.raises(ExperimentError, match="workers"):
             checkpoint.restore(other)
 

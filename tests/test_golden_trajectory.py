@@ -321,10 +321,10 @@ class TestGoldenMaskedTrajectory:
 class TestFabricDefaultEquivalence:
     """The topology-aware fabric must not perturb the paper's default setting.
 
-    With the defaults — star topology, naive cost model, no network model, an
-    unperturbed timeline — byte counts and parameter trajectories must be
-    bit-identical to the pre-fabric implementation, whose per-step accounting
-    is reproduced here in closed form.
+    With the defaults — star topology, no network model, an unperturbed
+    timeline — byte counts and parameter trajectories must be bit-identical
+    to the pre-fabric implementation, whose per-step accounting is
+    reproduced here in closed form.
     """
 
     def test_explicit_star_fabric_matches_implicit_default(self):

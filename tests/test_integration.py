@@ -6,6 +6,8 @@ accuracy target as the baselines with far less communication, remains robust
 under Non-IID partitioning, and obeys the Θ trade-off.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ class TestHeterogeneityRobustness:
         ],
     )
     def test_fda_still_converges_under_noniid(self, blobs_workload, scheme, kwargs):
-        heterogeneous = blobs_workload.with_partition(scheme, **kwargs)
+        heterogeneous = replace(blobs_workload, partition_scheme=scheme, partition_kwargs=kwargs)
         result = run_strategy(
             heterogeneous,
             FDAStrategy(threshold=1.0, variant="linear"),
@@ -74,7 +76,7 @@ class TestHeterogeneityRobustness:
     def test_noniid_cost_comparable_to_iid(self, blobs_workload):
         iid = run_strategy(blobs_workload, FDAStrategy(threshold=2.0))
         noniid = run_strategy(
-            blobs_workload.with_partition("noniid-fraction", fraction=0.6),
+            replace(blobs_workload, partition_scheme="noniid-fraction", partition_kwargs={"fraction": 0.6}),
             FDAStrategy(threshold=2.0),
             TrainingRun(accuracy_target=0.9, max_steps=240, eval_every_steps=15),
         )

@@ -215,7 +215,7 @@ class TestRowOwnedState:
         fresh = Adam(0.01)
         fresh.step_inplace(params[1].copy(), grads[1])
         np.testing.assert_array_equal(stacked._state["m"][1], fresh.state_arrays()["m"])
-        assert stacked.step_counts.tolist() == [1, 1, 1]
+        assert [optimizer.step_count for optimizer in stacked.optimizers] == [1, 1, 1]
 
     def test_zero_state_and_reset_agree_on_a_stacked_row(self):
         optimizers = [SGD(0.1, momentum=0.9) for _ in range(2)]
@@ -223,7 +223,7 @@ class TestRowOwnedState:
         stacked.step_rows(np.ones((2, 4)), np.ones((2, 4)))
         optimizers[0].reset()
         optimizers[1].zero_state()
-        assert stacked.step_counts.tolist() == [0, 0]
+        assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 0]
         assert not stacked._state["velocity"].any()
 
     @pytest.mark.parametrize(
@@ -337,7 +337,7 @@ class TestRowBlocking:
         assert calls == [(1, [float(dtype(5e-2))])] * 2
         assert max(scratch_rows) <= 1
         assert block.tobytes() == expected.tobytes()
-        assert stacked.step_counts.tolist() == [0, 1, 1]
+        assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 1, 1]
 
     @pytest.mark.parametrize("masked", [False, True], ids=["live", "masked"])
     def test_default_blocks_tile_the_rows_in_order(self, seam, masked, monkeypatch):
@@ -405,7 +405,7 @@ class TestStepRowsIndexArray:
         with pytest.raises(ShapeError, match=match):
             stacked.step_rows(np.ones((count, 4)), np.ones((count, 4)), rows)
         # Nothing was stepped: no count moved, no moment written.
-        assert stacked.step_counts.tolist() == [0, 0, 0]
+        assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 0, 0]
         assert not any(matrix.any() for matrix in stacked._state.values())
 
     def test_repeated_row_is_refused(self, stacked):
@@ -431,7 +431,7 @@ class TestStepRowsIndexArray:
 
     def test_a_permutation_steps_each_row_once(self, stacked):
         stacked.step_rows(np.ones((3, 4)), np.ones((3, 4)), [2, 0, 1])
-        assert stacked.step_counts.tolist() == [1, 1, 1]
+        assert [optimizer.step_count for optimizer in stacked.optimizers] == [1, 1, 1]
 
 
 def test_warmed_adamw_step_allocates_no_block_sized_array():

@@ -51,7 +51,7 @@ class TestModelViews:
         model = Sequential([Dense(4, activation="relu"), BatchNorm(), Dense(2)]).build((3,))
         expected = np.concatenate([a.reshape(-1) for a in model.parameter_arrays()])
         np.testing.assert_array_equal(model.parameters_view(), expected)
-        expected_buffers = np.concatenate([a.reshape(-1) for a in model.buffer_arrays()])
+        expected_buffers = np.concatenate([a.reshape(-1) for layer in model.layers for a in layer.buffers()])
         np.testing.assert_array_equal(model.buffers_view(), expected_buffers)
 
     def test_gradients_flow_into_the_plane(self):

@@ -129,11 +129,34 @@ lockstep trainer's stale states, the coordinator's latest updates).  A local
 state is one float64 row ``[‖u‖² | payload]`` of the protocol's ``(K, s)``
 table now, and
 
-15. the retired names occur nowhere under ``src/``, in ``ARCHITECTURE.md`` or
-    under ``docs/``; only ``core/monitor.py`` defines ``local_state``,
-    ``local_states`` or ``average``; and outside it nothing indexes a state
-    table's columns or reduces a state table itself — rows are built and
-    averaged by the monitor alone.
+15. the retired names occur nowhere under ``src/``; only ``core/monitor.py``
+    defines ``local_state``, ``local_states`` or ``average``; and outside it
+    nothing indexes a state table's columns or reduces a state table itself —
+    rows are built and averaged by the monitor alone.
+
+The fabric once priced a message two ways: the star handed its total to a
+scalar cost model with two schemes, every other topology summed its link
+loads, and on a ring the two roundings disagreed.  A message costs what its
+links carry now, and
+
+16. the retired pricing names occur nowhere under ``src/``;
+    ``Fabric.allreduce`` / ``broadcast`` / ``upload`` contain no branch; and
+    ``record_transfer`` has one caller, ``Fabric._charge``.
+
+Every check above retires names, and the prose kept spelling them, so
+
+17. every retired-name list of checks 4, 7, 8, 9, 13, 15 and 16 is run over
+    ``ARCHITECTURE.md`` and ``docs/`` as well.  (The names of checks 10–12 are
+    retired only inside one package — ``Worker.local_step`` and
+    ``engine.step_worker`` still exist — so the prose may name them.)
+
+Public surface that nothing uses is code to keep in step for no caller, so
+
+18. every public function, class and method under ``src/`` is referenced by
+    the code — its syntax tree, not its comments — of ``src/``, ``bench/``,
+    ``benchmarks/`` or ``examples/``, or sits on
+    :data:`UNREFERENCED_ALLOWLIST` with a reason.  A method name two unrelated
+    classes define counts only for the class an access can reach.
 """
 
 from __future__ import annotations
@@ -141,6 +164,8 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -744,14 +769,10 @@ def _state_name(source: str, node) -> bool:
 
 
 def test_a_local_state_is_a_row_built_by_the_monitor_alone():
-    documents = [REPO_ROOT / "ARCHITECTURE.md", *sorted((REPO_ROOT / "docs").rglob("*.md"))]
-    texts = [(f"src/repro/{module}", source) for module, source in _sources()] + [
-        (str(path.relative_to(REPO_ROOT)), path.read_text(encoding="utf-8")) for path in documents
-    ]
     spelled = [
-        f"{name}:{number}: {line.strip()}"
-        for name, text in texts
-        for number, line in enumerate(text.splitlines(), 1)
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        for number, line in enumerate(source.splitlines(), 1)
         if _RETIRED_STATE_NAMES.search(line)
     ]
     assert not spelled, (
@@ -790,3 +811,267 @@ def test_a_local_state_is_a_row_built_by_the_monitor_alone():
         "a state row's layout is the monitor's — build rows with local_states and "
         "average them with monitor.average:\n" + "\n".join(offenders)
     )
+
+
+#: The scalar cost model, its schemes and constants, the star's fork on it
+#: and the knob that installed one.
+_RETIRED_PRICING_NAMES = re.compile(
+    r"\b(CommunicationCostModel|NAIVE_COST_MODEL|RING_COST_MODEL|BYTES_PER_ELEMENT"
+    r"|paper_accounting|cost_model|allreduce_bytes|broadcast_bytes|for_dtype"
+    r"|bytes_per_element)\b"
+)
+
+
+def test_a_message_costs_what_its_links_carry():
+    spelled = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        for number, line in enumerate(source.splitlines(), 1)
+        if _RETIRED_PRICING_NAMES.search(line)
+    ]
+    assert not spelled, (
+        "a second pricing rule — the Fabric prices every link at its itemsize "
+        "and sums the links:\n" + "\n".join(spelled)
+    )
+    branches = [
+        f"Fabric.{method.name}:{node.lineno}"
+        for method in _class_methods("distributed/topology.py", "Fabric")
+        if method.name in ("allreduce", "broadcast", "upload")
+        for node in ast.walk(method)
+        if isinstance(node, (ast.If, ast.IfExp, ast.BoolOp, ast.Match))
+    ]
+    assert not branches, f"a collective is priced one way on every topology: {branches}"
+    recorders = [
+        (module, function, receiver)
+        for module, function, receiver, method in _calls_by_function("")
+        if method == "record_transfer"
+    ]
+    assert recorders == [("distributed/topology.py", "_charge", "self.tracker")], (
+        f"a collective's total is booked by Fabric._charge alone: {recorders}"
+    )
+
+
+#: Every retired-name list above, keyed by its check.
+RETIRED_NAME_LISTS = {
+    "4 participation": _RETIRED_PARTICIPATION_NAMES,
+    "7 update paths": re.compile(
+        r"\b(" + "|".join(sorted(_RETIRED_UPDATE_FUNCTIONS)) + r")\b|inplace=False"
+    ),
+    "8 selection scratch": _RETIRED_SELECTION_NAMES,
+    "9 grid helpers": _RETIRED_GRID_NAMES,
+    "13 second owners": _RETIRED_COPY_NAMES,
+    "15 state classes": _RETIRED_STATE_NAMES,
+    "16 pricing": _RETIRED_PRICING_NAMES,
+}
+DOCUMENTS = [REPO_ROOT / "ARCHITECTURE.md", *sorted((REPO_ROOT / "docs").rglob("*.md"))]
+
+
+@pytest.mark.parametrize("check", sorted(RETIRED_NAME_LISTS))
+def test_retired_names_stay_retired_in_the_docs(check):
+    spelled = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
+        for path in DOCUMENTS
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if RETIRED_NAME_LISTS[check].search(line)
+    ]
+    assert not spelled, f"check {check}: the docs name retired code:\n" + "\n".join(spelled)
+
+
+#: Public names nothing outside ``tests/`` references, and why each stays.
+UNREFERENCED_ALLOWLIST = {
+    "PercentileLedger.cdf_at": "the exact empirical rank the P² estimator is tested against",
+    "Sequential.get_gradients": "the documented copy-out accessor (ARCHITECTURE.md, Plane 1)",
+    "fedavgm_strategy": "the paper's FedAvgM baseline, next to fedadam_strategy",
+    "parity_tolerance": "the float32-vs-float64 tolerance policy the dtype parity tests apply",
+    "CompressionConfig.to_dict": "the config's plain-JSON form, next to describe()",
+    "VarianceMonitor.local_state": "the one-row case of local_states, the per-row contract's oracle",
+    "DynamicThetaController.adjustment_count": "read-only training counter, kept out of spec()",
+    "Timeline.perturbed": "whether a timeline can change protocol behaviour (dropout on)",
+    "Dataset.shuffled": "a reordered copy of a dataset, the order-invariance tests' input",
+    "ClusterEngine.step_worker": "one worker's step, the single-row case of step_all",
+    "BatchedEngine.step_worker": "one worker's step, the single-row case of step_all",
+    "Worker.local_epoch": "one full pass over a shard, the sequential reference for epoch_all",
+    "RunStore.manifest": "the cache directory's parsed manifest, for inspecting a store",
+    "RunStore.keys": "the run keys a store resolves, for inspecting a store",
+    "RunStore.records": "the store's deduplicated records, for inspecting a store",
+    "ResultsTable.results": "the collected results, the table's read accessor",
+    "RunResult.seconds_per_round": "virtual seconds per round, a derived run metric",
+    "RunResult.summary": "a run's plain-dict view (the package docstring's example)",
+    "one_hot": "label encoding, the reference for the fused softmax cross-entropy gradient",
+    "Sequential.predict": "batched inference, the model's public forward pass",
+    "Sequential.summary": "the model's layer table",
+    "average_models": "the global model of several models, the reference for the cluster average",
+    "ClientDirectory.descriptor": "one client's registration record, derived on demand",
+    "ClientStateStore.evict": "forces one spill, the hook the eviction-order tests drive",
+    "ServedFDATrainer.serve_next": "one served update at a time, the stepping form of run",
+    "AmsSketch.sketch": "one vector's sketch, the reference for the batched sketch_rows",
+    "RunLogger.series": "a logged metric across entries, the logger's read accessor",
+    "RunLogger.last": "a logged metric's latest value, the logger's read accessor",
+}
+#: Where a public name counts as used.
+REFERENCE_ROOTS = ("src", "bench", "benchmarks", "examples")
+
+
+def public_definitions(src_root: Path = SRC_ROOT):
+    """``(module, qualified name)`` of every public function, class and method."""
+    for path in sorted(src_root.rglob("*.py")):
+        module = path.relative_to(src_root).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield module, node.name
+                if isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                            yield module, f"{node.name}.{member.name}"
+
+
+class ModuleReferences(ast.NodeVisitor):
+    """The names one module's code uses — identifiers, attributes, imports.
+
+    Comments, docstrings and strings are not code, so a name they mention is
+    not a reference.  Every attribute access keeps its receiver's name and
+    the class it sits in, so methods that share a short name can be told
+    apart.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.names = set()
+        self.classes = {}  # class defined here -> the names of its bases
+        self.accesses = []  # (attribute, receiver name, enclosing class)
+        self._enclosing = [None]
+        self.visit(ast.parse(path.read_text(encoding="utf-8")))
+
+    def visit_ClassDef(self, node):
+        self.classes[node.name] = [ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases]
+        self._enclosing.append(node.name)
+        self.generic_visit(node)
+        self._enclosing.pop()
+
+    def visit_Name(self, node):
+        self.names.add(node.id)
+
+    def visit_alias(self, node):
+        self.names.add(node.name.rsplit(".", 1)[-1])
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        receiver = node.value
+        receiver = receiver.id if isinstance(receiver, ast.Name) else getattr(receiver, "attr", "")
+        self.accesses.append((node.attr, receiver, self._enclosing[-1]))
+        self.generic_visit(node)
+
+
+def class_families(modules):
+    """Class name → the classes related to it by inheritance (itself included)."""
+    bases = {name: parents for refs in modules for name, parents in refs.classes.items()}
+    family = {name: frozenset([name]) for name in bases}
+    for name, parents in bases.items():
+        for parent in parents:
+            if parent in family:
+                merged = family[name] | family[parent]
+                family.update((member, merged) for member in merged)
+    return family
+
+
+def points_at(family, refs, receiver, enclosing) -> bool:
+    """Whether an attribute access in ``refs`` can reach a class of ``family``.
+
+    ``self.m`` reaches it from inside the family; any other ``x.m`` when its
+    module names a class of the family, or when the receiver is named after
+    one (``fabric.snapshot`` → ``Fabric``, ``self.compressor.state_dict`` →
+    ``TopKCompressor``).
+    """
+    if receiver in ("self", "cls"):
+        return enclosing in family
+    words = {
+        word.lower()
+        for name in family
+        for word in re.findall(r"[A-Z][a-z]+|[A-Z]+(?![a-z])", name)
+    }
+    return bool(
+        family & (refs.names | set(refs.classes)) or words & set(receiver.lower().split("_"))
+    )
+
+
+def unreferenced_public_names(repo_root: Path = REPO_ROOT):
+    """Public names under ``src/`` that no code under :data:`REFERENCE_ROOTS` uses.
+
+    A function or class is used when an identifier, attribute or import names
+    it.  A method is used when an attribute access names it; when classes of
+    two unrelated families define the same method name, the access must also
+    be able to reach the method's family (:func:`points_at`).
+    """
+    modules = [
+        ModuleReferences(path)
+        for root in REFERENCE_ROOTS
+        for path in sorted((repo_root / root).rglob("*.py"))
+    ]
+    names = set().union(*(refs.names for refs in modules))
+    family = class_families(modules)
+    definitions = list(public_definitions(repo_root / "src" / "repro"))
+    owners = {}  # method name -> the families that define it
+    for _, name in definitions:
+        if "." in name:
+            owner, method = name.split(".")
+            owners.setdefault(method, set()).add(family[owner])
+
+    def used(name: str) -> bool:
+        if "." not in name:
+            return name in names
+        owner, method = name.split(".")
+        return any(
+            len(owners[method]) == 1 or points_at(family[owner], refs, receiver, enclosing)
+            for refs in modules
+            for attribute, receiver, enclosing in refs.accesses
+            if attribute == method
+        )
+
+    return sorted((module, name) for module, name in definitions if not used(name))
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    unreferenced = unreferenced_public_names()
+    offenders = [
+        f"src/repro/{module}: {name}"
+        for module, name in unreferenced
+        if name not in UNREFERENCED_ALLOWLIST
+    ]
+    assert not offenders, (
+        "public surface nothing uses — delete it, give it a caller, or add it to "
+        "UNREFERENCED_ALLOWLIST with a reason:\n" + "\n".join(offenders)
+    )
+    stale = set(UNREFERENCED_ALLOWLIST) - {name for _, name in unreferenced}
+    assert not stale, f"UNREFERENCED_ALLOWLIST names code that is gone or now used: {stale}"
+
+
+def test_a_shared_method_name_is_not_a_caller(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "stores.py").write_text(
+        "class Tracker:\n"
+        "    def snapshot(self):\n"
+        "        return {}\n"
+        "\n"
+        "class Store:\n"
+        "    def snapshot(self):\n"
+        "        return {}\n"
+        "\n"
+        "def helper():\n"
+        "    return Tracker\n"
+    )
+    (package / "report.py").write_text(
+        "from repro.stores import helper\n"
+        "\n"
+        "def report(tracker):\n"
+        "    # Store.snapshot and unused() are mentioned in comments only.\n"
+        "    return tracker.snapshot()\n"
+        "\n"
+        "def unused():\n"
+        '    """Calls Store.report() in prose only."""\n'
+    )
+    assert unreferenced_public_names(tmp_path) == [
+        ("report.py", "report"),
+        ("report.py", "unused"),
+        ("stores.py", "Store"),
+        ("stores.py", "Store.snapshot"),
+    ]

@@ -32,7 +32,9 @@ class TestFedProx:
         strategy = FedProxStrategy(mu=0.1).attach(cluster)
         result = strategy.run_round()
         assert result.synchronized
-        assert result.steps_advanced == strategy.steps_per_round
+        assert result.steps_advanced == strategy.local_epochs * max(
+            worker.batches_per_epoch for worker in cluster.workers
+        )
         assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
 
     def test_communication_matches_fedavg(self, blobs_workload):
@@ -110,7 +112,7 @@ class TestScaffold:
         assert result.reached_target
 
     def test_converges_under_heterogeneity(self, blobs_workload):
-        heterogeneous = blobs_workload.with_partition("dirichlet", alpha=0.3)
+        heterogeneous = replace(blobs_workload, partition_scheme="dirichlet", partition_kwargs={"alpha": 0.3})
         result = run_on(
             heterogeneous,
             ScaffoldStrategy(local_learning_rate_hint=0.01),
@@ -171,7 +173,7 @@ class TestRoundParticipation:
         np.testing.assert_array_equal(survivors[0], survivors[2])
 
     def test_cohort_weights_are_honoured(self, blobs_workload, make_strategy):
-        cluster, _ = build_cluster(blobs_workload.with_workers(2))
+        cluster, _ = build_cluster(replace(blobs_workload, num_workers=2))
         strategy = make_strategy().attach(cluster)
         cluster.bind_members(Participation(weights=[1.0, 3.0]))
         trained = {}

@@ -11,28 +11,38 @@ bit-identical to serial.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import resolve_dtype
+from repro.compression import CompressionConfig
+from repro.core.timeline import StragglerProfile
 from repro.data.synthetic import gaussian_blobs
+from repro.distributed.topology import GossipTopology, HierarchicalTopology
 from repro.exceptions import ExperimentError
 from repro.experiments.cache import CODE_VERSION, RunStore
 from repro.experiments.executor import (
     SweepCell,
     SweepExecutor,
     fork_parallelism_available,
+    workload_fingerprint,
 )
 from repro.experiments.run import TrainingRun
 from repro.experiments.registry import fda
 from repro.experiments.setup import SetupCache, WorkloadConfig, build_cluster, make_optimizer
 from repro.experiments.sweep import lower_grid, run_grid
+from repro.faults import FaultPlan
 from repro.nn.architectures import mlp, transfer_head
 from repro.nn.layers import BatchNorm, Dense, Dropout
+from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.plane import ParameterPlane
+from repro.population import PopulationConfig
+from repro.serving import ServingConfig
 from repro.strategies.fda_strategy import FDAStrategy
 
 BLOBS_FEATURES = 8
@@ -49,17 +59,19 @@ def small_model_factory(seed: int = 0):
     )
 
 
+def blobs(num_samples: int, seed: int):
+    return gaussian_blobs(
+        num_samples, feature_dim=BLOBS_FEATURES, num_classes=BLOBS_CLASSES, seed=seed
+    )
+
+
 def build_workload(seed: int = 0, **overrides) -> WorkloadConfig:
     """A fresh blobs workload; repeated calls share no objects, only content."""
     config = dict(
         name="blobs",
         model_factory=small_model_factory(),
-        train_dataset=gaussian_blobs(
-            360, feature_dim=BLOBS_FEATURES, num_classes=BLOBS_CLASSES, seed=0
-        ),
-        test_dataset=gaussian_blobs(
-            150, feature_dim=BLOBS_FEATURES, num_classes=BLOBS_CLASSES, seed=0
-        ),
+        train_dataset=blobs(360, seed=0),
+        test_dataset=blobs(150, seed=0),
         optimizer_factory=make_optimizer("adam", learning_rate=0.01),
         num_workers=4,
         batch_size=16,
@@ -67,6 +79,43 @@ def build_workload(seed: int = 0, **overrides) -> WorkloadConfig:
     )
     config.update(overrides)
     return WorkloadConfig(**config)
+
+
+#: A different legal value for every ``WorkloadConfig`` field, as drawn
+#: against :func:`build_workload`'s defaults.
+FIELD_ALTERNATIVES = {
+    "name": st.text(alphabet="abcxyz-", min_size=1, max_size=6).filter(lambda n: n != "blobs"),
+    "model_factory": st.integers(1, 9).map(small_model_factory),
+    "train_dataset": st.integers(1, 9).map(lambda seed: blobs(360, seed)),
+    "test_dataset": st.integers(1, 9).map(lambda seed: blobs(150, seed)),
+    "optimizer_factory": st.sampled_from(
+        [("adam", 0.02), ("adamw", 0.01), ("sgd", 0.05), ("sgd-nm", 0.05)]
+    ).map(lambda spec: make_optimizer(spec[0], learning_rate=spec[1])),
+    "num_workers": st.integers(1, 12).filter(lambda k: k != 4),
+    "batch_size": st.integers(1, 64).filter(lambda b: b != 16),
+    "partition_scheme": st.sampled_from(["noniid-fraction", "noniid-label", "dirichlet"]),
+    "partition_kwargs": st.sampled_from([{"fraction": 0.5}, {"alpha": 0.3}, {"label": 1}]),
+    "loss": st.sampled_from([SoftmaxCrossEntropy(label_smoothing=0.1), MeanSquaredError()]),
+    "topology": st.sampled_from(
+        ["ring", "hierarchical", "gossip", HierarchicalTopology(2), GossipTopology(3, 2)]
+    ),
+    "network": st.sampled_from(["fl", "hpc", "balanced"]),
+    "compute_profile": st.floats(0.1, 0.9).map(
+        lambda fraction: StragglerProfile(straggler_fraction=fraction)
+    ),
+    "dropout_rate": st.floats(0.01, 0.9),
+    "execution": st.just("batched"),
+    "compression": st.sampled_from(
+        ["topk", "quantization", "randomk", "signsgd", CompressionConfig("topk", ratio=0.05)]
+    ),
+    "dtype": st.just("float32"),
+    "faults": st.floats(0.01, 0.5).map(lambda rate: FaultPlan(crash_rate=rate)),
+    "population": st.integers(5, 1000).map(
+        lambda clients: PopulationConfig(num_clients=clients, cohort_size=4)
+    ),
+    "serving": st.floats(0.1, 4.0).map(lambda rate: ServingConfig(arrival_rate=rate)),
+    "seed": st.integers(1, 10_000),
+}
 
 
 def make_cell(workload, theta: float = 2.0, run: TrainingRun = RUN) -> SweepCell:
@@ -119,7 +168,7 @@ class TestRunKeys:
         "mutate",
         [
             lambda w: w.with_seed(1),
-            lambda w: w.with_workers(5),
+            lambda w: replace(w, num_workers=5),
             lambda w: replace(w, batch_size=8),
             lambda w: replace(w, name="other"),
             lambda w: w.with_dtype("float32"),
@@ -127,7 +176,7 @@ class TestRunKeys:
             lambda w: w.with_fabric(topology="ring"),
             lambda w: w.with_fabric(network="fl"),
             lambda w: w.with_compression("topk"),
-            lambda w: w.with_partition("dirichlet", alpha=0.3),
+            lambda w: replace(w, partition_scheme="dirichlet", partition_kwargs={"alpha": 0.3}),
             lambda w: w.with_timeline(dropout_rate=0.2),
             lambda w: replace(
                 w,
@@ -146,6 +195,32 @@ class TestRunKeys:
         base = executor.run_key(make_cell(build_workload()))
         changed = executor.run_key(make_cell(mutate(build_workload())))
         assert changed != base
+
+    def test_every_config_field_has_an_alternative(self):
+        assert set(FIELD_ALTERNATIVES) == {spec.name for spec in fields(WorkloadConfig)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_replacing_any_single_field_changes_the_key(self, data):
+        name = data.draw(st.sampled_from(sorted(FIELD_ALTERNATIVES)), label="field")
+        value = data.draw(FIELD_ALTERNATIVES[name], label="value")
+        executor = SweepExecutor()
+        base = build_workload()
+        changed = replace(base, **{name: value})
+        assert executor.run_key(make_cell(changed)) != executor.run_key(make_cell(base))
+
+    def test_a_field_added_by_a_subclass_enters_the_key(self):
+        @dataclass
+        class TaggedWorkload(WorkloadConfig):
+            tag: str = "a"
+
+        base = build_workload()
+        tagged = TaggedWorkload(**{spec.name: getattr(base, spec.name) for spec in fields(base)})
+        executor = SweepExecutor()
+        assert workload_fingerprint(tagged, executor.setup)["tag"] == "a"
+        assert executor.run_key(make_cell(replace(tagged, tag="b"))) != executor.run_key(
+            make_cell(tagged)
+        )
 
     def test_spelled_defaults_share_the_key_of_what_they_build(self):
         # The fingerprint covers the fabric the cluster will be built with,

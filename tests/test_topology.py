@@ -1,12 +1,13 @@
 """Property tests for the communication fabric: topologies, charges, timing.
 
-The central conservation property: for every topology, the bytes charged for
-one model synchronization (an AllReduce of the full parameter vector) equal
-the sum of the per-link volumes and are never below the information-theoretic
-minimum — at least ``K − 1`` workers must transmit their vector at least once,
-i.e. ``(K − 1) · n · bytes_per_element``.  The ring must reproduce the
-existing :data:`RING_COST_MODEL` volume, and the star must reproduce the
-paper's naive accounting bit-for-bit.
+The central conservation law: the fabric prices every collective one way —
+each link it touches carries ``round(elements × itemsize)`` bytes and the
+collective's total is the sum of those link bytes — so on every topology,
+dtype, collective, payload and loss setting the tracker total equals the
+per-link ledger sum equals the per-category sum, *exactly*.  Totals are never
+below the information-theoretic minimum (``K − 1`` workers must move their
+vector at least once), and the star reproduces the paper's accounting
+(``K`` worker uploads of the full vector).
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.comm import BYTES_PER_ELEMENT, NAIVE_COST_MODEL, RING_COST_MODEL
+from repro.compression.kernels import QuantizationCompressor, TopKCompressor
 from repro.distributed.network import FL_NETWORK, HPC_NETWORK
 from repro.distributed.topology import (
     Fabric,
@@ -22,18 +23,25 @@ from repro.distributed.topology import (
     HierarchicalTopology,
     NAMED_TOPOLOGIES,
     RingTopology,
+    SERVER,
     StarTopology,
     Topology,
     get_topology,
 )
 from repro.exceptions import ConfigurationError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 
 ALL_TOPOLOGIES = sorted(NAMED_TOPOLOGIES)
+
+#: A bare fabric prices 4-byte (float32) elements.
+ITEMSIZE = Fabric().itemsize
+
 
 #: The information-theoretic floor for one exact AllReduce: all but one worker
 #: must move their vector at least once.
 def info_min_bytes(num_elements: int, num_workers: int) -> int:
-    return (num_workers - 1) * num_elements * BYTES_PER_ELEMENT
+    return (num_workers - 1) * num_elements * ITEMSIZE
 
 
 @st.composite
@@ -43,7 +51,68 @@ def allreduce_cases(draw):
     return num_elements, num_workers
 
 
+#: The fabrics the conservation law is checked on.
+CONSERVATION_TOPOLOGIES = {
+    "star": StarTopology,
+    "ring": RingTopology,
+    "hierarchical(2)": lambda: HierarchicalTopology(2),
+    "hierarchical(4)": lambda: HierarchicalTopology(4),
+    "gossip(3, 2)": lambda: GossipTopology(3, 2),
+}
+#: Dense (``None``) and compressed payloads.
+PAYLOADS = {
+    "dense": lambda: None,
+    "topk": lambda: TopKCompressor(0.1),
+    "quantization": lambda: QuantizationCompressor(bits=8),
+}
+COLLECTIVES = ("allreduce", "broadcast", "upload")
+
+
+def issue(fabric: Fabric, collective: str, num_elements, num_workers, payload, worker):
+    """Issue one collective, booked under its own name as the category."""
+    if collective == "upload":
+        return fabric.upload(
+            num_elements, num_workers, collective, worker % num_workers, compression=payload
+        )
+    return getattr(fabric, collective)(num_elements, num_workers, collective, compression=payload)
+
+
 class TestConservation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        topology=st.sampled_from(sorted(CONSERVATION_TOPOLOGIES)),
+        num_workers=st.integers(min_value=1, max_value=40),
+        dtype=st.sampled_from(["float32", "float64"]),
+        loss_rate=st.sampled_from([0.0, 0.3]),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(COLLECTIVES),
+                st.integers(min_value=0, max_value=300_000),
+                st.sampled_from(sorted(PAYLOADS)),
+                st.integers(min_value=0, max_value=39),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_tracker_total_equals_link_sum_equals_category_sum(
+        self, topology, num_workers, dtype, loss_rate, calls
+    ):
+        fabric = Fabric(
+            topology=CONSERVATION_TOPOLOGIES[topology](), itemsize=np.dtype(dtype).itemsize
+        )
+        if loss_rate:
+            fabric.injector = FaultInjector(FaultPlan(loss_rate=loss_rate, seed=1), num_workers)
+        charged = 0
+        for collective, num_elements, payload, worker in calls:
+            charged += issue(
+                fabric, collective, num_elements, num_workers, PAYLOADS[payload](), worker
+            ).num_bytes
+        tracker = fabric.tracker
+        assert charged == tracker.total_bytes
+        assert tracker.total_bytes == sum(fabric.bytes_by_link.values())
+        assert tracker.total_bytes == sum(tracker.bytes_by_category.values())
+
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     @settings(max_examples=40, deadline=None)
     @given(case=allreduce_cases())
@@ -53,32 +122,42 @@ class TestConservation:
         fabric = Fabric(topology=topology)
         charge = fabric.allreduce(num_elements, num_workers, "model-sync")
         link_elements = topology.allreduce_link_elements(num_elements, num_workers)
-        link_bytes = sum(link_elements.values()) * BYTES_PER_ELEMENT
-        # Total equals the sum over links (up to integer rounding of the total).
-        assert charge.num_bytes == pytest.approx(link_bytes, abs=1.0)
+        # Every link is priced on its own; the total is their sum ...
+        assert charge.num_bytes == sum(
+            round(elements * ITEMSIZE) for elements in link_elements.values()
+        )
         # ... and the same bytes landed on the fabric's per-link ledger.
-        assert sum(fabric.bytes_by_link.values()) == pytest.approx(charge.num_bytes, abs=len(link_elements))
+        assert sum(fabric.bytes_by_link.values()) == charge.num_bytes
         # Information-theoretic minimum.
         assert charge.num_bytes >= info_min_bytes(num_elements, num_workers)
 
     @settings(max_examples=40, deadline=None)
     @given(case=allreduce_cases())
-    def test_ring_matches_the_ring_cost_model_volume(self, case):
+    def test_ring_loads_every_forward_link_with_its_share(self, case):
         num_elements, num_workers = case
         fabric = Fabric(topology=RingTopology())
         charge = fabric.allreduce(num_elements, num_workers, "model-sync")
-        assert charge.num_bytes == RING_COST_MODEL.allreduce_bytes(num_elements, num_workers)
+        # Whole chunks: the total is exactly 2(K−1)·n elements ...
+        assert charge.num_bytes == 2 * (num_workers - 1) * num_elements * ITEMSIZE
+        # ... on the K forward links, each within one chunk pair of the
+        # average 2(K−1)/K·n and a whole number of elements.
+        forward = {(k, (k + 1) % num_workers) for k in range(num_workers)}
+        assert set(fabric.bytes_by_link) == forward
+        share = 2 * (num_workers - 1) / num_workers * num_elements * ITEMSIZE
+        for num_bytes in fabric.bytes_by_link.values():
+            assert num_bytes % ITEMSIZE == 0
+            assert abs(num_bytes - share) < 2 * ITEMSIZE
 
     @settings(max_examples=40, deadline=None)
     @given(case=allreduce_cases())
-    def test_star_matches_the_naive_cost_model_bit_for_bit(self, case):
+    def test_star_charges_the_papers_k_uploads(self, case):
         num_elements, num_workers = case
         fabric = Fabric(topology=StarTopology())
         charge = fabric.allreduce(num_elements, num_workers, "model-sync")
-        assert charge.num_bytes == NAIVE_COST_MODEL.allreduce_bytes(num_elements, num_workers)
-        # The star's link loads (the worker uplinks) sum to the same total.
-        loads = StarTopology().allreduce_link_elements(num_elements, num_workers)
-        assert sum(loads.values()) * BYTES_PER_ELEMENT == charge.num_bytes
+        assert charge.num_bytes == num_workers * num_elements * ITEMSIZE
+        assert fabric.bytes_by_link == {
+            (worker, SERVER): num_elements * ITEMSIZE for worker in range(num_workers)
+        }
 
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     @settings(max_examples=20, deadline=None)
@@ -90,8 +169,8 @@ class TestConservation:
         charge = fabric.broadcast(num_elements, num_workers, "model-sync")
         link_bytes = sum(
             topology.broadcast_link_elements(num_elements, num_workers).values()
-        ) * BYTES_PER_ELEMENT
-        assert charge.num_bytes == pytest.approx(link_bytes, abs=1.0)
+        ) * ITEMSIZE
+        assert charge.num_bytes == link_bytes
         # Reaching K - 1 receivers needs at least K - 1 transmissions.
         assert charge.num_bytes >= info_min_bytes(num_elements, num_workers)
 
@@ -134,10 +213,6 @@ class TestTopologyStructure:
         with pytest.raises(ConfigurationError):
             GossipTopology(rounds=0)
 
-    def test_only_star_uses_paper_accounting(self):
-        for name in ALL_TOPOLOGIES:
-            assert get_topology(name).paper_accounting == (name == "star")
-
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     @pytest.mark.parametrize("num_workers", [2, 5, 9])
     def test_upload_paths_use_real_links(self, name, num_workers):
@@ -149,8 +224,6 @@ class TestTopologyStructure:
                 assert link in links, f"{name}: upload link {link} not in topology"
             # The path must actually arrive at the coordinator.
             if path:
-                from repro.distributed.topology import SERVER
-
                 destination = path[-1][1]
                 assert destination in (SERVER, 0)
                 for first, second in zip(path, path[1:]):
@@ -201,17 +274,17 @@ class TestFabricTiming:
     def test_upload_charges_one_hop_on_the_star(self):
         fabric = Fabric(topology=StarTopology())
         charge = fabric.upload(7, 5, "fda-state", worker_id=3)
-        assert charge.num_bytes == 7 * BYTES_PER_ELEMENT
+        assert charge.num_bytes == 7 * ITEMSIZE
         assert fabric.tracker.operations_for("fda-state") == 1
 
     def test_upload_charges_per_hop_on_the_hierarchy(self):
         fabric = Fabric(topology=HierarchicalTopology(group_size=2))
         # Worker 3 is a group member: member -> head -> root, two hops.
         charge = fabric.upload(7, 6, "fda-state", worker_id=3)
-        assert charge.num_bytes == 2 * 7 * BYTES_PER_ELEMENT
+        assert charge.num_bytes == 2 * 7 * ITEMSIZE
         # Worker 2 is its group's head: one hop to the root.
         head_charge = fabric.upload(7, 6, "fda-state", worker_id=2)
-        assert head_charge.num_bytes == 7 * BYTES_PER_ELEMENT
+        assert head_charge.num_bytes == 7 * ITEMSIZE
 
     def test_snapshot_shape(self):
         fabric = Fabric(topology=RingTopology(), network=FL_NETWORK)
