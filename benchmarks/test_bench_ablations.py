@@ -9,6 +9,8 @@ These go beyond the paper's figures and quantify:
 5. the dynamic-Θ controller (the paper's future-work extension) vs a static Θ.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.conftest import run_workload
@@ -124,7 +126,7 @@ def test_ablation_linear_xi_heuristic(benchmark):
 def _accounting_ablation():
     workload = lenet_mnist_workload(num_workers=4)
     return {
-        name: run_workload(workload.with_fabric(topology=topology), SynchronousStrategy, RUN)
+        name: run_workload(replace(workload, topology=topology), SynchronousStrategy, RUN)
         for name, topology in (("paper-upload", StarTopology()), ("ring-allreduce", RingTopology()))
     }
 

@@ -23,6 +23,8 @@ trail.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.bench_json import emit_bench_section
@@ -89,7 +91,7 @@ def _degradation_grid():
     results = {}
     for crash_rate, loss_rate in GRID:
         plan = FaultPlan(crash_rate=crash_rate, loss_rate=loss_rate, seed=FAULT_SEED)
-        faulted = workload.with_faults(None if plan.is_null else plan)
+        faulted = replace(workload, faults=None if plan.is_null else plan)
         for name, factory in _strategies():
             cluster, result = _run_cell(faulted, factory)
             log = result.fault_log or {}
@@ -187,7 +189,7 @@ def test_null_plan_is_a_pure_observer(benchmark):
     def _pair():
         workload = _workload()
         _, plain = _run_cell(workload, _strategies()[0][1])
-        _, nulled = _run_cell(workload.with_faults(FaultPlan()), _strategies()[0][1])
+        _, nulled = _run_cell(replace(workload, faults=FaultPlan()), _strategies()[0][1])
         return plain, nulled
 
     plain, nulled = benchmark.pedantic(_pair, rounds=1, iterations=1)

@@ -166,7 +166,7 @@ def test_saturation_knee_as_arrivals_pass_service_rate(benchmark):
             # theta=inf isolates pure queueing: no syncs, so the knee is
             # exactly the arrival-rate/service-rate crossover.
             report = serve_workload(
-                workload.with_serving(serving), float("inf"), UPDATES, variant="linear"
+                replace(workload, serving=serving), float("inf"), UPDATES, variant="linear"
             )
             row = report.to_dict()
             row["offered_rate"] = WORKERS * rate

@@ -25,6 +25,7 @@ Run with::
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro import FDAStrategy, TrainingRun, build_cluster
 from repro.experiments.registry import lenet_mnist_workload
@@ -43,7 +44,7 @@ def main() -> None:
 
     results = {}
     for execution in ("sequential", "batched"):
-        cluster, test_dataset = build_cluster(workload.with_execution(execution))
+        cluster, test_dataset = build_cluster(replace(workload, execution=execution))
         start = time.perf_counter()
         result = run.execute(
             FDAStrategy(threshold=8.0, variant="linear"),
@@ -82,10 +83,10 @@ def main() -> None:
     # rows into an (A, d) scratch block, runs one stacked pass, and scatters
     # them back.  Per-worker optimizer state (per-row moments, per-worker
     # step counts) keeps Adam/schedules correct for workers that sat out.
-    masked = workload.with_timeline(dropout_rate=0.25)
+    masked = replace(workload, dropout_rate=0.25)
     masked_results = {}
     for execution in ("sequential", "batched"):
-        cluster, test_dataset = build_cluster(masked.with_execution(execution))
+        cluster, test_dataset = build_cluster(replace(masked, execution=execution))
         start = time.perf_counter()
         result = run.execute(
             FDAStrategy(threshold=8.0, variant="linear"),

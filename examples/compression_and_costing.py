@@ -25,6 +25,8 @@ Run with::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import (
     CompressionConfig,
     FDAStrategy,
@@ -48,9 +50,7 @@ def main() -> None:
     # A hierarchical fabric (workers -> group heads -> root) on the paper's
     # 0.5 Gbps federated channel: multi-hop routes make per-link ledgers
     # interesting, and the slow network makes bytes visible as wall-clock.
-    workload = lenet_mnist_workload(num_workers=4).with_fabric(
-        topology="hierarchical", network="fl"
-    )
+    workload = replace(lenet_mnist_workload(num_workers=4), topology="hierarchical", network="fl")
     run = TrainingRun(accuracy_target=0.9, max_steps=240, eval_every_steps=20)
 
     strategies = {
@@ -63,7 +63,7 @@ def main() -> None:
     results, clusters = {}, {}
     for name, factory in strategies.items():
         configured = (
-            workload.with_compression(COMPRESSION) if "topk" in name else workload
+            replace(workload, compression=COMPRESSION) if "topk" in name else workload
         )
         cluster, test_dataset = build_cluster(configured)
         results[name] = run.execute(factory(), cluster, test_dataset, workload_name=name)

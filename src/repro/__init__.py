@@ -6,7 +6,7 @@ The package is organised bottom-up:
 * :mod:`repro.nn` — a pure-NumPy neural-network substrate (layers, models,
   losses, the paper's architectures in miniature);
 * :mod:`repro.optim` — local optimizers (SGD/Nesterov, Adam, AdamW) and the
-  FedOpt server optimizers (FedAvg, FedAvgM, FedAdam, ...);
+  paper's FedOpt server optimizers (FedAvgM, FedAdam);
 * :mod:`repro.sketch` — AMS sketches with the M2 second-moment estimator;
 * :mod:`repro.data` — synthetic datasets and federated partitioning;
 * :mod:`repro.distributed` — the simulated cluster, AllReduce, and
@@ -32,7 +32,7 @@ Quickstart::
     run = TrainingRun(accuracy_target=0.9, max_steps=300)
     result = run.execute(FDAStrategy(threshold=8.0, variant="linear"),
                          cluster, test_set)
-    print(result.summary())
+    print(result.final_accuracy, result.communication_bytes, result.parallel_steps)
 """
 
 from repro.compression import (

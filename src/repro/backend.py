@@ -23,11 +23,6 @@ What deliberately stays float64 regardless of the active dtype:
 * **Reference-path analysis** (theta calibration, KDE summaries, result
   aggregation) — offline, never on the per-step path.
 
-Tolerances: float64 mode is compared exactly (``rtol=0, atol=0``); float32
-mode is compared with :func:`tolerance`-scaled bounds derived from the
-dtype's machine epsilon, so parity suites can parametrize over dtypes
-without hand-tuning per-test bounds.
-
 **Row shards.**  Between syncs the rows of the plane share nothing, so a
 wide ``(rows × d)`` pass splits into contiguous row shards, one per core
 (:func:`row_shards`), run concurrently on one thread pool (:func:`run_shards`).
@@ -93,33 +88,6 @@ def resolve_dtype(dtype: DTypeLike = None) -> np.dtype:
 def itemsize(dtype: DTypeLike = None) -> int:
     """Bytes per element of ``dtype`` — what the fabric charges per scalar."""
     return resolve_dtype(dtype).itemsize
-
-
-def tolerance(dtype: DTypeLike = None, scale: float = 1.0) -> dict:
-    """Dtype-aware comparison bounds as ``{"rtol": ..., "atol": ...}``.
-
-    float64 is the bit-exact reference: both bounds are zero, so comparisons
-    against it assert value-exactness.  float32 gets bounds scaled from its
-    machine epsilon (``eps ≈ 1.2e-7``): ``rtol = 1e3·eps·scale`` absorbs the
-    per-step rounding of a cast pipeline accumulated over a training run,
-    ``atol`` guards values near zero.  ``scale`` lets long trajectories widen
-    the bounds proportionally.
-    """
-    resolved = resolve_dtype(dtype)
-    if resolved == DEFAULT_DTYPE:
-        return {"rtol": 0.0, "atol": 0.0}
-    eps = float(np.finfo(resolved).eps)
-    return {"rtol": 1e3 * eps * scale, "atol": 10.0 * eps * scale}
-
-
-def parity_tolerance(dtype: DTypeLike = None, steps: int = 1) -> dict:
-    """Tolerance for comparing a ``dtype`` trajectory to the float64 golden.
-
-    Rounding error in a float32 run grows with the number of optimizer steps
-    taken; ``steps`` scales the bounds sub-linearly (``sqrt``), matching the
-    random-walk accumulation of independent rounding errors.
-    """
-    return tolerance(dtype, scale=max(1.0, float(steps)) ** 0.5)
 
 
 def row_shards(rows: int, width: int) -> int:
@@ -190,10 +158,8 @@ __all__ = [
     "SHARD_MIN_ELEMENTS",
     "SUPPORTED_DTYPES",
     "itemsize",
-    "parity_tolerance",
     "resolve_dtype",
     "row_shards",
     "run_shards",
     "shard_bounds",
-    "tolerance",
 ]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import partial
 from itertools import product
 from typing import List, Optional
@@ -464,15 +465,22 @@ def _compression_from_args(args: argparse.Namespace):
 
 def _command_compare(args: argparse.Namespace) -> int:
     workload = _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers)
-    workload = workload.with_fabric(topology=args.topology, network=args.network)
-    workload = workload.with_execution(args.execution)
-    workload = workload.with_dtype(args.dtype)
-    workload = workload.with_compression(_compression_from_args(args))
+    workload = replace(
+        workload,
+        topology=args.topology,
+        network=args.network,
+        execution=args.execution,
+        dtype=args.dtype,
+        compression=_compression_from_args(args),
+    )
     if args.dropout_rate:
-        workload = workload.with_timeline(dropout_rate=args.dropout_rate)
+        workload = replace(workload, dropout_rate=args.dropout_rate)
     if args.crash_rate or args.loss_rate:
-        workload = workload.with_faults(
-            FaultPlan(crash_rate=args.crash_rate, loss_rate=args.loss_rate, seed=args.fault_seed)
+        workload = replace(
+            workload,
+            faults=FaultPlan(
+                crash_rate=args.crash_rate, loss_rate=args.loss_rate, seed=args.fault_seed
+            ),
         )
     if args.population:
         workload = workload.with_population(
@@ -610,10 +618,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     workload = _WORKLOAD_BUILDERS[args.workload](
         num_workers=args.workers, seed=args.seed
     )
-    workload = workload.with_fabric(
+    workload = replace(
+        workload,
         topology=args.topology,
         network=None if args.network == "none" else args.network,
-    ).with_serving(serving)
+        serving=serving,
+    )
     report = serve_workload(
         workload, args.theta, args.updates, variant=args.variant
     )

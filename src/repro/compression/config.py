@@ -23,7 +23,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.compression.kernels import (
     Compressor,
@@ -89,15 +89,6 @@ class CompressionConfig:
         suffix = "+ef" if self.error_feedback else ""
         return f"{self.compressor}({knob}){suffix}" if knob else f"{self.compressor}{suffix}"
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form (for persisted results and sweep records)."""
-        return {
-            "compressor": self.compressor,
-            "ratio": self.ratio,
-            "bits": self.bits,
-            "error_feedback": self.error_feedback,
-            "seed": self.seed,
-        }
 
 #: Anything callers may pass where a compression setting is expected.
 CompressionSpec = Union[None, str, CompressionConfig]

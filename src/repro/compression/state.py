@@ -10,11 +10,6 @@ every broadcast and synchronization), so all strategies — FDA's triggered
 syncs included — share one drift convention.  What this module owns is the
 **error-feedback residual matrix** — one ``(K, d)`` matrix (in the plane's
 dtype) whose row ``k`` is worker ``k``'s accumulated compression error.
-Because the memory is row-indexed, a masked update
-(:meth:`ClusterCompression.compress_update` with ``rows``) touches exactly the
-participating rows: non-participating workers keep their residuals
-bit-untouched, which is what makes partial participation and selective
-communication compose with error feedback.
 
 The two protocol entry points are :meth:`ClusterCompression.synchronize` (the
 compressed full-model AllReduce behind ``cluster.synchronize``) and
@@ -30,13 +25,13 @@ network seconds reflect compressed payloads, not ``4·d``.
 ...     num_workers=2, dimension=4,
 ... )
 >>> drifts = np.array([[1.0, -3.0, 0.5, 2.0], [0.0, 0.1, -0.2, 0.05]])
->>> payloads = state.compress_update(drifts, rows=np.array([0]))
->>> payloads.reconstruct()                      # only row 0 was compressed
-array([[ 0., -3.,  0.,  2.]])
->>> state.residual_matrix[0]                    # row 0 keeps the dropped mass
-array([1. , 0. , 0.5, 0. ])
->>> state.residual_matrix[1]                    # row 1 is bit-untouched
-array([0., 0., 0., 0.])
+>>> payloads = state.compress_update(drifts)
+>>> payloads.reconstruct()                      # the two largest entries per row
+array([[ 0. , -3. ,  0. ,  2. ],
+       [ 0. ,  0.1, -0.2,  0. ]])
+>>> state.residual_matrix                       # each row keeps its dropped mass
+array([[1.  , 0.  , 0.5 , 0.  ],
+       [0.  , 0.  , 0.  , 0.05]])
 """
 
 from __future__ import annotations
@@ -125,33 +120,24 @@ class ClusterCompression:
 
     # -- the compression step ----------------------------------------------------
 
-    def compress_update(
-        self, drifts: np.ndarray, rows: Optional[np.ndarray] = None
-    ) -> RowPayloads:
+    def compress_update(self, drifts: np.ndarray) -> RowPayloads:
         """Compress drift rows, folding error-feedback memory in and out.
 
-        ``drifts`` is the full ``(K, d)`` drift matrix (never mutated);
-        ``rows`` optionally selects the participating workers.  With error
-        feedback, each participating row's payload is built from
-        ``drift + residual`` and its residual becomes exactly the untransmitted
-        remainder; rows outside ``rows`` are neither read nor written.
+        ``drifts`` is the full ``(K, d)`` drift matrix (never mutated).  With
+        error feedback, each row's payload is built from ``drift + residual``
+        and its residual becomes exactly the untransmitted remainder.
         """
         drifts = np.asarray(drifts, dtype=self.dtype)
         if drifts.ndim != 2 or drifts.shape[1] != self.dimension:
             raise ShapeError(
                 f"drifts must be (K, {self.dimension}), got {drifts.shape}"
             )
-        active = drifts if rows is None else drifts[rows]
         if not self.error_feedback:
-            return self.compressor.compress_rows(active)
-        residuals = self._residuals if rows is None else self._residuals[rows]
-        work = active + residuals
+            return self.compressor.compress_rows(drifts)
+        work = drifts + self._residuals
         payloads = self.compressor.compress_rows(work)
         payloads.fold_residual(work)  # in place: work becomes the new residual
-        if rows is None:
-            self._residuals[...] = work
-        else:
-            self._residuals[rows] = work
+        self._residuals[...] = work
         return payloads
 
     # -- protocol entry points ---------------------------------------------------

@@ -80,9 +80,7 @@ class FDAProtocol:
         """Elements one worker's local state costs per completed step (the row width)."""
         return self.monitor.state_num_elements(self.cluster.model_dimension)
 
-    def _complete_synchronization(
-        self, include_buffers: bool = True, notify_monitor: bool = True
-    ) -> np.ndarray:
+    def _complete_synchronization(self, notify_monitor: bool = True) -> np.ndarray:
         """Exchange models and rotate the protocol bookkeeping.
 
         The single place that performs the monitor notification, reference
@@ -95,7 +93,7 @@ class FDAProtocol:
         """
         previous = self._previous_reference
         self._previous_reference = self.cluster.shared_parameters  # w_{t-1} ← w_{t0}
-        new_global = self.cluster.synchronize(include_buffers=include_buffers)
+        new_global = self.cluster.synchronize()
         if notify_monitor:
             self.monitor.on_synchronization(new_global, previous)
         self.synchronization_count += 1
@@ -110,15 +108,12 @@ class FDATrainer(FDAProtocol):
         cluster: SimulatedCluster,
         monitor: VarianceMonitor,
         threshold: float,
-        sync_buffers: bool = True,
         theta_controller: Optional[DynamicThetaController] = None,
     ) -> None:
         super().__init__(cluster, monitor, threshold)
-        self.sync_buffers = bool(sync_buffers)
         self.theta_controller = theta_controller
         self.step_count = 0
         self.last_estimate: Optional[float] = None
-        self.history: List[FdaStepResult] = []
         # Reusable (K, d) scratch for the per-step drift matrix; the monitor
         # copies what it keeps into the state table's rows.
         self._drift_scratch = np.empty(
@@ -174,7 +169,7 @@ class FDATrainer(FDAProtocol):
 
         synchronized = len(states) > 0 and estimate > self.threshold
         if synchronized:
-            self._complete_synchronization(include_buffers=self.sync_buffers)
+            self._complete_synchronization()
 
         if self.theta_controller is not None:
             self.threshold = self.theta_controller.update(
@@ -184,7 +179,7 @@ class FDATrainer(FDAProtocol):
             )
 
         self.step_count += 1
-        result = FdaStepResult(
+        return FdaStepResult(
             step=self.step_count,
             mean_loss=float(mean_loss),
             variance_estimate=float(estimate),
@@ -195,8 +190,6 @@ class FDATrainer(FDAProtocol):
             virtual_time=float(self.cluster.virtual_time),
             active_workers=len(fresh_states),
         )
-        self.history.append(result)
-        return result
 
     def run_steps(self, num_steps: int) -> List[FdaStepResult]:
         """Run ``num_steps`` FDA steps and return their results."""
@@ -214,8 +207,7 @@ class FDATrainer(FDAProtocol):
         counters, the (possibly dynamically adjusted) threshold, the state
         table with its ``reported`` mask, the Θ controller, and the linear
         monitor's analysis direction ξ, which rotates on every
-        synchronization.  The per-step ``history`` list is diagnostic output,
-        not protocol state, and is not captured.
+        synchronization.
         """
         state = {
             "step_count": self.step_count,

@@ -155,11 +155,6 @@ class DynamicThetaController:
         self._recent_bytes = []
         self._adjustment_count = 0
 
-    @property
-    def adjustment_count(self) -> int:
-        """How many windows have closed so far (training state, not configuration)."""
-        return self._adjustment_count
-
     def update(self, current_theta: float, step_bytes: float, synchronized: bool) -> float:
         """Observe one step's traffic and return the (possibly adjusted) Θ."""
         del synchronized  # the byte count already reflects whether a sync happened

@@ -143,11 +143,6 @@ class Timeline:
 
     # -- participation ---------------------------------------------------------
 
-    @property
-    def perturbed(self) -> bool:
-        """Whether this timeline can alter protocol behaviour (dropout enabled)."""
-        return self.dropout_rate > 0.0
-
     def sample_participation(self) -> Optional[np.ndarray]:
         """Boolean participation mask for one round, or ``None`` when everyone runs.
 

@@ -66,12 +66,6 @@ class Dataset:
             name=name or f"{self.name}[{indices.size}]",
         )
 
-    def shuffled(self, seed=None) -> "Dataset":
-        """A copy of the dataset with shuffled sample order."""
-        rng = as_rng(seed)
-        order = rng.permutation(len(self))
-        return self.subset(order, name=self.name)
-
     def class_counts(self) -> np.ndarray:
         """Number of samples per class, length ``num_classes``."""
         return np.bincount(self.y, minlength=self.num_classes)

@@ -39,7 +39,7 @@ scenario grid — every model, every strategy — runs on either engine:
   broadcast columns inside the stacked update.  Only *structural* differences
   (model architecture, optimizer type, Nesterov vs classical momentum, loss
   configuration, batch size) are rejected.
-* **Per-worker driving**: :meth:`ClusterEngine.step_worker` and
+* **Per-worker driving**: :meth:`BatchedEngine.step_worker` and
   :meth:`ClusterEngine.epoch_worker` run single-row slices of the same
   batched kernels (the server strategies' local epochs); served events are
   not such slices but masked rows of ``step_all``, many arrivals to a pass.
@@ -141,10 +141,6 @@ class ClusterEngine:
         the timeline's optional participation mask.
         """
         raise NotImplementedError
-
-    def step_worker(self, worker_id: int) -> float:
-        """One local step on a single worker (served events batch through ``step_all``)."""
-        return self.cluster.workers[worker_id].local_step()
 
     def epoch_worker(self, worker_id: int, transform=None) -> float:
         """One full local epoch on a single worker; returns its mean batch loss.

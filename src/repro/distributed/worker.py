@@ -2,10 +2,10 @@
 
 Each worker owns a local model replica, a local optimizer, and a shard of the
 training data.  ``local_step`` performs exactly one ``Optimize(w, B)`` update
-from the paper's Algorithm 1; ``local_epoch`` performs the full local pass
-used by the FedAvg/FedOpt baselines.  Either way the update is the optimizer
-stepping its row (see :mod:`repro.optim.base`) on the model's parameter-plane
-view — there is no other update path.
+from the paper's Algorithm 1; a local epoch (the full local pass the FedOpt
+baselines run) is the engine's ``epoch_worker``.  Either way the update is the
+optimizer stepping its row (see :mod:`repro.optim.base`) on the model's
+parameter-plane view — there is no other update path.
 
 A worker is also the owner of everything it carries from one step to the next
 besides its rows of the cluster's matrices: :meth:`Worker.state_dict` composes
@@ -145,12 +145,9 @@ class Worker:
         self.last_loss = self._train(*self._sampler.sample())
         return self.last_loss
 
-    def local_epoch(self) -> float:
-        """One full pass over the local shard; returns the mean batch loss."""
-        return self._run_epoch(None)
-
     def _run_epoch(self, transform) -> float:
-        """:meth:`local_epoch` under the engine's row transform (see ``epoch_all``)."""
+        """One full pass over the local shard under the engine's row transform
+        (see ``epoch_all``); returns the mean batch loss."""
         losses = [self._train(x, y, transform) for x, y in self._epoch_iterator.epoch()]
         self.last_loss = float(np.mean(losses)) if losses else self.last_loss
         return self.last_loss if self.last_loss is not None else 0.0

@@ -6,7 +6,7 @@ communication (total bytes transmitted by all workers) and computation
 (in-parallel learning steps).  This subpackage provides the workload builder,
 the run loop, the one grid lowering (axes → cells → points, through the one
 streaming executor and its content-addressed run store — which is also how
-finished grids persist), result aggregation, KDE summaries of the cost
+finished grids persist), result aggregation, log-space summaries of the cost
 distributions, and the registry that maps every figure/table of the paper to
 a concrete configuration.
 """
@@ -25,7 +25,7 @@ from repro.experiments.results import (
 from repro.experiments.cache import CODE_VERSION, RunStore
 from repro.experiments.executor import SweepCell, SweepExecutor, execute_cells
 from repro.experiments.sweep import SweepPoint, lower_grid, lower_spec
-from repro.experiments.kde import kde_density, log_kde_summary
+from repro.experiments.kde import log_kde_summary
 from repro.experiments.reporting import format_results_table, format_comparison
 from repro.experiments import registry
 
@@ -46,7 +46,6 @@ __all__ = [
     "SweepPoint",
     "lower_grid",
     "lower_spec",
-    "kde_density",
     "log_kde_summary",
     "format_results_table",
     "format_comparison",

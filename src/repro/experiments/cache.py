@@ -31,7 +31,7 @@ import inspect
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -42,7 +42,9 @@ PathLike = Union[str, Path]
 #: Salt mixed into every run key.  Bump whenever the semantics of a training
 #: run change (training loop, byte accounting, RNG layout, ...) so that
 #: results cached under the old semantics can never be replayed as current.
-CODE_VERSION = "sweep-cache-v5"
+#: v6: an optimizer's canonical form carries its ``learning_rate`` where it
+#: carried a schedule object, and Local-SGD's spec carries ``tau`` as an int.
+CODE_VERSION = "sweep-cache-v6"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).
@@ -115,9 +117,9 @@ def canonical_value(value: Any, depth: int = 0) -> Any:
     if inspect.isroutine(value) or isinstance(value, type):
         return {"__callable__": getattr(value, "__qualname__", repr(type(value)))}
     if hasattr(value, "__dict__"):
-        # Generic objects — including callable instances like learning-rate
-        # schedules — canonicalize by class plus public attributes, which is
-        # what distinguishes two differently configured instances.
+        # Generic objects — optimizers among them — canonicalize by class
+        # plus public attributes, which is what distinguishes two differently
+        # configured instances.
         public = {
             key: canonical_value(item, depth + 1)
             for key, item in sorted(vars(value).items())
@@ -257,10 +259,6 @@ class RunStore:
             os.fsync(handle.fileno())
         os.replace(temp_path, self.manifest_path)
 
-    def manifest(self) -> Dict[str, object]:
-        """The parsed manifest document."""
-        return json.loads(self.manifest_path.read_text(encoding="utf-8"))
-
     # -- records -----------------------------------------------------------
 
     def append(
@@ -312,17 +310,8 @@ class RunStore:
                 index[key] = record
         return index
 
-    def keys(self) -> List[str]:
-        """All run keys currently resolvable from the store."""
-        return sorted(self.load_index())
-
     def __len__(self) -> int:
         return len(self.load_index())
 
     def __contains__(self, key: str) -> bool:
         return key in self.load_index()
-
-    def records(self) -> Iterable[Dict[str, object]]:
-        """The deduplicated records, in key order."""
-        index = self.load_index()
-        return [index[key] for key in sorted(index)]

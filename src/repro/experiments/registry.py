@@ -26,10 +26,9 @@ from repro.data.features import PretrainedFeatureExtractor
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import WorkloadConfig, make_optimizer
 from repro.nn.architectures import densenet_mini, lenet5, transfer_head, vgg_mini
-from repro.optim.server import FedAdam, FedAvgM
 from repro.strategies.base import Strategy
 from repro.strategies.fda_strategy import FDAStrategy
-from repro.strategies.fedopt import FedOptStrategy
+from repro.strategies.fedopt import fedadam_strategy, fedavgm_strategy
 from repro.strategies.synchronous import SynchronousStrategy
 
 StrategyFactory = Callable[[], Strategy]
@@ -242,11 +241,9 @@ def default_strategies(theta: float, fedopt: str = "fedadam") -> Dict[str, Strat
         "Synchronous": lambda: SynchronousStrategy(),
     }
     if fedopt == "fedadam":
-        factories["FedAdam"] = lambda: FedOptStrategy(FedAdam(learning_rate=0.01), local_epochs=1)
+        factories["FedAdam"] = fedadam_strategy
     elif fedopt == "fedavgm":
-        factories["FedAvgM"] = lambda: FedOptStrategy(
-            FedAvgM(learning_rate=0.316, momentum=0.9), local_epochs=1
-        )
+        factories["FedAvgM"] = fedavgm_strategy
     else:
         raise ValueError(f"unknown fedopt baseline {fedopt!r}")
     return factories

@@ -50,11 +50,6 @@ class ResultsTable:
     def __len__(self) -> int:
         return len(self._results)
 
-    @property
-    def results(self) -> List[RunResult]:
-        """All collected results (shallow copy)."""
-        return list(self._results)
-
     def strategies(self) -> List[str]:
         """Distinct strategy names, in first-seen order."""
         seen: List[str] = []

@@ -85,22 +85,6 @@ class RunResult:
             return None
         return self.final_train_accuracy - self.final_accuracy
 
-    def summary(self) -> dict:
-        """Plain-dict view used by the results tables and benchmarks."""
-        return {
-            "strategy": self.strategy,
-            "workload": self.workload,
-            "reached_target": self.reached_target,
-            "accuracy_target": self.accuracy_target,
-            "final_accuracy": round(self.final_accuracy, 4),
-            "communication_bytes": self.communication_bytes,
-            "parallel_steps": self.parallel_steps,
-            "synchronizations": self.synchronizations,
-            "virtual_seconds": round(self.virtual_seconds, 6),
-            "topology": self.topology,
-            "network": self.network,
-        }
-
 
 class TrainingRun:
     """Runs a strategy until the accuracy target (or the step budget) is reached."""

@@ -38,12 +38,6 @@ from repro.utils.rng import RngFactory
 ModelFactory = Callable[[], Sequential]
 OptimizerFactory = Callable[[], Optimizer]
 
-#: Sentinel distinguishing "argument not given" from an explicit ``None``, so
-#: the ``with_*`` copy helpers never silently reset fields they weren't asked
-#: to change.
-_KEEP = object()
-
-
 def make_optimizer(name: str, **kwargs) -> OptimizerFactory:
     """Return a factory for one of the paper's local optimizers.
 
@@ -158,70 +152,6 @@ class WorkloadConfig:
         """A copy of this workload with a different random seed."""
         return replace(self, seed=seed)
 
-    def with_fabric(self, topology=_KEEP, network=_KEEP) -> "WorkloadConfig":
-        """A copy of this workload on a different fabric (topology × network).
-
-        Only the arguments actually passed change; the other fabric axis keeps
-        its current value (pass ``None`` explicitly to reset one to default).
-        """
-        changes = {}
-        if topology is not _KEEP:
-            changes["topology"] = topology
-        if network is not _KEEP:
-            changes["network"] = network
-        return replace(self, **changes)
-
-    def with_timeline(self, compute_profile=_KEEP, dropout_rate=_KEEP) -> "WorkloadConfig":
-        """A copy of this workload with different timeline perturbations.
-
-        Only the arguments actually passed change — enabling dropout does not
-        discard a configured compute profile, and vice versa.
-        """
-        changes = {}
-        if compute_profile is not _KEEP:
-            changes["compute_profile"] = compute_profile
-        if dropout_rate is not _KEEP:
-            changes["dropout_rate"] = dropout_rate
-        return replace(self, **changes)
-
-    def with_execution(self, execution: str) -> "WorkloadConfig":
-        """A copy of this workload on a different execution engine.
-
-        ``execution`` is ``"sequential"`` or ``"batched"``; used by the CLI's
-        ``compare --execution`` flag and the engine A/B benchmarks.
-        """
-        return replace(self, execution=execution)
-
-    def with_compression(self, compression) -> "WorkloadConfig":
-        """A copy of this workload with different payload compression.
-
-        ``compression`` is a kernel name, a
-        :class:`~repro.compression.config.CompressionConfig`, or ``None`` to
-        return to exact collectives; used by the CLI's ``compare
-        --compressor``/``--compression-ratio`` flags and the compression
-        sweeps.
-        """
-        return replace(self, compression=compression)
-
-    def with_dtype(self, dtype) -> "WorkloadConfig":
-        """A copy of this workload on a different compute dtype.
-
-        ``dtype`` is ``"float32"``, ``"float64"``, or anything
-        :func:`repro.backend.resolve_dtype` accepts; used by the CLI's
-        ``compare --dtype`` flag and the dtype benchmarks.
-        """
-        return replace(self, dtype=resolve_dtype(dtype).name)
-
-    def with_faults(self, faults: Optional["FaultPlan"]) -> "WorkloadConfig":
-        """A copy of this workload under a different fault plan.
-
-        ``faults`` is a :class:`~repro.faults.plan.FaultPlan` or ``None`` to
-        return to the fault-free plane; used by the CLI's ``compare
-        --crash-rate``/``--loss-rate`` flags and the ``faults`` degradation
-        grid.
-        """
-        return replace(self, faults=faults)
-
     def with_population(self, population: Optional[PopulationConfig]) -> "WorkloadConfig":
         """A copy of this workload over a registered client population.
 
@@ -234,16 +164,6 @@ class WorkloadConfig:
         if population is None:
             return replace(self, population=None)
         return replace(self, population=population, num_workers=population.cohort_size)
-
-    def with_serving(self, serving: Optional[ServingConfig]) -> "WorkloadConfig":
-        """A copy of this workload driven as a served system.
-
-        ``serving`` is a :class:`~repro.serving.config.ServingConfig` (the
-        open-loop arrival/queue/staleness knobs) or ``None`` to return to the
-        closed-loop trainer; used by the CLI's ``serve`` command and the
-        serving benchmark's run table.
-        """
-        return replace(self, serving=serving)
 
 
 # ---------------------------------------------------------------------------

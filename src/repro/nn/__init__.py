@@ -9,7 +9,6 @@ heads).
 """
 
 from repro.nn.initializers import (
-    constant_init,
     glorot_uniform,
     he_normal,
     lecun_normal,
@@ -31,11 +30,10 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import (
     Loss,
-    MeanSquaredError,
     SoftmaxCrossEntropy,
 )
 from repro.nn.batched import BatchedModel, BatchedPlane
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.nn.plane import ParameterPlane
 from repro.nn.architectures import (
@@ -47,7 +45,6 @@ from repro.nn.architectures import (
 )
 
 __all__ = [
-    "constant_init",
     "glorot_uniform",
     "he_normal",
     "lecun_normal",
@@ -66,10 +63,7 @@ __all__ = [
     "TransitionDown",
     "Loss",
     "SoftmaxCrossEntropy",
-    "MeanSquaredError",
     "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
     "Sequential",
     "ParameterPlane",
     "BatchedModel",

@@ -15,21 +15,6 @@ import numpy as np
 from repro.exceptions import ShapeError
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
-    """Convert integer labels of shape (N,) to one-hot vectors (N, num_classes)."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ShapeError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded
-
-
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling along one axis."""
     out = (size + 2 * padding - kernel) // stride + 1

@@ -79,18 +79,6 @@ def ones_init(
     return np.ones(tuple(shape), dtype=np.float64)
 
 
-def constant_init(value: float) -> Initializer:
-    """Return an initializer that fills the tensor with ``value``."""
-
-    def _init(
-        shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        del fan_in, fan_out, rng
-        return np.full(tuple(shape), float(value), dtype=np.float64)
-
-    return _init
-
-
 _NAMED_INITIALIZERS = {
     "glorot_uniform": glorot_uniform,
     "glorot_normal": glorot_normal,

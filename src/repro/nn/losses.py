@@ -113,41 +113,3 @@ class SoftmaxCrossEntropy(Loss):
         losses = -(distribution * log_probs).sum(axis=-1).mean(axis=-1)
         grads = (probs - distribution) / batch
         return losses, grads
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error for regression outputs of any shape."""
-
-    def value(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=outputs.dtype)
-        if outputs.shape != targets.shape:
-            raise ShapeError(
-                f"outputs and targets must have the same shape, got {outputs.shape} and {targets.shape}"
-            )
-        return float(np.mean((outputs - targets) ** 2))
-
-    def gradient(self, outputs: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-        targets = np.asarray(targets, dtype=outputs.dtype)
-        if outputs.shape != targets.shape:
-            raise ShapeError(
-                f"outputs and targets must have the same shape, got {outputs.shape} and {targets.shape}"
-            )
-        diff = outputs - targets
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad
-
-    def batched_gradient(
-        self, outputs: np.ndarray, targets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-worker MSE over a stacked ``(K, B, ...)`` prediction tensor."""
-        targets = np.asarray(targets, dtype=outputs.dtype)
-        if outputs.shape != targets.shape:
-            raise ShapeError(
-                f"outputs and targets must have the same shape, got {outputs.shape} and {targets.shape}"
-            )
-        diff = outputs - targets
-        per_worker = diff[0].size
-        losses = (diff * diff).reshape(diff.shape[0], -1).mean(axis=1)
-        grads = 2.0 * diff / per_worker
-        return losses, grads

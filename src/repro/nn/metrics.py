@@ -24,35 +24,3 @@ def accuracy(logits_or_predictions: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     return float(np.mean(predictions == labels))
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Top-``k`` accuracy over a matrix of logits."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be (N, num_classes), got shape {logits.shape}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if labels.size == 0:
-        return 0.0
-    k = min(k, logits.shape[1])
-    top_k = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
-    hits = (top_k == labels[:, None]).any(axis=1)
-    return float(np.mean(hits))
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Confusion matrix with true classes on rows, predicted classes on columns."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.ndim == 2:
-        predictions = predictions.argmax(axis=1)
-    if predictions.shape != labels.shape:
-        raise ShapeError(
-            f"predictions and labels must align, got {predictions.shape} and {labels.shape}"
-        )
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true_label, predicted_label in zip(labels.astype(int), predictions.astype(int)):
-        matrix[true_label, predicted_label] += 1
-    return matrix

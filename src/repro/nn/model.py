@@ -19,7 +19,7 @@ thin copy-in/copy-out compatibility wrapper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,17 +131,6 @@ class Sequential:
                 return layer.backward(grad, input_gradient=False)
             grad = layer.backward(grad)
         return grad
-
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference-mode forward pass, processed in batches."""
-        self._require_built()
-        x = np.asarray(x, dtype=self._plane.dtype)
-        outputs = []
-        for start in range(0, x.shape[0], batch_size):
-            outputs.append(self.forward(x[start : start + batch_size], training=False))
-        if not outputs:
-            return np.zeros((0,) + tuple(self.output_shape), dtype=self._plane.dtype)
-        return np.concatenate(outputs, axis=0)
 
     def train_batch(self, x: np.ndarray, y: np.ndarray, loss: Optional[Loss] = None) -> float:
         """One forward/backward pass on a mini-batch; gradients are left in the layers."""
@@ -275,11 +264,6 @@ class Sequential:
             )
         self._plane.params[...] = flat
 
-    def get_gradients(self) -> np.ndarray:
-        """Copy of all parameter gradients flattened into one vector."""
-        self._require_built()
-        return self._plane.grads.copy()
-
     def get_buffers(self) -> np.ndarray:
         """Copy of all non-trainable buffers flattened into one vector."""
         self._require_built()
@@ -317,28 +301,8 @@ class Sequential:
 
     # -- introspection -------------------------------------------------------
 
-    def summary(self) -> str:
-        """Multi-line text summary: one row per layer plus the parameter total."""
-        self._require_built()
-        lines = [f"Model: {self.name}  (input {self.input_shape})"]
-        for layer in self.layers:
-            lines.append(
-                f"  {layer.name:<24} {str(layer.output_shape):<20} "
-                f"params={layer.num_parameters}"
-            )
-        lines.append(f"Total trainable parameters: {self.num_parameters}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         status = f"{len(self.layers)} layers"
         if self.built:
             status += f", {self.num_parameters} parameters"
         return f"Sequential(name={self.name!r}, {status})"
-
-
-def average_models(models: Iterable[Sequential]) -> np.ndarray:
-    """Return the average flat parameter vector of several models (the global model)."""
-    vectors = [model.get_parameters() for model in models]
-    if not vectors:
-        raise ShapeError("average_models requires at least one model")
-    return np.mean(np.stack(vectors, axis=0), axis=0)

@@ -1,31 +1,16 @@
 """Local and server (federated) optimizers.
 
 Local optimizers update a worker's flat parameter vector from its flat
-gradient vector (SGD with/without Nesterov momentum, Adam, AdamW — the three
-the paper uses).  Server optimizers implement the FedOpt family (FedAvg,
-FedAvgM, FedAdam, FedAdagrad, FedYogi) applied to the pseudo-gradient formed
-by averaged client updates.
+gradient vector at a constant learning rate (SGD with/without Nesterov
+momentum, Adam, AdamW — the three the paper uses).  Server optimizers are the
+paper's two FedOpt baselines (FedAvgM, FedAdam) applied to the pseudo-gradient
+formed by averaged client updates.
 """
 
 from repro.optim.base import Optimizer, StackedOptimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam, AdamW
-from repro.optim.server import (
-    FedAdagrad,
-    FedAdam,
-    FedAvg,
-    FedAvgM,
-    FedYogi,
-    ServerOptimizer,
-)
-from repro.optim.schedules import (
-    ConstantSchedule,
-    CosineDecaySchedule,
-    ExponentialDecaySchedule,
-    LearningRateSchedule,
-    StepDecaySchedule,
-    resolve_schedule,
-)
+from repro.optim.server import FedAdam, FedAvgM, ServerOptimizer
 
 __all__ = [
     "Optimizer",
@@ -34,15 +19,6 @@ __all__ = [
     "Adam",
     "AdamW",
     "ServerOptimizer",
-    "FedAvg",
     "FedAvgM",
     "FedAdam",
-    "FedAdagrad",
-    "FedYogi",
-    "LearningRateSchedule",
-    "ConstantSchedule",
-    "StepDecaySchedule",
-    "ExponentialDecaySchedule",
-    "CosineDecaySchedule",
-    "resolve_schedule",
 ]

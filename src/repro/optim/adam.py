@@ -25,7 +25,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        learning_rate=0.001,
+        learning_rate: float = 0.001,
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-7,
@@ -38,14 +38,13 @@ class Adam(Optimizer):
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = float(epsilon)
 
-    def _update_rows(
-        self, workspace, params, grads, state, columns, learning_rate, timesteps
-    ):
+    def _update_rows(self, workspace, params, grads, state, columns, timesteps):
         # The moment updates land in the rows' own state blocks and every
         # temporary in one of two workspace blocks (zero steady-state
         # allocations); the bias corrections use each row's own timestep,
         # which is what keeps Adam correct when rows have stepped different
         # numbers of times (partial participation).
+        learning_rate = columns["learning_rate"]
         beta1 = columns["beta1"]
         beta2 = columns["beta2"]
         epsilon = columns["epsilon"]
@@ -88,7 +87,7 @@ class AdamW(Adam):
 
     def __init__(
         self,
-        learning_rate=0.001,
+        learning_rate: float = 0.001,
         weight_decay: float = 0.01,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -100,21 +99,15 @@ class AdamW(Adam):
             raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
         self.weight_decay = float(weight_decay)
 
-    def _update_rows(
-        self, workspace, params, grads, state, columns, learning_rate, timesteps
-    ):
+    def _update_rows(self, workspace, params, grads, state, columns, timesteps):
         weight_decay = columns["weight_decay"]
         if not weight_decay.any():
-            super()._update_rows(
-                workspace, params, grads, state, columns, learning_rate, timesteps
-            )
+            super()._update_rows(workspace, params, grads, state, columns, timesteps)
             return
         # Decoupled decay uses the *pre-update* parameters, so materialize the
         # decay term before the Adam step mutates them; rows with zero decay
         # subtract an exact zero.
         decay = workspace.scratch("adamw-decay", params.shape[0])
-        np.multiply(learning_rate * weight_decay, params, out=decay)
-        super()._update_rows(
-            workspace, params, grads, state, columns, learning_rate, timesteps
-        )
+        np.multiply(columns["learning_rate"] * weight_decay, params, out=decay)
+        super()._update_rows(workspace, params, grads, state, columns, timesteps)
         params -= decay

@@ -33,13 +33,13 @@ stepping it through the stacked update read and write the same memory, and
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import resolve_dtype, row_shards, run_shards, shard_bounds
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.optim.schedules import LearningRateSchedule, resolve_schedule
 
 
 #: Elements per row block of a stacked update (1 MiB at float64, 512 KiB at
@@ -74,20 +74,25 @@ class Optimizer:
 
     A subclass declares its scalar hyper-parameter attributes
     (:attr:`_columns`), its state matrices (:attr:`_state_names`) and one
-    rule (:meth:`_update_rows`); this base class handles learning-rate
-    schedules, step counting, input validation and the state's lifecycle.
+    rule (:meth:`_update_rows`); this base class handles the learning rate,
+    step counting, input validation and the state's lifecycle.
     """
 
-    #: Scalar hyper-parameter attributes that become per-row ``(K, 1)`` columns
-    #: (read once, when the row is bound; the schedule is consulted per step).
+    #: Scalar hyper-parameter attributes beyond ``learning_rate`` that become
+    #: per-row ``(K, 1)`` columns, read once, when the row is bound (a stack
+    #: adds the ``learning_rate`` column to every optimizer's).
     _columns: Tuple[str, ...] = ()
     #: Per-row ``(K, d)`` state matrices the rule reads and writes.  May be
     #: narrowed per instance (momentum-free SGD carries none); a stack
     #: allocates the union over its rows.
     _state_names: Tuple[str, ...] = ()
 
-    def __init__(self, learning_rate=0.01, name: Optional[str] = None) -> None:
-        self.schedule: LearningRateSchedule = resolve_schedule(learning_rate)
+    def __init__(self, learning_rate: float = 0.01, name: Optional[str] = None) -> None:
+        if not isinstance(learning_rate, Real) or isinstance(learning_rate, bool):
+            raise ConfigurationError(f"learning_rate must be a number, got {learning_rate!r}")
+        if learning_rate <= 0:
+            raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
+        self.learning_rate = float(learning_rate)
         self.name = name or type(self).__name__.lower()
         self.step_count = 0
         self._validated_key: Optional[Tuple] = None
@@ -105,15 +110,13 @@ class Optimizer:
         """Become row ``row`` of ``stack``.
 
         The ``(1, ·)`` blocks :meth:`step_inplace` hands to the rule are cut
-        here, once: views of the stack's state matrices and columns, plus
-        this row's learning-rate cell.
+        here, once: views of the stack's state matrices and columns.
         """
         rows = slice(row, row + 1)
         self._workspace = stack.workspace
         self._solo = False
         self._row_state = {name: matrix[rows] for name, matrix in stack._state.items()}
         self._row_columns = {name: column[rows] for name, column in stack._columns.items()}
-        self._row_rate = np.empty((1, 1), dtype=stack.dtype)
         self._validated_key = None
 
     def _bind_solo(self, dimension: int, dtype) -> None:
@@ -128,7 +131,7 @@ class Optimizer:
     def _require_layout(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Validate one ``step_inplace`` layout and bind this row to it.
 
-        A row's state and step count (bias correction, schedules) belong to
+        A row's state and step count (bias correction) belong to
         one parameter layout; stepping another would pair them with foreign
         parameters — a quietly wrong trajectory — so it is refused until an
         explicit :meth:`reset` (which frees a solo optimizer for reuse).
@@ -193,7 +196,7 @@ class Optimizer:
         plane's dtype — mixed-dtype stepping would silently change
         arithmetic precision) and is never modified.  Validation
         is memoized on the shape/dtype of both inputs so that repeated calls
-        pay only for the schedule lookup and the rule itself; any change in
+        pay only for the rule itself; any change in
         layout re-validates.  Other input types are rejected outright — an
         ``asarray`` copy of ``params`` would silently swallow the in-place
         update, and a converted ``grads`` would change arithmetic precision
@@ -208,14 +211,12 @@ class Optimizer:
         if key != self._validated_key:
             self._require_layout(params, grads)
             self._validated_key = key
-        self._row_rate[0, 0] = self.schedule(self.step_count)
         self._update_rows(
             self._workspace,
             params[None],
             grads[None],
             self._row_state,
             self._row_columns,
-            self._row_rate,
             (self.step_count + 1,),
         )
         self.step_count += 1
@@ -233,11 +234,6 @@ class Optimizer:
             self._workspace = None
             self._row_state = {}
             self._validated_key = None
-
-    @property
-    def learning_rate(self) -> float:
-        """The learning rate that will be used for the next step."""
-        return self.schedule(self.step_count)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """The live state arrays (velocity, moments) by name; empty until bound.
@@ -297,14 +293,13 @@ class Optimizer:
         grads: np.ndarray,
         state: Dict[str, np.ndarray],
         columns: Dict[str, np.ndarray],
-        learning_rate: np.ndarray,
         timesteps: Sequence[int],
     ) -> None:
         """The rule: one in-place update of ``(A, d)`` parameter rows.
 
         ``state`` holds the rows' ``(A, d)`` blocks of :attr:`_state_names`,
-        ``columns`` their ``(A, 1)`` :attr:`_columns`, ``learning_rate`` is
-        ``(A, 1)`` and ``timesteps`` the rows' 1-based step numbers;
+        ``columns`` their ``(A, 1)`` ``learning_rate`` and :attr:`_columns`,
+        and ``timesteps`` the rows' 1-based step numbers;
         ``workspace`` lends scratch blocks.  Rows are independent: row ``k``
         must come out the same whichever other rows share the call, and only
         structural attributes (uniform across a stack) may be read from
@@ -313,7 +308,7 @@ class Optimizer:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(lr={self.schedule!r}, steps={self.step_count})"
+        return f"{type(self).__name__}(lr={self.learning_rate}, steps={self.step_count})"
 
 
 class StackedOptimizer:
@@ -336,9 +331,9 @@ class StackedOptimizer:
       (broadcasting a column is elementwise multiplication by that row's
       scalar).
     * **step counts stay per-worker.**  Each optimizer's ``step_count``
-      remains the single source of truth: schedules and Adam bias correction
-      follow each row's own count, which is what keeps partial participation
-      — rows having stepped different numbers of times — correct.
+      remains the single source of truth: Adam bias correction follows each
+      row's own count, which is what keeps partial participation — rows
+      having stepped different numbers of times — correct.
 
     :meth:`step_rows` applies one update to a subset of rows.  With
     ``rows=None`` (full participation) it operates directly on the live
@@ -406,7 +401,7 @@ class StackedOptimizer:
                 [[float(getattr(optimizer, name))] for optimizer in self.optimizers],
                 dtype=self.dtype,
             )
-            for name in reference._columns
+            for name in ("learning_rate",) + reference._columns
         }
         self._state: Dict[str, np.ndarray] = {
             name: np.zeros((self.num_workers, self.dimension), dtype=self.dtype)
@@ -422,7 +417,7 @@ class StackedOptimizer:
 
         A repeated id would step a row's state once and its count twice (and,
         straddling two blocks, make the result depend on the block size); a
-        negative one pairs worker ``K + id``'s schedule with another row's
+        negative one pairs worker ``K + id``'s step count with another row's
         state.  Both are refused, like an id past the end.
         """
         ids = np.asarray(rows)
@@ -475,12 +470,8 @@ class StackedOptimizer:
                 f"step_rows expects params/grads of shape {expected}, got "
                 f"{params.shape} and {grads.shape}"
             )
-        learning_rate = np.array(
-            [[optimizer.schedule(optimizer.step_count)] for optimizer in active],
-            dtype=self.dtype,
-        )
         timesteps = [optimizer.step_count + 1 for optimizer in active]
-        step = (params, grads, rows, learning_rate, timesteps)
+        step = (params, grads, rows, timesteps)
         block = max(1, ROW_BLOCK_ELEMENTS // max(1, self.dimension))
         shards = row_shards(count, self.dimension)
         if shards == 1:
@@ -498,7 +489,7 @@ class StackedOptimizer:
         return params
 
     def _step_range(
-        self, workspace, start, stop, block, params, grads, rows, learning_rate, timesteps
+        self, workspace, start, stop, block, params, grads, rows, timesteps
     ) -> None:
         """The rule over rows ``[start, stop)`` of one step, ``block`` rows at a time."""
         rule = self.optimizers[0]._update_rows
@@ -529,7 +520,6 @@ class StackedOptimizer:
                 grads[cut],
                 state,
                 columns,
-                learning_rate[cut],
                 timesteps[cut],
             )
             if rows is not None:

@@ -7,9 +7,9 @@ client update*
 
     pseudo_gradient = w_global − mean_k(w_k)
 
-as a gradient and applies a standard optimizer to it: plain averaging
-(FedAvg), momentum (FedAvgM), Adam (FedAdam), Adagrad (FedAdagrad) or Yogi
-(FedYogi).  These are the baselines FDA is compared against in every figure.
+as a gradient and applies a standard optimizer to it: momentum (FedAvgM) or
+Adam (FedAdam).  These are the baselines FDA is compared against in every
+figure.
 """
 
 from __future__ import annotations
@@ -118,16 +118,6 @@ class ServerOptimizer:
         return f"{type(self).__name__}(lr={self.learning_rate}, rounds={self.round_count})"
 
 
-class FedAvg(ServerOptimizer):
-    """Plain federated averaging: the new global model is the client average."""
-
-    def __init__(self, name: Optional[str] = None) -> None:
-        super().__init__(1.0, name)
-
-    def _apply(self, global_params: np.ndarray, pseudo_gradient: np.ndarray) -> np.ndarray:
-        return global_params - pseudo_gradient
-
-
 class FedAvgM(ServerOptimizer):
     """FedAvg with server momentum (Hsu et al.), the paper's SGD-family baseline.
 
@@ -161,15 +151,15 @@ class FedAvgM(ServerOptimizer):
             self._velocity = array
 
 
-class _AdaptiveServerOptimizer(ServerOptimizer):
-    """Shared bookkeeping for the adaptive FedOpt variants (Adam/Adagrad/Yogi)."""
+class FedAdam(ServerOptimizer):
+    """FedAdam (Reddi et al.), the paper's Adam-family FedOpt baseline."""
 
     def __init__(
         self,
-        learning_rate: float,
-        beta1: float,
-        beta2: float,
-        tau: float,
+        learning_rate: float = 0.01,
+        beta1: float = 0.9,
+        beta2: float = 0.99,
+        tau: float = 1e-3,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(learning_rate, name)
@@ -181,18 +171,12 @@ class _AdaptiveServerOptimizer(ServerOptimizer):
         self._m: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
 
-    def _ensure_state(self, params: np.ndarray) -> None:
-        if self._m is None or self._m.shape != params.shape:
-            self._m = np.zeros_like(params)
-            self._v = np.full_like(params, self.tau**2)
-
-    def _second_moment(self, pseudo_gradient: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _apply(self, global_params: np.ndarray, pseudo_gradient: np.ndarray) -> np.ndarray:
-        self._ensure_state(global_params)
+        if self._m is None or self._m.shape != global_params.shape:
+            self._m = np.zeros_like(global_params)
+            self._v = np.full_like(global_params, self.tau**2)
         self._m = self.beta1 * self._m + (1.0 - self.beta1) * pseudo_gradient
-        self._v = self._second_moment(pseudo_gradient)
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * pseudo_gradient**2
         return global_params - self.learning_rate * self._m / (np.sqrt(self._v) + self.tau)
 
     def _reset_state(self) -> None:
@@ -207,54 +191,3 @@ class _AdaptiveServerOptimizer(ServerOptimizer):
             self._m = array
         elif name == "v":
             self._v = array
-
-
-class FedAdam(_AdaptiveServerOptimizer):
-    """FedAdam (Reddi et al.), the paper's Adam-family FedOpt baseline."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.99,
-        tau: float = 1e-3,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, beta1, beta2, tau, name)
-
-    def _second_moment(self, pseudo_gradient: np.ndarray) -> np.ndarray:
-        return self.beta2 * self._v + (1.0 - self.beta2) * pseudo_gradient**2
-
-
-class FedAdagrad(_AdaptiveServerOptimizer):
-    """FedAdagrad: accumulates the squared pseudo-gradients without decay."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        beta1: float = 0.9,
-        tau: float = 1e-3,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, beta1, 0.0, tau, name)
-
-    def _second_moment(self, pseudo_gradient: np.ndarray) -> np.ndarray:
-        return self._v + pseudo_gradient**2
-
-
-class FedYogi(_AdaptiveServerOptimizer):
-    """FedYogi: sign-controlled second-moment update (more stable than FedAdam)."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.99,
-        tau: float = 1e-3,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, beta1, beta2, tau, name)
-
-    def _second_moment(self, pseudo_gradient: np.ndarray) -> np.ndarray:
-        squared = pseudo_gradient**2
-        return self._v - (1.0 - self.beta2) * squared * np.sign(self._v - squared)

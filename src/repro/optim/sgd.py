@@ -24,7 +24,7 @@ class SGD(Optimizer):
 
     def __init__(
         self,
-        learning_rate=0.01,
+        learning_rate: float = 0.01,
         momentum: float = 0.0,
         nesterov: bool = False,
         weight_decay: float = 0.0,
@@ -52,13 +52,12 @@ class SGD(Optimizer):
             ]
         return []
 
-    def _update_rows(
-        self, workspace, params, grads, state, columns, learning_rate, timesteps
-    ):
+    def _update_rows(self, workspace, params, grads, state, columns, timesteps):
         # The (A, 1) hyper-parameter columns broadcast as per-row scalars, so
         # every element sees the same operations in the same order whichever
         # rows share the call.
         del timesteps
+        learning_rate = columns["learning_rate"]
         momentum = columns["momentum"]
         weight_decay = columns["weight_decay"]
         scaled = workspace.scratch("sgd-scaled", params.shape[0])

@@ -5,8 +5,8 @@ The package splits along the lifecycle of a logical client:
 * :mod:`~repro.population.config` — :class:`PopulationConfig`, the frozen
   description of a registered population (size, cohort, sampling, weighting,
   memory budget);
-* :mod:`~repro.population.directory` — O(1) :class:`ClientDescriptor` records
-  and lazy data-shard materialization;
+* :mod:`~repro.population.directory` — :class:`ClientDirectory`, lazy
+  data-shard materialization;
 * :mod:`~repro.population.sampler` — seeded per-round cohort draws;
 * :mod:`~repro.population.store` — the LRU :class:`ClientStateStore` with
   bit-exact disk spill;
@@ -19,7 +19,7 @@ from repro.population.config import (
     WEIGHTING_SCHEMES,
     PopulationConfig,
 )
-from repro.population.directory import ClientDescriptor, ClientDirectory
+from repro.population.directory import ClientDirectory
 from repro.population.plane import ClientPopulation
 from repro.population.sampler import CohortSampler
 from repro.population.store import ClientStateStore
@@ -28,7 +28,6 @@ __all__ = [
     "SAMPLING_SCHEMES",
     "WEIGHTING_SCHEMES",
     "PopulationConfig",
-    "ClientDescriptor",
     "ClientDirectory",
     "ClientPopulation",
     "CohortSampler",

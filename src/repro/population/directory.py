@@ -1,11 +1,11 @@
-"""The client directory: O(1) descriptors, lazily materialized data shards.
+"""The client directory: lazily materialized data shards.
 
 Registering ``N ∈ [10⁵, 10⁷]`` clients must cost nothing per client: the
-directory never builds a per-client record up front.  A client's *descriptor*
-— its data-shard seed and sample count — is a pure function of the directory
+directory never builds a per-client record up front.  A client's data shard
+— its sample count and sample indices — is a pure function of the directory
 seed and the client id (via :class:`~repro.utils.rng.RngFactory`'s named
-streams), computed on demand in O(1); its data shard is materialized lazily in
-O(samples) when the client is actually bound into a cohort.
+streams), materialized in O(samples) when the client is actually bound into a
+cohort.
 
 Two shard providers exist:
 
@@ -20,7 +20,6 @@ Two shard providers exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -31,22 +30,8 @@ from repro.population.config import PopulationConfig
 from repro.utils.rng import RngFactory, as_rng
 
 
-@dataclass(frozen=True)
-class ClientDescriptor:
-    """Lightweight registration record of one logical client.
-
-    The shard itself is *not* here: ``shard_seed`` (together with the
-    directory's own seed) fully determines it, so a descriptor costs three
-    integers regardless of the client's data volume.
-    """
-
-    client_id: int
-    shard_seed: int
-    num_samples: int
-
-
 class ClientDirectory:
-    """Maps client ids to descriptors and (lazily) to data shards."""
+    """Maps client ids to (lazily materialized) data shards."""
 
     def __init__(
         self,
@@ -92,19 +77,6 @@ class ClientDirectory:
     def _shard_rng(self, client_id: int) -> np.random.Generator:
         """The client's private shard stream — a pure function of (seed, id)."""
         return as_rng(self._factory.named(f"pop-shard-{client_id}"))
-
-    def descriptor(self, client_id: int) -> ClientDescriptor:
-        """The client's registration record, derived on demand in O(1)."""
-        client_id = self._check_id(client_id)
-        if self._shards is not None:
-            return ClientDescriptor(client_id, client_id, len(self._shards[client_id]))
-        rng = self._shard_rng(client_id)
-        num_samples = int(
-            rng.integers(
-                self.config.min_client_samples, self.config.max_client_samples + 1
-            )
-        )
-        return ClientDescriptor(client_id, client_id, min(num_samples, len(self._train)))
 
     def shard(self, client_id: int) -> Dataset:
         """Materialize the client's data shard (O(samples), independent of N)."""

@@ -150,12 +150,3 @@ class ClientStateStore:
             snapshot = pickle.load(handle)
         self.spill_loads += 1
         return snapshot
-
-    def evict(self, client_id: int) -> bool:
-        """Force-spill one resident snapshot (test hook for eviction orders)."""
-        client_id = int(client_id)
-        snapshot = self._resident.pop(client_id, None)
-        if snapshot is None:
-            return False
-        self._spill(client_id, snapshot)
-        return True

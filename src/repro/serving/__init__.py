@@ -9,14 +9,13 @@ queue (:mod:`~repro.serving.queueing`), staleness-aware aggregation rules
 the event-mode timeline (:mod:`~repro.serving.harness`).
 """
 
-from repro.serving.aggregation import STALENESS_RULES, staleness_weight, staleness_weights
+from repro.serving.aggregation import STALENESS_RULES, staleness_weight
 from repro.serving.arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
     PoissonArrivals,
     TraceArrivals,
     build_arrival_process,
-    write_arrival_trace,
 )
 from repro.serving.config import ARRIVAL_KINDS, PROTOCOLS, QUEUE_POLICIES, ServingConfig
 from repro.serving.harness import (
@@ -55,6 +54,4 @@ __all__ = [
     "build_arrival_process",
     "serve_workload",
     "staleness_weight",
-    "staleness_weights",
-    "write_arrival_trace",
 ]

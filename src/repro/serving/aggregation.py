@@ -23,13 +23,9 @@ Rules:
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 
-__all__ = ["STALENESS_RULES", "staleness_weight", "staleness_weights"]
+__all__ = ["STALENESS_RULES", "staleness_weight"]
 
 STALENESS_RULES = ("uniform", "staleness-weighted", "max-staleness", "polynomial")
 
@@ -54,23 +50,4 @@ def staleness_weight(
         return float((1.0 + staleness) ** -poly_alpha)
     raise ConfigurationError(
         f"unknown staleness rule {rule!r}; expected one of {STALENESS_RULES}"
-    )
-
-
-def staleness_weights(
-    rule: str,
-    stalenesses: Sequence[int],
-    *,
-    max_staleness: int = 4,
-    poly_alpha: float = 0.5,
-) -> np.ndarray:
-    """Vectorized :func:`staleness_weight` over one staleness per worker."""
-    return np.array(
-        [
-            staleness_weight(
-                rule, s, max_staleness=max_staleness, poly_alpha=poly_alpha
-            )
-            for s in stalenesses
-        ],
-        dtype=np.float64,
     )

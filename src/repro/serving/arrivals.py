@@ -30,7 +30,6 @@ __all__ = [
     "DeterministicArrivals",
     "TraceArrivals",
     "build_arrival_process",
-    "write_arrival_trace",
 ]
 
 
@@ -82,11 +81,11 @@ class DeterministicArrivals(ArrivalProcess):
 class TraceArrivals(ArrivalProcess):
     """Trace-driven arrivals replayed from recorded ``(worker, time)`` events.
 
-    The trace is a JSONL file of ``{"worker": int, "time": float}`` records
-    (see :func:`write_arrival_trace`); per-worker times are replayed in
-    sorted order.  A recorded time at or before ``after`` is delivered at
-    the first representable instant after it — the client sent the update,
-    the simulation just had not caught up yet.
+    The trace is a JSONL file of ``{"worker": int, "time": float}`` records,
+    one per line; per-worker times are replayed in sorted order.  A recorded
+    time at or before ``after`` is delivered at the first representable
+    instant after it — the client sent the update, the simulation just had
+    not caught up yet.
     """
 
     def __init__(self, times_by_worker: Dict[int, Sequence[float]]) -> None:
@@ -127,13 +126,6 @@ class TraceArrivals(ArrivalProcess):
         if recorded > after:
             return recorded
         return float(np.nextafter(after, np.inf))
-
-
-def write_arrival_trace(path: str, events: Sequence[tuple]) -> None:
-    """Record ``(worker, time)`` events as the JSONL format traces replay."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for worker, time in events:
-            handle.write(json.dumps({"worker": int(worker), "time": float(time)}) + "\n")
 
 
 def build_arrival_process(config, num_workers: int) -> Optional[ArrivalProcess]:

@@ -70,7 +70,7 @@ BACKLOG_LIMIT_PER_WORKER = 8
 
 
 class ServedUpdate(NamedTuple):
-    """One aggregated update, as :meth:`ServedFDATrainer.serve_next` returns it.
+    """The coordinator's record of one aggregated update.
 
     ``step_index`` is the producing worker's step count when it made the
     update; ``variance_estimate`` is NaN until every worker has reported since
@@ -121,7 +121,7 @@ class ServedFDATrainer(FDAProtocol):
     ``timeline`` argument is installed on the cluster; otherwise an explicit
     ``profile`` builds a fresh :class:`~repro.core.timeline.Timeline` from it
     and ``seed``; otherwise the cluster's own timeline is used as-is — so a
-    straggler timeline configured via ``WorkloadConfig.with_timeline`` is
+    straggler timeline configured through ``WorkloadConfig.compute_profile`` is
     honoured.  Either way, communication charged by the fabric and the
     trainer's events advance the same clock.
     """
@@ -352,17 +352,6 @@ class ServedFDATrainer(FDAProtocol):
             record = self._process_event()
         return record
 
-    def serve_next(self) -> Optional[ServedUpdate]:
-        """Run until one more update has been aggregated and return its record.
-
-        ``None`` only when the load is finite (a trace ran dry) and the queue
-        drained.  Nothing is retained: callers that want the trajectory keep
-        the records themselves.  Drivers return with every step computed.
-        """
-        record = self._serve_one()
-        self._settle()
-        return record
-
     def serve_updates(self, num_updates: int) -> int:
         """Run until ``num_updates`` more updates have been aggregated.
 
@@ -432,9 +421,8 @@ def serve_workload(
 ) -> ServingReport:
     """Build a workload's cluster, serve ``num_updates`` through it, report.
 
-    ``serving`` defaults to ``workload.serving`` (set via
-    :meth:`~repro.experiments.setup.WorkloadConfig.with_serving`); passing an
-    explicit config overrides it.  This is the entry point the ``cli serve``
+    ``serving`` defaults to ``workload.serving``; passing an explicit config
+    overrides it.  This is the entry point the ``cli serve``
     command and the serving benchmark's run table lower onto.
     """
     from repro.experiments.setup import build_cluster
@@ -442,7 +430,7 @@ def serve_workload(
     config = serving if serving is not None else getattr(workload, "serving", None)
     if config is None:
         raise ConfigurationError(
-            "workload has no serving config; use with_serving() or pass one"
+            "workload has no serving config; set WorkloadConfig.serving or pass one"
         )
     cluster, _ = build_cluster(workload)
     monitor = make_monitor(variant, cluster.model_dimension, seed=workload.seed)

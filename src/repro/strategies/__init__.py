@@ -12,13 +12,7 @@ uniformly when the cluster carries a compression config
 
 from repro.strategies.base import Strategy, StrategyRound
 from repro.strategies.synchronous import SynchronousStrategy
-from repro.strategies.local_sgd import (
-    LocalSGDStrategy,
-    decreasing_tau,
-    fixed_tau,
-    increasing_tau,
-    post_local_sgd_tau,
-)
+from repro.strategies.local_sgd import LocalSGDStrategy
 from repro.strategies.fedopt import FedOptStrategy
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
@@ -28,10 +22,6 @@ __all__ = [
     "StrategyRound",
     "SynchronousStrategy",
     "LocalSGDStrategy",
-    "fixed_tau",
-    "increasing_tau",
-    "decreasing_tau",
-    "post_local_sgd_tau",
     "FedOptStrategy",
     "FDAStrategy",
     "FedProxStrategy",

@@ -1,23 +1,12 @@
-"""Shared utilities: seeded RNG handling, validation, formatting, run logs."""
+"""Shared utilities: seeded RNG handling, formatting, run logs."""
 
-from repro.utils.rng import RngFactory, as_rng, spawn_rngs
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_positive_int,
-    check_probability,
-)
+from repro.utils.rng import RngFactory, as_rng
 from repro.utils.formatting import format_bytes, format_count, format_duration
 from repro.utils.runlog import RunLogger
 
 __all__ = [
     "RngFactory",
     "as_rng",
-    "spawn_rngs",
-    "check_fraction",
-    "check_positive",
-    "check_positive_int",
-    "check_probability",
     "format_bytes",
     "format_count",
     "format_duration",

@@ -29,22 +29,6 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Used to give each simulated worker its own stream so that adding or
-    removing workers does not perturb the data seen by the others.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's bit stream deterministically.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
 class RngFactory:
     """Factory producing named, reproducible random generators.
 

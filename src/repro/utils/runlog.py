@@ -3,13 +3,13 @@
 The experiment harness records one entry per evaluation point (epoch or step)
 with the metrics the paper plots: training/testing accuracy, cumulative
 communication bytes, and cumulative in-parallel learning steps.  The logger is
-an append-only list of dictionaries, with helpers to extract metric series and
-to render a compact text table, so no external logging framework is needed.
+an append-only list of dictionaries, so no external logging framework is
+needed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 
 class RunLogger:
@@ -38,17 +38,6 @@ class RunLogger:
     def entries(self) -> List[Dict[str, Any]]:
         """All logged entries, in insertion order (a shallow copy)."""
         return list(self._entries)
-
-    def series(self, key: str, default: Optional[float] = None) -> List[Any]:
-        """Return the values logged under ``key`` across all entries."""
-        return [entry.get(key, default) for entry in self._entries]
-
-    def last(self, key: str, default: Optional[float] = None) -> Any:
-        """Return the most recent value logged under ``key``."""
-        for entry in reversed(self._entries):
-            if key in entry:
-                return entry[key]
-        return default
 
     def keys(self) -> List[str]:
         """Return the union of metric names across entries (sorted)."""

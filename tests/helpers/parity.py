@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import parity_tolerance
+from repro.backend import DEFAULT_DTYPE, resolve_dtype
 from repro.core.fda import FDATrainer
 from repro.core.monitor import make_monitor
 from repro.core.timeline import Timeline
@@ -47,6 +47,34 @@ from repro.nn.layers import (
 from repro.nn.model import Sequential
 from repro.optim.adam import Adam
 
+
+def tolerance(dtype=None, scale: float = 1.0) -> dict:
+    """Dtype-aware comparison bounds as ``{"rtol": ..., "atol": ...}``.
+
+    float64 is the bit-exact reference: both bounds are zero, so comparisons
+    against it assert value-exactness.  float32 gets bounds scaled from its
+    machine epsilon (``eps ≈ 1.2e-7``): ``rtol = 1e3·eps·scale`` absorbs the
+    per-step rounding of a cast pipeline accumulated over a training run,
+    ``atol`` guards values near zero.  ``scale`` lets long trajectories widen
+    the bounds proportionally.
+    """
+    resolved = resolve_dtype(dtype)
+    if resolved == DEFAULT_DTYPE:
+        return {"rtol": 0.0, "atol": 0.0}
+    eps = float(np.finfo(resolved).eps)
+    return {"rtol": 1e3 * eps * scale, "atol": 10.0 * eps * scale}
+
+
+def parity_tolerance(dtype=None, steps: int = 1) -> dict:
+    """Tolerance for comparing a ``dtype`` trajectory to the float64 golden.
+
+    Rounding error in a float32 run grows with the number of optimizer steps
+    taken; ``steps`` scales the bounds sub-linearly (``sqrt``), matching the
+    random-walk accumulation of independent rounding errors.
+    """
+    return tolerance(dtype, scale=max(1.0, float(steps)) ** 0.5)
+
+
 #: Documented cross-engine trajectory tolerance (see module docstring).
 RTOL = 1e-6
 
@@ -58,7 +86,7 @@ def engine_tolerances(dtype=None, steps: int = 1) -> dict:
     """Cross-engine comparison bounds for a parity pair running at ``dtype``.
 
     float64 pairs (the default) are held to the documented :data:`RTOL` with
-    zero absolute slack.  float32 pairs widen both bounds to the backend's
+    zero absolute slack.  float32 pairs widen both bounds to the
     eps-derived parity tolerance (sqrt-in-``steps``): the engines run the
     same kernels, but single-precision GEMMs are free to re-associate their
     reductions more visibly than the double-precision ones the golden

@@ -18,16 +18,16 @@ from repro.optim.sgd import SGD
 
 
 class _Reference:
-    """Schedule lookup and step counting around a copy-returning ``_update``."""
+    """Step counting around a copy-returning ``_update``."""
 
     def __init__(self, optimizer) -> None:
-        self.schedule = optimizer.schedule
+        self.learning_rate = optimizer.learning_rate
         self.step_count = 0
         # The hyper-parameters, under the names the expressions read.
         vars(self).update(optimizer._state())
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        updated = self._update(params, grads, self.schedule(self.step_count))
+        updated = self._update(params, grads, self.learning_rate)
         self.step_count += 1
         return updated
 

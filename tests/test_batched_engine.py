@@ -15,6 +15,7 @@ category, sync decisions, step counts — are always exact.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers.parity import (
     run_fda_parity,
     run_strategy_parity,
 )
+from helpers.serving import serve_next
 from repro.core.monitor import make_monitor
 from repro.core.timeline import StragglerProfile, Timeline
 from repro.data.datasets import Dataset
@@ -45,7 +47,7 @@ from repro.experiments.registry import densenet_cifar_workload
 from repro.experiments.setup import build_cluster
 from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head, vgg_mini
 from repro.nn.layers import Activation, Dense
-from repro.nn.losses import MeanSquaredError
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.adam import Adam
 from repro.optim.base import Optimizer, StackedOptimizer
@@ -178,7 +180,7 @@ class TestDenseNetWorkloads:
         workload = densenet_cifar_workload(variant)
         clusters = {}
         for execution in EXECUTIONS:
-            cluster, _ = build_cluster(workload.with_execution(execution))
+            cluster, _ = build_cluster(replace(workload, execution=execution))
             strategy = FDAStrategy(threshold=0.5, variant="linear").attach(cluster)
             clusters[execution] = (cluster, [strategy.run_round() for _ in range(12)])
         (seq_cluster, seq_rounds), (bat_cluster, bat_rounds) = (
@@ -240,16 +242,12 @@ class TestHeterogeneousWorkers:
             ),
         )
 
-    def test_heterogeneous_schedules_follow_per_worker_step_counts(self):
-        from repro.optim.schedules import StepDecaySchedule
-
+    def test_heterogeneous_learning_rates_are_per_row_columns(self):
         run_fda_parity(
             threshold=0.5,
             steps=30,
             dropout_rate=0.4,
-            optimizer_factory=lambda worker_id: SGD(
-                StepDecaySchedule(0.05, every=5 + worker_id, decay=0.5)
-            ),
+            optimizer_factory=lambda worker_id: SGD(0.05 / (1 + worker_id)),
             exact=True,
         )
 
@@ -261,7 +259,7 @@ class TestPerWorkerDriving:
         )
         order = [0, 2, 1, 3, 3, 0, 1, 2, 2, 1, 0, 3] * 3
         for worker_id in order:
-            loss_seq = seq_cluster.engine.step_worker(worker_id)
+            loss_seq = seq_cluster.workers[worker_id].local_step()
             loss_bat = bat_cluster.engine.step_worker(worker_id)
             np.testing.assert_allclose(loss_bat, loss_seq, rtol=0.0, atol=0.0)
         assert_cluster_states_match(seq_cluster, bat_cluster, exact=True)
@@ -273,8 +271,9 @@ class TestPerWorkerDriving:
         seq_cluster, bat_cluster = make_cluster_pair(
             num_workers=3, optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9)
         )
+        seq_cluster.workers[1].local_step()
+        bat_cluster.engine.step_worker(1)
         for cluster in (seq_cluster, bat_cluster):
-            cluster.engine.step_worker(1)
             cluster.step_all()
             cluster.engine.epoch_worker(0)
             cluster.step_all(active=np.array([True, False, True]))
@@ -315,7 +314,7 @@ class TestAsyncParity:
                 profile=StragglerProfile(straggler_fraction=0.25, straggler_factor=3.0),
                 seed=5,
             )
-            events = [trainer.serve_next() for _ in range(80)]
+            events = [serve_next(trainer) for _ in range(80)]
             outcomes[execution] = (cluster, trainer, events)
         seq_cluster, seq_trainer, seq_events = outcomes["sequential"]
         bat_cluster, bat_trainer, bat_events = outcomes["batched"]
@@ -525,7 +524,7 @@ class TestEngineGuards:
                 data,
                 Adam(0.01),
                 batch_size=4,
-                loss=MeanSquaredError() if worker_id else None,
+                loss=SoftmaxCrossEntropy(label_smoothing=0.1) if worker_id else None,
             )
         )
         with pytest.raises(ConfigurationError, match="loss configuration differs"):
@@ -590,7 +589,7 @@ class TestWorkloadExecutionField:
     def test_build_cluster_threads_execution_through(self, blobs_workload):
         from repro.experiments.setup import build_cluster
 
-        cluster, _ = build_cluster(blobs_workload.with_execution("batched"))
+        cluster, _ = build_cluster(replace(blobs_workload, execution="batched"))
         assert cluster.execution == "batched"
         cluster2, _ = build_cluster(blobs_workload)
         assert cluster2.execution == "sequential"
@@ -598,16 +597,14 @@ class TestWorkloadExecutionField:
     def test_build_cluster_allows_batched_with_dropout(self, blobs_workload):
         from repro.experiments.setup import build_cluster
 
-        workload = blobs_workload.with_execution("batched").with_timeline(
-            dropout_rate=0.25
-        )
+        workload = replace(blobs_workload, execution="batched", dropout_rate=0.25)
         cluster, _ = build_cluster(workload)
         assert cluster.execution == "batched"
         assert cluster.timeline.dropout_rate == 0.25
 
     def test_invalid_execution_rejected(self, blobs_workload):
         with pytest.raises(ConfigurationError):
-            blobs_workload.with_execution("turbo")
+            replace(blobs_workload, execution="turbo")
 
     def test_run_result_records_and_persists_execution(self, tmp_path, blobs_workload):
         import json
@@ -617,7 +614,7 @@ class TestWorkloadExecutionField:
         from repro.experiments.setup import build_cluster
         from repro.strategies.synchronous import SynchronousStrategy
 
-        cluster, test_dataset = build_cluster(blobs_workload.with_execution("batched"))
+        cluster, test_dataset = build_cluster(replace(blobs_workload, execution="batched"))
         run = TrainingRun(accuracy_target=0.99, max_steps=8, eval_every_steps=4)
         result = run.execute(
             SynchronousStrategy(), cluster, test_dataset, workload_name="blobs"

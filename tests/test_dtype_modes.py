@@ -15,17 +15,13 @@ threading through the stack:
   training on both engines.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers.parity import make_cluster
-from repro.backend import (
-    DEFAULT_DTYPE,
-    itemsize,
-    parity_tolerance,
-    resolve_dtype,
-    tolerance,
-)
+from helpers.parity import make_cluster, parity_tolerance, tolerance
+from repro.backend import DEFAULT_DTYPE, itemsize, resolve_dtype
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import ConfigurationError
 from repro.experiments.persistence import result_from_dict, result_to_dict
@@ -162,13 +158,13 @@ def _blobs_workload(dtype="float64", execution="sequential"):
 
 
 class TestWorkloadConfigSurface:
-    def test_dtype_normalizes_and_with_dtype_round_trips(self):
+    def test_dtype_normalizes_and_round_trips(self):
         workload = _blobs_workload()
         assert workload.dtype == "float64"
-        assert workload.with_dtype(np.float32).dtype == "float32"
-        assert workload.with_dtype("float32").with_dtype(None).dtype == "float64"
+        assert replace(workload, dtype=np.float32).dtype == "float32"
+        assert replace(replace(workload, dtype="float32"), dtype=None).dtype == "float64"
         with pytest.raises(ConfigurationError):
-            workload.with_dtype("int32")
+            replace(workload, dtype="int32")
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_build_cluster_threads_the_dtype(self, dtype):

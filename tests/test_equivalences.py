@@ -6,15 +6,16 @@ stronger than behavioural trends:
 * FDA with Θ = 0 and the exact monitor is *exactly* Synchronous (the paper's
   footnote: Synchronous is the Θ = 0 special case of Algorithm 1);
 * Local-SGD with τ = 1 is exactly Synchronous;
-* FedOpt with the plain FedAvg server optimizer and one local epoch equals the
-  direct average of the client models after that epoch.
+* FedOpt with plain FedAvg on the server (FedAvgM at server learning rate 1
+  without momentum) and one local epoch equals the direct average of the
+  client models after that epoch.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments.setup import build_cluster
-from repro.optim.server import FedAvg
+from repro.optim.server import FedAvgM
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.fedopt import FedOptStrategy
 from repro.strategies.local_sgd import LocalSGDStrategy
@@ -69,14 +70,14 @@ class TestFedAvgEqualsClientAverage:
     def test_one_round_average(self, blobs_workload):
         # Run FedAvg for one round.
         fed_cluster, _ = build_cluster(blobs_workload)
-        fed_strategy = FedOptStrategy(FedAvg(), local_epochs=1).attach(fed_cluster)
+        fed_strategy = FedOptStrategy(FedAvgM(1.0, momentum=0.0), local_epochs=1).attach(fed_cluster)
         fed_strategy.run_round()
 
         # Replay the same local epochs manually on a fresh, identical cluster.
         manual_cluster, _ = build_cluster(blobs_workload)
         manual_cluster.broadcast_parameters(manual_cluster.workers[0].get_parameters())
-        for worker in manual_cluster.workers:
-            worker.local_epoch()
+        for worker_id in range(manual_cluster.num_workers):
+            manual_cluster.engine.epoch_worker(worker_id)
         manual_average = np.mean(
             np.stack([w.get_parameters() for w in manual_cluster.workers]), axis=0
         )
@@ -86,7 +87,7 @@ class TestFedAvgEqualsClientAverage:
 
     def test_workers_hold_the_average_after_the_round(self, blobs_workload):
         cluster, _ = build_cluster(blobs_workload)
-        FedOptStrategy(FedAvg(), local_epochs=1).attach(cluster).run_round()
+        FedOptStrategy(FedAvgM(1.0, momentum=0.0), local_epochs=1).attach(cluster).run_round()
         average = cluster.average_parameters()
         for worker in cluster.workers:
             np.testing.assert_allclose(worker.get_parameters(), average, atol=1e-12)

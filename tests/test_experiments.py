@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ExperimentError
-from repro.experiments.kde import kde_density, log_kde_summary
+from repro.experiments.kde import log_kde_summary
 from repro.experiments.registry import table2
 from repro.experiments.reporting import (
     format_comparison,
@@ -109,13 +109,6 @@ class TestTrainingRun:
         assert result.final_train_accuracy is not None
         assert result.generalization_gap is not None
 
-    def test_summary_fields(self, blobs_workload):
-        cluster, test_dataset = build_cluster(blobs_workload)
-        result = quick_run().execute(FDAStrategy(threshold=2.0), cluster, test_dataset)
-        summary = result.summary()
-        assert summary["strategy"] == "LinearFDA"
-        assert summary["communication_bytes"] == result.communication_bytes
-
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             TrainingRun(accuracy_target=0.0)
@@ -156,21 +149,6 @@ class TestResultsAggregation:
 
 
 class TestKdeAndReporting:
-    def test_kde_density_normalized(self):
-        results = [fake_result("A", comm=10**i, steps=100 + 10 * i) for i in range(2, 8)]
-        _, _, density = kde_density(results, grid_size=16)
-        assert density.shape == (16, 16)
-        assert density.sum() == pytest.approx(1.0)
-
-    def test_kde_degenerate_points(self):
-        results = [fake_result("A", comm=100, steps=10)] * 2
-        _, _, density = kde_density(results, grid_size=8)
-        assert density.sum() == pytest.approx(1.0)
-
-    def test_kde_requires_results(self):
-        with pytest.raises(ExperimentError):
-            kde_density([])
-
     def test_log_kde_summary_centroids(self):
         results = [
             fake_result("FDA", comm=1_000, steps=100),

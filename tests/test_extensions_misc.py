@@ -1,24 +1,19 @@
-"""Tests for the smaller extensions: compressed FDA synchronization, τ schedules,
-and result persistence."""
+"""Tests for the smaller extensions: compressed FDA synchronization and result
+persistence."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.compression import CompressionConfig
 from repro.core.variance import model_variance
-from repro.exceptions import ConfigurationError, ExperimentError
+from repro.exceptions import ExperimentError
 from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.results import compare_strategies
 from repro.experiments.run import RunResult, TrainingRun
 from repro.experiments.setup import build_cluster
 from repro.strategies.fda_strategy import FDAStrategy
-from repro.strategies.local_sgd import (
-    LocalSGDStrategy,
-    decreasing_tau,
-    fixed_tau,
-    increasing_tau,
-    post_local_sgd_tau,
-)
 
 
 RUN = TrainingRun(accuracy_target=0.88, max_steps=120, eval_every_steps=20)
@@ -34,14 +29,14 @@ QUANTIZED = CompressionConfig("quantization", bits=8)
 
 class TestCompressedFda:
     def test_run_result_names_the_compression(self, blobs_workload):
-        result = run_on(blobs_workload.with_compression(QUANTIZED), FDAStrategy(threshold=1.0))
+        result = run_on(replace(blobs_workload, compression=QUANTIZED), FDAStrategy(threshold=1.0))
         assert result.strategy == "LinearFDA"
         assert result.compression == "quantization(bits=8)"
 
     def test_compressed_sync_reduces_model_traffic(self, blobs_workload):
         plain = run_on(blobs_workload, FDAStrategy(threshold=0.1, variant="linear"))
         compressed = run_on(
-            blobs_workload.with_compression(QUANTIZED),
+            replace(blobs_workload, compression=QUANTIZED),
             FDAStrategy(threshold=0.1, variant="linear"),
         )
         assert plain.synchronizations > 0
@@ -52,55 +47,18 @@ class TestCompressedFda:
 
     def test_topk_compressed_fda_still_converges(self, blobs_workload):
         result = run_on(
-            blobs_workload.with_compression(CompressionConfig("topk", ratio=0.25)),
+            replace(blobs_workload, compression=CompressionConfig("topk", ratio=0.25)),
             FDAStrategy(threshold=0.5, variant="linear"),
             TrainingRun(accuracy_target=0.85, max_steps=200, eval_every_steps=20),
         )
         assert result.reached_target
 
     def test_workers_agree_after_compressed_sync(self, blobs_workload):
-        cluster, _ = build_cluster(blobs_workload.with_compression(QUANTIZED))
+        cluster, _ = build_cluster(replace(blobs_workload, compression=QUANTIZED))
         strategy = FDAStrategy(threshold=0.0, variant="exact").attach(cluster)
         for _ in range(3):
             strategy.run_round()
         assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)
-
-
-class TestTauSchedules:
-    def test_fixed(self):
-        schedule = fixed_tau(7)
-        assert [schedule(r) for r in range(3)] == [7, 7, 7]
-        with pytest.raises(ConfigurationError):
-            fixed_tau(0)
-
-    def test_increasing(self):
-        schedule = increasing_tau(initial=2, growth=2.0, maximum=10)
-        values = [schedule(r) for r in range(5)]
-        assert values == sorted(values)
-        assert values[0] == 2 and values[-1] == 10
-        with pytest.raises(ConfigurationError):
-            increasing_tau(growth=0.5)
-
-    def test_decreasing(self):
-        schedule = decreasing_tau(initial=16, decay=0.5, minimum=2)
-        values = [schedule(r) for r in range(6)]
-        assert values == sorted(values, reverse=True)
-        assert values[-1] == 2
-        with pytest.raises(ConfigurationError):
-            decreasing_tau(decay=0.0)
-
-    def test_post_local_sgd(self):
-        schedule = post_local_sgd_tau(switch_round=3, tau_after=8)
-        assert [schedule(r) for r in range(5)] == [1, 1, 1, 8, 8]
-        with pytest.raises(ConfigurationError):
-            post_local_sgd_tau(-1)
-
-    def test_schedules_drive_local_sgd_strategy(self, blobs_workload):
-        cluster, _ = build_cluster(blobs_workload)
-        strategy = LocalSGDStrategy(tau=increasing_tau(initial=1, growth=2.0, maximum=8))
-        strategy.attach(cluster)
-        advanced = [strategy.run_round().steps_advanced for _ in range(4)]
-        assert advanced == [1, 2, 4, 8]
 
 
 class TestPersistence:

@@ -6,6 +6,8 @@ model-synchronization bytes for the same number of synchronizations — the
 fabric prices the collective, not the protocol that triggered it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,24 +221,6 @@ class TestTimelineOwnership:
         assert not hasattr(cluster.timeline, "comm_seconds")  # one ledger
 
 
-class TestWorkloadCopyHelpers:
-    def test_with_fabric_preserves_the_unspecified_axis(self, blobs_workload):
-        configured = blobs_workload.with_fabric(topology="ring", network="fl")
-        retopologized = configured.with_fabric(topology="hierarchical")
-        assert retopologized.network == "fl"  # not silently reset
-        renetworked = configured.with_fabric(network="hpc")
-        assert renetworked.topology == "ring"
-        reset = configured.with_fabric(topology=None, network=None)
-        assert reset.topology is None and reset.network is None
-
-    def test_with_timeline_preserves_the_unspecified_field(self, blobs_workload):
-        profile = StragglerProfile(straggler_fraction=0.5)
-        configured = blobs_workload.with_timeline(compute_profile=profile)
-        dropped = configured.with_timeline(dropout_rate=0.3)
-        assert dropped.compute_profile is profile
-        assert dropped.dropout_rate == 0.3
-
-
 class TestFabricSweep:
     def test_spec_fabric_grid_executes_every_cell(self, blobs_workload):
         from repro.experiments.registry import ExperimentSpec
@@ -336,7 +320,7 @@ class TestFabricSweep:
         from repro.experiments.run import TrainingRun
         from repro.experiments.setup import build_cluster
 
-        workload = blobs_workload.with_fabric(topology="ring", network="fl")
+        workload = replace(blobs_workload, topology="ring", network="fl")
         cluster, test_dataset = build_cluster(workload)
         run = TrainingRun(accuracy_target=0.999, max_steps=8, eval_every_steps=8)
         result = run.execute(SynchronousStrategy(), cluster, test_dataset)

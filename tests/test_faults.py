@@ -141,10 +141,10 @@ class TestPureObserver:
     @pytest.mark.parametrize("execution", ["sequential", "batched"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_null_plan_is_bit_identical(self, blobs_workload, execution, dtype):
-        base = blobs_workload.with_execution(execution).with_dtype(dtype)
+        base = replace(blobs_workload, execution=execution, dtype=dtype)
         cluster_a, result_a = _execute(base, lambda: FDAStrategy(threshold=0.5))
         cluster_b, result_b = _execute(
-            base.with_faults(FaultPlan()), lambda: FDAStrategy(threshold=0.5)
+            replace(base, faults=FaultPlan()), lambda: FDAStrategy(threshold=0.5)
         )
         assert cluster_b.faults is None  # null plan installs nothing
         np.testing.assert_array_equal(
@@ -161,7 +161,7 @@ class TestPureObserver:
         # sampling order) of a faulted run equals the fault-free run's.
         cluster_a, _ = _execute(blobs_workload, SynchronousStrategy, max_steps=20)
         cluster_b, _ = _execute(
-            blobs_workload.with_faults(FaultPlan(loss_rate=0.3, seed=9)),
+            replace(blobs_workload, faults=FaultPlan(loss_rate=0.3, seed=9)),
             SynchronousStrategy,
             max_steps=20,
         )
@@ -176,7 +176,7 @@ class TestChaosDeterminism:
     """Same plan + same seed => identical faults; the CI chaos-smoke contract."""
 
     def test_chaos_smoke_same_seed_runs_are_identical(self, blobs_workload):
-        workload = blobs_workload.with_execution("batched").with_faults(CHAOS_PLAN)
+        workload = replace(blobs_workload, execution="batched", faults=CHAOS_PLAN)
         cluster_a, result_a = _execute(workload, lambda: FDAStrategy(threshold=0.5))
         cluster_b, result_b = _execute(workload, lambda: FDAStrategy(threshold=0.5))
         assert result_a.fault_log == result_b.fault_log
@@ -209,10 +209,10 @@ class TestChaosDeterminism:
     def test_different_fault_seeds_diverge(self, blobs_workload):
         plan_b = FaultPlan(crash_rate=0.2, loss_rate=0.1, recovery_rounds=3, seed=8)
         _, result_a = _execute(
-            blobs_workload.with_faults(CHAOS_PLAN), lambda: FDAStrategy(threshold=0.5)
+            replace(blobs_workload, faults=CHAOS_PLAN), lambda: FDAStrategy(threshold=0.5)
         )
         _, result_b = _execute(
-            blobs_workload.with_faults(plan_b), lambda: FDAStrategy(threshold=0.5)
+            replace(blobs_workload, faults=plan_b), lambda: FDAStrategy(threshold=0.5)
         )
         assert result_a.fault_log != result_b.fault_log
 
@@ -224,7 +224,7 @@ class TestLossyLinks:
         cluster_a, result_a = _execute(blobs_workload, SynchronousStrategy)
         plan = FaultPlan(loss_rate=0.1, seed=5)
         cluster_b, result_b = _execute(
-            blobs_workload.with_faults(plan), SynchronousStrategy
+            replace(blobs_workload, faults=plan), SynchronousStrategy
         )
         np.testing.assert_array_equal(
             cluster_a.parameter_matrix, cluster_b.parameter_matrix
@@ -241,7 +241,7 @@ class TestLossyLinks:
         plan = FaultPlan(loss_rate=0.1, seed=5)
         cluster_a, _ = _execute(blobs_workload, SynchronousStrategy, max_steps=20)
         cluster_b, result_b = _execute(
-            blobs_workload.with_faults(plan), SynchronousStrategy, max_steps=20
+            replace(blobs_workload, faults=plan), SynchronousStrategy, max_steps=20
         )
         for link, entry in result_b.fault_log["retransmissions"].items():
             src, dst = (int(end) for end in link.split("->"))
@@ -252,7 +252,7 @@ class TestLossyLinks:
         _, result_a = _execute(blobs_workload, SynchronousStrategy, max_steps=20)
         plan = FaultPlan(loss_rate=0.2, seed=5)
         _, result_b = _execute(
-            blobs_workload.with_faults(plan), SynchronousStrategy, max_steps=20
+            replace(blobs_workload, faults=plan), SynchronousStrategy, max_steps=20
         )
         backoff = result_b.fault_log["total_backoff_seconds"]
         assert backoff > 0.0
@@ -271,7 +271,7 @@ class TestChurn:
     def test_crashes_freeze_rows_and_rejoins_pay_download(self, blobs_workload):
         plan = FaultPlan(crash_rate=0.25, recovery_rounds=2, seed=3)
         cluster, result = _execute(
-            blobs_workload.with_faults(plan), SynchronousStrategy
+            replace(blobs_workload, faults=plan), SynchronousStrategy
         )
         log = result.fault_log
         assert log["crashes"] and log["rejoins"]
@@ -284,7 +284,7 @@ class TestChurn:
         # A vanishingly small crash rate keeps churn active without ever
         # drawing a crash, so the hand-killed worker is the only dead one.
         cluster, _ = build_cluster(
-            blobs_workload.with_faults(FaultPlan(crash_rate=1e-12, seed=3))
+            replace(blobs_workload, faults=FaultPlan(crash_rate=1e-12, seed=3))
         )
         cluster.faults.alive[1] = False
         cluster.faults._recovery_round[1] = 10**6  # far beyond this test
@@ -328,7 +328,7 @@ class TestChurn:
     def test_fda_substitutes_stale_states_for_dead_workers(self, blobs_workload):
         plan = FaultPlan(crash_rate=0.3, recovery_rounds=4, seed=11)
         _, result = _execute(
-            blobs_workload.with_faults(plan), lambda: FDAStrategy(threshold=0.5)
+            replace(blobs_workload, faults=plan), lambda: FDAStrategy(threshold=0.5)
         )
         assert result.fault_log["crashes"]
         # The monitor kept estimating through churn: the run still evaluated
@@ -339,10 +339,10 @@ class TestChurn:
         from repro.core.timeline import StragglerProfile
 
         plan = FaultPlan(straggler_spike_rate=0.5, straggler_spike_factor=3.0, seed=2)
-        workload = blobs_workload.with_timeline(compute_profile=StragglerProfile())
+        workload = replace(blobs_workload, compute_profile=StragglerProfile())
         _, result_a = _execute(workload, SynchronousStrategy, max_steps=20)
         _, result_b = _execute(
-            workload.with_faults(plan), SynchronousStrategy, max_steps=20
+            replace(workload, faults=plan), SynchronousStrategy, max_steps=20
         )
         spikes = result_b.fault_log["straggler_spikes"]
         assert spikes
@@ -354,15 +354,13 @@ class TestChurn:
     def test_corruption_perturbs_but_run_completes(self, blobs_workload):
         plan = FaultPlan(corruption_rate=0.2, corruption_scale=0.01, seed=6)
         _, result = _execute(
-            blobs_workload.with_faults(plan), SynchronousStrategy, max_steps=20
+            replace(blobs_workload, faults=plan), SynchronousStrategy, max_steps=20
         )
         assert result.fault_log["corrupted_payloads"] > 0
         assert np.isfinite(result.final_accuracy)
 
     def test_faults_refuse_to_combine_with_compression(self, blobs_workload):
-        workload = blobs_workload.with_compression("topk").with_faults(
-            FaultPlan(crash_rate=0.1)
-        )
+        workload = replace(blobs_workload, compression="topk", faults=FaultPlan(crash_rate=0.1))
         with pytest.raises(ConfigurationError, match="compression"):
             build_cluster(workload)
 
@@ -397,11 +395,11 @@ class TestClusterCheckpoint:
     def test_interrupted_run_resumes_bit_exactly(
         self, blobs_workload, strategy, execution, tmp_path
     ):
-        workload = _dropout_workload(blobs_workload).with_execution(execution)
+        workload = replace(_dropout_workload(blobs_workload), execution=execution)
         if strategy.endswith("-topk"):
-            workload = workload.with_compression(self.TOPK_EF)
+            workload = replace(workload, compression=self.TOPK_EF)
         else:
-            workload = workload.with_faults(CHAOS_PLAN)
+            workload = replace(workload, faults=CHAOS_PLAN)
         built = []
 
         def factory():
@@ -470,7 +468,7 @@ class TestClusterCheckpoint:
         # not have: the shared model the drifts are taken against, each
         # worker's error-feedback residual, and (random-k) the shared
         # coordinate stream.
-        workload = blobs_workload.with_compression(compression).with_execution(execution)
+        workload = replace(blobs_workload, compression=compression, execution=execution)
         cluster_ref, result_ref = _execute(workload, strategy_factory, max_steps=40)
         ckpt = tmp_path / "ckpt.json"
         _execute(
@@ -498,7 +496,7 @@ class TestClusterCheckpoint:
         assert result_ref.history.entries == result_res.history.entries
 
     def test_compressed_checkpoint_holds_the_shared_model_once(self, blobs_workload):
-        workload = blobs_workload.with_compression(self.TOPK_EF)
+        workload = replace(blobs_workload, compression=self.TOPK_EF)
         for factory in (lambda: FDAStrategy(threshold=0.05), fedavgm_strategy):
             cluster, _ = build_cluster(workload)
             strategy = factory().attach(cluster)
@@ -548,7 +546,7 @@ class TestClusterCheckpoint:
     def test_restore_rejects_dtype_mismatch(self, blobs_workload):
         cluster, _ = build_cluster(blobs_workload)
         checkpoint = ClusterCheckpoint.capture(cluster)
-        other, _ = build_cluster(blobs_workload.with_dtype("float32"))
+        other, _ = build_cluster(replace(blobs_workload, dtype="float32"))
         with pytest.raises(ExperimentError, match="dtype"):
             checkpoint.restore(other)
 
@@ -586,12 +584,12 @@ class TestClusterCheckpoint:
         cluster, _ = build_cluster(blobs_workload)
         strategy = factory().attach(cluster)
         strategy.run_steps(5)
-        assert strategy.theta_controller.adjustment_count == 2
+        assert strategy.theta_controller.state_dict()["adjustment_count"] == 2
         path = ClusterCheckpoint.capture(cluster, strategy).save(tmp_path / "ckpt.json")
         fresh, _ = build_cluster(blobs_workload)
         resumed = factory().attach(fresh)
         ClusterCheckpoint.load(path).restore(fresh, resumed)
-        assert resumed.theta_controller.adjustment_count == 2
+        assert resumed.theta_controller.state_dict() == strategy.theta_controller.state_dict()
         assert resumed.current_threshold == strategy.current_threshold
 
     def test_save_is_atomic_and_loadable(self, blobs_workload, tmp_path):
@@ -714,7 +712,7 @@ class TestResultPersistence:
         from repro.experiments.persistence import result_from_dict, result_to_dict
 
         _, result = _execute(
-            blobs_workload.with_faults(CHAOS_PLAN),
+            replace(blobs_workload, faults=CHAOS_PLAN),
             lambda: FDAStrategy(threshold=0.5),
             max_steps=20,
         )

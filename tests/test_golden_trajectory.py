@@ -16,6 +16,7 @@ independent oracle the copy path's bodies became.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -634,11 +635,12 @@ class TestGoldenCompressedTrajectory:
         from repro.strategies.local_sgd import LocalSGDStrategy
 
         cluster, _ = build_cluster(
-            blobs_workload.with_compression(
-                CompressionConfig(kernel, ratio=0.1, error_feedback=error_feedback)
+            replace(
+                blobs_workload,
+                compression=CompressionConfig(kernel, ratio=0.1, error_feedback=error_feedback),
+                dtype=dtype,
+                execution=execution,
             )
-            .with_dtype(dtype)
-            .with_execution(execution)
         )
         compressor = cluster.compression.compressor
         compress_rows = compressor.compress_rows

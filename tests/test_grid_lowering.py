@@ -48,10 +48,6 @@ from repro.strategies import (
     ScaffoldStrategy,
     Strategy,
     SynchronousStrategy,
-    decreasing_tau,
-    fixed_tau,
-    increasing_tau,
-    post_local_sgd_tau,
 )
 
 RUN = TrainingRun(accuracy_target=0.99, max_steps=24, eval_every_steps=8)
@@ -240,7 +236,7 @@ class TestLoweringProperties:
             changes = {k: v for k, v in cell.tags.items() if k in WORKLOAD_FIELDS}
             assert cell.workload == replace(BASE, **changes)
             if "tau" in axes:
-                assert cell.strategy_factory().current_tau() == cell.tags["tau"]
+                assert cell.strategy_factory().tau == cell.tags["tau"]
             else:
                 assert cell.strategy_factory().threshold == cell.tags.get("theta", 2.0)
             assert json.loads(json.dumps(cell.tags)) == cell.tags
@@ -295,7 +291,9 @@ class TestLoweringProperties:
         cold = SweepExecutor(cache_dir=tmp_path / "cache")
         points = run_grid(cells, cold)
         assert all(isinstance(point, SweepPoint) for point in points)
-        records = sorted(cold.store.records(), key=lambda record: record["tags"]["theta"])
+        records = sorted(
+            cold.store.load_index().values(), key=lambda record: record["tags"]["theta"]
+        )
         assert [record["tags"] for record in records] == [point.tags for point in points]
         assert [record["label"] for record in records] == ["theta=0.5", "theta=5.0"]
         # Reloading a finished grid is replaying it: every cell hits, in grid order.
@@ -319,11 +317,7 @@ class TestLoweringProperties:
 SPEC_VALUES = {
     SynchronousStrategy: {},
     LocalSGDStrategy: {
-        "tau": (
-            5, 10, fixed_tau(7), increasing_tau(1, 1.5), increasing_tau(1, 2.0),
-            increasing_tau(1, 2.0, maximum=64), decreasing_tau(64, 0.7), decreasing_tau(64, 0.5),
-            post_local_sgd_tau(3, 16), post_local_sgd_tau(5, 16),
-        ),
+        "tau": (1, 5, 7, 10),
     },
     FedOptStrategy: {
         "server_optimizer": (FedAvgM(0.3), FedAvgM(0.5), FedAvgM(0.3, momentum=0.5), FedAdam(0.3)),
@@ -376,7 +370,7 @@ def test_two_values_of_any_constructor_parameter_are_two_specs(cls):
 #: counts rounds.  ``model_dimension`` sizes the explicit monitor.
 TRAINED = {
     SynchronousStrategy: lambda model_dimension: SynchronousStrategy(),
-    LocalSGDStrategy: lambda model_dimension: LocalSGDStrategy(tau=post_local_sgd_tau(1, 2)),
+    LocalSGDStrategy: lambda model_dimension: LocalSGDStrategy(tau=2),
     FedOptStrategy: lambda model_dimension: FedOptStrategy(FedAdam(0.3)),
     FDAStrategy: lambda model_dimension: FDAStrategy(
         0.0,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.oracles import one_hot
 from repro.exceptions import ShapeError
 from repro.nn.functional import (
     col2im,
@@ -12,7 +13,6 @@ from repro.nn.functional import (
     flatten_batch,
     global_average_pool,
     im2col,
-    one_hot,
     pad_nhwc,
 )
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.nn.initializers import (
-    constant_init,
     get_initializer,
     glorot_normal,
     glorot_uniform,
@@ -62,10 +61,6 @@ class TestOtherInitializers:
         assert np.all(zeros_init((5, 5), 5, 5, rng) == 0.0)
         assert np.all(ones_init((5,), 5, 5, rng) == 1.0)
 
-    def test_constant(self, rng):
-        init = constant_init(0.25)
-        assert np.all(init((4, 2), 4, 2, rng) == 0.25)
-
 
 class TestGetInitializer:
     def test_resolves_names(self):
@@ -73,7 +68,9 @@ class TestGetInitializer:
         assert get_initializer("glorot_uniform") is glorot_uniform
 
     def test_passes_callables_through(self):
-        init = constant_init(1.0)
+        def init(shape, fan_in, fan_out, rng):
+            return np.full(shape, 1.0)
+
         assert get_initializer(init) is init
 
     def test_unknown_name_raises(self):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers.oracles import one_hot
 from repro.exceptions import ShapeError
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 
 
 class TestSoftmaxCrossEntropy:
@@ -28,9 +29,7 @@ class TestSoftmaxCrossEntropy:
         _, grad = loss.gradient(logits, targets)
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = exp / exp.sum(axis=1, keepdims=True)
-        onehot = np.zeros_like(logits)
-        onehot[np.arange(2), targets] = 1.0
-        np.testing.assert_allclose(grad, (probs - onehot) / 2.0)
+        np.testing.assert_allclose(grad, (probs - one_hot(targets, 3)) / 2.0)
 
     def test_gradient_matches_numerical(self):
         loss = SoftmaxCrossEntropy()
@@ -86,27 +85,3 @@ class TestSoftmaxCrossEntropy:
         loss = SoftmaxCrossEntropy()
         targets = np.arange(4) % 6
         assert loss.value(logits, targets) >= 0.0
-
-
-class TestMeanSquaredError:
-    def test_zero_for_equal_arrays(self):
-        loss = MeanSquaredError()
-        x = np.random.default_rng(0).normal(size=(3, 2))
-        assert loss.value(x, x) == 0.0
-
-    def test_known_value(self):
-        loss = MeanSquaredError()
-        assert loss.value(np.array([1.0, 3.0]), np.array([0.0, 1.0])) == pytest.approx(2.5)
-
-    def test_gradient_matches_numerical(self):
-        loss = MeanSquaredError()
-        rng = np.random.default_rng(2)
-        outputs = rng.normal(size=(4, 3))
-        targets = rng.normal(size=(4, 3))
-        _, grad = loss.gradient(outputs, targets)
-        np.testing.assert_allclose(grad, 2.0 * (outputs - targets) / outputs.size)
-
-    def test_shape_mismatch_raises(self):
-        loss = MeanSquaredError()
-        with pytest.raises(ShapeError):
-            loss.value(np.zeros((2, 2)), np.zeros((2, 3)))

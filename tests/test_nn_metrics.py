@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:
@@ -21,51 +21,3 @@ class TestAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             accuracy(np.array([0, 1]), np.array([0, 1, 2]))
-
-
-class TestTopKAccuracy:
-    def test_top1_equals_accuracy(self):
-        logits = np.random.default_rng(0).normal(size=(20, 5))
-        labels = np.random.default_rng(1).integers(0, 5, size=20)
-        assert top_k_accuracy(logits, labels, k=1) == pytest.approx(accuracy(logits, labels))
-
-    def test_top_k_grows_with_k(self):
-        logits = np.random.default_rng(2).normal(size=(50, 10))
-        labels = np.random.default_rng(3).integers(0, 10, size=50)
-        values = [top_k_accuracy(logits, labels, k=k) for k in (1, 3, 5, 10)]
-        assert values == sorted(values)
-        assert values[-1] == 1.0  # k = num_classes always hits
-
-    def test_k_larger_than_classes_is_clamped(self):
-        logits = np.eye(3)
-        assert top_k_accuracy(logits, np.array([0, 1, 2]), k=100) == 1.0
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.eye(3), np.array([0, 1, 2]), k=0)
-
-    def test_rejects_1d_logits(self):
-        with pytest.raises(ShapeError):
-            top_k_accuracy(np.zeros(3), np.array([0]), k=1)
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect_predictions(self):
-        labels = np.array([0, 1, 2, 1])
-        matrix = confusion_matrix(labels, labels, 3)
-        np.testing.assert_array_equal(matrix, np.diag([1, 2, 1]))
-
-    def test_off_diagonal_counts(self):
-        predictions = np.array([1, 1])
-        labels = np.array([0, 0])
-        matrix = confusion_matrix(predictions, labels, 2)
-        assert matrix[0, 1] == 2 and matrix.sum() == 2
-
-    def test_accepts_logits(self):
-        logits = np.array([[0.1, 0.9], [0.8, 0.2]])
-        matrix = confusion_matrix(logits, np.array([1, 0]), 2)
-        np.testing.assert_array_equal(matrix, np.eye(2, dtype=int))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix(np.array([0]), np.array([0, 1]), 2)

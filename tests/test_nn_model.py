@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers.oracles import average_models
+from helpers.parity import make_cluster
 from helpers.shards import whole_then_sharded
 from repro.exceptions import ModelNotBuiltError, ShapeError
 from unittest import mock
@@ -13,7 +15,7 @@ from repro.nn import layers as layers_module
 from repro.nn.batched import BatchedModel, BatchedPlane
 from repro.nn.layers import BatchNorm, Conv2D, Dense, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.model import Sequential, average_models
+from repro.nn.model import Sequential
 from repro.optim.adam import Adam
 
 
@@ -34,11 +36,6 @@ class TestConstructionAndShapes:
             model.forward(np.zeros((1, 3)))
         with pytest.raises(ModelNotBuiltError):
             model.get_parameters()
-
-    def test_summary_mentions_every_layer(self):
-        model = tiny_model()
-        text = model.summary()
-        assert "tiny_dense0" in text and "Total trainable parameters" in text
 
     def test_same_seed_gives_identical_models(self):
         a, b = tiny_model(seed=3), tiny_model(seed=3)
@@ -65,7 +62,7 @@ class TestFlatParameterViews:
     def test_gradients_match_parameter_layout(self):
         model = tiny_model()
         model.train_batch(np.random.default_rng(0).normal(size=(8, 4)), np.zeros(8, dtype=int))
-        grads = model.get_gradients()
+        grads = model.gradients_view()
         assert grads.shape == (model.num_parameters,)
         assert np.any(grads != 0)
 
@@ -82,11 +79,13 @@ class TestFlatParameterViews:
         clone.set_parameters(clone.get_parameters() * 0.0)
         assert not np.array_equal(model.get_parameters(), clone.get_parameters())
 
-    def test_average_models(self):
-        a, b = tiny_model(seed=1), tiny_model(seed=2)
-        average = average_models([a, b])
+    def test_cluster_average_is_the_average_model(self):
+        cluster = make_cluster("sequential", num_workers=3)
+        cluster.step_all()
         np.testing.assert_allclose(
-            average, (a.get_parameters() + b.get_parameters()) / 2.0
+            cluster.average_parameters(),
+            average_models(worker.model for worker in cluster.workers),
+            rtol=1e-15,
         )
 
 
@@ -101,22 +100,10 @@ class TestTrainingAndEvaluation:
         initial = model.evaluate(x, y, loss)[0]
         for _ in range(60):
             model.train_batch(x, y, loss)
-            model.set_parameters(optimizer.step(model.get_parameters(), model.get_gradients()))
+            model.set_parameters(optimizer.step(model.get_parameters(), model.gradients_view()))
         final_loss, final_accuracy = model.evaluate(x, y, loss)
         assert final_loss < initial
         assert final_accuracy > 0.9
-
-    def test_predict_batches_consistently(self):
-        model = tiny_model()
-        x = np.random.default_rng(1).normal(size=(30, 4))
-        np.testing.assert_allclose(model.predict(x, batch_size=7), model.predict(x, batch_size=30))
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_predict_empty_input(self, dtype):
-        model = tiny_model().to_dtype(dtype)
-        empty, full = model.predict(np.zeros((0, 4))), model.predict(np.zeros((2, 4)))
-        assert empty.shape == (0, 3)
-        assert empty.dtype == full.dtype == np.dtype(dtype)
 
     def test_evaluate_empty_dataset(self):
         model = tiny_model()

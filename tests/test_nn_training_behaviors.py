@@ -23,7 +23,7 @@ def memorize(model, x, y, optimizer, steps=120):
     first = model.evaluate(x, y, loss)[0]
     for _ in range(steps):
         model.train_batch(x, y, loss)
-        model.set_parameters(optimizer.step(model.get_parameters(), model.get_gradients()))
+        model.set_parameters(optimizer.step(model.get_parameters(), model.gradients_view()))
     last, accuracy = model.evaluate(x, y, loss)
     return first, last, accuracy
 
@@ -99,7 +99,7 @@ class TestRegularizationBehaviour:
         y = (x[:, 0] > 0).astype(int)
         for _ in range(30):
             model.train_batch(x, y)
-            model.set_parameters(optimizer.step(model.get_parameters(), model.get_gradients()))
+            model.set_parameters(optimizer.step(model.get_parameters(), model.gradients_view()))
         # Two inference passes agree exactly (running statistics frozen).
         np.testing.assert_array_equal(
             model.forward(x, training=False), model.forward(x, training=False)
@@ -131,7 +131,7 @@ class TestDeterminism:
             for _ in range(50):
                 model.train_batch(x, y)
                 model.set_parameters(
-                    optimizer.step(model.get_parameters(), model.get_gradients())
+                    optimizer.step(model.get_parameters(), model.gradients_view())
                 )
             return model.get_parameters()
 

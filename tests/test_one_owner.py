@@ -20,9 +20,11 @@ parameter matrix.  Deleting the copies moved none of it.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from helpers.serving import serve_next
 from repro.compression import CompressionConfig
 from repro.core.monitor import make_monitor
 from repro.distributed.topology import HierarchicalTopology
@@ -64,11 +66,13 @@ def _params_digest(cluster) -> str:
 
 
 def _workload(base, fabric, plan, engine, dtype="float64"):
-    return (
-        base.with_fabric(topology=FABRICS[fabric], network="balanced")
-        .with_faults(PLANS[plan])
-        .with_execution(engine)
-        .with_dtype(dtype)
+    return replace(
+        base,
+        topology=FABRICS[fabric],
+        network="balanced",
+        faults=PLANS[plan],
+        execution=engine,
+        dtype=dtype,
     )
 
 
@@ -77,7 +81,7 @@ def run_record(base, cell: str) -> tuple:
     strategy, fabric, plan, engine, *dtype = cell.split("/")
     workload = _workload(base, fabric, plan, engine, *dtype)
     if strategy.endswith("-topk"):
-        workload = workload.with_compression(TOPK_EF)
+        workload = replace(workload, compression=TOPK_EF)
     cluster, test_dataset = build_cluster(workload)
     result = TrainingRun(accuracy_target=0.995, max_steps=24, eval_every_steps=12).execute(
         STRATEGIES[strategy](), cluster, test_dataset, workload_name=workload.name
@@ -94,7 +98,7 @@ def run_record(base, cell: str) -> tuple:
 def served_record(base, cell: str) -> tuple:
     """``served/arrival/engine`` -> its frozen record (60 served updates)."""
     _, arrival, engine = cell.split("/")
-    workload = _workload(base, "hier", "clean", engine).with_faults(LOSSY)
+    workload = replace(_workload(base, "hier", "clean", engine), faults=LOSSY)
     cluster, _ = build_cluster(workload)
     config = ServingConfig(
         arrival=arrival,
@@ -105,7 +109,7 @@ def served_record(base, cell: str) -> tuple:
     )
     monitor = make_monitor("linear", cluster.model_dimension, seed=0)
     served = ServedFDATrainer(cluster, monitor, 0.01, config)
-    records = [tuple(map(repr, served.serve_next())) for _ in range(60)]
+    records = [tuple(map(repr, serve_next(served))) for _ in range(60)]
     return (
         repr(served.timeline.now),
         repr(served.timeline.compute_seconds),

@@ -1,4 +1,4 @@
-"""Tests for the local optimizers (SGD, Adam, AdamW) and learning-rate schedules."""
+"""Tests for the local optimizers (SGD, Adam, AdamW)."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,6 @@ from repro import backend
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.optim.adam import Adam, AdamW
 from repro.optim.base import StackedOptimizer, Workspace
-from repro.optim.schedules import (
-    ConstantSchedule,
-    CosineDecaySchedule,
-    ExponentialDecaySchedule,
-    StepDecaySchedule,
-    resolve_schedule,
-)
 from repro.optim.sgd import SGD
 
 
@@ -229,7 +222,7 @@ class TestRowOwnedState:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: SGD(StepDecaySchedule(0.1, every=2, decay=0.5)),
+            lambda: SGD(0.1),
             lambda: SGD(0.1, momentum=0.9),
             lambda: Adam(0.01),
         ],
@@ -274,10 +267,10 @@ class TestRowBlocking:
         calls, scratch_rows, blocks = [], [], []
         rule, scratch = SGD._update_rows, Workspace.scratch
 
-        def rule_spy(self, workspace, params, grads, state, columns, learning_rate, timesteps):
+        def rule_spy(self, workspace, params, grads, state, columns, timesteps):
             calls.append((params.shape[0], columns["weight_decay"][:, 0].tolist()))
             blocks.append((params.__array_interface__["data"][0], params.shape[0]))
-            rule(self, workspace, params, grads, state, columns, learning_rate, timesteps)
+            rule(self, workspace, params, grads, state, columns, timesteps)
 
         def scratch_spy(self, name, count):
             block = scratch(self, name, count)
@@ -413,7 +406,7 @@ class TestStepRowsIndexArray:
         self.refused(stacked, [1, 1], r"repeated: \[1\]")
 
     def test_negative_row_is_refused(self, stacked):
-        # Used to read optimizer K-1's schedule, gather state row 0 (clip)
+        # Used to read optimizer K-1's step count, gather state row 0 (clip)
         # and scatter to row K-1.
         self.refused(stacked, [-1], r"repeated: \[-1\]")
 
@@ -466,7 +459,7 @@ def test_warmed_adamw_step_allocates_no_block_sized_array():
 
 # -- the entry-point property -------------------------------------------------------
 
-#: ``kind -> factory(schedule, u)``: per-worker heterogeneous hyper-parameters
+#: ``kind -> factory(learning_rate, u)``: per-worker heterogeneous hyper-parameters
 #: from one unit-interval draw ``u``; the *structure* (momentum or not,
 #: Nesterov or not) is fixed per kind, as a stack requires.
 ROW_RULE_KINDS = {
@@ -484,17 +477,9 @@ ROW_RULE_KINDS = {
     ),
 }
 
-SCHEDULES = (
-    lambda base: base,
-    lambda base: StepDecaySchedule(base, every=2, decay=0.5),
-    lambda base: ExponentialDecaySchedule(base, rate=0.9, scale=3),
-    lambda base: CosineDecaySchedule(base, total_steps=6, minimum=base / 10),
-)
-
 worker_draw = st.tuples(
     st.floats(0.0, 1.0, allow_nan=False),  # hyper-parameter position u
-    st.floats(1e-3, 0.2, allow_nan=False),  # base learning rate
-    st.integers(0, len(SCHEDULES) - 1),
+    st.floats(1e-3, 0.2, allow_nan=False),  # learning rate
 )
 worker_draws = st.lists(worker_draw, min_size=1, max_size=4)
 
@@ -513,7 +498,7 @@ def row_rule_cases(draw):
 
 def build_rows(kind, workers):
     make = ROW_RULE_KINDS[kind]
-    return [make(SCHEDULES[s](base), u) for u, base, s in workers]
+    return [make(learning_rate, u) for u, learning_rate in workers]
 
 
 def covered_rows(op, count):
@@ -556,8 +541,8 @@ def drive_stack(kind, dtype, workers, ops, seed, dimension):
 def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
     """``step_rows``, masked ``step_rows`` and ``step_inplace`` are one rule.
 
-    For every optimizer, with per-worker heterogeneous hyper-parameters and
-    schedules, any interleaving of full stacked steps, masked stacked steps
+    For every optimizer, with per-worker heterogeneous hyper-parameters
+    (learning rates included), any interleaving of full stacked steps, masked stacked steps
     and direct per-optimizer steps (so the rows' step counts skew) leaves
     parameters, every ``state_arrays()`` entry and every ``step_count``
     **byte-equal** to K independent one-optimizer runs — at float64 *and* at
@@ -642,37 +627,16 @@ def test_block_size_never_shows_in_a_result(kind, dtype, case):
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.5)
-        assert schedule(0) == schedule(1000) == 0.5
-
-    def test_step_decay(self):
-        schedule = StepDecaySchedule(1.0, every=10, decay=0.5)
-        assert schedule(0) == 1.0
-        assert schedule(10) == 0.5
-        assert schedule(25) == 0.25
-
-    def test_exponential_decay_monotone(self):
-        schedule = ExponentialDecaySchedule(1.0, rate=0.9, scale=10)
-        values = [schedule(step) for step in range(0, 100, 10)]
-        assert values == sorted(values, reverse=True)
-
-    def test_cosine_decay_endpoints(self):
-        schedule = CosineDecaySchedule(1.0, total_steps=100, minimum=0.1)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(100) == pytest.approx(0.1)
-        assert schedule(1000) == pytest.approx(0.1)
-
-    def test_resolve_schedule(self):
-        assert isinstance(resolve_schedule(0.1), ConstantSchedule)
-        schedule = CosineDecaySchedule(1.0, 10)
-        assert resolve_schedule(schedule) is schedule
+class TestLearningRate:
+    @pytest.mark.parametrize("bad", [0, -0.1, "fast", True, None])
+    def test_must_be_a_positive_number(self, bad):
         with pytest.raises(ConfigurationError):
-            resolve_schedule("fast")
+            SGD(bad)
 
-    def test_optimizer_follows_schedule(self):
-        optimizer = SGD(StepDecaySchedule(1.0, every=1, decay=0.5))
-        assert optimizer.learning_rate == 1.0
+    def test_is_a_constant_float_column(self):
+        optimizer = SGD(1)
+        assert optimizer.learning_rate == 1.0 and isinstance(optimizer.learning_rate, float)
         optimizer.step(np.zeros(1), np.zeros(1))
-        assert optimizer.learning_rate == 0.5
+        assert optimizer.learning_rate == 1.0
+        stacked = StackedOptimizer([SGD(0.1), SGD(0.3)], 2)
+        np.testing.assert_array_equal(stacked._columns["learning_rate"], [[0.1], [0.3]])

@@ -59,7 +59,6 @@ class TestModelViews:
         rng = np.random.default_rng(0)
         model.train_batch(rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
         assert np.any(model.gradients_view() != 0.0)
-        np.testing.assert_array_equal(model.gradients_view(), model.get_gradients())
 
     def test_conv_architecture_gets_a_plane_too(self):
         model = lenet5(input_shape=(8, 8, 1), num_classes=3, seed=0)
@@ -127,7 +126,9 @@ class TestStructuralClone:
         model = lenet5(input_shape=(8, 8, 1), num_classes=3, seed=0)
         clone = model.clone()
         x = np.random.default_rng(2).normal(size=(4, 8, 8, 1))
-        np.testing.assert_array_equal(model.predict(x), clone.predict(x))
+        np.testing.assert_array_equal(
+            model.forward(x, training=False), clone.forward(x, training=False)
+        )
 
 
 class TestClusterParameterMatrix:

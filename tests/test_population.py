@@ -17,7 +17,7 @@ The population plane's contract has two bit-exactness halves:
   memory budgets.
 
 The rest of the suite covers the sampler's distributional invariants, the
-LRU store's budget accounting, the client directory's O(1) descriptors, the
+LRU store's budget accounting, the client directory's lazy shards, the
 weighted-aggregation seams, the cohort-aware model-pool fix in
 :class:`~repro.experiments.setup.SetupCache`, and the experiment-layer
 plumbing (fingerprints, persistence, run labels).
@@ -127,6 +127,15 @@ class TestCohortParity:
 # -- eviction transparency (satellite 2) -----------------------------------------
 
 
+def _force_spill(store, client_id) -> bool:
+    """Spill one resident snapshot to disk, as the LRU does to its oldest entry."""
+    snapshot = store._resident.pop(int(client_id), None)
+    if snapshot is None:
+        return False
+    store._spill(int(client_id), snapshot)
+    return True
+
+
 def _run_population(rounds, budget, evict_after_round=None, num_clients=6, cohort=2):
     """One deterministic sampled-population run; returns its observables.
 
@@ -158,7 +167,7 @@ def _run_population(rounds, budget, evict_after_round=None, num_clients=6, cohor
         losses.append(population.run_round().mean_loss)
         if evict_after_round:
             for client_id in evict_after_round.get(round_index, []):
-                population.store.evict(client_id)
+                _force_spill(population.store, client_id)
     return {
         "losses": losses,
         "params": np.array(cluster.parameter_matrix),
@@ -222,7 +231,7 @@ class TestEvictionTransparency:
         expected_steps = cluster.workers[0].optimizer.step_count
         expected_rng = cluster.workers[0]._sampler._rng.bit_generator.state
 
-        assert population.store.evict(0) and population.store.evict(1)
+        assert _force_spill(population.store, 0) and _force_spill(population.store, 1)
         assert population.store.resident_count == 0
         population.bind_cohort(np.array([0, 1]))
         np.testing.assert_array_equal(cluster.parameter_matrix, expected_params)
@@ -367,7 +376,7 @@ class TestClientStateStore:
         # A file superseded before its second call is skipped ...
         store = ClientStateStore(budget=2, spill_dir=tmp_path)
         store.save(0, _snapshot(0))
-        assert store.evict(0)  # spills 0: first call made, second one pending
+        assert _force_spill(store, 0)  # spills 0: first call made, second one pending
         store.save(0, _snapshot(5))  # unlinks 0's file
         for client_id in range(1, store_module._WRITE_BACK_LAG + 3):
             store.save(client_id, _snapshot(client_id))
@@ -398,7 +407,7 @@ class TestClientStateStore:
 
 
 class TestClientDirectory:
-    def test_virtual_descriptors_are_o1_and_deterministic(self):
+    def test_virtual_shards_are_deterministic_at_any_id(self):
         train = gaussian_blobs(200, feature_dim=4, num_classes=3, seed=0)
         config = PopulationConfig(
             num_clients=10**6, cohort_size=8, min_client_samples=10, max_client_samples=20
@@ -406,11 +415,11 @@ class TestClientDirectory:
         directory = ClientDirectory(config, train_dataset=train, seed=5)
         # Far-apart ids resolve instantly (no per-client registry exists).
         for client_id in (0, 123_456, 10**6 - 1):
-            descriptor = directory.descriptor(client_id)
-            assert descriptor == directory.descriptor(client_id)
-            assert 10 <= descriptor.num_samples <= 20
             shard = directory.shard(client_id)
-            assert len(shard) == descriptor.num_samples
+            again = directory.shard(client_id)
+            np.testing.assert_array_equal(shard.x, again.x)
+            np.testing.assert_array_equal(shard.y, again.y)
+            assert 10 <= len(shard) <= 20
 
     def test_explicit_shards_must_cover_population(self):
         train = gaussian_blobs(50, feature_dim=4, num_classes=3, seed=0)
@@ -429,7 +438,7 @@ class TestClientDirectory:
         with pytest.raises(ConfigurationError):
             directory.shard(4)
         with pytest.raises(ConfigurationError):
-            directory.descriptor(-1)
+            directory.shard(-1)
 
 
 # -- weighted aggregation ---------------------------------------------------------

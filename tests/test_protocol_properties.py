@@ -123,9 +123,9 @@ class TestRunHistoryInvariants:
         run = TrainingRun(accuracy_target=0.95, max_steps=60, eval_every_steps=15)
         result = run.execute(FDAStrategy(threshold=theta), cluster, test_dataset)
 
-        steps = result.history.series("steps")
-        communication = result.history.series("communication_bytes")
-        synchronizations = result.history.series("synchronizations")
+        steps = [entry["steps"] for entry in result.history]
+        communication = [entry["communication_bytes"] for entry in result.history]
+        synchronizations = [entry["synchronizations"] for entry in result.history]
         assert steps == sorted(steps)
         assert communication == sorted(communication)
         assert synchronizations == sorted(synchronizations)

@@ -27,6 +27,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,7 +364,7 @@ def test_a_forked_cell_runs_one_shard_off_the_parents_pool(
         return submit(self, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", parent_only_submit)
-    workload = blobs_workload.with_execution("batched")
+    workload = replace(blobs_workload, execution="batched")
     run = TrainingRun(accuracy_target=0.99, max_steps=6, eval_every_steps=3)
     cells = [
         SweepCell(workload, lambda theta=theta: FDAStrategy(theta, "sketch", seed=0), run)

@@ -22,13 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ExperimentError
-from repro.serving.aggregation import STALENESS_RULES, staleness_weight, staleness_weights
+from helpers.serving import write_arrival_trace
+from repro.serving.aggregation import STALENESS_RULES, staleness_weight
 from repro.serving.arrivals import (
     DeterministicArrivals,
     PoissonArrivals,
     TraceArrivals,
     build_arrival_process,
-    write_arrival_trace,
 )
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import (
@@ -274,10 +274,9 @@ class TestStalenessRules:
         assert staleness_weight("max-staleness", 5, max_staleness=4) == 0.0
         assert staleness_weight("polynomial", 3, poly_alpha=0.5) == pytest.approx(0.5)
 
-    def test_weights_vectorized_and_monotone(self):
+    def test_weights_are_monotone(self):
         for rule in STALENESS_RULES:
-            weights = staleness_weights(rule, range(6))
-            assert weights.shape == (6,)
+            weights = [staleness_weight(rule, staleness) for staleness in range(6)]
             # Staler never weighs more than fresher, for every rule.
             assert (np.diff(weights) <= 1e-12).all()
 

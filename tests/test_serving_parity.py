@@ -30,7 +30,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers.serving import RecordingTrainer, drive
+from helpers.serving import RecordingTrainer, drive, serve_next
 from repro.core.monitor import make_monitor
 from repro.core.timeline import StragglerProfile
 from repro.data.datasets import Dataset
@@ -575,7 +575,7 @@ def run_closed(execution, jitter):
         cluster, monitor, 0.05, ServingConfig(arrival="closed"),
         profile=profile, seed=5,
     )
-    return trainer, [trainer.serve_next() for _ in range(60)]
+    return trainer, [serve_next(trainer) for _ in range(60)]
 
 
 class TestGoldenPoissonFixture:

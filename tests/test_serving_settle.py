@@ -28,12 +28,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers.parity import EXECUTIONS, MODELS, assert_same_state, make_cluster
-from helpers.serving import PerEventTrainer, RecordingTrainer, drive, served_snapshot
+from helpers.serving import (
+    PerEventTrainer,
+    RecordingTrainer,
+    drive,
+    serve_next,
+    served_snapshot,
+    write_arrival_trace,
+)
 from repro.core.monitor import make_monitor
 from repro.exceptions import TrainingError
 from repro.faults.plan import FaultPlan
 from repro.optim.sgd import SGD
-from repro.serving import ServingConfig, write_arrival_trace
+from repro.serving import ServingConfig
 from repro.serving.aggregation import STALENESS_RULES
 from repro.serving.harness import BACKLOG_LIMIT_PER_WORKER
 
@@ -188,7 +195,7 @@ class TestVisibilityRule:
             )
 
         for _ in range(40):
-            trainer.serve_next()
+            serve_next(trainer)
             assert_settled()
         trainer.serve_updates(40)
         assert_settled()

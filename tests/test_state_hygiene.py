@@ -145,8 +145,8 @@ links carry now, and
 
 Every check above retires names, and the prose kept spelling them, so
 
-17. every retired-name list of checks 4, 7, 8, 9, 13, 15 and 16 is run over
-    ``ARCHITECTURE.md`` and ``docs/`` as well.  (The names of checks 10–12 are
+17. every retired-name list of checks 4, 7, 8, 9, 13, 15, 16 and 18 is run
+    over ``ARCHITECTURE.md`` and ``docs/`` as well.  (The names of checks 10–12 are
     retired only inside one package — ``Worker.local_step`` and
     ``engine.step_worker`` still exist — so the prose may name them.)
 
@@ -156,7 +156,11 @@ Public surface that nothing uses is code to keep in step for no caller, so
     the code — its syntax tree, not its comments — of ``src/``, ``bench/``,
     ``benchmarks/`` or ``examples/``, or sits on
     :data:`UNREFERENCED_ALLOWLIST` with a reason.  A method name two unrelated
-    classes define counts only for the class an access can reach.
+    classes define counts only for the class an access can reach, and an
+    import in a package ``__init__.py`` under ``src/`` is a re-export, not a
+    caller.  The surface this check deleted — learning-rate and τ schedules,
+    the unused FedOpt variants, the ``with_*`` copy wrappers, the test-only
+    names — is spelled nowhere under ``src/``.
 """
 
 from __future__ import annotations
@@ -851,6 +855,40 @@ def test_a_message_costs_what_its_links_carry():
     )
 
 
+#: The public surface nothing ran, deleted by check 18: learning-rate and τ
+#: schedules, the unused FedOpt variants, the validation helpers, the
+#: ``with_*`` copy wrappers and the test-only names.  ``FedAvg`` counts only
+#: spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``), so the
+#: algorithm's name in prose and ``FedAvgM`` do not match.
+_RETIRED_SURFACE_NAMES = re.compile(
+    r"\b(LearningRateSchedule|ConstantSchedule|StepDecaySchedule|ExponentialDecaySchedule"
+    r"|CosineDecaySchedule|resolve_schedule|TauSchedule|fixed_tau|increasing_tau"
+    r"|decreasing_tau|post_local_sgd_tau|current_tau|FedAdagrad|FedYogi"
+    r"|_AdaptiveServerOptimizer|check_positive|check_positive_int|check_fraction"
+    r"|check_probability|spawn_rngs|confusion_matrix|top_k_accuracy|constant_init"
+    r"|MeanSquaredError|kde_density|staleness_weights|with_fabric|with_timeline"
+    r"|with_execution|with_compression|with_dtype|with_faults|with_serving|_KEEP"
+    r"|sync_buffers|get_gradients|serve_next|ClientDescriptor"
+    r"|local_epoch)\b|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
+    r"|(?<=[`.])FedAvg\b|\bFedAvg\("
+)
+
+
+def test_the_surface_nothing_ran_stays_deleted():
+    spelled = [
+        f"src/repro/{module}:{number}: {line.strip()}"
+        for module, source in _sources()
+        for number, line in enumerate(source.splitlines(), 1)
+        if _RETIRED_SURFACE_NAMES.search(line)
+    ]
+    assert not spelled, (
+        "deleted public surface is named again — every workload runs constant "
+        "learning rates, a fixed τ and the FedAdam/FedAvgM baselines:\n" + "\n".join(spelled)
+    )
+    assert not (SRC_ROOT / "optim" / "schedules.py").exists()
+    assert not (SRC_ROOT / "utils" / "validation.py").exists()
+
+
 #: Every retired-name list above, keyed by its check.
 RETIRED_NAME_LISTS = {
     "4 participation": _RETIRED_PARTICIPATION_NAMES,
@@ -862,6 +900,7 @@ RETIRED_NAME_LISTS = {
     "13 second owners": _RETIRED_COPY_NAMES,
     "15 state classes": _RETIRED_STATE_NAMES,
     "16 pricing": _RETIRED_PRICING_NAMES,
+    "18 unused surface": _RETIRED_SURFACE_NAMES,
 }
 DOCUMENTS = [REPO_ROOT / "ARCHITECTURE.md", *sorted((REPO_ROOT / "docs").rglob("*.md"))]
 
@@ -878,35 +917,16 @@ def test_retired_names_stay_retired_in_the_docs(check):
 
 
 #: Public names nothing outside ``tests/`` references, and why each stays.
+#: Three reasons count: a ``bench/spans.py`` span target, a name read through
+#: ``getattr``, and a production-side reference a test checks a fast path
+#: against.
 UNREFERENCED_ALLOWLIST = {
-    "PercentileLedger.cdf_at": "the exact empirical rank the P² estimator is tested against",
-    "Sequential.get_gradients": "the documented copy-out accessor (ARCHITECTURE.md, Plane 1)",
-    "fedavgm_strategy": "the paper's FedAvgM baseline, next to fedadam_strategy",
-    "parity_tolerance": "the float32-vs-float64 tolerance policy the dtype parity tests apply",
-    "CompressionConfig.to_dict": "the config's plain-JSON form, next to describe()",
-    "VarianceMonitor.local_state": "the one-row case of local_states, the per-row contract's oracle",
-    "DynamicThetaController.adjustment_count": "read-only training counter, kept out of spec()",
-    "Timeline.perturbed": "whether a timeline can change protocol behaviour (dropout on)",
-    "Dataset.shuffled": "a reordered copy of a dataset, the order-invariance tests' input",
-    "ClusterEngine.step_worker": "one worker's step, the single-row case of step_all",
-    "BatchedEngine.step_worker": "one worker's step, the single-row case of step_all",
-    "Worker.local_epoch": "one full pass over a shard, the sequential reference for epoch_all",
-    "RunStore.manifest": "the cache directory's parsed manifest, for inspecting a store",
-    "RunStore.keys": "the run keys a store resolves, for inspecting a store",
-    "RunStore.records": "the store's deduplicated records, for inspecting a store",
-    "ResultsTable.results": "the collected results, the table's read accessor",
-    "RunResult.seconds_per_round": "virtual seconds per round, a derived run metric",
-    "RunResult.summary": "a run's plain-dict view (the package docstring's example)",
-    "one_hot": "label encoding, the reference for the fused softmax cross-entropy gradient",
-    "Sequential.predict": "batched inference, the model's public forward pass",
-    "Sequential.summary": "the model's layer table",
-    "average_models": "the global model of several models, the reference for the cluster average",
-    "ClientDirectory.descriptor": "one client's registration record, derived on demand",
-    "ClientStateStore.evict": "forces one spill, the hook the eviction-order tests drive",
-    "ServedFDATrainer.serve_next": "one served update at a time, the stepping form of run",
+    "VarianceMonitor.local_state": "span target core.monitor.local_state (bench/spans.py)",
+    "BatchedEngine.step_worker": "span target distributed.engine.step_worker (bench/spans.py)",
+    "RunResult.seconds_per_round": "read through getattr by the CLI's s/round column",
     "AmsSketch.sketch": "one vector's sketch, the reference for the batched sketch_rows",
-    "RunLogger.series": "a logged metric across entries, the logger's read accessor",
-    "RunLogger.last": "a logged metric's latest value, the logger's read accessor",
+    "PercentileLedger.cdf_at": "the exact empirical rank the P² estimator is tested against",
+    "model_variance": "the definitional variance the drift-based estimates are tested against",
 }
 #: Where a public name counts as used.
 REFERENCE_ROOTS = ("src", "bench", "benchmarks", "examples")
@@ -929,12 +949,14 @@ class ModuleReferences(ast.NodeVisitor):
     """The names one module's code uses — identifiers, attributes, imports.
 
     Comments, docstrings and strings are not code, so a name they mention is
-    not a reference.  Every attribute access keeps its receiver's name and
-    the class it sits in, so methods that share a short name can be told
-    apart.
+    not a reference.  Nor is an import in a package ``__init__.py`` under
+    ``src/``: a re-export offers a name, it does not use it.  Every attribute
+    access keeps its receiver's name and the class it sits in, so methods
+    that share a short name can be told apart.
     """
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, reexports: bool = False) -> None:
+        self._reexports = reexports
         self.names = set()
         self.classes = {}  # class defined here -> the names of its bases
         self.accesses = []  # (attribute, receiver name, enclosing class)
@@ -951,7 +973,8 @@ class ModuleReferences(ast.NodeVisitor):
         self.names.add(node.id)
 
     def visit_alias(self, node):
-        self.names.add(node.name.rsplit(".", 1)[-1])
+        if not self._reexports:
+            self.names.add(node.name.rsplit(".", 1)[-1])
 
     def visit_Attribute(self, node):
         self.names.add(node.attr)
@@ -997,12 +1020,13 @@ def unreferenced_public_names(repo_root: Path = REPO_ROOT):
     """Public names under ``src/`` that no code under :data:`REFERENCE_ROOTS` uses.
 
     A function or class is used when an identifier, attribute or import names
-    it.  A method is used when an attribute access names it; when classes of
+    it — an import outside the ``__init__.py`` files of ``src/``, whose
+    imports only re-export.  A method is used when an attribute access names it; when classes of
     two unrelated families define the same method name, the access must also
     be able to reach the method's family (:func:`points_at`).
     """
     modules = [
-        ModuleReferences(path)
+        ModuleReferences(path, reexports=root == "src" and path.name == "__init__.py")
         for root in REFERENCE_ROOTS
         for path in sorted((repo_root / root).rglob("*.py"))
     ]
@@ -1075,3 +1099,20 @@ def test_a_shared_method_name_is_not_a_caller(tmp_path):
         ("stores.py", "Store"),
         ("stores.py", "Store.snapshot"),
     ]
+
+
+def test_a_package_reexport_is_not_a_caller(tmp_path):
+    package = tmp_path / "src" / "repro" / "tools"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        '"""Tools."""\n'
+        "from repro.tools.shapes import Circle, Square\n"
+        "\n"
+        '__all__ = ["Circle", "Square"]\n'
+    )
+    (package / "shapes.py").write_text("class Circle:\n    pass\n\n\nclass Square:\n    pass\n")
+    examples = tmp_path / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text("from repro.tools import Circle\n\nCircle()\n")
+    assert unreferenced_public_names(tmp_path) == [("tools/shapes.py", "Square")]
+

@@ -15,7 +15,7 @@ from repro.experiments.setup import build_cluster, make_optimizer
 from repro.faults import FaultPlan
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
 from repro.strategies.fedopt import FedOptStrategy, fedavgm_strategy
-from repro.optim.server import FedAvg
+from repro.optim.server import FedAvgM
 
 
 RUN = TrainingRun(accuracy_target=0.88, max_steps=160, eval_every_steps=20)
@@ -41,7 +41,7 @@ class TestFedProx:
         prox_cluster, _ = build_cluster(blobs_workload)
         avg_cluster, _ = build_cluster(blobs_workload)
         FedProxStrategy(mu=0.1).attach(prox_cluster).run_round()
-        FedOptStrategy(FedAvg()).attach(avg_cluster).run_round()
+        FedOptStrategy(FedAvgM(1.0, momentum=0.0)).attach(avg_cluster).run_round()
         assert (
             prox_cluster.tracker.bytes_for(CATEGORY_MODEL)
             == avg_cluster.tracker.bytes_for(CATEGORY_MODEL)
@@ -51,7 +51,7 @@ class TestFedProx:
         prox_cluster, _ = build_cluster(blobs_workload)
         avg_cluster, _ = build_cluster(blobs_workload)
         FedProxStrategy(mu=0.0).attach(prox_cluster).run_round()
-        FedOptStrategy(FedAvg()).attach(avg_cluster).run_round()
+        FedOptStrategy(FedAvgM(1.0, momentum=0.0)).attach(avg_cluster).run_round()
         np.testing.assert_allclose(
             prox_cluster.average_parameters(), avg_cluster.average_parameters(), atol=1e-9
         )
@@ -93,7 +93,7 @@ class TestScaffold:
         scaffold_cluster, _ = build_cluster(blobs_workload)
         avg_cluster, _ = build_cluster(blobs_workload)
         ScaffoldStrategy().attach(scaffold_cluster).run_round()
-        FedOptStrategy(FedAvg()).attach(avg_cluster).run_round()
+        FedOptStrategy(FedAvgM(1.0, momentum=0.0)).attach(avg_cluster).run_round()
         assert (
             scaffold_cluster.tracker.bytes_for(CATEGORY_MODEL)
             == 2 * avg_cluster.tracker.bytes_for(CATEGORY_MODEL)
@@ -143,7 +143,7 @@ STRATEGIES = [
 @pytest.mark.parametrize("make_strategy", STRATEGIES)
 class TestRoundParticipation:
     def test_rounds_advance_churn(self, blobs_workload, make_strategy):
-        cluster, _ = build_cluster(blobs_workload.with_faults(CHURN))
+        cluster, _ = build_cluster(replace(blobs_workload, faults=CHURN))
         strategy = make_strategy().attach(cluster)
         for _ in range(5):
             strategy.run_round()
@@ -155,7 +155,7 @@ class TestRoundParticipation:
         # A vanishingly small crash rate keeps churn active without ever
         # drawing a crash, so the hand-killed worker is the only dead one.
         cluster, _ = build_cluster(
-            blobs_workload.with_faults(FaultPlan(crash_rate=1e-12, seed=3))
+            replace(blobs_workload, faults=FaultPlan(crash_rate=1e-12, seed=3))
         )
         strategy = make_strategy().attach(cluster)
         cluster.faults.alive[1] = False

@@ -38,7 +38,7 @@ from repro.experiments.sweep import lower_grid, run_grid
 from repro.faults import FaultPlan
 from repro.nn.architectures import mlp, transfer_head
 from repro.nn.layers import BatchNorm, Dense, Dropout
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.plane import ParameterPlane
 from repro.population import PopulationConfig
@@ -95,7 +95,9 @@ FIELD_ALTERNATIVES = {
     "batch_size": st.integers(1, 64).filter(lambda b: b != 16),
     "partition_scheme": st.sampled_from(["noniid-fraction", "noniid-label", "dirichlet"]),
     "partition_kwargs": st.sampled_from([{"fraction": 0.5}, {"alpha": 0.3}, {"label": 1}]),
-    "loss": st.sampled_from([SoftmaxCrossEntropy(label_smoothing=0.1), MeanSquaredError()]),
+    "loss": st.sampled_from(
+        [SoftmaxCrossEntropy(label_smoothing=0.1), SoftmaxCrossEntropy(label_smoothing=0.2)]
+    ),
     "topology": st.sampled_from(
         ["ring", "hierarchical", "gossip", HierarchicalTopology(2), GossipTopology(3, 2)]
     ),
@@ -171,13 +173,13 @@ class TestRunKeys:
             lambda w: replace(w, num_workers=5),
             lambda w: replace(w, batch_size=8),
             lambda w: replace(w, name="other"),
-            lambda w: w.with_dtype("float32"),
-            lambda w: w.with_execution("batched"),
-            lambda w: w.with_fabric(topology="ring"),
-            lambda w: w.with_fabric(network="fl"),
-            lambda w: w.with_compression("topk"),
+            lambda w: replace(w, dtype="float32"),
+            lambda w: replace(w, execution="batched"),
+            lambda w: replace(w, topology="ring"),
+            lambda w: replace(w, network="fl"),
+            lambda w: replace(w, compression="topk"),
             lambda w: replace(w, partition_scheme="dirichlet", partition_kwargs={"alpha": 0.3}),
-            lambda w: w.with_timeline(dropout_rate=0.2),
+            lambda w: replace(w, dropout_rate=0.2),
             lambda w: replace(
                 w,
                 train_dataset=gaussian_blobs(
@@ -534,7 +536,7 @@ class TestRunStore:
 
     def test_manifest_is_well_formed(self, tmp_path):
         store = RunStore(tmp_path / "cache")
-        manifest = store.manifest()
+        manifest = json.loads(store.manifest_path.read_text(encoding="utf-8"))
         assert manifest["format"] == "repro.sweep-cache"
         assert manifest["code_version"] == CODE_VERSION
         assert manifest["runs_file"] == "runs.jsonl"

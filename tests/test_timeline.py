@@ -18,7 +18,6 @@ class TestConstruction:
     def test_defaults_are_unperturbed(self):
         timeline = Timeline(4)
         assert timeline.now == 0.0
-        assert not timeline.perturbed
         assert timeline.sample_participation() is None
         np.testing.assert_allclose(timeline.step_durations, 1.0)
 
@@ -78,10 +77,6 @@ class TestDropout:
             mask = timeline.sample_participation()
             assert mask is not None
             assert mask.any()
-
-    def test_perturbed_flag(self):
-        assert Timeline(2, dropout_rate=0.5).perturbed
-        assert not Timeline(2).perturbed
 
     def test_no_dropout_consumes_no_randomness(self):
         profile = StragglerProfile(jitter=0.3)

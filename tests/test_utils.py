@@ -1,18 +1,11 @@
-"""Tests for the utility helpers (RNG, validation, formatting, run log)."""
+"""Tests for the utility helpers (RNG, formatting, run log)."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.utils.formatting import format_bytes, format_count, format_duration
-from repro.utils.rng import RngFactory, as_rng, spawn_rngs
+from repro.utils.rng import RngFactory, as_rng
 from repro.utils.runlog import RunLogger
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_positive_int,
-    check_probability,
-)
 
 
 class TestRng:
@@ -24,16 +17,6 @@ class TestRng:
 
     def test_as_rng_deterministic(self):
         assert as_rng(5).integers(0, 100, 10).tolist() == as_rng(5).integers(0, 100, 10).tolist()
-
-    def test_spawn_rngs_independent_and_deterministic(self):
-        a = [g.integers(0, 1000) for g in spawn_rngs(1, 4)]
-        b = [g.integers(0, 1000) for g in spawn_rngs(1, 4)]
-        assert a == b
-        assert len(set(a)) > 1
-
-    def test_spawn_rngs_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
     def test_factory_named_streams_are_stable(self):
         factory = RngFactory(7)
@@ -51,32 +34,6 @@ class TestRng:
         assert factory.worker(0).integers(0, 10**9) != factory.worker(1).integers(0, 10**9)
         with pytest.raises(ValueError):
             factory.worker(-1)
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive(2.5, "x") == 2.5
-        with pytest.raises(ConfigurationError):
-            check_positive(0, "x")
-        with pytest.raises(ConfigurationError):
-            check_positive("3", "x")
-
-    def test_check_positive_int(self):
-        assert check_positive_int(3, "k") == 3
-        with pytest.raises(ConfigurationError):
-            check_positive_int(0, "k")
-        with pytest.raises(ConfigurationError):
-            check_positive_int(2.5, "k")
-        with pytest.raises(ConfigurationError):
-            check_positive_int(True, "k")
-
-    def test_check_fraction_and_probability(self):
-        assert check_fraction(0.5, "f") == 0.5
-        assert check_probability(1.0, "p") == 1.0
-        with pytest.raises(ConfigurationError):
-            check_fraction(1.5, "f")
-        with pytest.raises(ConfigurationError):
-            check_probability(-0.1, "p")
 
 
 class TestFormatting:
@@ -103,18 +60,12 @@ class TestFormatting:
 
 
 class TestRunLogger:
-    def test_log_and_series(self):
+    def test_log_appends_entries(self):
         logger = RunLogger("test")
         logger.log(step=1, accuracy=0.5)
         logger.log(step=2, accuracy=0.75)
         assert len(logger) == 2
-        assert logger.series("accuracy") == [0.5, 0.75]
-        assert logger.last("accuracy") == 0.75
-
-    def test_last_with_missing_key(self):
-        logger = RunLogger()
-        logger.log(step=1)
-        assert logger.last("accuracy", default=-1) == -1
+        assert [entry["accuracy"] for entry in logger.entries] == [0.5, 0.75]
 
     def test_keys_union(self):
         logger = RunLogger()
