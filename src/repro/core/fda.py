@@ -7,9 +7,10 @@ Each FDA step performs, on every worker in parallel:
    difference from the model shared at the last synchronization),
 3. construction of the variant-specific local state — one row
    ``[‖u‖² | payload]`` of the protocol's ``(K, s)`` state table,
-4. an AllReduce of the (small) local states — the mean of the table's rows,
-5. evaluation of the variance over-estimate ``H(S̄_t)``; if it exceeds the
-   threshold Θ the models are synchronized with a (large) AllReduce,
+4. an AllReduce of the (small) local states, skipped on a quiet step: one whose
+   rows all keep ‖u‖² inside Θ (Kamp et al.'s local condition) cannot sync,
+5. evaluation of the variance over-estimate ``H(S̄_t)`` on their mean; if it
+   exceeds Θ the models are synchronized with a (large) AllReduce,
    re-establishing the Round Invariant ``Var(w_t) ≤ Θ``.
 
 The trainer charges both collectives to the cluster's communication tracker
@@ -43,6 +44,8 @@ class FdaStepResult:
     parallel_steps: int
     virtual_time: float = 0.0
     active_workers: int = 0
+    #: The states were AllReduced (a quiet step's ``variance_estimate`` is its mean ‖u‖² bound).
+    exchanged: bool = False
 
 
 class FDAProtocol:
@@ -143,28 +146,33 @@ class FDATrainer(FDAProtocol):
         # the golden trajectories depend on neither the engine nor the mask.
         drifts = self.cluster.drift_matrix(
             self.cluster.shared_parameters, out=self._drift_scratch
-        )
-        fresh_states = self.monitor.local_states(drifts[fresh])
-        self.states[fresh] = fresh_states
-        self.reported[fresh] = True
-        # The estimate reads the rows that stepped and, under worker churn,
-        # the last report of every dead worker: it cannot report, and its
-        # stale drift only makes the over-estimate more conservative.  An
-        # alive slot that merely sat out (dropout, unbound) is skipped.
-        counted = fresh
+        )[fresh]
+        # Kamp et al.'s local condition: while every stepped row's ‖u‖² stays
+        # inside the ball no H can exceed Θ, so the step is quiet — no payload,
+        # no exchange, no estimate.  Churn keeps the exchange on every step.
         faults = self.cluster.faults
-        if faults is not None and faults.churn_active:
-            counted = stepped | (self.reported & ~faults.alive)
-        states = self.states[counted]
+        churn = faults is not None and faults.churn_active
+        norms = self.monitor.squared_norms(drifts)
+        bound = None if churn else self.monitor.quiet_bound(norms, self.threshold)
+        states = ()
+        if bound is None:
+            self.states[fresh] = self.monitor.local_states(drifts, norms)
+            self.reported[fresh] = True
+            # The estimate reads the rows that stepped and, under churn, the
+            # last report of every dead worker: it cannot report, and its
+            # stale drift only makes the over-estimate more conservative.  An
+            # alive slot that merely sat out (dropout, unbound) is skipped.
+            counted = stepped | (self.reported & ~faults.alive) if churn else fresh
+            states = self.states[counted]
         if len(states):
             # AllReduce of the local states (charged as small "fda-state"
             # traffic, routed through the fabric's topology and network).
             self.cluster.charge_allreduce(self.state_elements_per_step, CATEGORY_STATE)
             estimate = self.monitor.estimate(self.monitor.average(states))
         else:
-            # Nobody stepped, and no dead worker ever reported.  No state
-            # traffic, no sync decision this step.
-            estimate = self.last_estimate if self.last_estimate is not None else 0.0
+            # A quiet step reports its bound.  Without one, nobody stepped and
+            # no dead worker ever reported: no traffic, no sync decision.
+            estimate = bound if bound is not None else self.last_estimate or 0.0
         self.last_estimate = float(estimate)
 
         synchronized = len(states) > 0 and estimate > self.threshold
@@ -188,7 +196,8 @@ class FDATrainer(FDAProtocol):
             communication_bytes=int(self.cluster.total_bytes - bytes_before),
             parallel_steps=self.cluster.parallel_steps,
             virtual_time=float(self.cluster.virtual_time),
-            active_workers=len(fresh_states),
+            active_workers=len(drifts),
+            exchanged=len(states) > 0,
         )
 
     def run_steps(self, num_steps: int) -> List[FdaStepResult]:

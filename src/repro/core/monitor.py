@@ -41,7 +41,7 @@ class VarianceMonitor:
         """The row a worker transmits for its current drift ``u_t^{(k)}``."""
         return self.local_states(np.asarray(drift)[None])[0]
 
-    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
         """All workers' rows from the stacked ``(K, d)`` drift matrix, as a ``(K, s)`` table.
 
         The one place a monitor builds states; :meth:`local_state` is its
@@ -51,14 +51,38 @@ class VarianceMonitor:
         order-identical work is batched (e.g. one sparse product sketching
         every row) and each reduction stays per row (a per-row ``np.dot``,
         whose BLAS reduction order differs bitwise from an ``einsum`` over
-        the matrix).
+        the matrix).  ``norms``, if the caller holds them already, is
+        :meth:`squared_norms` of ``drifts``, so column 0 is reduced once.
         """
         raise NotImplementedError
 
-    def _new_states(self, drifts: np.ndarray) -> np.ndarray:
-        """A fresh ``(K, s)`` table holding each row's ‖u‖² (per-row, in the drift dtype)."""
+    norm_dtype = None  # the dtype a row's ‖u‖² is reduced in (None: the drift's own)
+
+    def squared_norms(self, drifts: np.ndarray) -> np.ndarray:
+        """Column 0 of :meth:`local_states` alone: each row's ‖u‖², one dot per row."""
+        rows = (np.asarray(drift, dtype=self.norm_dtype) for drift in drifts)
+        return np.array([np.dot(row, row) for row in rows], dtype=np.float64)
+
+    def quiet_bound(self, squared_norms: np.ndarray, threshold: float) -> Optional[float]:
+        """The mean ‖u‖² of a step that cannot sync, or ``None`` if it might.
+
+        Quiet means every one of the ``A`` rows has ‖u‖² ≤ Θ(1 − 4Au), u = 2⁻⁵³
+        (the guard is exact, its product rounds once).  So the largest norm
+        M ≤ Θ(1 − 4Au)(1 + u); a sum of A non-negative terms in any order and
+        its division round each term at most A times, so the column-0 mean
+        m ≤ M(1 + u)^A ≤ Θ(1 − 4Au)(1 + 2(A + 1)u) ≤ Θ.  Every monitor's H is
+        fl(m − p) with p ≥ 0, and rounding is monotone: H ≤ m ≤ Θ.  NaN and ∞
+        are never quiet.  The mean returned is :meth:`average`'s column 0.
+        """
+        guard = 1.0 - 4 * len(squared_norms) * (np.finfo(np.float64).eps / 2)
+        if not len(squared_norms) or not np.max(squared_norms) <= threshold * guard:
+            return None
+        return float(np.mean(squared_norms))
+
+    def _new_states(self, drifts: np.ndarray, norms: Optional[np.ndarray]) -> np.ndarray:
+        """A fresh ``(K, s)`` table holding each row's ‖u‖² (:meth:`squared_norms`)."""
         states = np.empty((len(drifts), self.state_num_elements(drifts.shape[1])))
-        states[:, 0] = [np.dot(drift, drift) for drift in drifts]
+        states[:, 0] = self.squared_norms(drifts) if norms is None else norms
         return states
 
     def average(self, states: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -136,7 +160,7 @@ class SketchMonitor(VarianceMonitor):
         """The ε used in the 1/(1+ε) correction of the H function."""
         return self.sketch_operator.epsilon
 
-    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
         """Rows ``[‖u‖² | sketch of u]`` with one batched sketch of the matrix.
 
         The sketch — the expensive part — is built for all rows at once
@@ -148,7 +172,7 @@ class SketchMonitor(VarianceMonitor):
         :mod:`repro.sketch.ams`).
         """
         drifts = np.asarray(drifts)
-        states = self._new_states(drifts)
+        states = self._new_states(drifts, norms)
         states[:, 1:] = self.sketch_operator.sketch_rows(drifts).reshape(states[:, 1:].shape)
         return states
 
@@ -196,14 +220,14 @@ class LinearMonitor(VarianceMonitor):
             return np.zeros(self.dimension)
         return vector / norm
 
-    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
         """Rows ``[‖u‖² | ⟨ξ, u⟩]``: two BLAS dot products per row.
 
         ξ stays float64 (reference-path analysis vector); the projection of a
         float32 drift promotes to float64 inside the dot reduction.
         """
         drifts = np.asarray(drifts)
-        states = self._new_states(drifts)
+        states = self._new_states(drifts, norms)
         states[:, 1] = [np.dot(self.direction, drift) for drift in drifts]
         return states
 
@@ -229,15 +253,16 @@ class ExactMonitor(VarianceMonitor):
     """Ablation monitor: transmits the full drift and computes the exact variance."""
 
     name = "exact"
+    norm_dtype = np.float64
 
-    def local_states(self, drifts: np.ndarray) -> np.ndarray:
+    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
         """Rows ``[‖u‖² | u]``, both parts in float64 whatever the plane's dtype.
 
         The norm is reduced over the same widened drift the payload carries,
         so a lone worker's estimate is exactly 0.
         """
         drifts = np.asarray(drifts, dtype=np.float64)
-        states = self._new_states(drifts)
+        states = self._new_states(drifts, norms)
         states[:, 1:] = drifts
         return states
 

@@ -44,7 +44,8 @@ PathLike = Union[str, Path]
 #: results cached under the old semantics can never be replayed as current.
 #: v6: an optimizer's canonical form carries its ``learning_rate`` where it
 #: carried a schedule object, and Local-SGD's spec carries ``tau`` as an int.
-CODE_VERSION = "sweep-cache-v6"
+#: v7: a lockstep FDA step whose rows all stay inside Θ sends no states.
+CODE_VERSION = "sweep-cache-v7"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).

@@ -76,9 +76,12 @@ def format_comparison(
 ) -> str:
     """One-line comparison: how much cheaper the candidate is than the baseline."""
     ratios = compare_strategies(results, candidate, baseline)
+    communication = f"{ratios['communication_ratio']:.1f}x less communication"
+    if not ratios["candidate_communication_bytes"]:
+        sent = format_bytes(ratios["baseline_communication_bytes"])
+        communication = f"{format_bytes(0)} vs {sent} of communication"
     return (
-        f"{candidate} vs {baseline}: "
-        f"{ratios['communication_ratio']:.1f}x less communication, "
+        f"{candidate} vs {baseline}: {communication}, "
         f"{ratios['computation_ratio']:.1f}x less computation "
         f"(reach rates: {ratios['candidate_reach_rate']:.0%} vs "
         f"{ratios['baseline_reach_rate']:.0%})"

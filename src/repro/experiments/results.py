@@ -106,8 +106,8 @@ def compare_strategies(
 ) -> Dict[str, float]:
     """Pairwise comparison: how much cheaper is ``candidate`` than ``baseline``?
 
-    Returns the communication and computation ratios ``baseline / candidate``
-    computed on the per-strategy medians (ratios > 1 mean the candidate wins).
+    The ``baseline / candidate`` ratios of the per-strategy medians (> 1: the
+    candidate wins), and both median byte counts: 0 B sent has no ratio.
     """
     table = ResultsTable(results)
     candidate_summary = table.summarize(candidate, reached_only)
@@ -123,6 +123,8 @@ def compare_strategies(
     return {
         "communication_ratio": float(communication_ratio),
         "computation_ratio": float(computation_ratio),
+        "candidate_communication_bytes": candidate_summary.median_communication_bytes,
+        "baseline_communication_bytes": baseline_summary.median_communication_bytes,
         "candidate_reach_rate": candidate_summary.reach_rate,
         "baseline_reach_rate": baseline_summary.reach_rate,
     }

@@ -77,11 +77,18 @@ class TestStepBehaviour:
         assert trainer.synchronization_count == 5
 
     def test_state_traffic_charged_every_step(self):
-        trainer = make_trainer(1e9, monitor=LinearMonitor(dimension=147, seed=0))
-        trainer.run_steps(4)
+        # Every step whose rows leave the ball (all of them at Θ = 0) charges
+        # one s-element AllReduce of states ...
+        trainer = make_trainer(0.0, monitor=LinearMonitor(dimension=147, seed=0))
+        assert all(r.exchanged for r in trainer.run_steps(4))
         tracker = trainer.cluster.tracker
         assert tracker.operations_for("fda-state") == 4
         assert tracker.bytes_for("fda-state") == 4 * 2 * 8 * 4  # steps * elems * bytes * K
+        # ... and a quiet step, every row inside Θ, charges nothing.
+        quiet = make_trainer(1e9, monitor=LinearMonitor(dimension=147, seed=0))
+        assert not any(r.exchanged for r in quiet.run_steps(4))
+        assert quiet.cluster.tracker.operations_for("fda-state") == 0
+        assert quiet.cluster.total_bytes == 0
 
     def test_sync_resets_variance_and_reference(self):
         trainer = make_trainer(0.0)
@@ -170,12 +177,14 @@ class RecordingSketchMonitor(SketchMonitor):
         self.rowwise = rowwise
         self.batches = []
 
-    def local_states(self, drifts):
+    def local_states(self, drifts, norms=None):
+        # The row-wise path reduces each norm itself; the batched one takes
+        # the column the trainer already reduced.
         if self.rowwise:
             rows = [SketchMonitor.local_states(self, drift[None]) for drift in drifts]
             states = np.concatenate(rows) if rows else SketchMonitor.local_states(self, drifts)
         else:
-            states = SketchMonitor.local_states(self, drifts)
+            states = SketchMonitor.local_states(self, drifts, norms)
         self.batches.append(states)
         return states
 
@@ -197,7 +206,12 @@ class TestBatchedStatesUnderMasksAndChurn:
                   3, 5, 4, 3, 4, 6, 7, 5, 5, 6],
     }
     GOLDEN_SYNC_STEPS = {"dropout": [3, 7, 12, 17, 23, 28], "crash": [4, 10, 13, 19, 23, 29]}
-    GOLDEN_TOTAL_BYTES = {"dropout": 165120, "crash": 212480}
+    #: Steps that exchanged states: churn keeps the exchange on every step;
+    #: under dropout alone the quiet steps send nothing.
+    GOLDEN_EXCHANGED = {
+        "dropout": [3, 6, 7, 11, 12, 16, 17, 22, 23, 27, 28], "crash": list(range(1, 31)),
+    }
+    GOLDEN_TOTAL_BYTES = {"dropout": 105536, "crash": 212480}
 
     def run(self, scenario, execution, rowwise):
         from helpers.parity import make_cluster
@@ -213,7 +227,9 @@ class TestBatchedStatesUnderMasksAndChurn:
         rowwise, rowwise_results = self.run(scenario, execution, rowwise=True)
 
         assert batched_results == rowwise_results  # estimates, decisions, bytes, clocks
-        assert len(batched.monitor.batches) == len(rowwise.monitor.batches) == 30
+        exchanged = [r.step for r in batched_results if r.exchanged]
+        assert exchanged == self.GOLDEN_EXCHANGED[scenario]
+        assert len(batched.monitor.batches) == len(rowwise.monitor.batches) == len(exchanged)
         for got, expected in zip(batched.monitor.batches, rowwise.monitor.batches):
             assert got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(
@@ -269,8 +285,8 @@ class AveragingSpy(SketchMonitor):
         super().__init__(*args, **kwargs)
         self.built, self.averaged = [], []
 
-    def local_states(self, drifts):
-        self.built.append(super().local_states(drifts))
+    def local_states(self, drifts, norms=None):
+        self.built.append(super().local_states(drifts, norms))
         return self.built[-1]
 
     def average(self, states, weights=None):

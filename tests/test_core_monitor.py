@@ -318,7 +318,8 @@ def test_only_exact_float32_cells_moved():
 )
 def test_a_state_table_is_its_rows(variant, num_workers, dimension, dtype, seed):
     """``local_states(D)`` is ``(K, state_num_elements(d))`` float64, row k
-    byte-equal to ``local_state(D[k])`` whatever the other rows are."""
+    byte-equal to ``local_state(D[k])`` whatever the other rows are, and to
+    the table built from the norm column ``squared_norms(D)`` handed in."""
     monitor = {
         "linear": lambda: LinearMonitor(dimension=dimension, seed=seed),
         "sketch": lambda: SketchMonitor(depth=3, width=8, seed=seed),
@@ -330,6 +331,8 @@ def test_a_state_table_is_its_rows(variant, num_workers, dimension, dtype, seed)
     assert states.shape == (num_workers, monitor.state_num_elements(dimension))
     for row, drift in zip(states, drifts):
         assert row.tobytes() == monitor.local_state(drift).tobytes()
+    handed = monitor.local_states(drifts, monitor.squared_norms(drifts))
+    assert handed.tobytes() == states.tobytes()
 
 
 class TestAverage:

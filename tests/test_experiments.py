@@ -167,6 +167,13 @@ class TestKdeAndReporting:
         )
         assert "100.0x" in text
 
+    def test_format_comparison_of_a_silent_candidate_prints_bytes_not_a_ratio(self):
+        text = format_comparison(
+            [fake_result("FDA", comm=0), fake_result("Sync", comm=10_000)], "FDA", "Sync"
+        )
+        assert text.startswith("FDA vs Sync: 0.00 B vs 10.00 KB of communication, ")
+        assert "x less communication" not in text
+
     def test_format_run_history(self):
         result = fake_result("FDA")
         result.history = RunLogger()

@@ -75,9 +75,15 @@ class TestSyncAsyncAccountingParity:
     def test_state_traffic_matches_per_report_across_modes(self):
         # A lockstep step AllReduces K reports at n·4·K bytes; an async upload
         # moves one report at n·4 bytes — identical cost per worker report, so
-        # the same number of reports charges the same fda-state total.
-        sync_trainer = FDATrainer(make_cluster(), ExactMonitor(), threshold=1e9)
-        sync_trainer.run_steps(5)
+        # the same number of reports charges the same fda-state total.  At
+        # Θ = 0 every lockstep step exchanges (K reports each); inside a large
+        # Θ every lockstep step is quiet and reports nothing, while the served
+        # coordinator, which has no quiet rule, still uploads every report.
+        sync_trainer = FDATrainer(make_cluster(), ExactMonitor(), threshold=0.0)
+        assert all(r.exchanged for r in sync_trainer.run_steps(5))
+        quiet_trainer = FDATrainer(make_cluster(), ExactMonitor(), threshold=1e9)
+        assert not any(r.exchanged for r in quiet_trainer.run_steps(5))
+        assert quiet_trainer.cluster.tracker.bytes_for("fda-state") == 0
         async_trainer = ServedFDATrainer(
             make_cluster(), ExactMonitor(), 1e9, CLOSED, seed=0
         )

@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers.ungated import UngatedFDATrainer
 from repro.core.fda import FDATrainer
 from repro.core.monitor import make_monitor
 from repro.data.datasets import Dataset
@@ -43,7 +44,9 @@ def make_optimizer(kind):
     raise ValueError(kind)
 
 
-def build_trainer(variant, optimizer_kind, num_workers=4, **cluster_kwargs):
+def build_trainer(
+    variant, optimizer_kind, num_workers=4, trainer_class=FDATrainer, **cluster_kwargs
+):
     rng = np.random.default_rng(7)
     workers = []
     for worker_id in range(num_workers):
@@ -62,7 +65,7 @@ def build_trainer(variant, optimizer_kind, num_workers=4, **cluster_kwargs):
         )
     cluster = SimulatedCluster(workers, **cluster_kwargs)
     monitor = make_monitor(variant, cluster.model_dimension, seed=3)
-    return FDATrainer(cluster, monitor, threshold=0.5)
+    return trainer_class(cluster, monitor, threshold=0.5)
 
 
 #: What the ``Worker(inplace=False)`` copy-path trainer produced at the last
@@ -71,6 +74,12 @@ def build_trainer(variant, optimizer_kind, num_workers=4, **cluster_kwargs):
 #: exact × sgd cell.  Every worker's parameters as a sha256 of
 #: ``parameter_matrix.tobytes()``, the ``repr`` digits of every per-step
 #: variance estimate, the 1-based synchronizing steps, and the byte ledger.
+#: Recorded when every step exchanged states, ``estimates`` is the exchange's
+#: ``H`` at every step (what the ungated oracle still computes, and what the
+#: gated trainer reports on the steps it exchanges) and ``ungated_total_bytes``
+#: its ledger.  ``quiet_steps``, ``bounds`` (the mean ‖u‖² a quiet step
+#: reports) and ``total_bytes`` were recorded when quiet steps stopped sending
+#: their states; parameters and sync steps did not move.
 GOLDEN = {
     "sketch-sgd-nesterov": {
         "parameters_sha256": (
@@ -104,7 +113,26 @@ GOLDEN = {
             "0.05887074195604734",
         ],
         "sync_steps": [9, 16, 23],
-        "total_bytes": 1010688,
+        "quiet_steps": [1, 2, 3, 4, 10, 11, 12, 13, 17, 18, 19, 20, 21, 24, 25],
+        "bounds": [
+            "0.014721908778361482",
+            "0.05669635392237034",
+            "0.1506587837807318",
+            "0.2789829777808266",
+            "0.02654196241744156",
+            "0.09545353180322211",
+            "0.18963803200306512",
+            "0.32127871510779515",
+            "0.01968911664990485",
+            "0.06862627182976677",
+            "0.14119271503143083",
+            "0.24772038343227365",
+            "0.3901032963329829",
+            "0.018561734573195772",
+            "0.06840646536551553",
+        ],
+        "total_bytes": 410208,
+        "ungated_total_bytes": 1010688,
         "sync_count": 3,
     },
     "sketch-adam": {
@@ -139,7 +167,25 @@ GOLDEN = {
             "0.0009241240204833415",
         ],
         "sync_steps": [24],
-        "total_bytes": 1004096,
+        "quiet_steps": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 25],
+        "bounds": [
+            "0.010299818148469843",
+            "0.027524379719793823",
+            "0.05035977643555342",
+            "0.07741755608718721",
+            "0.1086806792915237",
+            "0.14142045825374228",
+            "0.17806769325831495",
+            "0.2172227687375512",
+            "0.25817375396631864",
+            "0.30353238868584215",
+            "0.35115276150674096",
+            "0.4008129062401996",
+            "0.4522906272648497",
+            "0.0014444145606546635",
+        ],
+        "total_bytes": 443648,
+        "ungated_total_bytes": 1004096,
         "sync_count": 1,
     },
     "linear-sgd-nesterov": {
@@ -174,7 +220,30 @@ GOLDEN = {
             "0.01707212480901158",
         ],
         "sync_steps": [6, 12, 18, 24],
-        "total_bytes": 14784,
+        "quiet_steps": [1, 2, 3, 4, 7, 8, 9, 10, 13, 14, 15, 16, 17, 19, 20, 21, 22, 23, 25],
+        "bounds": [
+            "0.014721908778361482",
+            "0.05669635392237034",
+            "0.1506587837807318",
+            "0.2789829777808266",
+            "0.027006107388870087",
+            "0.09597967077579517",
+            "0.20028672514552864",
+            "0.35283973092459575",
+            "0.023045175987464174",
+            "0.08103708574741249",
+            "0.17804720210729683",
+            "0.29804087001346224",
+            "0.43803668197412715",
+            "0.017287042291618496",
+            "0.06999209079844723",
+            "0.16482853703733114",
+            "0.2859759677250059",
+            "0.4447251901479257",
+            "0.018575233616957416",
+        ],
+        "total_bytes": 13568,
+        "ungated_total_bytes": 14784,
         "sync_count": 4,
     },
     "linear-adam": {
@@ -209,7 +278,35 @@ GOLDEN = {
             "0.12906497114278953",
         ],
         "sync_steps": [14],
-        "total_bytes": 4896,
+        "quiet_steps": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25],
+        "bounds": [
+            "0.010299818148469843",
+            "0.027524379719793823",
+            "0.05035977643555342",
+            "0.07741755608718721",
+            "0.1086806792915237",
+            "0.14142045825374228",
+            "0.17806769325831495",
+            "0.2172227687375512",
+            "0.25817375396631864",
+            "0.30353238868584215",
+            "0.35115276150674096",
+            "0.4008129062401996",
+            "0.4522906272648497",
+            "0.002186804575947414",
+            "0.008766959862064456",
+            "0.019261254742663887",
+            "0.03304013561489029",
+            "0.049681443600579286",
+            "0.0684672626290693",
+            "0.09024694202305303",
+            "0.1152810885224346",
+            "0.14243923942494777",
+            "0.1719883246911351",
+            "0.20380698558434596",
+        ],
+        "total_bytes": 3360,
+        "ungated_total_bytes": 4896,
         "sync_count": 1,
     },
     "exact-sgd": {
@@ -234,7 +331,26 @@ GOLDEN = {
             "0.0708055020166248",
         ],
         "sync_steps": [],
-        "total_bytes": 49920,
+        "quiet_steps": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        "bounds": [
+            "0.0040712590354529165",
+            "0.01088487744852623",
+            "0.023405097689840722",
+            "0.033600992539895944",
+            "0.045298357700413724",
+            "0.06073435411184986",
+            "0.07446914802046876",
+            "0.08727976596722485",
+            "0.10124661980716598",
+            "0.1267470314791582",
+            "0.1434121541235304",
+            "0.15993324684222354",
+            "0.1836969240854575",
+            "0.20089626971203817",
+            "0.23515926479855592",
+        ],
+        "total_bytes": 0,
+        "ungated_total_bytes": 49920,
         "sync_count": 0,
     },
 }
@@ -249,12 +365,24 @@ def assert_matches_golden(variant, optimizer_kind, steps):
         hashlib.sha256(trainer.cluster.parameter_matrix.tobytes()).hexdigest()
         == golden["parameters_sha256"]
     )
-    # Bit-identical variance estimates at every step.
-    assert [repr(r.variance_estimate) for r in results] == golden["estimates"]
+    # Bit-identical variance estimates at every step: H where the step
+    # exchanged, the mean ‖u‖² bound where it was quiet.
+    quiet = [r.step for r in results if not r.exchanged]
+    assert quiet == golden["quiet_steps"]
+    assert [repr(r.variance_estimate) for r in results if r.exchanged] == [
+        estimate for step, estimate in enumerate(golden["estimates"], 1) if step not in quiet
+    ]
+    assert [repr(r.variance_estimate) for r in results if not r.exchanged] == golden["bounds"]
     # Identical protocol decisions and byte accounting.
     assert [r.step for r in results if r.synchronized] == golden["sync_steps"]
     assert trainer.cluster.total_bytes == golden["total_bytes"]
     assert trainer.synchronization_count == golden["sync_count"]
+    # The ungated oracle still computes H at every step, on the same path.
+    oracle = build_trainer(variant, optimizer_kind, trainer_class=UngatedFDATrainer)
+    expected = oracle.run_steps(steps)
+    assert [repr(r.variance_estimate) for r in expected] == golden["estimates"]
+    assert oracle.cluster.total_bytes == golden["ungated_total_bytes"]
+    assert oracle.cluster.parameter_matrix.tobytes() == trainer.cluster.parameter_matrix.tobytes()
 
 
 class TestGoldenTrajectory:
@@ -285,7 +413,10 @@ class TestGoldenMaskedTrajectory:
                      5, 6, 5, 5, 3, 4, 5, 3, 4, 4]
     #: 1-based steps whose variance estimate exceeded Θ=0.5.
     GOLDEN_SYNC_STEPS = [12, 22]
-    GOLDEN_TOTAL_BYTES = 20640
+    #: 1-based steps that exchanged states (the others were quiet and sent
+    #: nothing).
+    GOLDEN_EXCHANGED_STEPS = [9, 10, 11, 12, 20, 21, 22, 30]
+    GOLDEN_TOTAL_BYTES = 18528
     GOLDEN_STEPS_PERFORMED = [23, 24, 22, 25, 25, 22]
     GOLDEN_FIRST_LOSS = 1.2080946490946594
     GOLDEN_LAST_ESTIMATE = 0.32483190113175
@@ -309,6 +440,7 @@ class TestGoldenMaskedTrajectory:
         results = trainer.run_steps(30)
         assert [r.active_workers for r in results] == self.GOLDEN_ACTIVE
         assert [r.step for r in results if r.synchronized] == self.GOLDEN_SYNC_STEPS
+        assert [r.step for r in results if r.exchanged] == self.GOLDEN_EXCHANGED_STEPS
         assert cluster.total_bytes == self.GOLDEN_TOTAL_BYTES
         assert [w.steps_performed for w in cluster.workers] == self.GOLDEN_STEPS_PERFORMED
         np.testing.assert_allclose(
@@ -344,23 +476,31 @@ class TestFabricDefaultEquivalence:
             r.communication_bytes for r in explicit_results
         ]
 
+    @pytest.mark.parametrize("threshold", [0.5, 0.02])
     @pytest.mark.parametrize("variant", ["sketch", "linear", "exact"])
-    def test_default_byte_counts_match_the_seed_closed_form(self, variant):
+    def test_default_byte_counts_match_the_seed_closed_form(self, variant, threshold):
         steps = 20
-        trainer = build_trainer(variant, "sgd")
-        trainer.run_steps(steps)
-        cluster = trainer.cluster
-        d, K = cluster.model_dimension, cluster.num_workers
-        # Pre-refactor accounting: one state AllReduce per step plus one
-        # full-model AllReduce per triggered synchronization (the mlp has no
-        # buffers, so each sync is exactly one collective), priced at the
-        # float64 plane's 8 B/element by the itemsize-accurate default model.
-        state_elements = trainer.state_elements_per_step
-        expected_state = steps * state_elements * 8 * K
-        expected_model = trainer.synchronization_count * d * 8 * K
-        assert cluster.tracker.bytes_for("fda-state") == expected_state
-        assert cluster.tracker.bytes_for("model-sync") == expected_model
-        assert cluster.total_bytes == expected_state + expected_model
+        for trainer_class in (FDATrainer, UngatedFDATrainer):
+            trainer = build_trainer(variant, "sgd", trainer_class=trainer_class)
+            trainer.threshold = threshold
+            results = trainer.run_steps(steps)
+            cluster = trainer.cluster
+            d, K = cluster.model_dimension, cluster.num_workers
+            # Pre-refactor accounting: one state AllReduce per exchanging
+            # step — every step without the gate, none on a quiet step —
+            # plus one full-model AllReduce per triggered synchronization (the
+            # mlp has no buffers, so each sync is exactly one collective),
+            # priced at the float64 plane's 8 B/element by the
+            # itemsize-accurate default model.
+            exchanged = sum(r.exchanged for r in results)
+            if trainer_class is UngatedFDATrainer:
+                assert exchanged == steps
+            state_elements = trainer.state_elements_per_step
+            expected_state = exchanged * state_elements * 8 * K
+            expected_model = trainer.synchronization_count * d * 8 * K
+            assert cluster.tracker.bytes_for("fda-state") == expected_state
+            assert cluster.tracker.bytes_for("model-sync") == expected_model
+            assert cluster.total_bytes == expected_state + expected_model
 
     def test_default_timeline_is_a_pure_observer(self):
         # The clock ticks, but consumes no randomness and charges no traffic.
@@ -457,8 +597,10 @@ class TestGoldenPopulationTrajectory:
     """
 
     GOLDEN_SYNC_ROUNDS = [1, 29]
-    GOLDEN_TOTAL_BYTES = 55040
-    GOLDEN_STATE_BYTES = 7680    # 30 rounds × 16 workers × 2 els × 8 B
+    #: Round 24 is quiet (every row inside Θ), so it sends no states.
+    GOLDEN_QUIET_ROUNDS = [24]
+    GOLDEN_TOTAL_BYTES = 54784
+    GOLDEN_STATE_BYTES = 7424    # 29 exchanging rounds × 16 workers × 2 els × 8 B
     GOLDEN_MODEL_BYTES = 47360   # 2 weighted syncs × 16 workers × d × 8 B
     #: 480 cohort slots drew 479 distinct clients (one repeat → steps == 2).
     GOLDEN_STATEFUL_CLIENTS = 479
@@ -490,12 +632,20 @@ class TestGoldenPopulationTrajectory:
         strategy = FDAStrategy(threshold=0.01).attach(cluster)
         population = ClientPopulation(config, train_dataset=train, seed=2026)
         population.attach(cluster, strategy)
+        fda_results, fda_step = [], strategy.trainer.step
 
+        def recorded_step():
+            fda_results.append(fda_step())
+            return fda_results[-1]
+
+        strategy.trainer.step = recorded_step
         results = [population.run_round() for _ in range(30)]
 
         assert [
             i + 1 for i, r in enumerate(results) if r.synchronized
         ] == self.GOLDEN_SYNC_ROUNDS
+        assert [r.step for r in fda_results if not r.exchanged] == self.GOLDEN_QUIET_ROUNDS
+        assert cluster.tracker.operations_for("fda-state") == 30 - len(self.GOLDEN_QUIET_ROUNDS)
         assert cluster.tracker.bytes_for("fda-state") == self.GOLDEN_STATE_BYTES
         assert cluster.tracker.bytes_for("model-sync") == self.GOLDEN_MODEL_BYTES
         assert cluster.total_bytes == self.GOLDEN_TOTAL_BYTES

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 import repro.strategies
 from repro.compression import CompressionConfig
-from repro.core.monitor import make_monitor
+from repro.core.fda import FDATrainer
+from repro.core.monitor import SketchMonitor, make_monitor
 from repro.core.theta import DynamicThetaController
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import ConfigurationError
@@ -67,23 +68,27 @@ def digits(result):
 
 
 # -- recorded at dc748c1 from the retired helpers ---------------------------------
+#
+# The FDA literals' state bytes, communication bytes and virtual seconds were
+# re-recorded when quiet steps stopped sending their states; model bytes,
+# steps, syncs and accuracies did not move.
 
 #: ``sweep_theta(blobs, [0.5, 5.0], RUN)`` (LinearFDA).
 FROZEN_THETA = [
-    (7776, 6240, 1536, 24, 1, "24.0", "0.9666666666666667"),
-    (1536, 0, 1536, 24, 0, "24.0", "0.9666666666666667"),
+    (6944, 6240, 704, 24, 1, "24.0", "0.9666666666666667"),
+    (0, 0, 0, 24, 0, "24.0", "0.9666666666666667"),
 ]
 #: ``sweep_workers(blobs, [2, 3], RUN, LinearFDA Θ=2)``.
 FROZEN_WORKERS = [
-    (3888, 3120, 768, 24, 1, "24.0", "0.96"),
-    (5832, 4680, 1152, 24, 1, "24.0", "0.9733333333333334"),
+    (3152, 3120, 32, 24, 1, "24.0", "0.96"),
+    (4728, 4680, 48, 24, 1, "24.0", "0.9733333333333334"),
 ]
 #: ``sweep_fabric(blobs, RUN, LinearFDA Θ=2, ("star", "ring"), ("fl", "hpc"))``.
 FROZEN_FABRIC = [
-    (7776, 6240, 1536, 24, 1, "26.500062208000006", "0.9666666666666667"),
-    (7776, 6240, 1536, 24, 1, "24.00500055542858", "0.9666666666666667"),
-    (11664, 9360, 2304, 24, 1, "31.500046656000013", "0.9666666666666667"),
-    (11664, 9360, 2304, 24, 1, "24.015000416571414", "0.9666666666666667"),
+    (6304, 6240, 64, 24, 1, "24.200050431999998", "0.9666666666666667"),
+    (6304, 6240, 64, 24, 1, "24.000400450285717", "0.9666666666666667"),
+    (9456, 9360, 96, 24, 1, "24.600037824", "0.9666666666666667"),
+    (9456, 9360, 96, 24, 1, "24.001200337714288", "0.9666666666666667"),
 ]
 #: ``sweep_compression(blobs, RUN, Synchronous, COMPRESSIONS)``: the point's
 #: ``compression`` attribute (the cluster's label), then the digits.
@@ -99,21 +104,21 @@ FROZEN_COMPRESSION = [
 RUN_TABLE_FABRICS = (("star", "fl"), ("ring", "hpc"))
 FROZEN_RUN_TABLE = [
     ("starxfl-K2-rep0", {"topology": "star", "network": "fl", "num_workers": 2, "repetition": 0}, 0,
-     3888, 3120, 768, 24, 1, "26.500062208000006", "0.96"),
+     3152, 3120, 32, 24, 1, "24.200050432", "0.96"),
     ("starxfl-K2-rep1", {"topology": "star", "network": "fl", "num_workers": 2, "repetition": 1}, 1,
-     3888, 3120, 768, 24, 1, "26.500062208000006", "0.98"),
+     3184, 3120, 64, 24, 1, "24.300050944000002", "0.98"),
     ("starxfl-K3-rep0", {"topology": "star", "network": "fl", "num_workers": 3, "repetition": 0}, 0,
-     5832, 4680, 1152, 24, 1, "26.500062208000006", "0.9733333333333334"),
+     4728, 4680, 48, 24, 1, "24.200050431999998", "0.9733333333333334"),
     ("starxfl-K3-rep1", {"topology": "star", "network": "fl", "num_workers": 3, "repetition": 1}, 1,
-     5832, 4680, 1152, 24, 1, "26.500062208000006", "0.98"),
+     4776, 4680, 96, 24, 1, "24.300050944000002", "0.98"),
     ("ringxhpc-K2-rep0", {"topology": "ring", "network": "hpc", "num_workers": 2, "repetition": 0}, 0,
-     3888, 3120, 768, 24, 1, "24.0050002777143", "0.96"),
+     3152, 3120, 32, 24, 1, "24.000400225142858", "0.96"),
     ("ringxhpc-K2-rep1", {"topology": "ring", "network": "hpc", "num_workers": 2, "repetition": 1}, 1,
-     3888, 3120, 768, 24, 1, "24.0050002777143", "0.98"),
+     3184, 3120, 64, 24, 1, "24.000600227428574", "0.98"),
     ("ringxhpc-K3-rep0", {"topology": "ring", "network": "hpc", "num_workers": 3, "repetition": 0}, 0,
-     7776, 6240, 1536, 24, 1, "24.010000370285727", "0.9733333333333334"),
+     6304, 6240, 64, 24, 1, "24.000800300190477", "0.9733333333333334"),
     ("ringxhpc-K3-rep1", {"topology": "ring", "network": "hpc", "num_workers": 3, "repetition": 1}, 1,
-     7776, 6240, 1536, 24, 1, "24.010000370285727", "0.98"),
+     6368, 6240, 128, 24, 1, "24.001200303238097", "0.98"),
 ]
 
 
@@ -434,20 +439,43 @@ class TestLowerSpec:
             cell.tags for cell in by_grid["workers"] + by_grid["comparison"]
         ]
 
-    def test_sketch_geometry_is_the_registrys_on_every_grid(self):
+    def test_sketch_geometry_is_the_registrys_on_every_grid(self, monkeypatch):
         # Drift (i): the Θ half of Figures 8–11/13 once built SketchFDA at the
         # library default 5 x 250 while the K half and the comparison used the
-        # registry's 5 x 64 — one label, two state sizes.
+        # registry's 5 x 64 — one label, two state sizes.  A quiet step sends
+        # no state (every step of these short runs is quiet), so the row width
+        # of every SketchFDA step is recorded as it happens, and the ledger
+        # holds exactly the exchanged ones.
+        steps, step = [], FDATrainer.step
+
+        def recorded_step(trainer):
+            result = step(trainer)
+            if isinstance(trainer.monitor, SketchMonitor):
+                steps.append(
+                    (trainer.cluster.num_workers, trainer.state_elements_per_step, result.exchanged)
+                )
+            return result
+
+        monkeypatch.setattr(FDATrainer, "step", recorded_step)
         spec = _short(registry.figure8(quick=True))
         points = select(run_grid(lower_spec(spec)), strategy="SketchFDA")
         assert {point.tags["grid"] for point in points} == {"comparison", "theta", "workers"}
         itemsize = np.dtype("float64").itemsize
-        expected = (registry.REGISTRY_SKETCH_DEPTH * registry.REGISTRY_SKETCH_WIDTH + 1) * itemsize
+        elements = registry.REGISTRY_SKETCH_DEPTH * registry.REGISTRY_SKETCH_WIDTH + 1
+        assert len(steps) == sum(point.result.parallel_steps for point in points)
+        assert {width for _, width, _ in steps} == {elements}
+        assert {workers for workers, _, _ in steps} == {
+            point.tags.get("num_workers", 4) for point in points
+        }
         for point in points:
             workers = point.tags.get("num_workers", 4)
             result = point.result
             assert result.strategy == "SketchFDA"
-            assert result.state_bytes / (result.parallel_steps * workers) == expected, point.tags
+            exchanged, rest = divmod(result.state_bytes, workers * elements * itemsize)
+            assert rest == 0 and exchanged <= result.parallel_steps, point.tags
+        assert sum(point.result.state_bytes for point in points) == sum(
+            workers * width * itemsize for workers, width, exchanged in steps if exchanged
+        )
 
     def test_theta_grid_rebinds_the_specs_own_entries(self):
         spec = registry.figure13(quick=True)

@@ -100,10 +100,19 @@ class TestThetaTradeoff:
 class TestStateVsModelTraffic:
     def test_fda_traffic_is_dominated_by_states_not_syncs(self, blobs_workload):
         result = run_strategy(blobs_workload, FDAStrategy(threshold=50.0, variant="linear"))
-        # With a large Theta almost no syncs happen, so state traffic dominates
-        # and the absolute total stays tiny.
-        assert result.state_bytes > 0
-        assert result.model_bytes <= result.communication_bytes
+        # With a large Theta no sync happens, so states were all the traffic
+        # left — and with every drift inside the ball each step is quiet, so
+        # not even the states are sent.
+        assert result.synchronizations == 0
+        assert result.state_bytes == result.model_bytes == result.communication_bytes == 0
+        # At a Theta some drifts leave, the states of those steps are sent:
+        # a whole number of K-row AllReduces of [‖u‖², ⟨ξ, u⟩], fewer than
+        # one per step, beside the one triggered sync.
+        result = run_strategy(blobs_workload, FDAStrategy(threshold=0.5, variant="linear"))
+        per_exchange = blobs_workload.num_workers * 2 * 8
+        exchanged, rest = divmod(result.state_bytes, per_exchange)
+        assert rest == 0 and 0 < exchanged < result.parallel_steps
+        assert result.state_bytes + result.model_bytes == result.communication_bytes
         assert result.communication_bytes < 200_000
 
     def test_synchronous_traffic_is_all_model_traffic(self, blobs_workload):

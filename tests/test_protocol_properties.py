@@ -65,10 +65,14 @@ class TestAccountingInvariants:
         cluster = build_small_cluster(num_workers, seed)
         monitor = make_monitor(variant, cluster.model_dimension, sketch_depth=3, sketch_width=16)
         trainer = FDATrainer(cluster, monitor, theta)
-        trainer.run_steps(6)
+        results = trainer.run_steps(6)
         tracker = cluster.tracker
         assert tracker.total_bytes == sum(tracker.bytes_by_category.values())
-        assert tracker.bytes_for("fda-state") > 0
+        # One s-element AllReduce per exchanging step, nothing for a quiet one.
+        exchanged = sum(r.exchanged for r in results)
+        assert tracker.bytes_for("fda-state") == (
+            exchanged * trainer.state_elements_per_step * 8 * num_workers
+        )
         assert tracker.bytes_for("model-sync") >= 0
 
     @SETTINGS
@@ -79,10 +83,16 @@ class TestAccountingInvariants:
     def test_state_traffic_linear_in_steps(self, num_steps, num_workers):
         cluster = build_small_cluster(num_workers, seed=1)
         monitor = make_monitor("linear", cluster.model_dimension)
-        trainer = FDATrainer(cluster, monitor, threshold=1e9)
-        trainer.run_steps(num_steps)
+        trainer = FDATrainer(cluster, monitor, threshold=0.0)
+        results = trainer.run_steps(num_steps)
+        # At Θ = 0 every drift leaves the ball, so every step exchanges.
+        assert all(r.exchanged for r in results)
         expected = num_steps * 2 * 8 * num_workers  # steps * elements * bytes * K
         assert cluster.tracker.bytes_for("fda-state") == expected
+        # Inside a ball no drift leaves, every step is quiet and sends nothing.
+        quiet = FDATrainer(build_small_cluster(num_workers, seed=1), monitor, threshold=1e9)
+        assert not any(r.exchanged for r in quiet.run_steps(num_steps))
+        assert quiet.cluster.tracker.bytes_for("fda-state") == 0
 
     @SETTINGS
     @given(

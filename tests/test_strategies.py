@@ -131,13 +131,21 @@ class TestFDAStrategy:
         with pytest.raises(ConfigurationError):
             FDAStrategy(threshold=1.0).trainer
 
-    def test_rounds_charge_state_traffic(self, cluster_and_test):
+    def test_rounds_charge_state_traffic(self, cluster_and_test, blobs_workload):
         cluster, _ = cluster_and_test
         strategy = FDAStrategy(threshold=1e9, variant="linear").attach(cluster)
         for _ in range(5):
             strategy.run_round()
-        assert cluster.tracker.operations_for(CATEGORY_STATE) == 5
+        # Every round's rows stay inside Θ: five quiet rounds, no state sent.
+        assert cluster.tracker.operations_for(CATEGORY_STATE) == 0
         assert strategy.synchronization_count == 0
+        # Rows outside Θ = 0: every round exchanges its states (and syncs).
+        cluster, _ = build_cluster(blobs_workload)
+        strategy = FDAStrategy(threshold=0.0, variant="linear").attach(cluster)
+        for _ in range(5):
+            strategy.run_round()
+        assert cluster.tracker.operations_for(CATEGORY_STATE) == 5
+        assert cluster.tracker.bytes_for(CATEGORY_STATE) == 5 * 2 * 8 * cluster.num_workers
 
     def test_zero_threshold_behaves_like_synchronous(self, cluster_and_test):
         cluster, _ = cluster_and_test
