@@ -3,24 +3,28 @@
 Three generations of the same question — how fast can the simulator advance
 one cluster step? — plus the cost of shrinking what each step transmits:
 
-**Batched engine vs sequential in-place path** (``test_bench_hotpath_batched``,
-the PR-3 headline).  ``execution="batched"`` advances all K workers through
-one stacked forward/backward (``(K, B, in) @ (K, in, out)`` GEMMs over views
-of the cluster's ``(K, d)`` matrices) and one ``(K, d)`` optimizer update,
-replacing K Python-level per-worker passes.  The grid times full training
-steps — sampling, forward, loss, backward, optimizer — via ``cluster.step_all``
-on both engines.  The d≈1e5 model is a deep-narrow MLP (260 hidden layers of
-width 19): like the paper's DenseNet-class models, depth dominates width, and
-that is exactly the regime where per-layer Python dispatch crushes the
-sequential path at large K.  Acceptance bar: ≥4× steps/sec at K=32, d≈1e5.
+**The engine vs the per-worker loop** (``test_bench_hotpath_batched``, the
+PR-3 headline).  The engine advances all K workers through one stacked
+forward/backward (``(K, B, in) @ (K, in, out)`` GEMMs over views of the
+cluster's ``(K, d)`` matrices) and one ``(K, d)`` optimizer update, replacing
+K Python-level per-worker passes — which live on as the test oracle
+(``tests/helpers/per_worker.py``), the slow side of this comparison.  The
+grid times full training steps — sampling, forward, loss, backward,
+optimizer — via ``cluster.step_all`` on both sides.  The d≈1e5 model is a
+deep-narrow MLP (260 hidden layers of width 19): like the paper's
+DenseNet-class models, depth dominates width, and that is exactly the regime
+where per-layer Python dispatch crushes a per-worker loop at large K.
+Acceptance bar: ≥4× steps/sec at K=32, d≈1e5.
 
 **Parameter plane vs seed data flow** (``test_bench_hotpath_speedup``, the
 PR-1 baseline, kept as a regression canary).  Drives the update/drift/sync
 plumbing with backprop excluded, comparing the in-place plane against the
 seed's gather → step → scatter *data flow*.  The optimizer arithmetic is the
-same row rule on both sides (``Optimizer.step`` is a copy wrapper around
-``step_inplace``); what is measured is the per-layer gather/scatter and the
-per-worker drift/sync loops the plane removed.  Bar: ≥2× at d≈1e5.
+same row rule on both sides: the plane steps each worker's row in place
+through the cluster's stack, the seed gathers the row, steps it through a
+private one-row stack and scatters it back; what is measured is the
+per-layer gather/scatter and the per-worker drift/sync loops the plane
+removed.  Bar: ≥2× at d≈1e5.
 
 **Compressed synchronization on the batched engine**
 (``test_bench_hotpath_compressed_sync``, the ISSUE-5 cell).  A
@@ -69,6 +73,7 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
 from repro.nn.architectures import mlp
 from repro.optim.sgd import SGD
+from tests.helpers.per_worker import on_side, solo_step, train_batch
 
 SMALL = os.environ.get("REPRO_BENCH_SMALL", "0") == "1"
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
@@ -87,7 +92,7 @@ BATCHED_MODEL_CONFIGS = {10_000: (50, 30, 9, 33), 100_000: (40, 19, 260, 33)}
 def build_cluster(
     num_workers: int,
     dimension_key: int,
-    execution: str = "sequential",
+    side: str = "batched",
     configs=MODEL_CONFIGS,
     dropout_rate: float = 0.0,
     compression=None,
@@ -116,16 +121,16 @@ def build_cluster(
         if dropout_rate
         else None
     )
-    return SimulatedCluster(
-        workers, execution=execution, timeline=timeline, compression=compression,
-        dtype=dtype,
+    cluster = SimulatedCluster(
+        workers, timeline=timeline, compression=compression, dtype=dtype
     )
+    return on_side(side, cluster)
 
 
 def prime_gradients(cluster: SimulatedCluster) -> None:
     """One real backward pass so the gradient planes hold live values."""
     for worker in cluster.workers:
-        worker.model.train_batch(*worker._sampler.sample())
+        train_batch(worker.model, *worker._sampler.sample())
 
 
 def best_of(repeats: int, fn) -> float:
@@ -142,20 +147,20 @@ def best_of(repeats: int, fn) -> float:
 
 
 def measure_engine_rates(num_workers: int, dimension_key: int, dropout_rate: float = 0.0):
-    """One grid cell: ``(sequential steps/s, batched steps/s, d)`` from
-    full-training-step timings of both engines.
+    """One grid cell: ``(per-worker steps/s, batched steps/s, d)`` from
+    full-training-step timings of the per-worker loop and the engine.
 
     With ``dropout_rate`` both clusters carry the *same* dropout timeline
-    seed and consume their mask streams at the same call indices, so the
-    engines step identical worker subsets — the ratio is pure execution
+    seed and consume their mask streams at the same call indices, so both
+    sides step identical worker subsets — the ratio is pure execution
     speed, not luck of the draw.
     """
     steps = 6 if SMALL else 12
     rates = {}
     dimension = 0
-    for execution in ("sequential", "batched"):
+    for side in ("per-worker", "batched"):
         cluster = build_cluster(
-            num_workers, dimension_key, execution=execution,
+            num_workers, dimension_key, side=side,
             configs=BATCHED_MODEL_CONFIGS, dropout_rate=dropout_rate,
         )
         dimension = cluster.model_dimension
@@ -167,8 +172,8 @@ def measure_engine_rates(num_workers: int, dimension_key: int, dropout_rate: flo
 
         run_steps()  # warmup: allocate optimizer/masked-scratch state
         elapsed = best_of(3, run_steps)
-        rates[execution] = steps / elapsed
-    return rates["sequential"], rates["batched"], dimension
+        rates[side] = steps / elapsed
+    return rates["per-worker"], rates["batched"], dimension
 
 
 def run_engine_speedup_bench(
@@ -188,21 +193,21 @@ def run_engine_speedup_bench(
     label = "masked batched" if dropout_rate else "batched"
     print(f"\n=== {title} ===")
     print(
-        f"{'K':>4} {'d':>8} {'seq steps/s':>12} {'batched steps/s':>16} {'speedup':>8}"
+        f"{'K':>4} {'d':>8} {'loop steps/s':>12} {'batched steps/s':>16} {'speedup':>8}"
     )
     rows = []
     speedups = {}
     for num_workers, dimension_key in grid:
-        sequential_rate, batched_rate, dimension = measure_engine_rates(
+        loop_rate, batched_rate, dimension = measure_engine_rates(
             num_workers, dimension_key, dropout_rate
         )
-        speedup = batched_rate / sequential_rate
+        speedup = batched_rate / loop_rate
         speedups[(num_workers, dimension_key)] = speedup
         row = {
             "K": num_workers,
             "d": dimension,
             "dimension_key": dimension_key,
-            "sequential_steps_per_sec": round(sequential_rate, 2),
+            "per_worker_steps_per_sec": round(loop_rate, 2),
             "batched_steps_per_sec": round(batched_rate, 2),
             "speedup": round(speedup, 3),
         }
@@ -210,17 +215,17 @@ def run_engine_speedup_bench(
             row["dropout_rate"] = dropout_rate
         rows.append(row)
         print(
-            f"{num_workers:>4} {dimension:>8} {sequential_rate:>12,.1f} "
+            f"{num_workers:>4} {dimension:>8} {loop_rate:>12,.1f} "
             f"{batched_rate:>16,.1f} {speedup:>7.2f}x"
         )
 
     best = speedups[acceptance]
     attempts = 1
     while STRICT and best < bar and attempts < 4:
-        sequential_rate, batched_rate, _ = measure_engine_rates(
+        loop_rate, batched_rate, _ = measure_engine_rates(
             acceptance[0], acceptance[1], dropout_rate
         )
-        best = max(best, batched_rate / sequential_rate)
+        best = max(best, batched_rate / loop_rate)
         attempts += 1
         print(
             f"  re-measured {label} K={acceptance[0]} d~{acceptance[1]}: "
@@ -234,7 +239,7 @@ def run_engine_speedup_bench(
         print(f"  WARNING: {label} speedup {best:.2f}x < {bar}x (REPRO_BENCH_STRICT=0)")
         return
     assert best >= bar, (
-        f"expected the {label} engine to deliver at least {bar}x full-step "
+        f"expected the {label} engine to deliver at least {bar}x the per-worker loop's full-step "
         f"throughput at K={acceptance[0]}, d~{acceptance[1]}"
         + (f" with {dropout_rate:.0%} dropout" if dropout_rate else "")
         + f"; best of {attempts} runs was {best:.2f}x"
@@ -246,7 +251,7 @@ def test_bench_hotpath_batched_speedup():
     # Acceptance bar (ISSUE 3): >= 4x full-step throughput at K=32, d~1e5.
     run_engine_speedup_bench(
         "batched-engine",
-        "cluster step: batched engine vs sequential in-place path",
+        "cluster step: batched engine vs the per-worker loop",
         grid=[(8, 10_000), (8, 100_000), (32, 10_000), (32, 100_000)],
         acceptance=(32, 100_000),
         bar=4.0,
@@ -259,7 +264,7 @@ def test_bench_hotpath_masked_batched_speedup():
     # must keep >= 3x full-step throughput at K=32, d~1e5 with 20% dropout.
     run_engine_speedup_bench(
         "batched-engine-masked",
-        "cluster step under 20% dropout: masked batched vs sequential",
+        "cluster step under 20% dropout: masked batched vs the per-worker loop",
         grid=[(8, 100_000), (32, 100_000)],
         acceptance=(32, 100_000),
         bar=3.0,
@@ -268,17 +273,15 @@ def test_bench_hotpath_masked_batched_speedup():
 
 
 @pytest.mark.benchmark(group="hotpath")
-def test_bench_hotpath_masked_batched_matches_sequential():
-    """The benchmarked masked path must train like the sequential engine."""
-    sequential = build_cluster(4, 10_000, "sequential", BATCHED_MODEL_CONFIGS, 0.3)
+def test_bench_hotpath_masked_batched_matches_the_per_worker_loop():
+    """The benchmarked masked path must train like the per-worker loop."""
+    loop = build_cluster(4, 10_000, "per-worker", BATCHED_MODEL_CONFIGS, 0.3)
     batched = build_cluster(4, 10_000, "batched", BATCHED_MODEL_CONFIGS, 0.3)
     for _ in range(5):
-        loss_seq = sequential.step_all(active=sequential.timeline.sample_participation())
+        loss_loop = loop.step_all(active=loop.timeline.sample_participation())
         loss_bat = batched.step_all(active=batched.timeline.sample_participation())
-        np.testing.assert_allclose(loss_seq, loss_bat, rtol=1e-6)
-    np.testing.assert_allclose(
-        sequential.parameter_matrix, batched.parameter_matrix, rtol=1e-6
-    )
+        np.testing.assert_allclose(loss_loop, loss_bat, rtol=1e-6)
+    np.testing.assert_allclose(loop.parameter_matrix, batched.parameter_matrix, rtol=1e-6)
 
 
 # -- float32 vs float64 on the batched engine (dtype-parametric plane) ----------
@@ -305,7 +308,7 @@ def measure_dtype_rates(num_workers: int, dimension_key: int):
     dimension = 0
     for dtype in ("float64", "float32"):
         cluster = build_cluster(
-            num_workers, dimension_key, execution="batched",
+            num_workers, dimension_key,
             configs=DTYPE_MODEL_CONFIGS, batch_size=DTYPE_BENCH_BATCH, dtype=dtype,
         )
         dimension = cluster.model_dimension
@@ -396,7 +399,7 @@ def test_bench_hotpath_dtype():
 def test_bench_hotpath_dtype_float32_trains_finite():
     """The benchmarked float32 cell must be a real training loop, not NaN soup."""
     cluster = build_cluster(
-        4, 10_000, execution="batched", configs=DTYPE_MODEL_CONFIGS,
+        4, 10_000, configs=DTYPE_MODEL_CONFIGS,
         batch_size=DTYPE_BENCH_BATCH, dtype="float32",
     )
     losses = [cluster.step_all() for _ in range(5)]
@@ -442,7 +445,7 @@ def measure_compressed_sync(num_workers: int, dimension_key: int):
     dimension = 0
     for label, compression in (("exact", None), ("compressed", _compressed_sync_config())):
         cluster = build_cluster(
-            num_workers, dimension_key, execution="batched",
+            num_workers, dimension_key,
             configs=BATCHED_MODEL_CONFIGS, compression=compression,
             batch_size=COMPRESSED_SYNC_BATCH,
         )
@@ -547,44 +550,49 @@ def test_bench_hotpath_compressed_sync():
 
 
 @pytest.mark.benchmark(group="hotpath")
-def test_bench_hotpath_compressed_sync_trains_like_sequential():
-    """The benchmarked compressed batched path must match the sequential engine."""
+def test_bench_hotpath_compressed_sync_trains_like_the_per_worker_loop():
+    """The benchmarked compressed batched path must match the per-worker loop."""
     config = _compressed_sync_config()
-    sequential = build_cluster(4, 10_000, "sequential", BATCHED_MODEL_CONFIGS, compression=config)
+    loop = build_cluster(4, 10_000, "per-worker", BATCHED_MODEL_CONFIGS, compression=config)
     batched = build_cluster(4, 10_000, "batched", BATCHED_MODEL_CONFIGS, compression=config)
-    for cluster in (sequential, batched):
+    for cluster in (loop, batched):
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())
     for _ in range(5):
-        sequential.step_all(); sequential.synchronize(include_buffers=False)
+        loop.step_all(); loop.synchronize(include_buffers=False)
         batched.step_all(); batched.synchronize(include_buffers=False)
-    np.testing.assert_allclose(
-        sequential.parameter_matrix, batched.parameter_matrix, rtol=1e-6
-    )
-    assert sequential.total_bytes == batched.total_bytes
+    np.testing.assert_allclose(loop.parameter_matrix, batched.parameter_matrix, rtol=1e-6)
+    assert loop.total_bytes == batched.total_bytes
 
 
 @pytest.mark.benchmark(group="hotpath")
-def test_bench_hotpath_batched_matches_sequential():
-    """The benchmarked batched engine must train like the sequential engine."""
-    sequential = build_cluster(4, 10_000, "sequential", BATCHED_MODEL_CONFIGS)
+def test_bench_hotpath_batched_matches_the_per_worker_loop():
+    """The benchmarked batched engine must train like the per-worker loop."""
+    loop = build_cluster(4, 10_000, "per-worker", BATCHED_MODEL_CONFIGS)
     batched = build_cluster(4, 10_000, "batched", BATCHED_MODEL_CONFIGS)
     for _ in range(5):
-        loss_seq = sequential.step_all()
+        loss_loop = loop.step_all()
         loss_bat = batched.step_all()
-        np.testing.assert_allclose(loss_seq, loss_bat, rtol=1e-6)
-    np.testing.assert_allclose(
-        sequential.parameter_matrix, batched.parameter_matrix, rtol=1e-6
-    )
+        np.testing.assert_allclose(loss_loop, loss_bat, rtol=1e-6)
+    np.testing.assert_allclose(loop.parameter_matrix, batched.parameter_matrix, rtol=1e-6)
 
 
 # -- the plane-vs-seed regression canary (PR-1 baseline) ------------------------
 
 
+def plane_update(cluster: SimulatedCluster) -> None:
+    """The plane's per-worker update: each row stepped in place, one at a time,
+    through the cluster's stack."""
+    stack = cluster.engine._optimizer
+    for row, worker in enumerate(cluster.workers):
+        params = worker.model.parameters_view()[None]
+        grads = worker.model.gradients_view()[None]
+        stack.step_rows(params, grads, np.array([row]))
+
+
 def run_plane_steps(cluster: SimulatedCluster, reference, scratch, steps: int) -> None:
     """Zero-copy path: in-place update, row-wise drifts, vectorized sync."""
     for _ in range(steps):
-        for worker in cluster.workers:
-            worker._apply_update(None)
+        plane_update(cluster)
         drifts = cluster.drift_matrix(reference, out=scratch)
         for drift in drifts:
             float(np.dot(drift, drift))
@@ -604,10 +612,11 @@ def seed_scatter(arrays, flat) -> None:
 
 
 def seed_update(worker, optimizer) -> None:
-    """The seed's per-worker update: gather → ``optimizer.step`` → scatter."""
+    """The seed's per-worker update: gather → step → scatter, the step through
+    the optimizer's private one-row stack (what the seed's ``step`` ran)."""
     params = seed_gather(worker.model.parameter_arrays())
     grads = seed_gather(worker.model.gradient_arrays())
-    seed_scatter(worker.model.parameter_arrays(), optimizer.step(params, grads))
+    seed_scatter(worker.model.parameter_arrays(), solo_step(optimizer, params, grads))
 
 
 def run_seed_steps(cluster: SimulatedCluster, optimizers, reference, steps: int) -> None:
@@ -743,15 +752,14 @@ def test_bench_hotpath_trajectories_match():
     """The benchmarked fast path must train identically to the seed data flow."""
     fast_cluster = build_cluster(4, 10_000)
     slow_cluster = build_cluster(4, 10_000)
-    for worker in slow_cluster.workers:
-        # The seed's update in place of the plane's: same batches and
-        # backprop, then gather → optimizer.step → scatter.
-        worker._apply_update = lambda transform, worker=worker: seed_update(
-            worker, worker.optimizer
-        )
+    seed_optimizers = [SGD(0.01) for _ in slow_cluster.workers]
     for _ in range(5):
-        fast_cluster.step_all()
-        slow_cluster.step_all()
+        # The same batches and backprop on both, then the two updates.
+        prime_gradients(fast_cluster)
+        prime_gradients(slow_cluster)
+        plane_update(fast_cluster)
+        for worker, optimizer in zip(slow_cluster.workers, seed_optimizers):
+            seed_update(worker, optimizer)
     np.testing.assert_array_equal(
         fast_cluster.parameter_matrix, slow_cluster.parameter_matrix
     )

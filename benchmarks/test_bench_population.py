@@ -53,7 +53,7 @@ MAX_DEGRADATION = 1.2
 TIMING_PASSES = 3
 
 
-def _make_cluster(num_workers: int, execution: str = "batched") -> SimulatedCluster:
+def _make_cluster(num_workers: int) -> SimulatedCluster:
     rng = np.random.default_rng(7)
     workers = []
     for worker_id in range(num_workers):
@@ -69,7 +69,7 @@ def _make_cluster(num_workers: int, execution: str = "batched") -> SimulatedClus
                 seed=worker_id,
             )
         )
-    return SimulatedCluster(workers, execution=execution)
+    return SimulatedCluster(workers)
 
 
 def _population(num_clients: int) -> ClientPopulation:

@@ -64,7 +64,7 @@ def build_cluster(dtype: str) -> SimulatedCluster:
         )
     # A ring topology so the per-link ledger has several edges to compare;
     # the fabric prices every link at the dtype's itemsize (8 vs 4 B).
-    return SimulatedCluster(workers, execution="batched", topology="ring", dtype=dtype)
+    return SimulatedCluster(workers, topology="ring", dtype=dtype)
 
 
 def run_mode(dtype: str):

@@ -21,8 +21,8 @@ the tables below it are one printer (``format_points_table``) over per-command
 column lists.  ``figureN`` lowers the registry entry — the strategy comparison
 per workload, then every grid the spec declares (Θ, K, …) — ``compare`` runs a
 custom single comparison (FDA variants vs Synchronous vs the matching FedOpt
-baseline) for one of the named workloads, optionally on a non-default fabric,
-execution engine, or payload compression; ``fabric`` sweeps a topology ×
+baseline) for one of the named workloads, optionally on a non-default fabric
+or payload compression; ``fabric`` sweeps a topology ×
 network grid and reports per-category bytes plus virtual wall-clock per round
 for each cell; ``compression`` sweeps payload-compression settings and
 reports how many model-sync bytes each kernel removes; ``faults`` crosses
@@ -41,7 +41,6 @@ from typing import List, Optional
 
 from repro.compression import NAMED_COMPRESSORS, CompressionConfig
 from repro.core.monitor import VARIANTS
-from repro.distributed.engine import EXECUTION_MODES
 from repro.distributed.network import NAMED_NETWORKS
 from repro.distributed.topology import NAMED_TOPOLOGIES
 from repro.exceptions import ConfigurationError
@@ -113,11 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="network model converting bytes into virtual wall-clock",
     )
     compare.add_argument(
-        "--execution", choices=sorted(EXECUTION_MODES), default="sequential",
-        help="execution engine: per-worker 'sequential' steps or one "
-             "vectorized 'batched' pass for all K workers (A/B the engines)",
-    )
-    compare.add_argument(
         "--dtype", choices=("float32", "float64"), default="float64",
         help="compute dtype of the parameter plane: 'float64' (bit-exact "
              "reference) or 'float32' (fast mode; byte ledgers price 4-byte "
@@ -126,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--dropout-rate", type=float, default=0.0,
         help="per-round worker dropout probability (partial participation); "
-             "runs on either engine — the batched engine executes only the "
-             "active rows",
+             "the engine executes only the active rows",
     )
     compare.add_argument(
         "--compressor", choices=_COMPRESSOR_CHOICES, default="none",
@@ -469,7 +462,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         workload,
         topology=args.topology,
         network=args.network,
-        execution=args.execution,
         dtype=args.dtype,
         compression=_compression_from_args(args),
     )
@@ -504,7 +496,7 @@ def _command_compare(args: argparse.Namespace) -> int:
     faults = workload.faults.describe() if workload.faults else "none"
     print(
         f"fabric: topology={args.topology} network={args.network} "
-        f"execution={args.execution} compression={compression} dtype={args.dtype} "
+        f"compression={compression} dtype={args.dtype} "
         f"faults={faults}"
     )
     print(format_results_table(results, reached_only=False))

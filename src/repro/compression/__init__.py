@@ -20,7 +20,7 @@ has three layers:
 Because the integration point is the collective layer of
 :class:`~repro.distributed.cluster.SimulatedCluster` — not a strategy
 wrapper — FDA, BSP, Local-SGD, FedOpt, FedProx, and SCAFFOLD all compress
-their sync payloads uniformly, on either execution engine, and the topology
+their sync payloads uniformly, whatever the engine steps, and the topology
 fabric charges compressed bytes per link.
 """
 

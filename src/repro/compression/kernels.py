@@ -390,9 +390,8 @@ class RandomKCompressor(TopKCompressor):
     Sender and receiver draw the kept coordinates from a shared seeded stream,
     so only the ``k`` values (plus one element standing in for the seed /
     round counter) travel — no indices.  The kernel keeps one private
-    generator whose draws advance per call, making repeated runs (and the
-    sequential/batched engines, which compress at identical sync points)
-    reproduce the same coordinate sequence.  A row keeps the coordinates of
+    generator whose draws advance per call, making repeated runs reproduce
+    the same coordinate sequence.  A row keeps the coordinates of
     its ``k`` smallest of ``d`` uniform draws; drawing ``d`` doubles per row
     consumes the stream exactly as one ``(K, d)`` draw would.
     """

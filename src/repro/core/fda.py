@@ -143,7 +143,7 @@ class FDATrainer(FDAProtocol):
         # synchronization point: one vectorized (K, d) subtraction, and the
         # monitor batches what it can without changing bits (e.g. one sparse
         # product sketching every row), so sync decisions, byte ledgers and
-        # the golden trajectories depend on neither the engine nor the mask.
+        # the golden trajectories do not depend on the mask.
         drifts = self.cluster.drift_matrix(
             self.cluster.shared_parameters, out=self._drift_scratch
         )[fresh]

@@ -46,9 +46,9 @@ class VarianceMonitor:
 
         The one place a monitor builds states; :meth:`local_state` is its
         one-row case.  A row must not depend on which other rows share the
-        call: the FDA sync decision is a threshold comparison on these values
-        and the engines promise exactly equal communication ledgers, so only
-        order-identical work is batched (e.g. one sparse product sketching
+        call: the FDA sync decision is a threshold comparison on these values,
+        and a masked step, a served update and a full one must decide alike
+        (the ledgers follow the decisions), so only order-identical work is batched (e.g. one sparse product sketching
         every row) and each reduction stays per row (a per-row ``np.dot``,
         whose BLAS reduction order differs bitwise from an ``einsum`` over
         the matrix).  ``norms``, if the caller holds them already, is

@@ -148,11 +148,10 @@ class Timeline:
 
         With ``dropout_rate == 0`` no randomness is consumed, keeping default
         trajectories bit-identical to the pre-timeline code.  The mask flows
-        into ``cluster.step_all(active=...)``, which both execution engines
-        honour (the batched engine steps only the active rows of its stacked
-        matrices); protocols sample once per lockstep step — FDA, BSP, and
-        Local-SGD all draw from this one stream, so engine choice can never
-        shift which workers participate.
+        into ``cluster.step_all(active=...)``, whose engine steps only the
+        active rows of its stacked matrices; protocols sample once per
+        lockstep step — FDA, BSP, and Local-SGD all draw from this one
+        stream.
         """
         if not self.dropout_rate:
             return None

@@ -60,9 +60,8 @@ class StackedSampler:
 
     Wraps the workers' own :class:`BatchSampler` instances, so each worker's
     with-replacement index stream is drawn from *its* private generator in
-    exactly the order the sequential engine would — a cluster can switch
-    between sequential and batched execution (or compare the two) without
-    perturbing which samples any worker sees.  The per-worker batches are
+    exactly the order a loop over the workers would — stacking never
+    perturbs which samples any worker sees.  The per-worker batches are
     stacked into one ``(K, B, *sample_shape)`` feature array and one
     ``(K, B)`` label array per call, which is the input layout of
     :class:`repro.nn.batched.BatchedModel`.
@@ -96,9 +95,9 @@ class StackedSampler:
 
         ``rows`` — an optional integer index array — restricts the draw to
         those workers (partial participation): only their samplers consume a
-        draw, in ascending worker order, exactly as a sequential loop over the
-        active workers would, so every worker's private RNG stream stays
-        aligned across engines.  ``None`` draws from all ``K`` workers.
+        draw, in ascending worker order, exactly as a loop over the active
+        workers would, so every worker's private RNG stream stays aligned
+        with its per-worker draws.  ``None`` draws from all ``K`` workers.
         """
         samplers = (
             self.samplers

@@ -28,21 +28,13 @@ from repro.distributed.topology import (
     Topology,
     get_topology,
 )
-from repro.distributed.engine import (
-    BatchedEngine,
-    ClusterEngine,
-    EXECUTION_MODES,
-    SequentialEngine,
-)
+from repro.distributed.engine import BatchedEngine
 from repro.distributed.participation import Participation
 from repro.distributed.worker import Worker
 from repro.distributed.cluster import SimulatedCluster
 
 __all__ = [
-    "ClusterEngine",
-    "SequentialEngine",
     "BatchedEngine",
-    "EXECUTION_MODES",
     "CommunicationTracker",
     "NetworkModel",
     "FL_NETWORK",

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.backend import resolve_dtype, row_shards, run_shards, shard_bounds
 from repro.data.datasets import Dataset
-from repro.distributed.engine import ClusterEngine, build_engine
+from repro.distributed.engine import BatchedEngine
 from repro.distributed.network import NetworkModel, get_network
 from repro.distributed.participation import Participation
 from repro.distributed.topology import CollectiveCharge, Fabric, Topology, get_topology
@@ -70,10 +70,8 @@ class SimulatedCluster:
     the paper's setting — star topology, instantaneous network, uniform unit
     compute.
 
-    ``execution`` selects the compute engine below ``step_all``:
-    ``"sequential"`` (default, per-worker steps, golden-trajectory
-    bit-identical) or ``"batched"`` (one vectorized pass advancing all ``K``
-    workers at once; see :mod:`repro.distributed.engine`).
+    Below ``step_all`` one engine advances all ``K`` workers in one
+    vectorized pass (see :mod:`repro.distributed.engine`).
 
     ``compression`` installs cluster-level payload compression: a kernel name
     (``"topk"``, ``"quantization"``, ``"randomk"``, ``"signsgd"``,
@@ -99,7 +97,6 @@ class SimulatedCluster:
         topology: Union[str, Topology, None] = None,
         network: Union[str, NetworkModel, None] = None,
         timeline: Optional["Timeline"] = None,
-        execution: str = "sequential",
         compression=None,
         dtype=None,
         faults=None,
@@ -199,10 +196,9 @@ class SimulatedCluster:
                 dtype=self.dtype,
             )
         self._shared_parameters: Optional[np.ndarray] = None  # see shared_parameters
-        # The execution engine (sequential per-worker loop or one batched
-        # pass) sits below step_all; built last because the batched engine
-        # stacks gradients next to the matrices created above.
-        self._engine = build_engine(execution, self)
+        # The engine sits below step_all; built last because it stacks
+        # gradients next to the matrices created above.
+        self._engine = BatchedEngine(self)
 
     # -- basic properties ------------------------------------------------------
 
@@ -212,18 +208,13 @@ class SimulatedCluster:
         return len(self.workers)
 
     @property
-    def engine(self) -> ClusterEngine:
-        """The execution engine driving local compute (see :mod:`repro.distributed.engine`)."""
+    def engine(self) -> BatchedEngine:
+        """The engine driving local compute (see :mod:`repro.distributed.engine`)."""
         return self._engine
 
     @property
-    def execution(self) -> str:
-        """The selected execution mode: ``"sequential"`` or ``"batched"``."""
-        return self._engine.name
-
-    @property
-    def gradient_matrix(self) -> Optional[np.ndarray]:
-        """The live ``(K, d)`` gradient matrix (batched engine only, else ``None``)."""
+    def gradient_matrix(self) -> np.ndarray:
+        """The live ``(K, d)`` gradient matrix; row ``k`` IS worker ``k``'s gradients."""
         return self._engine.gradient_matrix
 
     @property
@@ -617,13 +608,11 @@ class SimulatedCluster:
     def step_all(self, active: Optional[np.ndarray] = None) -> float:
         """Run one local mini-batch step on every (participating) worker.
 
-        The step is delegated to the execution engine (one per-worker loop on
-        the sequential engine, one vectorized pass on the batched engine).
+        The step is delegated to the engine (one vectorized pass).
         ``active`` is an optional boolean mask for partial participation
-        (timeline dropout); absent, every worker steps.  Both engines honour
-        the mask identically: inactive workers neither compute nor consume
-        RNG draws, and on the batched engine their rows of the ``(K, d)``
-        matrices stay bit-untouched.  The timeline advances by the slowest
+        (timeline dropout); absent, every worker steps.  Inactive workers
+        neither compute nor consume RNG draws, and their rows of the
+        ``(K, d)`` matrices stay bit-untouched.  The timeline advances by the slowest
         participating worker's step duration.  Returns the mean loss over the
         workers that stepped.
 
@@ -643,7 +632,7 @@ class SimulatedCluster:
     def epoch_all(self, gradient_transform=None) -> float:
         """Run one local epoch on every participating worker; returns the mean loss.
 
-        Epochs stay per-worker on every engine: shards may differ in size, so
+        Epochs stay per-worker: shards may differ in size, so
         the per-round batch sequences are ragged across workers and cannot be
         stacked into one ``(K, B, ...)`` tensor without changing what each
         worker trains on.  ``gradient_transform(rows, params, grads)`` — the
@@ -682,7 +671,7 @@ class SimulatedCluster:
     def __repr__(self) -> str:
         return (
             f"SimulatedCluster(K={self.num_workers}, d={self.model_dimension}, "
-            f"topology={self.fabric.topology.name!r}, execution={self.execution!r}, "
+            f"topology={self.fabric.topology.name!r}, "
             f"compression={self.compression_label!r}, "
             f"syncs={self.synchronization_count}, "
             f"bytes={self.total_bytes}, t={self.virtual_time:.1f})"

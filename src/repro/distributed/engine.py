@@ -1,82 +1,69 @@
-"""Execution engines: how a cluster physically advances its workers.
+"""The engine: how a cluster physically advances its workers.
 
 A :class:`~repro.distributed.cluster.SimulatedCluster` separates the training
 *protocol* (when to communicate, owned by the trainers/strategies) from the
-*mechanics* of a local step.  The engine owns the mechanics:
+*mechanics* of a local step.  The engine owns the mechanics: Algorithm 1's
+``K`` workers each run ``Optimize(w, B)`` in lockstep, and
+:class:`BatchedEngine` runs exactly that as **one vectorized pass**: a
+:class:`~repro.data.loaders.StackedSampler` draws the participating workers'
+mini-batches (from the workers' own RNG streams) as one ``(A, B, ...)`` array,
+a :class:`~repro.nn.batched.BatchedModel` runs one stacked forward/backward
+writing every covered worker's gradients into a shared gradient matrix, and a
+single :class:`~repro.optim.base.StackedOptimizer` update applies all covered
+per-worker optimizer steps at once.
 
-* :class:`SequentialEngine` (``execution="sequential"``, the default) runs
-  ``K`` independent per-worker steps — the seed semantics, kept bit-identical
-  for the golden-trajectory suite.  It owns no optimizer arithmetic: each
-  worker's optimizer steps its row of a private one-row stack with the same
-  rule the batched engine's stacked update runs.
-* :class:`BatchedEngine` (``execution="batched"``) advances workers **in one
-  vectorized pass**: a :class:`~repro.data.loaders.StackedSampler` draws the
-  participating workers' mini-batches (from the workers' own RNG streams) as
-  one ``(A, B, ...)`` array, a :class:`~repro.nn.batched.BatchedModel` runs
-  one stacked forward/backward writing every covered worker's gradients into
-  a shared gradient matrix, and a single
-  :class:`~repro.optim.base.StackedOptimizer` update applies all covered
-  per-worker optimizer steps at once.
-
-Both engines plug in below ``cluster.step_all`` / ``cluster.epoch_all``, so
-every protocol — FDA, the Synchronous/BSP baseline, Local-SGD/FedAvg, the
-server rounds (FedOpt, FedProx, SCAFFOLD), compression, the event-driven
-asynchronous trainer — picks the engine up transparently, and the whole
-scenario grid — every model, every strategy — runs on either engine:
+The engine sits below ``cluster.step_all`` / ``cluster.epoch_all``, so every
+protocol — FDA, the Synchronous/BSP baseline, Local-SGD/FedAvg, the server
+rounds (FedOpt, FedProx, SCAFFOLD), compression, the event-driven served
+trainer — and every model runs on it:
 
 * **Partial participation** (timeline dropout): ``step_all(active=mask)``
-  executes only the active rows.  The batched engine gathers those workers'
+  executes only the active rows.  The engine gathers those workers'
   parameter/buffer rows into an ``(A, d)`` scratch block, runs one stacked
   pass over it, applies a masked ``(A, d)`` optimizer update (per-row
-  optimizer state and step counts, so Adam moments and schedules stay
-  per-worker), and scatters the rows back — inactive rows are left
-  bit-untouched and inactive workers' RNG streams consume nothing, exactly
-  like a sequential loop over the active workers.
+  optimizer state and step counts, so Adam moments stay per-worker), and
+  scatters the rows back — inactive rows are left bit-untouched and inactive
+  workers' RNG streams consume nothing.
 * **RNG-stateful layers** (``Dropout``): the batched kernels replay each
   worker's private mask stream (see :class:`~repro.nn.batched.BatchedDropout`).
 * **Heterogeneous workers**: optimizer hyper-parameters (learning rate,
   momentum, weight decay, betas) may differ per worker — they become per-row
-  broadcast columns inside the stacked update.  Only *structural* differences
+  broadcast columns inside the stacked update.  *Structural* differences
   (model architecture, optimizer type, Nesterov vs classical momentum, loss
-  configuration, batch size) are rejected.
+  configuration, batch size) are refused at construction.
 * **Per-worker driving**: :meth:`BatchedEngine.step_worker` and
-  :meth:`ClusterEngine.epoch_worker` run single-row slices of the same
+  :meth:`BatchedEngine.epoch_worker` run single-row slices of the same
   batched kernels (the server strategies' local epochs); served events are
   not such slices but masked rows of ``step_all``, many arrivals to a pass.
   Every worker's optimizer *is* a row of the stacked optimizer, so drive
   modes compose freely.
 * **Gradient transforms** (FedProx's proximal term, SCAFFOLD's variates):
   ``epoch_worker(k, transform)`` applies ``transform(rows, params, grads)``
-  to the stepping rows' gradient block just before the optimizer update —
-  the ``(A, d)`` scratch here, the worker's own views as a one-row block on
-  the sequential engine — so a drift-control epoch is an engine epoch.
+  to the stepping rows' ``(A, d)`` gradient block just before the optimizer
+  update, so a drift-control epoch is an engine epoch.
 * **Every layer**: composites compute through their children's kernels (see
   :mod:`repro.nn.batched`); only a ``Layer`` subclass from outside
   :mod:`repro.nn.layers` has none and is refused by name at construction.
 * **Every core**: a wide pass runs as row shards, one per core (see
   :mod:`repro.backend`) — ``train_batch`` and ``step_rows`` here,
-  ``drift_matrix`` and the sketch above.  A batched step keeps two phases:
-  every shard trains, the losses of all rows are checked, then every shard
-  steps — so a divergence in any shard still fails the step atomically.
-  The sampler and the sequential engine stay serial.
+  ``drift_matrix`` and the sketch above.  A step keeps two phases: every
+  shard trains, the losses of all rows are checked, then every shard steps —
+  so a divergence in any shard still fails the step atomically.  The sampler
+  stays serial.
 
-Per-worker arithmetic is element-for-element the sequential arithmetic (the
-optimizer step is literally the same rule; the stacked GEMMs may re-associate),
-so trajectories agree to tight tolerance (bit-exactly for SGD on mainstream BLAS
-builds) and all communication accounting — which lives above the engine — is
-identical.  Payload compression (:mod:`repro.compression`) also lives above
-the engine, at the cluster's collective layer: both engines feed the same
-``(K, d)`` parameter matrix into the same row-wise compression kernels, so
-compressed runs inherit the cross-engine parity guarantee unchanged.
+Per-worker arithmetic is element-for-element the arithmetic of ``K``
+independent per-worker steps (the optimizer step is literally the same rule;
+the stacked GEMMs may re-associate), and the test suite holds the engine to
+exactly that: a per-worker loop kept as its oracle agrees bit for bit on SGD
+and to tight tolerance otherwise, with identical ledgers.  Communication
+accounting and payload compression (:mod:`repro.compression`) live above the
+engine, at the cluster's collective layer.
 
-Divergence (a non-finite loss) raises ``TrainingError`` consistently on both
-engines: the error names *every* diverged worker, the batched engine fails
-atomically — parameters, optimizer moments, and batch-norm buffers are rolled
-back or never touched — and the sequential engine completes the round for the
-remaining workers before raising, so every non-diverged worker has stepped
-exactly once.  ``TrainingError`` still signals a run to be aborted or
-restarted, not resumed (every participating worker's sampler stream has
-advanced), so the engines only guarantee matching state on completed steps.
+Divergence (a non-finite loss) raises one ``TrainingError`` naming *every*
+diverged worker, and fails atomically: parameters, optimizer moments, and
+batch-norm buffers are rolled back or never touched.  ``TrainingError`` still
+signals a run to be aborted or restarted, not resumed (every participating
+worker's sampler stream has advanced).
 """
 
 from __future__ import annotations
@@ -93,10 +80,6 @@ from repro.optim.base import StackedOptimizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster builds engines)
     from repro.distributed.cluster import SimulatedCluster
-
-#: Engine names accepted by ``SimulatedCluster(execution=...)`` and
-#: ``WorkloadConfig.execution``.
-EXECUTION_MODES = ("sequential", "batched")
 
 
 def _divergence_error(worker_ids, loss_values) -> TrainingError:
@@ -115,73 +98,7 @@ def _divergence_error(worker_ids, loss_values) -> TrainingError:
     )
 
 
-class ClusterEngine:
-    """Base class: one engine instance drives one cluster's local compute."""
-
-    #: Engine name as selected via ``execution=...``.
-    name = "engine"
-    #: Whether :meth:`step_all` advances all workers in one vectorized pass.
-    is_batched = False
-
-    def __init__(self, cluster: "SimulatedCluster") -> None:
-        # Weak: the cluster owns its engine, so a strong back-reference would
-        # make every cluster a cycle that only the cyclic collector frees, and
-        # a sweep would hold a varying number of dead (K, d) planes at its peak.
-        self.cluster = weakref.proxy(cluster)
-
-    @property
-    def gradient_matrix(self) -> Optional[np.ndarray]:
-        """The live ``(K, d)`` gradient matrix, if this engine maintains one."""
-        return None
-
-    def step_all(self, active: Optional[np.ndarray] = None) -> float:
-        """One local mini-batch step on every (participating) worker.
-
-        Returns the mean loss over the workers that stepped.  ``active`` is
-        the timeline's optional participation mask.
-        """
-        raise NotImplementedError
-
-    def epoch_worker(self, worker_id: int, transform=None) -> float:
-        """One full local epoch on a single worker; returns its mean batch loss.
-
-        ``transform`` edits each batch's gradients in place before the
-        optimizer step (see ``SimulatedCluster.epoch_all``).
-        """
-        return self.cluster.workers[worker_id]._run_epoch(transform)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(K={self.cluster.num_workers})"
-
-
-class SequentialEngine(ClusterEngine):
-    """Per-worker Python-loop execution — the seed-faithful default."""
-
-    name = "sequential"
-    is_batched = False
-
-    def step_all(self, active: Optional[np.ndarray] = None) -> float:
-        workers = self.cluster.workers
-        if active is not None:
-            workers = [
-                worker for worker, is_active in zip(workers, active) if is_active
-            ]
-        losses: List[float] = []
-        failures: List[str] = []
-        for worker in workers:
-            # Complete the round for every worker before reporting failures,
-            # so the error names *all* diverged workers (not just the first)
-            # and every non-diverged worker has stepped exactly once.
-            try:
-                losses.append(worker.local_step())
-            except TrainingError as error:
-                failures.append(str(error))
-        if failures:
-            raise TrainingError("; ".join(failures))
-        return float(np.mean(losses)) if losses else 0.0
-
-
-class BatchedEngine(ClusterEngine):
+class BatchedEngine:
     """One einsum-driven forward/backward/update for the whole cluster.
 
     Construction stacks the cluster's state for vectorized compute:
@@ -197,8 +114,8 @@ class BatchedEngine(ClusterEngine):
       :class:`~repro.optim.base.StackedOptimizer`: hyper-parameters are
       per-row columns, moment/velocity state is ``(K, d)`` matrices of which
       each worker's optimizer is one row, and step counts stay per-worker —
-      so masked updates, per-worker driving, and direct
-      ``worker.local_step`` calls all run one rule on the same state.
+      so masked updates and per-worker driving run one rule on the same
+      state.
 
     Partial participation runs through a masked scratch path: the active
     workers' parameter/buffer rows are gathered into ``(A, d)`` scratch
@@ -207,30 +124,17 @@ class BatchedEngine(ClusterEngine):
     the rows are scattered back.  Inactive rows are never read or written.
     """
 
-    name = "batched"
-    is_batched = True
-
     def __init__(self, cluster: "SimulatedCluster") -> None:
-        super().__init__(cluster)
+        # Weak: the cluster owns its engine, so a strong back-reference would
+        # make every cluster a cycle that only the cyclic collector frees, and
+        # a sweep would hold a varying number of dead (K, d) planes at its peak.
+        self.cluster = weakref.proxy(cluster)
         workers = cluster.workers
         reference = workers[0]
-
-        pre_stepped = [w.worker_id for w in workers if w.optimizer.step_count]
-        if pre_stepped:
-            # A pre-stepped optimizer holds (d,)-shaped moment/velocity
-            # buffers that row-binding would silently discard while its step
-            # count (Adam bias correction, LR schedules) kept counting — a
-            # quietly wrong trajectory.  Demand fresh optimizers.
-            raise ConfigurationError(
-                "execution='batched' requires fresh optimizers (their state "
-                "becomes rows of cluster-wide (K, d) matrices); workers "
-                f"{pre_stepped} have optimizers that already stepped — call "
-                "optimizer.reset() or construct new optimizers"
-            )
         missing = unsupported_layers(reference.model)
         if missing:
             raise ConfigurationError(
-                "execution='batched' has no kernel for these layers: "
+                "the engine has no kernel for these layers: "
                 f"{', '.join(missing)}; register one in repro.nn.batched.KERNELS"
             )
         for worker in workers[1:]:
@@ -252,8 +156,9 @@ class BatchedEngine(ClusterEngine):
         )
         self._sampler = StackedSampler([worker._sampler for worker in workers])
         # May raise ConfigurationError for structurally incompatible
-        # optimizers (mixed types, mixed Nesterov) or a type that defines no
-        # rule; makes each worker's optimizer a row of the stack.
+        # optimizers (mixed types, mixed Nesterov), a type that defines no
+        # rule or one that already stepped; makes each worker's optimizer a
+        # row of the stack.
         self._optimizer = StackedOptimizer(
             [worker.optimizer for worker in workers],
             cluster.model_dimension,
@@ -330,7 +235,7 @@ class BatchedEngine(ClusterEngine):
             )
         if problems:
             raise ConfigurationError(
-                f"execution='batched' needs structurally compatible workers; worker "
+                f"the engine needs structurally compatible workers; worker "
                 f"{worker.worker_id}: {'; '.join(problems)}"
             )
 
@@ -409,6 +314,11 @@ class BatchedEngine(ClusterEngine):
     # -- drive modes --------------------------------------------------------------
 
     def step_all(self, active: Optional[np.ndarray] = None) -> float:
+        """One local mini-batch step on every (participating) worker.
+
+        Returns the mean loss over the workers that stepped.  ``active`` is
+        the timeline's optional participation mask.
+        """
         if active is not None and not bool(np.all(active)):
             rows = np.flatnonzero(np.asarray(active))
             if rows.size == 0:
@@ -452,6 +362,11 @@ class BatchedEngine(ClusterEngine):
         return worker.last_loss
 
     def epoch_worker(self, worker_id: int, transform=None) -> float:
+        """One full local epoch on a single worker; returns its mean batch loss.
+
+        ``transform`` edits each batch's gradients in place before the
+        optimizer step (see ``SimulatedCluster.epoch_all``).
+        """
         # Ragged shards force per-worker epochs (see cluster.epoch_all); each
         # batch of the worker's own shuffled epoch stream runs as a
         # single-row slice of the batched kernels.
@@ -466,12 +381,5 @@ class BatchedEngine(ClusterEngine):
         return worker.last_loss if worker.last_loss is not None else 0.0
 
 
-def build_engine(execution: str, cluster: "SimulatedCluster") -> ClusterEngine:
-    """Construct the engine selected by ``execution`` for ``cluster``."""
-    if execution == "sequential":
-        return SequentialEngine(cluster)
-    if execution == "batched":
-        return BatchedEngine(cluster)
-    raise ConfigurationError(
-        f"unknown execution mode {execution!r}; expected one of {EXECUTION_MODES}"
-    )
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(K={self.cluster.num_workers})"

@@ -1,11 +1,10 @@
 """A simulated federated worker.
 
 Each worker owns a local model replica, a local optimizer, and a shard of the
-training data.  ``local_step`` performs exactly one ``Optimize(w, B)`` update
-from the paper's Algorithm 1; a local epoch (the full local pass the FedOpt
-baselines run) is the engine's ``epoch_worker``.  Either way the update is the
-optimizer stepping its row (see :mod:`repro.optim.base`) on the model's
-parameter-plane view — there is no other update path.
+training data.  The cluster's engine runs the paper's ``Optimize(w, B)`` for
+every worker at once (see :mod:`repro.distributed.engine`): the workers'
+models are views of its ``(K, d)`` rows and their optimizers are rows of its
+stack (see :mod:`repro.optim.base`).
 
 A worker is also the owner of everything it carries from one step to the next
 besides its rows of the cluster's matrices: :meth:`Worker.state_dict` composes
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.data.loaders import BatchSampler, EpochIterator
-from repro.exceptions import ConfigurationError, TrainingError
+from repro.exceptions import ConfigurationError
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.base import Optimizer
@@ -139,42 +138,6 @@ class Worker:
         return self.model.num_parameters
 
     # -- training -------------------------------------------------------------
-
-    def local_step(self) -> float:
-        """One mini-batch optimization step; returns the batch loss."""
-        self.last_loss = self._train(*self._sampler.sample())
-        return self.last_loss
-
-    def _run_epoch(self, transform) -> float:
-        """One full pass over the local shard under the engine's row transform
-        (see ``epoch_all``); returns the mean batch loss."""
-        losses = [self._train(x, y, transform) for x, y in self._epoch_iterator.epoch()]
-        self.last_loss = float(np.mean(losses)) if losses else self.last_loss
-        return self.last_loss if self.last_loss is not None else 0.0
-
-    def _train(self, batch_x, batch_y, transform=None) -> float:
-        """Forward, backward and one optimizer update on a mini-batch."""
-        loss_value = self.model.train_batch(batch_x, batch_y, self.loss)
-        if not np.isfinite(loss_value):
-            raise TrainingError(
-                f"worker {self.worker_id}: loss became non-finite ({loss_value}); "
-                "reduce the learning rate or variance threshold"
-            )
-        self._apply_update(transform)
-        self.steps_performed += 1
-        return float(loss_value)
-
-    def _apply_update(self, transform) -> None:
-        """One optimizer update on the freshly back-propagated gradients.
-
-        ``transform(rows, params, grads)`` — the drift-control strategies'
-        seam — first edits the gradients in place, as a one-row block.
-        """
-        params = self.model.parameters_view()
-        grads = self.model.gradients_view()
-        if transform is not None:
-            transform(np.array([self.worker_id]), params[None], grads[None])
-        self.optimizer.step_inplace(params, grads)
 
     @property
     def batches_per_epoch(self) -> int:

@@ -45,7 +45,8 @@ PathLike = Union[str, Path]
 #: v6: an optimizer's canonical form carries its ``learning_rate`` where it
 #: carried a schedule object, and Local-SGD's spec carries ``tau`` as an int.
 #: v7: a lockstep FDA step whose rows all stay inside Θ sends no states.
-CODE_VERSION = "sweep-cache-v7"
+#: v8: one engine — ``WorkloadConfig.execution`` is always ``"batched"``.
+CODE_VERSION = "sweep-cache-v8"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).

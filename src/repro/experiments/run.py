@@ -45,16 +45,6 @@ class RunResult:
     comm_seconds: float = 0.0
     topology: str = "star"
     network: str = "none"
-    #: Execution engine the cluster was *configured* with ("sequential" or
-    #: "batched").  The engines must produce equivalent results (see the
-    #: parity suite), so this documents configuration, not arithmetic.  On
-    #: "batched", lockstep strategies (FDA, BSP, Local-SGD, compression) run
-    #: stacked (K, d) passes — masked to the participating rows under
-    #: timeline dropout, or to the served coordinator's due workers — and
-    #: the server strategies' local epochs (FedOpt, and FedProx / SCAFFOLD
-    #: under their gradient transform) run single-row slices of the same
-    #: kernels.  No model and no strategy is treated differently by either.
-    execution: str = "sequential"
     #: Collective-level payload compression the cluster carried ("none", or a
     #: compact label like "topk(ratio=0.1)+ef") — the byte totals above
     #: already reflect it.
@@ -289,7 +279,6 @@ class TrainingRun:
             comm_seconds=cluster.fabric.comm_seconds,
             topology=cluster.fabric.topology.name,
             network=cluster.fabric.network_name,
-            execution=cluster.execution,
             compression=cluster.compression_label,
             dtype=cluster.dtype_name,
             faults=(

@@ -20,7 +20,6 @@ from repro.core.timeline import StragglerProfile, Timeline
 from repro.data.datasets import Dataset
 from repro.data.partition import partition_dataset
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.engine import EXECUTION_MODES
 from repro.distributed.network import NetworkModel
 from repro.distributed.topology import Topology
 from repro.distributed.worker import Worker
@@ -88,10 +87,10 @@ class WorkloadConfig:
     #: per-round dropout.  ``None`` keeps the default unperturbed clock.
     compute_profile: Optional[StragglerProfile] = None
     dropout_rate: float = 0.0
-    #: Execution engine for the built cluster: ``"sequential"`` (per-worker
-    #: steps, the default) or ``"batched"`` (one vectorized pass advancing all
-    #: K workers at once; see :mod:`repro.distributed.engine`).
-    execution: str = "sequential"
+    #: The engine the built cluster runs.  There is one, ``"batched"`` (see
+    #: :mod:`repro.distributed.engine`); any other value is refused.  The
+    #: field stays only because ``bench/workloads.py`` still spells it.
+    execution: str = "batched"
     #: Collective-level payload compression for the built cluster: a kernel
     #: name (``"topk"``, ``"quantization"``, ...), a
     #: :class:`~repro.compression.config.CompressionConfig`, or ``None`` for
@@ -131,9 +130,10 @@ class WorkloadConfig:
             raise ConfigurationError(
                 f"dropout_rate must lie in [0, 1), got {self.dropout_rate}"
             )
-        if self.execution not in EXECUTION_MODES:
+        if self.execution != "batched":
             raise ConfigurationError(
-                f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
+                f"execution={self.execution!r}: the per-worker engine is gone; every "
+                "cluster runs the batched engine (execution='batched')"
             )
         # Normalize eagerly so configuration errors (unknown kernel names,
         # out-of-range knobs) surface where the workload is defined, not at
@@ -441,7 +441,6 @@ def build_cluster(
         topology=config.topology,
         network=config.network,
         timeline=timeline,
-        execution=config.execution,
         compression=config.compression,
         dtype=config.dtype,
         faults=config.faults,

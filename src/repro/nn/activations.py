@@ -6,10 +6,9 @@ the downstream gradient.  Keeping them as plain functions keeps the layer code
 in :mod:`repro.nn.layers` free of activation-specific branches.
 
 Every activation here is strictly elementwise, so the same function objects
-serve both execution engines: the sequential path applies them to ``(B, ...)``
-tensors and the batched engine to ``(K, B, ...)`` tensors with a leading
-worker axis, with identical per-element arithmetic (see
-:mod:`repro.nn.batched`).  ``softmax``/``log_softmax`` reduce over ``axis``
+serve a single layer's ``(B, ...)`` tensors and the engine's ``(K, B, ...)``
+tensors with a leading worker axis, with identical per-element arithmetic
+(see :mod:`repro.nn.batched`).  ``softmax``/``log_softmax`` reduce over ``axis``
 only, so the same ``axis=-1`` invocation covers both layouts.
 """
 

@@ -2,11 +2,10 @@
 
 The simulator stores all ``K`` worker models as rows of one contiguous
 ``(K, d)`` parameter matrix (see :mod:`repro.nn.plane` and
-:class:`~repro.distributed.cluster.SimulatedCluster`).  The sequential
-execution path still *computes* per worker: ``K`` Python-level forward and
-backward passes over small matrices, which is exactly where the paper's large
-``K`` sweeps spend their time.  This module exploits the storage layout on
-the compute side:
+:class:`~repro.distributed.cluster.SimulatedCluster`).  Computing per worker
+would mean ``K`` Python-level forward and backward passes over small
+matrices, which is exactly where the paper's large ``K`` sweeps spend their
+time.  This module exploits the storage layout on the compute side:
 
 * :class:`BatchedPlane` carves each layer array's ``K`` per-worker tensors
   out of the cluster matrices as **strided views** — for a ``Dense`` kernel
@@ -17,23 +16,24 @@ the compute side:
   (``(K, B, in) @ (K, in, out)``, the einsum ``kbi,kio->kbo``), ``Conv2D``
   folds the worker axis into the im2col batch, and every parameter-free
   layer (pooling, ``Flatten``, ``Activation``) is one :class:`FoldedKernel`:
-  the sequential layer itself, applied to the folded ``(K·B, ...)`` tensor.
+  the single-worker layer itself, applied to the folded ``(K·B, ...)`` tensor.
   ``DenseBlock`` / ``TransitionDown`` are one :class:`CompositeKernel`: the
   layer's own arithmetic over the kernels of its ``sublayers()``.
 * :class:`BatchedModel` chains the kernels into ``train_batch`` over stacked
   ``(K, B, ...)`` mini-batches, writing every worker's gradients into the
   ``(K, d)`` gradient matrix in one backward pass.
 
-Per-worker arithmetic is element-for-element the same as the sequential
+Per-worker arithmetic is element-for-element the same as the single-worker
 layers (same GEMM shapes per worker slice, same reduction extents), so the
-two engines agree to tight floating-point tolerance; the cross-engine parity
-suite (``tests/helpers/parity.py``) pins this down per strategy.
+stacked pass agrees to tight floating-point tolerance with ``K`` per-worker
+passes; the parity suite (``tests/helpers/parity.py``) pins this down per
+strategy against a per-worker loop.
 
 RNG-stateful layers are supported through *worker binding*: ``Dropout`` keeps
 one private mask stream per worker, so :class:`BatchedDropout` holds every
 worker's own layer object and draws each active row's mask from that worker's
-stream (via :meth:`~repro.nn.layers.Dropout.sample_mask`, the same helper the
-sequential path consumes) before one vectorized multiply — the streams replay
+stream (via :meth:`~repro.nn.layers.Dropout.sample_mask`, the same helper a
+single worker's layer consumes) before one vectorized multiply — the streams replay
 exactly.  A :class:`BatchedModel` that contains such layers must therefore be
 constructed with ``worker_models``.  Every layer of :mod:`repro.nn.layers` has
 a kernel; a ``Layer`` subclass from outside has none (lookup is by exact
@@ -148,8 +148,8 @@ class BatchedKernel:
 
     ``params``/``grads``/``buffers`` are the :class:`BatchedPlane` views for
     the layer, in the layer's ``*_refs()`` order.  Kernels cache activations
-    exactly like their sequential counterparts; the per-worker slice of every
-    computation matches the sequential layer's arithmetic.
+    exactly like their single-worker counterparts; the per-worker slice of
+    every computation matches the layer's own arithmetic.
     """
 
     #: Whether the kernel needs every worker's own layer object (RNG-stateful
@@ -291,8 +291,8 @@ class FoldedKernel(BatchedKernel):
     """A parameter-free layer applied to the ``(K·B, ...)`` fold of the stack.
 
     Pooling, ``Flatten`` and ``Activation`` treat every sample on its own, so
-    folding the worker axis into the sample batch is exact and the sequential
-    layer *is* the kernel: a private ``layer.fresh()`` (its own caches, never
+    folding the worker axis into the sample batch is exact and the layer
+    *is* the kernel: a private ``layer.fresh()`` (its own caches, never
     a worker's) runs on the reshaped tensor.
     """
 
@@ -319,11 +319,11 @@ class BatchedDropout(BatchedKernel):
     own ``Dropout`` layer.  Each training forward draws one ``(B, ...)`` mask
     per *active* row from that worker's stream — the same
     :meth:`~repro.nn.layers.Dropout.sample_mask` call, on the same shape, in
-    the same worker order as the sequential engine, so inactive workers
+    the same worker order as a loop over the workers, so inactive workers
     consume nothing and every stream replays exactly — then applies the
     stacked masks in one vectorized multiply.  Per-worker dropout *rates* may
     differ (each row's mask comes from its own layer); rate-zero rows get an
-    exact all-ones mask and no draw, like the sequential fast path.
+    exact all-ones mask and no draw, like the layer's own fast path.
     """
 
     needs_worker_layers = True
@@ -355,8 +355,8 @@ class BatchedDropout(BatchedKernel):
             if layer.rate == 0.0:
                 mask[row] = 1.0
             else:
-                # Same dtype as the sequential path's mask so both engines
-                # perform the identical float multiply.
+                # Same dtype as the layer's own mask, so a row performs the
+                # identical float multiply.
                 mask[row] = layer.sample_mask(sample_shape, dtype=x.dtype)
         self._cache_mask = mask
         return x * mask
@@ -372,7 +372,7 @@ class BatchedBatchNorm(BatchedKernel):
 
     Statistics reduce over every axis except the leading worker axis and the
     trailing channel axis, so each worker normalizes over exactly the same
-    extent as its sequential layer; running statistics update in place on the
+    extent as its own layer; running statistics update in place on the
     ``(K, C)`` views into the cluster's buffer matrix.
     """
 
@@ -433,7 +433,7 @@ class CompositeKernel(BatchedKernel):
     """A composite layer computing through its children's kernels.
 
     ``DenseBlock`` / ``TransitionDown`` are written over their children's
-    ``forward`` / ``backward`` and the channel axis is last on both engines,
+    ``forward`` / ``backward`` and the channel axis is last on both layouts,
     so the layer's own arithmetic runs the stacked pass: the kernel is the
     layer :meth:`~repro.nn.layers.Layer.with_sublayers` one kernel per child,
     each handed its share of the composite's views — consumed in the

@@ -559,10 +559,10 @@ class Dropout(Layer):
     def sample_mask(self, shape: Shape, dtype=np.float64) -> np.ndarray:
         """Draw one inverted-dropout mask for ``shape`` from the private stream.
 
-        The single place the layer's RNG is consumed: the sequential
+        The single place the layer's RNG is consumed: the layer's own
         :meth:`forward` and the batched kernel
-        (:class:`repro.nn.batched.BatchedDropout`) both call it, so the two
-        engines replay exactly the same per-worker mask stream.  The RNG draw
+        (:class:`repro.nn.batched.BatchedDropout`) both call it, so a worker
+        replays exactly the same mask stream whichever of the two runs it.  The RNG draw
         itself is always float64 (dtype does not perturb the stream); the
         returned mask is materialized in ``dtype`` so a float32 activation is
         not upcast by the multiply.

@@ -29,7 +29,7 @@ class Loss:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-worker losses and gradients for stacked ``(K, B, ...)`` outputs.
 
-        Used by the batched execution engine: ``outputs`` carries one leading
+        Used by the engine: ``outputs`` carries one leading
         worker axis, ``targets`` is ``(K, B)``-shaped, and the return value is
         ``(losses, grads)`` with ``losses`` of shape ``(K,)`` and ``grads``
         aligned with ``outputs``.  Worker ``k``'s slice must equal what

@@ -3,7 +3,7 @@
 A thin container around an ordered list of layers that adds the two things
 the rest of the library needs:
 
-* a training interface (``train_batch`` / ``evaluate`` / ``predict``), and
+* an inference interface (``forward`` / ``evaluate``), and
 * *flat* views of all trainable parameters and their gradients, which is the
   representation the FDA algorithm, the optimizers, and the distributed
   AllReduce all operate on (``w`` in the paper is exactly this vector).
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ModelNotBuiltError, ShapeError
-from repro.nn.layers import Conv2D, Dense, Layer
+from repro.nn.layers import Layer
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.plane import ParameterPlane
@@ -32,7 +32,7 @@ from repro.utils.rng import as_rng
 
 
 class Sequential:
-    """An ordered stack of layers trained with explicit backpropagation."""
+    """An ordered stack of layers: one worker's model, trained by the engine."""
 
     def __init__(self, layers: Sequence[Layer], name: str = "model") -> None:
         self.name = name
@@ -117,29 +117,6 @@ class Sequential:
         for layer in self.layers:
             out = layer.forward(out, training)
         return out
-
-    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
-        """Backpropagate through every layer (reverse order); returns ∂L/∂input.
-
-        Training never reads it: :meth:`train_batch` passes ``input_gradient=False`` and
-        a Dense or Conv2D first layer skips the product (and ``col2im``) that forms it.
-        """
-        self._require_built()
-        grad = grad_output
-        for index, layer in reversed(list(enumerate(self.layers))):
-            if index == 0 and not input_gradient and isinstance(layer, (Dense, Conv2D)):
-                return layer.backward(grad, input_gradient=False)
-            grad = layer.backward(grad)
-        return grad
-
-    def train_batch(self, x: np.ndarray, y: np.ndarray, loss: Optional[Loss] = None) -> float:
-        """One forward/backward pass on a mini-batch; gradients are left in the layers."""
-        self._require_built()
-        loss = loss or SoftmaxCrossEntropy()
-        outputs = self.forward(x, training=True)
-        loss_value, grad = loss.gradient(outputs, y)
-        self.backward(grad, input_gradient=False)
-        return loss_value
 
     def evaluate(
         self,
@@ -234,7 +211,7 @@ class Sequential:
     def rebind_gradient_storage(self, storage: np.ndarray) -> None:
         """Move gradient storage onto caller-owned ``storage`` (values kept).
 
-        Used by the batched execution engine to stack all workers' gradients
+        Used by the engine to stack all workers' gradients
         into one ``(K, d)`` matrix so a single batched backward pass writes
         every worker's gradients and a single ``step_rows`` consumes them.
         """

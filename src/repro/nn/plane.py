@@ -43,7 +43,7 @@ class SlotLayout:
     """Public description of where one layer array lives in a flat vector.
 
     ``offset``/``size`` address the array inside the flat storage; ``shape``
-    is its logical layer shape.  The batched execution engine uses these to
+    is its logical layer shape.  The engine uses these to
     carve ``(K, *shape)`` views out of a cluster's ``(K, d)`` matrices (see
     :class:`repro.nn.batched.BatchedPlane`).
     """

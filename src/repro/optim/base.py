@@ -1,34 +1,20 @@
 """Optimizer base class: an optimizer is one row of a stack, with one rule.
 
 All optimizers in this library are stateless with respect to the model object:
-they consume a flat parameter vector and the matching flat gradient vector.
-This mirrors the paper's ``Optimize(w, B)`` abstraction and lets the same
+they consume flat parameter rows and the matching flat gradient rows.  This
+mirrors the paper's ``Optimize(w, B)`` abstraction and lets the same
 optimizer drive any model.
 
 Each optimizer's arithmetic is written once, as a rule over ``(A, d)`` rows
 (:meth:`Optimizer._update_rows`): parameters, gradients and state are row
 blocks, scalar hyper-parameters are ``(A, 1)`` broadcast columns, and every
 row keeps its own timestep.  A :class:`StackedOptimizer` owns the state
-matrices and the columns of ``K`` optimizers, and every optimizer is a row of
-exactly one stack — its own private one-row stack (built on its first step)
-until an execution engine stacks it with its peers.  So there is one path to
-the rule, whoever drives:
-
-* :meth:`StackedOptimizer.step_rows` — all ``K`` rows, or a masked subset
-  (the batched engine's lockstep and partial-participation paths), one
-  cache-sized block of whole rows at a time within each row shard;
-* :meth:`Optimizer.step_inplace` — "step my row": the same rule on
-  ``params[None]`` with this row's state block, ``(1, 1)`` columns and
-  timestep (``worker.local_step``, the sequential engine's steps and
-  epochs).  It updates ``params`` — a view into the model's contiguous
-  parameter plane — in place; input validation is hoisted behind a one-time
-  check, and the gradient vector is read-only to every built-in rule;
-* :meth:`Optimizer.step` — the public convenience for convertible inputs:
-  convert, copy, ``step_inplace``, return the copy.
-
-Because a row's state lives in its stack, stepping a worker directly and
-stepping it through the stacked update read and write the same memory, and
-"which engine" never changes optimizer arithmetic.
+matrices and the columns of ``K`` optimizers, and an optimizer is stepped
+only as a row of exactly one stack — the one the cluster's engine builds
+over its workers' optimizers.  So there is one path to the rule,
+:meth:`StackedOptimizer.step_rows`: all ``K`` rows, or a masked subset (the
+engine's lockstep, partial-participation and per-worker paths), one
+cache-sized block of whole rows at a time within each row shard.
 """
 
 from __future__ import annotations
@@ -51,9 +37,9 @@ ROW_BLOCK_ELEMENTS = 131_072
 class Workspace:
     """The reusable scratch blocks a stack lends to its rule.
 
-    Shared by a :class:`StackedOptimizer` and its rows' optimizers (a stack
-    keeps one more per extra row shard, so no two threads share one); knows
-    the stack's row layout (``dimension`` in ``dtype``) and nothing else.
+    Owned by a :class:`StackedOptimizer` (one more per extra row shard, so no
+    two threads share one); knows the stack's row layout (``dimension`` in
+    ``dtype``) and nothing else.
     """
 
     def __init__(self, dimension: int, dtype: np.dtype) -> None:
@@ -75,11 +61,11 @@ class Optimizer:
     A subclass declares its scalar hyper-parameter attributes
     (:attr:`_columns`), its state matrices (:attr:`_state_names`) and one
     rule (:meth:`_update_rows`); this base class handles the learning rate,
-    step counting, input validation and the state's lifecycle.
+    step counting and the state's lifecycle.
     """
 
     #: Scalar hyper-parameter attributes beyond ``learning_rate`` that become
-    #: per-row ``(K, 1)`` columns, read once, when the row is bound (a stack
+    #: per-row ``(K, 1)`` columns, read once, when a stack is built (it
     #: adds the ``learning_rate`` column to every optimizer's).
     _columns: Tuple[str, ...] = ()
     #: Per-row ``(K, d)`` state matrices the rule reads and writes.  May be
@@ -95,154 +81,26 @@ class Optimizer:
         self.learning_rate = float(learning_rate)
         self.name = name or type(self).__name__.lower()
         self.step_count = 0
-        self._validated_key: Optional[Tuple] = None
-        # What an optimizer holds of its stack: the workspace (None until the
-        # first step or an engine binds it) and its row's blocks — never the
-        # stack itself, so no reference cycle hands the (K, d) matrices to the
-        # cyclic collector.  ``_solo``: the stack is its private one.
-        self._workspace: Optional[Workspace] = None
-        self._solo = False
-        self._row_state: Dict[str, np.ndarray] = {}
-
-    # -- row binding ---------------------------------------------------------
+        # What an optimizer holds of its stack: its row's blocks of the state
+        # matrices (None until a stack binds it) — never the stack itself, so
+        # no reference cycle hands the (K, d) matrices to the cyclic collector.
+        self._row_state: Optional[Dict[str, np.ndarray]] = None
 
     def _bind_row(self, stack: "StackedOptimizer", row: int) -> None:
-        """Become row ``row`` of ``stack``.
-
-        The ``(1, ·)`` blocks :meth:`step_inplace` hands to the rule are cut
-        here, once: views of the stack's state matrices and columns.
-        """
+        """Become row ``row`` of ``stack``: keep views of its state rows."""
         rows = slice(row, row + 1)
-        self._workspace = stack.workspace
-        self._solo = False
         self._row_state = {name: matrix[rows] for name, matrix in stack._state.items()}
-        self._row_columns = {name: column[rows] for name, column in stack._columns.items()}
-        self._validated_key = None
 
-    def _bind_solo(self, dimension: int, dtype) -> None:
-        """Become the one row of a private stack (no engine has stacked us).
-
-        Only what the stack allocated is kept — the row's blocks and the
-        workspace; nobody else steps a private stack, so the object goes.
-        """
-        StackedOptimizer([self], dimension, dtype)
-        self._solo = True
-
-    def _require_layout(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """Validate one ``step_inplace`` layout and bind this row to it.
-
-        A row's state and step count (bias correction) belong to
-        one parameter layout; stepping another would pair them with foreign
-        parameters — a quietly wrong trajectory — so it is refused until an
-        explicit :meth:`reset` (which frees a solo optimizer for reuse).
-        """
-        for name, array in (("params", params), ("grads", grads)):
-            if not isinstance(array, np.ndarray) or array.dtype not in (
-                np.float32,
-                np.float64,
-            ):
-                raise ShapeError(
-                    f"step_inplace requires a float32/float64 ndarray for {name}; "
-                    "use step() for other inputs"
-                )
-        if params.dtype != grads.dtype:
-            raise ShapeError(
-                "step_inplace requires params and grads of the same dtype, "
-                f"got {params.dtype} and {grads.dtype}"
-            )
-        if params.shape != grads.shape:
-            raise ShapeError(
-                f"params and grads must have the same shape, got {params.shape} and {grads.shape}"
-            )
-        if params.ndim != 1:
-            raise ShapeError(
-                "an optimizer steps one flat (d,) vector — its row; stacked "
-                "(K, d) matrices go through StackedOptimizer.step_rows — got "
-                f"shape {params.shape}"
-            )
-        bound = self._workspace
-        if bound is None:
-            self._bind_solo(params.size, params.dtype)
-        elif (bound.dimension, bound.dtype) != (params.size, params.dtype):
-            raise ShapeError(
-                f"optimizer state is bound to parameter shape ({bound.dimension},) "
-                f"{bound.dtype}, got {params.shape} {params.dtype}; call reset() "
-                "before reusing a solo optimizer with a different layout"
-            )
-
-    # -- public API ----------------------------------------------------------
-
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Return the updated parameter vector for one optimization step.
-
-        The convenience wrapper over :meth:`step_inplace`: inputs are
-        converted to ndarrays — float32 arrays step in float32 (the plane's
-        dtype is authoritative), everything else is promoted to the float64
-        reference dtype — and the update lands in a copy, which is returned.
-        """
-        params = np.asarray(params)
-        grads = np.asarray(grads)
-        if params.dtype not in (np.float32, np.float64) or grads.dtype != params.dtype:
-            params = np.asarray(params, dtype=np.float64)
-            grads = np.asarray(grads, dtype=np.float64)
-        return self.step_inplace(np.array(params), grads)
-
-    def step_inplace(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Step this optimizer's row: update ``params`` in place and return it.
-
-        ``params`` must be a flat float32 or float64 ``(d,)`` ndarray
-        (typically the model's parameter-plane view); it is mutated.
-        ``grads`` must be an ndarray of the same shape and dtype (the
-        plane's dtype — mixed-dtype stepping would silently change
-        arithmetic precision) and is never modified.  Validation
-        is memoized on the shape/dtype of both inputs so that repeated calls
-        pay only for the rule itself; any change in
-        layout re-validates.  Other input types are rejected outright — an
-        ``asarray`` copy of ``params`` would silently swallow the in-place
-        update, and a converted ``grads`` would change arithmetic precision
-        (use :meth:`step` for convertible inputs).
-        """
-        key = (
-            getattr(params, "shape", None),
-            getattr(params, "dtype", None),
-            getattr(grads, "shape", None),
-            getattr(grads, "dtype", None),
-        )
-        if key != self._validated_key:
-            self._require_layout(params, grads)
-            self._validated_key = key
-        self._update_rows(
-            self._workspace,
-            params[None],
-            grads[None],
-            self._row_state,
-            self._row_columns,
-            (self.step_count + 1,),
-        )
-        self.step_count += 1
-        return params
-
-    def reset(self) -> None:
-        """Clear all internal state (momentum buffers, step count).
-
-        The row is zeroed in place and stays bound to its stack, exactly
-        like :meth:`zero_state`; a solo optimizer additionally forgets its
-        layout, so it can be reused with a different model.
-        """
-        self.zero_state()
-        if self._solo:
-            self._workspace = None
-            self._row_state = {}
-            self._validated_key = None
+    # -- resumable state -----------------------------------------------------
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The live state arrays (velocity, moments) by name; empty until bound.
+        """The live state arrays (velocity, moments) by name; empty until stacked.
 
         The one enumeration of what an optimizer carries between steps.  The
         arrays are this optimizer's rows of its stack's ``(K, d)`` matrices,
         so writers must mutate them in place.
         """
-        return {name: block[0] for name, block in self._row_state.items()}
+        return {name: block[0] for name, block in (self._row_state or {}).items()}
 
     def state_dict(self) -> Dict[str, object]:
         """Resumable snapshot: step count, hyper-parameters, state-array copies."""
@@ -253,13 +111,16 @@ class Optimizer:
         """Resume from :meth:`state_dict`, writing the row in place.
 
         A live array the snapshot lacks was captured before its first step
-        and is zeroed; an optimizer no stack has bound yet takes its layout
-        from the saved arrays.
+        and is zeroed.  The row must exist: an optimizer no stack has bound
+        has nowhere to put the saved arrays, so it is refused.
         """
+        if self._row_state is None:
+            raise ConfigurationError(
+                f"{type(self).__name__} is not a row of any stack, so its saved "
+                "state has nowhere to go; load it through the cluster that "
+                "stacked the optimizer (Worker / SimulatedCluster.load_state_dict)"
+            )
         saved = state["arrays"]
-        if saved and self._workspace is None:
-            layout = np.asarray(next(iter(saved.values())))
-            self._bind_solo(layout.size, layout.dtype)
         self.step_count = int(state["step_count"])
         for name, array in self.state_arrays().items():
             array[...] = saved.get(name, 0.0)
@@ -314,16 +175,15 @@ class Optimizer:
 class StackedOptimizer:
     """``K`` optimizers as the rows of one ``(K, d)`` update; owner of their state.
 
-    The batched execution engine stores all workers' parameters as rows of one
-    ``(K, d)`` matrix; a stack makes the workers' *optimizers* match that
-    layout without changing what any single worker computes (a lone optimizer
-    is the ``K = 1`` case, stacked privately on its first step):
+    The engine stores all workers' parameters as rows of one ``(K, d)``
+    matrix; a stack makes the workers' *optimizers* match that layout without
+    changing what any single worker computes (a lone optimizer is the
+    ``K = 1`` case):
 
     * **state is per-row.**  Momentum/velocity/moment buffers are ``(K, d)``
-      matrices owned here; optimizer ``k`` *is* row ``k``, so stepping a
-      worker directly (``worker.local_step``) and
-      stepping it through :meth:`step_rows` run the same rule on the same
-      memory — the two drive modes compose instead of excluding each other.
+      matrices owned here; optimizer ``k`` *is* row ``k``, so stepping all
+      rows, a masked subset or one worker runs the same rule on the same
+      memory — the drive modes compose instead of excluding each other.
     * **hyper-parameters are per-row columns.**  Learning rate, momentum,
       weight decay, and the Adam betas are ``(K, 1)`` broadcast columns in
       the plane dtype — the one place the rule reads them from — so
@@ -360,7 +220,7 @@ class StackedOptimizer:
         )
         if mixed:
             raise ConfigurationError(
-                "stacked execution needs one optimizer type across all workers; "
+                "a stack needs one optimizer type across all workers; "
                 f"got {type(reference).__name__} and {', '.join(mixed)}"
             )
         if type(reference)._update_rows is Optimizer._update_rows:
@@ -368,19 +228,15 @@ class StackedOptimizer:
                 f"{type(reference).__name__} defines no update rule; an optimizer "
                 "declares _columns, _state_names and one _update_rows"
             )
-        # A stepped row of another stack holds state the rebinding would drop
-        # while its step count kept counting; stepped but unbound (resumed
-        # from a snapshot that carried no arrays) there is nothing to lose.
-        stepped = [
-            i
-            for i, optimizer in enumerate(optimizers)
-            if optimizer.step_count and optimizer._workspace is not None
-        ]
+        # A stepped optimizer's state would be dropped by the rebinding while
+        # its step count (Adam's bias correction) kept counting — a quietly
+        # wrong trajectory.  Only fresh optimizers become rows.
+        stepped = [i for i, optimizer in enumerate(optimizers) if optimizer.step_count]
         if stepped:
             raise ConfigurationError(
-                "stacked execution requires fresh optimizers (their state becomes "
-                f"rows of shared (K, d) matrices); optimizers {stepped} have "
-                "already stepped — call reset() or construct new optimizers"
+                "a stack needs fresh optimizers (their state becomes rows of "
+                f"shared (K, d) matrices); optimizers {stepped} have already "
+                "stepped — construct new optimizers"
             )
         problems = reference._stacked_validate(optimizers)
         if problems:

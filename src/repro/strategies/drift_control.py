@@ -13,7 +13,7 @@ benchmarks quantify that relationship under Non-IID data.
 Both are the :class:`~repro.strategies.fedopt.ServerRoundStrategy` round —
 ``local_epochs`` passes per worker through ``cluster.epoch_all``, then a
 full-model aggregation — and differ from FedAvg only in its hooks: the
-``(rows, params, grads)`` gradient transform the execution engine applies to
+``(rows, params, grads)`` gradient transform the cluster's engine applies to
 the stepping rows' gradient block, and (SCAFFOLD) the variate traffic and
 refresh.  Only the round's participants train, upload and vote, so dead
 workers and unbound slots neither move nor count and a weighted cohort votes

@@ -38,8 +38,8 @@ class FDAStrategy(Strategy):
 
     Partial participation comes from the cluster's timeline: the underlying
     :class:`FDATrainer` samples the per-step mask and only active workers
-    compute and report states.  This works on either execution engine — the
-    batched engine runs the active rows as one masked vectorized pass.
+    compute and report states; the engine runs the active rows as one masked
+    vectorized pass.
     """
 
     name = "FDA"

@@ -3,7 +3,7 @@
 Every server-based strategy — FedOpt, FedProx, SCAFFOLD — is the same round:
 ``local_epochs`` full passes over every participating worker's shard (the
 paper uses E = 1, following the FedAdam paper) through ``cluster.epoch_all``
-and hence the execution engine, one client → server model upload, a new
+and hence the cluster's engine, one client → server model upload, a new
 global model, its broadcast.  :class:`ServerRoundStrategy` is that round,
 once; a strategy adds three hooks — the gradient transform its epochs run
 under, what the upload carries, how the participants' mean becomes the new

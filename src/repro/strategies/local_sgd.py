@@ -23,9 +23,8 @@ class LocalSGDStrategy(Strategy):
     works.
 
     Each of the ``tau`` local steps goes through ``cluster.step_all`` and thus
-    the cluster's execution engine — ``execution="batched"`` advances the
-    participating workers per step in one vectorized pass with unchanged
-    protocol semantics.  Partial participation (a timeline with
+    the cluster's engine, which advances the participating workers per step
+    in one vectorized pass.  Partial participation (a timeline with
     ``dropout_rate > 0``) is sampled per local step, matching FDA's cadence;
     dropped workers skip that step but are still averaged at the period
     boundary (FedAvg over possibly stale rows), so the byte ledger is

@@ -17,9 +17,8 @@ class SynchronousStrategy(Strategy):
     """BSP training: one local step, then a full model AllReduce, every round.
 
     The local step goes through ``cluster.step_all`` and therefore through the
-    cluster's execution engine: with ``execution="batched"`` all participating
-    worker steps of a round run as one vectorized pass (identical protocol,
-    identical byte accounting).
+    cluster's engine: all participating worker steps of a round run as one
+    vectorized pass.
 
     Partial participation (a timeline with ``dropout_rate > 0``) is sampled
     per round: dropped workers skip the local step but still contribute their

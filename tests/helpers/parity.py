@@ -1,12 +1,12 @@
 """Reusable cross-engine parity harness.
 
-The batched engine must be an *execution* optimization only: for every
-protocol, every timeline (full or partial participation), every supported
-model (including RNG-stateful ``Dropout``), and every optimizer configuration
-(homogeneous or per-worker heterogeneous), a run on ``execution="batched"``
-must reproduce the sequential run's training trajectory and its communication
-ledger.  This module owns the scenario grid and the assertions; the parity
-tests parametrize over it.
+The engine must be an *execution* optimization only: for every protocol,
+every timeline (full or partial participation), every supported model
+(including RNG-stateful ``Dropout``), and every optimizer configuration
+(homogeneous or per-worker heterogeneous), a run on the engine must
+reproduce the per-worker oracle's training trajectory
+(:mod:`helpers.per_worker`) and its communication ledger.  This module owns
+the scenario grid and the assertions; the parity tests parametrize over it.
 
 Conventions:
 
@@ -18,7 +18,7 @@ Conventions:
   which the SGD scenarios are held to.
 * Ledgers — byte counts per category, synchronization decisions, per-worker
   step counts — are compared *exactly*: protocol decisions may not drift.
-* Both engines of a pair are built identically (same data/model/timeline
+* Both sides of a pair are built identically (same data/model/timeline
   seeds), so any divergence is the engine's fault.
 """
 
@@ -46,6 +46,8 @@ from repro.nn.layers import (
 )
 from repro.nn.model import Sequential
 from repro.optim.adam import Adam
+
+from helpers.per_worker import SIDES, on_side
 
 
 def tolerance(dtype=None, scale: float = 1.0) -> dict:
@@ -78,17 +80,13 @@ def parity_tolerance(dtype=None, steps: int = 1) -> dict:
 #: Documented cross-engine trajectory tolerance (see module docstring).
 RTOL = 1e-6
 
-#: The two execution engines under comparison, in canonical order.
-EXECUTIONS = ("sequential", "batched")
-
-
 def engine_tolerances(dtype=None, steps: int = 1) -> dict:
     """Cross-engine comparison bounds for a parity pair running at ``dtype``.
 
     float64 pairs (the default) are held to the documented :data:`RTOL` with
     zero absolute slack.  float32 pairs widen both bounds to the
-    eps-derived parity tolerance (sqrt-in-``steps``): the engines run the
-    same kernels, but single-precision GEMMs are free to re-associate their
+    eps-derived parity tolerance (sqrt-in-``steps``): both sides run the
+    same arithmetic, but single-precision GEMMs are free to re-associate their
     reductions more visibly than the double-precision ones the golden
     trajectories were recorded with.
     """
@@ -155,7 +153,7 @@ TIMELINES = {"full": 0.0, "dropout": 0.35}
 
 
 def make_cluster(
-    execution: str,
+    side: str,
     model_factory: Callable[[], Sequential] = mlp_factory,
     sample_shape: Tuple[int, ...] = (6,),
     num_classes: int = 3,
@@ -167,11 +165,11 @@ def make_cluster(
     data_seed: int = 7,
     **cluster_kwargs,
 ) -> SimulatedCluster:
-    """One cluster of the parity pair.
+    """One cluster of the parity pair: ``side`` is ``"per-worker"`` or ``"batched"``.
 
     Everything random is seeded identically across the pair: worker shards
     (``data_seed``), per-worker sampler streams (the worker id), and the
-    timeline (``timeline_seed``), so a sequential/batched pair sees the same
+    timeline (``timeline_seed``), so a per-worker/batched pair sees the same
     data, the same masks, and the same mask-stream draws.
     ``optimizer_factory`` receives the worker id — return different
     configurations for heterogeneous-worker scenarios.
@@ -195,19 +193,19 @@ def make_cluster(
         cluster_kwargs["timeline"] = Timeline(
             num_workers, dropout_rate=dropout_rate, seed=timeline_seed
         )
-    return SimulatedCluster(workers, execution=execution, **cluster_kwargs)
+    return on_side(side, SimulatedCluster(workers, **cluster_kwargs))
 
 
 def make_cluster_pair(**kwargs) -> Tuple[SimulatedCluster, SimulatedCluster]:
-    """The ``(sequential, batched)`` pair for one scenario."""
-    return tuple(make_cluster(execution, **kwargs) for execution in EXECUTIONS)
+    """The ``(per-worker, batched)`` pair for one scenario."""
+    return tuple(make_cluster(side, **kwargs) for side in SIDES)
 
 
 # -- assertions ------------------------------------------------------------------
 
 
 def assert_ledgers_equal(cluster_a: SimulatedCluster, cluster_b: SimulatedCluster) -> None:
-    """Byte accounting must be *exactly* equal between the engines."""
+    """Byte accounting must be *exactly* equal between the two sides."""
     assert cluster_a.total_bytes == cluster_b.total_bytes
     for category in ("model-sync", "fda-state", "other"):
         assert cluster_a.tracker.bytes_for(category) == cluster_b.tracker.bytes_for(
@@ -221,14 +219,7 @@ def assert_ledgers_equal(cluster_a: SimulatedCluster, cluster_b: SimulatedCluste
 
 def assert_same_state(actual, expected, path="slot"):
     """Byte-equality of two nested snapshots (dtype included)."""
-    if isinstance(expected, dict) and path.endswith("optimizer.arrays"):
-        # The sequential engine allocates moments on the first step: an array
-        # one side lacks was captured before that step and is all zeros.
-        for name in actual.keys() | expected.keys():
-            np.testing.assert_array_equal(
-                actual.get(name, 0.0), expected.get(name, 0.0), err_msg=f"{path}.{name}"
-            )
-    elif isinstance(expected, dict):
+    if isinstance(expected, dict):
         assert actual.keys() == expected.keys(), path
         for key, value in expected.items():
             assert_same_state(actual[key], value, f"{path}.{key}")
@@ -274,37 +265,37 @@ def run_strategy_parity(
     dtype=None,
     **cluster_kwargs,
 ) -> Tuple[SimulatedCluster, SimulatedCluster]:
-    """Run one strategy on both engines and assert full parity.
+    """Run one strategy on both sides and assert full parity.
 
-    ``strategy_factory`` is invoked once per engine (strategies are stateful).
+    ``strategy_factory`` is invoked once per side (strategies are stateful).
     ``dtype`` selects the plane dtype for *both* clusters of the pair and
     widens the trajectory tolerance via :func:`engine_tolerances`; ledgers
-    stay exact regardless.  Returns the ``(sequential, batched)`` clusters
+    stay exact regardless.  Returns the ``(per-worker, batched)`` clusters
     for extra assertions.
     """
     if dtype is not None:
         cluster_kwargs["dtype"] = dtype
     tol = engine_tolerances(dtype, steps=rounds)
     outcomes = {}
-    for execution in EXECUTIONS:
-        cluster = make_cluster(execution, **cluster_kwargs)
+    for side in SIDES:
+        cluster = make_cluster(side, **cluster_kwargs)
         strategy = strategy_factory().attach(cluster)
-        outcomes[execution] = (cluster, [strategy.run_round() for _ in range(rounds)])
-    seq_cluster, seq_rounds = outcomes["sequential"]
+        outcomes[side] = (cluster, [strategy.run_round() for _ in range(rounds)])
+    oracle_cluster, oracle_rounds = outcomes["per-worker"]
     bat_cluster, bat_rounds = outcomes["batched"]
     assert_close(
-        [r.mean_loss for r in seq_rounds], [r.mean_loss for r in bat_rounds], exact, **tol
+        [r.mean_loss for r in oracle_rounds], [r.mean_loss for r in bat_rounds], exact, **tol
     )
-    assert [r.synchronized for r in seq_rounds] == [r.synchronized for r in bat_rounds]
-    assert [r.communication_bytes for r in seq_rounds] == [
+    assert [r.synchronized for r in oracle_rounds] == [r.synchronized for r in bat_rounds]
+    assert [r.communication_bytes for r in oracle_rounds] == [
         r.communication_bytes for r in bat_rounds
     ]
-    assert [r.steps_advanced for r in seq_rounds] == [
+    assert [r.steps_advanced for r in oracle_rounds] == [
         r.steps_advanced for r in bat_rounds
     ]
-    assert_cluster_states_match(seq_cluster, bat_cluster, exact, **tol)
-    assert_ledgers_equal(seq_cluster, bat_cluster)
-    return seq_cluster, bat_cluster
+    assert_cluster_states_match(oracle_cluster, bat_cluster, exact, **tol)
+    assert_ledgers_equal(oracle_cluster, bat_cluster)
+    return oracle_cluster, bat_cluster
 
 
 def run_fda_parity(
@@ -316,52 +307,52 @@ def run_fda_parity(
     dtype=None,
     **cluster_kwargs,
 ) -> Tuple[FDATrainer, FDATrainer]:
-    """Run the FDA trainer on both engines and assert full parity.
+    """Run the FDA trainer on both sides and assert full parity.
 
     Compares the per-step observables (losses, variance estimates, sync
     decisions, byte counts, active-worker counts), the final cluster state,
-    and the ledgers.  ``dtype`` selects the plane dtype for both engines and
+    and the ledgers.  ``dtype`` selects the plane dtype for both sides and
     widens the float tolerances via :func:`engine_tolerances` (decisions and
-    ledgers stay exact).  Returns the ``(sequential, batched)`` trainers.
+    ledgers stay exact).  Returns the ``(per-worker, batched)`` trainers.
     """
     if dtype is not None:
         cluster_kwargs["dtype"] = dtype
     tol = engine_tolerances(dtype, steps=steps)
     results = {}
-    for execution in EXECUTIONS:
-        cluster = make_cluster(execution, **cluster_kwargs)
+    for side in SIDES:
+        cluster = make_cluster(side, **cluster_kwargs)
         monitor = make_monitor(variant, cluster.model_dimension, seed=monitor_seed)
         trainer = FDATrainer(cluster, monitor, threshold=threshold)
-        results[execution] = (trainer, trainer.run_steps(steps))
-    seq_trainer, seq_steps = results["sequential"]
+        results[side] = (trainer, trainer.run_steps(steps))
+    oracle_trainer, oracle_steps = results["per-worker"]
     bat_trainer, bat_steps = results["batched"]
     assert_close(
-        [r.mean_loss for r in seq_steps], [r.mean_loss for r in bat_steps], exact, **tol
+        [r.mean_loss for r in oracle_steps], [r.mean_loss for r in bat_steps], exact, **tol
     )
     if exact:
         assert_close(
-            [r.variance_estimate for r in seq_steps],
+            [r.variance_estimate for r in oracle_steps],
             [r.variance_estimate for r in bat_steps],
             exact,
         )
     else:
         assert_close(
-            [r.variance_estimate for r in seq_steps],
+            [r.variance_estimate for r in oracle_steps],
             [r.variance_estimate for r in bat_steps],
             rtol=tol["rtol"],
             atol=max(1e-9, tol["atol"]),
         )
     # Protocol decisions and the communication ledger are exact.
-    assert [r.synchronized for r in seq_steps] == [r.synchronized for r in bat_steps]
-    assert [r.communication_bytes for r in seq_steps] == [
+    assert [r.synchronized for r in oracle_steps] == [r.synchronized for r in bat_steps]
+    assert [r.communication_bytes for r in oracle_steps] == [
         r.communication_bytes for r in bat_steps
     ]
-    assert [r.active_workers for r in seq_steps] == [
+    assert [r.active_workers for r in oracle_steps] == [
         r.active_workers for r in bat_steps
     ]
-    assert_cluster_states_match(seq_trainer.cluster, bat_trainer.cluster, exact, **tol)
-    assert_ledgers_equal(seq_trainer.cluster, bat_trainer.cluster)
-    return seq_trainer, bat_trainer
+    assert_cluster_states_match(oracle_trainer.cluster, bat_trainer.cluster, exact, **tol)
+    assert_ledgers_equal(oracle_trainer.cluster, bat_trainer.cluster)
+    return oracle_trainer, bat_trainer
 
 
 def run_population_parity(
@@ -371,12 +362,12 @@ def run_population_parity(
     exact: bool = True,
     dtype=None,
     memory_budget: Optional[int] = None,
-    executions: Sequence[str] = EXECUTIONS,
+    sides: Sequence[str] = SIDES,
     **cluster_kwargs,
 ) -> None:
     """Population mode with cohort=all must be bit-identical to no population.
 
-    For each execution engine, builds two identical clusters; one trains the
+    For each side, builds two identical clusters; one trains the
     strategy directly, the other trains it through a
     :class:`~repro.population.plane.ClientPopulation` with ``N == K`` clients
     (the workers' own shards as explicit client shards), cohort=all, and
@@ -393,12 +384,12 @@ def run_population_parity(
 
     if dtype is not None:
         cluster_kwargs["dtype"] = dtype
-    for execution in executions:
-        plain_cluster = make_cluster(execution, num_workers=num_workers, **cluster_kwargs)
+    for side in sides:
+        plain_cluster = make_cluster(side, num_workers=num_workers, **cluster_kwargs)
         plain_strategy = strategy_factory().attach(plain_cluster)
         plain_rounds = [plain_strategy.run_round() for _ in range(rounds)]
 
-        pop_cluster = make_cluster(execution, num_workers=num_workers, **cluster_kwargs)
+        pop_cluster = make_cluster(side, num_workers=num_workers, **cluster_kwargs)
         pop_strategy = strategy_factory().attach(pop_cluster)
         population = ClientPopulation(
             PopulationConfig(
@@ -449,17 +440,17 @@ def run_masked_step_parity(
     exact: bool = False,
     **cluster_kwargs,
 ) -> Tuple[SimulatedCluster, SimulatedCluster]:
-    """Drive both engines through an explicit per-step mask sequence.
+    """Drive both sides through an explicit per-step mask sequence.
 
     Bypasses the timeline's mask stream so property-based tests can feed
     arbitrary participation patterns (including empty and full masks)
     directly into ``cluster.step_all``.
     """
-    seq_cluster, bat_cluster = make_cluster_pair(**cluster_kwargs)
+    oracle_cluster, bat_cluster = make_cluster_pair(**cluster_kwargs)
     for mask in masks:
-        loss_seq = seq_cluster.step_all(active=mask)
+        loss_oracle = oracle_cluster.step_all(active=mask)
         loss_bat = bat_cluster.step_all(active=mask)
-        assert_close(loss_seq, loss_bat, exact)
-    assert_cluster_states_match(seq_cluster, bat_cluster, exact)
-    assert_ledgers_equal(seq_cluster, bat_cluster)
-    return seq_cluster, bat_cluster
+        assert_close(loss_oracle, loss_bat, exact)
+    assert_cluster_states_match(oracle_cluster, bat_cluster, exact)
+    assert_ledgers_equal(oracle_cluster, bat_cluster)
+    return oracle_cluster, bat_cluster

@@ -1,11 +1,12 @@
-"""Batched-vs-sequential execution parity, per strategy — on the harness.
+"""The engine against the per-worker oracle, per strategy — on the harness.
 
 The scenario grid itself (clusters, drivers, assertions) lives in
-``tests/helpers/parity.py``; this file parametrizes over it and additionally
-pins down the engine's guard surface.  The whole grid — partial
-participation, ``Dropout`` models, heterogeneous optimizer hyper-parameters,
-per-worker driving — runs vectorized: none of it falls back to the
-sequential engine.
+``tests/helpers/parity.py`` and the oracle in ``tests/helpers/per_worker.py``;
+this file parametrizes over them and additionally pins down the engine's
+guard surface.  The whole grid — partial participation, ``Dropout`` models,
+heterogeneous optimizer hyper-parameters, per-worker driving — runs
+vectorized on the engine, and the full strategy × timeline × model cross
+product runs in tier-1.
 
 SGD scenarios are held to *value-exact* parity (``rtol=0, atol=0``); Adam
 scenarios use the documented ``rtol=1e-6`` (numpy's vectorized pow is kept
@@ -21,7 +22,6 @@ import numpy as np
 import pytest
 
 from helpers.parity import (
-    EXECUTIONS,
     MODELS,
     RTOL,
     TIMELINES,
@@ -34,13 +34,14 @@ from helpers.parity import (
     run_fda_parity,
     run_strategy_parity,
 )
+from helpers.per_worker import SIDES, on_side, solo_step
 from helpers.serving import serve_next
 from repro.core.monitor import make_monitor
 from repro.core.timeline import StragglerProfile, Timeline
 from repro.data.datasets import Dataset
 from repro.data.loaders import BatchSampler, StackedSampler
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.engine import BatchedEngine, SequentialEngine
+from repro.distributed.engine import BatchedEngine
 from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import densenet_cifar_workload
@@ -122,9 +123,9 @@ class TestStrategyParity:
     def test_conv_and_batchnorm_models_match(self, model):
         factory, shape, classes = MODELS[model]
         outcomes = {}
-        for execution in EXECUTIONS:
+        for side in SIDES:
             cluster = make_cluster(
-                execution,
+                side,
                 model_factory=factory,
                 sample_shape=shape,
                 num_classes=classes,
@@ -133,16 +134,16 @@ class TestStrategyParity:
             )
             losses = [cluster.step_all() for _ in range(10)]
             cluster.synchronize()
-            outcomes[execution] = (cluster, losses)
-        seq_cluster, seq_losses = outcomes["sequential"]
+            outcomes[side] = (cluster, losses)
+        seq_cluster, seq_losses = outcomes["per-worker"]
         bat_cluster, bat_losses = outcomes["batched"]
         np.testing.assert_allclose(seq_losses, bat_losses, rtol=RTOL)
         assert_cluster_states_match(seq_cluster, bat_cluster)
         assert_ledgers_equal(seq_cluster, bat_cluster)
 
     def test_dropout_model_runs_batched_and_matches_exactly(self):
-        """Dropout layers no longer force the sequential fallback: the batched
-        kernel replays each worker's private mask stream bit-for-bit."""
+        """Dropout layers run batched: the kernel replays each worker's
+        private mask stream bit-for-bit."""
         factory, shape, classes = MODELS["dropout-head"]
         run_strategy_parity(
             self.STRATEGIES["bsp"],
@@ -154,7 +155,6 @@ class TestStrategyParity:
             exact=True,
         )
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("timeline", sorted(TIMELINES))
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
@@ -176,15 +176,15 @@ class TestDenseNetWorkloads:
     """Composite layers run batched: the paper's DenseNet121/201 stand-ins."""
 
     @pytest.mark.parametrize("variant", ["small", "large"])
-    def test_densenet_workload_matches_the_sequential_engine(self, variant):
+    def test_densenet_workload_matches_the_per_worker_loop(self, variant):
         workload = densenet_cifar_workload(variant)
         clusters = {}
-        for execution in EXECUTIONS:
-            cluster, _ = build_cluster(replace(workload, execution=execution))
+        for side in SIDES:
+            cluster = on_side(side, build_cluster(workload)[0])
             strategy = FDAStrategy(threshold=0.5, variant="linear").attach(cluster)
-            clusters[execution] = (cluster, [strategy.run_round() for _ in range(12)])
+            clusters[side] = (cluster, [strategy.run_round() for _ in range(12)])
         (seq_cluster, seq_rounds), (bat_cluster, bat_rounds) = (
-            clusters[execution] for execution in EXECUTIONS
+            clusters[side] for side in SIDES
         )
         assert isinstance(bat_cluster.engine, BatchedEngine)
         tol = engine_tolerances(steps=12)
@@ -253,13 +253,13 @@ class TestHeterogeneousWorkers:
 
 
 class TestPerWorkerDriving:
-    def test_step_worker_matches_sequential_exactly(self):
+    def test_step_worker_matches_the_per_worker_loop_exactly(self):
         seq_cluster, bat_cluster = make_cluster_pair(
             num_workers=4, optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9)
         )
         order = [0, 2, 1, 3, 3, 0, 1, 2, 2, 1, 0, 3] * 3
         for worker_id in order:
-            loss_seq = seq_cluster.workers[worker_id].local_step()
+            loss_seq = seq_cluster.engine.step_worker(worker_id)
             loss_bat = bat_cluster.engine.step_worker(worker_id)
             np.testing.assert_allclose(loss_bat, loss_seq, rtol=0.0, atol=0.0)
         assert_cluster_states_match(seq_cluster, bat_cluster, exact=True)
@@ -267,17 +267,16 @@ class TestPerWorkerDriving:
     def test_drive_modes_compose(self):
         """Per-worker, epoch, and lockstep driving share one optimizer state
         (the stacked rows ARE the workers' own state), so mixing drive modes
-        is legal and stays in lockstep parity with the sequential engine."""
+        is legal and stays in lockstep parity with the per-worker loop."""
         seq_cluster, bat_cluster = make_cluster_pair(
             num_workers=3, optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9)
         )
-        seq_cluster.workers[1].local_step()
-        bat_cluster.engine.step_worker(1)
         for cluster in (seq_cluster, bat_cluster):
+            cluster.engine.step_worker(1)
             cluster.step_all()
             cluster.engine.epoch_worker(0)
             cluster.step_all(active=np.array([True, False, True]))
-            cluster.workers[2].local_step()  # direct driving, bypassing the engine
+            cluster.engine.step_worker(2)
             cluster.step_all()
         assert_cluster_states_match(seq_cluster, bat_cluster, exact=True)
         assert_ledgers_equal(seq_cluster, bat_cluster)
@@ -302,10 +301,10 @@ class TestAsyncParity:
     def test_async_runs_are_engine_independent(self):
         """Event-driven completions run single-row slices of the batched
         kernels with identical per-worker arithmetic, so asynchronous
-        trajectories must be *exactly* equal across engines."""
+        trajectories must *exactly* equal the per-worker loop's."""
         outcomes = {}
-        for execution in EXECUTIONS:
-            cluster = make_cluster(execution)
+        for side in SIDES:
+            cluster = make_cluster(side)
             trainer = ServedFDATrainer(
                 cluster,
                 make_monitor("linear", cluster.model_dimension, seed=3),
@@ -315,8 +314,8 @@ class TestAsyncParity:
                 seed=5,
             )
             events = [serve_next(trainer) for _ in range(80)]
-            outcomes[execution] = (cluster, trainer, events)
-        seq_cluster, seq_trainer, seq_events = outcomes["sequential"]
+            outcomes[side] = (cluster, trainer, events)
+        seq_cluster, seq_trainer, seq_events = outcomes["per-worker"]
         bat_cluster, bat_trainer, bat_events = outcomes["batched"]
         assert [(e.worker_id, e.step_index, e.synchronized) for e in seq_events] == [
             (e.worker_id, e.step_index, e.synchronized) for e in bat_events
@@ -385,14 +384,8 @@ class TestStackedSampler:
 
 
 class TestEngineSelection:
-    def test_cluster_exposes_engine_and_execution(self):
-        sequential = make_cluster("sequential", num_workers=2)
-        assert sequential.execution == "sequential"
-        assert isinstance(sequential.engine, SequentialEngine)
-        assert sequential.gradient_matrix is None
-
+    def test_cluster_exposes_engine_and_gradient_matrix(self):
         batched = make_cluster("batched", num_workers=2)
-        assert batched.execution == "batched"
         assert isinstance(batched.engine, BatchedEngine)
         assert batched.gradient_matrix.shape == (2, batched.model_dimension)
         # The gradient matrix aliases the workers' gradient planes.
@@ -440,10 +433,6 @@ class TestEngineGuards:
     """Every remaining ``ConfigurationError`` branch in ``distributed/engine.py``,
     pinned by message."""
 
-    def test_unknown_execution_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown execution mode"):
-            make_cluster("vectorized")
-
     def test_pre_stepped_optimizers_rejected(self):
         # A pre-stepped optimizer's (d,) moments would be silently discarded
         # by the row binding while its step count kept counting.
@@ -456,9 +445,9 @@ class TestEngineGuards:
                 Worker(worker_id, mlp_factory(), Dataset(x, y, 3), Adam(0.01), batch_size=4)
             )
         for worker in workers:
-            worker.local_step()
+            solo_step(worker.optimizer, np.zeros(4), np.ones(4))
         with pytest.raises(ConfigurationError, match="fresh optimizers"):
-            SimulatedCluster(workers, execution="batched")
+            SimulatedCluster(workers)
 
     def test_unsupported_layers_rejected_with_clear_message(self):
         # Every layer of repro.nn.layers has a kernel; a Layer subclass from
@@ -476,7 +465,6 @@ class TestEngineGuards:
 
         with pytest.raises(ConfigurationError, match=r"no kernel for these layers: twice \(Doubling\)"):
             make_cluster("batched", model_factory=factory, num_workers=2)
-        assert make_cluster("sequential", model_factory=factory, num_workers=2).step_all() > 0
 
     def test_structurally_different_models_rejected(self):
         # Same parameter count, different activation: the batched kernels are
@@ -492,7 +480,7 @@ class TestEngineGuards:
                 Worker(worker_id, model, Dataset(x, y, 3), Adam(0.01), batch_size=4)
             )
         with pytest.raises(ConfigurationError, match="model architecture differs"):
-            SimulatedCluster(workers, execution="batched")
+            SimulatedCluster(workers)
 
     def _workers_with(self, build):
         rng = np.random.default_rng(0)
@@ -514,7 +502,7 @@ class TestEngineGuards:
             )
         )
         with pytest.raises(ConfigurationError, match="optimizer type"):
-            SimulatedCluster(workers, execution="batched")
+            SimulatedCluster(workers)
 
     def test_mismatched_loss_rejected(self):
         workers = self._workers_with(
@@ -528,7 +516,7 @@ class TestEngineGuards:
             )
         )
         with pytest.raises(ConfigurationError, match="loss configuration differs"):
-            SimulatedCluster(workers, execution="batched")
+            SimulatedCluster(workers)
 
     def test_mismatched_batch_size_rejected(self):
         workers = self._workers_with(
@@ -537,7 +525,7 @@ class TestEngineGuards:
             )
         )
         with pytest.raises(ConfigurationError, match="batch_size"):
-            SimulatedCluster(workers, execution="batched")
+            SimulatedCluster(workers)
 
     def test_heterogeneous_hyperparameters_accepted(self):
         """The old identically-configured-optimizers guard is gone: scalar
@@ -547,7 +535,7 @@ class TestEngineGuards:
                 worker_id, mlp_factory(), data, Adam(0.01 * (worker_id + 1)), batch_size=4
             )
         )
-        cluster = SimulatedCluster(workers, execution="batched")
+        cluster = SimulatedCluster(workers)
         assert cluster.step_all() > 0.0
 
 
@@ -563,16 +551,13 @@ class TestStackedOptimizerGuards:
 
     def test_optimizer_without_stacked_rule_rejected(self):
         # The row rule is the only spelling of an optimizer's arithmetic, so
-        # a subclass that defines none is refused by name — by the stack an
-        # engine builds and by the private one its first direct step builds.
+        # a subclass that defines none is refused by name by the stack.
         class Esoteric(Optimizer):
             _columns = ("sharpness",)
             sharpness = 2.0
 
         with pytest.raises(ConfigurationError, match="Esoteric defines no update rule"):
             StackedOptimizer([Esoteric(), Esoteric()], 4)
-        with pytest.raises(ConfigurationError, match="Esoteric defines no update rule"):
-            Esoteric().step_inplace(np.zeros(4), np.ones(4))
 
     def test_mixed_types_rejected(self):
         with pytest.raises(ConfigurationError, match="one optimizer type"):
@@ -580,51 +565,42 @@ class TestStackedOptimizerGuards:
 
     def test_pre_stepped_rejected(self):
         stepped = SGD(0.01)
-        stepped.step_inplace(np.zeros(4), np.zeros(4))
+        solo_step(stepped, np.zeros(4), np.zeros(4))
         with pytest.raises(ConfigurationError, match="already stepped"):
             StackedOptimizer([stepped, SGD(0.01)], 4)
 
 
 class TestWorkloadExecutionField:
-    def test_build_cluster_threads_execution_through(self, blobs_workload):
-        from repro.experiments.setup import build_cluster
-
-        cluster, _ = build_cluster(replace(blobs_workload, execution="batched"))
-        assert cluster.execution == "batched"
-        cluster2, _ = build_cluster(blobs_workload)
-        assert cluster2.execution == "sequential"
-
-    def test_build_cluster_allows_batched_with_dropout(self, blobs_workload):
-        from repro.experiments.setup import build_cluster
-
-        workload = replace(blobs_workload, execution="batched", dropout_rate=0.25)
+    def test_build_cluster_runs_dropout_on_the_engine(self, blobs_workload):
+        workload = replace(blobs_workload, dropout_rate=0.25)
         cluster, _ = build_cluster(workload)
-        assert cluster.execution == "batched"
+        assert isinstance(cluster.engine, BatchedEngine)
         assert cluster.timeline.dropout_rate == 0.25
 
-    def test_invalid_execution_rejected(self, blobs_workload):
-        with pytest.raises(ConfigurationError):
-            replace(blobs_workload, execution="turbo")
+    @pytest.mark.parametrize("execution", ["sequential", "turbo"])
+    def test_only_the_one_engine_is_accepted(self, blobs_workload, execution):
+        assert replace(blobs_workload, execution="batched").execution == "batched"
+        with pytest.raises(ConfigurationError, match="per-worker engine is gone"):
+            replace(blobs_workload, execution=execution)
 
-    def test_run_result_records_and_persists_execution(self, tmp_path, blobs_workload):
+    def test_a_record_naming_an_engine_still_loads(self, blobs_workload):
         import json
 
         from repro.experiments.persistence import result_from_dict, result_to_dict
         from repro.experiments.run import TrainingRun
-        from repro.experiments.setup import build_cluster
         from repro.strategies.synchronous import SynchronousStrategy
 
-        cluster, test_dataset = build_cluster(replace(blobs_workload, execution="batched"))
+        cluster, test_dataset = build_cluster(blobs_workload)
         run = TrainingRun(accuracy_target=0.99, max_steps=8, eval_every_steps=4)
         result = run.execute(
             SynchronousStrategy(), cluster, test_dataset, workload_name="blobs"
         )
-        assert result.execution == "batched"
         payload = json.loads(json.dumps(result_to_dict(result)))
-        assert result_from_dict(payload).execution == "batched"
-        # Records written before the field existed still load (default applies).
-        del payload["execution"]
-        assert result_from_dict(payload).execution == "sequential"
+        assert "execution" not in payload
+        # Records written while RunResult carried the engine's name still load.
+        payload["execution"] = "sequential"
+        loaded = result_to_dict(result_from_dict(payload))
+        assert json.loads(json.dumps(loaded)) == json.loads(json.dumps(result_to_dict(result)))
 
 
 # -- frozen before PR 23 touched ``nn/`` ----------------------------------------

@@ -126,7 +126,7 @@ class TestFrozenTables:
              "--max-steps", "40", "--network", "fl"]
         ) == 0
         assert normalised(capsys.readouterr().out) == [
-            "fabric: topology=star network=fl execution=sequential compression=none "
+            "fabric: topology=star network=fl compression=none "
             "dtype=float64 faults=none",
             *RESULTS_HEADER,
             "LinearFDA 1 0% 141.94 KB 40 1 40.30 s 0.340",

@@ -1,12 +1,12 @@
 """Cross-engine parity for compressed runs (ISSUE-5 acceptance criterion).
 
-Compression lives at the cluster's collective layer, *above* the execution
-engine: both engines feed the same ``(K, d)`` parameter matrix into the same
-row-wise kernels at the same protocol points.  These tests pin that claim for
-every server-based strategy — FDA, Local-SGD, FedOpt, FedProx, SCAFFOLD, and
-the BSP baseline — running with error-feedback top-k on the sequential and
-batched engines through the reusable harness in :mod:`tests.helpers.parity`:
-SGD trajectories must be value-exact and the byte ledgers exactly equal.
+Compression lives at the cluster's collective layer, *above* the engine: the
+engine and the per-worker oracle feed the same ``(K, d)`` parameter matrix
+into the same row-wise kernels at the same protocol points.  These tests pin
+that claim for every server-based strategy — FDA, Local-SGD, FedOpt, FedProx,
+SCAFFOLD, and the BSP baseline — running with error-feedback top-k on both
+sides through the reusable harness in :mod:`tests.helpers.parity`: SGD
+trajectories must be value-exact and the byte ledgers exactly equal.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.strategies.local_sgd import LocalSGDStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 
 from helpers.parity import make_cluster, run_fda_parity, run_strategy_parity
+from helpers.per_worker import SIDES
 
 #: The compression setting the acceptance criterion names: top-k + error
 #: feedback, uniform across strategies.
@@ -63,9 +64,10 @@ def test_step_strategies_compressed_parity_value_exact(name):
 @pytest.mark.parametrize("name", sorted(EPOCH_STRATEGIES))
 def test_epoch_strategies_compressed_parity_value_exact(name, monkeypatch):
     # Every local epoch is an engine epoch: the batched run steps through the
-    # stacked kernels, gradient transform included.  (FedProx and SCAFFOLD
-    # used to drive ``worker.local_epoch`` themselves, so their cells compared
-    # the sequential arithmetic with itself.)
+    # stacked kernels, gradient transform included, and the per-worker side
+    # never does.  (FedProx and SCAFFOLD used to drive ``worker.local_epoch``
+    # themselves, so their cells compared the per-worker arithmetic with
+    # itself.)
     stacked_steps = []
     train_rows = BatchedEngine._train_rows
 
@@ -89,12 +91,12 @@ def test_epoch_strategies_compressed_parity_value_exact(name, monkeypatch):
 @pytest.mark.float32_smoke
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_fda_trainer_compressed_parity_under_dropout(dtype):
-    """FDA's triggered syncs compress identically on both engines, masked included.
+    """FDA's triggered syncs compress identically on both sides, masked included.
 
     The grid cell runs at both plane dtypes: float64 is held to value-exact
     parity; float32 uses the harness's eps-derived tolerance (the kernels are
     shared, but single-precision GEMMs re-associate more visibly) while the
-    error-feedback residual, sync decisions, and ledgers stay engine-exact.
+    error-feedback residual, sync decisions, and ledgers stay exact.
     """
     run_fda_parity(
         variant="linear",
@@ -109,34 +111,34 @@ def test_fda_trainer_compressed_parity_under_dropout(dtype):
     )
 
 
-def test_compression_reduces_bytes_identically_on_both_engines():
+def test_compression_reduces_bytes_identically_on_both_sides():
     """The savings themselves — not just the trajectories — are engine-independent."""
     totals = {}
     for compression in (None, TOPK_EF):
-        for execution in ("sequential", "batched"):
+        for side in SIDES:
             cluster = make_cluster(
-                execution,
+                side,
                 num_workers=4,
                 optimizer_factory=SGD_FACTORY,
                 compression=compression,
             )
             SynchronousStrategy().attach(cluster).run_steps(6)
-            totals[(compression is not None, execution)] = cluster.total_bytes
-    assert totals[(True, "sequential")] == totals[(True, "batched")]
-    assert totals[(False, "sequential")] == totals[(False, "batched")]
-    assert totals[(True, "sequential")] < totals[(False, "sequential")]
+            totals[(compression is not None, side)] = cluster.total_bytes
+    assert totals[(True, "per-worker")] == totals[(True, "batched")]
+    assert totals[(False, "per-worker")] == totals[(False, "batched")]
+    assert totals[(True, "batched")] < totals[(False, "batched")]
 
 
-def test_error_feedback_residuals_match_across_engines():
+def test_error_feedback_residuals_match_the_per_worker_loop():
     """The (K, d) residual memory itself must be engine-independent, bit for bit."""
     residuals = {}
-    for execution in ("sequential", "batched"):
+    for side in SIDES:
         cluster = make_cluster(
-            execution,
+            side,
             num_workers=4,
             optimizer_factory=SGD_FACTORY,
             compression=TOPK_EF,
         )
         FDAStrategy(threshold=0.05, variant="linear").attach(cluster).run_steps(10)
-        residuals[execution] = cluster.compression.residual_matrix.copy()
-    np.testing.assert_array_equal(residuals["sequential"], residuals["batched"])
+        residuals[side] = cluster.compression.residual_matrix.copy()
+    np.testing.assert_array_equal(residuals["per-worker"], residuals["batched"])

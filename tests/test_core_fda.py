@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.per_worker import SIDES
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor
 from repro.core.theta import DynamicThetaController
@@ -213,18 +214,18 @@ class TestBatchedStatesUnderMasksAndChurn:
     }
     GOLDEN_TOTAL_BYTES = {"dropout": 105536, "crash": 212480}
 
-    def run(self, scenario, execution, rowwise):
+    def run(self, scenario, side, rowwise):
         from helpers.parity import make_cluster
 
-        cluster = make_cluster(execution, num_workers=8, **self.SCENARIOS[scenario])
+        cluster = make_cluster(side, num_workers=8, **self.SCENARIOS[scenario])
         trainer = FDATrainer(cluster, RecordingSketchMonitor(rowwise), 0.05)
         return trainer, trainer.run_steps(30)
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_batched_states_match_the_per_row_path(self, scenario, execution):
-        batched, batched_results = self.run(scenario, execution, rowwise=False)
-        rowwise, rowwise_results = self.run(scenario, execution, rowwise=True)
+    def test_batched_states_match_the_per_row_path(self, scenario, side):
+        batched, batched_results = self.run(scenario, side, rowwise=False)
+        rowwise, rowwise_results = self.run(scenario, side, rowwise=True)
 
         assert batched_results == rowwise_results  # estimates, decisions, bytes, clocks
         exchanged = [r.step for r in batched_results if r.exchanged]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers.per_worker import SIDES, on_side
 from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
@@ -14,7 +15,7 @@ from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 
 
-def make_cluster(num_workers=3, seed=0, topology=None, execution="sequential"):
+def make_cluster(num_workers=3, seed=0, topology=None, side="batched"):
     data = gaussian_blobs(240, feature_dim=8, num_classes=3, seed=seed)
     shards = partition_dataset(data, num_workers, "iid", seed=seed)
     workers = [
@@ -28,21 +29,22 @@ def make_cluster(num_workers=3, seed=0, topology=None, execution="sequential"):
         )
         for i, shard in enumerate(shards)
     ]
-    return SimulatedCluster(workers, topology=topology, execution=execution)
+    return on_side(side, SimulatedCluster(workers, topology=topology))
 
 
 class TestWorker:
-    def test_local_step_advances_and_returns_loss(self):
+    def test_a_step_advances_the_worker_and_returns_its_loss(self):
         cluster = make_cluster(1)
         worker = cluster.workers[0]
-        loss = worker.local_step()
-        assert np.isfinite(loss)
+        loss = cluster.engine.step_worker(0)
+        assert np.isfinite(loss) and loss == worker.last_loss
         assert worker.steps_performed == 1
 
-    def test_local_step_changes_parameters(self):
-        worker = make_cluster(1).workers[0]
+    def test_a_step_changes_parameters(self):
+        cluster = make_cluster(1)
+        worker = cluster.workers[0]
         before = worker.get_parameters()
-        worker.local_step()
+        cluster.engine.step_worker(0)
         assert not np.array_equal(before, worker.get_parameters())
 
     def test_local_epoch_runs_all_batches(self):
@@ -52,9 +54,10 @@ class TestWorker:
         assert worker.steps_performed == worker.batches_per_epoch
 
     def test_drift_from_reference(self):
-        worker = make_cluster(1).workers[0]
+        cluster = make_cluster(1)
+        worker = cluster.workers[0]
         reference = worker.get_parameters()
-        worker.local_step()
+        cluster.step_all()
         drift = worker.drift_from(reference)
         np.testing.assert_allclose(drift, worker.get_parameters() - reference)
 
@@ -92,14 +95,14 @@ class TestClusterBasics:
         assert all(worker.steps_performed == 1 for worker in cluster.workers)
         assert cluster.parallel_steps == 1
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
-    def test_a_dropped_cluster_is_freed_without_the_cycle_collector(self, execution):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_a_dropped_cluster_is_freed_without_the_cycle_collector(self, side):
         # The engine's back-reference is weak: a sweep's per-cell clusters die
         # when their last reference does, not at the next full collection.
         import gc
         import weakref
 
-        cluster = make_cluster(3, execution=execution)
+        cluster = make_cluster(3, side=side)
         cluster.step_all()
         alive = weakref.ref(cluster)
         gc.disable()

@@ -12,7 +12,7 @@ threading through the stack:
   uncompressed sync bytes of the equivalent float64 run (4 vs 8 B/element);
 * configuration surface — ``WorkloadConfig.dtype`` / ``with_dtype``, the
   ``RunResult.dtype`` persistence round-trip, and end-to-end float32
-  training on both engines.
+  training on the engine and on the per-worker oracle.
 """
 
 from dataclasses import replace
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from helpers.parity import make_cluster, parity_tolerance, tolerance
+from helpers.per_worker import SIDES, on_side
 from repro.backend import DEFAULT_DTYPE, itemsize, resolve_dtype
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import ConfigurationError
@@ -71,7 +72,7 @@ class TestBackendSeam:
 class TestClusterDtypeResolution:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_explicit_dtype_converts_the_plane_and_the_models(self, dtype):
-        cluster = make_cluster("sequential", num_workers=3, dtype=dtype)
+        cluster = make_cluster("batched", num_workers=3, dtype=dtype)
         expected = np.dtype(dtype)
         assert cluster.dtype == expected
         assert cluster.dtype_name == dtype
@@ -81,7 +82,7 @@ class TestClusterDtypeResolution:
             assert worker.parameters_view().dtype == expected
 
     def test_cluster_inherits_a_uniform_model_dtype(self):
-        cluster = make_cluster("sequential", num_workers=2)
+        cluster = make_cluster("batched", num_workers=2)
         assert cluster.dtype == np.dtype(np.float64)  # factory models are float64
 
     def test_mixed_model_dtypes_are_a_configuration_error(self):
@@ -109,7 +110,7 @@ class TestClusterDtypeResolution:
 class TestCollectiveNoCopy:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_uncompressed_gather_models_returns_the_live_plane(self, dtype):
-        cluster = make_cluster("sequential", num_workers=3, dtype=dtype)
+        cluster = make_cluster("batched", num_workers=3, dtype=dtype)
         gathered = cluster.gather_models()
         assert np.shares_memory(gathered, cluster.parameter_matrix)
 
@@ -126,7 +127,7 @@ class TestByteConservation:
         totals = {}
         for dtype in ("float64", "float32"):
             cluster = make_cluster(
-                "sequential", num_workers=4, dtype=dtype, topology=topology
+                "batched", num_workers=4, dtype=dtype, topology=topology
             )
             cluster.synchronize()
             cluster.charge_allreduce(33, "other")
@@ -141,7 +142,7 @@ class TestByteConservation:
 # ---------------------------------------------------------------------------
 
 
-def _blobs_workload(dtype="float64", execution="sequential"):
+def _blobs_workload(dtype="float64"):
     train = gaussian_blobs(160, feature_dim=6, num_classes=3, seed=0)
     test = gaussian_blobs(60, feature_dim=6, num_classes=3, seed=1)
     return WorkloadConfig(
@@ -153,7 +154,6 @@ def _blobs_workload(dtype="float64", execution="sequential"):
         num_workers=3,
         batch_size=16,
         dtype=dtype,
-        execution=execution,
     )
 
 
@@ -173,25 +173,25 @@ class TestWorkloadConfigSurface:
         assert cluster.fabric.itemsize == itemsize(dtype)
 
     @pytest.mark.float32_smoke
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
-    def test_float32_training_runs_end_to_end(self, execution):
-        cluster, _ = build_cluster(_blobs_workload(dtype="float32", execution=execution))
+    @pytest.mark.parametrize("side", SIDES)
+    def test_float32_training_runs_end_to_end(self, side):
+        cluster = on_side(side, build_cluster(_blobs_workload(dtype="float32"))[0])
         strategy = SynchronousStrategy().attach(cluster)
         results = [strategy.run_round() for _ in range(5)]
         assert all(np.isfinite(r.mean_loss) for r in results)
         assert cluster.parameter_matrix.dtype == np.float32
 
     @pytest.mark.float32_smoke
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize(
         "make_strategy",
         [lambda: FedProxStrategy(mu=0.1), lambda: ScaffoldStrategy(local_learning_rate_hint=0.01)],
         ids=["fedprox", "scaffold"],
     )
-    def test_drift_control_trains_on_a_float32_plane(self, make_strategy, execution):
+    def test_drift_control_trains_on_a_float32_plane(self, make_strategy, side):
         # SCAFFOLD's float64 variates used to upcast the corrected gradient,
         # which the optimizer refuses on a float32 plane.
-        cluster, _ = build_cluster(_blobs_workload(dtype="float32", execution=execution))
+        cluster = on_side(side, build_cluster(_blobs_workload(dtype="float32"))[0])
         strategy = make_strategy().attach(cluster)
         result = strategy.run_round()
         assert np.isfinite(result.mean_loss) and result.synchronized

@@ -38,16 +38,16 @@ def make_worker(learning_rate=0.01, num_samples=40, batch_size=16, seed=0):
 
 class TestDivergenceDetection:
     def test_exploding_learning_rate_raises_training_error(self):
-        worker = make_worker(learning_rate=1e9)
+        cluster = SimulatedCluster([make_worker(learning_rate=1e9)])
         with pytest.raises(TrainingError):
             for _ in range(50):
-                worker.local_step()
+                cluster.step_all()
 
     def test_error_message_names_the_worker(self):
-        worker = make_worker(learning_rate=1e9)
+        cluster = SimulatedCluster([make_worker(learning_rate=1e9)])
         with pytest.raises(TrainingError, match="worker 0"):
             for _ in range(50):
-                worker.local_step()
+                cluster.engine.step_worker(0)
 
 
 class TestDegenerateConfigurations:
@@ -74,7 +74,7 @@ class TestDegenerateConfigurations:
 
     def test_shard_smaller_than_batch_size(self):
         worker = make_worker(num_samples=5, batch_size=16)
-        loss = worker.local_step()
+        loss = SimulatedCluster([worker]).step_all()
         assert np.isfinite(loss)
         assert worker.batches_per_epoch == 1
 

@@ -4,7 +4,8 @@ Four contracts, each load-bearing for the robustness claims:
 
 1. **Pure observer** — a null :class:`FaultPlan` (and ``faults=None``) leaves
    the training trajectory, byte ledgers, and every RNG stream bit-identical
-   to a cluster built without any plan, on both engines and both dtypes.
+   to a cluster built without any plan, on the engine and the per-worker
+   oracle and both dtypes.
 2. **Determinism** — two runs under the same plan (same seed) produce
    bit-identical fault logs and final parameters; this is what the CI
    ``chaos-smoke`` job re-asserts across processes.
@@ -23,11 +24,13 @@ import hashlib
 import json
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from helpers.parity import assert_same_state, make_cluster
+from helpers.per_worker import SIDES, on_side
 from repro.compression import CompressionConfig
 from repro.distributed.engine import BatchedEngine
 from repro.exceptions import (
@@ -49,9 +52,15 @@ from repro.strategies.local_sgd import LocalSGDStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 
 
-def _execute(workload, strategy_factory, max_steps=40, resume_from=None, **run_kwargs):
-    """Build a fresh cluster, run a strategy, return ``(cluster, result)``."""
+def _execute(
+    workload, strategy_factory, max_steps=40, resume_from=None, side="batched", **run_kwargs
+):
+    """Build a fresh cluster, run a strategy, return ``(cluster, result)``.
+
+    ``side="per-worker"`` steps the cluster through the per-worker oracle.
+    """
     cluster, test_dataset = build_cluster(workload)
+    on_side(side, cluster)
     run = TrainingRun(
         accuracy_target=0.995, max_steps=max_steps, eval_every_steps=20, **run_kwargs
     )
@@ -138,13 +147,13 @@ class TestFaultPlan:
 class TestPureObserver:
     """A null plan (or no plan) must not perturb anything, anywhere."""
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_null_plan_is_bit_identical(self, blobs_workload, execution, dtype):
-        base = replace(blobs_workload, execution=execution, dtype=dtype)
-        cluster_a, result_a = _execute(base, lambda: FDAStrategy(threshold=0.5))
+    def test_null_plan_is_bit_identical(self, blobs_workload, side, dtype):
+        base = replace(blobs_workload, dtype=dtype)
+        cluster_a, result_a = _execute(base, lambda: FDAStrategy(threshold=0.5), side=side)
         cluster_b, result_b = _execute(
-            replace(base, faults=FaultPlan()), lambda: FDAStrategy(threshold=0.5)
+            replace(base, faults=FaultPlan()), lambda: FDAStrategy(threshold=0.5), side=side
         )
         assert cluster_b.faults is None  # null plan installs nothing
         np.testing.assert_array_equal(
@@ -176,7 +185,7 @@ class TestChaosDeterminism:
     """Same plan + same seed => identical faults; the CI chaos-smoke contract."""
 
     def test_chaos_smoke_same_seed_runs_are_identical(self, blobs_workload):
-        workload = replace(blobs_workload, execution="batched", faults=CHAOS_PLAN)
+        workload = replace(blobs_workload, faults=CHAOS_PLAN)
         cluster_a, result_a = _execute(workload, lambda: FDAStrategy(threshold=0.5))
         cluster_b, result_b = _execute(workload, lambda: FDAStrategy(threshold=0.5))
         assert result_a.fault_log == result_b.fault_log
@@ -390,12 +399,13 @@ class TestClusterCheckpoint:
     }
     TOPK_EF = CompressionConfig("topk", ratio=0.05, error_feedback=True)
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("strategy", sorted(RESUMABLE))
     def test_interrupted_run_resumes_bit_exactly(
-        self, blobs_workload, strategy, execution, tmp_path
+        self, blobs_workload, strategy, side, tmp_path
     ):
-        workload = replace(_dropout_workload(blobs_workload), execution=execution)
+        execute = partial(_execute, side=side)
+        workload = _dropout_workload(blobs_workload)
         if strategy.endswith("-topk"):
             workload = replace(workload, compression=self.TOPK_EF)
         else:
@@ -406,16 +416,16 @@ class TestClusterCheckpoint:
             built.append(self.RESUMABLE[strategy]())
             return built[-1]
 
-        cluster_ref, result_ref = _execute(workload, factory, max_steps=80)
+        cluster_ref, result_ref = execute(workload, factory, max_steps=80)
 
         # Interrupt: checkpoint every 20 steps, stop at 40.
         ckpt = tmp_path / "ckpt.json"
-        _execute(
+        execute(
             workload, factory, max_steps=40,
             checkpoint_every=20, checkpoint_path=ckpt,
         )
         # Resume into a *fresh* cluster/strategy and continue to 80.
-        cluster_res, result_res = _execute(
+        cluster_res, result_res = execute(
             workload, factory, max_steps=80, resume_from=ckpt
         )
 
@@ -446,7 +456,7 @@ class TestClusterCheckpoint:
                         == layer_res._rng.bit_generator.state
                     )
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize(
         "strategy_factory",
         [lambda: LocalSGDStrategy(tau=1), lambda: FDAStrategy(threshold=0.05)],
@@ -462,20 +472,21 @@ class TestClusterCheckpoint:
         ids=["topk-ef", "quantization", "randomk-ef"],
     )
     def test_resume_under_compression_is_bit_exact(
-        self, blobs_workload, compression, strategy_factory, execution, tmp_path
+        self, blobs_workload, compression, strategy_factory, side, tmp_path
     ):
         # The compressed exchange is a function of state the plain path does
         # not have: the shared model the drifts are taken against, each
         # worker's error-feedback residual, and (random-k) the shared
         # coordinate stream.
-        workload = replace(blobs_workload, compression=compression, execution=execution)
-        cluster_ref, result_ref = _execute(workload, strategy_factory, max_steps=40)
+        execute = partial(_execute, side=side)
+        workload = replace(blobs_workload, compression=compression)
+        cluster_ref, result_ref = execute(workload, strategy_factory, max_steps=40)
         ckpt = tmp_path / "ckpt.json"
-        _execute(
+        execute(
             workload, strategy_factory, max_steps=20,
             checkpoint_every=10, checkpoint_path=ckpt,
         )
-        cluster_res, result_res = _execute(
+        cluster_res, result_res = execute(
             workload, strategy_factory, max_steps=40, resume_from=ckpt
         )
 
@@ -616,8 +627,8 @@ class TestClusterCheckpoint:
 class TestDivergenceReporting:
     """Satellite bugfix: divergence raises atomically and names ALL workers."""
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
-    def test_all_diverged_workers_are_named(self, execution):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_all_diverged_workers_are_named(self, side):
         from repro.data.synthetic import gaussian_blobs
         from repro.distributed.cluster import SimulatedCluster
         from repro.distributed.worker import Worker
@@ -639,7 +650,7 @@ class TestDivergenceReporting:
             )
             for worker_id in range(3)
         ]
-        cluster = SimulatedCluster(workers, execution=execution)
+        cluster = on_side(side, SimulatedCluster(workers))
         with pytest.raises(TrainingError) as excinfo:
             for _ in range(50):
                 cluster.step_all()

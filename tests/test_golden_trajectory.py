@@ -9,10 +9,11 @@ arithmetic is one ``(A, d)`` row rule — so the contract is kept the other
 way: ``GOLDEN`` freezes what the retired ``Worker(inplace=False)`` trainer
 produced at its last commit (a digest of every worker's parameters, every
 per-step variance estimate to the last digit, the synchronizing steps and the
-byte accounting), and the surviving path must still match it.  A second
-group keeps the optimizer-level proof: ``step_inplace`` must produce the same
-bits as the textbook expressions in :mod:`helpers.reference_optim`, the
-independent oracle the copy path's bodies became.
+byte accounting), and the engine — and the per-worker oracle beside it —
+must still match it.  A second group keeps the optimizer-level proof: the
+rule, stepped as the one row of a stack, must produce the same bits as the
+textbook expressions in :mod:`helpers.reference_optim`, the independent
+oracle the copy path's bodies became.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers.per_worker import SIDES, on_side, solo_step
 from helpers.ungated import UngatedFDATrainer
 from repro.core.fda import FDATrainer
 from repro.core.monitor import make_monitor
@@ -45,7 +47,12 @@ def make_optimizer(kind):
 
 
 def build_trainer(
-    variant, optimizer_kind, num_workers=4, trainer_class=FDATrainer, **cluster_kwargs
+    variant,
+    optimizer_kind,
+    num_workers=4,
+    trainer_class=FDATrainer,
+    side="batched",
+    **cluster_kwargs,
 ):
     rng = np.random.default_rng(7)
     workers = []
@@ -63,7 +70,7 @@ def build_trainer(
                 seed=worker_id,
             )
         )
-    cluster = SimulatedCluster(workers, **cluster_kwargs)
+    cluster = on_side(side, SimulatedCluster(workers, **cluster_kwargs))
     monitor = make_monitor(variant, cluster.model_dimension, seed=3)
     return trainer_class(cluster, monitor, threshold=0.5)
 
@@ -356,9 +363,9 @@ GOLDEN = {
 }
 
 
-def assert_matches_golden(variant, optimizer_kind, steps):
+def assert_matches_golden(variant, optimizer_kind, steps, side):
     golden = GOLDEN[f"{variant}-{optimizer_kind}"]
-    trainer = build_trainer(variant, optimizer_kind)
+    trainer = build_trainer(variant, optimizer_kind, side=side)
     results = trainer.run_steps(steps)
     # Bit-identical parameters on every worker.
     assert (
@@ -378,7 +385,9 @@ def assert_matches_golden(variant, optimizer_kind, steps):
     assert trainer.cluster.total_bytes == golden["total_bytes"]
     assert trainer.synchronization_count == golden["sync_count"]
     # The ungated oracle still computes H at every step, on the same path.
-    oracle = build_trainer(variant, optimizer_kind, trainer_class=UngatedFDATrainer)
+    oracle = build_trainer(
+        variant, optimizer_kind, trainer_class=UngatedFDATrainer, side=side
+    )
     expected = oracle.run_steps(steps)
     assert [repr(r.variance_estimate) for r in expected] == golden["estimates"]
     assert oracle.cluster.total_bytes == golden["ungated_total_bytes"]
@@ -386,17 +395,19 @@ def assert_matches_golden(variant, optimizer_kind, steps):
 
 
 class TestGoldenTrajectory:
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("variant", ["sketch", "linear"])
     @pytest.mark.parametrize("optimizer_kind", ["sgd-nesterov", "adam"])
-    def test_inplace_path_is_bit_identical_to_copy_path(self, variant, optimizer_kind):
-        assert_matches_golden(variant, optimizer_kind, steps=25)
+    def test_inplace_path_is_bit_identical_to_copy_path(self, variant, optimizer_kind, side):
+        assert_matches_golden(variant, optimizer_kind, steps=25, side=side)
 
-    def test_exact_variant_matches_too(self):
-        assert_matches_golden("exact", "sgd", steps=15)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_exact_variant_matches_too(self, side):
+        assert_matches_golden("exact", "sgd", steps=15, side=side)
 
 
 class TestGoldenMaskedTrajectory:
-    """Frozen fixture for a ``dropout_rate=0.25`` FDA run on *both* engines.
+    """Frozen fixture for a ``dropout_rate=0.25`` FDA run, engine and oracle.
 
     Freezes the masked-execution semantics — which workers participate each
     step (the timeline's mask stream), which steps synchronize, the byte
@@ -421,12 +432,12 @@ class TestGoldenMaskedTrajectory:
     GOLDEN_FIRST_LOSS = 1.2080946490946594
     GOLDEN_LAST_ESTIMATE = 0.32483190113175
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
-    def test_masked_fda_run_matches_frozen_observables(self, execution):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_masked_fda_run_matches_frozen_observables(self, side):
         from helpers.parity import make_cluster
 
         cluster = make_cluster(
-            execution,
+            side,
             num_workers=6,
             dropout_rate=0.25,
             timeline_seed=2026,
@@ -512,69 +523,41 @@ class TestFabricDefaultEquivalence:
         assert results[-1].virtual_time == pytest.approx(float(steps))
 
 
-class TestOptimizerInplaceEquivalence:
+class TestOptimizerRuleEquivalence:
     @pytest.mark.parametrize(
         "kind", ["sgd", "sgd-nesterov", "adam", "adamw"]
     )
-    def test_step_inplace_matches_step_bitwise(self, kind):
+    def test_a_stacked_row_matches_the_reference_bitwise(self, kind):
         from helpers.reference_optim import reference_for
 
         rng = np.random.default_rng(0)
         start = rng.normal(size=257)
-        inplace_opt = make_optimizer(kind)
+        row_opt = make_optimizer(kind)
         copy_opt = reference_for(make_optimizer(kind))
 
         params_copy = start.copy()
-        params_inplace = start.copy()
+        params_row = start.copy()
         gradient_rng = np.random.default_rng(1)
         for _ in range(50):
             grads = gradient_rng.normal(size=start.shape)
             params_copy = copy_opt.step(params_copy, grads)
-            returned = inplace_opt.step_inplace(params_inplace, grads)
-            assert returned is params_inplace  # updates land in the given array
-            np.testing.assert_array_equal(params_copy, params_inplace)
+            params_row = solo_step(row_opt, params_row, grads)
+            np.testing.assert_array_equal(params_copy, params_row)
 
-    def test_step_inplace_does_not_mutate_gradients(self):
+    def test_a_step_does_not_mutate_gradients(self):
         for kind in ("sgd-nesterov", "adamw"):
             optimizer = make_optimizer(kind)
-            params = np.ones(16)
             grads = np.full(16, 0.5)
             grads_before = grads.copy()
-            optimizer.step_inplace(params, grads)
+            solo_step(optimizer, np.ones(16), grads)
             np.testing.assert_array_equal(grads, grads_before)
 
-    def test_step_inplace_rejects_non_float_params(self):
-        # An asarray copy would silently swallow the in-place update.  Both
-        # plane dtypes are accepted; everything else (lists, integer arrays,
-        # mixed param/grad dtypes) must raise instead of silently converting.
-        from repro.exceptions import ShapeError
-
-        params32 = np.ones(4, dtype=np.float32)
-        SGD(0.1).step_inplace(params32, np.ones(4, dtype=np.float32))
-        assert params32.dtype == np.float32
-
-        with pytest.raises(ShapeError):
-            SGD(0.1).step_inplace([1.0, 2.0], np.ones(2))
-        with pytest.raises(ShapeError):
-            SGD(0.1).step_inplace(np.ones(4, dtype=np.int64), np.ones(4))
-        with pytest.raises(ShapeError):
-            SGD(0.1).step_inplace(np.ones(4, dtype=np.float32), np.ones(4))
-
-    def test_step_inplace_revalidates_on_gradient_shape_change(self):
-        from repro.exceptions import ShapeError
-
-        optimizer = Adam(0.01)
-        params = np.zeros(4)
-        optimizer.step_inplace(params, np.ones(4))
-        with pytest.raises(ShapeError):
-            optimizer.step_inplace(params, np.ones(1))  # would broadcast silently
-
-    def test_momentum_sgd_converges_inplace(self):
+    def test_momentum_sgd_converges(self):
         optimizer = SGD(0.05, momentum=0.9)
         params = np.array([10.0, -4.0])
         target = np.full_like(params, 3.0)
         for _ in range(300):
-            optimizer.step_inplace(params, 2.0 * (params - target))
+            params = solo_step(optimizer, params, 2.0 * (params - target))
         np.testing.assert_allclose(params, 3.0, atol=1e-3)
 
 
@@ -775,10 +758,10 @@ class TestGoldenCompressedTrajectory:
         ),
     }
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("kernel,error_feedback,dtype", sorted(GOLDEN))
     def test_compressed_run_matches_frozen_digests(
-        self, blobs_workload, kernel, error_feedback, dtype, execution
+        self, blobs_workload, kernel, error_feedback, dtype, side
     ):
         from repro.compression import CompressionConfig
         from repro.experiments.setup import build_cluster
@@ -789,9 +772,9 @@ class TestGoldenCompressedTrajectory:
                 blobs_workload,
                 compression=CompressionConfig(kernel, ratio=0.1, error_feedback=error_feedback),
                 dtype=dtype,
-                execution=execution,
             )
         )
+        on_side(side, cluster)
         compressor = cluster.compression.compressor
         compress_rows = compressor.compress_rows
         indices_digest = hashlib.sha256()

@@ -5,7 +5,7 @@ participation masks (including empty, full, and single-worker rounds) and
 randomized initial conditions, and with randomized FDA thresholds θ on
 dropout timelines.  The contract under test:
 
-* masked BatchedEngine trajectories match the SequentialEngine **bit-exactly
+* masked engine trajectories match the per-worker oracle **bit-exactly
   for SGD** (value-exact: ``rtol=0, atol=0``) and to ``rtol=1e-6`` for Adam;
 * byte/ledger accounting — totals, per-category bytes, sync decisions,
   per-worker step counts — is **exactly** equal for every configuration.
@@ -31,7 +31,7 @@ SETTINGS = settings(
 )
 
 #: A sequence of per-round masks over NUM_WORKERS workers; empty and full
-#: rounds are legal (an all-False round is a no-op on both engines).
+#: rounds are legal (an all-False round is a no-op on both sides).
 mask_sequences = st.lists(
     st.lists(st.booleans(), min_size=NUM_WORKERS, max_size=NUM_WORKERS),
     min_size=1,

@@ -153,7 +153,7 @@ class TestGeluKernel:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
     def test_stack_equals_slices_exactly(self, dtype, layout):
-        """The elementwise contract both engines rely on: (K, B, units) == K × (B, units)."""
+        """The elementwise contract the engine relies on: (K, B, units) == K × (B, units)."""
         rng = np.random.default_rng(7)
         workers, batch, units = 5, 33, 37  # odd sizes leave SIMD tails
         if layout == "contiguous":

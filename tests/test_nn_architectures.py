@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers.per_worker import train_batch
+
 from repro.exceptions import ConfigurationError
 from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head, vgg_mini
 
@@ -33,7 +35,7 @@ class TestFactories:
     def test_densenet_forward_and_backward(self):
         model = densenet_mini(input_shape=(10, 10, 3), num_classes=10, seed=0)
         x = np.random.default_rng(0).normal(size=(4, 10, 10, 3))
-        loss = model.train_batch(x, np.array([0, 1, 2, 3]))
+        loss = train_batch(model, x, np.array([0, 1, 2, 3]))
         assert np.isfinite(loss)
         assert model.num_buffers > 0  # batch-norm running statistics exist
 

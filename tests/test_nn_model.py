@@ -5,6 +5,7 @@ import pytest
 
 from helpers.oracles import average_models
 from helpers.parity import make_cluster
+from helpers.per_worker import backward, solo_step, train_batch
 from helpers.shards import whole_then_sharded
 from repro.exceptions import ModelNotBuiltError, ShapeError
 from unittest import mock
@@ -61,7 +62,7 @@ class TestFlatParameterViews:
 
     def test_gradients_match_parameter_layout(self):
         model = tiny_model()
-        model.train_batch(np.random.default_rng(0).normal(size=(8, 4)), np.zeros(8, dtype=int))
+        train_batch(model, np.random.default_rng(0).normal(size=(8, 4)), np.zeros(8, dtype=int))
         grads = model.gradients_view()
         assert grads.shape == (model.num_parameters,)
         assert np.any(grads != 0)
@@ -80,7 +81,7 @@ class TestFlatParameterViews:
         assert not np.array_equal(model.get_parameters(), clone.get_parameters())
 
     def test_cluster_average_is_the_average_model(self):
-        cluster = make_cluster("sequential", num_workers=3)
+        cluster = make_cluster("batched", num_workers=3)
         cluster.step_all()
         np.testing.assert_allclose(
             cluster.average_parameters(),
@@ -99,8 +100,8 @@ class TestTrainingAndEvaluation:
         loss = SoftmaxCrossEntropy()
         initial = model.evaluate(x, y, loss)[0]
         for _ in range(60):
-            model.train_batch(x, y, loss)
-            model.set_parameters(optimizer.step(model.get_parameters(), model.gradients_view()))
+            train_batch(model, x, y, loss)
+            model.set_parameters(solo_step(optimizer, model.get_parameters(), model.gradients_view()))
         final_loss, final_accuracy = model.evaluate(x, y, loss)
         assert final_loss < initial
         assert final_accuracy > 0.9
@@ -139,13 +140,17 @@ FIRST_LAYER_MODELS = {
 )
 @pytest.mark.parametrize("first", sorted(FIRST_LAYER_MODELS))
 class TestTrainingFormsNoInputGradient:
-    """``train_batch`` skips the first layer's ∂L/∂input; nothing else moves."""
+    """Training skips the first layer's ∂L/∂input; nothing else moves.
+
+    Both training paths are held to it: the engine's stacked pass and the
+    per-worker oracle's lone model (``helpers.per_worker.train_batch``).
+    """
 
     def build(self, first, dtype, seed=0):
         input_shape, layers = FIRST_LAYER_MODELS[first]
         return Sequential(layers()).build(input_shape, seed=seed, dtype=dtype), input_shape
 
-    def test_sequential_gradients_are_byte_identical(self, first, dtype, monkeypatch):
+    def test_per_worker_gradients_are_byte_identical(self, first, dtype, monkeypatch):
         model, input_shape = self.build(first, dtype)
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(5,) + input_shape), rng.integers(0, 3, size=5)
@@ -158,13 +163,13 @@ class TestTrainingFormsNoInputGradient:
         TransposeSpy.reads = 0
 
         _, grad = loss.gradient(model.forward(x, training=True), y)
-        input_gradient = model.backward(grad)
+        input_gradient = backward(model, grad)
         assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
         assert (TransposeSpy.reads, folds.call_count) == (1, int(first == "conv"))
         reference = model.gradients_view().copy()
 
         model.gradients_view()[...] = 0.0
-        model.train_batch(x, y, loss)
+        train_batch(model, x, y, loss)
         assert model.gradients_view().tobytes() == reference.tobytes()
         # A Dense or Conv2D first layer formed no W.T product and folded no
         # columns; behind a Flatten the Dense differentiates as it always did.
@@ -214,9 +219,9 @@ class TestTrainingFormsNoInputGradient:
         assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
         assert (products(), folds.call_count) == (1, int(first == "conv"))
         reference = matrices[1].copy()
-        # Row for row, the stacked gradients are the sequential engine's.
+        # Row for row, the stacked gradients are the per-worker oracle's.
         for row, worker_x, worker_y, stacked in zip(rows, x, y, reference):
-            workers[row].train_batch(worker_x, worker_y, loss)
+            train_batch(workers[row], worker_x, worker_y, loss)
             np.testing.assert_allclose(stacked, workers[row].gradients_view(), rtol=1e-4, atol=1e-6)
 
         matrices[1][...] = 0.0

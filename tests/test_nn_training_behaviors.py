@@ -9,6 +9,8 @@ forward/backward path of every layer type the architecture uses.
 import numpy as np
 import pytest
 
+from helpers.per_worker import solo_step, train_batch
+
 from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head, vgg_mini
 from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.losses import SoftmaxCrossEntropy
@@ -22,8 +24,8 @@ def memorize(model, x, y, optimizer, steps=120):
     loss = SoftmaxCrossEntropy()
     first = model.evaluate(x, y, loss)[0]
     for _ in range(steps):
-        model.train_batch(x, y, loss)
-        model.set_parameters(optimizer.step(model.get_parameters(), model.gradients_view()))
+        train_batch(model, x, y, loss)
+        model.set_parameters(solo_step(optimizer, model.get_parameters(), model.gradients_view()))
     last, accuracy = model.evaluate(x, y, loss)
     return first, last, accuracy
 
@@ -98,8 +100,8 @@ class TestRegularizationBehaviour:
         x = rng.normal(size=(64, 4))
         y = (x[:, 0] > 0).astype(int)
         for _ in range(30):
-            model.train_batch(x, y)
-            model.set_parameters(optimizer.step(model.get_parameters(), model.gradients_view()))
+            train_batch(model, x, y)
+            model.set_parameters(solo_step(optimizer, model.get_parameters(), model.gradients_view()))
         # Two inference passes agree exactly (running statistics frozen).
         np.testing.assert_array_equal(
             model.forward(x, training=False), model.forward(x, training=False)
@@ -129,9 +131,9 @@ class TestDeterminism:
             model = mlp(6, 3, hidden_units=(8,), seed=3)
             optimizer = Adam(0.01)
             for _ in range(50):
-                model.train_batch(x, y)
+                train_batch(model, x, y)
                 model.set_parameters(
-                    optimizer.step(model.get_parameters(), model.gradients_view())
+                    solo_step(optimizer, model.get_parameters(), model.gradients_view())
                 )
             return model.get_parameters()
 

@@ -12,7 +12,8 @@ was churn (the fault log and a timeline list).  Each fact has one owner now:
 ``FROZEN`` was recorded while the copies still existed, over FDA, Local-SGD
 with top-k + error feedback, FedAdam, FedProx and SCAFFOLD on a star and a
 two-level fabric, with and without a crash + loss + spike plan, on both
-engines; FedAdam and SCAFFOLD on a float32 plane; and the served coordinator
+engines (the per-worker one is the test oracle now,
+``tests/helpers/per_worker.py``); FedAdam and SCAFFOLD on a float32 plane; and the served coordinator
 open- and closed-loop on a lossy two-level fabric.  Per cell: the ``repr`` of
 the virtual, compute and communication seconds, a digest of the fault log and
 the evaluation history (or served records), and a digest of the final
@@ -29,6 +30,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers.per_worker import SIDES, on_side
 from helpers.serving import serve_next
 from repro.compression import CompressionConfig
 from repro.core.monitor import make_monitor
@@ -70,13 +72,12 @@ def _params_digest(cluster) -> str:
     return hashlib.sha256(cluster.parameter_matrix.tobytes()).hexdigest()[:16]
 
 
-def _workload(base, fabric, plan, engine, dtype="float64"):
+def _workload(base, fabric, plan, dtype="float64"):
     return replace(
         base,
         topology=FABRICS[fabric],
         network="balanced",
         faults=PLANS[plan],
-        execution=engine,
         dtype=dtype,
     )
 
@@ -84,10 +85,11 @@ def _workload(base, fabric, plan, engine, dtype="float64"):
 def run_record(base, cell: str) -> tuple:
     """``strategy/fabric/plan/engine[/float32]`` -> its frozen record."""
     strategy, fabric, plan, engine, *dtype = cell.split("/")
-    workload = _workload(base, fabric, plan, engine, *dtype)
+    workload = _workload(base, fabric, plan, *dtype)
     if strategy.endswith("-topk"):
         workload = replace(workload, compression=TOPK_EF)
     cluster, test_dataset = build_cluster(workload)
+    on_side(engine, cluster)
     result = TrainingRun(accuracy_target=0.995, max_steps=24, eval_every_steps=12).execute(
         STRATEGIES[strategy](), cluster, test_dataset, workload_name=workload.name
     )
@@ -103,8 +105,8 @@ def run_record(base, cell: str) -> tuple:
 def served_record(base, cell: str) -> tuple:
     """``served/arrival/engine`` -> its frozen record (60 served updates)."""
     _, arrival, engine = cell.split("/")
-    workload = replace(_workload(base, "hier", "clean", engine), faults=LOSSY)
-    cluster, _ = build_cluster(workload)
+    workload = replace(_workload(base, "hier", "clean"), faults=LOSSY)
+    cluster = on_side(engine, build_cluster(workload)[0])
     config = ServingConfig(
         arrival=arrival,
         arrival_rate=0.5,
@@ -130,22 +132,22 @@ def _cells():
             for plan in PLANS:
                 if strategy.endswith("-topk") and plan != "clean":
                     continue  # faults x compression is refused
-                for engine in ("sequential", "batched"):
+                for engine in SIDES:
                     yield f"{strategy}/{fabric}/{plan}/{engine}"
     for strategy in ("fedadam", "scaffold"):
         for plan in PLANS:
-            for engine in ("sequential", "batched"):
+            for engine in SIDES:
                 yield f"{strategy}/star/{plan}/{engine}/float32"
 
 
 SERVED = [
     f"served/{arrival}/{engine}"
     for arrival in ("poisson", "closed")
-    for engine in ("sequential", "batched")
+    for engine in SIDES
 ]
 
 FROZEN = {
-    "fda/star/clean/sequential": (
+    "fda/star/clean/per-worker": (
         "24.27003596799999", "24.0", "0.270035968",
         "627f81b6efbba026", "1dd73381f590440d",
     ),
@@ -153,7 +155,7 @@ FROZEN = {
         "24.27003596799999", "24.0", "0.270035968",
         "627f81b6efbba026", "1dd73381f590440d",
     ),
-    "fda/star/chaos/sequential": (
+    "fda/star/chaos/per-worker": (
         "63.96513186560002", "61.0", "3.275186777599997",
         "32b1756adbf9cd39", "5dde3b4850af7af3",
     ),
@@ -161,7 +163,7 @@ FROZEN = {
         "63.96513186560002", "61.0", "3.275186777599997",
         "32b1756adbf9cd39", "5dde3b4850af7af3",
     ),
-    "fda/hier/clean/sequential": (
+    "fda/hier/clean/per-worker": (
         "24.540071936000004", "24.0", "0.540071936",
         "bd838dfb7048f7f3", "1dd73381f590440d",
     ),
@@ -169,7 +171,7 @@ FROZEN = {
         "24.540071936000004", "24.0", "0.540071936",
         "bd838dfb7048f7f3", "1dd73381f590440d",
     ),
-    "fda/hier/chaos/sequential": (
+    "fda/hier/chaos/per-worker": (
         "67.3402761344", "61.0", "6.490351014399998",
         "707d4e033f05f57f", "5dde3b4850af7af3",
     ),
@@ -177,7 +179,7 @@ FROZEN = {
         "67.3402761344", "61.0", "6.490351014399998",
         "707d4e033f05f57f", "5dde3b4850af7af3",
     ),
-    "fda-topk/star/clean/sequential": (
+    "fda-topk/star/clean/per-worker": (
         "24.310013260799995", "24.0", "0.31001326080000013",
         "ceef4b3bed3ff8eb", "95934b4b7798e4ee",
     ),
@@ -185,7 +187,7 @@ FROZEN = {
         "24.310013260799995", "24.0", "0.31001326080000013",
         "ceef4b3bed3ff8eb", "95934b4b7798e4ee",
     ),
-    "fda-topk/hier/clean/sequential": (
+    "fda-topk/hier/clean/per-worker": (
         "24.620026521599993", "24.0", "0.6200265216000003",
         "85093f82aab548bd", "95934b4b7798e4ee",
     ),
@@ -193,7 +195,7 @@ FROZEN = {
         "24.620026521599993", "24.0", "0.6200265216000003",
         "85093f82aab548bd", "95934b4b7798e4ee",
     ),
-    "local-sgd-topk/star/clean/sequential": (
+    "local-sgd-topk/star/clean/per-worker": (
         "24.120012288", "24.0", "0.12001228799999998",
         "46d28a0b327e1b2e", "2baeba0bc4f15948",
     ),
@@ -201,7 +203,7 @@ FROZEN = {
         "24.120012288", "24.0", "0.12001228799999998",
         "46d28a0b327e1b2e", "2baeba0bc4f15948",
     ),
-    "local-sgd-topk/hier/clean/sequential": (
+    "local-sgd-topk/hier/clean/per-worker": (
         "24.240024575999993", "24.0", "0.24002457599999996",
         "dbb58710fd0a0196", "2baeba0bc4f15948",
     ),
@@ -209,7 +211,7 @@ FROZEN = {
         "24.240024575999993", "24.0", "0.24002457599999996",
         "dbb58710fd0a0196", "2baeba0bc4f15948",
     ),
-    "fedadam/star/clean/sequential": (
+    "fedadam/star/clean/per-worker": (
         "24.040019967999996", "24.0", "0.040019968",
         "b17da5303bf4c853", "d6f53effca8b1a30",
     ),
@@ -217,7 +219,7 @@ FROZEN = {
         "24.040019967999996", "24.0", "0.040019968",
         "b17da5303bf4c853", "d6f53effca8b1a30",
     ),
-    "fedadam/star/chaos/sequential": (
+    "fedadam/star/chaos/per-worker": (
         "84.365032448", "84.0", "0.48504243199999997",
         "8284643bc7d5cae9", "0edec012982b74c0",
     ),
@@ -225,7 +227,7 @@ FROZEN = {
         "84.365032448", "84.0", "0.48504243199999997",
         "8284643bc7d5cae9", "0edec012982b74c0",
     ),
-    "fedadam/hier/clean/sequential": (
+    "fedadam/hier/clean/per-worker": (
         "24.080039936000002", "24.0", "0.080039936",
         "32c3619d1d457e01", "d6f53effca8b1a30",
     ),
@@ -233,7 +235,7 @@ FROZEN = {
         "24.080039936000002", "24.0", "0.080039936",
         "32c3619d1d457e01", "d6f53effca8b1a30",
     ),
-    "fedadam/hier/chaos/sequential": (
+    "fedadam/hier/chaos/per-worker": (
         "84.730064896", "84.0", "0.755077376",
         "7495a712325078d4", "0edec012982b74c0",
     ),
@@ -241,7 +243,7 @@ FROZEN = {
         "84.730064896", "84.0", "0.755077376",
         "7495a712325078d4", "0edec012982b74c0",
     ),
-    "fedadam-topk/star/clean/sequential": (
+    "fedadam-topk/star/clean/per-worker": (
         "24.040004096000004", "24.0", "0.040004096",
         "45991701f5d41b9b", "65130ac3eb3b6fc6",
     ),
@@ -249,7 +251,7 @@ FROZEN = {
         "24.040004096000004", "24.0", "0.040004096",
         "45991701f5d41b9b", "65130ac3eb3b6fc6",
     ),
-    "fedadam-topk/hier/clean/sequential": (
+    "fedadam-topk/hier/clean/per-worker": (
         "24.080008191999998", "24.0", "0.080008192",
         "86e8d93b146bd043", "65130ac3eb3b6fc6",
     ),
@@ -257,7 +259,7 @@ FROZEN = {
         "24.080008191999998", "24.0", "0.080008192",
         "86e8d93b146bd043", "65130ac3eb3b6fc6",
     ),
-    "fedprox/star/clean/sequential": (
+    "fedprox/star/clean/per-worker": (
         "24.040019967999996", "24.0", "0.040019968",
         "37594f2e1c3ac532", "d836aaa5e595a4b9",
     ),
@@ -265,7 +267,7 @@ FROZEN = {
         "24.040019967999996", "24.0", "0.040019968",
         "37594f2e1c3ac532", "d836aaa5e595a4b9",
     ),
-    "fedprox/star/chaos/sequential": (
+    "fedprox/star/chaos/per-worker": (
         "84.365032448", "84.0", "0.48504243199999997",
         "1cdb78c4efb73027", "d24eefe70426073a",
     ),
@@ -273,7 +275,7 @@ FROZEN = {
         "84.365032448", "84.0", "0.48504243199999997",
         "1cdb78c4efb73027", "d24eefe70426073a",
     ),
-    "fedprox/hier/clean/sequential": (
+    "fedprox/hier/clean/per-worker": (
         "24.080039936000002", "24.0", "0.080039936",
         "3c2cb534c5f3dc80", "d836aaa5e595a4b9",
     ),
@@ -281,7 +283,7 @@ FROZEN = {
         "24.080039936000002", "24.0", "0.080039936",
         "3c2cb534c5f3dc80", "d836aaa5e595a4b9",
     ),
-    "fedprox/hier/chaos/sequential": (
+    "fedprox/hier/chaos/per-worker": (
         "84.730064896", "84.0", "0.755077376",
         "0a4e50a65d2371a3", "d24eefe70426073a",
     ),
@@ -289,7 +291,7 @@ FROZEN = {
         "84.730064896", "84.0", "0.755077376",
         "0a4e50a65d2371a3", "d24eefe70426073a",
     ),
-    "scaffold/star/clean/sequential": (
+    "scaffold/star/clean/per-worker": (
         "24.040039936", "24.0", "0.040039936",
         "8a61e360d4531d16", "347790f10bd7c99a",
     ),
@@ -297,7 +299,7 @@ FROZEN = {
         "24.040039936", "24.0", "0.040039936",
         "8a61e360d4531d16", "347790f10bd7c99a",
     ),
-    "scaffold/star/chaos/sequential": (
+    "scaffold/star/chaos/per-worker": (
         "84.36506489599999", "84.0", "0.48507488",
         "d04ce7a0db0cc3ff", "1de48fc666af5743",
     ),
@@ -305,7 +307,7 @@ FROZEN = {
         "84.36506489599999", "84.0", "0.48507488",
         "d04ce7a0db0cc3ff", "1de48fc666af5743",
     ),
-    "scaffold/hier/clean/sequential": (
+    "scaffold/hier/clean/per-worker": (
         "24.080079872", "24.0", "0.080079872",
         "202073840ee87815", "347790f10bd7c99a",
     ),
@@ -313,7 +315,7 @@ FROZEN = {
         "24.080079872", "24.0", "0.080079872",
         "202073840ee87815", "347790f10bd7c99a",
     ),
-    "scaffold/hier/chaos/sequential": (
+    "scaffold/hier/chaos/per-worker": (
         "84.730129792", "84.0", "0.7551422720000001",
         "5d026e44b9dda47c", "1de48fc666af5743",
     ),
@@ -321,7 +323,7 @@ FROZEN = {
         "84.730129792", "84.0", "0.7551422720000001",
         "5d026e44b9dda47c", "1de48fc666af5743",
     ),
-    "fedadam/star/clean/sequential/float32": (
+    "fedadam/star/clean/per-worker/float32": (
         "24.040009983999997", "24.0", "0.040009984",
         "4bf68ce2be676f5c", "b64ab2cc46c4d2a6",
     ),
@@ -329,7 +331,7 @@ FROZEN = {
         "24.040009983999997", "24.0", "0.040009984",
         "4bf68ce2be676f5c", "b64ab2cc46c4d2a6",
     ),
-    "fedadam/star/chaos/sequential/float32": (
+    "fedadam/star/chaos/per-worker/float32": (
         "84.365016224", "84.0", "0.48502121600000003",
         "2c4ce3f5a76ce947", "bb5a33310eface60",
     ),
@@ -337,7 +339,7 @@ FROZEN = {
         "84.365016224", "84.0", "0.48502121600000003",
         "2c4ce3f5a76ce947", "bb5a33310eface60",
     ),
-    "scaffold/star/clean/sequential/float32": (
+    "scaffold/star/clean/per-worker/float32": (
         "24.040019967999996", "24.0", "0.040019968",
         "f9e11d4156d4581b", "90d1e7f05dc4a320",
     ),
@@ -345,7 +347,7 @@ FROZEN = {
         "24.040019967999996", "24.0", "0.040019968",
         "f9e11d4156d4581b", "90d1e7f05dc4a320",
     ),
-    "scaffold/star/chaos/sequential/float32": (
+    "scaffold/star/chaos/per-worker/float32": (
         "84.365032448", "84.0", "0.48503744",
         "f8256f5160d80d2a", "c5756ddbb706cd58",
     ),
@@ -353,7 +355,7 @@ FROZEN = {
         "84.365032448", "84.0", "0.48503744",
         "f8256f5160d80d2a", "c5756ddbb706cd58",
     ),
-    "served/poisson/sequential": (
+    "served/poisson/per-worker": (
         "41.84212952491768", "0.0", "5.230082790399999",
         "797235e8f921f822", "06f529c11c4b3016",
     ),
@@ -361,7 +363,7 @@ FROZEN = {
         "41.84212952491768", "0.0", "5.230082790399999",
         "797235e8f921f822", "06f529c11c4b3016",
     ),
-    "served/closed/sequential": (
+    "served/closed/per-worker": (
         "17.8650853504", "16.5950004864", "5.6600878847999985",
         "cccd5661f2c134cd", "fa65ad917ee0086a",
     ),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.optim.base as base_module
+from helpers.per_worker import solo_step
 from helpers.shards import shard_no_pass, whole_then_sharded
 from repro import backend
 from repro.exceptions import ConfigurationError, ShapeError
@@ -20,14 +21,14 @@ def quadratic_minimization(optimizer, start, steps=300):
     target = np.full_like(params, 3.0)
     for _ in range(steps):
         grads = 2.0 * (params - target)
-        params = optimizer.step(params, grads)
+        params = solo_step(optimizer, params, grads)
     return params
 
 
 class TestSGD:
     def test_plain_sgd_step(self):
         optimizer = SGD(learning_rate=0.1)
-        updated = optimizer.step(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+        updated = solo_step(optimizer, np.array([1.0, 2.0]), np.array([1.0, -1.0]))
         np.testing.assert_allclose(updated, [0.9, 2.1])
 
     def test_converges_on_quadratic(self):
@@ -47,38 +48,27 @@ class TestSGD:
 
     def test_weight_decay_shrinks_parameters(self):
         optimizer = SGD(learning_rate=0.1, weight_decay=0.5)
-        updated = optimizer.step(np.array([2.0]), np.array([0.0]))
+        updated = solo_step(optimizer, np.array([2.0]), np.array([0.0]))
         assert updated[0] < 2.0
 
     def test_nesterov_requires_momentum(self):
         with pytest.raises(ConfigurationError):
             SGD(0.1, momentum=0.0, nesterov=True)
 
-    def test_reset_clears_velocity(self):
+    def test_zero_state_clears_velocity(self):
         optimizer = SGD(0.1, momentum=0.9)
-        optimizer.step(np.array([1.0]), np.array([1.0]))
+        solo_step(optimizer, np.array([1.0]), np.array([1.0]))
         assert optimizer.state_arrays()["velocity"][0] == -0.1
-        optimizer.reset()
+        optimizer.zero_state()
         assert optimizer.step_count == 0
-        # A solo optimizer forgets its row along with its layout ...
-        assert optimizer.state_arrays() == {}
+        assert optimizer.state_arrays()["velocity"][0] == 0.0
         # ... and the next step starts from a zero velocity again.
-        optimizer.step(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(optimizer.state_arrays()["velocity"], [-0.1, -0.1])
+        solo_step(optimizer, np.array([1.0]), np.array([1.0]))
+        np.testing.assert_array_equal(optimizer.state_arrays()["velocity"], [-0.1])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            SGD(0.1).step(np.zeros(3), np.zeros(4))
-
-    def test_accepts_flat_vectors_only(self):
-        # An optimizer steps its own row: one flat (d,) vector.  A (K, d)
-        # matrix is K optimizers' rows (StackedOptimizer.step_rows' layout).
-        flat = SGD(0.1).step(np.ones(3), np.ones(3))
-        np.testing.assert_array_equal(flat, np.full(3, 0.9))
-        with pytest.raises(ShapeError, match="step_rows"):
-            SGD(0.1).step(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            SGD(0.1).step(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+            solo_step(SGD(0.1), np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize(
         "factory",
@@ -90,9 +80,9 @@ class TestSGD:
         ],
         ids=["sgd-wd", "sgd-nesterov", "adam", "adamw"],
     )
-    def test_stacked_step_inplace_matches_per_row_steps(self, factory):
+    def test_stacked_rows_match_lone_rows(self, factory):
         # Row k of a stacked (K, d) in-place update must be bit-identical to a
-        # flat update of that row alone — the invariant the batched engine
+        # lone optimizer's update of that row — the invariant the engine
         # relies on when one stacked update serves the whole cluster.
         rng = np.random.default_rng(3)
         start = rng.normal(size=(4, 64))
@@ -105,28 +95,8 @@ class TestSGD:
             row_opt = factory()
             flat = start[row].copy()
             for step_grads in grads:
-                row_opt.step_inplace(flat, step_grads[row])
+                flat = solo_step(row_opt, flat, step_grads[row])
             np.testing.assert_array_equal(stacked[row], flat)
-
-    def test_shape_switch_after_stepping_requires_reset(self):
-        # Reusing a stepped optimizer with a different parameter layout would
-        # silently zero its moments while step_count kept counting; both
-        # stepping entry points enforce the bound layout, in either order.
-        optimizer = Adam(0.01)
-        optimizer.step_inplace(np.zeros(8), np.ones(8))
-        with pytest.raises(ShapeError, match="reset"):
-            optimizer.step_inplace(np.zeros(16), np.ones(16))
-        with pytest.raises(ShapeError, match="reset"):
-            optimizer.step(np.zeros(16), np.ones(16))
-        with pytest.raises(ShapeError, match="reset"):  # the dtype is layout too
-            optimizer.step_inplace(np.zeros(8, np.float32), np.ones(8, np.float32))
-        optimizer.reset()
-        optimizer.step_inplace(np.zeros(16), np.ones(16))  # now fine
-
-        copy_path = Adam(0.01)
-        copy_path.step(np.zeros(8), np.ones(8))
-        with pytest.raises(ShapeError, match="reset"):
-            copy_path.step_inplace(np.zeros(16), np.ones(16))
 
 
 class TestAdam:
@@ -136,14 +106,14 @@ class TestAdam:
 
     def test_first_step_size_close_to_learning_rate(self):
         optimizer = Adam(learning_rate=0.001)
-        updated = optimizer.step(np.array([1.0]), np.array([1e-3]))
+        updated = solo_step(optimizer, np.array([1.0]), np.array([1e-3]))
         # Bias correction makes the first step approximately the learning rate.
         assert abs(updated[0] - 1.0) == pytest.approx(0.001, rel=0.05)
 
     def test_step_counts_advance(self):
         optimizer = Adam(0.01)
-        optimizer.step(np.zeros(2), np.ones(2))
-        optimizer.step(np.zeros(2), np.ones(2))
+        solo_step(optimizer, np.zeros(2), np.ones(2))
+        solo_step(optimizer, np.zeros(2), np.ones(2))
         assert optimizer.step_count == 2
 
     def test_invalid_betas(self):
@@ -160,14 +130,14 @@ class TestAdam:
 class TestAdamW:
     def test_decay_shrinks_parameters_without_gradient(self):
         optimizer = AdamW(learning_rate=0.1, weight_decay=0.1)
-        updated = optimizer.step(np.array([5.0]), np.array([0.0]))
+        updated = solo_step(optimizer, np.array([5.0]), np.array([0.0]))
         assert updated[0] < 5.0
 
     def test_zero_decay_matches_adam(self):
         params = np.array([1.0, -2.0])
         grads = np.array([0.5, 0.25])
-        adam = Adam(0.01).step(params, grads)
-        adamw = AdamW(0.01, weight_decay=0.0).step(params, grads)
+        adam = solo_step(Adam(0.01), params, grads)
+        adamw = solo_step(AdamW(0.01, weight_decay=0.0), params, grads)
         np.testing.assert_allclose(adam, adamw)
 
     def test_negative_decay_rejected(self):
@@ -178,11 +148,10 @@ class TestAdamW:
 class TestRowOwnedState:
     """State belongs to the optimizer's row of its stack, whoever steps it."""
 
-    def test_reset_keeps_a_stacked_row_bound(self):
-        # reset() used to drop the arrays, which silently detached a stacked
-        # optimizer from its row: the worker's direct steps (how FedProx and
-        # SCAFFOLD drive workers) then wrote a private array the next
-        # step_rows never saw, while the row kept the stale moments.
+    def test_zero_state_keeps_a_stacked_row_bound(self):
+        # A cold start (crash rejoin, a fresh client in a slot) zeroes the
+        # row in place: the next stacked step of that row writes the stack's
+        # memory, and is a fresh optimizer's first step.
         rng = np.random.default_rng(0)
         params, grads = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
         optimizers = [Adam(0.01) for _ in range(3)]
@@ -191,7 +160,7 @@ class TestRowOwnedState:
         row = optimizers[1]
         assert row.state_arrays()["m"].any()
 
-        row.reset()
+        row.zero_state()
         assert row.step_count == 0
         for name, array in row.state_arrays().items():
             assert np.shares_memory(array, stacked._state[name])
@@ -199,25 +168,15 @@ class TestRowOwnedState:
             assert not stacked._state[name][1].any()  # the row itself is cleared
             assert stacked._state[name][0].any()  # and only that row
 
-        row.step_inplace(params[1], grads[1])
+        stacked.step_rows(params[1:2], grads[1:2], np.array([1]))
         for name, array in row.state_arrays().items():
             assert np.shares_memory(array, stacked._state[name])
             np.testing.assert_array_equal(stacked._state[name][1], array)
             assert array.any()
-        # The direct step is the fresh optimizer's first step, seen by the stack.
         fresh = Adam(0.01)
-        fresh.step_inplace(params[1].copy(), grads[1])
+        solo_step(fresh, params[1], grads[1])
         np.testing.assert_array_equal(stacked._state["m"][1], fresh.state_arrays()["m"])
         assert [optimizer.step_count for optimizer in stacked.optimizers] == [1, 1, 1]
-
-    def test_zero_state_and_reset_agree_on_a_stacked_row(self):
-        optimizers = [SGD(0.1, momentum=0.9) for _ in range(2)]
-        stacked = StackedOptimizer(optimizers, 4)
-        stacked.step_rows(np.ones((2, 4)), np.ones((2, 4)))
-        optimizers[0].reset()
-        optimizers[1].zero_state()
-        assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 0]
-        assert not stacked._state["velocity"].any()
 
     @pytest.mark.parametrize(
         "factory",
@@ -228,25 +187,43 @@ class TestRowOwnedState:
         ],
         ids=["sgd-stateless", "sgd-momentum", "adam"],
     )
-    def test_restored_unbound_optimizer_steps_on(self, factory):
-        # A fresh optimizer that resumes a snapshot is stepped but unbound
-        # (momentum-free SGD saves no array to take a layout from); its first
-        # step binds the private row without mistaking it for a stacked
-        # optimizer whose state would be lost.
+    def test_a_snapshot_resumes_into_a_row_and_nowhere_else(self, factory):
+        # An optimizer no stack has bound has nowhere to put saved arrays:
+        # loading one used to drop them without a word (momentum-free SGD
+        # has none, and is refused alike — its row is still missing).
         rng = np.random.default_rng(0)
         grads = rng.normal(size=(5, 6))
         straight, straight_params = factory(), np.ones(6)
         first, params = factory(), np.ones(6)
         for step in range(3):
-            straight.step_inplace(straight_params, grads[step])
-            first.step_inplace(params, grads[step])
+            straight_params = solo_step(straight, straight_params, grads[step])
+            params = solo_step(first, params, grads[step])
+        snapshot = first.state_dict()
+        unbound = factory()
+        with pytest.raises(ConfigurationError, match="not a row of any stack"):
+            unbound.load_state_dict(snapshot)
+        assert unbound.step_count == 0 and unbound.state_arrays() == {}
+
         resumed = factory()
-        resumed.load_state_dict(first.state_dict())
+        stacked = StackedOptimizer([resumed], 6)
+        resumed.load_state_dict(snapshot)
         for step in range(3, 5):
-            straight.step_inplace(straight_params, grads[step])
-            resumed.step_inplace(params, grads[step])
+            straight_params = solo_step(straight, straight_params, grads[step])
+            stacked.step_rows(params[None], grads[step][None])
         assert resumed.step_count == 5
         assert params.tobytes() == straight_params.tobytes()
+
+    def test_any_stepped_optimizer_is_refused_by_a_stack(self):
+        # Its state would be dropped by the rebinding while its step count
+        # (Adam's bias correction) kept counting — with or without arrays.
+        for stepped in (SGD(0.1), Adam(0.01)):
+            solo_step(stepped, np.zeros(4), np.ones(4))
+            with pytest.raises(ConfigurationError, match="already stepped"):
+                StackedOptimizer([stepped], 4)
+        counted = SGD(0.1)
+        counted.step_count = 3
+        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] have already stepped"):
+            StackedOptimizer([SGD(0.1), counted], 4)
 
 
 def block_rows(dimension):
@@ -295,7 +272,7 @@ class TestRowBlocking:
         grads = rng.normal(size=(5, 16)).astype(dtype)
         expected = params.copy()
         for row in range(5):
-            SGD(0.05, weight_decay=1e-4).step_inplace(expected[row], grads[row])
+            expected[row] = solo_step(SGD(0.05, weight_decay=1e-4), expected[row], grads[row])
         del calls[:], scratch_rows[:]
         stacked = StackedOptimizer(
             [SGD(0.05, weight_decay=1e-4) for _ in range(5)], 16, dtype=dtype
@@ -320,7 +297,7 @@ class TestRowBlocking:
         rows = np.array([1, 2])
         expected = params[rows].copy()
         for slot, row in enumerate(rows):
-            SGD(0.05, weight_decay=decays[row]).step_inplace(expected[slot], grads[row])
+            expected[slot] = solo_step(SGD(0.05, weight_decay=decays[row]), expected[slot], grads[row])
         del calls[:], scratch_rows[:]
         stacked = StackedOptimizer(
             [SGD(0.05, weight_decay=decay) for decay in decays], 16, dtype=dtype
@@ -379,7 +356,7 @@ class TestRowBlocking:
             stacked.step_rows(block, grads[rows], rows)
             params[rows] = block
             for k in range(5):
-                solos[k].step_inplace(solo_params[k], grads[k])
+                solo_params[k] = solo_step(solos[k], solo_params[k], grads[k])
         assert params.tobytes() == solo_params.tobytes()
         for member, solo in zip(members, solos):
             for name, array in solo.state_arrays().items():
@@ -526,7 +503,8 @@ def drive_stack(kind, dtype, workers, ops, seed, dimension):
             stacked.step_rows(block, grads[rows], rows)
             params[rows] = block
         else:
-            optimizers[op[1]].step_inplace(params[op[1]], grads[op[1]])
+            row = op[1]
+            stacked.step_rows(params[row : row + 1], grads[row : row + 1], np.array([row]))
     return optimizers, params
 
 
@@ -539,11 +517,11 @@ def drive_stack(kind, dtype, workers, ops, seed, dimension):
 @settings(max_examples=25, deadline=None)
 @given(case=row_rule_cases())
 def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
-    """``step_rows``, masked ``step_rows`` and ``step_inplace`` are one rule.
+    """Full, masked and one-row ``step_rows`` are one rule.
 
     For every optimizer, with per-worker heterogeneous hyper-parameters
     (learning rates included), any interleaving of full stacked steps, masked stacked steps
-    and direct per-optimizer steps (so the rows' step counts skew) leaves
+    and one-row steps (so the rows' step counts skew) leaves
     parameters, every ``state_arrays()`` entry and every ``step_count``
     **byte-equal** to K independent one-optimizer runs — at float64 *and* at
     float32.
@@ -564,7 +542,7 @@ def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
     for op in ops:
         grads = rng.normal(size=(count, dimension)).astype(dtype)
         for row in covered_rows(op, count):
-            solo_optimizers[row].step_inplace(solo_params[row], grads[row])
+            solo_params[row] = solo_step(solo_optimizers[row], solo_params[row], grads[row])
 
     for row, (member, solo) in enumerate(zip(stacked_optimizers, solo_optimizers)):
         assert member.step_count == solo.step_count
@@ -636,7 +614,7 @@ class TestLearningRate:
     def test_is_a_constant_float_column(self):
         optimizer = SGD(1)
         assert optimizer.learning_rate == 1.0 and isinstance(optimizer.learning_rate, float)
-        optimizer.step(np.zeros(1), np.zeros(1))
+        solo_step(optimizer, np.zeros(1), np.zeros(1))
         assert optimizer.learning_rate == 1.0
         stacked = StackedOptimizer([SGD(0.1), SGD(0.3)], 2)
         np.testing.assert_array_equal(stacked._columns["learning_rate"], [[0.1], [0.3]])

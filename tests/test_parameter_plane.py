@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers.per_worker import train_batch
+
 from repro.core.variance import model_variance
 from repro.data.datasets import Dataset
 from repro.distributed.cluster import SimulatedCluster
@@ -11,6 +13,7 @@ from repro.exceptions import ShapeError
 from repro.nn.architectures import lenet5, mlp
 from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.model import Sequential
+from repro.optim.base import StackedOptimizer
 from repro.optim.sgd import SGD
 
 
@@ -57,7 +60,7 @@ class TestModelViews:
     def test_gradients_flow_into_the_plane(self):
         model = tiny_model()
         rng = np.random.default_rng(0)
-        model.train_batch(rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
+        train_batch(model, rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
         assert np.any(model.gradients_view() != 0.0)
 
     def test_conv_architecture_gets_a_plane_too(self):
@@ -92,9 +95,9 @@ class TestRebinding:
         model.rebind_parameter_storage(storage)
         before = storage.copy()
         rng = np.random.default_rng(1)
-        model.train_batch(rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
-        optimizer = SGD(0.1)
-        optimizer.step_inplace(model.parameters_view(), model.gradients_view())
+        train_batch(model, rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
+        stack = StackedOptimizer([SGD(0.1)], model.num_parameters)
+        stack.step_rows(model.parameters_view()[None], model.gradients_view()[None])
         assert not np.array_equal(storage, before)
 
 
@@ -118,7 +121,7 @@ class TestStructuralClone:
     def test_clone_does_not_carry_activation_caches(self):
         model = tiny_model()
         rng = np.random.default_rng(0)
-        model.train_batch(rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
+        train_batch(model, rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
         clone = model.clone()
         assert clone.layers[0]._cache_x is None
 
@@ -165,7 +168,7 @@ class TestClusterParameterMatrix:
         with pytest.raises(ShapeError):
             cluster.broadcast_parameters(np.zeros(cluster.model_dimension + 1))
 
-    def test_local_steps_update_the_matrix_rows(self):
+    def test_steps_update_the_matrix_rows(self):
         cluster = self.make_cluster()
         before = cluster.parameter_matrix.copy()
         cluster.step_all()

@@ -176,7 +176,7 @@ class TestClusterProducers:
         assert cluster.participants is stepped
 
     def test_bind_members_rejects_a_misfit_cohort(self):
-        cluster = make_cluster("sequential", num_workers=3)
+        cluster = make_cluster("batched", num_workers=3)
         with pytest.raises(ShapeError):
             cluster.bind_members(Participation(mask=[True, False]))
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,8 @@ The population plane's contract has two bit-exactness halves:
   *bit-identical* to training the materialized cluster directly: binding a
   full cohort is fresh-reset followed by the client's own snapshot overlay,
   an identity round-trip executing identical arithmetic.  Checked across
-  strategies (FDA / FedOpt / Local-SGD), both engines, both dtypes, with
+  strategies (FDA / FedOpt / Local-SGD), the engine and the per-worker
+  oracle, both dtypes, with
   compression+error-feedback and RNG-stateful Dropout models, and under
   Hypothesis-drawn worker counts / budgets / round counts.
 * **Eviction transparency** — spilling a stateful client to disk and
@@ -31,7 +32,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers.parity import (
-    EXECUTIONS,
     dropout_factory,
     make_cluster,
     mlp_factory,
@@ -120,7 +120,7 @@ class TestCohortParity:
             rounds=rounds,
             num_workers=num_workers,
             memory_budget=budget,
-            executions=("batched",),
+            sides=("batched",),
         )
 
 
@@ -446,7 +446,7 @@ class TestClientDirectory:
 
 class TestWeightedAggregation:
     def test_cluster_weighted_mean_matches_manual(self):
-        cluster = make_cluster("sequential", num_workers=3)
+        cluster = make_cluster("batched", num_workers=3)
         weights = np.array([1.0, 2.0, 5.0])
         cluster.bind_members(Participation(weights=weights))
         expected = (weights / weights.sum()) @ cluster.parameter_matrix
@@ -457,7 +457,7 @@ class TestWeightedAggregation:
         )
 
     def test_invalid_weights_rejected(self):
-        cluster = make_cluster("sequential", num_workers=3)
+        cluster = make_cluster("batched", num_workers=3)
         with pytest.raises(Exception):
             cluster.bind_members(Participation(weights=[1.0, 2.0]))  # wrong shape
         with pytest.raises(ConfigurationError):
@@ -467,7 +467,7 @@ class TestWeightedAggregation:
 
     def test_uniform_weighting_keeps_exact_mean_path(self):
         # The parity contract hinges on weights=None for uniform full cohorts.
-        cluster = make_cluster("sequential", num_workers=2)
+        cluster = make_cluster("batched", num_workers=2)
         strategy = LocalSGDStrategy(tau=1).attach(cluster)
         population = ClientPopulation(
             PopulationConfig(num_clients=2, cohort_size=2, weighting="uniform"),
@@ -480,7 +480,7 @@ class TestWeightedAggregation:
         population.unbind_cohort()
 
     def test_data_size_weights_follow_bound_shards(self):
-        cluster = make_cluster("sequential", num_workers=2)
+        cluster = make_cluster("batched", num_workers=2)
         strategy = LocalSGDStrategy(tau=1).attach(cluster)
         rng = np.random.default_rng(3)
         shards = [
@@ -535,7 +535,7 @@ class TestPartialCohorts:
         assert sorted(population.client_steps) == [1, 5]
 
     def test_double_bind_rejected(self):
-        cluster = make_cluster("sequential", num_workers=2)
+        cluster = make_cluster("batched", num_workers=2)
         strategy = LocalSGDStrategy(tau=1).attach(cluster)
         population = ClientPopulation(
             PopulationConfig(num_clients=2, cohort_size=2),

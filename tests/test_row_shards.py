@@ -27,7 +27,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ import test_golden_trajectory
 import test_one_owner
 import test_serving_parity
 from helpers.parity import MODELS, make_cluster
+from helpers.per_worker import SIDES
 from helpers.shards import shard_every_pass, state_bytes, under_every_shard_setting
 from repro import backend
 from repro.core.monitor import VarianceMonitor
@@ -120,7 +120,7 @@ def test_batched_engine_steps_do_not_see_the_shards(model, case):
     into_scratch=st.booleans(),
 )
 def test_drift_matrix_does_not_see_the_shards(workers, dtype, seed, into_scratch):
-    cluster = make_cluster("sequential", num_workers=workers, dtype=dtype)
+    cluster = make_cluster("batched", num_workers=workers, dtype=dtype)
     rng = np.random.default_rng(seed)
     cluster.parameter_matrix[...] = rng.normal(size=cluster.parameter_matrix.shape)
     reference = rng.normal(size=cluster.model_dimension)
@@ -228,7 +228,7 @@ def test_an_overflow_raises_in_any_shard_under_errstate(sharded, row):
     with pytest.MonkeyPatch.context() as patch:
         if sharded:
             shard_every_pass(patch)
-        cluster = make_cluster("sequential", num_workers=3, dtype="float32")
+        cluster = make_cluster("batched", num_workers=3, dtype="float32")
         cluster.parameter_matrix[row, 0] = 3e38
         reference = np.zeros(cluster.model_dimension, dtype=np.float32)
         reference[0] = -3e38
@@ -298,8 +298,8 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-@pytest.mark.parametrize("execution", ["sequential", "batched"])
-def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatch, execution):
+@pytest.mark.parametrize("side", SIDES)
+def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatch, side):
     threads = {}
 
     def spied(function, name):
@@ -328,7 +328,7 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
         return train(*args)
 
     monkeypatch.setattr(BatchedModel, "_train", shard_spy)
-    cluster = make_cluster(execution, num_workers=6, dropout_rate=0.3)
+    cluster = make_cluster(side, num_workers=6, dropout_rate=0.3)
     strategy = FDAStrategy(threshold=0.05, variant="sketch").attach(cluster)
     for _ in range(4):
         strategy.run_round()
@@ -336,7 +336,7 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
     calling = {threading.get_ident()}
     assert {"SimulatedCluster.drift_matrix", "AmsSketch.sketch_rows"} <= set(threads)
     assert {name: seen for name, seen in threads.items() if seen != calling} == {}
-    if execution == "batched":
+    if side == "batched":
         assert {"BatchedModel.train_batch", "StackedOptimizer.step_rows"} <= set(threads)
         assert len(shard_threads) >= 2, "the passes were not sharded"
 
@@ -364,7 +364,7 @@ def test_a_forked_cell_runs_one_shard_off_the_parents_pool(
         return submit(self, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", parent_only_submit)
-    workload = replace(blobs_workload, execution="batched")
+    workload = blobs_workload
     run = TrainingRun(accuracy_target=0.99, max_steps=6, eval_every_steps=3)
     cells = [
         SweepCell(workload, lambda theta=theta: FDAStrategy(theta, "sketch", seed=0), run)

@@ -1,6 +1,6 @@
 """Parity pins for the serving plane.
 
-Three contracts, all asserted on *both* execution engines:
+Three contracts, all asserted on the engine and on the per-worker oracle:
 
 * **Golden Poisson fixture** — a small open-loop Poisson-arrival FDA run has
   its sync count, byte ledger, virtual clock, and p50/p95/p99 latency digits
@@ -30,6 +30,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from helpers.per_worker import SIDES, on_side
 from helpers.serving import RecordingTrainer, drive, serve_next
 from repro.core.monitor import make_monitor
 from repro.core.timeline import StragglerProfile
@@ -45,10 +46,7 @@ from repro.serving import ServedFDATrainer, ServingConfig, ServingReport
 
 pytestmark = pytest.mark.serving
 
-ENGINES = ["sequential", "batched"]
-
-
-def build_cluster(execution, **cluster_kwargs):
+def build_cluster(side="batched", **cluster_kwargs):
     rng = np.random.default_rng(7)
     workers = []
     for worker_id in range(4):
@@ -64,7 +62,7 @@ def build_cluster(execution, **cluster_kwargs):
                 seed=worker_id,
             )
         )
-    return SimulatedCluster(workers, execution=execution, **cluster_kwargs)
+    return on_side(side, SimulatedCluster(workers, **cluster_kwargs))
 
 
 #: Frozen digits of the golden Poisson run (150 updates, K=4, star x fl,
@@ -126,14 +124,14 @@ OPEN_CELLS = {
 }
 
 
-def open_trainer(execution, cell):
-    cluster = build_cluster(execution, topology="star", network="fl")
+def open_trainer(side, cell):
+    cluster = build_cluster(side, topology="star", network="fl")
     monitor = make_monitor("linear", cluster.model_dimension, seed=3)
     return RecordingTrainer(cluster, monitor, 0.05, OPEN_CELLS[cell][1])
 
 
-def run_golden(execution):
-    trainer = open_trainer(execution, "poisson")
+def run_golden(side):
+    trainer = open_trainer(side, "poisson")
     trainer.serve_updates(150)
     return trainer
 
@@ -565,8 +563,8 @@ CLOSED_GOLDEN = {
 }
 
 
-def run_closed(execution, jitter):
-    cluster = build_cluster(execution, topology="star", network="fl")
+def run_closed(side, jitter):
+    cluster = build_cluster(side, topology="star", network="fl")
     monitor = make_monitor("linear", cluster.model_dimension, seed=3)
     profile = StragglerProfile(
         straggler_fraction=0.25, straggler_factor=3.0, jitter=jitter
@@ -579,9 +577,9 @@ def run_closed(execution, jitter):
 
 
 class TestGoldenPoissonFixture:
-    @pytest.mark.parametrize("execution", ENGINES)
-    def test_golden_run_digits_are_frozen(self, execution):
-        report = run_golden(execution).report()
+    @pytest.mark.parametrize("side", SIDES)
+    def test_golden_run_digits_are_frozen(self, side):
+        report = run_golden(side).report()
         assert report.sync_count == GOLDEN["sync_count"]
         assert report.total_bytes == GOLDEN["total_bytes"]
         assert report.updates_served == GOLDEN["updates_served"]
@@ -593,12 +591,12 @@ class TestGoldenPoissonFixture:
 
     @pytest.mark.parametrize("driver", ["serve_next", "serve_updates", "serve_for"])
     @pytest.mark.parametrize("cell", list(OPEN_GOLDEN))
-    @pytest.mark.parametrize("execution", ENGINES)
-    def test_open_loop_trajectory_is_frozen(self, execution, cell, driver):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_open_loop_trajectory_is_frozen(self, side, cell, driver):
         """Whichever driver runs the cell — and so wherever it settles the
         produced steps — every record and every final bit is the parent's."""
         golden = OPEN_GOLDEN[cell]
-        served = open_trainer(execution, cell)
+        served = open_trainer(side, cell)
         drive(
             served,
             driver,
@@ -627,21 +625,21 @@ class TestGoldenPoissonFixture:
             == golden["parameters_sha256"]
         )
 
-    def test_both_engines_agree_bit_exactly(self):
-        sequential = run_golden("sequential")
+    def test_the_engine_and_the_per_worker_loop_agree_bit_exactly(self):
+        oracle = run_golden("per-worker")
         batched = run_golden("batched")
         np.testing.assert_array_equal(
-            sequential.cluster.parameter_matrix, batched.cluster.parameter_matrix
+            oracle.cluster.parameter_matrix, batched.cluster.parameter_matrix
         )
-        assert sequential.cluster.total_bytes == batched.cluster.total_bytes
-        assert sequential.latency.ledger.values().tolist() == (
+        assert oracle.cluster.total_bytes == batched.cluster.total_bytes
+        assert oracle.latency.ledger.values().tolist() == (
             batched.latency.ledger.values().tolist()
         )
 
 
-def assert_matches_closed_golden(execution, cell):
+def assert_matches_closed_golden(side, cell):
     golden = CLOSED_GOLDEN[cell]
-    served, records = run_closed(execution, golden["jitter"])
+    served, records = run_closed(side, golden["jitter"])
     # Bit-exact event stream, estimates, clock, byte ledger, parameters.
     assert [
         (r.time, r.worker_id, r.step_index, r.synchronized) for r in records
@@ -665,17 +663,17 @@ def assert_matches_closed_golden(execution, cell):
 
 
 class TestDegenerateModeBitExactness:
-    @pytest.mark.parametrize("execution", ENGINES)
-    def test_closed_mode_reproduces_async_trainer(self, execution):
-        assert_matches_closed_golden(execution, "stragglers")
+    @pytest.mark.parametrize("side", SIDES)
+    def test_closed_mode_reproduces_async_trainer(self, side):
+        assert_matches_closed_golden(side, "stragglers")
 
-    @pytest.mark.parametrize("execution", ENGINES)
-    def test_closed_mode_pins_the_jitter_draw_order(self, execution):
-        assert_matches_closed_golden(execution, "jittered")
+    @pytest.mark.parametrize("side", SIDES)
+    def test_closed_mode_pins_the_jitter_draw_order(self, side):
+        assert_matches_closed_golden(side, "jittered")
 
-    @pytest.mark.parametrize("execution", ENGINES)
-    def test_closed_mode_latency_is_identically_zero(self, execution):
-        cluster = build_cluster(execution)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_closed_mode_latency_is_identically_zero(self, side):
+        cluster = build_cluster(side)
         monitor = make_monitor("linear", cluster.model_dimension, seed=3)
         served = ServedFDATrainer(
             cluster, monitor, 0.05, ServingConfig(arrival="closed")
@@ -689,12 +687,12 @@ class TestDegenerateModeBitExactness:
 
 
 class TestOpenLoopInvariants:
-    @pytest.mark.parametrize("execution", ENGINES)
-    def test_uniform_rule_matches_unweighted_averaging(self, execution):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_uniform_rule_matches_unweighted_averaging(self, side):
         """The uniform rule must take the exact np.mean path (None weights)."""
 
         def run(rule):
-            cluster = build_cluster(execution)
+            cluster = build_cluster(side)
             monitor = make_monitor("linear", cluster.model_dimension, seed=3)
             config = ServingConfig(
                 arrival="deterministic", arrival_rate=1.0, staleness_rule=rule
@@ -718,7 +716,7 @@ class TestOpenLoopInvariants:
 
     def test_saturation_inflates_tail_latency(self):
         def run(rate):
-            cluster = build_cluster("sequential")
+            cluster = build_cluster()
             monitor = make_monitor("linear", cluster.model_dimension, seed=3)
             config = ServingConfig(
                 arrival="poisson",
@@ -773,7 +771,7 @@ class TestUnsupportedCompositionsAreRefused:
 
 class TestServingReport:
     def test_to_dict_carries_every_scalar_field(self):
-        cluster = build_cluster("sequential")
+        cluster = build_cluster()
         monitor = make_monitor("linear", cluster.model_dimension, seed=3)
         config = ServingConfig(
             arrival="deterministic", arrival_rate=4.0, queue_capacity=1,

@@ -27,7 +27,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers.parity import EXECUTIONS, MODELS, assert_same_state, make_cluster
+from helpers.parity import MODELS, assert_same_state, make_cluster
+from helpers.per_worker import SIDES
 from helpers.serving import (
     PerEventTrainer,
     RecordingTrainer,
@@ -49,10 +50,10 @@ pytestmark = pytest.mark.serving
 NUM_WORKERS = 4
 
 
-def build(trainer_class, config, *, execution, dtype="float64", variant="linear",
+def build(trainer_class, config, *, side, dtype="float64", variant="linear",
           threshold=0.05, lossy=False, **cluster_kwargs):
     cluster = make_cluster(
-        execution,
+        side,
         *MODELS["dropout-head"],
         num_workers=NUM_WORKERS,
         dtype=dtype,
@@ -122,18 +123,18 @@ def assert_equals_oracle(config, run, trainer_class=RecordingTrainer, **build_kw
 
 class TestPerEventOracle:
     @pytest.mark.parametrize("variant", ["linear", "sketch", "exact"])
-    @pytest.mark.parametrize("execution", EXECUTIONS)
-    def test_saturated_backlog_equals_the_oracle_under_every_monitor(self, execution, variant):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_saturated_backlog_equals_the_oracle_under_every_monitor(self, side, variant):
         """Deep backlogs, many ranks per settle, states outliving their settle."""
         trainer = assert_equals_oracle(
             SATURATED, lambda trainer: trainer.serve_updates(120),
-            execution=execution, variant=variant, threshold=0.02,
+            side=side, variant=variant, threshold=0.02,
         )
         assert trainer.sync_count > 0
 
     @given(
         data=st.data(),
-        execution=st.sampled_from(EXECUTIONS),
+        side=st.sampled_from(SIDES),
         dtype=st.sampled_from(["float64", "float32"]),
         variant=st.sampled_from(["linear", "sketch", "exact"]),
         threshold=st.sampled_from([0.0, 0.02, 0.2]),
@@ -149,7 +150,7 @@ class TestPerEventOracle:
     )
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_settling_by_rank_equals_settling_every_event(
-        self, data, execution, dtype, variant, threshold, lossy, drivers
+        self, data, side, dtype, variant, threshold, lossy, drivers
     ):
         def run(trainer):
             for driver, amount in drivers:
@@ -157,7 +158,7 @@ class TestPerEventOracle:
 
         with tempfile.TemporaryDirectory() as trace_dir:
             assert_equals_oracle(
-                data.draw(serving_configs(trace_dir)), run, execution=execution,
+                data.draw(serving_configs(trace_dir)), run, side=side,
                 dtype=dtype, variant=variant, threshold=threshold, lossy=lossy,
             )
 
@@ -183,9 +184,9 @@ class BacklogWatcher(RecordingTrainer):
 
 
 class TestVisibilityRule:
-    @pytest.mark.parametrize("execution", EXECUTIONS)
-    def test_a_driver_returns_with_every_produced_step_computed(self, execution):
-        trainer = build(BacklogWatcher, SATURATED, execution=execution)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_a_driver_returns_with_every_produced_step_computed(self, side):
+        trainer = build(BacklogWatcher, SATURATED, side=side)
 
         def assert_settled():
             assert trainer._unsettled == 0 and not any(trainer._backlog)
@@ -209,9 +210,9 @@ class TestVisibilityRule:
 
 
 class TestBoundedBacklog:
-    @pytest.mark.parametrize("execution", EXECUTIONS)
+    @pytest.mark.parametrize("side", SIDES)
     def test_a_worker_that_never_reports_does_not_let_the_backlog_grow(
-        self, execution, tmp_path
+        self, side, tmp_path
     ):
         """Worker 3 is absent from the trace, so its row never reports: no
         estimate, no synchronization — only the bound settles mid-run."""
@@ -222,7 +223,7 @@ class TestBoundedBacklog:
         config = ServingConfig(arrival="trace", trace_path=str(path), service_seconds=0.005)
         trainer = assert_equals_oracle(
             config, lambda trainer: trainer.serve_updates(180), BacklogWatcher,
-            execution=execution,
+            side=side,
         )
         assert trainer.updates_served == 180 and trainer.sync_count == 0
         # Reached, never passed.
@@ -230,12 +231,12 @@ class TestBoundedBacklog:
 
 
 class TestDivergence:
-    @pytest.mark.parametrize("execution", EXECUTIONS)
-    def test_a_diverging_served_run_names_its_worker(self, execution):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_a_diverging_served_run_names_its_worker(self, side):
         trainer = build(
             RecordingTrainer,
             ServingConfig(arrival="poisson", arrival_rate=1.0, service_seconds=0.05),
-            execution=execution,
+            side=side,
             threshold=float("inf"),
             optimizer_factory=lambda worker_id: SGD(1e12 if worker_id == 2 else 0.01),
         )

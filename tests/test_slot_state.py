@@ -7,7 +7,7 @@ owns (optimizer moments and step count, batch streams, Dropout streams, last
 loss).  Checkpoints, cohort binding and crash rejoin are all built on them, so
 the property is checked where those planes meet: every local optimizer with
 state, RNG-stateful and buffer-carrying models, error feedback on and off,
-both engines.
+the engine and the per-worker oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers.parity import EXECUTIONS, MODELS, assert_same_state, make_cluster
+from helpers.parity import MODELS, assert_same_state, make_cluster
+from helpers.per_worker import SIDES
 from repro.compression import CompressionConfig
 from repro.optim.adam import Adam, AdamW
 from repro.optim.sgd import SGD
@@ -40,19 +41,19 @@ def train(cluster, rounds):
     optimizer=st.sampled_from(sorted(OPTIMIZERS)),
     model=st.sampled_from(["dropout-head", "batchnorm-net", "densenet-mini"]),
     error_feedback=st.booleans(),
-    execution=st.sampled_from(EXECUTIONS),
+    side=st.sampled_from(SIDES),
     slot=st.integers(min_value=0, max_value=NUM_WORKERS - 1),
     warmup=st.integers(min_value=0, max_value=2),
     rounds=st.integers(min_value=1, max_value=3),
 )
 def test_capture_step_restore_and_reset(
-    optimizer, model, error_feedback, execution, slot, warmup, rounds
+    optimizer, model, error_feedback, side, slot, warmup, rounds
 ):
     model_factory, sample_shape, num_classes = MODELS[model]
 
     def build():
         cluster = make_cluster(
-            execution,
+            side,
             model_factory=model_factory,
             sample_shape=sample_shape,
             num_classes=num_classes,

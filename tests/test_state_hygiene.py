@@ -42,8 +42,8 @@ test (at float32, not even that).  The row rule is the one spelling now, and
    exactly one method that takes parameters and gradients — the rule
    ``_update_rows`` — ``Worker.__init__`` has no ``inplace`` parameter, the
    retired spellings occur nowhere under ``src/``, and a call spy sees
-   ``Optimizer.step_inplace``, ``StackedOptimizer.step_rows`` (full and
-   masked) and ``Worker._apply_update`` all end in that one rule.
+   ``StackedOptimizer.step_rows`` (full, masked and one row) and the engine's
+   ``step_worker`` all end in that one rule.
 
 The sparsifying compression kernels once partitioned the whole ``(K, d)``
 matrix in one ``argpartition(..., axis=1)`` call over a cached ``(K, d)``
@@ -147,8 +147,8 @@ Every check above retires names, and the prose kept spelling them, so
 
 17. every retired-name list of checks 4, 7, 8, 9, 13, 15, 16 and 18 is run
     over ``ARCHITECTURE.md`` and ``docs/`` as well.  (The names of checks 10–12 are
-    retired only inside one package — ``Worker.local_step`` and
-    ``engine.step_worker`` still exist — so the prose may name them.)
+    retired only inside one package — ``engine.step_worker`` still exists —
+    so the prose may name them.)
 
 Public surface that nothing uses is code to keep in step for no caller, so
 
@@ -160,7 +160,8 @@ Public surface that nothing uses is code to keep in step for no caller, so
     import in a package ``__init__.py`` under ``src/`` is a re-export, not a
     caller.  The surface this check deleted — learning-rate and τ schedules,
     the unused FedOpt variants, the ``with_*`` copy wrappers, the test-only
-    names — is spelled nowhere under ``src/``.
+    names, and the second engine with its knob, its per-worker step and the
+    solo optimizer path that only it ran — is spelled nowhere under ``src/``.
 """
 
 from __future__ import annotations
@@ -332,6 +333,7 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
 
     from helpers.shards import whole_then_sharded
     from repro.data.datasets import Dataset
+    from repro.distributed.cluster import SimulatedCluster
     from repro.distributed.worker import Worker
     from repro.nn.architectures import mlp
     from repro.optim.base import StackedOptimizer
@@ -361,15 +363,21 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
         assert (live, masked) == (
             ([(1, 4)] * 3, [(1, 4)] * 2) if sharded else ([(3, 4)], [(2, 4)])
         )
-        assert rule_calls(lambda: optimizers[0].step_inplace(params[0], grads[0])) == [(1, 4)]
-        assert rule_calls(lambda: SGD(0.1).step(np.ones(4), np.ones(4))) == [(1, 4)]
+        one_row = rule_calls(
+            lambda: stacked.step_rows(params[:1].copy(), grads[:1].copy(), np.array([0]))
+        )
+        assert one_row == [(1, 4)]
 
     rng = np.random.default_rng(0)
     dataset = Dataset(rng.normal(size=(8, 4)), rng.integers(0, 2, size=8), 2)
-    worker = Worker(0, mlp(4, 2, hidden_units=(3,), seed=0), dataset, SGD(0.1), batch_size=4)
+    workers = [
+        Worker(k, mlp(4, 2, hidden_units=(3,), seed=0), dataset, SGD(0.1), batch_size=4)
+        for k in range(2)
+    ]
+    cluster = SimulatedCluster(workers)
     del calls[:]
-    worker.local_step()
-    assert calls == [(1, worker.num_parameters)]
+    cluster.engine.step_worker(1)
+    assert calls == [(1, cluster.model_dimension)]
 
 
 #: The all-rows top-k kernel's cached ``(K, d)`` scratch and the helper that
@@ -857,9 +865,12 @@ def test_a_message_costs_what_its_links_carry():
 
 #: The public surface nothing ran, deleted by check 18: learning-rate and τ
 #: schedules, the unused FedOpt variants, the validation helpers, the
-#: ``with_*`` copy wrappers and the test-only names.  ``FedAvg`` counts only
-#: spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``), so the
-#: algorithm's name in prose and ``FedAvgM`` do not match.
+#: ``with_*`` copy wrappers and the test-only names; then the second engine
+#: (its class, the base class, the factory, the knob's values and flag) and
+#: the per-worker and solo optimizer steps only it ran — the per-worker loop
+#: lives on as the test oracle, ``tests/helpers/per_worker.py``.  ``FedAvg``
+#: counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
+#: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
     r"\b(LearningRateSchedule|ConstantSchedule|StepDecaySchedule|ExponentialDecaySchedule"
     r"|CosineDecaySchedule|resolve_schedule|TauSchedule|fixed_tau|increasing_tau"
@@ -869,7 +880,9 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|MeanSquaredError|kde_density|staleness_weights|with_fabric|with_timeline"
     r"|with_execution|with_compression|with_dtype|with_faults|with_serving|_KEEP"
     r"|sync_buffers|get_gradients|serve_next|ClientDescriptor"
-    r"|local_epoch)\b|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
+    r"|local_epoch|SequentialEngine|ClusterEngine|build_engine|EXECUTION_MODES"
+    r"|step_inplace|local_step|is_batched)\b|--execution\b"
+    r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
 )
 

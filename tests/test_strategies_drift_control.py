@@ -196,7 +196,7 @@ class TestRoundParticipation:
 #
 # Recorded at the parent commit (FedProx and SCAFFOLD still on their private
 # ``worker.local_epoch(gradient_transform=...)`` loops): 5 rounds on the
-# sequential engine, default timeline.  ``strategy/optimizer`` -> (sha256 of
+# then-default per-worker engine, default timeline; the engine reproduces them.  ``strategy/optimizer`` -> (sha256 of
 # the final parameter matrix, total bytes, syncs, per-worker steps, virtual s).
 
 FROZEN_STRATEGIES = {

@@ -81,7 +81,11 @@ def build_workload(seed: int = 0, **overrides) -> WorkloadConfig:
     return WorkloadConfig(**config)
 
 
-#: A different legal value for every ``WorkloadConfig`` field, as drawn
+#: The ``WorkloadConfig`` fields with one legal value, so no alternative:
+#: ``execution`` names the one engine.
+SINGLE_VALUED = {"execution"}
+
+#: A different legal value for every other ``WorkloadConfig`` field, as drawn
 #: against :func:`build_workload`'s defaults.
 FIELD_ALTERNATIVES = {
     "name": st.text(alphabet="abcxyz-", min_size=1, max_size=6).filter(lambda n: n != "blobs"),
@@ -106,7 +110,6 @@ FIELD_ALTERNATIVES = {
         lambda fraction: StragglerProfile(straggler_fraction=fraction)
     ),
     "dropout_rate": st.floats(0.01, 0.9),
-    "execution": st.just("batched"),
     "compression": st.sampled_from(
         ["topk", "quantization", "randomk", "signsgd", CompressionConfig("topk", ratio=0.05)]
     ),
@@ -174,7 +177,6 @@ class TestRunKeys:
             lambda w: replace(w, batch_size=8),
             lambda w: replace(w, name="other"),
             lambda w: replace(w, dtype="float32"),
-            lambda w: replace(w, execution="batched"),
             lambda w: replace(w, topology="ring"),
             lambda w: replace(w, network="fl"),
             lambda w: replace(w, compression="topk"),
@@ -199,7 +201,9 @@ class TestRunKeys:
         assert changed != base
 
     def test_every_config_field_has_an_alternative(self):
-        assert set(FIELD_ALTERNATIVES) == {spec.name for spec in fields(WorkloadConfig)}
+        assert set(FIELD_ALTERNATIVES) | SINGLE_VALUED == {
+            spec.name for spec in fields(WorkloadConfig)
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -385,14 +389,11 @@ class TestBindingIntoTheCellDtype:
 
     DTYPES = ("float32", "float32", "float64", "float32", None)
 
-    @pytest.mark.parametrize("execution", ["sequential", "batched"])
     @pytest.mark.parametrize("factory", [gelu_dropout_head, batchnorm_head])
-    def test_alternating_dtype_cells_equal_eager_builds(self, factory, execution):
+    def test_alternating_dtype_cells_equal_eager_builds(self, factory):
         setup = SetupCache()
         for dtype in self.DTYPES:
-            config = build_workload(
-                model_factory=factory, num_workers=8, execution=execution, dtype=dtype
-            )
+            config = build_workload(model_factory=factory, num_workers=8, dtype=dtype)
             pooled = cluster_snapshot(build_cluster(config, setup=setup)[0])
             eager = cluster_snapshot(build_cluster(config)[0])
             assert pooled["dtype"] == resolve_dtype(dtype)
@@ -412,9 +413,7 @@ class TestBindingIntoTheCellDtype:
         setup = SetupCache()
         per_cell = []
         for dtype in self.DTYPES:
-            config = build_workload(
-                model_factory=gelu_dropout_head, num_workers=8, execution="batched", dtype=dtype
-            )
+            config = build_workload(model_factory=gelu_dropout_head, num_workers=8, dtype=dtype)
             before = len(casts)
             build_cluster(config, setup=setup)
             per_cell.append(len(casts) - before)
