@@ -113,6 +113,21 @@ def shard_bounds(rows: int, shards: int) -> List[Tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def map_row_shards(function: Callable, *matrices: np.ndarray) -> None:
+    """``function(*matrices)``, split into :func:`row_shards` of the first matrix.
+
+    Every matrix is sliced ``[start:stop]`` along its rows, so all share the
+    first one's row count; a pass too small to split runs whole, unthreaded.
+    """
+    rows, width = matrices[0].shape
+    shards = row_shards(rows, width)
+    if shards == 1:
+        function(*matrices)
+    else:
+        bounds = shard_bounds(rows, shards)
+        run_shards(function, [tuple(m[a:b] for m in matrices) for a, b in bounds])
+
+
 def run_shards(function: Callable, shard_args: Sequence[tuple]) -> list:
     """``[function(*args) for args in shard_args]``, one shard per thread.
 
@@ -158,6 +173,7 @@ __all__ = [
     "SHARD_MIN_ELEMENTS",
     "SUPPORTED_DTYPES",
     "itemsize",
+    "map_row_shards",
     "resolve_dtype",
     "row_shards",
     "run_shards",

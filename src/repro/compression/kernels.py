@@ -12,7 +12,11 @@ link instead of the dense ``4·d``.  Inside the call the sparsifying kernels
 walk the matrix one worker row at a time (:func:`_select_rows`): rows are
 selected independently, and a row with its scratch stays cache-resident where
 one ``argpartition`` over all rows materialised ``(K, d)`` score and int64
-index matrices on every sync.
+index matrices on every sync.  Independent rows also split into row shards,
+one per core (:func:`repro.backend.map_row_shards`): the magnitude kernels
+select, and :meth:`SparseRowPayloads.fold_residual` zeroes, shard by shard.
+:class:`RandomKCompressor` selects whole — its one generator draws the rows
+in order.
 
 Kernels provided (Section 2 of the FDA paper positions all of these as
 orthogonal to *when* models are exchanged):
@@ -45,12 +49,14 @@ array([[ 0. , -3. ,  0. ,  2. ],
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.backend import map_row_shards
 from repro.exceptions import ConfigurationError, ShapeError
 
 
@@ -145,7 +151,9 @@ class SparseRowPayloads(RowPayloads):
         return accumulator
 
     def fold_residual(self, work: np.ndarray) -> None:
-        np.put_along_axis(work, self.indices, 0.0, axis=1)
+        map_row_shards(
+            lambda rows, kept: np.put_along_axis(rows, kept, 0.0, axis=1), work, self.indices
+        )
 
 
 class Compressor:
@@ -265,14 +273,18 @@ _HIGH_WORD = int(sys.byteorder == "little")  # which 32-bit half of a native uin
 _INF_BITS = 0x7F800000  # float32 +inf; only a NaN's magnitude bits are larger
 
 
-def _select_rows(matrix, slots, score_row, score_dtype, kth_shift: int = 0):
-    """``(indices, values)`` of a sparse payload, selected one worker row at a time.
+def _select_rows(matrix, indices, values, slots, score_row, score_dtype, kth_shift, ramp):
+    """Fill the rows of a sparse payload's ``indices`` / ``values``, one worker row at a time.
 
     ``slots`` lists ``(offset, size, keep)`` slices of a row; each keeps ``keep``
     of its ``size`` coordinates (all, in order, when ``keep ≥ size``).  Only the
     *choice* sees a score: ``values`` are the exact input entries in the matrix's
     dtype.  Every scratch is allocated here (no kernel holds an array between
-    calls) and is one row long, so it fits a per-core cache.
+    calls) and is one row long, so it fits a per-core cache; a call sees only
+    its rows, so the magnitude kernels run one call per row shard
+    (:func:`repro.backend.map_row_shards`) and the shard count never shows.
+    The shards share one read-only ``ramp``, ``arange(d)`` as uint32; without
+    one (random-k) every slot takes the reference path.
 
     **Magnitudes are selected by value, not by arg.**  Each coordinate becomes
     one uint64 key — high word the IEEE bits of the float32 ``|x|``
@@ -290,22 +302,20 @@ def _select_rows(matrix, slots, score_row, score_dtype, kth_shift: int = 0):
     row differs, and nothing reads it (see :class:`SparseRowPayloads`).
 
     **The reference path** — the only one for :class:`RandomKCompressor`, whose float64
-    draws do not fit a key — fills the ``score_dtype`` scratch with ``score_row(row,
-    scores)`` and keeps the *lowest* scores by ``argpartition`` at ``kth = keep − 1 +
-    kth_shift`` (random-k's frozen trajectories cut at ``keep``).  Magnitudes are scored
-    negated so the cut is from the front: introselect degenerates when its pivot lands
-    inside the zeros, where ``size − keep`` sits on sparse drifts.
+    draws do not fit a key — fills the ``score_dtype`` scratch (allocated at a call's
+    first fall-through; the packed path never reads it) with ``score_row(row, scores)``
+    and keeps the *lowest* scores by ``argpartition`` at ``kth = keep − 1 + kth_shift``
+    (random-k's frozen trajectories cut at ``keep``).  Magnitudes are scored negated so
+    the cut is from the front: introselect degenerates when its pivot lands inside the
+    zeros, where ``size − keep`` sits on sparse drifts.
     """
     dimension = matrix.shape[1]
-    indices = np.empty((matrix.shape[0], sum(keep for _, _, keep in slots)), dtype=np.intp)
-    values = np.empty(indices.shape, dtype=matrix.dtype)
-    scores = np.empty(dimension, dtype=score_dtype)
-    packed = score_row is _score_by_magnitude and any(keep < size for _, size, keep in slots)
+    scores = None
+    packed = ramp is not None and any(keep < size for _, size, keep in slots)
     if packed:
         keys = np.empty(dimension, dtype=np.uint64)
         words = keys.view(np.uint32).reshape(dimension, 2)
         magnitudes, coordinates = words[:, _HIGH_WORD], words[:, 1 - _HIGH_WORD]
-        ramp = np.arange(dimension, dtype=np.uint32)
     for row, row_indices, row_values in zip(matrix, indices, values):
         scored = False
         if packed:
@@ -325,13 +335,14 @@ def _select_rows(matrix, slots, score_row, score_dtype, kth_shift: int = 0):
                 row_indices[start:stop] = coordinates[cut:end]
             else:
                 if not scored:
+                    if scores is None:
+                        scores = np.empty(dimension, dtype=score_dtype)
                     score_row(row, scores)
                     scored = True
                 chosen = np.argpartition(scores[offset:end], keep - 1 + kth_shift)
                 np.add(chosen[:keep], offset, out=row_indices[start:stop])
             start = stop
         np.take(row, row_indices, out=row_values, mode="clip")  # in range by construction
-    return indices, values
 
 
 def _validate_fraction(fraction: float) -> float:
@@ -367,10 +378,19 @@ class TopKCompressor(Compressor):
 
     def compress_rows(self, matrix: np.ndarray) -> RowPayloads:
         matrix = _as_matrix(matrix)
-        dimension = matrix.shape[1]
-        indices, values = _select_rows(
-            matrix, self._slots(dimension), self._score_row, self._score_dtype, self._kth_shift
+        rows, dimension = matrix.shape
+        slots = self._slots(dimension)
+        indices = np.empty((rows, sum(keep for _, _, keep in slots)), dtype=np.intp)
+        values = np.empty(indices.shape, dtype=matrix.dtype)
+        select = functools.partial(
+            _select_rows, slots=slots, score_row=self._score_row,
+            score_dtype=self._score_dtype, kth_shift=self._kth_shift,
         )
+        if self._score_row is _score_by_magnitude:
+            ramp = np.arange(dimension, dtype=np.uint32)
+            map_row_shards(functools.partial(select, ramp=ramp), matrix, indices, values)
+        else:  # random-k: its one generator draws the rows in order
+            select(matrix, indices, values, ramp=None)
         return SparseRowPayloads(
             indices, values, dimension, self.transmitted_elements(dimension)
         )

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.backend import resolve_dtype
+from repro.backend import map_row_shards, resolve_dtype
 from repro.compression.config import CompressionConfig, make_compressor
 from repro.compression.kernels import RowPayloads
 from repro.exceptions import ShapeError
@@ -165,23 +165,27 @@ class ClusterCompression:
         reference = cluster.shared_parameters
         # The synchronization hot path works entirely in preallocated (K, d)
         # storage: with error feedback the residual matrix itself accumulates
-        # ``residual + (w − w_t0)`` in place (the payload values are captured
+        # ``(residual + w) − w_t0`` in place (the payload values are captured
         # before fold_residual zeroes/subtracts the transmitted part, turning
         # the accumulator into the new residual); without it a cached drift
         # scratch holds the subtraction.  Sync-every-step protocols therefore
         # allocate nothing (K, d)-sized per round: only the k-sized payload
-        # arrays and the sparsifying kernels' row-sized scratch.
+        # arrays and the sparsifying kernels' row-sized scratch.  Row-wise
+        # passes run as row shards; the sparse mean sums in row order, whole.
+        # compress_update sums ``(w − w_t0) + residual`` instead: the two round
+        # differently and the compressed goldens pin both, so they stay apart.
         if self.error_feedback:
             work = self._residuals
-            np.add(work, cluster.parameter_matrix, out=work)
-            np.subtract(work, reference, out=work)
+            map_row_shards(
+                lambda rows, w: np.subtract(np.add(rows, w, out=rows), reference, out=rows),
+                work, cluster.parameter_matrix,
+            )
         else:
             if self._drift_scratch is None:
                 self._drift_scratch = np.empty(
                     (self.num_workers, self.dimension), dtype=self.dtype
                 )
-            work = self._drift_scratch
-            np.subtract(cluster.parameter_matrix, reference, out=work)
+            work = cluster.drift_matrix(reference, out=self._drift_scratch)
         payloads = self.compressor.compress_rows(work)
         members = cluster.members
         if members.lockstep:
@@ -196,7 +200,10 @@ class ClusterCompression:
             cluster.model_dimension, category, compression=self.compressor
         )
         new_global = reference + average_delta
-        cluster.parameter_matrix[members.rows] = new_global
+        if isinstance(members.rows, slice):
+            map_row_shards(lambda rows: np.copyto(rows, new_global), cluster.parameter_matrix)
+        else:
+            cluster.parameter_matrix[members.rows] = new_global
         if include_buffers and cluster.buffer_matrix.shape[1]:
             buffer_average = members.mean(cluster.buffer_matrix)
             cluster.charge_allreduce(int(buffer_average.size), category)
@@ -219,8 +226,7 @@ class ClusterCompression:
 
         category = category or CATEGORY_MODEL
         reference = cluster.shared_parameters
-        drifts = cluster.parameter_matrix - reference
-        payloads = self.compress_update(drifts)
+        payloads = self.compress_update(cluster.drift_matrix(reference))
         cluster.charge_allreduce(
             cluster.model_dimension, category, compression=self.compressor
         )

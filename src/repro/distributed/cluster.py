@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import resolve_dtype, row_shards, run_shards, shard_bounds
+from repro.backend import map_row_shards, resolve_dtype
 from repro.data.datasets import Dataset
 from repro.distributed.engine import BatchedEngine
 from repro.distributed.network import NetworkModel, get_network
@@ -344,14 +344,11 @@ class SimulatedCluster:
             raise ShapeError(
                 f"reference must have shape ({self.model_dimension},), got {reference.shape}"
             )
-        rows, width = self._param_matrix.shape
-        shards = row_shards(rows, width)
-        if shards == 1:
-            return np.subtract(self._param_matrix, reference, out=out)
         if out is None:
             out = np.empty_like(self._param_matrix)
-        bounds = shard_bounds(rows, shards)
-        run_shards(np.subtract, [(self._param_matrix[a:b], reference, out[a:b]) for a, b in bounds])
+        map_row_shards(
+            lambda rows, into: np.subtract(rows, reference, out=into), self._param_matrix, out
+        )
         return out
 
     # -- slot state --------------------------------------------------------------

@@ -38,6 +38,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers.shards import whole_then_sharded
 from repro.compression import (
     ClusterCompression,
     CompressionConfig,
@@ -436,23 +437,25 @@ class TestRowAtATimeSelection:
             assert set(np.flatnonzero(row)) <= set(indices.tolist())
 
     @pytest.mark.parametrize("kind", SPARSIFIERS)
-    def test_allocation_budget_is_the_payload_plus_a_few_rows(self, kind):
+    def test_allocation_budget_is_the_payload_plus_a_few_rows(self, kind, monkeypatch):
         # Selecting all rows in one argpartition(axis=1) call allocated a
-        # (K, d) int64 matrix (5.1 MB here) to keep 5 % of it.
+        # (K, d) int64 matrix (5.1 MB here) to keep 5 % of it.  Row shards
+        # each hold their own row scratch, concurrently, within the same few rows.
         num_rows, dimension, fraction = 32, 20_000, 0.05
         matrix = np.random.default_rng(9).normal(size=(num_rows, dimension)).astype(np.float32)
         compressor = make_sparsifier(kind, fraction, [0, 12_000, 18_000, dimension])
-        compressor.compress_rows(matrix)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            payloads = compressor.compress_rows(matrix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        keep = payloads.indices.shape[1]
-        payload_bytes = num_rows * keep * (8 + matrix.itemsize)
-        assert peak - before <= payload_bytes + 4 * dimension * 8
+        for sharded in whole_then_sharded(monkeypatch):
+            compressor.compress_rows(matrix)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                payloads = compressor.compress_rows(matrix)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            keep = payloads.indices.shape[1]
+            payload_bytes = num_rows * keep * (8 + matrix.itemsize)
+            assert peak - before <= payload_bytes + 4 * dimension * 8, (sharded, peak - before)
 
     @pytest.mark.parametrize("kind", SPARSIFIERS)
     def test_payload_indices_pin_no_larger_array(self, kind):

@@ -1,15 +1,22 @@
 """Row shards: the K rows of a pass run on every core, and it never shows.
 
 ``repro.backend`` splits a wide ``(rows × d)`` pass into contiguous row
-shards, one per core, for four loops: ``StackedOptimizer.step_rows``,
-``BatchedModel.train_batch``, ``SimulatedCluster.drift_matrix`` and
-``AmsSketch.sketch_rows``.  Held here:
+shards, one per core, for ``StackedOptimizer.step_rows``,
+``BatchedModel.train_batch``, ``SimulatedCluster.drift_matrix``,
+``AmsSketch.sketch_rows`` and the compressed synchronization: the magnitude
+kernels' selection (``Compressor.compress_rows``), the error-feedback
+accumulate, ``SparseRowPayloads.fold_residual`` and the lockstep install.
+Random-k selects whole: its one generator draws the rows in order.  Held here:
 
 * **The shard count never shows in a result.**  One Hypothesis property per
   loop runs it under every core count in {1, 2, 3, 7} with every pass split
-  as far as it goes and with none split, and compares bytes; and every
-  frozen fixture the batched engine, the trajectories, the one-owner cells
-  and the serving plane were pinned with is re-run with every pass sharded.
+  as far as it goes and with none split, and compares bytes (every kernel at
+  K = 1, 2, 3, 32 with a tie at the cut, a NaN and an all-zero row planted
+  in the last shards; ``ClusterCompression.synchronize`` with and without
+  error feedback on a lockstep, a masked and a weighted cohort, then
+  ``gather_models``); and every frozen fixture the batched engine, the
+  trajectories, the one-owner cells and the serving plane were pinned with
+  is re-run with every pass sharded.
 * **The thread boundary.**  numpy's ``errstate`` crosses it, an error is
   re-raised only once every shard has finished (and a divergence in any
   shard fails the whole step atomically, see ``test_faults.py``), and every
@@ -41,8 +48,11 @@ from helpers.parity import MODELS, make_cluster
 from helpers.per_worker import SIDES
 from helpers.shards import shard_every_pass, state_bytes, under_every_shard_setting
 from repro import backend
+from repro.compression import ClusterCompression, CompressionConfig, kernels
+from repro.compression.kernels import Compressor
 from repro.core.monitor import VarianceMonitor
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.participation import Participation
 from repro.experiments.executor import SweepCell, SweepExecutor, fork_parallelism_available
 from repro.experiments.persistence import result_to_dict
 from repro.experiments.run import TrainingRun
@@ -52,6 +62,9 @@ from repro.optim.adam import Adam
 from repro.optim.base import StackedOptimizer
 from repro.sketch.ams import AmsSketch
 from repro.strategies.fda_strategy import FDAStrategy
+from repro.strategies.fedopt import fedavgm_strategy
+from repro.strategies.local_sgd import LocalSGDStrategy
+from test_compression import make_sparsifier
 from test_optim_local import ROW_RULE_KINDS, block_size_cases, drive_stack
 
 DTYPES = [np.float64, pytest.param(np.float32, marks=pytest.mark.float32_smoke)]
@@ -150,6 +163,90 @@ def test_sketch_rows_does_not_see_the_shards(workers, dimension, dtype, seed):
     assert all_equal(outcomes)
     per_row = AmsSketch(5, 40, seed=seed % 5)
     assert outcomes[0] == np.stack([per_row.sketch(row) for row in matrix]).tobytes()
+
+
+KERNELS = ("topk", "layerwise-topk", "randomk", "quantization", "signsgd")
+
+
+def planted_rows(workers, dimension, dtype, seed):
+    """Normal rows whose last ones are, from the back: a tie at every cut, a NaN, all zeros.
+
+    Each of the three sends a magnitude kernel's slot down the reference path,
+    so that path runs inside a non-first shard (a shard of its own at K = 3).
+    """
+    matrix = np.random.default_rng(seed).normal(size=(workers, dimension))
+    with_nan = matrix[0].copy()
+    with_nan[dimension // 2] = np.nan
+    specials = [np.ones(dimension), with_nan, np.zeros(dimension)]
+    for row, special in zip(range(workers - 1, -1, -1), specials):
+        matrix[row] = special
+    return matrix.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 32])
+@pytest.mark.parametrize("kind", KERNELS)
+@settings(max_examples=6, deadline=None)
+@given(
+    dimension=st.integers(2, 200),
+    fraction=st.sampled_from([0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_compress_rows_does_not_see_the_shards(kind, workers, dtype, dimension, fraction, seed):
+    """Every payload array, its size and the kernel's state (random-k's stream)."""
+    matrix = planted_rows(workers, dimension, dtype, seed)
+    cuts = sorted({0, dimension // 3, dimension})
+
+    def run():
+        compressor = make_sparsifier(kind, fraction, cuts)
+        payloads = compressor.compress_rows(matrix)
+        return state_bytes(vars(payloads)), state_bytes(compressor.state_dict())
+
+    assert all_equal(under_every_shard_setting(run))
+
+
+COHORTS = {
+    "lockstep": Participation(),
+    "masked": Participation(mask=np.arange(5) % 3 != 1),
+    "weighted": Participation(weights=np.arange(1.0, 6.0)),
+}
+
+
+@pytest.mark.parametrize("cohort", sorted(COHORTS))
+@pytest.mark.parametrize("error_feedback", [False, True], ids=["no-ef", "ef"])
+@settings(max_examples=8, deadline=None)
+@given(
+    kind=st.sampled_from(KERNELS),
+    dtype=st.sampled_from(["float64", "float32"]),
+    seed=st.integers(0, 2**16),
+)
+def test_compressed_synchronize_does_not_see_the_shards(cohort, error_feedback, kind, dtype, seed):
+    """Two synchronizations, then a ``gather_models``: the returned averages and
+    models, and every byte of the cluster — rows, residuals, kernel stream,
+    shared model, fabric ledgers.  A synchronization installs the average in
+    exactly the cohort's rows."""
+    members = COHORTS[cohort]
+    config = CompressionConfig(kind, ratio=0.2, error_feedback=error_feedback, seed=3)
+    installed = np.zeros(5, dtype=bool)
+    installed[members.rows] = True
+
+    def run():
+        cluster = make_cluster("batched", num_workers=5, dtype=dtype, compression=config)
+        cluster.bind_members(members)
+        rng = np.random.default_rng(seed)
+        averages = []
+        for _ in range(2):
+            cluster.parameter_matrix[...] += rng.normal(size=cluster.parameter_matrix.shape)
+            before = cluster.parameter_matrix.copy()
+            average = cluster.synchronize()
+            assert (cluster.parameter_matrix[installed] == average).all()
+            assert (cluster.parameter_matrix[~installed] == before[~installed]).all()
+            averages.append(average.tobytes())
+        cluster.parameter_matrix[...] += rng.normal(size=cluster.parameter_matrix.shape)
+        gathered = cluster.gather_models().tobytes()
+        return averages, gathered, state_bytes(cluster.state_dict())
+
+    assert all_equal(under_every_shard_setting(run))
 
 
 @pytest.mark.parametrize(
@@ -281,6 +378,31 @@ def test_concurrent_masked_steps_lose_no_update():
     assert sharded == run()
 
 
+def test_concurrent_compressed_syncs_lose_no_update():
+    """Seven shards on fewer cores, a thread switch every microsecond: each
+    shard selects into, zeroes and installs its own rows of the shared payload,
+    residual and parameter matrices, and not one write may go missing."""
+    compression = CompressionConfig("layerwise-topk", ratio=0.1, error_feedback=True)
+
+    def run():
+        cluster = make_cluster("batched", num_workers=16, compression=compression)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            cluster.parameter_matrix[...] += rng.normal(size=cluster.parameter_matrix.shape)
+            cluster.synchronize()
+        return state_bytes(cluster.state_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            shard_every_pass(patch, cores=7)
+            sharded = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sharded == run()
+
+
 def _public_callables(cls):
     for owner in (cls, *_subclasses(cls)):
         for name, attribute in list(vars(owner).items()):
@@ -310,7 +432,11 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
 
         return spy
 
-    for cls in (StackedOptimizer, BatchedModel, SimulatedCluster, VarianceMonitor, AmsSketch):
+    spied_classes = (
+        StackedOptimizer, BatchedModel, SimulatedCluster, VarianceMonitor, AmsSketch,
+        ClusterCompression, Compressor,
+    )
+    for cls in spied_classes:
         for owner, name, attribute in _public_callables(cls):
             label = f"{owner.__name__}.{name}"
             if isinstance(attribute, property):
@@ -328,14 +454,33 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
         return train(*args)
 
     monkeypatch.setattr(BatchedModel, "_train", shard_spy)
+    select_threads = set()
+    select = kernels._select_rows
+
+    def select_spy(*args, **kwargs):
+        select_threads.add(threading.get_ident())
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_select_rows", select_spy)
     cluster = make_cluster(side, num_workers=6, dropout_rate=0.3)
     strategy = FDAStrategy(threshold=0.05, variant="sketch").attach(cluster)
     for _ in range(4):
         strategy.run_round()
+    # A compressed run: synchronizations (Local-SGD) and a server round's upload.
+    compression = CompressionConfig("topk", ratio=0.1, error_feedback=True)
+    for strategy in (LocalSGDStrategy(tau=1), fedavgm_strategy()):
+        strategy.attach(make_cluster(side, num_workers=6, compression=compression))
+        for _ in range(2):
+            strategy.run_round()
 
     calling = {threading.get_ident()}
     assert {"SimulatedCluster.drift_matrix", "AmsSketch.sketch_rows"} <= set(threads)
+    assert {
+        "ClusterCompression.synchronize", "ClusterCompression.gather_models",
+        "TopKCompressor.compress_rows",
+    } <= set(threads)
     assert {name: seen for name, seen in threads.items() if seen != calling} == {}
+    assert len(select_threads) >= 2, "the top-k selection was not sharded"
     if side == "batched":
         assert {"BatchedModel.train_batch", "StackedOptimizer.step_rows"} <= set(threads)
         assert len(shard_threads) >= 2, "the passes were not sharded"
