@@ -321,7 +321,7 @@ def measure_dtype_rates(num_workers: int, dimension_key: int):
         elapsed = best_of(3, run_steps)
         rates[dtype] = steps / elapsed
         bytes_before = cluster.total_bytes
-        cluster.synchronize(include_buffers=False)
+        cluster.synchronize()
         sync_bytes[dtype] = cluster.total_bytes - bytes_before
     return rates, sync_bytes, dimension
 
@@ -456,7 +456,7 @@ def measure_compressed_sync(num_workers: int, dimension_key: int):
             for _ in range(rounds):
                 for _ in range(tau):
                     cluster.step_all()
-                cluster.synchronize(include_buffers=False)
+                cluster.synchronize()
 
         run_steps()  # warmup: optimizer state, residual matrix, scratch
         bytes_before, syncs_before = cluster.total_bytes, cluster.synchronization_count
@@ -558,8 +558,8 @@ def test_bench_hotpath_compressed_sync_trains_like_the_per_worker_loop():
     for cluster in (loop, batched):
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())
     for _ in range(5):
-        loop.step_all(); loop.synchronize(include_buffers=False)
-        batched.step_all(); batched.synchronize(include_buffers=False)
+        loop.step_all(); loop.synchronize()
+        batched.step_all(); batched.synchronize()
     np.testing.assert_allclose(loop.parameter_matrix, batched.parameter_matrix, rtol=1e-6)
     assert loop.total_bytes == batched.total_bytes
 
@@ -596,7 +596,7 @@ def run_plane_steps(cluster: SimulatedCluster, reference, scratch, steps: int) -
         drifts = cluster.drift_matrix(reference, out=scratch)
         for drift in drifts:
             float(np.dot(drift, drift))
-        cluster.synchronize(include_buffers=False)
+        cluster.synchronize()
 
 
 def seed_gather(arrays) -> np.ndarray:

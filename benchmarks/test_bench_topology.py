@@ -24,6 +24,7 @@ import time
 import pytest
 
 from benchmarks.bench_json import emit_bench_section
+from repro.core.timeline import Timeline
 from repro.distributed.network import get_network
 from repro.distributed.topology import Fabric, NAMED_TOPOLOGIES, get_topology
 
@@ -38,17 +39,27 @@ ROUNDS = 60 if SMALL else 300
 COMPUTE_SECONDS_PER_STEP = 0.1
 
 
+def make_fabric(topology_name: str, network_name: str) -> Fabric:
+    """A fabric for the K workers above, on a fresh clock of its own."""
+    return Fabric(
+        num_workers=NUM_WORKERS,
+        clock=Timeline(NUM_WORKERS),
+        topology=get_topology(topology_name),
+        network=get_network(network_name),
+    )
+
+
 def simulate(topology_name: str, network_name: str, fda: bool, rounds: int = ROUNDS):
     """Replay one protocol's round pattern; returns (total_seconds, total_bytes)."""
-    fabric = Fabric(topology=get_topology(topology_name), network=get_network(network_name))
+    fabric = make_fabric(topology_name, network_name)
     seconds = rounds * COMPUTE_SECONDS_PER_STEP
     for round_index in range(rounds):
         if fda:
-            seconds += fabric.allreduce(STATE_ELEMENTS, NUM_WORKERS, "fda-state").seconds
+            seconds += fabric.allreduce(STATE_ELEMENTS, "fda-state").seconds
             if (round_index + 1) % SYNC_PERIOD == 0:
-                seconds += fabric.allreduce(MODEL_DIMENSION, NUM_WORKERS, "model-sync").seconds
+                seconds += fabric.allreduce(MODEL_DIMENSION, "model-sync").seconds
         else:
-            seconds += fabric.allreduce(MODEL_DIMENSION, NUM_WORKERS, "model-sync").seconds
+            seconds += fabric.allreduce(MODEL_DIMENSION, "model-sync").seconds
     return seconds, fabric.tracker.total_bytes
 
 
@@ -126,10 +137,7 @@ def test_bench_sync_wallclock_by_topology():
         row = {}
         num_bytes = 0
         for network in ("fl", "hpc"):
-            fabric = Fabric(
-                topology=get_topology(topology), network=get_network(network)
-            )
-            charge = fabric.allreduce(MODEL_DIMENSION, NUM_WORKERS, "model-sync")
+            charge = make_fabric(topology, network).allreduce(MODEL_DIMENSION, "model-sync")
             row[network] = charge.seconds
             num_bytes = charge.num_bytes
         times[topology] = row
@@ -155,10 +163,10 @@ def test_bench_sync_wallclock_by_topology():
 def test_bench_fabric_accounting_overhead():
     """The fabric charge itself must stay off the training hot path's budget."""
     iterations = 2_000 if SMALL else 20_000
-    fabric = Fabric(topology=get_topology("star"), network=get_network("fl"))
+    fabric = make_fabric("star", "fl")
     start = time.perf_counter()
     for _ in range(iterations):
-        fabric.allreduce(STATE_ELEMENTS, NUM_WORKERS, "fda-state")
+        fabric.allreduce(STATE_ELEMENTS, "fda-state")
     elapsed = time.perf_counter() - start
     rate = iterations / elapsed
     print(f"\nfabric.allreduce accounting: {rate:,.0f} charges/s")

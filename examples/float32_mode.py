@@ -75,7 +75,7 @@ def run_mode(dtype: str):
     for step in range(STEPS):
         loss = cluster.step_all()
         if step % 2 == 1:
-            cluster.synchronize(include_buffers=False)
+            cluster.synchronize()
     elapsed = time.perf_counter() - start
     assert np.isfinite(loss), f"{dtype} training must stay finite"
     return cluster, STEPS / elapsed

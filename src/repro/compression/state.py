@@ -12,7 +12,7 @@ syncs included — share one drift convention.  What this module owns is the
 dtype) whose row ``k`` is worker ``k``'s accumulated compression error.
 
 The two protocol entry points are :meth:`ClusterCompression.synchronize` (the
-compressed full-model AllReduce behind ``cluster.synchronize``) and
+compressed average behind ``cluster.synchronize``, which installs it) and
 :meth:`ClusterCompression.gather_models` (the compressed client→server upload
 round behind FedOpt/FedProx/SCAFFOLD aggregation).  Both charge the fabric
 with the kernel's *transmitted* element count, so topology link ledgers and
@@ -142,26 +142,17 @@ class ClusterCompression:
 
     # -- protocol entry points ---------------------------------------------------
 
-    def synchronize(
-        self,
-        cluster: "SimulatedCluster",
-        include_buffers: bool = True,
-        category: Optional[str] = None,
-    ) -> np.ndarray:
-        """One compressed full-model synchronization (the AllReduce path).
+    def synchronize(self, cluster: "SimulatedCluster") -> np.ndarray:
+        """The new global model of one compressed full-model AllReduce.
 
-        Every worker uploads its compressed drift from the shared model; the
-        averaged reconstruction is added to it and installed in every member's
-        row of the parameter matrix (the cluster makes the sum its new shared
-        model).  The fabric is charged the *compressed* payload per worker
-        (the kernel's transmitted elements); non-trainable buffers, when
-        requested, are averaged exactly and charged uncompressed like the
-        plain path (they are running statistics, orders of magnitude smaller
-        than the model).
+        Every worker uploads its compressed drift from the shared model, and
+        the averaged reconstruction is added to it.  The fabric is charged
+        the *compressed* payload per worker (the kernel's transmitted
+        elements).  ``cluster.synchronize`` installs the result, averages the
+        buffers and counts the sync, exactly as on the exact path.
         """
         from repro.distributed.cluster import CATEGORY_MODEL
 
-        category = category or CATEGORY_MODEL
         reference = cluster.shared_parameters
         # The synchronization hot path works entirely in preallocated (K, d)
         # storage: with error feedback the residual matrix itself accumulates
@@ -196,24 +187,12 @@ class ClusterCompression:
             average_delta = members.mean(payloads.reconstruct())
         if self.error_feedback:
             payloads.fold_residual(work)  # the accumulator becomes the residual
-        cluster.charge_allreduce(
-            cluster.model_dimension, category, compression=self.compressor
+        cluster.fabric.allreduce(
+            cluster.model_dimension, CATEGORY_MODEL, compression=self.compressor
         )
-        new_global = reference + average_delta
-        if isinstance(members.rows, slice):
-            map_row_shards(lambda rows: np.copyto(rows, new_global), cluster.parameter_matrix)
-        else:
-            cluster.parameter_matrix[members.rows] = new_global
-        if include_buffers and cluster.buffer_matrix.shape[1]:
-            buffer_average = members.mean(cluster.buffer_matrix)
-            cluster.charge_allreduce(int(buffer_average.size), category)
-            cluster.buffer_matrix[members.rows] = buffer_average
-        cluster.synchronization_count += 1
-        return new_global
+        return reference + average_delta
 
-    def gather_models(
-        self, cluster: "SimulatedCluster", category: Optional[str] = None
-    ) -> np.ndarray:
+    def gather_models(self, cluster: "SimulatedCluster") -> np.ndarray:
         """One compressed client→server upload round.
 
         Returns the ``(K, d)`` matrix of client models *as the server sees
@@ -224,11 +203,10 @@ class ClusterCompression:
         """
         from repro.distributed.cluster import CATEGORY_MODEL
 
-        category = category or CATEGORY_MODEL
         reference = cluster.shared_parameters
         payloads = self.compress_update(cluster.drift_matrix(reference))
-        cluster.charge_allreduce(
-            cluster.model_dimension, category, compression=self.compressor
+        cluster.fabric.allreduce(
+            cluster.model_dimension, CATEGORY_MODEL, compression=self.compressor
         )
         return reference + payloads.reconstruct()
 

@@ -167,7 +167,7 @@ class FDATrainer(FDAProtocol):
         if len(states):
             # AllReduce of the local states (charged as small "fda-state"
             # traffic, routed through the fabric's topology and network).
-            self.cluster.charge_allreduce(self.state_elements_per_step, CATEGORY_STATE)
+            self.cluster.fabric.allreduce(self.state_elements_per_step, CATEGORY_STATE)
             estimate = self.monitor.estimate(self.monitor.average(states))
         else:
             # A quiet step reports its bound.  Without one, nobody stepped and

@@ -2,12 +2,12 @@
 
 :class:`SimulatedCluster` owns the workers and implements the two collective
 operations FDA needs (AllReduce of local states and AllReduce of model
-parameters).  Every collective is routed through the cluster's
-:class:`~repro.distributed.topology.Fabric`, which composes the interconnect
+parameters).  Every collective is charged by the cluster's
+:class:`~repro.distributed.topology.Fabric`, built for its ``K`` and its
+:class:`~repro.core.timeline.Timeline`: the fabric composes the interconnect
 topology (star / ring / hierarchical / gossip), the plane dtype's itemsize
 and an optional network model into one ``(bytes, virtual-seconds)`` charge,
-booked on the fabric's ledgers; the seconds also move the cluster's shared
-:class:`~repro.core.timeline.Timeline` clock.  The cluster also maintains an
+books it on its ledgers and moves the clock.  The cluster also maintains an
 *evaluation model* used to measure the accuracy of the global (average) model
 without disturbing any worker's local state.
 
@@ -23,10 +23,10 @@ The cluster holds the one copy of the *shared model*
 drifts, the compressed exchange's drifts and the server round's global model
 are this value.  Compression is a collective-level concern and lives here
 too: an optional :class:`~repro.compression.state.ClusterCompression`
-(configured once, by the ``compression`` constructor argument) reroutes
-``synchronize`` and :meth:`gather_models` through row-wise compression kernels
-with per-worker error-feedback memory, and every ``charge_*`` call accepts a
-compression spec so the fabric prices the true compressed payload per link.
+(configured once, by the ``compression`` constructor argument) computes the
+average ``synchronize`` installs, and the models :meth:`gather_models`
+returns, through row-wise compression kernels with per-worker error-feedback
+memory, and has the fabric price the true compressed payload per link.
 Without it, every path below is bit-identical to the uncompressed
 implementation.
 
@@ -50,7 +50,7 @@ from repro.data.datasets import Dataset
 from repro.distributed.engine import BatchedEngine
 from repro.distributed.network import NetworkModel, get_network
 from repro.distributed.participation import Participation
-from repro.distributed.topology import CollectiveCharge, Fabric, Topology, get_topology
+from repro.distributed.topology import Fabric, Topology, get_topology
 from repro.distributed.worker import Worker
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
@@ -129,22 +129,21 @@ class SimulatedCluster:
             self.dtype = model_dtypes.pop()
         for worker in self.workers:
             worker.model.to_dtype(self.dtype)
-        self.fabric = Fabric(
-            topology=get_topology("star" if topology is None else topology),
-            itemsize=self.dtype.itemsize,
-            network=get_network(network),
-        )
-        self.fabric.topology.validate(len(self.workers))
-        # Compatibility alias: the tracker is owned by the fabric but remains
-        # reachable as ``cluster.tracker`` for existing callers and tests.
-        self.tracker = self.fabric.tracker
         from repro.core.timeline import Timeline  # local import: core builds on distributed
 
         if timeline is not None and timeline.num_workers != len(self.workers):
             raise ConfigurationError(
                 f"timeline models {timeline.num_workers} workers, cluster has {len(self.workers)}"
             )
-        self.timeline = timeline or Timeline(len(self.workers))
+        self.fabric = Fabric(
+            num_workers=len(self.workers),
+            clock=timeline or Timeline(len(self.workers)),
+            topology=get_topology("star" if topology is None else topology),
+            itemsize=self.dtype.itemsize,
+            network=get_network(network),
+        )
+        # The fabric owns the tracker; bench/workloads.py reads it here.
+        self.tracker = self.fabric.tracker
         self.loss = loss or SoftmaxCrossEntropy()
         self.synchronization_count = 0
         # The cluster-wide parameter plane: one contiguous (K, d) matrix whose
@@ -242,6 +241,11 @@ class SimulatedCluster:
         return self.tracker.total_bytes
 
     @property
+    def timeline(self) -> "Timeline":
+        """The virtual clock, the fabric's: collectives move it where they are priced."""
+        return self.fabric.clock
+
+    @property
     def virtual_time(self) -> float:
         """The cluster's virtual clock (compute plus communication seconds)."""
         return self.timeline.now
@@ -257,47 +261,6 @@ class SimulatedCluster:
     def compression_label(self) -> str:
         """Compact description of the installed compression (``"none"`` without)."""
         return self._compression.label if self._compression is not None else "none"
-
-    # -- fabric charges ---------------------------------------------------------
-
-    def charge_allreduce(
-        self, num_elements: int, category: str, compression=None
-    ) -> CollectiveCharge:
-        """Charge one AllReduce through the fabric and advance the clock.
-
-        ``compression`` (an optional kernel) makes the fabric price the
-        kernel's transmitted payload for a logical vector of ``num_elements``
-        instead of the dense size.
-        """
-        charge = self.fabric.allreduce(
-            num_elements, self.num_workers, category, compression=compression
-        )
-        self.timeline.add_communication(charge.seconds)
-        return charge
-
-    def charge_broadcast(
-        self, num_elements: int, category: str, compression=None
-    ) -> CollectiveCharge:
-        """Charge one root-to-all broadcast through the fabric."""
-        charge = self.fabric.broadcast(
-            num_elements, self.num_workers, category, compression=compression
-        )
-        self.timeline.add_communication(charge.seconds)
-        return charge
-
-    def charge_upload(
-        self, num_elements: int, category: str, worker_id: int = 0, compression=None
-    ) -> CollectiveCharge:
-        """Charge one point-to-point worker → coordinator upload.
-
-        Unlike the collectives this does not act as a cluster-wide barrier:
-        the upload's seconds are folded into the sender's next completion by
-        the caller (the event-driven coordinator); the fabric's ledger records
-        them.
-        """
-        return self.fabric.upload(
-            num_elements, self.num_workers, category, worker_id, compression=compression
-        )
 
     # -- the cluster parameter plane -------------------------------------------
 
@@ -427,8 +390,8 @@ class SimulatedCluster:
 
     # -- collectives -----------------------------------------------------------
 
-    def broadcast_parameters(self, flat: np.ndarray, count_cost: bool = False) -> None:
-        """Set every worker's parameters to ``flat`` (optionally charging broadcast bytes).
+    def broadcast_parameters(self, flat: np.ndarray) -> None:
+        """Set every member's parameters to ``flat``, free of charge.
 
         ``flat`` becomes the shared model (a copy): subsequent drifts —
         FDA's, and the compressed uploads' — are taken from it.
@@ -439,14 +402,9 @@ class SimulatedCluster:
                 f"expected a flat parameter vector of shape ({self.model_dimension},), "
                 f"got {flat.shape}"
             )
-        if count_cost:
-            self.charge_broadcast(int(flat.size), CATEGORY_MODEL)
         # Only members receive: dead rows stay frozen (they pull the current
         # model when they rejoin), unbound rows keep their stale contents.
-        members = self.members
-        self._param_matrix[members.rows] = flat
-        if count_cost:
-            self._maybe_corrupt(members)
+        self._param_matrix[self.members.rows] = flat
         self._shared_parameters = flat.copy()
 
     # -- participation -----------------------------------------------------------
@@ -515,40 +473,39 @@ class SimulatedCluster:
         """
         return self.members.mean(self._buffer_matrix)
 
-    def synchronize(self, include_buffers: bool = True) -> np.ndarray:
+    def synchronize(self) -> np.ndarray:
         """Full model synchronization via AllReduce (Algorithm 1, line 9).
 
-        Averages the worker parameters (and, by default, the batch-norm
-        buffers) with one row-wise reduction over the parameter matrix,
-        broadcasts the average back into every row, charges the corresponding
-        AllReduce traffic, and returns the new global parameters — which
-        become :attr:`shared_parameters`.
-
-        With compression installed the exchange is lossy instead of exact:
-        every worker uploads its compressed drift from the last shared model,
-        the averaged reconstruction becomes the new global model, and the
-        fabric is charged the compressed payload (see
-        :class:`~repro.compression.state.ClusterCompression`).  Every
-        strategy that synchronizes through the cluster — FDA's triggered
-        syncs, BSP, Local-SGD — therefore compresses uniformly.
+        Averages the worker parameters with one row-wise reduction over the
+        parameter matrix (with compression installed, the lossy average of
+        the compressed drifts from the last shared model, see
+        :class:`~repro.compression.state.ClusterCompression`), installs it in
+        every member's row, averages the batch-norm buffers the same way,
+        charges the AllReduce traffic, and returns the new global parameters
+        — which become :attr:`shared_parameters`.  Every strategy that
+        synchronizes through the cluster — FDA's triggered syncs, BSP,
+        Local-SGD — therefore compresses uniformly.
         """
+        members = self.members
         if self._compression is not None:
-            average = self._compression.synchronize(self, include_buffers=include_buffers)
+            average = self._compression.synchronize(self)
         else:
-            members = self.members
             average = members.mean(self._param_matrix)
-            self.charge_allreduce(int(average.size), CATEGORY_MODEL)
+            self.fabric.allreduce(int(average.size), CATEGORY_MODEL)
+        if isinstance(members.rows, slice):
+            map_row_shards(lambda rows: np.copyto(rows, average), self._param_matrix)
+        else:
             self._param_matrix[members.rows] = average
-            if include_buffers and self._buffer_matrix.shape[1]:
-                buffer_average = members.mean(self._buffer_matrix)
-                self.charge_allreduce(int(buffer_average.size), CATEGORY_MODEL)
-                self._buffer_matrix[members.rows] = buffer_average
-            self._maybe_corrupt(members)
-            self.synchronization_count += 1
+        if self._buffer_matrix.shape[1]:
+            buffer_average = members.mean(self._buffer_matrix)
+            self.fabric.allreduce(int(buffer_average.size), CATEGORY_MODEL)
+            self._buffer_matrix[members.rows] = buffer_average
+        self._maybe_corrupt(members)
+        self.synchronization_count += 1
         self._shared_parameters = average
         return average
 
-    def gather_models(self, category: str = CATEGORY_MODEL) -> np.ndarray:
+    def gather_models(self) -> np.ndarray:
         """One client→server model upload round, charged through the fabric.
 
         The server-based strategies (FedOpt, FedProx, SCAFFOLD) aggregate the
@@ -561,9 +518,9 @@ class SimulatedCluster:
         global model) plus each worker's lossy drift.
         """
         if self._compression is None:
-            self.charge_allreduce(self.model_dimension, category)
+            self.fabric.allreduce(self.model_dimension, CATEGORY_MODEL)
             return self._param_matrix
-        return self._compression.gather_models(self, category=category)
+        return self._compression.gather_models(self)
 
     # -- the fault plane ---------------------------------------------------------
 
@@ -583,7 +540,7 @@ class SimulatedCluster:
             self._param_matrix[worker_id] = survivors.mean(self._param_matrix)
             if self._buffer_matrix.shape[1]:
                 self._buffer_matrix[worker_id] = survivors.mean(self._buffer_matrix)
-        charge = self.charge_upload(self.model_dimension, CATEGORY_MODEL, worker_id)
+        charge = self.fabric.upload(self.model_dimension, CATEGORY_MODEL, worker_id)
         self.faults.log.note_recovery_cost(worker_id, charge.num_bytes, charge.seconds)
         self.workers[worker_id].optimizer.zero_state()
 

@@ -20,7 +20,9 @@ This module makes the routing first-class:
   :class:`~repro.distributed.comm.CommunicationTracker` per traffic category,
   the link bytes on the per-link ledger, and an optional
   :class:`~repro.distributed.network.NetworkModel` turns the collective's
-  critical path into virtual seconds.
+  critical path into virtual seconds.  The fabric is built for one cluster —
+  its ``K`` and its :class:`~repro.core.timeline.Timeline` — so every
+  AllReduce and broadcast also moves that clock, in the one place it is priced.
 
 On the star the rule reproduces the paper's accounting ("total data
 transmitted by all workers"): an AllReduce is ``K`` worker uploads of the
@@ -31,11 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.distributed.comm import CommunicationTracker
 from repro.distributed.network import NetworkModel
 from repro.exceptions import CommunicationError, ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - core builds on distributed
+    from repro.core.timeline import Timeline
 
 #: Node id of the central server / coordinator in server-based topologies.
 #: Worker nodes are ``0 .. K-1``; the server is an extra node.
@@ -435,19 +440,26 @@ class CollectiveCharge:
 
 @dataclass
 class Fabric:
-    """Routes collectives through a topology and prices them.
+    """Routes collectives through a topology, prices them and moves the clock.
 
-    One object per cluster: every ``synchronize`` / ``allreduce`` /
-    ``broadcast`` / async state upload calls into the fabric.  Every
-    collective is priced one way: each link it touches carries
-    ``round(elements × itemsize)`` bytes (retransmissions included), the
-    link bytes land on the per-link ledger, and their sum is the collective's
-    total on the shared tracker — so tracker total == Σ links == Σ categories
-    holds exactly on every topology.  With a :class:`NetworkModel` the
-    collective's critical path and round count also become virtual seconds;
-    without one communication is instantaneous.
+    One object per cluster, built for its ``num_workers`` (``K``) and its
+    ``clock``: every ``synchronize`` / ``allreduce`` / ``broadcast`` / async
+    state upload calls into the fabric.  Every collective is priced one way:
+    each link it touches carries ``round(elements × itemsize)`` bytes
+    (retransmissions included), the link bytes land on the per-link ledger,
+    and their sum is the collective's total on the shared tracker — so
+    tracker total == Σ links == Σ categories holds exactly on every topology.
+    With a :class:`NetworkModel` the collective's critical path and round
+    count also become virtual seconds; without one communication is
+    instantaneous.  An AllReduce or a broadcast is a cluster-wide barrier, so
+    its seconds move ``clock``; an upload's seconds are folded into the
+    sender's next completion by the caller, so an upload never moves it.
     """
 
+    #: ``K``: the workers every collective spans.
+    num_workers: int = field(kw_only=True)
+    #: The cluster's :class:`~repro.core.timeline.Timeline`.
+    clock: "Timeline" = field(kw_only=True)
     topology: Topology = field(default_factory=StarTopology)
     #: Bytes per transmitted element.  The cluster installs its plane dtype's
     #: itemsize; a bare fabric prices 4-byte (float32) elements.
@@ -462,6 +474,9 @@ class Fabric:
     #: retransmissions that are charged to the same ledgers as the original
     #: transfer (see :meth:`_retransmit`).
     injector: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        self.topology.validate(self.num_workers)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -580,47 +595,48 @@ class Fabric:
         return int(compression.transmitted_elements(num_elements))
 
     def allreduce(
-        self, num_elements: int, num_workers: int, category: str, compression=None
+        self, num_elements: int, category: str, compression=None
     ) -> CollectiveCharge:
-        """Price one AllReduce of ``num_elements`` across ``num_workers``."""
+        """Price one AllReduce of ``num_elements`` across the ``K`` workers."""
         num_elements = self._payload_elements(num_elements, compression)
-        loads = self.topology.allreduce_link_elements(num_elements, num_workers)
+        loads = self.topology.allreduce_link_elements(num_elements, self.num_workers)
         seconds = self._seconds(
-            self.topology.allreduce_critical_elements(num_elements, num_workers),
-            self.topology.allreduce_rounds(num_workers),
+            self.topology.allreduce_critical_elements(num_elements, self.num_workers),
+            self.topology.allreduce_rounds(self.num_workers),
         )
-        return self._charge(loads, seconds, category)
+        charge = self._charge(loads, seconds, category)
+        self.clock.add_communication(charge.seconds)
+        return charge
 
     def broadcast(
-        self, num_elements: int, num_workers: int, category: str, compression=None
+        self, num_elements: int, category: str, compression=None
     ) -> CollectiveCharge:
         """Price one root-to-all broadcast of ``num_elements``."""
         num_elements = self._payload_elements(num_elements, compression)
-        loads = self.topology.broadcast_link_elements(num_elements, num_workers)
+        loads = self.topology.broadcast_link_elements(num_elements, self.num_workers)
         seconds = self._seconds(
-            self.topology.broadcast_critical_elements(num_elements, num_workers),
-            self.topology.broadcast_rounds(num_workers),
+            self.topology.broadcast_critical_elements(num_elements, self.num_workers),
+            self.topology.broadcast_rounds(self.num_workers),
         )
-        return self._charge(loads, seconds, category)
+        charge = self._charge(loads, seconds, category)
+        self.clock.add_communication(charge.seconds)
+        return charge
 
     def upload(
-        self,
-        num_elements: int,
-        num_workers: int,
-        category: str,
-        worker_id: int = 0,
-        compression=None,
+        self, num_elements: int, category: str, worker_id: int = 0, compression=None
     ) -> CollectiveCharge:
         """Price one point-to-point worker → coordinator upload.
 
-        Used for the asynchronous protocol's local-state messages: every link
-        on the topology's worker→coordinator path carries ``num_elements``
-        (one hop on the star; multi-hop on the hierarchy, ring, and mesh).
-        With a ``compression`` kernel the payload charged per hop is the
-        kernel's transmitted size, never the dense vector.
+        Used for the asynchronous protocol's local-state messages and a
+        rejoining worker's model download: every link on the topology's
+        worker→coordinator path carries ``num_elements`` (one hop on the
+        star; multi-hop on the hierarchy, ring, and mesh).  With a
+        ``compression`` kernel the payload charged per hop is the kernel's
+        transmitted size, never the dense vector.  Not a barrier: the clock
+        stays where it is, and the caller folds the seconds into the sender.
         """
         num_elements = self._payload_elements(num_elements, compression)
-        path = self.topology.upload_path(worker_id, num_workers)
+        path = self.topology.upload_path(worker_id, self.num_workers)
         loads: Dict[Link, float] = {}
         for link in path:
             loads[link] = loads.get(link, 0.0) + float(num_elements)

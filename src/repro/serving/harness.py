@@ -117,13 +117,12 @@ class ServingReport:
 class ServedFDATrainer(FDAProtocol):
     """The event-driven coordinator over a :class:`SimulatedCluster`.
 
-    The trainer drives the cluster's timeline.  Precedence: an explicit
-    ``timeline`` argument is installed on the cluster; otherwise an explicit
-    ``profile`` builds a fresh :class:`~repro.core.timeline.Timeline` from it
-    and ``seed``; otherwise the cluster's own timeline is used as-is — so a
-    straggler timeline configured through ``WorkloadConfig.compute_profile`` is
-    honoured.  Either way, communication charged by the fabric and the
-    trainer's events advance the same clock.
+    The trainer drives the cluster's timeline.  An explicit ``profile``
+    builds a fresh :class:`~repro.core.timeline.Timeline` from it and ``seed``
+    and installs it as the fabric's clock; otherwise the cluster's own
+    timeline is used as-is — so a straggler timeline configured through
+    ``WorkloadConfig.compute_profile`` is honoured.  Either way, communication
+    charged by the fabric and the trainer's events advance the same clock.
     """
 
     def __init__(
@@ -134,7 +133,6 @@ class ServedFDATrainer(FDAProtocol):
         config: ServingConfig,
         profile: Optional[StragglerProfile] = None,
         seed: int = 0,
-        timeline: Optional[Timeline] = None,
     ) -> None:
         faults, members = cluster.faults, cluster.members.mask
         if (faults is not None and faults.churn_active) or (
@@ -148,16 +146,9 @@ class ServedFDATrainer(FDAProtocol):
                 "cohort yet (ROADMAP item 2c); loss-only fault plans and full "
                 "cohorts are supported"
             )
-        if timeline is not None and timeline.num_workers != cluster.num_workers:
-            raise ConfigurationError(
-                f"timeline models {timeline.num_workers} workers, "
-                f"cluster has {cluster.num_workers}"
-            )
         super().__init__(cluster, monitor, threshold)
-        if timeline is None and profile is not None:
-            timeline = Timeline(cluster.num_workers, profile=profile, seed=seed)
-        if timeline is not None:
-            cluster.timeline = timeline
+        if profile is not None:
+            cluster.fabric.clock = Timeline(cluster.num_workers, profile=profile, seed=seed)
         self.timeline = cluster.timeline
         self.config = config
         self.latency = LatencyTracker()
@@ -218,7 +209,7 @@ class ServedFDATrainer(FDAProtocol):
             elements, category = self.cluster.model_dimension, CATEGORY_MODEL
         # Point-to-point traffic routed through the fabric (one hop on the
         # star; more on multi-hop topologies).
-        charge = self.cluster.charge_upload(elements, category, worker_id)
+        charge = self.cluster.fabric.upload(elements, category, worker_id)
         backlog = self._backlog[worker_id]
         update = PendingUpdate(
             worker_id=worker_id,

@@ -109,10 +109,10 @@ class ScaffoldStrategy(ServerRoundStrategy):
         # compressing them is a different algorithm — so without compression
         # the round charges exactly the historical 2·d volume.
         if cluster.compression is None:
-            cluster.charge_allreduce(2 * cluster.model_dimension, CATEGORY_MODEL)
+            cluster.fabric.allreduce(2 * cluster.model_dimension, CATEGORY_MODEL)
             return cluster.parameter_matrix
         client_models = super()._upload(cluster)
-        cluster.charge_allreduce(cluster.model_dimension, CATEGORY_MODEL)
+        cluster.fabric.allreduce(cluster.model_dimension, CATEGORY_MODEL)
         return client_models
 
     def _new_global(self, cluster, participants, mean) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.distributed.cluster import CATEGORY_MODEL, SimulatedCluster
+from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError
 from repro.optim.server import FedAdam, FedAvgM, ServerOptimizer
@@ -74,7 +74,7 @@ class ServerRoundStrategy(Strategy):
         """Charge the round's client → server traffic; return the models as received:
         the live ``(K, d)`` matrix on the exact path, the global model plus the
         reconstructed drifts when the cluster compresses its collectives."""
-        return cluster.gather_models(CATEGORY_MODEL)
+        return cluster.gather_models()
 
     def _new_global(
         self, cluster: SimulatedCluster, participants: Participation, mean: np.ndarray

@@ -45,7 +45,7 @@ class UngatedFDATrainer(FDATrainer):
             counted = stepped | (self.reported & ~faults.alive)
         states = self.states[counted]
         if len(states):
-            self.cluster.charge_allreduce(self.state_elements_per_step, CATEGORY_STATE)
+            self.cluster.fabric.allreduce(self.state_elements_per_step, CATEGORY_STATE)
             average = self.monitor.average(states)
             self.norms.append(states[:, 0].copy())
             self.mean_norms.append(float(average[0]))

@@ -18,7 +18,7 @@ Five groups:
   masks, masked-out rows' residuals stay bit-untouched while active rows'
   residuals are exactly the untransmitted remainder, and payload + residual
   telescopes back to the input.
-* **Byte accounting (the ``charge_*`` bugfix)** — for every topology, a
+* **Byte accounting** — for every topology, a
   compressed collective charges the compressed payload (indices + values for
   sparse formats, level bytes for quantized), the total equals the per-link
   ledger sum, and never the dense ``4·d``.
@@ -50,6 +50,7 @@ from repro.compression import (
     get_compression,
     make_compressor,
 )
+from repro.core.timeline import Timeline
 from repro.core.variance import model_variance
 from repro.distributed.topology import NAMED_TOPOLOGIES, Fabric, get_topology
 from repro.exceptions import ConfigurationError, ShapeError
@@ -570,8 +571,16 @@ class TestErrorFeedback:
 
 
 # ---------------------------------------------------------------------------
-# Compressed byte accounting per topology (the charge_* bugfix)
+# Compressed byte accounting per topology
 # ---------------------------------------------------------------------------
+
+
+def make_fabric(num_workers: int, topology: str, **kwargs) -> Fabric:
+    """A fabric for ``num_workers`` workers on a fresh clock of its own."""
+    return Fabric(
+        num_workers=num_workers, clock=Timeline(num_workers),
+        topology=get_topology(topology), **kwargs,
+    )
 
 
 class TestCompressedCharges:
@@ -579,17 +588,13 @@ class TestCompressedCharges:
     def test_allreduce_charges_compressed_payload_and_conserves_links(self, name):
         dimension, num_workers = 10_000, 8
         compressor = TopKCompressor(0.1)
-        fabric = Fabric(topology=get_topology(name))
-        charge = fabric.allreduce(
-            dimension, num_workers, "model-sync", compression=compressor
-        )
+        fabric = make_fabric(num_workers, name)
+        charge = fabric.allreduce(dimension, "model-sync", compression=compressor)
         transmitted = compressor.transmitted_elements(dimension)
-        dense = Fabric(topology=get_topology(name)).allreduce(
-            dimension, num_workers, "model-sync"
-        )
+        dense = make_fabric(num_workers, name).allreduce(dimension, "model-sync")
         # Identical to pricing the compressed element count directly ...
-        assert charge.num_bytes == Fabric(topology=get_topology(name)).allreduce(
-            transmitted, num_workers, "model-sync"
+        assert charge.num_bytes == make_fabric(num_workers, name).allreduce(
+            transmitted, "model-sync"
         ).num_bytes
         # ... strictly below the dense itemsize·d charge, by the kernel's ratio.
         assert charge.num_bytes < dense.num_bytes
@@ -601,29 +606,24 @@ class TestCompressedCharges:
         dimension, num_workers = 5_000, 6
         compressor = QuantizationCompressor(bits=8)
         transmitted = compressor.transmitted_elements(dimension)
-        fabric = Fabric(topology=get_topology(name))
-        broadcast = fabric.broadcast(
-            dimension, num_workers, "model-sync", compression=compressor
-        )
-        assert broadcast.num_bytes == Fabric(topology=get_topology(name)).broadcast(
-            transmitted, num_workers, "model-sync"
+        fabric = make_fabric(num_workers, name)
+        broadcast = fabric.broadcast(dimension, "model-sync", compression=compressor)
+        assert broadcast.num_bytes == make_fabric(num_workers, name).broadcast(
+            transmitted, "model-sync"
         ).num_bytes
         upload = fabric.upload(
-            dimension, num_workers, "fda-state", worker_id=num_workers - 1,
-            compression=compressor,
+            dimension, "fda-state", worker_id=num_workers - 1, compression=compressor
         )
-        assert upload.num_bytes == Fabric(topology=get_topology(name)).upload(
-            transmitted, num_workers, "fda-state", worker_id=num_workers - 1
+        assert upload.num_bytes == make_fabric(num_workers, name).upload(
+            transmitted, "fda-state", worker_id=num_workers - 1
         ).num_bytes
         assert sum(fabric.bytes_by_link.values()) == broadcast.num_bytes + upload.num_bytes
 
     def test_star_charges_exactly_k_compressed_uploads(self):
         dimension, num_workers = 1_000, 5
         compressor = TopKCompressor(0.1)
-        fabric = Fabric(topology=get_topology("star"))
-        charge = fabric.allreduce(
-            dimension, num_workers, "model-sync", compression=compressor
-        )
+        fabric = make_fabric(num_workers, "star")
+        charge = fabric.allreduce(dimension, "model-sync", compression=compressor)
         keep = max(1, round(dimension * 0.1))
         assert charge.num_bytes == num_workers * 2 * keep * fabric.itemsize
 
@@ -631,11 +631,11 @@ class TestCompressedCharges:
         from repro.distributed.network import FL_NETWORK
 
         dimension, num_workers = 100_000, 4
-        plain = Fabric(topology=get_topology("star"), network=FL_NETWORK)
-        compressed = Fabric(topology=get_topology("star"), network=FL_NETWORK)
-        plain_charge = plain.allreduce(dimension, num_workers, "model-sync")
+        plain = make_fabric(num_workers, "star", network=FL_NETWORK)
+        compressed = make_fabric(num_workers, "star", network=FL_NETWORK)
+        plain_charge = plain.allreduce(dimension, "model-sync")
         compressed_charge = compressed.allreduce(
-            dimension, num_workers, "model-sync", compression=TopKCompressor(0.05)
+            dimension, "model-sync", compression=TopKCompressor(0.05)
         )
         assert compressed_charge.seconds < plain_charge.seconds
 

@@ -130,7 +130,7 @@ class TestByteConservation:
                 "batched", num_workers=4, dtype=dtype, topology=topology
             )
             cluster.synchronize()
-            cluster.charge_allreduce(33, "other")
+            cluster.fabric.allreduce(33, "other")
             cluster.gather_models()
             totals[dtype] = cluster.total_bytes
         assert totals["float64"] == 2 * totals["float32"]

@@ -97,8 +97,8 @@ class TestTopologyRouting:
     def test_ring_cluster_charges_ring_volume_per_sync(self):
         star = make_cluster()
         ring = make_cluster(topology="ring")
-        star.synchronize(include_buffers=False)
-        ring.synchronize(include_buffers=False)
+        star.synchronize()
+        ring.synchronize()
         d, K = star.model_dimension, star.num_workers
         # Clusters price at the plane dtype's itemsize (float64 → 8 B): the
         # star loads K uplinks with d elements, the ring K forward links with
@@ -213,11 +213,19 @@ class TestTimelineOwnership:
         assert cluster.timeline is trainer.timeline
         assert trainer.timeline.profile is profile
 
-    def test_mismatched_explicit_timeline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServedFDATrainer(
-                make_cluster(num_workers=4), ExactMonitor(), 1.0, CLOSED, timeline=Timeline(3)
-            )
+    def test_profile_swap_rebinds_the_clock_the_fabric_moves(self):
+        cluster = make_cluster(network="fl")
+        default_timeline = cluster.timeline
+        profile = StragglerProfile(straggler_fraction=0.5, straggler_factor=3.0)
+        trainer = ServedFDATrainer(
+            cluster, ExactMonitor(), 1e9, CLOSED, profile=profile, seed=1
+        )
+        assert cluster.fabric.clock is trainer.timeline
+        cluster.synchronize()
+        assert trainer.timeline.now == cluster.fabric.comm_seconds > 0
+        assert default_timeline.now == 0.0  # the swapped-out clock is not charged
+        with pytest.raises(AttributeError):
+            cluster.timeline = Timeline(4)  # one binding: the fabric's clock
 
     def test_async_upload_seconds_land_in_the_fabric_ledger(self):
         cluster = make_cluster(network="fl")

@@ -113,9 +113,13 @@ booked twice.  Every fact has one owner now, and
     than ``_previous_reference``, ``_global_parameters``, ``set_reference``,
     ``enable_compression``, ``churn_events``, ``note_communication``);
     ``comm_seconds`` is accumulated only in ``distributed/topology.py`` (the
-    fabric); and the cluster's shared-model attribute is assigned only in
-    ``SimulatedCluster.broadcast_parameters``, ``synchronize`` and
-    ``load_state_dict`` (and set to ``None`` in ``__init__``).
+    fabric); the clock is moved by a collective only in ``Fabric.allreduce``
+    and ``Fabric.broadcast`` (never by an upload) and rebound only by the
+    served coordinator's profile swap; the cluster's shared-model
+    attribute is assigned only in ``SimulatedCluster.broadcast_parameters``,
+    ``synchronize`` and ``load_state_dict`` (and set to ``None`` in
+    ``__init__``); and the compressed sync installs nothing and counts
+    nothing — ``SimulatedCluster.synchronize`` does both, for both paths.
 
 The ``K`` rows of a pass run on every core now, as row shards on one thread
 pool that must be dropped on fork and must never run a public method, and
@@ -160,8 +164,10 @@ Public surface that nothing uses is code to keep in step for no caller, so
     import in a package ``__init__.py`` under ``src/`` is a re-export, not a
     caller.  The surface this check deleted — learning-rate and τ schedules,
     the unused FedOpt variants, the ``with_*`` copy wrappers, the test-only
-    names, and the second engine with its knob, its per-worker step and the
-    solo optimizer path that only it ran — is spelled nowhere under ``src/``.
+    names, the second engine with its knob, its per-worker step and the
+    solo optimizer path that only it ran, and the cluster's charge adapters
+    with the two knobs only one value reached — is spelled nowhere under
+    ``src/``.
 """
 
 from __future__ import annotations
@@ -764,6 +770,30 @@ def test_one_owner_per_fact():
         ("distributed/cluster.py", name)
         for name in ("__init__", "broadcast_parameters", "load_state_dict", "synchronize")
     ], f"the shared model is written by broadcast and sync alone: {writers}"
+    clock_movers = sorted(
+        (module, function, receiver)
+        for module, function, receiver, method in _calls_by_function("")
+        if method == "add_communication"
+    )
+    assert clock_movers == [
+        ("distributed/topology.py", "allreduce", "self.clock"),
+        ("distributed/topology.py", "broadcast", "self.clock"),
+    ], f"a collective's seconds move the clock in Fabric.allreduce / broadcast alone: {clock_movers}"
+    clock_binders = sorted(
+        (module, function)
+        for module, tree in trees.items()
+        for function in _assigned_attributes(tree, "clock", augmented=False)
+    )
+    assert clock_binders == [("serving/harness.py", "__init__")], (
+        f"the fabric's clock is rebound by the served coordinator's profile alone: {clock_binders}"
+    )
+    compressed_sync = (SRC_ROOT / "compression" / "state.py").read_text(encoding="utf-8")
+    installs = re.findall(
+        r"synchronization_count|buffer_matrix|copyto|parameter_matrix\[", compressed_sync
+    )
+    assert not installs, (
+        f"SimulatedCluster.synchronize installs and counts the compressed sync: {installs}"
+    )
 
 
 #: The retired local-state classes, their average and serializer, the two
@@ -868,7 +898,9 @@ def test_a_message_costs_what_its_links_carry():
 #: ``with_*`` copy wrappers and the test-only names; then the second engine
 #: (its class, the base class, the factory, the knob's values and flag) and
 #: the per-worker and solo optimizer steps only it ran — the per-worker loop
-#: lives on as the test oracle, ``tests/helpers/per_worker.py``.  ``FedAvg``
+#: lives on as the test oracle, ``tests/helpers/per_worker.py``; then the
+#: cluster's adapters over the fabric's collectives and the two knobs
+#: (``synchronize``'s and ``broadcast_parameters``') only one value reached.  ``FedAvg``
 #: counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
 #: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
@@ -881,7 +913,8 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|with_execution|with_compression|with_dtype|with_faults|with_serving|_KEEP"
     r"|sync_buffers|get_gradients|serve_next|ClientDescriptor"
     r"|local_epoch|SequentialEngine|ClusterEngine|build_engine|EXECUTION_MODES"
-    r"|step_inplace|local_step|is_batched)\b|--execution\b"
+    r"|step_inplace|local_step|is_batched|charge_allreduce|charge_broadcast|charge_upload"
+    r"|count_cost|include_buffers)\b|--execution\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
 )
@@ -940,6 +973,7 @@ UNREFERENCED_ALLOWLIST = {
     "AmsSketch.sketch": "one vector's sketch, the reference for the batched sketch_rows",
     "PercentileLedger.cdf_at": "the exact empirical rank the P² estimator is tested against",
     "model_variance": "the definitional variance the drift-based estimates are tested against",
+    "Fabric.broadcast": "span target distributed.topology.broadcast (bench/spans.py)",
 }
 #: Where a public name counts as used.
 REFERENCE_ROOTS = ("src", "bench", "benchmarks", "examples")

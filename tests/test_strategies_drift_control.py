@@ -179,10 +179,10 @@ class TestRoundParticipation:
         trained = {}
         broadcast = cluster.broadcast_parameters
 
-        def capture(flat, count_cost=False):
+        def capture(flat):
             # The clients' models as they stand when the server aggregates.
             trained["models"] = cluster.parameter_matrix.copy()
-            broadcast(flat, count_cost=count_cost)
+            broadcast(flat)
 
         cluster.broadcast_parameters = capture
         strategy.run_round()

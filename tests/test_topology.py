@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.kernels import QuantizationCompressor, TopKCompressor
+from repro.core.timeline import Timeline
 from repro.distributed.network import FL_NETWORK, HPC_NETWORK
 from repro.distributed.topology import (
     Fabric,
@@ -34,8 +35,14 @@ from repro.faults.plan import FaultPlan
 
 ALL_TOPOLOGIES = sorted(NAMED_TOPOLOGIES)
 
+
+def make_fabric(num_workers: int, **kwargs) -> Fabric:
+    """A fabric for ``num_workers`` workers on a fresh clock of its own."""
+    return Fabric(num_workers=num_workers, clock=Timeline(num_workers), **kwargs)
+
+
 #: A bare fabric prices 4-byte (float32) elements.
-ITEMSIZE = Fabric().itemsize
+ITEMSIZE = make_fabric(1).itemsize
 
 
 #: The information-theoretic floor for one exact AllReduce: all but one worker
@@ -68,13 +75,13 @@ PAYLOADS = {
 COLLECTIVES = ("allreduce", "broadcast", "upload")
 
 
-def issue(fabric: Fabric, collective: str, num_elements, num_workers, payload, worker):
+def issue(fabric: Fabric, collective: str, num_elements, payload, worker):
     """Issue one collective, booked under its own name as the category."""
     if collective == "upload":
         return fabric.upload(
-            num_elements, num_workers, collective, worker % num_workers, compression=payload
+            num_elements, collective, worker % fabric.num_workers, compression=payload
         )
-    return getattr(fabric, collective)(num_elements, num_workers, collective, compression=payload)
+    return getattr(fabric, collective)(num_elements, collective, compression=payload)
 
 
 class TestConservation:
@@ -84,6 +91,7 @@ class TestConservation:
         num_workers=st.integers(min_value=1, max_value=40),
         dtype=st.sampled_from(["float32", "float64"]),
         loss_rate=st.sampled_from([0.0, 0.3]),
+        network=st.sampled_from([None, FL_NETWORK]),
         calls=st.lists(
             st.tuples(
                 st.sampled_from(COLLECTIVES),
@@ -96,22 +104,29 @@ class TestConservation:
         ),
     )
     def test_tracker_total_equals_link_sum_equals_category_sum(
-        self, topology, num_workers, dtype, loss_rate, calls
+        self, topology, num_workers, dtype, loss_rate, network, calls
     ):
-        fabric = Fabric(
-            topology=CONSERVATION_TOPOLOGIES[topology](), itemsize=np.dtype(dtype).itemsize
+        fabric = make_fabric(
+            num_workers,
+            topology=CONSERVATION_TOPOLOGIES[topology](),
+            itemsize=np.dtype(dtype).itemsize,
+            network=network,
         )
         if loss_rate:
             fabric.injector = FaultInjector(FaultPlan(loss_rate=loss_rate, seed=1), num_workers)
-        charged = 0
+        charged, barrier_seconds = 0, 0.0
         for collective, num_elements, payload, worker in calls:
-            charged += issue(
-                fabric, collective, num_elements, num_workers, PAYLOADS[payload](), worker
-            ).num_bytes
+            charge = issue(fabric, collective, num_elements, PAYLOADS[payload](), worker)
+            charged += charge.num_bytes
+            if collective != "upload":
+                barrier_seconds += charge.seconds
         tracker = fabric.tracker
         assert charged == tracker.total_bytes
         assert tracker.total_bytes == sum(fabric.bytes_by_link.values())
         assert tracker.total_bytes == sum(tracker.bytes_by_category.values())
+        # The clock moves by the AllReduce and broadcast seconds, in the order
+        # they were charged; an upload's seconds are the sender's, not the clock's.
+        assert fabric.clock.now == barrier_seconds
 
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     @settings(max_examples=40, deadline=None)
@@ -119,8 +134,8 @@ class TestConservation:
     def test_allreduce_bytes_equal_link_sum_and_respect_info_minimum(self, name, case):
         num_elements, num_workers = case
         topology = get_topology(name)
-        fabric = Fabric(topology=topology)
-        charge = fabric.allreduce(num_elements, num_workers, "model-sync")
+        fabric = make_fabric(num_workers, topology=topology)
+        charge = fabric.allreduce(num_elements, "model-sync")
         link_elements = topology.allreduce_link_elements(num_elements, num_workers)
         # Every link is priced on its own; the total is their sum ...
         assert charge.num_bytes == sum(
@@ -135,8 +150,8 @@ class TestConservation:
     @given(case=allreduce_cases())
     def test_ring_loads_every_forward_link_with_its_share(self, case):
         num_elements, num_workers = case
-        fabric = Fabric(topology=RingTopology())
-        charge = fabric.allreduce(num_elements, num_workers, "model-sync")
+        fabric = make_fabric(num_workers, topology=RingTopology())
+        charge = fabric.allreduce(num_elements, "model-sync")
         # Whole chunks: the total is exactly 2(K−1)·n elements ...
         assert charge.num_bytes == 2 * (num_workers - 1) * num_elements * ITEMSIZE
         # ... on the K forward links, each within one chunk pair of the
@@ -152,8 +167,8 @@ class TestConservation:
     @given(case=allreduce_cases())
     def test_star_charges_the_papers_k_uploads(self, case):
         num_elements, num_workers = case
-        fabric = Fabric(topology=StarTopology())
-        charge = fabric.allreduce(num_elements, num_workers, "model-sync")
+        fabric = make_fabric(num_workers, topology=StarTopology())
+        charge = fabric.allreduce(num_elements, "model-sync")
         assert charge.num_bytes == num_workers * num_elements * ITEMSIZE
         assert fabric.bytes_by_link == {
             (worker, SERVER): num_elements * ITEMSIZE for worker in range(num_workers)
@@ -165,8 +180,8 @@ class TestConservation:
     def test_broadcast_bytes_equal_link_sum(self, name, case):
         num_elements, num_workers = case
         topology = get_topology(name)
-        fabric = Fabric(topology=topology)
-        charge = fabric.broadcast(num_elements, num_workers, "model-sync")
+        fabric = make_fabric(num_workers, topology=topology)
+        charge = fabric.broadcast(num_elements, "model-sync")
         link_bytes = sum(
             topology.broadcast_link_elements(num_elements, num_workers).values()
         ) * ITEMSIZE
@@ -176,11 +191,10 @@ class TestConservation:
 
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     def test_degenerate_cases_are_free(self, name):
-        topology = get_topology(name)
-        fabric = Fabric(topology=topology)
-        assert fabric.allreduce(0, 8, "x").num_bytes == 0
-        assert fabric.allreduce(100, 1, "x").num_bytes == 0
-        assert fabric.broadcast(100, 1, "x").num_bytes == 0
+        assert make_fabric(8, topology=get_topology(name)).allreduce(0, "x").num_bytes == 0
+        single = make_fabric(1, topology=get_topology(name))
+        assert single.allreduce(100, "x").num_bytes == 0
+        assert single.broadcast(100, "x").num_bytes == 0
 
 
 class TestTopologyStructure:
@@ -240,31 +254,28 @@ class TestTopologyStructure:
 
 class TestFabricTiming:
     def test_no_network_means_no_virtual_seconds(self):
-        fabric = Fabric(topology=StarTopology())
-        charge = fabric.allreduce(10_000, 8, "model-sync")
+        fabric = make_fabric(8, topology=StarTopology())
+        charge = fabric.allreduce(10_000, "model-sync")
         assert charge.seconds == 0.0
         assert fabric.comm_seconds == 0.0
 
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     def test_fl_is_slower_than_hpc(self, name):
-        slow = Fabric(topology=get_topology(name), network=FL_NETWORK)
-        fast = Fabric(topology=get_topology(name), network=HPC_NETWORK)
-        assert (
-            slow.allreduce(100_000, 8, "x").seconds
-            > fast.allreduce(100_000, 8, "x").seconds
-        )
+        slow = make_fabric(8, topology=get_topology(name), network=FL_NETWORK)
+        fast = make_fabric(8, topology=get_topology(name), network=HPC_NETWORK)
+        assert slow.allreduce(100_000, "x").seconds > fast.allreduce(100_000, "x").seconds
 
     def test_ring_pays_more_latency_rounds_than_star(self):
         # With a latency-dominated network the ring's 2(K-1) sequential hops
         # must cost more time than the star's 2.
-        star = Fabric(topology=StarTopology(), network=FL_NETWORK)
-        ring = Fabric(topology=RingTopology(), network=FL_NETWORK)
-        assert ring.allreduce(10, 16, "x").seconds > star.allreduce(10, 16, "x").seconds
+        star = make_fabric(16, topology=StarTopology(), network=FL_NETWORK)
+        ring = make_fabric(16, topology=RingTopology(), network=FL_NETWORK)
+        assert ring.allreduce(10, "x").seconds > star.allreduce(10, "x").seconds
 
     def test_seconds_accumulate_by_category(self):
-        fabric = Fabric(topology=StarTopology(), network=FL_NETWORK)
-        fabric.allreduce(1000, 4, "model-sync")
-        fabric.allreduce(10, 4, "fda-state")
+        fabric = make_fabric(4, topology=StarTopology(), network=FL_NETWORK)
+        fabric.allreduce(1000, "model-sync")
+        fabric.allreduce(10, "fda-state")
         assert fabric.seconds_by_category["model-sync"] > 0
         assert fabric.seconds_by_category["fda-state"] > 0
         assert fabric.comm_seconds == pytest.approx(
@@ -272,23 +283,23 @@ class TestFabricTiming:
         )
 
     def test_upload_charges_one_hop_on_the_star(self):
-        fabric = Fabric(topology=StarTopology())
-        charge = fabric.upload(7, 5, "fda-state", worker_id=3)
+        fabric = make_fabric(5, topology=StarTopology())
+        charge = fabric.upload(7, "fda-state", worker_id=3)
         assert charge.num_bytes == 7 * ITEMSIZE
         assert fabric.tracker.operations_for("fda-state") == 1
 
     def test_upload_charges_per_hop_on_the_hierarchy(self):
-        fabric = Fabric(topology=HierarchicalTopology(group_size=2))
+        fabric = make_fabric(6, topology=HierarchicalTopology(group_size=2))
         # Worker 3 is a group member: member -> head -> root, two hops.
-        charge = fabric.upload(7, 6, "fda-state", worker_id=3)
+        charge = fabric.upload(7, "fda-state", worker_id=3)
         assert charge.num_bytes == 2 * 7 * ITEMSIZE
         # Worker 2 is its group's head: one hop to the root.
-        head_charge = fabric.upload(7, 6, "fda-state", worker_id=2)
+        head_charge = fabric.upload(7, "fda-state", worker_id=2)
         assert head_charge.num_bytes == 7 * ITEMSIZE
 
     def test_snapshot_shape(self):
-        fabric = Fabric(topology=RingTopology(), network=FL_NETWORK)
-        fabric.allreduce(100, 4, "model-sync")
+        fabric = make_fabric(4, topology=RingTopology(), network=FL_NETWORK)
+        fabric.allreduce(100, "model-sync")
         snapshot = fabric.snapshot()
         assert snapshot["topology"] == "ring"
         assert snapshot["network"] == "fl"
@@ -301,14 +312,16 @@ class TestValidation:
     def test_negative_elements_rejected(self):
         from repro.exceptions import CommunicationError
 
-        fabric = Fabric()
+        fabric = make_fabric(4)
         with pytest.raises(CommunicationError):
-            fabric.allreduce(-1, 4, "x")
+            fabric.allreduce(-1, "x")
         with pytest.raises(CommunicationError):
-            fabric.broadcast(-1, 4, "x")
+            fabric.broadcast(-1, "x")
         with pytest.raises(CommunicationError):
-            fabric.upload(-1, 4, "x")
+            fabric.upload(-1, "x")
 
     def test_topology_validate_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigurationError):
             StarTopology().validate(0)
+        with pytest.raises(ConfigurationError):
+            Fabric(num_workers=0, clock=Timeline(1))
