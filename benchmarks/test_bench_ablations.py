@@ -5,8 +5,7 @@ These go beyond the paper's figures and quantify:
 1. monitor tightness — exact vs sketch vs linear variance estimation;
 2. AMS sketch size — estimation error and synchronization count vs (l, m);
 3. the LinearFDA heuristic ξ (last global-drift direction) vs a random ξ;
-4. communication accounting — the paper's star (worker uploads) vs a ring AllReduce;
-5. the dynamic-Θ controller (the paper's future-work extension) vs a static Θ.
+4. communication accounting — the paper's star (worker uploads) vs a ring AllReduce.
 """
 
 from dataclasses import replace
@@ -15,7 +14,6 @@ import numpy as np
 
 from benchmarks.conftest import run_workload
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor
-from repro.core.theta import DynamicThetaController
 from repro.core.variance import variance_from_drifts
 from repro.distributed.topology import RingTopology, StarTopology
 from repro.experiments.registry import lenet_mnist_workload
@@ -143,38 +141,3 @@ def test_ablation_communication_accounting(benchmark):
     )
     print(f"  ratio ring/paper = {ratio:.2f}")
     assert 1.2 < ratio < 1.9
-
-
-def _dynamic_theta_ablation():
-    workload = lenet_mnist_workload(num_workers=4)
-    static = run_workload(workload, lambda: FDAStrategy(threshold=2.0, variant="linear"), RUN)
-    target_bytes = 2000.0  # per-step budget, far below what Theta=2 consumes here
-    dynamic = run_workload(
-        workload,
-        lambda: FDAStrategy(
-            threshold=2.0,
-            variant="linear",
-            theta_controller=DynamicThetaController(
-                target_bytes_per_step=target_bytes, window=10, adjustment=1.5
-            ),
-        ),
-        RUN,
-    )
-    return static, dynamic
-
-
-def test_ablation_dynamic_theta(benchmark):
-    static, dynamic = benchmark.pedantic(_dynamic_theta_ablation, rounds=1, iterations=1)
-    print("\n=== Ablation: dynamic Theta controller (future work) vs static Theta ===")
-    for name, result in (("static", static), ("dynamic", dynamic)):
-        per_step = result.communication_bytes / max(result.parallel_steps, 1)
-        print(
-            f"  {name:<8} comm={result.communication_bytes:>10} B  "
-            f"bytes/step={per_step:>8.1f}  syncs={result.synchronizations}  "
-            f"reached={result.reached_target}"
-        )
-    # The controller trades accuracy progress for bandwidth: it must not use
-    # more communication per step than the static configuration it adapts.
-    static_rate = static.communication_bytes / max(static.parallel_steps, 1)
-    dynamic_rate = dynamic.communication_bytes / max(dynamic.parallel_steps, 1)
-    assert dynamic_rate <= static_rate * 1.5

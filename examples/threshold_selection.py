@@ -1,15 +1,13 @@
-"""Choosing the variance threshold Θ: trade-off sweep, guideline, and dynamic Θ.
+"""Choosing the variance threshold Θ: trade-off sweep and guideline.
 
 Θ is FDA's single tuning knob: larger values tolerate more model divergence
 before synchronizing (less communication, potentially more computation).  This
-example walks through the three ways the library supports choosing it:
+example walks through the two ways the library supports choosing it:
 
 1. sweep a Θ grid and inspect the communication/computation trade-off
    (Figures 8-11 of the paper);
 2. apply the paper's linear guideline Θ ≈ c·d for a deployment setting
-   (Figure 12), plus the workload-specific calibration helper;
-3. let the dynamic-Θ controller (the paper's future-work extension) adapt Θ
-   online toward a bandwidth budget.
+   (Figure 12), plus the workload-specific calibration helper.
 
 Run with::
 
@@ -18,7 +16,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import DynamicThetaController, FDAStrategy, TrainingRun, build_cluster
+from repro import TrainingRun, build_cluster
 from repro.core.theta import calibrate_theta, theta_guideline
 from repro.experiments.registry import fda, lenet_mnist_workload
 from repro.experiments.sweep import lower_grid, run_grid
@@ -66,22 +64,6 @@ def guideline_section(workload) -> None:
           "(aimed at ~20 steps between synchronizations)")
 
 
-def dynamic_section(workload, run) -> None:
-    print("\n### 3. Dynamic Θ: tracking a bandwidth budget (future-work extension)")
-    controller = DynamicThetaController(
-        target_bytes_per_step=4000.0, window=10, adjustment=1.5
-    )
-    strategy = FDAStrategy(threshold=1.0, variant="linear", theta_controller=controller)
-    cluster, test_dataset = build_cluster(workload)
-    result = run.execute(strategy, cluster, test_dataset, workload_name="dynamic-theta")
-    per_step = result.communication_bytes / max(result.parallel_steps, 1)
-    print(f"  final Θ after adaptation: {strategy.current_threshold:.3f} "
-          f"(started at 1.0)")
-    print(f"  bytes per step: {per_step:.0f} (budget was 4000)")
-    print(f"  reached accuracy target: {result.reached_target} "
-          f"(accuracy {result.final_accuracy:.3f})")
-
-
 def main() -> None:
     print("Selecting the FDA variance threshold Θ")
     print("=" * 60)
@@ -89,7 +71,6 @@ def main() -> None:
     run = TrainingRun(accuracy_target=0.9, max_steps=300, eval_every_steps=20)
     sweep_section(workload, run)
     guideline_section(workload)
-    dynamic_section(workload, run)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ from repro.core import (
     FDATrainer,
     LinearMonitor,
     SketchMonitor,
-    DynamicThetaController,
     StragglerProfile,
     Timeline,
     fit_theta_slope,
@@ -100,7 +99,6 @@ __all__ = [
     "variance_from_drifts",
     "theta_guideline",
     "fit_theta_slope",
-    "DynamicThetaController",
     # distributed
     "SimulatedCluster",
     "Worker",

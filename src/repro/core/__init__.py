@@ -5,8 +5,7 @@ monitors whose local-state rows define the SketchFDA and LinearFDA variants
 (Sections 3.1 and 3.2), the :class:`FDATrainer` implementing Algorithm 1, the
 shared virtual-time :class:`Timeline` (the Section 3.3 coordinator that runs
 on its events is :class:`repro.serving.ServedFDATrainer`), and the
-Θ-selection utilities corresponding to Figure 12 plus the dynamic-Θ
-controller sketched in the paper's future-work section.
+Θ-selection utilities corresponding to Figure 12.
 """
 
 from repro.core.variance import (
@@ -24,7 +23,6 @@ from repro.core.monitor import (
 from repro.core.fda import FDATrainer, FdaStepResult
 from repro.core.timeline import StragglerProfile, Timeline
 from repro.core.theta import (
-    DynamicThetaController,
     ThetaGuideline,
     fit_theta_slope,
     theta_guideline,
@@ -46,5 +44,4 @@ __all__ = [
     "theta_guideline",
     "ThetaGuideline",
     "fit_theta_slope",
-    "DynamicThetaController",
 ]

@@ -26,7 +26,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.monitor import LinearMonitor, VarianceMonitor
-from repro.core.theta import DynamicThetaController
 from repro.distributed.cluster import CATEGORY_STATE, SimulatedCluster
 from repro.exceptions import ConfigurationError
 
@@ -111,10 +110,8 @@ class FDATrainer(FDAProtocol):
         cluster: SimulatedCluster,
         monitor: VarianceMonitor,
         threshold: float,
-        theta_controller: Optional[DynamicThetaController] = None,
     ) -> None:
         super().__init__(cluster, monitor, threshold)
-        self.theta_controller = theta_controller
         self.step_count = 0
         self.last_estimate: Optional[float] = None
         # Reusable (K, d) scratch for the per-step drift matrix; the monitor
@@ -179,13 +176,6 @@ class FDATrainer(FDAProtocol):
         if synchronized:
             self._complete_synchronization()
 
-        if self.theta_controller is not None:
-            self.threshold = self.theta_controller.update(
-                self.threshold,
-                step_bytes=self.cluster.total_bytes - bytes_before,
-                synchronized=synchronized,
-            )
-
         self.step_count += 1
         return FdaStepResult(
             step=self.step_count,
@@ -213,9 +203,8 @@ class FDATrainer(FDAProtocol):
 
         Everything :meth:`step` mutates outside the cluster: the sync
         reference ``w_{t-1}`` (``w_{t0}`` is the cluster's), the step/sync
-        counters, the (possibly dynamically adjusted) threshold, the state
-        table with its ``reported`` mask, the Θ controller, and the linear
-        monitor's analysis direction ξ, which rotates on every
+        counters, the threshold, the state table with its ``reported`` mask,
+        and the linear monitor's analysis direction ξ, which rotates on every
         synchronization.
         """
         state = {
@@ -229,8 +218,6 @@ class FDATrainer(FDAProtocol):
         }
         if isinstance(self.monitor, LinearMonitor):
             state["monitor_direction"] = self.monitor.direction.copy()
-        if self.theta_controller is not None:
-            state["theta_controller"] = self.theta_controller.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -247,8 +234,6 @@ class FDATrainer(FDAProtocol):
         self.reported[...] = state["reported"]
         if "monitor_direction" in state:
             self.monitor.direction = state["monitor_direction"]
-        if "theta_controller" in state:
-            self.theta_controller.load_state_dict(state["theta_controller"])
 
     @property
     def synchronization_rate(self) -> float:

@@ -1,4 +1,4 @@
-"""Selecting and adapting the variance threshold Θ.
+"""Selecting the variance threshold Θ.
 
 Section 4.3 / Figure 12 of the paper reports that the useful range of Θ grows
 linearly with the model dimension ``d`` and gives three empirically fitted
@@ -8,9 +8,6 @@ pairs (used by the Figure-12 benchmark), and :func:`calibrate_theta` derives a
 workload-specific Θ by probing the drift magnitude of a short synchronous run
 (the practical recipe for this scaled-down reproduction, whose drift
 magnitudes differ from full-size TensorFlow models).
-
-The paper's future-work section sketches adapting Θ online to meet a target
-bandwidth budget; :class:`DynamicThetaController` implements that controller.
 """
 
 from __future__ import annotations
@@ -115,75 +112,3 @@ def calibrate_theta(
             f"target_sync_interval must be positive, got {target_sync_interval}"
         )
     return float(np.median(values) * target_sync_interval)
-
-
-class DynamicThetaController:
-    """Adapts Θ online to track a target bandwidth budget (paper's future work).
-
-    The controller watches the average bytes transmitted per step over a
-    sliding window.  If the consumption exceeds the budget, Θ is increased
-    (fewer synchronizations, less bandwidth); if consumption is below the
-    budget, Θ is decreased (more synchronizations, faster convergence).  The
-    multiplicative adjustment keeps Θ within ``[min_theta, max_theta]``.
-    """
-
-    def __init__(
-        self,
-        target_bytes_per_step: float,
-        window: int = 20,
-        adjustment: float = 1.1,
-        min_theta: float = 1e-12,
-        max_theta: float = 1e12,
-    ) -> None:
-        if target_bytes_per_step <= 0:
-            raise ConfigurationError(
-                f"target_bytes_per_step must be positive, got {target_bytes_per_step}"
-            )
-        if window <= 0:
-            raise ConfigurationError(f"window must be positive, got {window}")
-        if adjustment <= 1.0:
-            raise ConfigurationError(f"adjustment must be > 1, got {adjustment}")
-        if min_theta <= 0 or max_theta <= min_theta:
-            raise ConfigurationError(
-                f"need 0 < min_theta < max_theta, got {min_theta}, {max_theta}"
-            )
-        self.target_bytes_per_step = float(target_bytes_per_step)
-        self.window = int(window)
-        self.adjustment = float(adjustment)
-        self.min_theta = float(min_theta)
-        self.max_theta = float(max_theta)
-        self._recent_bytes = []
-        self._adjustment_count = 0
-
-    def update(self, current_theta: float, step_bytes: float, synchronized: bool) -> float:
-        """Observe one step's traffic and return the (possibly adjusted) Θ."""
-        del synchronized  # the byte count already reflects whether a sync happened
-        self._recent_bytes.append(float(step_bytes))
-        if len(self._recent_bytes) < self.window:
-            return current_theta
-        average = float(np.mean(self._recent_bytes))
-        self._recent_bytes = []
-        self._adjustment_count += 1
-        if average > self.target_bytes_per_step:
-            adjusted = current_theta * self.adjustment
-        else:
-            adjusted = current_theta / self.adjustment
-        return float(np.clip(adjusted, self.min_theta, self.max_theta))
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the open byte window and the adjustment count."""
-        return {
-            "recent_bytes": list(self._recent_bytes),
-            "adjustment_count": self._adjustment_count,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        self._recent_bytes = [float(b) for b in state["recent_bytes"]]
-        self._adjustment_count = int(state["adjustment_count"])
-
-    def __repr__(self) -> str:
-        return (
-            f"DynamicThetaController(target={self.target_bytes_per_step}, "
-            f"window={self.window}, adjustment={self.adjustment})"
-        )

@@ -46,7 +46,8 @@ PathLike = Union[str, Path]
 #: carried a schedule object, and Local-SGD's spec carries ``tau`` as an int.
 #: v7: a lockstep FDA step whose rows all stay inside Θ sends no states.
 #: v8: one engine — ``WorkloadConfig.execution`` is always ``"batched"``.
-CODE_VERSION = "sweep-cache-v8"
+#: v9: Θ is fixed for a run — an FDA spec drops its Θ-controller entry.
+CODE_VERSION = "sweep-cache-v9"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).

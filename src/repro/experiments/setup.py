@@ -290,12 +290,8 @@ class SetupCache:
         return shards
 
     def _pool(self, config: WorkloadConfig) -> Optional[_ModelPool]:
-        # Pools are sized and keyed by *physical slots*, not the logical
-        # worker/client count: a population cell's cluster holds cohort_size
-        # slots regardless of num_clients, so two cells with different
-        # populations but the same cohort share one pool, and a cell that
-        # changes cohort size never rebinds a wrong-sized skeleton list.
-        slots = _worker_slots(config)
+        # Pools are keyed by physical slots, not by clients.
+        slots = config.num_workers
         key = (id(config.model_factory), slots)
         if key in self._pools:
             entry = self._pools[key]
@@ -349,18 +345,6 @@ class SetupCache:
         return digest
 
 
-def _worker_slots(config: WorkloadConfig) -> int:
-    """Physical worker slots of the cluster a workload builds.
-
-    Equal to ``num_workers`` for materialized workloads; under a population
-    config the slots form the cohort window (``cohort_size``), independent of
-    the logical client count.
-    """
-    if config.population is not None:
-        return int(config.population.cohort_size)
-    return int(config.num_workers)
-
-
 def build_cluster(
     config: WorkloadConfig, setup: Optional[SetupCache] = None
 ) -> Tuple[SimulatedCluster, Dataset]:
@@ -398,7 +382,7 @@ def build_cluster(
         )
         shards = [
             population.directory.shard(slot % config.population.num_clients)
-            for slot in range(_worker_slots(config))
+            for slot in range(config.num_workers)
         ]
     elif setup is not None:
         shards = setup.partitions(config)

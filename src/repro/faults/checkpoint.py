@@ -121,10 +121,15 @@ def _check_strategy(recorded: str, strategy) -> None:
     if current == recorded:
         return
     then, now = json.loads(recorded), json.loads(current)
+
+    def shown(config: dict, key: str) -> str:
+        # A field only one side has differs even when the other side's is None.
+        return repr(config[key]) if key in config else "absent"
+
     differences = "; ".join(
-        f"{key}: {then.get(key)!r} in the checkpoint, {now.get(key)!r} here"
+        f"{key}: {shown(then, key)} in the checkpoint, {shown(now, key)} here"
         for key in sorted(set(then) | set(now))
-        if then.get(key) != now.get(key)
+        if shown(then, key) != shown(now, key)
     )
     raise ExperimentError(
         f"the checkpoint was taken from a differently configured strategy ({differences})"

@@ -131,8 +131,8 @@ class Strategy:
 
         Used by the sweep executor to fingerprint the strategy into a run
         key, and by checkpoints to refuse a differently configured resume:
-        the class plus every public attribute (thresholds, variants, seeds,
-        controllers — nested objects are canonicalized downstream).  Training
+        the class plus every public attribute (thresholds, variants, seeds —
+        nested objects are canonicalized downstream).  Training
         state (``rounds_completed``, ``_``-prefixed attributes, and the
         private counters of the objects a strategy holds) is excluded, so the
         spec reads the same before, during and after training.

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.core.fda import FDATrainer
 from repro.core.monitor import VARIANTS, VarianceMonitor, check_variant, make_monitor
-from repro.core.theta import DynamicThetaController
 from repro.distributed.cluster import SimulatedCluster
 from repro.exceptions import ConfigurationError
 from repro.strategies.base import Strategy
@@ -27,14 +26,13 @@ class FDAStrategy(Strategy):
     :data:`repro.core.monitor.VARIANTS`, checked here.  An explicit
     ``monitor`` replaces the one ``variant`` names; the trainer works on a
     copy of it, so the strategy's configuration never changes while it
-    trains.  ``threshold`` is the paper's Θ.  An optional
-    :class:`DynamicThetaController` enables the future-work
-    bandwidth-targeting extension.  On a cluster built with
-    collective-level compression (``WorkloadConfig.compression``) every
-    triggered synchronization goes through ``cluster.synchronize`` and
-    exchanges compressed model deltas instead of full-precision parameters
-    (Section 2: FDA is orthogonal to compression), with non-trainable buffers
-    averaged and charged exactly as on the uncompressed path.
+    trains.  ``threshold`` is the paper's Θ, fixed for the run.  On a
+    cluster built with collective-level compression
+    (``WorkloadConfig.compression``) every triggered synchronization goes
+    through ``cluster.synchronize`` and exchanges compressed model deltas
+    instead of full-precision parameters (Section 2: FDA is orthogonal to
+    compression), with non-trainable buffers averaged and charged exactly as
+    on the uncompressed path.
 
     Partial participation comes from the cluster's timeline: the underlying
     :class:`FDATrainer` samples the per-step mask and only active workers
@@ -51,7 +49,6 @@ class FDAStrategy(Strategy):
         sketch_depth: int = 5,
         sketch_width: int = 250,
         seed: int = 0,
-        theta_controller: Optional[DynamicThetaController] = None,
         monitor: Optional[VarianceMonitor] = None,
     ) -> None:
         super().__init__()
@@ -62,7 +59,6 @@ class FDAStrategy(Strategy):
         self.sketch_depth = int(sketch_depth)
         self.sketch_width = int(sketch_width)
         self.seed = int(seed)
-        self.theta_controller = theta_controller
         self._explicit_monitor = monitor
         self._trainer: Optional[FDATrainer] = None
         self.name, _ = VARIANTS[variant]
@@ -75,12 +71,7 @@ class FDAStrategy(Strategy):
             sketch_width=self.sketch_width,
             seed=self.seed,
         )
-        self._trainer = FDATrainer(
-            cluster,
-            monitor,
-            self.threshold,
-            theta_controller=self.theta_controller,
-        )
+        self._trainer = FDATrainer(cluster, monitor, self.threshold)
 
     @property
     def trainer(self) -> FDATrainer:
@@ -115,8 +106,3 @@ class FDAStrategy(Strategy):
     def synchronization_count(self) -> int:
         """Number of model synchronizations triggered so far."""
         return self.trainer.synchronization_count
-
-    @property
-    def current_threshold(self) -> float:
-        """The Θ currently in force (may differ from the initial one with dynamic Θ)."""
-        return self.trainer.threshold

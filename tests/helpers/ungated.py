@@ -60,13 +60,6 @@ class UngatedFDATrainer(FDATrainer):
         if synchronized:
             self._complete_synchronization()
 
-        if self.theta_controller is not None:
-            self.threshold = self.theta_controller.update(
-                self.threshold,
-                step_bytes=self.cluster.total_bytes - bytes_before,
-                synchronized=synchronized,
-            )
-
         self.step_count += 1
         return FdaStepResult(
             step=self.step_count,

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from helpers.per_worker import SIDES
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor
-from repro.core.theta import DynamicThetaController
 from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
+from repro.faults.checkpoint import ClusterCheckpoint
 from repro.faults.plan import FaultPlan
 from repro.nn.architectures import mlp
 from repro.optim.adam import Adam
@@ -37,10 +37,10 @@ def make_cluster(num_workers=4, seed=0):
     return SimulatedCluster(workers)
 
 
-def make_trainer(threshold, monitor=None, num_workers=4, **kwargs):
+def make_trainer(threshold, monitor=None, num_workers=4):
     cluster = make_cluster(num_workers)
     monitor = monitor or ExactMonitor()
-    return FDATrainer(cluster, monitor, threshold, **kwargs)
+    return FDATrainer(cluster, monitor, threshold)
 
 
 class TestInitialization:
@@ -146,23 +146,51 @@ class TestRoundInvariant:
         assert tight.synchronization_rate >= loose.synchronization_rate
 
 
-class TestDynamicTheta:
-    def test_dynamic_theta_reacts_to_traffic(self):
-        controller = DynamicThetaController(
-            target_bytes_per_step=1.0, window=5, adjustment=2.0
-        )
-        trainer = make_trainer(0.0, theta_controller=controller)
-        trainer.run_steps(10)
-        # Synchronizing every step blows through a 1-byte budget, so the
-        # controller must have raised Theta above its initial zero value.
-        assert trainer.threshold > 0.0
-
+class TestRunSteps:
     def test_run_steps_returns_every_step(self):
         trainer = make_trainer(0.5)
         results = trainer.run_steps(7)
         assert len(results) == 7
         assert [result.step for result in results] == list(range(1, 8))
         assert results[-1].parallel_steps == 7
+
+    def test_the_threshold_holds_through_every_sync(self):
+        trainer = make_trainer(0.05, LinearMonitor(make_cluster().model_dimension, seed=1))
+        results = trainer.run_steps(20)
+        assert trainer.synchronization_count > 1
+        assert {result.threshold for result in results} == {0.05}
+        assert trainer.threshold == 0.05
+
+
+class TestStateDict:
+    PROTOCOL_STATE = {
+        "step_count", "synchronization_count", "threshold", "last_estimate",
+        "previous_reference", "states", "reported",
+    }
+
+    def test_the_snapshot_is_the_protocol_state(self):
+        exact = make_trainer(0.05)
+        exact.run_steps(3)
+        assert set(exact.state_dict()) == self.PROTOCOL_STATE
+        linear = make_trainer(0.05, LinearMonitor(make_cluster().model_dimension, seed=1))
+        linear.run_steps(3)
+        assert set(linear.state_dict()) == self.PROTOCOL_STATE | {"monitor_direction"}
+
+    def test_a_loaded_snapshot_continues_bit_exactly(self):
+        dimension = make_cluster().model_dimension
+        trainer = make_trainer(0.05, LinearMonitor(dimension, seed=1))
+        trainer.run_steps(10)
+        checkpoint = ClusterCheckpoint.capture(trainer.cluster)
+        snapshot = trainer.state_dict()
+        # A fresh trainer built with another Θ takes the snapshot's.
+        resumed = make_trainer(9.0, LinearMonitor(dimension, seed=2))
+        checkpoint.restore(resumed.cluster)
+        resumed.load_state_dict(snapshot)
+        assert resumed.threshold == 0.05
+        assert resumed.run_steps(10) == trainer.run_steps(10)
+        np.testing.assert_array_equal(
+            resumed.cluster.parameter_matrix, trainer.cluster.parameter_matrix
+        )
 
 
 class RecordingSketchMonitor(SketchMonitor):

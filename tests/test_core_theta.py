@@ -1,10 +1,9 @@
-"""Tests for Θ selection: the paper guideline, the slope fit, calibration, dynamic Θ."""
+"""Tests for Θ selection: the paper guideline, the slope fit, calibration."""
 
 import numpy as np
 import pytest
 
 from repro.core.theta import (
-    DynamicThetaController,
     PAPER_THETA_SLOPES,
     ThetaGuideline,
     calibrate_theta,
@@ -87,41 +86,3 @@ class TestCalibrateTheta:
             calibrate_theta([1.0], 0)
         with pytest.raises(ConfigurationError):
             calibrate_theta([-1.0], 10)
-
-
-class TestDynamicThetaController:
-    def test_increases_theta_when_over_budget(self):
-        controller = DynamicThetaController(target_bytes_per_step=10, window=3, adjustment=2.0)
-        theta = 1.0
-        for _ in range(3):
-            theta = controller.update(theta, step_bytes=100, synchronized=True)
-        assert theta == pytest.approx(2.0)
-
-    def test_decreases_theta_when_under_budget(self):
-        controller = DynamicThetaController(target_bytes_per_step=1000, window=2, adjustment=2.0)
-        theta = 8.0
-        for _ in range(2):
-            theta = controller.update(theta, step_bytes=1, synchronized=False)
-        assert theta == pytest.approx(4.0)
-
-    def test_no_adjustment_before_window_fills(self):
-        controller = DynamicThetaController(target_bytes_per_step=10, window=5)
-        assert controller.update(3.0, step_bytes=100, synchronized=True) == 3.0
-        assert controller.state_dict()["adjustment_count"] == 0
-
-    def test_respects_bounds(self):
-        controller = DynamicThetaController(
-            target_bytes_per_step=10, window=1, adjustment=10.0, min_theta=0.5, max_theta=2.0
-        )
-        assert controller.update(1.0, step_bytes=1e9, synchronized=True) == 2.0
-        assert controller.update(1.0, step_bytes=0.0, synchronized=False) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DynamicThetaController(target_bytes_per_step=0)
-        with pytest.raises(ConfigurationError):
-            DynamicThetaController(10, window=0)
-        with pytest.raises(ConfigurationError):
-            DynamicThetaController(10, adjustment=1.0)
-        with pytest.raises(ConfigurationError):
-            DynamicThetaController(10, min_theta=2.0, max_theta=1.0)

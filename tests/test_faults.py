@@ -586,22 +586,28 @@ class TestClusterCheckpoint:
         np.testing.assert_array_equal(fresh.parameter_matrix, before)
         assert other.rounds_completed == 0
 
-    def test_a_trained_controller_resumes_into_a_fresh_one(self, blobs_workload, tmp_path):
-        from repro.core.theta import DynamicThetaController
-
-        def factory():
-            return FDAStrategy(0.01, theta_controller=DynamicThetaController(1.0, window=2))
-
+    def test_restore_names_a_field_only_the_checkpoint_has(self, blobs_workload):
+        # A checkpoint whose strategy had a knob this code no longer has.
         cluster, _ = build_cluster(blobs_workload)
-        strategy = factory().attach(cluster)
-        strategy.run_steps(5)
-        assert strategy.theta_controller.state_dict()["adjustment_count"] == 2
-        path = ClusterCheckpoint.capture(cluster, strategy).save(tmp_path / "ckpt.json")
+        strategy = FDAStrategy(0.01).attach(cluster)
+        checkpoint = ClusterCheckpoint.capture(cluster, strategy)
+        config = json.loads(checkpoint.payload["strategy_config"])
+        checkpoint.payload["strategy_config"] = json.dumps({**config, "knob": None})
         fresh, _ = build_cluster(blobs_workload)
-        resumed = factory().attach(fresh)
-        ClusterCheckpoint.load(path).restore(fresh, resumed)
-        assert resumed.theta_controller.state_dict() == strategy.theta_controller.state_dict()
-        assert resumed.current_threshold == strategy.current_threshold
+        with pytest.raises(ExperimentError, match="knob: None in the checkpoint, absent here"):
+            checkpoint.restore(fresh, FDAStrategy(0.01).attach(fresh))
+
+    def test_restore_names_a_field_only_this_code_has(self, blobs_workload):
+        # A checkpoint from before the strategy gained a knob.
+        cluster, _ = build_cluster(blobs_workload)
+        strategy = FDAStrategy(0.01, seed=3).attach(cluster)
+        checkpoint = ClusterCheckpoint.capture(cluster, strategy)
+        config = json.loads(checkpoint.payload["strategy_config"])
+        del config["seed"]
+        checkpoint.payload["strategy_config"] = json.dumps(config)
+        fresh, _ = build_cluster(blobs_workload)
+        with pytest.raises(ExperimentError, match=r"\(seed: absent in the checkpoint, 3 here\)"):
+            checkpoint.restore(fresh, FDAStrategy(0.01, seed=3).attach(fresh))
 
     def test_save_is_atomic_and_loadable(self, blobs_workload, tmp_path):
         cluster, _ = build_cluster(blobs_workload)

@@ -29,7 +29,6 @@ import repro.strategies
 from repro.compression import CompressionConfig
 from repro.core.fda import FDATrainer
 from repro.core.monitor import SketchMonitor, make_monitor
-from repro.core.theta import DynamicThetaController
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
@@ -334,7 +333,6 @@ SPEC_VALUES = {
         "sketch_depth": (3, 5),
         "sketch_width": (64, 250),
         "seed": (0, 1),
-        "theta_controller": (None, DynamicThetaController(1e3), DynamicThetaController(1e4)),
         "monitor": (None, make_monitor("linear", 10, seed=0), make_monitor("sketch", 10, seed=0)),
     },
     FedProxStrategy: {"mu": (0.01, 0.5), "local_epochs": (1, 2)},
@@ -370,17 +368,15 @@ def test_two_values_of_any_constructor_parameter_are_two_specs(cls):
 
 
 #: For every strategy class ``repro.strategies`` exports: a configuration whose
-#: held objects carry training state — a Θ controller that adjusts every step,
-#: an explicit monitor whose ξ rotates on every sync, a server optimizer that
-#: counts rounds.  ``model_dimension`` sizes the explicit monitor.
+#: held objects carry training state — an explicit monitor whose ξ rotates on
+#: every sync, a server optimizer that counts rounds.  ``model_dimension``
+#: sizes the explicit monitor.
 TRAINED = {
     SynchronousStrategy: lambda model_dimension: SynchronousStrategy(),
     LocalSGDStrategy: lambda model_dimension: LocalSGDStrategy(tau=2),
     FedOptStrategy: lambda model_dimension: FedOptStrategy(FedAdam(0.3)),
     FDAStrategy: lambda model_dimension: FDAStrategy(
-        0.0,
-        theta_controller=DynamicThetaController(1.0, window=1),
-        monitor=make_monitor("linear", model_dimension, seed=0),
+        0.0, monitor=make_monitor("linear", model_dimension, seed=0)
     ),
     FedProxStrategy: lambda model_dimension: FedProxStrategy(mu=0.5),
     ScaffoldStrategy: lambda model_dimension: ScaffoldStrategy(),

@@ -596,6 +596,20 @@ class TestSetupCachePools:
         assert len(cache.worker_models(large)) == 6
         assert cache.model_misses == 2
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["eager", "memoized"])
+    def test_a_population_cluster_is_its_cohort_window(self, cached):
+        # One slot per cohort member, slot s seeded with client s's shard,
+        # however many clients the population holds.
+        workload = _blob_workload().with_population(
+            PopulationConfig(num_clients=64, cohort_size=4)
+        )
+        cluster, _ = build_cluster(workload, SetupCache() if cached else None)
+        assert cluster.num_workers == 4
+        for slot, worker in enumerate(cluster.workers):
+            shard = cluster.population.directory.shard(slot)
+            np.testing.assert_array_equal(worker.dataset.x, shard.x)
+            np.testing.assert_array_equal(worker.dataset.y, shard.y)
+
     def test_memoized_population_build_matches_eager(self):
         workload = _blob_workload().with_population(
             PopulationConfig(num_clients=32, cohort_size=4)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from helpers.parity import make_cluster
 from helpers.ungated import UngatedFDATrainer
 from repro.core.fda import FDATrainer
 from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor
-from repro.core.theta import DynamicThetaController
 from repro.faults.plan import FaultPlan
 
 MONITORS = {
@@ -148,90 +148,45 @@ def test_a_gated_run_is_the_ungated_run_bit_for_bit(
     assert gated.cluster.virtual_time <= oracle.cluster.virtual_time
 
 
-class QuietWitness:
-    """On every quiet step, builds the exchange the gate skipped and keeps its ``H``.
-
-    Wraps the trainer's monitor: ``squared_norms`` keeps the drift rows it
-    is handed, and a ``quiet_bound`` that calls the step quiet appends
-    ``(Θ, largest ‖u‖², H, column-0 mean, bound)`` of those rows' full states.
-    """
-
-    def __init__(self, monitor) -> None:
-        self.witnessed = []
-        squared_norms, quiet_bound = monitor.squared_norms, monitor.quiet_bound
-
-        def keep_rows(drifts):
-            self.drifts = drifts.copy()
-            return squared_norms(drifts)
-
-        def witness(norms, threshold):
-            bound = quiet_bound(norms, threshold)
-            if bound is not None:
-                average = monitor.average(monitor.local_states(self.drifts))
-                self.witnessed.append(
-                    (threshold, max(norms), monitor.estimate(average), float(average[0]), bound)
-                )
-            return bound
-
-        monitor.squared_norms, monitor.quiet_bound = keep_rows, witness
+def run_fixed(trainer_class, variant, dtype, theta, steps=24):
+    """``steps`` plain FDA steps at one Θ, with each step's parameter digest."""
+    cluster = make_cluster("batched", num_workers=6, dtype=dtype)
+    trainer = trainer_class(cluster, MONITORS[variant](cluster.model_dimension), theta)
+    results, digests = [], []
+    for _ in range(steps):
+        results.append(trainer.step())
+        digests.append(hashlib.sha256(cluster.parameter_matrix.tobytes()).hexdigest())
+    return cluster, results, digests
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    variant=st.sampled_from(sorted(MONITORS)),
-    dtype=st.sampled_from(["float64", "float32"]),
-    dropout=st.booleans(),
-    seed=st.integers(min_value=0, max_value=1_000),
-    theta=st.sampled_from([0.005, 0.05, 0.5]),
-    target=st.sampled_from([1.0, 300.0, 1e6]),
-)
-def test_under_a_theta_controller_a_quiet_step_still_could_not_have_synced(
-    variant, dtype, dropout, seed, theta, target
-):
-    # A controller's Θ follows the bytes the gate lets through, so its run is
-    # not the ungated run (see the test below); what holds step by step is
-    # that a quiet step's skipped exchange could not have synced at the Θ
-    # in force, and that it cost nothing.
-    cluster = make_cluster(
-        "batched", num_workers=6, dtype=dtype,
-        dropout_rate=0.3 if dropout else 0.0, timeline_seed=seed,
-    )
-    controller = DynamicThetaController(target_bytes_per_step=target, window=2, adjustment=4.0)
-    trainer = FDATrainer(cluster, MONITORS[variant](cluster.model_dimension), theta, controller)
-    witness = QuietWitness(trainer.monitor)
-    results = trainer.run_steps(STEPS)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("variant", sorted(MONITORS))
+def test_theta_is_a_constant_of_the_run(variant, dtype):
+    # Θ is set once, so every step of either trainer decides against it, and
+    # the gate changes nothing but the exchanges a quiet step skips.
+    gated_cluster, gated, digests = run_fixed(FDATrainer, variant, dtype, 0.05)
+    oracle_cluster, ungated, expected_digests = run_fixed(UngatedFDATrainer, variant, dtype, 0.05)
 
-    quiet = [r for r in results if not r.exchanged and r.active_workers]
-    assert len(quiet) == len(witness.witnessed)
-    for result, (threshold, largest, estimate, mean_norm, bound) in zip(quiet, witness.witnessed):
-        assert largest <= threshold and estimate <= threshold and not result.synchronized
-        assert result.variance_estimate == bound == mean_norm >= estimate
-        assert result.communication_bytes == 0
-    exchanged = sum(r.exchanged for r in results)
-    assert cluster.tracker.operations_for("fda-state") == exchanged
+    assert {r.threshold for r in gated} == {r.threshold for r in ungated} == {0.05}
+    assert digests == expected_digests
+    assert [r.synchronized for r in gated] == [r.synchronized for r in ungated]
+    for got, want in zip(gated, ungated):
+        if got.exchanged:
+            assert got.variance_estimate == want.variance_estimate, got.step
+    quiet = [r for r in gated if not r.exchanged]
+    assert quiet and all(r.communication_bytes == 0 for r in quiet)
+    tracker, reference = gated_cluster.tracker, oracle_cluster.tracker
+    assert tracker.bytes_for("model-sync") == reference.bytes_for("model-sync")
+    per_exchange = reference.bytes_for("fda-state") // len(ungated)
+    assert tracker.bytes_for("fda-state") == (len(gated) - len(quiet)) * per_exchange
 
 
-def test_a_theta_controller_steers_by_the_bytes_the_gate_sends():
-    def run(trainer_class):
-        cluster = make_cluster("batched", num_workers=6)
-        controller = DynamicThetaController(target_bytes_per_step=50, window=4, adjustment=2.0)
-        trainer = trainer_class(cluster, LinearMonitor(cluster.model_dimension, seed=1), 0.05,
-                                controller)
-        return trainer.run_steps(24)
-
-    gated, ungated = run(FDATrainer), run(UngatedFDATrainer)
-    # The controller read each step's real bytes: replaying them through a
-    # fresh controller gives the gated run's Θ schedule.
-    replay, theta = DynamicThetaController(50, window=4, adjustment=2.0), 0.05
-    for result in gated:
-        theta = replay.update(theta, result.communication_bytes, result.synchronized)
-        assert result.threshold == theta
-    # Quiet windows read as under budget, so Θ shrinks where the ungated run
-    # grew it, and the two runs sync on different steps: the gated one more
-    # often, so with a controller it sends more in all.
-    assert [r.threshold for r in gated][:7] == [r.threshold for r in ungated][:7]
-    assert gated[7].threshold < ungated[7].threshold
-    assert [r.step for r in gated if r.synchronized] == [3, 9, 15, 21]
-    assert [r.step for r in ungated if r.synchronized] == [3, 11]
-    assert sum(r.communication_bytes for r in gated) == 36_096
-    assert sum(r.communication_bytes for r in ungated) == 20_064
+def test_a_fixed_theta_run_syncs_where_the_ungated_run_does():
+    _, gated, _ = run_fixed(FDATrainer, "linear", "float64", 0.05)
+    _, ungated, _ = run_fixed(UngatedFDATrainer, "linear", "float64", 0.05)
+    assert [r.step for r in gated if r.synchronized] == [3, 7, 11, 15, 20]
+    assert [r.step for r in ungated if r.synchronized] == [3, 7, 11, 15, 20]
+    # 16 of the 24 steps are quiet: each saves one 96-byte state AllReduce.
+    assert sum(not r.exchanged for r in gated) == 16
+    assert sum(r.communication_bytes for r in gated) == 45_168
+    assert sum(r.communication_bytes for r in ungated) == 46_704

@@ -900,8 +900,9 @@ def test_a_message_costs_what_its_links_carry():
 #: the per-worker and solo optimizer steps only it ran — the per-worker loop
 #: lives on as the test oracle, ``tests/helpers/per_worker.py``; then the
 #: cluster's adapters over the fabric's collectives and the two knobs
-#: (``synchronize``'s and ``broadcast_parameters``') only one value reached.  ``FedAvg``
-#: counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
+#: (``synchronize``'s and ``broadcast_parameters``') only one value reached; then
+#: the Θ controller, the FDA strategy's knob for it and the moving Θ it
+#: reported.  ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
 #: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
     r"\b(LearningRateSchedule|ConstantSchedule|StepDecaySchedule|ExponentialDecaySchedule"
@@ -914,7 +915,8 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|sync_buffers|get_gradients|serve_next|ClientDescriptor"
     r"|local_epoch|SequentialEngine|ClusterEngine|build_engine|EXECUTION_MODES"
     r"|step_inplace|local_step|is_batched|charge_allreduce|charge_broadcast|charge_upload"
-    r"|count_cost|include_buffers)\b|--execution\b"
+    r"|count_cost|include_buffers|DynamicThetaController|theta_controller"
+    r"|current_threshold)\b|--execution\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
 )
@@ -929,7 +931,8 @@ def test_the_surface_nothing_ran_stays_deleted():
     ]
     assert not spelled, (
         "deleted public surface is named again — every workload runs constant "
-        "learning rates, a fixed τ and the FedAdam/FedAvgM baselines:\n" + "\n".join(spelled)
+        "learning rates, a fixed τ, a fixed Θ and the FedAdam/FedAvgM baselines:\n"
+        + "\n".join(spelled)
     )
     assert not (SRC_ROOT / "optim" / "schedules.py").exists()
     assert not (SRC_ROOT / "utils" / "validation.py").exists()
