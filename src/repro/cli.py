@@ -39,6 +39,7 @@ from functools import partial
 from itertools import product
 from typing import List, Optional
 
+from repro.composition import allows
 from repro.compression import NAMED_COMPRESSORS, CompressionConfig
 from repro.core.monitor import VARIANTS
 from repro.distributed.network import NAMED_NETWORKS
@@ -181,14 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fabric = subparsers.add_parser(
         "fabric", help="sweep a topology x network grid and report bytes + wall-clock"
-    )
-    fabric.add_argument(
-        "--spec", action="store_true",
-        help="run the registry's fabric_sweep experiment spec instead of the flags below",
-    )
-    fabric.add_argument(
-        "--full", action="store_true",
-        help="with --spec: use the full (slow) topology x network grid",
     )
     fabric.add_argument("--workload", choices=sorted(_WORKLOAD_BUILDERS), default="lenet")
     fabric.add_argument("--theta", type=float, default=8.0, help="FDA variance threshold")
@@ -484,13 +477,12 @@ def _command_compare(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint_path,
     )
     fedopt = "fedavgm" if "densenet" in args.workload else "fedadam"
-    strategies = {}
-    for name, factory in registry.default_strategies(args.theta, fedopt=fedopt).items():
-        strategy = factory()
-        if args.topology in strategy.supported_topologies:
-            strategies[name] = factory
-        else:
-            print(f"(skipping {strategy.name}: no support for the {args.topology} topology)")
+    planes = (args.topology, *(("dropout",) if args.dropout_rate else ()))
+    strategies = registry.default_strategies(args.theta, fedopt=fedopt)
+    for name, factory in list(strategies.items()):
+        if not allows(*factory().features, *planes):
+            print(f"(skipping {name}: it does not compose with {' + '.join(planes)})")
+            del strategies[name]
     results = [point.result for point in run_grid(lower_grid(workload, run, strategies))]
     compression = workload.compression.describe() if workload.compression else "none"
     faults = workload.faults.describe() if workload.faults else "none"
@@ -505,11 +497,6 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_fabric(args: argparse.Namespace) -> int:
-    if args.spec:
-        spec = registry.fabric_sweep(quick=not args.full)
-        print(f"{spec.experiment_id}: {spec.title}")
-        _print_by_strategy(run_grid(lower_spec(spec, "fabric")), _FABRIC_COLUMNS)
-        return 0
     workload = _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers)
     cells = lower_grid(
         workload,

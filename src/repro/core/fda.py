@@ -25,6 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.composition import allows, features
 from repro.core.monitor import LinearMonitor, VarianceMonitor
 from repro.distributed.cluster import CATEGORY_STATE, SimulatedCluster
 from repro.exceptions import ConfigurationError
@@ -112,6 +113,9 @@ class FDATrainer(FDAProtocol):
         threshold: float,
     ) -> None:
         super().__init__(cluster, monitor, threshold)
+        planes = features(cluster)  # churn: dead rows' reports count, the quiet gate is off
+        self._churn_faults = cluster.faults if "churn" in planes else None
+        self._gated = allows("quiet-gate", *planes)
         self.step_count = 0
         self.last_estimate: Optional[float] = None
         # Reusable (K, d) scratch for the per-step drift matrix; the monitor
@@ -146,11 +150,9 @@ class FDATrainer(FDAProtocol):
         )[fresh]
         # Kamp et al.'s local condition: while every stepped row's ‖u‖² stays
         # inside the ball no H can exceed Θ, so the step is quiet — no payload,
-        # no exchange, no estimate.  Churn keeps the exchange on every step.
-        faults = self.cluster.faults
-        churn = faults is not None and faults.churn_active
+        # no exchange, no estimate.
         norms = self.monitor.squared_norms(drifts)
-        bound = None if churn else self.monitor.quiet_bound(norms, self.threshold)
+        bound = self.monitor.quiet_bound(norms, self.threshold) if self._gated else None
         states = ()
         if bound is None:
             self.states[fresh] = self.monitor.local_states(drifts, norms)
@@ -159,7 +161,8 @@ class FDATrainer(FDAProtocol):
             # last report of every dead worker: it cannot report, and its
             # stale drift only makes the over-estimate more conservative.  An
             # alive slot that merely sat out (dropout, unbound) is skipped.
-            counted = stepped | (self.reported & ~faults.alive) if churn else fresh
+            faults = self._churn_faults
+            counted = stepped | (self.reported & ~faults.alive) if faults else fresh
             states = self.states[counted]
         if len(states):
             # AllReduce of the local states (charged as small "fda-state"

@@ -46,6 +46,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.backend import map_row_shards, resolve_dtype
+from repro.composition import check_composition, features
 from repro.data.datasets import Dataset
 from repro.distributed.engine import BatchedEngine
 from repro.distributed.network import NetworkModel, get_network
@@ -182,11 +183,6 @@ class SimulatedCluster:
         compression = get_compression(compression)
         self._compression = None
         if compression is not None:
-            if self.faults is not None:
-                raise ConfigurationError(
-                    "fault injection and collective compression cannot be "
-                    "combined yet; drop one of the two"
-                )
             self._compression = ClusterCompression(
                 compression,
                 num_workers=self.num_workers,
@@ -198,6 +194,7 @@ class SimulatedCluster:
         # The engine sits below step_all; built last because it stacks
         # gradients next to the matrices created above.
         self._engine = BatchedEngine(self)
+        check_composition(*features(self))
 
     # -- basic properties ------------------------------------------------------
 

@@ -39,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.composition import check_composition
 from repro.distributed.network import get_network
 from repro.distributed.topology import get_topology
 from repro.exceptions import ConfigurationError, ExperimentError
@@ -124,6 +125,8 @@ def workload_fingerprint(config: WorkloadConfig, setup: SetupCache) -> Dict[str,
 
 def _execute_cell(cell: SweepCell, setup: Optional[SetupCache]) -> RunResult:
     """Run one cell to completion (the serial and per-process work unit)."""
+    if cell.workload.serving is not None:
+        check_composition("serving-config", "lockstep-run")
     cluster, test_dataset = build_cluster(cell.workload, setup=setup)
     return cell.run.execute(
         cell.strategy_factory(),

@@ -44,12 +44,10 @@ class ExperimentSpec:
     workload); each non-empty axis below adds a grid over the same workloads:
     ``fda_thetas`` re-instantiates the spec's own FDA entries — the factories
     that take a ``theta`` keyword, i.e. bindings of :func:`fda` — at each Θ,
-    ``worker_counts`` varies K for every strategy, ``topologies`` ×
-    ``networks`` is the fabric grid (``python -m repro.cli fabric --spec``),
-    and ``compressions`` the payload-compression grid (``python -m repro.cli
-    compression``; entries are kernel names,
-    :class:`~repro.compression.config.CompressionConfig` objects, or
-    ``"none"``).
+    ``worker_counts`` varies K for every strategy, and ``compressions`` the
+    payload-compression grid (``python -m repro.cli compression``; entries
+    are kernel names, :class:`~repro.compression.config.CompressionConfig`
+    objects, or ``"none"``).
     """
 
     experiment_id: str
@@ -59,8 +57,6 @@ class ExperimentSpec:
     run: TrainingRun
     fda_thetas: Sequence[float] = field(default_factory=tuple)
     worker_counts: Sequence[int] = field(default_factory=tuple)
-    topologies: Sequence[str] = field(default_factory=tuple)
-    networks: Sequence[str] = field(default_factory=tuple)
     compressions: Sequence = field(default_factory=tuple)
     notes: str = ""
 
@@ -540,44 +536,6 @@ def figure13(quick: bool = True) -> ExperimentSpec:
             eval_every_steps=40,
         ),
         fda_thetas=(0.25, 1.0, 4.0) if quick else (0.25, 0.5, 1.0, 2.0, 4.0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The fabric grid: topology × network (the wall-clock discussion of Section 4)
-# ---------------------------------------------------------------------------
-
-
-def fabric_sweep(quick: bool = True) -> ExperimentSpec:
-    """Topology × network sweep: where do FDA's byte savings buy wall-clock?
-
-    One workload, the FDA-vs-Synchronous pair, and a grid over every fabric
-    topology crossed with the paper's three interconnects.  Per cell the
-    harness reports the model-sync / FDA-state byte split and the virtual
-    wall-clock per round — the reproduction's answer to the paper's
-    observation that communication savings matter on the 0.5 Gbps federated
-    channel and vanish on InfiniBand.
-    """
-    workload = lenet_mnist_workload(num_workers=4 if quick else 8)
-    theta = 8.0
-    return ExperimentSpec(
-        experiment_id="fabric",
-        title="Communication fabric: topology x network wall-clock comparison",
-        workloads={"iid": workload},
-        strategy_factories={
-            "LinearFDA": partial(fda, theta=theta, variant="linear"),
-            "Synchronous": lambda: SynchronousStrategy(),
-        },
-        run=TrainingRun(
-            accuracy_target=0.88,
-            max_steps=80 if quick else 300,
-            eval_every_steps=20,
-        ),
-        fda_thetas=(theta,),
-        topologies=("star", "ring") if quick else ("star", "ring", "hierarchical", "gossip"),
-        networks=("fl", "hpc") if quick else ("fl", "hpc", "balanced"),
-        notes="Quick mode trims the grid to 2x2; full mode runs all four "
-        "topologies against all three networks.",
     )
 
 

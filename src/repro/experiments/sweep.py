@@ -126,14 +126,13 @@ def lower_grid(
 def lower_spec(spec, *grids: str) -> List[SweepCell]:
     """Lower an :class:`~repro.experiments.registry.ExperimentSpec` onto cells.
 
-    A spec declares up to five grids, each over every workload of the spec:
+    A spec declares up to four grids, each over every workload of the spec:
     ``comparison`` (every strategy as configured), ``theta`` (the spec's own
     FDA entries — the factories that take a ``theta`` keyword —
     re-instantiated at each of ``fda_thetas``), ``workers``
-    (``worker_counts``), ``fabric`` (``topologies`` × ``networks``) and
-    ``compression`` (``compressions``).  With no ``grids`` named, every
-    declared grid is lowered, in that order; naming a grid the spec does not
-    declare is a :class:`ConfigurationError`.  Every cell is tagged with its
+    (``worker_counts``) and ``compression`` (``compressions``).  With no
+    ``grids`` named, every declared grid is lowered, in that order; naming a
+    grid the spec does not declare is a :class:`ConfigurationError`.  Every cell is tagged with its
     ``grid``, ``workload`` and ``strategy`` ahead of the grid's own axes, so
     callers pick cells and points apart with :func:`select`.
     """
@@ -141,7 +140,6 @@ def lower_spec(spec, *grids: str) -> List[SweepCell]:
         "comparison": {},
         "theta": {"theta": spec.fda_thetas},
         "workers": {"num_workers": spec.worker_counts},
-        "fabric": {"topology": spec.topologies, "network": spec.networks},
         "compression": {"compression": spec.compressions},
     }
     declared = {

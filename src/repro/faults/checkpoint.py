@@ -18,9 +18,9 @@ cluster's shape and the strategy's ``spec()``, and a target that differs in
 either is refused by name.
 
 A cluster carrying a client population is refused at restore (never at
-capture or save): the checkpoint does not hold the cohort sampler's stream,
-the client state store or the population's counters, so a resumed population
-run would silently diverge.
+capture or save; :mod:`repro.composition`'s population × resume row): the
+checkpoint does not hold the cohort sampler's stream, the client state store
+or the population's counters, so a resumed population run would diverge.
 
 Arrays are encoded as base64 of their raw bytes (dtype + shape alongside), so
 float64 parameters survive the JSON round trip without any decimal rounding.
@@ -39,6 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.composition import check_composition, features
 from repro.exceptions import ExperimentError
 
 PathLike = Union[str, Path]
@@ -180,12 +181,7 @@ class ClusterCheckpoint:
         """
         payload = self.payload
         _require_current(payload, "the payload")
-        if cluster.population is not None:
-            raise ExperimentError(
-                "cannot resume a population run: the checkpoint does not hold the "
-                "cohort sampler's stream, the ClientStateStore, client_steps or "
-                "rounds_completed, so the resumed run would diverge"
-            )
+        check_composition("resume", *features(cluster))
         if int(payload["num_workers"]) != cluster.num_workers:
             raise ExperimentError(
                 f"checkpoint has {payload['num_workers']} workers, cluster has "

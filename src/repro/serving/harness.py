@@ -51,6 +51,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.composition import check_composition, features
 from repro.core.fda import FDAProtocol
 from repro.core.monitor import VarianceMonitor, make_monitor
 from repro.core.timeline import ARRIVAL, ENQUEUE, SERVICE, StragglerProfile, Timeline
@@ -134,18 +135,7 @@ class ServedFDATrainer(FDAProtocol):
         profile: Optional[StragglerProfile] = None,
         seed: int = 0,
     ) -> None:
-        faults, members = cluster.faults, cluster.members.mask
-        if (faults is not None and faults.churn_active) or (
-            members is not None and not members.all()
-        ):
-            # The event loop steps workers through the engine directly and
-            # never opens a round, so crashes would be silently ignored and
-            # unbound slots would be stepped.
-            raise ConfigurationError(
-                "the served coordinator cannot drive worker churn or a partial "
-                "cohort yet (ROADMAP item 2c); loss-only fault plans and full "
-                "cohorts are supported"
-            )
+        check_composition("served", *features(cluster))
         super().__init__(cluster, monitor, threshold)
         if profile is not None:
             cluster.fabric.clock = Timeline(cluster.num_workers, profile=profile, seed=seed)

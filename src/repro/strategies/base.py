@@ -11,8 +11,9 @@ round lengths (one step for Synchronous/FDA, a full local epoch for FedOpt).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro import composition
 from repro.distributed.cluster import SimulatedCluster
 from repro.exceptions import ConfigurationError, ExperimentError
 
@@ -34,11 +35,8 @@ class Strategy:
     #: Name used in experiment reports and figures.
     name = "strategy"
 
-    #: Fabric topologies this protocol can run on.  Peer-to-peer collectives
-    #: (AllReduce averaging) work on any layout; server-based protocols that
-    #: need a central aggregator declare the subset they support and
-    #: :meth:`attach` rejects a cluster whose fabric uses anything else.
-    supported_topologies = ("star", "ring", "hierarchical", "gossip")
+    #: The :mod:`repro.composition` features this protocol adds to its cluster's.
+    features: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._cluster: Optional[SimulatedCluster] = None
@@ -48,12 +46,7 @@ class Strategy:
 
     def attach(self, cluster: SimulatedCluster) -> "Strategy":
         """Bind the strategy to a cluster and perform protocol initialization."""
-        topology_name = cluster.fabric.topology.name
-        if topology_name not in self.supported_topologies:
-            raise ConfigurationError(
-                f"strategy {self.name!r} does not support the {topology_name!r} topology; "
-                f"supported: {sorted(self.supported_topologies)}"
-            )
+        composition.check_composition(*self.features, *composition.features(cluster))
         self._cluster = cluster
         # Every algorithm in the paper starts all workers from the same model.
         cluster.broadcast_parameters(cluster.workers[0].get_parameters())

@@ -37,9 +37,7 @@ RowTransform = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 class ServerRoundStrategy(Strategy):
     """Local epochs → upload → new global model → broadcast, with three hooks."""
 
-    #: A central server holds the global model: the star, or the two-level
-    #: hierarchy (the root is the server) — not the serverless ring/gossip.
-    supported_topologies = ("star", "hierarchical")
+    features = ("server-round",)
 
     def __init__(self, local_epochs: int = 1) -> None:
         super().__init__()

@@ -19,9 +19,6 @@ from repro.strategies.base import Strategy
 class LocalSGDStrategy(Strategy):
     """Synchronize after every ``tau`` local steps.
 
-    The synchronization is a plain AllReduce average, so any fabric topology
-    works.
-
     Each of the ``tau`` local steps goes through ``cluster.step_all`` and thus
     the cluster's engine, which advances the participating workers per step
     in one vectorized pass.  Partial participation (a timeline with
@@ -32,7 +29,6 @@ class LocalSGDStrategy(Strategy):
     """
 
     name = "LocalSGD"
-    supported_topologies = ("star", "ring", "hierarchical", "gossip")
 
     def __init__(self, tau: int = 10) -> None:
         super().__init__()

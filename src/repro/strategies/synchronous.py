@@ -29,7 +29,6 @@ class SynchronousStrategy(Strategy):
     """
 
     name = "Synchronous"
-    supported_topologies = ("star", "ring", "hierarchical", "gossip")
 
     def _run_round(self, cluster: SimulatedCluster) -> float:
         active = cluster.timeline.sample_participation()

@@ -1,6 +1,6 @@
 """Documentation reference checks: docs must not rot.
 
-Five guarantees, run as CI's dedicated docs job
+Six guarantees, run as CI's dedicated docs job
 (``python -m pytest tests/test_docs_refs.py``):
 
 * every dotted ``repro.*`` reference in ``ARCHITECTURE.md`` and ``docs/``
@@ -10,7 +10,9 @@ Five guarantees, run as CI's dedicated docs job
   a plane once sat under the current one, describing the design before last);
 * the doctests embedded in :mod:`repro.compression` pass;
 * every ``examples/*.py`` imports (they are ``__main__``-guarded, so importing
-  one resolves every name it uses from the library without running it).
+  one resolves every name it uses from the library without running it);
+* ``ARCHITECTURE.md``'s strategy × topology matrix says what
+  :func:`repro.composition.allows` says.
 """
 
 from __future__ import annotations
@@ -163,3 +165,37 @@ def test_example_imports(example):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(getattr(module, "main", None)), f"{example.name} defines no main()"
+
+
+#: ARCHITECTURE.md Plane 4's matrix rows → the strategy class whose ``features``
+#: the row shows (``None``: the served coordinator, feature ``"served"``).
+_MATRIX_ROWS = {
+    "Synchronous (BSP)": "SynchronousStrategy",
+    "Local-SGD": "LocalSGDStrategy",
+    "FDA (linear / sketch / exact)": "FDAStrategy",
+    "Asynchronous / served FDA (`ServedFDATrainer`)": None,
+    "FedOpt (FedAvgM/FedAdam)": "FedOptStrategy",
+    "FedProx": "FedProxStrategy",
+    "SCAFFOLD": "ScaffoldStrategy",
+}
+
+
+def test_the_strategy_topology_matrix_is_the_composition_table():
+    import repro.strategies as strategies
+    from repro.composition import TOPOLOGY_FEATURES, allows
+
+    text = _doc_text(REPO_ROOT / "ARCHITECTURE.md")
+    header = "| Strategy | " + " | ".join(TOPOLOGY_FEATURES) + " |"
+    assert header in text, f"ARCHITECTURE.md lost the matrix header {header!r}"
+    lines = text[text.index(header):].splitlines()[2:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0]] = [cell.startswith("✓") for cell in cells[1: 1 + len(TOPOLOGY_FEATURES)]]
+    assert set(rows) == set(_MATRIX_ROWS)
+    for row, class_name in _MATRIX_ROWS.items():
+        added = ("served",) if class_name is None else getattr(strategies, class_name).features
+        expected = [allows(*added, topology) for topology in TOPOLOGY_FEATURES]
+        assert rows[row] == expected, f"{row}: the doc says {rows[row]}, the table {expected}"

@@ -236,39 +236,6 @@ class TestTimelineOwnership:
 
 
 class TestFabricSweep:
-    def test_spec_fabric_grid_executes_every_cell(self, blobs_workload):
-        from repro.experiments.registry import ExperimentSpec
-        from repro.experiments.run import TrainingRun
-        from repro.experiments.sweep import lower_spec, run_grid, select
-
-        spec = ExperimentSpec(
-            experiment_id="fabric-test",
-            title="tiny fabric grid",
-            workloads={"iid": blobs_workload},
-            strategy_factories={
-                "Synchronous": lambda: SynchronousStrategy(),
-                "LinearFDA": lambda: FDAStrategy(threshold=2.0, variant="linear"),
-            },
-            run=TrainingRun(accuracy_target=0.999, max_steps=8, eval_every_steps=8),
-            topologies=("star", "ring"),
-            networks=("hpc",),
-        )
-        points = run_grid(lower_spec(spec, "fabric"))
-        assert {p.tags["strategy"] for p in points} == {"Synchronous", "LinearFDA"}
-        for name in spec.strategy_factories:
-            grouped = select(points, strategy=name)
-            assert [(p.tags["topology"], p.tags["network"]) for p in grouped] == [
-                ("star", "hpc"), ("ring", "hpc"),
-            ]
-            assert all(p.result.virtual_seconds > 0 for p in grouped)
-
-    def test_spec_fabric_grid_requires_a_declaration(self):
-        from repro.experiments.registry import figure3
-        from repro.experiments.sweep import lower_spec
-
-        with pytest.raises(ConfigurationError):
-            lower_spec(figure3(quick=True), "fabric")  # no topologies/networks declared
-
     def test_fabric_axes_cover_the_grid(self, blobs_workload):
         from repro.experiments.run import TrainingRun
         from repro.experiments.sweep import lower_grid, run_grid
@@ -295,18 +262,6 @@ class TestFabricSweep:
             assert result.seconds_per_round > 0
         # Per-cell wall-clock reflects the fabric: fl slower than hpc.
         assert by_cell[("star", "fl")].virtual_seconds > by_cell[("star", "hpc")].virtual_seconds
-
-    def test_registry_fabric_spec_declares_the_grid(self):
-        from repro.experiments.registry import fabric_sweep
-
-        spec = fabric_sweep(quick=True)
-        assert spec.topologies and spec.networks
-        assert "LinearFDA" in spec.strategy_factories
-        assert "Synchronous" in spec.strategy_factories
-        full = fabric_sweep(quick=False)
-        assert len(full.topologies) * len(full.networks) > len(spec.topologies) * len(
-            spec.networks
-        )
 
     def test_cli_fabric_command(self, capsys):
         from repro.cli import main

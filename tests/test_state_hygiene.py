@@ -166,8 +166,16 @@ Public surface that nothing uses is code to keep in step for no caller, so
     the unused FedOpt variants, the ``with_*`` copy wrappers, the test-only
     names, the second engine with its knob, its per-worker step and the
     solo optimizer path that only it ran, and the cluster's charge adapters
-    with the two knobs only one value reached — is spelled nowhere under
-    ``src/``.
+    with the two knobs only one value reached, the strategies' topology
+    lists and the fabric spec — is spelled nowhere under ``src/``.
+
+Which planes compose was once decided in five modules, and five compositions
+were silently dropped.  Every cross-plane rule is one row of
+:data:`repro.composition.RULES` now, and
+
+19. a ``raise`` whose message names a ROADMAP item occurs only in
+    ``composition.py`` — a pending composition is a table row, not a local
+    ``if``/``raise``.
 """
 
 from __future__ import annotations
@@ -444,7 +452,7 @@ _RETIRED_GRID_NAMES = re.compile(
     r"|run_fabric_spec|run_compression_spec|FabricSweepPoint|CompressionSweepPoint"
     r"|RunTableSpec|save_sweep|load_sweep|save_results|load_results|point_type)\b"
 )
-_SPEC_AXES = {"fda_thetas", "worker_counts", "topologies", "networks", "compressions"}
+_SPEC_AXES = {"fda_thetas", "worker_counts", "compressions"}
 
 
 def _calls(source: str, name: str):
@@ -491,7 +499,7 @@ def test_a_grid_is_lowered_in_one_place():
     assert readers == {("experiments/sweep.py", "lower_spec")}, readers
     # ... and the commands and benchmark helpers that run specs all call it.
     callers = {
-        "src/repro/cli.py": 3,  # figureN, fabric --spec, compression
+        "src/repro/cli.py": 2,  # figureN, compression
         "benchmarks/conftest.py": 1,
         "benchmarks/sweep_helpers.py": 1,
     }
@@ -916,7 +924,7 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|local_epoch|SequentialEngine|ClusterEngine|build_engine|EXECUTION_MODES"
     r"|step_inplace|local_step|is_batched|charge_allreduce|charge_broadcast|charge_upload"
     r"|count_cost|include_buffers|DynamicThetaController|theta_controller"
-    r"|current_threshold)\b|--execution\b"
+    r"|current_threshold|supported_topologies|fabric_sweep)\b|--execution\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
 )
@@ -936,6 +944,30 @@ def test_the_surface_nothing_ran_stays_deleted():
     )
     assert not (SRC_ROOT / "optim" / "schedules.py").exists()
     assert not (SRC_ROOT / "utils" / "validation.py").exists()
+
+
+_NAMES_AN_ITEM = re.compile(r"ROADMAP item \d")
+
+
+def test_a_pending_composition_is_refused_only_by_the_table():
+    offenders = [
+        f"src/repro/{module}:{node.lineno}"
+        for module, source in _sources()
+        if module != "composition.py"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(part, ast.Constant)
+            and isinstance(part.value, str)
+            and _NAMES_AN_ITEM.search(part.value)
+            for part in ast.walk(node)
+        )
+    ]
+    assert not offenders, (
+        "a refusal naming a ROADMAP item is raised outside repro/composition.py — "
+        "add a row to composition.RULES and call check_composition instead:\n"
+        + "\n".join(offenders)
+    )
 
 
 #: Every retired-name list above, keyed by its check.
