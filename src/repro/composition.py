@@ -13,9 +13,9 @@ from typing import NamedTuple, Tuple, Type
 
 from repro.exceptions import ConfigurationError, ExperimentError, ReproError
 
-FAULT_FEATURES = ("churn", "link-loss", "spikes", "corruption")
+FAULT_FEATURES = ("churn", "link-loss")
 TOPOLOGY_FEATURES = ("star", "ring", "hierarchical", "gossip")
-#: Every feature; the first eight in the order :func:`features` tests them.
+#: Every feature; the first six in the order :func:`features` tests them.
 FEATURES = (
     *FAULT_FEATURES, "compression", "population", "partial-cohort", "dropout", *TOPOLOGY_FEATURES,
     "server-round", "served", "serving-config", "lockstep-run", "resume", "quiet-gate",
@@ -29,7 +29,7 @@ def _pending(item: str, message: str) -> Refused:
 
 
 _SERVED = {
-    "churn": "worker churn", "partial-cohort": "a partial cohort", "spikes": "straggler spikes",
+    "churn": "worker churn", "partial-cohort": "a partial cohort",
     "population": "a client population", "dropout": "timeline dropout",
 }
 _SERVERLESS = Refused(ConfigurationError, "a server round needs a star or hierarchical server")
@@ -62,8 +62,7 @@ def features(cluster) -> Tuple[str, ...]:
     """The features a built :class:`~repro.distributed.cluster.SimulatedCluster` carries."""
     faults, cohort = cluster.faults, cluster.members.mask
     active = (False,) * len(FAULT_FEATURES) if faults is None else (
-        faults.churn_active, faults.loss_active, faults.straggler_active, faults.corruption_active
-    )
+        faults.churn_active, faults.loss_active)
     active += (cluster.compression is not None, cluster.population is not None,
                cohort is not None and not cohort.all(), bool(cluster.timeline.dropout_rate))
     return (cluster.fabric.topology.name, *(f for f, on in zip(FEATURES, active) if on))

@@ -272,21 +272,6 @@ class Timeline:
         if time > self.now:
             self.now = float(time)
 
-    def stall(self, seconds: float) -> None:
-        """Stretch the current round's compute critical path by ``seconds``.
-
-        Used for transient straggler spikes injected by the faults plane: the
-        spiked worker gates the lockstep barrier, so everyone waits.
-        """
-        if seconds < 0:
-            raise ConfigurationError(f"seconds must be non-negative, got {seconds}")
-        if seconds == 0.0:
-            return
-        self.now += seconds
-        self.compute_seconds += seconds
-        if self._queue:
-            self.delay_pending(seconds)
-
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -227,8 +227,8 @@ class SimulatedCluster:
     def parallel_steps(self) -> int:
         """In-parallel learning steps: the maximum steps performed by any worker.
 
-        All strategies in this library drive workers in lockstep, so this also
-        equals every individual worker's step count.
+        It is a maximum, not every worker's count: a worker that timeline
+        dropout, churn or the cohort leaves out of a round does not step.
         """
         return max(worker.steps_performed for worker in self.workers)
 
@@ -497,7 +497,6 @@ class SimulatedCluster:
             buffer_average = members.mean(self._buffer_matrix)
             self.fabric.allreduce(int(buffer_average.size), CATEGORY_MODEL)
             self._buffer_matrix[members.rows] = buffer_average
-        self._maybe_corrupt(members)
         self.synchronization_count += 1
         self._shared_parameters = average
         return average
@@ -541,19 +540,6 @@ class SimulatedCluster:
         self.faults.log.note_recovery_cost(worker_id, charge.num_bytes, charge.seconds)
         self.workers[worker_id].optimizer.zero_state()
 
-    def _maybe_spike(self, round_seconds: float) -> None:
-        """Draw and apply this round's transient straggler spike (if enabled)."""
-        if self.faults is None or not self.faults.straggler_active:
-            return
-        extra = self.faults.sample_straggler_spike(self.timeline.now, round_seconds)
-        if extra > 0.0:
-            self.timeline.stall(extra)
-
-    def _maybe_corrupt(self, receivers: Participation) -> None:
-        """Maybe corrupt the model payload the ``receivers`` got (in place)."""
-        if self.faults is not None and self.faults.corruption_active:
-            self.faults.corrupt_rows(self._param_matrix, receivers.indices(self.num_workers))
-
     # -- training helpers ----------------------------------------------------------
 
     def step_all(self, active: Optional[np.ndarray] = None) -> float:
@@ -576,8 +562,7 @@ class SimulatedCluster:
         if mask is not None and not mask.any():
             return 0.0
         mean_loss = self._engine.step_all(active=mask)
-        elapsed = self.timeline.advance_round(1, active=mask)
-        self._maybe_spike(elapsed)
+        self.timeline.advance_round(1, active=mask)
         return mean_loss
 
     def epoch_all(self, gradient_transform=None) -> float:
@@ -597,10 +582,7 @@ class SimulatedCluster:
         mean_loss = float(
             np.mean([self._engine.epoch_worker(int(row), gradient_transform) for row in rows])
         )
-        elapsed = self.timeline.advance_round(
-            max(self.workers[row].batches_per_epoch for row in rows)
-        )
-        self._maybe_spike(elapsed)
+        self.timeline.advance_round(max(self.workers[row].batches_per_epoch for row in rows))
         return mean_loss
 
     # -- evaluation -------------------------------------------------------------------

@@ -47,7 +47,10 @@ PathLike = Union[str, Path]
 #: v7: a lockstep FDA step whose rows all stay inside Θ sends no states.
 #: v8: one engine — ``WorkloadConfig.execution`` is always ``"batched"``.
 #: v9: Θ is fixed for a run — an FDA spec drops its Θ-controller entry.
-CODE_VERSION = "sweep-cache-v9"
+#: v10: a fault plan is crash, loss and a seed (seven fields and a stored fault
+#: log's spike and corruption keys gone), and a run budget's spec drops its
+#: fixed train-accuracy sample count.
+CODE_VERSION = "sweep-cache-v10"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).
@@ -214,9 +217,8 @@ class RunStore:
     killed mid-write resumes exactly at its last durable cell.
     """
 
-    def __init__(self, directory: PathLike, code_version: str = CODE_VERSION) -> None:
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
-        self.code_version = str(code_version)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._ensure_manifest()
 
@@ -248,7 +250,7 @@ class RunStore:
             {
                 "format": "repro.sweep-cache",
                 "version": 1,
-                "code_version": self.code_version,
+                "code_version": CODE_VERSION,
                 "runs_file": _RUNS_NAME,
             }
         )

@@ -19,6 +19,9 @@ from repro.exceptions import ConfigurationError
 from repro.strategies.base import Strategy
 from repro.utils.runlog import RunLogger
 
+#: Training samples the train-accuracy probe evaluates (``track_train_accuracy``).
+TRAIN_EVAL_SAMPLES = 512
+
 
 @dataclass
 class RunResult:
@@ -54,7 +57,7 @@ class RunResult:
     dtype: str = "float64"
     #: Compact label of the fault plan the run was injected with ("none"
     #: without one), and the injector's full audit log (crashes, rejoins,
-    #: per-link retransmissions, spikes) as a plain dict — see
+    #: per-link retransmissions) as a plain dict — see
     #: :class:`~repro.faults.injector.FaultLog`.
     faults: str = "none"
     fault_log: Optional[dict] = None
@@ -85,7 +88,6 @@ class TrainingRun:
         max_steps: int = 2000,
         eval_every_steps: int = 20,
         track_train_accuracy: bool = False,
-        train_eval_samples: int = 512,
         checkpoint_every: int = 0,
         checkpoint_path=None,
     ) -> None:
@@ -111,7 +113,6 @@ class TrainingRun:
         self.max_steps = int(max_steps)
         self.eval_every_steps = int(eval_every_steps)
         self.track_train_accuracy = bool(track_train_accuracy)
-        self.train_eval_samples = int(train_eval_samples)
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_path = checkpoint_path
 
@@ -128,7 +129,6 @@ class TrainingRun:
             "max_steps": self.max_steps,
             "eval_every_steps": self.eval_every_steps,
             "track_train_accuracy": self.track_train_accuracy,
-            "train_eval_samples": self.train_eval_samples,
         }
 
     def execute(
@@ -190,7 +190,7 @@ class TrainingRun:
 
         train_eval = None
         if self.track_train_accuracy and train_dataset is not None:
-            subset_size = min(self.train_eval_samples, len(train_dataset))
+            subset_size = min(TRAIN_EVAL_SAMPLES, len(train_dataset))
             train_eval = train_dataset.subset(range(subset_size), name="train-eval")
 
         last_snapshot_steps = cluster.parallel_steps

@@ -102,10 +102,9 @@ class WorkloadConfig:
     #: see :mod:`repro.backend`).
     dtype: str = "float64"
     #: Fault injection for the built cluster: a
-    #: :class:`~repro.faults.plan.FaultPlan` (worker churn, lossy links,
-    #: straggler spikes, payload corruption) or ``None``.  A null plan (all
-    #: rates zero) installs nothing — the built cluster is bit-identical to
-    #: one with no plan at all.
+    #: :class:`~repro.faults.plan.FaultPlan` (worker churn, lossy links) or
+    #: ``None``.  A null plan (all rates zero) installs nothing — the built
+    #: cluster is bit-identical to one with no plan at all.
     faults: Optional["FaultPlan"] = None
     #: Population plane: a :class:`~repro.population.config.PopulationConfig`
     #: registers ``num_clients`` logical clients multiplexed onto

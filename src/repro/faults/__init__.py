@@ -3,9 +3,8 @@
 Three pieces, layered exactly like the rest of the library:
 
 * :class:`~repro.faults.plan.FaultPlan` — frozen, seeded *description* of the
-  faults (crash/recovery renewal processes, per-link loss with retry/backoff,
-  transient straggler spikes, payload corruption).  Pure data; participates
-  in sweep cache keys.
+  faults (crash/recovery renewal processes, per-link loss with retry/backoff).
+  Pure data; participates in sweep cache keys.
 * :class:`~repro.faults.injector.FaultInjector` /
   :class:`~repro.faults.injector.FaultLog` — the mutable machinery drawing
   from the plan's own named RNG streams, plus the append-only audit log

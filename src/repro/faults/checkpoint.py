@@ -14,8 +14,8 @@ the same configuration continues the trajectory *bit-exactly*, with or without
 collective compression: the round-trip tests interrupt a run mid-flight and
 assert the continued history equals an uninterrupted run's, to the last bit.
 "The same configuration" is checked, never assumed: the header records the
-cluster's shape and the strategy's ``spec()``, and a target that differs in
-either is refused by name.
+cluster's shape, its fault plan and the strategy's ``spec()``, and a target
+that differs in any of them is refused by name.
 
 A cluster carrying a client population is refused at restore (never at
 capture or save; :mod:`repro.composition`'s population × resume row): the
@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.composition import check_composition, features
 from repro.exceptions import ExperimentError
+from repro.faults.plan import FaultPlan
 
 PathLike = Union[str, Path]
 
@@ -52,8 +53,10 @@ FORMAT = "repro.cluster_checkpoint"
 #: timeline's second communication-seconds and churn ledgers (the fabric and
 #: the fault log hold them).  Version 4 carries FDA's local states as one
 #: ``(K, s)`` table with its ``reported`` mask, and the strategy's
-#: configuration.  Any other version is refused.
-VERSION = 4
+#: configuration.  Version 5 records the fault plan in the header, and the
+#: injector state holds two streams (churn, links) and no spike or corruption
+#: log.  Any other version is refused.
+VERSION = 5
 
 
 # -- value encoding -------------------------------------------------------------
@@ -109,16 +112,20 @@ def _require_current(payload, source: str) -> None:
         )
 
 
-def _strategy_config(strategy) -> str:
-    """``strategy.spec()`` as canonical JSON: the configuration a resume must match."""
+def _canonical(config) -> str:
+    """``config`` as canonical JSON: the configuration a resume must match."""
     from repro.experiments.cache import canonical_value  # that package imports this one
 
-    return json.dumps(canonical_value(strategy.spec()), sort_keys=True)
+    return json.dumps(canonical_value(config), sort_keys=True)
 
 
-def _check_strategy(recorded: str, strategy) -> None:
-    """Refuse a strategy configured differently from the captured one, naming the fields."""
-    current = _strategy_config(strategy)
+def _fault_plan(cluster) -> str:
+    """The cluster's fault plan, canonical; a cluster without an injector runs the null plan."""
+    return _canonical(cluster.faults.plan if cluster.faults is not None else FaultPlan())
+
+
+def _check_config(what: str, recorded: str, current: str) -> None:
+    """Refuse a ``what`` configured differently from the captured one, naming the fields."""
     if current == recorded:
         return
     then, now = json.loads(recorded), json.loads(current)
@@ -133,7 +140,7 @@ def _check_strategy(recorded: str, strategy) -> None:
         if shown(then, key) != shown(now, key)
     )
     raise ExperimentError(
-        f"the checkpoint was taken from a differently configured strategy ({differences})"
+        f"the checkpoint was taken from a differently configured {what} ({differences})"
     )
 
 
@@ -159,9 +166,10 @@ class ClusterCheckpoint:
             "model_dimension": cluster.model_dimension,
             "dtype": cluster.dtype_name,
             "compression_label": cluster.compression_label,
+            "fault_plan": _fault_plan(cluster),
             **cluster.state_dict(),
             "strategy": strategy.checkpoint_state() if strategy is not None else None,
-            "strategy_config": _strategy_config(strategy) if strategy is not None else None,
+            "strategy_config": _canonical(strategy.spec()) if strategy is not None else None,
             "run_state": run_state,
         }
         return cls(payload)
@@ -201,13 +209,10 @@ class ClusterCheckpoint:
                 f"checkpoint compression {payload['compression_label']!r} != cluster "
                 f"compression {cluster.compression_label!r}"
             )
-        if (payload["injector"] is None) != (cluster.faults is None):
-            raise ExperimentError(
-                "checkpoint and cluster disagree on whether a fault plan is attached"
-            )
+        _check_config("fault plan", payload["fault_plan"], _fault_plan(cluster))
         restores_strategy = payload["strategy"] is not None and strategy is not None
         if restores_strategy:
-            _check_strategy(payload["strategy_config"], strategy)
+            _check_config("strategy", payload["strategy_config"], _canonical(strategy.spec()))
         cluster.load_state_dict(payload)
         if restores_strategy:
             strategy.restore_state(payload["strategy"])

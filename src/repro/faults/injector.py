@@ -2,9 +2,8 @@
 
 The injector is the single mutable object behind every injected fault.  It
 owns one named RNG stream per fault *category* ("faults/churn",
-"faults/links", "faults/stragglers", "faults/corruption"), created lazily
-only when that category's rate is non-zero, so enabling link loss never
-shifts the churn stream and vice versa.  Crucially, none of these streams
+"faults/links"), created lazily only when that category's rate is non-zero,
+so enabling link loss never shifts the churn stream and vice versa.  Crucially, none of these streams
 touch the training RNGs (data sampling, Dropout, initialization): a faulted
 run draws exactly the same training randomness as a fault-free one, which is
 what makes degradation attributable to the faults alone.
@@ -25,6 +24,15 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.utils.rng import RngFactory
 
+#: Retransmissions per link per collective are capped here; after the cap the
+#: transfer is assumed delivered (the simulation never deadlocks on an unlucky
+#: stream).
+MAX_RETRIES = 5
+#: Capped exponential backoff: retry *i* (0-based) waits
+#: ``min(BACKOFF_BASE_SECONDS * 2**i, BACKOFF_CAP_SECONDS)`` virtual seconds.
+BACKOFF_BASE_SECONDS = 0.1
+BACKOFF_CAP_SECONDS = 2.0
+
 
 @dataclass
 class FaultLog:
@@ -39,8 +47,6 @@ class FaultLog:
     crashes: List[Dict[str, object]] = field(default_factory=list)
     rejoins: List[Dict[str, object]] = field(default_factory=list)
     retransmissions: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    straggler_spikes: List[Dict[str, object]] = field(default_factory=list)
-    corrupted_payloads: int = 0
 
     def record_crash(self, round_index: int, worker_id: int, time: float) -> None:
         self.crashes.append(
@@ -83,13 +89,6 @@ class FaultLog:
         entry["bytes"] = int(entry["bytes"]) + int(num_bytes)
         entry["backoff_seconds"] = float(entry["backoff_seconds"]) + float(backoff_seconds)
 
-    def record_straggler_spike(
-        self, round_index: int, worker_id: int, extra_seconds: float
-    ) -> None:
-        self.straggler_spikes.append(
-            {"round": round_index, "worker": worker_id, "extra_seconds": extra_seconds}
-        )
-
     @property
     def total_retries(self) -> int:
         return sum(int(entry["retries"]) for entry in self.retransmissions.values())
@@ -116,8 +115,6 @@ class FaultLog:
             "retransmissions": {
                 link: dict(entry) for link, entry in sorted(self.retransmissions.items())
             },
-            "straggler_spikes": [dict(event) for event in self.straggler_spikes],
-            "corrupted_payloads": self.corrupted_payloads,
             "total_retries": self.total_retries,
             "retransmitted_bytes": self.retransmitted_bytes,
             "total_backoff_seconds": self.total_backoff_seconds,
@@ -130,8 +127,7 @@ class FaultInjector:
     One injector serves exactly one run.  The cluster calls
     :meth:`advance_round` once per round (before stepping) to process churn;
     the fabric calls :meth:`sample_link_retries` once per link per collective
-    while loss is active; straggler spikes and payload corruption are drawn
-    by the cluster on their own streams.
+    while loss is active.
     """
 
     def __init__(self, plan: FaultPlan, num_workers: int) -> None:
@@ -150,12 +146,6 @@ class FaultInjector:
         factory = RngFactory(plan.seed)
         self._churn_rng = factory.named("faults/churn") if plan.crash_rate > 0.0 else None
         self._links_rng = factory.named("faults/links") if plan.loss_rate > 0.0 else None
-        self._straggler_rng = (
-            factory.named("faults/stragglers") if plan.straggler_spike_rate > 0.0 else None
-        )
-        self._corruption_rng = (
-            factory.named("faults/corruption") if plan.corruption_rate > 0.0 else None
-        )
 
     # -- category activity -------------------------------------------------
 
@@ -166,14 +156,6 @@ class FaultInjector:
     @property
     def loss_active(self) -> bool:
         return self._links_rng is not None
-
-    @property
-    def straggler_active(self) -> bool:
-        return self._straggler_rng is not None
-
-    @property
-    def corruption_active(self) -> bool:
-        return self._corruption_rng is not None
 
     # -- churn --------------------------------------------------------------
 
@@ -230,61 +212,22 @@ class FaultInjector:
 
         One geometric draw models repeated independent transmission attempts
         with per-attempt loss probability ``loss_rate``; failures beyond
-        ``max_retries`` are capped (the transfer is then assumed delivered).
+        :data:`MAX_RETRIES` are capped (the transfer is then assumed delivered).
         Returns ``(retries, backoff_seconds)``.
         """
         trials = int(self._links_rng.geometric(1.0 - self.plan.loss_rate))
-        retries = min(trials - 1, self.plan.max_retries)
+        retries = min(trials - 1, MAX_RETRIES)
         backoff = sum(
-            min(self.plan.backoff_base_seconds * (2.0 ** i), self.plan.backoff_cap_seconds)
-            for i in range(retries)
+            min(BACKOFF_BASE_SECONDS * (2.0 ** i), BACKOFF_CAP_SECONDS) for i in range(retries)
         )
         return retries, backoff
-
-    # -- straggler spikes ----------------------------------------------------
-
-    def sample_straggler_spike(self, now: float, round_seconds: float) -> float:
-        """Draw this round's transient straggler spike; returns extra seconds.
-
-        With probability ``straggler_spike_rate`` one uniformly chosen worker
-        runs ``straggler_spike_factor`` times slower this round, stretching
-        the round's critical path by ``(factor - 1) * round_seconds``.
-        """
-        if self._straggler_rng.random() >= self.plan.straggler_spike_rate:
-            return 0.0
-        worker_id = int(self._straggler_rng.integers(0, self.num_workers))
-        extra = (self.plan.straggler_spike_factor - 1.0) * float(round_seconds)
-        if extra > 0.0:
-            self.log.record_straggler_spike(self.round_index, worker_id, extra)
-        return extra
-
-    # -- payload corruption --------------------------------------------------
-
-    def corrupt_rows(self, matrix: np.ndarray, rows: np.ndarray) -> int:
-        """Maybe corrupt the given rows of a broadcast payload in place.
-
-        Each listed row is independently corrupted with probability
-        ``corruption_rate`` by additive Gaussian noise of scale
-        ``corruption_scale`` (drawn in float64, cast to the matrix dtype).
-        Returns the number of corrupted rows.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        draws = self._corruption_rng.random(rows.size)
-        hit = rows[draws < self.plan.corruption_rate]
-        for row in hit:
-            noise = self._corruption_rng.normal(
-                0.0, self.plan.corruption_scale, size=matrix.shape[1]
-            )
-            matrix[int(row)] += noise.astype(matrix.dtype, copy=False)
-        self.log.corrupted_payloads += int(hit.size)
-        return int(hit.size)
 
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot of liveness, renewal deadlines, and RNG streams."""
         streams: Dict[str, Optional[dict]] = {}
-        for name in ("churn", "links", "straggler", "corruption"):
+        for name in ("churn", "links"):
             rng = getattr(self, f"_{name}_rng")
             streams[name] = rng.bit_generator.state if rng is not None else None
         return {
@@ -303,7 +246,7 @@ class FaultInjector:
         self._recovery_round[...] = np.asarray(state["recovery_round"], dtype=np.int64)
         self._crash_time[...] = np.asarray(state["crash_time"], dtype=np.float64)
         streams = state["streams"]
-        for name in ("churn", "links", "straggler", "corruption"):
+        for name in ("churn", "links"):
             rng = getattr(self, f"_{name}_rng")
             if rng is not None and streams.get(name) is not None:
                 rng.bit_generator.state = streams[name]
@@ -314,5 +257,3 @@ class FaultInjector:
         self.log.retransmissions = {
             link: dict(entry) for link, entry in log_state["retransmissions"].items()
         }
-        self.log.straggler_spikes = [dict(event) for event in log_state["straggler_spikes"]]
-        self.log.corrupted_payloads = int(log_state["corrupted_payloads"])

@@ -1,9 +1,9 @@
 """Declarative fault plans for the simulated cluster.
 
 A :class:`FaultPlan` is a frozen, seeded description of *what can go wrong*
-during a run: worker crash/recovery renewal processes, per-link message loss
-with retry/backoff, transient straggler spikes, and payload corruption.  The
-plan itself is pure data — the mutable machinery that draws from it lives in
+during a run: worker crash/recovery renewal processes and per-link message
+loss with retry/backoff.  The plan itself is pure data — the mutable
+machinery that draws from it lives in
 :class:`~repro.faults.injector.FaultInjector` — so plans can participate in
 content-addressed sweep cache keys (`repro.experiments.cache.canonical_value`
 serializes dataclasses field-by-field) and be compared or persisted cheaply.
@@ -35,46 +35,21 @@ class FaultPlan:
         round), so recoveries form a memoryless renewal process.
     loss_rate:
         Per-link, per-collective probability that a message transmission
-        fails and must be retransmitted.  Retries are drawn from a geometric
-        distribution capped at ``max_retries``.
-    max_retries:
-        Upper bound on retransmissions per link per collective.  After the
-        cap the transfer is assumed delivered (the simulation never
-        deadlocks on an unlucky stream).
-    backoff_base_seconds / backoff_cap_seconds:
-        Capped exponential backoff: retry *i* (0-based) waits
-        ``min(base * 2**i, cap)`` virtual seconds before retransmitting.
-    straggler_spike_rate:
-        Per-round probability of a transient straggler spike: one worker's
-        step takes ``straggler_spike_factor`` times longer, stretching the
-        round's critical path on the timeline.
-    straggler_spike_factor:
-        Slowdown multiplier applied to the spiked worker's step time.
-    corruption_rate:
-        Per-model-broadcast probability that a worker's received payload is
-        corrupted with additive Gaussian noise of scale ``corruption_scale``.
-    corruption_scale:
-        Standard deviation of the corruption noise.
+        fails and must be retransmitted, with capped retries and capped
+        exponential backoff (:data:`~repro.faults.injector.MAX_RETRIES`).
     seed:
         Root seed for the injector's RNG streams.  Faults draw from their
-        own named streams ("faults/churn", "faults/links", ...) so enabling
-        one fault category never perturbs another — or the training RNG.
+        own named streams ("faults/churn", "faults/links") so enabling one
+        fault category never perturbs another — or the training RNG.
     """
 
     crash_rate: float = 0.0
     recovery_rounds: float = 10.0
     loss_rate: float = 0.0
-    max_retries: int = 5
-    backoff_base_seconds: float = 0.1
-    backoff_cap_seconds: float = 2.0
-    straggler_spike_rate: float = 0.0
-    straggler_spike_factor: float = 4.0
-    corruption_rate: float = 0.0
-    corruption_scale: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "loss_rate", "straggler_spike_rate", "corruption_rate"):
+        for name in ("crash_rate", "loss_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(
@@ -84,30 +59,15 @@ class FaultPlan:
             raise ConfigurationError(
                 f"recovery_rounds must be >= 1, got {self.recovery_rounds}"
             )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.backoff_base_seconds < 0.0 or self.backoff_cap_seconds < 0.0:
-            raise ConfigurationError("backoff seconds must be non-negative")
-        if self.straggler_spike_factor < 1.0:
-            raise ConfigurationError(
-                f"straggler_spike_factor must be >= 1, got {self.straggler_spike_factor}"
-            )
-        if self.corruption_scale < 0.0:
-            raise ConfigurationError(
-                f"corruption_scale must be non-negative, got {self.corruption_scale}"
-            )
+        # One canonical form per plan: ``recovery_rounds=3`` and ``3.0`` are the
+        # same plan to a run key and to a checkpoint's plan check.
+        for name in ("crash_rate", "recovery_rounds", "loss_rate"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def is_null(self) -> bool:
         """True when the plan injects nothing (pure-observer / no-op plan)."""
-        return (
-            self.crash_rate == 0.0
-            and self.loss_rate == 0.0
-            and self.straggler_spike_rate == 0.0
-            and self.corruption_rate == 0.0
-        )
+        return self.crash_rate == 0.0 and self.loss_rate == 0.0
 
     def describe(self) -> str:
         """Compact human-readable label (used by CLI tables and logs)."""
@@ -118,8 +78,4 @@ class FaultPlan:
             parts.append(f"crash={self.crash_rate:g}/round(recover~{self.recovery_rounds:g})")
         if self.loss_rate:
             parts.append(f"loss={self.loss_rate:g}/link")
-        if self.straggler_spike_rate:
-            parts.append(f"spike={self.straggler_spike_rate:g}x{self.straggler_spike_factor:g}")
-        if self.corruption_rate:
-            parts.append(f"corrupt={self.corruption_rate:g}")
         return ",".join(parts)

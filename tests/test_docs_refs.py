@@ -1,7 +1,7 @@
 """Documentation reference checks: docs must not rot.
 
-Six guarantees, run as CI's dedicated docs job
-(``python -m pytest tests/test_docs_refs.py``):
+Six guarantees, run with the rest of ``tests/``
+(``python -m pytest tests/test_docs_refs.py`` alone):
 
 * every dotted ``repro.*`` reference in ``ARCHITECTURE.md`` and ``docs/``
   resolves — the module imports and any trailing attribute chain exists;
@@ -148,7 +148,7 @@ def test_compression_doctests_pass(module_name):
 
 
 def test_compression_package_has_doctests():
-    """The docs job must actually exercise examples, not vacuously pass."""
+    """The doctest check must actually exercise examples, not vacuously pass."""
     total = 0
     for info in pkgutil.iter_modules(repro.compression.__path__):
         module = importlib.import_module(f"repro.compression.{info.name}")

@@ -23,6 +23,7 @@ Four contracts, each load-bearing for the robustness claims:
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -43,6 +44,7 @@ from repro.experiments.run import TrainingRun
 from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimizer
 from repro.faults import ClusterCheckpoint, FaultInjector, FaultPlan
 from repro.faults.checkpoint import decode_value, encode_value
+from repro.faults.injector import BACKOFF_BASE_SECONDS, BACKOFF_CAP_SECONDS, MAX_RETRIES
 from repro.nn.architectures import transfer_head
 from repro.population import PopulationConfig
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
@@ -90,6 +92,17 @@ def _dropout_workload(blobs_workload):
 CHAOS_PLAN = FaultPlan(crash_rate=0.2, loss_rate=0.1, recovery_rounds=3, seed=7)
 
 
+PLAN_IN_CHECKPOINT = FaultPlan(crash_rate=0.1, recovery_rounds=3.0, loss_rate=0.1, seed=1)
+
+
+def _three_faulted_steps(blobs_workload):
+    """A cluster three steps into a run under :data:`PLAN_IN_CHECKPOINT`, and its checkpoint."""
+    cluster, _ = build_cluster(replace(blobs_workload, faults=PLAN_IN_CHECKPOINT))
+    for _ in range(3):
+        cluster.step_all()
+    return cluster, ClusterCheckpoint.capture(cluster)
+
+
 def _arrays(value):
     """Every array in a nested checkpoint payload."""
     if isinstance(value, np.ndarray):
@@ -107,8 +120,6 @@ class TestFaultPlan:
     def test_any_nonzero_rate_is_not_null(self):
         assert not FaultPlan(crash_rate=0.1).is_null
         assert not FaultPlan(loss_rate=0.1).is_null
-        assert not FaultPlan(straggler_spike_rate=0.1).is_null
-        assert not FaultPlan(corruption_rate=0.1).is_null
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -117,10 +128,6 @@ class TestFaultPlan:
             {"crash_rate": -0.1},
             {"loss_rate": 1.0},
             {"recovery_rounds": 0.5},
-            {"max_retries": -1},
-            {"backoff_base_seconds": -0.1},
-            {"straggler_spike_factor": 0.5},
-            {"corruption_scale": -1.0},
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):
@@ -268,12 +275,14 @@ class TestLossyLinks:
         assert result_b.comm_seconds == pytest.approx(result_a.comm_seconds + backoff)
 
     def test_retry_cap_bounds_the_surcharge(self):
-        plan = FaultPlan(loss_rate=0.5, max_retries=2, seed=1)
-        injector = FaultInjector(plan, num_workers=4)
-        for _ in range(200):
-            retries, backoff = injector.sample_link_retries()
-            assert 0 <= retries <= 2
-            assert backoff <= 2 * plan.backoff_cap_seconds
+        injector = FaultInjector(FaultPlan(loss_rate=0.9, seed=1), num_workers=4)
+        draws = [injector.sample_link_retries() for _ in range(200)]
+        assert max(retries for retries, _ in draws) == MAX_RETRIES  # the cap binds
+        for retries, backoff in draws:
+            assert 0 <= retries <= MAX_RETRIES
+            assert backoff == sum(
+                min(BACKOFF_BASE_SECONDS * 2.0**i, BACKOFF_CAP_SECONDS) for i in range(retries)
+            )
 
 
 class TestChurn:
@@ -343,30 +352,6 @@ class TestChurn:
         # The monitor kept estimating through churn: the run still evaluated
         # and synchronized without error.
         assert result.parallel_steps == 40
-
-    def test_straggler_spikes_stretch_the_clock(self, blobs_workload):
-        from repro.core.timeline import StragglerProfile
-
-        plan = FaultPlan(straggler_spike_rate=0.5, straggler_spike_factor=3.0, seed=2)
-        workload = replace(blobs_workload, compute_profile=StragglerProfile())
-        _, result_a = _execute(workload, SynchronousStrategy, max_steps=20)
-        _, result_b = _execute(
-            replace(workload, faults=plan), SynchronousStrategy, max_steps=20
-        )
-        spikes = result_b.fault_log["straggler_spikes"]
-        assert spikes
-        extra = sum(event["extra_seconds"] for event in spikes)
-        assert result_b.virtual_seconds == pytest.approx(
-            result_a.virtual_seconds + extra
-        )
-
-    def test_corruption_perturbs_but_run_completes(self, blobs_workload):
-        plan = FaultPlan(corruption_rate=0.2, corruption_scale=0.01, seed=6)
-        _, result = _execute(
-            replace(blobs_workload, faults=plan), SynchronousStrategy, max_steps=20
-        )
-        assert result.fault_log["corrupted_payloads"] > 0
-        assert np.isfinite(result.final_accuracy)
 
     def test_faults_refuse_to_combine_with_compression(self, blobs_workload):
         workload = replace(blobs_workload, compression="topk", faults=FaultPlan(crash_rate=0.1))
@@ -585,6 +570,49 @@ class TestClusterCheckpoint:
         # Refused before anything was written.
         np.testing.assert_array_equal(fresh.parameter_matrix, before)
         assert other.rounds_completed == 0
+
+    @pytest.mark.parametrize(
+        "change, shown",
+        [
+            ({"crash_rate": 0.4}, "crash_rate: 0.1 in the checkpoint, 0.4 here"),
+            ({"recovery_rounds": 5.0}, "recovery_rounds: 3.0 in the checkpoint, 5.0 here"),
+            ({"loss_rate": 0.2}, "loss_rate: 0.1 in the checkpoint, 0.2 here"),
+            ({"seed": 9}, "seed: 1 in the checkpoint, 9 here"),
+        ],
+        ids=["crash_rate", "recovery_rounds", "loss_rate", "seed"],
+    )
+    def test_restore_refuses_a_different_fault_plan(self, blobs_workload, change, shown):
+        _, checkpoint = _three_faulted_steps(blobs_workload)
+        plan = replace(PLAN_IN_CHECKPOINT, **change)
+        fresh, _ = build_cluster(replace(blobs_workload, faults=plan))
+        before = fresh.faults.state_dict()
+        with pytest.raises(
+            ExperimentError, match=rf"differently configured fault plan \({re.escape(shown)}\)$"
+        ):
+            checkpoint.restore(fresh)
+        # Refused before anything was written.
+        assert fresh.faults.state_dict() == before
+
+    @pytest.mark.parametrize("faulted", ["checkpoint", "cluster"])
+    def test_restore_refuses_a_fault_plan_only_one_side_has(self, blobs_workload, faulted):
+        # A cluster without an injector runs the null plan.
+        lossy = replace(blobs_workload, faults=FaultPlan(loss_rate=0.1, seed=1))
+        if faulted == "checkpoint":
+            source, target, shown = lossy, blobs_workload, "0.1 in the checkpoint, 0.0 here"
+        else:
+            source, target, shown = blobs_workload, lossy, "0.0 in the checkpoint, 0.1 here"
+        checkpoint = ClusterCheckpoint.capture(build_cluster(source)[0])
+        with pytest.raises(ExperimentError, match=rf"fault plan \(loss_rate: {shown};"):
+            checkpoint.restore(build_cluster(target)[0])
+
+    def test_the_same_fault_plan_restores(self, blobs_workload):
+        cluster, checkpoint = _three_faulted_steps(blobs_workload)
+        # The same plan, spelled with an integer outage length.
+        same = FaultPlan(crash_rate=0.1, recovery_rounds=3, loss_rate=0.1, seed=1)
+        fresh, _ = build_cluster(replace(blobs_workload, faults=same))
+        checkpoint.restore(fresh)
+        assert fresh.faults.state_dict() == cluster.faults.state_dict()
+        np.testing.assert_array_equal(fresh.parameter_matrix, cluster.parameter_matrix)
 
     def test_restore_names_a_field_only_the_checkpoint_has(self, blobs_workload):
         # A checkpoint whose strategy had a knob this code no longer has.

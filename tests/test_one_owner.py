@@ -11,7 +11,7 @@ was churn (the fault log and a timeline list).  Each fact has one owner now:
 
 ``FROZEN`` was recorded while the copies still existed, over FDA, Local-SGD
 with top-k + error feedback, FedAdam, FedProx and SCAFFOLD on a star and a
-two-level fabric, with and without a crash + loss + spike plan, on both
+two-level fabric, with and without a crash + loss plan, on both
 engines (the per-worker one is the test oracle now,
 ``tests/helpers/per_worker.py``); FedAdam and SCAFFOLD on a float32 plane; and the served coordinator
 open- and closed-loop on a lossy two-level fabric.  Per cell: the ``repr`` of
@@ -22,7 +22,12 @@ FDA trainer stopped sending the states of quiet steps, the four clean FDA
 cells per engine (plain and top-k, star and two-level) were re-recorded:
 their communication and virtual seconds and history digests moved, their
 parameter digests did not; the chaos cells (worker churn keeps the exchange
-on every step) did not move at all.
+on every step) did not move at all.  When straggler spikes and payload
+corruption left the fault plane, the chaos plan lost its spike rate and the
+fault log its spike and corruption entries: each chaos cell's virtual and
+compute seconds and log digest moved (no spike stalls the clock), its
+communication seconds and parameter digest did not, and each served cell
+moved its log digest alone.
 """
 
 import hashlib
@@ -57,9 +62,7 @@ TOPK_EF = CompressionConfig("topk", ratio=0.1, error_feedback=True)
 FABRICS = {"star": "star", "hier": HierarchicalTopology(group_size=2)}
 PLANS = {
     "clean": None,
-    "chaos": FaultPlan(
-        crash_rate=0.2, recovery_rounds=3, loss_rate=0.1, straggler_spike_rate=0.3, seed=7
-    ),
+    "chaos": FaultPlan(crash_rate=0.2, recovery_rounds=3, loss_rate=0.1, seed=7),
 }
 LOSSY = FaultPlan(loss_rate=0.2, seed=5)
 
@@ -156,12 +159,12 @@ FROZEN = {
         "627f81b6efbba026", "1dd73381f590440d",
     ),
     "fda/star/chaos/per-worker": (
-        "63.96513186560002", "61.0", "3.275186777599997",
-        "32b1756adbf9cd39", "5dde3b4850af7af3",
+        "36.965131865599986", "34.0", "3.275186777599997",
+        "530216447d7cbd6d", "5dde3b4850af7af3",
     ),
     "fda/star/chaos/batched": (
-        "63.96513186560002", "61.0", "3.275186777599997",
-        "32b1756adbf9cd39", "5dde3b4850af7af3",
+        "36.965131865599986", "34.0", "3.275186777599997",
+        "530216447d7cbd6d", "5dde3b4850af7af3",
     ),
     "fda/hier/clean/per-worker": (
         "24.540071936000004", "24.0", "0.540071936",
@@ -172,12 +175,12 @@ FROZEN = {
         "bd838dfb7048f7f3", "1dd73381f590440d",
     ),
     "fda/hier/chaos/per-worker": (
-        "67.3402761344", "61.0", "6.490351014399998",
-        "707d4e033f05f57f", "5dde3b4850af7af3",
+        "40.340276134400014", "34.0", "6.490351014399998",
+        "855f4d6dd8fa304e", "5dde3b4850af7af3",
     ),
     "fda/hier/chaos/batched": (
-        "67.3402761344", "61.0", "6.490351014399998",
-        "707d4e033f05f57f", "5dde3b4850af7af3",
+        "40.340276134400014", "34.0", "6.490351014399998",
+        "855f4d6dd8fa304e", "5dde3b4850af7af3",
     ),
     "fda-topk/star/clean/per-worker": (
         "24.310013260799995", "24.0", "0.31001326080000013",
@@ -220,12 +223,12 @@ FROZEN = {
         "b17da5303bf4c853", "d6f53effca8b1a30",
     ),
     "fedadam/star/chaos/per-worker": (
-        "84.365032448", "84.0", "0.48504243199999997",
-        "8284643bc7d5cae9", "0edec012982b74c0",
+        "30.365032447999997", "30.0", "0.48504243199999997",
+        "7ba5d6f644cfa472", "0edec012982b74c0",
     ),
     "fedadam/star/chaos/batched": (
-        "84.365032448", "84.0", "0.48504243199999997",
-        "8284643bc7d5cae9", "0edec012982b74c0",
+        "30.365032447999997", "30.0", "0.48504243199999997",
+        "7ba5d6f644cfa472", "0edec012982b74c0",
     ),
     "fedadam/hier/clean/per-worker": (
         "24.080039936000002", "24.0", "0.080039936",
@@ -236,12 +239,12 @@ FROZEN = {
         "32c3619d1d457e01", "d6f53effca8b1a30",
     ),
     "fedadam/hier/chaos/per-worker": (
-        "84.730064896", "84.0", "0.755077376",
-        "7495a712325078d4", "0edec012982b74c0",
+        "30.730064895999995", "30.0", "0.755077376",
+        "a7ca6e0f4adcecb0", "0edec012982b74c0",
     ),
     "fedadam/hier/chaos/batched": (
-        "84.730064896", "84.0", "0.755077376",
-        "7495a712325078d4", "0edec012982b74c0",
+        "30.730064895999995", "30.0", "0.755077376",
+        "a7ca6e0f4adcecb0", "0edec012982b74c0",
     ),
     "fedadam-topk/star/clean/per-worker": (
         "24.040004096000004", "24.0", "0.040004096",
@@ -268,12 +271,12 @@ FROZEN = {
         "37594f2e1c3ac532", "d836aaa5e595a4b9",
     ),
     "fedprox/star/chaos/per-worker": (
-        "84.365032448", "84.0", "0.48504243199999997",
-        "1cdb78c4efb73027", "d24eefe70426073a",
+        "30.365032447999997", "30.0", "0.48504243199999997",
+        "dd936849f00d8035", "d24eefe70426073a",
     ),
     "fedprox/star/chaos/batched": (
-        "84.365032448", "84.0", "0.48504243199999997",
-        "1cdb78c4efb73027", "d24eefe70426073a",
+        "30.365032447999997", "30.0", "0.48504243199999997",
+        "dd936849f00d8035", "d24eefe70426073a",
     ),
     "fedprox/hier/clean/per-worker": (
         "24.080039936000002", "24.0", "0.080039936",
@@ -284,12 +287,12 @@ FROZEN = {
         "3c2cb534c5f3dc80", "d836aaa5e595a4b9",
     ),
     "fedprox/hier/chaos/per-worker": (
-        "84.730064896", "84.0", "0.755077376",
-        "0a4e50a65d2371a3", "d24eefe70426073a",
+        "30.730064895999995", "30.0", "0.755077376",
+        "e231c9013c5b2efc", "d24eefe70426073a",
     ),
     "fedprox/hier/chaos/batched": (
-        "84.730064896", "84.0", "0.755077376",
-        "0a4e50a65d2371a3", "d24eefe70426073a",
+        "30.730064895999995", "30.0", "0.755077376",
+        "e231c9013c5b2efc", "d24eefe70426073a",
     ),
     "scaffold/star/clean/per-worker": (
         "24.040039936", "24.0", "0.040039936",
@@ -300,12 +303,12 @@ FROZEN = {
         "8a61e360d4531d16", "347790f10bd7c99a",
     ),
     "scaffold/star/chaos/per-worker": (
-        "84.36506489599999", "84.0", "0.48507488",
-        "d04ce7a0db0cc3ff", "1de48fc666af5743",
+        "30.365064896", "30.0", "0.48507488",
+        "bc2ef638f1021228", "1de48fc666af5743",
     ),
     "scaffold/star/chaos/batched": (
-        "84.36506489599999", "84.0", "0.48507488",
-        "d04ce7a0db0cc3ff", "1de48fc666af5743",
+        "30.365064896", "30.0", "0.48507488",
+        "bc2ef638f1021228", "1de48fc666af5743",
     ),
     "scaffold/hier/clean/per-worker": (
         "24.080079872", "24.0", "0.080079872",
@@ -316,12 +319,12 @@ FROZEN = {
         "202073840ee87815", "347790f10bd7c99a",
     ),
     "scaffold/hier/chaos/per-worker": (
-        "84.730129792", "84.0", "0.7551422720000001",
-        "5d026e44b9dda47c", "1de48fc666af5743",
+        "30.730129792000003", "30.0", "0.7551422720000001",
+        "9e250572a4f05a45", "1de48fc666af5743",
     ),
     "scaffold/hier/chaos/batched": (
-        "84.730129792", "84.0", "0.7551422720000001",
-        "5d026e44b9dda47c", "1de48fc666af5743",
+        "30.730129792000003", "30.0", "0.7551422720000001",
+        "9e250572a4f05a45", "1de48fc666af5743",
     ),
     "fedadam/star/clean/per-worker/float32": (
         "24.040009983999997", "24.0", "0.040009984",
@@ -332,12 +335,12 @@ FROZEN = {
         "4bf68ce2be676f5c", "b64ab2cc46c4d2a6",
     ),
     "fedadam/star/chaos/per-worker/float32": (
-        "84.365016224", "84.0", "0.48502121600000003",
-        "2c4ce3f5a76ce947", "bb5a33310eface60",
+        "30.365016223999994", "30.0", "0.48502121600000003",
+        "b952c276976103f7", "bb5a33310eface60",
     ),
     "fedadam/star/chaos/batched/float32": (
-        "84.365016224", "84.0", "0.48502121600000003",
-        "2c4ce3f5a76ce947", "bb5a33310eface60",
+        "30.365016223999994", "30.0", "0.48502121600000003",
+        "b952c276976103f7", "bb5a33310eface60",
     ),
     "scaffold/star/clean/per-worker/float32": (
         "24.040019967999996", "24.0", "0.040019968",
@@ -348,28 +351,28 @@ FROZEN = {
         "f9e11d4156d4581b", "90d1e7f05dc4a320",
     ),
     "scaffold/star/chaos/per-worker/float32": (
-        "84.365032448", "84.0", "0.48503744",
-        "f8256f5160d80d2a", "c5756ddbb706cd58",
+        "30.365032447999997", "30.0", "0.48503744",
+        "5fedc603188a4c4d", "c5756ddbb706cd58",
     ),
     "scaffold/star/chaos/batched/float32": (
-        "84.365032448", "84.0", "0.48503744",
-        "f8256f5160d80d2a", "c5756ddbb706cd58",
+        "30.365032447999997", "30.0", "0.48503744",
+        "5fedc603188a4c4d", "c5756ddbb706cd58",
     ),
     "served/poisson/per-worker": (
         "41.84212952491768", "0.0", "5.230082790399999",
-        "797235e8f921f822", "06f529c11c4b3016",
+        "a2f65f8080f0df54", "06f529c11c4b3016",
     ),
     "served/poisson/batched": (
         "41.84212952491768", "0.0", "5.230082790399999",
-        "797235e8f921f822", "06f529c11c4b3016",
+        "a2f65f8080f0df54", "06f529c11c4b3016",
     ),
     "served/closed/per-worker": (
         "17.8650853504", "16.5950004864", "5.6600878847999985",
-        "cccd5661f2c134cd", "fa65ad917ee0086a",
+        "b611cf6774f3e16d", "fa65ad917ee0086a",
     ),
     "served/closed/batched": (
         "17.8650853504", "16.5950004864", "5.6600878847999985",
-        "cccd5661f2c134cd", "fa65ad917ee0086a",
+        "b611cf6774f3e16d", "fa65ad917ee0086a",
     ),
 }
 

@@ -167,7 +167,9 @@ Public surface that nothing uses is code to keep in step for no caller, so
     names, the second engine with its knob, its per-worker step and the
     solo optimizer path that only it ran, and the cluster's charge adapters
     with the two knobs only one value reached, the strategies' topology
-    lists and the fabric spec — is spelled nowhere under ``src/``.
+    lists and the fabric spec, the fault plane's straggler spikes and payload
+    corruption with its retry knobs, and the run budget's train-accuracy
+    sample count — is spelled nowhere under ``src/``.
 
 Which planes compose was once decided in five modules, and five compositions
 were silently dropped.  Every cross-plane rule is one row of
@@ -176,15 +178,31 @@ were silently dropped.  Every cross-plane rule is one row of
 19. a ``raise`` whose message names a ROADMAP item occurs only in
     ``composition.py`` — a pending composition is a table row, not a local
     ``if``/``raise``.
+
+A config field only tests set is a knob no workload turns, and the fault plan
+once carried seven of them, so
+
+20. every field of the run-shaping config dataclasses (:data:`CONFIG_CLASSES`)
+    is passed, by keyword or by position, to its class by some call in the
+    code of ``src/``, ``bench/``, ``benchmarks/`` or ``examples/``, or sits on
+    :data:`UNSET_FIELD_ALLOWLIST` with a reason.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from repro.compression import CompressionConfig
+from repro.core.timeline import StragglerProfile
+from repro.faults import FaultPlan
+from repro.population import PopulationConfig
+from repro.serving import ServingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -910,7 +928,10 @@ def test_a_message_costs_what_its_links_carry():
 #: cluster's adapters over the fabric's collectives and the two knobs
 #: (``synchronize``'s and ``broadcast_parameters``') only one value reached; then
 #: the Θ controller, the FDA strategy's knob for it and the moving Θ it
-#: reported.  ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
+#: reported; then straggler spikes and payload corruption (the plan fields,
+#: the injector's draws, streams and log entries, the cluster's hooks and the
+#: timeline's stall) with the plan's three retry knobs, and the run budget's
+#: train-accuracy sample count.  ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
 #: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
     r"\b(LearningRateSchedule|ConstantSchedule|StepDecaySchedule|ExponentialDecaySchedule"
@@ -924,7 +945,13 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|local_epoch|SequentialEngine|ClusterEngine|build_engine|EXECUTION_MODES"
     r"|step_inplace|local_step|is_batched|charge_allreduce|charge_broadcast|charge_upload"
     r"|count_cost|include_buffers|DynamicThetaController|theta_controller"
-    r"|current_threshold|supported_topologies|fabric_sweep)\b|--execution\b"
+    r"|current_threshold|supported_topologies|fabric_sweep|straggler_spike_rate"
+    r"|straggler_spike_factor|corruption_rate|corruption_scale|max_retries"
+    r"|backoff_base_seconds|backoff_cap_seconds|sample_straggler_spike"
+    r"|record_straggler_spike|straggler_spikes|corrupt_rows|corrupted_payloads"
+    r"|straggler_active|corruption_active|_maybe_spike|_maybe_corrupt"
+    r"|train_eval_samples)\b|--execution\b|Timeline\.stall\b|\.stall\("
+    r"|faults/stragglers\b|faults/corruption\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
 )
@@ -1014,6 +1041,12 @@ UNREFERENCED_ALLOWLIST = {
 REFERENCE_ROOTS = ("src", "bench", "benchmarks", "examples")
 
 
+@lru_cache(maxsize=None)
+def _parsed(path: Path) -> ast.Module:
+    """The syntax tree of one source file, parsed once per test run."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def public_definitions(src_root: Path = SRC_ROOT):
     """``(module, qualified name)`` of every public function, class and method."""
     for path in sorted(src_root.rglob("*.py")):
@@ -1043,7 +1076,7 @@ class ModuleReferences(ast.NodeVisitor):
         self.classes = {}  # class defined here -> the names of its bases
         self.accesses = []  # (attribute, receiver name, enclosing class)
         self._enclosing = [None]
-        self.visit(ast.parse(path.read_text(encoding="utf-8")))
+        self.visit(_parsed(path))
 
     def visit_ClassDef(self, node):
         self.classes[node.name] = [ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases]
@@ -1198,3 +1231,80 @@ def test_a_package_reexport_is_not_a_caller(tmp_path):
     (examples / "demo.py").write_text("from repro.tools import Circle\n\nCircle()\n")
     assert unreferenced_public_names(tmp_path) == [("tools/shapes.py", "Square")]
 
+
+
+#: The config dataclasses whose fields shape a run.
+CONFIG_CLASSES = (FaultPlan, ServingConfig, StragglerProfile, CompressionConfig, PopulationConfig)
+CONFIG_FIELDS = [
+    f"{config.__name__}.{field.name}"
+    for config in CONFIG_CLASSES
+    for field in dataclasses.fields(config)
+]
+#: ``Class.field`` that no call under :data:`REFERENCE_ROOTS` passes, and why each stays.
+UNSET_FIELD_ALLOWLIST = {
+    "PopulationConfig.act_prob": "the Bernoulli cohort's rate, which ROADMAP item 1b's "
+    "FedDyn participation sets",
+    "CompressionConfig.seed": "seeds random-k's coordinate stream, which the workload seed "
+    "does not reach",
+}
+
+
+@lru_cache(maxsize=None)
+def fields_passed_by_callers(repo_root: Path = REPO_ROOT, configs=CONFIG_CLASSES):
+    """``Class.field`` of ``configs`` that a call under :data:`REFERENCE_ROOTS` passes.
+
+    A call counts when it names the class (``FaultPlan(...)``,
+    ``faults.FaultPlan(...)``); its positional arguments fill the fields in
+    declaration order, and its keywords name theirs.
+    """
+    fields = {config.__name__: [field.name for field in dataclasses.fields(config)]
+              for config in configs}
+    passed = set()
+    for root in REFERENCE_ROOTS:
+        for path in sorted((repo_root / root).rglob("*.py")):
+            for node in ast.walk(_parsed(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in fields:
+                    named = [keyword.arg for keyword in node.keywords if keyword.arg]
+                    passed.update(
+                        f"{callee}.{name}" for name in fields[callee][: len(node.args)] + named
+                    )
+    return frozenset(passed)
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
+def test_every_config_field_is_set_by_a_caller(field):
+    if field in UNSET_FIELD_ALLOWLIST:
+        assert field not in fields_passed_by_callers(), (
+            f"{field} has a caller now: take it off UNSET_FIELD_ALLOWLIST"
+        )
+    else:
+        assert field in fields_passed_by_callers(), (
+            f"no call under {', '.join(REFERENCE_ROOTS)} sets {field}: make it a constant, "
+            "give it a caller, or add it to UNSET_FIELD_ALLOWLIST with a reason"
+        )
+
+
+def test_a_config_field_is_set_by_keyword_or_by_position(tmp_path):
+    @dataclasses.dataclass(frozen=True)
+    class Plan:
+        rate: float = 0.0
+        rounds: int = 1
+        seed: int = 0
+        label: str = ""
+
+    examples = tmp_path / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text(
+        "from repro import plans\n"
+        "\n"
+        "# Plan(label='x') in a comment is not a call.\n"
+        "first = Plan(0.5, 3)\n"
+        "second = plans.Plan(seed=2)\n"
+        'third = "Plan(label=1)"\n'
+    )
+    assert fields_passed_by_callers(tmp_path, (Plan,)) == {
+        "Plan.rate", "Plan.rounds", "Plan.seed"
+    }
