@@ -460,13 +460,12 @@ def _command_compare(args: argparse.Namespace) -> int:
     )
     if args.dropout_rate:
         workload = replace(workload, dropout_rate=args.dropout_rate)
-    if args.crash_rate or args.loss_rate:
-        workload = replace(
-            workload,
-            faults=FaultPlan(
-                crash_rate=args.crash_rate, loss_rate=args.loss_rate, seed=args.fault_seed
-            ),
-        )
+    workload = replace(
+        workload,
+        faults=FaultPlan(
+            crash_rate=args.crash_rate, loss_rate=args.loss_rate, seed=args.fault_seed
+        ),
+    )
     if args.population:
         workload = workload.with_population(
             PopulationConfig(num_clients=args.population, cohort_size=args.cohort_size)
@@ -545,11 +544,11 @@ def _command_faults(args: argparse.Namespace) -> int:
     """Crash-rate x loss-rate degradation grid: FDA vs BSP, plus retry costs."""
     workload = _WORKLOAD_BUILDERS[args.workload](num_workers=args.workers)
     plans = []
-    rates = {}  # a plan's coordinate (its label; None for a null plan) → the rates its rows show
+    rates = {}  # a plan's coordinate (its label) → the rates its rows show
     for crash_rate, loss_rate in product(args.crash_rates, args.loss_rates):
         plan = FaultPlan(crash_rate=crash_rate, loss_rate=loss_rate, seed=args.fault_seed)
-        plans.append(None if plan.is_null else plan)
-        rates[None if plan.is_null else plan.describe()] = (crash_rate, loss_rate)
+        plans.append(plan)
+        rates[plan.describe()] = (crash_rate, loss_rate)
     cells = lower_grid(workload, _budget(args), _fda_vs_bsp(args.theta), faults=plans)
 
     def _log(point) -> dict:

@@ -67,9 +67,8 @@ class CompressionConfig:
             )
         if not 0.0 < float(self.ratio) <= 1.0:
             raise ConfigurationError(f"ratio must lie in (0, 1], got {self.ratio}")
-        # bits=1 leaves no representable quantization level (the kernel-level
-        # levels= escape hatch is not exposed here), so reject it eagerly —
-        # configs must fail where they are defined, not mid-sweep.
+        # The kernel's range, checked here too: configs must fail where they
+        # are defined, not mid-sweep.
         if not 2 <= int(self.bits) <= 32:
             raise ConfigurationError(f"bits must lie in [2, 32], got {self.bits}")
 

@@ -50,7 +50,6 @@ array([[ 0. , -3. ,  0. ,  2. ],
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -202,38 +201,30 @@ def _as_matrix(matrix: np.ndarray) -> np.ndarray:
 
 
 class QuantizationCompressor(Compressor):
-    """Uniform symmetric quantization to ``levels`` levels per sign.
+    """Uniform symmetric quantization to ``bits``-bit signed codes.
 
     Each row is scaled to its own max magnitude and rounded to the nearest of
-    ``levels`` representable magnitudes per sign; all-zero rows stay exactly
-    zero.  The payload per row is ``bits``-bit codes plus one float32 scale.
-    Quantization is idempotent: the row maximum is exactly representable, so
-    re-compressing a reconstruction reproduces it bit-for-bit.
+    ``levels = 2**(bits - 1) - 1`` representable magnitudes per sign; all-zero
+    rows stay exactly zero.  The payload per row is ``bits``-bit codes plus
+    one float32 scale.  Quantization is idempotent: the row maximum is exactly
+    representable, so re-compressing a reconstruction reproduces it
+    bit-for-bit.
 
-    >>> q = QuantizationCompressor(levels=2)
-    >>> row = np.array([[0.0, 1.0, -0.6, 0.2]])
+    >>> q = QuantizationCompressor(bits=3)
+    >>> q.levels
+    3
+    >>> row = np.array([[0.0, 1.5, -1.0, 0.4]])
     >>> q.compress_rows(row).reconstruct()
-    array([[ 0. ,  1. , -0.5,  0. ]])
+    array([[ 0. ,  1.5, -1. ,  0.5]])
     """
 
     name = "quantization"
 
-    def __init__(self, bits: int = 8, levels: Optional[int] = None) -> None:
-        if not 1 <= int(bits) <= 32:
-            raise ConfigurationError(f"bits must lie in [1, 32], got {bits}")
-        if levels is None:
-            levels = 2 ** (int(bits) - 1) - 1
-            if levels < 1:
-                raise ConfigurationError(
-                    f"bits={bits} yields no representable level; use bits >= 2 or pass levels"
-                )
-            self.bits = int(bits)
-        else:
-            if int(levels) < 1:
-                raise ConfigurationError(f"levels must be >= 1, got {levels}")
-            # Signed range −levels..levels needs ceil(log2(2·levels + 1)) bits.
-            self.bits = max(1, math.ceil(math.log2(2 * int(levels) + 1)))
-        self.levels = int(levels)
+    def __init__(self, bits: int = 8) -> None:
+        if not 2 <= int(bits) <= 32:
+            raise ConfigurationError(f"bits must lie in [2, 32], got {bits}")
+        self.bits = int(bits)
+        self.levels = 2 ** (int(bits) - 1) - 1
 
     def compress_rows(self, matrix: np.ndarray) -> RowPayloads:
         matrix = _as_matrix(matrix)
@@ -482,11 +473,9 @@ class LayerwiseTopKCompressor(TopKCompressor):
 
     name = "layerwise-topk"
 
-    def __init__(self, fraction: float = 0.1, layout: Optional[Sequence] = None) -> None:
+    def __init__(self, fraction: float = 0.1) -> None:
         super().__init__(fraction)
         self._layout: Optional[List] = None
-        if layout is not None:
-            self.bind_layout(layout)
 
     def bind_layout(self, layout: Sequence) -> None:
         layout = list(layout)

@@ -4,7 +4,8 @@ Each worker samples mini-batches of size ``b`` from its own partition
 (Algorithm 1, line 4).  :class:`BatchSampler` provides with-replacement
 sampling driven by a worker-private random generator, and
 :class:`EpochIterator` provides classic shuffled epoch iteration for the
-FedOpt baselines that train whole local epochs between rounds.
+FedOpt baselines that train whole local epochs between rounds: every sample
+once per epoch, the last batch holding the remainder.
 """
 
 from __future__ import annotations
@@ -117,35 +118,25 @@ class StackedSampler:
 class EpochIterator(_PrivateStream):
     """Iterates a dataset in shuffled, non-overlapping batches (one epoch)."""
 
-    def __init__(self, dataset: Dataset, batch_size: int, seed=None, drop_last: bool = False) -> None:
+    def __init__(self, dataset: Dataset, batch_size: int, seed=None) -> None:
         if batch_size <= 0:
             raise DataError(f"batch_size must be positive, got {batch_size}")
         if len(dataset) == 0:
             raise DataError("cannot iterate an empty dataset")
         self.dataset = dataset
         self.batch_size = int(batch_size)
-        self.drop_last = bool(drop_last)
         self._rng = as_rng(seed)
 
     @property
     def batches_per_epoch(self) -> int:
         """Number of batches yielded by one full pass."""
-        full, remainder = divmod(len(self.dataset), self.batch_size)
-        if remainder and not self.drop_last:
-            return full + 1
-        return max(1, full)
+        return -(-len(self.dataset) // self.batch_size)
 
     def epoch(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield one epoch of shuffled batches."""
         order = self._rng.permutation(len(self.dataset))
-        end = len(order)
-        if self.drop_last:
-            end = (len(order) // self.batch_size) * self.batch_size
-            end = max(end, self.batch_size) if len(order) >= self.batch_size else len(order)
-        for start in range(0, end, self.batch_size):
+        for start in range(0, len(order), self.batch_size):
             indices = order[start : start + self.batch_size]
-            if self.drop_last and indices.shape[0] < self.batch_size:
-                break
             yield self.dataset.x[indices], self.dataset.y[indices]
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

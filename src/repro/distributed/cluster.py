@@ -54,7 +54,6 @@ from repro.distributed.participation import Participation
 from repro.distributed.topology import Fabric, Topology, get_topology
 from repro.distributed.worker import Worker
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
 
 #: Traffic categories used by the tracker.
 CATEGORY_MODEL = "model-sync"
@@ -94,7 +93,6 @@ class SimulatedCluster:
     def __init__(
         self,
         workers: Sequence[Worker],
-        loss: Optional[Loss] = None,
         topology: Union[str, Topology, None] = None,
         network: Union[str, NetworkModel, None] = None,
         timeline: Optional["Timeline"] = None,
@@ -145,7 +143,6 @@ class SimulatedCluster:
         )
         # The fabric owns the tracker; bench/workloads.py reads it here.
         self.tracker = self.fabric.tracker
-        self.loss = loss or SoftmaxCrossEntropy()
         self.synchronization_count = 0
         # The cluster-wide parameter plane: one contiguous (K, d) matrix whose
         # rows ARE the workers' parameter vectors (each model's flat storage is
@@ -598,7 +595,7 @@ class SimulatedCluster:
         if self._evaluation_model.num_buffers:
             self._evaluation_model.set_buffers(self.average_buffers())
         return self._evaluation_model.evaluate(
-            dataset.x, dataset.y, loss=self.loss, batch_size=batch_size
+            dataset.x, dataset.y, batch_size=batch_size
         )
 
     def __repr__(self) -> str:

@@ -27,10 +27,11 @@ trainer — and every model runs on it:
 * **RNG-stateful layers** (``Dropout``): the batched kernels replay each
   worker's private mask stream (see :class:`~repro.nn.batched.BatchedDropout`).
 * **Heterogeneous workers**: optimizer hyper-parameters (learning rate,
-  momentum, weight decay, betas) may differ per worker — they become per-row
+  momentum, weight decay) may differ per worker — they become per-row
   broadcast columns inside the stacked update.  *Structural* differences
-  (model architecture, optimizer type, Nesterov vs classical momentum, loss
-  configuration, batch size) are refused at construction.
+  (model architecture, optimizer type, Nesterov vs classical momentum, batch
+  size) are refused at construction; every worker trains the one loss,
+  softmax cross-entropy.
 * **Per-worker driving**: :meth:`BatchedEngine.step_worker` and
   :meth:`BatchedEngine.epoch_worker` run single-row slices of the same
   batched kernels (the server strategies' local epochs); served events are
@@ -164,7 +165,6 @@ class BatchedEngine:
             cluster.model_dimension,
             dtype=cluster.dtype,
         )
-        self._loss = reference.loss
         # Masked-path scratch (lazy: full-participation runs never pay for it).
         self._param_scratch: Optional[np.ndarray] = None
         self._grad_scratch: Optional[np.ndarray] = None
@@ -190,8 +190,7 @@ class BatchedEngine:
         """
         signature = []
         config_attrs = (
-            "units", "filters", "kernel_size", "stride", "padding_mode",
-            "pool_size", "use_bias", "momentum", "epsilon",
+            "units", "filters", "kernel_size", "stride", "padding_mode", "pool_size",
         )
         for layer in layers:
             entry = [type(layer).__name__, tuple(layer.output_shape)]
@@ -210,10 +209,10 @@ class BatchedEngine:
         """Workers must be *structurally* interchangeable.
 
         Scalar optimizer hyper-parameters (learning rate, momentum, weight
-        decay, betas) may differ per worker — the stacked optimizer carries
-        them as per-row columns.  What must match is everything that changes
-        the shape of the computation itself: the model architecture, the
-        optimizer type, the loss configuration, and the batch size.
+        decay) may differ per worker — the stacked optimizer carries them as
+        per-row columns.  What must match is everything that changes the
+        shape of the computation itself: the model architecture, the
+        optimizer type and the batch size.
         """
         problems: List[str] = []
         if BatchedEngine._model_signature(worker.model.layers) != BatchedEngine._model_signature(
@@ -225,10 +224,6 @@ class BatchedEngine:
                 f"optimizer type {type(worker.optimizer).__name__} != "
                 f"{type(reference.optimizer).__name__}"
             )
-        if type(worker.loss) is not type(reference.loss) or vars(worker.loss) != vars(
-            reference.loss
-        ):
-            problems.append("loss configuration differs")
         if worker.batch_size != reference.batch_size:
             problems.append(
                 f"batch_size {worker.batch_size} != {reference.batch_size}"
@@ -292,7 +287,7 @@ class BatchedEngine:
                 cluster.buffer_matrix, rows, axis=0,
                 out=self._buffer_scratch[:count], mode="clip",
             )
-        losses = model.train_batch(x, y, self._loss, rows=rows)
+        losses = model.train_batch(x, y, rows=rows)
         bad = np.flatnonzero(~np.isfinite(losses))
         if bad.size:
             # The stacked pass only touched the scratch block: live
@@ -339,7 +334,7 @@ class BatchedEngine:
             if self._buffer_rollback is None:
                 self._buffer_rollback = np.empty_like(buffer_matrix)
             self._buffer_rollback[...] = buffer_matrix
-        losses = self._model.train_batch(x, y, self._loss)
+        losses = self._model.train_batch(x, y)
         bad = np.flatnonzero(~np.isfinite(losses))
         if bad.size:
             if has_buffers:

@@ -23,7 +23,6 @@ import numpy as np
 from repro.data.datasets import Dataset
 from repro.data.loaders import BatchSampler, EpochIterator
 from repro.exceptions import ConfigurationError
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.base import Optimizer
 from repro.utils.rng import as_rng
@@ -39,7 +38,6 @@ class Worker:
         dataset: Dataset,
         optimizer: Optimizer,
         batch_size: int = 32,
-        loss: Optional[Loss] = None,
         seed=None,
     ) -> None:
         if worker_id < 0:
@@ -51,7 +49,6 @@ class Worker:
         self.dataset = dataset
         self.optimizer = optimizer
         self.batch_size = int(batch_size)
-        self.loss = loss or SoftmaxCrossEntropy()
         self._sampler = BatchSampler(dataset, batch_size, seed=seed)
         self._epoch_iterator = EpochIterator(dataset, batch_size, seed=seed)
         self.steps_performed = 0

@@ -30,6 +30,8 @@ import hashlib
 import inspect
 import json
 import os
+from functools import lru_cache
+from numbers import Integral
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -50,7 +52,11 @@ PathLike = Union[str, Path]
 #: v10: a fault plan is crash, loss and a seed (seven fields and a stored fault
 #: log's spike and corruption keys gone), and a run budget's spec drops its
 #: fixed train-accuracy sample count.
-CODE_VERSION = "sweep-cache-v10"
+#: v11: one loss and fixed constants — a workload drops its ``loss`` field, a
+#: model digest its layers' bias switch and batch-norm constants, an optimizer
+#: its betas, epsilon and name; Synchronous's spec gains ``tau``; an int in a
+#: float field is written as a float; a null fault plan is ``None``.
+CODE_VERSION = "sweep-cache-v11"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).
@@ -75,11 +81,21 @@ def _array_token(array: np.ndarray) -> Dict[str, object]:
     }
 
 
+@lru_cache(maxsize=None)
+def _float_fields(cls: type) -> frozenset:
+    """The fields of dataclass ``cls`` annotated ``float``."""
+    return frozenset(
+        field.name for field in dataclasses.fields(cls) if field.type in (float, "float")
+    )
+
+
 def canonical_value(value: Any, depth: int = 0) -> Any:
     """Reduce ``value`` to a deterministic JSON-compatible structure.
 
     Primitives pass through, numpy scalars unwrap, arrays become content
-    digests, dataclasses and mappings recurse field-wise, and arbitrary
+    digests, dataclasses and mappings recurse field-wise (an int in a
+    ``float`` field is written as the float it equals, so ``rate=1`` and
+    ``rate=1.0`` are one configuration), and arbitrary
     objects fall back to their class name plus their public attributes
     (objects exposing ``spec()`` or ``describe()`` use those instead).
     Callables reduce to their qualified name — factories must therefore be
@@ -97,10 +113,13 @@ def canonical_value(value: Any, depth: int = 0) -> Any:
     if isinstance(value, bytes):
         return {"__bytes__": hashlib.sha256(value).hexdigest()}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            field.name: canonical_value(getattr(value, field.name), depth + 1)
-            for field in dataclasses.fields(value)
-        }
+        floats = _float_fields(type(value))
+        fields = {}
+        for field in dataclasses.fields(value):
+            item = getattr(value, field.name)
+            if field.name in floats and isinstance(item, Integral) and not isinstance(item, bool):
+                item = float(item)
+            fields[field.name] = canonical_value(item, depth + 1)
         return {"__class__": type(value).__name__, **fields}
     if isinstance(value, dict):
         return {

@@ -25,7 +25,6 @@ from repro.distributed.topology import Topology
 from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.adam import Adam, AdamW
 from repro.optim.base import Optimizer
@@ -77,7 +76,6 @@ class WorkloadConfig:
     batch_size: int = 32
     partition_scheme: str = "iid"
     partition_kwargs: Dict[str, object] = field(default_factory=dict)
-    loss: Optional[Loss] = None
     #: Fabric configuration: a topology name (``"star"``, ``"ring"``,
     #: ``"hierarchical"``, ``"gossip"``) or instance, and a network-model name
     #: (``"fl"``, ``"hpc"``, ``"balanced"``, ``"none"``) or instance.
@@ -103,8 +101,8 @@ class WorkloadConfig:
     dtype: str = "float64"
     #: Fault injection for the built cluster: a
     #: :class:`~repro.faults.plan.FaultPlan` (worker churn, lossy links) or
-    #: ``None``.  A null plan (all rates zero) installs nothing — the built
-    #: cluster is bit-identical to one with no plan at all.
+    #: ``None``.  A null plan (all rates zero) installs nothing, so it is
+    #: stored as ``None``: the run and its run key are those of no plan.
     faults: Optional["FaultPlan"] = None
     #: Population plane: a :class:`~repro.population.config.PopulationConfig`
     #: registers ``num_clients`` logical clients multiplexed onto
@@ -140,6 +138,8 @@ class WorkloadConfig:
         self.compression = get_compression(self.compression)
         self.dtype = resolve_dtype(self.dtype).name
         self.dropout_rate = float(self.dropout_rate)
+        if self.faults is not None and self.faults.is_null:
+            self.faults = None
         if self.population is not None and self.num_workers != self.population.cohort_size:
             raise ConfigurationError(
                 f"population workloads need num_workers == cohort_size "
@@ -394,7 +394,6 @@ def build_cluster(
             **config.partition_kwargs,
         )
     pooled_models = setup.worker_models(config) if setup is not None else None
-    loss = config.loss or SoftmaxCrossEntropy()
     workers = []
     for worker_id, shard in enumerate(shards):
         model = pooled_models[worker_id] if pooled_models else config.model_factory()
@@ -406,7 +405,6 @@ def build_cluster(
                 shard,
                 optimizer,
                 batch_size=config.batch_size,
-                loss=loss,
                 seed=rng_factory.worker(worker_id),
             )
         )
@@ -420,7 +418,6 @@ def build_cluster(
         )
     cluster = SimulatedCluster(
         workers,
-        loss=loss,
         topology=config.topology,
         network=config.network,
         timeline=timeline,

@@ -59,10 +59,6 @@ class FaultPlan:
             raise ConfigurationError(
                 f"recovery_rounds must be >= 1, got {self.recovery_rounds}"
             )
-        # One canonical form per plan: ``recovery_rounds=3`` and ``3.0`` are the
-        # same plan to a run key and to a checkpoint's plan check.
-        for name in ("crash_rate", "recovery_rounds", "loss_rate"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def is_null(self) -> bool:

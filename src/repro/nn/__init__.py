@@ -28,10 +28,7 @@ from repro.nn.layers import (
     MaxPool2D,
     TransitionDown,
 )
-from repro.nn.losses import (
-    Loss,
-    SoftmaxCrossEntropy,
-)
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.batched import BatchedModel, BatchedPlane
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
@@ -61,7 +58,6 @@ __all__ = [
     "Activation",
     "DenseBlock",
     "TransitionDown",
-    "Loss",
     "SoftmaxCrossEntropy",
     "accuracy",
     "Sequential",

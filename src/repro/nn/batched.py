@@ -63,7 +63,7 @@ from repro.nn.layers import (
     MaxPool2D,
     TransitionDown,
 )
-from repro.nn.losses import Loss
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.plane import SlotLayout
 
@@ -185,23 +185,19 @@ class BatchedDense(BatchedKernel):
     def __init__(self, layer: Dense, params, grads, buffers) -> None:
         super().__init__(layer, params, grads, buffers)
         self.activation = layer.activation
-        self.use_bias = layer.use_bias
-        self.weight = params[0]
-        self.grad_weight = grads[0]
-        self.bias = params[1] if layer.use_bias else None
-        self.grad_bias = grads[1] if layer.use_bias else None
+        self.weight, self.bias = params
+        self.grad_weight, self.grad_bias = grads
         # Hot-path view caches: the plane's storage never moves after engine
         # construction, so the transposed-weight and broadcast-bias views can
         # be built once instead of per step.
         self._weight_T = self.weight.transpose(0, 2, 1)
-        self._bias_row = self.bias[:, None, :] if layer.use_bias else None
+        self._bias_row = self.bias[:, None, :]
         self._cache_x: Optional[np.ndarray] = None
         self._cache_act: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         pre = np.matmul(x, self.weight)
-        if self.use_bias:
-            pre += self._bias_row  # fresh matmul output: in-place add is safe
+        pre += self._bias_row  # fresh matmul output: in-place add is safe
         out = self.activation.forward(pre)
         if training:
             self._cache_x = x
@@ -211,8 +207,7 @@ class BatchedDense(BatchedKernel):
     def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
         grad_pre = self.activation.gradient(grad_output, self._cache_act)
         np.matmul(self._cache_x.transpose(0, 2, 1), grad_pre, out=self.grad_weight)
-        if self.use_bias:
-            grad_pre.sum(axis=1, out=self.grad_bias)
+        grad_pre.sum(axis=1, out=self.grad_bias)
         return np.matmul(grad_pre, self._weight_T) if input_gradient else None
 
 
@@ -227,17 +222,14 @@ class BatchedConv2D(BatchedKernel):
     def __init__(self, layer: Conv2D, params, grads, buffers) -> None:
         super().__init__(layer, params, grads, buffers)
         self.activation = layer.activation
-        self.use_bias = layer.use_bias
         self.kernel_size = layer.kernel_size
         self.stride = layer.stride
         self.padding = layer._padding_amount
         self.filters = layer.filters
-        self.weight = params[0]
-        self.grad_weight = grads[0]
-        self.bias = params[1] if layer.use_bias else None
-        self.grad_bias = grads[1] if layer.use_bias else None
+        self.weight, self.bias = params
+        self.grad_weight, self.grad_bias = grads
         self._weight_T = self.weight.transpose(0, 2, 1)
-        self._bias_row = self.bias[:, None, :] if layer.use_bias else None
+        self._bias_row = self.bias[:, None, :]
         self._cache_columns: Optional[np.ndarray] = None
         self._cache_folded_shape: Optional[Tuple[int, int, int, int]] = None
         self._cache_out_hw: Optional[Tuple[int, int]] = None
@@ -252,8 +244,7 @@ class BatchedConv2D(BatchedKernel):
         fan_in = columns.shape[1]
         stacked = columns.reshape(num_workers, batch * out_h * out_w, fan_in)
         pre = np.matmul(stacked, self.weight)
-        if self.use_bias:
-            pre += self._bias_row  # fresh matmul output: in-place add is safe
+        pre += self._bias_row  # fresh matmul output: in-place add is safe
         pre = pre.reshape(num_workers, batch, out_h, out_w, self.filters)
         out = self.activation.forward(pre)
         if training:
@@ -271,8 +262,7 @@ class BatchedConv2D(BatchedKernel):
         np.matmul(
             self._cache_columns.transpose(0, 2, 1), grad_matrix, out=self.grad_weight
         )
-        if self.use_bias:
-            grad_matrix.sum(axis=1, out=self.grad_bias)
+        grad_matrix.sum(axis=1, out=self.grad_bias)
         if not input_gradient:
             return None
         grad_columns = np.matmul(grad_matrix, self._weight_T)
@@ -573,9 +563,9 @@ class BatchedModel:
     # method, so every public one is entered and left on the calling thread.
     forward, backward = _forward, _backward
 
-    def _train(self, x, y, loss: Loss, rows) -> np.ndarray:
+    def _train(self, x, y, rows) -> np.ndarray:
         outputs = self._forward(x, True, rows)
-        losses, grad = loss.batched_gradient(outputs, y)
+        losses, grad = SoftmaxCrossEntropy.batched_gradient(outputs, y)
         self._backward(grad, input_gradient=False)
         return losses
 
@@ -592,7 +582,6 @@ class BatchedModel:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        loss: Loss,
         rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One stacked forward/backward; returns the per-row losses.
@@ -611,10 +600,10 @@ class BatchedModel:
         count = self.num_workers
         shards = row_shards(count, -(-self.plane.param_matrix.shape[1] // len(self.kernels)))
         if shards == 1:
-            return self._train(x, y, loss, rows)
+            return self._train(x, y, rows)
         ids = np.arange(count) if rows is None else np.asarray(rows)
         shard_args = [
-            (self._shard_model(start, stop), x[start:stop], y[start:stop], loss, ids[start:stop])
+            (self._shard_model(start, stop), x[start:stop], y[start:stop], ids[start:stop])
             for start, stop in shard_bounds(count, shards)
         ]
         return np.concatenate(run_shards(BatchedModel._train, shard_args))

@@ -81,9 +81,8 @@ class Layer:
     # -- owned arrays ---------------------------------------------------------
     #
     # A layer says what it owns once: the names of its trainable arrays (each
-    # ``name`` has its gradient in ``_grad_<name>``; ``bias`` is owned only
-    # with ``use_bias``) and of its non-trainable buffers, in flat-vector
-    # order.  A composite owns nothing itself: it builds its ``_children``.
+    # ``name`` has its gradient in ``_grad_<name>``) and of its non-trainable
+    # buffers, in flat-vector order.  A composite owns nothing itself: it builds its ``_children``.
 
     PARAMETERS: Tuple[str, ...] = ()
     BUFFERS: Tuple[str, ...] = ()
@@ -109,7 +108,7 @@ class Layer:
         The :class:`~repro.nn.plane.ParameterPlane` uses these to replace the
         layer's arrays with views into the model's contiguous flat vector.
         """
-        own = [(self, name) for name in self.PARAMETERS if name != "bias" or self.use_bias]
+        own = [(self, name) for name in self.PARAMETERS]
         return own + [ref for child in self.sublayers() for ref in child.parameter_refs()]
 
     def gradient_refs(self) -> List[ArrayRef]:
@@ -194,7 +193,6 @@ class Dense(Layer):
         self,
         units: int,
         activation=None,
-        use_bias: bool = True,
         kernel_initializer="glorot_uniform",
         name: Optional[str] = None,
     ) -> None:
@@ -203,7 +201,6 @@ class Dense(Layer):
             raise ConfigurationError(f"units must be positive, got {units}")
         self.units = int(units)
         self.activation: ActivationFunction = get_activation(activation)
-        self.use_bias = bool(use_bias)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self._cache_x: Optional[np.ndarray] = None
         self._cache_act: Optional[np.ndarray] = None
@@ -217,9 +214,8 @@ class Dense(Layer):
         fan_out = self.units
         self.weight = self.kernel_initializer((fan_in, fan_out), fan_in, fan_out, rng)
         self._grad_weight = np.zeros_like(self.weight)
-        if self.use_bias:
-            self.bias = zeros_init((fan_out,), fan_in, fan_out, rng)
-            self._grad_bias = np.zeros_like(self.bias)
+        self.bias = zeros_init((fan_out,), fan_in, fan_out, rng)
+        self._grad_bias = np.zeros_like(self.bias)
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -229,9 +225,7 @@ class Dense(Layer):
                 f"Dense {self.name!r} expected input of shape (N, {self.weight.shape[0]}), "
                 f"got {x.shape}"
             )
-        pre = x @ self.weight
-        if self.use_bias:
-            pre = pre + self.bias
+        pre = x @ self.weight + self.bias
         out = self.activation.forward(pre)
         if training:
             self._cache_x = x
@@ -247,8 +241,7 @@ class Dense(Layer):
             )
         grad_pre = self.activation.gradient(grad_output, self._cache_act)
         self._grad_weight[...] = self._cache_x.T @ grad_pre
-        if self.use_bias:
-            self._grad_bias[...] = grad_pre.sum(axis=0)
+        self._grad_bias[...] = grad_pre.sum(axis=0)
         return grad_pre @ self.weight.T if input_gradient else None
 
     def _fresh_reset(self) -> None:
@@ -268,7 +261,6 @@ class Conv2D(Layer):
         stride: int = 1,
         padding: str = "same",
         activation=None,
-        use_bias: bool = True,
         kernel_initializer="glorot_uniform",
         name: Optional[str] = None,
     ) -> None:
@@ -286,7 +278,6 @@ class Conv2D(Layer):
         self.stride = int(stride)
         self.padding_mode = padding
         self.activation: ActivationFunction = get_activation(activation)
-        self.use_bias = bool(use_bias)
         self.kernel_initializer = get_initializer(kernel_initializer)
         self._padding_amount = 0
         self._cache_columns: Optional[np.ndarray] = None
@@ -312,9 +303,8 @@ class Conv2D(Layer):
         # (kh*kw*cin, filters): one GEMM column block per filter.
         self.weight = self.kernel_initializer((fan_in, self.filters), fan_in, fan_out, rng)
         self._grad_weight = np.zeros_like(self.weight)
-        if self.use_bias:
-            self.bias = zeros_init((self.filters,), fan_in, fan_out, rng)
-            self._grad_bias = np.zeros_like(self.bias)
+        self.bias = zeros_init((self.filters,), fan_in, fan_out, rng)
+        self._grad_bias = np.zeros_like(self.bias)
         return (out_h, out_w, self.filters)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -327,10 +317,7 @@ class Conv2D(Layer):
         columns, (out_h, out_w) = im2col(
             x, self.kernel_size, self.kernel_size, self.stride, self._padding_amount
         )
-        pre = columns @ self.weight
-        if self.use_bias:
-            pre = pre + self.bias
-        pre = pre.reshape(x.shape[0], out_h, out_w, self.filters)
+        pre = (columns @ self.weight + self.bias).reshape(x.shape[0], out_h, out_w, self.filters)
         out = self.activation.forward(pre)
         if training:
             self._cache_columns = columns
@@ -349,8 +336,7 @@ class Conv2D(Layer):
         batch = self._cache_input_shape[0]
         grad_matrix = grad_pre.reshape(batch * grad_pre.shape[1] * grad_pre.shape[2], self.filters)
         self._grad_weight[...] = self._cache_columns.T @ grad_matrix
-        if self.use_bias:
-            self._grad_bias[...] = grad_matrix.sum(axis=0)
+        self._grad_bias[...] = grad_matrix.sum(axis=0)
         if not input_gradient:
             return None
         grad_columns = grad_matrix @ self.weight.T
@@ -598,17 +584,12 @@ class BatchNorm(Layer):
 
     PARAMETERS = ("gamma", "beta")
     BUFFERS = ("running_mean", "running_var")
+    #: Running-statistics decay and variance floor, the same for every run.
+    momentum = 0.9
+    epsilon = 1e-5
 
-    def __init__(
-        self, momentum: float = 0.9, epsilon: float = 1e-5, name: Optional[str] = None
-    ) -> None:
+    def __init__(self, name: Optional[str] = None) -> None:
         super().__init__(name)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {momentum}")
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
         self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _build(self, input_shape: Shape, rng: np.random.Generator) -> Shape:

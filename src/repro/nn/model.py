@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import ModelNotBuiltError, ShapeError
 from repro.nn.layers import Layer
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.plane import ParameterPlane
 from repro.utils.rng import as_rng
@@ -122,12 +122,10 @@ class Sequential:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        loss: Optional[Loss] = None,
         batch_size: int = 256,
     ) -> Tuple[float, float]:
         """Return ``(mean loss, accuracy)`` on a dataset, in inference mode."""
         self._require_built()
-        loss = loss or SoftmaxCrossEntropy()
         x = np.asarray(x, dtype=self._plane.dtype)
         y = np.asarray(y)
         if x.shape[0] != y.shape[0]:
@@ -142,7 +140,7 @@ class Sequential:
             batch_x = x[start : start + batch_size]
             batch_y = y[start : start + batch_size]
             outputs = self.forward(batch_x, training=False)
-            total_loss += loss.value(outputs, batch_y) * batch_x.shape[0]
+            total_loss += SoftmaxCrossEntropy.value(outputs, batch_y) * batch_x.shape[0]
             correct_weighted += accuracy(outputs, batch_y) * batch_x.shape[0]
         return total_loss / x.shape[0], correct_weighted / x.shape[0]
 

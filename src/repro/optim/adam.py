@@ -9,34 +9,25 @@ AdamW extends it with the decay term.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.optim.base import Optimizer, check_beta
+from repro.optim.base import Optimizer
 
 
 class Adam(Optimizer):
     """Adam with bias-corrected first/second moments (Kingma & Ba defaults)."""
 
+    name = "adam"
+    #: The moment decays and the denominator's floor, the same for every run.
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-7
     _columns = ("beta1", "beta2", "epsilon")
     _state_names = ("m", "v")
 
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-7,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, name)
-        self.beta1 = check_beta(beta1, "beta1")
-        self.beta2 = check_beta(beta2, "beta2")
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        self.epsilon = float(epsilon)
+    def __init__(self, learning_rate: float = 0.001) -> None:
+        super().__init__(learning_rate)
 
     def _update_rows(self, workspace, params, grads, state, columns, timesteps):
         # The moment updates land in the rows' own state blocks and every
@@ -83,18 +74,11 @@ class Adam(Optimizer):
 class AdamW(Adam):
     """Adam with decoupled weight decay (the ConvNeXt fine-tuning optimizer)."""
 
+    name = "adamw"
     _columns = Adam._columns + ("weight_decay",)
 
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        weight_decay: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-7,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, beta1, beta2, epsilon, name)
+    def __init__(self, learning_rate: float = 0.001, weight_decay: float = 0.01) -> None:
+        super().__init__(learning_rate)
         if weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
         self.weight_decay = float(weight_decay)

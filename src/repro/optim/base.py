@@ -73,13 +73,12 @@ class Optimizer:
     #: allocates the union over its rows.
     _state_names: Tuple[str, ...] = ()
 
-    def __init__(self, learning_rate: float = 0.01, name: Optional[str] = None) -> None:
+    def __init__(self, learning_rate: float = 0.01) -> None:
         if not isinstance(learning_rate, Real) or isinstance(learning_rate, bool):
             raise ConfigurationError(f"learning_rate must be a number, got {learning_rate!r}")
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = float(learning_rate)
-        self.name = name or type(self).__name__.lower()
         self.step_count = 0
         # What an optimizer holds of its stack: its row's blocks of the state
         # matrices (None until a stack binds it) — never the stack itself, so

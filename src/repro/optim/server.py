@@ -30,11 +30,10 @@ class ServerOptimizer:
     and returns the new global parameters.
     """
 
-    def __init__(self, learning_rate: float = 1.0, name: Optional[str] = None) -> None:
+    def __init__(self, learning_rate: float = 1.0) -> None:
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = float(learning_rate)
-        self.name = name or type(self).__name__.lower()
         self._round_count = 0
 
     @property
@@ -124,13 +123,10 @@ class FedAvgM(ServerOptimizer):
     The paper uses server momentum 0.9 and server learning rate 0.316.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 0.316,
-        momentum: float = 0.9,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, name)
+    name = "fedavgm"
+
+    def __init__(self, learning_rate: float = 0.316, momentum: float = 0.9) -> None:
+        super().__init__(learning_rate)
         self.momentum = check_beta(momentum, "momentum")
         self._velocity: Optional[np.ndarray] = None
 
@@ -154,17 +150,13 @@ class FedAvgM(ServerOptimizer):
 class FedAdam(ServerOptimizer):
     """FedAdam (Reddi et al.), the paper's Adam-family FedOpt baseline."""
 
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.99,
-        tau: float = 1e-3,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(learning_rate, name)
-        self.beta1 = check_beta(beta1, "beta1")
-        self.beta2 = check_beta(beta2, "beta2")
+    name = "fedadam"
+    #: The server moments' decays, the same for every run.
+    beta1 = 0.9
+    beta2 = 0.99
+
+    def __init__(self, learning_rate: float = 0.01, tau: float = 1e-3) -> None:
+        super().__init__(learning_rate)
         if tau <= 0:
             raise ConfigurationError(f"tau (adaptivity) must be positive, got {tau}")
         self.tau = float(tau)

@@ -9,7 +9,7 @@ arithmetic is written once, as the ``(A, d)`` row rule
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.optim.base import Optimizer, check_beta
 class SGD(Optimizer):
     """SGD, optionally with classical or Nesterov momentum and L2 weight decay."""
 
+    name = "sgd"
     _columns = ("momentum", "weight_decay")
 
     def __init__(
@@ -28,9 +29,8 @@ class SGD(Optimizer):
         momentum: float = 0.0,
         nesterov: bool = False,
         weight_decay: float = 0.0,
-        name: Optional[str] = None,
     ) -> None:
-        super().__init__(learning_rate, name)
+        super().__init__(learning_rate)
         self.momentum = check_beta(momentum, "momentum") if momentum else 0.0
         self.nesterov = bool(nesterov)
         if self.nesterov and self.momentum == 0.0:

@@ -398,25 +398,21 @@ def serve_workload(
     threshold: float,
     num_updates: int,
     variant: str = "linear",
-    serving: Optional[ServingConfig] = None,
 ) -> ServingReport:
     """Build a workload's cluster, serve ``num_updates`` through it, report.
 
-    ``serving`` defaults to ``workload.serving``; passing an explicit config
-    overrides it.  This is the entry point the ``cli serve``
-    command and the serving benchmark's run table lower onto.
+    The workload's ``serving`` config drives the run.  This is the entry
+    point the ``cli serve`` command and the serving benchmark's run table
+    lower onto.
     """
     from repro.experiments.setup import build_cluster
 
-    config = serving if serving is not None else getattr(workload, "serving", None)
-    if config is None:
-        raise ConfigurationError(
-            "workload has no serving config; set WorkloadConfig.serving or pass one"
-        )
+    if workload.serving is None:
+        raise ConfigurationError("workload has no serving config; set WorkloadConfig.serving")
     cluster, _ = build_cluster(workload)
     monitor = make_monitor(variant, cluster.model_dimension, seed=workload.seed)
     trainer = ServedFDATrainer(
-        cluster, monitor, threshold, config, seed=workload.seed
+        cluster, monitor, threshold, workload.serving, seed=workload.seed
     )
     trainer.serve_updates(num_updates)
     return trainer.report()

@@ -9,29 +9,20 @@ right: low computation, very high communication).
 
 from __future__ import annotations
 
-from repro.distributed.cluster import SimulatedCluster
-from repro.strategies.base import Strategy
+from repro.strategies.local_sgd import LocalSGDStrategy
 
 
-class SynchronousStrategy(Strategy):
-    """BSP training: one local step, then a full model AllReduce, every round.
+class SynchronousStrategy(LocalSGDStrategy):
+    """BSP training: Local-SGD with τ = 1, reported under its own name.
 
-    The local step goes through ``cluster.step_all`` and therefore through the
-    cluster's engine: all participating worker steps of a round run as one
-    vectorized pass.
-
-    Partial participation (a timeline with ``dropout_rate > 0``) is sampled
-    per round: dropped workers skip the local step but still contribute their
-    (stale) model to the AllReduce — BSP's synchronization is unconditional,
-    so the quorum change affects compute only, never the byte ledger.  With
-    the default timeline no mask is drawn and behaviour is bit-identical to
-    the mask-free protocol.
+    One local step through ``cluster.step_all`` (all participating workers in
+    one vectorized pass), then a full model AllReduce, every round.  Dropped
+    workers (a timeline with ``dropout_rate > 0``) skip the step but still
+    contribute their stale model to the AllReduce, so the quorum change
+    affects compute only, never the byte ledger.
     """
 
     name = "Synchronous"
 
-    def _run_round(self, cluster: SimulatedCluster) -> float:
-        active = cluster.timeline.sample_participation()
-        mean_loss = cluster.step_all(active=active)
-        cluster.synchronize()
-        return mean_loss
+    def __init__(self) -> None:
+        super().__init__(tau=1)

@@ -34,7 +34,7 @@ import numpy as np
 from repro.distributed.cluster import SimulatedCluster
 from repro.exceptions import TrainingError
 from repro.nn.layers import Conv2D, Dense
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.base import Optimizer, StackedOptimizer
 
@@ -53,11 +53,10 @@ def backward(model: Sequential, grad_output: np.ndarray, input_gradient: bool = 
     return grad
 
 
-def train_batch(model: Sequential, x, y, loss: Optional[Loss] = None) -> float:
+def train_batch(model: Sequential, x, y) -> float:
     """One forward/backward pass of a lone model; gradients are left in its layers."""
-    loss = loss or SoftmaxCrossEntropy()
     outputs = model.forward(x, training=True)
-    loss_value, grad = loss.gradient(outputs, y)
+    loss_value, grad = SoftmaxCrossEntropy.gradient(outputs, y)
     backward(model, grad, input_gradient=False)
     return loss_value
 
@@ -104,7 +103,7 @@ class PerWorkerLoop:
 
     def _train(self, worker, batch_x, batch_y, transform=None) -> float:
         """Forward, backward and the row's optimizer update on one mini-batch."""
-        loss_value = train_batch(worker.model, batch_x, batch_y, worker.loss)
+        loss_value = train_batch(worker.model, batch_x, batch_y)
         if not np.isfinite(loss_value):
             raise TrainingError(
                 f"worker {worker.worker_id}: loss became non-finite ({loss_value}); "

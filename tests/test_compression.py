@@ -4,7 +4,7 @@ Five groups:
 
 * **Kernel edge cases** — k ≥ d top-k (dense fallback, exact reconstruction),
   all-zero inputs, quantization idempotence (decompress∘compress is a fixed
-  point) at levels 2 / 4 / 256, layer-wise budgets, random-k determinism, and
+  point) at 2 / 3 / 9 bits, layer-wise budgets, random-k determinism, and
   the legacy single-vector API.
 * **Row-at-a-time selection** — hypothesis-driven over tie-heavy inputs: a
   row's payload does not depend on which rows share the call, the kept set is
@@ -109,11 +109,11 @@ class TestTopK:
 
 
 class TestQuantization:
-    @pytest.mark.parametrize("levels", [2, 4, 256])
-    def test_decompress_compress_is_idempotent(self, levels):
-        rng = np.random.default_rng(levels)
+    @pytest.mark.parametrize("bits", [2, 3, 9])
+    def test_decompress_compress_is_idempotent(self, bits):
+        rng = np.random.default_rng(bits)
         matrix = rng.normal(size=(4, 65)) * rng.choice([1e-6, 1.0, 1e4], size=(4, 1))
-        compressor = QuantizationCompressor(levels=levels)
+        compressor = QuantizationCompressor(bits=bits)
         once = compressor.compress_rows(matrix).reconstruct()
         twice = compressor.compress_rows(once).reconstruct()
         np.testing.assert_array_equal(once, twice)
@@ -130,7 +130,7 @@ class TestQuantization:
 
     def test_row_maximum_is_exactly_preserved(self):
         matrix = np.array([[0.3, -0.1, 0.05]])
-        recon = QuantizationCompressor(levels=4).compress_rows(matrix).reconstruct()
+        recon = QuantizationCompressor(bits=3).compress_rows(matrix).reconstruct()
         assert recon[0, 0] == 0.3
 
     def test_transmitted_elements_count_level_bytes_not_dense(self):
@@ -139,10 +139,9 @@ class TestQuantization:
         assert QuantizationCompressor(bits=8).transmitted_elements(0) == 0
 
     def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            QuantizationCompressor(bits=0)
-        with pytest.raises(ConfigurationError):
-            QuantizationCompressor(levels=0)
+        for bits in (0, 1, 33):
+            with pytest.raises(ConfigurationError, match=r"\[2, 32\]"):
+                QuantizationCompressor(bits=bits)
 
 
 class TestRandomK:
@@ -180,12 +179,17 @@ class TestSign:
 class TestLayerwiseTopK:
     LAYOUT = [SlotLayout(0, 8, (8,)), SlotLayout(8, 2, (2,)), SlotLayout(10, 10, (10,))]
 
+    def bound(self):
+        compressor = LayerwiseTopKCompressor(0.5)
+        compressor.bind_layout(self.LAYOUT)
+        return compressor
+
     def test_every_layer_keeps_its_own_budget(self):
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(3, 20))
         # Make one layer dominate in magnitude; global top-k would starve the rest.
         matrix[:, :8] *= 100.0
-        compressor = LayerwiseTopKCompressor(0.5, layout=self.LAYOUT)
+        compressor = self.bound()
         recon = compressor.compress_rows(matrix).reconstruct()
         for slot in self.LAYOUT:
             block = recon[:, slot.offset : slot.offset + slot.size]
@@ -197,12 +201,12 @@ class TestLayerwiseTopK:
             LayerwiseTopKCompressor(0.5).compress_rows(np.ones((1, 4)))
 
     def test_mismatched_layout_is_a_shape_error(self):
-        compressor = LayerwiseTopKCompressor(0.5, layout=self.LAYOUT)
+        compressor = self.bound()
         with pytest.raises(ShapeError):
             compressor.compress_rows(np.ones((1, 4)))
 
     def test_transmitted_elements_sum_per_layer_budgets(self):
-        compressor = LayerwiseTopKCompressor(0.5, layout=self.LAYOUT)
+        compressor = self.bound()
         # 8·0.5=4 pairs, 2·0.5=1 pair (capped at size 2), 10·0.5=5 pairs.
         assert compressor.transmitted_elements(20) == 2 * 4 + 2 * 1 + 2 * 5
 

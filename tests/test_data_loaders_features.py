@@ -50,11 +50,6 @@ class TestEpochIterator:
         iterator = EpochIterator(data, batch_size=10)
         assert iterator.batches_per_epoch == 6  # 57 samples -> 5 full + 1 partial
 
-    def test_drop_last(self, data):
-        iterator = EpochIterator(data, batch_size=10, drop_last=True, seed=0)
-        sizes = [y.shape[0] for _, y in iterator.epoch()]
-        assert all(size == 10 for size in sizes)
-
     def test_shuffling_differs_across_epochs(self, data):
         iterator = EpochIterator(data, batch_size=57, seed=0)
         first = next(iter(iterator.epoch()))[1]

@@ -81,9 +81,10 @@ class TestDense:
         assert layer.num_parameters == 4 * 7 + 7
 
     def test_forward_matches_matrix_product(self):
-        layer = build(Dense(3, use_bias=False), (2,))
+        layer = build(Dense(3), (2,))
+        layer.bias[...] = [0.5, -1.0, 2.0]
         x = np.array([[1.0, 2.0]])
-        np.testing.assert_allclose(layer.forward(x), x @ layer.weight)
+        np.testing.assert_allclose(layer.forward(x), x @ layer.weight + layer.bias)
 
     def test_input_gradient(self):
         layer = build(Dense(5, activation="tanh"), (3,))
@@ -123,10 +124,11 @@ class TestConv2D:
         assert layer.output_shape == (3, 3, 2)
 
     def test_forward_known_value(self):
-        layer = build(Conv2D(1, kernel_size=2, padding="valid", use_bias=False), (2, 2, 1))
+        layer = build(Conv2D(1, kernel_size=2, padding="valid"), (2, 2, 1))
         layer.weight[...] = np.ones_like(layer.weight)
+        layer.bias[...] = 0.5
         x = np.arange(4, dtype=np.float64).reshape(1, 2, 2, 1)
-        np.testing.assert_allclose(layer.forward(x), [[[[6.0]]]])
+        np.testing.assert_allclose(layer.forward(x), [[[[6.5]]]])
 
     def test_input_gradient(self):
         layer = build(Conv2D(3, kernel_size=3, padding="same", activation="tanh"), (5, 5, 2))
@@ -282,15 +284,16 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
 
     def test_running_statistics_move_toward_batch(self):
-        layer = build(BatchNorm(momentum=0.5), (4,))
+        layer = build(BatchNorm(), (4,))
         x = np.full((16, 4), 2.0)
         layer.forward(x, training=True)
-        np.testing.assert_allclose(layer.running_mean, 1.0)  # 0.5*0 + 0.5*2
+        np.testing.assert_allclose(layer.running_mean, 0.2)  # 0.9*0 + 0.1*2
 
     def test_inference_uses_running_statistics(self):
-        layer = build(BatchNorm(momentum=0.0), (2,))
+        layer = build(BatchNorm(), (2,))
         train_x = np.random.default_rng(1).normal(loc=3.0, size=(100, 2))
-        layer.forward(train_x, training=True)
+        for _ in range(100):  # the running statistics converge to the batch's
+            layer.forward(train_x, training=True)
         out = layer.forward(train_x, training=False)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=0.1)
 

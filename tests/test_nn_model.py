@@ -97,12 +97,11 @@ class TestTrainingAndEvaluation:
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
         model = mlp(4, 2, hidden_units=(8,), seed=0)
         optimizer = Adam(0.01)
-        loss = SoftmaxCrossEntropy()
-        initial = model.evaluate(x, y, loss)[0]
+        initial = model.evaluate(x, y)[0]
         for _ in range(60):
-            train_batch(model, x, y, loss)
+            train_batch(model, x, y)
             model.set_parameters(solo_step(optimizer, model.get_parameters(), model.gradients_view()))
-        final_loss, final_accuracy = model.evaluate(x, y, loss)
+        final_loss, final_accuracy = model.evaluate(x, y)
         assert final_loss < initial
         assert final_accuracy > 0.9
 
@@ -154,7 +153,6 @@ class TestTrainingFormsNoInputGradient:
         model, input_shape = self.build(first, dtype)
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(5,) + input_shape), rng.integers(0, 3, size=5)
-        loss = SoftmaxCrossEntropy()
         folds = mock.Mock(side_effect=layers_module.col2im)
         monkeypatch.setattr(layers_module, "col2im", folds)
         spied = model.layers[0 if first != "flatten" else 1]
@@ -162,14 +160,14 @@ class TestTrainingFormsNoInputGradient:
         spied.weight.tracked = True
         TransposeSpy.reads = 0
 
-        _, grad = loss.gradient(model.forward(x, training=True), y)
+        _, grad = SoftmaxCrossEntropy.gradient(model.forward(x, training=True), y)
         input_gradient = backward(model, grad)
         assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
         assert (TransposeSpy.reads, folds.call_count) == (1, int(first == "conv"))
         reference = model.gradients_view().copy()
 
         model.gradients_view()[...] = 0.0
-        train_batch(model, x, y, loss)
+        train_batch(model, x, y)
         assert model.gradients_view().tobytes() == reference.tobytes()
         # A Dense or Conv2D first layer formed no W.T product and folded no
         # columns; behind a Flatten the Dense differentiates as it always did.
@@ -195,7 +193,6 @@ class TestTrainingFormsNoInputGradient:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 5) + input_shape).astype(dtype)
         y = rng.integers(0, 3, size=(2, 5))
-        loss = SoftmaxCrossEntropy()
         folds = mock.Mock(side_effect=batched_module.col2im)
         monkeypatch.setattr(batched_module, "col2im", folds)
         spied = 0 if first != "flatten" else 1
@@ -214,18 +211,20 @@ class TestTrainingFormsNoInputGradient:
             return sum(any(b is operand for operand in ours) for b in operands)
 
         monkeypatch.setattr(np, "matmul", spy)
-        _, grad = loss.batched_gradient(batched.forward(x, training=True, rows=rows), y)
+        _, grad = SoftmaxCrossEntropy.batched_gradient(
+            batched.forward(x, training=True, rows=rows), y
+        )
         input_gradient = batched.backward(grad)
         assert input_gradient.shape == x.shape and input_gradient.dtype == dtype
         assert (products(), folds.call_count) == (1, int(first == "conv"))
         reference = matrices[1].copy()
         # Row for row, the stacked gradients are the per-worker oracle's.
         for row, worker_x, worker_y, stacked in zip(rows, x, y, reference):
-            train_batch(workers[row], worker_x, worker_y, loss)
+            train_batch(workers[row], worker_x, worker_y)
             np.testing.assert_allclose(stacked, workers[row].gradients_view(), rtol=1e-4, atol=1e-6)
 
         matrices[1][...] = 0.0
-        batched.train_batch(x, y, loss, rows=rows)
+        batched.train_batch(x, y, rows=rows)
         assert matrices[1].tobytes() == reference.tobytes()
         # Each shard's kernel forms its input gradient once, unless it is first.
         assert len(batched._shard_models) == (2 if sharded else 0)

@@ -13,7 +13,6 @@ from helpers.per_worker import solo_step, train_batch
 
 from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head, vgg_mini
 from repro.nn.layers import BatchNorm, Dense, Dropout
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.optim.adam import Adam, AdamW
 from repro.optim.sgd import SGD
@@ -21,12 +20,11 @@ from repro.optim.sgd import SGD
 
 def memorize(model, x, y, optimizer, steps=120):
     """Train on the full (tiny) batch repeatedly; return (first_loss, last_loss)."""
-    loss = SoftmaxCrossEntropy()
-    first = model.evaluate(x, y, loss)[0]
+    first = model.evaluate(x, y)[0]
     for _ in range(steps):
-        train_batch(model, x, y, loss)
+        train_batch(model, x, y)
         model.set_parameters(solo_step(optimizer, model.get_parameters(), model.gradients_view()))
-    last, accuracy = model.evaluate(x, y, loss)
+    last, accuracy = model.evaluate(x, y)
     return first, last, accuracy
 
 
@@ -93,7 +91,7 @@ class TestRegularizationBehaviour:
 
     def test_batchnorm_inference_consistent_after_training(self):
         model = Sequential(
-            [Dense(8, activation="relu"), BatchNorm(momentum=0.5), Dense(2)]
+            [Dense(8, activation="relu"), BatchNorm(), Dense(2)]
         ).build((4,), seed=0)
         optimizer = Adam(0.01)
         rng = np.random.default_rng(1)

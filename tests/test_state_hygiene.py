@@ -168,8 +168,10 @@ Public surface that nothing uses is code to keep in step for no caller, so
     solo optimizer path that only it ran, and the cluster's charge adapters
     with the two knobs only one value reached, the strategies' topology
     lists and the fabric spec, the fault plane's straggler spikes and payload
-    corruption with its retry knobs, and the run budget's train-accuracy
-    sample count — is spelled nowhere under ``src/``.
+    corruption with its retry knobs, the run budget's train-accuracy
+    sample count, and the loss seam with its label smoothing, the layers'
+    bias switch and the epoch loader's ``drop_last`` — is spelled nowhere
+    under ``src/``.
 
 Which planes compose was once decided in five modules, and five compositions
 were silently dropped.  Every cross-plane rule is one row of
@@ -179,12 +181,17 @@ were silently dropped.  Every cross-plane rule is one row of
     ``composition.py`` — a pending composition is a table row, not a local
     ``if``/``raise``.
 
-A config field only tests set is a knob no workload turns, and the fault plan
-once carried seven of them, so
+A config field or constructor parameter only tests set is a knob no workload
+turns.  The fault plan once carried seven of them, and a loss seam, bias-free
+layers, ``drop_last``, quantization levels and the Adam / batch-norm constants
+rode on constructors, so
 
-20. every field of the run-shaping config dataclasses (:data:`CONFIG_CLASSES`)
-    is passed, by keyword or by position, to its class by some call in the
-    code of ``src/``, ``bench/``, ``benchmarks/`` or ``examples/``, or sits on
+20. every constructor parameter of the run-shaping classes
+    (:data:`CONFIG_CLASSES`: the config dataclasses' fields, the workload, the
+    loss, layers, loaders, compressors, optimizers, server-round strategies,
+    worker and cluster) is passed, by keyword, by position or through an
+    unpacked dict literal, to its class by some call in the code of ``src/``,
+    ``bench/``, ``benchmarks/`` or ``examples/``, or sits on
     :data:`UNSET_FIELD_ALLOWLIST` with a reason.
 """
 
@@ -192,17 +199,29 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import re
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from repro.compression import CompressionConfig
+from repro.compression import CompressionConfig, LayerwiseTopKCompressor, QuantizationCompressor
 from repro.core.timeline import StragglerProfile
+from repro.data.loaders import EpochIterator
+from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.worker import Worker
+from repro.experiments.setup import WorkloadConfig
 from repro.faults import FaultPlan
+from repro.nn.layers import BatchNorm, Conv2D, Dense
+from repro.nn.losses import SoftmaxCrossEntropy
+from repro.optim.adam import Adam, AdamW
+from repro.optim.server import FedAdam, FedAvgM
+from repro.optim.sgd import SGD
 from repro.population import PopulationConfig
 from repro.serving import ServingConfig
+from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
+from repro.strategies.fedopt import FedOptStrategy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -950,7 +969,8 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|backoff_base_seconds|backoff_cap_seconds|sample_straggler_spike"
     r"|record_straggler_spike|straggler_spikes|corrupt_rows|corrupted_payloads"
     r"|straggler_active|corruption_active|_maybe_spike|_maybe_corrupt"
-    r"|train_eval_samples)\b|--execution\b|Timeline\.stall\b|\.stall\("
+    r"|train_eval_samples|Loss|label_smoothing|_target_distribution|use_bias|drop_last"
+    r")\b|--execution\b|Timeline\.stall\b|\.stall\("
     r"|faults/stragglers\b|faults/corruption\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
@@ -1233,43 +1253,107 @@ def test_a_package_reexport_is_not_a_caller(tmp_path):
 
 
 
-#: The config dataclasses whose fields shape a run.
-CONFIG_CLASSES = (FaultPlan, ServingConfig, StragglerProfile, CompressionConfig, PopulationConfig)
+#: The classes whose constructor parameters shape a run: the config
+#: dataclasses (a dataclass's parameters are its fields), the workload, the
+#: loss, the layers, the epoch loader, the compressors, the local and server
+#: optimizers, the server-round strategies, and the worker and cluster that
+#: ``build_cluster`` assembles.
+CONFIG_CLASSES = (
+    FaultPlan, ServingConfig, StragglerProfile, CompressionConfig, PopulationConfig,
+    WorkloadConfig, SoftmaxCrossEntropy, Dense, Conv2D, BatchNorm, EpochIterator,
+    QuantizationCompressor, LayerwiseTopKCompressor, Adam, AdamW, SGD, FedAdam, FedAvgM,
+    FedOptStrategy, FedProxStrategy, ScaffoldStrategy, Worker, SimulatedCluster,
+)
+
+
+def constructor_parameters(cls):
+    """The names ``cls(...)`` takes, in order (``*args`` / ``**kwargs`` aside)."""
+    return [
+        parameter.name
+        for parameter in inspect.signature(cls).parameters.values()
+        if parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+    ]
+
+
 CONFIG_FIELDS = [
-    f"{config.__name__}.{field.name}"
-    for config in CONFIG_CLASSES
-    for field in dataclasses.fields(config)
+    f"{config.__name__}.{name}" for config in CONFIG_CLASSES for name in constructor_parameters(config)
 ]
-#: ``Class.field`` that no call under :data:`REFERENCE_ROOTS` passes, and why each stays.
+#: ``Class.parameter`` that no call under :data:`REFERENCE_ROOTS` passes, and why each stays.
 UNSET_FIELD_ALLOWLIST = {
     "PopulationConfig.act_prob": "the Bernoulli cohort's rate, which ROADMAP item 1b's "
     "FedDyn participation sets",
     "CompressionConfig.seed": "seeds random-k's coordinate stream, which the workload seed "
     "does not reach",
+    "FedProxStrategy.local_epochs": "ROADMAP item 1b's FedDyn baseline runs E = 5 local "
+    "epochs (SNIPPETS.md, fl_main)",
+    "ScaffoldStrategy.local_epochs": "ROADMAP item 1b's FedDyn baseline runs E = 5 local "
+    "epochs (SNIPPETS.md, fl_main)",
+    "SGD.weight_decay": "the L2 term of the paper's DenseNet recipe (1e-4, optim/sgd.py), "
+    "asked for as make_optimizer('sgd-nm', weight_decay=...)",
+    "WorkloadConfig.dropout_rate": "set with dataclasses.replace (the CLI's --dropout-rate)",
+    "WorkloadConfig.compression": "set with dataclasses.replace and as a lower_grid axis "
+    "(the CLI's --compression, the registry's compression grids, bench overrides)",
+    "WorkloadConfig.population": "set by with_population, which keeps num_workers equal "
+    "to the cohort size",
+    "WorkloadConfig.compute_profile": "no caller under these roots: straggler profiles reach "
+    "runs through ServedFDATrainer(profile=); a FOUND item in CHANGES.md",
 }
+
+
+def _dict_keys(node, displays):
+    """The constant keys of a dict display or ``dict(...)`` call, following
+    ``**name`` entries to the displays ``displays`` maps names to."""
+    if isinstance(node, ast.Name):
+        node = displays.get(node.id)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        return [keyword.arg for keyword in node.keywords if keyword.arg]
+    if not isinstance(node, ast.Dict):
+        return []
+    keys = []
+    for key, value in zip(node.keys, node.values):
+        if key is None:
+            keys += _dict_keys(value, displays)
+        elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.append(key.value)
+    return keys
 
 
 @lru_cache(maxsize=None)
 def fields_passed_by_callers(repo_root: Path = REPO_ROOT, configs=CONFIG_CLASSES):
-    """``Class.field`` of ``configs`` that a call under :data:`REFERENCE_ROOTS` passes.
+    """``Class.parameter`` of ``configs`` that a call under :data:`REFERENCE_ROOTS` passes.
 
     A call counts when it names the class (``FaultPlan(...)``,
-    ``faults.FaultPlan(...)``); its positional arguments fill the fields in
-    declaration order, and its keywords name theirs.
+    ``faults.FaultPlan(...)``); its positional arguments fill the parameters
+    in declaration order, and its keywords name theirs.  A ``**`` argument
+    names the keys of the dict it unpacks when that is a literal display or
+    ``dict(...)`` call, or a name one is assigned to in the same file.
     """
-    fields = {config.__name__: [field.name for field in dataclasses.fields(config)]
-              for config in configs}
+    parameters = {config.__name__: constructor_parameters(config) for config in configs}
     passed = set()
     for root in REFERENCE_ROOTS:
         for path in sorted((repo_root / root).rglob("*.py")):
-            for node in ast.walk(_parsed(path)):
+            tree = _parsed(path)
+            displays = {
+                target.id: node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if callee in fields:
-                    named = [keyword.arg for keyword in node.keywords if keyword.arg]
+                if callee in parameters:
+                    named = [
+                        name
+                        for keyword in node.keywords
+                        for name in (
+                            [keyword.arg] if keyword.arg else _dict_keys(keyword.value, displays)
+                        )
+                    ]
                     passed.update(
-                        f"{callee}.{name}" for name in fields[callee][: len(node.args)] + named
+                        f"{callee}.{name}" for name in parameters[callee][: len(node.args)] + named
                     )
     return frozenset(passed)
 
@@ -1307,4 +1391,25 @@ def test_a_config_field_is_set_by_keyword_or_by_position(tmp_path):
     )
     assert fields_passed_by_callers(tmp_path, (Plan,)) == {
         "Plan.rate", "Plan.rounds", "Plan.seed"
+    }
+
+
+def test_a_constructor_parameter_is_set_through_an_unpacked_dict(tmp_path):
+    class Optimizer:
+        def __init__(self, rate=0.1, momentum=0.0, decay=0.0, nesterov=False, name=None):
+            del rate, momentum, decay, nesterov, name
+
+    examples = tmp_path / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text(
+        "def factory(**kwargs):\n"
+        '    defaults = {"momentum": 0.9}\n'
+        "    return Optimizer(**{**defaults, **kwargs})\n"
+        "\n"
+        'first = Optimizer(**{"rate": 0.5, **dict(decay=0.1)})\n'
+        "options = dict(nesterov=True)\n"
+        "second = Optimizer(**options)\n"
+    )
+    assert fields_passed_by_callers(tmp_path, (Optimizer,)) == {
+        "Optimizer.rate", "Optimizer.momentum", "Optimizer.decay", "Optimizer.nesterov"
     }

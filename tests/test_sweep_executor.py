@@ -38,7 +38,6 @@ from repro.experiments.sweep import lower_grid, run_grid
 from repro.faults import FaultPlan
 from repro.nn.architectures import mlp, transfer_head
 from repro.nn.layers import BatchNorm, Dense, Dropout
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.plane import ParameterPlane
 from repro.population import PopulationConfig
@@ -99,9 +98,6 @@ FIELD_ALTERNATIVES = {
     "batch_size": st.integers(1, 64).filter(lambda b: b != 16),
     "partition_scheme": st.sampled_from(["noniid-fraction", "noniid-label", "dirichlet"]),
     "partition_kwargs": st.sampled_from([{"fraction": 0.5}, {"alpha": 0.3}, {"label": 1}]),
-    "loss": st.sampled_from(
-        [SoftmaxCrossEntropy(label_smoothing=0.1), SoftmaxCrossEntropy(label_smoothing=0.2)]
-    ),
     "topology": st.sampled_from(
         ["ring", "hierarchical", "gossip", HierarchicalTopology(2), GossipTopology(3, 2)]
     ),
@@ -120,6 +116,34 @@ FIELD_ALTERNATIVES = {
     ),
     "serving": st.floats(0.1, 4.0).map(lambda rate: ServingConfig(arrival_rate=rate)),
     "seed": st.integers(1, 10_000),
+}
+
+
+#: A legal int spelling of every ``float`` field of the run-shaping
+#: dataclasses, keyed ``Class.field``.
+INT_SPELLINGS = {
+    "ServingConfig.arrival_rate": 2,
+    "ServingConfig.poly_alpha": 1,
+    "ServingConfig.service_seconds": 2,
+    "CompressionConfig.ratio": 1,
+    "PopulationConfig.act_prob": 1,
+    "StragglerProfile.base_step_seconds": 2,
+    "StragglerProfile.straggler_fraction": 1,
+    "StragglerProfile.straggler_factor": 3,
+    "StragglerProfile.jitter": 0,
+    "FaultPlan.crash_rate": 0,
+    "FaultPlan.recovery_rounds": 3,
+    "FaultPlan.loss_rate": 0,
+    "WorkloadConfig.dropout_rate": 0,
+}
+#: How a workload carries each config class: its field and the config's
+#: other arguments (a fault plan must stay non-null to be carried at all).
+CARRIERS = {
+    ServingConfig: ("serving", {}),
+    CompressionConfig: ("compression", {}),
+    PopulationConfig: ("population", {"num_clients": 20, "cohort_size": 4}),
+    StragglerProfile: ("compute_profile", {}),
+    FaultPlan: ("faults", {"crash_rate": 0.1, "loss_rate": 0.1}),
 }
 
 
@@ -249,6 +273,43 @@ class TestRunKeys:
         assert key(topology=HierarchicalTopology(group_size=2)) != key(topology="hierarchical")
         assert key(network="fl") != key(network="hpc")
         assert len({key(topology=name) for name in ("star", "ring", "hierarchical", "gossip")}) == 4
+
+    def test_every_float_field_has_an_int_spelling(self):
+        float_fields = {
+            f"{config.__name__}.{spec.name}"
+            for config in (*CARRIERS, WorkloadConfig)
+            for spec in fields(config)
+            if spec.type in (float, "float")
+        }
+        assert set(INT_SPELLINGS) == float_fields
+
+    @pytest.mark.parametrize("field", sorted(INT_SPELLINGS))
+    def test_an_int_in_a_float_field_is_the_key_of_its_float(self, field):
+        """``rate=1`` and ``rate=1.0`` compare equal, so they are one run."""
+        class_name, name = field.split(".")
+        executor = SweepExecutor()
+
+        def key(value):
+            if class_name == "WorkloadConfig":
+                return executor.run_key(make_cell(build_workload(**{name: value})))
+            config = next(config for config in CARRIERS if config.__name__ == class_name)
+            carrier, arguments = CARRIERS[config]
+            spelled = config(**{**arguments, name: value})
+            return executor.run_key(make_cell(build_workload(**{carrier: spelled})))
+
+        value = INT_SPELLINGS[field]
+        assert key(value) == key(float(value))
+
+    def test_a_null_fault_plan_is_no_plan(self):
+        """A null plan installs nothing, whatever its seed: the run of no plan."""
+        executor = SweepExecutor()
+
+        def key(faults):
+            return executor.run_key(make_cell(build_workload(faults=faults)))
+
+        assert build_workload(faults=FaultPlan(seed=7)).faults is None
+        assert key(FaultPlan()) == key(FaultPlan(seed=7, recovery_rounds=3)) == key(None)
+        assert key(FaultPlan(crash_rate=0.1)) != key(None)
 
     def test_strategy_and_run_changes_change_key(self):
         executor = SweepExecutor()
