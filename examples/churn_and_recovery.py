@@ -102,7 +102,7 @@ def main() -> None:
 
     # -- 3. interrupt, restore, continue — bit-exactly ---------------------
     with tempfile.TemporaryDirectory() as tmp:
-        snapshot = Path(tmp) / "checkpoint.json"
+        snapshot = Path(tmp) / "checkpoint.ckpt"
         # "Crash" the driver at 40 steps, snapshotting every 20.
         run_once(workload, max_steps=40, checkpoint_every=20, checkpoint_path=snapshot)
         # A fresh process would do exactly this: rebuild, restore, continue.

@@ -1,15 +1,15 @@
 """Run-level checkpoint/restore for the whole training plane.
 
 A :class:`ClusterCheckpoint` captures everything a
-:class:`~repro.experiments.run.TrainingRun` mutates while training as one JSON
-document.  It enumerates none of it: the cluster serialises itself
+:class:`~repro.experiments.run.TrainingRun` mutates while training as one file.
+It enumerates none of it: the cluster serialises itself
 (:meth:`SimulatedCluster.state_dict
 <repro.distributed.cluster.SimulatedCluster.state_dict>` — all K worker slots,
 the shared model, collective compression, timeline, fabric ledgers, fault
 injector, each saved by the object that owns it), the strategy its protocol
 state (``checkpoint_state``), and the run loop hands over its own counters.
-This module adds the header, the compatibility checks, the bit-exact encoding
-and the atomic file.  Restoring into a freshly constructed cluster/strategy of
+This module adds the header, the compatibility checks, the file format
+and the atomic write.  Restoring into a freshly constructed cluster/strategy of
 the same configuration continues the trajectory *bit-exactly*, with or without
 collective compression: the round-trip tests interrupt a run mid-flight and
 assert the continued history equals an uninterrupted run's, to the last bit.
@@ -22,16 +22,18 @@ capture or save; :mod:`repro.composition`'s population × resume row): the
 checkpoint does not hold the cohort sampler's stream, the client state store
 or the population's counters, so a resumed population run would diverge.
 
-Arrays are encoded as base64 of their raw bytes (dtype + shape alongside), so
-float64 parameters survive the JSON round trip without any decimal rounding.
-Writes are atomic — serialize to a temporary file in the target directory,
-fsync, then rename — the same discipline as the sweep executor's manifest, so
-a crash mid-snapshot never corrupts the previous checkpoint.
+The file is a magic tag, the header's 8-byte length, the header (the payload
+as canonical JSON, each array a reference ``{"__ndarray__": index, "dtype",
+"shape"}``), then each array's raw C-order bytes, written from and read into
+its own buffer: a snapshot costs its bytes, with no decimal rounding.  Writes
+are atomic — tmp file in the target directory, fsync, rename, the sweep
+manifest's discipline — and a failed save leaves no file behind.
 """
 
 from __future__ import annotations
 
-import base64
+import contextlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -46,6 +48,8 @@ from repro.faults.plan import FaultPlan
 PathLike = Union[str, Path]
 
 FORMAT = "repro.cluster_checkpoint"
+#: A checkpoint file's first bytes.
+MAGIC = FORMAT.encode("ascii") + b"\0"
 #: Version 2 added the collective-compression state (reference model, error-
 #: feedback residuals, kernel stream).  Version 3 holds the shared model once,
 #: as the cluster's ``shared_parameters`` — no FDA ``reference``, compression
@@ -55,49 +59,45 @@ FORMAT = "repro.cluster_checkpoint"
 #: ``(K, s)`` table with its ``reported`` mask, and the strategy's
 #: configuration.  Version 5 records the fault plan in the header, and the
 #: injector state holds two streams (churn, links) and no spike or corruption
-#: log.  Any other version is refused.
-VERSION = 5
+#: log.  Version 6 writes arrays as raw bytes after a JSON header, not as
+#: base64 inside one JSON document.  Any other version is refused.
+VERSION = 6
 
 
-# -- value encoding -------------------------------------------------------------
+# -- file format ----------------------------------------------------------------
 
 
-def encode_value(value):
-    """Recursively convert a checkpoint value into plain JSON types.
+def _split(value, arrays: list, where: str):
+    """``value`` in JSON types, each array appended to ``arrays`` and replaced by its reference.
 
-    Arrays become ``{"__ndarray__": <base64>, "dtype": ..., "shape": ...}``
-    (raw bytes, so the round trip is bit-exact); containers recurse; numpy
-    scalars collapse to Python numbers.
+    Keys go sorted, as the header lists them, so :func:`_join` meets the
+    references in index order; a value with no JSON or raw-byte form is refused.
     """
-    if isinstance(value, np.ndarray):
-        return {
-            "__ndarray__": base64.b64encode(np.ascontiguousarray(value).tobytes()).decode("ascii"),
-            "dtype": value.dtype.name,
-            "shape": list(value.shape),
-        }
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biufc":  # numbers and bools
+        arrays.append(value)
+        return {"__ndarray__": len(arrays) - 1, "dtype": value.dtype.str, "shape": list(value.shape)}
+    if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
     if isinstance(value, dict):
-        return {key: encode_value(item) for key, item in value.items()}
+        return {key: _split(value[key], arrays, f"{where}[{key!r}]") for key in sorted(value)}
     if isinstance(value, (list, tuple)):
-        return [encode_value(item) for item in value]
-    return value
+        return [_split(item, arrays, f"{where}[{index}]") for index, item in enumerate(value)]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    kind = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
+    raise ExperimentError(f"cannot checkpoint {where}: a {kind} has no JSON or raw-byte form")
 
 
-def decode_value(value):
-    """Inverse of :func:`encode_value` (lists stay lists; arrays come back exact)."""
+def _join(value, read):
+    """Inverse of :func:`_split`: each reference becomes ``read(reference)`` (lists stay lists)."""
     if isinstance(value, dict):
         if "__ndarray__" in value:
-            raw = base64.b64decode(value["__ndarray__"])
-            array = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
-            return array.reshape(value["shape"]).copy()
-        return {key: decode_value(item) for key, item in value.items()}
+            return read(value)
+        return {key: _join(item, read) for key, item in value.items()}
     if isinstance(value, list):
-        return [decode_value(item) for item in value]
+        return [_join(item, read) for item in value]
     return value
 
 
@@ -221,26 +221,56 @@ class ClusterCheckpoint:
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: PathLike) -> Path:
-        """Atomically write the checkpoint to ``path`` (tmp → fsync → rename)."""
+        """Atomically write the checkpoint to ``path`` (tmp → fsync → rename; header built first)."""
         path = Path(path)
+        arrays: list = []
+        header = json.dumps(_split(self.payload, arrays, "payload"), sort_keys=True).encode("ascii")
         path.parent.mkdir(parents=True, exist_ok=True)
-        document = encode_value(self.payload)
         tmp_path = path.with_name(path.name + ".tmp")
-        with tmp_path.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+        try:
+            with tmp_path.open("wb") as handle:
+                handle.write(MAGIC + len(header).to_bytes(8, "little") + header)
+                for array in arrays:
+                    handle.write(memoryview(np.ascontiguousarray(array)))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            tmp_path.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod
     def load(cls, path: PathLike) -> "ClusterCheckpoint":
-        """Read a checkpoint previously written by :meth:`save`."""
+        """Read a checkpoint written by :meth:`save`; a damaged or foreign file is refused by name."""
         path = Path(path)
         if not path.exists():
             raise ExperimentError(f"checkpoint file {path} does not exist")
-        with path.open("r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        payload = decode_value(document)
-        _require_current(payload, str(path))
+        with path.open("rb") as handle:
+            if handle.read(len(MAGIC)) != MAGIC:
+                with contextlib.suppress(ValueError):  # up to version 5: one JSON document
+                    _require_current(json.loads(path.read_bytes()), str(path))
+                raise ExperimentError(f"{path} is not a cluster checkpoint (no magic tag)")
+            prefix = handle.read(8)
+            size = int.from_bytes(prefix, "little")
+            if len(prefix) < 8 or size > path.stat().st_size - len(MAGIC) - 8:
+                raise ExperimentError(f"{path} is truncated inside its header")
+            try:
+                header = json.loads(handle.read(size))
+            except ValueError:
+                raise ExperimentError(f"{path} has a malformed header") from None
+            _require_current(header, str(path))
+            order = itertools.count()
+
+            def read(reference: dict) -> np.ndarray:
+                if reference["__ndarray__"] != next(order):
+                    raise ExperimentError(f"{path} lists its arrays out of order")
+                array = np.empty(reference["shape"], np.dtype(reference["dtype"]))
+                if handle.readinto(array) != array.nbytes:
+                    raise ExperimentError(f"{path} is truncated inside its arrays")
+                return array
+
+            payload = _join(header, read)
+            if handle.read(1):
+                raise ExperimentError(f"{path} has trailing bytes after its arrays")
         return cls(payload)

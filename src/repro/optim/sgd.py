@@ -1,10 +1,9 @@
 """Stochastic gradient descent with optional (Nesterov) momentum.
 
-The paper trains the DenseNet models with SGD + Nesterov momentum (momentum
-0.9, learning rate 0.1) and weight decay 1e-4; this implementation follows the
-standard Sutskever formulation of Nesterov momentum used by Keras.  The
-arithmetic is written once, as the ``(A, d)`` row rule
-:meth:`SGD._update_rows` (see :mod:`repro.optim.base`).
+The paper states no SGD recipe; the DenseNet workloads run Nesterov momentum
+0.9 at learning rate 0.05 with no weight decay (``make_optimizer("sgd-nm")``),
+in the Sutskever formulation Keras uses.  The arithmetic is written once, as
+the ``(A, d)`` row rule :meth:`SGD._update_rows` (see :mod:`repro.optim.base`).
 """
 
 from __future__ import annotations

@@ -103,13 +103,13 @@ class Strategy:
     # -- checkpointing --------------------------------------------------------------
 
     def checkpoint_state(self) -> dict:
-        """JSON-safe protocol state for a :class:`~repro.faults.checkpoint.ClusterCheckpoint`.
+        """Protocol state for a :class:`~repro.faults.checkpoint.ClusterCheckpoint`.
 
         The base implementation captures the round counter; strategies with
         protocol-level mutable state (FDA's references and monitor direction,
-        for instance) extend the dict.  Restoring the returned dict via
-        :meth:`restore_state` on a freshly attached strategy must reproduce
-        the protocol bit-exactly.
+        for instance) extend the dict with JSON values and numeric arrays.
+        Restoring the returned dict via :meth:`restore_state` on a freshly
+        attached strategy must reproduce the protocol bit-exactly.
         """
         return {"rounds_completed": int(self.rounds_completed)}
 

@@ -43,7 +43,7 @@ from repro.experiments.cache import canonical_value
 from repro.experiments.run import TrainingRun
 from repro.experiments.setup import WorkloadConfig, build_cluster, make_optimizer
 from repro.faults import ClusterCheckpoint, FaultInjector, FaultPlan
-from repro.faults.checkpoint import decode_value, encode_value
+from repro.faults.checkpoint import FORMAT, VERSION
 from repro.faults.injector import BACKOFF_BASE_SECONDS, BACKOFF_CAP_SECONDS, MAX_RETRIES
 from repro.nn.architectures import transfer_head
 from repro.population import PopulationConfig
@@ -191,10 +191,17 @@ class TestPureObserver:
 class TestChaosDeterminism:
     """Same plan + same seed => identical faults; the CI chaos-smoke contract."""
 
-    def test_chaos_smoke_same_seed_runs_are_identical(self, blobs_workload):
+    def test_chaos_smoke_same_seed_runs_are_identical(self, blobs_workload, tmp_path):
         workload = replace(blobs_workload, faults=CHAOS_PLAN)
-        cluster_a, result_a = _execute(workload, lambda: FDAStrategy(threshold=0.5))
-        cluster_b, result_b = _execute(workload, lambda: FDAStrategy(threshold=0.5))
+        snapshot_a, snapshot_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        cluster_a, result_a = _execute(
+            workload, lambda: FDAStrategy(threshold=0.5),
+            checkpoint_every=20, checkpoint_path=snapshot_a,
+        )
+        cluster_b, result_b = _execute(
+            workload, lambda: FDAStrategy(threshold=0.5),
+            checkpoint_every=20, checkpoint_path=snapshot_b,
+        )
         assert result_a.fault_log == result_b.fault_log
         assert result_a.fault_log["crashes"]  # the plan actually injected
         np.testing.assert_array_equal(
@@ -202,6 +209,7 @@ class TestChaosDeterminism:
         )
         assert result_a.communication_bytes == result_b.communication_bytes
         assert result_a.history.entries == result_b.history.entries
+        assert snapshot_a.read_bytes() == snapshot_b.read_bytes()
         # The CI chaos-smoke job runs this test in two separate interpreter
         # invocations and byte-compares the digests, extending the in-process
         # determinism assertion above across process lifetimes.
@@ -215,6 +223,7 @@ class TestChaosDeterminism:
                             np.ascontiguousarray(cluster_a.parameter_matrix).tobytes()
                         ).hexdigest(),
                         "communication_bytes": result_a.communication_bytes,
+                        "checkpoint_sha256": hashlib.sha256(snapshot_a.read_bytes()).hexdigest(),
                         "history": result_a.history.entries,
                     },
                     handle,
@@ -360,10 +369,12 @@ class TestChurn:
 
 
 class TestClusterCheckpoint:
-    def test_encode_decode_round_trip_is_bit_exact(self, rng):
+    def test_save_load_round_trip_is_bit_exact(self, rng, tmp_path):
         for dtype in (np.float64, np.float32):
             array = rng.normal(size=(5, 7)).astype(dtype)
-            restored = decode_value(encode_value({"nested": [array]}))["nested"][0]
+            checkpoint = ClusterCheckpoint({"format": FORMAT, "version": VERSION, "nested": [array]})
+            restored = ClusterCheckpoint.load(checkpoint.save(tmp_path / "c.ckpt"))
+            restored = restored.payload["nested"][0]
             assert restored.dtype == array.dtype
             np.testing.assert_array_equal(restored, array)
 

@@ -950,7 +950,8 @@ def test_a_message_costs_what_its_links_carry():
 #: reported; then straggler spikes and payload corruption (the plan fields,
 #: the injector's draws, streams and log entries, the cluster's hooks and the
 #: timeline's stall) with the plan's three retry knobs, and the run budget's
-#: train-accuracy sample count.  ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
+#: train-accuracy sample count; then the checkpoint's base64 value codec.
+#: ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
 #: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
     r"\b(LearningRateSchedule|ConstantSchedule|StepDecaySchedule|ExponentialDecaySchedule"
@@ -970,6 +971,7 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|record_straggler_spike|straggler_spikes|corrupt_rows|corrupted_payloads"
     r"|straggler_active|corruption_active|_maybe_spike|_maybe_corrupt"
     r"|train_eval_samples|Loss|label_smoothing|_target_distribution|use_bias|drop_last"
+    r"|encode_value|decode_value"
     r")\b|--execution\b|Timeline\.stall\b|\.stall\("
     r"|faults/stragglers\b|faults/corruption\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
