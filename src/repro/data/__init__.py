@@ -8,7 +8,7 @@ IID, "Non-IID: X%" (a sorted fraction) and "Non-IID: Label Y" (label
 exclusivity).
 """
 
-from repro.data.datasets import Dataset, train_test_split
+from repro.data.datasets import Dataset, DatasetView, train_test_split
 from repro.data.synthetic import (
     gaussian_blobs,
     synthetic_cifar,
@@ -28,6 +28,7 @@ from repro.data.features import PretrainedFeatureExtractor
 
 __all__ = [
     "Dataset",
+    "DatasetView",
     "train_test_split",
     "synthetic_digits",
     "synthetic_cifar",

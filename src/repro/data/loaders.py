@@ -10,11 +10,11 @@ once per epoch, the last batch holding the remainder.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.datasets import Dataset
+from repro.data.datasets import Dataset, DatasetView
 from repro.exceptions import DataError
 from repro.utils.rng import as_rng
 
@@ -37,7 +37,7 @@ class _PrivateStream:
 class BatchSampler(_PrivateStream):
     """Samples random mini-batches (with replacement) from one worker's data."""
 
-    def __init__(self, dataset: Dataset, batch_size: int, seed=None) -> None:
+    def __init__(self, dataset: Union[Dataset, DatasetView], batch_size: int, seed=None) -> None:
         if batch_size <= 0:
             raise DataError(f"batch_size must be positive, got {batch_size}")
         if len(dataset) == 0:
@@ -48,8 +48,7 @@ class BatchSampler(_PrivateStream):
 
     def sample(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return one mini-batch ``(x, y)``."""
-        indices = self._rng.integers(0, len(self.dataset), size=self.batch_size)
-        return self.dataset.x[indices], self.dataset.y[indices]
+        return self.dataset.take(self._rng.integers(0, len(self.dataset), size=self.batch_size))
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         while True:
@@ -79,17 +78,13 @@ class StackedSampler:
             raise DataError(
                 f"all workers must share one batch size, got {sorted(batch_sizes)}"
             )
-        sample_shapes = {sampler.dataset.x.shape[1:] for sampler in samplers}
+        sample_shapes = {sampler.dataset.sample_shape for sampler in samplers}
         if len(sample_shapes) != 1:
             raise DataError(
                 f"all workers must share one per-sample shape, got {sorted(sample_shapes)}"
             )
         self.samplers: List[BatchSampler] = list(samplers)
         self.batch_size = batch_sizes.pop()
-
-    @property
-    def num_workers(self) -> int:
-        return len(self.samplers)
 
     def sample(self, rows=None) -> Tuple[np.ndarray, np.ndarray]:
         """One stacked mini-batch: ``(x, y)`` of shapes ``(A, B, ...)`` / ``(A, B)``.
@@ -110,15 +105,11 @@ class StackedSampler:
         y = np.stack([batch_y for _, batch_y in batches], axis=0)
         return x, y
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        while True:
-            yield self.sample()
-
 
 class EpochIterator(_PrivateStream):
     """Iterates a dataset in shuffled, non-overlapping batches (one epoch)."""
 
-    def __init__(self, dataset: Dataset, batch_size: int, seed=None) -> None:
+    def __init__(self, dataset: Union[Dataset, DatasetView], batch_size: int, seed=None) -> None:
         if batch_size <= 0:
             raise DataError(f"batch_size must be positive, got {batch_size}")
         if len(dataset) == 0:
@@ -136,8 +127,4 @@ class EpochIterator(_PrivateStream):
         """Yield one epoch of shuffled batches."""
         order = self._rng.permutation(len(self.dataset))
         for start in range(0, len(order), self.batch_size):
-            indices = order[start : start + self.batch_size]
-            yield self.dataset.x[indices], self.dataset.y[indices]
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        return self.epoch()
+            yield self.dataset.take(order[start : start + self.batch_size])

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.data.datasets import Dataset
+from repro.data.datasets import Dataset, DatasetView
 from repro.exceptions import DataError
 from repro.utils.rng import as_rng
 
@@ -151,8 +151,8 @@ def partition_dataset(
     label: int = 0,
     num_holders: Optional[int] = None,
     alpha: float = 0.5,
-) -> List[Dataset]:
-    """Partition ``dataset`` into one :class:`Dataset` per worker.
+) -> List[DatasetView]:
+    """Partition ``dataset`` into one read-only row view per worker (no sample is copied).
 
     ``scheme`` is one of ``"iid"``, ``"noniid-fraction"``, ``"noniid-label"``
     or ``"dirichlet"``; the remaining keyword arguments parameterize the
@@ -172,12 +172,12 @@ def partition_dataset(
             "'iid', 'noniid-fraction', 'noniid-label', 'dirichlet'"
         )
     return [
-        dataset.subset(indices, name=f"{dataset.name}-worker{worker}")
+        dataset.view(indices, name=f"{dataset.name}-worker{worker}")
         for worker, indices in enumerate(parts)
     ]
 
 
-def partition_statistics(partitions: Sequence[Dataset]) -> Dict[str, object]:
+def partition_statistics(partitions: Sequence[DatasetView]) -> Dict[str, object]:
     """Summary statistics of a partition: sizes and per-worker label skew."""
     if not partitions:
         raise DataError("partition_statistics requires at least one partition")

@@ -173,7 +173,11 @@ def synthetic_features(
     means = directions * class_separation
 
     labels = _balanced_labels(num_samples, num_classes, rng)
-    features = means[labels] + rng.normal(scale=noise, size=(num_samples, feature_dim))
+    # Means go into the noise in row chunks, no full-size temporary; addition commutes: same bytes.
+    features = rng.normal(scale=noise, size=(num_samples, feature_dim))
+    chunk = 1024
+    for start in range(0, num_samples, chunk):
+        features[start:start + chunk] += means[labels[start:start + chunk]]
     return Dataset(features, labels, num_classes, name=name)
 
 

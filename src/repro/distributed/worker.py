@@ -16,11 +16,11 @@ Checkpoints, cohort binding and crash rejoin all go through these.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.data.datasets import Dataset
+from repro.data.datasets import Dataset, DatasetView
 from repro.data.loaders import BatchSampler, EpochIterator
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
@@ -35,7 +35,7 @@ class Worker:
         self,
         worker_id: int,
         model: Sequential,
-        dataset: Dataset,
+        dataset: Union[Dataset, DatasetView],
         optimizer: Optimizer,
         batch_size: int = 32,
         seed=None,
@@ -58,7 +58,7 @@ class Worker:
 
     # -- resumable state --------------------------------------------------------
 
-    def set_dataset(self, dataset: Dataset) -> None:
+    def set_dataset(self, dataset: Union[Dataset, DatasetView]) -> None:
         """Point the worker and both of its batch streams at another shard."""
         self.dataset = dataset
         self._sampler.dataset = dataset

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.backend import resolve_dtype
 from repro.compression import CompressionConfig, get_compression
 from repro.core.timeline import StragglerProfile, Timeline
-from repro.data.datasets import Dataset
+from repro.data.datasets import Dataset, DatasetView
 from repro.data.partition import partition_dataset
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.network import NetworkModel
@@ -242,7 +242,7 @@ class SetupCache:
 
     def __init__(self) -> None:
         self._dataset_digests: Dict[int, Tuple[Dataset, str]] = {}
-        self._partitions: Dict[Tuple, List[Dataset]] = {}
+        self._partitions: Dict[Tuple, List[DatasetView]] = {}
         self._pools: Dict[Tuple[int, int], Optional[_ModelPool]] = {}
         self._model_digests: Dict[int, Tuple[ModelFactory, object]] = {}
         self.partition_hits = 0
@@ -270,7 +270,7 @@ class SetupCache:
             int(config.seed),
         )
 
-    def partitions(self, config: WorkloadConfig) -> List[Dataset]:
+    def partitions(self, config: WorkloadConfig) -> List[DatasetView]:
         """The workload's per-worker shards (shared, read-only)."""
         key = self._partition_key(config)
         shards = self._partitions.get(key)

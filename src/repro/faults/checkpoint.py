@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 from pathlib import Path
 from typing import Optional, Union
@@ -88,6 +89,22 @@ def _split(value, arrays: list, where: str):
         return value
     kind = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
     raise ExperimentError(f"cannot checkpoint {where}: a {kind} has no JSON or raw-byte form")
+
+
+def _declared(reference: dict, path: Path) -> tuple:
+    """A header reference's ``(dtype, shape)``, refused by name unless a save could write it."""
+    shape, name = reference.get("shape"), reference.get("dtype")
+    if not isinstance(shape, list) or len(shape) > 64 or any(  # numpy: at most 64 axes
+        type(n) is not int or n < 0 for n in shape
+    ):
+        raise ExperimentError(f"{path} has an array of unreadable shape {shape!r}")
+    try:
+        dtype = np.dtype(name) if isinstance(name, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.kind not in "biufc":  # what _split writes: numbers and bools
+        raise ExperimentError(f"{path} has an array of unreadable dtype {name!r}")
+    return dtype, shape
 
 
 def _join(value, read):
@@ -252,8 +269,8 @@ class ClusterCheckpoint:
                     _require_current(json.loads(path.read_bytes()), str(path))
                 raise ExperimentError(f"{path} is not a cluster checkpoint (no magic tag)")
             prefix = handle.read(8)
-            size = int.from_bytes(prefix, "little")
-            if len(prefix) < 8 or size > path.stat().st_size - len(MAGIC) - 8:
+            size, end = int.from_bytes(prefix, "little"), path.stat().st_size
+            if len(prefix) < 8 or size > end - len(MAGIC) - 8:
                 raise ExperimentError(f"{path} is truncated inside its header")
             try:
                 header = json.loads(handle.read(size))
@@ -265,9 +282,11 @@ class ClusterCheckpoint:
             def read(reference: dict) -> np.ndarray:
                 if reference["__ndarray__"] != next(order):
                     raise ExperimentError(f"{path} lists its arrays out of order")
-                array = np.empty(reference["shape"], np.dtype(reference["dtype"]))
-                if handle.readinto(array) != array.nbytes:
+                dtype, shape = _declared(reference, path)
+                if math.prod(shape) * dtype.itemsize > end - handle.tell():
                     raise ExperimentError(f"{path} is truncated inside its arrays")
+                array = np.empty(shape, dtype)
+                handle.readinto(array)
                 return array
 
             payload = _join(header, read)

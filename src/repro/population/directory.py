@@ -9,8 +9,8 @@ cohort.
 
 Two shard providers exist:
 
-* **virtual** (``train_dataset=``) — client ``c``'s shard is a seeded random
-  subset of the workload's training set whose size is drawn from
+* **virtual** (``train_dataset=``) — client ``c``'s shard is a row view of a
+  seeded random subset of the workload's training set whose size is drawn from
   ``[min_client_samples, max_client_samples]``; the regime the population
   plane targets (``N`` far beyond what explicit shards could hold);
 * **explicit** (``shards=``) — one :class:`~repro.data.datasets.Dataset` per
@@ -20,11 +20,11 @@ Two shard providers exist:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.data.datasets import Dataset
+from repro.data.datasets import Dataset, DatasetView
 from repro.exceptions import ConfigurationError
 from repro.population.config import PopulationConfig
 from repro.utils.rng import RngFactory, as_rng
@@ -37,7 +37,7 @@ class ClientDirectory:
         self,
         config: PopulationConfig,
         *,
-        shards: Optional[Sequence[Dataset]] = None,
+        shards: Optional[Sequence[Union[Dataset, DatasetView]]] = None,
         train_dataset: Optional[Dataset] = None,
         seed: int = 0,
     ) -> None:
@@ -58,7 +58,7 @@ class ClientDirectory:
             )
         self.config = config
         self.seed = int(seed)
-        self._shards: Optional[List[Dataset]] = list(shards) if shards is not None else None
+        self._shards = list(shards) if shards is not None else None
         self._train = train_dataset
         self._factory = RngFactory(seed)
 
@@ -78,8 +78,8 @@ class ClientDirectory:
         """The client's private shard stream — a pure function of (seed, id)."""
         return as_rng(self._factory.named(f"pop-shard-{client_id}"))
 
-    def shard(self, client_id: int) -> Dataset:
-        """Materialize the client's data shard (O(samples), independent of N)."""
+    def shard(self, client_id: int) -> Union[Dataset, DatasetView]:
+        """The client's data shard: a row view of the training set, O(samples) whatever N is."""
         client_id = self._check_id(client_id)
         if self._shards is not None:
             return self._shards[client_id]
@@ -91,4 +91,4 @@ class ClientDirectory:
         )
         num_samples = min(num_samples, len(self._train))
         indices = rng.choice(len(self._train), size=num_samples, replace=False)
-        return self._train.subset(np.sort(indices), name=f"client-{client_id}")
+        return self._train.view(np.sort(indices), name=f"client-{client_id}")

@@ -41,11 +41,11 @@ mid-round.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.data.datasets import Dataset
+from repro.data.datasets import Dataset, DatasetView
 from repro.distributed.participation import Participation
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.population.config import PopulationConfig
@@ -71,7 +71,7 @@ class ClientPopulation:
         self,
         config: PopulationConfig,
         *,
-        shards: Optional[Sequence[Dataset]] = None,
+        shards: Optional[Sequence[Union[Dataset, DatasetView]]] = None,
         train_dataset: Optional[Dataset] = None,
         seed: int = 0,
         client_seed_fn: Optional[Callable[[int], object]] = None,

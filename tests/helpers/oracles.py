@@ -2,8 +2,8 @@
 
 Each function spells one operation the straightforward way — a one-hot
 matrix, the mean of several models' flat parameters, a shuffled copy of a
-dataset — so the fused or stacked production code has something other than
-itself to equal.
+dataset, class clusters drawn in one expression — so the fused, stacked or
+chunked production code has something other than itself to equal.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import Dataset
+from repro.data.synthetic import _balanced_labels
 from repro.exceptions import ShapeError
 from repro.utils.rng import as_rng
 
@@ -42,3 +43,25 @@ def shuffled(dataset: Dataset, seed=None) -> Dataset:
     """A copy of ``dataset`` with shuffled sample order."""
     order = as_rng(seed).permutation(len(dataset))
     return dataset.subset(order, name=dataset.name)
+
+
+def synthetic_features(
+    num_samples: int,
+    feature_dim: int,
+    num_classes: int,
+    class_separation: float = 3.0,
+    noise: float = 1.0,
+    seed=0,
+) -> Dataset:
+    """Gaussian class clusters as one expression: ``means[labels] + noise``, full size.
+
+    The production generator adds the means into the noise in row chunks; its
+    draws, in the same order, must give these bytes.
+    """
+    rng = as_rng(seed)
+    directions = rng.normal(size=(num_classes, feature_dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    means = directions * class_separation
+    labels = _balanced_labels(num_samples, num_classes, rng)
+    features = means[labels] + rng.normal(scale=noise, size=(num_samples, feature_dim))
+    return Dataset(features, labels, num_classes)

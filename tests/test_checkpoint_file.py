@@ -222,6 +222,38 @@ class TestDamagedFile:
         with pytest.raises(ExperimentError, match=re.escape(str(path)) + " " + defect):
             ClusterCheckpoint.load(path)
 
+    @pytest.mark.parametrize(
+        "edit, defect",
+        [
+            (lambda ref: ref.update(shape=[2**42]), "is truncated inside its arrays"),
+            (lambda ref: ref.update(shape=[3, 5]), "is truncated inside its arrays"),
+            (lambda ref: ref.pop("dtype"), "has an array of unreadable dtype None"),
+            (lambda ref: ref.pop("shape"), "has an array of unreadable shape None"),
+            (lambda ref: ref.update(dtype="<f9"), "has an array of unreadable dtype '<f9'"),
+            (lambda ref: ref.update(dtype="|O"), "has an array of unreadable dtype '|O'"),
+            (lambda ref: ref.update(shape=[3, -4]), r"has an array of unreadable shape \[3, -4\]"),
+            (lambda ref: ref.update(shape=[3.0, 4]), r"has an array of unreadable shape \[3.0, 4\]"),
+            (lambda ref: ref.update(shape=12), "has an array of unreadable shape 12"),
+        ],
+        ids=[
+            "huge-shape", "bigger-shape", "no-dtype", "no-shape", "unknown-dtype",
+            "object-dtype", "negative-axis", "float-axis", "scalar-shape",
+        ],
+    )
+    def test_a_re_edited_header_is_refused_before_allocating(self, tmp_path, edit, defect):
+        # The length prefix stays consistent, so only the reference is wrong.
+        data = _good_file(tmp_path)
+        size = _header_size(data)
+        header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + size])
+        edit(header["parameters"])
+        edited = json.dumps(header, sort_keys=True).encode("ascii")
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(
+            MAGIC + len(edited).to_bytes(8, "little") + edited + data[len(MAGIC) + 8 + size:]
+        )
+        with pytest.raises(ExperimentError, match=re.escape(str(path)) + " " + defect):
+            ClusterCheckpoint.load(path)
+
     def test_a_version_5_json_checkpoint_is_refused_as_version_5(self, tmp_path):
         path = tmp_path / "v5.json"
         array = {"__ndarray__": "AAAAAAAA8D8=", "dtype": "float64", "shape": [1]}

@@ -1,10 +1,11 @@
-"""Tests for the Dataset container and train/test splitting."""
+"""Tests for the Dataset container, its row view and train/test splitting."""
 
 import numpy as np
 import pytest
 
+from helpers.memory import peak_bytes
 from helpers.oracles import shuffled
-from repro.data.datasets import Dataset, train_test_split
+from repro.data.datasets import Dataset, DatasetView, train_test_split
 from repro.exceptions import DataError
 
 
@@ -49,6 +50,60 @@ class TestDataset:
         assert sorted(permuted.y.tolist()) == sorted(data.y.tolist())
         np.testing.assert_array_equal(permuted.class_counts(), data.class_counts())
         assert len(permuted) == len(data)
+
+
+    def test_a_subset_holds_its_samples_once(self):
+        # 4096 × 256 float64 = 8 MiB; the subset is half of it.  A copy of
+        # the fancy-index result would hold the subset twice.
+        data = Dataset(np.ones((4096, 256)), np.zeros(4096, dtype=np.int64), 2)
+        rows = np.arange(0, 4096, 2)
+        subset, peak = peak_bytes(data.subset, rows)
+        assert peak <= 1.1 * (subset.x.nbytes + subset.y.nbytes)
+
+
+class TestDatasetView:
+    def test_a_view_reads_its_rows_of_the_base(self):
+        data = make_dataset(20, 4)
+        rows = [1, 4, 5, 11, 19]
+        view = data.view(rows, name="shard")
+        copy = data.subset(rows)
+        assert isinstance(view, DatasetView) and view.base is data
+        assert view.rows.dtype == np.int64 and view.rows.tolist() == rows
+        assert (len(view), view.name, view.num_classes) == (5, "shard", 4)
+        assert view.sample_shape == copy.sample_shape == (3,)
+        np.testing.assert_array_equal(view.y, copy.y)
+        np.testing.assert_array_equal(view.class_counts(), copy.class_counts())
+        positions = np.array([4, 0, 0, 2])
+        for got, expected in zip(view.take(positions), copy.take(positions)):
+            assert got.tobytes() == expected.tobytes()
+        assert repr(view) == "DatasetView(name='shard', samples=5, shape=(3,), classes=4)"
+
+    def test_a_view_has_no_x_and_cannot_be_written(self):
+        data = make_dataset(10)
+        caller_rows = np.array([2, 3, 7])
+        view = data.view(caller_rows)
+        assert not hasattr(view, "x")
+        with pytest.raises(ValueError):
+            view.rows[0] = 0
+        with pytest.raises(ValueError):
+            view.y[0] = 0
+        caller_rows[0] = 0  # the view froze its own copy, not the caller's array
+        assert view.rows.tolist() == [2, 3, 7]
+
+    def test_a_batch_is_a_fresh_gather(self):
+        data = make_dataset(10)
+        x, y = data.view([2, 3, 7]).take(np.array([0, 1]))
+        x[...] = 0.0
+        y[...] = 0
+        assert not np.all(data.x[2:4] == 0.0)
+
+    @pytest.mark.parametrize("rows", [[0, 10], [-1, 2], [3, 1], [2, 2]])
+    def test_a_view_refuses_rows_out_of_range_or_order(self, rows):
+        with pytest.raises(DataError):
+            make_dataset(10).view(rows)
+
+    def test_the_default_name_counts_the_rows(self):
+        assert make_dataset(10).view([1, 2]).name == "t[2]"
 
 
 class TestTrainTestSplit:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.features import PretrainedFeatureExtractor
-from repro.data.loaders import BatchSampler, EpochIterator
+from repro.data.loaders import BatchSampler, EpochIterator, StackedSampler
 from repro.data.synthetic import gaussian_blobs
 from repro.exceptions import DataError
 
@@ -55,6 +57,77 @@ class TestEpochIterator:
         first = next(iter(iterator.epoch()))[1]
         second = next(iter(iterator.epoch()))[1]
         assert not np.array_equal(first, second)
+
+
+@st.composite
+def _row_sets(draw, size):
+    """A strictly increasing row set of a ``size``-sample dataset: one row, all, or any."""
+    kind = draw(st.sampled_from(["one", "all", "any"]))
+    if kind == "one":
+        return np.array([draw(st.integers(0, size - 1))])
+    if kind == "all":
+        return np.arange(size)
+    rows = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    return np.sort(np.array(rows))
+
+
+def _assert_same_batches(got, expected):
+    for got_array, expected_array in zip(got, expected):
+        assert got_array.dtype == expected_array.dtype
+        assert got_array.shape == expected_array.shape
+        assert got_array.tobytes() == expected_array.tobytes()
+
+
+class TestViewsSampleAsCopies:
+    """Samplers over ``dataset.view(rows)`` draw what they draw over ``dataset.subset(rows)``.
+
+    Byte-identical batches and equal generator states after every draw: the
+    property that keeps training on row-view shards bit-identical to training
+    on copied shards.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 40), batch_size=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_sampler_and_epoch_iterator(self, data, size, batch_size, seed):
+        dataset = gaussian_blobs(size, feature_dim=3, num_classes=3, seed=seed % 7)
+        rows = data.draw(_row_sets(size))
+        view, copy = dataset.view(rows), dataset.subset(rows)
+        on_view, on_copy = BatchSampler(view, batch_size, seed), BatchSampler(copy, batch_size, seed)
+        for _ in range(3):
+            _assert_same_batches(on_view.sample(), on_copy.sample())
+        assert on_view.rng_state == on_copy.rng_state
+        on_view, on_copy = EpochIterator(view, batch_size, seed), EpochIterator(copy, batch_size, seed)
+        for _ in range(2):
+            epoch_view, epoch_copy = list(on_view.epoch()), list(on_copy.epoch())
+            assert len(epoch_view) == len(epoch_copy) == on_copy.batches_per_epoch
+            for got, expected in zip(epoch_view, epoch_copy):
+                _assert_same_batches(got, expected)
+        assert on_view.rng_state == on_copy.rng_state
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 40), workers=st.integers(1, 5),
+           batch_size=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_masked_stacked_sampler(self, data, size, workers, batch_size, seed):
+        dataset = gaussian_blobs(size, feature_dim=2, num_classes=2, seed=seed % 5)
+        shards = [data.draw(_row_sets(size)) for _ in range(workers)]
+        mask = np.flatnonzero(
+            data.draw(st.lists(st.booleans(), min_size=workers, max_size=workers))
+        )
+
+        def stacked(make):
+            return StackedSampler([
+                BatchSampler(make(rows), batch_size, seed=[seed, worker])
+                for worker, rows in enumerate(shards)
+            ])
+
+        on_views, on_copies = stacked(dataset.view), stacked(dataset.subset)
+        for rows in (mask, None, mask):
+            if rows is not None and not rows.size:
+                continue
+            _assert_same_batches(on_views.sample(rows), on_copies.sample(rows))
+        for view_sampler, copy_sampler in zip(on_views.samplers, on_copies.samplers):
+            assert view_sampler.rng_state == copy_sampler.rng_state
 
 
 class TestFeatureExtractor:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.memory import peak_bytes
+from repro.data.datasets import DatasetView
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
@@ -155,6 +157,26 @@ class TestPartitionDataset:
         parts = partition_dataset(data, 5, "iid", seed=0)
         assert len(parts) == 5
         assert sum(len(p) for p in parts) == 100
+
+    @pytest.mark.parametrize(
+        "scheme, split",
+        [("iid", iid_partition), ("dirichlet", dirichlet_partition)],
+    )
+    def test_each_worker_gets_a_view_of_its_scheme_rows(self, scheme, split):
+        data = synthetic_features(120, num_classes=4, seed=0)
+        parts = partition_dataset(data, 6, scheme, seed=3)
+        for part, rows in zip(parts, split(data.y, 6, seed=3)):
+            assert isinstance(part, DatasetView) and part.base is data
+            np.testing.assert_array_equal(part.rows, rows)
+
+    def test_partitioning_copies_no_sample(self):
+        # 4096 × 256 float64 = 8 MiB over K = 8: shards of copied rows would
+        # hold all 8 MiB again; views hold only their row indices and labels.
+        data = synthetic_features(4096, feature_dim=256, num_classes=10, seed=0)
+        assert data.x.nbytes == 8 << 20
+        parts, peak = peak_bytes(partition_dataset, data, 8, "iid", seed=0)
+        assert sum(len(part) for part in parts) == 4096
+        assert peak < 0.05 * data.x.nbytes
 
     def test_unknown_scheme(self):
         data = synthetic_features(50, num_classes=4, seed=0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import oracles
+from helpers.memory import peak_bytes
 from repro.data.synthetic import (
     gaussian_blobs,
     synthetic_cifar,
@@ -93,6 +95,42 @@ class TestSyntheticFeatures:
     def test_gaussian_blobs_wrapper(self):
         data = gaussian_blobs(90, feature_dim=4, num_classes=3, seed=0)
         assert data.x.shape == (90, 4) and data.num_classes == 3
+
+    @pytest.mark.parametrize(
+        "num_samples, feature_dim, num_classes, seed",
+        [
+            (1, 2, 2, 0),
+            (7, 5, 3, 1),
+            (1023, 4, 20, 2),  # one row short of a chunk
+            (1024, 3, 7, 3),  # exactly one chunk
+            (2500, 16, 10, 4),  # two chunks and a remainder
+            (3000, 32, 20, None),
+        ],
+    )
+    def test_chunked_generation_is_the_one_line_formula(
+        self, num_samples, feature_dim, num_classes, seed
+    ):
+        produced = synthetic_features(
+            num_samples, feature_dim=feature_dim, num_classes=num_classes,
+            class_separation=2.5, noise=0.7, seed=1234 if seed is None else seed,
+        )
+        expected = oracles.synthetic_features(
+            num_samples, feature_dim, num_classes, class_separation=2.5, noise=0.7,
+            seed=1234 if seed is None else seed,
+        )
+        assert produced.x.tobytes() == expected.x.tobytes()
+        assert produced.y.tobytes() == expected.y.tobytes()
+
+    def test_gaussian_blobs_is_the_one_line_formula(self):
+        produced = gaussian_blobs(1500, feature_dim=6, num_classes=4, separation=5.0, seed=9)
+        expected = oracles.synthetic_features(1500, 6, 4, class_separation=5.0, seed=9)
+        assert produced.x.tobytes() == expected.x.tobytes()
+        assert produced.y.tobytes() == expected.y.tobytes()
+
+    def test_generation_holds_little_beyond_its_output(self):
+        # 20 000 × 64 float64 ≈ 10 MB; one full-size temporary would be 2×.
+        data, peak = peak_bytes(synthetic_features, 20_000, feature_dim=64, num_classes=20)
+        assert peak <= 1.25 * (data.x.nbytes + data.y.nbytes)
 
     def test_invalid_arguments(self):
         with pytest.raises(DataError):

@@ -10,7 +10,9 @@ Six guarantees, run with the rest of ``tests/``
   a plane once sat under the current one, describing the design before last);
 * the doctests embedded in :mod:`repro.compression` pass;
 * every ``examples/*.py`` imports (they are ``__main__``-guarded, so importing
-  one resolves every name it uses from the library without running it);
+  one resolves every name it uses from the library without running it), and
+  ``examples/population_scale.py``, which hands worker shards to a client
+  directory, runs;
 * ``ARCHITECTURE.md``'s strategy × topology matrix says what
   :func:`repro.composition.allows` says.
 """
@@ -161,10 +163,22 @@ def test_compression_package_has_doctests():
     "example", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.name
 )
 def test_example_imports(example):
+    module = _import_example(example)
+    assert callable(getattr(module, "main", None)), f"{example.name} defines no main()"
+
+
+def test_the_shard_consuming_example_runs(capsys):
+    # Its worker shards (row views of the training set) go into a client
+    # directory and train again there; importing checks none of that.
+    _import_example(REPO_ROOT / "examples" / "population_scale.py").main()
+    assert "still bit-identical" in capsys.readouterr().out
+
+
+def _import_example(example: Path):
     spec = importlib.util.spec_from_file_location(f"examples_{example.stem}", example)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(getattr(module, "main", None)), f"{example.name} defines no main()"
+    return module
 
 
 #: ARCHITECTURE.md Plane 4's matrix rows → the strategy class whose ``features``

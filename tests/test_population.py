@@ -417,7 +417,10 @@ class TestClientDirectory:
         for client_id in (0, 123_456, 10**6 - 1):
             shard = directory.shard(client_id)
             again = directory.shard(client_id)
-            np.testing.assert_array_equal(shard.x, again.x)
+            # A shard is a row view of the training set: equal rows of the
+            # same base are equal samples.
+            assert shard.base is again.base is train
+            np.testing.assert_array_equal(shard.rows, again.rows)
             np.testing.assert_array_equal(shard.y, again.y)
             assert 10 <= len(shard) <= 20
 
@@ -607,7 +610,8 @@ class TestSetupCachePools:
         assert cluster.num_workers == 4
         for slot, worker in enumerate(cluster.workers):
             shard = cluster.population.directory.shard(slot)
-            np.testing.assert_array_equal(worker.dataset.x, shard.x)
+            assert worker.dataset.base is shard.base is workload.train_dataset
+            np.testing.assert_array_equal(worker.dataset.rows, shard.rows)
             np.testing.assert_array_equal(worker.dataset.y, shard.y)
 
     def test_memoized_population_build_matches_eager(self):
