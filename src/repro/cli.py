@@ -58,12 +58,7 @@ from repro.experiments.sweep import lower_grid, lower_spec, run_grid, select
 from repro.faults.plan import FaultPlan
 from repro.population.config import PopulationConfig
 from repro.serving.aggregation import STALENESS_RULES
-from repro.serving.config import (
-    ARRIVAL_KINDS,
-    PROTOCOLS,
-    QUEUE_POLICIES,
-    ServingConfig,
-)
+from repro.serving.config import ARRIVAL_KINDS, PROTOCOLS, ServingConfig
 from repro.strategies.synchronous import SynchronousStrategy
 from repro.utils.formatting import format_bytes, format_duration
 
@@ -286,16 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-worker arrivals per virtual second",
     )
     serve.add_argument(
-        "--trace", default=None,
-        help="JSONL arrival trace for --arrival trace",
-    )
-    serve.add_argument(
         "--queue-capacity", type=int, default=None,
         help="ingress-queue capacity (omit for unbounded)",
-    )
-    serve.add_argument(
-        "--queue-policy", choices=sorted(QUEUE_POLICIES), default="drop",
-        help="overflow policy of the ingress queue",
     )
     serve.add_argument(
         "--staleness-rule", choices=sorted(STALENESS_RULES), default="uniform",
@@ -304,10 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-staleness", type=int, default=4,
         help="rejection bound of the max-staleness rule",
-    )
-    serve.add_argument(
-        "--poly-alpha", type=float, default=0.5,
-        help="decay exponent of the polynomial rule",
     )
     serve.add_argument(
         "--service-seconds", type=float, default=0.0,
@@ -583,12 +566,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     serving = ServingConfig(
         arrival=args.arrival,
         arrival_rate=args.arrival_rate,
-        trace_path=args.trace,
         queue_capacity=args.queue_capacity,
-        queue_policy=args.queue_policy,
         staleness_rule=args.staleness_rule,
         max_staleness=args.max_staleness,
-        poly_alpha=args.poly_alpha,
         service_seconds=args.service_seconds,
         protocol=args.protocol,
         arrival_seed=args.seed,
@@ -610,7 +590,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     print(f"  updates served   : {report.updates_served} / {report.updates_offered} offered")
     print(
         f"  lost             : {report.updates_dropped} dropped, "
-        f"{report.updates_shed} shed, {report.stale_rejected} stale-rejected"
+        f"{report.stale_rejected} stale-rejected"
     )
     print(f"  synchronizations : {report.sync_count}")
     print(f"  virtual time     : {format_duration(report.virtual_seconds)}")

@@ -56,7 +56,9 @@ PathLike = Union[str, Path]
 #: model digest its layers' bias switch and batch-norm constants, an optimizer
 #: its betas, epsilon and name; Synchronous's spec gains ``tau``; an int in a
 #: float field is written as a float; a null fault plan is ``None``.
-CODE_VERSION = "sweep-cache-v11"
+#: v12: a workload drops its straggler-profile field, a serving config its
+#: trace-file and polynomial-rule fields.
+CODE_VERSION = "sweep-cache-v12"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).
@@ -75,7 +77,7 @@ def _json_default(value: Any):
 def _array_token(array: np.ndarray) -> Dict[str, object]:
     data = np.ascontiguousarray(array)
     return {
-        "__ndarray__": hashlib.sha256(data.tobytes()).hexdigest(),
+        "__ndarray__": hashlib.sha256(data).hexdigest(),
         "shape": list(data.shape),
         "dtype": str(data.dtype),
     }
@@ -178,8 +180,9 @@ def dataset_digest(dataset) -> str:
     x = np.ascontiguousarray(dataset.x)
     y = np.ascontiguousarray(dataset.y)
     digest.update(str((x.shape, str(x.dtype), y.shape, str(y.dtype))).encode())
-    digest.update(x.tobytes())
-    digest.update(y.tobytes())
+    # Hash the buffers in place: ``tobytes()`` would copy the whole set.
+    digest.update(x)
+    digest.update(y)
     digest.update(str(int(dataset.num_classes)).encode())
     return digest.hexdigest()
 
@@ -212,9 +215,9 @@ def model_digest(model) -> str:
     params = np.ascontiguousarray(model.get_parameters())
     buffers = np.ascontiguousarray(model.get_buffers())
     digest.update(str((params.shape, str(params.dtype))).encode())
-    digest.update(params.tobytes())
+    digest.update(params)
     digest.update(str((buffers.shape, str(buffers.dtype))).encode())
-    digest.update(buffers.tobytes())
+    digest.update(buffers)
     return digest.hexdigest()
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.backend import resolve_dtype
 from repro.compression import CompressionConfig, get_compression
-from repro.core.timeline import StragglerProfile, Timeline
+from repro.core.timeline import Timeline
 from repro.data.datasets import Dataset, DatasetView
 from repro.data.partition import partition_dataset
 from repro.distributed.cluster import SimulatedCluster
@@ -81,9 +81,8 @@ class WorkloadConfig:
     #: (``"fl"``, ``"hpc"``, ``"balanced"``, ``"none"``) or instance.
     topology: Union[str, Topology, None] = None
     network: Union[str, NetworkModel, None] = None
-    #: Timeline configuration: per-worker compute heterogeneity and optional
-    #: per-round dropout.  ``None`` keeps the default unperturbed clock.
-    compute_profile: Optional[StragglerProfile] = None
+    #: Timeline configuration: optional per-round dropout.  ``0`` keeps the
+    #: default unperturbed clock.
     dropout_rate: float = 0.0
     #: The engine the built cluster runs.  There is one, ``"batched"`` (see
     #: :mod:`repro.distributed.engine`); any other value is refused.  The
@@ -243,8 +242,8 @@ class SetupCache:
     def __init__(self) -> None:
         self._dataset_digests: Dict[int, Tuple[Dataset, str]] = {}
         self._partitions: Dict[Tuple, List[DatasetView]] = {}
-        self._pools: Dict[Tuple[int, int], Optional[_ModelPool]] = {}
-        self._model_digests: Dict[int, Tuple[ModelFactory, object]] = {}
+        self._pools: Dict[Tuple[int, int], _ModelPool] = {}
+        self._model_digests: Dict[int, Tuple[ModelFactory, str]] = {}
         self.partition_hits = 0
         self.partition_misses = 0
         self.model_hits = 0
@@ -288,43 +287,36 @@ class SetupCache:
         self._partitions[key] = shards
         return shards
 
-    def _pool(self, config: WorkloadConfig) -> Optional[_ModelPool]:
+    def _pool(self, config: WorkloadConfig) -> _ModelPool:
         # Pools are keyed by physical slots, not by clients.
         slots = config.num_workers
         key = (id(config.model_factory), slots)
-        if key in self._pools:
-            entry = self._pools[key]
-            if entry is None or entry.factory is config.model_factory:
-                self.model_hits += 1
-                return entry
+        pool = self._pools.get(key)
+        if pool is not None and pool.factory is config.model_factory:
+            self.model_hits += 1
+            return pool
         self.model_misses += 1
-        probe = config.model_factory()
-        if not getattr(probe, "built", False):
-            # An unbuilt factory relies on lazy first-forward building; the
-            # pool cannot snapshot its initial state, so fall back to eager
-            # per-cell factory calls (None is cached to skip re-probing).
-            self._pools[key] = None
-            return None
         pool = _ModelPool(config.model_factory, slots)
         self._pools[key] = pool
         return pool
 
-    def worker_models(self, config: WorkloadConfig) -> Optional[List[Sequential]]:
-        """K pristine worker models for one cell, or ``None`` to build eagerly.
+    def worker_models(self, config: WorkloadConfig) -> List[Sequential]:
+        """K pristine worker models for one cell.
 
         The models come bound in the cell's own dtype (``config.dtype``, or
         the factory's when that is ``None``), so the cluster built from them
         has nothing left to convert.
         """
-        pool = self._pool(config)
-        return pool.bind(config.dtype) if pool is not None else None
+        return self._pool(config).bind(config.dtype)
 
-    def model_digest(self, config: WorkloadConfig) -> object:
+    def model_digest(self, config: WorkloadConfig) -> str:
         """Content digest of the workload's initial model (architecture + θ₀).
 
         Memoized per factory object with a single probe build — key
         computation must stay cheap even when no cell executes (the warm
         replay path digests every cell's model without training anything).
+        A factory whose model is not built raises ``ModelNotBuiltError``
+        here, as :class:`SimulatedCluster` would.
         """
         from repro.experiments.cache import model_digest
 
@@ -332,14 +324,7 @@ class SetupCache:
         entry = self._model_digests.get(key)
         if entry is not None and entry[0] is config.model_factory:
             return entry[1]
-        probe = config.model_factory()
-        if getattr(probe, "built", False):
-            digest: object = model_digest(probe)
-        else:
-            # Last resort for lazily built factories: the qualified name.
-            # Weak (two distinct lambdas share it), but such factories cannot
-            # reach a cluster anyway — SimulatedCluster requires built models.
-            digest = {"__callable__": getattr(config.model_factory, "__qualname__", "?")}
+        digest = model_digest(config.model_factory())
         self._model_digests[key] = (config.model_factory, digest)
         return digest
 
@@ -409,10 +394,9 @@ def build_cluster(
             )
         )
     timeline = None
-    if config.compute_profile is not None or config.dropout_rate:
+    if config.dropout_rate:
         timeline = Timeline(
             len(workers),
-            profile=config.compute_profile,
             seed=rng_factory.named("timeline"),
             dropout_rate=config.dropout_rate,
         )

@@ -1,23 +1,18 @@
 """Plane 8: the event-driven coordinator and its serving harness.
 
 The paper's Section 3.3 coordinator as a *served system*: who reports when
-(:mod:`~repro.serving.arrivals` — exogenous open-loop arrivals, or the closed
+(:mod:`~repro.serving.arrivals` — open-loop Poisson arrivals, or the closed
 loop of the workers' own step completions), a bounded coordinator ingress
-queue (:mod:`~repro.serving.queueing`), staleness-aware aggregation rules
-(:mod:`~repro.serving.aggregation`), streaming latency percentiles
-(:mod:`~repro.serving.metrics`), and the one coordinator that runs them on
-the event-mode timeline (:mod:`~repro.serving.harness`).
+queue that drops what it cannot hold (:mod:`~repro.serving.queueing`),
+staleness-aware aggregation rules (:mod:`~repro.serving.aggregation`),
+streaming latency percentiles (:mod:`~repro.serving.metrics`), and the one
+coordinator that runs them on the event-mode timeline
+(:mod:`~repro.serving.harness`).
 """
 
 from repro.serving.aggregation import STALENESS_RULES, staleness_weight
-from repro.serving.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    build_arrival_process,
-)
-from repro.serving.config import ARRIVAL_KINDS, PROTOCOLS, QUEUE_POLICIES, ServingConfig
+from repro.serving.arrivals import ArrivalProcess, PoissonArrivals, build_arrival_process
+from repro.serving.config import ARRIVAL_KINDS, PROTOCOLS, ServingConfig
 from repro.serving.harness import (
     ServedFDATrainer,
     ServedUpdate,
@@ -35,7 +30,6 @@ from repro.serving.queueing import IngressQueue, PendingUpdate
 __all__ = [
     "ARRIVAL_KINDS",
     "ArrivalProcess",
-    "DeterministicArrivals",
     "IngressQueue",
     "LatencyTracker",
     "P2Quantile",
@@ -44,13 +38,11 @@ __all__ = [
     "PendingUpdate",
     "PercentileLedger",
     "PoissonArrivals",
-    "QUEUE_POLICIES",
     "STALENESS_RULES",
     "ServedFDATrainer",
     "ServedUpdate",
     "ServingConfig",
     "ServingReport",
-    "TraceArrivals",
     "build_arrival_process",
     "serve_workload",
     "staleness_weight",

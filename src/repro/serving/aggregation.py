@@ -17,8 +17,7 @@ Rules:
 * ``"staleness-weighted"`` — weight ``1 / (1 + s)``, gently discounting
   stale contributions;
 * ``"max-staleness"`` — weight 1 up to the configured bound, 0 beyond it
-  (hard rejection);
-* ``"polynomial"`` — FedAsync-style decay ``(1 + s) ** -alpha``.
+  (hard rejection).
 """
 
 from __future__ import annotations
@@ -27,16 +26,10 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["STALENESS_RULES", "staleness_weight"]
 
-STALENESS_RULES = ("uniform", "staleness-weighted", "max-staleness", "polynomial")
+STALENESS_RULES = ("uniform", "staleness-weighted", "max-staleness")
 
 
-def staleness_weight(
-    rule: str,
-    staleness: int,
-    *,
-    max_staleness: int = 4,
-    poly_alpha: float = 0.5,
-) -> float:
+def staleness_weight(rule: str, staleness: int, *, max_staleness: int = 4) -> float:
     """Aggregation weight of one update with the given staleness (0 rejects)."""
     if staleness < 0:
         raise ConfigurationError(f"staleness must be non-negative, got {staleness}")
@@ -46,8 +39,6 @@ def staleness_weight(
         return 1.0 / (1.0 + staleness)
     if rule == "max-staleness":
         return 1.0 if staleness <= max_staleness else 0.0
-    if rule == "polynomial":
-        return float((1.0 + staleness) ** -poly_alpha)
     raise ConfigurationError(
         f"unknown staleness rule {rule!r}; expected one of {STALENESS_RULES}"
     )

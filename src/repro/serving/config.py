@@ -1,13 +1,14 @@
 """Serving-plane configuration.
 
-:class:`ServingConfig` bundles the load knobs — who reports when (an
-open-loop arrival process, or ``"closed"``: the workers' own step
-completions, i.e. the paper's asynchronous coordinator), the coordinator's
-ingress-queue discipline, the staleness-aware aggregation rule, and the
-per-update service time — into one frozen dataclass.  Frozen matters: the sweep executor's content-addressed cache
-fingerprints workloads through :func:`repro.experiments.cache.canonical_value`,
-which walks frozen dataclasses field-wise, so every serving knob participates
-in the run fingerprint automatically.
+:class:`ServingConfig` bundles the load knobs — who reports when (open-loop
+Poisson arrivals, or ``"closed"``: the workers' own step completions, i.e. the
+paper's asynchronous coordinator), the coordinator's ingress-queue capacity,
+the staleness-aware aggregation rule, and the per-update service time — into
+one frozen dataclass.  Frozen matters: the sweep executor's content-addressed
+cache fingerprints workloads through
+:func:`repro.experiments.cache.canonical_value`, which walks frozen
+dataclasses field-wise, so every serving knob participates in the run
+fingerprint automatically.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ from typing import Optional
 
 from repro.exceptions import ConfigurationError
 
-#: Arrival-process kinds.  ``"closed"`` is the closed loop of the paper's
-#: Section 3.3: no exogenous arrivals — a worker reports when its own step
-#: completes, the update is aggregated on the spot, and the worker's next step
-#: waits for the coordinator's answer (the parity suite pins the trajectory).
-ARRIVAL_KINDS = ("poisson", "deterministic", "trace", "closed")
-
-#: Ingress-queue overflow policies: refuse the newcomer (``"drop"``), hold it
-#: in an unbounded anteroom until a slot frees (``"block"``, client-side
-#: back-pressure), or evict the oldest queued update to admit the newcomer
-#: (``"shed"``).
-QUEUE_POLICIES = ("drop", "block", "shed")
+#: Arrival-process kinds: open-loop Poisson arrivals, or ``"closed"``, the
+#: closed loop of the paper's Section 3.3: no exogenous arrivals — a worker
+#: reports when its own step completes, the update is aggregated on the spot,
+#: and the worker's next step waits for the coordinator's answer (the parity
+#: suite pins the trajectory).
+ARRIVAL_KINDS = ("poisson", "closed")
 
 #: Protocols the served coordinator can run: triggered-sync FDA or the
 #: lockstep BSP baseline (a round fires once every worker has delivered an
@@ -48,12 +44,12 @@ class ServingConfig:
 
     arrival: str = "poisson"
     arrival_rate: float = 1.0
-    trace_path: Optional[str] = None
     queue_capacity: Optional[int] = None
+    #: A full queue refuses the newcomer; ``"drop"`` is the one policy.  The
+    #: field stays only because ``bench/workloads.py`` still spells it.
     queue_policy: str = "drop"
     staleness_rule: str = "uniform"
     max_staleness: int = 4
-    poly_alpha: float = 0.5
     service_seconds: float = 0.0
     protocol: str = "fda"
     arrival_seed: int = 0
@@ -63,19 +59,17 @@ class ServingConfig:
             raise ConfigurationError(
                 f"arrival must be one of {ARRIVAL_KINDS}, got {self.arrival!r}"
             )
-        if self.arrival in ("poisson", "deterministic") and self.arrival_rate <= 0:
+        if self.arrival == "poisson" and self.arrival_rate <= 0:
             raise ConfigurationError(
                 f"arrival_rate must be positive, got {self.arrival_rate}"
             )
-        if self.arrival == "trace" and not self.trace_path:
-            raise ConfigurationError("trace arrivals require trace_path")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1 or None (unbounded), got {self.queue_capacity}"
             )
-        if self.queue_policy not in QUEUE_POLICIES:
+        if self.queue_policy != "drop":
             raise ConfigurationError(
-                f"queue_policy must be one of {QUEUE_POLICIES}, got {self.queue_policy!r}"
+                f"queue_policy must be 'drop', got {self.queue_policy!r}"
             )
         # The rule names live in repro.serving.aggregation; imported lazily to
         # keep the config module dependency-free.
@@ -89,10 +83,6 @@ class ServingConfig:
         if self.max_staleness < 0:
             raise ConfigurationError(
                 f"max_staleness must be non-negative, got {self.max_staleness}"
-            )
-        if self.poly_alpha < 0:
-            raise ConfigurationError(
-                f"poly_alpha must be non-negative, got {self.poly_alpha}"
             )
         if self.service_seconds < 0:
             raise ConfigurationError(
@@ -124,7 +114,7 @@ class ServingConfig:
     def describe(self) -> str:
         """Compact label for run tables and benchmark rows."""
         parts = [self.protocol, self.arrival]
-        if self.arrival in ("poisson", "deterministic"):
+        if self.arrival == "poisson":
             parts.append(f"rate{self.arrival_rate:g}")
         capacity = "inf" if self.queue_capacity is None else str(self.queue_capacity)
         parts.append(f"q{capacity}-{self.queue_policy}")

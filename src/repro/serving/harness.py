@@ -21,10 +21,9 @@ each further update is followed by one estimate over the whole table.
 
 *Who reports when* is a schedule feeding that one rule:
 
-* open loop (``arrival="poisson" | "deterministic" | "trace"``) — updates are
-  produced at the exogenous times of an
-  :class:`~repro.serving.arrivals.ArrivalProcess`, whatever the backlog, and
-  reach the queue after their upload latency;
+* open loop (``arrival="poisson"``) — updates are produced at the exogenous
+  times of a :class:`~repro.serving.arrivals.PoissonArrivals` process,
+  whatever the backlog, and reach the queue after their upload latency;
 * closed loop (``arrival="closed"``) — the paper's protocol as written: a
   worker reports when the timeline says its step completed, the update is
   aggregated at that instant (unbounded queue, instant service, latency
@@ -66,7 +65,8 @@ from repro.serving.queueing import IngressQueue, PendingUpdate
 
 __all__ = ["ServedFDATrainer", "ServedUpdate", "ServingReport", "serve_workload"]
 
-#: Settle unprompted at this many uncomputed steps per worker: a trace can starve the barrier.
+#: Settle unprompted at this many uncomputed steps per worker: until every row
+#: has reported, no estimate reads the table, and the backlog must not grow.
 BACKLOG_LIMIT_PER_WORKER = 8
 
 
@@ -99,8 +99,6 @@ class ServingReport:
     updates_served: int
     updates_offered: int
     updates_dropped: int
-    updates_shed: int
-    updates_blocked_peak: int
     stale_rejected: int
     sync_count: int
     virtual_seconds: float
@@ -118,12 +116,12 @@ class ServingReport:
 class ServedFDATrainer(FDAProtocol):
     """The event-driven coordinator over a :class:`SimulatedCluster`.
 
-    The trainer drives the cluster's timeline.  An explicit ``profile``
-    builds a fresh :class:`~repro.core.timeline.Timeline` from it and ``seed``
-    and installs it as the fabric's clock; otherwise the cluster's own
-    timeline is used as-is — so a straggler timeline configured through
-    ``WorkloadConfig.compute_profile`` is honoured.  Either way, communication
-    charged by the fabric and the trainer's events advance the same clock.
+    The trainer drives the cluster's timeline.  An explicit ``profile`` — the
+    one way to give a served run stragglers — builds a fresh
+    :class:`~repro.core.timeline.Timeline` from it and ``seed`` and installs
+    it as the fabric's clock; otherwise the cluster's own timeline is used
+    as-is.  Either way, communication charged by the fabric and the trainer's
+    events advance the same clock.
     """
 
     def __init__(
@@ -142,10 +140,9 @@ class ServedFDATrainer(FDAProtocol):
         self.timeline = cluster.timeline
         self.config = config
         self.latency = LatencyTracker()
-        self.queue = IngressQueue(config.queue_capacity, config.queue_policy)
+        self.queue = IngressQueue(config.queue_capacity)
         self.stale_rejected = 0
         self.updates_served = 0
-        self.blocked_peak = 0
         # Staleness weight of each worker's row, and how many rows have not
         # reported since the last sync — plain Python, so aggregating an
         # update costs no numpy call beyond its row write.
@@ -163,9 +160,8 @@ class ServedFDATrainer(FDAProtocol):
         for worker_id in range(cluster.num_workers):
             if self._arrivals is None:
                 self.timeline.schedule_step(worker_id, start_time=0.0)
-                continue
-            first = self._arrivals.next_arrival(worker_id, 0.0)
-            if first is not None:
+            else:
+                first = self._arrivals.next_arrival(worker_id, 0.0)
                 self.timeline.schedule(first, ARRIVAL, worker_id)
 
     @property
@@ -190,8 +186,7 @@ class ServedFDATrainer(FDAProtocol):
             # Open loop: the next arrival is a function of this arrival's time
             # only, never of coordinator backlog.
             next_time = self._arrivals.next_arrival(worker_id, event_time)
-            if next_time is not None:
-                self.timeline.schedule(next_time, ARRIVAL, worker_id)
+            self.timeline.schedule(next_time, ARRIVAL, worker_id)
         if self.config.protocol == "fda":
             elements, category = self.state_elements_per_step, CATEGORY_STATE
         else:
@@ -242,13 +237,12 @@ class ServedFDATrainer(FDAProtocol):
         self._aggregated.clear()
 
     def _admit(self, update: PendingUpdate) -> None:
-        self.queue.offer(update, self.timeline.now)
-        self.blocked_peak = max(self.blocked_peak, self.queue.blocked)
+        self.queue.offer(update)
         if not self._busy and self.queue:
             self._start_service()
 
     def _start_service(self) -> None:
-        update = self.queue.pop(self.timeline.now)
+        update = self.queue.pop()
         self._busy = True
         completion = self.timeline.now + self.config.service_seconds
         self.timeline.schedule(completion, SERVICE, update.worker_id, update)
@@ -263,7 +257,6 @@ class ServedFDATrainer(FDAProtocol):
             self.config.staleness_rule,
             self.synchronization_count - update.version,
             max_staleness=self.config.max_staleness,
-            poly_alpha=self.config.poly_alpha,
         )
         estimate, synchronized = float("nan"), False
         if weight <= 0.0:
@@ -375,8 +368,6 @@ class ServedFDATrainer(FDAProtocol):
             updates_served=self.updates_served,
             updates_offered=self.queue.offered,
             updates_dropped=self.queue.dropped,
-            updates_shed=self.queue.shed,
-            updates_blocked_peak=self.blocked_peak,
             stale_rejected=self.stale_rejected,
             sync_count=self.synchronization_count,
             virtual_seconds=float(self.timeline.now),

@@ -9,16 +9,7 @@ settle-by-rank trainer must equal in every observable bit.
 
 from __future__ import annotations
 
-import json
-
 from repro.serving import ServedFDATrainer
-
-
-def write_arrival_trace(path, events) -> None:
-    """Record ``(worker, time)`` events as the JSONL format ``TraceArrivals`` replays."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for worker, time in events:
-            handle.write(json.dumps({"worker": int(worker), "time": float(time)}) + "\n")
 
 
 class RecordingTrainer(ServedFDATrainer):
@@ -46,9 +37,8 @@ class PerEventTrainer(RecordingTrainer):
 def serve_next(trainer):
     """Serve one more update and return its record, settled like a public driver.
 
-    ``None`` only when the load is finite (a trace ran dry) and the queue
-    drained.  The stepping form of ``serve_updates(1)`` for tests that read
-    the records one at a time.
+    ``None`` only when the timeline ran out of events.  The stepping form of
+    ``serve_updates(1)`` for tests that read the records one at a time.
     """
     record = trainer._serve_one()
     trainer._settle()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -82,6 +84,43 @@ class TestCli:
             main(["figure3", "--help"])
         output = capsys.readouterr().out
         assert "--full" in output
+
+
+class TestServeCommand:
+    SERVE = ["serve", "--workload", "lenet", "--workers", "2", "--updates", "20"]
+
+    def test_open_loop_poisson_run(self, capsys):
+        overloaded = ["--arrival-rate", "2", "--queue-capacity", "2", "--service-seconds", "0.5"]
+        assert main([*self.SERVE, "--arrival", "poisson", *overloaded]) == 0
+        output = capsys.readouterr().out
+        assert "served run: fda-poisson-rate2-q2-drop-uniform-svc0.5 on lenet (K=2)" in output
+        assert "updates served   : 20 / " in output
+        dropped = re.search(r"lost +: (\d+) dropped, 0 stale-rejected", output)
+        assert dropped and int(dropped.group(1)) > 0
+        assert "latency p50/p95/p99 :" in output
+
+    def test_closed_loop_run(self, capsys):
+        assert main([*self.SERVE, "--arrival", "closed"]) == 0
+        output = capsys.readouterr().out
+        assert "served run: fda-closed-qinf-drop-uniform on lenet (K=2)" in output
+        assert "updates served   : 20 / 20 offered" in output
+        assert "lost             : 0 dropped, 0 stale-rejected" in output
+        assert "latency p50/p95/p99 : 0.0000 / 0.0000 / 0.0000 s" in output
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace", "arrivals.jsonl"],
+            ["--queue-policy", "drop"],
+            ["--poly-alpha", "0.5"],
+            ["--arrival", "deterministic"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_deleted_load_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.SERVE, *flags])
+        assert exit_info.value.code == 2
 
 
 def normalised(text: str) -> list:

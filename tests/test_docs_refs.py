@@ -1,6 +1,6 @@
 """Documentation reference checks: docs must not rot.
 
-Six guarantees, run with the rest of ``tests/``
+Seven guarantees, run with the rest of ``tests/``
 (``python -m pytest tests/test_docs_refs.py`` alone):
 
 * every dotted ``repro.*`` reference in ``ARCHITECTURE.md`` and ``docs/``
@@ -14,7 +14,9 @@ Six guarantees, run with the rest of ``tests/``
   ``examples/population_scale.py``, which hands worker shards to a client
   directory, runs;
 * ``ARCHITECTURE.md``'s strategy × topology matrix says what
-  :func:`repro.composition.allows` says.
+  :func:`repro.composition.allows` says;
+* every ``python -m repro.cli …`` line in ``docs/paper_map.md`` and in the
+  CLI's module docstring parses, so no document names a deleted flag.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import repro.cli
 import repro.compression
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -213,3 +217,32 @@ def test_the_strategy_topology_matrix_is_the_composition_table():
         added = ("served",) if class_name is None else getattr(strategies, class_name).features
         expected = [allows(*added, topology) for topology in TOPOLOGY_FEATURES]
         assert rows[row] == expected, f"{row}: the doc says {rows[row]}, the table {expected}"
+
+
+#: The arguments of a ``python -m repro.cli`` command, up to a closing backtick.
+CLI_COMMAND_RE = re.compile(r"python -m repro\.cli ([^`\n]+)")
+
+
+def _cli_commands() -> list:
+    sources = {
+        "paper_map.md": _doc_text(REPO_ROOT / "docs" / "paper_map.md"),
+        "repro/cli.py": repro.cli.__doc__,
+    }
+    return sorted(
+        (source, match.group(1).strip())
+        for source, text in sources.items()
+        for match in CLI_COMMAND_RE.finditer(text)
+    )
+
+
+def test_the_cli_command_scan_finds_the_documented_commands():
+    sources = {source for source, _ in _cli_commands()}
+    assert sources == {"paper_map.md", "repro/cli.py"}
+
+
+@pytest.mark.parametrize("source, command", _cli_commands(), ids=lambda value: str(value))
+def test_documented_cli_command_parses(source, command):
+    try:
+        repro.cli._build_parser().parse_args(shlex.split(command))
+    except SystemExit as error:
+        pytest.fail(f"{source}: `python -m repro.cli {command}` does not parse ({error})")

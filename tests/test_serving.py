@@ -4,16 +4,16 @@
   function of ``(seed, worker, rate)``: replaying a process yields the
   identical sequence, and distinct seeds yield distinct sequences.
 * **Queue conservation** — under *arbitrary* interleavings of offers and
-  pops, every capacity and every policy, the ledger invariant
-  ``offered == aggregated + dropped + shed + in_flight`` holds at every
-  intermediate instant (Hypothesis drives the interleavings).
+  pops and every capacity, the ledger invariant
+  ``offered == aggregated + dropped + depth`` holds at every intermediate
+  instant (Hypothesis drives the interleavings).
 * **Percentile cross-check** — the P² streaming estimator stays within its
   documented rank-error bound of the exact sorted ledger: the empirical CDF
   evaluated at the P² estimate is within ``P2_RANK_ERROR_BOUND`` of the
   target quantile for n >= 100 observations.
 
-Deterministic unit tests for the staleness rules and the individual queue
-policies ride along.
+Deterministic unit tests for the staleness rules and the queue's drop policy
+ride along.
 """
 
 import numpy as np
@@ -22,14 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ExperimentError
-from helpers.serving import write_arrival_trace
 from repro.serving.aggregation import STALENESS_RULES, staleness_weight
-from repro.serving.arrivals import (
-    DeterministicArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    build_arrival_process,
-)
+from repro.serving.arrivals import PoissonArrivals, build_arrival_process
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import (
     P2_RANK_ERROR_BOUND,
@@ -93,65 +87,29 @@ class TestArrivalReproducibility:
         assert [replay.next_arrival(0, 0.0) for _ in range(8)] == a
         assert [replay.next_arrival(1, 0.0) for _ in range(8)] == b
 
-    def test_deterministic_intervals(self):
-        process = DeterministicArrivals(4.0)
-        assert process.next_arrival(0, 0.0) == pytest.approx(0.25)
-        assert process.next_arrival(0, 1.0) == pytest.approx(1.25)
-
-    def test_trace_replays_in_order_and_exhausts(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_arrival_trace(str(path), [(0, 0.5), (0, 0.1), (1, 2.0)])
-        trace = TraceArrivals.from_jsonl(str(path))
-        assert trace.next_arrival(0, 0.0) == pytest.approx(0.1)
-        assert trace.next_arrival(0, 0.2) == pytest.approx(0.5)
-        assert trace.next_arrival(0, 1.0) is None
-        assert trace.next_arrival(1, 0.0) == pytest.approx(2.0)
-        assert trace.next_arrival(2, 0.0) is None
-
-    def test_trace_late_delivery_stays_after_now(self):
-        trace = TraceArrivals({0: [1.0]})
-        delivered = trace.next_arrival(0, 5.0)
-        assert delivered > 5.0
-
     def test_build_arrival_process_dispatch(self):
         assert build_arrival_process(ServingConfig(arrival="closed"), 4) is None
         assert isinstance(
             build_arrival_process(ServingConfig(arrival="poisson"), 4), PoissonArrivals
         )
-        assert isinstance(
-            build_arrival_process(ServingConfig(arrival="deterministic"), 4),
-            DeterministicArrivals,
-        )
-
-    def test_a_trace_for_a_larger_cluster_is_refused_by_name(self, tmp_path):
-        """An 8-worker trace on 4 workers used to serve half its events, silently."""
-        path = tmp_path / "trace.jsonl"
-        write_arrival_trace(str(path), [(w, 0.1 * (w + 1)) for w in range(8)])
-        config = ServingConfig(arrival="trace", trace_path=str(path))
-        assert isinstance(build_arrival_process(config, 8), TraceArrivals)
-        with pytest.raises(ConfigurationError, match=r"workers \[4, 5, 6, 7\]"):
-            build_arrival_process(config, 4)
 
 
 class TestQueueConservation:
     @given(
         capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
-        policy=st.sampled_from(["drop", "block", "shed"]),
         # True = offer one update, False = pop (if non-empty).
         ops=st.lists(st.booleans(), min_size=1, max_size=200),
     )
     @SETTINGS
-    def test_conservation_under_arbitrary_interleavings(self, capacity, policy, ops):
-        queue = IngressQueue(capacity, policy)
+    def test_conservation_under_arbitrary_interleavings(self, capacity, ops):
+        queue = IngressQueue(capacity)
         seq = 0
-        now = 0.0
         for is_offer in ops:
-            now += 1.0
             if is_offer:
-                queue.offer(_update(seq), now)
+                queue.offer(_update(seq))
                 seq += 1
             elif queue:
-                queue.pop(now)
+                queue.pop()
             # The invariant holds at EVERY intermediate instant.
             assert queue.conservation_holds()
             if capacity is not None:
@@ -163,57 +121,29 @@ class TestQueueConservation:
     )
     @SETTINGS
     def test_draining_accounts_for_every_offer(self, capacity, offers):
-        for policy in ("drop", "block", "shed"):
-            queue = IngressQueue(capacity, policy)
-            for seq in range(offers):
-                queue.offer(_update(seq), float(seq))
-            while queue:
-                queue.pop(99.0)
-            # Block keeps everything (anteroom drains through the queue);
-            # after a full drain under drop/shed nothing is in flight.
-            if policy == "block":
-                while queue:
-                    queue.pop(99.0)
-            assert queue.conservation_holds()
-            if policy != "block":
-                assert queue.in_flight == 0
-                assert queue.offered == queue.dequeued + queue.lost
+        queue = IngressQueue(capacity)
+        for seq in range(offers):
+            queue.offer(_update(seq))
+        while queue:
+            queue.pop()
+        assert queue.conservation_holds()
+        assert queue.depth == 0
+        assert queue.offered == queue.dequeued + queue.lost
 
     def test_drop_refuses_newcomer(self):
-        queue = IngressQueue(1, "drop")
-        assert queue.offer(_update(0), 0.0) == "enqueued"
-        assert queue.offer(_update(1), 0.1) == "dropped"
+        queue = IngressQueue(1)
+        assert queue.offer(_update(0)) == "enqueued"
+        assert queue.offer(_update(1)) == "dropped"
         assert queue.dropped == 1
-        assert queue.pop(0.2).seq == 0
-
-    def test_block_parks_and_promotes_fifo(self):
-        queue = IngressQueue(1, "block")
-        queue.offer(_update(0, time=0.0), 0.0)
-        assert queue.offer(_update(1, time=0.1), 0.1) == "blocked"
-        assert queue.offer(_update(2, time=0.2), 0.2) == "blocked"
-        assert queue.blocked == 2
-        assert queue.pop(0.3).seq == 0
-        # Oldest blocked update was promoted, with its original timestamp.
-        promoted = queue.pop(0.4)
-        assert promoted.seq == 1
-        assert promoted.enqueue_time == pytest.approx(0.1)
-
-    def test_shed_evicts_oldest(self):
-        queue = IngressQueue(2, "shed")
-        for seq in range(3):
-            queue.offer(_update(seq), float(seq))
-        assert queue.shed == 1
-        assert [queue.pop(9.0).seq for _ in range(2)] == [1, 2]
+        assert queue.pop().seq == 0
 
     def test_empty_pop_raises(self):
         with pytest.raises(ExperimentError):
-            IngressQueue().pop(0.0)
+            IngressQueue().pop()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             IngressQueue(capacity=0)
-        with pytest.raises(ConfigurationError):
-            IngressQueue(policy="lifo")
 
 
 class TestPercentileCrossCheck:
@@ -272,7 +202,6 @@ class TestStalenessRules:
         assert staleness_weight("staleness-weighted", 3) == pytest.approx(0.25)
         assert staleness_weight("max-staleness", 4, max_staleness=4) == 1.0
         assert staleness_weight("max-staleness", 5, max_staleness=4) == 0.0
-        assert staleness_weight("polynomial", 3, poly_alpha=0.5) == pytest.approx(0.5)
 
     def test_weights_are_monotone(self):
         for rule in STALENESS_RULES:
@@ -308,10 +237,23 @@ class TestServingConfigValidation:
         with pytest.raises(ConfigurationError):
             ServingConfig(arrival_rate=0.0)
         with pytest.raises(ConfigurationError):
-            ServingConfig(arrival="trace")
-        with pytest.raises(ConfigurationError):
             ServingConfig(queue_policy="random")
         with pytest.raises(ConfigurationError):
             ServingConfig(staleness_rule="linear-decay")
         with pytest.raises(ConfigurationError):
             ServingConfig(service_seconds=-1.0)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"arrival": "deterministic"},
+            {"arrival": "trace"},
+            {"queue_policy": "block"},
+            {"queue_policy": "shed"},
+            {"staleness_rule": "polynomial"},
+        ],
+        ids=lambda knob: next(iter(knob.values())),
+    )
+    def test_deleted_load_options_are_refused(self, knob):
+        with pytest.raises(ConfigurationError):
+            ServingConfig(**knob)

@@ -694,19 +694,19 @@ class TestOpenLoopInvariants:
         def run(rule):
             cluster = build_cluster(side)
             monitor = make_monitor("linear", cluster.model_dimension, seed=3)
-            config = ServingConfig(
-                arrival="deterministic", arrival_rate=1.0, staleness_rule=rule
-            )
+            config = ServingConfig(arrival="closed", staleness_rule=rule)
             trainer = ServedFDATrainer(cluster, monitor, 0.05, config)
             trainer.serve_updates(80)
             return trainer
 
         uniform = run("uniform")
-        # With deterministic arrivals and instant service no update is ever
-        # stale, so staleness-weighted weights are all equal and the weighted
-        # path must land on the same synchronization schedule.
+        # The closed loop aggregates every update the instant its step
+        # completes, so no update is ever stale: staleness-weighted weights
+        # are all equal and the weighted path must land on the same
+        # synchronization schedule.
         weighted = run("staleness-weighted")
-        assert uniform.sync_count == weighted.sync_count
+        assert weighted._weights == [1.0] * len(weighted._weights)
+        assert uniform.sync_count == weighted.sync_count > 0
         np.testing.assert_allclose(
             uniform.cluster.parameter_matrix,
             weighted.cluster.parameter_matrix,
@@ -774,14 +774,13 @@ class TestServingReport:
         cluster = build_cluster()
         monitor = make_monitor("linear", cluster.model_dimension, seed=3)
         config = ServingConfig(
-            arrival="deterministic", arrival_rate=4.0, queue_capacity=1,
-            queue_policy="block", service_seconds=1.0,
+            arrival="poisson", arrival_rate=4.0, queue_capacity=1, service_seconds=1.0,
         )
         trainer = ServedFDATrainer(cluster, monitor, 0.05, config)
         trainer.serve_updates(10)
         report = trainer.report()
         row = report.to_dict()
         assert set(row) >= {f.name for f in fields(ServingReport)} - {"latency"}
-        # Block-policy back-pressure is visible to BENCH_serving.json consumers.
-        assert row["updates_blocked_peak"] == report.updates_blocked_peak > 0
+        # Overload drops are visible to BENCH_serving.json consumers.
+        assert row["updates_dropped"] == report.updates_dropped > 0
         assert row["latency_p99"] == report.latency["p99"]

@@ -6,8 +6,8 @@ tests hold that to the semantics it replaced — every step computed at its own
 event (``helpers.serving.PerEventTrainer``) — and pin the rules that make the
 deferral invisible:
 
-* **Oracle property** — over arrival kind x rate x queue x staleness rule x
-  protocol x monitor x engine x dtype, on a model with ``Dropout``: identical
+* **Oracle property** — over arrival kind x rate x queue capacity x staleness
+  rule x protocol x monitor x engine x dtype, on a model with ``Dropout``: identical
   records, parameters, buffers, optimizer moments, byte/link/latency ledgers
   and sampler/dropout RNG states.  ``"exact"`` is the widest row: its
   payload is the whole drift, written into the state table at the settle.
@@ -18,9 +18,6 @@ deferral invisible:
 * **Divergence names its worker**, at the settle, before a synchronization
   could spread the bad step.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,13 +32,12 @@ from helpers.serving import (
     drive,
     serve_next,
     served_snapshot,
-    write_arrival_trace,
 )
 from repro.core.monitor import make_monitor
 from repro.exceptions import TrainingError
 from repro.faults.plan import FaultPlan
 from repro.optim.sgd import SGD
-from repro.serving import ServingConfig
+from repro.serving import ArrivalProcess, ServingConfig, harness
 from repro.serving.aggregation import STALENESS_RULES
 from repro.serving.harness import BACKLOG_LIMIT_PER_WORKER
 
@@ -67,34 +63,17 @@ def build(trainer_class, config, *, side, dtype="float64", variant="linear",
 
 
 @st.composite
-def serving_configs(draw, trace_dir):
+def serving_configs(draw):
     staleness = dict(
         staleness_rule=draw(st.sampled_from(STALENESS_RULES)),
         max_staleness=draw(st.integers(min_value=0, max_value=2)),
     )
-    arrival = draw(st.sampled_from(["poisson", "deterministic", "trace", "closed"]))
-    if arrival == "closed":
+    if draw(st.sampled_from(["poisson", "closed"])) == "closed":
         return ServingConfig(arrival="closed", **staleness)
-    trace_path = None
-    if arrival == "trace":
-        events = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=NUM_WORKERS - 1),
-                    st.floats(min_value=0.0, max_value=20.0),
-                ),
-                min_size=1,
-                max_size=60,
-            )
-        )
-        trace_path = str(Path(trace_dir) / "trace.jsonl")
-        write_arrival_trace(trace_path, events)
     return ServingConfig(
-        arrival=arrival,
+        arrival="poisson",
         arrival_rate=draw(st.sampled_from([0.3, 1.0, 4.0])),
-        trace_path=trace_path,
         queue_capacity=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=6))),
-        queue_policy=draw(st.sampled_from(["drop", "block", "shed"])),
         service_seconds=draw(st.sampled_from([0.0, 0.05, 0.4])),
         protocol=draw(st.sampled_from(["fda", "bsp"])),
         arrival_seed=draw(st.integers(min_value=0, max_value=3)),
@@ -105,7 +84,7 @@ def serving_configs(draw, trace_dir):
 #: Four times the load the coordinator can serve: workers report several times
 #: between two read barriers, and most of what they report is dropped.
 SATURATED = ServingConfig(
-    arrival="poisson", arrival_rate=2.5, queue_capacity=4, queue_policy="drop",
+    arrival="poisson", arrival_rate=2.5, queue_capacity=4,
     staleness_rule="max-staleness", max_staleness=1, service_seconds=0.4, arrival_seed=7,
 )
 
@@ -156,11 +135,10 @@ class TestPerEventOracle:
             for driver, amount in drivers:
                 drive(trainer, driver, amount / 4.0 if driver == "serve_for" else amount)
 
-        with tempfile.TemporaryDirectory() as trace_dir:
-            assert_equals_oracle(
-                data.draw(serving_configs(trace_dir)), run, side=side,
-                dtype=dtype, variant=variant, threshold=threshold, lossy=lossy,
-            )
+        assert_equals_oracle(
+            data.draw(serving_configs()), run, side=side,
+            dtype=dtype, variant=variant, threshold=threshold, lossy=lossy,
+        )
 
 
 class BacklogWatcher(RecordingTrainer):
@@ -209,18 +187,30 @@ class TestVisibilityRule:
         assert trainer._update_seq > trainer.queue.offered - trainer.queue.lost
 
 
+class RoundRobinWithoutLastWorker(ArrivalProcess):
+    """Workers 0..K-2 report in turn, one report every 10 ms; worker K-1's
+    first arrival never comes."""
+
+    def next_arrival(self, worker_id: int, after: float) -> float:
+        if worker_id == NUM_WORKERS - 1:
+            return float("inf")
+        if after == 0.0:
+            return 0.01 * (worker_id + 1)
+        return after + 0.01 * (NUM_WORKERS - 1)
+
+
 class TestBoundedBacklog:
     @pytest.mark.parametrize("side", SIDES)
     def test_a_worker_that_never_reports_does_not_let_the_backlog_grow(
-        self, side, tmp_path
+        self, side, monkeypatch
     ):
-        """Worker 3 is absent from the trace, so its row never reports: no
-        estimate, no synchronization — only the bound settles mid-run."""
-        path = tmp_path / "trace.jsonl"
-        write_arrival_trace(
-            str(path), [(w, 0.01 * (3 * i + w + 1)) for i in range(60) for w in range(3)]
+        """Worker 3 never reports, so its row stays empty: no estimate, no
+        synchronization — only the bound settles mid-run."""
+        monkeypatch.setattr(
+            harness, "build_arrival_process",
+            lambda config, num_workers: RoundRobinWithoutLastWorker(),
         )
-        config = ServingConfig(arrival="trace", trace_path=str(path), service_seconds=0.005)
+        config = ServingConfig(arrival="poisson", service_seconds=0.005)
         trainer = assert_equals_oracle(
             config, lambda trainer: trainer.serve_updates(180), BacklogWatcher,
             side=side,

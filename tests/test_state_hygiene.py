@@ -950,7 +950,10 @@ def test_a_message_costs_what_its_links_carry():
 #: reported; then straggler spikes and payload corruption (the plan fields,
 #: the injector's draws, streams and log entries, the cluster's hooks and the
 #: timeline's stall) with the plan's three retry knobs, and the run budget's
-#: train-accuracy sample count; then the checkpoint's base64 value codec.
+#: train-accuracy sample count; then the checkpoint's base64 value codec; then
+#: the served load options no workload sent — fixed-rate and trace arrivals,
+#: the block and shed queues, the polynomial rule, the queue's depth log —
+#: and the workload's straggler profile.
 #: ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
 #: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
@@ -972,7 +975,12 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|straggler_active|corruption_active|_maybe_spike|_maybe_corrupt"
     r"|train_eval_samples|Loss|label_smoothing|_target_distribution|use_bias|drop_last"
     r"|encode_value|decode_value"
-    r")\b|--execution\b|Timeline\.stall\b|\.stall\("
+    r"|DeterministicArrivals|TraceArrivals|from_jsonl|trace_path|QUEUE_POLICIES"
+    r"|updates_shed|updates_blocked_peak|blocked_peak|poly_alpha|depth_samples"
+    r"|compute_profile"
+    r")\b|--execution\b|--trace\b|--queue-policy\b|--poly-alpha\b"
+    r"|\.in_flight\b|\.blocked\b|\.shed\b|\"(?:deterministic|trace|block|shed|polynomial)\""
+    r"|Timeline\.stall\b|\.stall\("
     r"|faults/stragglers\b|faults/corruption\b"
     r"|repro\.utils\.validation|\.perturbed\b|\.shuffled\(|\.evict\("
     r"|(?<=[`.])FedAvg\b|\bFedAvg\("
@@ -1297,8 +1305,6 @@ UNSET_FIELD_ALLOWLIST = {
     "(the CLI's --compression, the registry's compression grids, bench overrides)",
     "WorkloadConfig.population": "set by with_population, which keeps num_workers equal "
     "to the cohort size",
-    "WorkloadConfig.compute_profile": "no caller under these roots: straggler profiles reach "
-    "runs through ServedFDATrainer(profile=); a FOUND item in CHANGES.md",
 }
 
 

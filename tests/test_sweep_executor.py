@@ -10,6 +10,7 @@ bit-identical to serial.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 
 from repro.backend import resolve_dtype
 from repro.compression import CompressionConfig
-from repro.core.timeline import StragglerProfile
 from repro.data.synthetic import gaussian_blobs
 from repro.distributed.topology import GossipTopology, HierarchicalTopology
-from repro.exceptions import ExperimentError
-from repro.experiments.cache import CODE_VERSION, RunStore
+from helpers.memory import peak_bytes
+from repro.data.datasets import Dataset
+from repro.exceptions import ExperimentError, ModelNotBuiltError
+from repro.experiments.cache import CODE_VERSION, RunStore, canonical_value, dataset_digest
 from repro.experiments.executor import (
     SweepCell,
     SweepExecutor,
@@ -102,9 +104,6 @@ FIELD_ALTERNATIVES = {
         ["ring", "hierarchical", "gossip", HierarchicalTopology(2), GossipTopology(3, 2)]
     ),
     "network": st.sampled_from(["fl", "hpc", "balanced"]),
-    "compute_profile": st.floats(0.1, 0.9).map(
-        lambda fraction: StragglerProfile(straggler_fraction=fraction)
-    ),
     "dropout_rate": st.floats(0.01, 0.9),
     "compression": st.sampled_from(
         ["topk", "quantization", "randomk", "signsgd", CompressionConfig("topk", ratio=0.05)]
@@ -123,14 +122,9 @@ FIELD_ALTERNATIVES = {
 #: dataclasses, keyed ``Class.field``.
 INT_SPELLINGS = {
     "ServingConfig.arrival_rate": 2,
-    "ServingConfig.poly_alpha": 1,
     "ServingConfig.service_seconds": 2,
     "CompressionConfig.ratio": 1,
     "PopulationConfig.act_prob": 1,
-    "StragglerProfile.base_step_seconds": 2,
-    "StragglerProfile.straggler_fraction": 1,
-    "StragglerProfile.straggler_factor": 3,
-    "StragglerProfile.jitter": 0,
     "FaultPlan.crash_rate": 0,
     "FaultPlan.recovery_rounds": 3,
     "FaultPlan.loss_rate": 0,
@@ -142,7 +136,6 @@ CARRIERS = {
     ServingConfig: ("serving", {}),
     CompressionConfig: ("compression", {}),
     PopulationConfig: ("population", {"num_clients": 20, "cohort_size": 4}),
-    StragglerProfile: ("compute_profile", {}),
     FaultPlan: ("faults", {"crash_rate": 0.1, "loss_rate": 0.1}),
 }
 
@@ -334,7 +327,48 @@ class TestRunKeys:
             executor_module.CODE_VERSION = original
 
 
+class TestContentDigests:
+    """Digests hash the arrays' own buffers: the bytes ``tobytes()`` would copy."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(24.0).reshape(4, 6)[:, ::2],
+            np.array([[True, False], [False, True]]),
+            np.arange(12, dtype=np.int32).reshape(3, 4).T,
+        ],
+        ids=["non-contiguous", "bool", "int-transposed"],
+    )
+    def test_an_array_token_is_the_digest_of_its_bytes(self, array):
+        expected = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+        assert canonical_value(array)["__ndarray__"] == expected
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_a_dataset_digest_is_the_digest_of_its_bytes(self, contiguous):
+        samples = np.arange(60.0).reshape(10, 6)
+        data = Dataset(samples if contiguous else samples[:, ::2], np.arange(10) % 3, 3)
+        x, y = np.ascontiguousarray(data.x), np.ascontiguousarray(data.y)
+        expected = hashlib.sha256()
+        expected.update(str((x.shape, str(x.dtype), y.shape, str(y.dtype))).encode())
+        expected.update(x.tobytes())
+        expected.update(y.tobytes())
+        expected.update(b"3")
+        assert dataset_digest(data) == expected.hexdigest()
+
+    def test_a_dataset_digest_copies_no_samples(self):
+        # 4096 × 256 float64 = 8 MiB; a ``tobytes()`` copy would hold all of it.
+        data = Dataset(np.ones((4096, 256)), np.zeros(4096, dtype=np.int64), 2)
+        _, peak = peak_bytes(dataset_digest, data)
+        assert peak <= 0.05 * data.x.nbytes
+
+
 class TestMemoizedSetup:
+    def test_an_unbuilt_model_factory_fails_by_name_when_its_key_is_computed(self):
+        # SimulatedCluster refuses an unbuilt model, so no run could use its key.
+        unbuilt = lambda: Sequential([Dense(BLOBS_CLASSES)])  # noqa: E731
+        with pytest.raises(ModelNotBuiltError):
+            SweepExecutor().run_key(make_cell(build_workload(model_factory=unbuilt)))
+
     def test_memoized_results_match_eager(self):
         eager = [
             run_eager(
