@@ -50,6 +50,14 @@ The deep-narrow dispatch-bound config is deliberately not the acceptance
 cell: Python dispatch over 260 tiny layers is dtype-independent, so it
 measures the interpreter, not the memory system.
 
+**Sketching the drift plane** (``test_bench_hotpath_sketch``).  SketchFDA's
+monitor sketches the ``(K, d)`` drift matrix with ``AmsSketch.sketch_rows``
+at K=32, d=114 728 (the benchmark's big model; half of it in small mode),
+float32.  Recorded, not gated: the median milliseconds per call and the
+traced peak bytes, which the sketch's row blocks keep a fraction of the
+plane's float64 transpose.  Every row is asserted byte-equal to a one-vector
+``sketch``.
+
 All benches emit their grids into ``BENCH_hotpath.json`` (see
 ``bench_json.py``) so CI can track the perf trajectory PR-over-PR.
 ``REPRO_BENCH_SMALL=1`` trims sizes; ``REPRO_BENCH_STRICT=0`` downgrades
@@ -73,6 +81,8 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
 from repro.nn.architectures import mlp
 from repro.optim.sgd import SGD
+from repro.sketch.ams import AmsSketch
+from tests.helpers.memory import peak_bytes
 from tests.helpers.per_worker import on_side, solo_step, train_batch
 
 SMALL = os.environ.get("REPRO_BENCH_SMALL", "0") == "1"
@@ -574,6 +584,37 @@ def test_bench_hotpath_batched_matches_the_per_worker_loop():
         loss_bat = batched.step_all()
         np.testing.assert_allclose(loss_loop, loss_bat, rtol=1e-6)
     np.testing.assert_allclose(loop.parameter_matrix, batched.parameter_matrix, rtol=1e-6)
+
+
+# -- sketching the drift plane ---------------------------------------------------
+
+
+@pytest.mark.benchmark(group="hotpath")
+def test_bench_hotpath_sketch():
+    # Small mode halves d; a block then holds 9 rows, still under a shard's 16.
+    num_rows, dimension, repeats = 32, 57_364 if SMALL else 114_728, 15
+    matrix = np.random.default_rng(0).normal(size=(num_rows, dimension)).astype(np.float32)
+    operator = AmsSketch(dimension=dimension)
+    sketches, peak = peak_bytes(operator.sketch_rows, matrix)
+    for row, sketch in zip(matrix, sketches):
+        assert sketch.tobytes() == operator.sketch(row).tobytes()
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        operator.sketch_rows(matrix)
+        seconds.append(time.perf_counter() - start)
+    transpose_bytes = num_rows * dimension * 8
+    row = {
+        "K": num_rows,
+        "d": dimension,
+        "dtype": "float32",
+        "median_ms_per_call": round(1e3 * float(np.median(seconds)), 3),
+        "peak_bytes": peak,
+        "peak_over_float64_transpose": round(peak / transpose_bytes, 3),
+    }
+    print("\n=== AmsSketch.sketch_rows over the drift plane ===")
+    print(row)
+    emit_bench_section("hotpath", "sketch", [row])
 
 
 # -- the plane-vs-seed regression canary (PR-1 baseline) ------------------------

@@ -163,13 +163,13 @@ class SketchMonitor(VarianceMonitor):
     def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
         """Rows ``[‖u‖² | sketch of u]`` with one batched sketch of the matrix.
 
-        The sketch — the expensive part — is built for all rows at once
-        (``sketch_rows``: one product of the sparse sketch operator with the
-        transposed matrix, bit-identical to per-row sketching because each
-        bucket accumulates its coordinates in ascending order whatever the
-        number of columns).  A float32 plane's norms are reduced in float32;
-        the sketch counters always accumulate in float64 (see
-        :mod:`repro.sketch.ams`).
+        The sketch — the expensive part — is built for all rows in one call
+        (``sketch_rows``: one product of the sparse sketch operator per block
+        of rows with that block's float64 transpose, bit-identical to per-row
+        sketching because each bucket accumulates its coordinates in
+        ascending order whatever the number of columns).  A float32 plane's
+        norms are reduced in float32; the sketch counters always accumulate
+        in float64 (see :mod:`repro.sketch.ams`).
         """
         drifts = np.asarray(drifts)
         states = self._new_states(drifts, norms)

@@ -61,9 +61,9 @@ class StackedSampler:
     Wraps the workers' own :class:`BatchSampler` instances, so each worker's
     with-replacement index stream is drawn from *its* private generator in
     exactly the order a loop over the workers would — stacking never
-    perturbs which samples any worker sees.  The per-worker batches are
-    stacked into one ``(K, B, *sample_shape)`` feature array and one
-    ``(K, B)`` label array per call, which is the input layout of
+    perturbs which samples any worker sees.  Each worker's batch is written
+    into its row of one ``(K, B, *sample_shape)`` feature array and one
+    ``(K, B)`` label array allocated per call, which is the input layout of
     :class:`repro.nn.batched.BatchedModel`.
 
     All wrapped samplers must agree on the batch size and per-sample shape
@@ -85,6 +85,7 @@ class StackedSampler:
             )
         self.samplers: List[BatchSampler] = list(samplers)
         self.batch_size = batch_sizes.pop()
+        self.sample_shape = sample_shapes.pop()
 
     def sample(self, rows=None) -> Tuple[np.ndarray, np.ndarray]:
         """One stacked mini-batch: ``(x, y)`` of shapes ``(A, B, ...)`` / ``(A, B)``.
@@ -100,9 +101,11 @@ class StackedSampler:
             if rows is None
             else [self.samplers[int(k)] for k in rows]
         )
-        batches = [sampler.sample() for sampler in samplers]
-        x = np.stack([batch_x for batch_x, _ in batches], axis=0)
-        y = np.stack([batch_y for _, batch_y in batches], axis=0)
+        # A dataset holds float64 samples and int64 labels.
+        x = np.empty((len(samplers), self.batch_size, *self.sample_shape))
+        y = np.empty((len(samplers), self.batch_size), dtype=np.int64)
+        for row, sampler in enumerate(samplers):
+            x[row], y[row] = sampler.sample()
         return x, y
 
 

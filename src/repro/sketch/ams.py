@@ -15,15 +15,19 @@ With ``m = O(1/ε²)`` and ``l = O(log 1/δ)`` the estimate lies within
 ``(1 ± ε)‖v‖²`` with probability at least ``1 − δ``.  Because the transform is
 linear for a fixed hash family, the average of the workers' sketches equals
 the sketch of the average drift — the property Theorem 3.1 relies on.
+
+A batch of rows is sketched a block of rows at a time (:data:`BLOCK_ELEMENTS`):
+only that block's float64 transpose exists at once, never the whole plane's.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 
-from repro.backend import row_shards, run_shards, shard_bounds
+from repro.backend import map_row_shards
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.sketch.hashing import FourWiseHash
 
@@ -35,6 +39,11 @@ from repro.sketch.hashing import FourWiseHash
 #: for every two rows the median runs over.
 DEFAULT_DEPTH = 5
 DEFAULT_WIDTH = 250
+
+#: Elements of the float64 ``(d, block)`` transpose one product converts:
+#: four rows (3.7 MB) at the benchmark model's d = 114 728, in place of the
+#: 29 MB ``(d, 32)`` transpose of the whole plane.
+BLOCK_ELEMENTS = 1 << 19
 
 
 def estimate_l2_squared(sketch_matrix: np.ndarray) -> float:
@@ -118,23 +127,26 @@ class AmsSketch:
 
     # -- sketching -------------------------------------------------------------
 
-    def _apply(self, columns: np.ndarray) -> np.ndarray:
-        """Sketch every column of a float64 ``(d, K)`` block; returns ``(K, depth, width)``.
+    def _apply(self, rows: np.ndarray) -> np.ndarray:
+        """Sketch every row of an ``(n, d)`` block; returns ``(n, depth, width)``.
 
-        The one sketch kernel.  A CSC product walks the coordinates once, in
-        memory order, adding ``±columns[c]`` into coordinate ``c``'s buckets;
-        the output (``depth·width × K``) stays cache-resident.  Each bucket
-        still accumulates its coordinates in ascending order, in float64,
-        with exact ``±1`` products, independently per column: a column's
-        sketch does not depend on how many columns share the product.  The
-        operator must be prepared for ``d`` (the callers do, before any shard
-        runs this).
+        The one sketch kernel: one product of the operator with the block's
+        float64 ``(d, n)`` transpose.  A CSC product walks the coordinates
+        once, in memory order, adding ``±x[c, :]`` into coordinate ``c``'s
+        buckets; the output (``depth·width × n``) stays cache-resident.  Each
+        bucket still accumulates its coordinates in ascending order, in
+        float64, with exact ``±1`` products, independently per column: a
+        row's sketch does not depend on how many rows share the product, so
+        neither row blocks nor row shards show in a result.  The operator
+        must be prepared for ``d`` (the callers do, before any shard runs
+        this).
         """
-        product = self._operator @ columns
+        product = self._operator @ np.ascontiguousarray(rows.T, dtype=np.float64)
         return np.ascontiguousarray(product.T).reshape(-1, self.depth, self.width)
 
-    def _sketch_into(self, matrix: np.ndarray, out: np.ndarray) -> None:
-        out[...] = self._apply(np.ascontiguousarray(matrix.T, dtype=np.float64))
+    def _sketch_into(self, matrix: np.ndarray, out: np.ndarray, block: int) -> None:
+        for low in range(0, matrix.shape[0], block):
+            out[low : low + block] = self._apply(matrix[low : low + block])
 
     def sketch(self, vector: np.ndarray) -> np.ndarray:
         """Return the ``(depth, width)`` AMS sketch of ``vector``."""
@@ -143,16 +155,17 @@ class AmsSketch:
             raise ShapeError(f"can only sketch 1-D vectors, got shape {vector.shape}")
         if self.dimension != vector.size:
             self._prepare(vector.size)
-        return self._apply(vector[:, None])[0]
+        return self._apply(vector[None])[0]
 
     def sketch_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Sketch every row of a ``(K, d)`` matrix at once; returns ``(K, depth, width)``.
 
-        The batched form of :meth:`sketch`: one product of the sparse operator
-        with the float64 ``(d, K)`` transpose of the matrix — one per row
-        shard when the matrix is wide enough (:func:`repro.backend.row_shards`).
-        Row ``k`` of the result is bit-identical to ``sketch(matrix[k])`` (see
-        :meth:`_apply`).
+        The batched form of :meth:`sketch`: within each row shard
+        (:func:`repro.backend.row_shards`), one product of the sparse operator
+        per block of ``BLOCK_ELEMENTS // d`` rows (at least one) with that
+        block's float64 ``(d, block)`` transpose, written into the block's
+        rows of the output.  Row ``k`` of the result is bit-identical to
+        ``sketch(matrix[k])`` (see :meth:`_apply`).
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
@@ -160,14 +173,9 @@ class AmsSketch:
         rows, width = matrix.shape
         if self.dimension != width:
             self._prepare(width)
-        shards = row_shards(rows, width)
-        if shards == 1:
-            return self._apply(np.ascontiguousarray(matrix.T, dtype=np.float64))
         out = np.empty((rows, self.depth, self.width))
-        run_shards(
-            self._sketch_into,
-            [(matrix[start:stop], out[start:stop]) for start, stop in shard_bounds(rows, shards)],
-        )
+        block = max(1, BLOCK_ELEMENTS // width)
+        map_row_shards(functools.partial(self._sketch_into, block=block), matrix, out)
         return out
 
     def estimate_l2_squared(self, sketch_matrix: np.ndarray) -> float:

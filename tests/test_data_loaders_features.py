@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.memory import peak_bytes
 from repro.data.features import PretrainedFeatureExtractor
 from repro.data.loaders import BatchSampler, EpochIterator, StackedSampler
 from repro.data.synthetic import gaussian_blobs
@@ -128,6 +129,25 @@ class TestViewsSampleAsCopies:
             _assert_same_batches(on_views.sample(rows), on_copies.sample(rows))
         for view_sampler, copy_sampler in zip(on_views.samplers, on_copies.samplers):
             assert view_sampler.rng_state == copy_sampler.rng_state
+
+
+class TestStackedSampler:
+    def test_a_stacked_draw_holds_its_batch_once(self):
+        # K = 32 workers, B = 16, 150 features: the benchmark models' batch.
+        # Stacking per-worker gathers would hold every sample twice (2.02×).
+        data = gaussian_blobs(2048, feature_dim=150, num_classes=4, seed=0)
+
+        def samplers():
+            return [
+                BatchSampler(data.view(np.arange(worker, 2048, 32)), 16, seed=worker)
+                for worker in range(32)
+            ]
+
+        (x, y), peak = peak_bytes(StackedSampler(samplers()).sample)
+        assert (x.shape, y.shape) == ((32, 16, 150), (32, 16))
+        assert peak <= 1.1 * (x.nbytes + y.nbytes)
+        for row, sampler in enumerate(samplers()):
+            _assert_same_batches((x[row], y[row]), sampler.sample())
 
 
 class TestFeatureExtractor:

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.memory import peak_bytes
+from helpers.shards import shard_every_pass, under_every_shard_setting
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
+from repro.sketch import ams
 from repro.sketch.ams import AmsSketch, estimate_l2_squared
 from repro.sketch.hashing import FourWiseHash
 
@@ -288,3 +291,44 @@ class TestSketchRows:
         batched = operator.sketch_rows(matrix)
         for row, sketch in zip(matrix, batched):
             assert sketch.tobytes() == operator.sketch(row).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_rows=st.integers(min_value=1, max_value=9),
+        dimension=st.integers(min_value=1, max_value=200),
+        block_rows=st.integers(min_value=1, max_value=3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_row_blocks_and_row_shards_never_show(self, seed, num_rows, dimension, block_rows, dtype):
+        # Blocks of 1–3 rows under every shard setting (up to 7 shards of up
+        # to 9 rows), so a shard's last block is often short.  Every layout
+        # is byte-equal to one-vector sketching.
+        matrix = np.random.default_rng(seed).normal(size=(num_rows, dimension)).astype(dtype)
+        operator = AmsSketch(depth=3, width=32, seed=seed)
+        expected = np.stack([bincount_sketch(operator, row) for row in matrix])
+        assert expected.tobytes() == np.stack([operator.sketch(row) for row in matrix]).tobytes()
+        apply, widths = operator._apply, []
+
+        def counted(rows):
+            widths.append(len(rows))
+            return apply(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ams, "BLOCK_ELEMENTS", block_rows * dimension)
+            patch.setattr(operator, "_apply", counted)
+            outcomes = under_every_shard_setting(lambda: operator.sketch_rows(matrix).tobytes())
+        assert outcomes == [expected.tobytes()] * len(outcomes)
+        assert max(widths) == min(block_rows, num_rows)
+
+    def test_a_sketch_holds_a_block_of_rows_not_the_plane(self, monkeypatch):
+        # The benchmark plane: K = 32, d = 114 728, float32, on two cores.
+        # A float64 (d, K) transpose of it is 29 MB, 0.98× the unit below;
+        # two shards converting four-row blocks hold ≈ 7.4 MiB.
+        dimension = 114_728
+        matrix = np.random.default_rng(0).normal(size=(32, dimension)).astype(np.float32)
+        operator = AmsSketch(dimension=dimension)
+        shard_every_pass(monkeypatch, cores=2)
+        sketches, peak = peak_bytes(operator.sketch_rows, matrix)
+        assert sketches.shape == (32, 5, 250)
+        assert peak <= 0.35 * 32 * dimension * 8

@@ -80,14 +80,17 @@ settles produced steps together now, before anything reads them, and
     ``local_step``.
 
 Momentum-free SGD once carried a private cache-blocked fork of its rule while
-Adam streamed six ``(K, d)`` matrices end to end, and the sketch operator was
-converted to CSR to be multiplied in hashed order.  A stacked update is
-blocked in one place now, over whole rows, and
+Adam streamed six ``(K, d)`` matrices end to end, the sketch operator was
+converted to CSR to be multiplied in hashed order, and a batch of sketches
+converted the whole ``(K, d)`` plane into one float64 transpose.  A stacked
+update and a batch of sketches are each blocked in one place now, over whole
+rows, and
 
 11. there is one blocking policy and one sketch representation: under
     ``src/repro/optim/`` only ``StackedOptimizer.step_rows`` reads
     ``ROW_BLOCK_ELEMENTS``, no identifier contains ``chunk``, ``Workspace``
-    has no ``flat``; ``src/repro/sketch/ams.py`` contains no ``tocsr``.
+    has no ``flat``; ``src/repro/sketch/ams.py`` contains no ``tocsr``, and
+    under ``src/`` only ``AmsSketch.sketch_rows`` reads ``BLOCK_ELEMENTS``.
 
 The batched engine once had two holes, both copies: ``DenseBlock`` /
 ``TransitionDown`` had no kernel while five parameter-free kernels repeated
@@ -647,9 +650,9 @@ def test_every_layer_has_a_kernel_and_every_epoch_is_an_engine_epoch():
     )
 
 
-def _block_size_reads(tree) -> int:
+def _block_size_reads(tree, name: str = "ROW_BLOCK_ELEMENTS") -> int:
     return sum(
-        getattr(node, "id", getattr(node, "attr", None)) == "ROW_BLOCK_ELEMENTS"
+        getattr(node, "id", getattr(node, "attr", None)) == name
         and isinstance(node.ctx, ast.Load)
         for node in ast.walk(tree)
     )
@@ -683,6 +686,19 @@ def test_one_blocking_policy_and_one_sketch_representation():
     assert "flat" not in {method.name for method in _class_methods("optim/base.py", "Workspace")}
     assert "tocsr" not in (SRC_ROOT / "sketch" / "ams.py").read_text(encoding="utf-8"), (
         "the sketch operator is applied as the CSC it is assembled as"
+    )
+    sketch_reads = {
+        module: n for module, source in _sources()
+        if (n := _block_size_reads(ast.parse(source), "BLOCK_ELEMENTS"))
+    }
+    (sketch_rows,) = [
+        method for method in _class_methods("sketch/ams.py", "AmsSketch")
+        if method.name == "sketch_rows"
+    ]
+    inside = _block_size_reads(sketch_rows, "BLOCK_ELEMENTS")
+    assert inside >= 1 and sketch_reads == {"sketch/ams.py": inside}, (
+        "a batch of sketches is row-blocked by AmsSketch.sketch_rows alone; "
+        f"BLOCK_ELEMENTS is read {sketch_reads}, {inside} of them in sketch_rows"
     )
 
 
@@ -1062,7 +1078,6 @@ UNREFERENCED_ALLOWLIST = {
     "VarianceMonitor.local_state": "span target core.monitor.local_state (bench/spans.py)",
     "BatchedEngine.step_worker": "span target distributed.engine.step_worker (bench/spans.py)",
     "RunResult.seconds_per_round": "read through getattr by the CLI's s/round column",
-    "AmsSketch.sketch": "one vector's sketch, the reference for the batched sketch_rows",
     "PercentileLedger.cdf_at": "the exact empirical rank the P² estimator is tested against",
     "model_variance": "the definitional variance the drift-based estimates are tested against",
     "Fabric.broadcast": "span target distributed.topology.broadcast (bench/spans.py)",
