@@ -146,14 +146,8 @@ class SketchMonitor(VarianceMonitor):
 
     name = "sketch"
 
-    def __init__(
-        self,
-        depth: int = 5,
-        width: int = 250,
-        seed: int = 0,
-        sketch: Optional[AmsSketch] = None,
-    ) -> None:
-        self.sketch_operator = sketch if sketch is not None else AmsSketch(depth, width, seed)
+    def __init__(self, depth: int = 5, width: int = 250, seed: int = 0) -> None:
+        self.sketch_operator = AmsSketch(depth, width, seed)
 
     @property
     def epsilon(self) -> float:
@@ -198,15 +192,11 @@ class LinearMonitor(VarianceMonitor):
 
     name = "linear"
 
-    def __init__(self, dimension: int, seed: int = 0, initial_direction: Optional[np.ndarray] = None) -> None:
+    def __init__(self, dimension: int, seed: int = 0) -> None:
         if dimension <= 0:
             raise ConfigurationError(f"dimension must be positive, got {dimension}")
         self.dimension = int(dimension)
-        if initial_direction is not None:
-            self.direction = self._normalize(np.asarray(initial_direction, dtype=np.float64))
-        else:
-            rng = as_rng(seed)
-            self.direction = self._normalize(rng.normal(size=self.dimension))
+        self.direction = self._normalize(as_rng(seed).normal(size=self.dimension))
 
     def _normalize(self, vector: np.ndarray) -> np.ndarray:
         if vector.shape != (self.dimension,):

@@ -189,9 +189,7 @@ class BatchedEngine:
         are deliberately absent: their kernels read each worker's own layer.
         """
         signature = []
-        config_attrs = (
-            "units", "filters", "kernel_size", "stride", "padding_mode", "pool_size",
-        )
+        config_attrs = ("units", "filters", "kernel_size", "pool_size")
         for layer in layers:
             entry = [type(layer).__name__, tuple(layer.output_shape)]
             for attr in config_attrs:

@@ -242,19 +242,16 @@ class RingTopology(Topology):
 class HierarchicalTopology(Topology):
     """Two-level aggregation: workers → group heads → root, and back down.
 
-    Workers are partitioned into groups of at most ``group_size``; the first
-    worker of each group is its head.  One AllReduce gathers within each group,
-    reduces the heads at the root, then broadcasts back down — the structure of
-    rack-local aggregation in HPC clusters and of edge servers in hierarchical
-    federated learning.
+    Workers are partitioned into groups of at most :attr:`group_size`; the
+    first worker of each group is its head.  One AllReduce gathers within each
+    group, reduces the heads at the root, then broadcasts back down — the
+    structure of rack-local aggregation in HPC clusters and of edge servers in
+    hierarchical federated learning.
     """
 
     name = "hierarchical"
-
-    def __init__(self, group_size: int = 4) -> None:
-        if group_size < 2:
-            raise ConfigurationError(f"group_size must be >= 2, got {group_size}")
-        self.group_size = int(group_size)
+    #: Workers per group (the head included).
+    group_size = 4
 
     def _groups(self, num_workers: int) -> List[List[int]]:
         return [
@@ -319,37 +316,27 @@ class HierarchicalTopology(Topology):
             return [(head, SERVER)]
         return [(worker_id, head), (head, SERVER)]
 
-    def __repr__(self) -> str:
-        return f"HierarchicalTopology(group_size={self.group_size})"
-
 
 class GossipTopology(Topology):
-    """Gossip mesh: every worker averages with ``degree`` ring-neighbours.
+    """Gossip mesh: every worker averages with :attr:`degree` ring-neighbours.
 
-    One "synchronization" is ``rounds`` gossip exchanges (default
-    ``ceil(log2 K)``, enough mixing steps for near-uniform averaging on a
-    well-connected mesh); each round every worker pushes its vector to each of
-    its neighbours.  The simulation still realises the *exact* average — the
-    gossip geometry here defines the traffic and timing charged for it, which
-    is the upper bound a decentralized deployment would pay.
+    One "synchronization" is ``ceil(log2 K)`` gossip exchanges, enough mixing
+    steps for near-uniform averaging on a well-connected mesh; each round every
+    worker pushes its vector to each of its neighbours.  The simulation still
+    realises the *exact* average — the gossip geometry here defines the
+    traffic and timing charged for it, which is the upper bound a
+    decentralized deployment would pay.
     """
 
     name = "gossip"
-
-    def __init__(self, degree: int = 2, rounds: Optional[int] = None) -> None:
-        if degree < 1:
-            raise ConfigurationError(f"degree must be >= 1, got {degree}")
-        if rounds is not None and rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-        self.degree = int(degree)
-        self.rounds = rounds
+    #: Ring-neighbours each worker pushes to (fewer when ``K − 1`` is smaller).
+    degree = 2
 
     def _degree(self, num_workers: int) -> int:
         return min(self.degree, max(num_workers - 1, 0))
 
-    def _rounds(self, num_workers: int) -> int:
-        if self.rounds is not None:
-            return int(self.rounds)
+    @staticmethod
+    def _rounds(num_workers: int) -> int:
         return max(1, math.ceil(math.log2(max(num_workers, 2))))
 
     def links(self, num_workers: int) -> List[Link]:
@@ -404,9 +391,6 @@ class GossipTopology(Topology):
             node = next_node
         return path
 
-    def __repr__(self) -> str:
-        return f"GossipTopology(degree={self.degree}, rounds={self.rounds})"
-
 
 #: Factories for the named topologies accepted by the CLI / workload configs.
 NAMED_TOPOLOGIES: Dict[str, Callable[[], Topology]] = {
@@ -417,7 +401,7 @@ NAMED_TOPOLOGIES: Dict[str, Callable[[], Topology]] = {
 }
 
 
-def get_topology(topology, **kwargs) -> Topology:
+def get_topology(topology) -> Topology:
     """Resolve ``topology`` (a name or an instance) into a :class:`Topology`."""
     if isinstance(topology, Topology):
         return topology
@@ -427,7 +411,7 @@ def get_topology(topology, **kwargs) -> Topology:
         raise ConfigurationError(
             f"unknown topology {topology!r}; known: {sorted(NAMED_TOPOLOGIES)}"
         ) from None
-    return factory(**kwargs)
+    return factory()
 
 
 @dataclass(frozen=True)

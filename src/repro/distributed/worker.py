@@ -97,25 +97,9 @@ class Worker:
 
     # -- parameter access -----------------------------------------------------
 
-    def parameters_view(self) -> np.ndarray:
-        """Zero-copy view of the local model parameters (``w_t^{(k)}``)."""
-        return self.model.parameters_view()
-
     def get_parameters(self) -> np.ndarray:
         """Flat copy of the local model parameters (``w_t^{(k)}``)."""
         return self.model.get_parameters()
-
-    def set_parameters(self, flat: np.ndarray) -> None:
-        """Overwrite the local model parameters (synchronization)."""
-        self.model.set_parameters(flat)
-
-    def get_buffers(self) -> np.ndarray:
-        """Flat copy of the local model's non-trainable buffers."""
-        return self.model.get_buffers()
-
-    def set_buffers(self, flat: np.ndarray) -> None:
-        """Overwrite the local model's non-trainable buffers."""
-        self.model.set_buffers(flat)
 
     def drift_from(self, reference: np.ndarray) -> np.ndarray:
         """The local model drift ``u_t^{(k)} = w_t^{(k)} − reference``.

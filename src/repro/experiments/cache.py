@@ -58,7 +58,11 @@ PathLike = Union[str, Path]
 #: float field is written as a float; a null fault plan is ``None``.
 #: v12: a workload drops its straggler-profile field, a serving config its
 #: trace-file and polynomial-rule fields.
-CODE_VERSION = "sweep-cache-v12"
+#: v13: only the shapes a run builds — a conv model digest drops its layers'
+#: ``stride`` and ``padding_mode``, a pool's its ``stride``, and the
+#: hierarchical and gossip topology fingerprints their ``group_size``,
+#: ``degree`` and ``rounds``.
+CODE_VERSION = "sweep-cache-v13"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).

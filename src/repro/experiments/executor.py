@@ -193,10 +193,9 @@ class SweepExecutor:
     force:
         Re-execute every cell even if cached, appending fresh records that
         shadow the old ones on the next load.
-    setup:
-        Shared-setup cache; a private one is created by default.  Pass an
-        existing instance to share memoized partitions/models across several
-        executors in one process.
+
+    Each executor memoizes shared setup (partitions, models, digests) in its
+    own :class:`~repro.experiments.setup.SetupCache`.
     """
 
     def __init__(
@@ -205,7 +204,6 @@ class SweepExecutor:
         jobs: Optional[int] = 1,
         resume: bool = True,
         force: bool = False,
-        setup: Optional[SetupCache] = None,
     ) -> None:
         if jobs is not None and jobs <= 0:
             raise ConfigurationError(f"jobs must be positive (or None for auto), got {jobs}")
@@ -213,7 +211,7 @@ class SweepExecutor:
         self.jobs = int(jobs) if jobs is not None else max(1, os.cpu_count() or 1)
         self.resume = bool(resume)
         self.force = bool(force)
-        self.setup = setup if setup is not None else SetupCache()
+        self.setup = SetupCache()
         self.stats = SweepStats()
 
     # -- keys --------------------------------------------------------------

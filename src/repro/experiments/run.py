@@ -259,7 +259,6 @@ class TrainingRun:
                 reached = True
                 break
 
-        strategy.finalize()
         return RunResult(
             strategy=strategy.name,
             workload=workload_name,

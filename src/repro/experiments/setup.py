@@ -43,14 +43,13 @@ def make_optimizer(name: str, **kwargs) -> OptimizerFactory:
     DenseNet experiments: SGD with Nesterov momentum 0.9), ``"sgd"`` or
     ``"adamw"`` (the ConvNeXt fine-tuning experiments).
     """
-    name = name.lower()
     if name == "adam":
         return lambda: Adam(**{"learning_rate": 0.001, **kwargs})
     if name == "adamw":
         return lambda: AdamW(**{"learning_rate": 0.001, "weight_decay": 0.01, **kwargs})
     if name == "sgd":
         return lambda: SGD(**{"learning_rate": 0.05, **kwargs})
-    if name in ("sgd-nm", "sgd_nesterov", "sgdnm"):
+    if name == "sgd-nm":
         defaults = {"learning_rate": 0.05, "momentum": 0.9, "nesterov": True}
         return lambda: SGD(**{**defaults, **kwargs})
     raise ConfigurationError(

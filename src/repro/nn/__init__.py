@@ -1,17 +1,18 @@
 """Pure-NumPy neural-network substrate.
 
 This subpackage replaces the TensorFlow/Keras stack used in the paper.  It
-provides layers with explicit forward/backward passes, standard initializers
-(Glorot uniform, He normal), losses, metrics, a :class:`Sequential` model with
-flat-parameter views (what the FDA algorithm operates on), and scaled-down
-versions of the paper's architectures (LeNet-5, VGG16*, DenseNet, transfer
-heads).
+provides layers with explicit forward/backward passes, the paper's two
+initializers (Glorot uniform, He normal), losses, metrics, a
+:class:`Sequential` model with flat-parameter views (what the FDA algorithm
+operates on), and scaled-down versions of the paper's architectures (LeNet-5,
+VGG16*, DenseNet, transfer heads).  Only the shapes those models build are
+supported: stride-1 "same" convolutions, non-overlapping pools, and relu or
+gelu hidden activations over linear logits.
 """
 
 from repro.nn.initializers import (
     glorot_uniform,
     he_normal,
-    lecun_normal,
     zeros_init,
 )
 from repro.nn.layers import (
@@ -44,7 +45,6 @@ from repro.nn.architectures import (
 __all__ = [
     "glorot_uniform",
     "he_normal",
-    "lecun_normal",
     "zeros_init",
     "Layer",
     "Dense",

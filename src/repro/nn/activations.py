@@ -45,35 +45,6 @@ def _relu_gradient(upstream: np.ndarray, output: np.ndarray) -> np.ndarray:
     return upstream * (output > 0.0)
 
 
-def _leaky_relu_forward(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    return np.where(x >= 0.0, x, alpha * x)
-
-
-def _leaky_relu_gradient(upstream: np.ndarray, x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    return upstream * np.where(x >= 0.0, 1.0, alpha)
-
-
-def _sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
-
-
-def _sigmoid_gradient(upstream: np.ndarray, output: np.ndarray) -> np.ndarray:
-    return upstream * output * (1.0 - output)
-
-
-def _tanh_forward(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _tanh_gradient(upstream: np.ndarray, output: np.ndarray) -> np.ndarray:
-    return upstream * (1.0 - output * output)
-
-
 def _linear_forward(x: np.ndarray) -> np.ndarray:
     return x
 
@@ -118,14 +89,6 @@ def _gelu_gradient(upstream: np.ndarray, x: np.ndarray) -> np.ndarray:
     return upstream * grad
 
 
-def _elu_forward(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    return np.where(x >= 0.0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
-
-
-def _elu_gradient(upstream: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    return upstream * np.where(x >= 0.0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
-
-
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
@@ -140,25 +103,10 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 RELU = ActivationFunction("relu", _relu_forward, _relu_gradient, cache_input=False)
-LEAKY_RELU = ActivationFunction(
-    "leaky_relu", _leaky_relu_forward, _leaky_relu_gradient, cache_input=True
-)
-SIGMOID = ActivationFunction("sigmoid", _sigmoid_forward, _sigmoid_gradient, cache_input=False)
-TANH = ActivationFunction("tanh", _tanh_forward, _tanh_gradient, cache_input=False)
 LINEAR = ActivationFunction("linear", _linear_forward, _linear_gradient, cache_input=False)
 GELU = ActivationFunction("gelu", _gelu_forward, _gelu_gradient, cache_input=True)
-ELU = ActivationFunction("elu", _elu_forward, _elu_gradient, cache_input=True)
 
-_NAMED_ACTIVATIONS = {
-    "relu": RELU,
-    "leaky_relu": LEAKY_RELU,
-    "sigmoid": SIGMOID,
-    "tanh": TANH,
-    "linear": LINEAR,
-    "identity": LINEAR,
-    "gelu": GELU,
-    "elu": ELU,
-}
+_NAMED_ACTIVATIONS = {"relu": RELU, "linear": LINEAR, "gelu": GELU}
 
 
 def get_activation(name_or_fn) -> ActivationFunction:

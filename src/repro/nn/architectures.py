@@ -21,7 +21,6 @@ from typing import Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
@@ -39,11 +38,10 @@ def mlp(
     input_dim: int,
     num_classes: int,
     hidden_units: Sequence[int] = (64, 32),
-    activation: str = "relu",
     seed: int = 0,
     name: str = "mlp",
 ) -> Sequential:
-    """A plain multi-layer perceptron on flat feature vectors.
+    """A plain ReLU multi-layer perceptron on flat feature vectors.
 
     Used throughout the test-suite and in the quickstart example because it
     trains in milliseconds while still exercising every FDA code path.
@@ -54,7 +52,7 @@ def mlp(
         raise ConfigurationError(f"num_classes must be at least 2, got {num_classes}")
     layers = []
     for index, units in enumerate(hidden_units):
-        layers.append(Dense(units, activation=activation, name=f"{name}_dense{index}"))
+        layers.append(Dense(units, activation="relu", name=f"{name}_dense{index}"))
     layers.append(Dense(num_classes, activation=None, name=f"{name}_logits"))
     model = Sequential(layers, name=name)
     model.build((input_dim,), seed=seed)
@@ -81,10 +79,10 @@ def lenet5(
     width2 = max(4, int(round(16 * scale)))
     dense_units = max(8, int(round(32 * scale)))
     layers = [
-        Conv2D(width, kernel_size=3, padding="same", activation="relu",
+        Conv2D(width, kernel_size=3, activation="relu",
                kernel_initializer="glorot_uniform", name=f"{name}_conv1"),
         MaxPool2D(2, name=f"{name}_pool1"),
-        Conv2D(width2, kernel_size=3, padding="same", activation="relu",
+        Conv2D(width2, kernel_size=3, activation="relu",
                kernel_initializer="glorot_uniform", name=f"{name}_conv2"),
         MaxPool2D(2, name=f"{name}_pool2"),
         Flatten(name=f"{name}_flatten"),
@@ -117,14 +115,14 @@ def vgg_mini(
     base = max(4, int(round(8 * scale)))
     dense_units = max(16, int(round(64 * scale)))
     layers = [
-        Conv2D(base, 3, padding="same", activation="relu",
+        Conv2D(base, 3, activation="relu",
                kernel_initializer="glorot_uniform", name=f"{name}_conv1a"),
-        Conv2D(base, 3, padding="same", activation="relu",
+        Conv2D(base, 3, activation="relu",
                kernel_initializer="glorot_uniform", name=f"{name}_conv1b"),
         MaxPool2D(2, name=f"{name}_pool1"),
-        Conv2D(base * 2, 3, padding="same", activation="relu",
+        Conv2D(base * 2, 3, activation="relu",
                kernel_initializer="glorot_uniform", name=f"{name}_conv2a"),
-        Conv2D(base * 2, 3, padding="same", activation="relu",
+        Conv2D(base * 2, 3, activation="relu",
                kernel_initializer="glorot_uniform", name=f"{name}_conv2b"),
         MaxPool2D(2, name=f"{name}_pool2"),
         Flatten(name=f"{name}_flatten"),
@@ -161,7 +159,7 @@ def densenet_mini(
     if not blocks:
         raise ConfigurationError("blocks must contain at least one dense block size")
     layers = [
-        Conv2D(growth_rate * 2, kernel_size=3, padding="same", activation="relu",
+        Conv2D(growth_rate * 2, kernel_size=3, activation="relu",
                kernel_initializer="he_normal", name=f"{name}_stem"),
     ]
     for index, num_layers in enumerate(blocks):

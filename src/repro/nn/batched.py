@@ -223,8 +223,7 @@ class BatchedConv2D(BatchedKernel):
         super().__init__(layer, params, grads, buffers)
         self.activation = layer.activation
         self.kernel_size = layer.kernel_size
-        self.stride = layer.stride
-        self.padding = layer._padding_amount
+        self.padding = layer.padding
         self.filters = layer.filters
         self.weight, self.bias = params
         self.grad_weight, self.grad_bias = grads
@@ -239,7 +238,7 @@ class BatchedConv2D(BatchedKernel):
         num_workers, batch = x.shape[0], x.shape[1]
         folded = x.reshape((num_workers * batch,) + x.shape[2:])
         columns, (out_h, out_w) = im2col(
-            folded, self.kernel_size, self.kernel_size, self.stride, self.padding
+            folded, self.kernel_size, self.kernel_size, 1, self.padding
         )
         fan_in = columns.shape[1]
         stacked = columns.reshape(num_workers, batch * out_h * out_w, fan_in)
@@ -271,7 +270,7 @@ class BatchedConv2D(BatchedKernel):
             self._cache_folded_shape,
             self.kernel_size,
             self.kernel_size,
-            self.stride,
+            1,
             self.padding,
         )
         return folded.reshape((num_workers, batch) + self._cache_folded_shape[1:])

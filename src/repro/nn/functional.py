@@ -120,7 +120,6 @@ def max_pool_backward(
     grad_output: np.ndarray,
     input_shape: Tuple[int, int, int, int],
     pool_size: int,
-    stride: int,
 ) -> np.ndarray:
     """Adjoint of max pooling via one flat ``np.add.at`` scatter.
 
@@ -128,15 +127,17 @@ def max_pool_backward(
     by the forward pass (``rows = N * out_h * out_w``).  Each pooled gradient
     is routed straight to its winning input element by flat indexing — no
     patch-matrix materialization, no per-kernel-position ``col2im`` loop.
-    ``np.add.at`` (not plain fancy-index assignment) keeps overlapping
-    windows (``stride < pool_size``) correct: coinciding winners accumulate.
+    Windows do not overlap (stride = ``pool_size``), so no two gradients share
+    a target; ``np.add.at`` stays all the same, because adding into zeros
+    turns a ``-0.0`` gradient into ``+0.0`` as the ``col2im`` reference does,
+    where a plain fancy-index assignment would store it as ``-0.0``.
     """
     batch, height, width, channels = input_shape
     out_h, out_w = grad_output.shape[1], grad_output.shape[2]
     rows = batch * out_h * out_w
     sample, out_row, out_col = _pool_row_coordinates(input_shape, out_h, out_w)
-    in_row = out_row[:, None] * stride + argmax // pool_size
-    in_col = out_col[:, None] * stride + argmax % pool_size
+    in_row = out_row[:, None] * pool_size + argmax // pool_size
+    in_col = out_col[:, None] * pool_size + argmax % pool_size
     flat_index = (
         (sample[:, None] * height + in_row) * width + in_col
     ) * channels + np.arange(channels)[None, :]
@@ -149,26 +150,25 @@ def avg_pool_backward(
     grad_output: np.ndarray,
     input_shape: Tuple[int, int, int, int],
     pool_size: int,
-    stride: int,
 ) -> np.ndarray:
     """Adjoint of average pooling via ``pool_size²`` strided window adds.
 
     Every input element covered by a window receives ``grad / window`` from
-    that window; overlapping windows accumulate, matching ``col2im``.  Unlike
-    max pooling there are no data-dependent indices here, so a gather/scatter
-    (``np.add.at``) would only add overhead — each within-window offset
-    ``(i, j)`` contributes the *same* share tensor to a strided slice of the
-    input, which is a plain vectorized add (and skips the old path's
-    materialization of the full patch matrix).
+    that window, matching ``col2im``.  Unlike max pooling there are no
+    data-dependent indices here, so a gather/scatter (``np.add.at``) would
+    only add overhead — each within-window offset ``(i, j)`` contributes the
+    *same* share tensor to a strided slice of the input, which is a plain
+    vectorized add (and skips the old path's materialization of the full
+    patch matrix).
     """
     out_h, out_w = grad_output.shape[1], grad_output.shape[2]
     share = grad_output / float(pool_size * pool_size)
     grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
     for i in range(pool_size):
-        row_end = i + stride * out_h
+        row_end = i + pool_size * out_h
         for j in range(pool_size):
-            col_end = j + stride * out_w
-            grad_input[:, i:row_end:stride, j:col_end:stride, :] += share
+            col_end = j + pool_size * out_w
+            grad_input[:, i:row_end:pool_size, j:col_end:pool_size, :] += share
     return grad_input
 
 

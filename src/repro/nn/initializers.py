@@ -1,10 +1,12 @@
 """Weight initializers.
 
 The paper uses Glorot uniform initialization for LeNet-5 and VGG16*, and He
-normal for the DenseNet models; both are provided here together with the
-common zero/constant/LeCun variants.  Every initializer takes an explicit
-``fan_in``/``fan_out`` pair (computed by the layer) and a NumPy random
-generator so the whole model build is reproducible from a single seed.
+normal for the DenseNet models; those two are the kernel initializers a layer
+can name.  Biases and batch-norm shifts start at zero and batch-norm scales at
+one (:func:`zeros_init`, :func:`ones_init`, called by the layers directly).
+Every initializer takes an explicit ``fan_in``/``fan_out`` pair (computed by
+the layer) and a NumPy random generator so the whole model build is
+reproducible from a single seed.
 """
 
 from __future__ import annotations
@@ -27,39 +29,12 @@ def glorot_uniform(
     return rng.uniform(-limit, limit, size=tuple(shape)).astype(np.float64)
 
 
-def glorot_normal(
-    shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot (Xavier) normal: N(0, 2 / (fan_in + fan_out))."""
-    _check_fans(fan_in, fan_out)
-    stddev = float(np.sqrt(2.0 / (fan_in + fan_out)))
-    return rng.normal(0.0, stddev, size=tuple(shape)).astype(np.float64)
-
-
 def he_normal(
     shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
 ) -> np.ndarray:
     """He normal: N(0, 2 / fan_in), the initializer used for the DenseNets."""
     _check_fans(fan_in, fan_out)
     stddev = float(np.sqrt(2.0 / fan_in))
-    return rng.normal(0.0, stddev, size=tuple(shape)).astype(np.float64)
-
-
-def he_uniform(
-    shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """He uniform: U(-limit, limit) with limit = sqrt(6 / fan_in)."""
-    _check_fans(fan_in, fan_out)
-    limit = float(np.sqrt(6.0 / fan_in))
-    return rng.uniform(-limit, limit, size=tuple(shape)).astype(np.float64)
-
-
-def lecun_normal(
-    shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """LeCun normal: N(0, 1 / fan_in)."""
-    _check_fans(fan_in, fan_out)
-    stddev = float(np.sqrt(1.0 / fan_in))
     return rng.normal(0.0, stddev, size=tuple(shape)).astype(np.float64)
 
 
@@ -79,15 +54,7 @@ def ones_init(
     return np.ones(tuple(shape), dtype=np.float64)
 
 
-_NAMED_INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_normal": he_normal,
-    "he_uniform": he_uniform,
-    "lecun_normal": lecun_normal,
-    "zeros": zeros_init,
-    "ones": ones_init,
-}
+_NAMED_INITIALIZERS = {"glorot_uniform": glorot_uniform, "he_normal": he_normal}
 
 
 def get_initializer(name_or_fn) -> Initializer:

@@ -250,7 +250,12 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution over NHWC tensors, implemented with im2col."""
+    """Stride-1 "same" 2-D convolution over NHWC tensors, implemented with im2col.
+
+    Every model here convolves with stride 1 and ``(k − 1) // 2`` zero padding
+    on each side, so an odd kernel keeps the spatial size (a 1×1 kernel pads
+    nothing).
+    """
 
     PARAMETERS = ("weight", "bias")
 
@@ -258,8 +263,6 @@ class Conv2D(Layer):
         self,
         filters: int,
         kernel_size: int = 3,
-        stride: int = 1,
-        padding: str = "same",
         activation=None,
         kernel_initializer="glorot_uniform",
         name: Optional[str] = None,
@@ -269,17 +272,10 @@ class Conv2D(Layer):
             raise ConfigurationError(f"filters must be positive, got {filters}")
         if kernel_size <= 0:
             raise ConfigurationError(f"kernel_size must be positive, got {kernel_size}")
-        if stride <= 0:
-            raise ConfigurationError(f"stride must be positive, got {stride}")
-        if padding not in ("same", "valid"):
-            raise ConfigurationError(f"padding must be 'same' or 'valid', got {padding!r}")
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding_mode = padding
         self.activation: ActivationFunction = get_activation(activation)
         self.kernel_initializer = get_initializer(kernel_initializer)
-        self._padding_amount = 0
         self._cache_columns: Optional[np.ndarray] = None
         self._cache_input_shape: Optional[Tuple[int, int, int, int]] = None
         self._cache_act: Optional[np.ndarray] = None
@@ -288,16 +284,8 @@ class Conv2D(Layer):
         if len(input_shape) != 3:
             raise ShapeError(f"Conv2D expects (H, W, C) inputs, got {input_shape}")
         height, width, channels = input_shape
-        if self.padding_mode == "same":
-            if self.stride != 1:
-                raise ConfigurationError(
-                    "padding='same' is only supported with stride=1 in this implementation"
-                )
-            self._padding_amount = (self.kernel_size - 1) // 2
-        else:
-            self._padding_amount = 0
-        out_h = conv_output_size(height, self.kernel_size, self.stride, self._padding_amount)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, self._padding_amount)
+        out_h = conv_output_size(height, self.kernel_size, 1, self.padding)
+        out_w = conv_output_size(width, self.kernel_size, 1, self.padding)
         fan_in = self.kernel_size * self.kernel_size * channels
         fan_out = self.kernel_size * self.kernel_size * self.filters
         # (kh*kw*cin, filters): one GEMM column block per filter.
@@ -307,6 +295,11 @@ class Conv2D(Layer):
         self._grad_bias = np.zeros_like(self.bias)
         return (out_h, out_w, self.filters)
 
+    @property
+    def padding(self) -> int:
+        """Zero rows and columns added on each side: ``(k − 1) // 2``."""
+        return (self.kernel_size - 1) // 2
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
@@ -314,9 +307,7 @@ class Conv2D(Layer):
                 f"Conv2D {self.name!r} expected input of shape (N, *{self.input_shape}), "
                 f"got {x.shape}"
             )
-        columns, (out_h, out_w) = im2col(
-            x, self.kernel_size, self.kernel_size, self.stride, self._padding_amount
-        )
+        columns, (out_h, out_w) = im2col(x, self.kernel_size, self.kernel_size, 1, self.padding)
         pre = (columns @ self.weight + self.bias).reshape(x.shape[0], out_h, out_w, self.filters)
         out = self.activation.forward(pre)
         if training:
@@ -345,50 +336,50 @@ class Conv2D(Layer):
             self._cache_input_shape,
             self.kernel_size,
             self.kernel_size,
-            self.stride,
-            self._padding_amount,
+            1,
+            self.padding,
         )
 
     def _fresh_reset(self) -> None:
-        self._padding_amount = 0
         self._cache_columns = None
         self._cache_input_shape = None
         self._cache_act = None
 
 
 class _Pool2D(Layer):
-    """Shared geometry handling for max/average pooling."""
+    """Shared geometry of max/average pooling: non-overlapping square windows.
 
-    def __init__(self, pool_size: int = 2, stride: Optional[int] = None, name=None) -> None:
+    The stride is the window size, so every input element falls in at most
+    one window (trailing rows/columns that fill no window are dropped).
+    """
+
+    def __init__(self, pool_size: int = 2, name=None) -> None:
         super().__init__(name)
         if pool_size <= 0:
             raise ConfigurationError(f"pool_size must be positive, got {pool_size}")
         self.pool_size = int(pool_size)
-        self.stride = int(stride) if stride is not None else int(pool_size)
-        if self.stride <= 0:
-            raise ConfigurationError(f"stride must be positive, got {stride}")
 
     def _build(self, input_shape: Shape, rng: np.random.Generator) -> Shape:
         del rng
         if len(input_shape) != 3:
             raise ShapeError(f"{type(self).__name__} expects (H, W, C) inputs, got {input_shape}")
         height, width, channels = input_shape
-        out_h = conv_output_size(height, self.pool_size, self.stride, 0)
-        out_w = conv_output_size(width, self.pool_size, self.stride, 0)
+        out_h = conv_output_size(height, self.pool_size, self.pool_size, 0)
+        out_w = conv_output_size(width, self.pool_size, self.pool_size, 0)
         return (out_h, out_w, channels)
 
     def _columns(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-        columns, out_hw = im2col(x, self.pool_size, self.pool_size, self.stride, 0)
+        columns, out_hw = im2col(x, self.pool_size, self.pool_size, self.pool_size, 0)
         channels = x.shape[3]
         # (rows, pool_size*pool_size, C): patch window is contiguous before channels.
         return columns.reshape(columns.shape[0], self.pool_size * self.pool_size, channels), out_hw
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping windows."""
 
-    def __init__(self, pool_size: int = 2, stride: Optional[int] = None, name=None) -> None:
-        super().__init__(pool_size, stride, name)
+    def __init__(self, pool_size: int = 2, name=None) -> None:
+        super().__init__(pool_size, name)
         self._cache_argmax: Optional[np.ndarray] = None
         self._cache_shape: Optional[Tuple[int, int, int, int]] = None
 
@@ -416,15 +407,15 @@ class MaxPool2D(_Pool2D):
         # One flat argmax-indexed scatter instead of the patch-matrix +
         # per-kernel-position col2im loop; see nn.functional.max_pool_backward.
         return max_pool_backward(
-            self._cache_argmax, grad_output, self._cache_shape, self.pool_size, self.stride
+            self._cache_argmax, grad_output, self._cache_shape, self.pool_size
         )
 
 
 class AvgPool2D(_Pool2D):
-    """Average pooling over (possibly strided) windows."""
+    """Average pooling over non-overlapping windows."""
 
-    def __init__(self, pool_size: int = 2, stride: Optional[int] = None, name=None) -> None:
-        super().__init__(pool_size, stride, name)
+    def __init__(self, pool_size: int = 2, name=None) -> None:
+        super().__init__(pool_size, name)
         self._cache_shape: Optional[Tuple[int, int, int, int]] = None
 
     def _fresh_reset(self) -> None:
@@ -445,9 +436,7 @@ class AvgPool2D(_Pool2D):
                 f"AvgPool2D {self.name!r}: backward called without a training forward pass"
             )
         # Strided window adds of the shared gradient; see nn.functional.avg_pool_backward.
-        return avg_pool_backward(
-            grad_output, self._cache_shape, self.pool_size, self.stride
-        )
+        return avg_pool_backward(grad_output, self._cache_shape, self.pool_size)
 
 
 class GlobalAvgPool2D(Layer):
@@ -708,8 +697,6 @@ class DenseBlock(Layer):
             conv = Conv2D(
                 self.growth_rate,
                 kernel_size=3,
-                stride=1,
-                padding="same",
                 activation=None,
                 kernel_initializer=self.kernel_initializer,
                 name=f"{self.name}_conv{index}",
@@ -780,8 +767,6 @@ class TransitionDown(Layer):
         conv = Conv2D(
             out_channels,
             kernel_size=1,
-            stride=1,
-            padding="valid",
             activation=None,
             kernel_initializer=self.kernel_initializer,
             name=f"{self.name}_conv",

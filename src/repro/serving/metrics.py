@@ -23,7 +23,7 @@ and cross-checks them in one ``summary()`` dict.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -169,11 +169,9 @@ class P2Quantile:
 class LatencyTracker:
     """Exact ledger plus P² estimators for the tracked quantiles."""
 
-    def __init__(self, quantiles: Sequence[float] = TRACKED_QUANTILES) -> None:
+    def __init__(self) -> None:
         self.ledger = PercentileLedger()
-        self.estimators: Dict[float, P2Quantile] = {
-            float(q): P2Quantile(q) for q in quantiles
-        }
+        self.estimators: Dict[float, P2Quantile] = {q: P2Quantile(q) for q in TRACKED_QUANTILES}
 
     def record(self, latency: float) -> None:
         self.ledger.record(latency)

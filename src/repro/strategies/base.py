@@ -93,13 +93,6 @@ class Strategy:
             last_loss = result.mean_loss
         return last_loss
 
-    def finalize(self) -> None:
-        """Hook called once at the end of training (default: no-op).
-
-        Strategies whose workers may have diverged from the evaluated global
-        model (e.g. FDA mid-round) can consolidate here.
-        """
-
     # -- checkpointing --------------------------------------------------------------
 
     def checkpoint_state(self) -> dict:

@@ -108,7 +108,7 @@ def lenet_factory():
 def bn_factory():
     model = Sequential(
         [
-            Conv2D(4, kernel_size=3, padding="same", activation=None, name="conv"),
+            Conv2D(4, kernel_size=3, activation=None, name="conv"),
             BatchNorm(name="bn"),
             Activation("relu", name="act"),
             AvgPool2D(2, name="pool"),

@@ -46,7 +46,7 @@ from repro.distributed.worker import Worker
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import densenet_cifar_workload
 from repro.experiments.setup import build_cluster
-from repro.nn.architectures import densenet_mini, lenet5, mlp, transfer_head, vgg_mini
+from repro.nn.architectures import densenet_mini, lenet5, transfer_head, vgg_mini
 from repro.nn.layers import Activation, Dense
 from repro.nn.model import Sequential
 from repro.optim.adam import Adam
@@ -469,10 +469,12 @@ class TestEngineGuards:
         # silently trained with the wrong activation.
         rng = np.random.default_rng(0)
         workers = []
-        for worker_id, activation in enumerate(("relu", "tanh")):
+        for worker_id, activation in enumerate(("relu", "gelu")):
             x = rng.normal(size=(20, 6))
             y = rng.integers(0, 3, size=20)
-            model = mlp(6, 3, hidden_units=(10, 8), activation=activation, seed=11)
+            model = Sequential(
+                [Dense(10, activation=activation), Dense(8, activation=activation), Dense(3)]
+            ).build((6,), seed=11)
             workers.append(
                 Worker(worker_id, model, Dataset(x, y, 3), Adam(0.01), batch_size=4)
             )

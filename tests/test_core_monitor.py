@@ -54,7 +54,8 @@ class TestLinearMonitor:
         # When xi is exactly aligned with the average drift, H equals Var.
         drifts = random_drifts(3, num_workers=4, dimension=30)
         mean_drift = np.mean(drifts, axis=0)
-        monitor = LinearMonitor(dimension=30, initial_direction=mean_drift)
+        monitor = LinearMonitor(dimension=30)
+        monitor.on_synchronization(mean_drift, np.zeros(30))
         estimate = monitor_estimate(monitor, drifts)
         assert estimate == pytest.approx(variance_from_drifts(drifts), rel=1e-9)
 

@@ -79,7 +79,7 @@ class TestClusterDtypeResolution:
         assert cluster.parameter_matrix.dtype == expected
         for worker in cluster.workers:
             assert worker.model.dtype == expected
-            assert worker.parameters_view().dtype == expected
+            assert worker.model.parameters_view().dtype == expected
 
     def test_cluster_inherits_a_uniform_model_dtype(self):
         cluster = make_cluster("batched", num_workers=2)

@@ -6,11 +6,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.nn.initializers import (
     get_initializer,
-    glorot_normal,
     glorot_uniform,
     he_normal,
-    he_uniform,
-    lecun_normal,
     ones_init,
     zeros_init,
 )
@@ -43,20 +40,8 @@ class TestHeNormal:
         expected = np.sqrt(2.0 / 400)
         assert weights.std() == pytest.approx(expected, rel=0.1)
 
-    def test_he_uniform_bounds(self, rng):
-        weights = he_uniform((64, 64), 64, 64, rng)
-        assert np.all(np.abs(weights) <= np.sqrt(6.0 / 64))
-
 
 class TestOtherInitializers:
-    def test_glorot_normal_std(self, rng):
-        weights = glorot_normal((300, 300), 300, 300, rng)
-        assert weights.std() == pytest.approx(np.sqrt(2.0 / 600), rel=0.1)
-
-    def test_lecun_normal_std(self, rng):
-        weights = lecun_normal((500, 10), 500, 10, rng)
-        assert weights.std() == pytest.approx(np.sqrt(1.0 / 500), rel=0.1)
-
     def test_zeros_and_ones(self, rng):
         assert np.all(zeros_init((5, 5), 5, 5, rng) == 0.0)
         assert np.all(ones_init((5,), 5, 5, rng) == 1.0)
@@ -73,9 +58,10 @@ class TestGetInitializer:
 
         assert get_initializer(init) is init
 
-    def test_unknown_name_raises(self):
+    @pytest.mark.parametrize("name", ["not-a-real-initializer", "lecun_normal", "zeros"])
+    def test_unknown_name_raises(self, name):
         with pytest.raises(ConfigurationError):
-            get_initializer("not-a-real-initializer")
+            get_initializer(name)
 
     def test_determinism_per_seed(self):
         a = glorot_uniform((10, 10), 10, 10, np.random.default_rng(3))

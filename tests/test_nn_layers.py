@@ -87,7 +87,7 @@ class TestDense:
         np.testing.assert_allclose(layer.forward(x), x @ layer.weight + layer.bias)
 
     def test_input_gradient(self):
-        layer = build(Dense(5, activation="tanh"), (3,))
+        layer = build(Dense(5, activation="gelu"), (3,))
         check_input_gradient(layer, np.random.default_rng(0).normal(size=(4, 3)))
 
     def test_parameter_gradients(self):
@@ -111,36 +111,34 @@ class TestDense:
 
 
 class TestConv2D:
-    def test_same_padding_preserves_spatial_size(self):
-        layer = build(Conv2D(4, kernel_size=3, padding="same"), (6, 6, 2))
+    @pytest.mark.parametrize("kernel_size,padding", [(1, 0), (3, 1), (5, 2)])
+    def test_same_padding_preserves_spatial_size(self, kernel_size, padding):
+        layer = build(Conv2D(4, kernel_size=kernel_size), (6, 6, 2))
+        assert layer.padding == padding
         assert layer.output_shape == (6, 6, 4)
 
-    def test_valid_padding_shrinks(self):
-        layer = build(Conv2D(2, kernel_size=3, padding="valid"), (6, 6, 1))
-        assert layer.output_shape == (4, 4, 2)
-
-    def test_stride_two(self):
-        layer = build(Conv2D(2, kernel_size=2, stride=2, padding="valid"), (6, 6, 1))
-        assert layer.output_shape == (3, 3, 2)
-
     def test_forward_known_value(self):
-        layer = build(Conv2D(1, kernel_size=2, padding="valid"), (2, 2, 1))
+        # A ones kernel sums each 3x3 neighbourhood; the zero padding shows at the borders.
+        layer = build(Conv2D(1, kernel_size=3), (3, 3, 1))
         layer.weight[...] = np.ones_like(layer.weight)
         layer.bias[...] = 0.5
-        x = np.arange(4, dtype=np.float64).reshape(1, 2, 2, 1)
-        np.testing.assert_allclose(layer.forward(x), [[[[6.5]]]])
+        x = np.arange(9, dtype=np.float64).reshape(1, 3, 3, 1)
+        expected = np.array([[8.0, 15.0, 12.0], [21.0, 36.0, 27.0], [20.0, 33.0, 24.0]]) + 0.5
+        np.testing.assert_allclose(layer.forward(x)[0, :, :, 0], expected)
+
+    def test_one_by_one_kernel_is_a_per_pixel_product(self):
+        layer = build(Conv2D(3, kernel_size=1), (4, 4, 2))
+        x = np.random.default_rng(6).normal(size=(2, 4, 4, 2))
+        np.testing.assert_allclose(layer.forward(x), x @ layer.weight + layer.bias)
 
     def test_input_gradient(self):
-        layer = build(Conv2D(3, kernel_size=3, padding="same", activation="tanh"), (5, 5, 2))
+        layer = build(Conv2D(3, kernel_size=3, activation="gelu"), (5, 5, 2))
         check_input_gradient(layer, np.random.default_rng(3).normal(size=(2, 5, 5, 2)))
 
-    def test_parameter_gradients(self):
-        layer = build(Conv2D(2, kernel_size=3, padding="valid"), (4, 4, 1))
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    def test_parameter_gradients(self, kernel_size):
+        layer = build(Conv2D(2, kernel_size=kernel_size), (4, 4, 1))
         check_parameter_gradients(layer, np.random.default_rng(4).normal(size=(2, 4, 4, 1)))
-
-    def test_same_padding_with_stride_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build(Conv2D(2, kernel_size=3, stride=2, padding="same"), (6, 6, 1))
 
     def test_rejects_wrong_input_shape(self):
         layer = build(Conv2D(2, kernel_size=3), (6, 6, 1))
@@ -191,8 +189,8 @@ def _col2im_pool_backward_reference(layer, grad_output):
     """The pre-vectorization backward scatter (patch matrix + col2im loop).
 
     Kept verbatim as the reference implementation for the flat ``np.add.at``
-    scatter that replaced it; exercised for both pool types, including
-    overlapping (stride < pool_size) windows.
+    scatter that replaced it; exercised for both pool types (windows never
+    overlap: the stride is the pool size).
     """
     from repro.nn.functional import col2im
     from repro.nn.layers import AvgPool2D as _Avg
@@ -216,7 +214,7 @@ def _col2im_pool_backward_reference(layer, grad_output):
         )
     grad_columns = grad_patches.reshape(rows, window * channels)
     return col2im(
-        grad_columns, shape, layer.pool_size, layer.pool_size, layer.stride, 0
+        grad_columns, shape, layer.pool_size, layer.pool_size, layer.pool_size, 0
     )
 
 
@@ -224,13 +222,10 @@ class TestPoolBackwardScatter:
     """The vectorized flat-index scatter must match the col2im reference."""
 
     @pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
-    @pytest.mark.parametrize(
-        "pool_size,stride", [(2, 2), (3, 3), (3, 2), (2, 1)],
-        ids=["2x2", "3x3", "overlap-3s2", "overlap-2s1"],
-    )
-    def test_matches_col2im_reference(self, pool_cls, pool_size, stride):
+    @pytest.mark.parametrize("pool_size", [2, 3], ids=["2x2", "3x3"])
+    def test_matches_col2im_reference(self, pool_cls, pool_size):
         rng = np.random.default_rng(42)
-        layer = build(pool_cls(pool_size, stride=stride), (7, 7, 3))
+        layer = build(pool_cls(pool_size), (7, 7, 3))
         x = rng.normal(size=(4, 7, 7, 3))
         out = layer.forward(x, training=True)
         grad_output = rng.normal(size=out.shape)

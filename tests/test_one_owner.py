@@ -59,7 +59,13 @@ STRATEGIES = {
     "scaffold": lambda: ScaffoldStrategy(local_learning_rate_hint=0.01),
 }
 TOPK_EF = CompressionConfig("topk", ratio=0.1, error_feedback=True)
-FABRICS = {"star": "star", "hier": HierarchicalTopology(group_size=2)}
+class PairedHierarchy(HierarchicalTopology):
+    """Groups of two, so the four workers here sit under two heads."""
+
+    group_size = 2
+
+
+FABRICS = {"star": "star", "hier": PairedHierarchy()}
 PLANS = {
     "clean": None,
     "chaos": FaultPlan(crash_rate=0.2, recovery_rounds=3, loss_rate=0.1, seed=7),

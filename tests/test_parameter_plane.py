@@ -152,8 +152,8 @@ class TestClusterParameterMatrix:
         matrix = cluster.parameter_matrix
         assert matrix.shape == (3, cluster.model_dimension)
         for row, worker in zip(matrix, cluster.workers):
-            assert worker.parameters_view() is not None
-            assert np.shares_memory(row, worker.parameters_view())
+            assert worker.model.parameters_view() is not None
+            assert np.shares_memory(row, worker.model.parameters_view())
             np.testing.assert_array_equal(row, worker.get_parameters())
 
     def test_broadcast_writes_every_row(self):

@@ -173,8 +173,9 @@ Public surface that nothing uses is code to keep in step for no caller, so
     lists and the fabric spec, the fault plane's straggler spikes and payload
     corruption with its retry knobs, the run budget's train-accuracy
     sample count, and the loss seam with its label smoothing, the layers'
-    bias switch and the epoch loader's ``drop_last`` — is spelled nowhere
-    under ``src/``.
+    bias switch and the epoch loader's ``drop_last``, the activations and
+    initializers no model names and the linear monitor's preset direction —
+    is spelled nowhere under ``src/``.
 
 Which planes compose was once decided in five modules, and five compositions
 were silently dropped.  Every cross-plane rule is one row of
@@ -192,10 +193,13 @@ rode on constructors, so
 20. every constructor parameter of the run-shaping classes
     (:data:`CONFIG_CLASSES`: the config dataclasses' fields, the workload, the
     loss, layers, loaders, compressors, optimizers, server-round strategies,
-    worker and cluster) is passed, by keyword, by position or through an
-    unpacked dict literal, to its class by some call in the code of ``src/``,
-    ``bench/``, ``benchmarks/`` or ``examples/``, or sits on
-    :data:`UNSET_FIELD_ALLOWLIST` with a reason.
+    topologies, monitors and the sketch, the latency tracker, the sweep
+    executor and the training run, worker and cluster) is passed, by keyword,
+    by position or through an unpacked dict literal, to its class by some
+    call in the code of ``src/``, ``bench/``, ``benchmarks/`` or
+    ``examples/``, or sits on :data:`UNSET_FIELD_ALLOWLIST` with a reason;
+    and every name a layer can look up in the activation and initializer
+    tables is spelled, as a string in code, outside its table's module.
 """
 
 from __future__ import annotations
@@ -210,19 +214,37 @@ from pathlib import Path
 import pytest
 
 from repro.compression import CompressionConfig, LayerwiseTopKCompressor, QuantizationCompressor
+from repro.core.monitor import LinearMonitor, SketchMonitor
 from repro.core.timeline import StragglerProfile
 from repro.data.loaders import EpochIterator
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.topology import GossipTopology, HierarchicalTopology
 from repro.distributed.worker import Worker
+from repro.experiments.executor import SweepExecutor
+from repro.experiments.run import TrainingRun
 from repro.experiments.setup import WorkloadConfig
 from repro.faults import FaultPlan
-from repro.nn.layers import BatchNorm, Conv2D, Dense
+from repro.nn import activations, initializers
+from repro.nn.layers import (
+    AvgPool2D,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    DenseBlock,
+    Dropout,
+    Flatten,
+    GlobalAvgPool2D,
+    MaxPool2D,
+    TransitionDown,
+)
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.optim.adam import Adam, AdamW
 from repro.optim.server import FedAdam, FedAvgM
 from repro.optim.sgd import SGD
 from repro.population import PopulationConfig
 from repro.serving import ServingConfig
+from repro.serving.metrics import LatencyTracker
+from repro.sketch.ams import AmsSketch
 from repro.strategies.drift_control import FedProxStrategy, ScaffoldStrategy
 from repro.strategies.fedopt import FedOptStrategy
 
@@ -969,7 +991,12 @@ def test_a_message_costs_what_its_links_carry():
 #: train-accuracy sample count; then the checkpoint's base64 value codec; then
 #: the served load options no workload sent — fixed-rate and trace arrivals,
 #: the block and shed queues, the polynomial rule, the queue's depth log —
-#: and the workload's straggler profile.
+#: and the workload's straggler profile; then the activations, initializers
+#: and optimizer aliases no model or workload names, and the linear monitor's
+#: preset direction.  ``TANH`` and ``ELU`` match as whole words only, so
+#: ``np.tanh`` and ``GELU`` do not; the accessors ``Worker`` re-exported from
+#: ``Sequential`` (``parameters_view``, ``set_parameters``, ...) live on there
+#: and are not listed.
 #: ``FedAvg`` counts only spelled as code (```FedAvg```, ``server.FedAvg``, ``FedAvg(``),
 #: so the algorithm's name in prose and ``FedAvgM`` do not match.
 _RETIRED_SURFACE_NAMES = re.compile(
@@ -994,7 +1021,9 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|DeterministicArrivals|TraceArrivals|from_jsonl|trace_path|QUEUE_POLICIES"
     r"|updates_shed|updates_blocked_peak|blocked_peak|poly_alpha|depth_samples"
     r"|compute_profile"
+    r"|LEAKY_RELU|SIGMOID|TANH|ELU|glorot_normal|he_uniform|lecun_normal|initial_direction"
     r")\b|--execution\b|--trace\b|--queue-policy\b|--poly-alpha\b"
+    r"|\"(?:leaky_relu|sigmoid|tanh|elu|identity|sgd_nesterov|sgdnm)\""
     r"|\.in_flight\b|\.blocked\b|\.shed\b|\"(?:deterministic|trace|block|shed|polynomial)\""
     r"|Timeline\.stall\b|\.stall\("
     r"|faults/stragglers\b|faults/corruption\b"
@@ -1281,13 +1310,24 @@ def test_a_package_reexport_is_not_a_caller(tmp_path):
 #: The classes whose constructor parameters shape a run: the config
 #: dataclasses (a dataclass's parameters are its fields), the workload, the
 #: loss, the layers, the epoch loader, the compressors, the local and server
-#: optimizers, the server-round strategies, and the worker and cluster that
+#: optimizers, the server-round strategies, the topologies with a geometry,
+#: the monitors and their sketch, the served latency tracker, the sweep
+#: executor, the training run, and the worker and cluster that
 #: ``build_cluster`` assembles.
+#:
+#: A call that spells a default out (``Conv2D(..., stride=1)``) counts as
+#: setting the parameter, so an explicit default hides a dead knob from this
+#: check.  That is how ``Conv2D``'s ``stride`` and ``padding`` outlived every
+#: model that used another value: ``DenseBlock`` passed ``stride=1,
+#: padding="same"`` and ``TransitionDown`` ``padding="valid"`` on a 1×1 kernel.
 CONFIG_CLASSES = (
     FaultPlan, ServingConfig, StragglerProfile, CompressionConfig, PopulationConfig,
-    WorkloadConfig, SoftmaxCrossEntropy, Dense, Conv2D, BatchNorm, EpochIterator,
+    WorkloadConfig, SoftmaxCrossEntropy, Dense, Conv2D, BatchNorm, MaxPool2D, AvgPool2D,
+    GlobalAvgPool2D, Flatten, Dropout, DenseBlock, TransitionDown, EpochIterator,
     QuantizationCompressor, LayerwiseTopKCompressor, Adam, AdamW, SGD, FedAdam, FedAvgM,
-    FedOptStrategy, FedProxStrategy, ScaffoldStrategy, Worker, SimulatedCluster,
+    FedOptStrategy, FedProxStrategy, ScaffoldStrategy, HierarchicalTopology, GossipTopology,
+    AmsSketch, SketchMonitor, LinearMonitor, LatencyTracker, SweepExecutor, TrainingRun,
+    Worker, SimulatedCluster,
 )
 
 
@@ -1436,3 +1476,82 @@ def test_a_constructor_parameter_is_set_through_an_unpacked_dict(tmp_path):
     assert fields_passed_by_callers(tmp_path, (Optimizer,)) == {
         "Optimizer.rate", "Optimizer.momentum", "Optimizer.decay", "Optimizer.nesterov"
     }
+
+
+#: The name tables a layer resolves ``activation=`` and ``kernel_initializer=``
+#: strings through, keyed by the module that owns each.
+NAME_TABLES = {
+    "nn/activations.py": activations._NAMED_ACTIVATIONS,
+    "nn/initializers.py": initializers._NAMED_INITIALIZERS,
+}
+
+
+def _docstrings(tree: ast.Module):
+    """The docstring constants of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _export_lists(tree: ast.Module):
+    """The ``__all__ = [...]`` displays of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            yield node.value
+
+
+def strings_spelled_in_code(repo_root: Path = REPO_ROOT, skip: str = ""):
+    """String constants in the code under :data:`REFERENCE_ROOTS`, ``skip`` aside.
+
+    Docstrings and ``__all__`` lists name things without using them, so their
+    strings do not count; ``skip`` is a path relative to ``src/repro``.
+    """
+    spelled = set()
+    for root in REFERENCE_ROOTS:
+        for path in sorted((repo_root / root).rglob("*.py")):
+            if skip and path == repo_root / "src" / "repro" / skip:
+                continue
+            tree = _parsed(path)
+            ignored = {id(node) for node in _docstrings(tree)}
+            ignored |= {id(node) for display in _export_lists(tree) for node in ast.walk(display)}
+            spelled.update(
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in ignored
+            )
+    return spelled
+
+
+@pytest.mark.parametrize(
+    "module,name", [(module, name) for module, table in NAME_TABLES.items() for name in table]
+)
+def test_every_table_name_is_spelled_by_a_caller(module, name):
+    assert name in strings_spelled_in_code(skip=module), (
+        f"no code under {', '.join(REFERENCE_ROOTS)} outside {module} names {name!r}: "
+        "delete the table entry, or give it a model that uses it"
+    )
+
+
+def test_a_table_name_counts_only_when_spelled_in_code(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "table.py").write_text(
+        '"""Names: "tanh"."""\n'
+        'TABLE = {"relu": 1, "tanh": 2, "gelu": 3}\n'
+    )
+    (package / "__init__.py").write_text('__all__ = ["gelu"]\n')
+    examples = tmp_path / "examples"
+    examples.mkdir()
+    (examples / "demo.py").write_text(
+        '"""Builds a "tanh" model, in prose only."""\n'
+        "# activation=\"gelu\" in a comment is not code either.\n"
+        'layer = Dense(4, activation="relu")\n'
+    )
+    spelled = strings_spelled_in_code(tmp_path, skip="table.py")
+    assert {"relu", "tanh", "gelu"} & spelled == {"relu"}

@@ -29,7 +29,7 @@ class TestStrategyBase:
     def test_attach_broadcasts_initial_model(self, cluster_and_test):
         cluster, _ = cluster_and_test
         # Perturb one worker so the initial models differ.
-        cluster.workers[1].set_parameters(cluster.workers[1].get_parameters() + 1.0)
+        cluster.workers[1].model.set_parameters(cluster.workers[1].get_parameters() + 1.0)
         SynchronousStrategy().attach(cluster)
         reference = cluster.workers[0].get_parameters()
         for worker in cluster.workers:

@@ -101,7 +101,7 @@ FIELD_ALTERNATIVES = {
     "partition_scheme": st.sampled_from(["noniid-fraction", "noniid-label", "dirichlet"]),
     "partition_kwargs": st.sampled_from([{"fraction": 0.5}, {"alpha": 0.3}, {"label": 1}]),
     "topology": st.sampled_from(
-        ["ring", "hierarchical", "gossip", HierarchicalTopology(2), GossipTopology(3, 2)]
+        ["ring", "hierarchical", "gossip", HierarchicalTopology(), GossipTopology()]
     ),
     "network": st.sampled_from(["fl", "hpc", "balanced"]),
     "dropout_rate": st.floats(0.01, 0.9),
@@ -261,9 +261,8 @@ class TestRunKeys:
         assert key(network="none") == key(network=None) == base
         assert key(topology="star") == key(topology=StarTopology()) == key(topology=None) == base
         assert key(network="fl") == key(network=FL_NETWORK) != base
-        assert key(topology="hierarchical") == key(topology=HierarchicalTopology(group_size=4))
+        assert key(topology="hierarchical") == key(topology=HierarchicalTopology())
         # ...while anything that builds a different fabric still moves the key.
-        assert key(topology=HierarchicalTopology(group_size=2)) != key(topology="hierarchical")
         assert key(network="fl") != key(network="hpc")
         assert len({key(topology=name) for name in ("star", "ring", "hierarchical", "gossip")}) == 4
 

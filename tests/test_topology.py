@@ -58,14 +58,6 @@ def allreduce_cases(draw):
     return num_elements, num_workers
 
 
-#: The fabrics the conservation law is checked on.
-CONSERVATION_TOPOLOGIES = {
-    "star": StarTopology,
-    "ring": RingTopology,
-    "hierarchical(2)": lambda: HierarchicalTopology(2),
-    "hierarchical(4)": lambda: HierarchicalTopology(4),
-    "gossip(3, 2)": lambda: GossipTopology(3, 2),
-}
 #: Dense (``None``) and compressed payloads.
 PAYLOADS = {
     "dense": lambda: None,
@@ -87,7 +79,7 @@ def issue(fabric: Fabric, collective: str, num_elements, payload, worker):
 class TestConservation:
     @settings(max_examples=300, deadline=None)
     @given(
-        topology=st.sampled_from(sorted(CONSERVATION_TOPOLOGIES)),
+        topology=st.sampled_from(ALL_TOPOLOGIES),
         num_workers=st.integers(min_value=1, max_value=40),
         dtype=st.sampled_from(["float32", "float64"]),
         loss_rate=st.sampled_from([0.0, 0.3]),
@@ -108,7 +100,7 @@ class TestConservation:
     ):
         fabric = make_fabric(
             num_workers,
-            topology=CONSERVATION_TOPOLOGIES[topology](),
+            topology=NAMED_TOPOLOGIES[topology](),
             itemsize=np.dtype(dtype).itemsize,
             network=network,
         )
@@ -217,16 +209,6 @@ class TestTopologyStructure:
         with pytest.raises(ConfigurationError):
             get_topology("torus")
 
-    def test_hierarchical_group_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalTopology(group_size=1)
-
-    def test_gossip_validation(self):
-        with pytest.raises(ConfigurationError):
-            GossipTopology(degree=0)
-        with pytest.raises(ConfigurationError):
-            GossipTopology(rounds=0)
-
     @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
     @pytest.mark.parametrize("num_workers", [2, 5, 9])
     def test_upload_paths_use_real_links(self, name, num_workers):
@@ -289,12 +271,13 @@ class TestFabricTiming:
         assert fabric.tracker.operations_for("fda-state") == 1
 
     def test_upload_charges_per_hop_on_the_hierarchy(self):
-        fabric = make_fabric(6, topology=HierarchicalTopology(group_size=2))
-        # Worker 3 is a group member: member -> head -> root, two hops.
-        charge = fabric.upload(7, "fda-state", worker_id=3)
+        fabric = make_fabric(6, topology=HierarchicalTopology())
+        # Groups of four: {0..3} and {4, 5}.  Worker 5 is a group member:
+        # member -> head -> root, two hops.
+        charge = fabric.upload(7, "fda-state", worker_id=5)
         assert charge.num_bytes == 2 * 7 * ITEMSIZE
-        # Worker 2 is its group's head: one hop to the root.
-        head_charge = fabric.upload(7, "fda-state", worker_id=2)
+        # Worker 4 is its group's head: one hop to the root.
+        head_charge = fabric.upload(7, "fda-state", worker_id=4)
         assert head_charge.num_bytes == 7 * ITEMSIZE
 
     def test_snapshot_shape(self):
