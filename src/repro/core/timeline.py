@@ -129,11 +129,6 @@ class Timeline:
 
     # -- durations -------------------------------------------------------------
 
-    @property
-    def step_durations(self) -> np.ndarray:
-        """Per-worker base step durations (a copy; jitter is drawn per step)."""
-        return self._durations.copy()
-
     def step_duration(self, worker_id: int) -> float:
         """One step's duration for ``worker_id``, with fresh jitter if enabled."""
         duration = float(self._durations[worker_id])

@@ -206,11 +206,6 @@ class SimulatedCluster:
         return self._engine
 
     @property
-    def gradient_matrix(self) -> np.ndarray:
-        """The live ``(K, d)`` gradient matrix; row ``k`` IS worker ``k``'s gradients."""
-        return self._engine.gradient_matrix
-
-    @property
     def dtype_name(self) -> str:
         """The plane dtype as a string (``"float64"`` or ``"float32"``)."""
         return self.dtype.name

@@ -53,10 +53,3 @@ class CommunicationTracker:
         """Number of collectives charged to a single category."""
         return int(self.operations_by_category.get(category, 0))
 
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-dict snapshot suitable for logging."""
-        return {
-            "total_bytes": self.total_bytes,
-            "bytes_by_category": dict(self.bytes_by_category),
-            "operations_by_category": dict(self.operations_by_category),
-        }

@@ -26,12 +26,13 @@ trainer — and every model runs on it:
   workers' RNG streams consume nothing.
 * **RNG-stateful layers** (``Dropout``): the batched kernels replay each
   worker's private mask stream (see :class:`~repro.nn.batched.BatchedDropout`).
-* **Heterogeneous workers**: optimizer hyper-parameters (learning rate,
-  momentum, weight decay) may differ per worker — they become per-row
-  broadcast columns inside the stacked update.  *Structural* differences
-  (model architecture, optimizer type, Nesterov vs classical momentum, batch
-  size) are refused at construction; every worker trains the one loss,
-  softmax cross-entropy.
+* **One configuration**: every worker runs the one ``Optimize(w, B)`` — the
+  same architecture (dropout rate included), optimizer type and
+  hyper-parameters, batch size and loss (softmax cross-entropy).  Each
+  stacked object refuses the rows it cannot stack, at construction: the
+  engine the architecture, the :class:`~repro.optim.base.StackedOptimizer`
+  a differing optimizer, the :class:`~repro.data.loaders.StackedSampler` a
+  differing batch size or sample shape.
 * **Per-worker driving**: :meth:`BatchedEngine.step_worker` and
   :meth:`BatchedEngine.epoch_worker` run single-row slices of the same
   batched kernels (the server strategies' local epochs); served events are
@@ -112,11 +113,10 @@ class BatchedEngine:
       the three matrices and a :class:`BatchedModel` chains the batched layer
       kernels over them;
     * the workers' optimizers become the rows of one
-      :class:`~repro.optim.base.StackedOptimizer`: hyper-parameters are
-      per-row columns, moment/velocity state is ``(K, d)`` matrices of which
-      each worker's optimizer is one row, and step counts stay per-worker —
-      so masked updates and per-worker driving run one rule on the same
-      state.
+      :class:`~repro.optim.base.StackedOptimizer`: one set of scalar
+      hyper-parameters, moment/velocity state in ``(K, d)`` matrices of which
+      each worker's optimizer is one row, and step counts per worker — so
+      masked updates and per-worker driving run one rule on the same state.
 
     Partial participation runs through a masked scratch path: the active
     workers' parameter/buffer rows are gathered into ``(A, d)`` scratch
@@ -155,11 +155,11 @@ class BatchedEngine:
         self._model = BatchedModel(
             reference.model, self._plane, worker_models=self._worker_models
         )
+        # Refuses workers whose batch sizes or sample shapes differ.
         self._sampler = StackedSampler([worker._sampler for worker in workers])
-        # May raise ConfigurationError for structurally incompatible
-        # optimizers (mixed types, mixed Nesterov), a type that defines no
-        # rule or one that already stepped; makes each worker's optimizer a
-        # row of the stack.
+        # Refuses optimizers that differ from worker 0's, a type that defines
+        # no rule or one that already stepped; makes each worker's optimizer
+        # a row of the stack.
         self._optimizer = StackedOptimizer(
             [worker.optimizer for worker in workers],
             cluster.model_dimension,
@@ -183,13 +183,13 @@ class BatchedEngine:
         The batched kernels are built from worker 0's layers and applied to
         every row of the stacked matrices, so all workers' models must be the
         *same architecture*, not merely the same parameter count.  The
-        signature captures everything a kernel reads from its layer, and a
-        composite's configuration through its ``sublayers()`` —
-        per-worker-stateful attributes (a ``Dropout`` layer's rate and RNG)
-        are deliberately absent: their kernels read each worker's own layer.
+        signature captures everything a kernel reads from its layer (a
+        ``Dropout`` layer's rate included), and a composite's configuration
+        through its ``sublayers()``; only a ``Dropout`` layer's RNG is each
+        worker's own, drawn by its kernel from each worker's layer.
         """
         signature = []
-        config_attrs = ("units", "filters", "kernel_size", "pool_size")
+        config_attrs = ("units", "filters", "kernel_size", "pool_size", "rate")
         for layer in layers:
             entry = [type(layer).__name__, tuple(layer.output_shape)]
             for attr in config_attrs:
@@ -204,38 +204,14 @@ class BatchedEngine:
 
     @staticmethod
     def _require_compatible(reference, worker) -> None:
-        """Workers must be *structurally* interchangeable.
-
-        Scalar optimizer hyper-parameters (learning rate, momentum, weight
-        decay) may differ per worker — the stacked optimizer carries them as
-        per-row columns.  What must match is everything that changes the
-        shape of the computation itself: the model architecture, the
-        optimizer type and the batch size.
-        """
-        problems: List[str] = []
+        """The batched kernels are worker 0's: every worker's model must match it."""
         if BatchedEngine._model_signature(worker.model.layers) != BatchedEngine._model_signature(
             reference.model.layers
         ):
-            problems.append("model architecture differs (layer types/geometry/config)")
-        if type(worker.optimizer) is not type(reference.optimizer):
-            problems.append(
-                f"optimizer type {type(worker.optimizer).__name__} != "
-                f"{type(reference.optimizer).__name__}"
-            )
-        if worker.batch_size != reference.batch_size:
-            problems.append(
-                f"batch_size {worker.batch_size} != {reference.batch_size}"
-            )
-        if problems:
             raise ConfigurationError(
-                f"the engine needs structurally compatible workers; worker "
-                f"{worker.worker_id}: {'; '.join(problems)}"
+                f"the engine needs one architecture; worker {worker.worker_id}: "
+                "model architecture differs (layer types/geometry/config)"
             )
-
-    @property
-    def gradient_matrix(self) -> np.ndarray:
-        """The live ``(K, d)`` gradient matrix; row ``k`` IS worker ``k``'s grads."""
-        return self._grad_matrix
 
     # -- the masked scratch path -------------------------------------------------
 

@@ -627,13 +627,3 @@ class Fabric:
         seconds = self._seconds(float(num_elements) * len(path), len(path))
         return self._charge(loads, seconds, category)
 
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-dict view of the fabric state for logging."""
-        return {
-            "topology": self.topology.name,
-            "network": self.network_name,
-            "comm_seconds": self.comm_seconds,
-            "seconds_by_category": dict(self.seconds_by_category),
-            "bytes_by_link": {f"{src}->{dst}": b for (src, dst), b in self.bytes_by_link.items()},
-            **self.tracker.snapshot(),
-        }

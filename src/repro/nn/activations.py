@@ -106,18 +106,16 @@ RELU = ActivationFunction("relu", _relu_forward, _relu_gradient, cache_input=Fal
 LINEAR = ActivationFunction("linear", _linear_forward, _linear_gradient, cache_input=False)
 GELU = ActivationFunction("gelu", _gelu_forward, _gelu_gradient, cache_input=True)
 
-_NAMED_ACTIVATIONS = {"relu": RELU, "linear": LINEAR, "gelu": GELU}
+_NAMED_ACTIVATIONS = {"relu": RELU, "gelu": GELU}
 
 
-def get_activation(name_or_fn) -> ActivationFunction:
-    """Resolve an activation by name, or pass an ActivationFunction through."""
-    if isinstance(name_or_fn, ActivationFunction):
-        return name_or_fn
-    if name_or_fn is None:
+def get_activation(name) -> ActivationFunction:
+    """Resolve an activation by name; ``None`` is the identity (:data:`LINEAR`)."""
+    if name is None:
         return LINEAR
     try:
-        return _NAMED_ACTIVATIONS[name_or_fn]
-    except KeyError:
+        return _NAMED_ACTIVATIONS[name]
+    except (KeyError, TypeError):
         raise ConfigurationError(
-            f"unknown activation {name_or_fn!r}; known: {sorted(_NAMED_ACTIVATIONS)}"
+            f"unknown activation {name!r}; known: {sorted(_NAMED_ACTIVATIONS)}"
         ) from None

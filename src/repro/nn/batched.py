@@ -310,9 +310,9 @@ class BatchedDropout(BatchedKernel):
     :meth:`~repro.nn.layers.Dropout.sample_mask` call, on the same shape, in
     the same worker order as a loop over the workers, so inactive workers
     consume nothing and every stream replays exactly — then applies the
-    stacked masks in one vectorized multiply.  Per-worker dropout *rates* may
-    differ (each row's mask comes from its own layer); rate-zero rows get an
-    exact all-ones mask and no draw, like the layer's own fast path.
+    stacked masks in one vectorized multiply.  The rate is the one every
+    worker shares (the engine refuses workers whose rates differ), read from
+    :attr:`layer`; rate zero draws nothing, like the layer's own fast path.
     """
 
     needs_worker_layers = True
@@ -326,7 +326,7 @@ class BatchedDropout(BatchedKernel):
         self.worker_layers = list(layers)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training:
+        if not training or self.layer.rate == 0.0:
             self._cache_mask = None
             return x
         rows = self.active_rows
@@ -335,18 +335,12 @@ class BatchedDropout(BatchedKernel):
             if rows is None
             else [self.worker_layers[int(k)] for k in rows]
         )
-        if all(layer.rate == 0.0 for layer in layers):
-            self._cache_mask = None
-            return x
         sample_shape = x.shape[1:]
         mask = np.empty_like(x)
         for row, layer in enumerate(layers):
-            if layer.rate == 0.0:
-                mask[row] = 1.0
-            else:
-                # Same dtype as the layer's own mask, so a row performs the
-                # identical float multiply.
-                mask[row] = layer.sample_mask(sample_shape, dtype=x.dtype)
+            # Same dtype as the layer's own mask, so a row performs the
+            # identical float multiply.
+            mask[row] = layer.sample_mask(sample_shape, dtype=x.dtype)
         self._cache_mask = mask
         return x * mask
 

@@ -57,15 +57,13 @@ def ones_init(
 _NAMED_INITIALIZERS = {"glorot_uniform": glorot_uniform, "he_normal": he_normal}
 
 
-def get_initializer(name_or_fn) -> Initializer:
-    """Resolve an initializer by name or pass a callable through unchanged."""
-    if callable(name_or_fn):
-        return name_or_fn
+def get_initializer(name) -> Initializer:
+    """Resolve an initializer by name."""
     try:
-        return _NAMED_INITIALIZERS[name_or_fn]
-    except KeyError:
+        return _NAMED_INITIALIZERS[name]
+    except (KeyError, TypeError):
         raise ConfigurationError(
-            f"unknown initializer {name_or_fn!r}; known: {sorted(_NAMED_INITIALIZERS)}"
+            f"unknown initializer {name!r}; known: {sorted(_NAMED_INITIALIZERS)}"
         ) from None
 
 

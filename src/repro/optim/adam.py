@@ -23,22 +23,22 @@ class Adam(Optimizer):
     beta1 = 0.9
     beta2 = 0.999
     epsilon = 1e-7
-    _columns = ("beta1", "beta2", "epsilon")
+    _scalars = ("beta1", "beta2", "epsilon")
     _state_names = ("m", "v")
 
     def __init__(self, learning_rate: float = 0.001) -> None:
         super().__init__(learning_rate)
 
-    def _update_rows(self, workspace, params, grads, state, columns, timesteps):
+    def _update_rows(self, workspace, params, grads, state, scalars, timesteps):
         # The moment updates land in the rows' own state blocks and every
         # temporary in one of two workspace blocks (zero steady-state
         # allocations); the bias corrections use each row's own timestep,
         # which is what keeps Adam correct when rows have stepped different
         # numbers of times (partial participation).
-        learning_rate = columns["learning_rate"]
-        beta1 = columns["beta1"]
-        beta2 = columns["beta2"]
-        epsilon = columns["epsilon"]
+        learning_rate = scalars["learning_rate"]
+        beta1 = scalars["beta1"]
+        beta2 = scalars["beta2"]
+        epsilon = scalars["epsilon"]
         count = params.shape[0]
         first, second = state["m"], state["v"]
         scratch_a = workspace.scratch("adam-a", count)
@@ -50,17 +50,14 @@ class Adam(Optimizer):
         np.multiply(grads, 1.0 - beta2, out=scratch_a)
         second += np.multiply(scratch_a, grads, out=scratch_a)
         # The bias corrections are scalar pows per row, computed with Python
-        # floats: numpy's vectorized float64 pow takes a different (SIMD) code
-        # path than libm's and can differ in the last ulp, which would make a
-        # row's result depend on how many rows share the call.  The resulting
-        # columns adopt the plane dtype so they never promote float32 rows.
-        bias1 = np.array(
-            [[1.0 - b**t] for b, t in zip(beta1[:, 0].tolist(), timesteps)],
-            dtype=params.dtype,
-        )
-        bias2 = np.array(
-            [[1.0 - b**t] for b, t in zip(beta2[:, 0].tolist(), timesteps)],
-            dtype=params.dtype,
+        # floats of the plane-dtype betas: numpy's vectorized float64 pow
+        # takes a different (SIMD) code path than libm's and can differ in the
+        # last ulp, which would make a row's result depend on how many rows
+        # share the call.  The resulting columns adopt the plane dtype so they
+        # never promote float32 rows.
+        bias1, bias2 = (
+            np.array([[1.0 - b**t] for t in timesteps], dtype=params.dtype)
+            for b in (float(beta1), float(beta2))
         )
         m_hat = np.divide(first, bias1, out=scratch_a)
         v_hat = np.divide(second, bias2, out=scratch_b)
@@ -75,7 +72,7 @@ class AdamW(Adam):
     """Adam with decoupled weight decay (the ConvNeXt fine-tuning optimizer)."""
 
     name = "adamw"
-    _columns = Adam._columns + ("weight_decay",)
+    _scalars = Adam._scalars + ("weight_decay",)
 
     def __init__(self, learning_rate: float = 0.001, weight_decay: float = 0.01) -> None:
         super().__init__(learning_rate)
@@ -83,15 +80,14 @@ class AdamW(Adam):
             raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
         self.weight_decay = float(weight_decay)
 
-    def _update_rows(self, workspace, params, grads, state, columns, timesteps):
-        weight_decay = columns["weight_decay"]
-        if not weight_decay.any():
-            super()._update_rows(workspace, params, grads, state, columns, timesteps)
+    def _update_rows(self, workspace, params, grads, state, scalars, timesteps):
+        weight_decay = scalars["weight_decay"]
+        if not weight_decay:
+            super()._update_rows(workspace, params, grads, state, scalars, timesteps)
             return
         # Decoupled decay uses the *pre-update* parameters, so materialize the
-        # decay term before the Adam step mutates them; rows with zero decay
-        # subtract an exact zero.
+        # decay term before the Adam step mutates them.
         decay = workspace.scratch("adamw-decay", params.shape[0])
-        np.multiply(columns["learning_rate"] * weight_decay, params, out=decay)
-        super()._update_rows(workspace, params, grads, state, columns, timesteps)
+        np.multiply(scalars["learning_rate"] * weight_decay, params, out=decay)
+        super()._update_rows(workspace, params, grads, state, scalars, timesteps)
         params -= decay

@@ -7,11 +7,12 @@ optimizer drive any model.
 
 Each optimizer's arithmetic is written once, as a rule over ``(A, d)`` rows
 (:meth:`Optimizer._update_rows`): parameters, gradients and state are row
-blocks, scalar hyper-parameters are ``(A, 1)`` broadcast columns, and every
+blocks, the hyper-parameters are one set of plane-dtype scalars, and every
 row keeps its own timestep.  A :class:`StackedOptimizer` owns the state
-matrices and the columns of ``K`` optimizers, and an optimizer is stepped
-only as a row of exactly one stack — the one the cluster's engine builds
-over its workers' optimizers.  So there is one path to the rule,
+matrices of ``K`` identically configured optimizers — Algorithm 1's workers
+all run the one ``Optimize(w, B)`` — and an optimizer is stepped only as a
+row of exactly one stack, the one the cluster's engine builds over its
+workers' optimizers.  So there is one path to the rule,
 :meth:`StackedOptimizer.step_rows`: all ``K`` rows, or a masked subset (the
 engine's lockstep, partial-participation and per-worker paths), one
 cache-sized block of whole rows at a time within each row shard.
@@ -59,18 +60,16 @@ class Optimizer:
     """Base class for local optimizers.
 
     A subclass declares its scalar hyper-parameter attributes
-    (:attr:`_columns`), its state matrices (:attr:`_state_names`) and one
+    (:attr:`_scalars`), its state matrices (:attr:`_state_names`) and one
     rule (:meth:`_update_rows`); this base class handles the learning rate,
     step counting and the state's lifecycle.
     """
 
-    #: Scalar hyper-parameter attributes beyond ``learning_rate`` that become
-    #: per-row ``(K, 1)`` columns, read once, when a stack is built (it
-    #: adds the ``learning_rate`` column to every optimizer's).
-    _columns: Tuple[str, ...] = ()
+    #: Scalar hyper-parameter attributes beyond ``learning_rate``; a stack
+    #: reads them (and ``learning_rate``) once, from its first optimizer.
+    _scalars: Tuple[str, ...] = ()
     #: Per-row ``(K, d)`` state matrices the rule reads and writes.  May be
-    #: narrowed per instance (momentum-free SGD carries none); a stack
-    #: allocates the union over its rows.
+    #: narrowed per instance (momentum-free SGD carries none).
     _state_names: Tuple[str, ...] = ()
 
     def __init__(self, learning_rate: float = 0.01) -> None:
@@ -133,18 +132,8 @@ class Optimizer:
     # -- subclass hooks ------------------------------------------------------
 
     def _state(self) -> Dict[str, object]:
-        """The hyper-parameters :meth:`state_dict` reports."""
-        return {name: getattr(self, name) for name in self._columns}
-
-    def _stacked_validate(self, optimizers: Sequence["Optimizer"]) -> List[str]:
-        """Problems that make these optimizers impossible to stack (empty = OK).
-
-        Per-row *columns* absorb scalar hyper-parameter differences; this hook
-        reports *structural* differences that change the shape of the update
-        rule itself (e.g. Nesterov vs classical momentum).
-        """
-        del optimizers
-        return []
+        """The hyper-parameters :meth:`state_dict` reports (and a stack compares)."""
+        return {name: getattr(self, name) for name in self._scalars}
 
     def _update_rows(
         self,
@@ -152,18 +141,16 @@ class Optimizer:
         params: np.ndarray,
         grads: np.ndarray,
         state: Dict[str, np.ndarray],
-        columns: Dict[str, np.ndarray],
+        scalars: Dict[str, np.generic],
         timesteps: Sequence[int],
     ) -> None:
         """The rule: one in-place update of ``(A, d)`` parameter rows.
 
         ``state`` holds the rows' ``(A, d)`` blocks of :attr:`_state_names`,
-        ``columns`` their ``(A, 1)`` ``learning_rate`` and :attr:`_columns`,
-        and ``timesteps`` the rows' 1-based step numbers;
-        ``workspace`` lends scratch blocks.  Rows are independent: row ``k``
-        must come out the same whichever other rows share the call, and only
-        structural attributes (uniform across a stack) may be read from
-        ``self``.
+        ``scalars`` the stack's ``learning_rate`` and :attr:`_scalars` as
+        plane-dtype numpy scalars, and ``timesteps`` the rows' 1-based step
+        numbers; ``workspace`` lends scratch blocks.  Rows are independent:
+        row ``k`` must come out the same whichever other rows share the call.
         """
         raise NotImplementedError
 
@@ -183,12 +170,11 @@ class StackedOptimizer:
       matrices owned here; optimizer ``k`` *is* row ``k``, so stepping all
       rows, a masked subset or one worker runs the same rule on the same
       memory — the drive modes compose instead of excluding each other.
-    * **hyper-parameters are per-row columns.**  Learning rate, momentum,
-      weight decay, and the Adam betas are ``(K, 1)`` broadcast columns in
-      the plane dtype — the one place the rule reads them from — so
-      heterogeneously configured workers share one vectorized step
-      (broadcasting a column is elementwise multiplication by that row's
-      scalar).
+    * **one configuration.**  Every row must match optimizer 0 in type,
+      learning rate and hyper-parameters (a row that differs is refused by
+      name); the stack reads them once, as plane-dtype numpy scalars — the
+      one place the rule reads them from, and a dtype that never promotes a
+      float32 row (``1.0 - beta1`` rounds in the plane dtype).
     * **step counts stay per-worker.**  Each optimizer's ``step_count``
       remains the single source of truth: Adam bias correction follows each
       row's own count, which is what keeps partial participation — rows
@@ -214,18 +200,23 @@ class StackedOptimizer:
         if dimension < 0:
             raise ConfigurationError(f"dimension must be non-negative, got {dimension}")
         reference = optimizers[0]
-        mixed = sorted(
-            {type(o).__name__ for o in optimizers if type(o) is not type(reference)}
-        )
-        if mixed:
+        configuration = (type(reference), reference.learning_rate, reference._state())
+        differing = [
+            row
+            for row, optimizer in enumerate(optimizers)
+            if (type(optimizer), optimizer.learning_rate, optimizer._state()) != configuration
+        ]
+        if differing:
             raise ConfigurationError(
-                "a stack needs one optimizer type across all workers; "
-                f"got {type(reference).__name__} and {', '.join(mixed)}"
+                f"a stack trains one optimizer configuration; optimizers {differing} "
+                f"differ from optimizer 0 ({type(reference).__name__}, learning_rate="
+                f"{reference.learning_rate}, {reference._state()}) in type, learning "
+                "rate or hyper-parameters"
             )
         if type(reference)._update_rows is Optimizer._update_rows:
             raise ConfigurationError(
                 f"{type(reference).__name__} defines no update rule; an optimizer "
-                "declares _columns, _state_names and one _update_rows"
+                "declares _scalars, _state_names and one _update_rows"
             )
         # A stepped optimizer's state would be dropped by the rebinding while
         # its step count (Adam's bias correction) kept counting — a quietly
@@ -237,32 +228,22 @@ class StackedOptimizer:
                 f"shared (K, d) matrices); optimizers {stepped} have already "
                 "stepped — construct new optimizers"
             )
-        problems = reference._stacked_validate(optimizers)
-        if problems:
-            raise ConfigurationError(
-                "cannot stack these optimizers: " + "; ".join(problems)
-            )
         self.optimizers: List[Optimizer] = list(optimizers)
         self.num_workers = len(self.optimizers)
         self.dimension = int(dimension)
-        # State, hyper-parameter columns, and scratch all live in the plane's
-        # dtype so the update never promotes a float32 (K, d) matrix.
+        # State, hyper-parameters, and scratch all live in the plane's dtype
+        # so the update never promotes a float32 (K, d) matrix.
         self.dtype = resolve_dtype(dtype)
         self.workspace = Workspace(self.dimension, self.dtype)
         #: One workspace per row shard; the first is :attr:`workspace`.
         self._workspaces: List[Workspace] = [self.workspace]
-        self._columns: Dict[str, np.ndarray] = {
-            name: np.array(
-                [[float(getattr(optimizer, name))] for optimizer in self.optimizers],
-                dtype=self.dtype,
-            )
-            for name in ("learning_rate",) + reference._columns
+        self._scalars: Dict[str, np.generic] = {
+            name: self.dtype.type(getattr(reference, name))
+            for name in ("learning_rate",) + reference._scalars
         }
         self._state: Dict[str, np.ndarray] = {
             name: np.zeros((self.num_workers, self.dimension), dtype=self.dtype)
-            for name in dict.fromkeys(
-                name for optimizer in self.optimizers for name in optimizer._state_names
-            )
+            for name in reference._state_names
         }
         for row, optimizer in enumerate(self.optimizers):
             optimizer._bind_row(self, row)
@@ -352,7 +333,6 @@ class StackedOptimizer:
             cut = slice(low, min(low + block, stop))
             if rows is None:
                 state = {name: matrix[cut] for name, matrix in self._state.items()}
-                columns = {name: column[cut] for name, column in self._columns.items()}
             else:
                 ids = rows[cut]
                 # mode="clip": step_rows checked the ids, and numpy's
@@ -368,15 +348,7 @@ class StackedOptimizer:
                     )
                     for name, matrix in self._state.items()
                 }
-                columns = {name: column[ids] for name, column in self._columns.items()}
-            rule(
-                workspace,
-                params[cut],
-                grads[cut],
-                state,
-                columns,
-                timesteps[cut],
-            )
+            rule(workspace, params[cut], grads[cut], state, self._scalars, timesteps[cut])
             if rows is not None:
                 for name, matrix in self._state.items():
                     matrix[ids] = state[name]

@@ -20,7 +20,7 @@ class SGD(Optimizer):
     """SGD, optionally with classical or Nesterov momentum and L2 weight decay."""
 
     name = "sgd"
-    _columns = ("momentum", "weight_decay")
+    _scalars = ("momentum", "weight_decay")
 
     def __init__(
         self,
@@ -37,30 +37,15 @@ class SGD(Optimizer):
         if weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
         self.weight_decay = float(weight_decay)
-        # Momentum-free rows ride along in the velocity path bit-exactly
-        # (their velocity row is exactly ``-scaled`` and momentum 0 wipes it
-        # again each step), so one matrix serves mixed-momentum stacks; a
-        # fully momentum-free stack needs no state at all.
         self._state_names = ("velocity",) if self.momentum else ()
 
-    def _stacked_validate(self, optimizers):
-        if len({o.nesterov for o in optimizers}) > 1:
-            return [
-                "nesterov and classical momentum change the shape of the update "
-                "rule and cannot be mixed across workers"
-            ]
-        return []
-
-    def _update_rows(self, workspace, params, grads, state, columns, timesteps):
-        # The (A, 1) hyper-parameter columns broadcast as per-row scalars, so
-        # every element sees the same operations in the same order whichever
-        # rows share the call.
+    def _update_rows(self, workspace, params, grads, state, scalars, timesteps):
         del timesteps
-        learning_rate = columns["learning_rate"]
-        momentum = columns["momentum"]
-        weight_decay = columns["weight_decay"]
+        learning_rate = scalars["learning_rate"]
+        momentum = scalars["momentum"]
+        weight_decay = scalars["weight_decay"]
         scaled = workspace.scratch("sgd-scaled", params.shape[0])
-        if weight_decay.any():
+        if weight_decay:
             np.multiply(params, weight_decay, out=scaled)
             scaled += grads
             scaled *= learning_rate

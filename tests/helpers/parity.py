@@ -2,8 +2,8 @@
 
 The engine must be an *execution* optimization only: for every protocol,
 every timeline (full or partial participation), every supported model
-(including RNG-stateful ``Dropout``), and every optimizer configuration
-(homogeneous or per-worker heterogeneous), a run on the engine must
+(including RNG-stateful ``Dropout``), and every optimizer, a run on the
+engine must
 reproduce the per-worker oracle's training trajectory
 (:mod:`helpers.per_worker`) and its communication ledger.  This module owns
 the scenario grid and the assertions; the parity tests parametrize over it.
@@ -171,8 +171,8 @@ def make_cluster(
     (``data_seed``), per-worker sampler streams (the worker id), and the
     timeline (``timeline_seed``), so a per-worker/batched pair sees the same
     data, the same masks, and the same mask-stream draws.
-    ``optimizer_factory`` receives the worker id — return different
-    configurations for heterogeneous-worker scenarios.
+    ``optimizer_factory`` receives the worker id and must return the one
+    configuration a stack trains.
     """
     rng = np.random.default_rng(data_seed)
     workers = []

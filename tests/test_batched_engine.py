@@ -4,9 +4,8 @@ The scenario grid itself (clusters, drivers, assertions) lives in
 ``tests/helpers/parity.py`` and the oracle in ``tests/helpers/per_worker.py``;
 this file parametrizes over them and additionally pins down the engine's
 guard surface.  The whole grid — partial participation, ``Dropout`` models,
-heterogeneous optimizer hyper-parameters, per-worker driving — runs
-vectorized on the engine, and the full strategy × timeline × model cross
-product runs in tier-1.
+per-worker driving — runs vectorized on the engine, and the full
+strategy × timeline × model cross product runs in tier-1.
 
 SGD scenarios are held to *value-exact* parity (``rtol=0, atol=0``); Adam
 scenarios use the documented ``rtol=1e-6`` (numpy's vectorized pow is kept
@@ -43,13 +42,13 @@ from repro.data.loaders import BatchSampler, StackedSampler
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.engine import BatchedEngine
 from repro.distributed.worker import Worker
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
 from repro.experiments.registry import densenet_cifar_workload
 from repro.experiments.setup import build_cluster
 from repro.nn.architectures import densenet_mini, lenet5, transfer_head, vgg_mini
-from repro.nn.layers import Activation, Dense
+from repro.nn.layers import Activation, Dense, Dropout
 from repro.nn.model import Sequential
-from repro.optim.adam import Adam
+from repro.optim.adam import Adam, AdamW
 from repro.optim.base import Optimizer, StackedOptimizer
 from repro.optim.sgd import SGD
 from repro.serving import ServedFDATrainer, ServingConfig
@@ -195,60 +194,6 @@ class TestDenseNetWorkloads:
         assert_ledgers_equal(seq_cluster, bat_cluster)
 
 
-class TestHeterogeneousWorkers:
-    def test_heterogeneous_sgd_hyperparameters_match_exactly(self):
-        """Per-worker lr/momentum/weight-decay become (K, 1) columns; the
-        masked stacked update must equal each worker's own update bit-for-bit."""
-        run_fda_parity(
-            threshold=0.5,
-            steps=40,
-            dropout_rate=0.3,
-            optimizer_factory=lambda worker_id: SGD(
-                0.01 * (worker_id + 1),
-                momentum=0.1 * worker_id if worker_id else 0.0,
-                weight_decay=1e-4 * worker_id,
-            ),
-            exact=True,
-        )
-
-    def test_heterogeneous_adam_matches(self):
-        run_fda_parity(
-            threshold=0.5,
-            steps=40,
-            dropout_rate=0.3,
-            optimizer_factory=lambda worker_id: Adam(0.001 * (worker_id + 1)),
-        )
-
-    def test_masked_subset_uniform_but_unlike_worker_zero_is_exact(self):
-        """Momentum-free SGD where a masked subset's weight decays are
-        internally uniform yet differ from worker 0's: the cache-blocked fast
-        path (which reads worker 0's decay) must not be taken for it."""
-        from helpers.parity import run_masked_step_parity
-
-        masks = [
-            np.array([False, True, True, True]),  # uniform wd=0.1 subset, w0 absent
-            np.array([True, False, False, False]),  # worker 0 alone (wd=0)
-            np.array([True, True, True, True]),
-        ] * 3
-        run_masked_step_parity(
-            masks,
-            exact=True,
-            num_workers=4,
-            optimizer_factory=lambda worker_id: SGD(
-                0.05, weight_decay=0.0 if worker_id == 0 else 0.1
-            ),
-        )
-
-    def test_heterogeneous_learning_rates_are_per_row_columns(self):
-        run_fda_parity(
-            threshold=0.5,
-            steps=30,
-            dropout_rate=0.4,
-            optimizer_factory=lambda worker_id: SGD(0.05 / (1 + worker_id)),
-            exact=True,
-        )
-
-
 class TestPerWorkerDriving:
     def test_step_worker_matches_the_per_worker_loop_exactly(self):
         seq_cluster, bat_cluster = make_cluster_pair(
@@ -384,25 +329,25 @@ class TestEngineSelection:
     def test_cluster_exposes_engine_and_gradient_matrix(self):
         batched = make_cluster("batched", num_workers=2)
         assert isinstance(batched.engine, BatchedEngine)
-        assert batched.gradient_matrix.shape == (2, batched.model_dimension)
+        assert batched.engine._grad_matrix.shape == (2, batched.model_dimension)
         # The gradient matrix aliases the workers' gradient planes.
         batched.step_all()
         np.testing.assert_array_equal(
-            batched.gradient_matrix[1], batched.workers[1].model.gradients_view()
+            batched.engine._grad_matrix[1], batched.workers[1].model.gradients_view()
         )
 
     def test_masked_steps_leave_inactive_rows_untouched(self):
         cluster = make_cluster("batched", num_workers=4)
         cluster.step_all()
         before_params = cluster.parameter_matrix.copy()
-        before_grads = cluster.gradient_matrix.copy()
+        before_grads = cluster.engine._grad_matrix.copy()
         cluster.step_all(active=np.array([True, False, True, False]))
         for inactive in (1, 3):
             np.testing.assert_array_equal(
                 cluster.parameter_matrix[inactive], before_params[inactive]
             )
             np.testing.assert_array_equal(
-                cluster.gradient_matrix[inactive], before_grads[inactive]
+                cluster.engine._grad_matrix[inactive], before_grads[inactive]
             )
         for active in (0, 2):
             assert not np.array_equal(
@@ -457,7 +402,7 @@ class TestEngineGuards:
                 return super().backward(2.0 * grad_output)
 
         def factory():
-            model = Sequential([Doubling("linear", name="twice"), Dense(3, name="logits")])
+            model = Sequential([Doubling(None, name="twice"), Dense(3, name="logits")])
             return model.build((6,), seed=0)
 
         with pytest.raises(ConfigurationError, match=r"no kernel for these layers: twice \(Doubling\)"):
@@ -500,28 +445,54 @@ class TestEngineGuards:
                 batch_size=4,
             )
         )
-        with pytest.raises(ConfigurationError, match="optimizer type"):
+        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] differ from optimizer 0"):
             SimulatedCluster(workers)
 
     def test_mismatched_batch_size_rejected(self):
+        # The stacked sampler draws one (K, B, ...) batch, so it refuses.
         workers = self._workers_with(
             lambda worker_id, data: Worker(
                 worker_id, mlp_factory(), data, Adam(0.01), batch_size=4 + worker_id
             )
         )
-        with pytest.raises(ConfigurationError, match="batch_size"):
+        with pytest.raises(DataError, match="one batch size"):
             SimulatedCluster(workers)
 
-    def test_heterogeneous_hyperparameters_accepted(self):
-        """The old identically-configured-optimizers guard is gone: scalar
-        hyper-parameter differences ride per-row columns."""
+    def test_heterogeneous_hyperparameters_refused_by_row(self):
+        # A stack trains one configuration: a learning rate that differs from
+        # worker 0's is refused, naming every row that differs, not trained
+        # at worker 0's rate.
+        rng = np.random.default_rng(0)
+        workers = [
+            Worker(
+                worker_id,
+                mlp_factory(),
+                Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3),
+                Adam(0.02 if worker_id in (1, 3) else 0.01),
+                batch_size=4,
+            )
+            for worker_id in range(4)
+        ]
+        with pytest.raises(
+            ConfigurationError, match=r"optimizers \[1, 3\] differ from optimizer 0 \(Adam, learning_rate=0.01"
+        ):
+            SimulatedCluster(workers)
+
+    def test_mismatched_dropout_rate_rejected(self):
+        # The dropout kernel applies worker 0's rate to every row, so a
+        # worker with another rate is a different architecture.
+        def model(rate):
+            return Sequential([Dense(8, activation="relu"), Dropout(rate, seed=0), Dense(3)]).build(
+                (6,), seed=11
+            )
+
         workers = self._workers_with(
             lambda worker_id, data: Worker(
-                worker_id, mlp_factory(), data, Adam(0.01 * (worker_id + 1)), batch_size=4
+                worker_id, model(0.25 * worker_id), data, Adam(0.01), batch_size=4
             )
         )
-        cluster = SimulatedCluster(workers)
-        assert cluster.step_all() > 0.0
+        with pytest.raises(ConfigurationError, match="worker 1: model architecture differs"):
+            SimulatedCluster(workers)
 
 
 class TestStackedOptimizerGuards:
@@ -529,7 +500,7 @@ class TestStackedOptimizerGuards:
     batched-engine construction)."""
 
     def test_mixed_nesterov_rejected(self):
-        with pytest.raises(ConfigurationError, match="nesterov"):
+        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] differ.*'nesterov': True"):
             StackedOptimizer(
                 [SGD(0.01, momentum=0.9, nesterov=True), SGD(0.01, momentum=0.9)], 4
             )
@@ -538,15 +509,32 @@ class TestStackedOptimizerGuards:
         # The row rule is the only spelling of an optimizer's arithmetic, so
         # a subclass that defines none is refused by name by the stack.
         class Esoteric(Optimizer):
-            _columns = ("sharpness",)
+            _scalars = ("sharpness",)
             sharpness = 2.0
 
         with pytest.raises(ConfigurationError, match="Esoteric defines no update rule"):
             StackedOptimizer([Esoteric(), Esoteric()], 4)
 
     def test_mixed_types_rejected(self):
-        with pytest.raises(ConfigurationError, match="one optimizer type"):
+        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] differ from optimizer 0 \(SGD"):
             StackedOptimizer([SGD(0.01), Adam(0.01)], 4)
+
+    @pytest.mark.parametrize(
+        "differing",
+        [
+            lambda: SGD(0.02, momentum=0.9),
+            lambda: SGD(0.01, momentum=0.5),
+            lambda: SGD(0.01, momentum=0.9, weight_decay=1e-4),
+            lambda: SGD(0.01),
+            lambda: AdamW(0.01),
+        ],
+        ids=["learning-rate", "momentum", "weight-decay", "momentum-free", "type"],
+    )
+    def test_every_differing_row_is_named(self, differing):
+        rows = [SGD(0.01, momentum=0.9), differing(), SGD(0.01, momentum=0.9), differing()]
+        with pytest.raises(ConfigurationError, match=r"optimizers \[1, 3\] differ from optimizer 0"):
+            StackedOptimizer(rows, 4)
+        assert all(optimizer.state_arrays() == {} for optimizer in rows)
 
     def test_pre_stepped_rejected(self):
         stepped = SGD(0.01)

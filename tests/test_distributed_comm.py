@@ -24,13 +24,6 @@ class TestTracker:
         assert tracker.operations_for("fda-state") == 2
         assert tracker.total_bytes == tracker.bytes_for("model-sync") + tracker.bytes_for("fda-state")
 
-    def test_snapshot(self):
-        tracker = CommunicationTracker()
-        tracker.record_transfer(120, "model-sync")
-        snapshot = tracker.snapshot()
-        assert snapshot["total_bytes"] == tracker.total_bytes
-        assert "model-sync" in snapshot["bytes_by_category"]
-
     def test_unknown_category_is_zero(self):
         assert CommunicationTracker().bytes_for("nothing") == 0
 

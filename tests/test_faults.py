@@ -498,8 +498,7 @@ class TestClusterCheckpoint:
             np.testing.assert_array_equal(
                 state_ref.residual_matrix, state_res.residual_matrix
             )
-        assert cluster_ref.tracker.snapshot() == cluster_res.tracker.snapshot()
-        assert cluster_ref.fabric.bytes_by_link == cluster_res.fabric.bytes_by_link
+        assert cluster_ref.fabric.state_dict() == cluster_res.fabric.state_dict()
         assert result_ref.history.entries == result_res.history.entries
 
     def test_compressed_checkpoint_holds_the_shared_model_once(self, blobs_workload):

@@ -212,10 +212,13 @@ class TestGetActivation:
     def test_none_is_linear(self):
         assert get_activation(None) is LINEAR
 
-    def test_instance_passthrough(self):
-        assert get_activation(GELU) is GELU
-
-    @pytest.mark.parametrize("name", ["swishy", "tanh", "identity"])
+    @pytest.mark.parametrize("name", ["swishy", "tanh", "identity", "linear"])
     def test_unknown_raises(self, name):
         with pytest.raises(ConfigurationError):
             get_activation(name)
+
+    @pytest.mark.parametrize("value", [GELU, np.tanh, ["relu"]], ids=["function", "callable", "list"])
+    def test_only_names_resolve(self, value):
+        # The table resolves names; an object is refused like an unknown name.
+        with pytest.raises(ConfigurationError, match=r"unknown activation .*; known: \['gelu', 'relu'\]"):
+            get_activation(value)

@@ -52,11 +52,14 @@ class TestGetInitializer:
         assert get_initializer("he_normal") is he_normal
         assert get_initializer("glorot_uniform") is glorot_uniform
 
-    def test_passes_callables_through(self):
-        def init(shape, fan_in, fan_out, rng):
-            return np.full(shape, 1.0)
-
-        assert get_initializer(init) is init
+    @pytest.mark.parametrize("value", [he_normal, ["he_normal"]], ids=["callable", "list"])
+    def test_only_names_resolve(self, value):
+        # The table resolves names; an object is refused like an unknown name.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown initializer .*; known: \['glorot_uniform', 'he_normal'\]",
+        ):
+            get_initializer(value)
 
     @pytest.mark.parametrize("name", ["not-a-real-initializer", "lecun_normal", "zeros"])
     def test_unknown_name_raises(self, name):

@@ -239,10 +239,10 @@ class TestRowBlocking:
         calls, scratch_rows, blocks = [], [], []
         rule, scratch = SGD._update_rows, Workspace.scratch
 
-        def rule_spy(self, workspace, params, grads, state, columns, timesteps):
-            calls.append((params.shape[0], columns["weight_decay"][:, 0].tolist()))
+        def rule_spy(self, workspace, params, grads, state, scalars, timesteps):
+            calls.append((params.shape[0], scalars["weight_decay"]))
             blocks.append((params.__array_interface__["data"][0], params.shape[0]))
-            rule(self, workspace, params, grads, state, columns, timesteps)
+            rule(self, workspace, params, grads, state, scalars, timesteps)
 
         def scratch_spy(self, name, count):
             block = scratch(self, name, count)
@@ -258,8 +258,8 @@ class TestRowBlocking:
     def test_weight_decay_rows_match_per_row_steps_block_by_block(
         self, seam, monkeypatch, dtype
     ):
-        # At float32 the rule once compared the plane-dtype decay column with
-        # a Python float; the bytes below are what guards the column's dtype.
+        # At float32 the rule once compared the plane-dtype decay with a
+        # Python float; the bytes below are what guards the scalar's dtype.
         calls, scratch_rows, _ = seam
         monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 32)
         rng = np.random.default_rng(0)
@@ -280,26 +280,26 @@ class TestRowBlocking:
         assert params.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_masked_subset_uses_its_own_rows_decay(self, seam, monkeypatch, dtype):
-        # Rows 1 and 2 share a decay that differs from worker 0's: the scalar
-        # comes from the covered rows' column, not from "worker 0".
+    def test_masked_subset_steps_block_by_block(self, seam, monkeypatch, dtype):
+        # Rows 1 and 2 of three, one row per block; the rule reads the
+        # stack's decay as a plane-dtype scalar.
         calls, scratch_rows, _ = seam
         monkeypatch.setattr(base_module, "ROW_BLOCK_ELEMENTS", 16)
-        decays = [1e-4, 5e-2, 5e-2]
         rng = np.random.default_rng(1)
         params = rng.normal(size=(3, 16)).astype(dtype)
         grads = rng.normal(size=(3, 16)).astype(dtype)
         rows = np.array([1, 2])
         expected = params[rows].copy()
         for slot, row in enumerate(rows):
-            expected[slot] = solo_step(SGD(0.05, weight_decay=decays[row]), expected[slot], grads[row])
+            expected[slot] = solo_step(SGD(0.05, weight_decay=5e-2), expected[slot], grads[row])
         del calls[:], scratch_rows[:]
         stacked = StackedOptimizer(
-            [SGD(0.05, weight_decay=decay) for decay in decays], 16, dtype=dtype
+            [SGD(0.05, weight_decay=5e-2) for _ in range(3)], 16, dtype=dtype
         )
         block = params[rows].copy()
         stacked.step_rows(block, grads[rows].copy(), rows)
-        assert calls == [(1, [float(dtype(5e-2))])] * 2
+        assert calls == [(1, dtype(5e-2))] * 2
+        assert all(type(decay) is dtype for _, decay in calls)
         assert max(scratch_rows) <= 1
         assert block.tobytes() == expected.tobytes()
         assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 1, 1]
@@ -341,8 +341,8 @@ class TestRowBlocking:
         rng = np.random.default_rng(4)
         start = rng.normal(size=(5, dimension))
         rows = np.array([4, 0, 2, 1, 3])
-        members = [AdamW(0.01, weight_decay=0.01 * k) for k in range(5)]
-        solos = [AdamW(0.01, weight_decay=0.01 * k) for k in range(5)]
+        members = [AdamW(0.01, weight_decay=0.01) for _ in range(5)]
+        solos = [AdamW(0.01, weight_decay=0.01) for _ in range(5)]
         stacked = StackedOptimizer(members, dimension)
         params, solo_params = start.copy(), start.copy()
         for _ in range(3):
@@ -363,7 +363,7 @@ class TestStepRowsIndexArray:
 
     @pytest.fixture()
     def stacked(self):
-        return StackedOptimizer([Adam(0.01 * (k + 1)) for k in range(3)], 4)
+        return StackedOptimizer([Adam(0.01) for _ in range(3)], 4)
 
     def refused(self, stacked, rows, match):
         count = len(rows)
@@ -409,9 +409,7 @@ def test_warmed_adamw_step_allocates_no_block_sized_array():
     rng = np.random.default_rng(0)
     params = rng.normal(size=(count, dimension))
     grads = rng.normal(size=(count, dimension))
-    stacked = StackedOptimizer(
-        [AdamW(0.01, weight_decay=0.01 * (k + 1)) for k in range(count)], dimension
-    )
+    stacked = StackedOptimizer([AdamW(0.01, weight_decay=0.01) for _ in range(count)], dimension)
     rows = np.array([0, 2, 5])
     block, block_grads = params[rows], grads[rows]
     for _ in range(2):
@@ -431,9 +429,10 @@ def test_warmed_adamw_step_allocates_no_block_sized_array():
 
 # -- the entry-point property -------------------------------------------------------
 
-#: ``kind -> factory(learning_rate, u)``: per-worker heterogeneous hyper-parameters
-#: from one unit-interval draw ``u``; the *structure* (momentum or not,
-#: Nesterov or not) is fixed per kind, as a stack requires.
+#: ``kind -> factory(learning_rate, u)``: hyper-parameters from one
+#: unit-interval draw ``u``; the *structure* (momentum or not, Nesterov or
+#: not) is fixed per kind.  A stack trains one configuration, so every row of
+#: a stack is built from the same draw.
 ROW_RULE_KINDS = {
     "sgd": lambda lr, u: SGD(lr),
     "sgd-wd": lambda lr, u: SGD(lr, weight_decay=1e-4 + 1e-2 * u),
@@ -449,12 +448,16 @@ worker_draw = st.tuples(
     st.floats(0.0, 1.0, allow_nan=False),  # hyper-parameter position u
     st.floats(1e-3, 0.2, allow_nan=False),  # learning rate
 )
-worker_draws = st.lists(worker_draw, min_size=1, max_size=4)
+
+
+def stack_draws(max_size):
+    """One ``(u, learning_rate)`` draw repeated for 1 to ``max_size`` workers."""
+    return st.tuples(worker_draw, st.integers(1, max_size)).map(lambda pair: [pair[0]] * pair[1])
 
 
 @st.composite
 def row_rule_cases(draw):
-    workers = draw(worker_draws)
+    workers = draw(stack_draws(4))
     rows = st.integers(0, len(workers) - 1)
     op = st.one_of(
         st.just(("full",)),
@@ -510,8 +513,8 @@ def drive_stack(kind, dtype, workers, ops, seed, dimension):
 def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
     """Full, masked and one-row ``step_rows`` are one rule.
 
-    For every optimizer, with per-worker heterogeneous hyper-parameters
-    (learning rates included), any interleaving of full stacked steps, masked stacked steps
+    For every optimizer, with hyper-parameters (learning rate included) drawn
+    per stack, any interleaving of full stacked steps, masked stacked steps
     and one-row steps (so the rows' step counts skew) leaves
     parameters, every ``state_arrays()`` entry and every ``step_count``
     **byte-equal** to K independent one-optimizer runs — at float64 *and* at
@@ -547,7 +550,7 @@ def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
 
 @st.composite
 def block_size_cases(draw):
-    workers = draw(st.lists(worker_draw, min_size=1, max_size=6))
+    workers = draw(stack_draws(6))
     rows = st.lists(
         st.integers(0, len(workers) - 1), min_size=1, unique=True
     ).flatmap(st.permutations)
@@ -571,8 +574,8 @@ def block_size_cases(draw):
 def test_block_size_never_shows_in_a_result(kind, dtype, case):
     """``ROW_BLOCK_ELEMENTS`` is a cache policy, not arithmetic.
 
-    Three live or masked stacked steps (masked rows in any order) over
-    heterogeneous rows leave parameters, every state matrix and every step
+    Three live or masked stacked steps (masked rows in any order) leave
+    parameters, every state matrix and every step
     count byte-equal whether a block holds one row, exactly one, three, or
     the whole stack.
     """
@@ -602,10 +605,12 @@ class TestLearningRate:
         with pytest.raises(ConfigurationError):
             SGD(bad)
 
-    def test_is_a_constant_float_column(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_is_a_constant_plane_dtype_scalar(self, dtype):
         optimizer = SGD(1)
         assert optimizer.learning_rate == 1.0 and isinstance(optimizer.learning_rate, float)
         solo_step(optimizer, np.zeros(1), np.zeros(1))
         assert optimizer.learning_rate == 1.0
-        stacked = StackedOptimizer([SGD(0.1), SGD(0.3)], 2)
-        np.testing.assert_array_equal(stacked._columns["learning_rate"], [[0.1], [0.3]])
+        stacked = StackedOptimizer([SGD(0.1), SGD(0.1)], 2, dtype=dtype)
+        learning_rate = stacked._scalars["learning_rate"]
+        assert type(learning_rate) is dtype and learning_rate == dtype(0.1)

@@ -120,7 +120,7 @@ def test_batched_engine_steps_do_not_see_the_shards(model, case):
             num_classes=classes, num_workers=workers, dtype=dtype,
         )
         means = [repr(cluster.engine.step_all(active=mask)) for mask in steps]
-        return means, state_bytes(cluster.state_dict()), cluster.gradient_matrix.tobytes()
+        return means, state_bytes(cluster.state_dict()), cluster.engine._grad_matrix.tobytes()
 
     assert all_equal(under_every_shard_setting(run))
 

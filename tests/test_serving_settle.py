@@ -228,8 +228,10 @@ class TestDivergence:
             ServingConfig(arrival="poisson", arrival_rate=1.0, service_seconds=0.05),
             side=side,
             threshold=float("inf"),
-            optimizer_factory=lambda worker_id: SGD(1e12 if worker_id == 2 else 0.01),
+            optimizer_factory=lambda worker_id: SGD(0.01),
         )
+        # Poison worker 2's data: its first forward pass yields a non-finite loss.
+        trainer.cluster.workers[2].dataset.x[...] = np.nan
         with pytest.raises(TrainingError, match="worker 2") as excinfo:
             trainer.serve_updates(200)
         assert not any(f"worker {w}" in str(excinfo.value) for w in (0, 1, 3))

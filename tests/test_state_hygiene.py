@@ -993,7 +993,8 @@ def test_a_message_costs_what_its_links_carry():
 #: the block and shed queues, the polynomial rule, the queue's depth log —
 #: and the workload's straggler profile; then the activations, initializers
 #: and optimizer aliases no model or workload names, and the linear monitor's
-#: preset direction.  ``TANH`` and ``ELU`` match as whole words only, so
+#: preset direction; then the optimizer's stacking hook, which only a mixed
+#: configuration needed.  ``TANH`` and ``ELU`` match as whole words only, so
 #: ``np.tanh`` and ``GELU`` do not; the accessors ``Worker`` re-exported from
 #: ``Sequential`` (``parameters_view``, ``set_parameters``, ...) live on there
 #: and are not listed.
@@ -1022,6 +1023,7 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|updates_shed|updates_blocked_peak|blocked_peak|poly_alpha|depth_samples"
     r"|compute_profile"
     r"|LEAKY_RELU|SIGMOID|TANH|ELU|glorot_normal|he_uniform|lecun_normal|initial_direction"
+    r"|_stacked_validate"
     r")\b|--execution\b|--trace\b|--queue-policy\b|--poly-alpha\b"
     r"|\"(?:leaky_relu|sigmoid|tanh|elu|identity|sgd_nesterov|sgdnm)\""
     r"|\.in_flight\b|\.blocked\b|\.shed\b|\"(?:deterministic|trace|block|shed|polynomial)\""
@@ -1148,7 +1150,7 @@ class ModuleReferences(ast.NodeVisitor):
         self._reexports = reexports
         self.names = set()
         self.classes = {}  # class defined here -> the names of its bases
-        self.accesses = []  # (attribute, receiver name, enclosing class)
+        self.accesses = []  # (attribute, receiver name, receiver is x.y, enclosing class)
         self._enclosing = [None]
         self.visit(_parsed(path))
 
@@ -1168,8 +1170,9 @@ class ModuleReferences(ast.NodeVisitor):
     def visit_Attribute(self, node):
         self.names.add(node.attr)
         receiver = node.value
+        chained = isinstance(receiver, ast.Attribute)
         receiver = receiver.id if isinstance(receiver, ast.Name) else getattr(receiver, "attr", "")
-        self.accesses.append((node.attr, receiver, self._enclosing[-1]))
+        self.accesses.append((node.attr, receiver, chained, self._enclosing[-1]))
         self.generic_visit(node)
 
 
@@ -1185,24 +1188,35 @@ def class_families(modules):
     return family
 
 
-def points_at(family, refs, receiver, enclosing) -> bool:
+def _singular(word: str) -> str:
+    """``word`` lower-cased, one trailing ``s`` folded (``faults`` → ``fault``)."""
+    word = word.lower()
+    return word[:-1] if word.endswith("s") else word
+
+
+def points_at(family, refs, receiver, chained, enclosing) -> bool:
     """Whether an attribute access in ``refs`` can reach a class of ``family``.
 
-    ``self.m`` reaches it from inside the family; any other ``x.m`` when its
-    module names a class of the family, or when the receiver is named after
-    one (``fabric.snapshot`` → ``Fabric``, ``self.compressor.state_dict`` →
-    ``TopKCompressor``).
+    ``self.m`` reaches it from inside the family.  ``y.x.m`` (``chained``)
+    reaches it only when ``x`` is named after a class of the family, one
+    trailing ``s`` folded on both sides (``self.compressor.state_dict`` →
+    ``TopKCompressor``, ``self.faults.advance_round`` → ``FaultInjector``):
+    that the module names the family is not enough, so
+    ``self.cluster.snapshot`` beside an imported ``Fabric`` does not reach
+    ``Fabric.snapshot``.  Any other ``x.m`` reaches it when ``x`` is so named
+    (``fabric.snapshot`` → ``Fabric``) or its module names a class of the
+    family.
     """
-    if receiver in ("self", "cls"):
+    if receiver in ("self", "cls") and not chained:
         return enclosing in family
     words = {
-        word.lower()
+        _singular(word)
         for name in family
         for word in re.findall(r"[A-Z][a-z]+|[A-Z]+(?![a-z])", name)
     }
-    return bool(
-        family & (refs.names | set(refs.classes)) or words & set(receiver.lower().split("_"))
-    )
+    if words & {_singular(part) for part in receiver.split("_")}:
+        return True
+    return not chained and bool(family & (refs.names | set(refs.classes)))
 
 
 def unreferenced_public_names(repo_root: Path = REPO_ROOT):
@@ -1233,9 +1247,10 @@ def unreferenced_public_names(repo_root: Path = REPO_ROOT):
             return name in names
         owner, method = name.split(".")
         return any(
-            len(owners[method]) == 1 or points_at(family[owner], refs, receiver, enclosing)
+            len(owners[method]) == 1
+            or points_at(family[owner], refs, receiver, chained, enclosing)
             for refs in modules
-            for attribute, receiver, enclosing in refs.accesses
+            for attribute, receiver, chained, enclosing in refs.accesses
             if attribute == method
         )
 
@@ -1287,6 +1302,47 @@ def test_a_shared_method_name_is_not_a_caller(tmp_path):
         ("report.py", "unused"),
         ("stores.py", "Store"),
         ("stores.py", "Store.snapshot"),
+    ]
+
+
+def test_a_chained_receiver_counts_by_its_name(tmp_path):
+    # ``self.faults.advance_round`` reaches ``FaultInjector`` (one trailing
+    # "s" folded), not ``Timeline``; ``self.tracker.snapshot`` does not reach
+    # ``Fabric`` although the module imports it.
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "parts.py").write_text(
+        "class FaultInjector:\n"
+        "    def advance_round(self):\n"
+        "        return 0\n"
+        "\n"
+        "class Timeline:\n"
+        "    def advance_round(self):\n"
+        "        return 0\n"
+        "\n"
+        "class Fabric:\n"
+        "    def snapshot(self):\n"
+        "        return {}\n"
+        "\n"
+        "class Tracker:\n"
+        "    def snapshot(self):\n"
+        "        return {}\n"
+    )
+    (package / "run.py").write_text(
+        "from repro.parts import Fabric, FaultInjector, Timeline, Tracker\n"
+        "\n"
+        "class _Cluster:\n"
+        "    def __init__(self):\n"
+        "        self.faults, self.tracker = FaultInjector(), Tracker()\n"
+        "        self.fabric, self.timeline = Fabric(), Timeline()\n"
+        "\n"
+        "    def _step(self):\n"
+        "        self.faults.advance_round()\n"
+        "        return self.tracker.snapshot()\n"
+    )
+    assert unreferenced_public_names(tmp_path) == [
+        ("parts.py", "Fabric.snapshot"),
+        ("parts.py", "Timeline.advance_round"),
     ]
 
 

@@ -280,15 +280,13 @@ class TestFabricTiming:
         head_charge = fabric.upload(7, "fda-state", worker_id=4)
         assert head_charge.num_bytes == 7 * ITEMSIZE
 
-    def test_snapshot_shape(self):
+    def test_state_dict_shape(self):
         fabric = make_fabric(4, topology=RingTopology(), network=FL_NETWORK)
         fabric.allreduce(100, "model-sync")
-        snapshot = fabric.snapshot()
-        assert snapshot["topology"] == "ring"
-        assert snapshot["network"] == "fl"
-        assert snapshot["comm_seconds"] > 0
-        assert snapshot["total_bytes"] == fabric.tracker.total_bytes
-        assert snapshot["bytes_by_link"]
+        state = fabric.state_dict()
+        assert state["comm_seconds"] > 0
+        assert sum(state["bytes_by_category"].values()) == fabric.tracker.total_bytes
+        assert state["bytes_by_link"]
 
 
 class TestValidation:
