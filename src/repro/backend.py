@@ -29,8 +29,10 @@ wide ``(rows × d)`` pass splits into contiguous row shards, one per core
 Each shard computes what the whole pass computes for its rows, so the shard
 count never shows in a result.  A pool thread runs only private code, so
 every public method is entered and left on the calling thread.  Shards sit
-above BLAS, which keeps the thread count the process gave it.  This is the
-only module that starts threads.
+above BLAS, which keeps the thread count the process gave it.  A job waited
+for later (:func:`run_in_background`) runs on a thread of its own, never on the
+pool, and like a shard runs only private code.  This is the only module that
+starts threads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,6 +54,7 @@ SHARD_MIN_ELEMENTS = 1 << 18
 # Process state: a forked child resets it (see _forget_parent_threads).
 _cores: Optional[int] = None
 _pool: Optional[ThreadPoolExecutor] = None
+_background: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
 
 #: The bit-exact reference dtype; every golden trajectory is recorded in it.
@@ -158,10 +161,19 @@ def _shard_pool() -> ThreadPoolExecutor:
         return _pool
 
 
+def run_in_background(function: Callable, *args) -> Future:
+    """Start ``function(*args)`` on the background thread, after the jobs before it."""
+    global _background
+    with _pool_lock:
+        if _background is None:
+            _background = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-background")
+        return _background.submit(function, *args)
+
+
 def _forget_parent_threads() -> None:
-    """In a forked child: the parent's pool threads do not exist here."""
-    global _cores, _pool, _pool_lock
-    _cores, _pool, _pool_lock = None, None, threading.Lock()
+    """In a forked child: the parent's pool and background threads do not exist here."""
+    global _cores, _pool, _background, _pool_lock
+    _cores, _pool, _background, _pool_lock = None, None, None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -176,6 +188,7 @@ __all__ = [
     "map_row_shards",
     "resolve_dtype",
     "row_shards",
+    "run_in_background",
     "run_shards",
     "shard_bounds",
 ]

@@ -158,6 +158,7 @@ class ClientPopulation:
             raise ConfigurationError(
                 f"cohort size must lie in [1, {cluster.num_workers}], got {cohort.size}"
             )
+        self.store.make_room(cohort)  # its saves' evictions are written while it trains
         sample_counts = np.zeros(cluster.num_workers)
         self._bound_base_steps = []
         for slot, client_id in enumerate(cohort):

@@ -20,6 +20,10 @@ pages is fresh memory: on a virtual machine whose host takes free guest pages
 back, first touching them costs from 0.3 to 5 ms a snapshot, run to run.
 Recycled, the spill keeps ``_WRITE_BACK_LAG`` files (22 MB) in the cache and
 costs 1.0-1.1 ms a snapshot whatever the host did before.
+
+A cohort's evictions are written while it trains (:meth:`ClientStateStore.make_room`),
+in one background job that every save, and a load of a client still being written,
+waits for; victims, files and counters are those of evicting in line.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ import pickle
 import tempfile
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.backend import run_in_background
 from repro.exceptions import ConfigurationError
 
 #: Spills between the call that starts a file's write-back and the call that
@@ -77,6 +82,8 @@ class ClientStateStore:
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         #: Spill files whose write-back was started and whose pages are still cached.
         self._written_back: "deque[Path]" = deque()
+        #: The future of the background job writing the bound cohort's victims, and who they are.
+        self._writing, self._in_flight = None, frozenset()
         self.peak_resident = 0
         self.evictions = 0
         self.spill_loads = 0
@@ -102,24 +109,53 @@ class ClientStateStore:
         if self._spill_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-population-")
             self._spill_dir = Path(self._tmp.name)
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
+        elif not self.evictions:  # the first spill makes the directory
+            self._spill_dir.mkdir(parents=True, exist_ok=True)
         return self._spill_dir / f"client-{client_id}.pkl"
 
-    def _spill(self, client_id: int, snapshot: dict) -> None:
-        path = self._spill_path(client_id)
-        with path.open("wb") as handle:
-            pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        _release_page_cache(path)
-        self._written_back.append(path)
-        if len(self._written_back) > _WRITE_BACK_LAG:
-            _release_page_cache(self._written_back.popleft())
-        self._spilled[client_id] = path
-        self.evictions += 1
+    def _evict(self, victims: List[Tuple[int, dict]]) -> List[Tuple[Path, dict]]:
+        """Record ``victims`` as spilled; the ``(path, snapshot)`` writes that make it so."""
+        for client_id, _ in victims:
+            self._spilled[client_id] = self._spill_path(client_id)
+            self.evictions += 1
+        return [(self._spilled[client_id], snapshot) for client_id, snapshot in victims]
+
+    def _write(self, writes: List[Tuple[Path, dict]]) -> None:
+        """Pickle each snapshot to its path; the one writer, on either thread."""
+        for path, snapshot in writes:
+            try:
+                with path.open("wb") as handle:
+                    pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            except OSError as error:
+                raise OSError(error.errno, error.strerror or str(error), str(path)) from error
+            _release_page_cache(path)
+            self._written_back.append(path)
+            if len(self._written_back) > _WRITE_BACK_LAG:
+                _release_page_cache(self._written_back.popleft())
+
+    def _wait_for_writes(self, block: bool = True) -> None:
+        """Settle the background job and re-raise its error (unless ``block``, only if done)."""
+        writing = self._writing
+        if writing is not None and (block or writing.done()):
+            self._writing, self._in_flight = None, frozenset()
+            writing.result()
 
     # -- the store interface -----------------------------------------------------
 
+    def make_room(self, cohort: Iterable[int]) -> None:
+        """Write out, in the background, what the cohort's saves will evict (LRU first)."""
+        self._wait_for_writes()
+        cohort = {int(client_id) for client_id in cohort}
+        excess = len(self._resident.keys() | cohort) - self.budget if self.budget else 0
+        victims = [c for c in self._resident if c not in cohort][: max(excess, 0)]
+        if victims:
+            writes = self._evict([(c, self._resident.pop(c)) for c in victims])
+            self._in_flight = frozenset(victims)
+            self._writing = run_in_background(self._write, writes)
+
     def save(self, client_id: int, snapshot: dict) -> None:
         """Install the client's latest snapshot, evicting LRU beyond the budget."""
+        self._wait_for_writes()
         client_id = int(client_id)
         stale = self._spilled.pop(client_id, None)
         if stale is not None:
@@ -127,8 +163,7 @@ class ClientStateStore:
         self._resident[client_id] = snapshot
         self._resident.move_to_end(client_id)
         while self.budget is not None and len(self._resident) > self.budget:
-            victim, victim_snapshot = self._resident.popitem(last=False)
-            self._spill(victim, victim_snapshot)
+            self._write(self._evict([self._resident.popitem(last=False)]))
         self.peak_resident = max(self.peak_resident, len(self._resident))
 
     def load(self, client_id: int) -> Optional[dict]:
@@ -136,9 +171,10 @@ class ClientStateStore:
 
         A resident hit refreshes recency; a spilled snapshot is read back
         bit-exactly from disk (and stays on disk until the client's next
-        :meth:`save` supersedes it).
+        :meth:`save` supersedes it), once its write has finished.
         """
         client_id = int(client_id)
+        self._wait_for_writes(block=client_id in self._in_flight)
         snapshot = self._resident.get(client_id)
         if snapshot is not None:
             self._resident.move_to_end(client_id)

@@ -15,7 +15,10 @@ The population plane's contract has two bit-exactness halves:
   rematerializing it on its next binding must reproduce the never-evicted
   trajectory bit-for-bit (Adam moments, error-feedback residuals, RNG
   stream states, per-client step counts), for arbitrary eviction orders and
-  memory budgets.
+  memory budgets; and evicting a cohort's victims ahead, in the background,
+  must evict the clients, write the files and count what evicting in line
+  does (the CI population-smoke job compares a squeezed run's digest across
+  two processes).
 
 The rest of the suite covers the sampler's distributional invariants, the
 LRU store's budget accounting, the client directory's lazy shards, the
@@ -25,6 +28,17 @@ plumbing (fingerprints, persistence, run labels).
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import sys
+import tempfile
+import threading
+from collections import OrderedDict
+from concurrent.futures import wait
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,11 +146,13 @@ def _force_spill(store, client_id) -> bool:
     snapshot = store._resident.pop(int(client_id), None)
     if snapshot is None:
         return False
-    store._spill(int(client_id), snapshot)
+    store._write(store._evict([(int(client_id), snapshot)]))
     return True
 
 
-def _run_population(rounds, budget, evict_after_round=None, num_clients=6, cohort=2):
+def _run_population(
+    rounds, budget, evict_after_round=None, num_clients=6, cohort=2, spill_dir=None
+):
     """One deterministic sampled-population run; returns its observables.
 
     ``evict_after_round`` maps round index -> list of client ids to
@@ -160,6 +176,7 @@ def _run_population(rounds, budget, evict_after_round=None, num_clients=6, cohor
         shards=shards,
         seed=99,
         client_seed_fn=lambda client_id: 1000 + client_id,
+        spill_dir=spill_dir,
     )
     population.attach(cluster, strategy)
     losses = []
@@ -242,6 +259,45 @@ class TestEvictionTransparency:
         assert cluster.workers[0]._sampler._rng.bit_generator.state == expected_rng
         assert population.store.spill_loads == 2
         population.unbind_cohort()
+
+
+def _population_digest(run) -> dict:
+    """A squeezed run's final parameters, spill files and store counters, as hashes and numbers."""
+    store = run["population"].store
+    return {
+        "parameters_sha256": hashlib.sha256(run["params"].tobytes()).hexdigest(),
+        "spill_files_sha256": _spill_files(store._spill_dir),
+        "counters": {
+            "evictions": store.evictions,
+            "spill_loads": store.spill_loads,
+            "peak_resident": store.peak_resident,
+            "stateful_count": store.stateful_count,
+        },
+    }
+
+
+class TestSpillDeterminism:
+    """A squeezed population spills the same files every run; the CI population-smoke contract."""
+
+    def test_squeezed_population_runs_are_identical(self, tmp_path):
+        digests = [
+            _population_digest(
+                _run_population(
+                    rounds=10, budget=3, num_clients=8, cohort=3, spill_dir=tmp_path / run
+                )
+            )
+            for run in ("a", "b")
+        ]
+        assert digests[0] == digests[1]
+        counters = digests[0]["counters"]
+        assert counters["evictions"] > 0 and counters["spill_loads"] > 0
+        assert counters["peak_resident"] <= 3
+        # The CI population-smoke job runs this test in two separate interpreter
+        # invocations and byte-compares the digests.
+        digest_path = os.environ.get("REPRO_POPULATION_DIGEST")
+        if digest_path:
+            with open(digest_path, "w", encoding="utf-8") as handle:
+                json.dump(digests[0], handle, indent=2, sort_keys=True)
 
 
 # -- cohort sampler ---------------------------------------------------------------
@@ -401,6 +457,168 @@ class TestClientStateStore:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             ClientStateStore(budget=0)
+
+
+# -- evicting a round ahead -------------------------------------------------------
+
+
+def _spill_files(spill_dir) -> dict:
+    """sha256 of every spill file under ``spill_dir``, by file name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(spill_dir).glob("client-*.pkl"))
+    }
+
+
+def _recording_victims(store) -> list:
+    """The clients ``store`` evicts from now on, in order, ahead or in line."""
+    victims = []
+    evict = store._evict
+
+    def spy(pairs):
+        victims.extend(client_id for client_id, _ in pairs)
+        return evict(pairs)
+
+    store._evict = spy
+    return victims
+
+
+def _ahead_and_in_line(ahead_class, budget, cohorts) -> list:
+    """Per round, what a store evicting ahead and one evicting in line leave behind.
+
+    Each cohort is bound and unbound as :class:`ClientPopulation` does: load
+    every member, then save every member.  Only the first store is told the
+    cohort (``make_room``) before the loads.
+    """
+    rounds = []
+    with tempfile.TemporaryDirectory() as root:
+        stores = (
+            ahead_class(budget, spill_dir=Path(root) / "ahead"),
+            ClientStateStore(budget, spill_dir=Path(root) / "in-line"),
+        )
+        victims = [_recording_victims(store) for store in stores]
+        for index, cohort in enumerate(cohorts):
+            stores[0].make_room(cohort)
+            assert stores[0].resident_count + len(stores[0]._in_flight) <= budget
+            for store in stores:
+                for client_id in cohort:
+                    store.load(client_id)
+                for client_id in cohort:
+                    store.save(client_id, _snapshot(100 * index + client_id))
+            rounds.append(
+                [
+                    (
+                        list(evicted),
+                        _spill_files(store._spill_dir),
+                        list(store._resident),
+                        store.evictions,
+                        store.spill_loads,
+                        store.peak_resident,
+                        store.stateful_count,
+                    )
+                    for store, evicted in zip(stores, victims)
+                ]
+            )
+            for evicted in victims:
+                evicted.clear()
+    return rounds
+
+
+class _NewestFirst(ClientStateStore):
+    """A wrong victim rule: evicts ahead the most recently bound snapshots first."""
+
+    def make_room(self, cohort):
+        self._resident = OrderedDict(reversed(self._resident.items()))
+        super().make_room(cohort)
+        self._resident = OrderedDict(reversed(self._resident.items()))
+
+
+class TestEvictingAhead:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        num_clients=st.integers(min_value=2, max_value=10),
+        sampling=st.sampled_from(["fixed", "bernoulli"]),
+        act_prob=st.floats(min_value=0.1, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        rounds=st.integers(min_value=1, max_value=10),
+        data=st.data(),
+    )
+    def test_matches_evicting_in_line(self, num_clients, sampling, act_prob, seed, rounds, data):
+        cohort_size = data.draw(st.integers(min_value=1, max_value=min(4, num_clients)))
+        budget = data.draw(st.integers(min_value=1, max_value=3 * cohort_size))
+        sampler = CohortSampler(
+            PopulationConfig(
+                num_clients=num_clients,
+                cohort_size=cohort_size,
+                sampling=sampling,
+                act_prob=act_prob,
+            ),
+            seed=seed,
+        )
+        cohorts = [sampler.draw().tolist() for _ in range(rounds)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the writer and the caller trade the lock often
+        try:
+            observed = _ahead_and_in_line(ClientStateStore, budget, cohorts)
+        finally:
+            sys.setswitchinterval(interval)
+        for ahead, in_line in observed:
+            assert ahead == in_line
+
+    def test_a_newest_first_rule_is_caught(self):
+        rounds = _ahead_and_in_line(_NewestFirst, 2, [[0], [1], [2]])
+        assert rounds[-1][0] != rounds[-1][1]
+        assert rounds[-1][0][0] == [1] and rounds[-1][1][0] == [0]
+
+    @pytest.mark.parametrize("call", ["load", "save"])
+    def test_a_client_being_written_waits_for_its_write(self, tmp_path, monkeypatch, call):
+        released = threading.Event()
+        write = ClientStateStore._write
+
+        def held(self, writes):
+            released.wait(10)
+            write(self, writes)
+
+        monkeypatch.setattr(ClientStateStore, "_write", held)
+        store = ClientStateStore(budget=2, spill_dir=tmp_path)
+        store.save(0, _snapshot(0))
+        store.save(1, _snapshot(1))
+        store.make_room([2])  # 0 is the least recently bound
+        assert store._in_flight == {0} and not (tmp_path / "client-0.pkl").exists()
+        threading.Timer(0.1, released.set).start()
+        if call == "load":
+            np.testing.assert_array_equal(store.load(0)["params"], _snapshot(0)["params"])
+        else:
+            store.save(0, _snapshot(5))
+            assert store.load(0)["steps"] == 5 and not (tmp_path / "client-0.pkl").exists()
+        assert released.is_set()
+
+    @pytest.mark.parametrize("next_call", ["save", "load the victim", "load a stranger"])
+    def test_a_failed_write_surfaces_at_the_next_call_naming_its_file(
+        self, tmp_path, monkeypatch, next_call
+    ):
+        store = ClientStateStore(budget=2, spill_dir=tmp_path)
+        store.save(0, _snapshot(0))
+        store.save(1, _snapshot(1))
+        dump = store_module.pickle.dump
+
+        def disk_full_for_client_1(snapshot, handle, **kwargs):
+            if snapshot["steps"] == 1:
+                raise OSError(28, "No space left on device")
+            dump(snapshot, handle, **kwargs)
+
+        monkeypatch.setattr(store_module.pickle, "dump", disk_full_for_client_1)
+        store.make_room([2, 3])  # evicts 0, then 1
+        if next_call == "load a stranger":
+            wait([store._writing], timeout=10)  # a finished job is settled without waiting
+        calls = {
+            "save": lambda: store.save(2, _snapshot(2)),
+            "load the victim": lambda: store.load(1),
+            "load a stranger": lambda: store.load(9),
+        }
+        with pytest.raises(OSError, match=re.escape(str(tmp_path / "client-1.pkl"))):
+            calls[next_call]()
+        assert store.load(0)["steps"] == 0  # the victim written before it is intact
 
 
 # -- the client directory ---------------------------------------------------------

@@ -21,9 +21,12 @@ Random-k selects whole: its one generator draws the rows in order.  Held here:
   re-raised only once every shard has finished (and a divergence in any
   shard fails the whole step atomically, see ``test_faults.py``), and every
   public method of the sharded classes runs on the calling thread — which is
-  what keeps the benchmark's one span stack coherent.
+  what keeps the benchmark's one span stack coherent.  So does every public
+  method of the population plane, whose spill writer runs private code on the
+  background thread; a shard pass never waits behind a background job.
 * **Fork safety.**  A forked sweep cell runs one shard and never submits to
-  the parent's pool; its results are the in-process ones.
+  the parent's pool; its results are the in-process ones.  A forked child
+  starts a background thread of its own.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from hypothesis import strategies as st
 import test_batched_engine
 import test_golden_trajectory
 import test_one_owner
+import test_population
 import test_serving_parity
 from helpers.parity import MODELS, make_cluster
 from helpers.per_worker import SIDES
@@ -60,6 +64,7 @@ from repro.nn.architectures import mlp
 from repro.nn.batched import BatchedModel
 from repro.optim.adam import Adam
 from repro.optim.base import StackedOptimizer
+from repro.population import ClientDirectory, ClientPopulation, ClientStateStore
 from repro.sketch.ams import AmsSketch
 from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.fedopt import fedavgm_strategy
@@ -434,7 +439,7 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
 
     spied_classes = (
         StackedOptimizer, BatchedModel, SimulatedCluster, VarianceMonitor, AmsSketch,
-        ClusterCompression, Compressor,
+        ClusterCompression, Compressor, ClientPopulation, ClientStateStore, ClientDirectory,
     )
     for cls in spied_classes:
         for owner, name, attribute in _public_callables(cls):
@@ -462,6 +467,16 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
         return select(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "_select_rows", select_spy)
+    writer_threads = set()
+    write = ClientStateStore._write
+
+    def writer_spy(*args):
+        writer_threads.add(threading.get_ident())
+        return write(*args)
+
+    monkeypatch.setattr(ClientStateStore, "_write", writer_spy)
+    # A population whose every eviction is written ahead, on the background thread.
+    test_population._run_population(rounds=4, budget=2, num_clients=6, cohort=2)
     cluster = make_cluster(side, num_workers=6, dropout_rate=0.3)
     strategy = FDAStrategy(threshold=0.05, variant="sketch").attach(cluster)
     for _ in range(4):
@@ -479,11 +494,25 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
         "ClusterCompression.synchronize", "ClusterCompression.gather_models",
         "TopKCompressor.compress_rows",
     } <= set(threads)
+    assert {"ClientPopulation.bind_cohort", "ClientStateStore.save"} <= set(threads)
     assert {name: seen for name, seen in threads.items() if seen != calling} == {}
     assert len(select_threads) >= 2, "the top-k selection was not sharded"
+    assert writer_threads and calling.isdisjoint(writer_threads), "no spill was written ahead"
     if side == "batched":
         assert {"BatchedModel.train_batch", "StackedOptimizer.step_rows"} <= set(threads)
         assert len(shard_threads) >= 2, "the passes were not sharded"
+
+
+def test_a_shard_pass_runs_while_a_background_job_waits(monkeypatch):
+    shard_every_pass(monkeypatch)
+    gate = threading.Event()
+    job = backend.run_in_background(gate.wait, 10)
+    try:
+        assert backend.run_shards(lambda value: 2 * value, [(1,), (2,), (3,)]) == [2, 4, 6]
+        assert not job.done(), "the shard pass waited behind the background job"
+    finally:
+        gate.set()
+    assert job.result(timeout=10) is True
 
 
 # -- fork safety ---------------------------------------------------------------------
@@ -519,3 +548,18 @@ def test_a_forked_cell_runs_one_shard_off_the_parents_pool(
     assert submissions, "the in-process cells did not shard"
     forked = SweepExecutor(jobs=2).execute(cells)
     assert [result_to_dict(r) for r in forked] == [result_to_dict(r) for r in in_process]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_forgets_the_parents_background_thread():
+    assert backend.run_in_background(threading.get_ident).result(timeout=10) != threading.get_ident()
+    child = os.fork()
+    if child == 0:
+        try:
+            forgot = backend._background is None
+            ran = backend.run_in_background(os.getpid).result(timeout=10) == os.getpid()
+            os._exit(0 if forgot and ran else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
