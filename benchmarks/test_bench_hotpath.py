@@ -121,7 +121,6 @@ def build_cluster(
                 worker_id,
                 model,
                 Dataset(x, y, classes),
-                SGD(0.01),
                 batch_size=batch_size,
                 seed=worker_id,
             )
@@ -132,7 +131,7 @@ def build_cluster(
         else None
     )
     cluster = SimulatedCluster(
-        workers, timeline=timeline, compression=compression, dtype=dtype
+        workers, SGD(0.01), timeline=timeline, compression=compression, dtype=dtype
     )
     return on_side(side, cluster)
 
@@ -623,7 +622,7 @@ def test_bench_hotpath_sketch():
 def plane_update(cluster: SimulatedCluster) -> None:
     """The plane's per-worker update: each row stepped in place, one at a time,
     through the cluster's stack."""
-    stack = cluster.engine._optimizer
+    stack = cluster.engine.stacked_optimizer
     for row, worker in enumerate(cluster.workers):
         params = worker.model.parameters_view()[None]
         grads = worker.model.gradients_view()[None]

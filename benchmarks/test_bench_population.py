@@ -64,12 +64,11 @@ def _make_cluster(num_workers: int) -> SimulatedCluster:
                 worker_id,
                 mlp(6, 3, hidden_units=(10, 8), seed=11),
                 Dataset(x, y, 3),
-                Adam(0.01),
                 batch_size=8,
                 seed=worker_id,
             )
         )
-    return SimulatedCluster(workers)
+    return SimulatedCluster(workers, Adam(0.01))
 
 
 def _population(num_clients: int) -> ClientPopulation:

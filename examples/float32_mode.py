@@ -57,14 +57,13 @@ def build_cluster(dtype: str) -> SimulatedCluster:
                 worker_id,
                 model,
                 Dataset(x, y, CLASSES),
-                SGD(0.05),
                 batch_size=BATCH_SIZE,
                 seed=worker_id,
             )
         )
     # A ring topology so the per-link ledger has several edges to compare;
     # the fabric prices every link at the dtype's itemsize (8 vs 4 B).
-    return SimulatedCluster(workers, topology="ring", dtype=dtype)
+    return SimulatedCluster(workers, SGD(0.05), topology="ring", dtype=dtype)
 
 
 def run_mode(dtype: str):

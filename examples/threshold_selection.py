@@ -54,10 +54,8 @@ def guideline_section(workload) -> None:
     for _ in range(10):
         reference = cluster.average_parameters()
         cluster.step_all()
-        per_worker = [
-            float((worker.drift_from(reference) ** 2).sum()) for worker in cluster.workers
-        ]
-        drift_norms.append(sum(per_worker) / len(per_worker))
+        drifts = cluster.drift_matrix(reference)
+        drift_norms.append(float((drifts**2).sum(axis=1).mean()))
         cluster.synchronize()
     calibrated = calibrate_theta(drift_norms, target_sync_interval=20)
     print(f"  calibrated from drift probe: Θ ≈ {calibrated:.3f} "

@@ -4,8 +4,9 @@ The paper runs on a 44-node GPU cluster; its evaluation, however, is
 infrastructure-agnostic and reports *communication cost in bytes* and
 *computation cost in mini-batch steps*.  This subpackage reproduces exactly
 those quantities with an in-process simulation: :class:`Worker` objects hold
-local models, data shards and optimizers, :class:`SimulatedCluster` implements
-AllReduce as an exact average plus byte accounting, and :class:`NetworkModel`
+local models and data shards, :class:`SimulatedCluster` holds the one local
+optimizer and implements AllReduce as an exact average plus byte accounting,
+and :class:`NetworkModel`
 translates byte counts into wall-clock time for the FL / balanced / HPC
 settings discussed in the paper.
 """

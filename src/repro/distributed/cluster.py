@@ -54,6 +54,7 @@ from repro.distributed.participation import Participation
 from repro.distributed.topology import Fabric, Topology, get_topology
 from repro.distributed.worker import Worker
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
+from repro.optim.base import Optimizer
 
 #: Traffic categories used by the tracker.
 CATEGORY_MODEL = "model-sync"
@@ -62,6 +63,10 @@ CATEGORY_STATE = "fda-state"
 
 class SimulatedCluster:
     """A set of workers plus exact-average collectives with cost accounting.
+
+    ``optimizer`` is the one local optimizer every worker runs (Algorithm 1's
+    ``Optimize(w, B)``); the engine stacks it over the ``K`` workers, so
+    worker ``k``'s optimizer state is row ``k`` of the stack's matrices.
 
     ``topology`` (a name or :class:`~repro.distributed.topology.Topology`) and
     ``network`` (a name or :class:`~repro.distributed.network.NetworkModel`)
@@ -93,6 +98,7 @@ class SimulatedCluster:
     def __init__(
         self,
         workers: Sequence[Worker],
+        optimizer: Optimizer,
         topology: Union[str, Topology, None] = None,
         network: Union[str, NetworkModel, None] = None,
         timeline: Optional["Timeline"] = None,
@@ -113,6 +119,7 @@ class SimulatedCluster:
                 f"all workers must share the same buffer dimension, got {sorted(buffer_sizes)}"
             )
         self.workers: List[Worker] = list(workers)
+        self.optimizer = optimizer
         # The plane dtype: explicit ``dtype`` wins; otherwise inherit from the
         # workers' models (which default to the float64 reference dtype).
         if dtype is not None:
@@ -305,26 +312,37 @@ class SimulatedCluster:
 
     # -- slot state --------------------------------------------------------------
     #
-    # One answer to "what is worker slot k's state": its row of the parameter,
-    # buffer and error-feedback residual matrices plus what the Worker owns
-    # (Worker.state_dict).  Checkpoints take all K slots at once, cohort
-    # binding takes the bound ones; both write rows in place.
+    # One answer to "what is worker slot k's state": its row of every per-slot
+    # matrix (parameters, buffers, the optimizer's state and step counts, the
+    # error-feedback residual) plus what the Worker owns (Worker.state_dict).
+    # Checkpoints take all K slots at once, cohort binding takes the bound
+    # ones; both write rows in place.
+
+    def _optimizer_matrices(self) -> dict:
+        """The stacked optimizer's per-slot matrices: its step counts and state."""
+        stack = self._engine.stacked_optimizer
+        matrices = {"optimizer_steps": stack.step_counts}
+        matrices.update((f"optimizer_{name}", matrix) for name, matrix in stack.state.items())
+        return matrices
+
+    def _slot_matrices(self) -> dict:
+        """Every per-slot matrix by name; row ``k`` of each is slot ``k``'s."""
+        matrices = {
+            "parameters": self._param_matrix,
+            "buffers": self._buffer_matrix,
+            **self._optimizer_matrices(),
+        }
+        if self._compression is not None and self._compression.error_feedback:
+            matrices["residual"] = self._compression.residual_matrix
+        return matrices
 
     def _rows_state(self, rows) -> dict:
         """Copies of ``rows`` (an index or a slice) of every per-slot matrix."""
-        state = {
-            "parameters": self._param_matrix[rows].copy(),
-            "buffers": self._buffer_matrix[rows].copy(),
-        }
-        if self._compression is not None and self._compression.error_feedback:
-            state["residual"] = self._compression.residual_matrix[rows].copy()
-        return state
+        return {name: matrix[rows].copy() for name, matrix in self._slot_matrices().items()}
 
     def _load_rows(self, rows, state: dict) -> None:
-        self._param_matrix[rows] = state["parameters"]
-        self._buffer_matrix[rows] = state["buffers"]
-        if self._compression is not None and self._compression.error_feedback:
-            self._compression.residual_matrix[rows] = state["residual"]
+        for name, matrix in self._slot_matrices().items():
+            matrix[rows] = state[name]
 
     def capture_slot(self, slot: int) -> dict:
         """Snapshot of slot ``slot`` (copies; the slot lives on)."""
@@ -338,10 +356,11 @@ class SimulatedCluster:
     def reset_slot(self, slot: int, parameters: np.ndarray, buffers: np.ndarray, seed) -> None:
         """Make ``slot`` a freshly built worker holding ``parameters``/``buffers``.
 
-        Zero optimizer state and residual, step count 0, the batch streams of
+        Zero optimizer state, step counts and residual, the batch streams of
         ``seed`` and the model's initial layer streams, all in place.
         """
-        self._load_rows(slot, {"parameters": parameters, "buffers": buffers, "residual": 0.0})
+        cold = dict.fromkeys(self._slot_matrices(), 0)
+        self._load_rows(slot, {**cold, "parameters": parameters, "buffers": buffers})
         self.workers[slot].reset_state(seed)
 
     def state_dict(self) -> dict:
@@ -517,9 +536,9 @@ class SimulatedCluster:
 
         The worker pulls the survivors' average model over its actual
         coordinator path (charged as a point-to-point transfer on the fabric
-        ledgers) and restarts with zeroed optimizer moments and step count —
-        whatever momentum it had accumulated before the crash died with it
-        (zeroed in place: the stacked optimizer's row bindings stay intact).
+        ledgers) and restarts with its rows of the optimizer's state and step
+        counts zeroed — whatever momentum it had accumulated before the crash
+        died with it.
         """
         donors = self.members.mask.copy()
         donors[worker_id] = False
@@ -530,7 +549,8 @@ class SimulatedCluster:
                 self._buffer_matrix[worker_id] = survivors.mean(self._buffer_matrix)
         charge = self.fabric.upload(self.model_dimension, CATEGORY_MODEL, worker_id)
         self.faults.log.note_recovery_cost(worker_id, charge.num_bytes, charge.seconds)
-        self.workers[worker_id].optimizer.zero_state()
+        for matrix in self._optimizer_matrices().values():
+            matrix[worker_id] = 0
 
     # -- training helpers ----------------------------------------------------------
 

@@ -9,8 +9,9 @@ A :class:`~repro.distributed.cluster.SimulatedCluster` separates the training
 mini-batches (from the workers' own RNG streams) as one ``(A, B, ...)`` array,
 a :class:`~repro.nn.batched.BatchedModel` runs one stacked forward/backward
 writing every covered worker's gradients into a shared gradient matrix, and a
-single :class:`~repro.optim.base.StackedOptimizer` update applies all covered
-per-worker optimizer steps at once.
+single :class:`~repro.optim.base.StackedOptimizer` update — the cluster's one
+optimizer over ``K`` rows of state — applies all covered workers' optimizer
+steps at once.
 
 The engine sits below ``cluster.step_all`` / ``cluster.epoch_all``, so every
 protocol — FDA, the Synchronous/BSP baseline, Local-SGD/FedAvg, the server
@@ -27,18 +28,18 @@ trainer — and every model runs on it:
 * **RNG-stateful layers** (``Dropout``): the batched kernels replay each
   worker's private mask stream (see :class:`~repro.nn.batched.BatchedDropout`).
 * **One configuration**: every worker runs the one ``Optimize(w, B)`` — the
-  same architecture (dropout rate included), optimizer type and
-  hyper-parameters, batch size and loss (softmax cross-entropy).  Each
-  stacked object refuses the rows it cannot stack, at construction: the
-  engine the architecture, the :class:`~repro.optim.base.StackedOptimizer`
-  a differing optimizer, the :class:`~repro.data.loaders.StackedSampler` a
-  differing batch size or sample shape.
+  same architecture (dropout rate included), optimizer, batch size and loss
+  (softmax cross-entropy).  The optimizer is one object, the cluster's, so
+  it cannot differ; the other stacked objects refuse the rows they cannot
+  stack, at construction: the engine the architecture, the
+  :class:`~repro.data.loaders.StackedSampler` a differing batch size or
+  sample shape.
 * **Per-worker driving**: :meth:`BatchedEngine.step_worker` and
   :meth:`BatchedEngine.epoch_worker` run single-row slices of the same
   batched kernels (the server strategies' local epochs); served events are
   not such slices but masked rows of ``step_all``, many arrivals to a pass.
-  Every worker's optimizer *is* a row of the stacked optimizer, so drive
-  modes compose freely.
+  Every worker's optimizer state *is* a row of the stacked optimizer, so
+  drive modes compose freely.
 * **Gradient transforms** (FedProx's proximal term, SCAFFOLD's variates):
   ``epoch_worker(k, transform)`` applies ``transform(rows, params, grads)``
   to the stepping rows' ``(A, d)`` gradient block just before the optimizer
@@ -112,11 +113,11 @@ class BatchedEngine:
     * a :class:`BatchedPlane` carves per-layer ``(K, *shape)`` views out of
       the three matrices and a :class:`BatchedModel` chains the batched layer
       kernels over them;
-    * the workers' optimizers become the rows of one
+    * the cluster's optimizer is stacked over the ``K`` workers as one
       :class:`~repro.optim.base.StackedOptimizer`: one set of scalar
       hyper-parameters, moment/velocity state in ``(K, d)`` matrices of which
-      each worker's optimizer is one row, and step counts per worker — so
-      masked updates and per-worker driving run one rule on the same state.
+      row ``k`` is worker ``k``'s, and a step count per row — so masked
+      updates and per-worker driving run one rule on the same state.
 
     Partial participation runs through a masked scratch path: the active
     workers' parameter/buffer rows are gathered into ``(A, d)`` scratch
@@ -157,13 +158,9 @@ class BatchedEngine:
         )
         # Refuses workers whose batch sizes or sample shapes differ.
         self._sampler = StackedSampler([worker._sampler for worker in workers])
-        # Refuses optimizers that differ from worker 0's, a type that defines
-        # no rule or one that already stepped; makes each worker's optimizer
-        # a row of the stack.
-        self._optimizer = StackedOptimizer(
-            [worker.optimizer for worker in workers],
-            cluster.model_dimension,
-            dtype=cluster.dtype,
+        # Refuses an optimizer type that defines no rule.
+        self.stacked_optimizer = StackedOptimizer(
+            cluster.optimizer, len(workers), cluster.model_dimension, dtype=cluster.dtype
         )
         # Masked-path scratch (lazy: full-participation runs never pay for it).
         self._param_scratch: Optional[np.ndarray] = None
@@ -269,7 +266,7 @@ class BatchedEngine:
             raise _divergence_error(rows[bad], losses[bad])
         if transform is not None:
             transform(rows, self._param_scratch[:count], self._grad_scratch[:count])
-        self._optimizer.step_rows(
+        self.stacked_optimizer.step_rows(
             self._param_scratch[:count], self._grad_scratch[:count], rows
         )
         cluster.parameter_matrix[rows] = self._param_scratch[:count]
@@ -314,7 +311,7 @@ class BatchedEngine:
             if has_buffers:
                 buffer_matrix[...] = self._buffer_rollback
             raise _divergence_error(bad, losses[bad])
-        self._optimizer.step_rows(self.cluster.parameter_matrix, self._grad_matrix)
+        self.stacked_optimizer.step_rows(self.cluster.parameter_matrix, self._grad_matrix)
         for worker, value in zip(self.cluster.workers, losses):
             worker.steps_performed += 1
             worker.last_loss = float(value)

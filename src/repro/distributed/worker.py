@@ -1,17 +1,18 @@
 """A simulated federated worker.
 
-Each worker owns a local model replica, a local optimizer, and a shard of the
-training data.  The cluster's engine runs the paper's ``Optimize(w, B)`` for
-every worker at once (see :mod:`repro.distributed.engine`): the workers'
-models are views of its ``(K, d)`` rows and their optimizers are rows of its
-stack (see :mod:`repro.optim.base`).
+Each worker owns a local model replica and a shard of the training data.  The
+cluster's engine runs the paper's ``Optimize(w, B)`` for every worker at once
+(see :mod:`repro.distributed.engine`): the workers' models are views of its
+``(K, d)`` rows, and a worker's optimizer state is its row of the one stacked
+optimizer the cluster owns (see :mod:`repro.optim.base`), so a worker holds no
+optimizer.
 
 A worker is also the owner of everything it carries from one step to the next
 besides its rows of the cluster's matrices: :meth:`Worker.state_dict` composes
-the optimizer's state, the model's layer streams, the two batch streams, the
-last loss and the step count; :meth:`Worker.load_state_dict` resumes from it
-and :meth:`Worker.reset_state` returns to what a freshly built worker holds.
-Checkpoints, cohort binding and crash rejoin all go through these.
+the model's layer streams, the two batch streams, the last loss and the step
+count; :meth:`Worker.load_state_dict` resumes from it and
+:meth:`Worker.reset_state` returns to what a freshly built worker holds.
+Checkpoints and cohort binding go through these.
 """
 
 from __future__ import annotations
@@ -24,19 +25,17 @@ from repro.data.datasets import Dataset, DatasetView
 from repro.data.loaders import BatchSampler, EpochIterator
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
-from repro.optim.base import Optimizer
 from repro.utils.rng import as_rng
 
 
 class Worker:
-    """One simulated worker-node: local model + local data + local optimizer."""
+    """One simulated worker-node: local model + local data."""
 
     def __init__(
         self,
         worker_id: int,
         model: Sequential,
         dataset: Union[Dataset, DatasetView],
-        optimizer: Optimizer,
         batch_size: int = 32,
         seed=None,
     ) -> None:
@@ -47,7 +46,6 @@ class Worker:
         self.worker_id = int(worker_id)
         self.model = model
         self.dataset = dataset
-        self.optimizer = optimizer
         self.batch_size = int(batch_size)
         self._sampler = BatchSampler(dataset, batch_size, seed=seed)
         self._epoch_iterator = EpochIterator(dataset, batch_size, seed=seed)
@@ -69,18 +67,16 @@ class Worker:
         return {
             "steps_performed": self.steps_performed,
             "last_loss": self.last_loss,
-            "optimizer": self.optimizer.state_dict(),
             "sampler_rng": self._sampler.rng_state,
             "epoch_rng": self._epoch_iterator.rng_state,
             "model_rngs": self.model.rng_states(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Resume from :meth:`state_dict`; optimizer arrays are written in place."""
+        """Resume from :meth:`state_dict`."""
         self.steps_performed = int(state["steps_performed"])
         last_loss = state["last_loss"]
         self.last_loss = None if last_loss is None else float(last_loss)
-        self.optimizer.load_state_dict(state["optimizer"])
         self._sampler.rng_state = state["sampler_rng"]
         self._epoch_iterator.rng_state = state["epoch_rng"]
         self.model.load_rng_states(state["model_rngs"])
@@ -89,7 +85,6 @@ class Worker:
         """Return, in place, to what a worker freshly built with ``seed`` holds."""
         self.steps_performed = 0
         self.last_loss = None
-        self.optimizer.zero_state()
         fresh = as_rng(seed).bit_generator.state
         self._sampler.rng_state = fresh
         self._epoch_iterator.rng_state = fresh
@@ -100,18 +95,6 @@ class Worker:
     def get_parameters(self) -> np.ndarray:
         """Flat copy of the local model parameters (``w_t^{(k)}``)."""
         return self.model.get_parameters()
-
-    def drift_from(self, reference: np.ndarray) -> np.ndarray:
-        """The local model drift ``u_t^{(k)} = w_t^{(k)} − reference``.
-
-        Hot-path contract: ``reference`` must already be a plane-dtype ndarray of
-        shape ``(d,)`` — every trainer holds its reference that way (it comes
-        from ``get_parameters``/``synchronize``) — so the subtraction runs
-        straight off the parameter-plane view with no per-call ``asarray``
-        conversion.  Callers with convertible inputs convert once at the call
-        site, not here.
-        """
-        return self.model.parameters_view() - reference
 
     @property
     def num_parameters(self) -> int:

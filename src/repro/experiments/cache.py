@@ -62,7 +62,8 @@ PathLike = Union[str, Path]
 #: ``stride`` and ``padding_mode``, a pool's its ``stride``, and the
 #: hierarchical and gossip topology fingerprints their ``group_size``,
 #: ``degree`` and ``rounds``.
-CODE_VERSION = "sweep-cache-v13"
+#: v14: an optimizer holds no state — its canonical form drops ``step_count``.
+CODE_VERSION = "sweep-cache-v14"
 
 #: Maximum nesting depth :func:`canonical_value` will descend before
 #: summarizing the remainder as a type token (guards against cycles).

@@ -336,6 +336,8 @@ def build_cluster(
     Returns ``(cluster, test_dataset)``.  Worker models are created from the
     same factory, so they share an architecture; the cluster/strategy then
     broadcasts worker 0's parameters so that all replicas start identical.
+    ``optimizer_factory`` is called once: its optimizer is the cluster's, and
+    every worker's state is a row of its stack.
 
     ``setup`` (a :class:`SetupCache`) memoizes partitions and initial model
     state across repeated builds of the same workload — the sweep executor's
@@ -381,13 +383,11 @@ def build_cluster(
     workers = []
     for worker_id, shard in enumerate(shards):
         model = pooled_models[worker_id] if pooled_models else config.model_factory()
-        optimizer = config.optimizer_factory()
         workers.append(
             Worker(
                 worker_id,
                 model,
                 shard,
-                optimizer,
                 batch_size=config.batch_size,
                 seed=rng_factory.worker(worker_id),
             )
@@ -401,6 +401,7 @@ def build_cluster(
         )
     cluster = SimulatedCluster(
         workers,
+        config.optimizer_factory(),
         topology=config.topology,
         network=config.network,
         timeline=timeline,

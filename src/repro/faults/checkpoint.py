@@ -5,7 +5,8 @@ A :class:`ClusterCheckpoint` captures everything a
 It enumerates none of it: the cluster serialises itself
 (:meth:`SimulatedCluster.state_dict
 <repro.distributed.cluster.SimulatedCluster.state_dict>` — all K worker slots,
-the shared model, collective compression, timeline, fabric ledgers, fault
+the optimizer's ``(K, d)`` state and step counts among their rows, the shared
+model, collective compression, timeline, fabric ledgers, fault
 injector, each saved by the object that owns it), the strategy its protocol
 state (``checkpoint_state``), and the run loop hands over its own counters.
 This module adds the header, the compatibility checks, the file format
@@ -14,8 +15,8 @@ the same configuration continues the trajectory *bit-exactly*, with or without
 collective compression: the round-trip tests interrupt a run mid-flight and
 assert the continued history equals an uninterrupted run's, to the last bit.
 "The same configuration" is checked, never assumed: the header records the
-cluster's shape, its fault plan and the strategy's ``spec()``, and a target
-that differs in any of them is refused by name.
+cluster's shape, its optimizer, its fault plan and the strategy's ``spec()``,
+and a target that differs in any of them is refused by name.
 
 A cluster carrying a client population is refused at restore (never at
 capture or save; :mod:`repro.composition`'s population × resume row): the
@@ -61,8 +62,11 @@ MAGIC = FORMAT.encode("ascii") + b"\0"
 #: configuration.  Version 5 records the fault plan in the header, and the
 #: injector state holds two streams (churn, links) and no spike or corruption
 #: log.  Version 6 writes arrays as raw bytes after a JSON header, not as
-#: base64 inside one JSON document.  Any other version is refused.
-VERSION = 6
+#: base64 inside one JSON document.  Version 7 holds the optimizer's state as
+#: one ``(K, d)`` array per state name and a ``(K,)`` step-count array, not K
+#: per-worker dicts, and records the optimizer's configuration in the header.
+#: Any other version is refused.
+VERSION = 7
 
 
 # -- file format ----------------------------------------------------------------
@@ -184,6 +188,7 @@ class ClusterCheckpoint:
             "dtype": cluster.dtype_name,
             "compression_label": cluster.compression_label,
             "fault_plan": _fault_plan(cluster),
+            "optimizer_config": _canonical(cluster.optimizer),
             **cluster.state_dict(),
             "strategy": strategy.checkpoint_state() if strategy is not None else None,
             "strategy_config": _canonical(strategy.spec()) if strategy is not None else None,
@@ -197,12 +202,11 @@ class ClusterCheckpoint:
         """Write the snapshot into a freshly built cluster (and strategy).
 
         The target must match the captured configuration (worker count, model
-        dimension, dtype, compression, fault plan, and the strategy's
-        ``spec()``) and carry no client population (see the module
+        dimension, dtype, compression, optimizer, fault plan, and the
+        strategy's ``spec()``) and carry no client population (see the module
         docstring); a mismatch is refused before anything is written.  All
         state arrays are written *in place* so the parameter plane's row
-        bindings — and, on the batched engine, the stacked optimizer's
-        row-bound moment matrices — stay intact.  Returns the captured run-loop state (or ``None``).
+        bindings stay intact.  Returns the captured run-loop state (or ``None``).
         """
         payload = self.payload
         _require_current(payload, "the payload")
@@ -226,6 +230,7 @@ class ClusterCheckpoint:
                 f"checkpoint compression {payload['compression_label']!r} != cluster "
                 f"compression {cluster.compression_label!r}"
             )
+        _check_config("optimizer", payload["optimizer_config"], _canonical(cluster.optimizer))
         _check_config("fault plan", payload["fault_plan"], _fault_plan(cluster))
         restores_strategy = payload["strategy"] is not None and strategy is not None
         if restores_strategy:

@@ -1,4 +1,4 @@
-"""Optimizer base class: an optimizer is one row of a stack, with one rule.
+"""Optimizer base class: an optimizer is a configuration with one rule.
 
 All optimizers in this library are stateless with respect to the model object:
 they consume flat parameter rows and the matching flat gradient rows.  This
@@ -8,11 +8,12 @@ optimizer drive any model.
 Each optimizer's arithmetic is written once, as a rule over ``(A, d)`` rows
 (:meth:`Optimizer._update_rows`): parameters, gradients and state are row
 blocks, the hyper-parameters are one set of plane-dtype scalars, and every
-row keeps its own timestep.  A :class:`StackedOptimizer` owns the state
-matrices of ``K`` identically configured optimizers — Algorithm 1's workers
-all run the one ``Optimize(w, B)`` — and an optimizer is stepped only as a
-row of exactly one stack, the one the cluster's engine builds over its
-workers' optimizers.  So there is one path to the rule,
+row keeps its own timestep.  An :class:`Optimizer` holds only its
+configuration; a :class:`StackedOptimizer` over it owns the state — one
+``(K, d)`` matrix per state name and a ``(K,)`` step-count vector, row ``k``
+being worker ``k``'s — because Algorithm 1's workers all run the one
+``Optimize(w, B)``.  The cluster's engine builds the one stack over the one
+optimizer the cluster was given.  So there is one path to the rule,
 :meth:`StackedOptimizer.step_rows`: all ``K`` rows, or a masked subset (the
 engine's lockstep, partial-participation and per-worker paths), one
 cache-sized block of whole rows at a time within each row shard.
@@ -57,16 +58,17 @@ class Workspace:
 
 
 class Optimizer:
-    """Base class for local optimizers.
+    """Base class for local optimizers: a configuration and one rule.
 
     A subclass declares its scalar hyper-parameter attributes
     (:attr:`_scalars`), its state matrices (:attr:`_state_names`) and one
-    rule (:meth:`_update_rows`); this base class handles the learning rate,
-    step counting and the state's lifecycle.
+    rule (:meth:`_update_rows`); this base class validates the learning rate.
+    An optimizer holds no state: the :class:`StackedOptimizer` that steps it
+    owns every row's state and step count.
     """
 
     #: Scalar hyper-parameter attributes beyond ``learning_rate``; a stack
-    #: reads them (and ``learning_rate``) once, from its first optimizer.
+    #: reads them (and ``learning_rate``) once.
     _scalars: Tuple[str, ...] = ()
     #: Per-row ``(K, d)`` state matrices the rule reads and writes.  May be
     #: narrowed per instance (momentum-free SGD carries none).
@@ -78,62 +80,6 @@ class Optimizer:
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = float(learning_rate)
-        self.step_count = 0
-        # What an optimizer holds of its stack: its row's blocks of the state
-        # matrices (None until a stack binds it) — never the stack itself, so
-        # no reference cycle hands the (K, d) matrices to the cyclic collector.
-        self._row_state: Optional[Dict[str, np.ndarray]] = None
-
-    def _bind_row(self, stack: "StackedOptimizer", row: int) -> None:
-        """Become row ``row`` of ``stack``: keep views of its state rows."""
-        rows = slice(row, row + 1)
-        self._row_state = {name: matrix[rows] for name, matrix in stack._state.items()}
-
-    # -- resumable state -----------------------------------------------------
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The live state arrays (velocity, moments) by name; empty until stacked.
-
-        The one enumeration of what an optimizer carries between steps.  The
-        arrays are this optimizer's rows of its stack's ``(K, d)`` matrices,
-        so writers must mutate them in place.
-        """
-        return {name: block[0] for name, block in (self._row_state or {}).items()}
-
-    def state_dict(self) -> Dict[str, object]:
-        """Resumable snapshot: step count, hyper-parameters, state-array copies."""
-        arrays = {name: array.copy() for name, array in self.state_arrays().items()}
-        return {"step_count": self.step_count, **self._state(), "arrays": arrays}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Resume from :meth:`state_dict`, writing the row in place.
-
-        A live array the snapshot lacks was captured before its first step
-        and is zeroed.  The row must exist: an optimizer no stack has bound
-        has nowhere to put the saved arrays, so it is refused.
-        """
-        if self._row_state is None:
-            raise ConfigurationError(
-                f"{type(self).__name__} is not a row of any stack, so its saved "
-                "state has nowhere to go; load it through the cluster that "
-                "stacked the optimizer (Worker / SimulatedCluster.load_state_dict)"
-            )
-        saved = state["arrays"]
-        self.step_count = int(state["step_count"])
-        for name, array in self.state_arrays().items():
-            array[...] = saved.get(name, 0.0)
-
-    def zero_state(self) -> None:
-        """Cold start in place: zero the row's state and the step count."""
-        self.step_count = 0
-        for array in self.state_arrays().values():
-            array[...] = 0.0
-
-    # -- subclass hooks ------------------------------------------------------
-
-    def _state(self) -> Dict[str, object]:
-        """The hyper-parameters :meth:`state_dict` reports (and a stack compares)."""
-        return {name: getattr(self, name) for name in self._scalars}
 
     def _update_rows(
         self,
@@ -155,30 +101,30 @@ class Optimizer:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(lr={self.learning_rate}, steps={self.step_count})"
+        return f"{type(self).__name__}(lr={self.learning_rate})"
 
 
 class StackedOptimizer:
-    """``K`` optimizers as the rows of one ``(K, d)`` update; owner of their state.
+    """One optimizer over ``K`` rows: owner of every row's state and step count.
 
     The engine stores all workers' parameters as rows of one ``(K, d)``
-    matrix; a stack makes the workers' *optimizers* match that layout without
-    changing what any single worker computes (a lone optimizer is the
-    ``K = 1`` case):
+    matrix; a stack gives the one optimizer Algorithm 1's workers all run
+    that layout without changing what any single worker computes (a lone
+    optimizer is the ``K = 1`` case):
 
-    * **state is per-row.**  Momentum/velocity/moment buffers are ``(K, d)``
-      matrices owned here; optimizer ``k`` *is* row ``k``, so stepping all
-      rows, a masked subset or one worker runs the same rule on the same
-      memory — the drive modes compose instead of excluding each other.
-    * **one configuration.**  Every row must match optimizer 0 in type,
-      learning rate and hyper-parameters (a row that differs is refused by
-      name); the stack reads them once, as plane-dtype numpy scalars — the
-      one place the rule reads them from, and a dtype that never promotes a
-      float32 row (``1.0 - beta1`` rounds in the plane dtype).
-    * **step counts stay per-worker.**  Each optimizer's ``step_count``
-      remains the single source of truth: Adam bias correction follows each
-      row's own count, which is what keeps partial participation — rows
-      having stepped different numbers of times — correct.
+    * **state is per-row.**  Momentum/velocity/moment buffers are the
+      ``(K, d)`` matrices of :attr:`state`, and worker ``k``'s optimizer
+      state *is* their row ``k``, so stepping all rows, a masked subset or
+      one worker runs the same rule on the same memory — the drive modes
+      compose instead of excluding each other.
+    * **one configuration.**  The stack reads the optimizer's learning rate
+      and hyper-parameters once, as plane-dtype numpy scalars — the one place
+      the rule reads them from, and a dtype that never promotes a float32 row
+      (``1.0 - beta1`` rounds in the plane dtype).
+    * **step counts are per-row.**  :attr:`step_counts` holds each row's
+      count: Adam bias correction follows each row's own count, which is what
+      keeps partial participation — rows having stepped different numbers of
+      times — correct.
 
     :meth:`step_rows` applies one update to a subset of rows.  With
     ``rows=None`` (full participation) it operates directly on the live
@@ -191,45 +137,22 @@ class StackedOptimizer:
 
     def __init__(
         self,
-        optimizers: Sequence[Optimizer],
+        optimizer: Optimizer,
+        num_rows: int,
         dimension: int,
         dtype=None,
     ) -> None:
-        if not optimizers:
-            raise ConfigurationError("StackedOptimizer needs at least one optimizer")
+        if num_rows < 1:
+            raise ConfigurationError(f"a stack needs at least one row, got {num_rows}")
         if dimension < 0:
             raise ConfigurationError(f"dimension must be non-negative, got {dimension}")
-        reference = optimizers[0]
-        configuration = (type(reference), reference.learning_rate, reference._state())
-        differing = [
-            row
-            for row, optimizer in enumerate(optimizers)
-            if (type(optimizer), optimizer.learning_rate, optimizer._state()) != configuration
-        ]
-        if differing:
+        if type(optimizer)._update_rows is Optimizer._update_rows:
             raise ConfigurationError(
-                f"a stack trains one optimizer configuration; optimizers {differing} "
-                f"differ from optimizer 0 ({type(reference).__name__}, learning_rate="
-                f"{reference.learning_rate}, {reference._state()}) in type, learning "
-                "rate or hyper-parameters"
-            )
-        if type(reference)._update_rows is Optimizer._update_rows:
-            raise ConfigurationError(
-                f"{type(reference).__name__} defines no update rule; an optimizer "
+                f"{type(optimizer).__name__} defines no update rule; an optimizer "
                 "declares _scalars, _state_names and one _update_rows"
             )
-        # A stepped optimizer's state would be dropped by the rebinding while
-        # its step count (Adam's bias correction) kept counting — a quietly
-        # wrong trajectory.  Only fresh optimizers become rows.
-        stepped = [i for i, optimizer in enumerate(optimizers) if optimizer.step_count]
-        if stepped:
-            raise ConfigurationError(
-                "a stack needs fresh optimizers (their state becomes rows of "
-                f"shared (K, d) matrices); optimizers {stepped} have already "
-                "stepped — construct new optimizers"
-            )
-        self.optimizers: List[Optimizer] = list(optimizers)
-        self.num_workers = len(self.optimizers)
+        self.optimizer = optimizer
+        self.num_rows = int(num_rows)
         self.dimension = int(dimension)
         # State, hyper-parameters, and scratch all live in the plane's dtype
         # so the update never promotes a float32 (K, d) matrix.
@@ -238,22 +161,23 @@ class StackedOptimizer:
         #: One workspace per row shard; the first is :attr:`workspace`.
         self._workspaces: List[Workspace] = [self.workspace]
         self._scalars: Dict[str, np.generic] = {
-            name: self.dtype.type(getattr(reference, name))
-            for name in ("learning_rate",) + reference._scalars
+            name: self.dtype.type(getattr(optimizer, name))
+            for name in ("learning_rate",) + optimizer._scalars
         }
-        self._state: Dict[str, np.ndarray] = {
-            name: np.zeros((self.num_workers, self.dimension), dtype=self.dtype)
-            for name in reference._state_names
+        #: The ``(K, d)`` state matrices by name; row ``k`` is worker ``k``'s.
+        self.state: Dict[str, np.ndarray] = {
+            name: np.zeros((self.num_rows, self.dimension), dtype=self.dtype)
+            for name in optimizer._state_names
         }
-        for row, optimizer in enumerate(self.optimizers):
-            optimizer._bind_row(self, row)
+        #: How many times each row has stepped.
+        self.step_counts = np.zeros(self.num_rows, dtype=np.int64)
 
-    def _select(self, rows) -> Tuple[np.ndarray, List[Optimizer]]:
-        """``rows`` as an index array of distinct workers in ``[0, K)``, and their optimizers.
+    def _select(self, rows) -> np.ndarray:
+        """``rows`` as an index array of distinct rows in ``[0, K)``.
 
         A repeated id would step a row's state once and its count twice (and,
         straddling two blocks, make the result depend on the block size); a
-        negative one pairs worker ``K + id``'s step count with another row's
+        negative one pairs row ``K + id``'s step count with another row's
         state.  Both are refused, like an id past the end.
         """
         ids = np.asarray(rows)
@@ -262,16 +186,16 @@ class StackedOptimizer:
                 f"step_rows expects rows as a 1-D integer index array, got {rows!r}"
             )
         listed = ids.tolist()
-        workers = range(self.num_workers)
+        workers = range(self.num_rows)
         if len(set(listed)) != len(listed) or any(k not in workers for k in listed):
             offending = sorted(
                 {k for k in listed if k not in workers or listed.count(k) > 1}
             )
             raise ShapeError(
-                f"step_rows expects rows as unique worker ids in [0, {self.num_workers}); "
+                f"step_rows expects rows as unique worker ids in [0, {self.num_rows}); "
                 f"out of range or repeated: {offending}"
             )
-        return ids, [self.optimizers[k] for k in listed]
+        return ids
 
     def step_rows(
         self,
@@ -295,44 +219,42 @@ class StackedOptimizer:
         On the masked path each block's state rows are gathered before and
         scattered back after its update.
         """
-        if rows is None:
-            active = self.optimizers
-        else:
-            rows, active = self._select(rows)
-        count = len(active)
-        expected = (count, self.dimension)
+        stepping = slice(None) if rows is None else self._select(rows)
+        counts = self.step_counts[stepping]
+        expected = (counts.size, self.dimension)
         if params.shape != expected or grads.shape != expected:
             raise ShapeError(
                 f"step_rows expects params/grads of shape {expected}, got "
                 f"{params.shape} and {grads.shape}"
             )
-        timesteps = [optimizer.step_count + 1 for optimizer in active]
-        step = (params, grads, rows, timesteps)
+        timesteps = (counts + 1).tolist()
+        step = (params, grads, None if rows is None else stepping, timesteps)
         block = max(1, ROW_BLOCK_ELEMENTS // max(1, self.dimension))
-        shards = row_shards(count, self.dimension)
+        shards = row_shards(counts.size, self.dimension)
         if shards == 1:
-            self._step_range(self.workspace, 0, count, block, *step)
+            self._step_range(self.workspace, 0, counts.size, block, *step)
         else:
             while len(self._workspaces) < shards:
                 self._workspaces.append(Workspace(self.dimension, self.dtype))
             shard_args = [
                 (workspace, start, stop, block, *step)
-                for workspace, (start, stop) in zip(self._workspaces, shard_bounds(count, shards))
+                for workspace, (start, stop) in zip(
+                    self._workspaces, shard_bounds(counts.size, shards)
+                )
             ]
             run_shards(self._step_range, shard_args)
-        for optimizer in active:
-            optimizer.step_count += 1
+        self.step_counts[stepping] += 1
         return params
 
     def _step_range(
         self, workspace, start, stop, block, params, grads, rows, timesteps
     ) -> None:
         """The rule over rows ``[start, stop)`` of one step, ``block`` rows at a time."""
-        rule = self.optimizers[0]._update_rows
+        rule = self.optimizer._update_rows
         for low in range(start, stop, block):
             cut = slice(low, min(low + block, stop))
             if rows is None:
-                state = {name: matrix[cut] for name, matrix in self._state.items()}
+                state = {name: matrix[cut] for name, matrix in self.state.items()}
             else:
                 ids = rows[cut]
                 # mode="clip": step_rows checked the ids, and numpy's
@@ -346,17 +268,17 @@ class StackedOptimizer:
                         out=workspace.scratch("state-" + name, ids.size),
                         mode="clip",
                     )
-                    for name, matrix in self._state.items()
+                    for name, matrix in self.state.items()
                 }
             rule(workspace, params[cut], grads[cut], state, self._scalars, timesteps[cut])
             if rows is not None:
-                for name, matrix in self._state.items():
+                for name, matrix in self.state.items():
                     matrix[ids] = state[name]
 
     def __repr__(self) -> str:
         return (
-            f"StackedOptimizer({type(self.optimizers[0]).__name__}, "
-            f"K={self.num_workers}, d={self.dimension})"
+            f"StackedOptimizer({type(self.optimizer).__name__}, "
+            f"K={self.num_rows}, d={self.dimension})"
         )
 
 

@@ -14,7 +14,7 @@ figure.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from repro.optim.base import check_beta
 class ServerOptimizer:
     """Base class for server optimizers.
 
-    :meth:`aggregate` takes the current global parameter vector and the list
-    of client parameter vectors produced by the latest round of local training
-    and returns the new global parameters.
+    :meth:`aggregate` takes the current global parameter vector and the mean
+    of the client parameter vectors produced by the latest round of local
+    training and returns the new global parameters.
     """
 
     def __init__(self, learning_rate: float = 1.0) -> None:
@@ -41,39 +41,20 @@ class ServerOptimizer:
         """Server rounds aggregated so far (training state, not configuration)."""
         return self._round_count
 
-    def aggregate(
-        self, global_params: np.ndarray, client_params: Sequence[np.ndarray]
-    ) -> np.ndarray:
+    def aggregate(self, global_params: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Return the updated global parameters after one communication round.
 
-        ``client_params`` is either a sequence of flat vectors or, on the
-        zero-copy path, a ready ``(K, d)`` matrix (one row per client) which
-        is averaged without stacking copies.  Inputs already in the plane's
-        dtype (float32 or float64) aggregate in that dtype; anything else is
-        promoted to the float64 reference dtype.  The client mean is uniform:
-        who votes and how much is decided before the server sees anything (the
-        round hands it :meth:`Participation.mean
-        <repro.distributed.participation.Participation.mean>` as one client).
+        ``mean`` is the round's client mean, in the plane dtype of
+        ``global_params``: who votes and how much is decided before the server
+        sees anything (the round hands it :meth:`Participation.mean
+        <repro.distributed.participation.Participation.mean>`).
         """
-        global_params = np.asarray(global_params)
-        if global_params.dtype not in (np.float32, np.float64):
-            global_params = np.asarray(global_params, dtype=np.float64)
-        dtype = global_params.dtype
-        if isinstance(client_params, np.ndarray) and client_params.ndim == 2:
-            if client_params.shape[0] == 0:
-                raise ShapeError("aggregate requires at least one client parameter vector")
-            stacked = np.asarray(client_params, dtype=dtype)
-        else:
-            if len(client_params) == 0:
-                raise ShapeError("aggregate requires at least one client parameter vector")
-            stacked = np.stack([np.asarray(p, dtype=dtype) for p in client_params], axis=0)
-        if stacked.shape[1:] != global_params.shape:
+        if mean.shape != global_params.shape:
             raise ShapeError(
-                f"client parameters of shape {stacked.shape[1:]} do not match the "
+                f"the client mean of shape {mean.shape} does not match the "
                 f"global parameters of shape {global_params.shape}"
             )
-        pseudo_gradient = global_params - stacked.mean(axis=0)
-        updated = self._apply(global_params, pseudo_gradient)
+        updated = self._apply(global_params, global_params - mean)
         self._round_count += 1
         return updated
 

@@ -8,8 +8,6 @@ the ``(A, d)`` row rule :meth:`SGD._update_rows` (see :mod:`repro.optim.base`).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -62,10 +60,3 @@ class SGD(Optimizer):
             params -= scaled
         else:
             params += velocity
-
-    def _state(self) -> Dict[str, object]:
-        return {
-            "momentum": self.momentum,
-            "nesterov": self.nesterov,
-            "weight_decay": self.weight_decay,
-        }

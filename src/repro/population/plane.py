@@ -2,16 +2,17 @@
 
 A :class:`ClientPopulation` turns the ``(K, d)`` cluster into a *window* onto
 a registered population of ``N ≫ K`` logical clients.  The cluster's worker
-slots are physical resources (models, optimizers, samplers, parameter-matrix
-rows); clients are logical records.  Each round:
+slots are physical resources (models, samplers, and rows of the parameter,
+buffer, optimizer-state and residual matrices); clients are logical records.
+Each round:
 
 1. the :class:`~repro.population.sampler.CohortSampler` draws a cohort,
 2. every cohort member is **bound** into a slot — a returning client's saved
    slot snapshot is restored (``cluster.restore_slot``), a first-time client
    gets a freshly built worker on the initial global model with its own
-   seed-derived streams (``cluster.reset_slot``); both write the slot *in
-   place*, so the stacked optimizer's and compression state's row bindings
-   survive,
+   seed-derived streams (``cluster.reset_slot``); both write the slot's rows
+   *in place*, the client's optimizer moments and step count among them, so
+   those follow the client into whichever slot it is bound to,
 3. the strategy runs its round on the bound cluster exactly as it would on a
    materialized one — the masked ``(A, d)`` batched path, the fabric charges,
    FDA's triggered syncs, all unchanged,

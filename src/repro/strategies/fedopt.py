@@ -112,8 +112,7 @@ class FedOptStrategy(ServerRoundStrategy):
         self.server_optimizer.reset()
 
     def _new_global(self, cluster, participants, mean) -> np.ndarray:
-        # The server sees one client: the participants' average.
-        return self.server_optimizer.aggregate(cluster.shared_parameters, [mean])
+        return self.server_optimizer.aggregate(cluster.shared_parameters, mean)
 
     def _server_state(self) -> dict:
         return self.server_optimizer.state_dict()

@@ -158,7 +158,7 @@ def make_cluster(
     sample_shape: Tuple[int, ...] = (6,),
     num_classes: int = 3,
     num_workers: int = 8,
-    optimizer_factory: Callable[[int], object] = lambda worker_id: Adam(0.01),
+    optimizer_factory: Callable[[], object] = lambda: Adam(0.01),
     batch_size: int = 8,
     dropout_rate: float = 0.0,
     timeline_seed: int = 5,
@@ -171,8 +171,7 @@ def make_cluster(
     (``data_seed``), per-worker sampler streams (the worker id), and the
     timeline (``timeline_seed``), so a per-worker/batched pair sees the same
     data, the same masks, and the same mask-stream draws.
-    ``optimizer_factory`` receives the worker id and must return the one
-    configuration a stack trains.
+    ``optimizer_factory`` is called once, for the cluster's one optimizer.
     """
     rng = np.random.default_rng(data_seed)
     workers = []
@@ -184,7 +183,6 @@ def make_cluster(
                 worker_id,
                 model_factory(),
                 Dataset(x, y, num_classes),
-                optimizer_factory(worker_id),
                 batch_size=batch_size,
                 seed=worker_id,
             )
@@ -193,7 +191,7 @@ def make_cluster(
         cluster_kwargs["timeline"] = Timeline(
             num_workers, dropout_rate=dropout_rate, seed=timeline_seed
         )
-    return on_side(side, SimulatedCluster(workers, **cluster_kwargs))
+    return on_side(side, SimulatedCluster(workers, optimizer_factory(), **cluster_kwargs))
 
 
 def make_cluster_pair(**kwargs) -> Tuple[SimulatedCluster, SimulatedCluster]:
@@ -250,9 +248,10 @@ def assert_cluster_states_match(
     assert_close(cluster_a.parameter_matrix, cluster_b.parameter_matrix, exact, rtol=rtol, atol=atol)
     if cluster_a.buffer_matrix.shape[1]:
         assert_close(cluster_a.buffer_matrix, cluster_b.buffer_matrix, exact, rtol=rtol, atol=atol)
-    assert [w.optimizer.step_count for w in cluster_a.workers] == [
-        w.optimizer.step_count for w in cluster_b.workers
-    ]
+    assert (
+        cluster_a.engine.stacked_optimizer.step_counts.tolist()
+        == cluster_b.engine.stacked_optimizer.step_counts.tolist()
+    )
 
 
 # -- scenario drivers ------------------------------------------------------------

@@ -22,7 +22,7 @@ two.  For each stepping row the loop does what a lone worker would:
 ``step_all`` / ``step_worker`` / ``epoch_worker``: everything above the
 engine — the protocols, the fabric, the ledgers, the stack itself — is the
 cluster's own.  :func:`solo_step` steps an optimizer that belongs to no
-cluster, as the one row of a private stack.
+cluster, as the one row of a private stack (:func:`solo_stack`).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class PerWorkerLoop:
         # The engine's weak proxy: the loop's methods live on the engine, so
         # a strong reference would make the cluster a cycle.
         self.cluster = cluster.engine.cluster
-        self._stack: StackedOptimizer = cluster.engine._optimizer
+        self._stack: StackedOptimizer = cluster.engine.stacked_optimizer
 
     def step_all(self, active: Optional[np.ndarray] = None) -> float:
         workers = self.cluster.workers
@@ -140,22 +140,32 @@ def on_side(side: str, cluster: SimulatedCluster) -> SimulatedCluster:
     return per_worker(cluster) if side == "per-worker" else cluster
 
 
+def solo_stack(optimizer: Optimizer, dimension: int, dtype=None) -> StackedOptimizer:
+    """The private one-row stack that holds the state of an optimizer no cluster owns.
+
+    Built on the optimizer's first step and kept on it, so every later step
+    (and a test reading the state) finds the same row.
+    """
+    stack = vars(optimizer).get("_solo_stack")
+    if stack is None:
+        stack = StackedOptimizer(optimizer, 1, dimension, dtype=dtype)
+        optimizer._solo_stack = stack
+    return stack
+
+
 def solo_step(optimizer: Optimizer, params, grads) -> np.ndarray:
     """One step of an optimizer no cluster owns; returns the updated copy.
 
-    The optimizer becomes the one row of a private stack on its first step
-    (float32 inputs step in float32, everything else in float64), and every
-    step runs gather → rule → scatter through that stack.
+    The step runs gather → rule → scatter through the optimizer's
+    :func:`solo_stack` (float32 inputs step in float32, everything else in
+    float64).
     """
     params = np.asarray(params)
     grads = np.asarray(grads)
     if params.dtype not in (np.float32, np.float64) or grads.dtype != params.dtype:
         params = np.asarray(params, dtype=np.float64)
         grads = np.asarray(grads, dtype=np.float64)
-    stack = vars(optimizer).get("_solo_stack")
-    if stack is None:
-        stack = StackedOptimizer([optimizer], params.size, dtype=params.dtype)
-        optimizer._solo_stack = stack
+    stack = solo_stack(optimizer, params.size, params.dtype)
     updated = np.array(params)
     stack.step_rows(updated[None], grads[None], np.array([0]))
     return updated

@@ -24,7 +24,10 @@ class _Reference:
         self.learning_rate = optimizer.learning_rate
         self.step_count = 0
         # The hyper-parameters, under the names the expressions read.
-        vars(self).update(optimizer._state())
+        vars(self).update(
+            {name: getattr(optimizer, name) for name in optimizer._scalars},
+            nesterov=getattr(optimizer, "nesterov", False),
+        )
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         updated = self._update(params, grads, self.learning_rate)

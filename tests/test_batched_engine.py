@@ -33,7 +33,7 @@ from helpers.parity import (
     run_fda_parity,
     run_strategy_parity,
 )
-from helpers.per_worker import SIDES, on_side, solo_step
+from helpers.per_worker import SIDES, on_side
 from helpers.serving import serve_next
 from repro.core.monitor import make_monitor
 from repro.core.timeline import StragglerProfile, Timeline
@@ -48,7 +48,7 @@ from repro.experiments.setup import build_cluster
 from repro.nn.architectures import densenet_mini, lenet5, transfer_head, vgg_mini
 from repro.nn.layers import Activation, Dense, Dropout
 from repro.nn.model import Sequential
-from repro.optim.adam import Adam, AdamW
+from repro.optim.adam import Adam
 from repro.optim.base import Optimizer, StackedOptimizer
 from repro.optim.sgd import SGD
 from repro.serving import ServedFDATrainer, ServingConfig
@@ -80,7 +80,7 @@ class TestFdaParity:
             threshold=0.5,
             steps=50,
             dropout_rate=0.3,
-            optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9, nesterov=True),
+            optimizer_factory=lambda: SGD(0.05, momentum=0.9, nesterov=True),
             exact=True,
         )
 
@@ -114,7 +114,7 @@ class TestStrategyParity:
             sample_shape=shape,
             num_classes=classes,
             num_workers=4,
-            optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9, nesterov=True),
+            optimizer_factory=lambda: SGD(0.05, momentum=0.9, nesterov=True),
         )
 
     @pytest.mark.parametrize("model", ["lenet-conv", "batchnorm-net", "densenet-mini"])
@@ -128,7 +128,7 @@ class TestStrategyParity:
                 sample_shape=shape,
                 num_classes=classes,
                 num_workers=4,
-                optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9, nesterov=True),
+                optimizer_factory=lambda: SGD(0.05, momentum=0.9, nesterov=True),
             )
             losses = [cluster.step_all() for _ in range(10)]
             cluster.synchronize()
@@ -149,7 +149,7 @@ class TestStrategyParity:
             model_factory=factory,
             sample_shape=shape,
             num_classes=classes,
-            optimizer_factory=lambda worker_id: SGD(0.05),
+            optimizer_factory=lambda: SGD(0.05),
             exact=True,
         )
 
@@ -197,7 +197,7 @@ class TestDenseNetWorkloads:
 class TestPerWorkerDriving:
     def test_step_worker_matches_the_per_worker_loop_exactly(self):
         seq_cluster, bat_cluster = make_cluster_pair(
-            num_workers=4, optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9)
+            num_workers=4, optimizer_factory=lambda: SGD(0.05, momentum=0.9)
         )
         order = [0, 2, 1, 3, 3, 0, 1, 2, 2, 1, 0, 3] * 3
         for worker_id in order:
@@ -211,7 +211,7 @@ class TestPerWorkerDriving:
         (the stacked rows ARE the workers' own state), so mixing drive modes
         is legal and stays in lockstep parity with the per-worker loop."""
         seq_cluster, bat_cluster = make_cluster_pair(
-            num_workers=3, optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9)
+            num_workers=3, optimizer_factory=lambda: SGD(0.05, momentum=0.9)
         )
         for cluster in (seq_cluster, bat_cluster):
             cluster.engine.step_worker(1)
@@ -226,7 +226,7 @@ class TestPerWorkerDriving:
     def test_epoch_all_matches(self):
         """FedOpt-style local epochs run as single-row batched slices."""
         seq_cluster, bat_cluster = make_cluster_pair(
-            num_workers=3, optimizer_factory=lambda worker_id: SGD(0.05)
+            num_workers=3, optimizer_factory=lambda: SGD(0.05)
         )
         for _ in range(2):
             loss_seq = seq_cluster.epoch_all()
@@ -375,22 +375,6 @@ class TestEngineGuards:
     """Every remaining ``ConfigurationError`` branch in ``distributed/engine.py``,
     pinned by message."""
 
-    def test_pre_stepped_optimizers_rejected(self):
-        # A pre-stepped optimizer's (d,) moments would be silently discarded
-        # by the row binding while its step count kept counting.
-        rng = np.random.default_rng(0)
-        workers = []
-        for worker_id in range(2):
-            x = rng.normal(size=(20, 6))
-            y = rng.integers(0, 3, size=20)
-            workers.append(
-                Worker(worker_id, mlp_factory(), Dataset(x, y, 3), Adam(0.01), batch_size=4)
-            )
-        for worker in workers:
-            solo_step(worker.optimizer, np.zeros(4), np.ones(4))
-        with pytest.raises(ConfigurationError, match="fresh optimizers"):
-            SimulatedCluster(workers)
-
     def test_unsupported_layers_rejected_with_clear_message(self):
         # Every layer of repro.nn.layers has a kernel; a Layer subclass from
         # outside does not (lookup is by exact type) and is refused by name.
@@ -421,10 +405,10 @@ class TestEngineGuards:
                 [Dense(10, activation=activation), Dense(8, activation=activation), Dense(3)]
             ).build((6,), seed=11)
             workers.append(
-                Worker(worker_id, model, Dataset(x, y, 3), Adam(0.01), batch_size=4)
+                Worker(worker_id, model, Dataset(x, y, 3), batch_size=4)
             )
         with pytest.raises(ConfigurationError, match="model architecture differs"):
-            SimulatedCluster(workers)
+            SimulatedCluster(workers, Adam(0.01))
 
     def _workers_with(self, build):
         rng = np.random.default_rng(0)
@@ -435,48 +419,15 @@ class TestEngineGuards:
             workers.append(build(worker_id, Dataset(x, y, 3)))
         return workers
 
-    def test_mixed_optimizer_types_rejected(self):
-        workers = self._workers_with(
-            lambda worker_id, data: Worker(
-                worker_id,
-                mlp_factory(),
-                data,
-                Adam(0.01) if worker_id == 0 else SGD(0.01),
-                batch_size=4,
-            )
-        )
-        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] differ from optimizer 0"):
-            SimulatedCluster(workers)
-
     def test_mismatched_batch_size_rejected(self):
         # The stacked sampler draws one (K, B, ...) batch, so it refuses.
         workers = self._workers_with(
             lambda worker_id, data: Worker(
-                worker_id, mlp_factory(), data, Adam(0.01), batch_size=4 + worker_id
+                worker_id, mlp_factory(), data, batch_size=4 + worker_id
             )
         )
         with pytest.raises(DataError, match="one batch size"):
-            SimulatedCluster(workers)
-
-    def test_heterogeneous_hyperparameters_refused_by_row(self):
-        # A stack trains one configuration: a learning rate that differs from
-        # worker 0's is refused, naming every row that differs, not trained
-        # at worker 0's rate.
-        rng = np.random.default_rng(0)
-        workers = [
-            Worker(
-                worker_id,
-                mlp_factory(),
-                Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3),
-                Adam(0.02 if worker_id in (1, 3) else 0.01),
-                batch_size=4,
-            )
-            for worker_id in range(4)
-        ]
-        with pytest.raises(
-            ConfigurationError, match=r"optimizers \[1, 3\] differ from optimizer 0 \(Adam, learning_rate=0.01"
-        ):
-            SimulatedCluster(workers)
+            SimulatedCluster(workers, Adam(0.01))
 
     def test_mismatched_dropout_rate_rejected(self):
         # The dropout kernel applies worker 0's rate to every row, so a
@@ -488,22 +439,16 @@ class TestEngineGuards:
 
         workers = self._workers_with(
             lambda worker_id, data: Worker(
-                worker_id, model(0.25 * worker_id), data, Adam(0.01), batch_size=4
+                worker_id, model(0.25 * worker_id), data, batch_size=4
             )
         )
         with pytest.raises(ConfigurationError, match="worker 1: model architecture differs"):
-            SimulatedCluster(workers)
+            SimulatedCluster(workers, Adam(0.01))
 
 
 class TestStackedOptimizerGuards:
-    """The structural guards that live in ``optim/base.py`` (raised during
+    """The structural guard that lives in ``optim/base.py`` (raised during
     batched-engine construction)."""
-
-    def test_mixed_nesterov_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] differ.*'nesterov': True"):
-            StackedOptimizer(
-                [SGD(0.01, momentum=0.9, nesterov=True), SGD(0.01, momentum=0.9)], 4
-            )
 
     def test_optimizer_without_stacked_rule_rejected(self):
         # The row rule is the only spelling of an optimizer's arithmetic, so
@@ -513,34 +458,19 @@ class TestStackedOptimizerGuards:
             sharpness = 2.0
 
         with pytest.raises(ConfigurationError, match="Esoteric defines no update rule"):
-            StackedOptimizer([Esoteric(), Esoteric()], 4)
-
-    def test_mixed_types_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] differ from optimizer 0 \(SGD"):
-            StackedOptimizer([SGD(0.01), Adam(0.01)], 4)
+            StackedOptimizer(Esoteric(), 2, 4)
 
     @pytest.mark.parametrize(
-        "differing",
+        "num_rows, dimension, message",
         [
-            lambda: SGD(0.02, momentum=0.9),
-            lambda: SGD(0.01, momentum=0.5),
-            lambda: SGD(0.01, momentum=0.9, weight_decay=1e-4),
-            lambda: SGD(0.01),
-            lambda: AdamW(0.01),
+            (0, 4, "a stack needs at least one row, got 0"),
+            (2, -1, "dimension must be non-negative, got -1"),
         ],
-        ids=["learning-rate", "momentum", "weight-decay", "momentum-free", "type"],
+        ids=["no-rows", "negative-dimension"],
     )
-    def test_every_differing_row_is_named(self, differing):
-        rows = [SGD(0.01, momentum=0.9), differing(), SGD(0.01, momentum=0.9), differing()]
-        with pytest.raises(ConfigurationError, match=r"optimizers \[1, 3\] differ from optimizer 0"):
-            StackedOptimizer(rows, 4)
-        assert all(optimizer.state_arrays() == {} for optimizer in rows)
-
-    def test_pre_stepped_rejected(self):
-        stepped = SGD(0.01)
-        solo_step(stepped, np.zeros(4), np.zeros(4))
-        with pytest.raises(ConfigurationError, match="already stepped"):
-            StackedOptimizer([stepped, SGD(0.01)], 4)
+    def test_a_stack_needs_rows_and_a_dimension(self, num_rows, dimension, message):
+        with pytest.raises(ConfigurationError, match=message):
+            StackedOptimizer(SGD(0.1), num_rows, dimension)
 
 
 class TestWorkloadExecutionField:

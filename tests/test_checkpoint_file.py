@@ -10,12 +10,15 @@ about the file itself, apart from what a resumed run computes (that is
 * the file is the magic tag, the header and the arrays' bytes, nothing more,
   and neither a save nor a load holds a second copy of the arrays;
 * a payload that cannot be written, or a failed write, leaves no file behind;
-* a damaged or foreign file is refused by name, never half read.
+* a damaged or foreign file is refused by name, never half read;
+* the header records the optimizer, and a cluster whose optimizer is
+  configured differently is refused by field before anything is written.
 """
 
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ExperimentError
-from repro.experiments.setup import build_cluster
+from helpers.shards import state_bytes
+from repro.experiments.setup import build_cluster, make_optimizer
 from repro.faults import ClusterCheckpoint
 from repro.faults import checkpoint as checkpoint_module
 from repro.faults.checkpoint import FORMAT, MAGIC, VERSION
@@ -126,13 +130,118 @@ class TestRoundTrip:
         assert data.startswith(MAGIC)
         size = _header_size(data)
         header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + size])
-        assert header["version"] == VERSION == 6
+        assert header["version"] == VERSION == 7
         assert header["parameters"]["dtype"] == "<f8"
         assert header["parameters"]["shape"] == list(cluster.parameter_matrix.shape)
         # The header lists its references in the order the arrays follow it.
         arrays = list(_arrays_in(checkpoint.payload))
         assert list(_references_in(header)) == list(range(len(arrays)))
         assert len(data) == len(MAGIC) + 8 + size + sum(array.nbytes for array in arrays)
+
+
+class TestOptimizerConfiguration:
+    """An Adam checkpoint restores only into a cluster running the same Adam."""
+
+    @pytest.mark.parametrize(
+        "target, differences",
+        [
+            (
+                make_optimizer("sgd-nm"),
+                [
+                    "__class__: 'Adam' in the checkpoint, 'SGD' here",
+                    "learning_rate: 0.01 in the checkpoint, 0.05 here",
+                    "momentum: absent in the checkpoint, 0.9 here",
+                    "nesterov: absent in the checkpoint, True here",
+                    "weight_decay: absent in the checkpoint, 0.0 here",
+                ],
+            ),
+            (
+                make_optimizer("adam", learning_rate=0.05),
+                ["learning_rate: 0.01 in the checkpoint, 0.05 here"],
+            ),
+            (
+                make_optimizer("adamw", learning_rate=0.01),
+                [
+                    "__class__: 'Adam' in the checkpoint, 'AdamW' here",
+                    "weight_decay: absent in the checkpoint, 0.01 here",
+                ],
+            ),
+            (
+                make_optimizer("sgd", learning_rate=0.01),
+                [
+                    "__class__: 'Adam' in the checkpoint, 'SGD' here",
+                    "momentum: absent in the checkpoint, 0.0 here",
+                    "nesterov: absent in the checkpoint, False here",
+                    "weight_decay: absent in the checkpoint, 0.0 here",
+                ],
+            ),
+        ],
+        ids=["sgd-nm", "adam-lr-0.05", "adamw", "sgd"],
+    )
+    def test_a_differently_configured_optimizer_is_refused(
+        self, blobs_workload, tmp_path, target, differences
+    ):
+        cluster, _ = build_cluster(blobs_workload)  # Adam at learning rate 0.01
+        cluster.step_all()
+        path = ClusterCheckpoint.capture(cluster).save(tmp_path / "adam.ckpt")
+        other, _ = build_cluster(replace(blobs_workload, optimizer_factory=target))
+        before = state_bytes(other.state_dict())
+        with pytest.raises(ExperimentError, match="differently configured optimizer") as caught:
+            ClusterCheckpoint.load(path).restore(other)
+        message = str(caught.value)
+        assert all(difference in message for difference in differences), message
+        assert message.count(" in the checkpoint, ") == len(differences), message
+        assert state_bytes(other.state_dict()) == before
+
+    def test_the_same_optimizer_restores(self, blobs_workload, tmp_path):
+        # Built by a second call of the factory, so equal configuration (not
+        # identity) is what lets the state through: moments and step counts
+        # come back byte for byte, and the next step is the one the captured
+        # cluster takes.
+        cluster, _ = build_cluster(blobs_workload)
+        cluster.step_all()
+        cluster.step_all(active=np.array([True, False, True, False]))
+        path = ClusterCheckpoint.capture(cluster).save(tmp_path / "adam.ckpt")
+        other, _ = build_cluster(blobs_workload)
+        ClusterCheckpoint.load(path).restore(other)
+        assert state_bytes(other.state_dict()) == state_bytes(cluster.state_dict())
+        assert other.engine.stacked_optimizer.step_counts.tolist() == [2, 1, 2, 1]
+        cluster.step_all()
+        other.step_all()
+        assert state_bytes(other.state_dict()) == state_bytes(cluster.state_dict())
+
+    def test_the_header_records_the_optimizer_configuration(self, blobs_workload, tmp_path):
+        # Configuration only: what training moves is in the arrays.
+        cluster, _ = build_cluster(blobs_workload)
+        cluster.step_all()
+        path = ClusterCheckpoint.capture(cluster).save(tmp_path / "adam.ckpt")
+        data = path.read_bytes()
+        size = _header_size(data)
+        header = json.loads(data[len(MAGIC) + 8 : len(MAGIC) + 8 + size])
+        assert json.loads(header["optimizer_config"]) == {
+            "__class__": "Adam",
+            "learning_rate": 0.01,
+        }
+
+    def test_the_optimizer_state_is_one_matrix_per_name(self, blobs_workload, tmp_path):
+        # One (K, d) array per state name and one (K,) int64 step-count
+        # vector, row k being worker k's, in the plane's dtype.
+        cluster, _ = build_cluster(blobs_workload)
+        cluster.step_all(active=np.array([True, True, False, True]))
+        path = ClusterCheckpoint.capture(cluster).save(tmp_path / "adam.ckpt")
+        payload = ClusterCheckpoint.load(path).payload
+        shape = (cluster.num_workers, cluster.model_dimension)
+        stack = cluster.engine.stacked_optimizer
+        for name in ("m", "v"):
+            saved = payload[f"optimizer_{name}"]
+            assert (saved.shape, saved.dtype) == (shape, cluster.parameter_matrix.dtype)
+            assert saved.tobytes() == stack.state[name].tobytes()
+            assert not saved[2].any() and saved[[0, 1, 3]].any(axis=1).all()
+        steps = payload["optimizer_steps"]
+        assert steps.dtype == np.int64 and steps.tolist() == [1, 1, 0, 1]
+        assert sorted(key for key in payload if key.startswith("optimizer_")) == [
+            "optimizer_config", "optimizer_m", "optimizer_steps", "optimizer_v"
+        ]
 
 
 def _arrays_in(value):

@@ -32,7 +32,7 @@ from helpers.per_worker import SIDES
 TOPK_EF = CompressionConfig("topk", ratio=0.25, error_feedback=True)
 
 #: Value-exact scenarios need SGD (the engines' bit-identical stacked rule).
-SGD_FACTORY = lambda worker_id: SGD(0.05)  # noqa: E731 - a tiny test fixture
+SGD_FACTORY = lambda: SGD(0.05)  # noqa: E731 - a tiny test fixture
 
 #: step-cadence strategies: several rounds are cheap.
 STEP_STRATEGIES = {

@@ -34,13 +34,12 @@ def make_cluster(num_workers=4, seed=0):
             worker_id=i,
             model=mlp(8, 3, hidden_units=(12,), seed=seed),
             dataset=shard,
-            optimizer=Adam(0.02),
             batch_size=16,
             seed=seed + i,
         )
         for i, shard in enumerate(shards)
     ]
-    return SimulatedCluster(workers)
+    return SimulatedCluster(workers, Adam(0.02))
 
 
 def make_trainer(threshold=0.5, profile=None, num_workers=4, monitor=None):

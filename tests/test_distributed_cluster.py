@@ -15,7 +15,7 @@ from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 
 
-def make_cluster(num_workers=3, seed=0, topology=None, side="batched"):
+def make_cluster(num_workers=3, seed=0, topology=None, side="batched", optimizer=None):
     data = gaussian_blobs(240, feature_dim=8, num_classes=3, seed=seed)
     shards = partition_dataset(data, num_workers, "iid", seed=seed)
     workers = [
@@ -23,13 +23,13 @@ def make_cluster(num_workers=3, seed=0, topology=None, side="batched"):
             worker_id=i,
             model=mlp(8, 3, hidden_units=(12,), seed=seed),
             dataset=shard,
-            optimizer=Adam(0.01),
             batch_size=16,
             seed=seed + i,
         )
         for i, shard in enumerate(shards)
     ]
-    return on_side(side, SimulatedCluster(workers, topology=topology))
+    optimizer = Adam(0.01) if optimizer is None else optimizer
+    return on_side(side, SimulatedCluster(workers, optimizer, topology=topology))
 
 
 class TestWorker:
@@ -53,20 +53,44 @@ class TestWorker:
         cluster.engine.epoch_worker(0)
         assert worker.steps_performed == worker.batches_per_epoch
 
-    def test_drift_from_reference(self):
+    def test_drift_matrix_from_reference(self):
         cluster = make_cluster(1)
         worker = cluster.workers[0]
         reference = worker.get_parameters()
         cluster.step_all()
-        drift = worker.drift_from(reference)
-        np.testing.assert_allclose(drift, worker.get_parameters() - reference)
+        drift = cluster.drift_matrix(reference)[0]
+        np.testing.assert_array_equal(drift, worker.get_parameters() - reference)
+
+    @pytest.mark.parametrize(
+        "optimizer, names",
+        [
+            (Adam(0.01), ["optimizer_m", "optimizer_steps", "optimizer_v"]),
+            (SGD(0.05, momentum=0.9), ["optimizer_steps", "optimizer_velocity"]),
+            (SGD(0.05), ["optimizer_steps"]),
+        ],
+        ids=["adam", "sgd-momentum", "sgd"],
+    )
+    def test_a_slot_snapshot_carries_its_optimizer_rows(self, optimizer, names):
+        # The worker holds no optimizer: a slot's optimizer state is its row
+        # of each of the cluster's stacked matrices, and its step count.
+        cluster = make_cluster(2, optimizer=optimizer)
+        cluster.step_all(active=np.array([False, True]))
+        snapshot = cluster.capture_slot(1)
+        assert sorted(key for key in snapshot if key.startswith("optimizer_")) == names
+        stack = cluster.engine.stacked_optimizer
+        assert snapshot["optimizer_steps"] == 1 and stack.step_counts.tolist() == [0, 1]
+        for name, matrix in stack.state.items():
+            assert snapshot[f"optimizer_{name}"].tobytes() == matrix[1].tobytes()
+            assert not np.shares_memory(snapshot[f"optimizer_{name}"], matrix)
+        assert not hasattr(cluster.workers[1], "optimizer")
+        assert cluster.optimizer is optimizer
 
     def test_invalid_configuration(self):
         data = gaussian_blobs(30, feature_dim=8, num_classes=3, seed=0)
         with pytest.raises(ConfigurationError):
-            Worker(-1, mlp(8, 3, seed=0), data, SGD(0.1))
+            Worker(-1, mlp(8, 3, seed=0), data)
         with pytest.raises(ConfigurationError):
-            Worker(0, mlp(8, 3, seed=0), data, SGD(0.1), batch_size=0)
+            Worker(0, mlp(8, 3, seed=0), data, batch_size=0)
 
 
 class TestClusterBasics:
@@ -78,16 +102,16 @@ class TestClusterBasics:
 
     def test_requires_workers(self):
         with pytest.raises(ConfigurationError):
-            SimulatedCluster([])
+            SimulatedCluster([], Adam(0.01))
 
     def test_requires_matching_dimensions(self):
         data = gaussian_blobs(60, feature_dim=8, num_classes=3, seed=0)
         workers = [
-            Worker(0, mlp(8, 3, hidden_units=(4,), seed=0), data, Adam()),
-            Worker(1, mlp(8, 3, hidden_units=(8,), seed=0), data, Adam()),
+            Worker(0, mlp(8, 3, hidden_units=(4,), seed=0), data),
+            Worker(1, mlp(8, 3, hidden_units=(8,), seed=0), data),
         ]
         with pytest.raises(CommunicationError):
-            SimulatedCluster(workers)
+            SimulatedCluster(workers, Adam(0.01))
 
     def test_step_all_advances_every_worker(self):
         cluster = make_cluster(3)

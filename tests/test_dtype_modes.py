@@ -97,9 +97,9 @@ class TestClusterDtypeResolution:
             if worker_id == 1:
                 model.to_dtype(np.float32)
             data = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3)
-            workers.append(Worker(worker_id, model, data, SGD(0.05), batch_size=8))
+            workers.append(Worker(worker_id, model, data, batch_size=8))
         with pytest.raises(ConfigurationError):
-            SimulatedCluster(workers)
+            SimulatedCluster(workers, SGD(0.05))
 
 
 # ---------------------------------------------------------------------------

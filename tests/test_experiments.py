@@ -1,5 +1,7 @@
 """Tests for the experiment harness: setup, runs, results, sweeps, KDE, reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,23 @@ class TestBuildCluster:
         assert len(test_dataset) == len(blobs_workload.test_dataset)
         total = sum(len(worker.dataset) for worker in cluster.workers)
         assert total == len(blobs_workload.train_dataset)
+
+    def test_the_optimizer_factory_is_called_once(self, blobs_workload):
+        # Every worker runs the one Optimize(w, B): the cluster's optimizer,
+        # whose stack holds each worker's state as a row.
+        built = []
+
+        def factory():
+            built.append(Adam(0.01))
+            return built[-1]
+
+        cluster, _ = build_cluster(replace(blobs_workload, optimizer_factory=factory))
+        assert len(built) == 1 and cluster.optimizer is built[0]
+        stack = cluster.engine.stacked_optimizer
+        assert stack.optimizer is built[0]
+        assert stack.state["m"].shape == (blobs_workload.num_workers, cluster.model_dimension)
+        assert stack.step_counts.shape == (blobs_workload.num_workers,)
+        assert not hasattr(cluster.workers[0], "optimizer")
 
     def test_invalid_configuration(self, blobs_workload):
         with pytest.raises(ConfigurationError):

@@ -24,13 +24,12 @@ from repro.strategies.fda_strategy import FDAStrategy
 from repro.strategies.synchronous import SynchronousStrategy
 
 
-def make_worker(learning_rate=0.01, num_samples=40, batch_size=16, seed=0):
+def make_worker(num_samples=40, batch_size=16, seed=0):
     data = gaussian_blobs(num_samples, feature_dim=6, num_classes=3, seed=seed)
     return Worker(
         worker_id=0,
         model=mlp(6, 3, hidden_units=(8,), seed=seed),
         dataset=data,
-        optimizer=SGD(learning_rate),
         batch_size=batch_size,
         seed=seed,
     )
@@ -38,13 +37,13 @@ def make_worker(learning_rate=0.01, num_samples=40, batch_size=16, seed=0):
 
 class TestDivergenceDetection:
     def test_exploding_learning_rate_raises_training_error(self):
-        cluster = SimulatedCluster([make_worker(learning_rate=1e9)])
+        cluster = SimulatedCluster([make_worker()], SGD(1e9))
         with pytest.raises(TrainingError):
             for _ in range(50):
                 cluster.step_all()
 
     def test_error_message_names_the_worker(self):
-        cluster = SimulatedCluster([make_worker(learning_rate=1e9)])
+        cluster = SimulatedCluster([make_worker()], SGD(1e9))
         with pytest.raises(TrainingError, match="worker 0"):
             for _ in range(50):
                 cluster.engine.step_worker(0)
@@ -53,8 +52,8 @@ class TestDivergenceDetection:
 class TestDegenerateConfigurations:
     def test_single_worker_cluster_works(self):
         data = gaussian_blobs(60, feature_dim=6, num_classes=3, seed=0)
-        worker = Worker(0, mlp(6, 3, seed=0), data, SGD(0.05), batch_size=8, seed=0)
-        cluster = SimulatedCluster([worker])
+        worker = Worker(0, mlp(6, 3, seed=0), data, batch_size=8, seed=0)
+        cluster = SimulatedCluster([worker], SGD(0.05))
         # Synchronization of a single worker moves no bytes and is a no-op.
         before = worker.get_parameters()
         cluster.synchronize()
@@ -64,8 +63,8 @@ class TestDegenerateConfigurations:
 
     def test_fda_with_single_worker_never_synchronizes_meaningfully(self):
         data = gaussian_blobs(60, feature_dim=6, num_classes=3, seed=0)
-        worker = Worker(0, mlp(6, 3, seed=0), data, SGD(0.05), batch_size=8, seed=0)
-        cluster = SimulatedCluster([worker])
+        worker = Worker(0, mlp(6, 3, seed=0), data, batch_size=8, seed=0)
+        cluster = SimulatedCluster([worker], SGD(0.05))
         trainer = FDATrainer(cluster, ExactMonitor(), threshold=0.0)
         trainer.run_steps(5)
         # Variance of a single model is identically zero, so even Theta=0 only
@@ -74,7 +73,7 @@ class TestDegenerateConfigurations:
 
     def test_shard_smaller_than_batch_size(self):
         worker = make_worker(num_samples=5, batch_size=16)
-        loss = SimulatedCluster([worker]).step_all()
+        loss = SimulatedCluster([worker], SGD(0.01)).step_all()
         assert np.isfinite(loss)
         assert worker.batches_per_epoch == 1
 
@@ -82,10 +81,10 @@ class TestDegenerateConfigurations:
         data = gaussian_blobs(101, feature_dim=6, num_classes=3, seed=0)
         shards = partition_dataset(data, 4, "dirichlet", seed=0, alpha=0.05)
         workers = [
-            Worker(i, mlp(6, 3, seed=0), shard, SGD(0.05), batch_size=8, seed=i)
+            Worker(i, mlp(6, 3, seed=0), shard, batch_size=8, seed=i)
             for i, shard in enumerate(shards)
         ]
-        cluster = SimulatedCluster(workers)
+        cluster = SimulatedCluster(workers, SGD(0.05))
         cluster.step_all()
         cluster.synchronize()
         assert model_variance(cluster.parameter_matrix) == pytest.approx(0.0, abs=1e-18)

@@ -325,6 +325,27 @@ class TestChurn:
         assert not np.array_equal(alive_rows, before[[0, 2, 3]])
         np.testing.assert_array_equal(alive_rows[0], alive_rows[1])
 
+    def test_a_rejoin_cold_starts_only_its_optimizer_rows(self, blobs_workload):
+        # The recovered worker's moments and step count die with the crash;
+        # the survivors keep theirs, byte for byte.
+        cluster, _ = build_cluster(
+            replace(blobs_workload, faults=FaultPlan(crash_rate=1e-12, seed=3))
+        )
+        for _ in range(2):
+            cluster.step_all()
+        stack = cluster.engine.stacked_optimizer
+        survivors = [0, 2, 3]
+        kept = {name: matrix[survivors].copy() for name, matrix in stack.state.items()}
+        cluster._rejoin_worker(1)
+        assert stack.step_counts.tolist() == [2, 0, 2, 2]
+        assert sorted(stack.state) == ["m", "v"]
+        for name, matrix in stack.state.items():
+            assert not matrix[1].any()
+            assert matrix[survivors].tobytes() == kept[name].tobytes()
+        np.testing.assert_array_equal(
+            cluster.parameter_matrix[1], cluster.parameter_matrix[survivors].mean(axis=0)
+        )
+
     def test_injector_never_kills_the_whole_cluster(self):
         plan = FaultPlan(crash_rate=0.99, recovery_rounds=50.0, seed=0)
         injector = FaultInjector(plan, num_workers=4)
@@ -438,9 +459,17 @@ class TestClusterCheckpoint:
         assert_same_state(
             built[2].checkpoint_state(), built[0].checkpoint_state(), path="strategy"
         )
+        assert_same_state(
+            cluster_res.engine.stacked_optimizer.state,
+            cluster_ref.engine.stacked_optimizer.state,
+            path="optimizer",
+        )
+        assert (
+            cluster_ref.engine.stacked_optimizer.step_counts.tolist()
+            == cluster_res.engine.stacked_optimizer.step_counts.tolist()
+        )
         for worker_ref, worker_res in zip(cluster_ref.workers, cluster_res.workers):
             assert worker_ref.steps_performed == worker_res.steps_performed
-            assert worker_ref.optimizer.step_count == worker_res.optimizer.step_count
             # Dropout streams advanced identically through the restore.
             for layer_ref, layer_res in zip(
                 worker_ref.model.layers, worker_res.model.layers
@@ -688,13 +717,12 @@ class TestDivergenceReporting:
                 worker_id,
                 mlp(6, 3, hidden_units=(8,), seed=0),
                 data,
-                SGD(1e12),
                 batch_size=8,
                 seed=0,
             )
             for worker_id in range(3)
         ]
-        cluster = on_side(side, SimulatedCluster(workers))
+        cluster = on_side(side, SimulatedCluster(workers, SGD(1e12)))
         with pytest.raises(TrainingError) as excinfo:
             for _ in range(50):
                 cluster.step_all()
@@ -744,12 +772,13 @@ class TestDivergenceReporting:
         cluster.parameter_matrix[[0, 3], :] = np.nan
 
         def state():
-            workers = cluster.workers
+            stack = cluster.engine.stacked_optimizer
             return (
                 cluster.parameter_matrix.tobytes(),
                 cluster.buffer_matrix.tobytes(),
-                [a.tobytes() for w in workers for a in w.optimizer.state_arrays().values()],
-                [(w.steps_performed, w.optimizer.step_count) for w in workers],
+                [matrix.tobytes() for matrix in stack.state.values()],
+                stack.step_counts.tolist(),
+                [w.steps_performed for w in cluster.workers],
             )
 
         before = state()

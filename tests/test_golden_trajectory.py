@@ -65,12 +65,13 @@ def build_trainer(
                 worker_id,
                 model,
                 Dataset(x, y, 3),
-                make_optimizer(optimizer_kind),
                 batch_size=8,
                 seed=worker_id,
             )
         )
-    cluster = on_side(side, SimulatedCluster(workers, **cluster_kwargs))
+    cluster = on_side(
+        side, SimulatedCluster(workers, make_optimizer(optimizer_kind), **cluster_kwargs)
+    )
     monitor = make_monitor(variant, cluster.model_dimension, seed=3)
     return trainer_class(cluster, monitor, threshold=0.5)
 
@@ -441,7 +442,7 @@ class TestGoldenMaskedTrajectory:
             num_workers=6,
             dropout_rate=0.25,
             timeline_seed=2026,
-            optimizer_factory=lambda worker_id: SGD(
+            optimizer_factory=lambda: SGD(
                 0.05, momentum=0.9, nesterov=True, weight_decay=1e-3
             ),
         )

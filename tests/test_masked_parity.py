@@ -47,7 +47,7 @@ def test_masked_sgd_steps_are_value_exact(masks, data_seed):
         exact=True,
         num_workers=NUM_WORKERS,
         data_seed=data_seed,
-        optimizer_factory=lambda worker_id: SGD(
+        optimizer_factory=lambda: SGD(
             0.05, momentum=0.9, nesterov=True, weight_decay=1e-3
         ),
     )
@@ -60,7 +60,7 @@ def test_masked_adam_steps_match_within_rtol(masks, data_seed):
         [np.array(mask) for mask in masks],
         num_workers=NUM_WORKERS,
         data_seed=data_seed,
-        optimizer_factory=lambda worker_id: Adam(0.01),
+        optimizer_factory=lambda: Adam(0.01),
     )
 
 
@@ -79,6 +79,6 @@ def test_masked_fda_runs_are_value_exact_for_sgd(threshold, dropout_rate, timeli
         num_workers=NUM_WORKERS,
         dropout_rate=dropout_rate,
         timeline_seed=timeline_seed,
-        optimizer_factory=lambda worker_id: SGD(0.05, momentum=0.9),
+        optimizer_factory=lambda: SGD(0.05, momentum=0.9),
         exact=True,
     )

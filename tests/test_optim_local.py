@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.optim.base as base_module
-from helpers.per_worker import solo_step
+from helpers.per_worker import solo_stack, solo_step
 from helpers.shards import shard_no_pass, whole_then_sharded
 from repro import backend
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.experiments.cache import canonical_value
 from repro.optim.adam import Adam, AdamW
 from repro.optim.base import StackedOptimizer, Workspace
 from repro.optim.sgd import SGD
@@ -55,17 +56,6 @@ class TestSGD:
         with pytest.raises(ConfigurationError):
             SGD(0.1, momentum=0.0, nesterov=True)
 
-    def test_zero_state_clears_velocity(self):
-        optimizer = SGD(0.1, momentum=0.9)
-        solo_step(optimizer, np.array([1.0]), np.array([1.0]))
-        assert optimizer.state_arrays()["velocity"][0] == -0.1
-        optimizer.zero_state()
-        assert optimizer.step_count == 0
-        assert optimizer.state_arrays()["velocity"][0] == 0.0
-        # ... and the next step starts from a zero velocity again.
-        solo_step(optimizer, np.array([1.0]), np.array([1.0]))
-        np.testing.assert_array_equal(optimizer.state_arrays()["velocity"], [-0.1])
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             solo_step(SGD(0.1), np.zeros(3), np.zeros(4))
@@ -87,7 +77,7 @@ class TestSGD:
         rng = np.random.default_rng(3)
         start = rng.normal(size=(4, 64))
         grads = [rng.normal(size=(4, 64)) for _ in range(5)]
-        stacked_opt = StackedOptimizer([factory() for _ in range(4)], 64)
+        stacked_opt = StackedOptimizer(factory(), 4, 64)
         stacked = start.copy()
         for step_grads in grads:
             stacked_opt.step_rows(stacked, step_grads)
@@ -114,12 +104,16 @@ class TestAdam:
         optimizer = Adam(0.01)
         solo_step(optimizer, np.zeros(2), np.ones(2))
         solo_step(optimizer, np.zeros(2), np.ones(2))
-        assert optimizer.step_count == 2
+        assert solo_stack(optimizer, 2).step_counts.tolist() == [2]
 
-    def test_state_dict_contains_hyperparameters(self):
-        state = Adam(0.01).state_dict()
-        assert (state["beta1"], state["beta2"], state["epsilon"]) == (0.9, 0.999, 1e-7)
-        assert "step_count" in state
+    def test_the_configuration_holds_hyperparameters_and_no_step_count(self):
+        # What a checkpoint header and a run key record of an optimizer: its
+        # hyper-parameters (the moment decays are class constants), nothing
+        # that training moves.
+        optimizer = Adam(0.01)
+        solo_step(optimizer, np.zeros(2), np.ones(2))
+        assert canonical_value(optimizer) == {"__class__": "Adam", "learning_rate": 0.01}
+        assert (Adam.beta1, Adam.beta2, Adam.epsilon) == (0.9, 0.999, 1e-7)
 
 
 class TestAdamW:
@@ -140,90 +134,74 @@ class TestAdamW:
             AdamW(0.01, weight_decay=-1.0)
 
 
-class TestRowOwnedState:
-    """State belongs to the optimizer's row of its stack, whoever steps it."""
-
-    def test_zero_state_keeps_a_stacked_row_bound(self):
-        # A cold start (crash rejoin, a fresh client in a slot) zeroes the
-        # row in place: the next stacked step of that row writes the stack's
-        # memory, and is a fresh optimizer's first step.
-        rng = np.random.default_rng(0)
-        params, grads = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
-        optimizers = [Adam(0.01) for _ in range(3)]
-        stacked = StackedOptimizer(optimizers, 8)
-        stacked.step_rows(params, grads)
-        row = optimizers[1]
-        assert row.state_arrays()["m"].any()
-
-        row.zero_state()
-        assert row.step_count == 0
-        for name, array in row.state_arrays().items():
-            assert np.shares_memory(array, stacked._state[name])
-            assert not array.any()
-            assert not stacked._state[name][1].any()  # the row itself is cleared
-            assert stacked._state[name][0].any()  # and only that row
-
-        stacked.step_rows(params[1:2], grads[1:2], np.array([1]))
-        for name, array in row.state_arrays().items():
-            assert np.shares_memory(array, stacked._state[name])
-            np.testing.assert_array_equal(stacked._state[name][1], array)
-            assert array.any()
-        fresh = Adam(0.01)
-        solo_step(fresh, params[1], grads[1])
-        np.testing.assert_array_equal(stacked._state["m"][1], fresh.state_arrays()["m"])
-        assert [optimizer.step_count for optimizer in stacked.optimizers] == [1, 1, 1]
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: SGD(0.1),
-            lambda: SGD(0.1, momentum=0.9),
-            lambda: Adam(0.01),
-        ],
-        ids=["sgd-stateless", "sgd-momentum", "adam"],
-    )
-    def test_a_snapshot_resumes_into_a_row_and_nowhere_else(self, factory):
-        # An optimizer no stack has bound has nowhere to put saved arrays:
-        # loading one used to drop them without a word (momentum-free SGD
-        # has none, and is refused alike — its row is still missing).
-        rng = np.random.default_rng(0)
-        grads = rng.normal(size=(5, 6))
-        straight, straight_params = factory(), np.ones(6)
-        first, params = factory(), np.ones(6)
-        for step in range(3):
-            straight_params = solo_step(straight, straight_params, grads[step])
-            params = solo_step(first, params, grads[step])
-        snapshot = first.state_dict()
-        unbound = factory()
-        with pytest.raises(ConfigurationError, match="not a row of any stack"):
-            unbound.load_state_dict(snapshot)
-        assert unbound.step_count == 0 and unbound.state_arrays() == {}
-
-        resumed = factory()
-        stacked = StackedOptimizer([resumed], 6)
-        resumed.load_state_dict(snapshot)
-        for step in range(3, 5):
-            straight_params = solo_step(straight, straight_params, grads[step])
-            stacked.step_rows(params[None], grads[step][None])
-        assert resumed.step_count == 5
-        assert params.tobytes() == straight_params.tobytes()
-
-    def test_any_stepped_optimizer_is_refused_by_a_stack(self):
-        # Its state would be dropped by the rebinding while its step count
-        # (Adam's bias correction) kept counting — with or without arrays.
-        for stepped in (SGD(0.1), Adam(0.01)):
-            solo_step(stepped, np.zeros(4), np.ones(4))
-            with pytest.raises(ConfigurationError, match="already stepped"):
-                StackedOptimizer([stepped], 4)
-        counted = SGD(0.1)
-        counted.step_count = 3
-        with pytest.raises(ConfigurationError, match=r"optimizers \[1\] have already stepped"):
-            StackedOptimizer([SGD(0.1), counted], 4)
-
-
 def block_rows(dimension):
     """Rows per block of a stacked update, as ``step_rows`` sizes it."""
     return max(1, base_module.ROW_BLOCK_ELEMENTS // dimension)
+
+
+#: The optimizers whose state a row carries: none, one matrix, two.
+ROW_STATE_FACTORIES = pytest.mark.parametrize(
+    "factory",
+    [lambda: SGD(0.1), lambda: SGD(0.1, momentum=0.9), lambda: Adam(0.01)],
+    ids=["sgd-stateless", "sgd-momentum", "adam"],
+)
+
+
+class TestRowOwnedState:
+    """A worker's optimizer state is its row of the one stack, and nothing else."""
+
+    @ROW_STATE_FACTORIES
+    def test_a_snapshot_resumes_into_a_row_and_nowhere_else(self, factory):
+        # A slot snapshot is the row of every state matrix and its step
+        # count.  Written into another stack's row, the run resumes there
+        # byte for byte, and the stack's other rows stay cold.
+        rng = np.random.default_rng(0)
+        grads = rng.normal(size=(5, 1, 6))
+        straight, straight_params = StackedOptimizer(factory(), 1, 6), np.ones((1, 6))
+        first, params = StackedOptimizer(factory(), 2, 6), np.ones((1, 6))
+        for step in range(3):
+            straight.step_rows(straight_params, grads[step])
+            first.step_rows(params, grads[step], np.array([1]))
+        snapshot = {name: matrix[1].copy() for name, matrix in first.state.items()}
+
+        resumed = StackedOptimizer(factory(), 3, 6)
+        for name, matrix in resumed.state.items():
+            matrix[2] = snapshot[name]
+        resumed.step_counts[2] = first.step_counts[1]
+        for step in range(3, 5):
+            straight.step_rows(straight_params, grads[step])
+            resumed.step_rows(params, grads[step], np.array([2]))
+        assert resumed.step_counts.tolist() == [0, 0, 5]
+        assert params.tobytes() == straight_params.tobytes()
+        assert resumed.state.keys() == straight.state.keys()
+        for name, matrix in resumed.state.items():
+            assert not matrix[:2].any()
+            assert matrix[2].tobytes() == straight.state[name][0].tobytes()
+
+    @ROW_STATE_FACTORIES
+    def test_a_zeroed_row_steps_as_a_fresh_optimizer(self, factory):
+        # A cold start (crash rejoin, a fresh client in a slot) writes zeros
+        # into the row's state and step count in place: the row's next step
+        # is a fresh optimizer's first, and no other row notices.
+        rng = np.random.default_rng(0)
+        params, grads = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+        stacked = StackedOptimizer(factory(), 3, 8)
+        for _ in range(2):
+            stacked.step_rows(params, grads)
+        kept = {name: matrix[[0, 2]].copy() for name, matrix in stacked.state.items()}
+        for matrix in stacked.state.values():
+            matrix[1] = 0
+        stacked.step_counts[1] = 0
+
+        row, fresh_row = params[1:2].copy(), params[1:2].copy()
+        stacked.step_rows(row, grads[1:2], np.array([1]))
+        fresh = StackedOptimizer(factory(), 1, 8)
+        fresh.step_rows(fresh_row, grads[1:2])
+        assert row.tobytes() == fresh_row.tobytes()
+        assert stacked.step_counts.tolist() == [2, 1, 2]
+        for name, matrix in stacked.state.items():
+            assert matrix[1].tobytes() == fresh.state[name][0].tobytes()
+            assert matrix[[0, 2]].tobytes() == kept[name].tobytes()
 
 
 class TestRowBlocking:
@@ -269,9 +247,7 @@ class TestRowBlocking:
         for row in range(5):
             expected[row] = solo_step(SGD(0.05, weight_decay=1e-4), expected[row], grads[row])
         del calls[:], scratch_rows[:]
-        stacked = StackedOptimizer(
-            [SGD(0.05, weight_decay=1e-4) for _ in range(5)], 16, dtype=dtype
-        )
+        stacked = StackedOptimizer(SGD(0.05, weight_decay=1e-4), 5, 16, dtype=dtype)
         stacked.step_rows(params, grads)
         # Blocks of 32 // 16 = 2 rows tile range(5) in order, ragged at the end.
         assert block_rows(16) == 2
@@ -293,16 +269,14 @@ class TestRowBlocking:
         for slot, row in enumerate(rows):
             expected[slot] = solo_step(SGD(0.05, weight_decay=5e-2), expected[slot], grads[row])
         del calls[:], scratch_rows[:]
-        stacked = StackedOptimizer(
-            [SGD(0.05, weight_decay=5e-2) for _ in range(3)], 16, dtype=dtype
-        )
+        stacked = StackedOptimizer(SGD(0.05, weight_decay=5e-2), 3, 16, dtype=dtype)
         block = params[rows].copy()
         stacked.step_rows(block, grads[rows].copy(), rows)
         assert calls == [(1, dtype(5e-2))] * 2
         assert all(type(decay) is dtype for _, decay in calls)
         assert max(scratch_rows) <= 1
         assert block.tobytes() == expected.tobytes()
-        assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 1, 1]
+        assert stacked.step_counts.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("masked", [False, True], ids=["live", "masked"])
     def test_default_blocks_tile_the_rows_in_order(self, seam, masked, monkeypatch):
@@ -316,7 +290,7 @@ class TestRowBlocking:
         for sharded in whole_then_sharded(monkeypatch):
             shards = backend.shard_bounds(count, backend.row_shards(count, dimension))
             assert len(shards) == (3 if sharded else 1)
-            stacked = StackedOptimizer([SGD(0.1, momentum=0.9) for _ in range(7)], dimension)
+            stacked = StackedOptimizer(SGD(0.1, momentum=0.9), 7, dimension)
             params, grads = np.ones((count, dimension)), np.ones((count, dimension))
             del scratch_rows[:], blocks[:]
             stacked.step_rows(params, grads, rows)
@@ -331,7 +305,7 @@ class TestRowBlocking:
             # Whole rows, stepped once each: every covered row moved by -lr.
             np.testing.assert_array_equal(params, 0.9)
             covered = sorted(rows.tolist()) if masked else list(range(7))
-            assert np.flatnonzero(stacked._state["velocity"].any(axis=1)).tolist() == covered
+            assert np.flatnonzero(stacked.state["velocity"].any(axis=1)).tolist() == covered
 
     def test_masked_ragged_last_block_matches_solo_rows(self, monkeypatch):
         # K = 5 on the masked path with blocks of two rows: the last block
@@ -341,9 +315,8 @@ class TestRowBlocking:
         rng = np.random.default_rng(4)
         start = rng.normal(size=(5, dimension))
         rows = np.array([4, 0, 2, 1, 3])
-        members = [AdamW(0.01, weight_decay=0.01) for _ in range(5)]
         solos = [AdamW(0.01, weight_decay=0.01) for _ in range(5)]
-        stacked = StackedOptimizer(members, dimension)
+        stacked = StackedOptimizer(AdamW(0.01, weight_decay=0.01), 5, dimension)
         params, solo_params = start.copy(), start.copy()
         for _ in range(3):
             grads = rng.normal(size=(5, dimension))
@@ -353,9 +326,9 @@ class TestRowBlocking:
             for k in range(5):
                 solo_params[k] = solo_step(solos[k], solo_params[k], grads[k])
         assert params.tobytes() == solo_params.tobytes()
-        for member, solo in zip(members, solos):
-            for name, array in solo.state_arrays().items():
-                assert member.state_arrays()[name].tobytes() == array.tobytes()
+        for row, solo in enumerate(solos):
+            for name, matrix in solo_stack(solo, dimension).state.items():
+                assert stacked.state[name][row].tobytes() == matrix[0].tobytes()
 
 
 class TestStepRowsIndexArray:
@@ -363,15 +336,15 @@ class TestStepRowsIndexArray:
 
     @pytest.fixture()
     def stacked(self):
-        return StackedOptimizer([Adam(0.01) for _ in range(3)], 4)
+        return StackedOptimizer(Adam(0.01), 3, 4)
 
     def refused(self, stacked, rows, match):
         count = len(rows)
         with pytest.raises(ShapeError, match=match):
             stacked.step_rows(np.ones((count, 4)), np.ones((count, 4)), rows)
         # Nothing was stepped: no count moved, no moment written.
-        assert [optimizer.step_count for optimizer in stacked.optimizers] == [0, 0, 0]
-        assert not any(matrix.any() for matrix in stacked._state.values())
+        assert stacked.step_counts.tolist() == [0, 0, 0]
+        assert not any(matrix.any() for matrix in stacked.state.values())
 
     def test_repeated_row_is_refused(self, stacked):
         # Used to update row 1's state once and bump its step count twice.
@@ -396,7 +369,7 @@ class TestStepRowsIndexArray:
 
     def test_a_permutation_steps_each_row_once(self, stacked):
         stacked.step_rows(np.ones((3, 4)), np.ones((3, 4)), [2, 0, 1])
-        assert [optimizer.step_count for optimizer in stacked.optimizers] == [1, 1, 1]
+        assert stacked.step_counts.tolist() == [1, 1, 1]
 
 
 def test_warmed_adamw_step_allocates_no_block_sized_array():
@@ -409,7 +382,7 @@ def test_warmed_adamw_step_allocates_no_block_sized_array():
     rng = np.random.default_rng(0)
     params = rng.normal(size=(count, dimension))
     grads = rng.normal(size=(count, dimension))
-    stacked = StackedOptimizer([AdamW(0.01, weight_decay=0.01) for _ in range(count)], dimension)
+    stacked = StackedOptimizer(AdamW(0.01, weight_decay=0.01), count, dimension)
     rows = np.array([0, 2, 5])
     block, block_grads = params[rows], grads[rows]
     for _ in range(2):
@@ -467,9 +440,10 @@ def row_rule_cases(draw):
     return workers, draw(st.lists(op, min_size=1, max_size=8)), draw(st.integers(0, 2**16))
 
 
-def build_rows(kind, workers):
-    make = ROW_RULE_KINDS[kind]
-    return [make(learning_rate, u) for u, learning_rate in workers]
+def build_optimizer(kind, workers):
+    """The one optimizer a stack over ``workers`` trains (they share one draw)."""
+    u, learning_rate = workers[0]
+    return ROW_RULE_KINDS[kind](learning_rate, u)
 
 
 def covered_rows(op, count):
@@ -477,15 +451,14 @@ def covered_rows(op, count):
 
 
 def drive_stack(kind, dtype, workers, ops, seed, dimension):
-    """Run ``ops`` on one stack of ``workers``; returns ``(optimizers, params)``.
+    """Run ``ops`` on one stack over ``workers``; returns ``(stack, params)``.
 
     Start point and per-op gradients come from ``seed`` alone, so a second
     driver replaying the same draws sees the same inputs.
     """
     count = len(workers)
     rng = np.random.default_rng(seed)
-    optimizers = build_rows(kind, workers)
-    stacked = StackedOptimizer(optimizers, dimension, dtype=dtype)
+    stacked = StackedOptimizer(build_optimizer(kind, workers), count, dimension, dtype=dtype)
     params = rng.normal(size=(count, dimension)).astype(dtype)
     for op in ops:
         grads = rng.normal(size=(count, dimension)).astype(dtype)
@@ -499,7 +472,7 @@ def drive_stack(kind, dtype, workers, ops, seed, dimension):
         else:
             row = op[1]
             stacked.step_rows(params[row : row + 1], grads[row : row + 1], np.array([row]))
-    return optimizers, params
+    return stacked, params
 
 
 @pytest.mark.parametrize(
@@ -515,10 +488,9 @@ def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
 
     For every optimizer, with hyper-parameters (learning rate included) drawn
     per stack, any interleaving of full stacked steps, masked stacked steps
-    and one-row steps (so the rows' step counts skew) leaves
-    parameters, every ``state_arrays()`` entry and every ``step_count``
-    **byte-equal** to K independent one-optimizer runs — at float64 *and* at
-    float32.
+    and one-row steps (so the rows' step counts skew) leaves every row's
+    parameters, state and step count **byte-equal** to K lone optimizers,
+    each a one-row stack — at float64 *and* at float32.
 
     Before the row rule became the only spelling of each optimizer's
     arithmetic, the float32 Adam/AdamW cases failed by one ulp: the stacked
@@ -528,24 +500,26 @@ def test_every_entry_point_is_the_same_rule_bytewise(kind, dtype, case):
     """
     workers, ops, seed = case
     count, dimension = len(workers), 37
-    stacked_optimizers, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
+    stacked, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
 
     rng = np.random.default_rng(seed)
-    solo_optimizers = build_rows(kind, workers)
-    solo_params = list(rng.normal(size=(count, dimension)).astype(dtype))
+    solos = [
+        StackedOptimizer(build_optimizer(kind, workers), 1, dimension, dtype=dtype)
+        for _ in range(count)
+    ]
+    solo_params = rng.normal(size=(count, dimension)).astype(dtype)
     for op in ops:
         grads = rng.normal(size=(count, dimension)).astype(dtype)
         for row in covered_rows(op, count):
-            solo_params[row] = solo_step(solo_optimizers[row], solo_params[row], grads[row])
+            solos[row].step_rows(solo_params[row : row + 1], grads[row : row + 1])
 
-    for row, (member, solo) in enumerate(zip(stacked_optimizers, solo_optimizers)):
-        assert member.step_count == solo.step_count
+    for row, solo in enumerate(solos):
+        assert stacked.step_counts[row] == solo.step_counts[0]
         assert params[row].tobytes() == solo_params[row].tobytes()
-        if solo.step_count:
-            assert member.state_arrays().keys() == solo.state_arrays().keys()
-        for name, array in solo.state_arrays().items():
-            assert array.dtype == dtype
-            assert member.state_arrays()[name].tobytes() == array.tobytes(), name
+        assert stacked.state.keys() == solo.state.keys()
+        for name, matrix in solo.state.items():
+            assert matrix.dtype == dtype
+            assert stacked.state[name][row].tobytes() == matrix[0].tobytes(), name
 
 
 @st.composite
@@ -584,16 +558,12 @@ def test_block_size_never_shows_in_a_result(kind, dtype, case):
     for elements in (1, dimension, 3 * dimension, 2**40):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(base_module, "ROW_BLOCK_ELEMENTS", elements)
-            optimizers, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
+            stacked, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
         outcomes.append(
             (
                 params.tobytes(),
-                [optimizer.step_count for optimizer in optimizers],
-                [
-                    (name, array.tobytes())
-                    for optimizer in optimizers
-                    for name, array in optimizer.state_arrays().items()
-                ],
+                stacked.step_counts.tolist(),
+                [(name, matrix.tobytes()) for name, matrix in stacked.state.items()],
             )
         )
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
@@ -611,6 +581,6 @@ class TestLearningRate:
         assert optimizer.learning_rate == 1.0 and isinstance(optimizer.learning_rate, float)
         solo_step(optimizer, np.zeros(1), np.zeros(1))
         assert optimizer.learning_rate == 1.0
-        stacked = StackedOptimizer([SGD(0.1), SGD(0.1)], 2, dtype=dtype)
+        stacked = StackedOptimizer(SGD(0.1), 2, 2, dtype=dtype)
         learning_rate = stacked._scalars["learning_rate"]
         assert type(learning_rate) is dtype and learning_rate == dtype(0.1)

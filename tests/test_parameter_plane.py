@@ -96,7 +96,7 @@ class TestRebinding:
         before = storage.copy()
         rng = np.random.default_rng(1)
         train_batch(model, rng.normal(size=(8, 4)), np.zeros(8, dtype=int))
-        stack = StackedOptimizer([SGD(0.1)], model.num_parameters)
+        stack = StackedOptimizer(SGD(0.1), 1, model.num_parameters)
         stack.step_rows(model.parameters_view()[None], model.gradients_view()[None])
         assert not np.array_equal(storage, before)
 
@@ -142,10 +142,9 @@ class TestClusterParameterMatrix:
             x = rng.normal(size=(20, 4))
             y = rng.integers(0, 3, size=20)
             workers.append(
-                Worker(worker_id, tiny_model(seed=worker_id), Dataset(x, y, 3), SGD(0.05),
-                       batch_size=5, seed=worker_id)
+                Worker(worker_id, tiny_model(seed=worker_id), Dataset(x, y, 3), batch_size=5, seed=worker_id)
             )
-        return SimulatedCluster(workers)
+        return SimulatedCluster(workers, SGD(0.05))
 
     def test_rows_alias_worker_models(self):
         cluster = self.make_cluster()
@@ -180,7 +179,7 @@ class TestClusterParameterMatrix:
         reference = np.zeros(cluster.model_dimension)
         drifts = cluster.drift_matrix(reference)
         for row, worker in zip(drifts, cluster.workers):
-            np.testing.assert_array_equal(row, worker.drift_from(reference))
+            np.testing.assert_array_equal(row, worker.get_parameters() - reference)
         with pytest.raises(ShapeError):
             cluster.drift_matrix(np.zeros(cluster.model_dimension + 2))
 

@@ -190,7 +190,7 @@ def _run_population(
         "params": np.array(cluster.parameter_matrix),
         "bytes": cluster.total_bytes,
         "client_steps": dict(population.client_steps),
-        "optimizer_steps": [w.optimizer.step_count for w in cluster.workers],
+        "optimizer_steps": cluster.engine.stacked_optimizer.step_counts.tolist(),
         "population": population,
     }
 
@@ -230,8 +230,9 @@ class TestEvictionTransparency:
         assert reference["client_steps"] == evicted["client_steps"]
 
     def test_evict_then_rebind_restores_adam_state_exactly(self):
-        # Direct single-client check: run, snapshot the live slot state, force
-        # a disk round-trip, rebind, and compare the slot bit-for-bit.
+        # Direct check: run, snapshot the live slot state, force a disk
+        # round-trip, rebind, and compare the slots bit-for-bit; then bind
+        # the two clients into each other's slots.
         cluster = make_cluster("batched", num_workers=2)
         strategy = LocalSGDStrategy(tau=2).attach(cluster)
         population = ClientPopulation(
@@ -242,22 +243,42 @@ class TestEvictionTransparency:
         population.attach(cluster, strategy)
         for _ in range(3):
             population.run_round()
+        # One more round for client 0 alone, so the clients' optimizer step
+        # counts and the slots' step counters both differ.
+        population.bind_cohort(np.array([0]))
+        strategy.run_round()
+        population.unbind_cohort()
+        stack = cluster.engine.stacked_optimizer
         expected_params = np.array(cluster.parameter_matrix)
-        expected_m = np.array(cluster.workers[0].optimizer.state_arrays()["m"])
-        expected_v = np.array(cluster.workers[0].optimizer.state_arrays()["v"])
-        expected_steps = cluster.workers[0].optimizer.step_count
+        expected_m = stack.state["m"].copy()
+        expected_v = stack.state["v"].copy()
+        expected_steps = stack.step_counts.copy()
         expected_rng = cluster.workers[0]._sampler._rng.bit_generator.state
+        slot_steps = [w.steps_performed for w in cluster.workers]
+        assert expected_steps.tolist() == slot_steps == [8, 6]
 
         assert _force_spill(population.store, 0) and _force_spill(population.store, 1)
         assert population.store.resident_count == 0
         population.bind_cohort(np.array([0, 1]))
         np.testing.assert_array_equal(cluster.parameter_matrix, expected_params)
-        rebound = cluster.workers[0].optimizer.state_arrays()
-        np.testing.assert_array_equal(rebound["m"], expected_m)
-        np.testing.assert_array_equal(rebound["v"], expected_v)
-        assert cluster.workers[0].optimizer.step_count == expected_steps
+        np.testing.assert_array_equal(stack.state["m"], expected_m)
+        np.testing.assert_array_equal(stack.state["v"], expected_v)
+        assert stack.step_counts.tolist() == expected_steps.tolist()
         assert cluster.workers[0]._sampler._rng.bit_generator.state == expected_rng
         assert population.store.spill_loads == 2
+        population.unbind_cohort()
+
+        # Swapped slots: each client's model, Adam moments and step count
+        # follow it to its new slot; each slot's step counter (the run
+        # budget's pace) stays with the slot.
+        population.bind_cohort(np.array([1, 0]))
+        swapped = [1, 0]
+        np.testing.assert_array_equal(cluster.parameter_matrix, expected_params[swapped])
+        np.testing.assert_array_equal(stack.state["m"], expected_m[swapped])
+        np.testing.assert_array_equal(stack.state["v"], expected_v[swapped])
+        assert stack.step_counts.tolist() == [6, 8]
+        assert [w.steps_performed for w in cluster.workers] == slot_steps
+        assert cluster.workers[1]._sampler._rng.bit_generator.state == expected_rng
         population.unbind_cohort()
 
 

@@ -37,13 +37,12 @@ def build_small_cluster(num_workers: int, seed: int) -> SimulatedCluster:
             worker_id=i,
             model=mlp(6, 3, hidden_units=(8,), seed=seed),
             dataset=shard,
-            optimizer=SGD(0.05),
             batch_size=8,
             seed=seed + i,
         )
         for i, shard in enumerate(shards)
     ]
-    return SimulatedCluster(workers)
+    return SimulatedCluster(workers, SGD(0.05))
 
 
 SETTINGS = settings(

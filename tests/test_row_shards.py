@@ -91,12 +91,8 @@ def test_optimizer_steps_do_not_see_the_shards(kind, dtype, case):
     workers, ops, seed, dimension = case
 
     def run():
-        optimizers, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
-        return (
-            params.tobytes(),
-            [optimizer.step_count for optimizer in optimizers],
-            [state_bytes(optimizer.state_arrays()) for optimizer in optimizers],
-        )
+        stacked, params = drive_stack(kind, dtype, workers, ops, seed, dimension)
+        return params.tobytes(), stacked.step_counts.tolist(), state_bytes(stacked.state)
 
     assert all_equal(under_every_shard_setting(run))
 
@@ -363,13 +359,13 @@ def test_concurrent_masked_steps_lose_no_update():
     update may go missing."""
 
     def run():
-        stacked = StackedOptimizer([Adam(0.01) for _ in range(16)], 64)
+        stacked = StackedOptimizer(Adam(0.01), 16, 64)
         params, rows = np.ones((16, 64)), np.arange(16)[::-1].copy()
         for step in range(30):
             block = params[rows]
             stacked.step_rows(block, np.full((16, 64), step + 1.0), rows)
             params[rows] = block
-        return params.tobytes(), state_bytes([o.state_arrays() for o in stacked.optimizers])
+        return params.tobytes(), state_bytes(stacked.state)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

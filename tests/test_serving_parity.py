@@ -57,12 +57,11 @@ def build_cluster(side="batched", **cluster_kwargs):
                 worker_id,
                 mlp(6, 3, hidden_units=(10,), seed=11),
                 Dataset(x, y, 3),
-                Adam(0.01),
                 batch_size=8,
                 seed=worker_id,
             )
         )
-    return on_side(side, SimulatedCluster(workers, **cluster_kwargs))
+    return on_side(side, SimulatedCluster(workers, Adam(0.01), **cluster_kwargs))
 
 
 #: Frozen digits of the golden Poisson run (150 updates, K=4, star x fl,

@@ -228,7 +228,7 @@ class TestDivergence:
             ServingConfig(arrival="poisson", arrival_rate=1.0, service_seconds=0.05),
             side=side,
             threshold=float("inf"),
-            optimizer_factory=lambda worker_id: SGD(0.01),
+            optimizer_factory=lambda: SGD(0.01),
         )
         # Poison worker 2's data: its first forward pass yields a non-finite loss.
         trainer.cluster.workers[2].dataset.x[...] = np.nan

@@ -2,9 +2,8 @@
 
 ``SimulatedCluster.capture_slot`` / ``restore_slot`` / ``reset_slot`` are the
 one answer to "what is worker slot k's state": its rows of the parameter,
-buffer and error-feedback residual matrices plus everything the ``Worker``
-owns (optimizer moments and step count, batch streams, Dropout streams, last
-loss).  Checkpoints, cohort binding and crash rejoin are all built on them, so
+buffer, optimizer-state, step-count and error-feedback residual matrices plus
+everything the ``Worker`` owns (batch streams, Dropout streams, last loss).  Checkpoints, cohort binding and crash rejoin are all built on them, so
 the property is checked where those planes meet: every local optimizer with
 state, RNG-stateful and buffer-carrying models, error feedback on and off,
 the engine and the per-worker oracle.
@@ -23,9 +22,9 @@ from repro.optim.adam import Adam, AdamW
 from repro.optim.sgd import SGD
 
 OPTIMIZERS = {
-    "sgd-nesterov": lambda worker_id: SGD(0.05, momentum=0.9, nesterov=True),
-    "adam": lambda worker_id: Adam(0.01),
-    "adamw": lambda worker_id: AdamW(0.01, weight_decay=0.01),
+    "sgd-nesterov": lambda: SGD(0.05, momentum=0.9, nesterov=True),
+    "adam": lambda: Adam(0.01),
+    "adamw": lambda: AdamW(0.01, weight_decay=0.01),
 }
 NUM_WORKERS = 3
 

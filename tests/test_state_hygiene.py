@@ -4,10 +4,10 @@ Checkpoint/restore, cohort bind/unbind, crash rejoin and the sweep's model
 pool once each carried their own list of "what a worker's state is" — the
 optimizer's ``_velocity``/``_m``/``_v``, the layers' ``_rng`` — and the lists
 disagreed (the checkpoint forgot the compression residual the population
-remembered).  The owners now serialise themselves (``Optimizer.state_dict``,
-``Sequential.rng_states``, ``Worker.state_dict``,
-``SimulatedCluster.capture_slot`` / ``state_dict`` …); this lint keeps a
-second enumeration from growing back:
+remembered).  The owners now serialise themselves (``Sequential.rng_states``,
+``Worker.state_dict``, ``SimulatedCluster.capture_slot`` / ``state_dict``,
+which take the stacked optimizer's state as rows of the slot matrices …);
+this lint keeps a second enumeration from growing back:
 
 1. the optimizer moment attributes are named only under ``optim/``;
 2. no module imports a ``_private`` name from another ``repro`` module;
@@ -174,8 +174,9 @@ Public surface that nothing uses is code to keep in step for no caller, so
     corruption with its retry knobs, the run budget's train-accuracy
     sample count, and the loss seam with its label smoothing, the layers'
     bias switch and the epoch loader's ``drop_last``, the activations and
-    initializers no model names and the linear monitor's preset direction —
-    is spelled nowhere under ``src/``.
+    initializers no model names and the linear monitor's preset direction,
+    and the per-worker optimizers' row binding and cold start with the
+    worker's drift — is spelled nowhere under ``src/``.
 
 Which planes compose was once decided in five modules, and five compositions
 were silently dropped.  Every cross-plane rule is one row of
@@ -293,8 +294,8 @@ def test_optimizer_moments_are_named_only_in_optim():
         if _MOMENT_NAMES.search(line)
     ]
     assert not offenders, (
-        "optimizer state enumerated outside optim/ — use Optimizer.state_arrays "
-        "/ state_dict / load_state_dict / zero_state:\n" + "\n".join(offenders)
+        "optimizer state enumerated outside optim/ — read the stack's rows "
+        "(StackedOptimizer.state / step_counts):\n" + "\n".join(offenders)
     )
 
 
@@ -429,8 +430,7 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
 
     monkeypatch.setattr(SGD, RULE, spy)
     for sharded in whole_then_sharded(monkeypatch):
-        optimizers = [SGD(0.1, momentum=0.9) for _ in range(3)]
-        stacked = StackedOptimizer(optimizers, 4)
+        stacked = StackedOptimizer(SGD(0.1, momentum=0.9), 3, 4)
         params, grads = np.ones((3, 4)), np.ones((3, 4))
         live = rule_calls(lambda: stacked.step_rows(params, grads))
         masked = rule_calls(
@@ -447,10 +447,10 @@ def test_each_optimizer_has_one_rule_and_every_path_ends_in_it(monkeypatch):
     rng = np.random.default_rng(0)
     dataset = Dataset(rng.normal(size=(8, 4)), rng.integers(0, 2, size=8), 2)
     workers = [
-        Worker(k, mlp(4, 2, hidden_units=(3,), seed=0), dataset, SGD(0.1), batch_size=4)
+        Worker(k, mlp(4, 2, hidden_units=(3,), seed=0), dataset, batch_size=4)
         for k in range(2)
     ]
-    cluster = SimulatedCluster(workers)
+    cluster = SimulatedCluster(workers, SGD(0.1))
     del calls[:]
     cluster.engine.step_worker(1)
     assert calls == [(1, cluster.model_dimension)]
@@ -994,7 +994,9 @@ def test_a_message_costs_what_its_links_carry():
 #: and the workload's straggler profile; then the activations, initializers
 #: and optimizer aliases no model or workload names, and the linear monitor's
 #: preset direction; then the optimizer's stacking hook, which only a mixed
-#: configuration needed.  ``TANH`` and ``ELU`` match as whole words only, so
+#: configuration needed; then each worker's optimizer's binding to its row of
+#: the stack and its in-place cold start, which one stack owning the rows
+#: retired, and ``Worker.drift_from``, which no trainer called.  ``TANH`` and ``ELU`` match as whole words only, so
 #: ``np.tanh`` and ``GELU`` do not; the accessors ``Worker`` re-exported from
 #: ``Sequential`` (``parameters_view``, ``set_parameters``, ...) live on there
 #: and are not listed.
@@ -1023,7 +1025,7 @@ _RETIRED_SURFACE_NAMES = re.compile(
     r"|updates_shed|updates_blocked_peak|blocked_peak|poly_alpha|depth_samples"
     r"|compute_profile"
     r"|LEAKY_RELU|SIGMOID|TANH|ELU|glorot_normal|he_uniform|lecun_normal|initial_direction"
-    r"|_stacked_validate"
+    r"|_stacked_validate|_bind_row|_row_state|zero_state|drift_from"
     r")\b|--execution\b|--trace\b|--queue-policy\b|--poly-alpha\b"
     r"|\"(?:leaky_relu|sigmoid|tanh|elu|identity|sgd_nesterov|sgdnm)\""
     r"|\.in_flight\b|\.blocked\b|\.shed\b|\"(?:deterministic|trace|block|shed|polynomial)\""
@@ -1488,6 +1490,13 @@ def test_every_config_field_is_set_by_a_caller(field):
             f"no call under {', '.join(REFERENCE_ROOTS)} sets {field}: make it a constant, "
             "give it a caller, or add it to UNSET_FIELD_ALLOWLIST with a reason"
         )
+
+
+def test_the_one_optimizer_is_the_clusters():
+    # Check 20 covers the optimizer as the cluster's constructor parameter
+    # (build_cluster passes it); a worker carries none.
+    assert "SimulatedCluster.optimizer" in CONFIG_FIELDS
+    assert "Worker.optimizer" not in CONFIG_FIELDS
 
 
 def test_a_config_field_is_set_by_keyword_or_by_position(tmp_path):
