@@ -131,6 +131,32 @@ def map_row_shards(function: Callable, *matrices: np.ndarray) -> None:
         run_shards(function, [tuple(m[a:b] for m in matrices) for a, b in bounds])
 
 
+def map_row_blocks(function: Callable, matrix, reference=None, rows=None, block: int = 1) -> None:
+    """``function(blocks)`` per row shard; ``blocks`` yields the shard's ``(low, drifts)``.
+
+    ``drifts`` holds rows ``low, low + 1, …`` of ``matrix[rows] − reference``
+    (default: every row, minus 0), at most ``block`` of them, subtracted into
+    one ``(block, d)`` scratch the shard reuses: the difference is never whole.
+    """
+    own = reference is None and rows is None  # the matrix's own rows: views, no scratch
+    rows = range(len(matrix)) if rows is None else np.asarray(rows).tolist()
+    reference = np.asarray(0 if reference is None else reference, dtype=matrix.dtype)
+
+    def blocks(start: int, stop: int):
+        scratch = np.empty((0 if own else min(block, stop - start), matrix.shape[1]), matrix.dtype)
+        for low in range(start, stop, block):
+            high = min(low + block, stop)
+            for into, row in zip(scratch, rows[low:high]):
+                np.subtract(matrix[row], reference, out=into)
+            yield low, matrix[low:high] if own else scratch[: high - low]
+
+    shards = row_shards(len(rows), matrix.shape[1])
+    if shards == 1:
+        function(blocks(0, len(rows)))
+    else:
+        run_shards(lambda a, b: function(blocks(a, b)), shard_bounds(len(rows), shards))
+
+
 def run_shards(function: Callable, shard_args: Sequence[tuple]) -> list:
     """``[function(*args) for args in shard_args]``, one shard per thread.
 
@@ -185,6 +211,7 @@ __all__ = [
     "SHARD_MIN_ELEMENTS",
     "SUPPORTED_DTYPES",
     "itemsize",
+    "map_row_blocks",
     "map_row_shards",
     "resolve_dtype",
     "row_shards",

@@ -4,7 +4,8 @@ Each FDA step performs, on every worker in parallel:
 
 1. one local optimization step on a fresh mini-batch,
 2. computation of the local drift ``u_t^{(k)} = w_t^{(k)} − w_{t0}`` (the
-   difference from the model shared at the last synchronization),
+   difference from the model shared at the last synchronization), one row at
+   a time where the monitor reads it: no ``(K, d)`` drift plane is held,
 3. construction of the variant-specific local state — one row
    ``[‖u‖² | payload]`` of the protocol's ``(K, s)`` state table,
 4. an AllReduce of the (small) local states, skipped on a quiet step: one whose
@@ -118,11 +119,6 @@ class FDATrainer(FDAProtocol):
         self._gated = allows("quiet-gate", *planes)
         self.step_count = 0
         self.last_estimate: Optional[float] = None
-        # Reusable (K, d) scratch for the per-step drift matrix; the monitor
-        # copies what it keeps into the state table's rows.
-        self._drift_scratch = np.empty(
-            (cluster.num_workers, cluster.model_dimension), dtype=cluster.dtype
-        )
 
     # -- the protocol -------------------------------------------------------------
 
@@ -138,31 +134,26 @@ class FDATrainer(FDAProtocol):
         # Who stepped: the draw ∧ the bound cohort ∧ liveness, as the cluster
         # composed it for the engine (None in lockstep).
         stepped = self.cluster.participants.mask
-        fresh = slice(None) if stepped is None else stepped
-
-        # The stepped workers' rows, from their drifts relative to the last
-        # synchronization point: one vectorized (K, d) subtraction, and the
-        # monitor batches what it can without changing bits (e.g. one sparse
-        # product sketching every row), so sync decisions, byte ledgers and
-        # the golden trajectories do not depend on the mask.
-        drifts = self.cluster.drift_matrix(
-            self.cluster.shared_parameters, out=self._drift_scratch
-        )[fresh]
-        # Kamp et al.'s local condition: while every stepped row's ‖u‖² stays
-        # inside the ball no H can exceed Θ, so the step is quiet — no payload,
-        # no exchange, no estimate.
-        norms = self.monitor.squared_norms(drifts)
+        rows = np.arange(self.cluster.num_workers) if stepped is None else np.flatnonzero(stepped)
+        # Their rows, from drifts u = w − w_t0 that the monitor forms a row at
+        # a time and batches only where bits do not change, so sync decisions,
+        # ledgers and goldens do not depend on the mask.  Kamp et al.'s local
+        # condition: while every stepped row's ‖u‖² stays inside the ball no H
+        # can exceed Θ, so the step is quiet — no payload, no exchange, no
+        # estimate.  Ungated, one pass builds the rows.
+        parameters, reference = self.cluster.parameter_matrix, self.cluster.shared_parameters
+        norms = self.monitor.squared_norms(parameters, reference, rows) if self._gated else None
         bound = self.monitor.quiet_bound(norms, self.threshold) if self._gated else None
         states = ()
         if bound is None:
-            self.states[fresh] = self.monitor.local_states(drifts, norms)
-            self.reported[fresh] = True
+            self.states[rows] = self.monitor.local_states(parameters, norms, reference, rows)
+            self.reported[rows] = True
             # The estimate reads the rows that stepped and, under churn, the
             # last report of every dead worker: it cannot report, and its
             # stale drift only makes the over-estimate more conservative.  An
             # alive slot that merely sat out (dropout, unbound) is skipped.
             faults = self._churn_faults
-            counted = stepped | (self.reported & ~faults.alive) if faults else fresh
+            counted = stepped | (self.reported & ~faults.alive) if faults else rows
             states = self.states[counted]
         if len(states):
             # AllReduce of the local states (charged as small "fda-state"
@@ -189,7 +180,7 @@ class FDATrainer(FDAProtocol):
             communication_bytes=int(self.cluster.total_bytes - bytes_before),
             parallel_steps=self.cluster.parallel_steps,
             virtual_time=float(self.cluster.virtual_time),
-            active_workers=len(drifts),
+            active_workers=len(rows),
             exchanged=len(states) > 0,
         )
 

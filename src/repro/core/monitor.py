@@ -22,10 +22,12 @@ AllReduce of local states computes.  The payload is the variant:
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 
+from repro.backend import map_row_blocks
 from repro.exceptions import CommunicationError, ConfigurationError
 from repro.sketch.ams import AmsSketch
 from repro.utils.rng import as_rng
@@ -41,27 +43,53 @@ class VarianceMonitor:
         """The row a worker transmits for its current drift ``u_t^{(k)}``."""
         return self.local_states(np.asarray(drift)[None])[0]
 
-    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
-        """All workers' rows from the stacked ``(K, d)`` drift matrix, as a ``(K, s)`` table.
+    def local_states(
+        self, drifts: np.ndarray, norms: Optional[np.ndarray] = None, reference=None, rows=None
+    ) -> np.ndarray:
+        """The rows of ``drifts[rows] − reference`` (default: all, minus 0), an ``(A, s)`` table.
 
         The one place a monitor builds states; :meth:`local_state` is its
-        one-row case.  A row must not depend on which other rows share the
+        one-row case.  Each drift is formed a row (the sketch: a block) at a
+        time in its row shard's scratch (:func:`repro.backend.map_row_blocks`),
+        so the FDA step, handing in the parameter plane and ``w_t0``, holds no
+        drift plane.  A row must not depend on which other rows share the
         call: the FDA sync decision is a threshold comparison on these values,
         and a masked step, a served update and a full one must decide alike
-        (the ledgers follow the decisions), so only order-identical work is batched (e.g. one sparse product sketching
-        every row) and each reduction stays per row (a per-row ``np.dot``,
-        whose BLAS reduction order differs bitwise from an ``einsum`` over
-        the matrix).  ``norms``, if the caller holds them already, is
-        :meth:`squared_norms` of ``drifts``, so column 0 is reduced once.
+        (the ledgers follow the decisions), so only order-identical work is
+        batched (e.g. one sparse product sketching a block of rows) and each
+        reduction stays per row (a per-row ``np.dot``, whose BLAS reduction
+        order differs bitwise from an ``einsum`` over the matrix).  ``norms``,
+        if the caller holds them already, is :meth:`squared_norms` of the same
+        rows, so column 0 is reduced once.
         """
-        raise NotImplementedError
+        drifts = np.asarray(drifts)
+        count = len(drifts) if rows is None else len(rows)
+        states = np.empty((count, self.state_num_elements(drifts.shape[1])))
+        if norms is not None:
+            states[:, 0] = norms
+        self._fill(states, norms is None, drifts, reference, rows)
+        return states
+
+    def _fill(self, states, with_norms, drifts, reference, rows) -> None:
+        rows_into = functools.partial(self._rows_into, states, with_norms)
+        map_row_blocks(rows_into, drifts, reference, rows)
 
     norm_dtype = None  # the dtype a row's ‖u‖² is reduced in (None: the drift's own)
 
-    def squared_norms(self, drifts: np.ndarray) -> np.ndarray:
+    def squared_norms(self, drifts: np.ndarray, reference=None, rows=None) -> np.ndarray:
         """Column 0 of :meth:`local_states` alone: each row's ‖u‖², one dot per row."""
-        rows = (np.asarray(drift, dtype=self.norm_dtype) for drift in drifts)
-        return np.array([np.dot(row, row) for row in rows], dtype=np.float64)
+        drifts = np.asarray(drifts)
+        norms = np.empty(len(drifts) if rows is None else len(rows))
+        map_row_blocks(functools.partial(self._norms_into, norms), drifts, reference, rows)
+        return norms
+
+    def _norms_into(self, norms: np.ndarray, blocks) -> None:
+        for block in blocks:
+            self._norm_rows(norms, *block)
+
+    def _norm_rows(self, norms: np.ndarray, low: int, block: np.ndarray) -> None:
+        for k, drift in enumerate(np.asarray(block, dtype=self.norm_dtype), low):
+            norms[k] = np.dot(drift, drift)
 
     def quiet_bound(self, squared_norms: np.ndarray, threshold: float) -> Optional[float]:
         """The mean ‖u‖² of a step that cannot sync, or ``None`` if it might.
@@ -78,12 +106,6 @@ class VarianceMonitor:
         if not len(squared_norms) or not np.max(squared_norms) <= threshold * guard:
             return None
         return float(np.mean(squared_norms))
-
-    def _new_states(self, drifts: np.ndarray, norms: Optional[np.ndarray]) -> np.ndarray:
-        """A fresh ``(K, s)`` table holding each row's ‖u‖² (:meth:`squared_norms`)."""
-        states = np.empty((len(drifts), self.state_num_elements(drifts.shape[1])))
-        states[:, 0] = self.squared_norms(drifts) if norms is None else norms
-        return states
 
     def average(self, states: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """The AllReduce of local states: the mean row of an ``(A, s)`` table.
@@ -146,29 +168,21 @@ class SketchMonitor(VarianceMonitor):
 
     name = "sketch"
 
-    def __init__(self, depth: int = 5, width: int = 250, seed: int = 0) -> None:
-        self.sketch_operator = AmsSketch(depth, width, seed)
+    def __init__(self, depth: int = 5, width: int = 250, seed: int = 0, dimension=None) -> None:
+        self.sketch_operator = AmsSketch(depth, width, seed, dimension=dimension)
 
     @property
     def epsilon(self) -> float:
         """The ε used in the 1/(1+ε) correction of the H function."""
         return self.sketch_operator.epsilon
 
-    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rows ``[‖u‖² | sketch of u]`` with one batched sketch of the matrix.
-
-        The sketch — the expensive part — is built for all rows in one call
-        (``sketch_rows``: one product of the sparse sketch operator per block
-        of rows with that block's float64 transpose, bit-identical to per-row
-        sketching because each bucket accumulates its coordinates in
-        ascending order whatever the number of columns).  A float32 plane's
-        norms are reduced in float32; the sketch counters always accumulate
-        in float64 (see :mod:`repro.sketch.ams`).
-        """
-        drifts = np.asarray(drifts)
-        states = self._new_states(drifts, norms)
-        states[:, 1:] = self.sketch_operator.sketch_rows(drifts).reshape(states[:, 1:].shape)
-        return states
+    def _fill(self, states, with_norms, drifts, reference, rows) -> None:
+        """Rows ``[‖u‖² | sketch of u]``: ``sketch_rows`` forms and sketches a block of
+        drifts per sparse product, bit-identical to per-row sketching (see
+        :mod:`repro.sketch.ams`), and the norms are reduced from the same blocks."""
+        visit = functools.partial(self._norm_rows, states[:, 0]) if with_norms else None
+        sketches = self.sketch_operator.sketch_rows(drifts, reference, rows, visit)
+        states[:, 1:] = sketches.reshape(states[:, 1:].shape)
 
     def estimate(self, average_state: np.ndarray) -> float:
         row = self._read(average_state, self.state_num_elements(0))
@@ -196,7 +210,7 @@ class LinearMonitor(VarianceMonitor):
         if dimension <= 0:
             raise ConfigurationError(f"dimension must be positive, got {dimension}")
         self.dimension = int(dimension)
-        self.direction = self._normalize(as_rng(seed).normal(size=self.dimension))
+        self.direction = _first_direction(self.dimension, int(seed))
 
     def _normalize(self, vector: np.ndarray) -> np.ndarray:
         if vector.shape != (self.dimension,):
@@ -210,16 +224,18 @@ class LinearMonitor(VarianceMonitor):
             return np.zeros(self.dimension)
         return vector / norm
 
-    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rows ``[‖u‖² | ⟨ξ, u⟩]``: two BLAS dot products per row.
-
-        ξ stays float64 (reference-path analysis vector); the projection of a
-        float32 drift promotes to float64 inside the dot reduction.
-        """
-        drifts = np.asarray(drifts)
-        states = self._new_states(drifts, norms)
-        states[:, 1] = [np.dot(self.direction, drift) for drift in drifts]
-        return states
+    def _rows_into(self, states: np.ndarray, with_norms: bool, blocks) -> None:
+        """Rows ``[‖u‖² | ⟨ξ, u⟩]``: two BLAS dot products per row.  ξ stays float64
+        (reference-path analysis vector): a float32 drift is widened into one
+        reused float64 row for the projection."""
+        wide = np.empty(self.dimension)
+        for low, (drift,) in blocks:
+            if with_norms:
+                states[low, 0] = np.dot(drift, drift)
+            if drift.dtype != wide.dtype:
+                wide[...] = drift
+                drift = wide
+            states[low, 1] = np.dot(self.direction, drift)
 
     def estimate(self, average_state: np.ndarray) -> float:
         drift_sq_norm, projection = self._read(average_state, 2)
@@ -239,22 +255,31 @@ class LinearMonitor(VarianceMonitor):
         return f"LinearMonitor(dimension={self.dimension})"
 
 
+@functools.lru_cache(maxsize=4)
+def _first_direction(dimension: int, seed: int) -> np.ndarray:
+    """ξ₀, drawn once per ``(dimension, seed)`` and shared read-only: a sweep's cells share it."""
+    direction = as_rng(seed).normal(size=dimension)
+    direction /= float(np.linalg.norm(direction))
+    direction.flags.writeable = False
+    return direction
+
+
 class ExactMonitor(VarianceMonitor):
     """Ablation monitor: transmits the full drift and computes the exact variance."""
 
     name = "exact"
     norm_dtype = np.float64
 
-    def local_states(self, drifts: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
+    def _rows_into(self, states: np.ndarray, with_norms: bool, blocks) -> None:
         """Rows ``[‖u‖² | u]``, both parts in float64 whatever the plane's dtype.
 
         The norm is reduced over the same widened drift the payload carries,
         so a lone worker's estimate is exactly 0.
         """
-        drifts = np.asarray(drifts, dtype=np.float64)
-        states = self._new_states(drifts, norms)
-        states[:, 1:] = drifts
-        return states
+        for low, (drift,) in blocks:
+            states[low, 1:] = drift
+            if with_norms:
+                states[low, 0] = np.dot(states[low, 1:], states[low, 1:])
 
     def estimate(self, average_state: np.ndarray) -> float:
         row = self._read(average_state)
@@ -270,7 +295,7 @@ class ExactMonitor(VarianceMonitor):
 #: :func:`make_monitor`, ``FDAStrategy`` and ``cli serve --variant`` read this
 #: one table.
 VARIANTS = {
-    "sketch": ("SketchFDA", lambda dimension, depth, width, seed: SketchMonitor(depth, width, seed)),
+    "sketch": ("SketchFDA", lambda d, depth, width, seed: SketchMonitor(depth, width, seed, d)),
     "linear": ("LinearFDA", lambda dimension, depth, width, seed: LinearMonitor(dimension, seed)),
     "exact": ("ExactFDA", lambda dimension, depth, width, seed: ExactMonitor()),
 }

@@ -295,8 +295,8 @@ class SimulatedCluster:
         loop, split into row shards when the plane is wide enough
         (:func:`repro.backend.row_shards`).  Without ``out`` the matrix is
         freshly allocated; with a reusable ``out`` buffer the rows are only
-        valid until the next call that writes into the same buffer (FDA's
-        monitors copy what they keep into their state rows).
+        valid until the next call that writes into the same buffer.  The
+        compressed sync is its caller; FDA's monitors form drifts by the row.
         """
         reference = np.asarray(reference, dtype=self.dtype)
         if reference.shape != (self.model_dimension,):

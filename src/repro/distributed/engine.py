@@ -49,10 +49,10 @@ trainer — and every model runs on it:
   :mod:`repro.nn.layers` has none and is refused by name at construction.
 * **Every core**: a wide pass runs as row shards, one per core (see
   :mod:`repro.backend`) — ``train_batch`` and ``step_rows`` here,
-  ``drift_matrix`` and the sketch above.  A step keeps two phases: every
-  shard trains, the losses of all rows are checked, then every shard steps —
-  so a divergence in any shard still fails the step atomically.  The sampler
-  stays serial.
+  ``drift_matrix``, the monitor's row pass and the sketch above.  A step
+  keeps two phases: every shard trains, the losses of all rows are checked,
+  then every shard steps — so a divergence in any shard still fails the
+  step atomically.  The sampler stays serial.
 
 Per-worker arithmetic is element-for-element the arithmetic of ``K``
 independent per-worker steps (the optimizer step is literally the same rule;
@@ -139,8 +139,13 @@ class BatchedEngine:
                 "the engine has no kernel for these layers: "
                 f"{', '.join(missing)}; register one in repro.nn.batched.KERNELS"
             )
+        signature = self._model_signature(reference.model.layers)
         for worker in workers[1:]:
-            self._require_compatible(reference, worker)
+            if self._model_signature(worker.model.layers) != signature:
+                raise ConfigurationError(
+                    f"the engine needs one architecture; worker {worker.worker_id}: "
+                    "model architecture differs (layer types/geometry/config)"
+                )
 
         # Stack all workers' gradients next to the cluster's parameter matrix.
         self._grad_matrix = np.empty_like(cluster.parameter_matrix)
@@ -198,17 +203,6 @@ class BatchedEngine:
             entry.extend(BatchedEngine._model_signature(layer.sublayers()))
             signature.append(tuple(entry))
         return signature
-
-    @staticmethod
-    def _require_compatible(reference, worker) -> None:
-        """The batched kernels are worker 0's: every worker's model must match it."""
-        if BatchedEngine._model_signature(worker.model.layers) != BatchedEngine._model_signature(
-            reference.model.layers
-        ):
-            raise ConfigurationError(
-                f"the engine needs one architecture; worker {worker.worker_id}: "
-                "model architecture differs (layer types/geometry/config)"
-            )
 
     # -- the masked scratch path -------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import map_row_shards
+from repro.backend import map_row_blocks
 from repro.exceptions import CommunicationError, ConfigurationError, ShapeError
 from repro.sketch.hashing import FourWiseHash
 
@@ -144,9 +144,11 @@ class AmsSketch:
         product = self._operator @ np.ascontiguousarray(rows.T, dtype=np.float64)
         return np.ascontiguousarray(product.T).reshape(-1, self.depth, self.width)
 
-    def _sketch_into(self, matrix: np.ndarray, out: np.ndarray, block: int) -> None:
-        for low in range(0, matrix.shape[0], block):
-            out[low : low + block] = self._apply(matrix[low : low + block])
+    def _sketch_blocks(self, out: np.ndarray, visit, blocks) -> None:
+        for low, drifts in blocks:
+            if visit is not None:
+                visit(low, drifts)
+            out[low : low + len(drifts)] = self._apply(drifts)
 
     def sketch(self, vector: np.ndarray) -> np.ndarray:
         """Return the ``(depth, width)`` AMS sketch of ``vector``."""
@@ -157,25 +159,26 @@ class AmsSketch:
             self._prepare(vector.size)
         return self._apply(vector[None])[0]
 
-    def sketch_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Sketch every row of a ``(K, d)`` matrix at once; returns ``(K, depth, width)``.
+    def sketch_rows(self, matrix, reference=None, rows=None, visit=None) -> np.ndarray:
+        """Sketch the rows of ``matrix[rows] − reference``; returns ``(A, depth, width)``.
 
-        The batched form of :meth:`sketch`: within each row shard
-        (:func:`repro.backend.row_shards`), one product of the sparse operator
-        per block of ``BLOCK_ELEMENTS // d`` rows (at least one) with that
-        block's float64 ``(d, block)`` transpose, written into the block's
-        rows of the output.  Row ``k`` of the result is bit-identical to
-        ``sketch(matrix[k])`` (see :meth:`_apply`).
+        The batched form of :meth:`sketch` (default: every row, minus 0):
+        within each row shard, one product of the sparse operator per block
+        of ``BLOCK_ELEMENTS // d`` rows (at least one), formed in the shard's
+        scratch (:func:`repro.backend.map_row_blocks`) and first shown to
+        ``visit(low, block)`` if given, with that block's float64 transpose.
+        Row ``k`` of the result is bit-identical to ``sketch(matrix[k] −
+        reference)`` (see :meth:`_apply`).
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ShapeError(f"can only sketch a (K, d) matrix, got shape {matrix.shape}")
-        rows, width = matrix.shape
-        if self.dimension != width:
-            self._prepare(width)
-        out = np.empty((rows, self.depth, self.width))
-        block = max(1, BLOCK_ELEMENTS // width)
-        map_row_shards(functools.partial(self._sketch_into, block=block), matrix, out)
+        if self.dimension != matrix.shape[1]:
+            self._prepare(matrix.shape[1])
+        out = np.empty((len(matrix) if rows is None else len(rows), self.depth, self.width))
+        block = max(1, BLOCK_ELEMENTS // matrix.shape[1])
+        sketch_blocks = functools.partial(self._sketch_blocks, out, visit)
+        map_row_blocks(sketch_blocks, matrix, reference, rows, block)
         return out
 
     def estimate_l2_squared(self, sketch_matrix: np.ndarray) -> float:

@@ -5,9 +5,16 @@ trainer learned to skip a step whose rows all sit inside the ball: every step
 builds every stepped worker's full row, AllReduces the counted rows and
 evaluates ``H``.  The gated :class:`~repro.core.fda.FDATrainer` must make the
 same sync decisions bit for bit, so the two are run side by side.
+
+It also keeps the drift plane the gated trainer no longer holds: every step
+writes all ``K`` drifts into its own ``(K, d)`` scratch with
+``cluster.drift_matrix`` and hands the monitor the stepped rows of that
+plane, so the gated trainer's row-at-a-time drifts are checked against it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.fda import FDATrainer, FdaStepResult
 from repro.distributed.cluster import CATEGORY_STATE
@@ -24,6 +31,10 @@ class UngatedFDATrainer(FDATrainer):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.norms, self.mean_norms = [], []
+        cluster = self.cluster
+        self._drift_scratch = np.empty(
+            (cluster.num_workers, cluster.model_dimension), dtype=cluster.dtype
+        )
 
     def step(self) -> FdaStepResult:
         bytes_before = self.cluster.total_bytes

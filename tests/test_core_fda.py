@@ -1,13 +1,19 @@
 """Tests for the FDA trainer (Algorithm 1) and the Round Invariant."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers.per_worker import SIDES
+from repro.backend import map_row_blocks
 from repro.core.fda import FDATrainer
-from repro.core.monitor import ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor
+from repro.core.monitor import (
+    ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor, make_monitor,
+)
 from repro.core.variance import model_variance
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import gaussian_blobs
@@ -18,6 +24,7 @@ from repro.faults.checkpoint import ClusterCheckpoint
 from repro.faults.plan import FaultPlan
 from repro.nn.architectures import mlp
 from repro.optim.adam import Adam
+from repro.sketch import ams
 
 
 def make_cluster(num_workers=4, seed=0):
@@ -205,14 +212,16 @@ class RecordingSketchMonitor(SketchMonitor):
         self.rowwise = rowwise
         self.batches = []
 
-    def local_states(self, drifts, norms=None):
-        # The row-wise path reduces each norm itself; the batched one takes
-        # the column the trainer already reduced.
+    def local_states(self, drifts, norms=None, reference=None, rows=None):
+        # The row-wise path forms the drift matrix and reduces each norm
+        # itself; the batched one takes the column the trainer already reduced.
         if self.rowwise:
+            if reference is not None:
+                drifts = drifts[slice(None) if rows is None else rows] - reference
             rows = [SketchMonitor.local_states(self, drift[None]) for drift in drifts]
             states = np.concatenate(rows) if rows else SketchMonitor.local_states(self, drifts)
         else:
-            states = SketchMonitor.local_states(self, drifts, norms)
+            states = SketchMonitor.local_states(self, drifts, norms, reference, rows)
         self.batches.append(states)
         return states
 
@@ -289,10 +298,12 @@ class TestBatchedStatesUnderMasksAndChurn:
         )
         monitor = AveragingSpy(depth=3, width=16, seed=3)
         trainer = FDATrainer(cluster, monitor, 0.05)
-        last = {}
+        last, scratch = {}, []
         for _ in range(20):
             monitor.averaged.clear()
-            trainer.step()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ams, "map_row_blocks", functools.partial(blocks_kept, scratch))
+                trainer.step()
             stepped, dead = cluster.participants.mask, ~cluster.faults.alive
             for worker, row in zip(np.flatnonzero(stepped), monitor.built[-1]):
                 last[worker] = row
@@ -303,7 +314,19 @@ class TestBatchedStatesUnderMasksAndChurn:
             assert len(monitor.averaged) == (1 if expected else 0)
             if expected:
                 assert monitor.averaged[0].tobytes() == np.array(expected).tobytes()
-        assert not np.shares_memory(trainer.states, trainer._drift_scratch)
+        # The drifts were formed in row-block scratch the state rows copy from.
+        assert scratch and not any(np.shares_memory(trainer.states, drifts) for drifts in scratch)
+
+
+def blocks_kept(kept, function, *args, **kwargs):
+    """:func:`repro.backend.map_row_blocks`, appending every drift block it yields to ``kept``."""
+
+    def keeping(blocks):
+        for low, drifts in blocks:
+            kept.append(drifts)
+            yield low, drifts
+
+    map_row_blocks(lambda blocks: function(keeping(blocks)), *args, **kwargs)
 
 
 class AveragingSpy(SketchMonitor):
@@ -313,10 +336,58 @@ class AveragingSpy(SketchMonitor):
         super().__init__(*args, **kwargs)
         self.built, self.averaged = [], []
 
-    def local_states(self, drifts, norms=None):
-        self.built.append(super().local_states(drifts, norms))
+    def local_states(self, *args, **kwargs):
+        self.built.append(super().local_states(*args, **kwargs))
         return self.built[-1]
 
     def average(self, states, weights=None):
         self.averaged.append(np.array(states))
         return super().average(states, weights)
+
+
+@pytest.mark.parametrize("participation", ["lockstep", "dropout", "churn"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("variant", ["linear", "sketch"])
+def test_an_fda_step_holds_no_drift_plane(variant, dtype, participation, monkeypatch):
+    """Neither building the trainer nor its step's drifts, norms and payloads
+    allocate ``K·d/2`` plane elements at once: each drift is formed a row (the
+    sketch: a block of rows, one row here as at the benchmark's d) at a time.
+    The engine's local updates and the model AllReduce are not measured."""
+    from helpers.parity import make_cluster
+
+    cluster = make_cluster(
+        "batched", num_workers=12, dtype=dtype,
+        model_factory=lambda: mlp(6, 3, hidden_units=(512,), seed=11),
+        dropout_rate=0.3 if participation == "dropout" else 0.0,
+        faults=FaultPlan(crash_rate=0.2, recovery_rounds=2, seed=4)
+        if participation == "churn" else None,
+    )
+    half_plane = cluster.num_workers * cluster.model_dimension // 2 * cluster.dtype.itemsize
+    monkeypatch.setattr(ams, "BLOCK_ELEMENTS", cluster.model_dimension)
+    monitor = make_monitor(variant, cluster.model_dimension, sketch_depth=3, sketch_width=16)
+    marks = []
+    step_all, synchronize = cluster.step_all, cluster.synchronize
+
+    def step_all_then_mark(*args, **kwargs):
+        loss = step_all(*args, **kwargs)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return loss
+
+    def mark_then_synchronize():
+        marks.append(tracemalloc.get_traced_memory()[1])
+        return synchronize()
+
+    monkeypatch.setattr(cluster, "step_all", step_all_then_mark)
+    monkeypatch.setattr(cluster, "synchronize", mark_then_synchronize)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trainer = FDATrainer(cluster, monitor, 0.0)
+        built = tracemalloc.get_traced_memory()[1] - before
+        result = trainer.step()
+    finally:
+        tracemalloc.stop()
+    assert result.synchronized and len(marks) == 2
+    assert built < half_plane
+    assert marks[1] - marks[0] < half_plane

@@ -7,10 +7,10 @@ beside the ungated oracle (``helpers.ungated``) on identical clusters and
 demands the same sync steps, the same parameter bytes after every step and,
 on every step the gated trainer exchanged, the same estimate bit for bit.
 
-To reach the boundary the drift matrix a step reads is rewritten on chosen
-steps: every stepped row becomes ±v for one real drift v (so the payloads
-cancel exactly and ``H`` equals the averaged ‖u‖² column), and Θ is moved
-onto ‖v‖² or one ulp to either side of it.  For six or more equal rows the
+To reach the boundary the parameter rows a step reads are rewritten on
+chosen steps: every stepped row's drift becomes ±v for one real drift v (so
+the payloads cancel exactly and ``H`` equals the averaged ‖u‖² column), and
+Θ is moved onto ‖v‖² or one ulp to either side of it.  For six or more equal rows the
 column's floating-point mean exceeds ‖v‖² for about one Θ in five, which is
 exactly the case an unguarded ``max ≤ Θ`` gets wrong.
 """
@@ -39,39 +39,48 @@ STEPS = 12
 
 
 class Placement:
-    """Rewrites the drift rows a step decides on and moves Θ onto them.
+    """Rewrites the stepped rows a step decides on and moves Θ onto them.
 
     ``plan[t % len(plan)]`` is step ``t + 1``'s placement: ``None`` leaves the
     drifts real and Θ at its base (``theta_scale`` × the first step's largest
-    ‖u‖²); an integer ``n`` makes every stepped row ±v and puts Θ ``n`` ulps
-    from ‖v‖² as the monitor reduces it.
+    ‖u‖²); an integer ``n`` makes every stepped row's drift ±v and puts Θ
+    ``n`` ulps from ‖v‖² as the monitor reduces it.  The rewrite follows the
+    step's local updates and writes what both trainers read, the parameter
+    rows: v is the first stepped row's real drift, kept on the coordinates
+    where the mirrored row ``w_t0 − v`` subtracts back to exactly −v and zero
+    (the row set to ``w_t0``) on the others.
     """
 
     def __init__(self, trainer, plan, theta_scale) -> None:
         self.trainer, self.plan, self.theta_scale = trainer, plan, theta_scale
         self.base = None
-        self.drift_matrix = trainer.cluster.drift_matrix
-        trainer.cluster.drift_matrix = self
+        self.step_all = trainer.cluster.step_all
+        trainer.cluster.step_all = self
 
-    def __call__(self, reference, out=None):
-        drifts = self.drift_matrix(reference, out=out)
-        trainer = self.trainer
-        monitor, stepped = trainer.monitor, trainer.cluster.participants.mask
-        rows = np.arange(len(drifts)) if stepped is None else np.flatnonzero(stepped)
+    def __call__(self, *args, **kwargs):
+        loss = self.step_all(*args, **kwargs)
+        trainer, cluster = self.trainer, self.trainer.cluster
+        monitor, stepped = trainer.monitor, cluster.participants.mask
+        rows = np.arange(cluster.num_workers) if stepped is None else np.flatnonzero(stepped)
+        parameters, reference = cluster.parameter_matrix, cluster.shared_parameters
         if self.base is None and len(rows):
-            self.base = self.theta_scale * float(np.max(monitor.squared_norms(drifts[rows])))
+            norms = monitor.squared_norms(parameters, reference, rows)
+            self.base = self.theta_scale * float(np.max(norms))
         offset = self.plan[trainer.step_count % len(self.plan)]
         trainer.threshold = self.base or 0.0
         if offset is None or not len(rows):
-            return drifts
-        v = drifts[rows[0]].copy()
-        drifts[rows[0::2]] = v
-        drifts[rows[1::2]] = -v
+            return loss
+        mirrored = reference - (parameters[rows[0]] - reference)
+        exact = mirrored - reference == reference - parameters[rows[0]]
+        parameters[rows[0::2]] = np.where(exact, parameters[rows[0]], reference)
+        parameters[rows[1::2]] = np.where(exact, mirrored, reference)
+        v = parameters[rows[0]] - reference
+        assert np.array_equal(parameters[rows[-1]] - reference, v if len(rows) % 2 else -v)
         theta = monitor.squared_norms(v[None])[0]
         for _ in range(abs(offset)):
             theta = np.nextafter(theta, np.sign(offset) * np.inf)
         trainer.threshold = float(theta)
-        return drifts
+        return loss
 
 
 def run(trainer_class, variant, dtype, num_workers, dropout, churn, seed, plan, theta_scale):

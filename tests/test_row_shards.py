@@ -2,7 +2,8 @@
 
 ``repro.backend`` splits a wide ``(rows × d)`` pass into contiguous row
 shards, one per core, for ``StackedOptimizer.step_rows``,
-``BatchedModel.train_batch``, ``SimulatedCluster.drift_matrix``,
+``BatchedModel.train_batch``, ``SimulatedCluster.drift_matrix``, the
+monitor's row pass (``VarianceMonitor.squared_norms``),
 ``AmsSketch.sketch_rows`` and the compressed synchronization: the magnitude
 kernels' selection (``Compressor.compress_rows``), the error-feedback
 accumulate, ``SparseRowPayloads.fold_residual`` and the lockstep install.
@@ -54,7 +55,7 @@ from helpers.shards import shard_every_pass, state_bytes, under_every_shard_sett
 from repro import backend
 from repro.compression import ClusterCompression, CompressionConfig, kernels
 from repro.compression.kernels import Compressor
-from repro.core.monitor import VarianceMonitor
+from repro.core.monitor import VarianceMonitor, make_monitor
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.participation import Participation
 from repro.experiments.executor import SweepCell, SweepExecutor, fork_parallelism_available
@@ -164,6 +165,36 @@ def test_sketch_rows_does_not_see_the_shards(workers, dimension, dtype, seed):
     assert all_equal(outcomes)
     per_row = AmsSketch(5, 40, seed=seed % 5)
     assert outcomes[0] == np.stack([per_row.sketch(row) for row in matrix]).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["linear", "sketch", "exact"])
+@settings(max_examples=6, deadline=None)
+@given(
+    workers=st.integers(1, 9),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**16),
+    masked=st.booleans(),
+)
+def test_the_monitor_row_pass_does_not_see_the_shards(variant, workers, dtype, seed, masked):
+    """Norms and rows built from ``parameters[rows] − reference`` equal those of
+    the drift plane, whole or split, at every shard setting."""
+    rng = np.random.default_rng(seed)
+    parameters = rng.normal(size=(workers, 37)).astype(dtype)
+    reference = rng.normal(size=37).astype(dtype)
+    rows = np.flatnonzero(rng.random(workers) < 0.6) if masked else None
+    monitor = make_monitor(variant, 37, sketch_depth=3, sketch_width=8, seed=seed % 5)
+
+    def run():
+        norms = monitor.squared_norms(parameters, reference, rows)
+        states = monitor.local_states(parameters, None, reference, rows)
+        handed = monitor.local_states(parameters, norms, reference, rows)
+        assert handed.tobytes() == states.tobytes()
+        return states.tobytes()
+
+    outcomes = under_every_shard_setting(run)
+    assert all_equal(outcomes)
+    plane = (parameters - reference)[slice(None) if rows is None else rows]
+    assert outcomes[0] == monitor.local_states(plane).tobytes()
 
 
 KERNELS = ("topk", "layerwise-topk", "randomk", "quantization", "signsgd")
@@ -455,6 +486,14 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
         return train(*args)
 
     monkeypatch.setattr(BatchedModel, "_train", shard_spy)
+    norm_threads = set()
+    norms_into = VarianceMonitor._norms_into
+
+    def norms_spy(*args):
+        norm_threads.add(threading.get_ident())
+        return norms_into(*args)
+
+    monkeypatch.setattr(VarianceMonitor, "_norms_into", norms_spy)
     select_threads = set()
     select = kernels._select_rows
 
@@ -486,6 +525,7 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
 
     calling = {threading.get_ident()}
     assert {"SimulatedCluster.drift_matrix", "AmsSketch.sketch_rows"} <= set(threads)
+    assert {"VarianceMonitor.squared_norms", "VarianceMonitor.local_states"} <= set(threads)
     assert {
         "ClusterCompression.synchronize", "ClusterCompression.gather_models",
         "TopKCompressor.compress_rows",
@@ -493,6 +533,7 @@ def test_public_methods_run_on_the_calling_thread(every_pass_sharded, monkeypatc
     assert {"ClientPopulation.bind_cohort", "ClientStateStore.save"} <= set(threads)
     assert {name: seen for name, seen in threads.items() if seen != calling} == {}
     assert len(select_threads) >= 2, "the top-k selection was not sharded"
+    assert len(norm_threads) >= 2, "the monitor's row pass was not sharded"
     assert writer_threads and calling.isdisjoint(writer_threads), "no spill was written ahead"
     if side == "batched":
         assert {"BatchedModel.train_batch", "StackedOptimizer.step_rows"} <= set(threads)
