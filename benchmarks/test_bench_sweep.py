@@ -7,8 +7,8 @@ four ways and timed:
   ``TrainingRun.execute`` per cell): every cell rebuilds dataset partitions
   and all K worker models from scratch;
 * **cold** — the executor with an empty content-addressed store: every cell
-  trains, but partitions and initial model state are memoized per workload
-  and rebound per cell (copy-on-bind);
+  trains, but each workload's cluster is built once, by its first cell, and
+  restored to its as-built state for every later cell;
 * **warm** — a fresh executor over the populated store: every cell replays
   from ``runs.jsonl``, nothing trains;
 * **parallel** — the executor with ``jobs=4`` over a fresh store.
@@ -19,8 +19,8 @@ Wall-clock bars follow the strict/report-only convention
 (``REPRO_BENCH_STRICT=0`` downgrades them to warnings; the parallel bar is
 additionally skipped on boxes with fewer than 4 cores, where it cannot
 physically hold).  Bit-identity — eager vs cold vs warm vs parallel byte
-ledgers, histories, and accuracies — and the ≥ 90 % second-pass hit rate are
-asserted hard in every mode.
+ledgers, histories, and accuracies — the ≥ 90 % second-pass hit rate and one
+cold cluster build per workload seed are asserted hard in every mode.
 
 The store directory honors ``REPRO_SWEEP_CACHE_DIR`` so CI can upload
 ``runs.jsonl`` as an artifact; the cold/warm/parallel timings land in
@@ -141,12 +141,18 @@ def test_bench_sweep_executor(tmp_path):
         cold_executor = SweepExecutor(cache_dir=directory)
         cold, cold_s = timed(lambda: cold_executor.execute(cells))
         assert cold_executor.stats.cells == len(THETAS) * len(WORKLOAD_SEEDS)
-        return eager, eager_s, cold, cold_s
+        return eager, eager_s, cold, cold_s, cold_executor
 
-    eager_results, eager_seconds, cold_results, cold_seconds = measure_eager_and_cold(
-        cache_dir
+    eager_results, eager_seconds, cold_results, cold_seconds, cold_executor = (
+        measure_eager_and_cold(cache_dir)
     )
     assert_results_identical("cold-vs-eager", cold_results, eager_results)
+    # A correctness fact, not a speed: a workload's first executed cell builds
+    # its cluster and every later one restores it.  (Over a store an earlier
+    # invocation filled, every cell replays and nothing is built.)
+    executed, cold_setup = cold_executor.stats.executed, cold_executor.setup
+    assert cold_setup.cluster_misses == (len(WORKLOAD_SEEDS) if executed else 0)
+    assert cold_setup.cluster_hits == executed - cold_setup.cluster_misses
 
     def measure_warm():
         executor = SweepExecutor(cache_dir=cache_dir)
@@ -188,7 +194,7 @@ def test_bench_sweep_executor(tmp_path):
     attempts = 1
     while STRICT and (memo_speedup < 1.3 or warm_speedup < 10.0) and attempts < 4:
         retry_dir = tmp_path / f"retry-{attempts}"
-        eager_retry, eager_s, cold_retry, cold_s = measure_eager_and_cold(retry_dir)
+        eager_retry, eager_s, cold_retry, cold_s, _ = measure_eager_and_cold(retry_dir)
         _, _, warm_s = measure_warm()
         memo_speedup = max(memo_speedup, eager_s / cold_s)
         warm_speedup = max(warm_speedup, cold_seconds / warm_s)
@@ -214,7 +220,14 @@ def test_bench_sweep_executor(tmp_path):
     emit_bench_section(
         "sweep",
         "cold",
-        [{**base_row, "memoization_speedup": round(memo_speedup, 3)}],
+        [
+            {
+                **base_row,
+                "memoization_speedup": round(memo_speedup, 3),
+                "clusters_built": cold_setup.cluster_misses,
+                "clusters_restored": cold_setup.cluster_hits,
+            }
+        ],
     )
     emit_bench_section(
         "sweep",

@@ -131,21 +131,23 @@ def map_row_shards(function: Callable, *matrices: np.ndarray) -> None:
         run_shards(function, [tuple(m[a:b] for m in matrices) for a, b in bounds])
 
 
-def map_row_blocks(function: Callable, matrix, reference=None, rows=None, block: int = 1) -> None:
+def map_row_blocks(function: Callable, matrix, reference=None, rows=None, block=None) -> None:
     """``function(blocks)`` per row shard; ``blocks`` yields the shard's ``(low, drifts)``.
 
     ``drifts`` holds rows ``low, low + 1, …`` of ``matrix[rows] − reference``
     (default: every row, minus 0), at most ``block`` of them, subtracted into
     one ``(block, d)`` scratch the shard reuses: the difference is never whole.
+    Without a ``block``: one row, or the whole shard when rows are the matrix's own.
     """
     own = reference is None and rows is None  # the matrix's own rows: views, no scratch
     rows = range(len(matrix)) if rows is None else np.asarray(rows).tolist()
     reference = np.asarray(0 if reference is None else reference, dtype=matrix.dtype)
 
     def blocks(start: int, stop: int):
-        scratch = np.empty((0 if own else min(block, stop - start), matrix.shape[1]), matrix.dtype)
-        for low in range(start, stop, block):
-            high = min(low + block, stop)
+        step = block or (max(1, stop - start) if own else 1)
+        scratch = np.empty((0 if own else min(step, stop - start), matrix.shape[1]), matrix.dtype)
+        for low in range(start, stop, step):
+            high = min(low + step, stop)
             for into, row in zip(scratch, rows[low:high]):
                 np.subtract(matrix[row], reference, out=into)
             yield low, matrix[low:high] if own else scratch[: high - low]

@@ -52,7 +52,8 @@ class VarianceMonitor:
         one-row case.  Each drift is formed a row (the sketch: a block) at a
         time in its row shard's scratch (:func:`repro.backend.map_row_blocks`),
         so the FDA step, handing in the parameter plane and ``w_t0``, holds no
-        drift plane.  A row must not depend on which other rows share the
+        drift plane; drifts handed in whole (the served settle's) are read as
+        one view per shard.  A row must not depend on which other rows share the
         call: the FDA sync decision is a threshold comparison on these values,
         and a masked step, a served update and a full one must decide alike
         (the ledgers follow the decisions), so only order-identical work is
@@ -229,13 +230,14 @@ class LinearMonitor(VarianceMonitor):
         (reference-path analysis vector): a float32 drift is widened into one
         reused float64 row for the projection."""
         wide = np.empty(self.dimension)
-        for low, (drift,) in blocks:
-            if with_norms:
-                states[low, 0] = np.dot(drift, drift)
-            if drift.dtype != wide.dtype:
-                wide[...] = drift
-                drift = wide
-            states[low, 1] = np.dot(self.direction, drift)
+        for low, block in blocks:
+            for k, drift in enumerate(block, low):
+                if with_norms:
+                    states[k, 0] = np.dot(drift, drift)
+                if drift.dtype != wide.dtype:
+                    wide[...] = drift
+                    drift = wide
+                states[k, 1] = np.dot(self.direction, drift)
 
     def estimate(self, average_state: np.ndarray) -> float:
         drift_sq_norm, projection = self._read(average_state, 2)
@@ -276,10 +278,11 @@ class ExactMonitor(VarianceMonitor):
         The norm is reduced over the same widened drift the payload carries,
         so a lone worker's estimate is exactly 0.
         """
-        for low, (drift,) in blocks:
-            states[low, 1:] = drift
-            if with_norms:
-                states[low, 0] = np.dot(states[low, 1:], states[low, 1:])
+        for low, block in blocks:
+            for k, drift in enumerate(block, low):
+                states[k, 1:] = drift
+                if with_norms:
+                    states[k, 0] = np.dot(states[k, 1:], states[k, 1:])
 
     def estimate(self, average_state: np.ndarray) -> float:
         row = self._read(average_state)

@@ -382,8 +382,10 @@ class SimulatedCluster:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Resume a freshly built cluster of the same configuration, in place."""
+        """Resume a built (or used) cluster of the same configuration, in place;
+        like a fresh build it has opened no round (participants: the cohort)."""
         self._load_rows(slice(None), state)
+        self.participants = self._cohort
         for worker, worker_state in zip(self.workers, state["workers"]):
             worker.load_state_dict(worker_state)
         self.synchronization_count = int(state["synchronization_count"])

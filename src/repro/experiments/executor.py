@@ -18,10 +18,11 @@ provides exactly that, as the execution substrate under every grid
    sweep killed mid-grid resumes exactly at its last durable cell on the
    next invocation.
 
-3. **Shared-setup memoization** — dataset digests, partitions, and initial
-   model state are built once per workload fingerprint and rebound per cell
-   (:class:`~repro.experiments.setup.SetupCache`), eliminating the per-cell
-   ``build_cluster`` rebuild that dominates small-cell grids.
+3. **Shared-setup memoization** — dataset digests, partitions, initial
+   model state and the cluster are built once per workload fingerprint
+   (:class:`~repro.experiments.setup.SetupCache`): a cell of the previous
+   cell's workload restores that cluster's as-built ``state_dict()`` instead
+   of the ``build_cluster`` rebuild that dominates small-cell grids.
 
 4. **Process-parallel cells** — with ``jobs > 1`` pending cells dispatch
    over a fork-based :class:`~concurrent.futures.ProcessPoolExecutor`.
@@ -123,15 +124,19 @@ def workload_fingerprint(config: WorkloadConfig, setup: SetupCache) -> Dict[str,
     }
 
 
-def _execute_cell(cell: SweepCell, setup: Optional[SetupCache]) -> RunResult:
+def _execute_cell(cell: SweepCell, setup: SetupCache) -> RunResult:
     """Run one cell to completion (the serial and per-process work unit)."""
     if cell.workload.serving is not None:
         check_composition("serving-config", "lockstep-run")
-    cluster, test_dataset = build_cluster(cell.workload, setup=setup)
+    workload = fingerprint_digest(workload_fingerprint(cell.workload, setup))
+    cluster = setup.restored_cluster(workload)
+    if cluster is None:
+        cluster, _ = build_cluster(cell.workload, setup=setup)
+        setup.hold_cluster(workload, cluster)
     return cell.run.execute(
         cell.strategy_factory(),
         cluster,
-        test_dataset,
+        cell.workload.test_dataset,
         train_dataset=cell.workload.train_dataset,
         workload_name=cell.workload.name,
     )
@@ -194,8 +199,9 @@ class SweepExecutor:
         Re-execute every cell even if cached, appending fresh records that
         shadow the old ones on the next load.
 
-    Each executor memoizes shared setup (partitions, models, digests) in its
-    own :class:`~repro.experiments.setup.SetupCache`.
+    Each executor memoizes shared setup (partitions, models, digests, the
+    last cell's cluster until :meth:`execute` returns) in its own
+    :class:`~repro.experiments.setup.SetupCache`.
     """
 
     def __init__(
@@ -265,7 +271,7 @@ class SweepExecutor:
             else:
                 pending.append(position)
 
-        if pending:
+        try:
             if self.jobs > 1 and len(pending) > 1 and fork_parallelism_available():
                 self._execute_parallel(cells, keys, pending, results)
             else:
@@ -277,6 +283,8 @@ class SweepExecutor:
                         raise
                     self._record(keys[position], cells[position], result)
                     results[position] = result
+        finally:
+            self.setup.release_cluster()
         return results  # type: ignore[return-value]
 
     def _record(self, key: str, cell: SweepCell, result: RunResult) -> None:

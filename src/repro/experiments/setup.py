@@ -14,7 +14,10 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.backend import resolve_dtype
+from repro.composition import allows, features
 from repro.compression import CompressionConfig, get_compression
 from repro.core.timeline import Timeline
 from repro.data.datasets import Dataset, DatasetView
@@ -181,8 +184,8 @@ class _ModelPool:
 
     Only one cluster built from a pool may be *live* at a time: binding for
     the next cell overwrites the skeletons the previous cell's cluster holds.
-    The sweep executor runs cells strictly sequentially per process, which
-    satisfies this by construction.
+    :meth:`SetupCache.worker_models` drops the cluster the cache holds before
+    it binds; any other lives for one cell (the executor runs one at a time).
     """
 
     def __init__(self, factory: ModelFactory, num_workers: int) -> None:
@@ -231,11 +234,13 @@ class SetupCache:
     * **partitions** — the per-worker shards for one (dataset content, K,
       scheme, kwargs, seed) combination, shared read-only across cells;
     * **model pools** — K pre-built skeletons per (factory, K), rebound to
-      their pristine initial state for every cell (see :class:`_ModelPool`).
+      their pristine initial state for every build (see :class:`_ModelPool`);
+    * **the held cluster** — the last built cluster and its as-built
+      ``state_dict()``, restored for the next cell of its workload.
 
     One instance serves one executor (or one process of a parallel sweep);
-    everything it returns is deterministic, so memoized and eager builds
-    produce bit-identical training trajectories.
+    everything it returns is deterministic, so memoized, restored and eager
+    builds produce bit-identical training trajectories.
     """
 
     def __init__(self) -> None:
@@ -247,6 +252,9 @@ class SetupCache:
         self.partition_misses = 0
         self.model_hits = 0
         self.model_misses = 0
+        self._held: Optional[Tuple[str, SimulatedCluster, dict]] = None
+        self.cluster_hits = 0
+        self.cluster_misses = 0
 
     def dataset_digest(self, dataset: Dataset) -> str:
         from repro.experiments.cache import dataset_digest
@@ -304,9 +312,42 @@ class SetupCache:
 
         The models come bound in the cell's own dtype (``config.dtype``, or
         the factory's when that is ``None``), so the cluster built from them
-        has nothing left to convert.
+        has nothing left to convert.  The held cluster, whose models may be
+        the skeletons this rebinds, is dropped first.
         """
+        self.release_cluster()
         return self._pool(config).bind(config.dtype)
+
+    def restored_cluster(self, workload: str) -> Optional[SimulatedCluster]:
+        """The held cluster in its as-built state if built for ``workload`` (a
+        fingerprint digest); ``None``: build, and offer it to :meth:`hold_cluster`."""
+        if self._held is None or self._held[0] != workload:
+            self.cluster_misses += 1
+            self.release_cluster()  # before the caller's build allocates
+            return None
+        self.cluster_hits += 1
+        _, cluster, as_built = self._held
+        cluster.load_state_dict(as_built)
+        return cluster
+
+    def hold_cluster(self, workload: str, cluster: SimulatedCluster) -> None:
+        """Keep a just-built ``cluster`` and its state for the next cell of ``workload``.
+
+        Only a cluster a checkpoint may resume is held (not a population's).
+        All-zero slot matrices (fresh optimizer state, residual) are held as
+        the scalar ``0``, which the restore broadcasts.
+        """
+        if allows("resume", *features(cluster)):
+            as_built = {
+                name: 0 if isinstance(value, np.ndarray) and value.ndim == 2 and not value.any()
+                else value
+                for name, value in cluster.state_dict().items()
+            }
+            self._held = (workload, cluster, as_built)
+
+    def release_cluster(self) -> None:
+        """Drop the held cluster and its as-built state."""
+        self._held = None
 
     def model_digest(self, config: WorkloadConfig) -> str:
         """Content digest of the workload's initial model (architecture + θ₀).

@@ -199,7 +199,7 @@ class ClusterCheckpoint:
     # -- restore -----------------------------------------------------------------
 
     def restore(self, cluster, strategy=None) -> Optional[dict]:
-        """Write the snapshot into a freshly built cluster (and strategy).
+        """Write the snapshot into a built (or used) cluster (and strategy).
 
         The target must match the captured configuration (worker count, model
         dimension, dtype, compression, optimizer, fault plan, and the

@@ -4,8 +4,9 @@ Covers the four tentpole guarantees: content-addressed keys are stable under
 reconstruction and sensitive to every configuration field; a killed sweep
 resumes from its durable records without re-executing completed cells; the
 shared-setup memoization is bit-identical to eager per-cell builds (including
-models with Dropout RNG streams); and process-parallel execution is
-bit-identical to serial.
+models with Dropout RNG streams), and so is a cluster restored for the next
+cell of its workload; and process-parallel execution is bit-identical to
+serial.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.data.synthetic import gaussian_blobs
 from repro.distributed.topology import GossipTopology, HierarchicalTopology
 from helpers.memory import peak_bytes
 from repro.data.datasets import Dataset
-from repro.exceptions import ExperimentError, ModelNotBuiltError
+from repro.exceptions import ExperimentError, ModelNotBuiltError, TrainingError
 from repro.experiments.cache import CODE_VERSION, RunStore, canonical_value, dataset_digest
 from repro.experiments.executor import (
     SweepCell,
@@ -33,6 +34,7 @@ from repro.experiments.executor import (
     fork_parallelism_available,
     workload_fingerprint,
 )
+from repro.experiments.persistence import result_to_dict
 from repro.experiments.run import TrainingRun
 from repro.experiments.registry import fda
 from repro.experiments.setup import SetupCache, WorkloadConfig, build_cluster, make_optimizer
@@ -42,9 +44,16 @@ from repro.nn.architectures import mlp, transfer_head
 from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.model import Sequential
 from repro.nn.plane import ParameterPlane
+from repro.optim.server import FedAdam
 from repro.population import PopulationConfig
 from repro.serving import ServingConfig
-from repro.strategies.fda_strategy import FDAStrategy
+from repro.strategies import (
+    FDAStrategy,
+    FedOptStrategy,
+    FedProxStrategy,
+    LocalSGDStrategy,
+    ScaffoldStrategy,
+)
 
 BLOBS_FEATURES = 8
 BLOBS_CLASSES = 3
@@ -379,12 +388,14 @@ class TestMemoizedSetup:
         ]
         executor = SweepExecutor()
         points = sweep_theta(build_workload(), THETAS, RUN, executor=executor)
-        # Partitions and the model pool were each built exactly once for the
-        # whole grid (pool lookups also serve key fingerprinting, so hit
-        # counts exceed cell counts — misses are the build-cost metric).
+        # Partitions, the model pool and the cluster were each built exactly
+        # once for the whole grid (pool lookups also serve key fingerprinting,
+        # so hit counts exceed cell counts — misses are the build-cost metric);
+        # every later cell restored the held cluster.
         assert executor.setup.partition_misses == 1
         assert executor.setup.model_misses == 1
-        assert executor.setup.partition_hits == len(THETAS) - 1
+        assert executor.setup.cluster_misses == 1
+        assert executor.setup.cluster_hits == len(THETAS) - 1
         for point, reference in zip(points, eager):
             assert_results_identical(point.result, reference)
 
@@ -515,6 +526,147 @@ class TestBindingIntoTheCellDtype:
         # converted back and forth, 16 a cell at K=8); each dtype switch: K;
         # dtype=None inherits the factory's float64, which the planes are in.
         assert per_cell == [8, 0, 8, 8, 8]
+
+
+#: The cluster axes a restore must reproduce, as (compression, faults)
+#: options: collective compression and fault injection do not compose.
+COMPRESSION_OR_FAULTS = [
+    {},
+    {"compression": CompressionConfig("topk", ratio=0.2, error_feedback=True)},
+    {"compression": CompressionConfig("randomk", ratio=0.3, seed=3)},
+    {"faults": FaultPlan(crash_rate=0.3, recovery_rounds=2, seed=1)},
+    {"faults": FaultPlan(loss_rate=0.3, seed=2)},
+]
+#: (dtype, topology, timeline dropout, model): with its complement, each row
+#: puts both values of every axis beside each compression-or-faults option,
+#: and the rows together put every pair of values of two axes side by side.
+BINARY_AXES = [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1)]
+
+
+def restorable_workloads():
+    """Ten workloads that pairwise cover the axes a held cluster carries."""
+    workloads = []
+    for option, bits in zip(COMPRESSION_OR_FAULTS, BINARY_AXES):
+        for flip in (0, 1):
+            dtype, topology, dropout, model = (bit ^ flip for bit in bits)
+            workloads.append(
+                build_workload(
+                    model_factory=(gelu_dropout_head, batchnorm_head)[model],
+                    dtype=("float64", "float32")[dtype],
+                    topology=("star", "hierarchical")[topology],
+                    dropout_rate=(0.0, 0.25)[dropout],
+                    **option,
+                )
+            )
+    return workloads
+
+
+#: A server round per workload, in turn, where composition allows one.
+SERVER_ROUNDS = [
+    lambda: FedOptStrategy(FedAdam(learning_rate=0.05)),
+    lambda: FedProxStrategy(mu=0.1),
+    lambda: ScaffoldStrategy(),
+]
+
+
+def strategies_for(index, workload):
+    """Consecutive cells of different strategies on one workload."""
+    factories = [
+        lambda: FDAStrategy(threshold=0.02, variant="linear", seed=0),
+        lambda: FDAStrategy(threshold=0.02, variant="sketch", sketch_depth=3, sketch_width=16),
+        lambda: LocalSGDStrategy(tau=3),
+    ]
+    if not workload.dropout_rate:  # a server round trains every worker
+        factories.append(SERVER_ROUNDS[index % len(SERVER_ROUNDS)])
+    return factories
+
+
+class PoisonedFDA(FDAStrategy):
+    """LinearFDA whose workers start from an infinite model: its first step diverges."""
+
+    def _setup(self, cluster):
+        cluster.parameter_matrix[...] = np.inf
+        super()._setup(cluster)
+
+
+def snapshotting_runs(monkeypatch):
+    """Patch ``TrainingRun.execute`` to append what each run's cluster opened
+    with (its participants) and its post-run snapshot to a list."""
+    snapshots, execute = [], TrainingRun.execute
+
+    def execute_then_snapshot(run, strategy, cluster, *args, **kwargs):
+        opened_with = cluster.participants
+        result = execute(run, strategy, cluster, *args, **kwargs)
+        snapshots.append((opened_with, cluster_snapshot(cluster)))
+        return result
+
+    monkeypatch.setattr(TrainingRun, "execute", execute_then_snapshot)
+    return snapshots
+
+
+class TestRestoredCluster:
+    """A cell of the previous cell's workload restores that cell's cluster to
+    its as-built state instead of building one; the oracle is a fresh build."""
+
+    def test_a_restored_cluster_equals_a_fresh_build(self, monkeypatch):
+        workloads = restorable_workloads()
+        population = build_workload(
+            population=PopulationConfig(num_clients=10, cohort_size=4), num_workers=4
+        )
+        cells = [
+            SweepCell(workload=workload, strategy_factory=factory, run=RUN)
+            for index, workload in enumerate(workloads)
+            for factory in strategies_for(index, workload)
+        ] + [
+            SweepCell(workload=population, strategy_factory=factory, run=RUN)
+            for factory in strategies_for(0, population)[:2]
+        ]
+        snapshots = snapshotting_runs(monkeypatch)
+        executor = SweepExecutor()
+        results = executor.execute(cells)
+        restored = snapshots[:]
+        del snapshots[:]
+        for cell, result, (opened_with, snapshot) in zip(cells, results, restored):
+            eager = run_eager(cell.workload, cell.strategy_factory(), cell.run)
+            assert result_to_dict(result) == result_to_dict(eager), cell
+            eager_opened_with, eager_snapshot = snapshots.pop()
+            # A restored cluster has opened no round, as a fresh one has not.
+            assert opened_with.mask is None and eager_opened_with.mask is None
+            assert_snapshots_identical(snapshot, eager_snapshot)
+        # One build per workload; a population cluster is built for every cell.
+        assert executor.setup.cluster_misses == len(workloads) + 2
+        assert executor.setup.cluster_hits == len(cells) - len(workloads) - 2
+
+    def test_binding_the_pool_drops_the_held_cluster(self):
+        # The held cluster's models are the pool's skeletons: a build that
+        # rebinds them must not leave the cache holding a cluster it rewrote.
+        setup = SetupCache()
+        held, _ = build_cluster(build_workload(), setup=setup)
+        setup.hold_cluster("workload", held)
+        build_cluster(build_workload(seed=1), setup=setup)
+        assert setup.restored_cluster("workload") is None
+
+    def test_a_diverged_cell_leaves_nothing_to_the_next(self, tmp_path):
+        workload = build_workload(model_factory=batchnorm_head)
+        poisoned = SweepCell(
+            workload=workload, strategy_factory=lambda: PoisonedFDA(threshold=0.02), run=RUN
+        )
+        good = [make_cell(workload, theta) for theta in THETAS]
+        eager = [run_eager(workload, cell.strategy_factory(), RUN) for cell in good]
+        executor = SweepExecutor()
+        with pytest.raises(TrainingError):
+            executor.execute([good[0], poisoned])
+        # The poisoned cluster was released with the failed call; the next cell builds.
+        assert_results_identical(executor.execute([good[1]])[0], eager[1])
+        assert (executor.setup.cluster_misses, executor.setup.cluster_hits) == (2, 1)
+        if fork_parallelism_available():
+            # Each cell process holds its own cluster and goes on past a failure.
+            parallel = SweepExecutor(cache_dir=tmp_path / "cache", jobs=2)
+            with pytest.raises(TrainingError):
+                parallel.execute([good[0], poisoned, good[1], good[2]])
+            replayed = SweepExecutor(cache_dir=tmp_path / "cache").execute(good)
+            for result, reference in zip(replayed, eager):
+                assert_results_identical(result, reference)
 
 
 class TestCrashResume:
